@@ -1094,6 +1094,7 @@ impl DpFuture {
             CoreError::PeerFailed(_) => CoreError::PeerFailed(m),
             CoreError::WorkerPanicked(_) => CoreError::WorkerPanicked(m),
             CoreError::Timeout(_) => CoreError::Timeout(m),
+            CoreError::Config(_) => CoreError::Config(m),
             _ => CoreError::Worker(m),
         }
     }

@@ -1,0 +1,372 @@
+//! The one GEMM microkernel under `Tensor::matmul_{nt,nn,tn}` (so the
+//! tape's forward and backward and `ShardedLm::forward_stage`) and the
+//! batched decoder.
+//!
+//! Contract (DESIGN.md §2, "kernel contract"): every output element is
+//! the sum of its terms in ascending `k`, starting from `0.0`, each term
+//! a plain `mul` — exactly what the scalar loops it replaces compute, so
+//! results are bit-identical to them. Speed comes only from sharing a
+//! vector between *independent* outputs: [`LANES`] values of the lane
+//! dimension (rows of `x`/`g`, columns of `g` for `gᵀ·x`, sequences of a
+//! decode batch) are packed into `[k][LANES]` panels and [`NC`] output
+//! columns are accumulated at once in registers. There is no `mul_add`
+//! (fused rounding would differ), no intrinsic or target-feature
+//! dispatch (one code path, one result on every host) and no `unsafe`.
+//! The sums of lanes past the end of a ragged dimension are computed
+//! from padding and never stored.
+
+use crate::tensor::{Mat, Tensor};
+
+/// Width of the lane dimension: two 4-wide vectors on the baseline target.
+pub(crate) const LANES: usize = 8;
+/// Output columns accumulated together: `NC × LANES` sums fill the
+/// baseline target's vector registers, and each packed `a` row is
+/// loaded once per `NC` columns.
+const NC: usize = 4;
+
+/// [`LANES`] independent values: one row of a panel.
+pub(crate) type Lanes = [f32; LANES];
+
+/// The summands of a panel product: for output column `c` and lane `l`
+/// the kernel adds `term(step kk, c, l)` for `kk` ascending.
+pub(crate) trait Terms: Copy {
+    /// What one `kk` contributes to `N` adjacent output columns.
+    type Step<const N: usize>;
+    /// The steps of output columns `j..j + N`, `kk` ascending.
+    fn steps<const N: usize>(self, j: usize) -> impl Iterator<Item = Self::Step<N>>;
+    /// The summands of column `j + c` at one step, lane by lane.
+    fn term<const N: usize>(step: &Self::Step<N>, c: usize) -> Lanes;
+}
+
+/// `a[kk][l] · w[c][kk]`: the right operand is given transposed, as
+/// `w: [n × k]` row-major (`x · wᵀ`).
+#[derive(Clone, Copy)]
+pub(crate) struct Nt<'a> {
+    pub a: &'a [Lanes],
+    pub w: &'a [f32],
+}
+
+impl<'a> Terms for Nt<'a> {
+    type Step<const N: usize> = (&'a Lanes, [f32; N]);
+
+    #[inline(always)]
+    fn steps<const N: usize>(self, j: usize) -> impl Iterator<Item = Self::Step<N>> {
+        let k = self.a.len();
+        let rows: [&[f32]; N] = std::array::from_fn(|c| &self.w[(j + c) * k..][..k]);
+        self.a.iter().enumerate().map(move |(kk, a)| (a, rows.map(|r| r[kk])))
+    }
+
+    #[inline(always)]
+    fn term<const N: usize>((a, b): &Self::Step<N>, c: usize) -> Lanes {
+        a.map(|v| v * b[c])
+    }
+}
+
+/// `a[kk][l] · b[kk][c]` with `b: [k × n]` row-major. With `SKIP_ZERO`
+/// every term whose `a` is exactly zero is left out, as the backward
+/// loops always have left it out (masked gradient rows), so a zero
+/// gradient never meets a non-finite weight: the term is replaced by
+/// `+0.0`, and a running sum that starts at `+0.0` is never `-0.0`, so
+/// adding `+0.0` leaves it bit for bit as it was. A panel without an
+/// exact zero has no term to leave out and takes the plain product.
+#[derive(Clone, Copy)]
+struct Nn<'a, const SKIP_ZERO: bool> {
+    a: &'a [Lanes],
+    b: Mat<'a>,
+}
+
+impl<'a, const SKIP_ZERO: bool> Terms for Nn<'a, SKIP_ZERO> {
+    type Step<const N: usize> = (&'a Lanes, [u32; LANES], [f32; N]);
+
+    #[inline(always)]
+    fn steps<const N: usize>(self, j: usize) -> impl Iterator<Item = Self::Step<N>> {
+        let rows = self.b.data.chunks_exact(self.b.cols);
+        self.a.iter().zip(rows).map(move |(a, row)| {
+            let keep = a.map(|v| if v == 0.0 { 0 } else { u32::MAX });
+            (a, keep, *row[j..].first_chunk::<N>().expect("j + N <= n"))
+        })
+    }
+
+    #[inline(always)]
+    fn term<const N: usize>((a, keep, b): &Self::Step<N>, c: usize) -> Lanes {
+        if SKIP_ZERO {
+            std::array::from_fn(|l| f32::from_bits((a[l] * b[c]).to_bits() & keep[l]))
+        } else {
+            a.map(|v| v * b[c])
+        }
+    }
+}
+
+/// `t + u` per step: the decoder's fused `n·Waᵀ + c·Uaᵀ` expansion adds
+/// both products *before* accumulating.
+#[derive(Clone, Copy)]
+pub(crate) struct Sum<T, U>(pub T, pub U);
+
+impl<T: Terms, U: Terms> Terms for Sum<T, U> {
+    type Step<const N: usize> = (T::Step<N>, U::Step<N>);
+
+    #[inline(always)]
+    fn steps<const N: usize>(self, j: usize) -> impl Iterator<Item = Self::Step<N>> {
+        self.0.steps::<N>(j).zip(self.1.steps::<N>(j))
+    }
+
+    #[inline(always)]
+    fn term<const N: usize>((t, u): &Self::Step<N>, c: usize) -> Lanes {
+        let (t, u) = (T::term::<N>(t, c), U::term::<N>(u, c));
+        std::array::from_fn(|l| t[l] + u[l])
+    }
+}
+
+/// The microkernel: `N × LANES` running sums held in registers over one
+/// pass of `k`.
+#[inline(always)]
+fn micro<T: Terms, const N: usize>(terms: T, j: usize) -> [Lanes; N] {
+    let mut acc = [[0.0f32; LANES]; N];
+    for step in terms.steps::<N>(j) {
+        for (c, lanes) in acc.iter_mut().enumerate() {
+            for (v, t) in lanes.iter_mut().zip(T::term::<N>(&step, c)) {
+                *v += t;
+            }
+        }
+    }
+    acc
+}
+
+/// One panel's product: hands `store` the [`LANES`] sums of each of the
+/// `n` output columns. Columns go [`NC`] at a time; the `n % NC` left
+/// over — and every column when `n < NC`, the value head — go one at a
+/// time, which costs no padding.
+#[inline(always)]
+pub(crate) fn panel_product<T: Terms>(terms: T, n: usize, mut store: impl FnMut(usize, &Lanes)) {
+    let blocked = n - n % NC;
+    for j in (0..blocked).step_by(NC) {
+        for (c, lanes) in micro::<T, NC>(terms, j).iter().enumerate() {
+            store(j + c, lanes);
+        }
+    }
+    for j in blocked..n {
+        let [lanes] = micro::<T, 1>(terms, j);
+        store(j, &lanes);
+    }
+}
+
+/// A value for the lanes past the end of a ragged dimension. Their sums
+/// are never stored, so any value would do but an exact zero, which
+/// would make the panel look masked to [`skip_zero_product`].
+const PADDING: f32 = 1.0;
+
+/// Packs the rows of `x` as lanes: rows `8g..8g + 8` form panel `g`,
+/// `x.cols` steps long.
+fn pack_rows(x: Mat) -> Vec<Lanes> {
+    let k = x.cols;
+    let mut panels = vec![[PADDING; LANES]; x.rows.div_ceil(LANES) * k];
+    for r in 0..x.rows {
+        let panel = &mut panels[r / LANES * k..][..k];
+        for (p, &v) in panel.iter_mut().zip(x.row(r)) {
+            p[r % LANES] = v;
+        }
+    }
+    panels
+}
+
+/// Packs the columns of `g` as lanes — they are already adjacent in
+/// memory: columns `8g..8g + 8` form panel `g`, `g.rows` steps long.
+fn pack_cols(g: Mat) -> Vec<Lanes> {
+    let mut panels = vec![[PADDING; LANES]; g.cols.div_ceil(LANES) * g.rows];
+    for i in 0..g.rows {
+        for (group, chunk) in g.row(i).chunks(LANES).enumerate() {
+            panels[group * g.rows + i][..chunk.len()].copy_from_slice(chunk);
+        }
+    }
+    panels
+}
+
+/// The `[lanes × n]` result of one `product` per `k`-step panel of
+/// `panels`; `product` hands each output column's sums to the store it
+/// is given.
+fn unpacked_product<'p>(
+    panels: &'p [Lanes],
+    k: usize,
+    lanes: usize,
+    n: usize,
+    product: impl Fn(&'p [Lanes], &mut dyn FnMut(usize, &Lanes)),
+) -> Tensor {
+    let mut out = vec![0.0f32; lanes * n];
+    for r0 in (0..lanes).step_by(LANES) {
+        let width = LANES.min(lanes - r0);
+        product(&panels[r0 / LANES * k..][..k], &mut |c, sums| {
+            for (l, &v) in sums[..width].iter().enumerate() {
+                out[(r0 + l) * n + c] = v;
+            }
+        });
+    }
+    Tensor::new(out, lanes, n)
+}
+
+/// [`unpacked_product`] of [`Nn`] terms: `Σ a · b` over `b: [k × n]`
+/// with the exact zeros of `a` skipped.
+fn skip_zero_product(panels: &[Lanes], lanes: usize, b: Mat) -> Tensor {
+    unpacked_product(panels, b.rows, lanes, b.cols, |a, store| {
+        if a.iter().flatten().all(|&v| v != 0.0) {
+            panel_product(Nn::<false> { a, b }, b.cols, store)
+        } else {
+            panel_product(Nn::<true> { a, b }, b.cols, store)
+        }
+    })
+}
+
+/// `x · wᵀ` with `x: [m × k]`, `w: [n × k]` → `[m × n]`.
+pub(crate) fn x_wt(x: Mat, w: Mat) -> Tensor {
+    assert_eq!(x.cols, w.cols, "x·wᵀ inner dims");
+    unpacked_product(&pack_rows(x), x.cols, x.rows, w.rows, |a, store| {
+        panel_product(Nt { a, w: w.data }, w.rows, store)
+    })
+}
+
+/// `g · w` with `g: [m × k]`, `w: [k × n]` → `[m × n]`, zero terms of
+/// `g` skipped.
+pub(crate) fn g_w(g: Mat, w: Mat) -> Tensor {
+    assert_eq!(g.cols, w.rows, "g·w inner dims");
+    skip_zero_product(&pack_rows(g), g.rows, w)
+}
+
+/// `gᵀ · x` with `g: [m × k]`, `x: [m × n]` → `[k × n]`, zero terms of
+/// `g` skipped.
+pub(crate) fn gt_x(g: Mat, x: Mat) -> Tensor {
+    assert_eq!(g.rows, x.rows, "gᵀ·x outer dims");
+    skip_zero_product(&pack_cols(g), g.cols, x)
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    use super::*;
+
+    /// The scalar loops the kernels replaced, kept as the reference the
+    /// kernels must match bit for bit.
+    pub(crate) mod reference {
+        pub(crate) fn x_wt(x: &[f32], w: &[f32], m: usize, n: usize, k: usize) -> Vec<f32> {
+            let mut out = vec![0.0f32; m * n];
+            for i in 0..m {
+                for j in 0..n {
+                    let mut acc = 0.0f32;
+                    for kk in 0..k {
+                        acc += x[i * k + kk] * w[j * k + kk];
+                    }
+                    out[i * n + j] = acc;
+                }
+            }
+            out
+        }
+
+        pub(crate) fn g_w(g: &[f32], w: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+            let mut out = vec![0.0f32; m * n];
+            for i in 0..m {
+                for kk in 0..k {
+                    let gik = g[i * k + kk];
+                    if gik == 0.0 {
+                        continue;
+                    }
+                    for j in 0..n {
+                        out[i * n + j] += gik * w[kk * n + j];
+                    }
+                }
+            }
+            out
+        }
+
+        pub(crate) fn gt_x(g: &[f32], x: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+            let mut out = vec![0.0f32; k * n];
+            for i in 0..m {
+                for kk in 0..k {
+                    let gik = g[i * k + kk];
+                    if gik == 0.0 {
+                        continue;
+                    }
+                    for j in 0..n {
+                        out[kk * n + j] += gik * x[i * n + j];
+                    }
+                }
+            }
+            out
+        }
+    }
+
+    /// `rows × cols` values with exact `0.0` and `-0.0` mixed in and
+    /// about one row in four all zero (a masked gradient row).
+    fn matrix(rng: &mut StdRng, rows: usize, cols: usize) -> Vec<f32> {
+        let mut data = Vec::with_capacity(rows * cols);
+        for _ in 0..rows {
+            let masked = rng.random_range(0u32..4) == 0;
+            for _ in 0..cols {
+                data.push(match rng.random_range(0u32..8) {
+                    _ if masked => 0.0,
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.random::<f32>() * 4.0 - 2.0,
+                });
+            }
+        }
+        data
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn mat(data: &[f32], rows: usize, cols: usize) -> Mat<'_> {
+        Mat { data, rows, cols }
+    }
+
+    fn dim() -> impl Strategy<Value = usize> {
+        // Ragged against both the lane width and the column block, the
+        // single-column path (`n < 4`) and the one-step sum (`k = 1`).
+        prop_oneof![1usize..=70, Just(1usize), Just(2usize), Just(3usize), Just(5usize)]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        #[test]
+        fn kernels_bit_identical_to_reference(
+            m in dim(), n in dim(), k in dim(), seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let x = matrix(&mut rng, m, k);
+            let w = matrix(&mut rng, n, k);
+            prop_assert_eq!(
+                bits(x_wt(mat(&x, m, k), mat(&w, n, k)).data()),
+                bits(&reference::x_wt(&x, &w, m, n, k)),
+                "x·wᵀ at {}×{}×{}", m, n, k
+            );
+            let g = matrix(&mut rng, m, k);
+            let w = matrix(&mut rng, k, n);
+            prop_assert_eq!(
+                bits(g_w(mat(&g, m, k), mat(&w, k, n)).data()),
+                bits(&reference::g_w(&g, &w, m, k, n)),
+                "g·w at {}×{}×{}", m, k, n
+            );
+            let x = matrix(&mut rng, m, n);
+            prop_assert_eq!(
+                bits(gt_x(mat(&g, m, k), mat(&x, m, n)).data()),
+                bits(&reference::gt_x(&g, &x, m, k, n)),
+                "gᵀ·x at {}×{}×{}", m, k, n
+            );
+        }
+    }
+
+    #[test]
+    fn zero_gradient_never_meets_a_non_finite_weight() {
+        // The skip is part of the contract, not an optimisation: 0 · ∞
+        // would be NaN.
+        let g = [0.0f32, 1.0, -0.0, 2.0];
+        let w = [f32::INFINITY, f32::NAN, 3.0, 4.0];
+        assert_eq!(g_w(mat(&g, 2, 2), mat(&w, 2, 2)).data(), [3.0, 4.0, 6.0, 8.0]);
+        let x = [f32::NAN, f32::INFINITY, 5.0, 7.0];
+        let g = [0.0f32, -0.0, 2.0, 3.0];
+        assert_eq!(gt_x(mat(&g, 2, 2), mat(&x, 2, 2)).data(), [10.0, 14.0, 15.0, 21.0]);
+    }
+}

@@ -8,6 +8,9 @@
 //! iterations.
 //!
 //! * [`tensor`] — a minimal 2-D `f32` tensor.
+//! * `kernels` (private) — the one lane-packed GEMM microkernel under
+//!   every matrix product here, bit-identical to the scalar loops it
+//!   replaced (DESIGN.md §2, "kernel contract").
 //! * [`tape`] — tape-based reverse-mode autograd with the fused ops RLHF
 //!   needs (log-prob gather, PPO clip objective, clipped value loss).
 //! * [`model`] — [`model::TinyLm`]: embedding → L residual mixer blocks
@@ -22,6 +25,7 @@
 #![warn(missing_docs)]
 
 pub mod adam;
+mod kernels;
 pub mod model;
 pub mod sharded;
 pub mod tape;

@@ -26,8 +26,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 
+use crate::kernels::{self, Lanes, Nt, Sum, LANES};
 use crate::tape::{Tape, Var};
-use crate::tensor::Tensor;
 
 /// Architecture of a [`TinyLm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,26 +63,29 @@ impl LmConfig {
     }
 }
 
-/// The results of one differentiable forward pass.
-pub struct ForwardPass {
+/// The results of one differentiable forward pass; it borrows the
+/// model's parameters for as long as the tape lives.
+pub struct ForwardPass<'a> {
     /// The autograd tape holding the computation.
-    pub tape: Tape,
+    pub tape: Tape<'a>,
     /// Per-position vocabulary logits, `[T × vocab]`.
     pub logits: Var,
     /// Per-position scalar values, `[T × 1]`.
     pub values: Var,
-    param_vars: Vec<(Var, usize, usize)>, // (leaf, flat offset, len)
+    /// Each parameter leaf with its offset in the flat buffer.
+    param_vars: Vec<(Var, usize)>,
+    param_count: usize,
 }
 
-impl ForwardPass {
+impl ForwardPass<'_> {
     /// Runs backward from `loss` and returns the flat parameter gradient.
     pub fn backward(mut self, loss: Var) -> Vec<f32> {
         self.tape.backward(loss);
-        let total = self.param_vars.iter().map(|(_, off, len)| off + len).max().unwrap_or(0);
-        let mut grad = vec![0.0f32; total];
-        for (var, off, len) in &self.param_vars {
-            let g = self.tape.grad(*var);
-            grad[*off..*off + *len].copy_from_slice(g.data());
+        let mut grad = vec![0.0f32; self.param_count];
+        for &(var, off) in &self.param_vars {
+            if let Some(g) = self.tape.leaf_grad(var) {
+                grad[off..off + g.len()].copy_from_slice(g.data());
+            }
         }
         grad
     }
@@ -162,41 +165,45 @@ impl TinyLm {
         &self.flat[self.block_region_start()..self.final_gain_offset()]
     }
 
-    fn leaf(&self, tape: &mut Tape, off: usize, rows: usize, cols: usize) -> (Var, usize, usize) {
-        let len = rows * cols;
-        let t = Tensor::new(self.flat[off..off + len].to_vec(), rows, cols);
-        (tape.leaf(t), off, len)
-    }
-
     /// Builds the differentiable forward pass over `ids`.
     ///
     /// # Panics
     ///
     /// Panics if `ids` is empty or contains out-of-vocab tokens.
-    pub fn forward(&self, ids: &[usize]) -> ForwardPass {
+    pub fn forward(&self, ids: &[usize]) -> ForwardPass<'_> {
         assert!(!ids.is_empty(), "forward needs at least one token");
         let cfg = self.cfg;
         let mut tape = Tape::new();
         let mut param_vars = Vec::new();
+        // Parameter leaves read `flat` in place; their offsets map the
+        // leaf gradients back into the flat gradient.
+        let mut param = |off: usize, rows: usize, cols: usize| {
+            let var = tape.param(&self.flat[off..off + rows * cols], rows, cols);
+            param_vars.push((var, off));
+            var
+        };
 
-        let (embed, eo, el) = self.leaf(&mut tape, 0, cfg.vocab, cfg.hidden);
-        param_vars.push((embed, eo, el));
+        let embed = param(0, cfg.vocab, cfg.hidden);
+        let blocks: Vec<[Var; 4]> = (0..cfg.layers)
+            .map(|l| {
+                let gain = self.block_offset(l);
+                let wa = gain + cfg.hidden;
+                let ua = wa + cfg.ffn * cfg.hidden;
+                let wb = ua + cfg.ffn * cfg.hidden;
+                [
+                    param(gain, 1, cfg.hidden),
+                    param(wa, cfg.ffn, cfg.hidden),
+                    param(ua, cfg.ffn, cfg.hidden),
+                    param(wb, cfg.hidden, cfg.ffn),
+                ]
+            })
+            .collect();
+        let fgain = param(self.final_gain_offset(), 1, cfg.hidden);
+        let head = param(self.head_offset(), cfg.vocab, cfg.hidden);
+        let vhead = param(self.vhead_offset(), 1, cfg.hidden);
+
         let mut h = tape.embed(embed, ids);
-
-        for l in 0..cfg.layers {
-            let base = self.block_offset(l);
-            let (gain, go, gl) = self.leaf(&mut tape, base, 1, cfg.hidden);
-            let (wa, wao, wal) = self.leaf(&mut tape, base + cfg.hidden, cfg.ffn, cfg.hidden);
-            let (ua, uao, ual) =
-                self.leaf(&mut tape, base + cfg.hidden + cfg.ffn * cfg.hidden, cfg.ffn, cfg.hidden);
-            let (wb, wbo, wbl) = self.leaf(
-                &mut tape,
-                base + cfg.hidden + 2 * cfg.ffn * cfg.hidden,
-                cfg.hidden,
-                cfg.ffn,
-            );
-            param_vars.extend([(gain, go, gl), (wa, wao, wal), (ua, uao, ual), (wb, wbo, wbl)]);
-
+        for [gain, wa, ua, wb] in blocks {
             let c = tape.cum_mean(h);
             let n = tape.rmsnorm(h, gain);
             let a1 = tape.matmul_nt(n, wa);
@@ -206,20 +213,11 @@ impl TinyLm {
             let out = tape.matmul_nt(act, wb);
             h = tape.add(h, out);
         }
-
-        let (fgain, fo, fl) = self.leaf(&mut tape, self.final_gain_offset(), 1, cfg.hidden);
-        param_vars.push((fgain, fo, fl));
         let f = tape.rmsnorm(h, fgain);
-
-        let (head, ho, hl) = self.leaf(&mut tape, self.head_offset(), cfg.vocab, cfg.hidden);
-        param_vars.push((head, ho, hl));
         let logits = tape.matmul_nt(f, head);
-
-        let (vhead, vo, vl) = self.leaf(&mut tape, self.vhead_offset(), 1, cfg.hidden);
-        param_vars.push((vhead, vo, vl));
         let values = tape.matmul_nt(f, vhead);
 
-        ForwardPass { tape, logits, values, param_vars }
+        ForwardPass { tape, logits, values, param_vars, param_count: self.flat.len() }
     }
 
     /// Log-probabilities of each next token: `out[t] = log p(ids[t+1] |
@@ -362,10 +360,11 @@ impl TinyLm {
     /// by exactly one token. Results are **bit-identical** to calling
     /// [`Self::decode_step`] once per sequence: every per-sequence
     /// floating-point operation executes in the same order, only the
-    /// loop nest is transposed so the batch runs in the inner dimension.
-    /// That transposition is where the throughput comes from — weight
-    /// rows are streamed once per *step* instead of once per *sequence*,
-    /// and the independent batch lanes vectorize where a single
+    /// sequences of a batch ride the lanes of the shared GEMM
+    /// microkernel (`kernels.rs`), eight at a time with the last group
+    /// padded. That is where the throughput comes from —
+    /// weight rows are streamed once per lane group instead of once per
+    /// *sequence*, and the independent lanes vectorize where a single
     /// sequence's strict accumulation order cannot.
     ///
     /// # Panics
@@ -377,98 +376,106 @@ impl TinyLm {
         states: &mut [&mut DecodeState],
         tokens: &[usize],
     ) -> Vec<(Vec<f32>, f32)> {
-        let cfg = self.cfg;
-        let b = states.len();
-        assert_eq!(b, tokens.len(), "decode_step_batch needs one token per state");
-        if b == 0 {
-            return Vec::new();
-        }
+        assert_eq!(states.len(), tokens.len(), "decode_step_batch needs one token per state");
         for &t in tokens {
-            assert!(t < cfg.vocab, "token {t} out of vocab");
+            assert!(t < self.cfg.vocab, "token {t} out of vocab");
         }
+        let mut out = Vec::with_capacity(tokens.len());
+        for (states, tokens) in states.chunks_mut(LANES).zip(tokens.chunks(LANES)) {
+            self.decode_lane_group(states, tokens, &mut out);
+        }
+        out
+    }
 
-        // Activations live in [feature][sequence] layout: inner loops
-        // run over the batch with per-sequence accumulators, keeping
-        // each sequence's op order exactly `decode_step`'s while the
-        // batch dimension forms independent, vectorizable lanes.
-        let mut h = vec![0.0f32; cfg.hidden * b];
-        for (i, &t) in tokens.iter().enumerate() {
+    /// One batched decode step of up to [`LANES`] sequences, one per
+    /// lane. Activations are `[feature][lane]` panels; lanes past the
+    /// last sequence carry zeros through every op and are dropped.
+    fn decode_lane_group(
+        &self,
+        states: &mut [&mut DecodeState],
+        tokens: &[usize],
+        out: &mut Vec<(Vec<f32>, f32)>,
+    ) {
+        let cfg = self.cfg;
+        let mut h = vec![[0.0f32; LANES]; cfg.hidden];
+        for (lane, &t) in tokens.iter().enumerate() {
             let row = &self.flat[t * cfg.hidden..(t + 1) * cfg.hidden];
-            for k in 0..cfg.hidden {
-                h[k * b + i] = row[k];
+            for (hk, &v) in h.iter_mut().zip(row) {
+                hk[lane] = v;
             }
         }
-        let inv_pos: Vec<f32> = states.iter().map(|s| 1.0 / (s.pos as f32 + 1.0)).collect();
-
-        let mut c = vec![0.0f32; cfg.hidden * b];
-        let mut n = vec![0.0f32; cfg.hidden * b];
-        let mut act = vec![0.0f32; cfg.ffn * b];
-        let mut tmp = vec![0.0f32; b];
-        let mut inv = vec![0.0f32; b];
-        let rms_inv = |h: &[f32], inv: &mut [f32]| {
-            for i in 0..b {
-                let mut s = 0.0f32;
-                for k in 0..cfg.hidden {
-                    let v = h[k * b + i];
-                    s += v * v;
+        let mut inv_pos = [0.0f32; LANES];
+        for (ip, state) in inv_pos.iter_mut().zip(states.iter()) {
+            *ip = 1.0 / (state.pos as f32 + 1.0);
+        }
+        // `x[k][lane] · inv[lane] · gain[k]` with `inv` the per-lane RMS
+        // scale of `x`.
+        let rmsnorm = |x: &[Lanes], gain: &[f32], y: &mut [Lanes]| {
+            let mut inv = [0.0f32; LANES];
+            for xk in x {
+                for (s, &v) in inv.iter_mut().zip(xk) {
+                    *s += v * v;
                 }
-                let ms = s / cfg.hidden as f32;
-                inv[i] = 1.0 / (ms + 1e-6).sqrt();
+            }
+            for s in inv.iter_mut() {
+                let ms = *s / cfg.hidden as f32;
+                *s = 1.0 / (ms + 1e-6).sqrt();
+            }
+            for ((yk, xk), &g) in y.iter_mut().zip(x).zip(gain) {
+                for ((y, &v), &i) in yk.iter_mut().zip(xk).zip(&inv) {
+                    *y = v * i * g;
+                }
             }
         };
+
+        let mut c = vec![[0.0f32; LANES]; cfg.hidden];
+        let mut n = vec![[0.0f32; LANES]; cfg.hidden];
+        let mut act = vec![[0.0f32; LANES]; cfg.ffn];
         for l in 0..cfg.layers {
             let base = self.block_offset(l);
-            let gain = &self.flat[base..base + cfg.hidden];
-            let wa = &self.flat[base + cfg.hidden..base + cfg.hidden + cfg.ffn * cfg.hidden];
-            let ua = &self.flat[base + cfg.hidden + cfg.ffn * cfg.hidden
-                ..base + cfg.hidden + 2 * cfg.ffn * cfg.hidden];
-            let wb = &self.flat[base + cfg.hidden + 2 * cfg.ffn * cfg.hidden
-                ..base + cfg.hidden + 3 * cfg.ffn * cfg.hidden];
+            let (gain, rest) = self.flat[base..base + cfg.block_size()].split_at(cfg.hidden);
+            let (wa, rest) = rest.split_at(cfg.ffn * cfg.hidden);
+            let (ua, wb) = rest.split_at(cfg.ffn * cfg.hidden);
             // Causal context: running mean including this position.
-            for (i, state) in states.iter_mut().enumerate() {
-                let acc = &mut state.acc[l];
-                let ip = inv_pos[i];
-                for k in 0..cfg.hidden {
-                    acc[k] += h[k * b + i];
-                    c[k * b + i] = acc[k] * ip;
+            for (lane, state) in states.iter_mut().enumerate() {
+                for ((acc, hk), ck) in state.acc[l].iter_mut().zip(&h).zip(c.iter_mut()) {
+                    *acc += hk[lane];
+                    ck[lane] = *acc * inv_pos[lane];
                 }
             }
             // RMSNorm(h) · Waᵀ + c · Uaᵀ, SiLU, · Wbᵀ, residual.
-            rms_inv(&h, &mut inv);
-            for k in 0..cfg.hidden {
-                let g = gain[k];
-                for i in 0..b {
-                    n[k * b + i] = h[k * b + i] * inv[i] * g;
+            rmsnorm(&h, gain, &mut n);
+            let expand = Sum(Nt { a: &n, w: wa }, Nt { a: &c, w: ua });
+            kernels::panel_product(expand, cfg.ffn, |j, sums| {
+                // No `exp` is spent on padding: those lanes stay zero.
+                for (a, &s) in act[j].iter_mut().zip(&sums[..tokens.len()]) {
+                    let sg = 1.0 / (1.0 + (-s).exp());
+                    *a = s * sg;
                 }
-            }
-            batch_expand(&mut act, &n, &c, wa, ua, b, cfg.hidden);
-            batch_contract(&mut h, &act, wb, &mut tmp, b, cfg.ffn);
+            });
+            kernels::panel_product(Nt { a: &act, w: wb }, cfg.hidden, |k, sums| {
+                for (hv, &s) in h[k].iter_mut().zip(sums) {
+                    *hv += s;
+                }
+            });
         }
         for state in states.iter_mut() {
             state.pos += 1;
         }
         // Final norm + heads.
         let fg = &self.flat[self.final_gain_offset()..self.final_gain_offset() + cfg.hidden];
-        rms_inv(&h, &mut inv);
-        let f = &mut c; // reuse the context buffer for the final features
-        for k in 0..cfg.hidden {
-            let g = fg[k];
-            for i in 0..b {
-                f[k * b + i] = h[k * b + i] * inv[i] * g;
-            }
-        }
+        let f = &mut n; // reuse the norm buffer for the final features
+        rmsnorm(&h, fg, f);
         let head = &self.flat[self.head_offset()..self.head_offset() + cfg.vocab * cfg.hidden];
-        let mut logits = vec![0.0f32; cfg.vocab * b];
-        batch_head(&mut logits, f, head, b, cfg.hidden);
+        let mut logits = vec![[0.0f32; LANES]; cfg.vocab];
+        kernels::panel_product(Nt { a: f, w: head }, cfg.vocab, |v, sums| logits[v] = *sums);
         let vh = &self.flat[self.vhead_offset()..self.vhead_offset() + cfg.hidden];
-        let mut values = vec![0.0f32; b];
-        for (k, &w) in vh.iter().enumerate() {
-            let fk = &f[k * b..(k + 1) * b];
-            for i in 0..b {
-                values[i] += fk[i] * w;
-            }
-        }
-        (0..b).map(|i| ((0..cfg.vocab).map(|v| logits[v * b + i]).collect(), values[i])).collect()
+        let mut values = [0.0f32; LANES];
+        kernels::panel_product(Nt { a: f, w: vh }, 1, |_, sums| values = *sums);
+        out.extend(
+            (0..tokens.len())
+                .map(|lane| (logits.iter().map(|lv| lv[lane]).collect(), values[lane])),
+        );
     }
 
     /// Rebuilds a decode state from a snapshot taken (via
@@ -485,72 +492,6 @@ impl TinyLm {
             .map(|l| snapshot[l * cfg.hidden..(l + 1) * cfg.hidden].to_vec())
             .collect();
         DecodeState { acc, pos }
-    }
-}
-
-/// Batched expansion: `act[j·b+i] = SiLU(Σₖ n[k·b+i]·wa[j,k] + c[k·b+i]·ua[j,k])`
-/// for every lane `i`. A free function over plain slices so the
-/// lane-inner loops carry noalias parameter attributes and vectorize;
-/// per-lane FP order matches [`TinyLm::decode_step`] exactly.
-fn batch_expand(
-    act: &mut [f32],
-    n: &[f32],
-    c: &[f32],
-    wa: &[f32],
-    ua: &[f32],
-    b: usize,
-    hidden: usize,
-) {
-    for (j, s) in act.chunks_exact_mut(b).enumerate() {
-        let wrow = &wa[j * hidden..(j + 1) * hidden];
-        let urow = &ua[j * hidden..(j + 1) * hidden];
-        s.fill(0.0);
-        for k in 0..hidden {
-            let w = wrow[k];
-            let u = urow[k];
-            let nk = &n[k * b..(k + 1) * b];
-            let ck = &c[k * b..(k + 1) * b];
-            for i in 0..b {
-                s[i] += nk[i] * w + ck[i] * u;
-            }
-        }
-        for v in s.iter_mut() {
-            let sg = 1.0 / (1.0 + (-*v).exp());
-            *v *= sg;
-        }
-    }
-}
-
-/// Batched contraction + residual: `h[k·b+i] += Σⱼ act[j·b+i]·wb[k,j]`
-/// per lane, accumulating each lane in `tmp` so the per-lane sum order
-/// matches [`TinyLm::decode_step`]'s scalar reduction.
-fn batch_contract(h: &mut [f32], act: &[f32], wb: &[f32], tmp: &mut [f32], b: usize, ffn: usize) {
-    for (k, hk) in h.chunks_exact_mut(b).enumerate() {
-        let brow = &wb[k * ffn..(k + 1) * ffn];
-        tmp.fill(0.0);
-        for (j, &bj) in brow.iter().enumerate() {
-            let aj = &act[j * b..(j + 1) * b];
-            for i in 0..b {
-                tmp[i] += aj[i] * bj;
-            }
-        }
-        for i in 0..b {
-            hk[i] += tmp[i];
-        }
-    }
-}
-
-/// Batched output head: `logits[v·b+i] = Σₖ f[k·b+i]·head[v,k]` per lane,
-/// k-outer so each lane accumulates in [`TinyLm::decode_step`]'s order.
-fn batch_head(logits: &mut [f32], f: &[f32], head: &[f32], b: usize, hidden: usize) {
-    for (v, lv) in logits.chunks_exact_mut(b).enumerate() {
-        let hrow = &head[v * hidden..(v + 1) * hidden];
-        for (k, &w) in hrow.iter().enumerate() {
-            let fk = &f[k * b..(k + 1) * b];
-            for i in 0..b {
-                lv[i] += fk[i] * w;
-            }
-        }
     }
 }
 
@@ -691,34 +632,38 @@ mod tests {
     fn decode_step_batch_bit_identical_at_ragged_positions() {
         // Sequences parked at different positions (fresh, mid-prompt,
         // deep) stepped as one batch must produce logits, values, and
-        // states bit-identical to stepping each alone.
+        // states bit-identical to stepping each alone — below, at and
+        // past the lane width, with and without a padded last group.
         let cfg = LmConfig { vocab: 24, hidden: 12, ffn: 20, layers: 3 };
         let lm = TinyLm::new(cfg, 11);
         let prefixes: [&[usize]; 4] = [&[], &[3], &[5, 9, 2], &[1, 2, 3, 4, 5, 6, 7]];
-        let feed = [4usize, 0, 23, 17];
-        let mut batched: Vec<DecodeState> = Vec::new();
-        let mut post: Vec<DecodeState> = Vec::new();
-        let mut expected = Vec::new();
-        for (prefix, &tok) in prefixes.iter().zip(feed.iter()) {
-            let mut st = lm.decode_start();
-            for &p in *prefix {
-                lm.decode_step(&mut st, p);
+        for b in [1usize, 2, 3, 4, 5, 8, 9, 16, 17] {
+            let feed: Vec<usize> = (0..b).map(|i| (4 + 7 * i) % cfg.vocab).collect();
+            let mut batched: Vec<DecodeState> = Vec::new();
+            let mut post: Vec<DecodeState> = Vec::new();
+            let mut expected = Vec::new();
+            for (i, &tok) in feed.iter().enumerate() {
+                let mut st = lm.decode_start();
+                for &p in prefixes[(i + i / 4) % 4] {
+                    lm.decode_step(&mut st, (p + i) % cfg.vocab);
+                }
+                batched.push(st.clone());
+                expected.push(lm.decode_step(&mut st, tok));
+                post.push(st);
             }
-            batched.push(st.clone());
-            expected.push(lm.decode_step(&mut st, tok));
-            post.push(st);
+            let mut refs: Vec<&mut DecodeState> = batched.iter_mut().collect();
+            let got = lm.decode_step_batch(&mut refs, &feed);
+            assert_eq!(got.len(), b);
+            for (i, ((gl, gv), (el, ev))) in got.iter().zip(expected.iter()).enumerate() {
+                assert_eq!(
+                    gl.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    el.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "b = {b}: logits diverge for sequence {i}"
+                );
+                assert_eq!(gv.to_bits(), ev.to_bits(), "b = {b}: value diverges for sequence {i}");
+            }
+            assert_eq!(batched, post, "b = {b}: decode states diverge after the batched step");
         }
-        let mut refs: Vec<&mut DecodeState> = batched.iter_mut().collect();
-        let got = lm.decode_step_batch(&mut refs, &feed);
-        for (i, ((gl, gv), (el, ev))) in got.iter().zip(expected.iter()).enumerate() {
-            assert_eq!(
-                gl.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                el.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "logits diverge for sequence {i}"
-            );
-            assert_eq!(gv.to_bits(), ev.to_bits(), "value diverges for sequence {i}");
-        }
-        assert_eq!(batched, post, "decode states diverge after the batched step");
     }
 
     #[test]
@@ -771,6 +716,95 @@ mod tests {
         }
         let after = loss_of(&lm);
         assert!(after < before * 0.8, "loss must drop: {before} -> {after}");
+    }
+}
+
+#[cfg(test)]
+mod gradient_tests {
+    use super::*;
+
+    /// PPO-clip loss on the log-probs plus clipped value loss on the
+    /// values of one sequence, through the whole model.
+    fn build<'a>(lm: &'a TinyLm, seq: &[usize]) -> (ForwardPass<'a>, Var) {
+        // Ratios inside and outside the clip range, advantages of both
+        // signs, values inside and outside the value clip: every branch
+        // of both losses carries gradient somewhere.
+        let old_logp = [-2.6, -3.4, -2.2, -3.9, -2.9, -3.1];
+        let adv = [0.8, -0.6, 1.1, -0.4, 0.5, -0.9];
+        let returns = [0.4, -0.3, 0.7, 0.1, -0.5, 0.2];
+        let old_v = [0.3, -0.2, 0.2, 0.4, -0.1, 0.6];
+        let (pw, rw) = (seq.len() - 1 - adv.len(), adv.len());
+        let mut fp = lm.forward(&seq[..seq.len() - 1]);
+        let lp_all = fp.tape.gather_log_prob(fp.logits, &seq[1..]);
+        let lp = fp.tape.slice_rows(lp_all, pw, pw + rw);
+        let ppo = fp.tape.ppo_clip_loss(lp, &old_logp, &adv, 0.2);
+        let v = fp.tape.slice_rows(fp.values, pw, pw + rw);
+        let vloss = fp.tape.value_clip_loss(v, &returns, &old_v, 0.2);
+        let loss = fp.tape.add(ppo, vloss);
+        (fp, loss)
+    }
+
+    #[test]
+    fn whole_model_gradient_matches_finite_difference() {
+        // End to end, so the map from borrowed parameter leaves back to
+        // flat offsets is checked, not only each op: a gradient landing
+        // at the wrong offset or on the wrong leaf fails here.
+        let cfg = LmConfig { vocab: 12, hidden: 8, ffn: 12, layers: 2 };
+        let lm = TinyLm::new(cfg, 29);
+        let seq = [3usize, 7, 1, 9, 4, 11, 0, 5, 2, 8];
+        let (fp, loss) = build(&lm, &seq);
+        let analytic = fp.backward(loss);
+        assert_eq!(analytic.len(), cfg.param_count());
+
+        let loss_at = |lm: &TinyLm| {
+            let (fp, loss) = build(lm, &seq);
+            fp.tape.value(loss).get(0, 0) as f64
+        };
+        // Every parameter family, first and last block alike.
+        let (h, f) = (cfg.hidden, cfg.ffn);
+        let block = |l: usize| {
+            let gain = lm.block_offset(l);
+            [
+                ("gain", gain, h),
+                ("wa", gain + h, f * h),
+                ("ua", gain + h + f * h, f * h),
+                ("wb", gain + h + 2 * f * h, h * f),
+            ]
+        };
+        let mut families = vec![
+            ("embed", 0, cfg.vocab * h),
+            ("final_gain", lm.final_gain_offset(), h),
+            ("head", lm.head_offset(), cfg.vocab * h),
+            ("vhead", lm.vhead_offset(), h),
+        ];
+        families.extend(block(0));
+        families.extend(block(cfg.layers - 1));
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut checked = 0;
+        for (name, off, len) in families {
+            for _ in 0..4 {
+                // Only rows of tokens in `seq` carry embedding gradient.
+                let i = match name {
+                    "embed" => seq[rng.random_range(0..seq.len() - 1)] * h + rng.random_range(0..h),
+                    _ => off + rng.random_range(0..len),
+                };
+                let eps = 2e-3f32;
+                let (mut plus, mut minus) = (lm.clone(), lm.clone());
+                plus.flat_mut()[i] += eps;
+                minus.flat_mut()[i] -= eps;
+                let step = (plus.flat()[i] - minus.flat()[i]) as f64;
+                let numeric = (loss_at(&plus) - loss_at(&minus)) / step;
+                let a = analytic[i] as f64;
+                assert!(
+                    (a - numeric).abs() <= 2e-2 * (a.abs().max(numeric.abs()) + 2e-2),
+                    "{name}[{}] (flat {i}): analytic {a} vs numeric {numeric}",
+                    i - off
+                );
+                assert!(name == "vhead" || a != 0.0, "{name}[{}] received no gradient", i - off);
+                checked += 1;
+            }
+        }
+        assert!(checked >= 32);
     }
 }
 

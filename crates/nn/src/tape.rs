@@ -9,7 +9,8 @@
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the math
 
-use crate::tensor::Tensor;
+use crate::kernels;
+use crate::tensor::{Mat, Tensor};
 
 /// Handle to a node on the tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,31 +76,79 @@ enum Op {
     },
 }
 
-struct Node {
-    value: Tensor,
+/// A node's forward value: computed (or a caller's constant), or a
+/// parameter matrix read in place from the model's flat buffer.
+enum Value<'a> {
+    Owned(Tensor),
+    Param(Mat<'a>),
+}
+
+struct Node<'a> {
+    value: Value<'a>,
     grad: Option<Tensor>,
     op: Op,
 }
 
-/// A reverse-mode autograd tape.
+impl Node<'_> {
+    fn mat(&self) -> Mat<'_> {
+        match &self.value {
+            Value::Owned(t) => t.mat(),
+            Value::Param(m) => *m,
+        }
+    }
+}
+
+/// A reverse-mode autograd tape. `'a` is the lifetime of the parameter
+/// buffer its [`Tape::param`] leaves borrow.
 #[derive(Default)]
-pub struct Tape {
-    nodes: Vec<Node>,
+pub struct Tape<'a> {
+    nodes: Vec<Node<'a>>,
 }
 
 fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
 
-impl Tape {
+fn softmax_rows(logits: Mat) -> Tensor {
+    let mut p = Tensor::zeros(logits.rows, logits.cols);
+    for r in 0..logits.rows {
+        let row = logits.row(r);
+        let prow = p.row_mut(r);
+        let m = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+        let mut z = 0.0f32;
+        for (pv, &v) in prow.iter_mut().zip(row) {
+            let e = (v - m).exp();
+            *pv = e;
+            z += e;
+        }
+        for pv in prow.iter_mut() {
+            *pv /= z;
+        }
+    }
+    p
+}
+
+/// Adds `g` into the gradient of `nodes[idx]`.
+fn accumulate(nodes: &mut [Node], idx: usize, g: Tensor) {
+    match &mut nodes[idx].grad {
+        Some(existing) => existing.add_scaled(&g, 1.0),
+        slot => *slot = Some(g),
+    }
+}
+
+impl<'a> Tape<'a> {
     /// An empty tape.
     pub fn new() -> Self {
         Tape::default()
     }
 
     fn push(&mut self, value: Tensor, op: Op) -> Var {
-        self.nodes.push(Node { value, grad: None, op });
+        self.nodes.push(Node { value: Value::Owned(value), grad: None, op });
         Var(self.nodes.len() - 1)
+    }
+
+    fn mat(&self, v: Var) -> Mat<'_> {
+        self.nodes[v.0].mat()
     }
 
     /// Registers an input (parameter or constant) tensor.
@@ -107,55 +156,81 @@ impl Tape {
         self.push(t, Op::Leaf)
     }
 
-    /// The forward value at `v`.
-    pub fn value(&self, v: Var) -> &Tensor {
-        &self.nodes[v.0].value
+    /// Registers a `[rows × cols]` parameter matrix read in place from
+    /// `data` — no copy per forward pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != rows * cols`.
+    pub fn param(&mut self, data: &'a [f32], rows: usize, cols: usize) -> Var {
+        assert_eq!(data.len(), rows * cols, "shape mismatch");
+        let value = Value::Param(Mat { data, rows, cols });
+        self.nodes.push(Node { value, grad: None, op: Op::Leaf });
+        Var(self.nodes.len() - 1)
     }
 
-    /// The accumulated gradient at `v` (zeros if it never received one).
+    /// The forward value at `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is a [`Tape::param`] leaf: its values live in the
+    /// buffer it borrows.
+    pub fn value(&self, v: Var) -> &Tensor {
+        match &self.nodes[v.0].value {
+            Value::Owned(t) => t,
+            Value::Param(_) => panic!("a borrowed parameter leaf holds no tensor"),
+        }
+    }
+
+    /// The gradient [`Tape::backward`] left at leaf `v`, if it received
+    /// one. Gradients of intermediate nodes are consumed by the pass.
+    pub fn leaf_grad(&self, v: Var) -> Option<&Tensor> {
+        self.nodes[v.0].grad.as_ref()
+    }
+
+    /// A copy of [`Tape::leaf_grad`] (zeros if `v` never received one).
     pub fn grad(&self, v: Var) -> Tensor {
-        let n = &self.nodes[v.0];
-        n.grad.clone().unwrap_or_else(|| Tensor::zeros(n.value.rows(), n.value.cols()))
+        let m = self.mat(v);
+        self.leaf_grad(v).cloned().unwrap_or_else(|| Tensor::zeros(m.rows, m.cols))
     }
 
     /// `x · wᵀ`.
     pub fn matmul_nt(&mut self, x: Var, w: Var) -> Var {
-        let y = self.nodes[x.0].value.matmul_nt(&self.nodes[w.0].value);
+        let y = kernels::x_wt(self.mat(x), self.mat(w));
         self.push(y, Op::MatmulNt { x: x.0, w: w.0 })
     }
 
     /// Elementwise addition.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let y = self.nodes[a.0].value.add(&self.nodes[b.0].value);
+        let y = self.value(a).add(self.value(b));
         self.push(y, Op::Add { a: a.0, b: b.0 })
     }
 
     /// `c · x`.
     pub fn scale(&mut self, x: Var, c: f32) -> Var {
-        let y = self.nodes[x.0].value.map(|v| c * v);
+        let y = self.value(x).map(|v| c * v);
         self.push(y, Op::Scale { x: x.0, c })
     }
 
     /// SiLU activation `x · σ(x)`.
     pub fn silu(&mut self, x: Var) -> Var {
-        let y = self.nodes[x.0].value.map(|v| v * sigmoid(v));
+        let y = self.value(x).map(|v| v * sigmoid(v));
         self.push(y, Op::Silu { x: x.0 })
     }
 
     /// Row-wise RMS normalization with a learned gain vector `[1 × h]`.
     pub fn rmsnorm(&mut self, x: Var, gain: Var) -> Var {
         let eps = 1e-6;
-        let xv = &self.nodes[x.0].value;
-        let g = &self.nodes[gain.0].value;
-        assert_eq!(g.rows(), 1);
-        assert_eq!(g.cols(), xv.cols());
-        let mut y = Tensor::zeros(xv.rows(), xv.cols());
-        for r in 0..xv.rows() {
+        let (xv, g) = (self.mat(x), self.mat(gain));
+        assert_eq!(g.rows, 1);
+        assert_eq!(g.cols, xv.cols);
+        let mut y = Tensor::zeros(xv.rows, xv.cols);
+        for r in 0..xv.rows {
             let row = xv.row(r);
             let ms: f32 = row.iter().map(|v| v * v).sum::<f32>() / row.len() as f32;
             let inv = 1.0 / (ms + eps).sqrt();
-            for (c, &v) in row.iter().enumerate() {
-                y.set(r, c, v * inv * g.get(0, c));
+            for ((y, &v), &g) in y.row_mut(r).iter_mut().zip(row).zip(g.data) {
+                *y = v * inv * g;
             }
         }
         self.push(y, Op::RmsNorm { x: x.0, gain: gain.0, eps })
@@ -163,16 +238,16 @@ impl Tape {
 
     /// Causal cumulative mean over rows: `y_t = mean(x_0..=x_t)`.
     pub fn cum_mean(&mut self, x: Var) -> Var {
-        let xv = &self.nodes[x.0].value;
-        let mut y = Tensor::zeros(xv.rows(), xv.cols());
-        let mut acc = vec![0.0f32; xv.cols()];
-        for r in 0..xv.rows() {
+        let xv = self.mat(x);
+        let mut y = Tensor::zeros(xv.rows, xv.cols);
+        let mut acc = vec![0.0f32; xv.cols];
+        for r in 0..xv.rows {
             for (a, &v) in acc.iter_mut().zip(xv.row(r).iter()) {
                 *a += v;
             }
             let inv = 1.0 / (r as f32 + 1.0);
-            for (c, a) in acc.iter().enumerate() {
-                y.set(r, c, a * inv);
+            for (y, a) in y.row_mut(r).iter_mut().zip(&acc) {
+                *y = a * inv;
             }
         }
         self.push(y, Op::CumMean { x: x.0 })
@@ -184,38 +259,20 @@ impl Tape {
     ///
     /// Panics if an id exceeds the table rows.
     pub fn embed(&mut self, table: Var, ids: &[usize]) -> Var {
-        let tv = &self.nodes[table.0].value;
-        let mut y = Tensor::zeros(ids.len(), tv.cols());
+        let tv = self.mat(table);
+        let mut y = Tensor::zeros(ids.len(), tv.cols);
         for (r, &id) in ids.iter().enumerate() {
-            assert!(id < tv.rows(), "token id {id} out of vocab {}", tv.rows());
+            assert!(id < tv.rows, "token id {id} out of vocab {}", tv.rows);
             y.row_mut(r).copy_from_slice(tv.row(id));
         }
         self.push(y, Op::Embed { table: table.0, ids: ids.to_vec() })
     }
 
-    fn softmax_rows(logits: &Tensor) -> Tensor {
-        let mut p = Tensor::zeros(logits.rows(), logits.cols());
-        for r in 0..logits.rows() {
-            let row = logits.row(r);
-            let m = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let mut z = 0.0f32;
-            for (c, &v) in row.iter().enumerate() {
-                let e = (v - m).exp();
-                p.set(r, c, e);
-                z += e;
-            }
-            for c in 0..logits.cols() {
-                p.set(r, c, p.get(r, c) / z);
-            }
-        }
-        p
-    }
-
     /// Token log-probabilities: `out[t] = log softmax(logits[t])[targets[t]]`.
     pub fn gather_log_prob(&mut self, logits: Var, targets: &[usize]) -> Var {
-        let lv = &self.nodes[logits.0].value;
-        assert_eq!(lv.rows(), targets.len());
-        let probs = Self::softmax_rows(lv);
+        let lv = self.mat(logits);
+        assert_eq!(lv.rows, targets.len());
+        let probs = softmax_rows(lv);
         let mut y = Tensor::zeros(targets.len(), 1);
         for (t, &tok) in targets.iter().enumerate() {
             y.set(t, 0, probs.get(t, tok).max(1e-30).ln());
@@ -225,8 +282,7 @@ impl Tape {
 
     /// Mean policy entropy over rows of `logits` (scalar output).
     pub fn mean_entropy(&mut self, logits: Var) -> Var {
-        let lv = &self.nodes[logits.0].value;
-        let probs = Self::softmax_rows(lv);
+        let probs = softmax_rows(self.mat(logits));
         let mut total = 0.0f32;
         for r in 0..probs.rows() {
             for &p in probs.row(r).iter() {
@@ -245,17 +301,16 @@ impl Tape {
     ///
     /// Panics if the range is out of bounds.
     pub fn slice_rows(&mut self, x: Var, start: usize, end: usize) -> Var {
-        let xv = &self.nodes[x.0].value;
-        assert!(start <= end && end <= xv.rows(), "slice_rows out of bounds");
-        let cols = xv.cols();
-        let data = xv.data()[start * cols..end * cols].to_vec();
-        let y = Tensor::new(data, end - start, cols);
+        let xv = self.mat(x);
+        assert!(start <= end && end <= xv.rows, "slice_rows out of bounds");
+        let data = xv.data[start * xv.cols..end * xv.cols].to_vec();
+        let y = Tensor::new(data, end - start, xv.cols);
         self.push(y, Op::SliceRows { x: x.0, start })
     }
 
     /// Mean of all elements (scalar output).
     pub fn mean_all(&mut self, x: Var) -> Var {
-        let xv = &self.nodes[x.0].value;
+        let xv = self.value(x);
         let y = Tensor::scalar(xv.sum() / xv.len() as f32);
         self.push(y, Op::MeanAll { x: x.0 })
     }
@@ -267,12 +322,12 @@ impl Tape {
     ///
     /// Panics if lengths disagree.
     pub fn ppo_clip_loss(&mut self, logp: Var, old_logp: &[f32], adv: &[f32], eps: f32) -> Var {
-        let lv = &self.nodes[logp.0].value;
+        let lv = self.mat(logp).data;
         assert_eq!(lv.len(), old_logp.len());
         assert_eq!(lv.len(), adv.len());
         let mut total = 0.0f32;
         for t in 0..old_logp.len() {
-            let r = (lv.data()[t] - old_logp[t]).exp();
+            let r = (lv[t] - old_logp[t]).exp();
             let u = r * adv[t];
             let v = r.clamp(1.0 - eps, 1.0 + eps) * adv[t];
             total += u.min(v);
@@ -292,12 +347,12 @@ impl Tape {
     ///
     /// Panics if lengths disagree.
     pub fn value_clip_loss(&mut self, v: Var, returns: &[f32], old_v: &[f32], eps: f32) -> Var {
-        let vv = &self.nodes[v.0].value;
+        let vv = self.mat(v).data;
         assert_eq!(vv.len(), returns.len());
         assert_eq!(vv.len(), old_v.len());
         let mut total = 0.0f32;
         for t in 0..returns.len() {
-            let val = vv.data()[t];
+            let val = vv[t];
             let clipped = old_v[t] + (val - old_v[t]).clamp(-eps, eps);
             let a = (val - returns[t]).powi(2);
             let b = (clipped - returns[t]).powi(2);
@@ -310,127 +365,106 @@ impl Tape {
         )
     }
 
-    fn accumulate(&mut self, idx: usize, g: Tensor) {
-        let node = &mut self.nodes[idx];
-        match &mut node.grad {
-            Some(existing) => existing.add_scaled(&g, 1.0),
-            None => node.grad = Some(g),
-        }
-    }
-
     /// Runs the backward pass from scalar node `loss` (seed gradient 1).
+    /// Each node's gradient is moved out as the pass reaches it; only
+    /// leaves keep theirs.
     ///
     /// # Panics
     ///
     /// Panics if `loss` is not a 1×1 tensor.
     pub fn backward(&mut self, loss: Var) {
-        assert_eq!(self.nodes[loss.0].value.len(), 1, "backward needs a scalar loss");
+        assert_eq!(self.mat(loss).data.len(), 1, "backward needs a scalar loss");
         self.nodes[loss.0].grad = Some(Tensor::scalar(1.0));
         for idx in (0..=loss.0).rev() {
-            let Some(gy) = self.nodes[idx].grad.clone() else { continue };
-            // Take the op apart immutably first; accumulate afterwards.
-            match &self.nodes[idx].op {
-                Op::Leaf => {}
-                Op::MatmulNt { x, w } => {
-                    let (x, w) = (*x, *w);
-                    let dx = gy.matmul_nn(&self.nodes[w].value);
-                    let dw = gy.matmul_tn(&self.nodes[x].value);
-                    self.accumulate(x, dx);
-                    self.accumulate(w, dw);
+            // A node's inputs all precede it: borrow them apart from it.
+            let (inputs, rest) = self.nodes.split_at_mut(idx);
+            let node = &mut rest[0];
+            if matches!(node.op, Op::Leaf) {
+                continue;
+            }
+            let Some(gy) = node.grad.take() else { continue };
+            match &node.op {
+                Op::Leaf => unreachable!("leaves keep their gradient"),
+                &Op::MatmulNt { x, w } => {
+                    let dx = kernels::g_w(gy.mat(), inputs[w].mat());
+                    let dw = kernels::gt_x(gy.mat(), inputs[x].mat());
+                    accumulate(inputs, x, dx);
+                    accumulate(inputs, w, dw);
                 }
-                Op::Add { a, b } => {
-                    let (a, b) = (*a, *b);
-                    self.accumulate(a, gy.clone());
-                    self.accumulate(b, gy);
+                &Op::Add { a, b } => {
+                    accumulate(inputs, a, gy.clone());
+                    accumulate(inputs, b, gy);
                 }
-                Op::Scale { x, c } => {
-                    let (x, c) = (*x, *c);
-                    self.accumulate(x, gy.map(|v| c * v));
-                }
-                Op::Silu { x } => {
-                    let x = *x;
-                    let xv = self.nodes[x].value.clone();
+                &Op::Scale { x, c } => accumulate(inputs, x, gy.map(|v| c * v)),
+                &Op::Silu { x } => {
                     let mut dx = gy;
-                    for (d, &v) in dx.data_mut().iter_mut().zip(xv.data().iter()) {
+                    for (d, &v) in dx.data_mut().iter_mut().zip(inputs[x].mat().data) {
                         let s = sigmoid(v);
                         *d *= s * (1.0 + v * (1.0 - s));
                     }
-                    self.accumulate(x, dx);
+                    accumulate(inputs, x, dx);
                 }
-                Op::RmsNorm { x, gain, eps } => {
-                    let (x, gain, eps) = (*x, *gain, *eps);
-                    let xv = self.nodes[x].value.clone();
-                    let g = self.nodes[gain].value.clone();
-                    let n = xv.cols() as f32;
-                    let mut dx = Tensor::zeros(xv.rows(), xv.cols());
-                    let mut dg = Tensor::zeros(1, xv.cols());
-                    for r in 0..xv.rows() {
-                        let row = xv.row(r);
+                &Op::RmsNorm { x, gain, eps } => {
+                    let (xv, g) = (inputs[x].mat(), inputs[gain].mat().data);
+                    let n = xv.cols as f32;
+                    let mut dx = Tensor::zeros(xv.rows, xv.cols);
+                    let mut dg = Tensor::zeros(1, xv.cols);
+                    for r in 0..xv.rows {
+                        let (row, gyr) = (xv.row(r), gy.row(r));
                         let ms: f32 = row.iter().map(|v| v * v).sum::<f32>() / n;
                         let inv = 1.0 / (ms + eps).sqrt();
                         // s = Σ_i gy_i · g_i · x_i.
                         let mut s = 0.0f32;
-                        for c in 0..xv.cols() {
-                            s += gy.get(r, c) * g.get(0, c) * row[c];
+                        for c in 0..xv.cols {
+                            s += gyr[c] * g[c] * row[c];
                         }
-                        for c in 0..xv.cols() {
-                            let d = gy.get(r, c) * g.get(0, c) * inv - row[c] * s * inv.powi(3) / n;
-                            dx.set(r, c, d);
-                            dg.set(0, c, dg.get(0, c) + gy.get(r, c) * row[c] * inv);
+                        let (dxr, dgr) = (dx.row_mut(r), dg.data_mut());
+                        for c in 0..xv.cols {
+                            dxr[c] = gyr[c] * g[c] * inv - row[c] * s * inv.powi(3) / n;
+                            dgr[c] += gyr[c] * row[c] * inv;
                         }
                     }
-                    self.accumulate(x, dx);
-                    self.accumulate(gain, dg);
+                    accumulate(inputs, x, dx);
+                    accumulate(inputs, gain, dg);
                 }
-                Op::CumMean { x } => {
-                    let x = *x;
-                    let rows = gy.rows();
-                    let cols = gy.cols();
+                &Op::CumMean { x } => {
+                    let (rows, cols) = (gy.rows(), gy.cols());
                     let mut dx = Tensor::zeros(rows, cols);
                     // dX_i = Σ_{t ≥ i} gy_t / (t+1): suffix sums.
                     let mut suffix = vec![0.0f32; cols];
                     for t in (0..rows).rev() {
                         let inv = 1.0 / (t as f32 + 1.0);
-                        for c in 0..cols {
-                            suffix[c] += gy.get(t, c) * inv;
-                            dx.set(t, c, suffix[c]);
+                        for (s, g) in suffix.iter_mut().zip(gy.row(t)) {
+                            *s += g * inv;
                         }
+                        dx.row_mut(t).copy_from_slice(&suffix);
                     }
-                    self.accumulate(x, dx);
+                    accumulate(inputs, x, dx);
                 }
                 Op::Embed { table, ids } => {
-                    let table = *table;
-                    let ids = ids.clone();
-                    let tv_rows = self.nodes[table].value.rows();
-                    let mut dt = Tensor::zeros(tv_rows, gy.cols());
+                    let mut dt = Tensor::zeros(inputs[*table].mat().rows, gy.cols());
                     for (r, &id) in ids.iter().enumerate() {
-                        let grow = gy.row(r).to_vec();
-                        for (c, gval) in grow.iter().enumerate() {
-                            dt.set(id, c, dt.get(id, c) + gval);
+                        for (d, g) in dt.row_mut(id).iter_mut().zip(gy.row(r)) {
+                            *d += g;
                         }
                     }
-                    self.accumulate(table, dt);
+                    accumulate(inputs, *table, dt);
                 }
                 Op::GatherLogProb { logits, targets, probs } => {
-                    let logits = *logits;
-                    let targets = targets.clone();
-                    let probs = probs.clone();
                     let mut dl = Tensor::zeros(probs.rows(), probs.cols());
                     for (t, &tok) in targets.iter().enumerate() {
                         let go = gy.get(t, 0);
                         if go == 0.0 {
                             continue;
                         }
-                        for c in 0..probs.cols() {
+                        for (c, (d, &p)) in dl.row_mut(t).iter_mut().zip(probs.row(t)).enumerate() {
                             let ind = if c == tok { 1.0 } else { 0.0 };
-                            dl.set(t, c, go * (ind - probs.get(t, c)));
+                            *d = go * (ind - p);
                         }
                     }
-                    self.accumulate(logits, dl);
+                    accumulate(inputs, *logits, dl);
                 }
                 Op::MeanEntropy { logits, probs } => {
-                    let logits = *logits;
-                    let probs = probs.clone();
                     let go = gy.get(0, 0) / probs.rows() as f32;
                     let mut dl = Tensor::zeros(probs.rows(), probs.cols());
                     for r in 0..probs.rows() {
@@ -440,39 +474,32 @@ impl Tape {
                                 h -= p * p.ln();
                             }
                         }
-                        for c in 0..probs.cols() {
-                            let p = probs.get(r, c);
+                        for (d, &p) in dl.row_mut(r).iter_mut().zip(probs.row(r)) {
                             if p > 0.0 {
                                 // dH/dz_c = -p_c (ln p_c + H).
-                                dl.set(r, c, go * (-p * (p.ln() + h)));
+                                *d = go * (-p * (p.ln() + h));
                             }
                         }
                     }
-                    self.accumulate(logits, dl);
+                    accumulate(inputs, *logits, dl);
                 }
-                Op::SliceRows { x, start } => {
-                    let (x, start) = (*x, *start);
-                    let parent = &self.nodes[x];
-                    let mut dx = Tensor::zeros(parent.value.rows(), parent.value.cols());
-                    let cols = dx.cols();
-                    dx.data_mut()[start * cols..start * cols + gy.len()].copy_from_slice(gy.data());
-                    self.accumulate(x, dx);
+                &Op::SliceRows { x, start } => {
+                    let xm = inputs[x].mat();
+                    let mut dx = Tensor::zeros(xm.rows, xm.cols);
+                    dx.data_mut()[start * xm.cols..][..gy.len()].copy_from_slice(gy.data());
+                    accumulate(inputs, x, dx);
                 }
-                Op::MeanAll { x } => {
-                    let x = *x;
-                    let xv = &self.nodes[x].value;
-                    let go = gy.get(0, 0) / xv.len() as f32;
-                    let dx = Tensor::new(vec![go; xv.len()], xv.rows(), xv.cols());
-                    self.accumulate(x, dx);
+                &Op::MeanAll { x } => {
+                    let xm = inputs[x].mat();
+                    let go = gy.get(0, 0) / xm.data.len() as f32;
+                    accumulate(inputs, x, Tensor::new(vec![go; xm.data.len()], xm.rows, xm.cols));
                 }
                 Op::PpoClip { logp, old_logp, adv, eps } => {
-                    let logp = *logp;
-                    let (old_logp, adv, eps) = (old_logp.clone(), adv.clone(), *eps);
-                    let lv = self.nodes[logp].value.clone();
+                    let lv = inputs[*logp].mat();
                     let go = gy.get(0, 0) / old_logp.len() as f32;
-                    let mut dl = Tensor::zeros(lv.rows(), lv.cols());
+                    let mut dl = Tensor::zeros(lv.rows, lv.cols);
                     for t in 0..old_logp.len() {
-                        let r = (lv.data()[t] - old_logp[t]).exp();
+                        let r = (lv.data[t] - old_logp[t]).exp();
                         let u = r * adv[t];
                         let v = r.clamp(1.0 - eps, 1.0 + eps) * adv[t];
                         // loss contribution is -min(u, v)/T.
@@ -486,30 +513,28 @@ impl Tape {
                         };
                         dl.data_mut()[t] = d;
                     }
-                    self.accumulate(logp, dl);
+                    accumulate(inputs, *logp, dl);
                 }
                 Op::ValueClip { v, returns, old_v, eps } => {
-                    let v = *v;
-                    let (returns, old_v, eps) = (returns.clone(), old_v.clone(), *eps);
-                    let vv = self.nodes[v].value.clone();
+                    let vv = inputs[*v].mat();
                     let go = gy.get(0, 0) / returns.len() as f32;
-                    let mut dv = Tensor::zeros(vv.rows(), vv.cols());
+                    let mut dv = Tensor::zeros(vv.rows, vv.cols);
                     for t in 0..returns.len() {
-                        let val = vv.data()[t];
-                        let delta = (val - old_v[t]).clamp(-eps, eps);
+                        let val = vv.data[t];
+                        let delta = (val - old_v[t]).clamp(-eps, *eps);
                         let clipped = old_v[t] + delta;
                         let a = (val - returns[t]).powi(2);
                         let b = (clipped - returns[t]).powi(2);
                         let d = if a >= b {
                             go * (val - returns[t])
-                        } else if (val - old_v[t]).abs() < eps {
+                        } else if (val - old_v[t]).abs() < *eps {
                             go * (clipped - returns[t])
                         } else {
                             0.0
                         };
                         dv.data_mut()[t] = d;
                     }
-                    self.accumulate(v, dv);
+                    accumulate(inputs, *v, dv);
                 }
             }
         }

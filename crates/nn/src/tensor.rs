@@ -1,6 +1,23 @@
 //! A minimal row-major 2-D `f32` tensor.
 
-#![allow(clippy::needless_range_loop)] // index loops mirror the math
+use crate::kernels;
+
+/// A row-major matrix borrowed as a slice: what the kernels and the
+/// tape read, whether a [`Tensor`] or a window of a model's flat
+/// parameter buffer owns the values.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Mat<'a> {
+    pub data: &'a [f32],
+    pub rows: usize,
+    pub cols: usize,
+}
+
+impl<'a> Mat<'a> {
+    /// One row as a slice.
+    pub fn row(&self, r: usize) -> &'a [f32] {
+        &self.data[r * self.cols..(r + 1) * self.cols]
+    }
+}
 
 /// A dense row-major matrix of `f32`.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,75 +100,38 @@ impl Tensor {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// The matrix as a borrowed slice, for the kernels.
+    pub(crate) fn mat(&self) -> Mat<'_> {
+        Mat { data: &self.data, rows: self.rows, cols: self.cols }
+    }
+
     /// `self · otherᵀ`, where `self` is `[m × k]` and `other` is `[n × k]`.
     ///
     /// # Panics
     ///
     /// Panics on inner-dimension mismatch.
     pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.cols, other.cols, "matmul_nt inner dims");
-        let mut out = Tensor::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            let xi = self.row(i);
-            for j in 0..other.rows {
-                let wj = other.row(j);
-                let mut acc = 0.0f32;
-                for k in 0..self.cols {
-                    acc += xi[k] * wj[k];
-                }
-                out.data[i * other.rows + j] = acc;
-            }
-        }
-        out
+        kernels::x_wt(self.mat(), other.mat())
     }
 
-    /// `selfᵀ · other`, where `self` is `[m × k]` and `other` is `[m × n]`.
+    /// `selfᵀ · other`, where `self` is `[m × k]` and `other` is `[m × n]`;
+    /// exact zeros in `self` (masked gradient rows) contribute nothing.
     ///
     /// # Panics
     ///
     /// Panics on outer-dimension mismatch.
     pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.rows, other.rows, "matmul_tn outer dims");
-        let mut out = Tensor::zeros(self.cols, other.cols);
-        for i in 0..self.rows {
-            let xi = self.row(i);
-            let yi = other.row(i);
-            for k in 0..self.cols {
-                let xik = xi[k];
-                if xik == 0.0 {
-                    continue;
-                }
-                let orow = &mut out.data[k * other.cols..(k + 1) * other.cols];
-                for (o, y) in orow.iter_mut().zip(yi.iter()) {
-                    *o += xik * y;
-                }
-            }
-        }
-        out
+        kernels::gt_x(self.mat(), other.mat())
     }
 
-    /// `self · other`, where `self` is `[m × k]` and `other` is `[k × n]`.
+    /// `self · other`, where `self` is `[m × k]` and `other` is `[k × n]`;
+    /// exact zeros in `self` (masked gradient rows) contribute nothing.
     ///
     /// # Panics
     ///
     /// Panics on inner-dimension mismatch.
     pub fn matmul_nn(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.cols, other.rows, "matmul_nn inner dims");
-        let mut out = Tensor::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            let xi = self.row(i);
-            let orow_base = i * other.cols;
-            for (k, &xik) in xi.iter().enumerate() {
-                if xik == 0.0 {
-                    continue;
-                }
-                let wrow = other.row(k);
-                for (j, &w) in wrow.iter().enumerate() {
-                    out.data[orow_base + j] += xik * w;
-                }
-            }
-        }
-        out
+        kernels::g_w(self.mat(), other.mat())
     }
 
     /// Elementwise addition.

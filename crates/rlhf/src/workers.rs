@@ -102,13 +102,34 @@ pub(crate) fn param_checksum(params: &[f32]) -> u64 {
     h
 }
 
-fn token_rows(data: &DataProto, name: &str) -> Result<(Vec<Vec<usize>>, usize)> {
+/// The rows of token column `name`, every id checked against the
+/// `vocab` of the model about to index its embedding with them: a
+/// malformed batch is a typed error here, not a panic inside `hf-nn`
+/// that takes the rank thread (and its communicators) with it.
+fn token_rows(data: &DataProto, name: &str, vocab: usize) -> Result<(Vec<Vec<usize>>, usize)> {
     let (toks, w) = data.tokens(name)?;
+    if let Some(bad) = toks.iter().find(|&&t| t as usize >= vocab) {
+        return Err(CoreError::Config(format!(
+            "column `{name}` holds token id {bad}, outside the model's vocabulary of {vocab}"
+        )));
+    }
     let rows = toks.len().checked_div(w).unwrap_or(0);
     Ok((
         (0..rows).map(|r| toks[r * w..(r + 1) * w].iter().map(|&t| t as usize).collect()).collect(),
         w,
     ))
+}
+
+/// For a training method: the data-parallel peers of a rank that turns
+/// its chunk down hold chunks of their own, which may be fine, and go on
+/// to the gradient collective. Poisoning the communicators releases
+/// them from that rendezvous with `PeerFailed` instead of leaving them
+/// waiting for a rank that already replied.
+fn release_peers<T>(ctx: &RankCtx, checked: Result<T>) -> Result<T> {
+    if let Err(CoreError::Config(reason)) = &checked {
+        ctx.comms.poison_all(reason);
+    }
+    checked
 }
 
 fn f32_rows(data: &DataProto, name: &str) -> Result<(Vec<Vec<f32>>, usize)> {
@@ -315,7 +336,17 @@ impl ActorWorker {
         let pipelined = data.meta.get(PIPELINE_META).map(String::as_str) == Some("1");
         // Reshard training → generation weights before generating.
         self.hybrid_engine_transition(ctx, pipelined)?;
-        let (prompts, pw) = token_rows(&data, "prompts")?;
+        // One logical generation = one round. The pipelined driver
+        // splits a round into several calls and pins the round via meta
+        // so chunk seeds match the single synchronous call exactly. A
+        // call that turns its chunk down below still spent the round, on
+        // every rank alike.
+        match data.meta.get(GEN_ROUND_META).and_then(|s| s.parse::<u64>().ok()) {
+            Some(round) => self.gen_round = round,
+            None => self.gen_round += 1,
+        }
+        let vocab = self.lm.cfg.vocab;
+        let (prompts, pw) = token_rows(&data, "prompts", vocab)?;
         let resp_len: usize =
             data.meta.get("response_len").and_then(|s| s.parse().ok()).ok_or_else(|| {
                 CoreError::Data("generate_sequences needs response_len meta".into())
@@ -327,12 +358,10 @@ impl ActorWorker {
             .map(|s| s.split(',').filter_map(|t| t.trim().parse().ok()).collect())
             .unwrap_or_default();
         let pad_token: usize = data.meta.get("pad_token").and_then(|s| s.parse().ok()).unwrap_or(0);
-        // One logical generation = one round. The pipelined driver
-        // splits a round into several calls and pins the round via meta
-        // so chunk seeds match the single synchronous call exactly.
-        match data.meta.get(GEN_ROUND_META).and_then(|s| s.parse::<u64>().ok()) {
-            Some(round) => self.gen_round = round,
-            None => self.gen_round += 1,
+        if pad_token >= vocab {
+            return Err(CoreError::Config(format!(
+                "pad_token {pad_token} is outside the model's vocabulary of {vocab}"
+            )));
         }
 
         // Install the resharded weights into the generation engine if
@@ -479,8 +508,9 @@ impl ActorWorker {
     }
 
     fn compute_log_prob(&mut self, data: DataProto, ctx: &mut RankCtx) -> Result<DataProto> {
-        let (prompts, pw) = token_rows(&data, "prompts")?;
-        let (resps, rw) = token_rows(&data, "responses")?;
+        let vocab = self.lm.cfg.vocab;
+        let (prompts, pw) = token_rows(&data, "prompts", vocab)?;
+        let (resps, rw) = token_rows(&data, "responses", vocab)?;
         let mut out = DataProto::with_rows(prompts.len());
         let mut logps = Vec::with_capacity(prompts.len() * rw);
         let tp = self.hyper.tp_inference && ctx.layout.spec.mp() > 1;
@@ -490,10 +520,18 @@ impl ActorWorker {
         {
             return Err(CoreError::Config("tp_inference requires t | ffn and p | layers".into()));
         }
+        // This rank's Megatron-style shard, cut once for the whole chunk.
+        let shard = tp.then(|| {
+            let (tc, spec) = (ctx.coords(), ctx.layout.spec);
+            hf_nn::ShardedLm::from_full(&self.lm, tc.p_idx, spec.p, tc.t_idx, spec.t)
+        });
         for (p, r) in prompts.iter().zip(resps.iter()) {
             let mut seq = p.clone();
             seq.extend_from_slice(r);
-            let lp = if tp { self.tp_log_probs(&seq, ctx) } else { self.lm.log_probs(&seq) };
+            let lp = match &shard {
+                Some(shard) => Self::tp_log_probs(shard, &seq, ctx),
+                None => self.lm.log_probs(&seq),
+            };
             logps.extend_from_slice(&lp[pw - 1..pw - 1 + rw]);
             charge_tokens(ctx, seq.len(), &self.hyper);
         }
@@ -502,16 +540,14 @@ impl ActorWorker {
     }
 
     /// Next-token log-probs computed with genuine 2-D model parallelism:
-    /// this rank's Megatron-style shard runs the forward; TP partials
+    /// this rank's `shard` runs the forward; TP partials
     /// join through real all-reduces over the TP communicator, pipeline
     /// stages hand activations point-to-point (every model-parallel peer
     /// executes the same sequence in lock-step since the protocol gave
     /// the whole group one chunk). Non-final stages contribute zeros;
     /// the `3D_PROTO` collect reads from the last stage.
-    fn tp_log_probs(&self, seq: &[usize], ctx: &mut RankCtx) -> Vec<f32> {
+    fn tp_log_probs(shard: &hf_nn::ShardedLm, seq: &[usize], ctx: &mut RankCtx) -> Vec<f32> {
         let tc = ctx.coords();
-        let spec = ctx.layout.spec;
-        let shard = hf_nn::ShardedLm::from_full(&self.lm, tc.p_idx, spec.p, tc.t_idx, spec.t);
         let mut clock = ctx.clock;
         // Stage input: embed on stage 0, receive activations otherwise.
         let h_in = if tc.p_idx == 0 {
@@ -557,7 +593,7 @@ impl ActorWorker {
     /// Pre-training cross-entropy over a `pretrain` token column (the
     /// PPO-ptx / Safe-RLHF auxiliary loss), no update.
     fn compute_loss(&mut self, data: DataProto, ctx: &mut RankCtx) -> Result<DataProto> {
-        let (rows, _w) = token_rows(&data, "pretrain")?;
+        let (rows, _w) = token_rows(&data, "pretrain", self.lm.cfg.vocab)?;
         let mut total = 0.0f32;
         for seq in &rows {
             let mut fp = self.lm.forward(&seq[..seq.len() - 1]);
@@ -595,8 +631,9 @@ impl ActorWorker {
         data: &DataProto,
         ctx: &mut RankCtx,
     ) -> Result<(Vec<f32>, f32, DataProto)> {
-        let (prompts, pw) = token_rows(data, "prompts")?;
-        let (resps, rw) = token_rows(data, "responses")?;
+        let vocab = self.lm.cfg.vocab;
+        let (prompts, pw) = release_peers(ctx, token_rows(data, "prompts", vocab))?;
+        let (resps, rw) = release_peers(ctx, token_rows(data, "responses", vocab))?;
         let (old_logps, _) = f32_rows(data, "logp_old")?;
         let (advs, _) = f32_rows(data, "advantages")?;
         let ptx_coef: f32 = data.meta.get("ptx_coef").and_then(|s| s.parse().ok()).unwrap_or(0.0);
@@ -625,7 +662,7 @@ impl ActorWorker {
         let denom = prompts.len().max(1) as f32;
         let mut ptx_loss = 0.0f32;
         if ptx_coef > 0.0 && data.has("pretrain") {
-            let (pre, _w) = token_rows(data, "pretrain")?;
+            let (pre, _w) = release_peers(ctx, token_rows(data, "pretrain", vocab))?;
             for seq in &pre {
                 let (mut g, l) = self.ptx_grad(seq);
                 ptx_loss += l;
@@ -775,11 +812,14 @@ impl CriticWorker {
     /// Per-position values under real tensor parallelism (p = 1 path;
     /// the critic's preparation pass is a single forward, so only the TP
     /// dimension is sharded here).
-    fn tp_response_values(&self, prompt: &[usize], resp: &[usize], ctx: &mut RankCtx) -> Vec<f32> {
-        let tc = ctx.coords();
+    fn tp_response_values(
+        shard: &hf_nn::ShardedLm,
+        prompt: &[usize],
+        resp: &[usize],
+        ctx: &mut RankCtx,
+    ) -> Vec<f32> {
         let mut seq = prompt.to_vec();
         seq.extend_from_slice(resp);
-        let shard = hf_nn::ShardedLm::from_full(&self.lm, 0, 1, tc.t_idx, ctx.layout.spec.t);
         let h = shard.embed(&seq);
         let mut clock = ctx.clock;
         let out =
@@ -792,19 +832,23 @@ impl CriticWorker {
     }
 
     fn compute_values(&mut self, data: DataProto, ctx: &mut RankCtx) -> Result<DataProto> {
-        let (prompts, _pw) = token_rows(&data, "prompts")?;
-        let (resps, rw) = token_rows(&data, "responses")?;
+        let vocab = self.lm.cfg.vocab;
+        let (prompts, _pw) = token_rows(&data, "prompts", vocab)?;
+        let (resps, rw) = token_rows(&data, "responses", vocab)?;
         let tp = self.hyper.tp_inference
             && ctx.layout.spec.t > 1
             && ctx.layout.spec.p == 1
             && self.lm.cfg.ffn.is_multiple_of(ctx.layout.spec.t);
+        // This rank's tensor shard, cut once for the whole chunk.
+        let shard = tp.then(|| {
+            hf_nn::ShardedLm::from_full(&self.lm, 0, 1, ctx.coords().t_idx, ctx.layout.spec.t)
+        });
         let mut out = DataProto::with_rows(prompts.len());
         let mut values = Vec::with_capacity(prompts.len() * rw);
         for (p, r) in prompts.iter().zip(resps.iter()) {
-            if tp {
-                values.extend(self.tp_response_values(p, r, ctx));
-            } else {
-                values.extend(self.response_values(p, r));
+            match &shard {
+                Some(shard) => values.extend(Self::tp_response_values(shard, p, r, ctx)),
+                None => values.extend(self.response_values(p, r)),
             }
             charge_tokens(ctx, p.len() + r.len(), &self.hyper);
         }
@@ -813,8 +857,9 @@ impl CriticWorker {
     }
 
     fn update_critic(&mut self, data: DataProto, ctx: &mut RankCtx) -> Result<DataProto> {
-        let (prompts, pw) = token_rows(&data, "prompts")?;
-        let (resps, rw) = token_rows(&data, "responses")?;
+        let vocab = self.lm.cfg.vocab;
+        let (prompts, pw) = release_peers(ctx, token_rows(&data, "prompts", vocab))?;
+        let (resps, rw) = release_peers(ctx, token_rows(&data, "responses", vocab))?;
         let (returns, _) = f32_rows(&data, "returns")?;
         let (old_values, _) = f32_rows(&data, "values")?;
         let n = self.lm.cfg.param_count();
@@ -922,8 +967,9 @@ impl Worker for ReferenceWorker {
         if method != "compute_ref_log_prob" {
             return Err(CoreError::Worker(format!("reference has no method {method}")));
         }
-        let (prompts, pw) = token_rows(&data, "prompts")?;
-        let (resps, rw) = token_rows(&data, "responses")?;
+        let vocab = self.lm.cfg.vocab;
+        let (prompts, pw) = token_rows(&data, "prompts", vocab)?;
+        let (resps, rw) = token_rows(&data, "responses", vocab)?;
         let mut out = DataProto::with_rows(prompts.len());
         let mut logps = Vec::with_capacity(prompts.len() * rw);
         for (p, r) in prompts.iter().zip(resps.iter()) {
@@ -995,8 +1041,10 @@ impl Worker for RewardWorker {
             "compute_cost" => "costs",
             other => return Err(CoreError::Worker(format!("reward has no method {other}"))),
         };
-        let (prompts, _pw) = token_rows(&data, "prompts")?;
-        let (resps, rw) = token_rows(&data, "responses")?;
+        // A rule-based reward indexes no embedding: any id is a token.
+        let vocab = self.lm.as_ref().map_or(usize::MAX, |lm| lm.cfg.vocab);
+        let (prompts, _pw) = token_rows(&data, "prompts", vocab)?;
+        let (resps, rw) = token_rows(&data, "responses", vocab)?;
         let (resp_raw, _) = data.tokens("responses")?;
         let mut out = DataProto::with_rows(prompts.len());
         let mut scores = Vec::with_capacity(prompts.len());

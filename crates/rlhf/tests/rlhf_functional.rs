@@ -2,7 +2,7 @@
 //! hybrid runtime with real tiny models, real collectives, and the
 //! rule-based reward — and actually learn.
 
-use hf_core::{Controller, DataProto, Protocol, WorkerLayout};
+use hf_core::{Controller, CoreError, DataProto, Protocol, Worker, WorkerLayout};
 use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
 use hf_rlhf::env::{make_pretrain, make_prompts};
 use hf_rlhf::{
@@ -167,6 +167,57 @@ fn ppo_without_critic_fails_cleanly() {
     let (ctrl, sys) = colocated_4gpu(&cfg, false, false);
     let prompts = make_prompts(4, cfg.prompt_len, cfg.response_len, cfg.lm.vocab as u32, 0);
     assert!(ppo_iteration(&sys, &ctrl, &prompts).is_err());
+}
+
+#[test]
+fn out_of_vocab_prompt_is_a_typed_error_not_a_rank_panic() {
+    // Malformed input: prompts drawn over twice the model's vocabulary.
+    // The ranks used to panic inside `hf-nn` (`WorkerPanicked`, rank
+    // lost, communicators poisoned); now the batch is turned down with
+    // `Config` and the same system trains on.
+    let cfg = RlhfConfig::tiny();
+    let (ctrl, sys) = colocated_4gpu(&cfg, true, false);
+    let vocab = cfg.lm.vocab as u32;
+    let bad = make_prompts(16, cfg.prompt_len, cfg.response_len, 2 * vocab, 0);
+    let err = ppo_iteration(&sys, &ctrl, &bad).unwrap_err();
+    assert!(matches!(err, CoreError::Config(_)), "{err:?}");
+    assert!(ctrl.lost_ranks().is_empty(), "no rank may be lost to malformed input");
+    let good = make_prompts(16, cfg.prompt_len, cfg.response_len, vocab, 1);
+    assert!(ppo_iteration(&sys, &ctrl, &good).unwrap().mean_score.is_finite());
+}
+
+#[test]
+fn out_of_vocab_token_in_one_training_chunk_releases_the_other_ranks() {
+    // Four data-parallel actor ranks; only rank 0's chunk of the
+    // training batch is malformed. Rank 0 replies `Config` before the
+    // gradient all-reduce its peers go on to: they must be released
+    // from that rendezvous, not left waiting, and the call must report
+    // the malformed input, not their `PeerFailed`.
+    use hf_rlhf::workers::{ActorWorker, WorkerHyper};
+    let ctrl = controller(4);
+    let layout = WorkerLayout::train_only(ParallelSpec::new(1, 1, 4));
+    let pool = ResourcePool::contiguous(0, 4);
+    let lm = hf_nn::LmConfig::tiny();
+    let group = ctrl
+        .spawn_group("actor", &pool, layout, |_r| {
+            Box::new(ActorWorker::new(lm, WorkerHyper::default())) as Box<dyn Worker>
+        })
+        .unwrap();
+    let prompts = make_prompts(8, 6, 6, lm.vocab as u32, 0);
+    let mut batch = group.call_sync("generate_sequences", &prompts, Protocol::ThreeD).unwrap();
+    let (mut responses, w) = {
+        let (r, w) = batch.tokens("responses").unwrap();
+        (r.to_vec(), w)
+    };
+    responses[0] = lm.vocab as u32;
+    batch.insert_tokens("responses", responses, w);
+    batch.insert_f32("advantages", vec![0.5; 8 * w], w);
+    let err = group
+        .call("update_actor", &batch, Protocol::ThreeD)
+        .unwrap()
+        .wait_deadline(std::time::Duration::from_secs(60))
+        .unwrap_err();
+    assert!(matches!(err, CoreError::Config(_)), "{err:?}");
 }
 
 #[test]
