@@ -13,11 +13,9 @@
 use hf_core::{Controller, WorkerLayout};
 use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
 use hf_resilience::{AssembledState, CheckpointStore, FaultInjector, FaultPlan, FaultTrigger};
-use hf_rlhf::env::make_prompts;
-use hf_rlhf::recover::{restore_system_checkpoint, save_system_checkpoint};
 use hf_rlhf::{
-    ppo_iteration, remap_recoverable, MapperPlanner, Placement, RecoveryConfig, RemapConfig,
-    RemapDriver, RlhfConfig, RlhfSystem,
+    remap_recoverable, restore_system_checkpoint, save_system_checkpoint, Algorithm, MapperPlanner,
+    Placement, RemapConfig, RlhfConfig, RlhfSystem,
 };
 use hf_simcluster::{ClusterSpec, CommCostModel, DeviceId, ResourcePool};
 use hf_telemetry::Telemetry;
@@ -118,16 +116,11 @@ pub fn remap_divergence(cfg: &RemapAuditConfig) -> Result<Option<String>, String
         Telemetry::enabled(),
         FaultInjector::new(plan),
     );
-    let rc = RecoveryConfig {
+    let remap_cfg = RemapConfig {
         iterations: cfg.iterations,
         checkpoint_every: 1,
         batch: cfg.rows,
         data_seed: cfg.seed,
-        ..Default::default()
-    };
-    let remap_cfg = RemapConfig {
-        recovery: rc.clone(),
-        driver: RemapDriver::Barrier,
         allowed: Some((0..cfg.world).map(DeviceId).collect()),
         ..Default::default()
     };
@@ -145,7 +138,7 @@ pub fn remap_divergence(cfg: &RemapAuditConfig) -> Result<Option<String>, String
     let ev = report
         .remaps
         .first()
-        .ok_or_else(|| format!("the kill never triggered a re-map: {:?}", report.run.log))?
+        .ok_or_else(|| format!("the kill never triggered a re-map: {:?}", report.log))?
         .clone();
     let last = cfg.iterations as u64;
     let live_actor = live.load_group(last, "actor").map_err(|e| format!("live actor: {e}"))?;
@@ -170,15 +163,9 @@ pub fn remap_divergence(cfg: &RemapAuditConfig) -> Result<Option<String>, String
     restore_system_checkpoint(&live, &sys, ev.resumed_step)
         .map_err(|e| format!("twin restore: {e}"))?;
     for i in ev.resumed_step..last {
-        let rl = &sys.cfg;
-        let prompts = make_prompts(
-            cfg.rows,
-            rl.prompt_len,
-            rl.response_len,
-            rl.lm.vocab as u32,
-            rc.data_seed.wrapping_add(i),
-        );
-        ppo_iteration(&sys, &ctrl, &prompts).map_err(|e| format!("twin iteration {i}: {e}"))?;
+        Algorithm::Ppo
+            .iteration(&sys, &ctrl, cfg.rows, cfg.seed, i)
+            .map_err(|e| format!("twin iteration {i}: {e}"))?;
         save_system_checkpoint(&twin, &sys, &ctrl, i + 1)
             .map_err(|e| format!("twin checkpoint {}: {e}", i + 1))?;
     }

@@ -1,10 +1,11 @@
 //! Fault-recovery cost: for a sweep of checkpoint intervals, run the
 //! same 4-iteration PPO job twice — fault-free, and with a seeded kill
 //! of an actor rank mid-run — and report the checkpoint overhead, the
-//! virtual mean-time-to-recover (respawn + sharded restore), and the
-//! rolled-back work the interval choice forfeits. Every faulted run must
-//! end **bit-identical** to its fault-free twin (parameters, both Adam
-//! moments, optimizer step, RNG round); the binary asserts it.
+//! virtual mean-time-to-recover (respawn in the same layout on the live
+//! controller + sharded restore), and the rolled-back work the interval
+//! choice forfeits. Every faulted run must end **bit-identical** to its
+//! fault-free twin (parameters, both Adam moments, optimizer step, RNG
+//! round); the binary asserts it.
 //!
 //! `--fast` shrinks the batch for CI smoke runs; `--json` additionally
 //! writes `BENCH_fault_recovery.json`.
@@ -15,33 +16,17 @@ use hf_bench::{fmt, report};
 use hf_core::{Controller, WorkerLayout};
 use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
 use hf_resilience::{CheckpointStore, FaultInjector, FaultPlan, FaultTrigger};
-use hf_rlhf::{run_recoverable, Placement, RecoveryConfig, RecoveryReport, RlhfConfig, RlhfSystem};
+use hf_rlhf::{remap_recoverable, FixedPlacement, Placement, RemapConfig, RemapReport, RlhfConfig};
 use hf_simcluster::{ClusterSpec, CommCostModel, ResourcePool};
 use hf_telemetry::Telemetry;
 
 const ITERATIONS: usize = 4;
 const INTERVALS: [usize; 3] = [1, 2, 4];
 
-fn build_system(fault: Option<Arc<FaultInjector>>) -> (Controller, RlhfSystem) {
-    let ctrl = match fault {
-        Some(f) => Controller::with_faults(
-            ClusterSpec::a100_with_gpus(4),
-            CommCostModel::default(),
-            Telemetry::enabled(),
-            f,
-        ),
-        None => Controller::new(ClusterSpec::a100_with_gpus(4)),
-    };
+fn placement() -> Placement {
     let spec = ParallelSpec::new(1, 2, 2);
     let gen = GenGrouping::new(spec, 1, 1, GroupingMethod::Strided);
-    let placement = Placement::colocated(
-        ResourcePool::contiguous(0, 4),
-        WorkerLayout::with_gen(gen),
-        true,
-        false,
-    );
-    let sys = RlhfSystem::build(&ctrl, &placement, RlhfConfig::tiny()).unwrap();
-    (ctrl, sys)
+    Placement::colocated(ResourcePool::contiguous(0, 4), WorkerLayout::with_gen(gen), true, false)
 }
 
 fn fresh_store(tag: &str) -> CheckpointStore {
@@ -55,14 +40,20 @@ fn run(
     every: usize,
     batch: usize,
     fault: Option<Arc<FaultInjector>>,
-) -> RecoveryReport {
-    let cfg = RecoveryConfig {
+) -> RemapReport {
+    let (cluster, cost) = (ClusterSpec::a100_with_gpus(4), CommCostModel::default());
+    let ctrl = match fault {
+        Some(f) => Controller::with_faults(cluster, cost, Telemetry::enabled(), f),
+        None => Controller::new(cluster),
+    };
+    let cfg = RemapConfig {
         iterations: ITERATIONS,
         checkpoint_every: every,
         batch,
-        ..RecoveryConfig::default()
+        ..Default::default()
     };
-    run_recoverable(store, &cfg, move |_epoch| Ok(build_system(fault.clone())))
+    let mut planner = FixedPlacement(placement());
+    remap_recoverable(&ctrl, store, &cfg, &placement(), RlhfConfig::tiny(), &mut planner)
         .expect("recoverable run must complete")
 }
 

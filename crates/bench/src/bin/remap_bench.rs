@@ -19,10 +19,7 @@
 use hf_core::{Controller, WorkerLayout};
 use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
 use hf_resilience::{CheckpointStore, FaultInjector, FaultPlan, FaultTrigger};
-use hf_rlhf::{
-    remap_recoverable, MapperPlanner, Placement, RecoveryConfig, RemapConfig, RemapDriver,
-    RemapReport, RlhfConfig,
-};
+use hf_rlhf::{remap_recoverable, MapperPlanner, Placement, RemapConfig, RemapReport, RlhfConfig};
 use hf_simcluster::{ClusterSpec, CommCostModel, DeviceId, ResourcePool};
 use hf_telemetry::Telemetry;
 
@@ -59,13 +56,9 @@ fn run_world(world: usize, batch: usize) -> RemapReport {
         injector.clone(),
     );
     let cfg = RemapConfig {
-        recovery: RecoveryConfig {
-            iterations: ITERATIONS,
-            checkpoint_every: 1,
-            batch,
-            ..Default::default()
-        },
-        driver: RemapDriver::Barrier,
+        iterations: ITERATIONS,
+        checkpoint_every: 1,
+        batch,
         allowed: Some((0..world).map(DeviceId).collect()),
         ..Default::default()
     };
@@ -81,7 +74,7 @@ fn run_world(world: usize, batch: usize) -> RemapReport {
     )
     .expect("elastic run must complete");
     assert_eq!(injector.fired_count(), 1, "the planned kill must fire: {:?}", injector.log());
-    assert_eq!(report.run.history.len(), ITERATIONS, "every iteration must complete");
+    assert_eq!(report.history.len(), ITERATIONS, "every iteration must complete");
     let _ = ctrl.shutdown();
     report
 }
@@ -119,8 +112,8 @@ fn main() {
             format!("{:.3}", ev.blackout_s * 1e3),
             format!("{:.3}", ev.reshard_s * 1e3),
             format!("{:.1}", ev.reshard_bytes as f64 / 1024.0),
-            format!("{:.3}", report.run.stats.mean_mttr_s() * 1e3),
-            format!("{:.3}", report.run.stats.virtual_time_lost * 1e3),
+            format!("{:.3}", report.stats.mean_mttr_s() * 1e3),
+            format!("{:.3}", report.stats.virtual_time_lost * 1e3),
             format!("{}", report.remaps.len()),
         ]);
     }

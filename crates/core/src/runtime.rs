@@ -191,7 +191,9 @@ fn device_main(
     let mut workers: HashMap<u64, (Box<dyn Worker>, Box<RankCtx>)> = HashMap::new();
     // Per-(group key, method) dispatch counts, for call-indexed faults.
     let mut call_counts: HashMap<(u64, String), u64> = HashMap::new();
-    // Ranks killed by fault injection: every later RPC fails fast.
+    // Ranks whose communicators can no longer be used — killed by fault
+    // injection, or aborted out of a collective by a peer's death: every
+    // later RPC fails fast.
     let mut dead: HashMap<u64, String> = HashMap::new();
     let mut epoch = 0u64;
     for msg in rx.iter() {
@@ -398,6 +400,12 @@ fn device_main(
                         // abort (and cascade it) instead of hanging.
                         let err = if let Some(abort) = panic.downcast_ref::<CollectiveAbort>() {
                             telemetry.add_counter("resilience.peer_failures", 1);
+                            // An aborted communicator must be replaced, not
+                            // reused: a call already queued behind this one
+                            // would re-enter a collective on it, and the
+                            // lifecycle auditor's panic there reads as an
+                            // originating loss. Fail those calls fast.
+                            dead.insert(key, abort.reason.clone());
                             CoreError::PeerFailed(format!("{method}: {}", abort.reason))
                         } else {
                             let msg = panic
@@ -1715,6 +1723,44 @@ mod tests {
             let _ = g.call("step", &DataProto::empty(), Protocol::AllToAll).unwrap().wait();
             let lost = ctrl.lost_ranks();
             assert_eq!(lost.len(), 1, "the cascaded abort on rank 1 is not a loss: {lost:?}");
+            assert_eq!(lost[0].rank, 0);
+            let _ = done_tx.send(());
+        });
+        done_rx.recv_timeout(Duration::from_secs(30)).expect("must not deadlock");
+        body.join().unwrap();
+    }
+
+    /// Two collective calls are queued on each rank before the first is
+    /// awaited (the pipelined driver's micro-batch updates do this); rank
+    /// 0 is killed on the first. Rank 1's second call finds its
+    /// communicator already aborted — a cascade, not a second loss.
+    #[test]
+    fn queued_call_on_an_aborted_communicator_is_not_a_lost_rank() {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let body = std::thread::spawn(move || {
+            let ctrl = Controller::with_faults(
+                ClusterSpec::a100_with_gpus(2),
+                CommCostModel::default(),
+                Telemetry::disabled(),
+                Arc::new(KillOnCall { method: "step", rank: 0, nth: 1 }),
+            );
+            let layout = WorkerLayout::train_only(ParallelSpec::new(1, 1, 2));
+            let g = ctrl
+                .spawn_group("victim", &ResourcePool::contiguous(0, 2), layout, |_r| {
+                    Box::new(|_m: &str, _d: DataProto, c: &mut RankCtx| {
+                        let mut clock = c.clock;
+                        c.comms.world.barrier(&mut clock);
+                        c.clock = clock;
+                        Ok(DataProto::empty())
+                    })
+                })
+                .unwrap();
+            let first = g.call("step", &DataProto::empty(), Protocol::AllToAll).unwrap();
+            let second = g.call("step", &DataProto::empty(), Protocol::AllToAll).unwrap();
+            assert!(matches!(first.wait(), Err(CoreError::WorkerPanicked(_))));
+            assert!(matches!(second.wait(), Err(CoreError::PeerFailed(_))));
+            let lost = ctrl.lost_ranks();
+            assert_eq!(lost.len(), 1, "only the killed rank is a loss: {lost:?}");
             assert_eq!(lost[0].rank, 0);
             let _ = done_tx.send(());
         });

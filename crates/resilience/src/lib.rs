@@ -23,9 +23,10 @@
 //!   freshly spawned worker group on restore.
 //!
 //! The recoverable training outer loop that ties these together lives
-//! in `hf-rlhf` (`run_recoverable`), which checkpoints every N
-//! iterations, detects a failure, respawns the worker groups (fresh
-//! communicators replace poisoned ones), restores the latest committed
+//! in `hf-rlhf` (`remap_recoverable`), which checkpoints every N
+//! iterations, detects a failure, respawns the worker groups on the
+//! live controller (fresh communicators replace poisoned ones) in the
+//! placement its planner returns, restores the latest committed
 //! checkpoint, and replays — bit-identically, because prompt streams
 //! are seeded by iteration and worker state restores exactly.
 

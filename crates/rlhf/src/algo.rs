@@ -11,6 +11,7 @@ use hf_nn::LmConfig;
 use hf_rewards::{PoolConfig, VerifierKind, VerifierSpec};
 use hf_simcluster::ResourcePool;
 
+use crate::env::{make_pretrain, make_prompts};
 use crate::stage::{run_stages, GrpoStages, PpoStages, RemaxStages, SafeRlhfStages};
 use crate::verifier::RewardEvaluatorWorker;
 use crate::workers::{
@@ -400,4 +401,55 @@ pub fn grpo_iteration(
     prompts: &DataProto,
 ) -> Result<IterStats> {
     run_stages(&GrpoStages, sys, ctrl, prompts, None).map(|(stats, _)| stats)
+}
+
+/// Which algorithm the outer loop drives each iteration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Algorithm {
+    /// PPO (needs a critic).
+    Ppo,
+    /// ReMax (no critic, greedy baseline pass).
+    ReMax,
+    /// Safe-RLHF (critic + cost model + pre-train loss).
+    SafeRlhf,
+    /// GRPO (no critic, group sampling).
+    Grpo,
+}
+
+/// The prompt batch of iteration `i` of a run: `batch` prompts drawn
+/// with seed `data_seed + i`, so a replayed iteration sees identical
+/// data.
+pub fn iteration_prompts(cfg: &RlhfConfig, batch: usize, data_seed: u64, i: u64) -> DataProto {
+    let seed = data_seed.wrapping_add(i);
+    make_prompts(batch, cfg.prompt_len, cfg.response_len, cfg.lm.vocab as u32, seed)
+}
+
+impl Algorithm {
+    /// Runs iteration `i` of a run of this algorithm on its seeded
+    /// prompt batch (see [`iteration_prompts`]).
+    pub fn iteration(
+        self,
+        sys: &RlhfSystem,
+        ctrl: &Controller,
+        batch: usize,
+        data_seed: u64,
+        i: u64,
+    ) -> Result<IterStats> {
+        let rc = &sys.cfg;
+        let prompts = iteration_prompts(rc, batch, data_seed, i);
+        match self {
+            Algorithm::Ppo => ppo_iteration(sys, ctrl, &prompts),
+            Algorithm::ReMax => remax_iteration(sys, ctrl, &prompts),
+            Algorithm::Grpo => grpo_iteration(sys, ctrl, &prompts),
+            Algorithm::SafeRlhf => {
+                let pretrain = make_pretrain(
+                    batch,
+                    rc.prompt_len + rc.response_len,
+                    rc.lm.vocab as u32,
+                    data_seed.wrapping_add(i),
+                );
+                safe_rlhf_iteration(sys, ctrl, &prompts, &pretrain)
+            }
+        }
+    }
 }

@@ -31,13 +31,13 @@
 //! * [`env`] — synthetic prompt / pretrain-batch generators and the
 //!   rule-based reward (paper §9: reward models can be replaced by
 //!   non-neural reward modules).
-//! * [`trainer`] — [`trainer::RlhfTrainer`]: the multi-iteration loop
-//!   with a prompt stream, stats history, periodic checkpoints, and
-//!   rollback on failure.
-//! * [`recover`] — [`recover::run_recoverable`]: the checkpoint →
-//!   detect → respawn → restore → replay outer loop over `hf-resilience`
-//!   sharded on-disk checkpoints, recovering bit-identically from lost
-//!   ranks.
+//! * [`remap`] — [`remap::remap_recoverable`]: the one outer loop —
+//!   prompt stream, stats history, periodic `hf-resilience` sharded
+//!   checkpoints, and on a lost rank (or a planned load shift) re-place
+//!   → restore → continue on the live controller, bit-identically.
+//!   [`remap::FixedPlacement`] recovers in the same layout,
+//!   [`remap::MapperPlanner`] re-runs the mapping search over the
+//!   survivors.
 //! * [`zero`] — a functional ZeRO-3 actor (`ZeROWorker`, §4.1):
 //!   parameters sharded across the DP group, gathered on demand,
 //!   gradients reduce-scattered — numerically identical to the
@@ -49,10 +49,8 @@ pub mod advantage;
 pub mod algo;
 pub mod env;
 pub mod pipeline;
-pub mod recover;
 pub mod remap;
 mod stage;
-pub mod trainer;
 pub mod verifier;
 pub mod workers;
 pub mod zero;
@@ -60,19 +58,15 @@ pub mod zero;
 pub use advantage::{gae, grpo_advantages, remax_advantage, shape_token_rewards, whiten};
 pub use algo::{
     grpo_iteration, ppo_iteration, ppo_iteration_captured, remax_iteration, restore_checkpoint,
-    safe_rlhf_iteration, save_checkpoint, IterStats, ModelPlacement, Placement, RewardSource,
-    RlhfConfig, RlhfSystem, SystemCheckpoint,
+    safe_rlhf_iteration, save_checkpoint, Algorithm, IterStats, ModelPlacement, Placement,
+    RewardSource, RlhfConfig, RlhfSystem, SystemCheckpoint,
 };
 pub use pipeline::{PipelineConfig, PipelinedPpo};
-pub use recover::{
-    restore_system_checkpoint, run_recoverable, save_system_checkpoint, RecoveryConfig,
-    RecoveryReport,
-};
 pub use remap::{
-    bridge_spec, remap_recoverable, MapperPlanner, PlannedPlacement, PlannedRemap, RemapConfig,
-    RemapDriver, RemapEvent, RemapPlanner, RemapReport,
+    bridge_spec, remap_recoverable, restore_system_checkpoint, save_system_checkpoint,
+    FixedPlacement, MapperPlanner, PlannedPlacement, PlannedRemap, RemapConfig, RemapDriver,
+    RemapEvent, RemapPlanner, RemapReport,
 };
-pub use trainer::{Algorithm, RlhfTrainer, TrainerConfig};
 pub use verifier::RewardEvaluatorWorker;
 pub use workers::{
     ActorWorker, CriticWorker, ReferenceWorker, RewardKind, RewardWorker, WorkerHyper,

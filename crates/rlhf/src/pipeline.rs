@@ -31,9 +31,11 @@
 
 use hf_core::{Controller, CoreError, DataProto, DpFuture, Result, ROW_OFFSET_META};
 
-use crate::advantage::{gae, shape_token_rewards, whiten};
-use crate::algo::{IterStats, RlhfConfig, RlhfSystem};
-use crate::stage::{assemble_stats, mean_of, TrainTotals};
+use crate::algo::{IterStats, RlhfSystem};
+use crate::stage::{
+    assemble_stats, collect_prep, collect_updates, dispatch_updates, gae_rows, insert_gae,
+    issue_prep, GaeFlavor, PpoStages, PrepSink, StageAlgo, TrainTotals,
+};
 use crate::workers::{GEN_ROUND_META, PIPELINE_META};
 
 /// Pipelined-execution knobs.
@@ -88,33 +90,6 @@ pub struct PipelinedPpo {
     overlap_emitted_us: u64,
 }
 
-/// Reward shaping + GAE for one chunk, *without* the whitening that
-/// needs the full batch. Row-for-row identical to the synchronous
-/// `compute_advantage_gae`, so concatenating chunk outputs in chunk
-/// order and whitening once reproduces its bits exactly.
-fn chunk_gae(batch: &DataProto, cfg: &RlhfConfig) -> Result<(Vec<f32>, Vec<f32>)> {
-    let rows = batch.rows();
-    let rw = cfg.response_len;
-    let (logp, _) = batch.f32("logp_old")?;
-    let (ref_logp, _) = batch.f32("ref_logp")?;
-    let (values, _) = batch.f32("values")?;
-    let (scores, _) = batch.f32("scores")?;
-    let mut advantages = Vec::with_capacity(rows * rw);
-    let mut returns = Vec::with_capacity(rows * rw);
-    for i in 0..rows {
-        let r = shape_token_rewards(
-            scores[i],
-            &logp[i * rw..(i + 1) * rw],
-            &ref_logp[i * rw..(i + 1) * rw],
-            cfg.kl_coef,
-        );
-        let (a, ret) = gae(&r, &values[i * rw..(i + 1) * rw], cfg.gamma, cfg.lam);
-        advantages.extend(a);
-        returns.extend(ret);
-    }
-    Ok((advantages, returns))
-}
-
 /// Sorts intervals and merges overlapping/adjacent ones.
 fn merge_intervals(iv: &[(f64, f64)]) -> Vec<(f64, f64)> {
     let mut v: Vec<(f64, f64)> = iv.to_vec();
@@ -166,16 +141,6 @@ impl PipelinedPpo {
         driver
     }
 
-    /// The driver's configuration.
-    pub fn config(&self) -> PipelineConfig {
-        self.cfg
-    }
-
-    /// Generation rounds issued so far.
-    pub fn rounds(&self) -> u64 {
-        self.round
-    }
-
     /// One pipelined step. Dispatches this round's generation, overlaps
     /// it with the previous batch's training, streams finished chunks
     /// into preparation, and returns the stats of whichever batch's
@@ -200,8 +165,7 @@ impl PipelinedPpo {
         ctrl: &Controller,
         prompts: &DataProto,
     ) -> Result<Option<(IterStats, DataProto)>> {
-        let critic =
-            sys.critic.as_ref().ok_or_else(|| CoreError::Config("PPO requires a critic".into()))?;
+        PpoStages.require(sys)?;
         if sys.cfg.recompute_logp {
             return Err(CoreError::Config("pipelined PPO does not support recompute_logp".into()));
         }
@@ -235,24 +199,16 @@ impl PipelinedPpo {
         // forward passes the moment it lands.
         struct ChunkState {
             batch: DataProto,
-            futs: Option<Vec<DpFuture>>,
-            adv: Vec<f32>,
-            ret: Vec<f32>,
+            futs: Option<Vec<(DpFuture, PrepSink)>>,
+            /// Un-whitened `(advantages, returns)`, once `futs` landed.
+            gae: (Vec<f32>, Vec<f32>),
         }
+        let calls = PpoStages.prep_calls();
         let mut states: Vec<ChunkState> = Vec::with_capacity(gen_futs.len());
         for fut in gen_futs {
             let cb = fut.wait()?;
-            let futs = vec![
-                critic.invoke("compute_values", &cb)?,
-                sys.reference.invoke("compute_ref_log_prob", &cb)?,
-                sys.reward.invoke("compute_reward", &cb)?,
-            ];
-            states.push(ChunkState {
-                batch: cb,
-                futs: Some(futs),
-                adv: Vec::new(),
-                ret: Vec::new(),
-            });
+            let futs = issue_prep(sys, &calls, &cb, &[])?;
+            states.push(ChunkState { batch: cb, futs: Some(futs), gae: Default::default() });
         }
 
         // Phase 4: collect preparation outputs. `try_ready` lets the
@@ -266,16 +222,14 @@ impl PipelinedPpo {
         while done < total {
             let g = states
                 .iter()
-                .position(|s| s.futs.as_ref().is_some_and(|fs| fs.iter().all(|f| f.try_ready())))
+                .position(|s| {
+                    s.futs.as_ref().is_some_and(|fs| fs.iter().all(|(f, _)| f.try_ready()))
+                })
                 .or_else(|| states.iter().position(|s| s.futs.is_some()))
                 .expect("an unprocessed chunk remains");
             let futs = states[g].futs.take().expect("position() only returns pending chunks");
-            for f in futs {
-                states[g].batch.union(f.wait()?)?;
-            }
-            let (adv, ret) = chunk_gae(&states[g].batch, &sys.cfg)?;
-            states[g].adv = adv;
-            states[g].ret = ret;
+            collect_prep(&mut states[g].batch, futs)?;
+            states[g].gae = gae_rows(&states[g].batch, &sys.cfg, GaeFlavor::Ppo)?;
             done += 1;
         }
 
@@ -287,12 +241,10 @@ impl PipelinedPpo {
         let mut advantages = Vec::with_capacity(batch.rows() * rw);
         let mut returns = Vec::with_capacity(batch.rows() * rw);
         for s in &states {
-            advantages.extend_from_slice(&s.adv);
-            returns.extend_from_slice(&s.ret);
+            advantages.extend_from_slice(&s.gae.0);
+            returns.extend_from_slice(&s.gae.1);
         }
-        whiten(&mut advantages);
-        batch.insert_f32("advantages", advantages, rw);
-        batch.insert_f32("returns", returns, rw);
+        insert_gae(&mut batch, advantages, returns, rw);
         for key in [PIPELINE_META, GEN_ROUND_META, ROW_OFFSET_META] {
             batch.meta.remove(key);
         }
@@ -360,14 +312,11 @@ impl PipelinedPpo {
     /// (same per-device order as the synchronous driver) without
     /// waiting any of them.
     fn dispatch_train(&self, sys: &RlhfSystem, batch: DataProto) -> Result<InFlight> {
-        let critic =
-            sys.critic.as_ref().ok_or_else(|| CoreError::Config("PPO requires a critic".into()))?;
-        let mut futs = Vec::with_capacity(sys.cfg.updates);
-        for mb in batch.chunk(sys.cfg.updates) {
-            let f_c = critic.invoke("update_critic", &mb)?;
-            let f_a = sys.actor.invoke("update_actor", &mb)?;
-            futs.push((f_c, f_a));
-        }
+        let futs = batch
+            .chunk(sys.cfg.updates)
+            .iter()
+            .map(|mb| dispatch_updates(sys, mb))
+            .collect::<Result<_>>()?;
         Ok(InFlight { futs, batch })
     }
 
@@ -375,9 +324,8 @@ impl PipelinedPpo {
     /// batch's stats (timing fields are filled by the caller).
     fn wait_train(&self, sys: &RlhfSystem, inflight: InFlight) -> Result<(IterStats, DataProto)> {
         let mut totals = TrainTotals::default();
-        for (f_c, f_a) in inflight.futs {
-            totals.critic_loss += mean_of(&f_c.wait()?, "critic_loss");
-            totals.absorb_actor(&f_a.wait()?);
+        for futs in inflight.futs {
+            collect_updates(futs, &mut totals)?;
         }
         let stats = assemble_stats(&inflight.batch, &totals, sys.cfg.updates, 0.0);
         Ok((stats, inflight.batch))
@@ -429,14 +377,13 @@ impl PipelinedPpo {
     /// Classifies new controller-timeline entries into stage intervals.
     fn scan_timeline(&mut self, ctrl: &Controller) {
         let tl = ctrl.timeline();
+        let prep = PpoStages.prep_calls();
         for e in &tl[self.cursor..] {
             let iv = (e.dispatched, e.completed);
             match e.method.as_str() {
                 "generate_sequences" => self.gen_iv.push(iv),
-                "compute_values" | "compute_ref_log_prob" | "compute_reward" => {
-                    self.prep_iv.push(iv)
-                }
                 "update_critic" | "update_actor" => self.train_iv.push(iv),
+                m if prep.iter().any(|c| c.role.method() == m) => self.prep_iv.push(iv),
                 _ => {}
             }
         }

@@ -1,42 +1,50 @@
-//! Elastic re-mapping: online re-placement + live resharding on device
-//! loss or load shift.
+//! The recoverable outer loop: checkpoint → detect → re-place → restore
+//! → continue, on one live controller.
 //!
-//! [`run_recoverable`](crate::recover::run_recoverable) survives a rank
-//! loss by tearing the *whole controller* down and rebuilding the same
-//! layout. That is the wrong answer when the device is permanently gone
-//! (the old layout no longer fits) or when a serving front-end
-//! re-negotiates training's GPU share mid-run (the old layout is no
-//! longer the right one). [`remap_recoverable`] instead keeps the
-//! controller alive and re-enters the device-mapping search:
+//! A lost rank takes its worker group with it: the dead rank's
+//! communicators are poisoned, surviving peers return `PeerFailed`, and
+//! no call on that group can ever succeed again. [`remap_recoverable`]
+//! keeps the controller alive and rebuilds the groups under it:
 //!
 //! 1. **Detect** — a window fails with a rank-loss/timeout error and the
 //!    controller's [`LostRank`](hf_core::LostRank) registry names the
 //!    devices that died; or a [`PlannedRemap`] (a load-shift signal,
 //!    e.g. from `hf-serve`) matures at a checkpoint boundary.
-//! 2. **Re-place** — a [`RemapPlanner`] re-runs `Mapper::search` over
-//!    the surviving device set (the mapper's caches are world-size
-//!    independent, so the re-search is warm-started) and bridges the
-//!    winning strategy onto the running system's toy model.
+//! 2. **Re-place** — a [`RemapPlanner`] decides the next placement.
+//!    [`FixedPlacement`] returns the layout the run started with
+//!    (same-layout recovery: the failed device comes back);
+//!    [`MapperPlanner`] re-runs `Mapper::search` over the surviving
+//!    device set (the mapper's caches are world-size independent, so the
+//!    re-search is warm-started) and bridges the winning strategy onto
+//!    the running system's toy model.
 //! 3. **Reshard live** — the old worker groups are despawned *on the
 //!    live controller* ([`Controller::despawn_group`]), the new groups
-//!    spawned over the survivors, and the last committed checkpoint is
-//!    broadcast into the new layout through the existing
-//!    `CheckpointStore::restore_group` path — which is layout-agnostic
-//!    by construction.
+//!    spawned, and the last committed checkpoint is broadcast into the
+//!    new layout through `CheckpointStore::restore_group` — which is
+//!    layout-agnostic by construction. A rank lost before step 0 ever
+//!    committed has nothing to restore: worker construction is
+//!    seed-deterministic, so the respawned system *is* the initial state
+//!    and step 0 is saved again.
 //! 4. **Continue** — the driver re-enters at the last committed step.
 //!    No process restart, no full replay.
 //!
+//! Steps 2–3 run inside the same fallible slice as training, so a rank
+//! lost *while recovering* (during the restore broadcast, say) is one
+//! more failure against `max_recoveries`, not the end of the run. An
+//! application error (bad data, a missing model) propagates at once:
+//! replaying it would fail identically.
+//!
 //! **Determinism contract.** Prompt batches are seeded by iteration
 //! number and the checkpoint restores parameters, Adam moments, step
-//! counts, and the generation RNG round bit-for-bit, so the continued
-//! run's token streams, weights, and optimizer moments are bit-identical
-//! to a fresh run launched in the re-mapped layout from the same
-//! committed checkpoint (the audit sweep's mid-run-remap dimension and
-//! the `fault_remap` tier-1 test assert exactly this). The pipelined
-//! driver keeps the contract by running one fresh
-//! [`PipelinedPpo`] per checkpoint window and flushing it at the
-//! boundary: every committed step has pinned staleness, hence pinned
-//! bits.
+//! counts, and the generation RNG round bit-for-bit, so a run that
+//! loses a rank commits the same final bits as a fault-free run in the
+//! same layout (`fault_recovery`, the fault matrix), and a re-mapped
+//! run the same bits as a fresh run launched in the re-mapped layout
+//! from the same committed checkpoint (the audit sweep's mid-run-remap
+//! dimension and `fault_remap`). The pipelined driver keeps the
+//! contract by running one fresh [`PipelinedPpo`] per checkpoint window
+//! and flushing it at the boundary: every committed step has pinned
+//! staleness, hence pinned bits.
 
 use hf_core::{Controller, CoreError, Result, WorkerLayout};
 use hf_mapping::{AlgoKind, DataflowSpec, Mapper};
@@ -46,17 +54,14 @@ use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
 use hf_resilience::{classify, CheckpointStore, FailureKind, RecoveryStats};
 use hf_simcluster::{ClusterSpec, DeviceId, ResourcePool};
 
-use crate::algo::{IterStats, Placement, RlhfConfig, RlhfSystem};
-use crate::env::make_prompts;
+use crate::algo::{iteration_prompts, Algorithm, IterStats, Placement, RlhfConfig, RlhfSystem};
 use crate::pipeline::{PipelineConfig, PipelinedPpo};
-use crate::recover::{restore_system_checkpoint, run_iteration, save_system_checkpoint};
-use crate::recover::{RecoveryConfig, RecoveryReport};
-use crate::trainer::Algorithm;
 
 /// How windows between checkpoints are driven.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RemapDriver {
-    /// The synchronous barrier driver (one `run_iteration` per step).
+    /// The synchronous barrier driver (one [`Algorithm::iteration`] per
+    /// step).
     Barrier,
     /// The pipelined PPO driver: one fresh [`PipelinedPpo`] per
     /// checkpoint window, flushed at the boundary so committed steps
@@ -75,11 +80,23 @@ pub struct PlannedRemap {
     pub devices: usize,
 }
 
-/// Configuration of the elastic outer loop.
+/// Configuration of the recoverable outer loop.
 #[derive(Debug, Clone)]
 pub struct RemapConfig {
-    /// Iteration count, checkpoint cadence, batch, seeds, retry budget.
-    pub recovery: RecoveryConfig,
+    /// The algorithm to run each iteration.
+    pub algorithm: Algorithm,
+    /// Iterations to complete.
+    pub iterations: usize,
+    /// Commit a checkpoint every `n` completed iterations (≥ 1; step 0
+    /// is always checkpointed before training starts).
+    pub checkpoint_every: usize,
+    /// Prompts per iteration.
+    pub batch: usize,
+    /// Base seed; iteration `i` draws prompts with seed
+    /// `data_seed + i`, so replayed iterations see identical data.
+    pub data_seed: u64,
+    /// Failures to recover from before giving up.
+    pub max_recoveries: u32,
     /// The window driver.
     pub driver: RemapDriver,
     /// Scheduled load-shift re-maps, matured at iteration boundaries.
@@ -87,18 +104,20 @@ pub struct RemapConfig {
     /// The device universe this run may occupy (`None` = the whole
     /// cluster). Lost devices are removed from it as they die.
     pub allowed: Option<Vec<DeviceId>>,
-    /// Give up (error out) if fewer healthy devices remain.
-    pub min_world: usize,
 }
 
 impl Default for RemapConfig {
     fn default() -> Self {
         RemapConfig {
-            recovery: RecoveryConfig::default(),
+            algorithm: Algorithm::Ppo,
+            iterations: 4,
+            checkpoint_every: 1,
+            batch: 8,
+            data_seed: 0,
+            max_recoveries: 4,
             driver: RemapDriver::Barrier,
             planned: Vec::new(),
             allowed: None,
-            min_world: 1,
         }
     }
 }
@@ -106,29 +125,38 @@ impl Default for RemapConfig {
 /// What a planner decided for one re-map.
 #[derive(Debug, Clone)]
 pub struct PlannedPlacement {
-    /// The new placement (every pool ⊆ the survivor set handed in).
+    /// The new placement.
     pub placement: Placement,
-    /// The actor's training layout under the new placement.
-    pub spec: ParallelSpec,
     /// Wall-clock seconds the placement decision took. Recorded in
     /// stats and telemetry, but *never* fed into virtual time — the
     /// decision must not perturb simulated timing (determinism).
     pub search_wall_s: f64,
-    /// `(plan, alloc)` candidates the search scored, 0 if not searched.
-    pub evaluations: usize,
 }
 
-/// Decides a new placement over a surviving device set.
+/// Decides the placement a run continues in after a failure or a load
+/// shift.
 pub trait RemapPlanner {
-    /// Plans a placement using only `survivors` (any subset). `rlhf`
-    /// describes the running system; `algorithm` determines which roles
-    /// (critic, cost model) the placement must carry.
+    /// Plans a placement. `survivors` are the healthy devices within the
+    /// run's budget; `rlhf` describes the running system; `algorithm`
+    /// determines which roles (critic, cost model) the placement must
+    /// carry.
     fn plan(
         &mut self,
         survivors: &[DeviceId],
         rlhf: &RlhfConfig,
         algorithm: Algorithm,
     ) -> Result<PlannedPlacement>;
+}
+
+/// Same-layout recovery: every re-place returns this placement, lost
+/// devices included — the failed rank's process is restarted where it
+/// ran (despawning a group clears its dead-rank markers).
+pub struct FixedPlacement(pub Placement);
+
+impl RemapPlanner for FixedPlacement {
+    fn plan(&mut self, _: &[DeviceId], _: &RlhfConfig, _: Algorithm) -> Result<PlannedPlacement> {
+        Ok(PlannedPlacement { placement: self.0.clone(), search_wall_s: 0.0 })
+    }
 }
 
 /// Bridges a paper-scale strategy onto the toy system: the largest
@@ -165,32 +193,14 @@ pub struct MapperPlanner {
 }
 
 impl MapperPlanner {
-    /// A planner searching a paper-scale PPO dataflow (7B models, the
-    /// paper's workload) over an A100 cluster of `total_gpus`.
-    pub fn paper_scale(total_gpus: usize) -> Self {
-        let perf = PerfModel::new(ClusterSpec::a100_with_gpus(total_gpus));
-        let df =
-            DataflowSpec::uniform(AlgoKind::Ppo, ModelConfig::llama_7b(), RlhfWorkload::paper());
-        MapperPlanner { mapper: Mapper::new(perf, df, total_gpus) }
-    }
-
-    /// A planner searching a toy-scale PPO dataflow — feasible down to a
-    /// single surviving GPU, unlike [`paper_scale`](Self::paper_scale)'s
-    /// 7B models whose four roles need at least 4 GPUs of memory.
+    /// A planner searching a toy-scale PPO dataflow over an A100 cluster
+    /// of `total_gpus` — feasible down to a single surviving GPU (the
+    /// paper's 7B models need at least 4 GPUs of memory for their four
+    /// roles).
     pub fn toy(total_gpus: usize) -> Self {
         let perf = PerfModel::new(ClusterSpec::a100_with_gpus(total_gpus));
         let df = DataflowSpec::uniform(AlgoKind::Ppo, ModelConfig::tiny(), RlhfWorkload::paper());
         MapperPlanner { mapper: Mapper::new(perf, df, total_gpus) }
-    }
-
-    /// A planner around an explicit, pre-configured mapper.
-    pub fn from_mapper(mapper: Mapper) -> Self {
-        MapperPlanner { mapper }
-    }
-
-    /// The underlying mapper (its `stats()` expose warm-start hit rates).
-    pub fn mapper(&self) -> &Mapper {
-        &self.mapper
     }
 }
 
@@ -205,7 +215,6 @@ impl RemapPlanner for MapperPlanner {
             return Err(CoreError::Config("no surviving devices to re-map onto".into()));
         }
         self.mapper.resize_world(survivors.len());
-        let before = self.mapper.stats();
         let t0 = std::time::Instant::now();
         // The sequential search: deterministic incumbent tie-breaking,
         // so the chosen layout — and with it every post-remap bit — is
@@ -215,7 +224,6 @@ impl RemapPlanner for MapperPlanner {
             CoreError::Config(format!("no feasible mapping for {} survivors", survivors.len()))
         })?;
         let search_wall_s = t0.elapsed().as_secs_f64();
-        let evaluations = self.mapper.stats().evaluations - before.evaluations;
         let actor = found
             .strategies
             .get(&hf_mapping::Role::Actor)
@@ -231,22 +239,23 @@ impl RemapPlanner for MapperPlanner {
             matches!(algorithm, Algorithm::Ppo | Algorithm::SafeRlhf),
             matches!(algorithm, Algorithm::SafeRlhf),
         );
-        Ok(PlannedPlacement { placement, spec, search_wall_s, evaluations })
+        Ok(PlannedPlacement { placement, search_wall_s })
     }
 }
 
-/// One completed re-map.
+/// One completed re-place.
 #[derive(Debug, Clone)]
 pub struct RemapEvent {
-    /// Why the re-map happened.
+    /// Why the re-place happened.
     pub reason: String,
-    /// The step training resumed from (the last committed checkpoint).
+    /// The step training resumed from (the last committed checkpoint; 0
+    /// when the run was rebuilt from seeds before anything committed).
     pub resumed_step: u64,
-    /// Devices in use before and after.
+    /// Devices in use before the re-place.
     pub world_before: usize,
-    /// Devices in use after the re-map.
+    /// Devices in use after the re-place.
     pub world_after: usize,
-    /// The actor layout after the re-map.
+    /// The actor layout after the re-place.
     pub spec: ParallelSpec,
     /// Wall seconds deciding the new mapping (not virtual time).
     pub search_wall_s: f64,
@@ -255,82 +264,293 @@ pub struct RemapEvent {
     /// Bytes the restore broadcast dispatched.
     pub reshard_bytes: u64,
     /// Virtual seconds from failure detection (or shift maturity) to
-    /// training resumed — the blackout the re-map cost.
+    /// training resumed — the blackout the re-place cost.
     pub blackout_s: f64,
 }
 
-/// What an elastic run did: the recoverable-run report plus one
-/// [`RemapEvent`] per re-map.
-#[derive(Debug)]
+/// What a recoverable run did.
+#[derive(Debug, Default)]
 pub struct RemapReport {
-    /// The underlying run report (history, stats, log, virtual time).
-    pub run: RecoveryReport,
-    /// Every completed re-map, in order.
+    /// Statistics of every committed iteration (a rolled-back window is
+    /// replayed and its replayed stats kept).
+    pub history: Vec<IterStats>,
+    /// Failure / recovery bookkeeping (also exported as `resilience.*`
+    /// telemetry on the controller).
+    pub stats: RecoveryStats,
+    /// One line per re-place: why, onto what, where training resumed.
+    pub log: Vec<String>,
+    /// The controller's virtual clock when the run finished.
+    pub virtual_time_s: f64,
+    /// Every completed re-place, in order.
     pub remaps: Vec<RemapEvent>,
     /// The device count the run finished on.
     pub final_world: usize,
 }
 
-fn run_window(
+/// Saves a consistent sharded checkpoint of the system's trainable
+/// models (actor, plus critic when present) and commits it. The COMMIT
+/// marker is stamped with `ctrl`'s virtual clock at the instant the
+/// marker lands (after the save collectives), so lost-work accounting
+/// can read the true commit time back instead of inferring it.
+pub fn save_system_checkpoint(
+    store: &CheckpointStore,
     sys: &RlhfSystem,
     ctrl: &Controller,
-    cfg: &RecoveryConfig,
-    driver: RemapDriver,
-    start: u64,
-    end: u64,
-) -> Result<Vec<IterStats>> {
-    match driver {
-        RemapDriver::Barrier => (start..end).map(|i| run_iteration(sys, ctrl, cfg, i)).collect(),
-        RemapDriver::Pipelined(pcfg) => {
-            let rc = &sys.cfg;
-            // Rounds are absolute across the run (one generation per
-            // iteration), so a window starting at iteration `start`
-            // continues the sequence — bit-compatible with the barrier
-            // driver's restored gen_round at staleness 0.
-            let mut pipe = PipelinedPpo::with_round(pcfg, start);
-            let mut out = Vec::new();
-            for i in start..end {
-                let seed = cfg.data_seed.wrapping_add(i);
-                let prompts = make_prompts(
-                    cfg.batch,
-                    rc.prompt_len,
-                    rc.response_len,
-                    rc.lm.vocab as u32,
-                    seed,
-                );
-                if let Some(st) = pipe.step(sys, ctrl, &prompts)? {
-                    out.push(st);
-                }
-            }
-            out.extend(pipe.flush(sys, ctrl)?);
-            Ok(out)
-        }
+    step: u64,
+) -> Result<()> {
+    store.save_group(&sys.actor, step)?;
+    let mut groups = vec!["actor"];
+    if let Some(c) = &sys.critic {
+        store.save_group(c, step)?;
+        groups.push("critic");
     }
+    store.commit_at(step, &groups, ctrl.clock())
+}
+
+/// Restores the system's trainable models from the committed checkpoint
+/// at `step`.
+pub fn restore_system_checkpoint(
+    store: &CheckpointStore,
+    sys: &RlhfSystem,
+    step: u64,
+) -> Result<()> {
+    store.restore_group(&sys.actor, step)?;
+    if let Some(c) = &sys.critic {
+        store.restore_group(c, step)?;
+    }
+    Ok(())
 }
 
 /// Tears the system's worker groups down on the live controller.
 fn despawn_system(ctrl: &Controller, sys: RlhfSystem) {
     let RlhfSystem { actor, critic, reference, reward, cost, cfg: _ } = sys;
-    ctrl.despawn_group(actor);
-    if let Some(g) = critic {
-        ctrl.despawn_group(g);
-    }
-    ctrl.despawn_group(reference);
-    ctrl.despawn_group(reward);
-    if let Some(g) = cost {
-        ctrl.despawn_group(g);
+    for group in [Some(actor), critic, Some(reference), Some(reward), cost].into_iter().flatten() {
+        ctrl.despawn_group(group);
     }
 }
 
-/// Runs `cfg.recovery.iterations` iterations on one live controller,
-/// re-mapping onto the surviving device set whenever a rank dies and
-/// whenever a [`PlannedRemap`] matures. See the module docs for the
-/// protocol and the determinism contract.
+/// A failure whose recovery has not completed yet.
+struct Fault {
+    /// Controller clock when the failure surfaced.
+    detected: f64,
+    /// Virtual seconds of training work the rollback discards.
+    lost: f64,
+    reason: String,
+}
+
+/// The state of one recoverable run.
+struct Run<'a> {
+    ctrl: &'a Controller,
+    store: &'a CheckpointStore,
+    cfg: &'a RemapConfig,
+    rlhf: RlhfConfig,
+    planner: &'a mut dyn RemapPlanner,
+    /// The live system; `None` only between a re-place that failed after
+    /// despawning and its retry.
+    sys: Option<RlhfSystem>,
+    world: usize,
+    /// The capped device budget: starts at the allowed universe, shrinks
+    /// when a planned remap matures (a later rank loss must not grow the
+    /// world back past the most recent budget).
+    budget: usize,
+    planned: Vec<PlannedRemap>,
+    /// The last step this run committed — where the next window starts
+    /// and what a recovery restores. `None` until step 0 commits.
+    committed: Option<u64>,
+    /// Failures awaiting a completed re-place + restore.
+    unrecovered: Vec<Fault>,
+    /// Controller clock since which uncommitted training work has
+    /// accumulated: the last COMMIT marker, or the last resume.
+    t_ckpt: f64,
+    /// Clock at which the in-flight checkpoint write began, if one is in
+    /// flight. A fault inside the write loses *checkpoint overhead*, not
+    /// training work — the accounting keeps the two apart.
+    save_start: Option<f64>,
+    report: RemapReport,
+}
+
+impl Run<'_> {
+    fn sys(&self) -> &RlhfSystem {
+        self.sys.as_ref().expect("a failed re-place is retried before the system is used")
+    }
+
+    /// The healthy devices this run may occupy, truncated to the budget.
+    fn survivors(&self) -> Vec<DeviceId> {
+        let lost = self.ctrl.lost_devices();
+        let universe: Vec<DeviceId> = match &self.cfg.allowed {
+            Some(a) => a.clone(),
+            None => (0..self.ctrl.cluster().total_gpus()).map(DeviceId).collect(),
+        };
+        universe.into_iter().filter(|d| !lost.contains(d)).take(self.budget).collect()
+    }
+
+    /// One re-place: despawn → plan → respawn → restore `step` (or
+    /// nothing, when nothing has committed) → account.
+    fn replace(&mut self, reason: String, step: Option<u64>) -> Result<()> {
+        let (ctrl, tel) = (self.ctrl, self.ctrl.telemetry());
+        let t_detect = ctrl.clock();
+        let world_before = self.world;
+        if let Some(old) = self.sys.take() {
+            despawn_system(ctrl, old);
+        }
+        let plan = self.planner.plan(&self.survivors(), &self.rlhf, self.cfg.algorithm)?;
+        let sys = self.sys.insert(RlhfSystem::build(ctrl, &plan.placement, self.rlhf.clone())?);
+        let spec = plan.placement.actor.layout.spec;
+        self.world = plan.placement.actor.pool.len();
+        let bytes0 = tel.counter("protocol.OneToAll.dispatch_bytes");
+        let t_reshard = ctrl.clock();
+        if let Some(step) = step {
+            restore_system_checkpoint(self.store, sys, step)?;
+        }
+        let reshard_s = ctrl.clock() - t_reshard;
+        let reshard_bytes = tel.counter("protocol.OneToAll.dispatch_bytes") - bytes0;
+        let blackout_s = ctrl.clock() - t_detect;
+        self.report.stats.record_remap(plan.search_wall_s, reshard_s);
+        tel.observe_digest("remap.search_s", plan.search_wall_s);
+        tel.observe_digest("remap.reshard_s", reshard_s);
+        tel.observe_digest("remap.blackout_s", blackout_s);
+        tel.add_counter("remap.reshard_bytes", reshard_bytes);
+        tel.add_counter("remap.events", 1);
+        tel.set_gauge("remap.world", self.world as f64);
+        let resumed =
+            step.map_or("rebuilt from seeds".to_string(), |s| format!("resumed step {s}"));
+        self.report.log.push(format!(
+            "remap ({reason}): {world_before} -> {} devices, layout {spec:?}, {resumed}, \
+             blackout {:.3} ms ({:.3} ms reshard)",
+            self.world,
+            blackout_s * 1e3,
+            reshard_s * 1e3
+        ));
+        self.report.remaps.push(RemapEvent {
+            reason,
+            resumed_step: step.unwrap_or(0),
+            world_before,
+            world_after: self.world,
+            spec,
+            search_wall_s: plan.search_wall_s,
+            reshard_s,
+            reshard_bytes,
+            blackout_s,
+        });
+        Ok(())
+    }
+
+    /// Drives iterations `start..end` with the configured driver.
+    fn window(&self, start: u64, end: u64) -> Result<Vec<IterStats>> {
+        let (sys, ctrl, cfg) = (self.sys(), self.ctrl, self.cfg);
+        match cfg.driver {
+            RemapDriver::Barrier => (start..end)
+                .map(|i| cfg.algorithm.iteration(sys, ctrl, cfg.batch, cfg.data_seed, i))
+                .collect(),
+            RemapDriver::Pipelined(pcfg) => {
+                // Rounds are absolute across the run (one generation per
+                // iteration), so a window starting at iteration `start`
+                // continues the sequence — bit-compatible with the barrier
+                // driver's restored gen_round at staleness 0.
+                let mut pipe = PipelinedPpo::with_round(pcfg, start);
+                let mut out = Vec::new();
+                for i in start..end {
+                    let prompts = iteration_prompts(&sys.cfg, cfg.batch, cfg.data_seed, i);
+                    out.extend(pipe.step(sys, ctrl, &prompts)?);
+                }
+                out.extend(pipe.flush(sys, ctrl)?);
+                Ok(out)
+            }
+        }
+    }
+
+    /// One loop turn, the fallible slice: finish any pending recovery
+    /// and any load shift maturing at this boundary, then either commit
+    /// the initial step-0 checkpoint or run one window and commit its
+    /// boundary. A rank lost anywhere in here — training, the
+    /// `save_shard` collective, the restore broadcast — comes back as an
+    /// error; nothing it half-did was committed.
+    fn turn(&mut self) -> Result<()> {
+        if let Some(last) = self.unrecovered.last() {
+            self.replace(last.reason.clone(), self.committed)?;
+            let resumed = self.ctrl.clock();
+            for f in self.unrecovered.drain(..) {
+                self.report.stats.record_recovery(resumed - f.detected, f.lost);
+                self.ctrl.telemetry().observe_digest("resilience.mttr_s", resumed - f.detected);
+            }
+            self.t_ckpt = resumed;
+        }
+        let start = self.committed.unwrap_or(0);
+        while let Some(p) = self.planned.first().copied().filter(|p| p.after_iteration <= start) {
+            self.planned.remove(0);
+            self.budget = self.budget.min(p.devices);
+            let reason = format!("load shift to {} devices at iteration {start}", p.devices);
+            self.replace(reason, self.committed)?;
+        }
+        let (end, stats) = if self.committed.is_none() {
+            // Nothing has committed yet: the turn only saves step 0.
+            (0, Vec::new())
+        } else {
+            // Window end: the next checkpoint boundary, capped by the
+            // run length and by the next planned shift.
+            let ce = self.cfg.checkpoint_every as u64;
+            let mut end = ((start / ce + 1) * ce).min(self.cfg.iterations as u64);
+            if let Some(p) = self.planned.first() {
+                end = end.min(p.after_iteration);
+            }
+            (end, self.window(start, end)?)
+        };
+        self.save_start = Some(self.ctrl.clock());
+        save_system_checkpoint(self.store, self.sys(), self.ctrl, end)?;
+        self.save_start = None;
+        self.committed = Some(end);
+        self.report.history.extend(stats);
+        // The committed instant as the marker recorded it — the anchor
+        // every later lost-work figure is measured against.
+        self.t_ckpt = self.store.commit_time(end).unwrap_or_else(|| self.ctrl.clock());
+        Ok(())
+    }
+
+    /// Books a failed turn; `Err` when the run cannot go on.
+    fn fail(&mut self, e: CoreError) -> Result<()> {
+        let stats = &mut self.report.stats;
+        stats.record_failure();
+        if classify(&e) == FailureKind::Application {
+            return Err(e);
+        }
+        if stats.failures > u64::from(self.cfg.max_recoveries) {
+            return Err(CoreError::Worker(format!(
+                "gave up after {} recoveries: {e}",
+                self.cfg.max_recoveries
+            )));
+        }
+        // Split the interval since the last COMMIT marker: work before
+        // the interrupted checkpoint write began is discarded training;
+        // the write window itself is checkpoint overhead. A fault that
+        // interrupts a recovery discards no further training.
+        let detected = self.ctrl.clock();
+        let (train_end, ckpt_window) = match self.save_start.take() {
+            Some(s) => (s, detected - s),
+            None => (detected, 0.0),
+        };
+        stats.record_checkpoint_window(ckpt_window);
+        let lost =
+            if self.unrecovered.is_empty() { (train_end - self.t_ckpt).max(0.0) } else { 0.0 };
+        let reason = match self.committed {
+            Some(s) => format!("rank loss after step {s}: {e}"),
+            None => format!("rank loss before step 0 committed: {e}"),
+        };
+        self.unrecovered.push(Fault { detected, lost, reason });
+        Ok(())
+    }
+}
+
+/// Runs `cfg.iterations` iterations on one live controller with
+/// checkpoint-based fault recovery, re-placing the system through
+/// `planner` whenever a rank dies and whenever a [`PlannedRemap`]
+/// matures. See the module docs for the protocol and the determinism
+/// contract.
 ///
 /// `initial` places the first epoch; `rlhf` configures every system the
-/// run builds (the model is identical across re-maps — only the layout
-/// moves). Returns an error on application failures, on an exhausted
-/// retry budget, and when fewer than `cfg.min_world` devices survive.
+/// run builds (the model is identical across re-places — only the layout
+/// moves). Returns an error on application failures (including
+/// `checkpoint_every == 0` and a planner with nowhere left to place) and
+/// on an exhausted retry budget.
 pub fn remap_recoverable(
     ctrl: &Controller,
     store: &CheckpointStore,
@@ -339,173 +559,35 @@ pub fn remap_recoverable(
     rlhf: RlhfConfig,
     planner: &mut dyn RemapPlanner,
 ) -> Result<RemapReport> {
-    let rc = &cfg.recovery;
-    assert!(rc.checkpoint_every >= 1, "checkpoint_every must be >= 1");
-    let telemetry = ctrl.telemetry().clone();
-    let mut sys = RlhfSystem::build(ctrl, initial, rlhf.clone())?;
-    let mut world = initial.actor.pool.len();
-    // The capped device budget: starts at the allowed universe, shrinks
-    // when a planned remap matures (a later rank loss must not grow the
-    // world back past the most recent budget).
-    let mut budget = cfg.allowed.as_ref().map(|a| a.len()).unwrap_or(ctrl.cluster().total_gpus());
-
-    let mut stats = RecoveryStats::new();
-    let mut log = Vec::new();
-    let mut history: Vec<IterStats> = Vec::new();
-    let mut remaps: Vec<RemapEvent> = Vec::new();
+    if cfg.checkpoint_every == 0 {
+        return Err(CoreError::Config("checkpoint_every must be >= 1".into()));
+    }
     let mut planned = cfg.planned.clone();
     planned.sort_by_key(|p| p.after_iteration);
-    let mut iteration = 0u64;
-    let mut recoveries = 0u32;
-    let mut save_start: Option<f64> = None;
-
-    // The healthy devices this run may occupy, truncated to `limit`.
-    let survivors = |ctrl: &Controller, allowed: &Option<Vec<DeviceId>>, limit: usize| {
-        let lost = ctrl.lost_devices();
-        let universe: Vec<DeviceId> = match allowed {
-            Some(a) => a.clone(),
-            None => (0..ctrl.cluster().total_gpus()).map(DeviceId).collect(),
-        };
-        universe.into_iter().filter(|d| !lost.contains(d)).take(limit).collect::<Vec<_>>()
+    let mut run = Run {
+        ctrl,
+        store,
+        cfg,
+        sys: Some(RlhfSystem::build(ctrl, initial, rlhf.clone())?),
+        rlhf,
+        planner,
+        world: initial.actor.pool.len(),
+        budget: cfg.allowed.as_ref().map_or(ctrl.cluster().total_gpus(), Vec::len),
+        planned,
+        committed: None,
+        unrecovered: Vec::new(),
+        t_ckpt: ctrl.clock(),
+        save_start: None,
+        report: RemapReport::default(),
     };
-
-    // One re-map: despawn → plan → respawn → restore → account.
-    // `reason` feeds the event log; `step` is the committed step to
-    // restore (the caller guarantees it exists).
-    macro_rules! do_remap {
-        ($sys:ident, $reason:expr, $step:expr) => {{
-            let t_detect = ctrl.clock();
-            let world_before = world;
-            despawn_system(ctrl, $sys);
-            let alive = survivors(ctrl, &cfg.allowed, budget);
-            if alive.len() < cfg.min_world {
-                return Err(CoreError::Worker(format!(
-                    "only {} devices survive (< min_world {})",
-                    alive.len(),
-                    cfg.min_world
-                )));
-            }
-            let plan = planner.plan(&alive, &rlhf, rc.algorithm)?;
-            let new_sys = RlhfSystem::build(ctrl, &plan.placement, rlhf.clone())?;
-            let bytes0 = telemetry.counter("protocol.OneToAll.dispatch_bytes");
-            let t_reshard = ctrl.clock();
-            restore_system_checkpoint(store, &new_sys, $step)?;
-            let reshard_s = ctrl.clock() - t_reshard;
-            let reshard_bytes = telemetry.counter("protocol.OneToAll.dispatch_bytes") - bytes0;
-            let blackout_s = ctrl.clock() - t_detect;
-            world = plan.placement.actor.pool.len();
-            stats.record_remap(plan.search_wall_s, reshard_s);
-            telemetry.observe_digest("remap.search_s", plan.search_wall_s);
-            telemetry.observe_digest("remap.reshard_s", reshard_s);
-            telemetry.observe_digest("remap.blackout_s", blackout_s);
-            telemetry.add_counter("remap.reshard_bytes", reshard_bytes);
-            telemetry.add_counter("remap.events", 1);
-            telemetry.set_gauge("remap.world", world as f64);
-            log.push(format!(
-                "remap ({}): {} -> {} devices, layout {:?}, resumed step {}, \
-                 blackout {:.3}s ({:.3}s reshard)",
-                $reason, world_before, world, plan.spec, $step, blackout_s, reshard_s
-            ));
-            remaps.push(RemapEvent {
-                reason: $reason,
-                resumed_step: $step,
-                world_before,
-                world_after: world,
-                spec: plan.spec,
-                search_wall_s: plan.search_wall_s,
-                reshard_s,
-                reshard_bytes,
-                blackout_s,
-            });
-            new_sys
-        }};
-    }
-
-    // The initial step-0 checkpoint. A failure here has nothing
-    // committed to reshard from, so it surfaces instead of re-mapping
-    // (the caller can fall back to run_recoverable's rebuild-from-seeds
-    // path).
-    if let Err(e) = save_system_checkpoint(store, &sys, ctrl, 0) {
-        stats.record_failure();
-        return Err(CoreError::Worker(format!(
-            "rank lost before the initial checkpoint committed; nothing to reshard from: {e}"
-        )));
-    }
-    let mut t_ckpt = store.commit_time(0).unwrap_or_else(|| ctrl.clock());
-
-    while (iteration as usize) < rc.iterations {
-        // Window end: the next checkpoint boundary, capped by the run
-        // length and by the next planned shift.
-        let ce = rc.checkpoint_every as u64;
-        let mut end = ((iteration / ce) + 1) * ce;
-        end = end.min(rc.iterations as u64);
-        if let Some(p) = planned.first() {
-            if p.after_iteration > iteration {
-                end = end.min(p.after_iteration);
-            }
-        }
-        let outcome = run_window(&sys, ctrl, rc, cfg.driver, iteration, end).and_then(|sts| {
-            save_start = Some(ctrl.clock());
-            save_system_checkpoint(store, &sys, ctrl, end)?;
-            Ok(sts)
-        });
-        match outcome {
-            Ok(sts) => {
-                save_start = None;
-                iteration = end;
-                history.extend(sts);
-                t_ckpt = store
-                    .latest_step()
-                    .and_then(|s| store.commit_time(s))
-                    .unwrap_or_else(|| ctrl.clock());
-                // Planned load shifts maturing at this boundary.
-                while planned.first().is_some_and(|p| p.after_iteration <= iteration) {
-                    let p = planned.remove(0);
-                    budget = budget.min(p.devices);
-                    let reason =
-                        format!("load shift to {} devices at iteration {iteration}", p.devices);
-                    sys = do_remap!(sys, reason, iteration);
-                }
-            }
-            Err(e) => {
-                stats.record_failure();
-                if classify(&e) == FailureKind::Application {
-                    return Err(e);
-                }
-                recoveries += 1;
-                if recoveries > rc.max_recoveries {
-                    return Err(CoreError::Worker(format!(
-                        "gave up after {} recoveries: {e}",
-                        rc.max_recoveries
-                    )));
-                }
-                // Checkpoint-window attribution, as in run_recoverable.
-                let at_fault = ctrl.clock();
-                let (train_end, ckpt_window) = match save_start.take() {
-                    Some(s) => (s, at_fault - s),
-                    None => (at_fault, 0.0),
-                };
-                let lost = (train_end - t_ckpt).max(0.0);
-                stats.record_checkpoint_window(ckpt_window);
-                let step = store.latest_step().ok_or_else(|| {
-                    CoreError::Worker(format!("no committed checkpoint to re-map from: {e}"))
-                })?;
-                let reason = format!("rank loss at iteration {iteration}: {e}");
-                sys = do_remap!(sys, reason, step);
-                let blackout = remaps.last().map(|r| r.blackout_s).unwrap_or(0.0);
-                stats.record_recovery(blackout, lost);
-                telemetry.observe_digest("resilience.mttr_s", blackout);
-                history.truncate(step as usize);
-                iteration = step;
-                t_ckpt = store.commit_time(step).unwrap_or_else(|| ctrl.clock());
-            }
+    while run.committed != Some(cfg.iterations as u64) {
+        if let Err(e) = run.turn() {
+            run.fail(e)?;
         }
     }
-    stats.export(&telemetry);
-    let virtual_time_s = ctrl.clock();
-    Ok(RemapReport {
-        run: RecoveryReport { history, stats, log, virtual_time_s },
-        remaps,
-        final_world: world,
-    })
+    let mut report = run.report;
+    report.stats.export(ctrl.telemetry());
+    report.virtual_time_s = ctrl.clock();
+    report.final_world = run.world;
+    Ok(report)
 }

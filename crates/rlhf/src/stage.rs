@@ -61,13 +61,16 @@ pub(crate) enum GaeFlavor {
     SafeRlhf,
 }
 
-/// Computes token rewards + GAE advantages/returns on the controller
-/// (Figure 6's `compute_advantage`; no model forward passes).
-pub(crate) fn compute_advantage_gae(
-    batch: &mut DataProto,
+/// Token rewards + GAE advantages/returns for the rows of `batch`, on the
+/// controller (Figure 6's `compute_advantage`; no model forward passes)
+/// and *before* whitening, which needs every row of the iteration. The
+/// pipelined driver runs this per generation chunk; rows are independent,
+/// so chunk outputs concatenated in chunk order are the full batch's.
+pub(crate) fn gae_rows(
+    batch: &DataProto,
     cfg: &RlhfConfig,
     algo: GaeFlavor,
-) -> Result<()> {
+) -> Result<(Vec<f32>, Vec<f32>)> {
     let rows = batch.rows();
     let rw = cfg.response_len;
     let (logp, _) = batch.f32("logp_old")?;
@@ -75,18 +78,14 @@ pub(crate) fn compute_advantage_gae(
     let (values, _) = batch.f32("values")?;
     let (scores, _) = batch.f32("scores")?;
     let costs = match algo {
-        GaeFlavor::SafeRlhf => Some(batch.f32("costs")?.0.to_vec()),
+        GaeFlavor::SafeRlhf => Some(batch.f32("costs")?.0),
         GaeFlavor::Ppo => None,
     };
-    let logp = logp.to_vec();
-    let ref_logp = ref_logp.to_vec();
-    let values = values.to_vec();
-    let scores = scores.to_vec();
 
     let mut advantages = Vec::with_capacity(rows * rw);
     let mut returns = Vec::with_capacity(rows * rw);
     for i in 0..rows {
-        let score = match &costs {
+        let score = match costs {
             // Safe-RLHF folds the cost model in through the Lagrangian
             // penalty on the combined objective.
             Some(c) => scores[i] - cfg.lambda_cost * c[i],
@@ -102,10 +101,20 @@ pub(crate) fn compute_advantage_gae(
         advantages.extend(a);
         returns.extend(ret);
     }
+    Ok((advantages, returns))
+}
+
+/// Whitens the iteration's advantages and attaches them, with the
+/// returns, to the experience batch.
+pub(crate) fn insert_gae(
+    batch: &mut DataProto,
+    mut advantages: Vec<f32>,
+    returns: Vec<f32>,
+    response_len: usize,
+) {
     whiten(&mut advantages);
-    batch.insert_f32("advantages", advantages, rw);
-    batch.insert_f32("returns", returns, rw);
-    Ok(())
+    batch.insert_f32("advantages", advantages, response_len);
+    batch.insert_f32("returns", returns, response_len);
 }
 
 /// Which model a preparation forward pass runs on. Resolves to a worker
@@ -119,29 +128,33 @@ pub(crate) enum PrepRole {
 }
 
 impl PrepRole {
-    pub(crate) fn resolve<'a>(
-        &self,
-        sys: &'a RlhfSystem,
-    ) -> Result<(&'a WorkerGroup, &'static str)> {
+    /// The registered worker method this role's pass runs.
+    pub(crate) fn method(self) -> &'static str {
         match self {
-            PrepRole::Critic => {
-                let g = sys
-                    .critic
-                    .as_ref()
-                    .ok_or_else(|| CoreError::Config("prep stage requires a critic".into()))?;
-                Ok((g, "compute_values"))
-            }
-            PrepRole::Reference => Ok((&sys.reference, "compute_ref_log_prob")),
-            PrepRole::Reward => Ok((&sys.reward, "compute_reward")),
-            PrepRole::Cost => {
-                let g = sys
-                    .cost
-                    .as_ref()
-                    .ok_or_else(|| CoreError::Config("prep stage requires a cost model".into()))?;
-                Ok((g, "compute_cost"))
-            }
+            PrepRole::Critic => "compute_values",
+            PrepRole::Reference => "compute_ref_log_prob",
+            PrepRole::Reward => "compute_reward",
+            PrepRole::Cost => "compute_cost",
         }
     }
+
+    pub(crate) fn resolve(self, sys: &RlhfSystem) -> Result<(&WorkerGroup, &'static str)> {
+        let group = match self {
+            PrepRole::Critic => require_critic(sys)?,
+            PrepRole::Reference => &sys.reference,
+            PrepRole::Reward => &sys.reward,
+            PrepRole::Cost => require_cost(sys)?,
+        };
+        Ok((group, self.method()))
+    }
+}
+
+fn require_critic(sys: &RlhfSystem) -> Result<&WorkerGroup> {
+    sys.critic.as_ref().ok_or_else(|| CoreError::Config("the algorithm requires a critic".into()))
+}
+
+fn require_cost(sys: &RlhfSystem) -> Result<&WorkerGroup> {
+    sys.cost.as_ref().ok_or_else(|| CoreError::Config("the algorithm requires a cost model".into()))
 }
 
 /// What batch a preparation pass reads.
@@ -257,6 +270,24 @@ impl TrainTotals {
     }
 }
 
+/// Issues one mini-batch's [`TrainMode::CriticActor`] update futures.
+pub(crate) fn dispatch_updates(sys: &RlhfSystem, mb: &DataProto) -> Result<(DpFuture, DpFuture)> {
+    let f_c = require_critic(sys)?.invoke("update_critic", mb)?;
+    let f_a = sys.actor.invoke("update_actor", mb)?;
+    Ok((f_c, f_a))
+}
+
+/// Collects one mini-batch's update futures, critic first, folding
+/// losses into `totals`.
+pub(crate) fn collect_updates(
+    (f_c, f_a): (DpFuture, DpFuture),
+    totals: &mut TrainTotals,
+) -> Result<()> {
+    totals.critic_loss += mean_of(&f_c.wait()?, "critic_loss");
+    totals.absorb_actor(&f_a.wait()?);
+    Ok(())
+}
+
 /// Trains one mini-batch under `mode`, folding losses into `totals`.
 pub(crate) fn train_micro_batch(
     sys: &RlhfSystem,
@@ -265,21 +296,12 @@ pub(crate) fn train_micro_batch(
     totals: &mut TrainTotals,
 ) -> Result<()> {
     match mode {
-        TrainMode::CriticActor => {
-            let critic = sys
-                .critic
-                .as_ref()
-                .ok_or_else(|| CoreError::Config("train stage requires a critic".into()))?;
-            let f_c = critic.invoke("update_critic", mb)?;
-            let f_a = sys.actor.invoke("update_actor", mb)?;
-            totals.critic_loss += mean_of(&f_c.wait()?, "critic_loss");
-            totals.absorb_actor(&f_a.wait()?);
-        }
+        TrainMode::CriticActor => collect_updates(dispatch_updates(sys, mb)?, totals),
         TrainMode::ActorOnly => {
             totals.absorb_actor(&sys.actor.invoke_sync("update_actor", mb)?);
+            Ok(())
         }
     }
-    Ok(())
 }
 
 /// Assembles the iteration's statistics from the finished batch and
@@ -304,6 +326,44 @@ pub(crate) fn assemble_stats(
         staleness: 0,
         overlap_fraction: 0.0,
     }
+}
+
+/// Issues every preparation pass of `calls` concurrently, in order.
+pub(crate) fn issue_prep(
+    sys: &RlhfSystem,
+    calls: &[PrepCall],
+    batch: &DataProto,
+    aux: &[DataProto],
+) -> Result<Vec<(DpFuture, PrepSink)>> {
+    calls
+        .iter()
+        .map(|call| {
+            let (group, method) = call.role.resolve(sys)?;
+            let input = match call.input {
+                PrepInput::Batch => batch,
+                PrepInput::Aux(i) => &aux[i],
+            };
+            Ok((group.invoke(method, input)?, call.sink))
+        })
+        .collect()
+}
+
+/// Collects preparation outputs in issue order: [`PrepSink::Union`]
+/// columns join `batch`, [`PrepSink::Side`] outputs are returned.
+pub(crate) fn collect_prep(
+    batch: &mut DataProto,
+    futures: Vec<(DpFuture, PrepSink)>,
+) -> Result<Vec<DataProto>> {
+    let mut side = Vec::new();
+    for (fut, sink) in futures {
+        match sink {
+            PrepSink::Union => {
+                batch.union(fut.wait()?)?;
+            }
+            PrepSink::Side => side.push(fut.wait()?),
+        }
+    }
+    Ok(side)
 }
 
 /// Runs one synchronous iteration of `algo`'s stage DAG: generation →
@@ -338,27 +398,9 @@ pub(crate) fn run_stages(
     }
     let (t_gen, p_gen) = phase_span(ctrl, "generation", t0, 0);
 
-    // Stage 2: experience preparation — issue every forward pass
-    // concurrently, then collect in issue order.
-    let calls = algo.prep_calls();
-    let mut futures: Vec<(DpFuture, PrepSink)> = Vec::with_capacity(calls.len());
-    for call in &calls {
-        let (group, method) = call.role.resolve(sys)?;
-        let input = match call.input {
-            PrepInput::Batch => &batch,
-            PrepInput::Aux(i) => &aux[i],
-        };
-        futures.push((group.invoke(method, input)?, call.sink));
-    }
-    let mut side = Vec::new();
-    for (fut, sink) in futures {
-        match sink {
-            PrepSink::Union => {
-                batch.union(fut.wait()?)?;
-            }
-            PrepSink::Side => side.push(fut.wait()?),
-        }
-    }
+    // Stage 2: experience preparation.
+    let futures = issue_prep(sys, &algo.prep_calls(), &batch, &aux)?;
+    let side = collect_prep(&mut batch, futures)?;
     algo.finalize(&sys.cfg, &mut batch, &side)?;
     let (t_prep, p_prep) = phase_span(ctrl, "experience_preparation", t_gen, p_gen);
 
@@ -380,10 +422,7 @@ pub(crate) struct PpoStages;
 
 impl StageAlgo for PpoStages {
     fn require(&self, sys: &RlhfSystem) -> Result<()> {
-        sys.critic
-            .as_ref()
-            .map(|_| ())
-            .ok_or_else(|| CoreError::Config("PPO requires a critic".into()))
+        require_critic(sys).map(|_| ())
     }
 
     fn recompute_logp(&self, cfg: &RlhfConfig) -> bool {
@@ -399,7 +438,9 @@ impl StageAlgo for PpoStages {
     }
 
     fn finalize(&self, cfg: &RlhfConfig, batch: &mut DataProto, _side: &[DataProto]) -> Result<()> {
-        compute_advantage_gae(batch, cfg, GaeFlavor::Ppo)
+        let (advantages, returns) = gae_rows(batch, cfg, GaeFlavor::Ppo)?;
+        insert_gae(batch, advantages, returns, cfg.response_len);
+        Ok(())
     }
 
     fn train_mode(&self) -> TrainMode {
@@ -413,14 +454,8 @@ pub(crate) struct SafeRlhfStages;
 
 impl StageAlgo for SafeRlhfStages {
     fn require(&self, sys: &RlhfSystem) -> Result<()> {
-        sys.critic
-            .as_ref()
-            .map(|_| ())
-            .ok_or_else(|| CoreError::Config("Safe-RLHF requires a critic".into()))?;
-        sys.cost
-            .as_ref()
-            .map(|_| ())
-            .ok_or_else(|| CoreError::Config("Safe-RLHF requires a cost model".into()))
+        require_critic(sys)?;
+        require_cost(sys).map(|_| ())
     }
 
     fn prep_calls(&self) -> Vec<PrepCall> {
@@ -433,7 +468,9 @@ impl StageAlgo for SafeRlhfStages {
     }
 
     fn finalize(&self, cfg: &RlhfConfig, batch: &mut DataProto, _side: &[DataProto]) -> Result<()> {
-        compute_advantage_gae(batch, cfg, GaeFlavor::SafeRlhf)
+        let (advantages, returns) = gae_rows(batch, cfg, GaeFlavor::SafeRlhf)?;
+        insert_gae(batch, advantages, returns, cfg.response_len);
+        Ok(())
     }
 
     fn pre_train(

@@ -5,16 +5,13 @@
 //! clean, or it triggers and the run recovers and completes. Nothing may
 //! hang: a watchdog bounds every scenario.
 
-use std::sync::mpsc;
-use std::thread;
-use std::time::Duration;
+mod common;
 
-use hf_core::{Controller, WorkerLayout};
-use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
+use std::sync::Arc;
+
+use common::{controller_4gpu, fresh_store, placement_4gpu, with_watchdog};
 use hf_resilience::{CheckpointStore, FaultInjector, FaultPlan};
-use hf_rlhf::{run_recoverable, Algorithm, Placement, RecoveryConfig, RlhfConfig, RlhfSystem};
-use hf_simcluster::{ClusterSpec, CommCostModel, ResourcePool};
-use hf_telemetry::Telemetry;
+use hf_rlhf::{remap_recoverable, Algorithm, FixedPlacement, RemapConfig, RemapReport, RlhfConfig};
 
 /// The pinned CI seeds. Changing these changes which scenarios CI
 /// replays — treat as part of the test contract. Derived scenarios:
@@ -28,16 +25,25 @@ use hf_telemetry::Telemetry;
 ///   yet).
 const MATRIX_SEEDS: [u64; 3] = [2, 6, 31];
 
-fn with_watchdog<F: FnOnce() + Send + 'static>(secs: u64, f: F) {
-    let (tx, rx) = mpsc::channel();
-    let h = thread::spawn(move || {
-        f();
-        let _ = tx.send(());
-    });
-    match rx.recv_timeout(Duration::from_secs(secs)) {
-        Ok(()) => h.join().unwrap(),
-        Err(_) => panic!("deadlock: fault-matrix scenario exceeded {secs}s"),
-    }
+/// Two checkpointed iterations on the 4-GPU placement, recovering in
+/// the same layout.
+fn run(
+    store: &CheckpointStore,
+    algorithm: Algorithm,
+    rlhf: RlhfConfig,
+    injector: Option<Arc<FaultInjector>>,
+) -> hf_core::Result<RemapReport> {
+    let ctrl = controller_4gpu(injector);
+    let cfg = RemapConfig {
+        algorithm,
+        iterations: 2,
+        checkpoint_every: 1,
+        batch: 8,
+        ..Default::default()
+    };
+    let placement = placement_4gpu(algorithm == Algorithm::Ppo, false);
+    let mut planner = FixedPlacement(placement.clone());
+    remap_recoverable(&ctrl, store, &cfg, &placement, rlhf, &mut planner)
 }
 
 fn run_seed(seed: u64) {
@@ -48,30 +54,9 @@ fn run_seed(seed: u64) {
         4,
     );
     let injector = FaultInjector::new(plan.clone());
-    let dir = std::env::temp_dir().join(format!("hf-fault-matrix-{seed}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = CheckpointStore::new(dir).unwrap();
-    let cfg = RecoveryConfig { iterations: 2, checkpoint_every: 1, batch: 8, ..Default::default() };
-    let inj = injector.clone();
-    let report = run_recoverable(&store, &cfg, move |_epoch| {
-        let ctrl = Controller::with_faults(
-            ClusterSpec::a100_with_gpus(4),
-            CommCostModel::default(),
-            Telemetry::enabled(),
-            inj.clone(),
-        );
-        let spec = ParallelSpec::new(1, 2, 2);
-        let gen = GenGrouping::new(spec, 1, 1, GroupingMethod::Strided);
-        let placement = Placement::colocated(
-            ResourcePool::contiguous(0, 4),
-            WorkerLayout::with_gen(gen),
-            true,
-            false,
-        );
-        let sys = RlhfSystem::build(&ctrl, &placement, RlhfConfig::tiny())?;
-        Ok((ctrl, sys))
-    })
-    .unwrap_or_else(|e| panic!("seed {seed} ({plan:?}) did not complete: {e}"));
+    let store = fresh_store(&format!("matrix-{seed}"));
+    let report = run(&store, Algorithm::Ppo, RlhfConfig::tiny(), Some(injector.clone()))
+        .unwrap_or_else(|e| panic!("seed {seed} ({plan:?}) did not complete: {e}"));
 
     assert_eq!(report.history.len(), 2, "seed {seed}: all iterations must complete");
     if injector.fired_count() > 0 {
@@ -122,31 +107,9 @@ fn checkpoint_window_fault_is_not_charged_as_lost_work() {
             FaultTrigger::OnCall { method: "save_shard".into(), nth: 2 },
         );
         let injector = FaultInjector::new(plan);
-        let dir = std::env::temp_dir().join(format!("hf-fault-ckpt-window-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = CheckpointStore::new(dir).unwrap();
-        let cfg =
-            RecoveryConfig { iterations: 2, checkpoint_every: 1, batch: 8, ..Default::default() };
-        let inj = injector.clone();
-        let report = run_recoverable(&store, &cfg, move |_epoch| {
-            let ctrl = Controller::with_faults(
-                ClusterSpec::a100_with_gpus(4),
-                CommCostModel::default(),
-                Telemetry::enabled(),
-                inj.clone(),
-            );
-            let spec = ParallelSpec::new(1, 2, 2);
-            let gen = GenGrouping::new(spec, 1, 1, GroupingMethod::Strided);
-            let placement = Placement::colocated(
-                ResourcePool::contiguous(0, 4),
-                WorkerLayout::with_gen(gen),
-                true,
-                false,
-            );
-            let sys = RlhfSystem::build(&ctrl, &placement, RlhfConfig::tiny())?;
-            Ok((ctrl, sys))
-        })
-        .expect("run completes after recovery");
+        let store = fresh_store("matrix-ckpt-window");
+        let report = run(&store, Algorithm::Ppo, RlhfConfig::tiny(), Some(injector.clone()))
+            .expect("run completes after recovery");
 
         assert_eq!(injector.fired_count(), 1, "the step-1 save kill must fire");
         assert_eq!(report.stats.recoveries, 1);
@@ -180,41 +143,11 @@ const REWARD_EVAL_SEED: u64 = 7;
 
 fn run_grpo_verifier(
     tag: &str,
-    injector: Option<std::sync::Arc<FaultInjector>>,
-) -> (hf_rlhf::RecoveryReport, hf_resilience::AssembledState) {
-    let dir =
-        std::env::temp_dir().join(format!("hf-fault-matrix-reward-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = CheckpointStore::new(dir).unwrap();
-    let cfg = RecoveryConfig {
-        algorithm: Algorithm::Grpo,
-        iterations: 2,
-        checkpoint_every: 1,
-        batch: 8,
-        ..Default::default()
-    };
-    let report = run_recoverable(&store, &cfg, move |_epoch| {
-        let ctrl = match &injector {
-            Some(inj) => Controller::with_faults(
-                ClusterSpec::a100_with_gpus(4),
-                CommCostModel::default(),
-                Telemetry::enabled(),
-                inj.clone(),
-            ),
-            None => Controller::new(ClusterSpec::a100_with_gpus(4)),
-        };
-        let spec = ParallelSpec::new(1, 2, 2);
-        let gen = GenGrouping::new(spec, 1, 1, GroupingMethod::Strided);
-        let placement = Placement::colocated(
-            ResourcePool::contiguous(0, 4),
-            WorkerLayout::with_gen(gen),
-            false,
-            false,
-        );
-        let sys = RlhfSystem::build(&ctrl, &placement, RlhfConfig::tiny_verifier())?;
-        Ok((ctrl, sys))
-    })
-    .unwrap_or_else(|e| panic!("reward-eval scenario ({tag}) did not complete: {e}"));
+    injector: Option<Arc<FaultInjector>>,
+) -> (RemapReport, hf_resilience::AssembledState) {
+    let store = fresh_store(&format!("matrix-reward-{tag}"));
+    let report = run(&store, Algorithm::Grpo, RlhfConfig::tiny_verifier(), injector)
+        .unwrap_or_else(|e| panic!("reward-eval scenario ({tag}) did not complete: {e}"));
     let final_actor = store.load_group(2, "actor").unwrap();
     (report, final_actor)
 }

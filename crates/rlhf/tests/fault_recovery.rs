@@ -1,65 +1,33 @@
 //! End-to-end fault recovery: a seeded [`FaultPlan`] kills an actor rank
 //! mid-PPO; the collective abort surfaces `PeerFailed` on every
 //! surviving rank (no deadlock — a watchdog enforces it), the outer loop
-//! respawns the system and restores the latest committed sharded
-//! checkpoint, and the run finishes with final actor parameters
-//! **bit-identical** to a fault-free run — the determinism claim that
-//! makes every failure scenario a reproducible test case.
+//! respawns the system in the same layout on the live controller and
+//! restores the latest committed sharded checkpoint, and the run
+//! finishes with final actor parameters **bit-identical** to a
+//! fault-free run — the determinism claim that makes every failure
+//! scenario a reproducible test case.
 
-use std::sync::mpsc;
-use std::thread;
-use std::time::Duration;
+mod common;
 
-use hf_core::{Controller, WorkerLayout};
-use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
+use common::{controller_4gpu, fresh_store, placement_4gpu, with_watchdog};
 use hf_resilience::{CheckpointStore, FaultInjector, FaultPlan, FaultTrigger};
-use hf_rlhf::{run_recoverable, Placement, RecoveryConfig, RlhfConfig, RlhfSystem};
-use hf_simcluster::{ClusterSpec, CommCostModel, ResourcePool};
-use hf_telemetry::Telemetry;
+use hf_rlhf::{remap_recoverable, FixedPlacement, RemapConfig, RemapReport, RlhfConfig};
 
-/// Injected-failure tests must never hang: run `f` on a worker thread
-/// and fail loudly if it exceeds `secs` (a deadlock would otherwise
-/// wedge the whole suite).
-fn with_watchdog<F: FnOnce() + Send + 'static>(secs: u64, f: F) {
-    let (tx, rx) = mpsc::channel();
-    let h = thread::spawn(move || {
-        f();
-        let _ = tx.send(());
-    });
-    match rx.recv_timeout(Duration::from_secs(secs)) {
-        Ok(()) => h.join().unwrap(),
-        Err(_) => panic!("deadlock: fault-recovery test exceeded {secs}s"),
-    }
+/// Three checkpointed PPO iterations under `plan`, recovering in place.
+fn run(store: &CheckpointStore, plan: Option<FaultPlan>) -> (RemapReport, u64) {
+    let injector = plan.map(FaultInjector::new);
+    let ctrl = controller_4gpu(injector.clone());
+    let cfg = RemapConfig { iterations: 3, checkpoint_every: 1, batch: 8, ..Default::default() };
+    let placement = placement_4gpu(true, false);
+    let mut planner = FixedPlacement(placement.clone());
+    let report =
+        remap_recoverable(&ctrl, store, &cfg, &placement, RlhfConfig::tiny(), &mut planner)
+            .expect("the run completes");
+    (report, injector.map_or(0, |i| i.fired_count()))
 }
 
-fn placement() -> Placement {
-    let spec = ParallelSpec::new(1, 2, 2);
-    let gen = GenGrouping::new(spec, 1, 1, GroupingMethod::Strided);
-    Placement::colocated(ResourcePool::contiguous(0, 4), WorkerLayout::with_gen(gen), true, false)
-}
-
-fn build_system(fault: Option<std::sync::Arc<FaultInjector>>) -> (Controller, RlhfSystem) {
-    let ctrl = match fault {
-        Some(f) => Controller::with_faults(
-            ClusterSpec::a100_with_gpus(4),
-            CommCostModel::default(),
-            Telemetry::enabled(),
-            f,
-        ),
-        None => Controller::new(ClusterSpec::a100_with_gpus(4)),
-    };
-    let sys = RlhfSystem::build(&ctrl, &placement(), RlhfConfig::tiny()).unwrap();
-    (ctrl, sys)
-}
-
-fn tmp_store(tag: &str) -> CheckpointStore {
-    let dir = std::env::temp_dir().join(format!("hf-fault-recovery-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    CheckpointStore::new(dir).unwrap()
-}
-
-fn recovery_cfg() -> RecoveryConfig {
-    RecoveryConfig { iterations: 3, checkpoint_every: 1, batch: 8, ..RecoveryConfig::default() }
+fn kill(group: &str, rank: usize, method: &str, nth: u64) -> FaultPlan {
+    FaultPlan::new().kill_rank(group, rank, FaultTrigger::OnCall { method: method.into(), nth })
 }
 
 #[test]
@@ -67,31 +35,19 @@ fn killed_rank_recovers_to_a_bit_identical_run() {
     with_watchdog(120, || {
         // Fault-free baseline: the final committed checkpoint is the
         // ground-truth end state.
-        let baseline_store = tmp_store("baseline");
-        let report =
-            run_recoverable(&baseline_store, &recovery_cfg(), |_epoch| Ok(build_system(None)))
-                .unwrap();
+        let baseline_store = fresh_store("recovery-baseline");
+        let (report, _) = run(&baseline_store, None);
         assert_eq!(report.history.len(), 3);
         assert_eq!(report.stats.failures, 0);
         let baseline = baseline_store.load_group(3, "actor").unwrap();
 
         // Faulted run: kill actor rank 2 on its 3rd `update_actor`
-        // dispatch — mid-iteration 2, after step-1 committed. The
-        // injector is shared across rebuilds, so the one-shot kill does
-        // not re-fire in the recovered epoch.
-        let injector = FaultInjector::new(FaultPlan::new().kill_rank(
-            "actor",
-            2,
-            FaultTrigger::OnCall { method: "update_actor".into(), nth: 3 },
-        ));
-        let faulted_store = tmp_store("faulted");
-        let inj = injector.clone();
-        let report = run_recoverable(&faulted_store, &recovery_cfg(), move |_epoch| {
-            Ok(build_system(Some(inj.clone())))
-        })
-        .unwrap();
+        // dispatch — mid-iteration 2, after step-1 committed. The kill
+        // is one-shot, so it does not re-fire on the respawned group.
+        let faulted_store = fresh_store("recovery-faulted");
+        let (report, fired) = run(&faulted_store, Some(kill("actor", 2, "update_actor", 3)));
 
-        assert_eq!(injector.fired_count(), 1, "the planned kill must fire: {:?}", injector.log());
+        assert_eq!(fired, 1, "the planned kill must fire");
         assert_eq!(report.stats.failures, 1);
         assert_eq!(report.stats.recoveries, 1);
         assert_eq!(report.history.len(), 3, "all iterations complete after recovery");
@@ -110,22 +66,44 @@ fn killed_rank_recovers_to_a_bit_identical_run() {
 #[test]
 fn killed_critic_rank_recovers_too() {
     with_watchdog(120, || {
-        let injector = FaultInjector::new(FaultPlan::new().kill_rank(
-            "critic",
-            1,
-            FaultTrigger::OnCall { method: "update_critic".into(), nth: 2 },
-        ));
-        let store = tmp_store("critic");
-        let inj = injector.clone();
-        let report = run_recoverable(&store, &recovery_cfg(), move |_epoch| {
-            Ok(build_system(Some(inj.clone())))
-        })
-        .unwrap();
-        assert_eq!(injector.fired_count(), 1);
+        let store = fresh_store("recovery-critic");
+        let (report, fired) = run(&store, Some(kill("critic", 1, "update_critic", 2)));
+        assert_eq!(fired, 1);
         assert_eq!(report.stats.recoveries, 1);
         assert_eq!(report.history.len(), 3);
         // Both trainable models were checkpointed and restored.
         assert!(store.load_group(3, "actor").is_ok());
         assert!(store.load_group(3, "critic").is_ok());
+    });
+}
+
+/// A compound fault: the recovery from the first kill is itself hit — a
+/// second rank dies inside the restore broadcast (`load_checkpoint`, the
+/// respawned actor's first). That is one more failure for the loop to
+/// recover from, not the end of the run.
+#[test]
+fn rank_lost_during_the_restore_broadcast_is_recovered_too() {
+    with_watchdog(120, || {
+        let baseline_store = fresh_store("restore-kill-baseline");
+        run(&baseline_store, None);
+
+        let plan = kill("actor", 2, "update_actor", 3).kill_rank(
+            "actor",
+            1,
+            FaultTrigger::OnCall { method: "load_checkpoint".into(), nth: 1 },
+        );
+        let store = fresh_store("restore-kill");
+        let (report, fired) = run(&store, Some(plan));
+
+        assert_eq!(fired, 2, "both kills must fire");
+        assert_eq!(report.stats.failures, 2);
+        assert_eq!(report.stats.recoveries, 2);
+        assert_eq!(report.remaps.len(), 1, "only the second re-place completed");
+        assert_eq!(report.history.len(), 3);
+        assert_eq!(
+            baseline_store.load_group(3, "actor").unwrap(),
+            store.load_group(3, "actor").unwrap(),
+            "a fault inside the recovery must not change the committed bits"
+        );
     });
 }

@@ -4,59 +4,25 @@
 //! round are bit-identical to a fresh run launched in the re-mapped
 //! layout from the same committed checkpoint.
 
-use std::sync::mpsc;
-use std::thread;
-use std::time::Duration;
+mod common;
 
+use common::{controller_4gpu, fresh_store, placement_4gpu, with_watchdog};
 use hf_core::{Controller, WorkerLayout};
-use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
+use hf_parallel::{GenGrouping, GroupingMethod};
 use hf_resilience::{CheckpointStore, FaultInjector, FaultPlan, FaultTrigger};
-use hf_rlhf::recover::{restore_system_checkpoint, save_system_checkpoint};
 use hf_rlhf::{
-    remap_recoverable, MapperPlanner, Placement, PlannedRemap, RecoveryConfig, RemapConfig,
-    RemapDriver, RemapReport, RlhfConfig, RlhfSystem,
+    remap_recoverable, restore_system_checkpoint, save_system_checkpoint, Algorithm, MapperPlanner,
+    Placement, PlannedRemap, RemapConfig, RemapDriver, RemapReport, RlhfConfig, RlhfSystem,
 };
-use hf_simcluster::{ClusterSpec, CommCostModel, DeviceId, ResourcePool};
-use hf_telemetry::Telemetry;
-
-fn with_watchdog<F: FnOnce() + Send + 'static>(secs: u64, f: F) {
-    let (tx, rx) = mpsc::channel();
-    let h = thread::spawn(move || {
-        f();
-        let _ = tx.send(());
-    });
-    match rx.recv_timeout(Duration::from_secs(secs)) {
-        // Disconnected means the closure panicked: join propagates it.
-        Ok(()) | Err(mpsc::RecvTimeoutError::Disconnected) => h.join().unwrap(),
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            panic!("deadlock: remap scenario exceeded {secs}s")
-        }
-    }
-}
-
-fn fresh_store(tag: &str) -> CheckpointStore {
-    let dir = std::env::temp_dir().join(format!("hf-fault-remap-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    CheckpointStore::new(dir).unwrap()
-}
-
-fn initial_placement() -> Placement {
-    let spec = ParallelSpec::new(1, 2, 2);
-    let gen = GenGrouping::new(spec, 1, 1, GroupingMethod::Strided);
-    Placement::colocated(ResourcePool::contiguous(0, 4), WorkerLayout::with_gen(gen), true, false)
-}
+use hf_simcluster::{ClusterSpec, DeviceId, ResourcePool};
 
 fn remap_cfg(driver: RemapDriver) -> RemapConfig {
     RemapConfig {
-        recovery: RecoveryConfig {
-            iterations: 4,
-            checkpoint_every: 1,
-            batch: 8,
-            ..Default::default()
-        },
+        iterations: 4,
+        checkpoint_every: 1,
+        batch: 8,
         driver,
         allowed: Some((0..4).map(DeviceId).collect()),
-        min_world: 1,
         ..Default::default()
     }
 }
@@ -70,19 +36,14 @@ fn run_killed(store: &CheckpointStore, driver: RemapDriver) -> RemapReport {
         FaultTrigger::OnCall { method: "update_actor".into(), nth: 3 },
     );
     let injector = FaultInjector::new(plan);
-    let ctrl = Controller::with_faults(
-        ClusterSpec::a100_with_gpus(4),
-        CommCostModel::default(),
-        Telemetry::enabled(),
-        injector.clone(),
-    );
+    let ctrl = controller_4gpu(Some(injector.clone()));
     let cfg = remap_cfg(driver);
     let mut planner = MapperPlanner::toy(4);
     let report = remap_recoverable(
         &ctrl,
         store,
         &cfg,
-        &initial_placement(),
+        &placement_4gpu(true, false),
         RlhfConfig::tiny(),
         &mut planner,
     )
@@ -94,12 +55,12 @@ fn run_killed(store: &CheckpointStore, driver: RemapDriver) -> RemapReport {
 #[test]
 fn kill_then_remap_continues_on_survivors() {
     with_watchdog(300, || {
-        let store = fresh_store("continue");
+        let store = fresh_store("remap-continue");
         let report = run_killed(&store, RemapDriver::Barrier);
 
-        assert_eq!(report.run.history.len(), 4, "all iterations complete");
-        assert_eq!(report.run.stats.recoveries, 1);
-        assert_eq!(report.remaps.len(), 1, "{:?}", report.run.log);
+        assert_eq!(report.history.len(), 4, "all iterations complete");
+        assert_eq!(report.stats.recoveries, 1);
+        assert_eq!(report.remaps.len(), 1, "{:?}", report.log);
         let ev = &report.remaps[0];
         assert_eq!(ev.world_before, 4);
         assert_eq!(ev.world_after, 3, "device 1 died; survivors are 0,2,3");
@@ -122,7 +83,7 @@ fn kill_then_remap_continues_on_survivors() {
 #[test]
 fn remap_continuation_matches_fresh_launch_in_new_layout() {
     with_watchdog(300, || {
-        let store = fresh_store("bits-live");
+        let store = fresh_store("remap-bits-live");
         let report = run_killed(&store, RemapDriver::Barrier);
         let ev = &report.remaps[0];
         let live_actor = store.load_group(4, "actor").unwrap();
@@ -144,19 +105,10 @@ fn remap_continuation_matches_fresh_launch_in_new_layout() {
 
         // Replay iterations 1..4 exactly as the barrier driver does,
         // committing to a second store.
-        let fresh = fresh_store("bits-fresh");
-        let cfg =
-            RecoveryConfig { iterations: 4, checkpoint_every: 1, batch: 8, ..Default::default() };
+        let fresh = fresh_store("remap-bits-fresh");
+        let cfg = remap_cfg(RemapDriver::Barrier);
         for i in ev.resumed_step..4 {
-            let seed = cfg.data_seed.wrapping_add(i);
-            let prompts = hf_rlhf::env::make_prompts(
-                cfg.batch,
-                sys.cfg.prompt_len,
-                sys.cfg.response_len,
-                sys.cfg.lm.vocab as u32,
-                seed,
-            );
-            hf_rlhf::ppo_iteration(&sys, &ctrl, &prompts).unwrap();
+            Algorithm::Ppo.iteration(&sys, &ctrl, cfg.batch, cfg.data_seed, i).unwrap();
             save_system_checkpoint(&fresh, &sys, &ctrl, i + 1).unwrap();
         }
         let fresh_actor = fresh.load_group(4, "actor").unwrap();
@@ -175,15 +127,15 @@ fn remap_continuation_matches_fresh_launch_in_new_layout() {
 #[test]
 fn pipelined_remap_driver_matches_barrier_bits() {
     with_watchdog(300, || {
-        let store_b = fresh_store("drv-barrier");
+        let store_b = fresh_store("remap-drv-barrier");
         let report_b = run_killed(&store_b, RemapDriver::Barrier);
 
-        let store_p = fresh_store("drv-pipelined");
+        let store_p = fresh_store("remap-drv-pipelined");
         let pcfg = hf_rlhf::PipelineConfig { staleness: 0, gen_chunks: 2 };
         let report_p = run_killed(&store_p, RemapDriver::Pipelined(pcfg));
 
-        assert_eq!(report_p.run.history.len(), 4);
-        assert_eq!(report_p.remaps.len(), 1, "{:?}", report_p.run.log);
+        assert_eq!(report_p.history.len(), 4);
+        assert_eq!(report_p.remaps.len(), 1, "{:?}", report_p.log);
         assert_eq!(report_b.remaps[0].spec, report_p.remaps[0].spec);
         assert_eq!(
             store_b.load_group(4, "actor").unwrap(),
@@ -199,12 +151,8 @@ fn pipelined_remap_driver_matches_barrier_bits() {
 #[test]
 fn planned_load_shift_remaps_at_the_boundary() {
     with_watchdog(300, || {
-        let store = fresh_store("load-shift");
-        let ctrl = Controller::with_telemetry(
-            ClusterSpec::a100_with_gpus(4),
-            CommCostModel::default(),
-            Telemetry::enabled(),
-        );
+        let store = fresh_store("remap-load-shift");
+        let ctrl = controller_4gpu(None);
         let mut cfg = remap_cfg(RemapDriver::Barrier);
         cfg.planned = vec![PlannedRemap { after_iteration: 2, devices: 2 }];
         let mut planner = MapperPlanner::toy(4);
@@ -212,15 +160,15 @@ fn planned_load_shift_remaps_at_the_boundary() {
             &ctrl,
             &store,
             &cfg,
-            &initial_placement(),
+            &placement_4gpu(true, false),
             RlhfConfig::tiny(),
             &mut planner,
         )
         .expect("load-shift run completes");
 
-        assert_eq!(report.run.history.len(), 4);
-        assert_eq!(report.run.stats.failures, 0, "no fault was injected");
-        assert_eq!(report.remaps.len(), 1, "{:?}", report.run.log);
+        assert_eq!(report.history.len(), 4);
+        assert_eq!(report.stats.failures, 0, "no fault was injected");
+        assert_eq!(report.remaps.len(), 1, "{:?}", report.log);
         let ev = &report.remaps[0];
         assert_eq!(ev.world_before, 4);
         assert_eq!(ev.world_after, 2);

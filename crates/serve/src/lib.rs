@@ -27,8 +27,8 @@
 //! - [`elastic`] — [`training_remaps`]: the reverse signal. A rising
 //!   serving share shrinks training's device budget; each shrink
 //!   becomes a boundary-aligned `PlannedRemap` that
-//!   `hf_rlhf::remap_recoverable` consumes to re-place and reshard the
-//!   training job live.
+//!   `hf_rlhf::remap_recoverable` — training's one outer loop, here with
+//!   a `MapperPlanner` — consumes to re-place and reshard the job live.
 //!
 //! Everything runs in virtual time with no wall-clock reads: a whole
 //! co-located run is a pure function of `(config, seed)`.

@@ -1,6 +1,6 @@
-//! The production-style loop: `RlhfTrainer` driving GRPO with periodic
-//! checksummed checkpoints, then a simulated failure and exact-replay
-//! recovery (§9 fault tolerance).
+//! The production-style loop: `remap_recoverable` driving GRPO with a
+//! sharded checkpoint every 4 iterations, an injected rank loss mid-run,
+//! and recovery in place on the live controller (§9 fault tolerance).
 //!
 //! ```text
 //! cargo run --example trainer_loop
@@ -8,14 +8,27 @@
 
 use hybridflow::core::{Controller, WorkerLayout};
 use hybridflow::parallel::{GenGrouping, GroupingMethod, ParallelSpec};
+use hybridflow::resilience::{CheckpointStore, FaultInjector, FaultPlan, FaultTrigger};
 use hybridflow::rlhf::{
-    restore_checkpoint, save_checkpoint, Algorithm, Placement, RlhfConfig, RlhfSystem, RlhfTrainer,
-    TrainerConfig,
+    remap_recoverable, Algorithm, FixedPlacement, Placement, RemapConfig, RlhfConfig,
 };
-use hybridflow::simcluster::{ClusterSpec, ResourcePool};
+use hybridflow::simcluster::{ClusterSpec, CommCostModel, ResourcePool};
+use hybridflow::telemetry::Telemetry;
 
 fn main() {
-    let ctrl = Controller::new(ClusterSpec::a100_with_gpus(4));
+    // Actor rank 2 dies on its 11th `update_actor` dispatch: iteration 6,
+    // two iterations past the step-4 checkpoint.
+    let injector = FaultInjector::new(FaultPlan::new().kill_rank(
+        "actor",
+        2,
+        FaultTrigger::OnCall { method: "update_actor".into(), nth: 11 },
+    ));
+    let ctrl = Controller::with_faults(
+        ClusterSpec::a100_with_gpus(4),
+        CommCostModel::default(),
+        Telemetry::enabled(),
+        injector,
+    );
     let spec = ParallelSpec::new(1, 2, 2);
     let gen = GenGrouping::new(spec, 1, 1, GroupingMethod::Strided);
     let placement = Placement::colocated(
@@ -24,38 +37,46 @@ fn main() {
         false,
         false,
     );
-    let sys = RlhfSystem::build(&ctrl, &placement, RlhfConfig::tiny()).expect("build");
-    let mut trainer = RlhfTrainer::new(
-        sys,
-        TrainerConfig { algorithm: Algorithm::Grpo, batch: 16, checkpoint_every: 4, data_seed: 7 },
-    );
+    let dir = std::env::temp_dir().join(format!("hf-trainer-loop-{}", std::process::id()));
+    let store = CheckpointStore::new(&dir).expect("checkpoint store");
+    let cfg = RemapConfig {
+        algorithm: Algorithm::Grpo,
+        iterations: 12,
+        batch: 16,
+        checkpoint_every: 4,
+        data_seed: 7,
+        ..Default::default()
+    };
 
     println!("Training GRPO with checkpoints every 4 iterations:");
-    for _ in 0..8 {
-        let s = trainer.step(&ctrl).expect("step");
+    let mut planner = FixedPlacement(placement.clone());
+    let report =
+        remap_recoverable(&ctrl, &store, &cfg, &placement, RlhfConfig::tiny(), &mut planner)
+            .expect("run");
+    for (i, s) in report.history.iter().enumerate() {
         println!(
             "  iter {:>2}: reward {:.3}, entropy {:.3}, {:.4} virtual s",
-            trainer.iterations(),
+            i + 1,
             s.mean_score,
             s.entropy,
             s.virtual_seconds
         );
     }
 
-    // Simulate a failure after iteration 8: snapshot, keep training,
-    // then restore and verify the replay matches bit-for-bit.
-    println!("\nSimulating failure + recovery:");
-    let ckpt = save_checkpoint(trainer.system()).expect("checkpoint");
-    let before = trainer.step(&ctrl).expect("iteration 9").mean_score;
-    restore_checkpoint(trainer.system(), &ckpt).expect("restore");
-    let replay = trainer.step(&ctrl).expect("replayed iteration");
-    // (The trainer's data stream advanced, so compare a fresh manual
-    // replay of the same seed instead of the trainer counter.)
-    println!("  pre-failure iteration 9 reward: {before:.4}");
-    println!("  post-recovery next-step reward: {:.4}", replay.mean_score);
-    println!("  (exact bit-level replay is asserted in crates/rlhf/tests/fault_tolerance.rs)");
+    println!("\nFailures and recoveries:");
+    for line in &report.log {
+        println!("  {line}");
+    }
+    println!(
+        "  {} failure(s), {} recovered, {:.4} virtual s of training rolled back",
+        report.stats.failures, report.stats.recoveries, report.stats.virtual_time_lost
+    );
+    println!("  (bit-identical recovery is asserted in crates/rlhf/tests/fault_recovery.rs)");
+
+    let tail = &report.history[report.history.len() - 3..];
     println!(
         "\nFinal reward over last 3 iterations: {:.3} (vs ~0.125 random)",
-        trainer.recent_reward(3)
+        tail.iter().map(|s| s.mean_score).sum::<f32>() / 3.0
     );
+    let _ = std::fs::remove_dir_all(dir);
 }
