@@ -26,8 +26,8 @@ use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use hf_simcluster::{
-    ClusterSpec, CollectiveAbort, CommCostModel, CommGroup, Communicator, DeviceId, P2pNetwork,
-    ResourcePool, VirtualClock,
+    panic_message, ClusterSpec, CollectiveAbort, CommCostModel, CommGroup, Communicator, DeviceId,
+    P2pNetwork, ResourcePool, VirtualClock,
 };
 use hf_telemetry::{gpu_track, SpanKind, Telemetry, CONTROLLER_TRACK};
 use parking_lot::Mutex;
@@ -61,8 +61,10 @@ enum DeviceMsg {
     },
     Execute {
         key: u64,
-        group: String,
-        method: String,
+        /// Group and method names, shared by every rank's message of one
+        /// call.
+        group: Arc<str>,
+        method: Arc<str>,
         data: DataProto,
         dispatch_time: f64,
         src_device: Option<DeviceId>,
@@ -190,7 +192,7 @@ fn device_main(
     let mut clock = VirtualClock::new();
     let mut workers: HashMap<u64, (Box<dyn Worker>, Box<RankCtx>)> = HashMap::new();
     // Per-(group key, method) dispatch counts, for call-indexed faults.
-    let mut call_counts: HashMap<(u64, String), u64> = HashMap::new();
+    let mut call_counts: HashMap<(u64, Arc<str>), u64> = HashMap::new();
     // Ranks whose communicators can no longer be used — killed by fault
     // injection, or aborted out of a collective by a peer's death: every
     // later RPC fails fast.
@@ -261,7 +263,7 @@ fn device_main(
                         dead.insert(key, reason.clone());
                         lost.lock().push(LostRank {
                             device,
-                            group: group.clone(),
+                            group: group.to_string(),
                             rank: ctx.rank,
                             reason: reason.clone(),
                         });
@@ -293,13 +295,17 @@ fn device_main(
                         slow_factor = f.slow_factor;
                     }
                 }
-                let label = format!("{group}::{method}");
+                // Span names and args are built only for a recording
+                // handle: disabled telemetry costs this branch, not a
+                // string per call.
+                let label = || format!("{group}::{method}");
+                let span_label = if telemetry.is_enabled() { label() } else { String::new() };
                 // Mailbox dequeue: time the device was busy past the
                 // dispatch instant is queue wait (colocated time-sharing).
                 if clock.now() > dispatch_time {
                     telemetry.span_causal(
                         &track,
-                        &label,
+                        &span_label,
                         SpanKind::QueueWait,
                         dispatch_time,
                         clock.now(),
@@ -336,16 +342,21 @@ fn device_main(
                         telemetry.add_counter("resilience.faults_injected", 1);
                         telemetry.add_counter("resilience.links_delayed", 1);
                     }
-                    telemetry.span_causal(
-                        &track,
-                        &label,
-                        SpanKind::Comm,
-                        pull_start,
-                        clock.now(),
-                        0,
-                        &[call_id],
-                        &[("bytes", bytes.to_string()), ("src_device", src.index().to_string())],
-                    );
+                    if telemetry.is_enabled() {
+                        telemetry.span_causal(
+                            &track,
+                            &span_label,
+                            SpanKind::Comm,
+                            pull_start,
+                            clock.now(),
+                            0,
+                            &[call_id],
+                            &[
+                                ("bytes", bytes.to_string()),
+                                ("src_device", src.index().to_string()),
+                            ],
+                        );
+                    }
                     telemetry.add_counter("p2p.pull_bytes", bytes as u64);
                 }
                 let exec_start = clock.now();
@@ -361,10 +372,11 @@ fn device_main(
                 let (audit_input, audit_fp) = {
                     let input = data.clone();
                     if let Err(e) = input.audit_verify() {
-                        let err = CoreError::Invariant(format!("{label}: malformed input: {e}"));
+                        let err =
+                            CoreError::Invariant(format!("{}: malformed input: {e}", label()));
                         telemetry.span_causal(
                             &track,
-                            &label,
+                            &span_label,
                             SpanKind::Exec,
                             exec_start,
                             clock.now(),
@@ -408,25 +420,22 @@ fn device_main(
                             dead.insert(key, abort.reason.clone());
                             CoreError::PeerFailed(format!("{method}: {}", abort.reason))
                         } else {
-                            let msg = panic
-                                .downcast_ref::<&str>()
-                                .map(|s| s.to_string())
-                                .or_else(|| panic.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "unknown panic".into());
+                            let msg = panic_message(&*panic);
                             // An originating panic (not a cascaded abort)
                             // is a genuine rank loss.
                             lost.lock().push(LostRank {
                                 device,
-                                group: group.clone(),
+                                group: group.to_string(),
                                 rank: ctx.rank,
                                 reason: msg.clone(),
                             });
                             CoreError::WorkerPanicked(format!("{method}: {msg}"))
                         };
                         ctx.comms.poison_all(&format!(
-                            "rank {} on device {} failed in {label}",
+                            "rank {} on device {} failed in {}",
                             ctx.rank,
-                            device.index()
+                            device.index(),
+                            label()
                         ));
                         Err(err)
                     }
@@ -436,11 +445,12 @@ fn device_main(
                     Ok(reply_batch) => {
                         if audit_input.audit_fingerprint() != audit_fp {
                             Err(CoreError::Invariant(format!(
-                                "{label}: worker mutated a shared input buffer in place \
-                                 (CoW no-aliasing-after-write violation)"
+                                "{}: worker mutated a shared input buffer in place \
+                                 (CoW no-aliasing-after-write violation)",
+                                label()
                             )))
                         } else if let Err(e) = reply_batch.audit_verify() {
-                            Err(CoreError::Invariant(format!("{label}: malformed reply: {e}")))
+                            Err(CoreError::Invariant(format!("{}: malformed reply: {e}", label())))
                         } else {
                             Ok(reply_batch)
                         }
@@ -449,7 +459,7 @@ fn device_main(
                 };
                 telemetry.span_causal(
                     &track,
-                    &label,
+                    &span_label,
                     SpanKind::Exec,
                     exec_start,
                     clock.now(),
@@ -792,7 +802,7 @@ impl Controller {
         }
 
         Ok(WorkerGroup {
-            name: name.to_string(),
+            name: name.into(),
             pool: pool.clone(),
             layout,
             key,
@@ -864,12 +874,7 @@ impl Controller {
         for h in handles {
             let name = h.thread().name().unwrap_or("device").to_string();
             if let Err(panic) = h.join() {
-                let msg = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "unknown panic".into());
-                failures.push(format!("{name}: {msg}"));
+                failures.push(format!("{name}: {}", panic_message(&*panic)));
             }
         }
         if failures.is_empty() {
@@ -892,7 +897,7 @@ impl Drop for Controller {
 /// Controller-side handle to a spawned worker group (a "model class"
 /// instance in the paper's terms).
 pub struct WorkerGroup {
-    name: String,
+    name: Arc<str>,
     pool: ResourcePool,
     layout: WorkerLayout,
     key: u64,
@@ -932,17 +937,21 @@ impl WorkerGroup {
             dispatch_time = state.clock + self.inner.cost.rpc_dispatch_time();
         }
         let dispatched_bytes: usize = inputs.iter().map(|d| d.bytes()).sum();
-        self.inner.telemetry.add_counter(
-            &format!("protocol.{:?}.dispatch_bytes", protocol),
-            dispatched_bytes as u64,
-        );
-        self.inner.telemetry.add_counter(
-            &format!("protocol.{:?}.dispatch_copy_bytes", protocol),
-            dispatched_copy_bytes,
-        );
+        let telemetry = &self.inner.telemetry;
+        if telemetry.is_enabled() {
+            telemetry.add_counter(
+                &format!("protocol.{:?}.dispatch_bytes", protocol),
+                dispatched_bytes as u64,
+            );
+            telemetry.add_counter(
+                &format!("protocol.{:?}.dispatch_copy_bytes", protocol),
+                dispatched_copy_bytes,
+            );
+        }
         // Causal-graph id of this call's dispatch span, threaded through
         // the device messages so rank-side spans can cite it.
-        let call_id = self.inner.telemetry.next_span_id();
+        let call_id = telemetry.next_span_id();
+        let (group, method): (Arc<str>, Arc<str>) = (self.name.clone(), method.into());
         let mut replies = Vec::with_capacity(inputs.len());
         {
             let state = self.inner.state.lock();
@@ -957,8 +966,8 @@ impl WorkerGroup {
                     .ok_or_else(|| CoreError::Disconnected("device thread missing".into()))?
                     .send(DeviceMsg::Execute {
                         key: self.key,
-                        group: self.name.clone(),
-                        method: method.to_string(),
+                        group: group.clone(),
+                        method: method.clone(),
                         data: input,
                         dispatch_time,
                         src_device: src,
@@ -970,8 +979,8 @@ impl WorkerGroup {
             }
         }
         Ok(DpFuture {
-            group_name: self.name.clone(),
-            method: method.to_string(),
+            group_name: group,
+            method,
             layout: self.layout,
             protocol,
             replies,
@@ -1051,8 +1060,8 @@ impl WorkerGroup {
 /// A future for an in-flight worker-group call.
 #[must_use = "a dropped DpFuture abandons in-flight worker replies; wait() it"]
 pub struct DpFuture {
-    group_name: String,
-    method: String,
+    group_name: Arc<str>,
+    method: Arc<str>,
     layout: WorkerLayout,
     protocol: Protocol,
     replies: Vec<Receiver<ExecReply>>,
@@ -1168,8 +1177,8 @@ impl DpFuture {
                 state.clock = finish;
             }
             state.timeline.push(TimelineEntry {
-                group: self.group_name.clone(),
-                method: self.method.clone(),
+                group: self.group_name.to_string(),
+                method: self.method.to_string(),
                 dispatched: self.dispatched,
                 completed: finish,
             });
@@ -1182,28 +1191,31 @@ impl DpFuture {
         let collect_copy_bytes = crate::data::physical_copy_bytes() - copied_before;
         out.meta
             .insert(SRC_DEVICE_META.to_string(), self.first_collected_device.index().to_string());
-        self.inner.telemetry.add_counter(
-            &format!("protocol.{:?}.collect_bytes", self.protocol),
-            out.bytes() as u64,
-        );
-        self.inner.telemetry.add_counter(
-            &format!("protocol.{:?}.collect_copy_bytes", self.protocol),
-            collect_copy_bytes,
-        );
-        self.inner.telemetry.span_causal(
-            CONTROLLER_TRACK,
-            &format!("{}::{}", self.group_name, self.method),
-            SpanKind::Dispatch,
-            self.issued,
-            finish,
-            self.call_id,
-            &exec_ids,
-            &[
-                ("protocol", format!("{:?}", self.protocol)),
-                ("dispatch_bytes", self.dispatched_bytes.to_string()),
-                ("collect_bytes", out.bytes().to_string()),
-            ],
-        );
+        let telemetry = &self.inner.telemetry;
+        if telemetry.is_enabled() {
+            telemetry.add_counter(
+                &format!("protocol.{:?}.collect_bytes", self.protocol),
+                out.bytes() as u64,
+            );
+            telemetry.add_counter(
+                &format!("protocol.{:?}.collect_copy_bytes", self.protocol),
+                collect_copy_bytes,
+            );
+            telemetry.span_causal(
+                CONTROLLER_TRACK,
+                &format!("{}::{}", self.group_name, self.method),
+                SpanKind::Dispatch,
+                self.issued,
+                finish,
+                self.call_id,
+                &exec_ids,
+                &[
+                    ("protocol", format!("{:?}", self.protocol)),
+                    ("dispatch_bytes", self.dispatched_bytes.to_string()),
+                    ("collect_bytes", out.bytes().to_string()),
+                ],
+            );
+        }
         Ok(out)
     }
 }

@@ -68,7 +68,9 @@ pub struct RankCtx {
     /// Point-to-point mesh for direct inter-model data pulls.
     pub p2p: P2pNetwork,
     /// Telemetry handle (shared with the controller; disabled by
-    /// default, in which case every record call is free).
+    /// default, in which case every record call returns at once — build
+    /// span names and args under [`Telemetry::is_enabled`] so a disabled
+    /// handle costs a branch, not their strings).
     pub telemetry: Telemetry,
     /// Causal-graph id of the controller dispatch span that triggered
     /// the call currently executing on this rank (0 when telemetry is

@@ -32,6 +32,10 @@ struct CachedPrefix {
 pub struct BlockManager {
     slot_floats: usize,
     block_tokens: usize,
+    /// Snapshot storage, backed lazily: it covers blocks `0..=h` where
+    /// `h` is the highest block written so far. Blocks hand out in
+    /// ascending order, so a session that touches a few blocks of a
+    /// large budget never allocates (or zeroes) the rest.
     data: Vec<f32>,
     free: Vec<usize>,
     /// Registered blocks whose refcount dropped to zero: still in the
@@ -77,7 +81,7 @@ fn prefix_hash(tokens: &[usize]) -> u64 {
 impl BlockManager {
     /// Sizes the pool from a byte budget: `num_blocks = budget /
     /// (block_tokens × slot_floats × 4)`, every byte accounted against
-    /// real snapshot storage.
+    /// real snapshot storage (allocated as blocks are first written).
     pub fn new(slot_floats: usize, block_tokens: usize, budget_bytes: usize) -> Self {
         assert!(slot_floats > 0 && block_tokens > 0);
         let block_bytes = block_tokens * slot_floats * 4;
@@ -85,7 +89,7 @@ impl BlockManager {
         BlockManager {
             slot_floats,
             block_tokens,
-            data: vec![0.0; num_blocks * block_tokens * slot_floats],
+            data: Vec::new(),
             // Pop from the back → blocks hand out in ascending order.
             free: (0..num_blocks).rev().collect(),
             reclaimable: VecDeque::new(),
@@ -181,15 +185,26 @@ impl BlockManager {
     }
 
     /// Read access to one snapshot slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no slot of `block` or a higher block was ever written:
+    /// reading a snapshot nobody stored is a scheduler bug.
     pub fn slot(&self, block: usize, idx: usize) -> &[f32] {
         debug_assert!(idx < self.block_tokens);
         let off = (block * self.block_tokens + idx) * self.slot_floats;
         &self.data[off..off + self.slot_floats]
     }
 
-    /// Write access to one snapshot slot.
+    /// Write access to one snapshot slot; backs storage up to and
+    /// including `block` on first touch (whole blocks, zero-filled).
     pub fn slot_mut(&mut self, block: usize, idx: usize) -> &mut [f32] {
         debug_assert!(idx < self.block_tokens);
+        assert!(block < self.num_blocks(), "block {block} outside the pool");
+        let backed = (block + 1) * self.block_tokens * self.slot_floats;
+        if self.data.len() < backed {
+            self.data.resize(backed, 0.0);
+        }
         let off = (block * self.block_tokens + idx) * self.slot_floats;
         &mut self.data[off..off + self.slot_floats]
     }
@@ -441,6 +456,33 @@ mod tests {
             }
             bm.check_invariants().unwrap_or_else(|e| panic!("step {step}: {e}"));
         }
+    }
+
+    #[test]
+    fn storage_is_backed_up_to_the_highest_block_written() {
+        // 2 floats/slot × 2 slots = 4 floats/block; 16 blocks budgeted.
+        let mut bm = BlockManager::new(2, 2, 16 * 16);
+        assert_eq!((bm.num_blocks(), bm.data.len()), (16, 0), "nothing is backed up front");
+        let blocks: Vec<usize> = (0..3).map(|_| bm.alloc().unwrap()).collect();
+        assert_eq!(blocks, [0, 1, 2], "blocks hand out in ascending order");
+        assert_eq!(bm.data.len(), 0, "allocation alone backs nothing");
+        bm.slot_mut(1, 0)[0] = 7.0;
+        assert_eq!(bm.data.len(), 2 * 4, "whole blocks, up to the one written");
+        assert_eq!(bm.slot(0, 1), &[0.0, 0.0], "lower blocks are backed and zeroed");
+        bm.slot_mut(0, 0)[0] = 3.0;
+        assert_eq!(bm.data.len(), 2 * 4, "a lower block does not grow the store");
+        bm.slot_mut(2, 1)[1] = 9.0;
+        assert_eq!(bm.data.len(), 3 * 4);
+        assert_eq!((bm.slot(1, 0)[0], bm.slot(2, 1)[1]), (7.0, 9.0), "growth keeps contents");
+    }
+
+    #[test]
+    #[should_panic]
+    fn reading_a_block_nobody_wrote_is_a_bug() {
+        let mut bm = BlockManager::new(2, 2, 16 * 16);
+        let _ = (bm.alloc(), bm.alloc());
+        bm.slot_mut(0, 0)[0] = 1.0;
+        let _ = bm.slot(1, 0);
     }
 
     #[test]

@@ -61,6 +61,16 @@ mod tests {
         }
     }
 
+    /// FNV-1a of the whole report (`Debug` form: every count, every step
+    /// trace, both step maps). The constants the tests below compare it
+    /// to were recorded with the eagerly backed block store, before
+    /// storage became lazy: backing is invisible to scheduling.
+    fn report_digest(report: &EngineReport) -> u64 {
+        format!("{report:?}")
+            .bytes()
+            .fold(0xcbf29ce484222325, |h, b| (h ^ b as u64).wrapping_mul(0x100000001b3))
+    }
+
     fn sequential(lm: &TinyLm, r: &GenRequest) -> Vec<usize> {
         let mut rng = StdRng::seed_from_u64(r.seed);
         lm.generate(&r.prompt, r.max_new_tokens, r.temperature, &mut rng)
@@ -125,6 +135,7 @@ mod tests {
         for (o, r) in outs.iter().zip(reqs.iter()) {
             assert_eq!(o.tokens, sequential(&lm, r), "preemption must not change output");
         }
+        assert_eq!(report_digest(&report), 0x20303805b5974cfd, "{report:?}");
     }
 
     #[test]
@@ -141,6 +152,7 @@ mod tests {
         for (o, r) in outs.iter().zip(reqs.iter()) {
             assert_eq!(o.tokens, sequential(&lm, r), "prefix sharing must not change output");
         }
+        assert_eq!(report_digest(&report), 0x4128d24656730a6e, "{report:?}");
     }
 
     #[test]
@@ -178,6 +190,7 @@ mod tests {
                 "step {i}: admit/preempt churn — admission over-promised"
             );
         }
+        assert_eq!(report_digest(&report), 0x6aefc1b593ed04cf, "{report:?}");
     }
 
     #[test]

@@ -133,7 +133,7 @@ impl HybridEngineRank {
                         if buf[p].is_nan() {
                             filled += 1;
                         }
-                        buf[p] = contributions[i][cursor];
+                        buf[p] = contributions[i].1[cursor];
                     }
                     cursor += 1;
                 }
@@ -169,19 +169,21 @@ impl HybridEngineRank {
         let round0 = comm.rounds();
         self.to_generation(comm, clock);
         let round1 = comm.rounds();
-        telemetry.span_causal(
-            track,
-            "transition.to_generation",
-            SpanKind::Comm,
-            start,
-            clock.now(),
-            0,
-            &[cause],
-            &[
-                ("recv_bytes", recv_bytes.to_string()),
-                ("collective", format!("{}@{round0}..{round1}", comm.collective_tag())),
-            ],
-        );
+        if telemetry.is_enabled() {
+            telemetry.span_causal(
+                track,
+                "transition.to_generation",
+                SpanKind::Comm,
+                start,
+                clock.now(),
+                0,
+                &[cause],
+                &[
+                    ("recv_bytes", recv_bytes.to_string()),
+                    ("collective", format!("{}@{round0}..{round1}", comm.collective_tag())),
+                ],
+            );
+        }
         telemetry.add_counter("transition.to_generation.recv_bytes", recv_bytes as u64);
         telemetry.observe("transition.to_generation.seconds", clock.now() - start);
         telemetry.observe_digest("transition.to_generation.seconds", clock.now() - start);
@@ -227,20 +229,22 @@ impl HybridEngineRank {
         let dt = scratch.now() - now;
         let overlapped = dt.min(now - overlap_from);
         clock.sync_to((overlap_from + dt).max(now));
-        telemetry.span_causal(
-            track,
-            "transition.to_generation",
-            SpanKind::Comm,
-            now,
-            clock.now(),
-            0,
-            &[cause],
-            &[
-                ("recv_bytes", recv_bytes.to_string()),
-                ("collective", format!("{}@{round0}..{round1}", comm.collective_tag())),
-                ("overlapped_s", format!("{overlapped:.9}")),
-            ],
-        );
+        if telemetry.is_enabled() {
+            telemetry.span_causal(
+                track,
+                "transition.to_generation",
+                SpanKind::Comm,
+                now,
+                clock.now(),
+                0,
+                &[cause],
+                &[
+                    ("recv_bytes", recv_bytes.to_string()),
+                    ("collective", format!("{}@{round0}..{round1}", comm.collective_tag())),
+                    ("overlapped_s", format!("{overlapped:.9}")),
+                ],
+            );
+        }
         telemetry.add_counter("transition.to_generation.recv_bytes", recv_bytes as u64);
         telemetry.add_counter(
             "transition.to_generation.overlapped_us",

@@ -43,8 +43,11 @@ pub(crate) fn phase_span(ctrl: &Controller, name: &str, start: f64, prev: u64) -
         &[prev],
         &[],
     );
-    tel.observe(&format!("phase.{name}.seconds"), now - start);
-    tel.observe_digest(&format!("phase.{name}.seconds"), now - start);
+    if tel.is_enabled() {
+        let series = format!("phase.{name}.seconds");
+        tel.observe(&series, now - start);
+        tel.observe_digest(&series, now - start);
+    }
     (now, id)
 }
 

@@ -1,11 +1,20 @@
 //! RLHF model classes (paper Table 4), implemented as SPMD workers on
 //! the hybrid runtime.
 //!
-//! Every rank executes its chunk of the batch (replicated within a
-//! parallel group, split across DP or micro-DP groups by the transfer
-//! protocol). Update methods all-reduce gradients over the rank's DP
-//! communicator — a real collective through the virtual NCCL — so model
-//! replicas stay in lock-step, exactly like data-parallel training.
+//! The transfer protocol splits a batch across DP (or micro-DP) groups
+//! and hands each chunk to a whole model-parallel group, which computes
+//! it cooperatively: [`mp_rows`] gives rank `r` of the group the rows
+//! `i ≡ r (mod mp)` and reassembles every row's result on every rank
+//! through an untimed host exchange. Virtual time already charges the
+//! group's cooperation as `per_token_latency / mp` per row on every
+//! rank, so the exchange costs no virtual time; per-row results are pure
+//! functions of replicated weights and the shared chunk, so what each
+//! rank ends up with is what it would have computed alone, bit for bit.
+//! (Real tensor-parallel *backward* stays out of scope: only the
+//! `tp_inference` forward passes shard the model itself.) Update methods
+//! all-reduce gradients over the rank's DP communicator — a real
+//! collective through the virtual NCCL — so model replicas stay in
+//! lock-step, exactly like data-parallel training.
 //!
 //! Sampling inside `generate_sequences` is seeded from the chunk
 //! contents and a per-call round counter, so all ranks holding the same
@@ -141,6 +150,57 @@ fn f32_rows(data: &DataProto, name: &str) -> Result<(Vec<Vec<f32>>, usize)> {
 fn charge_tokens(ctx: &mut RankCtx, tokens: usize, hyper: &WorkerHyper) {
     let mp = ctx.layout.spec.mp() as f64;
     ctx.charge(tokens as f64 * hyper.per_token_latency / mp);
+}
+
+/// Computes `row(i)` for every row `i < n` of a chunk the transfer
+/// protocol gave to this rank's whole model-parallel group
+/// (`Protocol::ThreeD` methods only): rank `r` of the group computes the
+/// rows `i ≡ r (mod mp)`, and the peers swap results so each returns all
+/// `n`, in row order.
+///
+/// The swap is the raw group exchange, not a `Communicator` collective:
+/// no clock, no round count, no span. The virtual cost of the group's
+/// cooperation is already in [`charge_tokens`]' `1/mp`; a timed
+/// collective would charge it twice. Every peer must call this the same
+/// number of times per method, which holds because they validate the
+/// same chunk before the first call.
+fn mp_rows<T: Clone + Send + Sync + 'static>(
+    ctx: &RankCtx,
+    n: usize,
+    row: impl FnMut(usize) -> T,
+) -> Vec<T> {
+    let (mp, r) = (ctx.comms.mp.size(), ctx.comms.mp.rank());
+    let mine: Vec<T> = (r..n).step_by(mp).map(row).collect();
+    if mp == 1 {
+        return mine;
+    }
+    let all = ctx.comms.mp.group().exchange(r, mine);
+    (0..n).map(|i| all[i % mp][i / mp].clone()).collect()
+}
+
+/// Each row's prompt followed by its response.
+fn sequences(prompts: &[Vec<usize>], resps: &[Vec<usize>]) -> Vec<Vec<usize>> {
+    prompts.iter().zip(resps).map(|(p, r)| [&p[..], &r[..]].concat()).collect()
+}
+
+/// Log-probs of every row's `rw` response tokens under `lm` (one plain
+/// forward per row, rows shared across the model-parallel group), flat
+/// in row order.
+fn response_log_probs(
+    lm: &TinyLm,
+    hyper: &WorkerHyper,
+    ctx: &mut RankCtx,
+    seqs: &[Vec<usize>],
+    rw: usize,
+) -> Vec<f32> {
+    let rows = mp_rows(ctx, seqs.len(), |i| {
+        let lp = lm.log_probs(&seqs[i]);
+        lp[lp.len() - rw..].to_vec()
+    });
+    for seq in seqs {
+        charge_tokens(ctx, seq.len(), hyper);
+    }
+    rows.concat()
 }
 
 fn metrics(values: &[(&str, f32)]) -> DataProto {
@@ -367,17 +427,19 @@ impl ActorWorker {
         // Install the resharded weights into the generation engine if
         // training has touched them since the last install.
         if self.weights_dirty || !self.genserve.has_weights() {
-            let now = ctx.clock.now();
-            ctx.telemetry.span_causal(
-                &ctx.gpu_track(),
-                "transition.install_gen_weights",
-                hf_telemetry::SpanKind::Comm,
-                now,
-                now,
-                0,
-                &[ctx.cause],
-                &[("bytes", (self.lm.flat().len() * 4).to_string())],
-            );
+            if ctx.telemetry.is_enabled() {
+                let now = ctx.clock.now();
+                ctx.telemetry.span_causal(
+                    &ctx.gpu_track(),
+                    "transition.install_gen_weights",
+                    hf_telemetry::SpanKind::Comm,
+                    now,
+                    now,
+                    0,
+                    &[ctx.cause],
+                    &[("bytes", (self.lm.flat().len() * 4).to_string())],
+                );
+            }
             self.genserve.install_weights(&self.lm);
             self.weights_dirty = false;
         }
@@ -419,7 +481,9 @@ impl ActorWorker {
         // and trace each step on the device's generation sub-track —
         // the runtime's whole-call Exec envelope owns `gpu-<n>` itself.
         let mp = ctx.layout.spec.mp() as f64;
-        let track = format!("{}/genserve", ctx.gpu_track());
+        // Track name and span args are built only for a recording handle.
+        let traced = ctx.telemetry.is_enabled();
+        let track = if traced { format!("{}/genserve", ctx.gpu_track()) } else { String::new() };
         let gen_t0 = ctx.clock.now();
         // Scheduler steps chain causally (step N waits on step N−1) and
         // cite the dispatch that started generation; step end times are
@@ -431,6 +495,9 @@ impl ActorWorker {
             ctx.charge(self.hyper.per_token_latency * tr.batch as f64 / mp);
             let t1 = ctx.clock.now();
             step_ends.push(t1);
+            if !traced {
+                continue;
+            }
             let util = if report.num_blocks > 0 {
                 tr.blocks_in_use as f64 / report.num_blocks as f64
             } else {
@@ -490,6 +557,9 @@ impl ActorWorker {
         let mut responses: Vec<u32> = Vec::with_capacity(prompts.len() * resp_len);
         let mut lens: Vec<f32> = Vec::with_capacity(prompts.len());
         let mut logps: Vec<f32> = Vec::with_capacity(prompts.len() * resp_len);
+        // A plain loop, not `mp_rows`: this method is dispatched by the
+        // *generation* grouping, under which the training model-parallel
+        // peers hold different rows (1-2-2 → 1-1-2-2).
         for (prompt, out) in prompts.iter().zip(&outs) {
             lens.push(out.tokens.len() as f32);
             let mut seq = prompt.clone();
@@ -512,7 +582,6 @@ impl ActorWorker {
         let (prompts, pw) = token_rows(&data, "prompts", vocab)?;
         let (resps, rw) = token_rows(&data, "responses", vocab)?;
         let mut out = DataProto::with_rows(prompts.len());
-        let mut logps = Vec::with_capacity(prompts.len() * rw);
         let tp = self.hyper.tp_inference && ctx.layout.spec.mp() > 1;
         if tp
             && (!self.lm.cfg.ffn.is_multiple_of(ctx.layout.spec.t)
@@ -520,21 +589,22 @@ impl ActorWorker {
         {
             return Err(CoreError::Config("tp_inference requires t | ffn and p | layers".into()));
         }
-        // This rank's Megatron-style shard, cut once for the whole chunk.
-        let shard = tp.then(|| {
+        let seqs = sequences(&prompts, &resps);
+        let logps = if tp {
+            // This rank's Megatron-style shard, cut once for the whole
+            // chunk: every peer runs every row, each on its own shard.
             let (tc, spec) = (ctx.coords(), ctx.layout.spec);
-            hf_nn::ShardedLm::from_full(&self.lm, tc.p_idx, spec.p, tc.t_idx, spec.t)
-        });
-        for (p, r) in prompts.iter().zip(resps.iter()) {
-            let mut seq = p.clone();
-            seq.extend_from_slice(r);
-            let lp = match &shard {
-                Some(shard) => Self::tp_log_probs(shard, &seq, ctx),
-                None => self.lm.log_probs(&seq),
-            };
-            logps.extend_from_slice(&lp[pw - 1..pw - 1 + rw]);
-            charge_tokens(ctx, seq.len(), &self.hyper);
-        }
+            let shard = hf_nn::ShardedLm::from_full(&self.lm, tc.p_idx, spec.p, tc.t_idx, spec.t);
+            let mut logps = Vec::with_capacity(seqs.len() * rw);
+            for seq in &seqs {
+                let lp = Self::tp_log_probs(&shard, seq, ctx);
+                logps.extend_from_slice(&lp[pw - 1..pw - 1 + rw]);
+                charge_tokens(ctx, seq.len(), &self.hyper);
+            }
+            logps
+        } else {
+            response_log_probs(&self.lm, &self.hyper, ctx, &seqs, rw)
+        };
         out.insert_f32("cur_logp", logps, rw);
         Ok(out)
     }
@@ -594,18 +664,22 @@ impl ActorWorker {
     /// PPO-ptx / Safe-RLHF auxiliary loss), no update.
     fn compute_loss(&mut self, data: DataProto, ctx: &mut RankCtx) -> Result<DataProto> {
         let (rows, _w) = token_rows(&data, "pretrain", self.lm.cfg.vocab)?;
-        let mut total = 0.0f32;
-        for seq in &rows {
+        let means = mp_rows(ctx, rows.len(), |i| {
+            let seq = &rows[i];
             let mut fp = self.lm.forward(&seq[..seq.len() - 1]);
             let lp = fp.tape.gather_log_prob(fp.logits, &seq[1..]);
             let mean = fp.tape.mean_all(lp);
-            total -= fp.tape.value(mean).get(0, 0);
+            fp.tape.value(mean).get(0, 0)
+        });
+        let mut total = 0.0f32;
+        for (seq, mean) in rows.iter().zip(means) {
+            total -= mean;
             charge_tokens(ctx, seq.len(), &self.hyper);
         }
         Ok(metrics(&[("ptx_loss", total / rows.len().max(1) as f32)]))
     }
 
-    fn ptx_grad(&mut self, seq: &[usize]) -> (Vec<f32>, f32) {
+    fn ptx_grad(&self, seq: &[usize]) -> (Vec<f32>, f32) {
         let mut fp = self.lm.forward(&seq[..seq.len() - 1]);
         let lp = fp.tape.gather_log_prob(fp.logits, &seq[1..]);
         let mean = fp.tape.mean_all(lp);
@@ -639,12 +713,9 @@ impl ActorWorker {
         let ptx_coef: f32 = data.meta.get("ptx_coef").and_then(|s| s.parse().ok()).unwrap_or(0.0);
 
         let n = self.lm.cfg.param_count();
-        let mut row_grads: Vec<Vec<f32>> = Vec::with_capacity(prompts.len());
-        let mut loss_acc = 0.0f32;
-        let mut ent_acc = 0.0f32;
-        for i in 0..prompts.len() {
-            let mut seq = prompts[i].clone();
-            seq.extend_from_slice(&resps[i]);
+        let seqs = sequences(&prompts, &resps);
+        let rows = mp_rows(ctx, seqs.len(), |i| {
+            let seq = &seqs[i];
             let mut fp = self.lm.forward(&seq[..seq.len() - 1]);
             let lp_all = fp.tape.gather_log_prob(fp.logits, &seq[1..]);
             let lp_resp = fp.tape.slice_rows(lp_all, pw - 1, pw - 1 + rw);
@@ -653,9 +724,16 @@ impl ActorWorker {
             let ent = fp.tape.mean_entropy(logits_resp);
             let ent_term = fp.tape.scale(ent, -self.hyper.entropy_coef);
             let loss = fp.tape.add(ppo, ent_term);
-            loss_acc += fp.tape.value(ppo).get(0, 0);
-            ent_acc += fp.tape.value(ent).get(0, 0);
-            row_grads.push(fp.backward(loss));
+            let (ppo, ent) = (fp.tape.value(ppo).get(0, 0), fp.tape.value(ent).get(0, 0));
+            (fp.backward(loss), ppo, ent)
+        });
+        let mut row_grads: Vec<Vec<f32>> = Vec::with_capacity(rows.len());
+        let mut loss_acc = 0.0f32;
+        let mut ent_acc = 0.0f32;
+        for (seq, (grad, ppo, ent)) in seqs.iter().zip(rows) {
+            loss_acc += ppo;
+            ent_acc += ent;
+            row_grads.push(grad);
             charge_tokens(ctx, seq.len() * 3, &self.hyper);
         }
         let count = prompts.len() as f32;
@@ -663,16 +741,19 @@ impl ActorWorker {
         let mut ptx_loss = 0.0f32;
         if ptx_coef > 0.0 && data.has("pretrain") {
             let (pre, _w) = release_peers(ctx, token_rows(data, "pretrain", vocab))?;
-            for seq in &pre {
-                let (mut g, l) = self.ptx_grad(seq);
-                ptx_loss += l;
-                // Scaled so the global division by the total row count
-                // reproduces `ptx_coef × mean(ptx grads)` when chunks are
-                // equal-sized.
-                let scale = ptx_coef / pre.len() as f32 * denom;
+            // Scaled so the global division by the total row count
+            // reproduces `ptx_coef × mean(ptx grads)` when chunks are
+            // equal-sized.
+            let scale = ptx_coef / pre.len() as f32 * denom;
+            let ptx_rows = mp_rows(ctx, pre.len(), |i| {
+                let (mut g, l) = self.ptx_grad(&pre[i]);
                 for gi in g.iter_mut() {
                     *gi *= scale;
                 }
+                (g, l)
+            });
+            for (seq, (g, l)) in pre.iter().zip(ptx_rows) {
+                ptx_loss += l;
                 row_grads.push(g);
                 charge_tokens(ctx, seq.len() * 3, &self.hyper);
             }
@@ -844,14 +925,25 @@ impl CriticWorker {
             hf_nn::ShardedLm::from_full(&self.lm, 0, 1, ctx.coords().t_idx, ctx.layout.spec.t)
         });
         let mut out = DataProto::with_rows(prompts.len());
-        let mut values = Vec::with_capacity(prompts.len() * rw);
-        for (p, r) in prompts.iter().zip(resps.iter()) {
-            match &shard {
-                Some(shard) => values.extend(Self::tp_response_values(shard, p, r, ctx)),
-                None => values.extend(self.response_values(p, r)),
+        let values = match &shard {
+            Some(shard) => {
+                // Every peer runs every row, each on its own tensor shard.
+                let mut values = Vec::with_capacity(prompts.len() * rw);
+                for (p, r) in prompts.iter().zip(resps.iter()) {
+                    values.extend(Self::tp_response_values(shard, p, r, ctx));
+                    charge_tokens(ctx, p.len() + r.len(), &self.hyper);
+                }
+                values
             }
-            charge_tokens(ctx, p.len() + r.len(), &self.hyper);
-        }
+            None => {
+                let rows =
+                    mp_rows(ctx, prompts.len(), |i| self.response_values(&prompts[i], &resps[i]));
+                for (p, r) in prompts.iter().zip(resps.iter()) {
+                    charge_tokens(ctx, p.len() + r.len(), &self.hyper);
+                }
+                rows.concat()
+            }
+        };
         out.insert_f32("values", values, rw);
         Ok(out)
     }
@@ -863,17 +955,20 @@ impl CriticWorker {
         let (returns, _) = f32_rows(&data, "returns")?;
         let (old_values, _) = f32_rows(&data, "values")?;
         let n = self.lm.cfg.param_count();
-        let mut row_grads: Vec<Vec<f32>> = Vec::with_capacity(prompts.len());
-        let mut loss_acc = 0.0f32;
-        for i in 0..prompts.len() {
-            let mut seq = prompts[i].clone();
-            seq.extend_from_slice(&resps[i]);
-            let mut fp = self.lm.forward(&seq);
+        let seqs = sequences(&prompts, &resps);
+        let rows = mp_rows(ctx, seqs.len(), |i| {
+            let mut fp = self.lm.forward(&seqs[i]);
             let v_resp = fp.tape.slice_rows(fp.values, pw - 1, pw - 1 + rw);
             let loss =
                 fp.tape.value_clip_loss(v_resp, &returns[i], &old_values[i], self.hyper.vclip);
-            loss_acc += fp.tape.value(loss).get(0, 0);
-            row_grads.push(fp.backward(loss));
+            let value = fp.tape.value(loss).get(0, 0);
+            (fp.backward(loss), value)
+        });
+        let mut row_grads: Vec<Vec<f32>> = Vec::with_capacity(rows.len());
+        let mut loss_acc = 0.0f32;
+        for (seq, (grad, loss)) in seqs.iter().zip(rows) {
+            loss_acc += loss;
+            row_grads.push(grad);
             charge_tokens(ctx, seq.len() * 3, &self.hyper);
         }
         // Same layout-invariant reduction as the actor: balanced
@@ -968,17 +1063,11 @@ impl Worker for ReferenceWorker {
             return Err(CoreError::Worker(format!("reference has no method {method}")));
         }
         let vocab = self.lm.cfg.vocab;
-        let (prompts, pw) = token_rows(&data, "prompts", vocab)?;
+        let (prompts, _pw) = token_rows(&data, "prompts", vocab)?;
         let (resps, rw) = token_rows(&data, "responses", vocab)?;
         let mut out = DataProto::with_rows(prompts.len());
-        let mut logps = Vec::with_capacity(prompts.len() * rw);
-        for (p, r) in prompts.iter().zip(resps.iter()) {
-            let mut seq = p.clone();
-            seq.extend_from_slice(r);
-            let lp = self.lm.log_probs(&seq);
-            logps.extend_from_slice(&lp[pw - 1..pw - 1 + rw]);
-            charge_tokens(ctx, seq.len(), &self.hyper);
-        }
+        let seqs = sequences(&prompts, &resps);
+        let logps = response_log_probs(&self.lm, &self.hyper, ctx, &seqs, rw);
         out.insert_f32("ref_logp", logps, rw);
         Ok(out)
     }
@@ -1047,12 +1136,53 @@ impl Worker for RewardWorker {
         let (resps, rw) = token_rows(&data, "responses", vocab)?;
         let (resp_raw, _) = data.tokens("responses")?;
         let mut out = DataProto::with_rows(prompts.len());
-        let mut scores = Vec::with_capacity(prompts.len());
-        for (i, (p, r)) in prompts.iter().zip(resps.iter()).enumerate() {
-            scores.push(self.score(p, r, &resp_raw[i * rw..(i + 1) * rw]));
+        let scores = mp_rows(ctx, prompts.len(), |i| {
+            self.score(&prompts[i], &resps[i], &resp_raw[i * rw..(i + 1) * rw])
+        });
+        for (p, r) in prompts.iter().zip(resps.iter()) {
             charge_tokens(ctx, p.len() + r.len(), &self.hyper);
         }
         out.insert_f32(column, scores, 1);
         Ok(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hf_core::{Controller, Protocol, WorkerLayout};
+    use hf_parallel::ParallelSpec;
+    use hf_simcluster::{ClusterSpec, ResourcePool};
+
+    #[test]
+    fn mp_rows_gives_every_peer_every_row_in_order_computed_once() {
+        for mp in [1usize, 2, 4] {
+            let ctrl = Controller::new(ClusterSpec::a100_with_gpus(mp));
+            let layout = WorkerLayout::train_only(ParallelSpec::new(1, mp, 1));
+            let group = ctrl
+                .spawn_group("rows", &ResourcePool::contiguous(0, mp), layout, |_r| {
+                    Box::new(|_: &str, data: DataProto, ctx: &mut RankCtx| {
+                        // Each row's value, stamped with the peer that
+                        // computed it.
+                        let rows = mp_rows(ctx, data.rows(), |i| {
+                            vec![(i * i) as f32 + 0.5, ctx.comms.mp.rank() as f32]
+                        });
+                        let mut out = DataProto::with_rows(rows.len());
+                        out.insert_f32("rows", rows.concat(), 2);
+                        Ok(out)
+                    })
+                })
+                .unwrap();
+            for n in [0usize, 1, 3, 8] {
+                let mut batch = DataProto::with_rows(n);
+                batch.insert_f32("x", vec![0.0; n], 1);
+                // Every rank receives the whole batch and replies with all
+                // of it: `mp` copies of the single-rank result.
+                let out = group.call_sync("rows", &batch, Protocol::AllToAll).unwrap();
+                let expect: Vec<f32> =
+                    (0..n).flat_map(|i| [(i * i) as f32 + 0.5, (i % mp) as f32]).collect();
+                assert_eq!(out.f32("rows").unwrap().0, expect.repeat(mp), "mp={mp} rows={n}");
+            }
+        }
     }
 }

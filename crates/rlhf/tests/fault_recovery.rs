@@ -10,8 +10,13 @@
 mod common;
 
 use common::{controller_4gpu, fresh_store, placement_4gpu, with_watchdog};
+use hf_core::CoreError;
 use hf_resilience::{CheckpointStore, FaultInjector, FaultPlan, FaultTrigger};
-use hf_rlhf::{remap_recoverable, FixedPlacement, RemapConfig, RemapReport, RlhfConfig};
+use hf_rlhf::env::make_prompts;
+use hf_rlhf::{
+    ppo_iteration, remap_recoverable, FixedPlacement, RemapConfig, RemapReport, RlhfConfig,
+    RlhfSystem,
+};
 
 /// Three checkpointed PPO iterations under `plan`, recovering in place.
 fn run(store: &CheckpointStore, plan: Option<FaultPlan>) -> (RemapReport, u64) {
@@ -74,6 +79,46 @@ fn killed_critic_rank_recovers_too() {
         // Both trainable models were checkpointed and restored.
         assert!(store.load_group(3, "actor").is_ok());
         assert!(store.load_group(3, "critic").is_ok());
+    });
+}
+
+/// `compute_ref_log_prob` runs no timed collective; its one rendezvous is
+/// the row swap between model-parallel peers. A peer killed there must
+/// release its partner (`PeerFailed`, not a hang), and the loop recovers
+/// as from any other loss.
+#[test]
+fn killed_reference_peer_releases_its_row_sharing_partner() {
+    with_watchdog(120, || {
+        let baseline_store = fresh_store("ref-kill-baseline");
+        run(&baseline_store, None);
+
+        let plan = kill("reference", 1, "compute_ref_log_prob", 2);
+        let injector = FaultInjector::new(plan.clone());
+        let ctrl = controller_4gpu(Some(injector));
+        let cfg = RlhfConfig::tiny();
+        let sys = RlhfSystem::build(&ctrl, &placement_4gpu(true, false), cfg.clone()).unwrap();
+        let prompts = |i| make_prompts(8, cfg.prompt_len, cfg.response_len, cfg.lm.vocab as u32, i);
+        ppo_iteration(&sys, &ctrl, &prompts(0)).expect("the first iteration is fault-free");
+        let err = ppo_iteration(&sys, &ctrl, &prompts(1)).unwrap_err();
+        assert!(matches!(err, CoreError::WorkerPanicked(_)), "root cause is the kill: {err:?}");
+        assert_eq!(ctrl.lost_ranks().len(), 1, "the partner's abort is not a second loss");
+        assert_eq!(
+            ctrl.telemetry().counter("resilience.peer_failures"),
+            1,
+            "the killed rank's tensor-parallel partner must unwind with PeerFailed"
+        );
+
+        let store = fresh_store("ref-kill");
+        let (report, fired) = run(&store, Some(plan));
+        assert_eq!(fired, 1);
+        assert_eq!(report.stats.failures, 1);
+        assert_eq!(report.stats.recoveries, 1);
+        assert_eq!(report.history.len(), 3);
+        assert_eq!(
+            baseline_store.load_group(3, "actor").unwrap(),
+            store.load_group(3, "actor").unwrap(),
+            "recovered run must be bit-identical to the fault-free run"
+        );
     });
 }
 

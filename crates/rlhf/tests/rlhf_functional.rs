@@ -221,6 +221,43 @@ fn out_of_vocab_token_in_one_training_chunk_releases_the_other_ranks() {
 }
 
 #[test]
+fn out_of_vocab_row_is_turned_down_by_every_model_parallel_peer() {
+    // A 1-2-2 reference: each chunk goes to a tensor-parallel pair that
+    // splits its rows and swaps the results. Both peers of the pair
+    // holding the malformed row must turn the chunk down *before* that
+    // swap — one of them entering it alone would wait forever — and the
+    // pair must be usable afterwards.
+    use hf_rlhf::workers::{ReferenceWorker, WorkerHyper};
+    let ctrl = controller(4);
+    let layout = WorkerLayout::train_only(ParallelSpec::new(1, 2, 2));
+    let lm = hf_nn::LmConfig::tiny();
+    let group = ctrl
+        .spawn_group("reference", &ResourcePool::contiguous(0, 4), layout, |_r| {
+            Box::new(ReferenceWorker::new(lm, WorkerHyper::default())) as Box<dyn Worker>
+        })
+        .unwrap();
+    let call = |batch: &DataProto| {
+        group
+            .call("compute_ref_log_prob", batch, Protocol::ThreeD)
+            .unwrap()
+            .wait_deadline(std::time::Duration::from_secs(60))
+    };
+    let mut batch = make_prompts(8, 6, 6, lm.vocab as u32, 0);
+    batch.insert_tokens("responses", vec![1; 8 * 6], 6);
+    let good = batch.clone();
+    let mut responses = vec![1u32; 8 * 6];
+    responses[0] = lm.vocab as u32;
+    batch.insert_tokens("responses", responses, 6);
+
+    let err = call(&batch).unwrap_err();
+    assert!(matches!(err, CoreError::Config(_)), "{err:?}");
+    assert!(ctrl.lost_ranks().is_empty());
+    let out = call(&good).unwrap();
+    let (logp, w) = out.f32("ref_logp").unwrap();
+    assert_eq!((logp.len(), w), (8 * 6, 6));
+}
+
+#[test]
 fn standalone_placement_also_learns() {
     // OpenRLHF-style placement: every model on its own devices.
     let cfg = RlhfConfig::tiny();

@@ -2,10 +2,11 @@
 //!
 //! Each parallel group (TP / PP / DP / micro-DP) in the multi-controller
 //! runtime is backed by a [`CommGroup`]: a shared-memory rendezvous that
-//! every member thread enters with its contribution and leaves with the
-//! full set of contributions. On top of it, [`Communicator`] implements
-//! the typed collectives (all-gather, all-reduce, reduce-scatter,
-//! broadcast, gather, scatter, barrier) and charges each rank's
+//! every member thread enters with its contribution; the last arriver
+//! folds the contributions once and every member leaves with the same
+//! shared result. On top of it, [`Communicator`] implements the typed
+//! collectives (all-gather, all-reduce, reduce-scatter, broadcast,
+//! gather, scatter, barrier) as folds and charges each rank's
 //! [`VirtualClock`] the analytic cost from [`CommCostModel`], so the
 //! functional runtime and the analytic simulators agree on timing.
 //!
@@ -59,6 +60,15 @@ struct RoundState {
 pub struct CollectiveAbort {
     /// Human-readable description of the originating failure.
     pub reason: String,
+}
+
+/// The text of a panic payload (`panic!` carries a `&str` or a `String`).
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "unknown panic".into())
 }
 
 struct GroupInner {
@@ -136,16 +146,37 @@ impl CommGroup {
     }
 
     /// Deposits `value` for `rank` and returns all members' values in rank
-    /// order once every member has arrived.
-    ///
-    /// This is the primitive every collective is built from. The returned
-    /// `Arc` is shared by all members; values are cloned out lazily by the
-    /// typed wrappers.
+    /// order once every member has arrived: the identity case of
+    /// [`CommGroup::exchange_fold`].
     ///
     /// # Panics
     ///
     /// Panics if `rank` is out of range or deposits twice in one round.
-    pub fn exchange<T: Clone + Send + Sync + 'static>(&self, rank: usize, value: T) -> Arc<Vec<T>> {
+    pub fn exchange<T: Send + Sync + 'static>(&self, rank: usize, value: T) -> Arc<Vec<T>> {
+        self.exchange_fold(rank, value, |all| all)
+    }
+
+    /// Deposits `value` for `rank`; once every member has arrived, the
+    /// last arriver runs `fold` **once** over the deposited values (in
+    /// rank order, moved, not cloned) and every member leaves with the
+    /// same shared result.
+    ///
+    /// This is the primitive every collective is built from. Members
+    /// must pass equivalent `fold`s — which one runs depends on arrival
+    /// order. A `fold` that panics poisons the group, so *every* member
+    /// (the folder included) unwinds with a [`CollectiveAbort`] naming
+    /// the panic: a failed group computation is not one rank's failure,
+    /// and no waiter is left stranded in the filling phase.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rank` is out of range or deposits twice in one round.
+    pub fn exchange_fold<T, R, F>(&self, rank: usize, value: T, fold: F) -> Arc<R>
+    where
+        T: Send + 'static,
+        R: Send + Sync + 'static,
+        F: FnOnce(Vec<T>) -> R,
+    {
         fn abort_if_poisoned(st: &RoundState) {
             if let Some(r) = &st.poisoned {
                 std::panic::panic_any(CollectiveAbort { reason: r.to_string() });
@@ -184,9 +215,22 @@ impl CommGroup {
                         .expect("all members of a round must exchange the same type")
                 })
                 .collect();
-            st.result = Some(Arc::new(vals));
-            st.phase = Phase::Draining;
-            inner.cv.notify_all();
+            // The waiters hold no lock while parked, and nobody else can
+            // enter the round, so folding under the lock delays only a
+            // concurrent `poison`.
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fold(vals))) {
+                Ok(folded) => {
+                    st.result = Some(Arc::new(folded));
+                    st.phase = Phase::Draining;
+                    inner.cv.notify_all();
+                }
+                Err(payload) => {
+                    let msg = panic_message(&*payload);
+                    st.poisoned = Some(format!("collective fold panicked: {msg}").into());
+                    inner.cv.notify_all();
+                    abort_if_poisoned(&st);
+                }
+            }
         } else {
             while st.phase == Phase::Filling {
                 inner.cv.wait(&mut st);
@@ -208,7 +252,7 @@ impl CommGroup {
             inner.cv.notify_all();
         }
         drop(st);
-        arc.downcast::<Vec<T>>().expect("all members of a round must exchange the same type")
+        arc.downcast::<R>().expect("all members of a round must fold to the same type")
     }
 }
 
@@ -282,24 +326,21 @@ impl Communicator {
         &self.group
     }
 
-    fn charge(&self, clock: &mut VirtualClock, times: &[f64], kind: CollectiveKind, bytes: f64) {
-        let start = times.iter().cloned().fold(0.0_f64, f64::max);
-        let cost = self.cost.collective_time(&self.cluster, self.group.devices(), kind, bytes);
-        clock.sync_to(start + cost);
-    }
-
-    /// Raw exchange of arbitrary values plus clock synchronization with an
-    /// explicit collective kind and payload size (used by higher layers
-    /// that move non-f32 payloads, e.g. `DataProto` batches).
-    pub fn exchange_timed<T: Clone + Send + Sync + 'static>(
+    /// One timed round: deposits `(clock.now(), value)` and returns what
+    /// the last arriver's `fold` made of every member's deposit (rank
+    /// order). Audit builds check the communicator lifecycle here.
+    fn rendezvous<T, R>(
         &self,
-        clock: &mut VirtualClock,
+        clock: &VirtualClock,
         value: T,
-        kind: CollectiveKind,
-        total_bytes: f64,
-    ) -> Arc<Vec<T>> {
+        fold: impl FnOnce(Vec<(f64, T)>) -> R,
+    ) -> Arc<R>
+    where
+        T: Send + 'static,
+        R: Send + Sync + 'static,
+    {
         #[cfg(feature = "audit")]
-        let all = {
+        {
             use std::sync::atomic::Ordering;
             assert!(
                 !self.aborted.load(Ordering::Relaxed),
@@ -309,50 +350,83 @@ impl Communicator {
             );
             let now = clock.now();
             match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.group.exchange(self.rank, (now, value))
+                self.group.exchange_fold(self.rank, (now, value), fold)
             })) {
-                Ok(all) => all,
+                Ok(out) => out,
                 Err(payload) => {
                     self.aborted.store(true, Ordering::Relaxed);
                     std::panic::resume_unwind(payload);
                 }
             }
-        };
+        }
         #[cfg(not(feature = "audit"))]
-        let all = self.group.exchange(self.rank, (clock.now(), value));
-        let times: Vec<f64> = all.iter().map(|(t, _)| *t).collect();
-        self.charge(clock, &times, kind, total_bytes);
+        self.group.exchange_fold(self.rank, (clock.now(), value), fold)
+    }
+
+    /// Completes a round on this rank: the collective starts at `start`
+    /// (the latest member's arrival) and takes the analytic cost of
+    /// `kind` over `bytes`.
+    fn charge(&self, clock: &mut VirtualClock, start: f64, kind: CollectiveKind, bytes: f64) {
+        let cost = self.cost.collective_time(&self.cluster, self.group.devices(), kind, bytes);
+        clock.sync_to(start + cost);
         self.rounds.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let vals: Vec<T> = all.iter().map(|(_, v)| v.clone()).collect();
-        Arc::new(vals)
+    }
+
+    /// A timed round whose payloads are folded once for the whole group:
+    /// returns the shared `(start, fold(payloads in rank order))`.
+    fn collective<T, R>(
+        &self,
+        clock: &mut VirtualClock,
+        value: T,
+        kind: CollectiveKind,
+        bytes: f64,
+        fold: impl FnOnce(Vec<T>) -> R,
+    ) -> Arc<(f64, R)>
+    where
+        T: Send + 'static,
+        R: Send + Sync + 'static,
+    {
+        let out = self.rendezvous(clock, value, |all| {
+            (latest(&all), fold(all.into_iter().map(|(_, v)| v).collect()))
+        });
+        self.charge(clock, out.0, kind, bytes);
+        out
+    }
+
+    /// Raw exchange of arbitrary values plus clock synchronization with an
+    /// explicit collective kind and payload size (used by higher layers
+    /// that move non-f32 payloads, e.g. `DataProto` batches). Every
+    /// member receives the same shared `(arrival time, value)` list in
+    /// rank order.
+    pub fn exchange_timed<T: Send + Sync + 'static>(
+        &self,
+        clock: &mut VirtualClock,
+        value: T,
+        kind: CollectiveKind,
+        total_bytes: f64,
+    ) -> Arc<Vec<(f64, T)>> {
+        let all = self.rendezvous(clock, value, |all| all);
+        self.charge(clock, latest(&all), kind, total_bytes);
+        all
     }
 
     /// Ring all-gather: returns the concatenation of all ranks' buffers in
     /// rank order.
     pub fn all_gather(&self, clock: &mut VirtualClock, data: &[f32]) -> Vec<f32> {
-        let parts = self.exchange_timed(
-            clock,
-            data.to_vec(),
-            CollectiveKind::AllGather,
-            0.0, // placeholder, recomputed below
-        );
-        // Recharge with the true aggregated size (cheap: charge() above used
-        // zero bytes; add the true cost delta here by charging again with the
-        // aggregate minus zero). To keep charging exact we compute the full
-        // aggregate and charge once: redo via direct sum.
-        let total: usize = parts.iter().map(|p| p.len()).sum();
+        // The round is charged at zero bytes and the aggregate size on
+        // top of it, once the parts' lengths are known — the latency
+        // term twice. A cost-model quirk (DESIGN.md §5) that committed
+        // baselines pin; `broadcast` and `scatter` share it.
+        let out =
+            self.collective(clock, data.to_vec(), CollectiveKind::AllGather, 0.0, |p| p.concat());
         let cost_full = self.cost.collective_time(
             &self.cluster,
             self.group.devices(),
             CollectiveKind::AllGather,
-            (total * 4) as f64,
+            (out.1.len() * 4) as f64,
         );
         clock.advance(cost_full);
-        let mut out = Vec::with_capacity(total);
-        for p in parts.iter() {
-            out.extend_from_slice(p);
-        }
-        out
+        out.1.clone()
     }
 
     /// Ring all-reduce (sum). All buffers must be the same length.
@@ -367,23 +441,18 @@ impl Communicator {
     ///
     /// # Panics
     ///
-    /// Panics if member buffer lengths differ.
+    /// Aborts the group if member buffer lengths differ.
     pub fn all_reduce_sum(&self, clock: &mut VirtualClock, data: &[f32]) -> Vec<f32> {
-        let parts = self.exchange_timed(
-            clock,
-            data.to_vec(),
-            CollectiveKind::AllReduce,
-            (data.len() * 4) as f64,
-        );
-        let len = parts[0].len();
-        for p in parts.iter() {
-            assert_eq!(p.len(), len, "all_reduce buffers must have equal length");
-        }
-        tree_sum_parts(parts.as_slice().to_vec())
+        let bytes = (data.len() * 4) as f64;
+        self.collective(clock, data.to_vec(), CollectiveKind::AllReduce, bytes, sum_equal_parts)
+            .1
+            .clone()
     }
 
     /// Ring reduce-scatter (sum): rank `i` receives the `i`-th equal chunk
-    /// of the elementwise sum.
+    /// of the elementwise sum, combined in the same balanced pairwise
+    /// tree as [`Communicator::all_reduce_sum`], so ZeRO sharded updates
+    /// reproduce replicated ones bitwise.
     ///
     /// # Panics
     ///
@@ -391,46 +460,40 @@ impl Communicator {
     pub fn reduce_scatter_sum(&self, clock: &mut VirtualClock, data: &[f32]) -> Vec<f32> {
         let n = self.size();
         assert_eq!(data.len() % n, 0, "reduce_scatter length must divide evenly");
-        let summed = {
-            let parts = self.exchange_timed(
-                clock,
-                data.to_vec(),
-                CollectiveKind::ReduceScatter,
-                (data.len() * 4) as f64,
-            );
-            let len = parts[0].len();
-            for p in parts.iter() {
-                assert_eq!(p.len(), len);
-            }
-            // Balanced pairwise tree, matching all_reduce_sum (see there)
-            // so ZeRO sharded updates reproduce replicated ones bitwise.
-            tree_sum_parts(parts.as_slice().to_vec())
-        };
-        let chunk = summed.len() / n;
-        summed[self.rank * chunk..(self.rank + 1) * chunk].to_vec()
+        let bytes = (data.len() * 4) as f64;
+        let out = self.collective(
+            clock,
+            data.to_vec(),
+            CollectiveKind::ReduceScatter,
+            bytes,
+            sum_equal_parts,
+        );
+        let chunk = out.1.len() / n;
+        out.1[self.rank * chunk..(self.rank + 1) * chunk].to_vec()
     }
 
     /// Broadcast from `root`; only the root's `data` is used.
     ///
     /// # Panics
     ///
-    /// Panics if the root passed `None`.
+    /// Aborts the group if the root passed `None`.
     pub fn broadcast(
         &self,
         clock: &mut VirtualClock,
         root: usize,
         data: Option<Vec<f32>>,
     ) -> Vec<f32> {
-        let parts = self.exchange_timed(clock, data, CollectiveKind::Broadcast, 0.0);
-        let payload = parts[root].as_ref().expect("broadcast root must supply data").clone();
+        let out = self.collective(clock, data, CollectiveKind::Broadcast, 0.0, |mut parts| {
+            parts.swap_remove(root).expect("broadcast root must supply data")
+        });
         let cost = self.cost.collective_time(
             &self.cluster,
             self.group.devices(),
             CollectiveKind::Broadcast,
-            (payload.len() * 4) as f64,
+            (out.1.len() * 4) as f64,
         );
         clock.advance(cost);
-        payload
+        out.1.clone()
     }
 
     /// Gather to `root`: the root receives every rank's buffer; other ranks
@@ -441,32 +504,27 @@ impl Communicator {
         root: usize,
         data: &[f32],
     ) -> Option<Vec<Vec<f32>>> {
-        let parts = self.exchange_timed(
-            clock,
-            data.to_vec(),
-            CollectiveKind::Gather,
-            (data.len() * 4 * self.size()) as f64,
-        );
-        if self.rank == root {
-            Some(parts.iter().cloned().collect())
-        } else {
-            None
-        }
+        let bytes = (data.len() * 4 * self.size()) as f64;
+        let out = self.collective(clock, data.to_vec(), CollectiveKind::Gather, bytes, |p| p);
+        (self.rank == root).then(|| out.1.clone())
     }
 
     /// Scatter from `root`: the root supplies one chunk per rank.
     ///
     /// # Panics
     ///
-    /// Panics if the root passed `None` or the wrong number of chunks.
+    /// Aborts the group if the root passed `None`; panics on the wrong
+    /// number of chunks.
     pub fn scatter(
         &self,
         clock: &mut VirtualClock,
         root: usize,
         chunks: Option<Vec<Vec<f32>>>,
     ) -> Vec<f32> {
-        let parts = self.exchange_timed(clock, chunks, CollectiveKind::Scatter, 0.0);
-        let all = parts[root].as_ref().expect("scatter root must supply chunks");
+        let out = self.collective(clock, chunks, CollectiveKind::Scatter, 0.0, |mut parts| {
+            parts.swap_remove(root).expect("scatter root must supply chunks")
+        });
+        let all = &out.1;
         assert_eq!(all.len(), self.size(), "scatter needs one chunk per rank");
         let total: usize = all.iter().map(|c| c.len() * 4).sum();
         let cost = self.cost.collective_time(
@@ -481,8 +539,22 @@ impl Communicator {
 
     /// Barrier: synchronizes virtual clocks to the group maximum.
     pub fn barrier(&self, clock: &mut VirtualClock) {
-        let _ = self.exchange_timed(clock, (), CollectiveKind::AllGather, 0.0);
+        self.collective(clock, (), CollectiveKind::AllGather, 0.0, |_| ());
     }
+}
+
+/// Latest of the members' arrival instants: when a collective starts.
+fn latest<T>(all: &[(f64, T)]) -> f64 {
+    all.iter().map(|(t, _)| *t).fold(0.0_f64, f64::max)
+}
+
+/// [`tree_sum_parts`] over rank contributions, which must agree in length.
+fn sum_equal_parts(parts: Vec<Vec<f32>>) -> Vec<f32> {
+    let len = parts[0].len();
+    for p in &parts {
+        assert_eq!(p.len(), len, "reduced buffers must have equal length");
+    }
+    tree_sum_parts(parts)
 }
 
 /// Balanced pairwise-tree elementwise sum of equal-length vectors; an
@@ -697,6 +769,116 @@ mod tests {
         for o in outs {
             assert!((o - expect).abs() < 1e-3);
         }
+    }
+
+    /// Rank `r`'s contribution to the fold-once tests: unequal magnitudes
+    /// so a different float association would change the sum's bits.
+    fn contribution(r: usize, len: usize) -> Vec<f32> {
+        (0..len)
+            .map(|i| ((r * 31 + i * 7) as f32 * 0.37).sin() * 10f32.powi(r as i32 % 5))
+            .collect()
+    }
+
+    #[test]
+    fn folded_collectives_match_the_per_member_computation_bit_for_bit() {
+        // What every member used to compute for itself — the tree sum of
+        // all contributions in rank order, the concatenation, and a clock
+        // at `latest arrival + cost` — is the reference; odd sizes
+        // exercise the tree's carried tail.
+        for n in [1usize, 2, 3, 4, 5, 8] {
+            let len = 4 * n;
+            let outs = run_ranks(n, move |r, comm| {
+                let mut clocks = [VirtualClock::new(); 3];
+                for c in clocks.iter_mut() {
+                    c.advance(0.25 * (r + 1) as f64);
+                }
+                let mine = contribution(r, len);
+                let ar = comm.all_reduce_sum(&mut clocks[0], &mine);
+                let rs = comm.reduce_scatter_sum(&mut clocks[1], &mine);
+                let ag = comm.all_gather(&mut clocks[2], &mine);
+                (ar, rs, ag, clocks.map(|c| c.now()))
+            });
+            let (group, cluster, cost) = harness(n);
+            let parts: Vec<Vec<f32>> = (0..n).map(|r| contribution(r, len)).collect();
+            let sum = tree_sum_parts(parts.clone());
+            let start = 0.25 * n as f64;
+            let time = |kind, bytes: usize| {
+                cost.collective_time(&cluster, group.devices(), kind, bytes as f64)
+            };
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for (r, (ar, rs, ag, clocks)) in outs.into_iter().enumerate() {
+                assert_eq!(bits(&ar), bits(&sum), "all_reduce n={n} rank {r}");
+                let chunk = len / n;
+                assert_eq!(bits(&rs), bits(&sum[r * chunk..(r + 1) * chunk]), "reduce_scatter");
+                assert_eq!(bits(&ag), bits(&parts.concat()), "all_gather n={n} rank {r}");
+                let expect = [
+                    start + time(CollectiveKind::AllReduce, len * 4),
+                    start + time(CollectiveKind::ReduceScatter, len * 4),
+                    // The frozen all-gather sequence: zero-byte round,
+                    // then the aggregate on top.
+                    start
+                        + time(CollectiveKind::AllGather, 0)
+                        + time(CollectiveKind::AllGather, n * len * 4),
+                ];
+                assert_eq!(clocks.map(f64::to_bits), expect.map(f64::to_bits), "clocks n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn fold_runs_once_per_round_whatever_the_group_size() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for n in [1usize, 2, 5, 8] {
+            let folds = Arc::new(AtomicUsize::new(0));
+            let group = CommGroup::new((0..n).map(DeviceId).collect());
+            let handles: Vec<_> = (0..n)
+                .map(|r| {
+                    let (group, folds) = (group.clone(), folds.clone());
+                    thread::spawn(move || {
+                        (0..10usize)
+                            .map(|round| {
+                                *group.exchange_fold(r, r + round, |all| {
+                                    folds.fetch_add(1, Ordering::SeqCst);
+                                    all.into_iter().sum::<usize>()
+                                })
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            let expect: Vec<usize> = (0..10).map(|round| n * round + n * (n - 1) / 2).collect();
+            for h in handles {
+                assert_eq!(h.join().unwrap(), expect);
+            }
+            assert_eq!(folds.load(Ordering::SeqCst), 10, "one fold per round, n={n}");
+        }
+    }
+
+    #[test]
+    fn panicking_fold_aborts_every_member() {
+        // Whoever arrives last runs the fold; its panic must reach all
+        // members as the same CollectiveAbort, not strand the waiters.
+        let n = 4;
+        let group = CommGroup::new((0..n).map(DeviceId).collect());
+        let (tx, rx) = std::sync::mpsc::channel();
+        for r in 0..n {
+            let (group, tx) = (group.clone(), tx.clone());
+            thread::spawn(move || {
+                let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    group.exchange_fold(r, r, |_| -> usize { panic!("fold blew up") })
+                }));
+                let _ = tx.send(res.map(|_| ()));
+            });
+        }
+        for _ in 0..n {
+            let res = rx
+                .recv_timeout(std::time::Duration::from_secs(20))
+                .expect("a member is stranded in the rendezvous");
+            let payload = res.expect_err("every member must unwind");
+            let abort = payload.downcast_ref::<CollectiveAbort>().expect("CollectiveAbort");
+            assert!(abort.reason.contains("fold blew up"), "{}", abort.reason);
+        }
+        assert!(group.poisoned().is_some_and(|r| r.contains("fold blew up")));
     }
 
     #[test]

@@ -24,6 +24,8 @@ pub mod cost;
 pub mod topology;
 
 pub use clock::VirtualClock;
-pub use comm::{tree_sum_parts, CollectiveAbort, CommGroup, Communicator, P2pNetwork};
+pub use comm::{
+    panic_message, tree_sum_parts, CollectiveAbort, CommGroup, Communicator, P2pNetwork,
+};
 pub use cost::{CollectiveKind, CommCostModel};
 pub use topology::{ClusterSpec, DeviceId, GpuSpec, MachineSpec, ResourcePool};

@@ -27,11 +27,14 @@
 //!   generation engine: seeded arrival processes, priority admission
 //!   with per-tenant cache headroom, cross-tenant prefix-cache
 //!   attribution, and the co-located serve+train capacity scenario.
-//! * [`audit`] — cross-layout differential conformance sweeps, runtime
-//!   invariant auditors, deterministic-replay ordering checks. Linking
-//!   it arms the `audit`-feature invariant checks of the layers below.
 //! * [`insight`] — causal span graph, critical-path and bubble analysis,
 //!   what-if overlap bounds, and the deterministic perf regression gate.
+//!
+//! `hf-audit` (cross-layout conformance sweeps, runtime invariant
+//! auditors) is deliberately *not* re-exported: linking it arms the
+//! `audit`-feature checks of the layers below, which consumers of this
+//! facade should not pay for. Tests and `crates/bench` depend on it
+//! directly.
 //!
 //! See `DESIGN.md` for the substitution table (paper dependency → substrate
 //! built here) and the per-experiment index, and `EXPERIMENTS.md` for
@@ -39,7 +42,6 @@
 
 #![warn(missing_docs)]
 
-pub use hf_audit as audit;
 pub use hf_baselines as baselines;
 pub use hf_core as core;
 pub use hf_genserve as genserve;

@@ -6,7 +6,7 @@
 //! runs in the `audit_sweep` bench bin; this slice keeps the invariant
 //! under plain `cargo test`.
 
-use hybridflow::audit::{sample_configs, sweep};
+use hf_audit::{sample_configs, sweep};
 
 #[test]
 fn pinned_mini_sweep_matches_reference_bit_for_bit() {
