@@ -949,22 +949,32 @@ mod tests {
             DataflowSpec::uniform(AlgoKind::Ppo, ModelConfig::llama_7b(), RlhfWorkload::paper());
         let mut warm = Mapper::new(perf.clone(), df.clone(), 16);
         let _ = warm.search().expect("initial world maps");
-        let misses_before = warm.stats().cache_misses;
 
         // Lose four ranks, re-search over the survivors with the caches
         // carried over.
         warm.resize_world(12);
         let remapped = warm.search().expect("survivor world maps");
         assert_eq!(remapped.alloc.iter().sum::<usize>(), 12);
-        let warm_misses = warm.stats().cache_misses - misses_before;
 
-        let cold = Mapper::new(perf, df, 12);
+        let cold = Mapper::new(perf.clone(), df.clone(), 12);
         let reference = cold.search().expect("cold survivor world maps");
         assert_eq!(
             remapped.costs.total().to_bits(),
             reference.costs.total().to_bits(),
             "warm-started re-search must be bit-identical to a cold search"
         );
+
+        // Reuse, counted on the sequential search: which keys a parallel
+        // search looks up — and how many threads miss the same key before
+        // one of them fills it — depends on the schedule.
+        let mut warm = Mapper::new(perf.clone(), df.clone(), 16);
+        let _ = warm.search_sequential().expect("initial world maps");
+        let misses_before = warm.stats().cache_misses;
+        warm.resize_world(12);
+        let _ = warm.search_sequential().expect("survivor world maps");
+        let warm_misses = warm.stats().cache_misses - misses_before;
+        let cold = Mapper::new(perf, df, 12);
+        let _ = cold.search_sequential().expect("cold survivor world maps");
         assert!(
             warm_misses < cold.stats().cache_misses,
             "warm start must reuse cached strategies ({} vs {})",

@@ -51,13 +51,27 @@ impl Adam {
     ///
     /// Panics if the lengths disagree with the optimizer's state.
     pub fn step(&mut self, params: &mut [f32], grads: &[f32]) {
+        self.step_with(params, grads, |g| g);
+    }
+
+    /// [`Adam::step`] on `grads[i] / divisor`: the mean of a gradient
+    /// sum, taken as the sum is read — the sum may be shared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths disagree with the optimizer's state.
+    pub fn step_mean(&mut self, params: &mut [f32], grads: &[f32], divisor: f32) {
+        self.step_with(params, grads, |g| g / divisor);
+    }
+
+    fn step_with(&mut self, params: &mut [f32], grads: &[f32], grad: impl Fn(f32) -> f32) {
         assert_eq!(params.len(), self.m.len(), "param length mismatch");
         assert_eq!(grads.len(), self.m.len(), "grad length mismatch");
         self.t += 1;
         let b1t = 1.0 - self.beta1.powi(self.t as i32);
         let b2t = 1.0 - self.beta2.powi(self.t as i32);
         for i in 0..params.len() {
-            let g = grads[i];
+            let g = grad(grads[i]);
             self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g;
             self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g;
             let mhat = self.m[i] / b1t;
@@ -100,6 +114,20 @@ mod tests {
         let mut p = vec![1.0f32, 2.0, 3.0];
         opt.step(&mut p, &[0.0, 0.0, 0.0]);
         assert_eq!(p, vec![1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn step_mean_is_step_on_the_divided_gradient() {
+        let (mut a, mut b) = (Adam::new(3, 0.1), Adam::new(3, 0.1));
+        let (mut pa, mut pb) = (vec![1.0f32, -2.0, 0.5], vec![1.0f32, -2.0, 0.5]);
+        let sum = [0.7f32, -1.9, 3.3];
+        for _ in 0..3 {
+            a.step_mean(&mut pa, &sum, 3.0);
+            b.step(&mut pb, &sum.map(|g| g / 3.0));
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&pa), bits(&pb));
+        assert_eq!(bits(a.state().0), bits(b.state().0));
     }
 
     #[test]

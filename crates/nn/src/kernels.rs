@@ -181,32 +181,47 @@ fn pack_cols(g: Mat) -> Vec<Lanes> {
     panels
 }
 
+/// Whether a product's sums replace what `out` holds or are added to it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Write {
+    Store,
+    Add,
+}
+
 /// The `[lanes × n]` result of one `product` per `k`-step panel of
-/// `panels`; `product` hands each output column's sums to the store it
-/// is given.
+/// `panels`, written to `out`; `product` hands each output column's sums
+/// to the store it is given.
 fn unpacked_product<'p>(
     panels: &'p [Lanes],
     k: usize,
-    lanes: usize,
-    n: usize,
+    (lanes, n): (usize, usize),
+    (out, write): (&mut [f32], Write),
     product: impl Fn(&'p [Lanes], &mut dyn FnMut(usize, &Lanes)),
-) -> Tensor {
-    let mut out = vec![0.0f32; lanes * n];
+) {
+    assert_eq!(out.len(), lanes * n, "product output shape");
     for r0 in (0..lanes).step_by(LANES) {
         let width = LANES.min(lanes - r0);
-        product(&panels[r0 / LANES * k..][..k], &mut |c, sums| {
-            for (l, &v) in sums[..width].iter().enumerate() {
-                out[(r0 + l) * n + c] = v;
-            }
-        });
+        let rows = &mut out[r0 * n..(r0 + width) * n];
+        let panel = &panels[r0 / LANES * k..][..k];
+        match write {
+            Write::Store => product(panel, &mut |c, sums| {
+                for (l, &v) in sums[..width].iter().enumerate() {
+                    rows[l * n + c] = v;
+                }
+            }),
+            Write::Add => product(panel, &mut |c, sums| {
+                for (l, &v) in sums[..width].iter().enumerate() {
+                    rows[l * n + c] += v;
+                }
+            }),
+        }
     }
-    Tensor::new(out, lanes, n)
 }
 
 /// [`unpacked_product`] of [`Nn`] terms: `Σ a · b` over `b: [k × n]`
 /// with the exact zeros of `a` skipped.
-fn skip_zero_product(panels: &[Lanes], lanes: usize, b: Mat) -> Tensor {
-    unpacked_product(panels, b.rows, lanes, b.cols, |a, store| {
+fn skip_zero_product(panels: &[Lanes], lanes: usize, b: Mat, out: (&mut [f32], Write)) {
+    unpacked_product(panels, b.rows, (lanes, b.cols), out, |a, store| {
         if a.iter().flatten().all(|&v| v != 0.0) {
             panel_product(Nn::<false> { a, b }, b.cols, store)
         } else {
@@ -218,23 +233,36 @@ fn skip_zero_product(panels: &[Lanes], lanes: usize, b: Mat) -> Tensor {
 /// `x · wᵀ` with `x: [m × k]`, `w: [n × k]` → `[m × n]`.
 pub(crate) fn x_wt(x: Mat, w: Mat) -> Tensor {
     assert_eq!(x.cols, w.cols, "x·wᵀ inner dims");
-    unpacked_product(&pack_rows(x), x.cols, x.rows, w.rows, |a, store| {
+    let mut out = Tensor::zeros(x.rows, w.rows);
+    let store = (out.data_mut(), Write::Store);
+    unpacked_product(&pack_rows(x), x.cols, (x.rows, w.rows), store, |a, store| {
         panel_product(Nt { a, w: w.data }, w.rows, store)
-    })
+    });
+    out
 }
 
 /// `g · w` with `g: [m × k]`, `w: [k × n]` → `[m × n]`, zero terms of
 /// `g` skipped.
 pub(crate) fn g_w(g: Mat, w: Mat) -> Tensor {
     assert_eq!(g.cols, w.rows, "g·w inner dims");
-    skip_zero_product(&pack_rows(g), g.rows, w)
+    let mut out = Tensor::zeros(g.rows, w.cols);
+    skip_zero_product(&pack_rows(g), g.rows, w, (out.data_mut(), Write::Store));
+    out
 }
 
-/// `gᵀ · x` with `g: [m × k]`, `x: [m × n]` → `[k × n]`, zero terms of
-/// `g` skipped.
-pub(crate) fn gt_x(g: Mat, x: Mat) -> Tensor {
+/// `gᵀ · x` with `g: [m × k]`, `x: [m × n]`, zero terms of `g` skipped,
+/// stored in or added to `out: [k × n]` — a weight gradient lands where
+/// it is summed.
+pub(crate) fn gt_x_into(g: Mat, x: Mat, out: (&mut [f32], Write)) {
     assert_eq!(g.rows, x.rows, "gᵀ·x outer dims");
-    skip_zero_product(&pack_cols(g), g.cols, x)
+    skip_zero_product(&pack_cols(g), g.cols, x, out);
+}
+
+/// [`gt_x_into`] a new `[k × n]` tensor.
+pub(crate) fn gt_x(g: Mat, x: Mat) -> Tensor {
+    let mut out = Tensor::zeros(g.cols, x.cols);
+    gt_x_into(g, x, (out.data_mut(), Write::Store));
+    out
 }
 
 #[cfg(test)]
@@ -350,11 +378,20 @@ pub(crate) mod tests {
                 "g·w at {}×{}×{}", m, k, n
             );
             let x = matrix(&mut rng, m, n);
+            let gtx = reference::gt_x(&g, &x, m, k, n);
             prop_assert_eq!(
                 bits(gt_x(mat(&g, m, k), mat(&x, m, n)).data()),
-                bits(&reference::gt_x(&g, &x, m, k, n)),
+                bits(&gtx),
                 "gᵀ·x at {}×{}×{}", m, k, n
             );
+            // In place: stored over whatever was there, then added to it.
+            let mut out = vec![f32::NAN; k * n];
+            gt_x_into(mat(&g, m, k), mat(&x, m, n), (&mut out, Write::Store));
+            prop_assert_eq!(bits(&out), bits(&gtx), "gᵀ·x stored in place");
+            let mut out = matrix(&mut rng, k, n);
+            let sum: Vec<f32> = out.iter().zip(&gtx).map(|(a, b)| a + b).collect();
+            gt_x_into(mat(&g, m, k), mat(&x, m, n), (&mut out, Write::Add));
+            prop_assert_eq!(bits(&out), bits(&sum), "gᵀ·x added in place");
         }
     }
 

@@ -32,7 +32,9 @@ pub mod tape;
 pub mod tensor;
 
 pub use adam::Adam;
-pub use model::{greedy_token, sample_softmax, DecodeState, LmConfig, TinyLm};
+pub use model::{
+    greedy_token, sample_softmax, stacks, DecodeState, ForwardPass, LmConfig, TinyLm, STACK_ROWS,
+};
 pub use sharded::{grid_forward, ShardedLm, StageOutput};
 pub use tape::{Tape, Var};
 pub use tensor::Tensor;

@@ -63,8 +63,40 @@ impl LmConfig {
     }
 }
 
-/// The results of one differentiable forward pass; it borrows the
-/// model's parameters for as long as the tape lives.
+/// Rows one stacked forward pass holds: callers put whole sequences on
+/// one tape ([`TinyLm::forward_stacked`]) while they fit, and at least
+/// one. Four lane panels of the GEMM microkernel, from measurement
+/// (EXPERIMENTS.md, "one gradient path"): what pays is filling lanes —
+/// an 11-row sequence alone leaves a third of its second panel to
+/// padding and pays every op's fixed cost for itself, two of them fill
+/// three panels — and end-to-end throughput is flat from two such
+/// sequences a tape up to five (budgets 24 to 64), while a tape's
+/// memory grows with every row it holds. Longer sequences ride alone,
+/// as they always have.
+pub const STACK_ROWS: usize = 4 * LANES;
+
+/// Splits sequences of `lens` rows, in order, into the runs that share
+/// one stacked tape: as many whole sequences as fit [`STACK_ROWS`], at
+/// least one.
+pub fn stacks(lens: impl IntoIterator<Item = usize>) -> Vec<std::ops::Range<usize>> {
+    let mut runs: Vec<std::ops::Range<usize>> = Vec::new();
+    let mut rows = 0;
+    for (i, len) in lens.into_iter().enumerate() {
+        match runs.last_mut() {
+            Some(run) if rows + len <= STACK_ROWS => run.end = i + 1,
+            _ => {
+                runs.push(i..i + 1);
+                rows = 0;
+            }
+        }
+        rows += len;
+    }
+    runs
+}
+
+/// The results of one differentiable forward pass over one sequence, or
+/// several stacked on the row dimension (one segment of the tape each);
+/// it borrows the model's parameters for as long as the tape lives.
 pub struct ForwardPass<'a> {
     /// The autograd tape holding the computation.
     pub tape: Tape<'a>,
@@ -72,22 +104,24 @@ pub struct ForwardPass<'a> {
     pub logits: Var,
     /// Per-position scalar values, `[T × 1]`.
     pub values: Var,
-    /// Each parameter leaf with its offset in the flat buffer.
-    param_vars: Vec<(Var, usize)>,
-    param_count: usize,
 }
 
 impl ForwardPass<'_> {
-    /// Runs backward from `loss` and returns the flat parameter gradient.
-    pub fn backward(mut self, loss: Var) -> Vec<f32> {
-        self.tape.backward(loss);
-        let mut grad = vec![0.0f32; self.param_count];
-        for &(var, off) in &self.param_vars {
-            if let Some(g) = self.tape.leaf_grad(var) {
-                grad[off..off + g.len()].copy_from_slice(g.data());
-            }
-        }
+    /// Runs backward from the scalar `loss` of a single-sequence pass
+    /// and returns the flat parameter gradient.
+    pub fn backward(self, loss: Var) -> Vec<f32> {
+        let mut grads = [Vec::new()];
+        self.backward_into(loss, &mut grads);
+        let [grad] = grads;
         grad
+    }
+
+    /// Runs backward from the per-sequence losses `loss` (`[S × 1]`) and
+    /// writes sequence `s`'s flat parameter gradient over the first
+    /// `param_count` values of `grads[s]`, whatever they held (a shorter
+    /// buffer is grown) — see [`Tape::backward_into`].
+    pub fn backward_into(mut self, loss: Var, grads: &mut [Vec<f32>]) {
+        self.tape.backward_into(loss, grads);
     }
 }
 
@@ -171,19 +205,27 @@ impl TinyLm {
     ///
     /// Panics if `ids` is empty or contains out-of-vocab tokens.
     pub fn forward(&self, ids: &[usize]) -> ForwardPass<'_> {
-        assert!(!ids.is_empty(), "forward needs at least one token");
-        let cfg = self.cfg;
-        let mut tape = Tape::new();
-        let mut param_vars = Vec::new();
-        // Parameter leaves read `flat` in place; their offsets map the
-        // leaf gradients back into the flat gradient.
-        let mut param = |off: usize, rows: usize, cols: usize| {
-            let var = tape.param(&self.flat[off..off + rows * cols], rows, cols);
-            param_vars.push((var, off));
-            var
-        };
+        self.forward_stacked(&[ids])
+    }
 
-        let embed = param(0, cfg.vocab, cfg.hidden);
+    /// Builds one differentiable forward pass over several sequences
+    /// stacked on the row dimension: row `Σ_{r<s} len(seqs[r]) + t` of
+    /// `logits` and `values` is position `t` of sequence `s`, bit for
+    /// bit what [`TinyLm::forward`] of that sequence alone gives.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there is no sequence, one is empty, or a token is out
+    /// of vocab.
+    pub fn forward_stacked(&self, seqs: &[&[usize]]) -> ForwardPass<'_> {
+        assert!(
+            !seqs.is_empty() && seqs.iter().all(|s| !s.is_empty()),
+            "forward needs at least one token"
+        );
+        let cfg = self.cfg;
+        let mut tape = Tape::over(&self.flat);
+
+        let embed = tape.param(0, cfg.vocab, cfg.hidden);
         let blocks: Vec<[Var; 4]> = (0..cfg.layers)
             .map(|l| {
                 let gain = self.block_offset(l);
@@ -191,18 +233,19 @@ impl TinyLm {
                 let ua = wa + cfg.ffn * cfg.hidden;
                 let wb = ua + cfg.ffn * cfg.hidden;
                 [
-                    param(gain, 1, cfg.hidden),
-                    param(wa, cfg.ffn, cfg.hidden),
-                    param(ua, cfg.ffn, cfg.hidden),
-                    param(wb, cfg.hidden, cfg.ffn),
+                    tape.param(gain, 1, cfg.hidden),
+                    tape.param(wa, cfg.ffn, cfg.hidden),
+                    tape.param(ua, cfg.ffn, cfg.hidden),
+                    tape.param(wb, cfg.hidden, cfg.ffn),
                 ]
             })
             .collect();
-        let fgain = param(self.final_gain_offset(), 1, cfg.hidden);
-        let head = param(self.head_offset(), cfg.vocab, cfg.hidden);
-        let vhead = param(self.vhead_offset(), 1, cfg.hidden);
+        let fgain = tape.param(self.final_gain_offset(), 1, cfg.hidden);
+        let head = tape.param(self.head_offset(), cfg.vocab, cfg.hidden);
+        let vhead = tape.param(self.vhead_offset(), 1, cfg.hidden);
 
-        let mut h = tape.embed(embed, ids);
+        let lens: Vec<usize> = seqs.iter().map(|s| s.len()).collect();
+        let mut h = tape.embed_segments(embed, &seqs.concat(), &lens);
         for [gain, wa, ua, wb] in blocks {
             let c = tape.cum_mean(h);
             let n = tape.rmsnorm(h, gain);
@@ -217,23 +260,52 @@ impl TinyLm {
         let logits = tape.matmul_nt(f, head);
         let values = tape.matmul_nt(f, vhead);
 
-        ForwardPass { tape, logits, values, param_vars, param_count: self.flat.len() }
+        ForwardPass { tape, logits, values }
     }
 
     /// Log-probabilities of each next token: `out[t] = log p(ids[t+1] |
     /// ids[0..=t])`, length `ids.len() - 1` (no gradient).
     pub fn log_probs(&self, ids: &[usize]) -> Vec<f32> {
-        assert!(ids.len() >= 2);
-        let fp = self.forward(&ids[..ids.len() - 1]);
-        let mut tape = fp.tape;
-        let lp = tape.gather_log_prob(fp.logits, &ids[1..]);
-        tape.value(lp).data().to_vec()
+        self.log_probs_stacked(&[ids]).swap_remove(0)
+    }
+
+    /// The stacked forward pass that predicts every sequence's next
+    /// tokens — sequence `s` feeds `seqs[s][..len − 1]` — and, on its
+    /// tape, the log-probability of each next token (`[Σ (len − 1) × 1]`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a sequence has fewer than two tokens.
+    pub fn next_token_log_probs(&self, seqs: &[&[usize]]) -> (ForwardPass<'_>, Var) {
+        assert!(seqs.iter().all(|s| s.len() >= 2));
+        let inputs: Vec<&[usize]> = seqs.iter().map(|s| &s[..s.len() - 1]).collect();
+        let targets: Vec<usize> = seqs.iter().flat_map(|s| &s[1..]).copied().collect();
+        let mut fp = self.forward_stacked(&inputs);
+        let lp = fp.tape.gather_log_prob(fp.logits, &targets);
+        (fp, lp)
+    }
+
+    /// [`TinyLm::log_probs`] of every sequence, through one stacked
+    /// forward pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a sequence has fewer than two tokens.
+    pub fn log_probs_stacked(&self, seqs: &[&[usize]]) -> Vec<Vec<f32>> {
+        let (fp, lp) = self.next_token_log_probs(seqs);
+        split_rows(fp.tape.value(lp).data(), seqs.iter().map(|s| s.len() - 1))
     }
 
     /// Per-position scalar values over `ids` (no gradient).
     pub fn values(&self, ids: &[usize]) -> Vec<f32> {
-        let fp = self.forward(ids);
-        fp.tape.value(fp.values).data().to_vec()
+        self.values_stacked(&[ids]).swap_remove(0)
+    }
+
+    /// [`TinyLm::values`] of every sequence, through one stacked forward
+    /// pass.
+    pub fn values_stacked(&self, seqs: &[&[usize]]) -> Vec<Vec<f32>> {
+        let fp = self.forward_stacked(seqs);
+        split_rows(fp.tape.value(fp.values).data(), seqs.iter().map(|s| s.len()))
     }
 
     /// Samples `len` continuation tokens after `prompt` at `temperature`
@@ -537,6 +609,17 @@ impl DecodeState {
     }
 }
 
+/// One value per stacked row, cut back into one vector per sequence.
+fn split_rows(stacked: &[f32], lens: impl Iterator<Item = usize>) -> Vec<Vec<f32>> {
+    let mut rest = stacked;
+    lens.map(|len| {
+        let (own, tail) = rest.split_at(len);
+        rest = tail;
+        own.to_vec()
+    })
+    .collect()
+}
+
 /// Index of the greedy (argmax) token; ties break to the *last* maximum,
 /// matching [`TinyLm::generate`] at temperature 0.
 ///
@@ -805,6 +888,167 @@ mod gradient_tests {
             }
         }
         assert!(checked >= 32);
+    }
+}
+
+#[cfg(test)]
+mod stacking_tests {
+    use super::*;
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn sequence(rng: &mut StdRng, len: usize, vocab: usize) -> Vec<usize> {
+        (0..len).map(|_| rng.random_range(0..vocab)).collect()
+    }
+
+    #[test]
+    fn stacks_fill_the_row_budget_with_whole_sequences() {
+        assert_eq!(stacks([12; 5]), [0..2, 2..4, 4..5]);
+        assert_eq!(stacks([8; 5]), [0..4, 4..5]);
+        assert_eq!(stacks([63, 63, 63]), [0..1, 1..2, 2..3]);
+        assert_eq!(stacks([70, 3, 29, 1]), [0..1, 1..3, 3..4], "an oversize sequence rides alone");
+        assert_eq!(stacks([]), []);
+    }
+
+    #[test]
+    fn stacked_forward_is_each_sequence_alone_bit_for_bit() {
+        let cfg = LmConfig { vocab: 19, hidden: 12, ffn: 20, layers: 3 };
+        let lm = TinyLm::new(cfg, 41);
+        let mut rng = StdRng::seed_from_u64(9);
+        for count in 1..=9usize {
+            // Ragged against the lane width: 1 row up to past 64.
+            let seqs: Vec<Vec<usize>> = (0..count)
+                .map(|i| {
+                    let len = if i == 0 { [1, 70, 8][count % 3] } else { rng.random_range(1..=70) };
+                    sequence(&mut rng, len, cfg.vocab)
+                })
+                .collect();
+            let refs: Vec<&[usize]> = seqs.iter().map(Vec::as_slice).collect();
+            let fp = lm.forward_stacked(&refs);
+            let (logits, values) = (fp.tape.value(fp.logits), fp.tape.value(fp.values));
+            let mut row = 0;
+            for seq in &seqs {
+                let alone = lm.forward(seq);
+                let rows = row * cfg.vocab..(row + seq.len()) * cfg.vocab;
+                assert_eq!(
+                    bits(&logits.data()[rows]),
+                    bits(alone.tape.value(alone.logits).data()),
+                    "logits, {count} sequences"
+                );
+                assert_eq!(
+                    bits(&values.data()[row..row + seq.len()]),
+                    bits(alone.tape.value(alone.values).data()),
+                    "values, {count} sequences"
+                );
+                row += seq.len();
+            }
+            assert_eq!(row, logits.rows());
+            let stacked = lm.values_stacked(&refs);
+            let long: Vec<&[usize]> = refs.iter().copied().filter(|s| s.len() >= 2).collect();
+            let logps = lm.log_probs_stacked(&long);
+            for (seq, v) in refs.iter().zip(&stacked) {
+                assert_eq!(bits(v), bits(&lm.values(seq)));
+            }
+            for (seq, lp) in long.iter().zip(&logps) {
+                assert_eq!(bits(lp), bits(&lm.log_probs(seq)), "log-probs, {count} sequences");
+            }
+        }
+    }
+
+    /// The actor's loss (PPO clip + entropy bonus on the response window)
+    /// over `seqs` stacked; targets of the window given back to back.
+    fn actor_pass<'a>(
+        lm: &'a TinyLm,
+        seqs: &[&[usize]],
+        (pw, rw): (usize, usize),
+        old_logp: &[f32],
+        adv: &[f32],
+    ) -> (ForwardPass<'a>, Var) {
+        let (mut fp, lp_all) = lm.next_token_log_probs(seqs);
+        let lp = fp.tape.slice_rows(lp_all, pw - 1, pw - 1 + rw);
+        let ppo = fp.tape.ppo_clip_loss(lp, old_logp, adv, 0.2);
+        let window = fp.tape.slice_rows(fp.logits, pw - 1, pw - 1 + rw);
+        let ent = fp.tape.mean_entropy(window);
+        let bonus = fp.tape.scale(ent, -0.01);
+        let loss = fp.tape.add(ppo, bonus);
+        (fp, loss)
+    }
+
+    /// The critic's clipped value loss on the response window.
+    fn critic_pass<'a>(
+        lm: &'a TinyLm,
+        seqs: &[&[usize]],
+        (pw, rw): (usize, usize),
+        returns: &[f32],
+        old_v: &[f32],
+    ) -> (ForwardPass<'a>, Var) {
+        let mut fp = lm.forward_stacked(seqs);
+        let v = fp.tape.slice_rows(fp.values, pw - 1, pw - 1 + rw);
+        let loss = fp.tape.value_clip_loss(v, returns, old_v, 0.2);
+        (fp, loss)
+    }
+
+    #[test]
+    fn stacked_gradients_are_each_sequence_alone_bit_for_bit() {
+        let cfg = LmConfig { vocab: 19, hidden: 12, ffn: 20, layers: 3 };
+        let lm = TinyLm::new(cfg, 43);
+        let n = cfg.param_count();
+        let mut rng = StdRng::seed_from_u64(3);
+        // Ragged tails past the response window; 4 + 6 is the shortest.
+        let (pw, rw) = (4usize, 6usize);
+        let lens = [10usize, 17, 10, 31, 12];
+        let seqs: Vec<Vec<usize>> =
+            lens.iter().map(|&l| sequence(&mut rng, l, cfg.vocab)).collect();
+        let refs: Vec<&[usize]> = seqs.iter().map(Vec::as_slice).collect();
+        let draw = |rng: &mut StdRng, lo: f32, hi: f32| -> Vec<f32> {
+            (0..lens.len() * rw).map(|_| lo + (hi - lo) * rng.random::<f32>()).collect()
+        };
+        // Near the model's own log-probs (≈ −ln 19), so ratios fall on
+        // both sides of the clip range — but sequence 2's are far below
+        // with positive advantages: every row of it is clipped and its
+        // PPO gradient rows are exact zeros.
+        let mut old_logp = draw(&mut rng, -3.4, -2.5);
+        let mut adv = draw(&mut rng, -1.0, 1.0);
+        old_logp[2 * rw..3 * rw].fill(-30.0);
+        adv[2 * rw..3 * rw].fill(0.5);
+        // Sequence 3's values are clipped on every row likewise: its
+        // whole gradient is an exact zero.
+        let mut returns = draw(&mut rng, -0.5, 0.5);
+        let mut old_v = draw(&mut rng, -0.5, 0.5);
+        returns[3 * rw..4 * rw].fill(-40.0);
+        old_v[3 * rw..4 * rw].fill(40.0);
+
+        // Buffers longer than the parameters, poisoned: a pass overwrites
+        // all of the gradient and nothing past it.
+        let mut grads = vec![vec![f32::NAN; n + 1]; lens.len()];
+        let (fp, loss) = actor_pass(&lm, &refs, (pw, rw), &old_logp, &adv);
+        let losses = fp.tape.value(loss).data().to_vec();
+        fp.backward_into(loss, &mut grads);
+        for (s, seq) in refs.iter().enumerate() {
+            let own = s * rw..(s + 1) * rw;
+            let (fp, loss) =
+                actor_pass(&lm, &[seq], (pw, rw), &old_logp[own.clone()], &adv[own.clone()]);
+            assert_eq!(losses[s].to_bits(), fp.tape.value(loss).get(0, 0).to_bits());
+            assert_eq!(bits(&grads[s][..n]), bits(&fp.backward(loss)), "actor gradient {s}");
+            assert!(grads[s][n].is_nan());
+        }
+
+        // The same buffers again, poisoned again, for the critic.
+        grads.iter_mut().for_each(|g| g.fill(f32::NAN));
+        let (fp, loss) = critic_pass(&lm, &refs, (pw, rw), &returns, &old_v);
+        let losses = fp.tape.value(loss).data().to_vec();
+        fp.backward_into(loss, &mut grads);
+        for (s, seq) in refs.iter().enumerate() {
+            let own = s * rw..(s + 1) * rw;
+            let (fp, loss) =
+                critic_pass(&lm, &[seq], (pw, rw), &returns[own.clone()], &old_v[own.clone()]);
+            assert_eq!(losses[s].to_bits(), fp.tape.value(loss).get(0, 0).to_bits());
+            assert_eq!(bits(&grads[s][..n]), bits(&fp.backward(loss)), "critic gradient {s}");
+        }
+        assert!(grads[3][..n].iter().all(|g| g.to_bits() == 0), "all rows clipped: +0.0");
+        assert!(grads[0][..n].iter().any(|&g| g != 0.0));
     }
 }
 

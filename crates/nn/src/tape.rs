@@ -6,10 +6,26 @@
 //! log-prob gathering, the PPO clipped surrogate, the clipped value
 //! loss, and a policy-entropy regularizer — matching the loss functions
 //! of Table 4 ("we implement various loss for diverse RLHF algorithms").
+//!
+//! **Segments.** One tape can hold several whole sequences stacked on
+//! the row dimension ([`Tape::embed_segments`]): every tensor carries
+//! the row ranges of its segments. Row-wise ops do not look at them —
+//! each output row is its own sum (DESIGN.md §2, "kernel contract") —
+//! while ops that reduce over rows restart at every segment boundary
+//! (`cum_mean`, `slice_rows`, and the losses, which yield one scalar per
+//! segment), and a parameter gradient is formed per segment. So each
+//! segment's values and gradients are, bit for bit, what a tape of that
+//! sequence alone computes; a plain [`Tape::leaf`] or [`Tape::embed`] is
+//! one segment.
+//!
+//! **Parameter gradients.** A [`Tape::param`] window reads the model's
+//! flat buffer in place, and [`Tape::backward_into`] writes its gradient
+//! straight into the caller's flat gradient buffer for that segment: the
+//! first write to a window stores, a later one adds.
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the math
 
-use crate::kernels;
+use crate::kernels::{self, Write};
 use crate::tensor::{Mat, Tensor};
 
 /// Handle to a node on the tape.
@@ -31,8 +47,10 @@ enum Op {
         x: usize,
         c: f32,
     },
+    /// `sig` keeps `σ(x)` for the backward pass.
     Silu {
         x: usize,
+        sig: Tensor,
     },
     RmsNorm {
         x: usize,
@@ -77,32 +95,74 @@ enum Op {
 }
 
 /// A node's forward value: computed (or a caller's constant), or a
-/// parameter matrix read in place from the model's flat buffer.
+/// window of the parameter buffer the tape reads in place.
 enum Value<'a> {
     Owned(Tensor),
-    Param(Mat<'a>),
+    /// `slot` numbers the tape's windows in creation order.
+    Param {
+        mat: Mat<'a>,
+        off: usize,
+        slot: usize,
+    },
 }
 
 struct Node<'a> {
     value: Value<'a>,
     grad: Option<Tensor>,
     op: Op,
+    /// Which entry of [`Tape::bounds`] gives this value's segments
+    /// ([`UNSEGMENTED`] for a parameter window).
+    seg: usize,
 }
+
+/// The `seg` of a parameter window: its rows are not sequence positions.
+const UNSEGMENTED: usize = usize::MAX;
 
 impl Node<'_> {
     fn mat(&self) -> Mat<'_> {
         match &self.value {
             Value::Owned(t) => t.mat(),
-            Value::Param(m) => *m,
+            Value::Param { mat, .. } => *mat,
         }
     }
 }
 
 /// A reverse-mode autograd tape. `'a` is the lifetime of the parameter
-/// buffer its [`Tape::param`] leaves borrow.
+/// buffer its [`Tape::param`] windows borrow.
 #[derive(Default)]
 pub struct Tape<'a> {
     nodes: Vec<Node<'a>>,
+    params: &'a [f32],
+    windows: usize,
+    /// Segmentations in use: each lists the row at which every segment
+    /// starts, then the row count (`[0, T₀, T₀ + T₁, …]`).
+    bounds: Vec<Vec<usize>>,
+}
+
+/// Where [`Tape::backward_into`] leaves parameter gradients: one flat
+/// buffer per segment, and which windows of each have been written.
+struct Sink<'g> {
+    grads: &'g mut [Vec<f32>],
+    written: Vec<bool>,
+}
+
+impl Sink<'_> {
+    /// The gradient of the window at `off` in segment `seg`'s buffer,
+    /// and whether to store into it (first use) or add to it.
+    fn window(&mut self, slot: usize, seg: usize, off: usize, len: usize) -> (&mut [f32], Write) {
+        let written = &mut self.written[slot * self.grads.len() + seg];
+        let write = if std::mem::replace(written, true) { Write::Add } else { Write::Store };
+        (&mut self.grads[seg][off..off + len], write)
+    }
+
+    /// Stores `values` as that gradient, or adds them to it.
+    fn put(&mut self, slot: usize, seg: usize, off: usize, values: &[f32]) {
+        let (dst, write) = self.window(slot, seg, off, values.len());
+        match write {
+            Write::Store => dst.copy_from_slice(values),
+            Write::Add => dst.iter_mut().zip(values).for_each(|(d, v)| *d += v),
+        }
+    }
 }
 
 fn sigmoid(x: f32) -> f32 {
@@ -128,62 +188,141 @@ fn softmax_rows(logits: Mat) -> Tensor {
     p
 }
 
+/// `Σ −p·ln p` over rows `rows` of `probs`, accumulated row by row.
+fn entropy_sum(probs: &Tensor, rows: std::ops::Range<usize>) -> f32 {
+    let mut total = 0.0f32;
+    for r in rows {
+        for &p in probs.row(r).iter() {
+            if p > 0.0 {
+                total -= p * p.ln();
+            }
+        }
+    }
+    total
+}
+
 /// Adds `g` into the gradient of `nodes[idx]`.
 fn accumulate(nodes: &mut [Node], idx: usize, g: Tensor) {
+    assert!(
+        matches!(nodes[idx].value, Value::Owned(_)),
+        "a parameter window takes its gradient as a matmul weight, a norm gain or an embedding table"
+    );
     match &mut nodes[idx].grad {
         Some(existing) => existing.add_scaled(&g, 1.0),
         slot => *slot = Some(g),
     }
 }
 
+/// The gradients of a norm gain or an embedding table at `nodes[idx]`:
+/// one per segment into the sink for a parameter window, one over all
+/// rows into the node for a leaf.
+fn deliver(nodes: &mut [Node], sink: &mut Sink, idx: usize, grads: Vec<Tensor>) {
+    for (s, g) in grads.into_iter().enumerate() {
+        match nodes[idx].value {
+            Value::Owned(_) => accumulate(nodes, idx, g),
+            Value::Param { off, slot, .. } => sink.put(slot, s, off, g.data()),
+        }
+    }
+}
+
+/// The row runs over which such a gradient is summed: the segments
+/// `segs` for a parameter window, all `rows` at once for a leaf.
+fn runs<'s>(node: &Node, segs: &'s [usize], all_rows: &'s [usize; 2]) -> &'s [usize] {
+    match node.value {
+        Value::Owned(_) => all_rows,
+        Value::Param { .. } => segs,
+    }
+}
+
+/// Rows `rows` of `m` as a matrix of their own.
+fn rows_of<'m>(m: Mat<'m>, rows: &[usize]) -> Mat<'m> {
+    Mat { data: &m.data[rows[0] * m.cols..rows[1] * m.cols], rows: rows[1] - rows[0], cols: m.cols }
+}
+
 impl<'a> Tape<'a> {
-    /// An empty tape.
+    /// An empty tape without parameter windows.
     pub fn new() -> Self {
         Tape::default()
     }
 
-    fn push(&mut self, value: Tensor, op: Op) -> Var {
-        self.nodes.push(Node { value: Value::Owned(value), grad: None, op });
+    /// An empty tape whose [`Tape::param`] windows read `params`.
+    pub fn over(params: &'a [f32]) -> Self {
+        Tape { params, ..Tape::default() }
+    }
+
+    fn push_node(&mut self, value: Value<'a>, op: Op, seg: usize) -> Var {
+        self.nodes.push(Node { value, grad: None, op, seg });
         Var(self.nodes.len() - 1)
+    }
+
+    fn push(&mut self, value: Tensor, op: Op, seg: usize) -> Var {
+        self.push_node(Value::Owned(value), op, seg)
+    }
+
+    /// Registers a segmentation given as segment lengths.
+    fn segmentation(&mut self, lens: impl IntoIterator<Item = usize>) -> usize {
+        let mut bounds = vec![0];
+        bounds.extend(lens.into_iter().scan(0, |row, len| {
+            *row += len;
+            Some(*row)
+        }));
+        self.bounds.push(bounds);
+        self.bounds.len() - 1
+    }
+
+    /// Pushes one scalar per segment (`[S × 1]`, each its own one-row
+    /// segment): what an op that reduces over a segment's rows yields.
+    fn push_per_segment(&mut self, scalars: Vec<f32>, op: Op) -> Var {
+        let segments = scalars.len();
+        let seg = self.segmentation(vec![1; segments]);
+        self.push(Tensor::new(scalars, segments, 1), op, seg)
     }
 
     fn mat(&self, v: Var) -> Mat<'_> {
         self.nodes[v.0].mat()
     }
 
-    /// Registers an input (parameter or constant) tensor.
-    pub fn leaf(&mut self, t: Tensor) -> Var {
-        self.push(t, Op::Leaf)
+    fn bounds_of(&self, v: Var) -> &[usize] {
+        &self.bounds[self.nodes[v.0].seg]
     }
 
-    /// Registers a `[rows × cols]` parameter matrix read in place from
-    /// `data` — no copy per forward pass.
+    /// Registers an input (parameter or constant) tensor: one segment.
+    pub fn leaf(&mut self, t: Tensor) -> Var {
+        let seg = self.segmentation([t.rows()]);
+        self.push(t, Op::Leaf, seg)
+    }
+
+    /// Registers the `[rows × cols]` parameter matrix at `off` in the
+    /// buffer given to [`Tape::over`], read in place — no copy per
+    /// forward pass. It may be used as a [`Tape::matmul_nt`] weight, a
+    /// [`Tape::rmsnorm`] gain or an [`Tape::embed`] table.
     ///
     /// # Panics
     ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn param(&mut self, data: &'a [f32], rows: usize, cols: usize) -> Var {
-        assert_eq!(data.len(), rows * cols, "shape mismatch");
-        let value = Value::Param(Mat { data, rows, cols });
-        self.nodes.push(Node { value, grad: None, op: Op::Leaf });
-        Var(self.nodes.len() - 1)
+    /// Panics if the window does not lie inside the buffer.
+    pub fn param(&mut self, off: usize, rows: usize, cols: usize) -> Var {
+        let mat = Mat { data: &self.params[off..off + rows * cols], rows, cols };
+        let slot = self.windows;
+        self.windows += 1;
+        self.push_node(Value::Param { mat, off, slot }, Op::Leaf, UNSEGMENTED)
     }
 
     /// The forward value at `v`.
     ///
     /// # Panics
     ///
-    /// Panics if `v` is a [`Tape::param`] leaf: its values live in the
+    /// Panics if `v` is a [`Tape::param`] window: its values live in the
     /// buffer it borrows.
     pub fn value(&self, v: Var) -> &Tensor {
         match &self.nodes[v.0].value {
             Value::Owned(t) => t,
-            Value::Param(_) => panic!("a borrowed parameter leaf holds no tensor"),
+            Value::Param { .. } => panic!("a borrowed parameter window holds no tensor"),
         }
     }
 
-    /// The gradient [`Tape::backward`] left at leaf `v`, if it received
-    /// one. Gradients of intermediate nodes are consumed by the pass.
+    /// The gradient [`Tape::backward`] left at [`Tape::leaf`] `v`, if it
+    /// received one. Gradients of intermediate nodes are consumed by the
+    /// pass; those of parameter windows go to the caller's buffers.
     pub fn leaf_grad(&self, v: Var) -> Option<&Tensor> {
         self.nodes[v.0].grad.as_ref()
     }
@@ -197,25 +336,33 @@ impl<'a> Tape<'a> {
     /// `x · wᵀ`.
     pub fn matmul_nt(&mut self, x: Var, w: Var) -> Var {
         let y = kernels::x_wt(self.mat(x), self.mat(w));
-        self.push(y, Op::MatmulNt { x: x.0, w: w.0 })
+        self.push(y, Op::MatmulNt { x: x.0, w: w.0 }, self.nodes[x.0].seg)
     }
 
     /// Elementwise addition.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes or the segments of `a` and `b` differ.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
+        assert_eq!(self.bounds_of(a), self.bounds_of(b), "add segments");
         let y = self.value(a).add(self.value(b));
-        self.push(y, Op::Add { a: a.0, b: b.0 })
+        self.push(y, Op::Add { a: a.0, b: b.0 }, self.nodes[a.0].seg)
     }
 
     /// `c · x`.
     pub fn scale(&mut self, x: Var, c: f32) -> Var {
         let y = self.value(x).map(|v| c * v);
-        self.push(y, Op::Scale { x: x.0, c })
+        self.push(y, Op::Scale { x: x.0, c }, self.nodes[x.0].seg)
     }
 
     /// SiLU activation `x · σ(x)`.
     pub fn silu(&mut self, x: Var) -> Var {
-        let y = self.value(x).map(|v| v * sigmoid(v));
-        self.push(y, Op::Silu { x: x.0 })
+        let xv = self.value(x);
+        let sig = xv.map(sigmoid);
+        let y = xv.data().iter().zip(sig.data()).map(|(v, s)| v * s).collect();
+        let y = Tensor::new(y, xv.rows(), xv.cols());
+        self.push(y, Op::Silu { x: x.0, sig }, self.nodes[x.0].seg)
     }
 
     /// Row-wise RMS normalization with a learned gain vector `[1 × h]`.
@@ -233,39 +380,56 @@ impl<'a> Tape<'a> {
                 *y = v * inv * g;
             }
         }
-        self.push(y, Op::RmsNorm { x: x.0, gain: gain.0, eps })
+        self.push(y, Op::RmsNorm { x: x.0, gain: gain.0, eps }, self.nodes[x.0].seg)
     }
 
-    /// Causal cumulative mean over rows: `y_t = mean(x_0..=x_t)`.
+    /// Causal cumulative mean over the rows of each segment:
+    /// `y_t = mean(x_0..=x_t)`, `t` counted from the segment's first row.
     pub fn cum_mean(&mut self, x: Var) -> Var {
         let xv = self.mat(x);
         let mut y = Tensor::zeros(xv.rows, xv.cols);
         let mut acc = vec![0.0f32; xv.cols];
-        for r in 0..xv.rows {
-            for (a, &v) in acc.iter_mut().zip(xv.row(r).iter()) {
-                *a += v;
-            }
-            let inv = 1.0 / (r as f32 + 1.0);
-            for (y, a) in y.row_mut(r).iter_mut().zip(&acc) {
-                *y = a * inv;
+        for seg in self.bounds_of(x).windows(2) {
+            acc.fill(0.0);
+            for r in seg[0]..seg[1] {
+                for (a, &v) in acc.iter_mut().zip(xv.row(r).iter()) {
+                    *a += v;
+                }
+                let inv = 1.0 / ((r - seg[0]) as f32 + 1.0);
+                for (y, a) in y.row_mut(r).iter_mut().zip(&acc) {
+                    *y = a * inv;
+                }
             }
         }
-        self.push(y, Op::CumMean { x: x.0 })
+        self.push(y, Op::CumMean { x: x.0 }, self.nodes[x.0].seg)
     }
 
-    /// Embedding lookup: rows of `table` selected by `ids`.
+    /// Embedding lookup: rows of `table` selected by `ids`, one segment.
     ///
     /// # Panics
     ///
     /// Panics if an id exceeds the table rows.
     pub fn embed(&mut self, table: Var, ids: &[usize]) -> Var {
+        self.embed_segments(table, ids, &[ids.len()])
+    }
+
+    /// Embedding lookup of several sequences stacked on the row
+    /// dimension: `ids` holds them back to back, `lens` their lengths.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id exceeds the table rows or `lens` does not add up
+    /// to `ids.len()`.
+    pub fn embed_segments(&mut self, table: Var, ids: &[usize], lens: &[usize]) -> Var {
+        assert_eq!(lens.iter().sum::<usize>(), ids.len(), "segment lengths must cover the ids");
         let tv = self.mat(table);
         let mut y = Tensor::zeros(ids.len(), tv.cols);
         for (r, &id) in ids.iter().enumerate() {
             assert!(id < tv.rows, "token id {id} out of vocab {}", tv.rows);
             y.row_mut(r).copy_from_slice(tv.row(id));
         }
-        self.push(y, Op::Embed { table: table.0, ids: ids.to_vec() })
+        let seg = self.segmentation(lens.iter().copied());
+        self.push(y, Op::Embed { table: table.0, ids: ids.to_vec() }, seg)
     }
 
     /// Token log-probabilities: `out[t] = log softmax(logits[t])[targets[t]]`.
@@ -277,46 +441,58 @@ impl<'a> Tape<'a> {
         for (t, &tok) in targets.iter().enumerate() {
             y.set(t, 0, probs.get(t, tok).max(1e-30).ln());
         }
-        self.push(y, Op::GatherLogProb { logits: logits.0, targets: targets.to_vec(), probs })
+        let op = Op::GatherLogProb { logits: logits.0, targets: targets.to_vec(), probs };
+        self.push(y, op, self.nodes[logits.0].seg)
     }
 
-    /// Mean policy entropy over rows of `logits` (scalar output).
+    /// Mean policy entropy over the rows of each segment of `logits`
+    /// (one scalar per segment, `[S × 1]`).
     pub fn mean_entropy(&mut self, logits: Var) -> Var {
         let probs = softmax_rows(self.mat(logits));
-        let mut total = 0.0f32;
-        for r in 0..probs.rows() {
-            for &p in probs.row(r).iter() {
-                if p > 0.0 {
-                    total -= p * p.ln();
-                }
-            }
-        }
-        let y = Tensor::scalar(total / probs.rows() as f32);
-        self.push(y, Op::MeanEntropy { logits: logits.0, probs })
+        let means = self
+            .bounds_of(logits)
+            .windows(2)
+            .map(|seg| entropy_sum(&probs, seg[0]..seg[1]) / (seg[1] - seg[0]) as f32)
+            .collect::<Vec<_>>();
+        self.push_per_segment(means, Op::MeanEntropy { logits: logits.0, probs })
     }
 
-    /// Rows `[start, end)` of `x` as a new tensor.
+    /// Rows `[start, end)` of each segment of `x`, stacked.
     ///
     /// # Panics
     ///
-    /// Panics if the range is out of bounds.
+    /// Panics if the range is out of a segment's bounds.
     pub fn slice_rows(&mut self, x: Var, start: usize, end: usize) -> Var {
         let xv = self.mat(x);
-        assert!(start <= end && end <= xv.rows, "slice_rows out of bounds");
-        let data = xv.data[start * xv.cols..end * xv.cols].to_vec();
-        let y = Tensor::new(data, end - start, xv.cols);
-        self.push(y, Op::SliceRows { x: x.0, start })
+        let mut data = Vec::new();
+        for seg in self.bounds_of(x).windows(2) {
+            assert!(start <= end && seg[0] + end <= seg[1], "slice_rows out of bounds");
+            data.extend_from_slice(&xv.data[(seg[0] + start) * xv.cols..(seg[0] + end) * xv.cols]);
+        }
+        let segments = self.bounds_of(x).len() - 1;
+        let y = Tensor::new(data, segments * (end - start), xv.cols);
+        let seg = self.segmentation(vec![end - start; segments]);
+        self.push(y, Op::SliceRows { x: x.0, start }, seg)
     }
 
-    /// Mean of all elements (scalar output).
+    /// Mean of all elements of each segment (`[S × 1]`).
     pub fn mean_all(&mut self, x: Var) -> Var {
-        let xv = self.value(x);
-        let y = Tensor::scalar(xv.sum() / xv.len() as f32);
-        self.push(y, Op::MeanAll { x: x.0 })
+        let xv = self.mat(x);
+        let means = self
+            .bounds_of(x)
+            .windows(2)
+            .map(|seg| {
+                let part = rows_of(xv, seg).data;
+                part.iter().sum::<f32>() / part.len() as f32
+            })
+            .collect::<Vec<_>>();
+        self.push_per_segment(means, Op::MeanAll { x: x.0 })
     }
 
-    /// PPO clipped surrogate loss (scalar):
+    /// PPO clipped surrogate loss of each segment (`[S × 1]`):
     /// `-mean(min(r·A, clip(r, 1−ε, 1+ε)·A))` with `r = exp(logp − old)`.
+    /// `old_logp` and `adv` hold the segments' rows back to back, as
+    /// `logp` does.
     ///
     /// # Panics
     ///
@@ -325,23 +501,28 @@ impl<'a> Tape<'a> {
         let lv = self.mat(logp).data;
         assert_eq!(lv.len(), old_logp.len());
         assert_eq!(lv.len(), adv.len());
-        let mut total = 0.0f32;
-        for t in 0..old_logp.len() {
-            let r = (lv[t] - old_logp[t]).exp();
-            let u = r * adv[t];
-            let v = r.clamp(1.0 - eps, 1.0 + eps) * adv[t];
-            total += u.min(v);
-        }
-        let y = Tensor::scalar(-total / old_logp.len() as f32);
-        self.push(
-            y,
-            Op::PpoClip { logp: logp.0, old_logp: old_logp.to_vec(), adv: adv.to_vec(), eps },
-        )
+        let losses = self
+            .bounds_of(logp)
+            .windows(2)
+            .map(|seg| {
+                let mut total = 0.0f32;
+                for t in seg[0]..seg[1] {
+                    let r = (lv[t] - old_logp[t]).exp();
+                    let u = r * adv[t];
+                    let v = r.clamp(1.0 - eps, 1.0 + eps) * adv[t];
+                    total += u.min(v);
+                }
+                -total / (seg[1] - seg[0]) as f32
+            })
+            .collect::<Vec<_>>();
+        let op = Op::PpoClip { logp: logp.0, old_logp: old_logp.to_vec(), adv: adv.to_vec(), eps };
+        self.push_per_segment(losses, op)
     }
 
-    /// Clipped value loss (scalar):
+    /// Clipped value loss of each segment (`[S × 1]`):
     /// `0.5 · mean(max((v−R)², (v_clip−R)²))` with
-    /// `v_clip = old_v + clip(v − old_v, −ε, ε)`.
+    /// `v_clip = old_v + clip(v − old_v, −ε, ε)`. `returns` and `old_v`
+    /// hold the segments' rows back to back, as `v` does.
     ///
     /// # Panics
     ///
@@ -350,31 +531,68 @@ impl<'a> Tape<'a> {
         let vv = self.mat(v).data;
         assert_eq!(vv.len(), returns.len());
         assert_eq!(vv.len(), old_v.len());
-        let mut total = 0.0f32;
-        for t in 0..returns.len() {
-            let val = vv[t];
-            let clipped = old_v[t] + (val - old_v[t]).clamp(-eps, eps);
-            let a = (val - returns[t]).powi(2);
-            let b = (clipped - returns[t]).powi(2);
-            total += a.max(b);
-        }
-        let y = Tensor::scalar(0.5 * total / returns.len() as f32);
-        self.push(
-            y,
-            Op::ValueClip { v: v.0, returns: returns.to_vec(), old_v: old_v.to_vec(), eps },
-        )
+        let losses = self
+            .bounds_of(v)
+            .windows(2)
+            .map(|seg| {
+                let mut total = 0.0f32;
+                for t in seg[0]..seg[1] {
+                    let val = vv[t];
+                    let clipped = old_v[t] + (val - old_v[t]).clamp(-eps, eps);
+                    let a = (val - returns[t]).powi(2);
+                    let b = (clipped - returns[t]).powi(2);
+                    total += a.max(b);
+                }
+                0.5 * total / (seg[1] - seg[0]) as f32
+            })
+            .collect::<Vec<_>>();
+        let op = Op::ValueClip { v: v.0, returns: returns.to_vec(), old_v: old_v.to_vec(), eps };
+        self.push_per_segment(losses, op)
     }
 
-    /// Runs the backward pass from scalar node `loss` (seed gradient 1).
-    /// Each node's gradient is moved out as the pass reaches it; only
-    /// leaves keep theirs.
+    /// [`Tape::backward_into`] for a tape without parameter windows.
     ///
     /// # Panics
     ///
-    /// Panics if `loss` is not a 1×1 tensor.
+    /// Panics if `loss` is not one scalar per segment, or the tape has
+    /// parameter windows.
     pub fn backward(&mut self, loss: Var) {
-        assert_eq!(self.mat(loss).data.len(), 1, "backward needs a scalar loss");
-        self.nodes[loss.0].grad = Some(Tensor::scalar(1.0));
+        assert_eq!(self.windows, 0, "parameter gradients need `backward_into`'s buffers");
+        self.backward_into(loss, &mut []);
+    }
+
+    /// Runs the backward pass from the per-segment scalar losses `loss`
+    /// (`[S × 1]`, seed gradient 1 each). Each node's gradient is moved
+    /// out as the pass reaches it; only [`Tape::leaf`] nodes keep theirs,
+    /// summed over all rows. A [`Tape::param`] window's gradient is
+    /// formed per segment and written at the window's offset in
+    /// `grads[segment]` — stored by its first use, added by later ones,
+    /// zeros if it has none; whatever the buffers held is overwritten.
+    /// Buffers shorter than the parameter buffer are grown to it; values
+    /// past its length are left alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `loss` is not one scalar per segment, or the tape has
+    /// parameter windows and `grads` is not one buffer per segment.
+    pub fn backward_into(&mut self, loss: Var, grads: &mut [Vec<f32>]) {
+        let segments = self.bounds_of(loss).len() - 1;
+        let lm = self.mat(loss);
+        assert!(
+            lm.cols == 1 && lm.rows == segments,
+            "backward needs a scalar loss per segment, got [{} × {}] over {segments}",
+            lm.rows,
+            lm.cols
+        );
+        if self.windows > 0 {
+            assert_eq!(grads.len(), segments, "one gradient buffer per segment");
+        }
+        for g in grads.iter_mut().filter(|g| g.len() < self.params.len()) {
+            g.resize(self.params.len(), 0.0);
+        }
+        let mut sink = Sink { written: vec![false; self.windows * grads.len()], grads };
+        self.nodes[loss.0].grad = Some(Tensor::new(vec![1.0; segments], segments, 1));
+        let bounds = &self.bounds;
         for idx in (0..=loss.0).rev() {
             // A node's inputs all precede it: borrow them apart from it.
             let (inputs, rest) = self.nodes.split_at_mut(idx);
@@ -383,72 +601,99 @@ impl<'a> Tape<'a> {
                 continue;
             }
             let Some(gy) = node.grad.take() else { continue };
+            let segs = &bounds[node.seg];
             match &node.op {
                 Op::Leaf => unreachable!("leaves keep their gradient"),
                 &Op::MatmulNt { x, w } => {
                     let dx = kernels::g_w(gy.mat(), inputs[w].mat());
-                    let dw = kernels::gt_x(gy.mat(), inputs[x].mat());
+                    match inputs[w].value {
+                        Value::Owned(_) => {
+                            let dw = kernels::gt_x(gy.mat(), inputs[x].mat());
+                            accumulate(inputs, w, dw);
+                        }
+                        Value::Param { mat, off, slot } => {
+                            for (s, seg) in segs.windows(2).enumerate() {
+                                let dw = sink.window(slot, s, off, mat.data.len());
+                                let (g, x) =
+                                    (rows_of(gy.mat(), seg), rows_of(inputs[x].mat(), seg));
+                                kernels::gt_x_into(g, x, dw);
+                            }
+                        }
+                    }
                     accumulate(inputs, x, dx);
-                    accumulate(inputs, w, dw);
                 }
                 &Op::Add { a, b } => {
                     accumulate(inputs, a, gy.clone());
                     accumulate(inputs, b, gy);
                 }
                 &Op::Scale { x, c } => accumulate(inputs, x, gy.map(|v| c * v)),
-                &Op::Silu { x } => {
+                Op::Silu { x, sig } => {
                     let mut dx = gy;
-                    for (d, &v) in dx.data_mut().iter_mut().zip(inputs[x].mat().data) {
-                        let s = sigmoid(v);
+                    let xs = inputs[*x].mat().data.iter().zip(sig.data());
+                    for (d, (&v, &s)) in dx.data_mut().iter_mut().zip(xs) {
                         *d *= s * (1.0 + v * (1.0 - s));
                     }
-                    accumulate(inputs, x, dx);
+                    accumulate(inputs, *x, dx);
                 }
                 &Op::RmsNorm { x, gain, eps } => {
                     let (xv, g) = (inputs[x].mat(), inputs[gain].mat().data);
                     let n = xv.cols as f32;
                     let mut dx = Tensor::zeros(xv.rows, xv.cols);
-                    let mut dg = Tensor::zeros(1, xv.cols);
-                    for r in 0..xv.rows {
-                        let (row, gyr) = (xv.row(r), gy.row(r));
-                        let ms: f32 = row.iter().map(|v| v * v).sum::<f32>() / n;
-                        let inv = 1.0 / (ms + eps).sqrt();
-                        // s = Σ_i gy_i · g_i · x_i.
-                        let mut s = 0.0f32;
-                        for c in 0..xv.cols {
-                            s += gyr[c] * g[c] * row[c];
+                    let all_rows = [0, xv.rows];
+                    let mut dgs = Vec::new();
+                    for seg in runs(&inputs[gain], segs, &all_rows).windows(2) {
+                        let mut dg = Tensor::zeros(1, xv.cols);
+                        for r in seg[0]..seg[1] {
+                            let (row, gyr) = (xv.row(r), gy.row(r));
+                            let ms: f32 = row.iter().map(|v| v * v).sum::<f32>() / n;
+                            let inv = 1.0 / (ms + eps).sqrt();
+                            // s = Σ_i gy_i · g_i · x_i.
+                            let mut s = 0.0f32;
+                            for c in 0..xv.cols {
+                                s += gyr[c] * g[c] * row[c];
+                            }
+                            let (dxr, dgr) = (dx.row_mut(r), dg.data_mut());
+                            for c in 0..xv.cols {
+                                dxr[c] = gyr[c] * g[c] * inv - row[c] * s * inv.powi(3) / n;
+                                dgr[c] += gyr[c] * row[c] * inv;
+                            }
                         }
-                        let (dxr, dgr) = (dx.row_mut(r), dg.data_mut());
-                        for c in 0..xv.cols {
-                            dxr[c] = gyr[c] * g[c] * inv - row[c] * s * inv.powi(3) / n;
-                            dgr[c] += gyr[c] * row[c] * inv;
-                        }
+                        dgs.push(dg);
                     }
+                    deliver(inputs, &mut sink, gain, dgs);
                     accumulate(inputs, x, dx);
-                    accumulate(inputs, gain, dg);
                 }
                 &Op::CumMean { x } => {
-                    let (rows, cols) = (gy.rows(), gy.cols());
-                    let mut dx = Tensor::zeros(rows, cols);
+                    let cols = gy.cols();
+                    let mut dx = Tensor::zeros(gy.rows(), cols);
                     // dX_i = Σ_{t ≥ i} gy_t / (t+1): suffix sums.
                     let mut suffix = vec![0.0f32; cols];
-                    for t in (0..rows).rev() {
-                        let inv = 1.0 / (t as f32 + 1.0);
-                        for (s, g) in suffix.iter_mut().zip(gy.row(t)) {
-                            *s += g * inv;
+                    for seg in segs.windows(2) {
+                        suffix.fill(0.0);
+                        for r in (seg[0]..seg[1]).rev() {
+                            let inv = 1.0 / ((r - seg[0]) as f32 + 1.0);
+                            for (s, g) in suffix.iter_mut().zip(gy.row(r)) {
+                                *s += g * inv;
+                            }
+                            dx.row_mut(r).copy_from_slice(&suffix);
                         }
-                        dx.row_mut(t).copy_from_slice(&suffix);
                     }
                     accumulate(inputs, x, dx);
                 }
                 Op::Embed { table, ids } => {
-                    let mut dt = Tensor::zeros(inputs[*table].mat().rows, gy.cols());
-                    for (r, &id) in ids.iter().enumerate() {
-                        for (d, g) in dt.row_mut(id).iter_mut().zip(gy.row(r)) {
-                            *d += g;
+                    let vocab = inputs[*table].mat().rows;
+                    let all_rows = [0, ids.len()];
+                    let mut dts = Vec::new();
+                    for seg in runs(&inputs[*table], segs, &all_rows).windows(2) {
+                        let mut dt = Tensor::zeros(vocab, gy.cols());
+                        for r in seg[0]..seg[1] {
+                            for (d, g) in dt.row_mut(ids[r]).iter_mut().zip(gy.row(r)) {
+                                *d += g;
+                            }
                         }
+                        dts.push(dt);
                     }
-                    accumulate(inputs, *table, dt);
+                    deliver(inputs, &mut sink, *table, dts);
                 }
                 Op::GatherLogProb { logits, targets, probs } => {
                     let mut dl = Tensor::zeros(probs.rows(), probs.cols());
@@ -465,19 +710,17 @@ impl<'a> Tape<'a> {
                     accumulate(inputs, *logits, dl);
                 }
                 Op::MeanEntropy { logits, probs } => {
-                    let go = gy.get(0, 0) / probs.rows() as f32;
                     let mut dl = Tensor::zeros(probs.rows(), probs.cols());
-                    for r in 0..probs.rows() {
-                        let mut h = 0.0f32;
-                        for &p in probs.row(r).iter() {
-                            if p > 0.0 {
-                                h -= p * p.ln();
-                            }
-                        }
-                        for (d, &p) in dl.row_mut(r).iter_mut().zip(probs.row(r)) {
-                            if p > 0.0 {
-                                // dH/dz_c = -p_c (ln p_c + H).
-                                *d = go * (-p * (p.ln() + h));
+                    let rows = &bounds[inputs[*logits].seg];
+                    for (s, seg) in rows.windows(2).enumerate() {
+                        let go = gy.get(s, 0) / (seg[1] - seg[0]) as f32;
+                        for r in seg[0]..seg[1] {
+                            let h = entropy_sum(probs, r..r + 1);
+                            for (d, &p) in dl.row_mut(r).iter_mut().zip(probs.row(r)) {
+                                if p > 0.0 {
+                                    // dH/dz_c = -p_c (ln p_c + H).
+                                    *d = go * (-p * (p.ln() + h));
+                                }
                             }
                         }
                     }
@@ -486,55 +729,79 @@ impl<'a> Tape<'a> {
                 &Op::SliceRows { x, start } => {
                     let xm = inputs[x].mat();
                     let mut dx = Tensor::zeros(xm.rows, xm.cols);
-                    dx.data_mut()[start * xm.cols..][..gy.len()].copy_from_slice(gy.data());
+                    let from = bounds[inputs[x].seg].windows(2);
+                    for (seg, window) in from.zip(segs.windows(2)) {
+                        let g = rows_of(gy.mat(), window).data;
+                        dx.data_mut()[(seg[0] + start) * xm.cols..][..g.len()].copy_from_slice(g);
+                    }
                     accumulate(inputs, x, dx);
                 }
                 &Op::MeanAll { x } => {
                     let xm = inputs[x].mat();
-                    let go = gy.get(0, 0) / xm.data.len() as f32;
-                    accumulate(inputs, x, Tensor::new(vec![go; xm.data.len()], xm.rows, xm.cols));
+                    let mut dx = Tensor::zeros(xm.rows, xm.cols);
+                    let rows = &bounds[inputs[x].seg];
+                    for (s, seg) in rows.windows(2).enumerate() {
+                        let part = &mut dx.data_mut()[seg[0] * xm.cols..seg[1] * xm.cols];
+                        part.fill(gy.get(s, 0) / part.len() as f32);
+                    }
+                    accumulate(inputs, x, dx);
                 }
                 Op::PpoClip { logp, old_logp, adv, eps } => {
                     let lv = inputs[*logp].mat();
-                    let go = gy.get(0, 0) / old_logp.len() as f32;
                     let mut dl = Tensor::zeros(lv.rows, lv.cols);
-                    for t in 0..old_logp.len() {
-                        let r = (lv.data[t] - old_logp[t]).exp();
-                        let u = r * adv[t];
-                        let v = r.clamp(1.0 - eps, 1.0 + eps) * adv[t];
-                        // loss contribution is -min(u, v)/T.
-                        let d = if u <= v {
-                            // d u / d logp = r · A.
-                            -go * r * adv[t]
-                        } else if r > 1.0 - eps && r < 1.0 + eps {
-                            -go * r * adv[t]
-                        } else {
-                            0.0 // clipped branch: constant in logp
-                        };
-                        dl.data_mut()[t] = d;
+                    let rows = &bounds[inputs[*logp].seg];
+                    for (s, seg) in rows.windows(2).enumerate() {
+                        let go = gy.get(s, 0) / (seg[1] - seg[0]) as f32;
+                        for t in seg[0]..seg[1] {
+                            let r = (lv.data[t] - old_logp[t]).exp();
+                            let u = r * adv[t];
+                            let v = r.clamp(1.0 - eps, 1.0 + eps) * adv[t];
+                            // loss contribution is -min(u, v)/T.
+                            let d = if u <= v {
+                                // d u / d logp = r · A.
+                                -go * r * adv[t]
+                            } else if r > 1.0 - eps && r < 1.0 + eps {
+                                -go * r * adv[t]
+                            } else {
+                                0.0 // clipped branch: constant in logp
+                            };
+                            dl.data_mut()[t] = d;
+                        }
                     }
                     accumulate(inputs, *logp, dl);
                 }
                 Op::ValueClip { v, returns, old_v, eps } => {
                     let vv = inputs[*v].mat();
-                    let go = gy.get(0, 0) / returns.len() as f32;
                     let mut dv = Tensor::zeros(vv.rows, vv.cols);
-                    for t in 0..returns.len() {
-                        let val = vv.data[t];
-                        let delta = (val - old_v[t]).clamp(-eps, *eps);
-                        let clipped = old_v[t] + delta;
-                        let a = (val - returns[t]).powi(2);
-                        let b = (clipped - returns[t]).powi(2);
-                        let d = if a >= b {
-                            go * (val - returns[t])
-                        } else if (val - old_v[t]).abs() < *eps {
-                            go * (clipped - returns[t])
-                        } else {
-                            0.0
-                        };
-                        dv.data_mut()[t] = d;
+                    let rows = &bounds[inputs[*v].seg];
+                    for (s, seg) in rows.windows(2).enumerate() {
+                        let go = gy.get(s, 0) / (seg[1] - seg[0]) as f32;
+                        for t in seg[0]..seg[1] {
+                            let val = vv.data[t];
+                            let delta = (val - old_v[t]).clamp(-eps, *eps);
+                            let clipped = old_v[t] + delta;
+                            let a = (val - returns[t]).powi(2);
+                            let b = (clipped - returns[t]).powi(2);
+                            let d = if a >= b {
+                                go * (val - returns[t])
+                            } else if (val - old_v[t]).abs() < *eps {
+                                go * (clipped - returns[t])
+                            } else {
+                                0.0
+                            };
+                            dv.data_mut()[t] = d;
+                        }
                     }
                     accumulate(inputs, *v, dv);
+                }
+            }
+        }
+        // A window nothing flowed into has a zero gradient.
+        let segments = sink.grads.len();
+        for node in &self.nodes {
+            if let Value::Param { mat, off, slot } = node.value {
+                for s in (0..segments).filter(|s| !sink.written[slot * segments + s]) {
+                    sink.grads[s][off..off + mat.data.len()].fill(0.0);
                 }
             }
         }
@@ -737,5 +1004,97 @@ mod tests {
         let loss = tape.mean_all(y);
         tape.backward(loss);
         assert!((tape.grad(x).get(0, 0) - 2.0).abs() < 1e-6);
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A weight-tied toy model over `flat = [table | gain]`: the table
+    /// is the embedding *and* the output head, so its gradient is stored
+    /// by the head's `gᵀ·x` and then added to by the embedding.
+    fn tied_loss(tape: &mut Tape, table: Var, gain: Var, seqs: &[&[usize]]) -> Var {
+        let lens: Vec<usize> = seqs.iter().map(|s| s.len() - 1).collect();
+        let ids: Vec<usize> = seqs.iter().flat_map(|s| &s[..s.len() - 1]).copied().collect();
+        let targets: Vec<usize> = seqs.iter().flat_map(|s| &s[1..]).copied().collect();
+        let x = tape.embed_segments(table, &ids, &lens);
+        let c = tape.cum_mean(x);
+        let n = tape.rmsnorm(c, gain);
+        let logits = tape.matmul_nt(n, table);
+        let lp = tape.gather_log_prob(logits, &targets);
+        let mean = tape.mean_all(lp);
+        tape.scale(mean, -1.0)
+    }
+
+    #[test]
+    fn a_window_used_twice_stores_then_adds_like_a_leaf() {
+        let (vocab, h) = (7usize, 5usize);
+        let flat: Vec<f32> =
+            (0..vocab * h + h).map(|i| ((i * 37 % 23) as f32 - 11.0) * 0.09).collect();
+        let seqs: [&[usize]; 3] = [&[1, 4, 2, 6, 0], &[3, 3], &[5, 0, 1, 1, 2, 4, 6, 3, 0]];
+
+        // Each sequence alone, through leaves: `accumulate` sums the two
+        // uses of the table as it always has.
+        let alone: Vec<(f32, Vec<f32>)> = seqs
+            .iter()
+            .map(|seq| {
+                let mut tape = Tape::new();
+                let table = tape.leaf(Tensor::new(flat[..vocab * h].to_vec(), vocab, h));
+                let gain = tape.leaf(Tensor::new(flat[vocab * h..].to_vec(), 1, h));
+                let loss = tied_loss(&mut tape, table, gain, &[seq]);
+                tape.backward(loss);
+                let grad = [tape.grad(table).data(), tape.grad(gain).data()].concat();
+                (tape.value(loss).get(0, 0), grad)
+            })
+            .collect();
+
+        // All three stacked, through windows, into buffers full of NaN.
+        let mut tape = Tape::over(&flat);
+        let table = tape.param(0, vocab, h);
+        let gain = tape.param(vocab * h, 1, h);
+        let loss = tied_loss(&mut tape, table, gain, &seqs);
+        let losses = tape.value(loss).data().to_vec();
+        let mut grads = vec![vec![f32::NAN; flat.len() + 1]; 3];
+        tape.backward_into(loss, &mut grads);
+        for (s, (loss, grad)) in alone.iter().enumerate() {
+            assert_eq!(losses[s].to_bits(), loss.to_bits(), "loss of segment {s}");
+            assert_eq!(bits(&grads[s][..flat.len()]), bits(grad), "gradient of segment {s}");
+            assert!(grads[s][flat.len()].is_nan(), "values past the parameters are left alone");
+        }
+    }
+
+    #[test]
+    fn a_window_without_gradient_reads_zero_not_what_the_buffer_held() {
+        let flat = [0.5f32, -0.25, 2.0, 1.0, 9.0, 9.0, 3.0, -1.0];
+        let mut tape = Tape::over(&flat);
+        let used = tape.param(0, 2, 2);
+        let _unused = tape.param(6, 1, 2);
+        let x = tape.leaf(Tensor::new(vec![1.0, 2.0, 3.0, 4.0], 2, 2));
+        let y = tape.matmul_nt(x, used);
+        let loss = tape.mean_all(y);
+        let mut grads = [vec![f32::NAN; 8]];
+        tape.backward_into(loss, &mut grads);
+        // d mean / d w[j][k] = Σ_rows x[r][k] / 4; no window covers [4..6).
+        assert_eq!(grads[0][..4], [1.0, 1.5, 1.0, 1.5]);
+        assert_eq!(grads[0][6..], [0.0, 0.0]);
+        assert!(grads[0][4].is_nan() && grads[0][5].is_nan());
+    }
+
+    #[test]
+    fn reductions_restart_at_segment_boundaries() {
+        let mut tape = Tape::new();
+        let table = tape.leaf(Tensor::new(vec![1.0, 2.0, 4.0, 8.0], 4, 1));
+        let x = tape.embed_segments(table, &[0, 1, 2, 3, 1], &[2, 3]);
+        let c = tape.cum_mean(x);
+        let third = 14.0 * (1.0 / 3.0);
+        assert_eq!(tape.value(c).data(), &[1.0, 1.5, 4.0, 6.0, third]);
+        let tail = tape.slice_rows(c, 1, 2);
+        assert_eq!(tape.value(tail).data(), &[1.5, 6.0]);
+        let mean = tape.mean_all(c);
+        assert_eq!(tape.value(mean).data(), &[1.25, (4.0 + 6.0 + third) / 3.0]);
+        tape.backward(mean);
+        // One seed per segment; the leaf table sums over all rows.
+        let g = tape.grad(table);
+        assert!((g.get(0, 0) - 0.75).abs() < 1e-6, "{:?}", g.data());
     }
 }

@@ -6,7 +6,7 @@
 //! concurrently (asynchronous dataflow execution, §4.1); colocated
 //! models serialize automatically in device-mailbox order.
 
-use hf_core::{Controller, DataProto, Protocol, Result, WorkerGroup, WorkerLayout};
+use hf_core::{Controller, CoreError, DataProto, Protocol, Result, WorkerGroup, WorkerLayout};
 use hf_nn::LmConfig;
 use hf_rewards::{PoolConfig, VerifierKind, VerifierSpec};
 use hf_simcluster::ResourcePool;
@@ -115,6 +115,31 @@ impl RlhfConfig {
     }
 }
 
+impl RlhfConfig {
+    /// Turns down a configuration no driver can run: every count below
+    /// sizes a batch split, a token window or a weight matrix, and a
+    /// zero there would otherwise surface as a panic on the controller
+    /// (`updates`), a lost rank (`prompt_len`) or a NaN loss the run
+    /// trains on (`response_len`).
+    fn validate(&self) -> Result<()> {
+        let LmConfig { vocab, hidden, ffn, layers } = self.lm;
+        let counts = [
+            ("updates", self.updates),
+            ("prompt_len", self.prompt_len),
+            ("response_len", self.response_len),
+            ("grpo_group", self.grpo_group),
+            ("lm.vocab", vocab),
+            ("lm.hidden", hidden),
+            ("lm.ffn", ffn),
+            ("lm.layers", layers),
+        ];
+        match counts.iter().find(|(_, n)| *n == 0) {
+            Some((name, _)) => Err(CoreError::Config(format!("RlhfConfig: {name} must be >= 1"))),
+            None => Ok(()),
+        }
+    }
+}
+
 /// Where one model lives: its device pool and parallel layout.
 #[derive(Debug, Clone)]
 pub struct ModelPlacement {
@@ -192,6 +217,7 @@ impl RlhfSystem {
         cfg: RlhfConfig,
         zero_actor: bool,
     ) -> Result<RlhfSystem> {
+        cfg.validate()?;
         let hyper = cfg.hyper.clone();
         let lm = cfg.lm;
         let actor = if zero_actor {

@@ -11,22 +11,28 @@
 //! functions of replicated weights and the shared chunk, so what each
 //! rank ends up with is what it would have computed alone, bit for bit.
 //! (Real tensor-parallel *backward* stays out of scope: only the
-//! `tp_inference` forward passes shard the model itself.) Update methods
-//! all-reduce gradients over the rank's DP communicator — a real
-//! collective through the virtual NCCL — so model replicas stay in
-//! lock-step, exactly like data-parallel training.
+//! `tp_inference` forward passes shard the model itself.) A rank runs its
+//! rows through stacked tapes — whole sequences on one tape while they
+//! fit `hf_nn::STACK_ROWS`, each sequence's results bit for bit those of
+//! a tape of its own. Update methods sum their rows' gradients once per
+//! model-parallel group ([`RowFold`]) and all-reduce the sum over the
+//! rank's DP communicator — a real collective through the virtual NCCL —
+//! so model replicas stay in lock-step, exactly like data-parallel
+//! training.
 //!
 //! Sampling inside `generate_sequences` is seeded from the chunk
 //! contents and a per-call round counter, so all ranks holding the same
 //! chunk produce identical responses (the SPMD determinism the
 //! multi-controller paradigm relies on).
 
+use std::sync::Arc;
+
 use hf_core::{CoreError, DataProto, RankCtx, Result, Worker};
 use hf_genserve::{GenConfig, GenRequest, GenServer};
-use hf_nn::{Adam, LmConfig, TinyLm};
+use hf_nn::{stacks, Adam, LmConfig, TinyLm};
 use hf_parallel::shard::train_shard;
 use hf_parallel::ShardLayout;
-use hf_simcluster::tree_sum_parts;
+use hf_simcluster::{SumPart, TreeSum};
 
 /// Hyper-parameters the workers need.
 #[derive(Debug, Clone)]
@@ -147,16 +153,22 @@ fn f32_rows(data: &DataProto, name: &str) -> Result<(Vec<Vec<f32>>, usize)> {
     Ok(((0..rows).map(|r| vals[r * w..(r + 1) * w].to_vec()).collect(), w))
 }
 
+/// Rows `rows` of a per-row column, back to back: the column of one
+/// stacked tape.
+fn gather_rows(column: &[Vec<f32>], rows: &[usize]) -> Vec<f32> {
+    rows.iter().flat_map(|&i| &column[i]).copied().collect()
+}
+
 fn charge_tokens(ctx: &mut RankCtx, tokens: usize, hyper: &WorkerHyper) {
     let mp = ctx.layout.spec.mp() as f64;
     ctx.charge(tokens as f64 * hyper.per_token_latency / mp);
 }
 
-/// Computes `row(i)` for every row `i < n` of a chunk the transfer
-/// protocol gave to this rank's whole model-parallel group
-/// (`Protocol::ThreeD` methods only): rank `r` of the group computes the
-/// rows `i ≡ r (mod mp)`, and the peers swap results so each returns all
-/// `n`, in row order.
+/// Computes every row `i < n` of a chunk the transfer protocol gave to
+/// this rank's whole model-parallel group (`Protocol::ThreeD` methods
+/// only): rank `r` of the group computes the rows `i ≡ r (mod mp)` —
+/// `rows` is handed their indices and returns their results, in order —
+/// and the peers swap results so each returns all `n`, in row order.
 ///
 /// The swap is the raw group exchange, not a `Communicator` collective:
 /// no clock, no round count, no span. The virtual cost of the group's
@@ -167,10 +179,10 @@ fn charge_tokens(ctx: &mut RankCtx, tokens: usize, hyper: &WorkerHyper) {
 fn mp_rows<T: Clone + Send + Sync + 'static>(
     ctx: &RankCtx,
     n: usize,
-    row: impl FnMut(usize) -> T,
+    rows: impl FnOnce(&[usize]) -> Vec<T>,
 ) -> Vec<T> {
     let (mp, r) = (ctx.comms.mp.size(), ctx.comms.mp.rank());
-    let mine: Vec<T> = (r..n).step_by(mp).map(row).collect();
+    let mine = rows(&(r..n).step_by(mp).collect::<Vec<_>>());
     if mp == 1 {
         return mine;
     }
@@ -183,8 +195,19 @@ fn sequences(prompts: &[Vec<usize>], resps: &[Vec<usize>]) -> Vec<Vec<usize>> {
     prompts.iter().zip(resps).map(|(p, r)| [&p[..], &r[..]].concat()).collect()
 }
 
-/// Log-probs of every row's `rw` response tokens under `lm` (one plain
-/// forward per row, rows shared across the model-parallel group), flat
+/// `pass` over the sequences `seqs[i]`, `i` in `rows`, one stacked tape
+/// at a time ([`hf_nn::stacks`]); every sequence's result, in order.
+fn stacked<T>(
+    seqs: &[Vec<usize>],
+    rows: &[usize],
+    mut pass: impl FnMut(&[&[usize]]) -> Vec<T>,
+) -> Vec<T> {
+    let picked: Vec<&[usize]> = rows.iter().map(|&i| &seqs[i][..]).collect();
+    stacks(picked.iter().map(|s| s.len())).into_iter().flat_map(|run| pass(&picked[run])).collect()
+}
+
+/// Log-probs of every row's `rw` response tokens under `lm` (plain
+/// stacked forwards, rows shared across the model-parallel group), flat
 /// in row order.
 fn response_log_probs(
     lm: &TinyLm,
@@ -193,14 +216,179 @@ fn response_log_probs(
     seqs: &[Vec<usize>],
     rw: usize,
 ) -> Vec<f32> {
-    let rows = mp_rows(ctx, seqs.len(), |i| {
-        let lp = lm.log_probs(&seqs[i]);
-        lp[lp.len() - rw..].to_vec()
+    let rows = mp_rows(ctx, seqs.len(), |mine| {
+        stacked(seqs, mine, |run| lm.log_probs_stacked(run))
+            .into_iter()
+            .map(|lp| lp[lp.len() - rw..].to_vec())
+            .collect()
     });
     for seq in seqs {
         charge_tokens(ctx, seq.len(), hyper);
     }
     rows.concat()
+}
+
+/// What a model-parallel group made of the per-row gradients of an
+/// update method's chunk; every peer holds the same one.
+pub(crate) struct Folded {
+    /// The rows' gradients, tree-summed in row order, then the sum of
+    /// their weights — the chunk's row count: `[param_count + 1]`.
+    sum: Vec<f32>,
+    /// Every row's two scalars, in row order.
+    scalars: Vec<[f32; 2]>,
+}
+
+/// A chunk's gradient sum with its row count behind it, shared by the
+/// peers of the model-parallel group that folded it.
+#[derive(Clone)]
+pub(crate) struct GradSum(Arc<Folded>);
+
+impl AsRef<[f32]> for GradSum {
+    fn as_ref(&self) -> &[f32] {
+        &self.0.sum
+    }
+}
+
+impl SumPart for GradSum {
+    /// The sum's buffer, once no peer holds the fold any more.
+    fn owned(self) -> std::result::Result<Vec<f32>, Self> {
+        Arc::try_unwrap(self.0).map(|folded| folded.sum).map_err(GradSum)
+    }
+}
+
+/// [`GradSum`] without the row count: the gradient alone.
+pub(crate) struct GradOnly(pub GradSum);
+
+impl AsRef<[f32]> for GradOnly {
+    fn as_ref(&self) -> &[f32] {
+        let sum = self.0.as_ref();
+        &sum[..sum.len() - 1]
+    }
+}
+
+impl SumPart for GradOnly {
+    fn owned(self) -> std::result::Result<Vec<f32>, Self> {
+        let mut sum = self.0.owned().map_err(GradOnly)?;
+        sum.pop();
+        Ok(sum)
+    }
+}
+
+/// Sums the per-row gradients of a chunk once per model-parallel group,
+/// in the association of [`hf_simcluster::tree_sum_parts`] over the rows
+/// in row order. Rank `r` of the group computes the rows `i ≡ r (mod
+/// mp)` through stacked tapes. Alone (`mp == 1`) it feeds each row to the
+/// streaming sum as it is computed and fills the buffers the sum has
+/// consumed again, so `⌊log₂ n⌋ + 1` partial sums and one tape's rows are
+/// alive where `n` gradients were; with peers it keeps its rows until
+/// one untimed rendezvous ([`RowFold::finish`]) in which the peers
+/// *move* them to the last arriver, which feeds the same sum.
+///
+/// A row buffer is `[param_count + 1]`: the row's flat gradient, then
+/// its weight in the global mean — 1 for a row that counts, 0 for an
+/// auxiliary (ptx) row — so the sum's last value is the chunk's row
+/// count and rides through the DP all-reduce as it always has.
+///
+/// Buffers live for one update. Keeping them across updates was
+/// measured and bought no time, while what two colocated workers pin
+/// showed in `peak_rss_mib` (EXPERIMENTS.md, "one gradient path").
+struct RowFold<'c> {
+    ctx: &'c RankCtx,
+    tree: TreeSum,
+    len: usize,
+    /// Rows added so far, over all [`RowFold::rows`] calls.
+    total: usize,
+    /// Rows computed here and not yet fed to `tree`.
+    held: Vec<(Vec<f32>, [f32; 2])>,
+    scalars: Vec<[f32; 2]>,
+}
+
+impl<'c> RowFold<'c> {
+    fn new(ctx: &'c RankCtx, param_count: usize) -> Self {
+        let tree = TreeSum::default();
+        RowFold { ctx, tree, len: param_count + 1, total: 0, held: Vec::new(), scalars: Vec::new() }
+    }
+
+    fn feed(&mut self, rows: impl IntoIterator<Item = (Vec<f32>, [f32; 2])>) {
+        for (grad, scalars) in rows {
+            self.tree.push(grad);
+            self.scalars.push(scalars);
+        }
+    }
+
+    /// Appends one row per sequence of `seqs`, each of `weight`. `pass`
+    /// is handed the indices of the sequences of one stacked tape, the
+    /// sequences, and a buffer for each; it leaves each one's flat
+    /// gradient at the front of its buffer and returns each one's two
+    /// scalars.
+    fn rows(
+        &mut self,
+        seqs: &[Vec<usize>],
+        weight: f32,
+        mut pass: impl FnMut(&[usize], &[&[usize]], &mut [Vec<f32>]) -> Vec<[f32; 2]>,
+    ) {
+        let (mp, r) = (self.ctx.comms.mp.size(), self.ctx.comms.mp.rank());
+        // Row `i` of this call is row `total + i` of the fold.
+        let first = (r + mp - self.total % mp) % mp;
+        let mine: Vec<usize> = (first..seqs.len()).step_by(mp).collect();
+        self.total += seqs.len();
+        for run in stacks(mine.iter().map(|&i| seqs[i].len())) {
+            let picked: Vec<&[usize]> = mine[run.clone()].iter().map(|&i| &seqs[i][..]).collect();
+            let mut grads: Vec<Vec<f32>> =
+                picked.iter().map(|_| self.tree.buffer(self.len)).collect();
+            let scalars = pass(&mine[run], &picked, &mut grads);
+            for grad in grads.iter_mut() {
+                grad[self.len - 1] = weight;
+            }
+            self.held.extend(grads.into_iter().zip(scalars));
+            if mp == 1 {
+                let rows = std::mem::take(&mut self.held);
+                self.feed(rows);
+            }
+        }
+    }
+
+    /// What the rows fed so far add up to.
+    fn folded(self) -> Folded {
+        let sum = self.tree.finish().0.unwrap_or_else(|| vec![0.0; self.len]);
+        Folded { sum, scalars: self.scalars }
+    }
+
+    /// The sum of every row appended, and every row's scalars. With
+    /// peers this is the group's one rendezvous: the last arriver sums
+    /// every peer's rows.
+    fn finish(mut self) -> GradSum {
+        let (mp, r) = (self.ctx.comms.mp.size(), self.ctx.comms.mp.rank());
+        if mp == 1 {
+            return GradSum(Arc::new(self.folded()));
+        }
+        let mine = std::mem::take(&mut self.held);
+        let (total, ctx) = (self.total, self.ctx);
+        GradSum(ctx.comms.mp.group().exchange_fold(r, mine, |deposits| {
+            let mut peers: Vec<_> = deposits.into_iter().map(Vec::into_iter).collect();
+            self.feed((0..total).map(|i| peers[i % mp].next().expect("a row from its peer")));
+            self.folded()
+        }))
+    }
+}
+
+/// Synchronizes a chunk's gradient `sum` over the data-parallel group
+/// (a real collective; the row count rides along as the last value, so
+/// one collective carries both — counts are small integers, exact in
+/// f32) and steps `opt` on the mean: ONE division by the *global* row
+/// count, after the reduction.
+fn sync_and_step(ctx: &mut RankCtx, opt: &mut Adam, lm: &mut TinyLm, sum: GradSum) {
+    let mut step = |sum: &[f32]| {
+        let (grad, count) = sum.split_at(sum.len() - 1);
+        opt.step_mean(lm.flat_mut(), grad, count[0].max(1.0));
+    };
+    if ctx.comms.dp.size() > 1 {
+        let mut clock = ctx.clock;
+        step(&ctx.comms.dp.all_reduce_sum_shared(&mut clock, sum));
+        ctx.clock = clock;
+    } else {
+        step(sum.as_ref());
+    }
 }
 
 fn metrics(values: &[(&str, f32)]) -> DataProto {
@@ -557,18 +745,22 @@ impl ActorWorker {
         let mut responses: Vec<u32> = Vec::with_capacity(prompts.len() * resp_len);
         let mut lens: Vec<f32> = Vec::with_capacity(prompts.len());
         let mut logps: Vec<f32> = Vec::with_capacity(prompts.len() * resp_len);
-        // A plain loop, not `mp_rows`: this method is dispatched by the
+        // Every row here, not `mp_rows`: this method is dispatched by the
         // *generation* grouping, under which the training model-parallel
         // peers hold different rows (1-2-2 → 1-1-2-2).
+        let mut seqs = Vec::with_capacity(prompts.len());
         for (prompt, out) in prompts.iter().zip(&outs) {
             lens.push(out.tokens.len() as f32);
             let mut seq = prompt.clone();
             seq.extend_from_slice(&out.tokens);
             seq.resize(pw + resp_len, pad_token);
-            let lp = self.lm.log_probs(&seq);
-            logps.extend_from_slice(&lp[pw - 1..pw - 1 + resp_len]);
+            seqs.push(seq);
             responses.extend(out.tokens.iter().map(|&t| t as u32));
             responses.extend(std::iter::repeat_n(pad_token as u32, resp_len - out.tokens.len()));
+        }
+        let all_rows: Vec<usize> = (0..seqs.len()).collect();
+        for lp in stacked(&seqs, &all_rows, |run| self.lm.log_probs_stacked(run)) {
+            logps.extend_from_slice(&lp[pw - 1..pw - 1 + resp_len]);
         }
         let mut out = data.clone();
         out.insert_tokens("responses", responses, resp_len);
@@ -664,12 +856,12 @@ impl ActorWorker {
     /// PPO-ptx / Safe-RLHF auxiliary loss), no update.
     fn compute_loss(&mut self, data: DataProto, ctx: &mut RankCtx) -> Result<DataProto> {
         let (rows, _w) = token_rows(&data, "pretrain", self.lm.cfg.vocab)?;
-        let means = mp_rows(ctx, rows.len(), |i| {
-            let seq = &rows[i];
-            let mut fp = self.lm.forward(&seq[..seq.len() - 1]);
-            let lp = fp.tape.gather_log_prob(fp.logits, &seq[1..]);
-            let mean = fp.tape.mean_all(lp);
-            fp.tape.value(mean).get(0, 0)
+        let means = mp_rows(ctx, rows.len(), |mine| {
+            stacked(&rows, mine, |run| {
+                let (mut fp, lp) = self.lm.next_token_log_probs(run);
+                let mean = fp.tape.mean_all(lp);
+                fp.tape.value(mean).data().to_vec()
+            })
         });
         let mut total = 0.0f32;
         for (seq, mean) in rows.iter().zip(means) {
@@ -679,24 +871,15 @@ impl ActorWorker {
         Ok(metrics(&[("ptx_loss", total / rows.len().max(1) as f32)]))
     }
 
-    fn ptx_grad(&self, seq: &[usize]) -> (Vec<f32>, f32) {
-        let mut fp = self.lm.forward(&seq[..seq.len() - 1]);
-        let lp = fp.tape.gather_log_prob(fp.logits, &seq[1..]);
-        let mean = fp.tape.mean_all(lp);
-        let loss = fp.tape.scale(mean, -1.0);
-        let val = fp.tape.value(loss).get(0, 0);
-        (fp.backward(loss), val)
-    }
-
     /// Computes the *unscaled* PPO(+ptx) gradient sum over this rank's
-    /// chunk plus the chunk's row count, without synchronizing or
-    /// applying it (shared by the replicated and ZeRO update paths).
+    /// chunk with the chunk's row count behind it, without synchronizing
+    /// or applying it (shared by the replicated and ZeRO update paths).
     ///
     /// Per-row gradients combine in a balanced pairwise tree
-    /// ([`hf_simcluster::tree_sum_parts`], the same association the DP
-    /// collectives use for rank contributions) and the mean is taken by
-    /// ONE division by the *global* row count after synchronization.
-    /// The old mean-per-rank-then-average-ranks pipeline (left-fold sum,
+    /// ([`RowFold`], the same association the DP collectives use for
+    /// rank contributions) and the mean is taken by ONE division by the
+    /// *global* row count after synchronization. The old
+    /// mean-per-rank-then-average-ranks pipeline (left-fold sum,
     /// `/local_count`, all-reduce, `/d`) had a layout-dependent float
     /// association *and* mis-weighted rows under unequal chunks — both
     /// caught by the hf-audit differential oracle.
@@ -704,69 +887,79 @@ impl ActorWorker {
         &mut self,
         data: &DataProto,
         ctx: &mut RankCtx,
-    ) -> Result<(Vec<f32>, f32, DataProto)> {
+    ) -> Result<(GradSum, DataProto)> {
         let vocab = self.lm.cfg.vocab;
         let (prompts, pw) = release_peers(ctx, token_rows(data, "prompts", vocab))?;
         let (resps, rw) = release_peers(ctx, token_rows(data, "responses", vocab))?;
         let (old_logps, _) = f32_rows(data, "logp_old")?;
         let (advs, _) = f32_rows(data, "advantages")?;
         let ptx_coef: f32 = data.meta.get("ptx_coef").and_then(|s| s.parse().ok()).unwrap_or(0.0);
+        // Every column is checked before the first row is computed: the
+        // peers meet once, after all rows.
+        let pre = if ptx_coef > 0.0 && data.has("pretrain") {
+            release_peers(ctx, token_rows(data, "pretrain", vocab))?.0
+        } else {
+            Vec::new()
+        };
 
         let n = self.lm.cfg.param_count();
         let seqs = sequences(&prompts, &resps);
-        let rows = mp_rows(ctx, seqs.len(), |i| {
-            let seq = &seqs[i];
-            let mut fp = self.lm.forward(&seq[..seq.len() - 1]);
-            let lp_all = fp.tape.gather_log_prob(fp.logits, &seq[1..]);
+        let denom = prompts.len().max(1) as f32;
+        let (lm, hyper) = (&self.lm, &self.hyper);
+        let mut fold = RowFold::new(ctx, n);
+        fold.rows(&seqs, 1.0, |rows, run, grads| {
+            let (mut fp, lp_all) = lm.next_token_log_probs(run);
             let lp_resp = fp.tape.slice_rows(lp_all, pw - 1, pw - 1 + rw);
-            let ppo = fp.tape.ppo_clip_loss(lp_resp, &old_logps[i], &advs[i], self.hyper.clip);
+            let (old, adv) = (gather_rows(&old_logps, rows), gather_rows(&advs, rows));
+            let ppo = fp.tape.ppo_clip_loss(lp_resp, &old, &adv, hyper.clip);
             let logits_resp = fp.tape.slice_rows(fp.logits, pw - 1, pw - 1 + rw);
             let ent = fp.tape.mean_entropy(logits_resp);
-            let ent_term = fp.tape.scale(ent, -self.hyper.entropy_coef);
+            let ent_term = fp.tape.scale(ent, -hyper.entropy_coef);
             let loss = fp.tape.add(ppo, ent_term);
-            let (ppo, ent) = (fp.tape.value(ppo).get(0, 0), fp.tape.value(ent).get(0, 0));
-            (fp.backward(loss), ppo, ent)
+            let scalars: Vec<[f32; 2]> = (fp.tape.value(ppo).data().iter())
+                .zip(fp.tape.value(ent).data())
+                .map(|(&ppo, &ent)| [ppo, ent])
+                .collect();
+            fp.backward_into(loss, grads);
+            scalars
         });
-        let mut row_grads: Vec<Vec<f32>> = Vec::with_capacity(rows.len());
-        let mut loss_acc = 0.0f32;
-        let mut ent_acc = 0.0f32;
-        for (seq, (grad, ppo, ent)) in seqs.iter().zip(rows) {
+        // Scaled so the global division by the total row count
+        // reproduces `ptx_coef × mean(ptx grads)` when chunks are
+        // equal-sized.
+        let scale = ptx_coef / pre.len() as f32 * denom;
+        fold.rows(&pre, 0.0, |_, run, grads| {
+            let (mut fp, lp) = lm.next_token_log_probs(run);
+            let mean = fp.tape.mean_all(lp);
+            let loss = fp.tape.scale(mean, -1.0);
+            let scalars = fp.tape.value(loss).data().iter().map(|&l| [l, 0.0]).collect();
+            fp.backward_into(loss, grads);
+            for grad in grads.iter_mut() {
+                for g in grad[..n].iter_mut() {
+                    *g *= scale;
+                }
+            }
+            scalars
+        });
+        let sum = fold.finish();
+
+        let (mut loss_acc, mut ent_acc, mut ptx_loss) = (0.0f32, 0.0f32, 0.0f32);
+        let (ppo_rows, ptx_rows) = sum.0.scalars.split_at(seqs.len());
+        for (seq, [ppo, ent]) in seqs.iter().zip(ppo_rows) {
             loss_acc += ppo;
             ent_acc += ent;
-            row_grads.push(grad);
             charge_tokens(ctx, seq.len() * 3, &self.hyper);
         }
-        let count = prompts.len() as f32;
-        let denom = prompts.len().max(1) as f32;
-        let mut ptx_loss = 0.0f32;
-        if ptx_coef > 0.0 && data.has("pretrain") {
-            let (pre, _w) = release_peers(ctx, token_rows(data, "pretrain", vocab))?;
-            // Scaled so the global division by the total row count
-            // reproduces `ptx_coef × mean(ptx grads)` when chunks are
-            // equal-sized.
-            let scale = ptx_coef / pre.len() as f32 * denom;
-            let ptx_rows = mp_rows(ctx, pre.len(), |i| {
-                let (mut g, l) = self.ptx_grad(&pre[i]);
-                for gi in g.iter_mut() {
-                    *gi *= scale;
-                }
-                (g, l)
-            });
-            for (seq, (g, l)) in pre.iter().zip(ptx_rows) {
-                ptx_loss += l;
-                row_grads.push(g);
-                charge_tokens(ctx, seq.len() * 3, &self.hyper);
-            }
-            ptx_loss /= pre.len().max(1) as f32;
+        for (seq, [loss, _]) in pre.iter().zip(ptx_rows) {
+            ptx_loss += loss;
+            charge_tokens(ctx, seq.len() * 3, &self.hyper);
         }
-        let grad_sum =
-            if row_grads.is_empty() { vec![0.0f32; n] } else { tree_sum_parts(row_grads) };
+        ptx_loss /= pre.len().max(1) as f32;
         let m = metrics(&[
             ("actor_loss", loss_acc / denom),
             ("entropy", ent_acc / denom),
             ("ptx_loss", ptx_loss),
         ]);
-        Ok((grad_sum, count, m))
+        Ok((sum, m))
     }
 
     fn update_actor(&mut self, data: DataProto, ctx: &mut RankCtx) -> Result<DataProto> {
@@ -777,24 +970,8 @@ impl ActorWorker {
             // traces show where the mode flips.
             engine.to_training_traced(&ctx.clock, &ctx.telemetry, &ctx.gpu_track(), ctx.cause);
         }
-        let (mut grad, count, m) = self.actor_grads(&data, ctx)?;
-        let mut total = count;
-        // Data-parallel gradient synchronization (real collective). The
-        // row count rides along as a trailing element so one collective
-        // carries both; counts are small integers, exact in f32.
-        if ctx.comms.dp.size() > 1 {
-            let mut clock = ctx.clock;
-            grad.push(count);
-            let mut summed = ctx.comms.dp.all_reduce_sum(&mut clock, &grad);
-            ctx.clock = clock;
-            total = summed.pop().expect("count element");
-            grad = summed;
-        }
-        let denom = total.max(1.0);
-        for g in grad.iter_mut() {
-            *g /= denom;
-        }
-        self.opt.step(self.lm.flat_mut(), &grad);
+        let (sum, m) = self.actor_grads(&data, ctx)?;
+        sync_and_step(ctx, &mut self.opt, &mut self.lm, sum);
         self.weights_dirty = true;
         Ok(m)
     }
@@ -883,13 +1060,6 @@ impl CriticWorker {
         CriticWorker { lm, opt, hyper }
     }
 
-    fn response_values(&self, prompt: &[usize], resp: &[usize]) -> Vec<f32> {
-        let mut seq = prompt.to_vec();
-        seq.extend_from_slice(resp);
-        let vals = self.lm.values(&seq);
-        vals[prompt.len() - 1..prompt.len() - 1 + resp.len()].to_vec()
-    }
-
     /// Per-position values under real tensor parallelism (p = 1 path;
     /// the critic's preparation pass is a single forward, so only the TP
     /// dimension is sharded here).
@@ -914,7 +1084,7 @@ impl CriticWorker {
 
     fn compute_values(&mut self, data: DataProto, ctx: &mut RankCtx) -> Result<DataProto> {
         let vocab = self.lm.cfg.vocab;
-        let (prompts, _pw) = token_rows(&data, "prompts", vocab)?;
+        let (prompts, pw) = token_rows(&data, "prompts", vocab)?;
         let (resps, rw) = token_rows(&data, "responses", vocab)?;
         let tp = self.hyper.tp_inference
             && ctx.layout.spec.t > 1
@@ -936,8 +1106,13 @@ impl CriticWorker {
                 values
             }
             None => {
-                let rows =
-                    mp_rows(ctx, prompts.len(), |i| self.response_values(&prompts[i], &resps[i]));
+                let seqs = sequences(&prompts, &resps);
+                let rows = mp_rows(ctx, seqs.len(), |mine| {
+                    stacked(&seqs, mine, |run| self.lm.values_stacked(run))
+                        .into_iter()
+                        .map(|v| v[pw - 1..pw - 1 + rw].to_vec())
+                        .collect()
+                });
                 for (p, r) in prompts.iter().zip(resps.iter()) {
                     charge_tokens(ctx, p.len() + r.len(), &self.hyper);
                 }
@@ -954,43 +1129,28 @@ impl CriticWorker {
         let (resps, rw) = release_peers(ctx, token_rows(&data, "responses", vocab))?;
         let (returns, _) = f32_rows(&data, "returns")?;
         let (old_values, _) = f32_rows(&data, "values")?;
-        let n = self.lm.cfg.param_count();
         let seqs = sequences(&prompts, &resps);
-        let rows = mp_rows(ctx, seqs.len(), |i| {
-            let mut fp = self.lm.forward(&seqs[i]);
+        let (lm, vclip) = (&self.lm, self.hyper.vclip);
+        let mut fold = RowFold::new(ctx, lm.cfg.param_count());
+        fold.rows(&seqs, 1.0, |rows, run, grads| {
+            let mut fp = lm.forward_stacked(run);
             let v_resp = fp.tape.slice_rows(fp.values, pw - 1, pw - 1 + rw);
-            let loss =
-                fp.tape.value_clip_loss(v_resp, &returns[i], &old_values[i], self.hyper.vclip);
-            let value = fp.tape.value(loss).get(0, 0);
-            (fp.backward(loss), value)
+            let (ret, old) = (gather_rows(&returns, rows), gather_rows(&old_values, rows));
+            let loss = fp.tape.value_clip_loss(v_resp, &ret, &old, vclip);
+            let scalars = fp.tape.value(loss).data().iter().map(|&l| [l, 0.0]).collect();
+            fp.backward_into(loss, grads);
+            scalars
         });
-        let mut row_grads: Vec<Vec<f32>> = Vec::with_capacity(rows.len());
-        let mut loss_acc = 0.0f32;
-        for (seq, (grad, loss)) in seqs.iter().zip(rows) {
-            loss_acc += loss;
-            row_grads.push(grad);
-            charge_tokens(ctx, seq.len() * 3, &self.hyper);
-        }
         // Same layout-invariant reduction as the actor: balanced
         // pairwise-tree row sums, one division by the global row count.
-        let count = prompts.len() as f32;
+        let sum = fold.finish();
+        let mut loss_acc = 0.0f32;
+        for (seq, [loss, _]) in seqs.iter().zip(&sum.0.scalars) {
+            loss_acc += loss;
+            charge_tokens(ctx, seq.len() * 3, &self.hyper);
+        }
         let denom_local = prompts.len().max(1) as f32;
-        let mut grad_acc =
-            if row_grads.is_empty() { vec![0.0f32; n] } else { tree_sum_parts(row_grads) };
-        let mut total = count;
-        if ctx.comms.dp.size() > 1 {
-            let mut clock = ctx.clock;
-            grad_acc.push(count);
-            let mut summed = ctx.comms.dp.all_reduce_sum(&mut clock, &grad_acc);
-            ctx.clock = clock;
-            total = summed.pop().expect("count element");
-            grad_acc = summed;
-        }
-        let denom = total.max(1.0);
-        for g in grad_acc.iter_mut() {
-            *g /= denom;
-        }
-        self.opt.step(self.lm.flat_mut(), &grad_acc);
+        sync_and_step(ctx, &mut self.opt, &mut self.lm, sum);
         Ok(metrics(&[("critic_loss", loss_acc / denom_local)]))
     }
 }
@@ -1136,8 +1296,10 @@ impl Worker for RewardWorker {
         let (resps, rw) = token_rows(&data, "responses", vocab)?;
         let (resp_raw, _) = data.tokens("responses")?;
         let mut out = DataProto::with_rows(prompts.len());
-        let scores = mp_rows(ctx, prompts.len(), |i| {
-            self.score(&prompts[i], &resps[i], &resp_raw[i * rw..(i + 1) * rw])
+        let scores = mp_rows(ctx, prompts.len(), |mine| {
+            let score =
+                |&i: &usize| self.score(&prompts[i], &resps[i], &resp_raw[i * rw..(i + 1) * rw]);
+            mine.iter().map(score).collect()
         });
         for (p, r) in prompts.iter().zip(resps.iter()) {
             charge_tokens(ctx, p.len() + r.len(), &self.hyper);
@@ -1164,8 +1326,10 @@ mod tests {
                     Box::new(|_: &str, data: DataProto, ctx: &mut RankCtx| {
                         // Each row's value, stamped with the peer that
                         // computed it.
-                        let rows = mp_rows(ctx, data.rows(), |i| {
-                            vec![(i * i) as f32 + 0.5, ctx.comms.mp.rank() as f32]
+                        let rows = mp_rows(ctx, data.rows(), |mine| {
+                            let row =
+                                |&i: &usize| vec![(i * i) as f32 + 0.5, ctx.comms.mp.rank() as f32];
+                            mine.iter().map(row).collect()
                         });
                         let mut out = DataProto::with_rows(rows.len());
                         out.insert_f32("rows", rows.concat(), 2);
@@ -1182,6 +1346,66 @@ mod tests {
                 let expect: Vec<f32> =
                     (0..n).flat_map(|i| [(i * i) as f32 + 0.5, (i % mp) as f32]).collect();
                 assert_eq!(out.f32("rows").unwrap().0, expect.repeat(mp), "mp={mp} rows={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn row_fold_gives_every_peer_the_tree_sum_of_all_rows_in_row_order() {
+        // Row `i` of kind `k` "computes" a gradient that depends on both,
+        // with magnitudes far enough apart that another association or
+        // order would round differently.
+        fn grad(kind: usize, i: usize) -> Vec<f32> {
+            let scale = 10f32.powi((i as i32 * 3 + kind as i32) % 7 - 3);
+            (0..5).map(|c| ((i * 13 + c * 7 + kind * 5) as f32 * 0.61).sin() * scale).collect()
+        }
+        for mp in [1usize, 2, 4] {
+            let ctrl = Controller::new(ClusterSpec::a100_with_gpus(mp));
+            let layout = WorkerLayout::train_only(ParallelSpec::new(1, mp, 1));
+            let group = ctrl
+                .spawn_group("fold", &ResourcePool::contiguous(0, mp), layout, |_r| {
+                    Box::new(|_: &str, data: DataProto, ctx: &mut RankCtx| {
+                        // `a` counted rows, then `b` auxiliary ones, all
+                        // 12 tokens long: two to a stacked tape.
+                        let (a, b) = (data.rows(), data.rows() / 2);
+                        let mut fold = RowFold::new(ctx, 5);
+                        for (kind, n, weight) in [(0, a, 1.0), (1, b, 0.0)] {
+                            fold.rows(&vec![vec![0usize; 12]; n], weight, |rows, run, grads| {
+                                assert_eq!((rows.len(), run.len()), (grads.len(), grads.len()));
+                                for (&i, g) in rows.iter().zip(grads.iter_mut()) {
+                                    g[..5].copy_from_slice(&grad(kind, i));
+                                }
+                                rows.iter().map(|&i| [i as f32, kind as f32]).collect()
+                            });
+                        }
+                        let sum = fold.finish();
+                        let mut out = DataProto::with_rows(1);
+                        out.insert_f32("sum", sum.as_ref().to_vec(), 6);
+                        // (A leading marker: a reply column may not be empty.)
+                        let scalars = [&[-1.0][..], &sum.0.scalars.concat()].concat();
+                        out.insert_f32("scalars", scalars, 1 + 2 * (a + b));
+                        Ok(out)
+                    })
+                })
+                .unwrap();
+            for n in [0usize, 1, 3, 8, 11] {
+                let mut batch = DataProto::with_rows(n);
+                batch.insert_f32("x", vec![0.0; n], 1);
+                let out = group.call_sync("fold", &batch, Protocol::AllToAll).unwrap();
+                let rows = (0..n).map(|i| (0, i, 1.0)).chain((0..n / 2).map(|i| (1, i, 0.0)));
+                let parts: Vec<Vec<f32>> =
+                    rows.clone().map(|(k, i, w)| [grad(k, i), vec![w]].concat()).collect();
+                let expect = if parts.is_empty() {
+                    vec![0.0; 6]
+                } else {
+                    hf_simcluster::tree_sum_parts(parts)
+                };
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(out.f32("sum").unwrap().0), bits(&expect.repeat(mp)), "{mp} {n}");
+                assert_eq!(expect[5], n as f32, "the sum's last value is the row count");
+                let scalars = rows.flat_map(|(k, i, _)| [i as f32, k as f32]);
+                let scalars: Vec<f32> = std::iter::once(-1.0).chain(scalars).collect();
+                assert_eq!(out.f32("scalars").unwrap().0, scalars.repeat(mp), "mp={mp} rows={n}");
             }
         }
     }

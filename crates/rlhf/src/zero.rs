@@ -11,9 +11,9 @@
 
 use hf_core::{CoreError, DataProto, RankCtx, Result, Worker};
 use hf_nn::{Adam, LmConfig};
-use hf_simcluster::{Communicator, VirtualClock};
+use hf_simcluster::{Communicator, SumPart, VirtualClock};
 
-use crate::workers::{ActorWorker, WorkerHyper};
+use crate::workers::{ActorWorker, GradOnly, WorkerHyper};
 
 /// A ZeRO-3 parameter store: this rank's contiguous shard of the flat
 /// parameter vector plus shard-local optimizer state.
@@ -21,7 +21,6 @@ pub struct ZeroParamStore {
     shard: Vec<f32>,
     start: usize,
     total: usize,
-    world: usize,
     rank: usize,
     opt: Adam,
     /// Padded shard length (uniform across ranks so collectives align).
@@ -42,7 +41,7 @@ impl ZeroParamStore {
         let end = ((rank + 1) * padded).min(total);
         let mut shard = full[start..end].to_vec();
         shard.resize(padded, 0.0);
-        ZeroParamStore { opt: Adam::new(padded, lr), shard, start, total, world, rank, padded }
+        ZeroParamStore { opt: Adam::new(padded, lr), shard, start, total, rank, padded }
     }
 
     /// Bytes of parameters resident on this rank (the ZeRO-3 memory
@@ -60,8 +59,9 @@ impl ZeroParamStore {
     }
 
     /// Reduce-scatters `full_grad` (each rank's *unscaled* chunk
-    /// gradient sum), divides by the global row count, and applies Adam
-    /// to this rank's shard.
+    /// gradient sum, given by value: nothing of its size is copied),
+    /// divides by the global row count, and applies Adam to this rank's
+    /// shard.
     ///
     /// `local_rows` is this rank's chunk row count; the counts are
     /// all-reduced (exact: small integers in f32) so the mean divides by
@@ -71,28 +71,22 @@ impl ZeroParamStore {
     ///
     /// # Panics
     ///
-    /// Panics if `full_grad.len() != total`.
+    /// Panics if `full_grad` does not hold `total` values.
     pub fn apply_grads(
         &mut self,
         comm: &Communicator,
         clock: &mut VirtualClock,
-        full_grad: &[f32],
+        full_grad: impl SumPart,
         local_rows: f32,
     ) {
-        assert_eq!(full_grad.len(), self.total, "gradient length mismatch");
-        let mut padded_grad = full_grad.to_vec();
-        padded_grad.resize(self.padded_total(), 0.0);
-        let mut my_grad = comm.reduce_scatter_sum(clock, &padded_grad);
+        assert_eq!(full_grad.as_ref().len(), self.total, "gradient length mismatch");
+        // Chunks of `padded` values, charged as the padded vector; the
+        // padding behind the last rank's values has a zero gradient.
+        let summed = comm.reduce_scatter_sum_shared(clock, full_grad);
         let total_rows = comm.all_reduce_sum(clock, &[local_rows])[0];
-        let denom = total_rows.max(1.0);
-        for g in my_grad.iter_mut() {
-            *g /= denom;
-        }
-        self.opt.step(&mut self.shard, &my_grad);
-    }
-
-    fn padded_total(&self) -> usize {
-        self.padded * self.world
+        let mut my_grad = summed.to_vec();
+        my_grad.resize(self.padded, 0.0);
+        self.opt.step_mean(&mut self.shard, &my_grad, total_rows.max(1.0));
     }
 
     /// This rank's shard slice within the flat vector.
@@ -196,12 +190,13 @@ impl Worker for ZeroActorWorker {
         self.inner.mark_weights_dirty();
         match method {
             "update_actor" => {
-                let (grad, count, m) = self.inner.actor_grads(&data, ctx)?;
+                let (sum, m) = self.inner.actor_grads(&data, ctx)?;
                 let store = self.store.as_mut().expect("store initialized");
                 // The gradient reduce-scatter runs as a second collective
                 // round on the world communicator.
                 let mut clock = ctx.clock;
-                store.apply_grads(&ctx.comms.world, &mut clock, &grad, count);
+                let count = *sum.as_ref().last().expect("the row count");
+                store.apply_grads(&ctx.comms.world, &mut clock, GradOnly(sum), count);
                 ctx.clock = clock;
                 Ok(m)
             }

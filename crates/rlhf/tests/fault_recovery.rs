@@ -122,6 +122,48 @@ fn killed_reference_peer_releases_its_row_sharing_partner() {
     });
 }
 
+/// `update_actor` sums its rows' gradients in one rendezvous of the
+/// tensor-parallel pair, ahead of the DP all-reduce. A peer killed on
+/// that call never brings its rows: its partner must leave the fold with
+/// `PeerFailed`, and so must the other replica at the all-reduce the
+/// dead pair never joins.
+#[test]
+fn killed_actor_peer_releases_its_partner_from_the_gradient_fold() {
+    with_watchdog(120, || {
+        let baseline_store = fresh_store("fold-kill-baseline");
+        run(&baseline_store, None);
+
+        // Two updates an iteration: the third is the second iteration's.
+        let plan = kill("actor", 1, "update_actor", 3);
+        let injector = FaultInjector::new(plan.clone());
+        let ctrl = controller_4gpu(Some(injector));
+        let cfg = RlhfConfig::tiny();
+        let sys = RlhfSystem::build(&ctrl, &placement_4gpu(true, false), cfg.clone()).unwrap();
+        let prompts = |i| make_prompts(8, cfg.prompt_len, cfg.response_len, cfg.lm.vocab as u32, i);
+        ppo_iteration(&sys, &ctrl, &prompts(0)).expect("the first iteration is fault-free");
+        let err = ppo_iteration(&sys, &ctrl, &prompts(1)).unwrap_err();
+        assert!(matches!(err, CoreError::WorkerPanicked(_)), "root cause is the kill: {err:?}");
+        assert_eq!(ctrl.lost_ranks().len(), 1, "the aborts of the other three are not losses");
+        assert_eq!(
+            ctrl.telemetry().counter("resilience.peer_failures"),
+            3,
+            "rank 0 leaves the fold, ranks 2 and 3 the all-reduce, each with PeerFailed"
+        );
+
+        let store = fresh_store("fold-kill");
+        let (report, fired) = run(&store, Some(plan));
+        assert_eq!(fired, 1);
+        assert_eq!(report.stats.failures, 1);
+        assert_eq!(report.stats.recoveries, 1);
+        assert_eq!(report.history.len(), 3);
+        assert_eq!(
+            baseline_store.load_group(3, "actor").unwrap(),
+            store.load_group(3, "actor").unwrap(),
+            "recovered run must be bit-identical to the fault-free run"
+        );
+    });
+}
+
 /// A compound fault: the recovery from the first kill is itself hit — a
 /// second rank dies inside the restore broadcast (`load_checkpoint`, the
 /// respawned actor's first). That is one more failure for the loop to

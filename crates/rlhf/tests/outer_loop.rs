@@ -9,18 +9,22 @@ use hf_core::CoreError;
 use hf_rlhf::{remap_recoverable, Algorithm, FixedPlacement, RemapConfig, RemapReport, RlhfConfig};
 
 fn run(tag: &str, cfg: &RemapConfig, critic: bool, cost: bool) -> hf_core::Result<RemapReport> {
+    run_with(tag, cfg, RlhfConfig::tiny(), critic, cost)
+}
+
+fn run_with(
+    tag: &str,
+    cfg: &RemapConfig,
+    rlhf: RlhfConfig,
+    critic: bool,
+    cost: bool,
+) -> hf_core::Result<RemapReport> {
     let ctrl = controller_4gpu(None);
     let placement = placement_4gpu(critic, cost);
     let mut planner = FixedPlacement(placement.clone());
-    let report = remap_recoverable(
-        &ctrl,
-        &fresh_store(tag),
-        cfg,
-        &placement,
-        RlhfConfig::tiny(),
-        &mut planner,
-    );
+    let report = remap_recoverable(&ctrl, &fresh_store(tag), cfg, &placement, rlhf, &mut planner);
     assert_eq!(ctrl.telemetry().counter("remap.events"), 0, "nothing failed, nothing re-placed");
+    assert!(ctrl.lost_ranks().is_empty(), "a configuration error costs no rank");
     report
 }
 
@@ -71,4 +75,30 @@ fn zero_checkpoint_interval_is_a_config_error() {
     let cfg = RemapConfig { checkpoint_every: 0, ..Default::default() };
     let err = run("loop-every-0", &cfg, true, false).unwrap_err();
     assert!(matches!(err, CoreError::Config(_)), "{err:?}");
+}
+
+/// A zero in any count of `RlhfConfig` is turned down when the system
+/// is built — before it can panic the controller in `DataProto::chunk`
+/// (`updates`), underflow `pw - 1` inside a rank thread (`prompt_len`),
+/// or divide a loss by zero rows and train on NaN (`response_len`).
+#[test]
+fn a_zero_count_in_the_rlhf_config_is_a_config_error() {
+    type Edit = fn(&mut RlhfConfig);
+    let zeros: [(&str, Edit); 8] = [
+        ("updates", |c| c.updates = 0),
+        ("prompt_len", |c| c.prompt_len = 0),
+        ("response_len", |c| c.response_len = 0),
+        ("grpo_group", |c| c.grpo_group = 0),
+        ("lm.vocab", |c| c.lm.vocab = 0),
+        ("lm.hidden", |c| c.lm.hidden = 0),
+        ("lm.ffn", |c| c.lm.ffn = 0),
+        ("lm.layers", |c| c.lm.layers = 0),
+    ];
+    for (name, zero) in zeros {
+        let mut rlhf = RlhfConfig::tiny();
+        zero(&mut rlhf);
+        let cfg = RemapConfig { iterations: 1, ..Default::default() };
+        let err = run_with(&format!("loop-zero-{name}"), &cfg, rlhf, true, false).unwrap_err();
+        assert!(matches!(&err, CoreError::Config(why) if why.contains(name)), "{name}: {err:?}");
+    }
 }

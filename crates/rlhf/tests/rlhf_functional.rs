@@ -258,6 +258,40 @@ fn out_of_vocab_row_is_turned_down_by_every_model_parallel_peer() {
 }
 
 #[test]
+fn out_of_vocab_pretrain_row_is_turned_down_before_the_gradient_fold() {
+    // A 1-2-2 actor with a ptx column: PPO rows and ptx rows go into ONE
+    // rendezvous of each tensor-parallel pair, so every column must be
+    // checked before the first row is computed. Both peers of the pair
+    // holding the malformed pretrain row reply `Config` without entering
+    // the fold (one entering alone would wait forever); the other pair,
+    // whose chunk is fine, is released from the DP all-reduce.
+    use hf_rlhf::workers::{ActorWorker, WorkerHyper};
+    let ctrl = controller(4);
+    let layout = WorkerLayout::train_only(ParallelSpec::new(1, 2, 2));
+    let lm = hf_nn::LmConfig::tiny();
+    let group = ctrl
+        .spawn_group("actor", &ResourcePool::contiguous(0, 4), layout, |_r| {
+            Box::new(ActorWorker::new(lm, WorkerHyper::default())) as Box<dyn Worker>
+        })
+        .unwrap();
+    let prompts = make_prompts(8, 6, 6, lm.vocab as u32, 0);
+    let mut batch = group.call_sync("generate_sequences", &prompts, Protocol::ThreeD).unwrap();
+    let w = batch.tokens("responses").unwrap().1;
+    batch.insert_f32("advantages", vec![0.5; 8 * w], w);
+    let mut pretrain = vec![2u32; 8 * 10];
+    pretrain[3] = lm.vocab as u32;
+    batch.insert_tokens("pretrain", pretrain, 10);
+    batch.meta.insert("ptx_coef".into(), "0.2".into());
+    let err = group
+        .call("update_actor", &batch, Protocol::ThreeD)
+        .unwrap()
+        .wait_deadline(std::time::Duration::from_secs(60))
+        .unwrap_err();
+    assert!(matches!(err, CoreError::Config(_)), "{err:?}");
+    assert!(ctrl.lost_ranks().is_empty());
+}
+
+#[test]
 fn standalone_placement_also_learns() {
     // OpenRLHF-style placement: every model on its own devices.
     let cfg = RlhfConfig::tiny();

@@ -443,10 +443,18 @@ impl Communicator {
     ///
     /// Aborts the group if member buffer lengths differ.
     pub fn all_reduce_sum(&self, clock: &mut VirtualClock, data: &[f32]) -> Vec<f32> {
-        let bytes = (data.len() * 4) as f64;
-        self.collective(clock, data.to_vec(), CollectiveKind::AllReduce, bytes, sum_equal_parts)
-            .1
-            .clone()
+        self.all_reduce_sum_shared(clock, data.to_vec()).to_vec()
+    }
+
+    /// [`Communicator::all_reduce_sum`] of parts given by value — a
+    /// buffer the member owns or one it shares with other holders — to
+    /// the one [`Reduced`] sum every member reads: nothing of the
+    /// parts' size is copied on the way in or out.
+    pub fn all_reduce_sum_shared<P: SumPart>(&self, clock: &mut VirtualClock, part: P) -> Reduced {
+        let len = part.as_ref().len();
+        let kind = CollectiveKind::AllReduce;
+        let sum = self.collective(clock, part, kind, (len * 4) as f64, sum_equal_parts);
+        Reduced { sum, range: 0..len }
     }
 
     /// Ring reduce-scatter (sum): rank `i` receives the `i`-th equal chunk
@@ -458,18 +466,25 @@ impl Communicator {
     ///
     /// Panics if the buffer length is not divisible by the group size.
     pub fn reduce_scatter_sum(&self, clock: &mut VirtualClock, data: &[f32]) -> Vec<f32> {
-        let n = self.size();
-        assert_eq!(data.len() % n, 0, "reduce_scatter length must divide evenly");
-        let bytes = (data.len() * 4) as f64;
-        let out = self.collective(
-            clock,
-            data.to_vec(),
-            CollectiveKind::ReduceScatter,
-            bytes,
-            sum_equal_parts,
-        );
-        let chunk = out.1.len() / n;
-        out.1[self.rank * chunk..(self.rank + 1) * chunk].to_vec()
+        assert_eq!(data.len() % self.size(), 0, "reduce_scatter length must divide evenly");
+        self.reduce_scatter_sum_shared(clock, data.to_vec()).to_vec()
+    }
+
+    /// [`Communicator::reduce_scatter_sum`] of parts given by value, of
+    /// any common length: chunks are `⌈len / n⌉` long, so the last
+    /// members' chunks may be short or empty, and the collective is
+    /// charged for `n` whole chunks — what padding the parts would cost.
+    /// The [`Reduced`] result reads as this member's chunk.
+    pub fn reduce_scatter_sum_shared<P: SumPart>(
+        &self,
+        clock: &mut VirtualClock,
+        part: P,
+    ) -> Reduced {
+        let (n, len) = (self.size(), part.as_ref().len());
+        let chunk = len.div_ceil(n);
+        let kind = CollectiveKind::ReduceScatter;
+        let sum = self.collective(clock, part, kind, (chunk * n * 4) as f64, sum_equal_parts);
+        Reduced { sum, range: (self.rank * chunk).min(len)..((self.rank + 1) * chunk).min(len) }
     }
 
     /// Broadcast from `root`; only the root's `data` is used.
@@ -548,17 +563,146 @@ fn latest<T>(all: &[(f64, T)]) -> f64 {
     all.iter().map(|(t, _)| *t).fold(0.0_f64, f64::max)
 }
 
-/// [`tree_sum_parts`] over rank contributions, which must agree in length.
-fn sum_equal_parts(parts: Vec<Vec<f32>>) -> Vec<f32> {
-    let len = parts[0].len();
-    for p in &parts {
-        assert_eq!(p.len(), len, "reduced buffers must have equal length");
+/// What a reduction collective folded, once for the whole group: every
+/// member reads its result — the whole sum of an all-reduce, its own
+/// chunk of a reduce-scatter — out of the same shared buffer.
+#[derive(Debug)]
+pub struct Reduced {
+    sum: Arc<(f64, Vec<f32>)>,
+    range: std::ops::Range<usize>,
+}
+
+impl std::ops::Deref for Reduced {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        &self.sum.1[self.range.clone()]
     }
-    tree_sum_parts(parts)
+}
+
+/// A member's part of a sum collective, given by value: a buffer the
+/// member owns, or one it shares with other holders and only lends.
+pub trait SumPart: AsRef<[f32]> + Send + Sized + 'static {
+    /// The buffer itself, if this part owns one it can give away: the
+    /// sum is then formed in it, without an allocation.
+    fn owned(self) -> Result<Vec<f32>, Self> {
+        Err(self)
+    }
+}
+
+impl SumPart for Vec<f32> {
+    fn owned(self) -> Result<Vec<f32>, Self> {
+        Ok(self)
+    }
+}
+
+/// The balanced pairwise-tree sum of rank contributions, which must
+/// agree in length: the tree's first level pair by pair — in the left
+/// part's buffer if it owns one, into a new one if it is shared — and
+/// the levels above it by [`TreeSum`].
+fn sum_equal_parts<P: SumPart>(parts: Vec<P>) -> Vec<f32> {
+    let len = parts[0].as_ref().len();
+    for p in &parts {
+        assert_eq!(p.as_ref().len(), len, "reduced buffers must have equal length");
+    }
+    let mut tree = TreeSum::default();
+    let mut parts = parts.into_iter();
+    while let Some(left) = parts.next() {
+        let right = parts.next();
+        let right = right.as_ref().map(|r| r.as_ref());
+        tree.push(match (left.owned(), right) {
+            (Ok(mut sum), Some(right)) => {
+                sum.iter_mut().zip(right).for_each(|(x, y)| *x += y);
+                sum
+            }
+            (Err(left), Some(right)) => {
+                left.as_ref().iter().zip(right).map(|(x, y)| x + y).collect()
+            }
+            // An odd tail is carried up as it is.
+            (Ok(sum), None) => sum,
+            (Err(left), None) => left.as_ref().to_vec(),
+        });
+    }
+    tree.finish().0.expect("a group has at least one member")
+}
+
+/// A streaming balanced pairwise-tree sum of equal-length vectors: parts
+/// are pushed one at a time, in order, and combine exactly as
+/// [`tree_sum_parts`] combines the whole list — neighbours pairwise,
+/// level by level, an odd tail carried up unchanged.
+///
+/// It is a binary counter: level `l` holds the sum of a complete run of
+/// `2^l` parts that waits for the run to its right, so after `n` pushes
+/// at most `⌊log₂ n⌋ + 1` buffers are held where the list form holds
+/// `n`. A buffer whose values have been added into its left neighbour is
+/// kept as a spare, and [`TreeSum::buffer`] hands spares out again: a
+/// caller that fills the buffers it gets here allocates only while the
+/// counter grows.
+#[derive(Debug, Default)]
+pub struct TreeSum {
+    levels: Vec<Option<Vec<f32>>>,
+    spare: Vec<Vec<f32>>,
+}
+
+impl TreeSum {
+    /// A buffer of `len` values to fill and [`TreeSum::push`] — a spare
+    /// one if there is one. What it holds is unspecified.
+    pub fn buffer(&mut self, len: usize) -> Vec<f32> {
+        let mut buf = self.spare.pop().unwrap_or_default();
+        buf.resize(len, 0.0);
+        buf
+    }
+
+    /// Buffers currently held as partial sums.
+    pub fn held(&self) -> usize {
+        self.levels.iter().flatten().count()
+    }
+
+    /// Adds `right` into `left`, elementwise, and keeps `right` as a spare.
+    fn combine(&mut self, mut left: Vec<f32>, right: Vec<f32>) -> Vec<f32> {
+        assert_eq!(left.len(), right.len(), "summed parts must have equal length");
+        for (x, y) in left.iter_mut().zip(&right) {
+            *x += y;
+        }
+        self.spare.push(right);
+        left
+    }
+
+    /// Appends the next part.
+    pub fn push(&mut self, part: Vec<f32>) {
+        let mut carry = part;
+        for l in 0.. {
+            if l == self.levels.len() {
+                self.levels.push(None);
+            }
+            match self.levels[l].take() {
+                Some(left) => carry = self.combine(left, carry),
+                None => {
+                    self.levels[l] = Some(carry);
+                    return;
+                }
+            }
+        }
+    }
+
+    /// The sum of everything pushed (`None` if nothing was) and the
+    /// spare buffers. The runs still waiting collapse right to left —
+    /// the shortest, rightmost run is the odd tail each level of the
+    /// list form carries up until a left neighbour takes it.
+    pub fn finish(mut self) -> (Option<Vec<f32>>, Vec<Vec<f32>>) {
+        let mut sum: Option<Vec<f32>> = None;
+        for left in std::mem::take(&mut self.levels).into_iter().flatten() {
+            sum = Some(match sum {
+                Some(right) => self.combine(left, right),
+                None => left,
+            });
+        }
+        (sum, self.spare)
+    }
 }
 
 /// Balanced pairwise-tree elementwise sum of equal-length vectors; an
-/// odd tail carries up a level unchanged.
+/// odd tail carries up a level unchanged. ([`TreeSum`] fed from a list.)
 ///
 /// This is the association `all_reduce_sum` / `reduce_scatter_sum` use
 /// to combine rank contributions, exported so workers can sum per-row
@@ -570,22 +714,12 @@ fn sum_equal_parts(parts: Vec<Vec<f32>>) -> Vec<f32> {
 /// # Panics
 ///
 /// Panics if `parts` is empty.
-pub fn tree_sum_parts(mut parts: Vec<Vec<f32>>) -> Vec<f32> {
-    assert!(!parts.is_empty(), "tree_sum_parts of no parts");
-    while parts.len() > 1 {
-        let mut next = Vec::with_capacity(parts.len().div_ceil(2));
-        let mut it = parts.into_iter();
-        while let Some(mut a) = it.next() {
-            if let Some(b) = it.next() {
-                for (x, y) in a.iter_mut().zip(b.iter()) {
-                    *x += y;
-                }
-            }
-            next.push(a);
-        }
-        parts = next;
+pub fn tree_sum_parts(parts: Vec<Vec<f32>>) -> Vec<f32> {
+    let mut tree = TreeSum::default();
+    for part in parts {
+        tree.push(part);
     }
-    parts.pop().expect("one part remains")
+    tree.finish().0.expect("tree_sum_parts of no parts")
 }
 
 type P2pMsg = (f64, Box<dyn Any + Send>);
@@ -824,6 +958,105 @@ mod tests {
             }
         }
     }
+
+    /// The list form `tree_sum_parts` had before it became [`TreeSum`]
+    /// fed from a list: neighbours pairwise, level by level.
+    fn level_by_level(mut parts: Vec<Vec<f32>>) -> Vec<f32> {
+        while parts.len() > 1 {
+            let mut next = Vec::with_capacity(parts.len().div_ceil(2));
+            let mut it = parts.into_iter();
+            while let Some(mut a) = it.next() {
+                if let Some(b) = it.next() {
+                    for (x, y) in a.iter_mut().zip(b.iter()) {
+                        *x += y;
+                    }
+                }
+                next.push(a);
+            }
+            parts = next;
+        }
+        parts.pop().expect("one part remains")
+    }
+
+    #[test]
+    fn streaming_tree_sum_matches_the_level_by_level_tree_bit_for_bit() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x7ee5);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n in 1usize..=64 {
+            // Magnitudes far apart, so another association rounds
+            // differently; signed zeros, so a dropped or doubled part shows.
+            let parts: Vec<Vec<f32>> = (0..n)
+                .map(|_| {
+                    (0..37)
+                        .map(|_| match rng.random_range(0u32..8) {
+                            0 => 0.0,
+                            1 => -0.0,
+                            _ => (rng.random::<f32>() - 0.5) * 10f32.powi(rng.random_range(-3..4)),
+                        })
+                        .collect()
+                })
+                .collect();
+            let expect = level_by_level(parts.clone());
+            assert_eq!(bits(&tree_sum_parts(parts.clone())), bits(&expect), "n = {n}");
+
+            // Fed one part at a time through recycled buffers.
+            let bound = n.next_power_of_two().trailing_zeros() as usize + 1;
+            let mut tree = TreeSum::default();
+            for part in &parts {
+                let mut buf = tree.buffer(part.len());
+                buf.copy_from_slice(part);
+                tree.push(buf);
+                assert!(tree.held() <= bound, "n = {n}: {} buffers held", tree.held());
+            }
+            let (sum, spare) = tree.finish();
+            assert_eq!(bits(&sum.expect("n >= 1")), bits(&expect), "streamed, n = {n}");
+            assert!(
+                spare.len() < bound,
+                "n = {n}: {} buffers were ever allocated",
+                spare.len() + 1
+            );
+        }
+        assert_eq!(TreeSum::default().finish().0, None);
+    }
+
+    #[test]
+    fn shared_parts_reduce_to_one_buffer_and_ragged_chunks() {
+        // Parts handed over by value, one of them shared with another
+        // holder; 10 values over 4 ranks scatter as 3 + 3 + 3 + 1.
+        let outs = run_ranks(4, |r, comm| {
+            let mut clocks = [VirtualClock::new(); 2];
+            let part: Arc<Vec<f32>> = Arc::new(contribution(r, 10));
+            let keep = part.clone();
+            let all = comm.all_reduce_sum_shared(&mut clocks[0], ArcPart(part));
+            let mine = comm.reduce_scatter_sum_shared(&mut clocks[1], contribution(r, 10));
+            assert_eq!(*keep, contribution(r, 10), "a shared part is only read");
+            (all.to_vec(), mine.to_vec(), clocks.map(|c| c.now()))
+        });
+        let sum = tree_sum_parts((0..4).map(|r| contribution(r, 10)).collect());
+        let (group, cluster, cost) = harness(4);
+        let time = |kind, bytes: usize| {
+            cost.collective_time(&cluster, group.devices(), kind, bytes as f64)
+        };
+        for (r, (all, mine, clocks)) in outs.into_iter().enumerate() {
+            assert_eq!(all, sum);
+            assert_eq!(mine, sum[(3 * r).min(10)..(3 * r + 3).min(10)]);
+            // Charged as the padded 4 × 3 values would be.
+            let expect =
+                [time(CollectiveKind::AllReduce, 40), time(CollectiveKind::ReduceScatter, 48)];
+            assert_eq!(clocks.map(f64::to_bits), expect.map(f64::to_bits));
+        }
+    }
+
+    struct ArcPart(Arc<Vec<f32>>);
+
+    impl AsRef<[f32]> for ArcPart {
+        fn as_ref(&self) -> &[f32] {
+            &self.0
+        }
+    }
+
+    impl SumPart for ArcPart {}
 
     #[test]
     fn fold_runs_once_per_round_whatever_the_group_size() {
