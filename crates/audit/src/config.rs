@@ -154,7 +154,7 @@ pub fn config_space(max_world: usize, rows: usize, iters: usize, seed: u64) -> V
 
 /// Samples `n` configurations (deterministically, from `sample_seed`)
 /// out of the product of the layout space with a few data streams —
-/// the population the `audit_sweep` bench bin draws from.
+/// the population `hf-bench audit_sweep` draws from.
 pub fn sample_configs(n: usize, max_world: usize, sample_seed: u64) -> Vec<SweepConfig> {
     let mut pool = Vec::new();
     for rows in [8usize, 16] {

@@ -1,17 +1,25 @@
 //! Experiment implementations, one per table/figure.
 
-use std::time::Instant;
-
 use hf_baselines::{estimate, Estimate, System};
+use hf_core::WorkerLayout;
 use hf_hybridengine::{transition_metrics, transition_time, EngineMode, TransitionMetrics};
 use hf_mapping::{AlgoKind, DataflowSpec, Mapper, PlacementPlan};
 use hf_modelspec::{memory, ModelConfig, PerfModel, RlhfWorkload, TrainEngine};
 use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
-use hf_simcluster::{ClusterSpec, DeviceId};
+use hf_rlhf::Placement;
+use hf_simcluster::{ClusterSpec, DeviceId, ResourcePool};
 
 /// Builds the analytic substrate for `gpus` A100s.
 pub fn perf(gpus: usize) -> PerfModel {
     PerfModel::new(ClusterSpec::a100_with_gpus(gpus))
+}
+
+/// All four PPO models colocated on devices `0..spec.world()`, the actor
+/// generating at TP `tg` under strided grouping.
+pub(crate) fn colocated_ppo(spec: ParallelSpec, tg: usize) -> Placement {
+    let gen = GenGrouping::new(spec, 1, tg, GroupingMethod::Strided);
+    let pool = ResourcePool::contiguous(0, spec.world());
+    Placement::colocated(pool, WorkerLayout::with_gen(gen), true, false)
 }
 
 /// The paper's cluster-size ladder for a model scale: smallest non-OOM
@@ -292,10 +300,10 @@ pub struct MeasuredBreakdownRow {
 /// shrinking as t_g approaches the training TP size — is the real
 /// runtime's, not a closed form.
 pub fn measured_breakdown_16gpus(tgs: &[usize]) -> Vec<MeasuredBreakdownRow> {
-    use hf_core::{Controller, WorkerLayout};
+    use hf_core::Controller;
     use hf_rlhf::env::make_prompts;
-    use hf_rlhf::{ppo_iteration, Placement, RlhfConfig, RlhfSystem};
-    use hf_simcluster::{CommCostModel, ResourcePool};
+    use hf_rlhf::{ppo_iteration, RlhfConfig, RlhfSystem};
+    use hf_simcluster::CommCostModel;
     use hf_telemetry::Telemetry;
 
     let gpus = 16;
@@ -309,13 +317,7 @@ pub fn measured_breakdown_16gpus(tgs: &[usize]) -> Vec<MeasuredBreakdownRow> {
             telemetry.clone(),
         );
         let cfg = RlhfConfig::tiny();
-        let gen = GenGrouping::new(spec, 1, tg, GroupingMethod::Strided);
-        let placement = Placement::colocated(
-            ResourcePool::contiguous(0, gpus),
-            WorkerLayout::with_gen(gen),
-            true,
-            false,
-        );
+        let placement = colocated_ppo(spec, tg);
         let sys = RlhfSystem::build(&ctrl, &placement, cfg.clone()).expect("build system");
         let prompts = make_prompts(8, cfg.prompt_len, cfg.response_len, cfg.lm.vocab as u32, 0);
         ppo_iteration(&sys, &ctrl, &prompts).expect("warmup iteration");
@@ -344,51 +346,14 @@ pub fn measured_breakdown_16gpus(tgs: &[usize]) -> Vec<MeasuredBreakdownRow> {
     rows
 }
 
-/// One Figure 16 measurement: wall-clock runtime of Algorithm 1.
-#[derive(Debug, Clone)]
-pub struct MappingRuntimeRow {
-    /// Model name.
-    pub model: String,
-    /// Cluster size.
-    pub gpus: usize,
-    /// Search wall-clock seconds.
-    pub seconds: f64,
-    /// (plan, allocation) combinations evaluated.
-    pub evaluations: usize,
-    /// Candidates skipped by the branch-and-bound lower bound.
-    pub pruned: usize,
-    /// Strategy-cache hit rate over the search.
-    pub cache_hit_rate: f64,
-}
-
-/// Figure 16: device-mapping algorithm runtime, scaling model size and
-/// cluster size together.
-pub fn mapping_runtime() -> Vec<MappingRuntimeRow> {
-    let settings = [
-        (ModelConfig::llama_7b(), 16usize),
+/// The Figure 16 scale ladder: model size and cluster size grow together.
+pub fn mapping_ladder() -> [(ModelConfig, usize); 4] {
+    [
+        (ModelConfig::llama_7b(), 16),
         (ModelConfig::llama_13b(), 32),
         (ModelConfig::llama_34b(), 64),
         (ModelConfig::llama_70b(), 128),
-    ];
-    let mut rows = Vec::new();
-    for (model, gpus) in settings {
-        let df = DataflowSpec::uniform(AlgoKind::Ppo, model.clone(), RlhfWorkload::paper());
-        let mapper = Mapper::new(perf(gpus), df, gpus);
-        let t0 = Instant::now();
-        let best = mapper.search();
-        let dt = t0.elapsed().as_secs_f64();
-        assert!(best.is_some(), "{} on {gpus} GPUs must map", model.name);
-        let stats = mapper.stats();
-        rows.push(MappingRuntimeRow {
-            model: model.name.clone(),
-            gpus,
-            seconds: dt,
-            evaluations: mapper.evaluations(),
-            pruned: stats.pruned,
-            cache_hit_rate: stats.cache_hit_rate(),
-        });
-    }
-    rows
+    ]
 }
 
 /// One Table 2 row.
@@ -456,8 +421,7 @@ pub fn scaling_efficiency(rows: &[ThroughputRow]) -> Option<f64> {
     }
 }
 
-/// Table 1-style stage timeline per system (used by the
-/// `framework_comparison` example and the `table1` binary).
+/// Table 1-style stage timeline per system.
 pub fn stage_breakdown(df: &DataflowSpec, gpus: usize) -> Vec<(System, Option<Estimate>)> {
     let pm = perf(gpus);
     System::all().into_iter().map(|s| (s, estimate(s, &pm, df, gpus))).collect()

@@ -1,27 +1,31 @@
 //! The perf regression gate: runs a fig9-style sweep of functional PPO
 //! iterations with telemetry on, feeds the traces through hf-insight,
-//! and renders a deterministic `BENCH_perf_report.json` — critical-path
-//! breakdown, bubble fractions, what-if overlap bounds, and latency
-//! digests per configuration.
+//! and renders a deterministic report — critical-path breakdown, bubble
+//! fractions, what-if overlap bounds, and latency digests per
+//! configuration.
 //!
 //! Determinism contract: the simulated cluster is virtual-clock exact,
 //! insight orders everything canonically, and the JSON renderer is
-//! byte-stable — two runs of the same binary produce byte-identical
-//! reports (`report_is_byte_identical_across_runs` enforces this). CI
-//! runs `perf_report --fast --check`, which diffs the fresh report
-//! against the committed baseline at
-//! `crates/bench/baselines/perf_report_fast.json` within a relative
+//! byte-stable — two runs produce byte-identical reports (the registry's
+//! rerun test enforces this). CI runs `hf-bench perf_report --fast
+//! --check`, which diffs the fresh report against the committed baseline
+//! at `crates/bench/baselines/perf_report_fast.json` within a relative
 //! tolerance and fails on drift; intentional performance changes are
-//! landed by regenerating the baseline (`perf_report --fast` and
-//! copying the report over it — see DESIGN.md §13).
+//! landed by regenerating the baseline (`hf-bench perf_report --fast
+//! --json` and copying the report over it — see DESIGN.md §13).
 
-use hf_core::{Controller, WorkerLayout};
+use std::collections::BTreeMap;
+
+use hf_core::Controller;
 use hf_insight::{analyze_iterations, num_map, IterationAnalysis, Json, SpanGraph};
-use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
+use hf_parallel::ParallelSpec;
 use hf_rlhf::env::make_prompts;
 use hf_rlhf::{ppo_iteration, PipelineConfig, PipelinedPpo, Placement, RlhfConfig, RlhfSystem};
-use hf_simcluster::{ClusterSpec, CommCostModel, ResourcePool};
-use hf_telemetry::Telemetry;
+use hf_simcluster::{ClusterSpec, CommCostModel};
+use hf_telemetry::{Digest, Telemetry};
+
+use crate::experiments::colocated_ppo;
+use crate::table::{col, label, mode, Report, Table};
 
 /// One swept configuration.
 #[derive(Debug, Clone)]
@@ -91,8 +95,63 @@ fn iteration_json(it: &IterationAnalysis) -> Json {
     ])
 }
 
-/// Runs one configuration and returns its report object.
-pub fn run_config(cfg: &PerfConfig) -> Json {
+/// What one configuration measured.
+pub struct PerfRow {
+    /// The configuration.
+    pub cfg: PerfConfig,
+    /// The measured iterations of the barrier driver, analyzed.
+    pub iterations: Vec<IterationAnalysis>,
+    /// Latency digests recorded over the measured iterations.
+    pub digests: BTreeMap<String, Digest>,
+    /// The same placement under the pipelined driver.
+    pub pipeline: PipelineRow,
+}
+
+/// The pipelined counterpart of a [`PerfRow`]'s barrier pass: the same
+/// placement driven by [`PipelinedPpo`] at staleness 1 on a fresh
+/// system, reporting *measured* overlap — printed next to the barrier
+/// pass's full-overlap what-if bound, so the gate tracks how much of the
+/// theoretical headroom the pipeline actually claims.
+pub struct PipelineRow {
+    /// Pipelined steps driven (one more than the measured iterations).
+    pub steps: usize,
+    /// Virtual seconds per step, flush included.
+    pub iteration_s: f64,
+    /// Virtual seconds of generation overlapped with training.
+    pub overlap_measured_s: f64,
+    /// That overlap as a fraction of the run.
+    pub overlap_fraction: f64,
+}
+
+impl PerfRow {
+    fn json(&self) -> Json {
+        let (cfg, pipe) = (&self.cfg, &self.pipeline);
+        let (dp, tp, pp) = cfg.layout;
+        let digests =
+            self.digests.iter().map(|(k, d)| (k.clone(), hf_insight::digest_stats(d))).collect();
+        Json::obj(vec![
+            ("name", Json::Str(cfg.name.clone())),
+            ("gpus", Json::Int(cfg.gpus as i64)),
+            ("layout", Json::Str(format!("dp{dp}-tp{tp}-pp{pp}"))),
+            ("gen_tp", Json::Int(cfg.tg as i64)),
+            ("iterations", Json::Arr(self.iterations.iter().map(iteration_json).collect())),
+            (
+                "pipeline",
+                Json::obj(vec![
+                    ("staleness", Json::Int(1)),
+                    ("iterations", Json::Int(pipe.steps as i64)),
+                    ("iteration_s", Json::Num(pipe.iteration_s)),
+                    ("overlap_measured_s", Json::Num(pipe.overlap_measured_s)),
+                    ("overlap_fraction", Json::Num(pipe.overlap_fraction)),
+                ]),
+            ),
+            ("digests", Json::Obj(digests)),
+        ])
+    }
+}
+
+/// Runs one configuration under both drivers.
+pub fn run_config(cfg: &PerfConfig) -> PerfRow {
     let telemetry = Telemetry::enabled();
     let ctrl = Controller::with_telemetry(
         ClusterSpec::a100_with_gpus(cfg.gpus),
@@ -101,14 +160,7 @@ pub fn run_config(cfg: &PerfConfig) -> Json {
     );
     let rc = RlhfConfig::tiny();
     let (dp, tp, pp) = cfg.layout;
-    let spec = ParallelSpec::new(dp, tp, pp);
-    let gen = GenGrouping::new(spec, 1, cfg.tg, GroupingMethod::Strided);
-    let placement = Placement::colocated(
-        ResourcePool::contiguous(0, cfg.gpus),
-        WorkerLayout::with_gen(gen),
-        true,
-        false,
-    );
+    let placement = colocated_ppo(ParallelSpec::new(dp, tp, pp), cfg.tg);
     let sys = RlhfSystem::build(&ctrl, &placement, rc.clone()).expect("build system");
     let prompts = make_prompts(8, rc.prompt_len, rc.response_len, rc.lm.vocab as u32, 0);
     ppo_iteration(&sys, &ctrl, &prompts).expect("warmup iteration");
@@ -116,31 +168,13 @@ pub fn run_config(cfg: &PerfConfig) -> Json {
     for _ in 0..cfg.iterations {
         ppo_iteration(&sys, &ctrl, &prompts).expect("measured iteration");
     }
-
-    let graph = SpanGraph::build(telemetry.spans());
-    let iters = analyze_iterations(&graph);
+    let iterations = analyze_iterations(&SpanGraph::build(telemetry.spans()));
     let digests = telemetry.metrics().digests;
-    let digest_json: Vec<(String, Json)> =
-        digests.iter().map(|(k, d)| (k.clone(), hf_insight::digest_stats(d))).collect();
     ctrl.shutdown().expect("shutdown");
-
-    Json::obj(vec![
-        ("name", Json::Str(cfg.name.clone())),
-        ("gpus", Json::Int(cfg.gpus as i64)),
-        ("layout", Json::Str(format!("dp{dp}-tp{tp}-pp{pp}"))),
-        ("gen_tp", Json::Int(cfg.tg as i64)),
-        ("iterations", Json::Arr(iters.iter().map(iteration_json).collect())),
-        ("pipeline", run_pipeline_config(cfg, &placement, &rc)),
-        ("digests", Json::Obj(digest_json)),
-    ])
+    PerfRow { cfg: cfg.clone(), iterations, digests, pipeline: run_pipelined(cfg, &placement, &rc) }
 }
 
-/// The pipelined counterpart of [`run_config`]'s sync pass: the same
-/// placement driven by [`PipelinedPpo`] at staleness 1 on a fresh
-/// system, reporting *measured* overlap — `perf_report` prints it next
-/// to the sync pass's full-overlap what-if bound, so the gate tracks
-/// how much of the theoretical headroom the pipeline actually claims.
-fn run_pipeline_config(cfg: &PerfConfig, placement: &Placement, rc: &RlhfConfig) -> Json {
+fn run_pipelined(cfg: &PerfConfig, placement: &Placement, rc: &RlhfConfig) -> PipelineRow {
     let telemetry = Telemetry::enabled();
     let ctrl = Controller::with_telemetry(
         ClusterSpec::a100_with_gpus(cfg.gpus),
@@ -158,32 +192,67 @@ fn run_pipeline_config(cfg: &PerfConfig, placement: &Placement, rc: &RlhfConfig)
     driver.flush(&sys, &ctrl).expect("pipeline flush");
     let total = ctrl.clock() - t0;
     let metrics = telemetry.metrics();
-    let overlap_s =
-        metrics.counters.get("pipeline.overlap_measured_us").copied().unwrap_or(0) as f64 / 1e6;
-    let frac = metrics.gauges.get("pipeline.overlap_fraction").copied().unwrap_or(0.0);
     ctrl.shutdown().expect("shutdown");
-    Json::obj(vec![
-        ("staleness", Json::Int(1)),
-        ("iterations", Json::Int(steps as i64)),
-        ("iteration_s", Json::Num(total / steps as f64)),
-        ("overlap_measured_s", Json::Num(overlap_s)),
-        ("overlap_fraction", Json::Num(frac)),
-    ])
+    PipelineRow {
+        steps,
+        iteration_s: total / steps as f64,
+        overlap_measured_s: metrics
+            .counters
+            .get("pipeline.overlap_measured_us")
+            .copied()
+            .unwrap_or(0) as f64
+            / 1e6,
+        overlap_fraction: metrics.gauges.get("pipeline.overlap_fraction").copied().unwrap_or(0.0),
+    }
 }
 
-/// Builds the full report for one mode.
-pub fn build_report(fast: bool) -> Json {
-    let configs: Vec<Json> = sweep(fast).iter().map(run_config).collect();
+fn document(rows: &[PerfRow], fast: bool) -> Json {
     Json::obj(vec![
         ("schema", Json::Str("hf-insight.perf_report/v1".into())),
-        ("mode", Json::Str(if fast { "fast" } else { "full" }.into())),
-        ("configs", Json::Arr(configs)),
+        ("mode", Json::Str(mode(fast).into())),
+        ("configs", Json::Arr(rows.iter().map(PerfRow::json).collect())),
     ])
 }
 
-/// Path of the committed fast-sweep baseline.
-pub fn baseline_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("baselines/perf_report_fast.json")
+/// The `perf_report` experiment: the sweep, its gated JSON document, and
+/// a critical-path summary of each configuration's first iteration.
+/// `overlap` is the what-if *bound* (perfect gen/train overlap);
+/// `pipe overlap` is what the staleness-1 pipelined driver actually
+/// claimed of it on the same placement.
+pub fn perf_report(fast: bool) -> Report {
+    let rows: Vec<PerfRow> = sweep(fast).iter().map(run_config).collect();
+    let mut table = Table::new(
+        format!("perf report ({})", mode(fast)),
+        vec![
+            label("config"),
+            col("iter", "ms", 3),
+            col("exec", "ms", 3),
+            col("trans", "ms", 3),
+            col("queue", "ms", 3),
+            col("zero-trans", "ms", 3),
+            col("overlap", "ms", 3),
+            col("pipe iter", "ms", 3),
+            col("pipe overlap", "ms", 3),
+        ],
+    );
+    for row in &rows {
+        let it = &row.iterations[0];
+        let kind = |k: &str| it.by_kind.get(k).copied().unwrap_or(0.0);
+        let seconds = [
+            it.duration(),
+            kind("exec"),
+            kind("transition"),
+            kind("queue_wait"),
+            it.what_if.zero_cost_transition_s,
+            it.what_if.full_gen_train_overlap_s,
+            row.pipeline.iteration_s,
+            row.pipeline.overlap_measured_s,
+        ];
+        let mut cells = vec![row.cfg.name.as_str().into()];
+        cells.extend(seconds.map(|s| (s * 1e3).into()));
+        table.push(cells);
+    }
+    Report { json: Some(document(&rows, fast)), ..Report::new(vec![table], Vec::new()) }
 }
 
 /// Relative tolerance `--check` allows before failing.
@@ -205,21 +274,15 @@ pub fn check(current: &str, baseline: &str) -> Result<(), Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::baseline_path;
 
-    /// The headline determinism guarantee: two full passes over the fast
-    /// sweep — fresh clusters, fresh device threads, racy span-id
-    /// allocation and all — render byte-identical reports.
-    #[test]
-    fn report_is_byte_identical_across_runs() {
-        let a = build_report(true).render();
-        let b = build_report(true).render();
-        assert_eq!(a, b, "perf report must be byte-stable across runs");
+    fn fast_report() -> String {
+        perf_report(true).json("perf_report", true).render()
     }
 
     #[test]
     fn report_has_the_gated_content() {
-        let text = build_report(true).render();
-        let flat = hf_insight::flatten_json(&text).expect("report parses");
+        let flat = hf_insight::flatten_json(&fast_report()).expect("report parses");
         assert_eq!(flat["schema"], hf_insight::Leaf::Str("hf-insight.perf_report/v1".into()));
         // Critical-path attribution, bubbles, what-ifs, and digests all
         // present for the first config's first iteration.
@@ -263,13 +326,12 @@ mod tests {
 
     #[test]
     fn check_matches_committed_baseline() {
-        let baseline = std::fs::read_to_string(baseline_path())
-            .expect("committed baseline exists; regenerate with `perf_report --fast`");
-        let current = build_report(true).render();
-        if let Err(diffs) = check(&current, &baseline) {
+        let baseline = std::fs::read_to_string(baseline_path("perf_report", true))
+            .expect("committed baseline exists; regenerate with `hf-bench perf_report --fast`");
+        if let Err(diffs) = check(&fast_report(), &baseline) {
             panic!(
                 "fast report drifted from the committed baseline; if intentional, \
-                 regenerate it with `perf_report --fast` and copy \
+                 regenerate it with `hf-bench perf_report --fast --json` and copy \
                  BENCH_perf_report.json over crates/bench/baselines/perf_report_fast.json:\n{}",
                 diffs.join("\n")
             );

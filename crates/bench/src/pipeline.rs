@@ -21,6 +21,8 @@ use hf_rlhf::{
 };
 use hf_simcluster::{ClusterSpec, ResourcePool};
 
+use crate::table::{col, label, mode, Report, Table};
+
 /// One swept configuration: four equal pools (actor, critic, reference,
 /// reward), each running `spec` with generation TP `tg` on the actor.
 #[derive(Debug, Clone)]
@@ -136,48 +138,87 @@ fn run_pipelined(cfg: &OverlapConfig, staleness: u32) -> (f64, f64) {
     (total / cfg.iterations as f64, last_frac)
 }
 
-/// Runs one configuration across all three modes.
-pub fn run_config(cfg: &OverlapConfig) -> Json {
-    let barrier_s = run_barrier(cfg);
-    let (s0_s, s0_frac) = run_pipelined(cfg, 0);
-    let (s1_s, s1_frac) = run_pipelined(cfg, 1);
-    let (p, t, d) = cfg.spec;
-    Json::obj(vec![
-        ("name", Json::Str(cfg.name.clone())),
-        ("gpus", Json::Int(4 * cfg.per_model as i64)),
-        ("layout", Json::Str(format!("p{p}-t{t}-d{d}"))),
-        ("gen_tp", Json::Int(cfg.tg as i64)),
-        ("rows", Json::Int(cfg.rows as i64)),
-        ("gen_chunks", Json::Int(cfg.gen_chunks as i64)),
-        ("iterations", Json::Int(cfg.iterations as i64)),
-        ("barrier_iteration_s", Json::Num(barrier_s)),
-        (
-            "staleness0",
-            Json::obj(vec![
-                ("iteration_s", Json::Num(s0_s)),
-                ("speedup", Json::Num(barrier_s / s0_s)),
-                ("overlap_fraction", Json::Num(s0_frac)),
-            ]),
-        ),
-        (
-            "staleness1",
-            Json::obj(vec![
-                ("iteration_s", Json::Num(s1_s)),
-                ("speedup", Json::Num(barrier_s / s1_s)),
-                ("overlap_fraction", Json::Num(s1_frac)),
-            ]),
-        ),
-    ])
+/// One configuration under all three drivers.
+pub struct OverlapRow {
+    /// The configuration.
+    pub cfg: OverlapConfig,
+    /// Barrier driver: virtual seconds per iteration.
+    pub barrier_s: f64,
+    /// Pipelined at staleness 0 and 1: `(seconds per iteration, final
+    /// cumulative overlap fraction)`.
+    pub staleness: [(f64, f64); 2],
 }
 
-/// Builds the full `BENCH_pipeline_overlap.json` document.
-pub fn build_report(fast: bool) -> Json {
-    let configs: Vec<Json> = sweep(fast).iter().map(run_config).collect();
-    Json::obj(vec![
+impl OverlapRow {
+    fn json(&self) -> Json {
+        let cfg = &self.cfg;
+        let (p, t, d) = cfg.spec;
+        let staleness = |(s, frac): (f64, f64)| {
+            Json::obj(vec![
+                ("iteration_s", Json::Num(s)),
+                ("speedup", Json::Num(self.barrier_s / s)),
+                ("overlap_fraction", Json::Num(frac)),
+            ])
+        };
+        Json::obj(vec![
+            ("name", Json::Str(cfg.name.clone())),
+            ("gpus", Json::Int(4 * cfg.per_model as i64)),
+            ("layout", Json::Str(format!("p{p}-t{t}-d{d}"))),
+            ("gen_tp", Json::Int(cfg.tg as i64)),
+            ("rows", Json::Int(cfg.rows as i64)),
+            ("gen_chunks", Json::Int(cfg.gen_chunks as i64)),
+            ("iterations", Json::Int(cfg.iterations as i64)),
+            ("barrier_iteration_s", Json::Num(self.barrier_s)),
+            ("staleness0", staleness(self.staleness[0])),
+            ("staleness1", staleness(self.staleness[1])),
+        ])
+    }
+}
+
+/// Runs one configuration across all three modes.
+pub fn run_config(cfg: &OverlapConfig) -> OverlapRow {
+    OverlapRow {
+        cfg: cfg.clone(),
+        barrier_s: run_barrier(cfg),
+        staleness: [run_pipelined(cfg, 0), run_pipelined(cfg, 1)],
+    }
+}
+
+/// The `pipeline_overlap` experiment: per-iteration latency of the
+/// barrier driver and of the pipelined driver at staleness 0 and 1, the
+/// speedups, and the overlap the staleness-1 run measured.
+pub fn pipeline_overlap(fast: bool) -> Report {
+    let rows: Vec<OverlapRow> = sweep(fast).iter().map(run_config).collect();
+    let mut table = Table::new(
+        format!("pipeline overlap ({})", mode(fast)),
+        vec![
+            label("config"),
+            col("barrier", "ms", 3),
+            col("s=0", "ms", 3),
+            col("s=1", "ms", 3),
+            col("s=0", "x", 2),
+            col("s=1", "x", 2),
+            col("overlap", "frac", 3),
+        ],
+    );
+    for row in &rows {
+        let [(s0, _), (s1, frac)] = row.staleness;
+        table.push(vec![
+            row.cfg.name.as_str().into(),
+            (row.barrier_s * 1e3).into(),
+            (s0 * 1e3).into(),
+            (s1 * 1e3).into(),
+            (row.barrier_s / s0).into(),
+            (row.barrier_s / s1).into(),
+            frac.into(),
+        ]);
+    }
+    let json = Json::obj(vec![
         ("schema", Json::Str("hf-bench.pipeline_overlap/v1".into())),
-        ("mode", Json::Str(if fast { "fast" } else { "full" }.into())),
-        ("configs", Json::Arr(configs)),
-    ])
+        ("mode", Json::Str(mode(fast).into())),
+        ("configs", Json::Arr(rows.iter().map(OverlapRow::json).collect())),
+    ]);
+    Report { json: Some(json), ..Report::new(vec![table], Vec::new()) }
 }
 
 #[cfg(test)]
@@ -198,7 +239,8 @@ mod tests {
     /// barrier (same schedule bits, strictly more overlap).
     #[test]
     fn staleness1_beats_barrier_by_at_least_1_2x_somewhere() {
-        let flat = flatten_json(&build_report(true).render()).expect("report parses");
+        let doc = pipeline_overlap(true).json("pipeline_overlap", true).render();
+        let flat = flatten_json(&doc).expect("report parses");
         let n = sweep(true).len();
         let mut best = 0.0f64;
         for i in 0..n {
@@ -211,14 +253,5 @@ mod tests {
             best = best.max(s1);
         }
         assert!(best >= 1.2, "expected >= 1.2x pipelined speedup on some config, best {best}");
-    }
-
-    /// Virtual-clock exactness end to end: two full fast sweeps render
-    /// byte-identical JSON.
-    #[test]
-    fn report_is_byte_identical_across_runs() {
-        let a = build_report(true).render();
-        let b = build_report(true).render();
-        assert_eq!(a, b, "pipeline overlap report must be byte-stable across runs");
     }
 }

@@ -15,6 +15,8 @@ use hf_rewards::{
     VerifierKind, VerifierSpec,
 };
 
+use crate::table::{col, label, mode, Cell, Report, Table};
+
 /// One swept configuration.
 #[derive(Debug, Clone)]
 pub struct RewardEvalConfig {
@@ -95,35 +97,87 @@ fn report_json(r: &EvalReport) -> Json {
     ])
 }
 
-/// Runs one configuration (cancellation on, plus the off arm and its
-/// p99 comparison for the heavy-tailed profile).
-pub fn run_config(cfg: &RewardEvalConfig) -> Json {
-    let on = evaluate(cfg, true);
-    let mut fields = vec![
-        ("name", Json::Str(cfg.name.clone())),
-        ("workers", Json::Int(cfg.workers as i64)),
-        ("tasks", Json::Int(cfg.tasks as i64)),
-        ("profile", Json::Str(cfg.profile.into())),
-        ("cancel_on", report_json(&on)),
-    ];
-    if cfg.profile == "heavy_tail" {
-        let off = evaluate(cfg, false);
-        let p99_on = on.latency_percentile(0.99);
-        let p99_off = off.latency_percentile(0.99);
-        fields.push(("cancel_off", report_json(&off)));
-        fields.push(("p99_reduction", Json::Num(1.0 - p99_on / p99_off)));
-    }
-    Json::obj(fields)
+/// One configuration's pool runs.
+pub struct RewardEvalRow {
+    /// The configuration.
+    pub cfg: RewardEvalConfig,
+    /// Straggler cancellation on.
+    pub on: EvalReport,
+    /// Straggler cancellation off (heavy-tailed profile only).
+    pub off: Option<EvalReport>,
 }
 
-/// Builds the full `BENCH_reward_eval.json` document.
-pub fn build_report(fast: bool) -> Json {
-    let configs: Vec<Json> = sweep(fast).iter().map(run_config).collect();
-    Json::obj(vec![
+impl RewardEvalRow {
+    /// How much of the no-cancellation p99 task latency cancellation
+    /// removes, where both arms ran.
+    pub fn p99_reduction(&self) -> Option<f64> {
+        let off = self.off.as_ref()?;
+        Some(1.0 - self.on.latency_percentile(0.99) / off.latency_percentile(0.99))
+    }
+
+    fn json(&self) -> Json {
+        let cfg = &self.cfg;
+        let mut fields = vec![
+            ("name", Json::Str(cfg.name.clone())),
+            ("workers", Json::Int(cfg.workers as i64)),
+            ("tasks", Json::Int(cfg.tasks as i64)),
+            ("profile", Json::Str(cfg.profile.into())),
+            ("cancel_on", report_json(&self.on)),
+        ];
+        if let (Some(off), Some(reduction)) = (&self.off, self.p99_reduction()) {
+            fields.push(("cancel_off", report_json(off)));
+            fields.push(("p99_reduction", Json::Num(reduction)));
+        }
+        Json::obj(fields)
+    }
+}
+
+/// Runs one configuration (cancellation on, plus the off arm for the
+/// heavy-tailed profile).
+pub fn run_config(cfg: &RewardEvalConfig) -> RewardEvalRow {
+    RewardEvalRow {
+        cfg: cfg.clone(),
+        on: evaluate(cfg, true),
+        off: (cfg.profile == "heavy_tail").then(|| evaluate(cfg, false)),
+    }
+}
+
+/// The `reward_eval` experiment: pool-size scaling under both cost
+/// profiles and the tail-latency cut straggler cancellation buys.
+pub fn reward_eval(fast: bool) -> Report {
+    let rows: Vec<RewardEvalRow> = sweep(fast).iter().map(run_config).collect();
+    let mut table = Table::new(
+        format!("reward eval ({})", mode(fast)),
+        vec![
+            label("config"),
+            col("makespan", "s", 4),
+            col("p50", "s", 4),
+            col("p99", "s", 4),
+            col("occupancy", "workers", 2),
+            label("timeouts"),
+            label("retries"),
+            col("p99 cut", "%", 0),
+        ],
+    );
+    for row in &rows {
+        let on = &row.on;
+        table.push(vec![
+            row.cfg.name.as_str().into(),
+            on.makespan_s.into(),
+            on.latency_percentile(0.50).into(),
+            on.latency_percentile(0.99).into(),
+            on.mean_occupancy().into(),
+            on.timeouts.into(),
+            on.retries.into(),
+            row.p99_reduction().map_or(Cell::from("-"), |r| Cell::Num(r * 100.0)),
+        ]);
+    }
+    let json = Json::obj(vec![
         ("schema", Json::Str("hf-bench.reward_eval/v1".into())),
-        ("mode", Json::Str(if fast { "fast" } else { "full" }.into())),
-        ("configs", Json::Arr(configs)),
-    ])
+        ("mode", Json::Str(mode(fast).into())),
+        ("configs", Json::Arr(rows.iter().map(RewardEvalRow::json).collect())),
+    ]);
+    Report { json: Some(json), ..Report::new(vec![table], Vec::new()) }
 }
 
 #[cfg(test)]
@@ -144,7 +198,8 @@ mod tests {
     /// makespan.
     #[test]
     fn cancellation_cuts_p99_and_pools_scale() {
-        let flat = flatten_json(&build_report(true).render()).expect("report parses");
+        let doc = reward_eval(true).json("reward_eval", true).render();
+        let flat = flatten_json(&doc).expect("report parses");
         let cfgs = sweep(true);
         let mut best_reduction = 0.0f64;
         let mut makespans: std::collections::BTreeMap<&str, Vec<(usize, f64)>> = Default::default();
@@ -169,14 +224,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// Seeded virtual time end to end: two sweeps render byte-identical
-    /// JSON.
-    #[test]
-    fn report_is_byte_identical_across_runs() {
-        let a = build_report(true).render();
-        let b = build_report(true).render();
-        assert_eq!(a, b, "reward_eval report must be byte-stable across runs");
     }
 }

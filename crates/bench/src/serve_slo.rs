@@ -14,8 +14,10 @@
 use hf_insight::Json;
 use hf_serve::{
     build_arrivals, frontend, mixes, run_colocated, standard_server, CapacityProfile,
-    ColocateConfig, ServeConfig, ServeReport, TenantSpec,
+    ColocateConfig, ColocatedRun, ServeConfig, ServeReport, TenantSpec,
 };
+
+use crate::table::{col, label, mode, Report, Table};
 
 /// Scenario seed shared by every mix (arrival sample paths fold in
 /// per-tenant seeds on top).
@@ -91,22 +93,43 @@ fn serve_json(r: &ServeReport) -> Json {
     ])
 }
 
+/// One point of a mix's latency-vs-load curve.
+pub struct CurvePoint {
+    /// Load multiplier.
+    pub load: f64,
+    /// Requests the schedule generated.
+    pub arrivals: usize,
+    /// What the front-end did with them.
+    pub report: ServeReport,
+}
+
 /// Runs one mix across the load ladder (serve-only, full capacity).
-pub fn run_mix(mix: &MixSpec, fast: bool) -> Json {
+pub fn run_mix(mix: &MixSpec, fast: bool) -> Vec<CurvePoint> {
     let (server, vocab) = standard_server(mix.cache_blocks, mix.max_batch);
     let cfg = ServeConfig::default();
     let full = CapacityProfile::constant(1.0);
-    let mut curve = Vec::new();
-    for load in load_points(fast) {
-        let arrivals = build_arrivals(&mix.tenants, HORIZON_S, load, vocab, SEED);
-        let rep =
-            frontend::run(&server, &mix.tenants, &arrivals, &cfg, &full, None).expect("serve run");
-        curve.push(Json::obj(vec![
-            ("load", Json::Num(load)),
-            ("arrivals", Json::Int(arrivals.len() as i64)),
-            ("report", serve_json(&rep)),
-        ]));
-    }
+    load_points(fast)
+        .into_iter()
+        .map(|load| {
+            let arrivals = build_arrivals(&mix.tenants, HORIZON_S, load, vocab, SEED);
+            let report = frontend::run(&server, &mix.tenants, &arrivals, &cfg, &full, None)
+                .expect("serve run");
+            CurvePoint { load, arrivals: arrivals.len(), report }
+        })
+        .collect()
+}
+
+fn mix_json(mix: &MixSpec, curve: &[CurvePoint]) -> Json {
+    let curve = curve
+        .iter()
+        .map(|p| {
+            Json::obj(vec![
+                ("load", Json::Num(p.load)),
+                ("arrivals", Json::Int(p.arrivals as i64)),
+                ("report", serve_json(&p.report)),
+            ])
+        })
+        .collect();
     Json::obj(vec![
         ("name", Json::Str(mix.name.into())),
         ("cache_blocks", Json::Int(mix.cache_blocks as i64)),
@@ -116,13 +139,15 @@ pub fn run_mix(mix: &MixSpec, fast: bool) -> Json {
 }
 
 /// Runs the co-located serve+train scenario on the tiered mix.
-pub fn run_colocated_block() -> Json {
-    let cc = ColocateConfig::default();
+pub fn run_colocated_block(cc: &ColocateConfig) -> ColocatedRun {
     let (server, vocab) = standard_server(64, 8);
     let tenants = mixes::tiered();
     let cfg = ServeConfig::default();
-    let run = run_colocated(&cc, &server, vocab, &tenants, 0.0, COLOCATED_LOAD, SEED, &cfg, None)
-        .expect("colocated run");
+    run_colocated(cc, &server, vocab, &tenants, 0.0, COLOCATED_LOAD, SEED, &cfg, None)
+        .expect("colocated run")
+}
+
+fn colocated_json(cc: &ColocateConfig, run: &ColocatedRun) -> Json {
     Json::obj(vec![
         ("load", Json::Num(COLOCATED_LOAD)),
         ("train_window_s", Json::Num(cc.train_window_s)),
@@ -143,17 +168,86 @@ pub fn run_colocated_block() -> Json {
     ])
 }
 
-/// Builds the full `BENCH_serve_slo.json` document.
-pub fn build_report(fast: bool) -> Json {
-    let mixes: Vec<Json> = mix_specs().iter().map(|m| run_mix(m, fast)).collect();
-    Json::obj(vec![
+/// The `serve_slo` experiment: per-tenant latency-vs-load tables for the
+/// three mixes, and the co-located scenario's tail latency beside its
+/// serve-only baseline.
+pub fn serve_slo(fast: bool) -> Report {
+    let mut tables = Vec::new();
+    let mut mixes_json = Vec::new();
+    for mix in mix_specs() {
+        let curve = run_mix(&mix, fast);
+        let mut table = Table::new(
+            format!("serve_slo ({}): mix {}", mode(fast), mix.name),
+            vec![
+                label("tenant"),
+                col("load", "x", 1),
+                label("done"),
+                label("shed"),
+                col("p50 ttft", "s", 4),
+                col("p99 ttft", "s", 4),
+                col("slo att", "frac", 3),
+                col("served", "tok/s", 1),
+            ],
+        );
+        for point in &curve {
+            for t in &point.report.tenants {
+                table.push(vec![
+                    t.name.as_str().into(),
+                    point.load.into(),
+                    t.completed.into(),
+                    (t.shed_pressure + t.shed_budget).into(),
+                    t.p50_ttft_s.into(),
+                    t.p99_ttft_s.into(),
+                    t.slo_attainment.into(),
+                    t.tokens_per_s.into(),
+                ]);
+            }
+        }
+        tables.push(table);
+        mixes_json.push(mix_json(&mix, &curve));
+    }
+
+    let cc = ColocateConfig::default();
+    let run = run_colocated_block(&cc);
+    let mut colocated = Table::new(
+        format!("colocated serve+train (tiered mix, load {COLOCATED_LOAD:.1})"),
+        vec![
+            label("tenant"),
+            col("colo p99", "s", 4),
+            col("base p99", "s", 4),
+            col("colo att", "frac", 3),
+            col("base att", "frac", 3),
+        ],
+    );
+    for (c, b) in run.colocated.tenants.iter().zip(&run.serve_only.tenants) {
+        colocated.push(vec![
+            c.name.as_str().into(),
+            c.p99_ttft_s.into(),
+            b.p99_ttft_s.into(),
+            c.slo_attainment.into(),
+            b.slo_attainment.into(),
+        ]);
+    }
+    tables.push(colocated);
+    let notes = vec![
+        format!(
+            "train: {} iterations, mean score {:.4}; profile {} segments over {:.1}s window",
+            run.train.iterations,
+            run.train.mean_score,
+            run.profile_segments.len(),
+            cc.train_window_s,
+        ),
+        format!("top-tier p99 ratio: {:.3} (limit {TOP_P99_FACTOR:.2})", run.top_p99_ratio),
+    ];
+    let json = Json::obj(vec![
         ("schema", Json::Str("hf-bench.serve_slo/v1".into())),
-        ("mode", Json::Str(if fast { "fast" } else { "full" }.into())),
+        ("mode", Json::Str(mode(fast).into())),
         ("seed", Json::Int(SEED as i64)),
         ("horizon_s", Json::Num(HORIZON_S)),
-        ("mixes", Json::Arr(mixes)),
-        ("colocated", run_colocated_block()),
-    ])
+        ("mixes", Json::Arr(mixes_json)),
+        ("colocated", colocated_json(&cc, &run)),
+    ]);
+    Report { json: Some(json), ..Report::new(tables, notes) }
 }
 
 #[cfg(test)]
@@ -161,6 +255,10 @@ mod tests {
     use super::*;
     use hf_insight::{flatten_json, Leaf};
     use std::collections::BTreeMap;
+
+    fn fast_report() -> BTreeMap<String, Leaf> {
+        flatten_json(&serve_slo(true).json("serve_slo", true).render()).expect("report parses")
+    }
 
     fn leaf_num(flat: &BTreeMap<String, Leaf>, key: &str) -> f64 {
         match flat.get(key) {
@@ -175,7 +273,7 @@ mod tests {
     /// iteration.
     #[test]
     fn colocated_top_tier_p99_stays_within_pinned_factor() {
-        let flat = flatten_json(&build_report(true).render()).expect("report parses");
+        let flat = fast_report();
         let ratio = leaf_num(&flat, "colocated.top_p99_ratio");
         assert!(
             ratio <= TOP_P99_FACTOR,
@@ -193,7 +291,7 @@ mod tests {
     /// push tail latency up somewhere in each mix.
     #[test]
     fn curves_cover_three_mixes_and_load_moves_the_tail() {
-        let flat = flatten_json(&build_report(true).render()).expect("report parses");
+        let flat = fast_report();
         let n_loads = load_points(true).len();
         for (m, spec) in mix_specs().iter().enumerate() {
             let light = leaf_num(&flat, &format!("mixes[{m}].curve[0].arrivals"));
@@ -210,14 +308,5 @@ mod tests {
             });
             assert!(bumped, "mix {}: some tenant's p99 must rise with load", spec.name);
         }
-    }
-
-    /// Virtual-clock exactness end to end: two full fast sweeps render
-    /// byte-identical JSON.
-    #[test]
-    fn report_is_byte_identical_across_runs() {
-        let a = build_report(true).render();
-        let b = build_report(true).render();
-        assert_eq!(a, b, "serve_slo report must be byte-stable across runs");
     }
 }

@@ -10,7 +10,7 @@
 //! "what if resharding transitions were free" and "what if generation
 //! fully overlapped training" (ROADMAP item 1). [`report`] renders the
 //! results as byte-stable JSON and diffs them against a committed
-//! baseline within tolerance, which is what `perf_report --check`
+//! baseline within tolerance, which is what `hf-bench perf_report --check`
 //! enforces in CI.
 //!
 //! Everything is deterministic by construction: span-id *values* are

@@ -29,5 +29,5 @@ pub mod strategy;
 
 pub use dataflow::{AlgoKind, DataflowSpec, Role};
 pub use placement::{enum_alloc, set_partitions, PlacementPlan};
-pub use search::{Mapper, Mapping, Rejection, SearchStats, StageCosts};
+pub use search::{Mapper, Mapping, SearchStats, StageCosts};
 pub use strategy::{role_cost_bounds, ModelStrategy, RoleCostBounds};

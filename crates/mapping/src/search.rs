@@ -8,7 +8,7 @@
 //! same stage serialize, disjoint sets parallelize (Lines 25–34) — and
 //! return the mapping minimizing iteration latency.
 //!
-//! The search engine is parallel and pruned:
+//! The search is one pruned best-first loop:
 //!
 //! * **Branch-and-bound.** Every `(plan, alloc)` candidate gets an
 //!   optimistic `d_cost` lower bound composed from per-role best-case
@@ -17,26 +17,23 @@
 //!   incumbent best are skipped before `auto_parallel` ever runs.
 //!   Because a pruned candidate's true cost is ≥ its bound ≥ the
 //!   incumbent, pruning never changes the minimum cost found.
-//! * **Best-first ordering.** Candidates are sorted by their bound, so
-//!   the incumbent drops to near-optimal almost immediately and the
-//!   bound prunes the long tail.
-//! * **Worker pool.** On multi-core hosts candidates fan out over a
-//!   `std::thread::scope` pool fed by a crossbeam channel; the strategy
-//!   cache is a sharded `RwLock` map shared by all workers and the
-//!   incumbent is published lock-free as an `AtomicU64` of `f64` bits.
-//!   Ties are broken by submission order so the result is deterministic
-//!   in cost (bit-identical to [`Mapper::search_sequential`]).
+//! * **Best-first ordering.** Candidates are sorted by `(bound,
+//!   enumeration order)`, so the incumbent drops to near-optimal almost
+//!   immediately and the bound prunes the long tail. Ties on cost go to
+//!   the earlier-enumerated candidate, which makes the winning
+//!   *mapping* — not only its cost — a function of the inputs, equal to
+//!   what the exhaustive [`Mapper::search_sequential`] reference returns.
+//!
+//! After pruning a search evaluates 1–480 candidates in 30 µs–3.4 ms;
+//! a worker pool over that loop lost to it at every measured point
+//! (DESIGN.md §5), so there is none.
 
-use std::collections::hash_map::DefaultHasher;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
-use crossbeam::channel;
 use hf_modelspec::PerfModel;
 use hf_telemetry::Telemetry;
-use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 
 use crate::dataflow::{DataflowSpec, Role};
@@ -86,15 +83,6 @@ impl Mapping {
     }
 }
 
-/// Why a `(plan, alloc)` candidate produced no mapping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Rejection {
-    /// Some role had no memory-feasible strategy under this allocation.
-    Infeasible,
-    /// Its optimistic lower bound could not beat the incumbent best.
-    Pruned,
-}
-
 /// Search instrumentation counters (monotone across searches on one
 /// [`Mapper`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -112,8 +100,6 @@ pub struct SearchStats {
     pub cache_misses: usize,
     /// Wall-clock seconds spent inside `search`/`search_sequential`.
     pub wall_seconds: f64,
-    /// Worker threads used by the most recent `search` call.
-    pub workers: usize,
 }
 
 impl SearchStats {
@@ -128,78 +114,27 @@ impl SearchStats {
     }
 }
 
-const CACHE_SHARDS: usize = 16;
-const MAX_WORKERS: usize = 8;
+/// The incumbent best mapping of one search. Ties on cost go to the
+/// lower enumeration index, so the winner does not depend on the order
+/// candidates are considered in.
+#[derive(Default)]
+struct Incumbent(Option<(f64, u64, Mapping)>);
 
-/// A sharded concurrent map: readers take a per-shard read lock, so
-/// cache hits from different worker threads never contend on one
-/// global lock.
-struct Sharded<K, V> {
-    shards: Vec<RwLock<HashMap<K, V>>>,
-}
-
-impl<K: Hash + Eq, V: Clone> Sharded<K, V> {
-    fn new() -> Self {
-        Sharded { shards: (0..CACHE_SHARDS).map(|_| RwLock::new(HashMap::new())).collect() }
-    }
-
-    fn shard(&self, key: &K) -> &RwLock<HashMap<K, V>> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[h.finish() as usize % self.shards.len()]
-    }
-
-    fn get(&self, key: &K) -> Option<V> {
-        self.shard(key).read().get(key).cloned()
-    }
-
-    fn insert(&self, key: K, value: V) {
-        self.shard(&key).write().insert(key, value);
-    }
-
-    fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
-    }
-}
-
-/// The incumbent best mapping, shared across worker threads.
-///
-/// The cost of the incumbent is mirrored into an `AtomicU64` (IEEE-754
-/// bits; iteration latencies are positive, so bit order equals numeric
-/// order) so pruning checks never take the lock. Ties on cost are
-/// broken by candidate submission order, making the winning cost — and
-/// on a single worker the winning mapping — independent of thread
-/// scheduling.
-struct SharedBest {
-    cost_bits: AtomicU64,
-    inner: Mutex<Option<(f64, u64, Mapping)>>,
-}
-
-impl SharedBest {
-    fn new() -> Self {
-        SharedBest { cost_bits: AtomicU64::new(f64::INFINITY.to_bits()), inner: Mutex::new(None) }
-    }
-
+impl Incumbent {
     /// Current incumbent cost (`f64::INFINITY` before the first offer).
-    fn incumbent(&self) -> f64 {
-        f64::from_bits(self.cost_bits.load(Ordering::Acquire))
+    fn cost(&self) -> f64 {
+        self.0.as_ref().map_or(f64::INFINITY, |(c, _, _)| *c)
     }
 
-    fn offer(&self, seq: u64, m: Mapping) {
+    fn offer(&mut self, seq: u64, m: Mapping) {
         let cost = m.costs.total();
-        let mut guard = self.inner.lock();
-        let better = match &*guard {
-            None => true,
-            Some((c, s, _)) => (cost, seq) < (*c, *s),
-        };
-        if better {
-            self.cost_bits.store(cost.to_bits(), Ordering::Release);
-            *guard = Some((cost, seq, m));
+        if self.0.as_ref().is_none_or(|(c, s, _)| (cost, seq) < (*c, *s)) {
+            self.0 = Some((cost, seq, m));
         }
     }
 
     fn take(self) -> Option<Mapping> {
-        self.inner.into_inner().map(|(_, _, m)| m)
+        self.0.map(|(_, _, m)| m)
     }
 }
 
@@ -224,15 +159,9 @@ pub struct Mapper {
     /// Allocation step size (GPUs); machine-sized steps keep large
     /// searches tractable.
     pub granularity: usize,
-    cache: Sharded<CacheKey, Option<ModelStrategy>>,
-    bounds: Sharded<(Role, usize), Option<RoleCostBounds>>,
-    evals: AtomicUsize,
-    pruned: AtomicUsize,
-    infeasible: AtomicUsize,
-    cache_hits: AtomicUsize,
-    cache_misses: AtomicUsize,
-    wall_nanos: AtomicU64,
-    workers: AtomicUsize,
+    cache: RefCell<HashMap<CacheKey, Option<ModelStrategy>>>,
+    bounds: RefCell<HashMap<(Role, usize), Option<RoleCostBounds>>>,
+    stats: RefCell<SearchStats>,
     telemetry: Telemetry,
 }
 
@@ -279,15 +208,9 @@ impl Mapper {
             dataflow,
             total_gpus,
             granularity,
-            cache: Sharded::new(),
-            bounds: Sharded::new(),
-            evals: AtomicUsize::new(0),
-            pruned: AtomicUsize::new(0),
-            infeasible: AtomicUsize::new(0),
-            cache_hits: AtomicUsize::new(0),
-            cache_misses: AtomicUsize::new(0),
-            wall_nanos: AtomicU64::new(0),
-            workers: AtomicUsize::new(0),
+            cache: RefCell::default(),
+            bounds: RefCell::default(),
+            stats: RefCell::default(),
             telemetry: Telemetry::disabled(),
         }
     }
@@ -301,25 +224,17 @@ impl Mapper {
 
     /// Number of (plan, allocation) combinations evaluated so far.
     pub fn evaluations(&self) -> usize {
-        self.evals.load(Ordering::Relaxed)
+        self.stats.borrow().evaluations
     }
 
     /// Instrumentation counters accumulated so far.
     pub fn stats(&self) -> SearchStats {
-        SearchStats {
-            evaluations: self.evals.load(Ordering::Relaxed),
-            pruned: self.pruned.load(Ordering::Relaxed),
-            infeasible: self.infeasible.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            wall_seconds: self.wall_nanos.load(Ordering::Relaxed) as f64 / 1e9,
-            workers: self.workers.load(Ordering::Relaxed),
-        }
+        *self.stats.borrow()
     }
 
-    /// Entries in the shared strategy cache.
+    /// Entries in the strategy cache.
     pub fn cache_entries(&self) -> usize {
-        self.cache.len()
+        self.cache.borrow().len()
     }
 
     fn cached_strategy(&self, role: Role, n: usize, resident_other: f64) -> Option<ModelStrategy> {
@@ -327,11 +242,11 @@ impl Mapper {
         // across placements (the paper's caching trick, §8.5).
         let bucket = (resident_other / 1e9).round() as u64;
         let key = (role, n, bucket);
-        if let Some(hit) = self.cache.get(&key) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return hit;
+        if let Some(hit) = self.cache.borrow().get(&key) {
+            self.stats.borrow_mut().cache_hits += 1;
+            return hit.clone();
         }
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
+        self.stats.borrow_mut().cache_misses += 1;
         let strat = auto_parallel(
             &self.perf,
             self.dataflow.model(role),
@@ -340,7 +255,7 @@ impl Mapper {
             bucket as f64 * 1e9,
             &self.dataflow.workload,
         );
-        self.cache.insert(key, strat.clone());
+        self.cache.borrow_mut().insert(key, strat.clone());
         strat
     }
 
@@ -349,8 +264,8 @@ impl Mapper {
     /// [`role_cost_bounds`]).
     fn cached_bounds(&self, role: Role, n: usize) -> Option<RoleCostBounds> {
         let key = (role, n);
-        if let Some(hit) = self.bounds.get(&key) {
-            return hit;
+        if let Some(hit) = self.bounds.borrow().get(&key) {
+            return *hit;
         }
         let b = role_cost_bounds(
             &self.perf,
@@ -359,7 +274,7 @@ impl Mapper {
             n,
             &self.dataflow.workload,
         );
-        self.bounds.insert(key, b);
+        self.bounds.borrow_mut().insert(key, b);
         b
     }
 
@@ -565,7 +480,7 @@ impl Mapper {
 
     /// Evaluates one `(plan, alloc)` combination (`d_cost`).
     pub fn eval_alloc(&self, plan: &PlacementPlan, alloc: &[usize]) -> Option<Mapping> {
-        self.evals.fetch_add(1, Ordering::Relaxed);
+        self.stats.borrow_mut().evaluations += 1;
         let mut strategies: BTreeMap<Role, ModelStrategy> = BTreeMap::new();
         for (set, &n) in plan.sets.iter().zip(alloc.iter()) {
             for &role in set {
@@ -600,50 +515,33 @@ impl Mapper {
     /// Scores one candidate against the incumbent: bound-prunes, then
     /// evaluates, then offers the result to `best`. The single
     /// best-tracking fold shared by [`Mapper::evaluate_plan`] and
-    /// [`Mapper::search`]; the error reports *why* a candidate was
-    /// rejected.
+    /// [`Mapper::search`].
     fn consider(
         &self,
         plan: &PlacementPlan,
         alloc: &[usize],
         floor_bound: Option<f64>,
         seq: u64,
-        best: &SharedBest,
-    ) -> Result<(), Rejection> {
+        best: &mut Incumbent,
+    ) {
         // Tier 1: the closed-form floor (precomputed by `search`,
         // computed here otherwise).
-        let floor = match floor_bound.or_else(|| self.floor_lower_bound(plan, alloc)) {
-            Some(b) => b,
-            None => {
-                self.infeasible.fetch_add(1, Ordering::Relaxed);
-                return Err(Rejection::Infeasible);
-            }
+        let Some(floor) = floor_bound.or_else(|| self.floor_lower_bound(plan, alloc)) else {
+            self.stats.borrow_mut().infeasible += 1;
+            return;
         };
-        if floor >= best.incumbent() {
-            self.pruned.fetch_add(1, Ordering::Relaxed);
-            return Err(Rejection::Pruned);
+        if floor >= best.cost() {
+            self.stats.borrow_mut().pruned += 1;
+            return;
         }
         // Tier 2: the tighter per-(role, n) enumerated bound, cached.
         match self.alloc_lower_bound(plan, alloc) {
-            Some(b) if b >= best.incumbent() => {
-                self.pruned.fetch_add(1, Ordering::Relaxed);
-                return Err(Rejection::Pruned);
-            }
-            Some(_) => {}
-            None => {
-                self.infeasible.fetch_add(1, Ordering::Relaxed);
-                return Err(Rejection::Infeasible);
-            }
-        }
-        match self.eval_alloc(plan, alloc) {
-            Some(m) => {
-                best.offer(seq, m);
-                Ok(())
-            }
-            None => {
-                self.infeasible.fetch_add(1, Ordering::Relaxed);
-                Err(Rejection::Infeasible)
-            }
+            None => self.stats.borrow_mut().infeasible += 1,
+            Some(b) if b >= best.cost() => self.stats.borrow_mut().pruned += 1,
+            Some(_) => match self.eval_alloc(plan, alloc) {
+                Some(m) => best.offer(seq, m),
+                None => self.stats.borrow_mut().infeasible += 1,
+            },
         }
     }
 
@@ -651,105 +549,79 @@ impl Mapper {
     /// named-placement comparisons). Pruned against the plan-local
     /// incumbent; the returned minimum cost is unaffected.
     pub fn evaluate_plan(&self, plan: &PlacementPlan) -> Option<Mapping> {
-        let mins: Vec<usize> = plan.sets.iter().map(|s| self.min_alloc(s)).collect();
-        let best = SharedBest::new();
-        for (seq, alloc) in enum_alloc(self.total_gpus, &mins, self.granularity).iter().enumerate()
-        {
-            let _ = self.consider(plan, alloc, None, seq as u64, &best);
-        }
+        let mut best = Incumbent::default();
+        self.for_each_candidate(std::slice::from_ref(plan), |seq, _, alloc| {
+            self.consider(plan, &alloc, None, seq, &mut best);
+        });
         best.take()
     }
 
-    /// The full Algorithm 1 search over all placements and allocations:
-    /// parallel, branch-and-bound pruned, best-first. Returns a mapping
-    /// whose cost is bit-identical to [`Mapper::search_sequential`].
-    pub fn search(&self) -> Option<Mapping> {
-        let start = Instant::now();
-        let before = self.stats();
-        let roles = self.dataflow.roles();
-
-        // Enumerate every candidate, bounding each with the cheap
-        // closed-form floor; floor-infeasible candidates are rejected
-        // here and never queued. Jobs reference plans by index so the
-        // hot loop never clones a plan.
-        let plans: Vec<PlacementPlan> = set_partitions(&roles);
-        let mut jobs: Vec<(u64, usize, Vec<usize>, f64)> = Vec::new();
+    /// Calls `visit(seq, plan index, alloc)` for every `(plan, alloc)`
+    /// candidate. `seq`, the enumeration index, is what breaks cost ties
+    /// — the one definition both searches share.
+    fn for_each_candidate(
+        &self,
+        plans: &[PlacementPlan],
+        mut visit: impl FnMut(u64, usize, Vec<usize>),
+    ) {
         let mut seq = 0u64;
         for (pi, plan) in plans.iter().enumerate() {
             let mins: Vec<usize> = plan.sets.iter().map(|s| self.min_alloc(s)).collect();
             for alloc in enum_alloc(self.total_gpus, &mins, self.granularity) {
-                match self.floor_lower_bound(plan, &alloc) {
-                    Some(b) => jobs.push((seq, pi, alloc, b)),
-                    None => {
-                        self.infeasible.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+                visit(seq, pi, alloc);
                 seq += 1;
             }
         }
+    }
+
+    /// The full Algorithm 1 search over all placements and allocations:
+    /// branch-and-bound pruned, best-first. Returns the same mapping as
+    /// [`Mapper::search_sequential`].
+    pub fn search(&self) -> Option<Mapping> {
+        let start = Instant::now();
+        let before = self.stats();
+        let plans: Vec<PlacementPlan> = set_partitions(&self.dataflow.roles());
+
+        // Bound every candidate with the cheap closed-form floor;
+        // floor-infeasible candidates are rejected here and never
+        // queued. Jobs reference plans by index so the hot loop never
+        // clones a plan.
+        let mut jobs: Vec<(u64, usize, Vec<usize>, f64)> = Vec::new();
+        self.for_each_candidate(&plans, |seq, pi, alloc| {
+            match self.floor_lower_bound(&plans[pi], &alloc) {
+                Some(b) => jobs.push((seq, pi, alloc, b)),
+                None => self.stats.borrow_mut().infeasible += 1,
+            }
+        });
         // Best-first: most promising candidates first, so the incumbent
         // drops fast and the bound prunes the tail.
         jobs.sort_by(|a, b| a.3.total_cmp(&b.3).then(a.0.cmp(&b.0)));
 
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(MAX_WORKERS)
-            .min(jobs.len().max(1));
-        self.workers.store(workers, Ordering::Relaxed);
-
-        let best = SharedBest::new();
-        if workers <= 1 {
-            for (seq, pi, alloc, bound) in &jobs {
-                let _ = self.consider(&plans[*pi], alloc, Some(*bound), *seq, &best);
-            }
-        } else {
-            let (tx, rx) = channel::unbounded();
-            for job in jobs {
-                tx.send(job).expect("queue send");
-            }
-            drop(tx);
-            let plans = &plans;
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    let rx = rx.clone();
-                    let best = &best;
-                    scope.spawn(move || {
-                        for (seq, pi, alloc, bound) in rx.iter() {
-                            let _ = self.consider(&plans[pi], &alloc, Some(bound), seq, best);
-                        }
-                    });
-                }
-            });
+        let mut best = Incumbent::default();
+        for (seq, pi, alloc, bound) in &jobs {
+            self.consider(&plans[*pi], alloc, Some(*bound), *seq, &mut best);
         }
 
-        self.wall_nanos.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.stats.borrow_mut().wall_seconds += start.elapsed().as_secs_f64();
         self.record_telemetry(before);
         best.take()
     }
 
-    /// The exhaustive single-threaded reference: no pruning, no
-    /// worker pool. Used as the benchmark baseline and by the
-    /// equivalence tests.
+    /// The exhaustive reference: every candidate evaluated, nothing
+    /// pruned. What the equivalence tests and the `mapping_search`
+    /// experiment compare [`Mapper::search`] against.
     pub fn search_sequential(&self) -> Option<Mapping> {
         let start = Instant::now();
         let before = self.stats();
-        let roles = self.dataflow.roles();
-        let best = SharedBest::new();
-        let mut seq = 0u64;
-        for plan in set_partitions(&roles) {
-            let mins: Vec<usize> = plan.sets.iter().map(|s| self.min_alloc(s)).collect();
-            for alloc in enum_alloc(self.total_gpus, &mins, self.granularity) {
-                match self.eval_alloc(&plan, &alloc) {
-                    Some(m) => best.offer(seq, m),
-                    None => {
-                        self.infeasible.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                seq += 1;
+        let plans: Vec<PlacementPlan> = set_partitions(&self.dataflow.roles());
+        let mut best = Incumbent::default();
+        self.for_each_candidate(&plans, |seq, pi, alloc| {
+            match self.eval_alloc(&plans[pi], &alloc) {
+                Some(m) => best.offer(seq, m),
+                None => self.stats.borrow_mut().infeasible += 1,
             }
-        }
-        self.wall_nanos.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        });
+        self.stats.borrow_mut().wall_seconds += start.elapsed().as_secs_f64();
         self.record_telemetry(before);
         best.take()
     }
@@ -771,7 +643,6 @@ impl Mapper {
             .add_counter("search.cache_misses", (after.cache_misses - before.cache_misses) as u64);
         self.telemetry.set_gauge("search.wall_seconds", after.wall_seconds);
         self.telemetry.set_gauge("search.cache_hit_rate", after.cache_hit_rate());
-        self.telemetry.set_gauge("search.workers", after.workers as f64);
     }
 }
 
@@ -825,17 +696,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_search_matches_sequential_cost() {
+    fn search_is_deterministic_and_matches_the_exhaustive_mapping() {
         for (model, gpus) in [(ModelConfig::llama_7b(), 16), (ModelConfig::llama_13b(), 32)] {
-            let par = mapper(model.clone(), gpus);
-            let sequential = mapper(model, gpus);
-            let a = par.search().expect("parallel search finds a mapping");
-            let b = sequential.search_sequential().expect("sequential search finds a mapping");
-            assert_eq!(
-                a.costs.total().to_bits(),
-                b.costs.total().to_bits(),
-                "pruned/parallel cost must be bit-identical to the exhaustive reference"
-            );
+            let (first, second) = (mapper(model.clone(), gpus), mapper(model.clone(), gpus));
+            let a = first.search().expect("search finds a mapping");
+            let b = second.search().expect("search finds a mapping");
+            assert_eq!(a, b, "two fresh searches must return the same mapping");
+            let timeless = |m: &Mapper| SearchStats { wall_seconds: 0.0, ..m.stats() };
+            assert_eq!(timeless(&first), timeless(&second), "counters are exact, misses included");
+
+            let exhaustive = mapper(model, gpus);
+            let reference = exhaustive.search_sequential().expect("reference finds a mapping");
+            assert_eq!(a, reference, "pruning must not change the winning mapping");
         }
     }
 
@@ -949,6 +821,7 @@ mod tests {
             DataflowSpec::uniform(AlgoKind::Ppo, ModelConfig::llama_7b(), RlhfWorkload::paper());
         let mut warm = Mapper::new(perf.clone(), df.clone(), 16);
         let _ = warm.search().expect("initial world maps");
+        let misses_before = warm.stats().cache_misses;
 
         // Lose four ranks, re-search over the survivors with the caches
         // carried over.
@@ -956,25 +829,13 @@ mod tests {
         let remapped = warm.search().expect("survivor world maps");
         assert_eq!(remapped.alloc.iter().sum::<usize>(), 12);
 
-        let cold = Mapper::new(perf.clone(), df.clone(), 12);
+        let cold = Mapper::new(perf, df, 12);
         let reference = cold.search().expect("cold survivor world maps");
         assert_eq!(
-            remapped.costs.total().to_bits(),
-            reference.costs.total().to_bits(),
-            "warm-started re-search must be bit-identical to a cold search"
+            remapped, reference,
+            "warm-started re-search must return the same mapping as a cold search"
         );
-
-        // Reuse, counted on the sequential search: which keys a parallel
-        // search looks up — and how many threads miss the same key before
-        // one of them fills it — depends on the schedule.
-        let mut warm = Mapper::new(perf.clone(), df.clone(), 16);
-        let _ = warm.search_sequential().expect("initial world maps");
-        let misses_before = warm.stats().cache_misses;
-        warm.resize_world(12);
-        let _ = warm.search_sequential().expect("survivor world maps");
         let warm_misses = warm.stats().cache_misses - misses_before;
-        let cold = Mapper::new(perf, df, 12);
-        let _ = cold.search_sequential().expect("cold survivor world maps");
         assert!(
             warm_misses < cold.stats().cache_misses,
             "warm start must reuse cached strategies ({} vs {})",

@@ -216,11 +216,10 @@ impl RemapPlanner for MapperPlanner {
         }
         self.mapper.resize_world(survivors.len());
         let t0 = std::time::Instant::now();
-        // The sequential search: deterministic incumbent tie-breaking,
-        // so the chosen layout — and with it every post-remap bit — is
-        // reproducible across runs (the parallel search breaks cost
-        // ties by arrival order).
-        let found = self.mapper.search_sequential().ok_or_else(|| {
+        // The search breaks cost ties by enumeration order, so the
+        // chosen layout — and with it every post-remap bit — is
+        // reproducible across runs.
+        let found = self.mapper.search().ok_or_else(|| {
             CoreError::Config(format!("no feasible mapping for {} survivors", survivors.len()))
         })?;
         let search_wall_s = t0.elapsed().as_secs_f64();

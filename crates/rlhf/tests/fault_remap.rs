@@ -8,11 +8,14 @@ mod common;
 
 use common::{controller_4gpu, fresh_store, placement_4gpu, with_watchdog};
 use hf_core::{Controller, WorkerLayout};
+use hf_mapping::{AlgoKind, DataflowSpec, Mapper, Role};
+use hf_modelspec::{ModelConfig, PerfModel, RlhfWorkload};
 use hf_parallel::{GenGrouping, GroupingMethod};
 use hf_resilience::{CheckpointStore, FaultInjector, FaultPlan, FaultTrigger};
 use hf_rlhf::{
-    remap_recoverable, restore_system_checkpoint, save_system_checkpoint, Algorithm, MapperPlanner,
-    Placement, PlannedRemap, RemapConfig, RemapDriver, RemapReport, RlhfConfig, RlhfSystem,
+    bridge_spec, remap_recoverable, restore_system_checkpoint, save_system_checkpoint, Algorithm,
+    MapperPlanner, Placement, PlannedRemap, RemapConfig, RemapDriver, RemapPlanner, RemapReport,
+    RlhfConfig, RlhfSystem,
 };
 use hf_simcluster::{ClusterSpec, DeviceId, ResourcePool};
 
@@ -177,4 +180,25 @@ fn planned_load_shift_remaps_at_the_boundary() {
         assert!(ctrl.telemetry().counter("remap.events") >= 1);
         store.load_group(4, "actor").unwrap();
     });
+}
+
+/// The planner runs the pruned search; the layout it picks for every
+/// survivor count is the one the exhaustive reference search would pick,
+/// so dropping the reference from the recovery path moved no layout.
+#[test]
+fn planner_layouts_match_the_exhaustive_reference_search() {
+    let total = 12;
+    let rlhf = RlhfConfig::tiny();
+    let mut planner = MapperPlanner::toy(total);
+    let perf = PerfModel::new(ClusterSpec::a100_with_gpus(total));
+    let df = DataflowSpec::uniform(AlgoKind::Ppo, ModelConfig::tiny(), RlhfWorkload::paper());
+    let mut reference = Mapper::new(perf, df, total);
+    for world in 1..=total {
+        let survivors: Vec<DeviceId> = (0..world).map(DeviceId).collect();
+        let planned = planner.plan(&survivors, &rlhf, Algorithm::Ppo).expect("every world maps");
+        reference.resize_world(world);
+        let found = reference.search_sequential().expect("every world maps");
+        let expected = bridge_spec(found.strategies[&Role::Actor].spec, &rlhf.lm, world);
+        assert_eq!(planned.placement.actor.layout.spec, expected, "world {world}");
+    }
 }

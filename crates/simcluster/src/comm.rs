@@ -177,9 +177,12 @@ impl CommGroup {
         R: Send + Sync + 'static,
         F: FnOnce(Vec<T>) -> R,
     {
+        // `resume_unwind`, not `panic_any`: the abort is a designed
+        // control path, so it skips the panic hook — only the
+        // originating failure prints.
         fn abort_if_poisoned(st: &RoundState) {
             if let Some(r) = &st.poisoned {
-                std::panic::panic_any(CollectiveAbort { reason: r.to_string() });
+                std::panic::resume_unwind(Box::new(CollectiveAbort { reason: r.to_string() }));
             }
         }
         let inner = &*self.inner;

@@ -3,7 +3,7 @@
 //! optimizer-sharding` configuration must reproduce the `1-1-1`
 //! single-device reference byte for byte — weights, Adam moments,
 //! logprobs, and generated token streams. The full ≥200-config sweep
-//! runs in the `audit_sweep` bench bin; this slice keeps the invariant
+//! runs as `hf-bench audit_sweep`; this slice keeps the invariant
 //! under plain `cargo test`.
 
 use hf_audit::{sample_configs, sweep};
