@@ -1,20 +1,32 @@
 //! The experiments that read the host clock: the mapping search against
-//! its exhaustive reference, generation-engine throughput, and the
-//! cross-layout audit sweep. Their JSON is informational — wall-clock
-//! columns differ run to run; every count beside them is exact.
+//! its exhaustive reference, generation-engine throughput, the inference
+//! forward against the tape it replaced, and the cross-layout audit
+//! sweep. Their JSON is informational — wall-clock columns differ run to
+//! run; every count beside them is exact.
 
+use std::hint::black_box;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use hf_audit::{sample_configs, sweep};
+use hf_core::{Controller, DataProto, Protocol, RankCtx, Worker, WorkerLayout};
 use hf_genserve::{BlockManager, GenConfig, GenRequest, GenServer};
 use hf_mapping::{AlgoKind, DataflowSpec, Mapper};
 use hf_modelspec::RlhfWorkload;
 use hf_nn::{LmConfig, TinyLm};
+use hf_parallel::ParallelSpec;
+use hf_rlhf::{CriticWorker, WorkerHyper};
+use hf_simcluster::{ClusterSpec, ResourcePool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::experiments;
 use crate::table::{col, label, Report, Table};
+
+fn median(mut times: Vec<f64>) -> f64 {
+    times.sort_by(f64::total_cmp);
+    times[times.len() / 2]
+}
 
 /// Median wall-clock seconds of `run` over `reps` repetitions, and the
 /// last repetition's result.
@@ -26,8 +38,7 @@ fn median_secs<T>(reps: usize, mut run: impl FnMut() -> T) -> (f64, T) {
         last = Some(run());
         times.push(t0.elapsed().as_secs_f64());
     }
-    times.sort_by(f64::total_cmp);
-    (times[times.len() / 2], last.expect("reps > 0"))
+    (median(times), last.expect("reps > 0"))
 }
 
 /// The pruned mapping search vs the exhaustive reference over the
@@ -176,6 +187,119 @@ pub fn genserve_throughput(fast: bool) -> Report {
         cfg.param_count()
     );
     Report::new(vec![table], vec![note])
+}
+
+/// TP all-reduces each rank makes in one `tp_inference` pass
+/// (`compute_values`) over a chunk of `rows` rows on 1-2-2, as the ranks'
+/// TP communicators count them.
+fn tp_joins_per_chunk(cfg: LmConfig, rows: usize) -> u64 {
+    let hyper = WorkerHyper { tp_inference: true, ..WorkerHyper::default() };
+    let joins = Arc::new(Mutex::new(Vec::new()));
+    let ctrl = Controller::new(ClusterSpec::a100_with_gpus(4));
+    let layout = WorkerLayout::train_only(ParallelSpec::new(1, 2, 2));
+    let group = ctrl
+        .spawn_group("critic", &ResourcePool::contiguous(0, 4), layout, |_r| {
+            let (mut critic, joins) = (CriticWorker::new(cfg, hyper.clone()), joins.clone());
+            Box::new(move |method: &str, data: DataProto, ctx: &mut RankCtx| {
+                let before = ctx.comms.tp.rounds();
+                let reply = critic.execute(method, data, ctx);
+                joins.lock().expect("no rank panicked").push(ctx.comms.tp.rounds() - before);
+                reply
+            })
+        })
+        .expect("spawn the critic group");
+    // Two data-parallel groups: a chunk of `rows` each.
+    let mut batch = DataProto::with_rows(2 * rows);
+    batch.insert_tokens("prompts", vec![3; 2 * rows * 6], 6);
+    batch.insert_tokens("responses", vec![5; 2 * rows * 6], 6);
+    group.call_sync("compute_values", &batch, Protocol::ThreeD).expect("compute_values");
+    let joins = joins.lock().expect("no rank panicked");
+    assert!(joins.iter().all(|&j| j == joins[0]), "ranks disagree: {joins:?}");
+    joins[0]
+}
+
+/// What a forward-only pass costs on `LmConfig::tiny()`: building the
+/// tape's forward (`forward_stacked`, what `log_probs` / `values` paid
+/// until they left the tape) beside the tape-free `values_stacked` and
+/// `log_probs_stacked`, one sequence of `T` fed tokens a call. Exact
+/// beside the timings: whether the two paths agree bit for bit, and the
+/// TP all-reduces a `tp_inference` pass makes for an 8-row chunk on 1-2-2
+/// — `layers`, where a pass per row made `8 × layers`.
+pub fn inference_forward(fast: bool) -> Report {
+    const BATCH: usize = 50;
+    let batches = if fast { 3 } else { 31 };
+    let cfg = LmConfig::tiny();
+    let lm = TinyLm::new(cfg, 7);
+    let joins = tp_joins_per_chunk(cfg, 8);
+    // The allocator state of a long-running worker, not of a fresh
+    // process: freeing one large block raises glibc's trim threshold, so
+    // that a tape's few hundred KB are not given back to the kernel and
+    // faulted in again on every call (EXPERIMENTS.md, "one inference
+    // forward": that alone reads as 1.3-1.6x).
+    drop(black_box(vec![1u8; 8 << 20]));
+    let mut table = Table::new(
+        format!(
+            "inference forward: tape vs tape-free (median of {batches} batches of {BATCH} calls)"
+        ),
+        vec![
+            label("T"),
+            col("tape forward", "us", 1),
+            col("values_stacked", "us", 1),
+            col("log_probs_stacked", "us", 1),
+            col("tape / values", "x", 2),
+            label("bit-equal"),
+            label("TP joins / 8-row chunk"),
+        ],
+    );
+    let mut failures = Vec::new();
+    for t in [12usize, 24, 64, 96] {
+        // `T + 1` tokens, so that the log-prob pass feeds `T` as well.
+        let seq: Vec<usize> = (0..=t).map(|i| (i * 7 + 3) % cfg.vocab).collect();
+        let fed = &seq[..t];
+        // Each path runs `BATCH` calls back to back — its own steady
+        // state, not the cache the other left behind — and the paths take
+        // turns by the batch, so drift in the host's speed falls on all
+        // of them alike.
+        let mut times = [Vec::new(), Vec::new(), Vec::new()];
+        for _ in 0..batches {
+            let mut timed = |slot: usize, call: &dyn Fn()| {
+                let t0 = Instant::now();
+                (0..BATCH).for_each(|_| call());
+                times[slot].push(t0.elapsed().as_secs_f64() / BATCH as f64);
+            };
+            timed(0, &|| drop(black_box(lm.forward_stacked(&[fed]))));
+            timed(1, &|| drop(black_box(lm.values_stacked(&[fed]))));
+            timed(2, &|| drop(black_box(lm.log_probs_stacked(&[&seq]))));
+        }
+        let [tape_s, values_s, logps_s] = times.map(median);
+        let (fp, values, logps) =
+            (lm.forward_stacked(&[fed]), lm.values_stacked(&[fed]), lm.log_probs_stacked(&[&seq]));
+        let (lp_pass, lp) = lm.next_token_log_probs(&[&seq]);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let equal = bits(&values[0]) == bits(fp.tape.value(fp.values).data())
+            && bits(&logps[0]) == bits(lp_pass.tape.value(lp).data());
+        if !equal {
+            failures.push(format!("T = {t}: the tape-free pass left the tape's bits"));
+        }
+        table.push(vec![
+            t.into(),
+            (tape_s * 1e6).into(),
+            (values_s * 1e6).into(),
+            (logps_s * 1e6).into(),
+            (tape_s / values_s).into(),
+            if equal { "yes" } else { "NO" }.into(),
+            joins.into(),
+        ]);
+    }
+    if joins != cfg.layers as u64 {
+        failures.push(format!("a TP pass made {joins} all-reduces, not one per layer"));
+    }
+    let note = format!(
+        "model {} params, {} layers; one sequence a call, unpinned (pin with `taskset -c 1` for figures)",
+        cfg.param_count(),
+        cfg.layers
+    );
+    Report { failures, ..Report::new(vec![table], vec![note]) }
 }
 
 /// ns/alloc under reclaim-queue churn: every block is registered in the

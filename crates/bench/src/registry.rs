@@ -49,6 +49,7 @@ pub const REGISTRY: &[Experiment] = &[
     exact("ablations", figures::ablations),
     timed("mapping_search", host::mapping_search),
     timed("genserve_throughput", host::genserve_throughput),
+    timed("inference_forward", host::inference_forward),
     timed("audit_sweep", host::audit_sweep),
     exact("fault_recovery", faults::fault_recovery),
     exact("remap", faults::remap),

@@ -27,7 +27,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 
 use crate::kernels::{self, Lanes, Nt, Sum, LANES};
-use crate::tape::{Tape, Var};
+use crate::sharded::{self, Block};
+use crate::tape::{self, Tape, Var};
+use crate::tensor::{Mat, Tensor};
 
 /// Architecture of a [`TinyLm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -263,15 +265,58 @@ impl TinyLm {
         ForwardPass { tape, logits, values }
     }
 
+    /// The `[rows × cols]` parameter matrix at `off` in the flat buffer.
+    fn window(&self, off: usize, rows: usize, cols: usize) -> Mat<'_> {
+        Mat { data: &self.flat[off..off + rows * cols], rows, cols }
+    }
+
+    /// The final-norm features of several sequences stacked on the row
+    /// dimension (`[Σ len × hidden]`), without a tape: the stage forward
+    /// of [`crate::ShardedLm`] at `p = t = 1`, reading the flat buffer in
+    /// place. Bit for bit the features [`TinyLm::forward_stacked`] forms;
+    /// nothing but the stream itself is alive between two blocks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there is no sequence, one is empty, or a token is out
+    /// of vocab.
+    fn features_stacked(&self, seqs: &[&[usize]]) -> Tensor {
+        assert!(
+            !seqs.is_empty() && seqs.iter().all(|s| !s.is_empty()),
+            "forward needs at least one token"
+        );
+        let cfg = self.cfg;
+        let (h, f) = (cfg.hidden, cfg.ffn);
+        let lens: Vec<usize> = seqs.iter().map(|s| s.len()).collect();
+        let mut x = Tensor::zeros(lens.iter().sum(), h);
+        for (r, &id) in seqs.iter().copied().flatten().enumerate() {
+            assert!(id < cfg.vocab, "token id {id} out of vocab {}", cfg.vocab);
+            x.row_mut(r).copy_from_slice(&self.flat[id * h..(id + 1) * h]);
+        }
+        let blocks = (0..cfg.layers).map(|l| {
+            let gain = self.block_offset(l);
+            Block {
+                gain: &self.flat[gain..gain + h],
+                wa: self.window(gain + h, f, h),
+                ua: self.window(gain + h + f * h, f, h),
+                wb: self.window(gain + h + 2 * f * h, h, f),
+            }
+        });
+        let out = sharded::run_blocks(x, &lens, blocks, |partial| partial);
+        let gain = self.final_gain_offset();
+        sharded::rmsnorm(&out, &self.flat[gain..gain + h])
+    }
+
     /// Log-probabilities of each next token: `out[t] = log p(ids[t+1] |
     /// ids[0..=t])`, length `ids.len() - 1` (no gradient).
     pub fn log_probs(&self, ids: &[usize]) -> Vec<f32> {
         self.log_probs_stacked(&[ids]).swap_remove(0)
     }
 
-    /// The stacked forward pass that predicts every sequence's next
-    /// tokens — sequence `s` feeds `seqs[s][..len − 1]` — and, on its
-    /// tape, the log-probability of each next token (`[Σ (len − 1) × 1]`).
+    /// The stacked differentiable forward pass that predicts every
+    /// sequence's next tokens — sequence `s` feeds `seqs[s][..len − 1]` —
+    /// and, on its tape, the log-probability of each next token
+    /// (`[Σ (len − 1) × 1]`).
     ///
     /// # Panics
     ///
@@ -286,14 +331,21 @@ impl TinyLm {
     }
 
     /// [`TinyLm::log_probs`] of every sequence, through one stacked
-    /// forward pass.
+    /// forward pass that builds no tape: bit for bit the values of
+    /// [`TinyLm::next_token_log_probs`].
     ///
     /// # Panics
     ///
     /// Panics if a sequence has fewer than two tokens.
     pub fn log_probs_stacked(&self, seqs: &[&[usize]]) -> Vec<Vec<f32>> {
-        let (fp, lp) = self.next_token_log_probs(seqs);
-        split_rows(fp.tape.value(lp).data(), seqs.iter().map(|s| s.len() - 1))
+        assert!(seqs.iter().all(|s| s.len() >= 2));
+        let inputs: Vec<&[usize]> = seqs.iter().map(|s| &s[..s.len() - 1]).collect();
+        let f = self.features_stacked(&inputs);
+        let head = self.window(self.head_offset(), self.cfg.vocab, self.cfg.hidden);
+        let logits = kernels::x_wt(f.mat(), head);
+        let targets = seqs.iter().flat_map(|s| &s[1..]).enumerate();
+        let lp: Vec<f32> = targets.map(|(r, &tok)| tape::log_prob(logits.row(r), tok)).collect();
+        split_rows(&lp, seqs.iter().map(|s| s.len() - 1))
     }
 
     /// Per-position scalar values over `ids` (no gradient).
@@ -302,10 +354,12 @@ impl TinyLm {
     }
 
     /// [`TinyLm::values`] of every sequence, through one stacked forward
-    /// pass.
+    /// pass that builds no tape: bit for bit the values head of
+    /// [`TinyLm::forward_stacked`].
     pub fn values_stacked(&self, seqs: &[&[usize]]) -> Vec<Vec<f32>> {
-        let fp = self.forward_stacked(seqs);
-        split_rows(fp.tape.value(fp.values).data(), seqs.iter().map(|s| s.len()))
+        let f = self.features_stacked(seqs);
+        let values = kernels::x_wt(f.mat(), self.window(self.vhead_offset(), 1, self.cfg.hidden));
+        split_rows(values.data(), seqs.iter().map(|s| s.len()))
     }
 
     /// Samples `len` continuation tokens after `prompt` at `temperature`

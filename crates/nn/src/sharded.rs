@@ -13,9 +13,21 @@
 //! Only the forward (inference/generation) path is sharded; training in
 //! the functional runtime uses data parallelism (DESIGN.md §2 documents
 //! the simplification).
+//!
+//! **The inference forward.** The stage forward keeps nothing it has
+//! read — no tape, no saved activations — so it is also what every
+//! forward-only pass of an unsharded model runs ([`TinyLm::log_probs_stacked`],
+//! [`TinyLm::values_stacked`]): [`run_blocks`] over windows of the
+//! model's own flat buffer is the `p = t = 1` stage, bit for bit the
+//! tape's forward. Like the tape it takes whole sequences stacked on the
+//! row dimension: `cum_mean` restarts at every segment boundary and every
+//! other op is row-wise, so each segment's rows are what that sequence
+//! alone computes — and a tensor-parallel group joins a layer with one
+//! all-reduce for all of them.
 
+use crate::kernels;
 use crate::model::{LmConfig, TinyLm};
-use crate::tensor::Tensor;
+use crate::tensor::{Mat, Tensor};
 
 /// A rank's slice of the model under `t`-way tensor and `p`-way pipeline
 /// parallelism.
@@ -135,34 +147,6 @@ impl ShardedLm {
             + self.vhead.as_ref().map(|t| t.len()).unwrap_or(0)
     }
 
-    fn rmsnorm(x: &Tensor, gain: &[f32]) -> Tensor {
-        let mut y = Tensor::zeros(x.rows(), x.cols());
-        for r in 0..x.rows() {
-            let row = x.row(r);
-            let ms: f32 = row.iter().map(|v| v * v).sum::<f32>() / row.len() as f32;
-            let inv = 1.0 / (ms + 1e-6).sqrt();
-            for (c, &v) in row.iter().enumerate() {
-                y.set(r, c, v * inv * gain[c]);
-            }
-        }
-        y
-    }
-
-    fn cum_mean(x: &Tensor) -> Tensor {
-        let mut y = Tensor::zeros(x.rows(), x.cols());
-        let mut acc = vec![0.0f32; x.cols()];
-        for r in 0..x.rows() {
-            for (a, &v) in acc.iter_mut().zip(x.row(r).iter()) {
-                *a += v;
-            }
-            let inv = 1.0 / (r as f32 + 1.0);
-            for (c, a) in acc.iter().enumerate() {
-                y.set(r, c, a * inv);
-            }
-        }
-        y
-    }
-
     /// Embeds `ids` (stage 0's entry point).
     ///
     /// # Panics
@@ -178,44 +162,156 @@ impl ShardedLm {
         x
     }
 
-    /// Runs this stage's blocks over the incoming hidden stream. After
-    /// each block's row-parallel `Wb` matmul, `all_reduce` joins the
-    /// partial sums across the TP group (it receives this rank's partial
-    /// `[T × hidden]` buffer and must return the elementwise sum across
-    /// all TP ranks).
+    /// This rank's shard of local block `b`, borrowed.
+    fn block(&self, b: usize) -> Block<'_> {
+        let (gain, wa, ua, wb) = &self.blocks[b];
+        Block { gain, wa: wa.mat(), ua: ua.mat(), wb: wb.mat() }
+    }
+
+    /// Runs this stage's blocks over the incoming hidden stream of one
+    /// sequence. After each block's row-parallel `Wb` matmul,
+    /// `all_reduce` joins the partial sums across the TP group (it
+    /// receives this rank's partial `[T × hidden]` buffer and must return
+    /// the elementwise sum across all TP ranks).
     pub fn forward_stage(
         &self,
-        mut h: Tensor,
+        h: Tensor,
+        all_reduce: impl FnMut(&[f32]) -> Vec<f32>,
+    ) -> StageOutput {
+        let rows = h.rows();
+        self.forward_stage_stacked(h, &[rows], all_reduce)
+    }
+
+    /// [`ShardedLm::forward_stage`] over several sequences stacked on the
+    /// row dimension (`h` is `[Σ lens × hidden]`, sequence `s` in rows
+    /// `Σ_{r<s} lens[r]..`): each sequence's rows come out bit for bit as
+    /// from a pass of its own, and `all_reduce` is called once per block
+    /// for all of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lens` does not add up to the rows of `h`.
+    pub fn forward_stage_stacked(
+        &self,
+        h: Tensor,
+        lens: &[usize],
         mut all_reduce: impl FnMut(&[f32]) -> Vec<f32>,
     ) -> StageOutput {
-        for (gain, wa, ua, wb) in &self.blocks {
-            let c = Self::cum_mean(&h);
-            let n = Self::rmsnorm(&h, gain);
-            let a1 = n.matmul_nt(wa); // [T × fs]
-            let a2 = c.matmul_nt(ua);
-            let mut act = a1.add(&a2);
-            for v in act.data_mut().iter_mut() {
-                let s = 1.0 / (1.0 + (-*v).exp());
-                *v *= s;
-            }
-            // Row-parallel output: partial [T × h], joined by all-reduce
-            // (Wb shard is [h × fs], act is [T × fs]: matmul_nt gives
-            // [T × h] directly).
-            let partial = act.matmul_nt(wb);
-            let joined = all_reduce(partial.data());
-            let out = Tensor::new(joined, h.rows(), h.cols());
-            h = h.add(&out);
+        let blocks = (0..self.blocks.len()).map(|b| self.block(b));
+        let h = run_blocks(h, lens, blocks, |partial| {
+            Tensor::new(all_reduce(partial.data()), partial.rows(), partial.cols())
+        });
+        self.finalize(h)
+    }
+
+    /// What the stage hands on: the hidden stream, or on the last stage
+    /// the heads over the final norm.
+    fn finalize(&self, h: Tensor) -> StageOutput {
+        if self.p_idx < self.p - 1 {
+            return StageOutput::Hidden(h);
         }
-        if self.p_idx == self.p - 1 {
-            let f = Self::rmsnorm(&h, self.final_gain.as_ref().expect("last stage"));
-            StageOutput::Final {
-                logits: f.matmul_nt(self.head.as_ref().expect("last stage")),
-                values: f.matmul_nt(self.vhead.as_ref().expect("last stage")),
-            }
-        } else {
-            StageOutput::Hidden(h)
+        let f = rmsnorm(&h, self.final_gain.as_ref().expect("last stage"));
+        StageOutput::Final {
+            logits: f.matmul_nt(self.head.as_ref().expect("last stage")),
+            values: f.matmul_nt(self.vhead.as_ref().expect("last stage")),
         }
     }
+}
+
+/// One residual block's weights as a rank holds them, borrowed: the
+/// tensors of a [`ShardedLm`], or at `t = 1` windows of a [`TinyLm`]'s
+/// flat buffer.
+#[derive(Clone, Copy)]
+pub(crate) struct Block<'a> {
+    /// RMSNorm gain, `[hidden]`.
+    pub gain: &'a [f32],
+    /// `Wa` rows of this shard, `[ffn/t × hidden]`.
+    pub wa: Mat<'a>,
+    /// `Ua` rows of this shard, `[ffn/t × hidden]`.
+    pub ua: Mat<'a>,
+    /// `Wb` columns of this shard, `[hidden × ffn/t]`.
+    pub wb: Mat<'a>,
+}
+
+impl Block<'_> {
+    /// This shard's share of the block's output over the stream `h`
+    /// (`[rows × hidden]`): summed over the TP group it is what the
+    /// residual adds. `bounds` are the segment starts and the row count.
+    fn partial(&self, h: &Tensor, bounds: &[usize]) -> Tensor {
+        let c = cum_mean(h, bounds);
+        let n = rmsnorm(h, self.gain);
+        let mut act = kernels::x_wt(n.mat(), self.wa).add(&kernels::x_wt(c.mat(), self.ua));
+        for v in act.data_mut() {
+            let s = 1.0 / (1.0 + (-*v).exp());
+            *v *= s;
+        }
+        // Row-parallel output: `act` is `[rows × ffn/t]`, the `Wb` shard
+        // `[hidden × ffn/t]`.
+        kernels::x_wt(act.mat(), self.wb)
+    }
+}
+
+/// `[0, T₀, T₀ + T₁, …]` for segments of `lens` rows covering `rows`.
+fn segment_bounds(lens: &[usize], rows: usize) -> Vec<usize> {
+    let mut bounds = vec![0];
+    bounds.extend(lens.iter().scan(0, |row, len| {
+        *row += len;
+        Some(*row)
+    }));
+    assert_eq!(bounds[lens.len()], rows, "segment lengths must cover the rows");
+    bounds
+}
+
+/// The tape-free forward through `blocks` over sequences of `lens` rows
+/// stacked in `h`: after each block `join` turns this rank's partial
+/// output into the TP group's sum (the identity at `t = 1`).
+pub(crate) fn run_blocks<'a>(
+    mut h: Tensor,
+    lens: &[usize],
+    blocks: impl IntoIterator<Item = Block<'a>>,
+    mut join: impl FnMut(Tensor) -> Tensor,
+) -> Tensor {
+    let bounds = segment_bounds(lens, h.rows());
+    for block in blocks {
+        let out = join(block.partial(&h, &bounds));
+        h = h.add(&out);
+    }
+    h
+}
+
+/// Row-wise RMS normalization with gain, the expression of
+/// [`crate::Tape::rmsnorm`].
+pub(crate) fn rmsnorm(x: &Tensor, gain: &[f32]) -> Tensor {
+    let mut y = Tensor::zeros(x.rows(), x.cols());
+    for r in 0..x.rows() {
+        let row = x.row(r);
+        let ms: f32 = row.iter().map(|v| v * v).sum::<f32>() / row.len() as f32;
+        let inv = 1.0 / (ms + 1e-6).sqrt();
+        for ((y, &v), &g) in y.row_mut(r).iter_mut().zip(row).zip(gain) {
+            *y = v * inv * g;
+        }
+    }
+    y
+}
+
+/// Causal running mean over the rows of each segment, the expression of
+/// [`crate::Tape::cum_mean`].
+fn cum_mean(x: &Tensor, bounds: &[usize]) -> Tensor {
+    let mut y = Tensor::zeros(x.rows(), x.cols());
+    let mut acc = vec![0.0f32; x.cols()];
+    for seg in bounds.windows(2) {
+        acc.fill(0.0);
+        for r in seg[0]..seg[1] {
+            for (a, &v) in acc.iter_mut().zip(x.row(r)) {
+                *a += v;
+            }
+            let inv = 1.0 / ((r - seg[0]) as f32 + 1.0);
+            for (y, a) in y.row_mut(r).iter_mut().zip(&acc) {
+                *y = a * inv;
+            }
+        }
+    }
+    y
 }
 
 /// Runs a full forward across an in-process grid of shards (reference
@@ -225,88 +321,27 @@ impl ShardedLm {
 ///
 /// Panics if the grid shape is inconsistent.
 pub fn grid_forward(shards: &[Vec<ShardedLm>], ids: &[usize]) -> (Tensor, Tensor) {
-    let p = shards.len();
     let t = shards[0].len();
     assert!(shards.iter().all(|s| s.len() == t));
     let mut h = shards[0][0].embed(ids);
-    for (p_idx, stage) in shards.iter().enumerate() {
-        // Compute每 every shard's partials block-synchronously: emulate
-        // the all-reduce by computing all shards in lock-step per block.
-        // Simplest faithful emulation: run shard 0 with an all-reduce
-        // closure that computes the other shards' partials on demand.
-        let outputs: Vec<StageOutput> = run_stage_lockstep(stage, h.clone());
-        match outputs.into_iter().next().expect("t >= 1") {
-            StageOutput::Hidden(next) => h = next,
-            StageOutput::Final { logits, values } => {
-                assert_eq!(p_idx, p - 1);
-                return (logits, values);
+    let bounds = [0, ids.len()];
+    for stage in shards {
+        // Every TP shard of a stage reads the same stream: step them one
+        // block at a time and join their partials with a local sum, in
+        // shard order.
+        for b in 0..stage[0].blocks.len() {
+            let mut joined = stage[0].block(b).partial(&h, &bounds);
+            for shard in &stage[1..] {
+                joined.add_scaled(&shard.block(b).partial(&h, &bounds), 1.0);
             }
+            h = h.add(&joined);
+        }
+        match stage[0].finalize(h) {
+            StageOutput::Hidden(next) => h = next,
+            StageOutput::Final { logits, values } => return (logits, values),
         }
     }
     unreachable!("last stage returns Final")
-}
-
-/// Runs one stage's TP shards in lock-step, joining partials locally.
-fn run_stage_lockstep(stage: &[ShardedLm], h: Tensor) -> Vec<StageOutput> {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-    // Collect partial buffers per block round and serve the sum.
-    let t = stage.len();
-    let pending: Rc<RefCell<Vec<Vec<f32>>>> = Rc::new(RefCell::new(Vec::new()));
-    // Drive shard-by-shard per block: because blocks are sequential and
-    // each block needs the *joined* output, we step all shards one block
-    // at a time manually.
-    let mut hs: Vec<Tensor> = vec![h; t];
-    let blocks = stage[0].blocks.len();
-    for b in 0..blocks {
-        pending.borrow_mut().clear();
-        // First pass: compute each shard's partial for block b.
-        for (s, shard) in stage.iter().enumerate() {
-            let (gain, wa, ua, wb) = &shard.blocks[b];
-            let c = ShardedLm::cum_mean(&hs[s]);
-            let n = ShardedLm::rmsnorm(&hs[s], gain);
-            let a1 = n.matmul_nt(wa);
-            let a2 = c.matmul_nt(ua);
-            let mut act = a1.add(&a2);
-            for v in act.data_mut().iter_mut() {
-                let sg = 1.0 / (1.0 + (-*v).exp());
-                *v *= sg;
-            }
-            let partial = act.matmul_nt(wb);
-            pending.borrow_mut().push(partial.data().to_vec());
-        }
-        // Join and apply the residual on every shard.
-        let joined: Vec<f32> = {
-            let p = pending.borrow();
-            let mut sum = p[0].clone();
-            for other in p.iter().skip(1) {
-                for (a, b) in sum.iter_mut().zip(other.iter()) {
-                    *a += b;
-                }
-            }
-            sum
-        };
-        for hsi in hs.iter_mut() {
-            let out = Tensor::new(joined.clone(), hsi.rows(), hsi.cols());
-            *hsi = hsi.add(&out);
-        }
-    }
-    // Finalize on each shard.
-    stage
-        .iter()
-        .zip(hs)
-        .map(|(shard, h)| {
-            if shard.p_idx == shard.p - 1 {
-                let f = ShardedLm::rmsnorm(&h, shard.final_gain.as_ref().expect("last"));
-                StageOutput::Final {
-                    logits: f.matmul_nt(shard.head.as_ref().expect("last")),
-                    values: f.matmul_nt(shard.vhead.as_ref().expect("last")),
-                }
-            } else {
-                StageOutput::Hidden(h)
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -188,6 +188,19 @@ fn softmax_rows(logits: Mat) -> Tensor {
     p
 }
 
+/// `ln softmax(logits)[tok]` of one row in the float expression of
+/// [`Tape::gather_log_prob`] — `ln(max(e_tok / z, 1e-30))` over
+/// [`softmax_rows`]' `e` and `z` — for a pass that takes no gradient and
+/// so needs no probability row.
+pub(crate) fn log_prob(logits: &[f32], tok: usize) -> f32 {
+    let m = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    let mut z = 0.0f32;
+    for &v in logits {
+        z += (v - m).exp();
+    }
+    ((logits[tok] - m).exp() / z).max(1e-30).ln()
+}
+
 /// `Σ −p·ln p` over rows `rows` of `probs`, accumulated row by row.
 fn entropy_sum(probs: &Tensor, rows: std::ops::Range<usize>) -> f32 {
     let mut total = 0.0f32;

@@ -22,6 +22,7 @@ use hf_core::{Controller, CoreError, DataProto, DpFuture, Result, WorkerGroup};
 
 use crate::advantage::{gae, grpo_advantages, remax_advantage, shape_token_rewards, whiten};
 use crate::algo::{IterStats, RlhfConfig, RlhfSystem};
+use crate::workers::NO_LOGP_META;
 
 /// Closes an algorithm phase: records a `Phase` span on the controller
 /// track from `start` to now and observes its latency (histogram and
@@ -383,15 +384,26 @@ pub(crate) fn run_stages(
     algo.require(sys)?;
     let t0 = ctrl.clock();
 
-    // Stage 1: generation (plus any auxiliary decode passes).
+    // Stage 1: generation (plus any auxiliary decode passes). A pass
+    // whose `logp_old` nobody reads is told to leave it out: the main one
+    // when `compute_log_prob` replaces the column below, every auxiliary
+    // one (only its `scores` are read).
+    let recompute_logp = algo.recompute_logp(&sys.cfg);
+    let without_logp = |input: &DataProto| {
+        let mut input = input.clone();
+        input.meta.insert(NO_LOGP_META.into(), "1".into());
+        input
+    };
     let expanded = algo.expand_prompts(&sys.cfg, prompts)?;
     let gen_input = expanded.as_ref().unwrap_or(prompts);
+    let stamped = recompute_logp.then(|| without_logp(gen_input));
+    let gen_input = stamped.as_ref().unwrap_or(gen_input);
     let mut batch = sys.actor.invoke_sync("generate_sequences", gen_input)?;
     let mut aux = Vec::new();
     for input in algo.aux_gen_inputs(prompts) {
-        aux.push(sys.actor.invoke_sync("generate_sequences", &input)?);
+        aux.push(sys.actor.invoke_sync("generate_sequences", &without_logp(&input))?);
     }
-    if algo.recompute_logp(&sys.cfg) {
+    if recompute_logp {
         // Optional Table 4 pass: recompute log-probs under the training
         // engine's numerics and use them as the PPO old log-probs.
         let lp = sys.actor.invoke_sync("compute_log_prob", &batch)?;

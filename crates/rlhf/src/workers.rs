@@ -11,10 +11,13 @@
 //! functions of replicated weights and the shared chunk, so what each
 //! rank ends up with is what it would have computed alone, bit for bit.
 //! (Real tensor-parallel *backward* stays out of scope: only the
-//! `tp_inference` forward passes shard the model itself.) A rank runs its
-//! rows through stacked tapes — whole sequences on one tape while they
-//! fit `hf_nn::STACK_ROWS`, each sequence's results bit for bit those of
-//! a tape of its own. Update methods sum their rows' gradients once per
+//! `tp_inference` forward passes shard the model itself — [`tp_forward`],
+//! one stage pass over the whole chunk.) A rank runs its rows through
+//! stacked passes — whole sequences stacked while they fit
+//! `hf_nn::STACK_ROWS`, each sequence's results bit for bit those of a
+//! pass of its own: a tape where the method differentiates, the
+//! tape-free inference forward where it does not. Update methods sum
+//! their rows' gradients once per
 //! model-parallel group ([`RowFold`]) and all-reduce the sum over the
 //! rank's DP communicator — a real collective through the virtual NCCL —
 //! so model replicas stay in lock-step, exactly like data-parallel
@@ -29,7 +32,7 @@ use std::sync::Arc;
 
 use hf_core::{CoreError, DataProto, RankCtx, Result, Worker};
 use hf_genserve::{GenConfig, GenRequest, GenServer};
-use hf_nn::{stacks, Adam, LmConfig, TinyLm};
+use hf_nn::{stacks, Adam, LmConfig, ShardedLm, StageOutput, Tensor, TinyLm};
 use hf_parallel::shard::train_shard;
 use hf_parallel::ShardLayout;
 use hf_simcluster::{SumPart, TreeSum};
@@ -52,11 +55,11 @@ pub struct WorkerHyper {
     /// Virtual seconds charged per processed token (scaled by the
     /// group's model-parallel size).
     pub per_token_latency: f64,
-    /// Run inference passes (`compute_log_prob`) with *real* model
-    /// parallelism: each rank computes only its Megatron-style weight
-    /// shard — TP partials joined by all-reduces over the TP
-    /// communicator, pipeline stages handing activations point-to-point.
-    /// Requires `t | ffn` and `p | layers`.
+    /// Run the actor's and critic's inference passes (`compute_log_prob`,
+    /// `compute_values`) with *real* model parallelism: each rank
+    /// computes only its Megatron-style weight shard — TP partials joined
+    /// by all-reduces over the TP communicator, pipeline stages handing
+    /// activations point-to-point. Requires `t | ffn` and `p | layers`.
     pub tp_inference: bool,
     /// Snapshot slots per paged-cache block in the generation engine.
     pub gen_block_tokens: usize,
@@ -96,6 +99,13 @@ pub const PIPELINE_META: &str = "__pipeline";
 /// the round keeps every chunk's sampler seeds identical to the single
 /// synchronous call (which advances the worker's own counter once).
 pub const GEN_ROUND_META: &str = "__gen_round";
+
+/// Meta key: set to `"1"` by a driver on a generation input whose
+/// `logp_old` it will not read — `compute_log_prob` is about to replace
+/// the column (`recompute_logp`), or only the pass's `scores` matter
+/// (ReMax's greedy baseline). `generate_sequences` then skips the forward
+/// pass behind the column and replies without it.
+pub const NO_LOGP_META: &str = "__no_logp";
 
 fn splitmix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e3779b97f4a7c15);
@@ -195,7 +205,7 @@ fn sequences(prompts: &[Vec<usize>], resps: &[Vec<usize>]) -> Vec<Vec<usize>> {
     prompts.iter().zip(resps).map(|(p, r)| [&p[..], &r[..]].concat()).collect()
 }
 
-/// `pass` over the sequences `seqs[i]`, `i` in `rows`, one stacked tape
+/// `pass` over the sequences `seqs[i]`, `i` in `rows`, one stacked pass
 /// at a time ([`hf_nn::stacks`]); every sequence's result, in order.
 fn stacked<T>(
     seqs: &[Vec<usize>],
@@ -206,9 +216,9 @@ fn stacked<T>(
     stacks(picked.iter().map(|s| s.len())).into_iter().flat_map(|run| pass(&picked[run])).collect()
 }
 
-/// Log-probs of every row's `rw` response tokens under `lm` (plain
-/// stacked forwards, rows shared across the model-parallel group), flat
-/// in row order.
+/// Log-probs of every row's `rw` response tokens under `lm` (stacked
+/// tape-free forwards over replicated weights, rows shared across the
+/// model-parallel group), flat in row order.
 fn response_log_probs(
     lm: &TinyLm,
     hyper: &WorkerHyper,
@@ -226,6 +236,64 @@ fn response_log_probs(
         charge_tokens(ctx, seq.len(), hyper);
     }
     rows.concat()
+}
+
+/// One forward-only pass of this rank's model-parallel group over its
+/// whole chunk with *real* model parallelism (`hyper.tp_inference`): the
+/// first `feed` tokens of every row, stacked into one stage pass on this
+/// rank's Megatron-style shard (cut once for the chunk). TP partials join
+/// through real all-reduces over the TP communicator — one per layer for
+/// the chunk, as an engine joins a micro-batch, not one per sequence —
+/// and pipeline stages hand the stacked activations point-to-point; every
+/// peer runs the pass in lock-step since the protocol gave the whole
+/// group one chunk. Rows are charged afterwards, in row order.
+///
+/// Returns the last stage's `(logits, values)`, row `i`'s position `t` in
+/// row `i · feed + t`; `None` on the other stages (the `3D_PROTO` collect
+/// reads the last one) and for an empty chunk, which makes no pass and no
+/// collective.
+fn tp_forward(
+    lm: &TinyLm,
+    hyper: &WorkerHyper,
+    ctx: &mut RankCtx,
+    seqs: &[Vec<usize>],
+    feed: usize,
+) -> Result<Option<(Tensor, Tensor)>> {
+    let (tc, spec) = (ctx.coords(), ctx.layout.spec);
+    if !lm.cfg.ffn.is_multiple_of(spec.t) || !lm.cfg.layers.is_multiple_of(spec.p) {
+        return Err(CoreError::Config("tp_inference requires t | ffn and p | layers".into()));
+    }
+    if seqs.is_empty() {
+        return Ok(None);
+    }
+    let shard = ShardedLm::from_full(lm, tc.p_idx, spec.p, tc.t_idx, spec.t);
+    let mut clock = ctx.clock;
+    // Stage input: embed on stage 0, receive activations otherwise.
+    let h_in = if tc.p_idx == 0 {
+        shard.embed(&seqs.iter().flat_map(|s| &s[..feed]).copied().collect::<Vec<_>>())
+    } else {
+        let prev = ctx.comms.pp.group().devices()[tc.p_idx - 1];
+        let (rows, cols, data): (usize, usize, Vec<f32>) =
+            ctx.p2p.recv(&mut clock, prev, ctx.device);
+        Tensor::new(data, rows, cols)
+    };
+    let out = shard.forward_stage_stacked(h_in, &vec![feed; seqs.len()], |partial| {
+        ctx.comms.tp.all_reduce_sum(&mut clock, partial)
+    });
+    let last = match out {
+        StageOutput::Hidden(h) => {
+            let next = ctx.comms.pp.group().devices()[tc.p_idx + 1];
+            let bytes = (h.len() * 4) as f64;
+            ctx.p2p.send(&clock, ctx.device, next, (h.rows(), h.cols(), h.data().to_vec()), bytes);
+            None
+        }
+        StageOutput::Final { logits, values } => Some((logits, values)),
+    };
+    ctx.clock = clock;
+    for seq in seqs {
+        charge_tokens(ctx, seq.len(), hyper);
+    }
+    Ok(last)
 }
 
 /// What a model-parallel group made of the per-row gradients of an
@@ -744,27 +812,31 @@ impl ActorWorker {
         // the true per-sequence lengths as a `response_len` column.
         let mut responses: Vec<u32> = Vec::with_capacity(prompts.len() * resp_len);
         let mut lens: Vec<f32> = Vec::with_capacity(prompts.len());
-        let mut logps: Vec<f32> = Vec::with_capacity(prompts.len() * resp_len);
-        // Every row here, not `mp_rows`: this method is dispatched by the
-        // *generation* grouping, under which the training model-parallel
-        // peers hold different rows (1-2-2 → 1-1-2-2).
-        let mut seqs = Vec::with_capacity(prompts.len());
-        for (prompt, out) in prompts.iter().zip(&outs) {
+        for out in &outs {
             lens.push(out.tokens.len() as f32);
-            let mut seq = prompt.clone();
-            seq.extend_from_slice(&out.tokens);
-            seq.resize(pw + resp_len, pad_token);
-            seqs.push(seq);
             responses.extend(out.tokens.iter().map(|&t| t as u32));
             responses.extend(std::iter::repeat_n(pad_token as u32, resp_len - out.tokens.len()));
         }
-        let all_rows: Vec<usize> = (0..seqs.len()).collect();
-        for lp in stacked(&seqs, &all_rows, |run| self.lm.log_probs_stacked(run)) {
-            logps.extend_from_slice(&lp[pw - 1..pw - 1 + resp_len]);
-        }
         let mut out = data.clone();
+        if out.meta.remove(NO_LOGP_META).as_deref() != Some("1") {
+            // Every row here, not `mp_rows`: this method is dispatched by
+            // the *generation* grouping, under which the training
+            // model-parallel peers hold different rows (1-2-2 → 1-1-2-2).
+            let seqs: Vec<Vec<usize>> = (prompts.iter().zip(&outs))
+                .map(|(prompt, out)| {
+                    let mut seq = [&prompt[..], &out.tokens[..]].concat();
+                    seq.resize(pw + resp_len, pad_token);
+                    seq
+                })
+                .collect();
+            let all_rows: Vec<usize> = (0..seqs.len()).collect();
+            let mut logps: Vec<f32> = Vec::with_capacity(seqs.len() * resp_len);
+            for lp in stacked(&seqs, &all_rows, |run| self.lm.log_probs_stacked(run)) {
+                logps.extend_from_slice(&lp[pw - 1..pw - 1 + resp_len]);
+            }
+            out.insert_f32("logp_old", logps, resp_len);
+        }
         out.insert_tokens("responses", responses, resp_len);
-        out.insert_f32("logp_old", logps, resp_len);
         out.insert_f32("response_len", lens, 1);
         Ok(out)
     }
@@ -774,24 +846,22 @@ impl ActorWorker {
         let (prompts, pw) = token_rows(&data, "prompts", vocab)?;
         let (resps, rw) = token_rows(&data, "responses", vocab)?;
         let mut out = DataProto::with_rows(prompts.len());
-        let tp = self.hyper.tp_inference && ctx.layout.spec.mp() > 1;
-        if tp
-            && (!self.lm.cfg.ffn.is_multiple_of(ctx.layout.spec.t)
-                || !self.lm.cfg.layers.is_multiple_of(ctx.layout.spec.p))
-        {
-            return Err(CoreError::Config("tp_inference requires t | ffn and p | layers".into()));
-        }
         let seqs = sequences(&prompts, &resps);
-        let logps = if tp {
-            // This rank's Megatron-style shard, cut once for the whole
-            // chunk: every peer runs every row, each on its own shard.
-            let (tc, spec) = (ctx.coords(), ctx.layout.spec);
-            let shard = hf_nn::ShardedLm::from_full(&self.lm, tc.p_idx, spec.p, tc.t_idx, spec.t);
-            let mut logps = Vec::with_capacity(seqs.len() * rw);
-            for seq in &seqs {
-                let lp = Self::tp_log_probs(&shard, seq, ctx);
-                logps.extend_from_slice(&lp[pw - 1..pw - 1 + rw]);
-                charge_tokens(ctx, seq.len(), &self.hyper);
+        let logps = if self.hyper.tp_inference && ctx.layout.spec.mp() > 1 {
+            // Each row feeds all but its last token; stages before the
+            // last contribute zeros.
+            let feed = pw + rw - 1;
+            let mut logps = vec![0.0; seqs.len() * rw];
+            if let Some((logits, _)) = tp_forward(&self.lm, &self.hyper, ctx, &seqs, feed)? {
+                for (i, seq) in seqs.iter().enumerate() {
+                    // log softmax + gather of the response's next tokens.
+                    for (t, lp) in logps[i * rw..(i + 1) * rw].iter_mut().enumerate() {
+                        let row = logits.row(i * feed + pw - 1 + t);
+                        let m = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+                        let z: f32 = row.iter().map(|v| (v - m).exp()).sum();
+                        *lp = (row[seq[pw + t]] - m) - z.ln();
+                    }
+                }
             }
             logps
         } else {
@@ -801,67 +871,15 @@ impl ActorWorker {
         Ok(out)
     }
 
-    /// Next-token log-probs computed with genuine 2-D model parallelism:
-    /// this rank's `shard` runs the forward; TP partials
-    /// join through real all-reduces over the TP communicator, pipeline
-    /// stages hand activations point-to-point (every model-parallel peer
-    /// executes the same sequence in lock-step since the protocol gave
-    /// the whole group one chunk). Non-final stages contribute zeros;
-    /// the `3D_PROTO` collect reads from the last stage.
-    fn tp_log_probs(shard: &hf_nn::ShardedLm, seq: &[usize], ctx: &mut RankCtx) -> Vec<f32> {
-        let tc = ctx.coords();
-        let mut clock = ctx.clock;
-        // Stage input: embed on stage 0, receive activations otherwise.
-        let h_in = if tc.p_idx == 0 {
-            shard.embed(&seq[..seq.len() - 1])
-        } else {
-            let prev = ctx.comms.pp.group().devices()[tc.p_idx - 1];
-            let (rows, cols, data): (usize, usize, Vec<f32>) =
-                ctx.p2p.recv(&mut clock, prev, ctx.device);
-            hf_nn::Tensor::new(data, rows, cols)
-        };
-        let out =
-            shard.forward_stage(h_in, |partial| ctx.comms.tp.all_reduce_sum(&mut clock, partial));
-        let lps = match out {
-            hf_nn::StageOutput::Hidden(h) => {
-                let next = ctx.comms.pp.group().devices()[tc.p_idx + 1];
-                let bytes = (h.len() * 4) as f64;
-                ctx.p2p.send(
-                    &clock,
-                    ctx.device,
-                    next,
-                    (h.rows(), h.cols(), h.data().to_vec()),
-                    bytes,
-                );
-                vec![0.0; seq.len() - 1]
-            }
-            hf_nn::StageOutput::Final { logits, .. } => {
-                // log softmax + gather next tokens, matching
-                // `TinyLm::log_probs`.
-                let mut lps = Vec::with_capacity(seq.len() - 1);
-                for (t, &tok) in seq[1..].iter().enumerate() {
-                    let row = logits.row(t);
-                    let m = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-                    let z: f32 = row.iter().map(|v| (v - m).exp()).sum();
-                    lps.push((row[tok] - m) - z.ln());
-                }
-                lps
-            }
-        };
-        ctx.clock = clock;
-        lps
-    }
-
     /// Pre-training cross-entropy over a `pretrain` token column (the
     /// PPO-ptx / Safe-RLHF auxiliary loss), no update.
     fn compute_loss(&mut self, data: DataProto, ctx: &mut RankCtx) -> Result<DataProto> {
         let (rows, _w) = token_rows(&data, "pretrain", self.lm.cfg.vocab)?;
-        let means = mp_rows(ctx, rows.len(), |mine| {
-            stacked(&rows, mine, |run| {
-                let (mut fp, lp) = self.lm.next_token_log_probs(run);
-                let mean = fp.tape.mean_all(lp);
-                fp.tape.value(mean).data().to_vec()
-            })
+        let means: Vec<f32> = mp_rows(ctx, rows.len(), |mine| {
+            stacked(&rows, mine, |run| self.lm.log_probs_stacked(run))
+                .into_iter()
+                .map(|lp| lp.iter().sum::<f32>() / lp.len() as f32)
+                .collect()
         });
         let mut total = 0.0f32;
         for (seq, mean) in rows.iter().zip(means) {
@@ -1060,64 +1078,35 @@ impl CriticWorker {
         CriticWorker { lm, opt, hyper }
     }
 
-    /// Per-position values under real tensor parallelism (p = 1 path;
-    /// the critic's preparation pass is a single forward, so only the TP
-    /// dimension is sharded here).
-    fn tp_response_values(
-        shard: &hf_nn::ShardedLm,
-        prompt: &[usize],
-        resp: &[usize],
-        ctx: &mut RankCtx,
-    ) -> Vec<f32> {
-        let mut seq = prompt.to_vec();
-        seq.extend_from_slice(resp);
-        let h = shard.embed(&seq);
-        let mut clock = ctx.clock;
-        let out =
-            shard.forward_stage(h, |partial| ctx.comms.tp.all_reduce_sum(&mut clock, partial));
-        ctx.clock = clock;
-        let hf_nn::StageOutput::Final { values, .. } = out else {
-            unreachable!("single-stage forward finalizes")
-        };
-        values.data()[prompt.len() - 1..prompt.len() - 1 + resp.len()].to_vec()
-    }
-
     fn compute_values(&mut self, data: DataProto, ctx: &mut RankCtx) -> Result<DataProto> {
         let vocab = self.lm.cfg.vocab;
         let (prompts, pw) = token_rows(&data, "prompts", vocab)?;
         let (resps, rw) = token_rows(&data, "responses", vocab)?;
-        let tp = self.hyper.tp_inference
-            && ctx.layout.spec.t > 1
-            && ctx.layout.spec.p == 1
-            && self.lm.cfg.ffn.is_multiple_of(ctx.layout.spec.t);
-        // This rank's tensor shard, cut once for the whole chunk.
-        let shard = tp.then(|| {
-            hf_nn::ShardedLm::from_full(&self.lm, 0, 1, ctx.coords().t_idx, ctx.layout.spec.t)
-        });
         let mut out = DataProto::with_rows(prompts.len());
-        let values = match &shard {
-            Some(shard) => {
-                // Every peer runs every row, each on its own tensor shard.
-                let mut values = Vec::with_capacity(prompts.len() * rw);
-                for (p, r) in prompts.iter().zip(resps.iter()) {
-                    values.extend(Self::tp_response_values(shard, p, r, ctx));
-                    charge_tokens(ctx, p.len() + r.len(), &self.hyper);
+        let seqs = sequences(&prompts, &resps);
+        let values = if self.hyper.tp_inference && ctx.layout.spec.mp() > 1 {
+            // Each row feeds every token; stages before the last
+            // contribute zeros.
+            let feed = pw + rw;
+            let mut values = vec![0.0; seqs.len() * rw];
+            if let Some((_, all)) = tp_forward(&self.lm, &self.hyper, ctx, &seqs, feed)? {
+                for i in 0..seqs.len() {
+                    let window = &all.data()[i * feed + pw - 1..][..rw];
+                    values[i * rw..(i + 1) * rw].copy_from_slice(window);
                 }
-                values
             }
-            None => {
-                let seqs = sequences(&prompts, &resps);
-                let rows = mp_rows(ctx, seqs.len(), |mine| {
-                    stacked(&seqs, mine, |run| self.lm.values_stacked(run))
-                        .into_iter()
-                        .map(|v| v[pw - 1..pw - 1 + rw].to_vec())
-                        .collect()
-                });
-                for (p, r) in prompts.iter().zip(resps.iter()) {
-                    charge_tokens(ctx, p.len() + r.len(), &self.hyper);
-                }
-                rows.concat()
+            values
+        } else {
+            let rows = mp_rows(ctx, seqs.len(), |mine| {
+                stacked(&seqs, mine, |run| self.lm.values_stacked(run))
+                    .into_iter()
+                    .map(|v| v[pw - 1..pw - 1 + rw].to_vec())
+                    .collect()
+            });
+            for seq in &seqs {
+                charge_tokens(ctx, seq.len(), &self.hyper);
             }
+            rows.concat()
         };
         out.insert_f32("values", values, rw);
         Ok(out)
@@ -1346,6 +1335,47 @@ mod tests {
                 let expect: Vec<f32> =
                     (0..n).flat_map(|i| [(i * i) as f32 + 0.5, (i % mp) as f32]).collect();
                 assert_eq!(out.f32("rows").unwrap().0, expect.repeat(mp), "mp={mp} rows={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_tp_inference_pass_joins_each_layer_once_per_chunk() {
+        use std::sync::Mutex;
+        let cfg = LmConfig::tiny();
+        let hyper = WorkerHyper { tp_inference: true, ..WorkerHyper::default() };
+        type Spawn = fn(LmConfig, WorkerHyper) -> Box<dyn Worker>;
+        let passes: [(&str, Spawn); 2] = [
+            ("compute_log_prob", |cfg, hyper| Box::new(ActorWorker::new(cfg, hyper))),
+            ("compute_values", |cfg, hyper| Box::new(CriticWorker::new(cfg, hyper))),
+        ];
+        for (p, t, d) in [(1usize, 2usize, 2usize), (2, 2, 1)] {
+            for (method, spawn) in passes {
+                // Every call's TP all-reduces, as each rank's communicator
+                // counted them.
+                let rounds = Arc::new(Mutex::new(Vec::new()));
+                let ctrl = Controller::new(ClusterSpec::a100_with_gpus(4));
+                let layout = WorkerLayout::train_only(ParallelSpec::new(p, t, d));
+                let group = ctrl
+                    .spawn_group(method, &ResourcePool::contiguous(0, 4), layout, |_r| {
+                        let (mut worker, rounds) = (spawn(cfg, hyper.clone()), rounds.clone());
+                        Box::new(move |method: &str, data: DataProto, ctx: &mut RankCtx| {
+                            let before = ctx.comms.tp.rounds();
+                            let reply = worker.execute(method, data, ctx);
+                            rounds.lock().unwrap().push(ctx.comms.tp.rounds() - before);
+                            reply
+                        })
+                    })
+                    .unwrap();
+                for (rows, expect) in [(8usize, (cfg.layers / p) as u64), (0, 0)] {
+                    let mut batch = DataProto::with_rows(rows);
+                    batch.insert_tokens("prompts", vec![3; rows * 6], 6);
+                    batch.insert_tokens("responses", vec![5; rows * 6], 6);
+                    let out = group.call_sync(method, &batch, Protocol::ThreeD).unwrap();
+                    assert_eq!(out.rows(), rows);
+                    let counted = std::mem::take(&mut *rounds.lock().unwrap());
+                    assert_eq!(counted, [expect; 4], "{method} on {p}-{t}-{d}, {rows} rows");
+                }
             }
         }
     }

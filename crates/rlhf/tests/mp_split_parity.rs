@@ -3,13 +3,16 @@
 //! functions of replicated weights and the shared chunk, so nothing may
 //! move: a 1-2-2 system must stay bit-identical to a 1-1-4 one (no
 //! model-parallel group to split across) and to digests recorded at the
-//! commit before the split, when every rank still ran every row.
+//! commit before the split, when every rank still ran every row. Later
+//! changes to *how* a pass runs are held to the same digests: what the
+//! workers compute stays put; only a clock may move, and says why.
 
 use hf_core::{Controller, DataProto, Protocol, WorkerGroup, WorkerLayout};
 use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
 use hf_rlhf::env::{make_pretrain, make_prompts};
 use hf_rlhf::{
-    ppo_iteration_captured, safe_rlhf_iteration, IterStats, Placement, RlhfConfig, RlhfSystem,
+    ppo_iteration_captured, remax_iteration, safe_rlhf_iteration, IterStats, Placement, RlhfConfig,
+    RlhfSystem,
 };
 use hf_simcluster::{ClusterSpec, ResourcePool};
 
@@ -33,8 +36,12 @@ impl Digest {
         self.word(x.to_bits() as u32);
         self.word((x.to_bits() >> 32) as u32);
     }
-    fn stats(&mut self, s: &IterStats) {
+    /// The statistics the workers' replies determine.
+    fn losses(&mut self, s: &IterStats) {
         self.f32s(&[s.mean_score, s.mean_cost, s.actor_loss, s.entropy, s.critic_loss, s.ptx_loss]);
+    }
+    fn stats(&mut self, s: &IterStats) {
+        self.losses(s);
         self.f64(s.virtual_seconds);
     }
 }
@@ -78,6 +85,8 @@ struct PpoRun {
     actor: Digest,
     critic: Digest,
     replies: Digest,
+    /// The statistics without their virtual seconds.
+    losses: Digest,
     stats: Digest,
     clock: f64,
 }
@@ -87,17 +96,19 @@ fn ppo_run(spec: ParallelSpec, tp_inference: bool) -> PpoRun {
     cfg.hyper.tp_inference = tp_inference;
     cfg.recompute_logp = tp_inference;
     let (ctrl, sys) = system(spec, &cfg, false);
-    let (mut replied, mut stats) = (Digest::new(), Digest::new());
+    let (mut replied, mut losses, mut stats) = (Digest::new(), Digest::new(), Digest::new());
     for iter in 0..3 {
         let prompts = make_prompts(16, cfg.prompt_len, cfg.response_len, cfg.lm.vocab as u32, iter);
         let (s, batch) = ppo_iteration_captured(&sys, &ctrl, &prompts).unwrap();
         replies(&mut replied, &batch);
+        losses.losses(&s);
         stats.stats(&s);
     }
     PpoRun {
         actor: model_state(&sys.actor),
         critic: model_state(sys.critic.as_ref().unwrap()),
         replies: replied,
+        losses,
         stats,
         clock: ctrl.clock(),
     }
@@ -122,14 +133,16 @@ fn split_rows_leave_ppo_bit_identical_across_layouts_and_to_the_parent() {
 #[test]
 fn tp_inference_passes_keep_their_own_sharding_beside_split_rows() {
     // `compute_log_prob` and `compute_values` run as real tensor-parallel
-    // shards here (all-reduces between the rows' charges); the update,
-    // reference and reward passes around them split rows.
+    // shards here (one stage pass per chunk, its all-reduces before the
+    // rows' charges); the update, reference and reward passes around them
+    // split rows.
     let run = ppo_run(ParallelSpec::new(1, 2, 2), true);
     assert_eq!(run.actor, Digest(PARENT_PPO_TP.0), "actor vs parent");
     assert_eq!(run.critic, Digest(PARENT_PPO_TP.1), "critic vs parent");
     assert_eq!(run.replies, Digest(PARENT_PPO_TP.2), "replies vs parent");
-    assert_eq!(run.stats, Digest(PARENT_PPO_TP.3), "iteration stats vs parent");
-    assert_eq!(run.clock.to_bits(), PARENT_PPO_TP.4, "controller clock vs parent");
+    assert_eq!(run.losses, Digest(PARENT_PPO_TP.3), "iteration losses vs parent");
+    assert_eq!(run.stats, Digest(CHUNK_PASS_PPO_TP.0), "iteration stats");
+    assert_eq!(run.clock.to_bits(), CHUNK_PASS_PPO_TP.1, "controller clock");
 }
 
 #[test]
@@ -154,6 +167,29 @@ fn split_ptx_and_cost_rows_leave_safe_rlhf_bit_identical_to_the_parent() {
     assert_eq!(got, PARENT_SAFE_RLHF);
 }
 
+#[test]
+fn remax_without_its_baseline_pass_log_probs_is_bit_identical_to_the_parent() {
+    // ReMax reads only the `scores` of its greedy baseline pass, so the
+    // driver tells `generate_sequences` to leave that pass's `logp_old`
+    // out: weights and losses may not move.
+    let cfg = RlhfConfig::tiny();
+    let ctrl = Controller::new(ClusterSpec::a100_with_gpus(4));
+    let gen = GenGrouping::new(ParallelSpec::new(1, 2, 2), 1, 1, GroupingMethod::Strided);
+    let placement = Placement::colocated(
+        ResourcePool::contiguous(0, 4),
+        WorkerLayout::with_gen(gen),
+        false,
+        false,
+    );
+    let sys = RlhfSystem::build(&ctrl, &placement, cfg.clone()).unwrap();
+    let mut losses = Digest::new();
+    for iter in 0..3 {
+        let prompts = make_prompts(16, cfg.prompt_len, cfg.response_len, cfg.lm.vocab as u32, iter);
+        losses.losses(&remax_iteration(&sys, &ctrl, &prompts).unwrap());
+    }
+    assert_eq!((model_state(&sys.actor).0, losses.0), PARENT_REMAX);
+}
+
 /// (actor, critic, replies, stats, controller clock bits).
 const PARENT_PPO: (u64, u64, u64, u64, u64) = (
     0xa622bb804b76453b,
@@ -162,13 +198,19 @@ const PARENT_PPO: (u64, u64, u64, u64, u64) = (
     0xa867e35a9e504e66,
     0x3f72a271ea56c8e8,
 );
-const PARENT_PPO_TP: (u64, u64, u64, u64, u64) = (
-    0x94dceec6d767bf67,
-    0x84190585dee6d03e,
-    0x0c97afa75b745a7a,
-    0x99ca1bfdbfddf2c0,
-    0x3f812ed7eee17fe3,
-);
+/// (actor, critic, replies, losses), recorded at the parent commits.
+const PARENT_PPO_TP: (u64, u64, u64, u64) =
+    (0x94dceec6d767bf67, 0x84190585dee6d03e, 0x0c97afa75b745a7a, 0x0ef3280e98c9d897);
+/// (stats, controller clock bits) of the same run, re-recorded when a
+/// tensor-parallel pass began to cover its whole chunk: a TP pair now
+/// joins a layer once per chunk instead of once per row, so the virtual
+/// seconds in `stats` and the clock fell (8.390 ms → 5.702 ms over the
+/// three iterations; at the parent the pair read 0x99ca1bfdbfddf2c0 and
+/// 0x3f812ed7eee17fe3) while everything the workers computed — the four
+/// digests above — stayed where the parent recorded it.
+const CHUNK_PASS_PPO_TP: (u64, u64) = (0xb12082a49a685905, 0x3f775b1cfe0d2eb6);
 /// (actor, critic, stats, controller clock bits).
 const PARENT_SAFE_RLHF: (u64, u64, u64, u64) =
     (0xb8704cfa144fd03a, 0x8c1ce179b5c66bcd, 0xa5904dc2d963709e, 0x3f751799f335a234);
+/// (actor, losses).
+const PARENT_REMAX: (u64, u64) = (0x500c27f40ac39aba, 0x946f46637e1d44a6);

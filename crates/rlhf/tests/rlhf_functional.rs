@@ -6,8 +6,8 @@ use hf_core::{Controller, CoreError, DataProto, Protocol, Worker, WorkerLayout};
 use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
 use hf_rlhf::env::{make_pretrain, make_prompts};
 use hf_rlhf::{
-    grpo_iteration, ppo_iteration, remax_iteration, safe_rlhf_iteration, Placement, RlhfConfig,
-    RlhfSystem,
+    grpo_iteration, ppo_iteration, ppo_iteration_captured, remax_iteration, safe_rlhf_iteration,
+    Placement, RlhfConfig, RlhfSystem,
 };
 use hf_simcluster::{ClusterSpec, ResourcePool};
 
@@ -327,26 +327,90 @@ fn standalone_placement_also_learns() {
 fn recompute_logp_path_matches_generation_logp() {
     // With identical numerics on both paths (same tiny model), the
     // optional compute_log_prob pass must reproduce the generation
-    // engine's log-probs exactly, so PPO stats are unchanged.
-    let mut cfg = RlhfConfig::tiny();
-    let (ctrl_a, sys_a) = colocated_4gpu(&cfg, true, false);
-    cfg.recompute_logp = true;
-    let (ctrl_b, sys_b) = {
-        let ctrl = controller(4);
-        let spec = ParallelSpec::new(1, 2, 2);
-        let gen = GenGrouping::new(spec, 1, 1, GroupingMethod::Strided);
+    // engine's log-probs exactly, so PPO stats are unchanged — and since
+    // it replaces the column, generation is told not to compute it.
+    let traced = || {
+        Controller::with_telemetry(
+            ClusterSpec::a100_with_gpus(4),
+            hf_simcluster::CommCostModel::default(),
+            hf_telemetry::Telemetry::enabled(),
+        )
+    };
+    let build = |cfg: &RlhfConfig| {
+        let ctrl = traced();
+        let gen = GenGrouping::new(ParallelSpec::new(1, 2, 2), 1, 1, GroupingMethod::Strided);
         let pool = ResourcePool::contiguous(0, 4);
         let placement = Placement::colocated(pool, WorkerLayout::with_gen(gen), true, false);
         let sys = RlhfSystem::build(&ctrl, &placement, cfg.clone()).unwrap();
         (ctrl, sys)
     };
+    let mut cfg = RlhfConfig::tiny();
+    let (ctrl_a, sys_a) = build(&cfg);
+    cfg.recompute_logp = true;
+    let (ctrl_b, sys_b) = build(&cfg);
+    let bits = |batch: &DataProto| -> Vec<u32> {
+        batch.f32("logp_old").unwrap().0.iter().map(|v| v.to_bits()).collect()
+    };
     for iter in 0..3 {
         let prompts = make_prompts(8, cfg.prompt_len, cfg.response_len, cfg.lm.vocab as u32, iter);
-        let a = ppo_iteration(&sys_a, &ctrl_a, &prompts).unwrap();
-        let b = ppo_iteration(&sys_b, &ctrl_b, &prompts).unwrap();
+        let (a, batch_a) = ppo_iteration_captured(&sys_a, &ctrl_a, &prompts).unwrap();
+        let (b, batch_b) = ppo_iteration_captured(&sys_b, &ctrl_b, &prompts).unwrap();
         assert_eq!(a.mean_score, b.mean_score, "iter {iter}");
         assert_eq!(a.actor_loss, b.actor_loss, "iter {iter}");
+        assert_eq!(
+            bits(&batch_a),
+            bits(&batch_b),
+            "iter {iter}: cur_logp is generation's logp_old"
+        );
+        assert_eq!(batch_a.meta, batch_b.meta, "iter {iter}: the request is not part of the batch");
     }
+    // Three generation replies each; B's came without the column.
+    let collected =
+        |ctrl: &Controller| ctrl.telemetry().counter("protocol.ThreeDAllMicroDp.collect_bytes");
+    let column = (8 * cfg.response_len * 4) as u64;
+    assert_eq!(collected(&ctrl_a) - collected(&ctrl_b), 3 * column);
+}
+
+#[test]
+fn generation_leaves_out_the_log_probs_a_driver_will_not_read() {
+    let cfg = RlhfConfig::tiny();
+    let reply = |stamped: bool| {
+        let (_ctrl, sys) = colocated_4gpu(&cfg, false, false);
+        let mut prompts = make_prompts(8, cfg.prompt_len, cfg.response_len, cfg.lm.vocab as u32, 7);
+        if stamped {
+            prompts.meta.insert(hf_rlhf::NO_LOGP_META.into(), "1".into());
+        }
+        sys.actor.invoke_sync("generate_sequences", &prompts).unwrap()
+    };
+    let (plain, stamped) = (reply(false), reply(true));
+    assert!(plain.has("logp_old") && !stamped.has("logp_old"));
+    assert!(!stamped.meta.contains_key(hf_rlhf::NO_LOGP_META), "the stamp is not echoed");
+    assert_eq!(plain.tokens("responses").unwrap(), stamped.tokens("responses").unwrap());
+    assert_eq!(plain.f32("response_len").unwrap(), stamped.f32("response_len").unwrap());
+}
+
+#[test]
+fn compute_loss_is_the_mean_next_token_cross_entropy() {
+    // The one Table 4 method no driver calls: a forward-only pass, so it
+    // runs tape-free like the rest — here against the model itself.
+    let cfg = RlhfConfig::tiny();
+    let (_ctrl, sys) = colocated_4gpu(&cfg, false, false);
+    let pretrain = make_pretrain(8, cfg.prompt_len + cfg.response_len, cfg.lm.vocab as u32, 4);
+    let reply = sys.actor.invoke_sync("compute_loss", &pretrain).unwrap();
+    let lm = hf_nn::TinyLm::new(cfg.lm, cfg.hyper.seed);
+    let (toks, w) = pretrain.tokens("pretrain").unwrap();
+    // Two data-parallel groups of four rows, each replying its own mean.
+    let expect: Vec<f32> = (toks.chunks(4 * w))
+        .map(|chunk| {
+            let mut total = 0.0f32;
+            for row in chunk.chunks(w) {
+                let lp = lm.log_probs(&row.iter().map(|&t| t as usize).collect::<Vec<_>>());
+                total -= lp.iter().sum::<f32>() / lp.len() as f32;
+            }
+            total / 4.0
+        })
+        .collect();
+    assert_eq!(reply.f32("ptx_loss").unwrap().0, expect);
 }
 
 #[test]
@@ -411,24 +475,50 @@ fn pipeline_parallel_inference_matches_replicated() {
 
 #[test]
 fn tp_critic_values_match_replicated() {
+    // 1-2-2: tensor shards only. 2-2-1: two pipeline stages as well — the
+    // critic runs them for real, as the actor does, and its values are
+    // read from the last.
     let cfg = RlhfConfig::tiny();
-    let run = |tp: bool| -> Vec<f32> {
-        let ctrl = controller(4);
-        let spec = ParallelSpec::new(1, 2, 2);
-        let gen = GenGrouping::new(spec, 1, 1, GroupingMethod::Strided);
-        let pool = ResourcePool::contiguous(0, 4);
-        let mut c = cfg.clone();
-        c.hyper.tp_inference = tp;
-        let placement = Placement::colocated(pool, WorkerLayout::with_gen(gen), true, false);
-        let sys = RlhfSystem::build(&ctrl, &placement, c.clone()).unwrap();
-        let prompts = make_prompts(8, c.prompt_len, c.response_len, c.lm.vocab as u32, 9);
-        let batch = sys.actor.invoke_sync("generate_sequences", &prompts).unwrap();
-        let vals = sys.critic.as_ref().unwrap().invoke_sync("compute_values", &batch).unwrap();
-        vals.f32("values").unwrap().0.to_vec()
-    };
-    let a = run(false);
-    let b = run(true);
-    for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-        assert!((x - y).abs() < 1e-4 * (1.0 + x.abs()), "position {i}: {x} vs {y}");
+    for spec in [ParallelSpec::new(1, 2, 2), ParallelSpec::new(2, 2, 1)] {
+        let run = |tp: bool| -> Vec<f32> {
+            let ctrl = controller(4);
+            let gen = GenGrouping::new(spec, 1, 1, GroupingMethod::Strided);
+            let pool = ResourcePool::contiguous(0, 4);
+            let mut c = cfg.clone();
+            c.hyper.tp_inference = tp;
+            let placement = Placement::colocated(pool, WorkerLayout::with_gen(gen), true, false);
+            let sys = RlhfSystem::build(&ctrl, &placement, c.clone()).unwrap();
+            let prompts = make_prompts(8, c.prompt_len, c.response_len, c.lm.vocab as u32, 9);
+            let batch = sys.actor.invoke_sync("generate_sequences", &prompts).unwrap();
+            let vals = sys.critic.as_ref().unwrap().invoke_sync("compute_values", &batch).unwrap();
+            vals.f32("values").unwrap().0.to_vec()
+        };
+        let a = run(false);
+        let b = run(true);
+        assert!(b.iter().any(|&v| v != 0.0), "{spec:?}: the last stage's values are collected");
+        for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
+            assert!((x - y).abs() < 1e-4 * (1.0 + x.abs()), "{spec:?} position {i}: {x} vs {y}");
+        }
     }
+}
+
+#[test]
+fn an_indivisible_shape_is_the_same_typed_error_from_actor_and_critic() {
+    // t = 2 does not divide ffn = 63: neither pass may fall back to
+    // replicated rows, and both say so before any collective.
+    let mut cfg = RlhfConfig::tiny();
+    cfg.lm.ffn = 63;
+    cfg.hyper.tp_inference = true;
+    let (ctrl, sys) = colocated_4gpu(&cfg, true, false);
+    let prompts = make_prompts(8, cfg.prompt_len, cfg.response_len, cfg.lm.vocab as u32, 2);
+    let batch = sys.actor.invoke_sync("generate_sequences", &prompts).unwrap();
+    let critic = sys.critic.as_ref().unwrap();
+    for (group, method) in [(&sys.actor, "compute_log_prob"), (critic, "compute_values")] {
+        let err = group.invoke_sync(method, &batch).unwrap_err();
+        assert!(
+            matches!(&err, CoreError::Config(why) if why.contains("t | ffn")),
+            "{method}: {err:?}"
+        );
+    }
+    assert!(ctrl.lost_ranks().is_empty());
 }
