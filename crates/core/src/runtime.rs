@@ -92,8 +92,9 @@ pub struct CallPolicy {
     /// [`CoreError::Timeout`] — the escape hatch that bounds *any*
     /// failure mode, including ones the collective-abort path misses.
     pub deadline: Option<Duration>,
-    /// How many times `call_sync` / `invoke_sync` re-dispatch a call
-    /// that failed with a transient fault (dropped RPC, severed link).
+    /// How many times a retrying wait ([`WorkerGroup::wait_retrying`],
+    /// and so `call_sync` / `invoke_sync`) re-dispatches a call that
+    /// failed with a transient fault (dropped RPC, severed link).
     pub max_retries: u32,
     /// Virtual seconds of backoff charged before the first retry;
     /// doubles per attempt.
@@ -993,22 +994,31 @@ impl WorkerGroup {
         })
     }
 
-    /// Convenience: `call(...).wait()`, with retry-with-backoff on
-    /// transient faults per the controller's [`CallPolicy`]. Each retry
-    /// charges exponentially growing virtual backoff to the controller
-    /// clock before re-dispatching. Non-transient failures (dead ranks,
-    /// poisoned groups, timeouts) are never retried here — they need
-    /// recovery, not persistence.
+    /// Convenience: `call(...)` then [`WorkerGroup::wait_retrying`].
     pub fn call_sync(
         &self,
         method: &str,
         data: &DataProto,
         protocol: Protocol,
     ) -> Result<DataProto> {
+        self.wait_retrying(self.call(method, data, protocol)?, data)
+    }
+
+    /// Waits `fut` — a call of this group on `data`, issued now or
+    /// earlier — with retry-with-backoff on transient faults per the
+    /// controller's [`CallPolicy`]. Each retry charges exponentially
+    /// growing virtual backoff to the controller clock before
+    /// re-dispatching, behind whatever was queued since the first
+    /// attempt. Non-transient failures (dead ranks, poisoned groups,
+    /// timeouts) are never retried here — they need recovery, not
+    /// persistence.
+    pub fn wait_retrying(&self, mut fut: DpFuture, data: &DataProto) -> Result<DataProto> {
+        debug_assert_eq!(fut.group_name, self.name, "the future is another group's call");
         let policy = self.inner.state.lock().policy;
+        let (method, protocol) = (fut.method.clone(), fut.protocol);
         let mut attempt = 0u32;
         loop {
-            match self.call(method, data, protocol)?.wait() {
+            match fut.wait() {
                 Err(e) if e.is_transient() && attempt < policy.max_retries => {
                     attempt += 1;
                     let backoff = policy.backoff_s * f64::from(1u32 << (attempt - 1).min(16));
@@ -1018,6 +1028,7 @@ impl WorkerGroup {
                     }
                     self.inner.telemetry.add_counter("resilience.retries", 1);
                     self.inner.telemetry.observe("resilience.retry_backoff_s", backoff);
+                    fut = self.call(&method, data, protocol)?;
                 }
                 other => return other,
             }

@@ -33,8 +33,8 @@ use hf_core::{Controller, CoreError, DataProto, DpFuture, Result, ROW_OFFSET_MET
 
 use crate::algo::{IterStats, RlhfSystem};
 use crate::stage::{
-    assemble_stats, collect_prep, collect_updates, dispatch_updates, gae_rows, insert_gae,
-    issue_prep, GaeFlavor, PpoStages, PrepSink, StageAlgo, TrainTotals,
+    collect_prep, dispatch_train, gae_rows, insert_gae, issue_prep, wait_train, GaeFlavor,
+    InFlight, PpoStages, PrepSink, StageAlgo,
 };
 use crate::workers::{GEN_ROUND_META, PIPELINE_META};
 
@@ -55,15 +55,6 @@ impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig { staleness: 1, gen_chunks: 2 }
     }
-}
-
-/// Micro-batch update futures in flight for one experience batch.
-struct InFlight {
-    /// Per micro-batch `(update_critic, update_actor)` futures, in
-    /// dispatch order.
-    futs: Vec<(DpFuture, DpFuture)>,
-    /// The batch being trained (returned to the caller with its stats).
-    batch: DataProto,
 }
 
 /// The pipelined PPO driver. Owns the one-step-off-policy state: the
@@ -190,7 +181,7 @@ impl PipelinedPpo {
         // concurrently with generation and the actor's update tail is
         // what the *next* round's transition overlaps with.
         let dispatched = match self.pending.take() {
-            Some(batch) => Some(self.dispatch_train(sys, batch)?),
+            Some(batch) => Some(dispatch_train(sys, batch)?),
             None => None,
         };
 
@@ -252,13 +243,13 @@ impl PipelinedPpo {
         // Phase 6: resolve whichever training completes this step.
         let result = if self.cfg.staleness == 0 {
             debug_assert!(dispatched.is_none(), "staleness 0 never defers training");
-            let inflight = self.dispatch_train(sys, batch)?;
-            Some(self.wait_train(sys, inflight)?)
+            let inflight = dispatch_train(sys, batch)?;
+            Some(wait_train(sys, inflight)?)
         } else {
             let prev = std::mem::replace(&mut self.held, dispatched);
             self.pending = Some(batch);
             match prev {
-                Some(h) => Some(self.wait_train(sys, h)?),
+                Some(h) => Some(wait_train(sys, h)?),
                 None => None,
             }
         };
@@ -275,15 +266,15 @@ impl PipelinedPpo {
         let mut out = Vec::new();
         if let Some(h) = self.held.take() {
             let t0 = ctrl.clock();
-            let r = self.wait_train(sys, h)?;
+            let r = wait_train(sys, h)?;
             if let Some((stats, _)) = self.finalize(ctrl, t0, Some(r)) {
                 out.push(stats);
             }
         }
         if let Some(b) = self.pending.take() {
             let t0 = ctrl.clock();
-            let inflight = self.dispatch_train(sys, b)?;
-            let r = self.wait_train(sys, inflight)?;
+            let inflight = dispatch_train(sys, b)?;
+            let r = wait_train(sys, inflight)?;
             if let Some((stats, _)) = self.finalize(ctrl, t0, Some(r)) {
                 out.push(stats);
             }
@@ -306,29 +297,6 @@ impl PipelinedPpo {
             row0 += c.rows();
         }
         chunks
-    }
-
-    /// Dispatches every micro-batch's critic + actor update as futures
-    /// (same per-device order as the synchronous driver) without
-    /// waiting any of them.
-    fn dispatch_train(&self, sys: &RlhfSystem, batch: DataProto) -> Result<InFlight> {
-        let futs = batch
-            .chunk(sys.cfg.updates)
-            .iter()
-            .map(|mb| dispatch_updates(sys, mb))
-            .collect::<Result<_>>()?;
-        Ok(InFlight { futs, batch })
-    }
-
-    /// Collects the update futures in dispatch order and assembles the
-    /// batch's stats (timing fields are filled by the caller).
-    fn wait_train(&self, sys: &RlhfSystem, inflight: InFlight) -> Result<(IterStats, DataProto)> {
-        let mut totals = TrainTotals::default();
-        for futs in inflight.futs {
-            collect_updates(futs, &mut totals)?;
-        }
-        let stats = assemble_stats(&inflight.batch, &totals, sys.cfg.updates, 0.0);
-        Ok((stats, inflight.batch))
     }
 
     /// Folds the step's timeline entries into the overlap bookkeeping,

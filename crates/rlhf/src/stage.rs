@@ -9,14 +9,29 @@
 //! of [`PrepCall`] descriptors whose futures are issued together and
 //! collected in issue order, which is also what lets the pipelined
 //! driver (see `pipeline`) reuse the exact same call set under a
-//! different schedule.
+//! different schedule; critic + actor training is one dispatch
+//! ([`dispatch_train`]) and one collect ([`wait_train`]) that both
+//! drivers call.
 //!
-//! The skeleton reproduces the original hand-written drivers *bit for
-//! bit*: call order, wait order, phase-span boundaries, retry semantics
-//! (critic/actor updates are futures without retry; actor-only training
-//! goes through `invoke_sync`'s transient-retry path), and stats
-//! arithmetic are all unchanged — the audit oracle and fault-matrix
-//! tests pin this.
+//! The barrier schedule issues every call the moment its input exists
+//! (§4.1, asynchronous dataflow): the controller waits only where the
+//! next call's *input* goes through it — prompts → generation,
+//! generation reply → preparation, advantages → training. So
+//! `compute_log_prob` leaves with the preparation passes that read the
+//! same generation reply, and every micro-batch's updates leave before
+//! any is collected (the device mailboxes already keep them in order).
+//! What the workers compute is what the hand-written drivers computed,
+//! *bit for bit* — call order per device, collect order, stats
+//! arithmetic; the audit oracle and fault-matrix tests pin this. Two
+//! kinds of call stay `invoke_sync`, because their transient retry
+//! re-dispatches and a call already queued behind the failed one would
+//! overtake it: `generate_sequences` (the main pass and any auxiliary
+//! one — the actor's round counter orders them) and actor-only updates
+//! (update *k* before *k + 1*). `compute_log_prob` keeps the same retry
+//! on its future ([`WorkerGroup::wait_retrying`]: a pure forward pass
+//! may run after the preparation passes); critic/actor update futures
+//! were never retried — a failure surfaces and recovery happens a level
+//! up.
 
 use hf_core::{Controller, CoreError, DataProto, DpFuture, Result, WorkerGroup};
 
@@ -196,9 +211,10 @@ impl PrepCall {
 /// How the training stage updates models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TrainMode {
-    /// Per mini-batch: critic update and actor update issued as
-    /// concurrent futures, collected critic-first. No transient retry —
-    /// a failure surfaces immediately (recovery happens a level up).
+    /// Every mini-batch's critic and actor update issued as futures
+    /// before any is collected ([`dispatch_train`]), collected
+    /// critic-first in mini-batch order. No transient retry — a failure
+    /// surfaces at its wait (recovery happens a level up).
     CriticActor,
     /// Per mini-batch: a single synchronous actor update through the
     /// controller's retry-with-backoff policy.
@@ -256,68 +272,74 @@ pub(crate) trait StageAlgo {
 /// Loss/entropy totals the training stage accumulates across
 /// mini-batches.
 #[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct TrainTotals {
-    pub actor_loss: f32,
-    pub entropy: f32,
-    pub critic_loss: f32,
-    pub ptx_loss: f32,
+struct TrainTotals {
+    actor_loss: f32,
+    entropy: f32,
+    critic_loss: f32,
+    ptx_loss: f32,
 }
 
 impl TrainTotals {
     /// Folds one actor-update reply in (`ptx_loss` is 0 in replies of
     /// algorithms without the pre-train objective, so accumulating it
     /// uniformly changes nothing).
-    pub(crate) fn absorb_actor(&mut self, reply: &DataProto) {
+    fn absorb_actor(&mut self, reply: &DataProto) {
         self.actor_loss += mean_of(reply, "actor_loss");
         self.entropy += mean_of(reply, "entropy");
         self.ptx_loss += mean_of(reply, "ptx_loss");
     }
 }
 
-/// Issues one mini-batch's [`TrainMode::CriticActor`] update futures.
-pub(crate) fn dispatch_updates(sys: &RlhfSystem, mb: &DataProto) -> Result<(DpFuture, DpFuture)> {
-    let f_c = require_critic(sys)?.invoke("update_critic", mb)?;
-    let f_a = sys.actor.invoke("update_actor", mb)?;
-    Ok((f_c, f_a))
+/// One experience batch's [`TrainMode::CriticActor`] updates in flight.
+pub(crate) struct InFlight {
+    /// Per micro-batch `(update_critic, update_actor)` futures, in
+    /// dispatch order.
+    futs: Vec<(DpFuture, DpFuture)>,
+    /// The batch being trained (returned to the caller with its stats).
+    batch: DataProto,
 }
 
-/// Collects one mini-batch's update futures, critic first, folding
-/// losses into `totals`.
-pub(crate) fn collect_updates(
-    (f_c, f_a): (DpFuture, DpFuture),
-    totals: &mut TrainTotals,
-) -> Result<()> {
-    totals.critic_loss += mean_of(&f_c.wait()?, "critic_loss");
-    totals.absorb_actor(&f_a.wait()?);
-    Ok(())
+/// Dispatches every micro-batch's critic + actor update as futures —
+/// per-device order `c₁ a₁ c₂ a₂ …` — without waiting any of them: the
+/// one training dispatch of the barrier and the pipelined driver.
+pub(crate) fn dispatch_train(sys: &RlhfSystem, batch: DataProto) -> Result<InFlight> {
+    let critic = require_critic(sys)?;
+    let futs = batch
+        .chunk(sys.cfg.updates)
+        .iter()
+        .map(|mb| Ok((critic.invoke("update_critic", mb)?, sys.actor.invoke("update_actor", mb)?)))
+        .collect::<Result<_>>()?;
+    Ok(InFlight { futs, batch })
 }
 
-/// Trains one mini-batch under `mode`, folding losses into `totals`.
-pub(crate) fn train_micro_batch(
-    sys: &RlhfSystem,
-    mode: TrainMode,
-    mb: &DataProto,
-    totals: &mut TrainTotals,
-) -> Result<()> {
-    match mode {
-        TrainMode::CriticActor => collect_updates(dispatch_updates(sys, mb)?, totals),
-        TrainMode::ActorOnly => {
-            totals.absorb_actor(&sys.actor.invoke_sync("update_actor", mb)?);
-            Ok(())
-        }
+/// Collects the update futures in dispatch order, critic first, and
+/// assembles the batch's stats (timing fields are filled by the caller).
+pub(crate) fn wait_train(sys: &RlhfSystem, inflight: InFlight) -> Result<(IterStats, DataProto)> {
+    let mut totals = TrainTotals::default();
+    for (f_c, f_a) in inflight.futs {
+        totals.critic_loss += mean_of(&f_c.wait()?, "critic_loss");
+        totals.absorb_actor(&f_a.wait()?);
     }
+    Ok((assemble_stats(&inflight.batch, &totals, sys.cfg.updates), inflight.batch))
+}
+
+/// [`TrainMode::ActorOnly`] training: one synchronous update per
+/// micro-batch, each waited (with the controller's transient retry)
+/// before the next is issued — a retried update must not land behind
+/// its successor.
+fn train_actor_only(sys: &RlhfSystem, batch: DataProto) -> Result<(IterStats, DataProto)> {
+    let mut totals = TrainTotals::default();
+    for mb in batch.chunk(sys.cfg.updates) {
+        totals.absorb_actor(&sys.actor.invoke_sync("update_actor", &mb)?);
+    }
+    Ok((assemble_stats(&batch, &totals, sys.cfg.updates), batch))
 }
 
 /// Assembles the iteration's statistics from the finished batch and
-/// training totals. `mean_of` returns 0 for absent columns, so the one
-/// expression covers every algorithm (no `costs` column ⇒ zero mean
-/// cost, and so on).
-pub(crate) fn assemble_stats(
-    batch: &DataProto,
-    totals: &TrainTotals,
-    updates: usize,
-    virtual_seconds: f64,
-) -> IterStats {
+/// training totals; the driver stamps the timing fields. `mean_of`
+/// returns 0 for absent columns, so the one expression covers every
+/// algorithm (no `costs` column ⇒ zero mean cost, and so on).
+fn assemble_stats(batch: &DataProto, totals: &TrainTotals, updates: usize) -> IterStats {
     let k = updates as f32;
     IterStats {
         mean_score: mean_of(batch, "scores"),
@@ -326,7 +348,7 @@ pub(crate) fn assemble_stats(
         entropy: totals.entropy / k,
         critic_loss: totals.critic_loss / k,
         ptx_loss: totals.ptx_loss / k,
-        virtual_seconds,
+        virtual_seconds: 0.0,
         staleness: 0,
         overlap_fraction: 0.0,
     }
@@ -371,9 +393,9 @@ pub(crate) fn collect_prep(
 }
 
 /// Runs one synchronous iteration of `algo`'s stage DAG: generation →
-/// experience preparation (futures issued together, collected in issue
-/// order) → training. Returns the stats and the finished experience
-/// batch (the audit oracle fingerprints the latter).
+/// experience preparation → training, every call issued as soon as its
+/// input exists and collected in issue order. Returns the stats and the
+/// finished experience batch (the audit oracle fingerprints the latter).
 pub(crate) fn run_stages(
     algo: &dyn StageAlgo,
     sys: &RlhfSystem,
@@ -403,31 +425,33 @@ pub(crate) fn run_stages(
     for input in algo.aux_gen_inputs(prompts) {
         aux.push(sys.actor.invoke_sync("generate_sequences", &without_logp(&input))?);
     }
-    if recompute_logp {
-        // Optional Table 4 pass: recompute log-probs under the training
-        // engine's numerics and use them as the PPO old log-probs.
-        let lp = sys.actor.invoke_sync("compute_log_prob", &batch)?;
+    let (t_gen, p_gen) = phase_span(ctrl, "generation", t0, 0);
+
+    // Stage 2: experience preparation. Everything that reads the
+    // generation reply leaves together, the actor's optional Table 4
+    // pass first: it recomputes the response log-probs under the
+    // training engine's numerics, and they become the PPO old log-probs
+    // before the preparation columns join the batch.
+    let logp = recompute_logp.then(|| sys.actor.invoke("compute_log_prob", &batch)).transpose()?;
+    let futures = issue_prep(sys, &algo.prep_calls(), &batch, &aux)?;
+    if let Some(fut) = logp {
+        let lp = sys.actor.wait_retrying(fut, &batch)?;
         let (cur, w) = lp.f32("cur_logp")?;
         let cur = cur.to_vec();
         batch.insert_f32("logp_old", cur, w);
     }
-    let (t_gen, p_gen) = phase_span(ctrl, "generation", t0, 0);
-
-    // Stage 2: experience preparation.
-    let futures = issue_prep(sys, &algo.prep_calls(), &batch, &aux)?;
     let side = collect_prep(&mut batch, futures)?;
     algo.finalize(&sys.cfg, &mut batch, &side)?;
     let (t_prep, p_prep) = phase_span(ctrl, "experience_preparation", t_gen, p_gen);
 
     // Stage 3: training.
     algo.pre_train(&sys.cfg, &mut batch, pretrain)?;
-    let mode = algo.train_mode();
-    let mut totals = TrainTotals::default();
-    for mb in batch.chunk(sys.cfg.updates) {
-        train_micro_batch(sys, mode, &mb, &mut totals)?;
-    }
+    let (mut stats, batch) = match algo.train_mode() {
+        TrainMode::CriticActor => wait_train(sys, dispatch_train(sys, batch)?)?,
+        TrainMode::ActorOnly => train_actor_only(sys, batch)?,
+    };
     phase_span(ctrl, "training", t_prep, p_prep);
-    let stats = assemble_stats(&batch, &totals, sys.cfg.updates, ctrl.clock() - t0);
+    stats.virtual_seconds = ctrl.clock() - t0;
     Ok((stats, batch))
 }
 

@@ -10,6 +10,7 @@ mod common;
 use std::sync::Arc;
 
 use common::{controller_4gpu, fresh_store, placement_4gpu, with_watchdog};
+use hf_core::Controller;
 use hf_resilience::{CheckpointStore, FaultInjector, FaultPlan};
 use hf_rlhf::{remap_recoverable, Algorithm, FixedPlacement, RemapConfig, RemapReport, RlhfConfig};
 
@@ -33,7 +34,15 @@ fn run(
     rlhf: RlhfConfig,
     injector: Option<Arc<FaultInjector>>,
 ) -> hf_core::Result<RemapReport> {
-    let ctrl = controller_4gpu(injector);
+    run_on(&controller_4gpu(injector), store, algorithm, rlhf)
+}
+
+fn run_on(
+    ctrl: &Controller,
+    store: &CheckpointStore,
+    algorithm: Algorithm,
+    rlhf: RlhfConfig,
+) -> hf_core::Result<RemapReport> {
     let cfg = RemapConfig {
         algorithm,
         iterations: 2,
@@ -43,7 +52,7 @@ fn run(
     };
     let placement = placement_4gpu(algorithm == Algorithm::Ppo, false);
     let mut planner = FixedPlacement(placement.clone());
-    remap_recoverable(&ctrl, store, &cfg, &placement, rlhf, &mut planner)
+    remap_recoverable(ctrl, store, &cfg, &placement, rlhf, &mut planner)
 }
 
 fn run_seed(seed: u64) {
@@ -129,6 +138,43 @@ fn checkpoint_window_fault_is_not_charged_as_lost_work() {
             report.stats.checkpoint_window_lost_s > 0.0,
             "the interrupted save collective consumed virtual time"
         );
+    });
+}
+
+/// The barrier driver queues every micro-batch's updates before it waits
+/// any (`stage::dispatch_train`), so a kill on the *first* micro-batch's
+/// `update_actor` finds the second's already in the mailboxes behind it.
+/// Those fail fast on the dead rank and abort on its peers as
+/// `PeerFailed` — cascades, not losses (DESIGN.md §11) — while the
+/// second `update_critic` still runs on a critic the restore then
+/// overwrites: one `LostRank`, and the recovered run ends on the
+/// fault-free run's bits.
+#[test]
+fn kill_on_the_first_update_with_the_second_queued_is_one_loss() {
+    use hf_resilience::FaultTrigger;
+    with_watchdog(150, || {
+        let final_state = |store: &CheckpointStore| {
+            (store.load_group(2, "actor").unwrap(), store.load_group(2, "critic").unwrap())
+        };
+        let clean_store = fresh_store("matrix-queued-clean");
+        let clean = run(&clean_store, Algorithm::Ppo, RlhfConfig::tiny(), None).unwrap();
+        assert_eq!(clean.stats.failures, 0);
+
+        assert_eq!(RlhfConfig::tiny().updates, 2, "a second micro-batch must exist");
+        let trigger = FaultTrigger::OnCall { method: "update_actor".into(), nth: 1 };
+        let injector = FaultInjector::new(FaultPlan::new().kill_rank("actor", 1, trigger));
+        let ctrl = controller_4gpu(Some(injector.clone()));
+        let store = fresh_store("matrix-queued-faulted");
+        let report = run_on(&ctrl, &store, Algorithm::Ppo, RlhfConfig::tiny())
+            .expect("run completes after recovery");
+
+        assert_eq!(injector.fired_count(), 1);
+        let lost = ctrl.lost_ranks();
+        assert_eq!(lost.len(), 1, "queued-ahead updates behind the kill are not losses: {lost:?}");
+        assert_eq!((lost[0].group.as_str(), lost[0].rank), ("actor", 1));
+        assert_eq!(report.stats.recoveries, 1);
+        assert_eq!(report.history.len(), 2);
+        assert_eq!(final_state(&store), final_state(&clean_store), "recovered vs fault-free");
     });
 }
 

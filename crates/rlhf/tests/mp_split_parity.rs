@@ -126,8 +126,9 @@ fn split_rows_leave_ppo_bit_identical_across_layouts_and_to_the_parent() {
     assert_eq!(split.actor, Digest(PARENT_PPO.0), "actor vs parent");
     assert_eq!(split.critic, Digest(PARENT_PPO.1), "critic vs parent");
     assert_eq!(split.replies, Digest(PARENT_PPO.2), "replies vs parent");
-    assert_eq!(split.stats, Digest(PARENT_PPO.3), "iteration stats vs parent");
-    assert_eq!(split.clock.to_bits(), PARENT_PPO.4, "controller clock vs parent");
+    assert_eq!(split.losses, Digest(PARENT_PPO.3), "iteration losses vs parent");
+    assert_eq!(split.stats, Digest(READINESS_PPO.0), "iteration stats");
+    assert_eq!(split.clock.to_bits(), READINESS_PPO.1, "controller clock");
 }
 
 #[test]
@@ -141,8 +142,8 @@ fn tp_inference_passes_keep_their_own_sharding_beside_split_rows() {
     assert_eq!(run.critic, Digest(PARENT_PPO_TP.1), "critic vs parent");
     assert_eq!(run.replies, Digest(PARENT_PPO_TP.2), "replies vs parent");
     assert_eq!(run.losses, Digest(PARENT_PPO_TP.3), "iteration losses vs parent");
-    assert_eq!(run.stats, Digest(CHUNK_PASS_PPO_TP.0), "iteration stats");
-    assert_eq!(run.clock.to_bits(), CHUNK_PASS_PPO_TP.1, "controller clock");
+    assert_eq!(run.stats, Digest(READINESS_PPO_TP.0), "iteration stats");
+    assert_eq!(run.clock.to_bits(), READINESS_PPO_TP.1, "controller clock");
 }
 
 #[test]
@@ -151,20 +152,18 @@ fn split_ptx_and_cost_rows_leave_safe_rlhf_bit_identical_to_the_parent() {
     // ptx rows of `actor_grads`, `compute_cost`.
     let cfg = RlhfConfig::tiny();
     let (ctrl, sys) = system(ParallelSpec::new(1, 2, 2), &cfg, true);
-    let mut stats = Digest::new();
+    let (mut losses, mut stats) = (Digest::new(), Digest::new());
     for iter in 0..3 {
         let prompts = make_prompts(16, cfg.prompt_len, cfg.response_len, cfg.lm.vocab as u32, iter);
         let pretrain =
             make_pretrain(16, cfg.prompt_len + cfg.response_len, cfg.lm.vocab as u32, iter);
-        stats.stats(&safe_rlhf_iteration(&sys, &ctrl, &prompts, &pretrain).unwrap());
+        let s = safe_rlhf_iteration(&sys, &ctrl, &prompts, &pretrain).unwrap();
+        losses.losses(&s);
+        stats.stats(&s);
     }
-    let got = (
-        model_state(&sys.actor).0,
-        model_state(sys.critic.as_ref().unwrap()).0,
-        stats.0,
-        ctrl.clock().to_bits(),
-    );
+    let got = (model_state(&sys.actor).0, model_state(sys.critic.as_ref().unwrap()).0, losses.0);
     assert_eq!(got, PARENT_SAFE_RLHF);
+    assert_eq!((stats.0, ctrl.clock().to_bits()), READINESS_SAFE_RLHF);
 }
 
 #[test]
@@ -190,27 +189,33 @@ fn remax_without_its_baseline_pass_log_probs_is_bit_identical_to_the_parent() {
     assert_eq!((model_state(&sys.actor).0, losses.0), PARENT_REMAX);
 }
 
-/// (actor, critic, replies, stats, controller clock bits).
-const PARENT_PPO: (u64, u64, u64, u64, u64) = (
-    0xa622bb804b76453b,
-    0xe64875d0862b6c47,
-    0xa20f9a24a44615f7,
-    0xa867e35a9e504e66,
-    0x3f72a271ea56c8e8,
-);
+/// (actor, critic, replies, losses), recorded at the parent commits.
+const PARENT_PPO: (u64, u64, u64, u64) =
+    (0xa622bb804b76453b, 0xe64875d0862b6c47, 0xa20f9a24a44615f7, 0x290f794dcf72df52);
 /// (actor, critic, replies, losses), recorded at the parent commits.
 const PARENT_PPO_TP: (u64, u64, u64, u64) =
     (0x94dceec6d767bf67, 0x84190585dee6d03e, 0x0c97afa75b745a7a, 0x0ef3280e98c9d897);
-/// (stats, controller clock bits) of the same run, re-recorded when a
-/// tensor-parallel pass began to cover its whole chunk: a TP pair now
-/// joins a layer once per chunk instead of once per row, so the virtual
-/// seconds in `stats` and the clock fell (8.390 ms → 5.702 ms over the
-/// three iterations; at the parent the pair read 0x99ca1bfdbfddf2c0 and
-/// 0x3f812ed7eee17fe3) while everything the workers computed — the four
-/// digests above — stayed where the parent recorded it.
-const CHUNK_PASS_PPO_TP: (u64, u64) = (0xb12082a49a685905, 0x3f775b1cfe0d2eb6);
-/// (actor, critic, stats, controller clock bits).
-const PARENT_SAFE_RLHF: (u64, u64, u64, u64) =
-    (0xb8704cfa144fd03a, 0x8c1ce179b5c66bcd, 0xa5904dc2d963709e, 0x3f751799f335a234);
+/// (actor, critic, losses), recorded at the parent commits.
+const PARENT_SAFE_RLHF: (u64, u64, u64) =
+    (0xb8704cfa144fd03a, 0x8c1ce179b5c66bcd, 0x0aa9798aa2f11af2);
 /// (actor, losses).
 const PARENT_REMAX: (u64, u64) = (0x500c27f40ac39aba, 0x946f46637e1d44a6);
+
+// (stats, controller clock bits): the two digests that contain virtual
+// seconds, re-recorded when the barrier driver began to issue every call
+// the moment its input exists. The second micro-batch's updates leave with
+// the first's instead of after its wait, and `compute_log_prob` leaves with
+// the preparation passes instead of before them, so an iteration exposes
+// one 200 µs controller dispatch less (two less with `recompute_logp`, the
+// TP run) — and nothing a worker computes moves: the `losses` digests
+// above were recorded at the parent for this, and hold. ReMax (actor-only
+// updates, synchronous) keeps its clock. Before, with the clock of the
+// three iterations before → after:
+//   PPO        0xa867e35a9e504e66, 0x3f72a271ea56c8e8 (4.549 → 3.949 ms)
+//   PPO, TP    0xb12082a49a685905, 0x3f775b1cfe0d2eb6 (5.702 → 4.502 ms; itself
+//              re-recorded from 0x99ca1bfdbfddf2c0, 0x3f812ed7eee17fe3, 8.390 ms,
+//              when a tensor-parallel pass began to cover its whole chunk)
+//   Safe-RLHF  0xa5904dc2d963709e, 0x3f751799f335a234 (5.149 → 4.549 ms)
+const READINESS_PPO: (u64, u64) = (0x8ae1fab855d30ff6, 0x3f702d4ca44c229b);
+const READINESS_PPO_TP: (u64, u64) = (0xa73bffa3af3f4d85, 0x3f7270d1573c9a82);
+const READINESS_SAFE_RLHF: (u64, u64) = (0x6c4f93da7ceb1003, 0x3f72a274ad2afbe9);
