@@ -20,7 +20,9 @@
 //!   controller*) that spawns worker groups onto
 //!   [`hf_simcluster::ResourcePool`]s and dispatches methods through
 //!   transfer protocols, and [`runtime::DpFuture`]s for asynchronous
-//!   dataflow execution (§4.1).
+//!   dataflow execution (§4.1) — a future may itself be the argument of
+//!   a call ([`runtime::WorkerGroup::call_on`]), in which case the reply
+//!   goes rank to rank and never through the controller.
 //! * [`error`] — error types; worker panics surface as `Err`, they never
 //!   take down the runtime.
 //! * [`fault`] — fault-injection hook points: device threads consult an

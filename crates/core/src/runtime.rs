@@ -11,18 +11,40 @@
 //!   every rank, and returns a [`DpFuture`] immediately — the
 //!   asynchronous dataflow execution of §4.1. `DpFuture::wait` collects
 //!   per-rank outputs back through the protocol.
+//! * **Data futures as arguments**: [`WorkerGroup::call_on`] issues a call
+//!   on the *future* of another call. The RPC leaves at once; each rank,
+//!   when it dequeues the message, waits for the producing call and takes
+//!   `distribute(own protocol, collect(producer's protocol, replies))[rank]`
+//!   — the producer's reply goes rank to rank and never passes through
+//!   the controller on its way to a consumer. Both entry points end in
+//!   one `dispatch` and one `Execute` arm; the controller's `wait` and a
+//!   consumer rank run the same `CallState::collect`. The reply is
+//!   collected once per future on a device thread and cut once per
+//!   consumer call (two `OnceLock`s); the controller collects its own
+//!   copy at its own `wait`, on its own thread, because the physical-copy
+//!   count is thread-local.
 //!
 //! Timing: dispatch charges an RPC latency; a rank whose input carries
 //! provenance (`__src_device`) is charged the GPU-to-GPU pull of its
 //! chunk, modeling the direct inter-model transfer of Figure 5(b) (step
-//! ⑥) rather than a central bottleneck. Controller virtual time advances
-//! to the slowest collected rank on `wait`.
+//! ⑥) rather than a central bottleneck. A call issued on a future starts
+//! at `max(device clock, RPC arrival, producer's latest finish)` and then
+//! pays that same pull, so the controller's dispatch latency overlaps the
+//! producer's execution. Controller virtual time advances to the slowest
+//! collected rank on `wait`; issuing never advances it.
+//!
+//! A call waits only on calls issued before it, one controller issues
+//! every call in one global order, and every mailbox is FIFO — so the
+//! earliest unfinished call always has every rank at the head of its
+//! mailbox with its input complete, and waiting on a future inside a
+//! device thread cannot deadlock.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use hf_simcluster::{
@@ -30,7 +52,7 @@ use hf_simcluster::{
     P2pNetwork, ResourcePool, VirtualClock,
 };
 use hf_telemetry::{gpu_track, SpanKind, Telemetry, CONTROLLER_TRACK};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use crate::data::DataProto;
 use crate::error::{CoreError, Result};
@@ -44,6 +66,272 @@ pub const SRC_DEVICE_META: &str = "__src_device";
 /// (result, device virtual finish time, exec span id for the causal
 /// graph — 0 when the call never reached an execute span).
 type ExecReply = (Result<DataProto>, f64, u64);
+
+/// One rank's reply to one call. A slot that keeps its value, not a
+/// channel: the controller's `wait` reads it, and so does every rank of a
+/// call issued on the future.
+enum Slot {
+    Pending,
+    Done(ExecReply),
+    /// Nothing to read: the message was dropped unanswered (runtime shut
+    /// down mid-call), or the reply's only reader has moved it out.
+    Closed,
+}
+
+struct ReplySlot {
+    state: Mutex<Slot>,
+    filled: Condvar,
+}
+
+/// What one call's rank messages, the controller's [`DpFuture`] and every
+/// call issued on that future share.
+struct CallState {
+    group: Arc<str>,
+    method: Arc<str>,
+    layout: WorkerLayout,
+    protocol: Protocol,
+    /// Provenance of the collected reply: whoever consumes it pulls it
+    /// from here.
+    first_collected_device: DeviceId,
+    slots: Vec<ReplySlot>,
+    /// Whether a call was issued on this future: its replies then have
+    /// more than one reader and stay in their slots; otherwise the
+    /// controller's `wait` moves them out.
+    shared: AtomicBool,
+    /// The collected reply and the instant it existed, as the calls
+    /// issued on this future read it: built once, on the device thread of
+    /// the first consumer rank to dequeue (errors already in the form a
+    /// consumer reports, see [`input_failed`]).
+    for_consumers: OnceLock<Result<(DataProto, f64)>>,
+}
+
+/// Every rank's reply to one call, collected through its protocol.
+struct Collected {
+    /// The assembled batch, or the root-cause failure among the ranks.
+    out: Result<DataProto>,
+    /// Virtual time the slowest rank finished.
+    finish: f64,
+    /// Exec span ids in rank order (the dispatch span's causal
+    /// predecessors).
+    exec_ids: Vec<u64>,
+    /// Payload bytes `collect` physically copied on the calling thread.
+    copy_bytes: u64,
+}
+
+impl CallState {
+    /// Blocks until `rank` replied (at most `deadline`, when one is set).
+    fn reply(&self, rank: usize, deadline: Option<Duration>) -> Result<ExecReply> {
+        let slot = &self.slots[rank];
+        let until = deadline.map(|d| (d, Instant::now() + d));
+        let mut state = slot.state.lock();
+        loop {
+            match &*state {
+                Slot::Done(reply) if self.shared.load(Ordering::Relaxed) => {
+                    return Ok(reply.clone())
+                }
+                Slot::Done(_) => match std::mem::replace(&mut *state, Slot::Closed) {
+                    Slot::Done(reply) => return Ok(reply),
+                    _ => unreachable!("matched above"),
+                },
+                Slot::Closed => {
+                    return Err(CoreError::Disconnected(format!(
+                        "{}::{} rank {rank} reply channel closed",
+                        self.group, self.method
+                    )))
+                }
+                Slot::Pending => {}
+            }
+            match until {
+                None => slot.filled.wait(&mut state),
+                Some((d, at)) => {
+                    let left = at.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return Err(CoreError::Timeout(format!(
+                            "{}::{} rank {rank} did not reply within {d:?}",
+                            self.group, self.method
+                        )));
+                    }
+                    slot.filled.wait_for(&mut state, left);
+                }
+            }
+        }
+    }
+
+    /// Re-wraps a rank's error with call context, preserving the variant
+    /// so callers can still classify it (transient? peer failure?).
+    fn contextualize(&self, rank: usize, e: CoreError) -> CoreError {
+        let m = format!("{}::{} rank {rank}: {e}", self.group, self.method);
+        match e {
+            CoreError::Transient(_) => CoreError::Transient(m),
+            CoreError::PeerFailed(_) => CoreError::PeerFailed(m),
+            CoreError::WorkerPanicked(_) => CoreError::WorkerPanicked(m),
+            CoreError::Timeout(_) => CoreError::Timeout(m),
+            CoreError::Config(_) => CoreError::Config(m),
+            _ => CoreError::Worker(m),
+        }
+    }
+
+    /// Waits every rank (each for at most `deadline`) and assembles the
+    /// replies through the call's protocol, stamped with their provenance
+    /// — what [`DpFuture::wait`] returns to the controller and what a
+    /// call issued on the future reads on its devices. `Err` only when a
+    /// rank never replied (deadline elapsed, runtime gone).
+    fn collect(&self, deadline: Option<Duration>) -> Result<Collected> {
+        let mut outputs = Vec::with_capacity(self.slots.len());
+        let mut finish = 0.0f64;
+        let mut exec_ids = Vec::with_capacity(self.slots.len());
+        // Root-cause selection: prefer the originating failure (panic,
+        // injected kill, transient drop) over the PeerFailed aborts it
+        // cascaded to the surviving ranks.
+        let mut first_err: Option<CoreError> = None;
+        for rank in 0..self.slots.len() {
+            let (res, t, exec_id) = self.reply(rank, deadline)?;
+            finish = finish.max(t);
+            exec_ids.push(exec_id);
+            match res {
+                Ok(d) => outputs.push(d),
+                Err(e) => {
+                    let e = self.contextualize(rank, e);
+                    let replace = match (&first_err, &e) {
+                        (None, _) => true,
+                        (Some(CoreError::PeerFailed(_)), CoreError::PeerFailed(_)) => false,
+                        (Some(CoreError::PeerFailed(_)), _) => true,
+                        _ => false,
+                    };
+                    if replace {
+                        first_err = Some(e);
+                    }
+                    outputs.push(DataProto::empty());
+                }
+            }
+        }
+        let copied_before = crate::data::physical_copy_bytes();
+        let out = match first_err {
+            Some(e) => Err(e),
+            None => self.protocol.collect(&self.layout, outputs).map(|mut out| {
+                out.meta.insert(
+                    SRC_DEVICE_META.to_string(),
+                    self.first_collected_device.index().to_string(),
+                );
+                out
+            }),
+        };
+        let copy_bytes = crate::data::physical_copy_bytes() - copied_before;
+        Ok(Collected { out, finish, exec_ids, copy_bytes })
+    }
+}
+
+/// The device side of one rank's reply slot. Dropped without a reply —
+/// the message never reached a live device thread — it closes the slot,
+/// so no waiter is left blocked.
+struct ReplyTx {
+    call: Arc<CallState>,
+    rank: usize,
+}
+
+impl ReplyTx {
+    fn fill(&self, with: Slot) {
+        let slot = &self.call.slots[self.rank];
+        let mut state = slot.state.lock();
+        if matches!(*state, Slot::Pending) {
+            *state = with;
+            slot.filled.notify_all();
+        }
+    }
+
+    fn send(self, reply: ExecReply) {
+        self.fill(Slot::Done(reply));
+    }
+}
+
+impl Drop for ReplyTx {
+    fn drop(&mut self) {
+        self.fill(Slot::Closed);
+    }
+}
+
+/// How a consumer reports the failure of the call whose reply it was
+/// issued on: a transient fault stays transient (the driver's retry
+/// re-issues producer and consumers alike), an elapsed deadline stays a
+/// deadline, anything else is a peer's failure — never this rank's loss.
+fn input_failed(e: CoreError) -> CoreError {
+    let m = format!("input failed: {e}");
+    match e {
+        CoreError::Transient(_) => CoreError::Transient(m),
+        CoreError::Timeout(_) => CoreError::Timeout(m),
+        _ => CoreError::PeerFailed(m),
+    }
+}
+
+/// The input of a call issued on a future ([`WorkerGroup::call_on`]),
+/// shared by the call's ranks: they read one outcome, so either all of
+/// them run the method or none enters a collective.
+struct FutureInput {
+    producer: Arc<CallState>,
+    /// The consumer's own layout and protocol.
+    layout: WorkerLayout,
+    protocol: Protocol,
+    /// Per-producer-rank reply deadline (the policy's, at issue time).
+    deadline: Option<Duration>,
+    /// The producer's reply cut by the consumer's protocol: once per
+    /// call, by whichever of its ranks dequeues first.
+    cut: OnceLock<Result<Cut>>,
+}
+
+struct Cut {
+    /// One input per consumer rank.
+    inputs: Vec<DataProto>,
+    /// Virtual time the producer's slowest rank finished.
+    ready: f64,
+    /// Payload bytes over all ranks (the dispatch span's argument).
+    bytes: usize,
+}
+
+impl FutureInput {
+    fn cut(&self, telemetry: &Telemetry) -> &Result<Cut> {
+        self.cut.get_or_init(|| {
+            let collected = self.producer.for_consumers.get_or_init(|| {
+                let c = self.producer.collect(self.deadline).map_err(input_failed)?;
+                Ok((c.out.map_err(input_failed)?, c.finish))
+            });
+            let (batch, ready) = collected.as_ref().map_err(Clone::clone)?;
+            let (inputs, bytes) =
+                distribute_counted(telemetry, self.protocol, &self.layout, batch)?;
+            Ok(Cut { inputs, ready: *ready, bytes })
+        })
+    }
+}
+
+/// `protocol.distribute` plus the dispatch byte counters, on whichever
+/// thread cuts the batch: the controller's for [`WorkerGroup::call`], a
+/// device's for [`WorkerGroup::call_on`].
+fn distribute_counted(
+    telemetry: &Telemetry,
+    protocol: Protocol,
+    layout: &WorkerLayout,
+    data: &DataProto,
+) -> Result<(Vec<DataProto>, usize)> {
+    let copied_before = crate::data::physical_copy_bytes();
+    let inputs = protocol.distribute(layout, data)?;
+    let copy_bytes = crate::data::physical_copy_bytes() - copied_before;
+    let bytes: usize = inputs.iter().map(|d| d.bytes()).sum();
+    if telemetry.is_enabled() {
+        telemetry.add_counter(&format!("protocol.{protocol:?}.dispatch_bytes"), bytes as u64);
+        telemetry.add_counter(&format!("protocol.{protocol:?}.dispatch_copy_bytes"), copy_bytes);
+    }
+    Ok((inputs, bytes))
+}
+
+/// What a rank's `Execute` message carries as the call's input.
+enum RankInput {
+    /// This rank's share of a batch the controller held when it issued
+    /// the call, and the device to pull it from (`None`: the controller's
+    /// own data, or produced on this device).
+    Batch { data: DataProto, src_device: Option<DeviceId> },
+    /// The call was issued on another call's future: the rank waits for
+    /// that call and takes its share of the reply.
+    Future(Arc<FutureInput>),
+}
 
 enum DeviceMsg {
     Register {
@@ -61,17 +349,12 @@ enum DeviceMsg {
     },
     Execute {
         key: u64,
-        /// Group and method names, shared by every rank's message of one
-        /// call.
-        group: Arc<str>,
-        method: Arc<str>,
-        data: DataProto,
+        input: RankInput,
         dispatch_time: f64,
-        src_device: Option<DeviceId>,
         /// Causal-graph id of the controller's dispatch span; device-side
         /// spans for this call list it as their cause.
         call_id: u64,
-        reply: Sender<ExecReply>,
+        reply: ReplyTx,
     },
     /// Heartbeat probe: replies with the device's message epoch and
     /// virtual clock. A device wedged mid-message never replies, which
@@ -156,8 +439,12 @@ pub struct TimelineEntry {
     pub group: String,
     /// Method dispatched.
     pub method: String,
-    /// Virtual time the controller dispatched the call.
+    /// Virtual time the call's RPC reached its ranks.
     pub dispatched: f64,
+    /// Virtual time the call could start: `dispatched`, or the instant
+    /// the future it was issued on resolved, whichever is later. Until
+    /// then the call occupies a mailbox slot, not a device.
+    pub started: f64,
     /// Virtual time the slowest rank completed.
     pub completed: f64,
 }
@@ -210,18 +497,10 @@ fn device_main(
                 dead.remove(&key);
                 call_counts.retain(|(k, _), _| *k != key);
             }
-            DeviceMsg::Execute {
-                key,
-                group,
-                method,
-                data,
-                dispatch_time,
-                src_device,
-                call_id,
-                reply,
-            } => {
+            DeviceMsg::Execute { key, input, dispatch_time, call_id, reply } => {
+                let (group, method) = (reply.call.group.clone(), reply.call.method.clone());
                 let Some((worker, ctx)) = workers.get_mut(&key) else {
-                    let _ = reply.send((
+                    reply.send((
                         Err(CoreError::Config(format!(
                             "no worker {key} registered on device {}",
                             device.0
@@ -232,13 +511,35 @@ fn device_main(
                     continue;
                 };
                 if let Some(reason) = dead.get(&key) {
-                    let _ = reply.send((
+                    reply.send((
                         Err(CoreError::PeerFailed(format!("{method}: rank is dead: {reason}"))),
                         clock.now(),
                         0,
                     ));
                     continue;
                 }
+                // A call issued on a future waits here for the producing
+                // call and takes its share of the reply. A failed input
+                // is answered before the fault hook and the call counter
+                // see the call — as if it had never been issued — and
+                // from every rank alike (they read one shared outcome),
+                // so no rank enters a collective its peers skip.
+                let (data, src_device) = match input {
+                    RankInput::Batch { data, src_device } => (data, src_device),
+                    RankInput::Future(on) => match on.cut(&telemetry) {
+                        Ok(cut) => {
+                            // The device idles (or works its mailbox down)
+                            // until the reply it reads exists.
+                            clock.sync_to(cut.ready);
+                            let src = on.producer.first_collected_device;
+                            (cut.inputs[ctx.rank].clone(), Some(src).filter(|s| *s != device))
+                        }
+                        Err(e) => {
+                            reply.send((Err(e.clone()), clock.now(), 0));
+                            continue;
+                        }
+                    },
+                };
                 let mut dispatch_time = dispatch_time;
                 let mut slow_factor = 1.0f64;
                 // Consult the fault hook before delivery.
@@ -268,7 +569,7 @@ fn device_main(
                             rank: ctx.rank,
                             reason: reason.clone(),
                         });
-                        let _ = reply.send((
+                        reply.send((
                             Err(CoreError::WorkerPanicked(format!("{method}: {reason}"))),
                             clock.now(),
                             0,
@@ -278,7 +579,7 @@ fn device_main(
                     if f.drop_rpc {
                         telemetry.add_counter("resilience.faults_injected", 1);
                         telemetry.add_counter("resilience.rpc_dropped", 1);
-                        let _ = reply.send((
+                        reply.send((
                             Err(CoreError::Transient(format!("{method}: rpc dropped"))),
                             clock.now(),
                             0,
@@ -301,8 +602,9 @@ fn device_main(
                 // string per call.
                 let label = || format!("{group}::{method}");
                 let span_label = if telemetry.is_enabled() { label() } else { String::new() };
-                // Mailbox dequeue: time the device was busy past the
-                // dispatch instant is queue wait (colocated time-sharing).
+                // Mailbox dequeue: time past the dispatch instant that the
+                // device was busy (colocated time-sharing) or waited for
+                // the future the call was issued on is queue wait.
                 if clock.now() > dispatch_time {
                     telemetry.span_causal(
                         &track,
@@ -325,7 +627,7 @@ fn device_main(
                     if lf.severed {
                         telemetry.add_counter("resilience.faults_injected", 1);
                         telemetry.add_counter("resilience.links_severed", 1);
-                        let _ = reply.send((
+                        reply.send((
                             Err(CoreError::Transient(format!(
                                 "{method}: link {} -> {} severed",
                                 src.index(),
@@ -385,7 +687,7 @@ fn device_main(
                             &[call_id],
                             &[],
                         );
-                        let _ = reply.send((Err(err), clock.now(), exec_id));
+                        reply.send((Err(err), clock.now(), exec_id));
                         continue;
                     }
                     let fp = input.audit_fingerprint();
@@ -468,7 +770,7 @@ fn device_main(
                     &[call_id],
                     &[],
                 );
-                let _ = reply.send((out, clock.now(), exec_id));
+                reply.send((out, clock.now(), exec_id));
             }
             DeviceMsg::Ping { reply } => {
                 let _ = reply.send((epoch, clock.now()));
@@ -925,67 +1227,94 @@ impl WorkerGroup {
     /// Dispatches `method` with `data` under `protocol` to every rank and
     /// returns immediately with a future (asynchronous dataflow, §4.1).
     pub fn call(&self, method: &str, data: &DataProto, protocol: Protocol) -> Result<DpFuture> {
-        let copied_before = crate::data::physical_copy_bytes();
-        let inputs = protocol.distribute(&self.layout, data)?;
-        let dispatched_copy_bytes = crate::data::physical_copy_bytes() - copied_before;
-        let src_device =
-            data.meta.get(SRC_DEVICE_META).and_then(|s| s.parse::<usize>().ok()).map(DeviceId);
-        let issued;
-        let dispatch_time;
-        {
-            let state = self.inner.state.lock();
-            issued = state.clock;
-            dispatch_time = state.clock + self.inner.cost.rpc_dispatch_time();
-        }
-        let dispatched_bytes: usize = inputs.iter().map(|d| d.bytes()).sum();
+        self.dispatch(method, protocol, Input::Batch(data))
+    }
+
+    /// Dispatches `method` on the *future* of another call (a data future
+    /// as an argument, §4.1): the RPC leaves at once, and every rank takes
+    /// its input — `input`'s reply, collected through the producer's
+    /// protocol and distributed through `protocol` — on its own device
+    /// when the producing call has finished. The controller neither waits
+    /// for the data nor carries it. A failure of `input` (or a reply
+    /// `protocol` cannot distribute) surfaces at this call's `wait`, the
+    /// same from every rank, and never counts as a loss of these ranks.
+    pub fn call_on(&self, method: &str, input: &DpFuture, protocol: Protocol) -> Result<DpFuture> {
+        self.dispatch(method, protocol, Input::Future(input))
+    }
+
+    fn dispatch(&self, method: &str, protocol: Protocol, input: Input<'_>) -> Result<DpFuture> {
         let telemetry = &self.inner.telemetry;
-        if telemetry.is_enabled() {
-            telemetry.add_counter(
-                &format!("protocol.{:?}.dispatch_bytes", protocol),
-                dispatched_bytes as u64,
-            );
-            telemetry.add_counter(
-                &format!("protocol.{:?}.dispatch_copy_bytes", protocol),
-                dispatched_copy_bytes,
-            );
-        }
+        let (issued, deadline) = {
+            let state = self.inner.state.lock();
+            (state.clock, state.policy.deadline)
+        };
+        let dispatch_time = issued + self.inner.cost.rpc_dispatch_time();
+        // Per-rank inputs, the bytes the controller distributed, and the
+        // future the call was issued on.
+        let (inputs, dispatched_bytes, on): (Vec<RankInput>, _, _) = match input {
+            Input::Batch(data) => {
+                let (inputs, bytes) = distribute_counted(telemetry, protocol, &self.layout, data)?;
+                let src = data.meta.get(SRC_DEVICE_META).and_then(|s| s.parse().ok()).map(DeviceId);
+                // Ranks on the producing device read locally (no pull).
+                let pulled = |rank| src.filter(|s| *s != self.pool.device(rank));
+                let inputs = (inputs.into_iter().enumerate())
+                    .map(|(rank, data)| RankInput::Batch { data, src_device: pulled(rank) })
+                    .collect();
+                (inputs, bytes, None)
+            }
+            Input::Future(fut) => {
+                // Relaxed: a reader is either the producer's `wait`, which
+                // consumes the future this call only borrows, or a device
+                // thread that first received one of the messages sent
+                // below — and a channel send/receive orders the store.
+                fut.call.shared.store(true, Ordering::Relaxed);
+                let on = Arc::new(FutureInput {
+                    producer: fut.call.clone(),
+                    layout: self.layout,
+                    protocol,
+                    deadline,
+                    cut: OnceLock::new(),
+                });
+                let inputs =
+                    (0..self.layout.world()).map(|_| RankInput::Future(on.clone())).collect();
+                (inputs, 0, Some(on))
+            }
+        };
         // Causal-graph id of this call's dispatch span, threaded through
         // the device messages so rank-side spans can cite it.
         let call_id = telemetry.next_span_id();
-        let (group, method): (Arc<str>, Arc<str>) = (self.name.clone(), method.into());
-        let mut replies = Vec::with_capacity(inputs.len());
+        let call = Arc::new(CallState {
+            group: self.name.clone(),
+            method: method.into(),
+            layout: self.layout,
+            protocol,
+            first_collected_device: self.first_collected_device(protocol),
+            slots: (inputs.iter())
+                .map(|_| ReplySlot { state: Mutex::new(Slot::Pending), filled: Condvar::new() })
+                .collect(),
+            shared: AtomicBool::new(false),
+            for_consumers: OnceLock::new(),
+        });
         {
             let state = self.inner.state.lock();
             for (rank, input) in inputs.into_iter().enumerate() {
-                let device = self.pool.device(rank);
-                let (tx, rx) = unbounded();
-                // Ranks on the producing device read locally (no pull).
-                let src = src_device.filter(|s| *s != device);
                 state
                     .devices
-                    .get(&device)
+                    .get(&self.pool.device(rank))
                     .ok_or_else(|| CoreError::Disconnected("device thread missing".into()))?
                     .send(DeviceMsg::Execute {
                         key: self.key,
-                        group: group.clone(),
-                        method: method.clone(),
-                        data: input,
+                        input,
                         dispatch_time,
-                        src_device: src,
                         call_id,
-                        reply: tx,
+                        reply: ReplyTx { call: call.clone(), rank },
                     })
                     .map_err(|_| CoreError::Disconnected("device thread died".into()))?;
-                replies.push(rx);
             }
         }
         Ok(DpFuture {
-            group_name: group,
-            method,
-            layout: self.layout,
-            protocol,
-            replies,
-            first_collected_device: self.first_collected_device(protocol),
+            call,
+            on,
             issued,
             dispatched: dispatch_time,
             dispatched_bytes,
@@ -1004,30 +1333,38 @@ impl WorkerGroup {
         self.wait_retrying(self.call(method, data, protocol)?, data)
     }
 
+    /// The one retry decision: whether a call that failed with `err` is
+    /// tried again — `err` is transient and the controller's
+    /// [`CallPolicy`] has a retry left after `attempt` of them. If so the
+    /// exponentially growing virtual backoff is charged to the controller
+    /// clock and the retry counted; the caller re-issues. Non-transient
+    /// failures (dead ranks, poisoned groups, timeouts) are never retried
+    /// — they need recovery, not persistence.
+    pub fn backs_off(&self, err: &CoreError, attempt: &mut u32) -> bool {
+        let mut state = self.inner.state.lock();
+        if !err.is_transient() || *attempt >= state.policy.max_retries {
+            return false;
+        }
+        *attempt += 1;
+        let backoff = state.policy.backoff_s * f64::from(1u32 << (*attempt - 1).min(16));
+        state.clock += backoff;
+        drop(state);
+        self.inner.telemetry.add_counter("resilience.retries", 1);
+        self.inner.telemetry.observe("resilience.retry_backoff_s", backoff);
+        true
+    }
+
     /// Waits `fut` — a call of this group on `data`, issued now or
-    /// earlier — with retry-with-backoff on transient faults per the
-    /// controller's [`CallPolicy`]. Each retry charges exponentially
-    /// growing virtual backoff to the controller clock before
-    /// re-dispatching, behind whatever was queued since the first
-    /// attempt. Non-transient failures (dead ranks, poisoned groups,
-    /// timeouts) are never retried here — they need recovery, not
-    /// persistence.
+    /// earlier, on `data` itself or on the future that produced it — and
+    /// re-dispatches it on `data` while [`WorkerGroup::backs_off`] allows,
+    /// behind whatever was queued since the first attempt.
     pub fn wait_retrying(&self, mut fut: DpFuture, data: &DataProto) -> Result<DataProto> {
-        debug_assert_eq!(fut.group_name, self.name, "the future is another group's call");
-        let policy = self.inner.state.lock().policy;
-        let (method, protocol) = (fut.method.clone(), fut.protocol);
+        debug_assert_eq!(fut.call.group, self.name, "the future is another group's call");
+        let (method, protocol) = (fut.call.method.clone(), fut.call.protocol);
         let mut attempt = 0u32;
         loop {
             match fut.wait() {
-                Err(e) if e.is_transient() && attempt < policy.max_retries => {
-                    attempt += 1;
-                    let backoff = policy.backoff_s * f64::from(1u32 << (attempt - 1).min(16));
-                    {
-                        let mut state = self.inner.state.lock();
-                        state.clock += backoff;
-                    }
-                    self.inner.telemetry.add_counter("resilience.retries", 1);
-                    self.inner.telemetry.observe("resilience.retry_backoff_s", backoff);
+                Err(e) if self.backs_off(&e, &mut attempt) => {
                     fut = self.call(&method, data, protocol)?;
                 }
                 other => return other,
@@ -1044,21 +1381,27 @@ impl WorkerGroup {
         self
     }
 
+    fn registered(&self, method: &str) -> Result<Protocol> {
+        self.registry.lock().get(method).copied().ok_or_else(|| {
+            CoreError::Config(format!("method {method} is not registered on group '{}'", self.name))
+        })
+    }
+
     /// Dispatches a *registered* method (see [`WorkerGroup::register`]).
     pub fn invoke(&self, method: &str, data: &DataProto) -> Result<DpFuture> {
-        let protocol = self.registry.lock().get(method).copied().ok_or_else(|| {
-            CoreError::Config(format!("method {method} is not registered on group '{}'", self.name))
-        })?;
-        self.call(method, data, protocol)
+        self.call(method, data, self.registered(method)?)
+    }
+
+    /// Dispatches a *registered* method on another call's future (see
+    /// [`WorkerGroup::call_on`]).
+    pub fn invoke_on(&self, method: &str, input: &DpFuture) -> Result<DpFuture> {
+        self.call_on(method, input, self.registered(method)?)
     }
 
     /// `invoke(...).wait()`, with the same transient-fault retry policy
     /// as [`WorkerGroup::call_sync`].
     pub fn invoke_sync(&self, method: &str, data: &DataProto) -> Result<DataProto> {
-        let protocol = self.registry.lock().get(method).copied().ok_or_else(|| {
-            CoreError::Config(format!("method {method} is not registered on group '{}'", self.name))
-        })?;
-        self.call_sync(method, data, protocol)
+        self.call_sync(method, data, self.registered(method)?)
     }
 
     fn first_collected_device(&self, protocol: Protocol) -> DeviceId {
@@ -1068,17 +1411,25 @@ impl WorkerGroup {
     }
 }
 
+/// What a call is issued on.
+enum Input<'a> {
+    /// A batch the controller holds (prompts, the advantage-carrying
+    /// batch, a checkpoint).
+    Batch(&'a DataProto),
+    /// The reply of a call still in flight.
+    Future(&'a DpFuture),
+}
+
 /// A future for an in-flight worker-group call.
 #[must_use = "a dropped DpFuture abandons in-flight worker replies; wait() it"]
 pub struct DpFuture {
-    group_name: Arc<str>,
-    method: Arc<str>,
-    layout: WorkerLayout,
-    protocol: Protocol,
-    replies: Vec<Receiver<ExecReply>>,
-    first_collected_device: DeviceId,
+    call: Arc<CallState>,
+    /// The future this call was issued on, if any.
+    on: Option<Arc<FutureInput>>,
     issued: f64,
     dispatched: f64,
+    /// Payload bytes distributed by the controller (a call issued on a
+    /// future reads them off its cut).
     dispatched_bytes: usize,
     call_id: u64,
     inner: Arc<ControllerInner>,
@@ -1103,126 +1454,53 @@ impl DpFuture {
     }
 
     /// Non-blocking completion probe: `true` once every rank's reply is
-    /// queued, so a following [`DpFuture::wait`] returns without
-    /// blocking. Never consumes replies, never advances any virtual
-    /// clock, and records nothing — probing is invisible to simulated
-    /// timing, so schedulers may poll it freely without perturbing
-    /// determinism. `false` is always safe: it only means at least one
-    /// rank has not replied *yet*.
+    /// in, so a following [`DpFuture::wait`] returns without blocking.
+    /// Never consumes replies, never advances any virtual clock, and
+    /// records nothing — probing is invisible to simulated timing, so
+    /// schedulers may poll it freely without perturbing determinism.
+    /// `false` is always safe: it only means at least one rank has not
+    /// replied *yet*.
     pub fn try_ready(&self) -> bool {
-        self.replies.iter().all(|rx| !rx.is_empty())
-    }
-
-    /// Re-wraps a rank's error with call context, preserving the variant
-    /// so callers can still classify it (transient? peer failure?).
-    fn contextualize(&self, rank: usize, e: CoreError) -> CoreError {
-        let m = format!("{}::{} rank {rank}: {e}", self.group_name, self.method);
-        match e {
-            CoreError::Transient(_) => CoreError::Transient(m),
-            CoreError::PeerFailed(_) => CoreError::PeerFailed(m),
-            CoreError::WorkerPanicked(_) => CoreError::WorkerPanicked(m),
-            CoreError::Timeout(_) => CoreError::Timeout(m),
-            CoreError::Config(_) => CoreError::Config(m),
-            _ => CoreError::Worker(m),
-        }
+        self.call.slots.iter().all(|slot| !matches!(*slot.state.lock(), Slot::Pending))
     }
 
     fn wait_impl(self, deadline: Option<Duration>) -> Result<DataProto> {
-        let mut outputs = Vec::with_capacity(self.replies.len());
-        let mut finish = 0.0f64;
-        // Exec span ids collected from the ranks (rank order): the
-        // dispatch span's causal predecessors.
-        let mut exec_ids = Vec::with_capacity(self.replies.len());
-        // Root-cause selection: prefer the originating failure (panic,
-        // injected kill, transient drop) over the PeerFailed aborts it
-        // cascaded to the surviving ranks.
-        let mut first_err: Option<CoreError> = None;
-        for (rank, rx) in self.replies.iter().enumerate() {
-            let received = match deadline {
-                None => rx.recv().map_err(|_| {
-                    CoreError::Disconnected(format!(
-                        "{}::{} rank {rank} reply channel closed",
-                        self.group_name, self.method
-                    ))
-                }),
-                Some(d) => rx.recv_timeout(d).map_err(|e| match e {
-                    crossbeam::channel::RecvTimeoutError::Timeout => CoreError::Timeout(format!(
-                        "{}::{} rank {rank} did not reply within {d:?}",
-                        self.group_name, self.method
-                    )),
-                    crossbeam::channel::RecvTimeoutError::Disconnected => {
-                        CoreError::Disconnected(format!(
-                            "{}::{} rank {rank} reply channel closed",
-                            self.group_name, self.method
-                        ))
-                    }
-                }),
-            };
-            match received {
-                Ok((res, t, exec_id)) => {
-                    finish = finish.max(t);
-                    exec_ids.push(exec_id);
-                    match res {
-                        Ok(d) => outputs.push(d),
-                        Err(e) => {
-                            let e = self.contextualize(rank, e);
-                            let replace = match (&first_err, &e) {
-                                (None, _) => true,
-                                (Some(CoreError::PeerFailed(_)), CoreError::PeerFailed(_)) => false,
-                                (Some(CoreError::PeerFailed(_)), _) => true,
-                                _ => false,
-                            };
-                            if replace {
-                                first_err = Some(e);
-                            }
-                            outputs.push(DataProto::empty());
-                        }
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let call = &self.call;
+        let Collected { out, finish, exec_ids, copy_bytes } = call.collect(deadline)?;
+        // What the ranks of a call issued on a future read off its cut.
+        let cut = self.on.as_ref().and_then(|on| on.cut.get()).and_then(|c| c.as_ref().ok());
         {
             let mut state = self.inner.state.lock();
             if finish > state.clock {
                 state.clock = finish;
             }
             state.timeline.push(TimelineEntry {
-                group: self.group_name.to_string(),
-                method: self.method.to_string(),
+                group: call.group.to_string(),
+                method: call.method.to_string(),
                 dispatched: self.dispatched,
+                started: cut.map_or(self.dispatched, |c| c.ready.max(self.dispatched)),
                 completed: finish,
             });
         }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        let copied_before = crate::data::physical_copy_bytes();
-        let mut out = self.protocol.collect(&self.layout, outputs)?;
-        let collect_copy_bytes = crate::data::physical_copy_bytes() - copied_before;
-        out.meta
-            .insert(SRC_DEVICE_META.to_string(), self.first_collected_device.index().to_string());
+        let out = out?;
         let telemetry = &self.inner.telemetry;
         if telemetry.is_enabled() {
-            telemetry.add_counter(
-                &format!("protocol.{:?}.collect_bytes", self.protocol),
-                out.bytes() as u64,
-            );
-            telemetry.add_counter(
-                &format!("protocol.{:?}.collect_copy_bytes", self.protocol),
-                collect_copy_bytes,
-            );
+            let protocol = call.protocol;
+            telemetry
+                .add_counter(&format!("protocol.{protocol:?}.collect_bytes"), out.bytes() as u64);
+            telemetry.add_counter(&format!("protocol.{protocol:?}.collect_copy_bytes"), copy_bytes);
+            let dispatched_bytes = cut.map_or(self.dispatched_bytes, |c| c.bytes);
             telemetry.span_causal(
                 CONTROLLER_TRACK,
-                &format!("{}::{}", self.group_name, self.method),
+                &format!("{}::{}", call.group, call.method),
                 SpanKind::Dispatch,
                 self.issued,
                 finish,
                 self.call_id,
                 &exec_ids,
                 &[
-                    ("protocol", format!("{:?}", self.protocol)),
-                    ("dispatch_bytes", self.dispatched_bytes.to_string()),
+                    ("protocol", format!("{protocol:?}")),
+                    ("dispatch_bytes", dispatched_bytes.to_string()),
                     ("collect_bytes", out.bytes().to_string()),
                 ],
             );

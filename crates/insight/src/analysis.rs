@@ -162,13 +162,15 @@ fn analyze_one(
         let ps = &graph.spans[p];
         *phase_durs.entry(ps.name.clone()).or_insert(0.0) += ps.duration();
         // Dispatches whose await completed inside this phase belong to
-        // it (the controller records a dispatch span at collect time).
+        // it (the controller records a dispatch span at collect time),
+        // wherever they were issued: a call issued on a future starts in
+        // the phase that produces its input and ends in the next.
         let in_phase: Vec<usize> = dispatches
             .iter()
             .copied()
             .filter(|&d| {
                 let s = &graph.spans[d];
-                s.start >= ps.start - EPS && s.start < ps.end - EPS
+                s.end > ps.start + EPS && s.end <= ps.end + EPS
             })
             .collect();
         let mut cursor = ps.start;
@@ -512,6 +514,48 @@ mod tests {
         assert_eq!(iters[1].start, 16.0);
         let total: f64 = iters[1].segments.iter().map(|s| s.seconds()).sum();
         assert!((total - 16.0).abs() < 1e-9, "coarse tiling still covers the window");
+    }
+
+    #[test]
+    fn a_dispatch_belongs_to_the_phase_its_await_completes_in() {
+        // A call issued on a future: its dispatch span starts with the
+        // generation call that produces its input and ends in the next
+        // phase, after waiting on the device for that input.
+        let mut gen = span("controller", "generation", SpanKind::Phase, 0.0, 10.0);
+        gen.id = 100;
+        let mut prep = span("controller", "experience_preparation", SpanKind::Phase, 10.0, 14.0);
+        prep.id = 101;
+        prep.causes = vec![100];
+        let mut d1 = span("controller", "actor::generate_sequences", SpanKind::Dispatch, 0.0, 10.0);
+        d1.id = 1;
+        d1.causes = vec![11];
+        let mut e1 = span("gpu-0", "actor::generate_sequences", SpanKind::Exec, 1.0, 10.0);
+        e1.id = 11;
+        e1.causes = vec![1];
+        let mut d2 = span("controller", "critic::compute_values", SpanKind::Dispatch, 0.0, 14.0);
+        d2.id = 2;
+        d2.causes = vec![21];
+        let mut q = span("gpu-1", "critic::compute_values", SpanKind::QueueWait, 1.0, 10.0);
+        q.causes = vec![2];
+        let mut pull = span("gpu-1", "critic::compute_values", SpanKind::Comm, 10.0, 11.0);
+        pull.causes = vec![2];
+        let mut e2 = span("gpu-1", "critic::compute_values", SpanKind::Exec, 11.0, 14.0);
+        e2.id = 21;
+        e2.causes = vec![2];
+        let g = SpanGraph::build(vec![gen, prep, d1, e1, d2, q, pull, e2]);
+        let it = &analyze_iterations(&g)[0];
+        let total: f64 = it.segments.iter().map(|s| s.seconds()).sum();
+        assert!((total - 14.0).abs() < 1e-9, "the tiling is exact: {total}");
+        for w in it.segments.windows(2) {
+            assert!((w[0].end - w[1].start).abs() < 1e-9, "{w:?}");
+        }
+        assert!(!it.by_kind.contains_key("controller"), "{:?}", it.by_kind);
+        // The wait for the future is clipped off the path by the
+        // producer's own dispatch span; the pull and the pass are on it.
+        assert!(!it.by_kind.contains_key("queue_wait"), "{:?}", it.by_kind);
+        assert!((it.by_kind["comm"] - 1.0).abs() < 1e-9);
+        assert!((it.by_role["critic"] - 4.0).abs() < 1e-9);
+        assert!(it.segments.iter().all(|s| (s.role == "critic") == (s.phase != "generation")));
     }
 
     #[test]

@@ -2,9 +2,13 @@
 //!
 //! Each driver is a short sequence of worker-group calls — the "few
 //! lines of code" the hybrid programming model promises. Preparation-
-//! stage calls are issued as futures so models on disjoint pools compute
-//! concurrently (asynchronous dataflow execution, §4.1); colocated
-//! models serialize automatically in device-mailbox order.
+//! stage calls are issued as futures — on the *future* of the generation
+//! call whose reply they read, so the reply goes rank to rank — and
+//! models on disjoint pools compute concurrently (asynchronous dataflow
+//! execution, §4.1); colocated models serialize automatically in
+//! device-mailbox order.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use hf_core::{Controller, CoreError, DataProto, Protocol, Result, WorkerGroup, WorkerLayout};
 use hf_nn::LmConfig;
@@ -193,9 +197,18 @@ pub struct RlhfSystem {
     pub cost: Option<WorkerGroup>,
     /// Algorithm configuration.
     pub cfg: RlhfConfig,
+    /// Logical generation passes the barrier driver has stamped so far
+    /// (`workers::GEN_PASS_META`).
+    gen_passes: AtomicU64,
 }
 
 impl RlhfSystem {
+    /// A fresh id for one logical generation pass; a retry of the pass
+    /// reuses it.
+    pub(crate) fn next_gen_pass(&self) -> u64 {
+        self.gen_passes.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
     /// Spawns every model of `placement` on `ctrl`.
     pub fn build(ctrl: &Controller, placement: &Placement, cfg: RlhfConfig) -> Result<RlhfSystem> {
         Self::build_inner(ctrl, placement, cfg, false)
@@ -270,7 +283,15 @@ impl RlhfSystem {
             })?),
             None => None,
         };
-        let sys = RlhfSystem { actor, critic, reference, reward, cost, cfg };
+        let sys = RlhfSystem {
+            actor,
+            critic,
+            reference,
+            reward,
+            cost,
+            cfg,
+            gen_passes: AtomicU64::new(0),
+        };
         sys.register_methods();
         Ok(sys)
     }

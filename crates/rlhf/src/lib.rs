@@ -70,6 +70,6 @@ pub use remap::{
 pub use verifier::RewardEvaluatorWorker;
 pub use workers::{
     ActorWorker, CriticWorker, ReferenceWorker, RewardKind, RewardWorker, WorkerHyper,
-    GEN_ROUND_META, NO_LOGP_META, PIPELINE_META,
+    GEN_PASS_META, GEN_ROUND_META, NO_LOGP_META, PIPELINE_META,
 };
 pub use zero::{ZeroActorWorker, ZeroParamStore};

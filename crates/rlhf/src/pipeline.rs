@@ -7,9 +7,11 @@
 //! last. [`PipelinedPpo`] runs the same stage DAG one step off-policy:
 //!
 //! 1. **Generation streams into preparation.** The prompt batch is
-//!    split into `gen_chunks` requests; as each chunk's sequences
-//!    finish, its critic/reference/reward forward passes are issued
-//!    immediately instead of waiting for the slowest chunk.
+//!    split into `gen_chunks` requests; each chunk's critic/reference/
+//!    reward forward passes are issued on that chunk's *future*
+//!    (`WorkerGroup::invoke_on`) and start the moment its sequences
+//!    finish, instead of waiting for the slowest chunk or for the
+//!    controller.
 //! 2. **Training runs one iteration behind.** The batch assembled at
 //!    step *i* is trained while step *i+1*'s generation executes; on
 //!    each device mailbox the micro-batch updates interleave with the
@@ -185,9 +187,11 @@ impl PipelinedPpo {
             None => None,
         };
 
-        // Phase 3: stream finished chunks into preparation — wait each
-        // generation chunk in order (static schedule) and issue its
-        // forward passes the moment it lands.
+        // Phase 3: stream chunks into preparation — each chunk's forward
+        // passes are issued on that chunk's future (behind the training
+        // calls above, so every mailbox keeps its order) and start on
+        // their devices the moment the chunk lands; the controller waits
+        // each chunk in order (static schedule) for its own copy.
         struct ChunkState {
             batch: DataProto,
             futs: Option<Vec<(DpFuture, PrepSink)>>,
@@ -195,11 +199,15 @@ impl PipelinedPpo {
             gae: (Vec<f32>, Vec<f32>),
         }
         let calls = PpoStages.prep_calls();
+        let prep_futs: Vec<_> =
+            gen_futs.iter().map(|fut| issue_prep(sys, &calls, fut)).collect::<Result<_>>()?;
         let mut states: Vec<ChunkState> = Vec::with_capacity(gen_futs.len());
-        for fut in gen_futs {
-            let cb = fut.wait()?;
-            let futs = issue_prep(sys, &calls, &cb, &[])?;
-            states.push(ChunkState { batch: cb, futs: Some(futs), gae: Default::default() });
+        for (fut, futs) in gen_futs.into_iter().zip(prep_futs) {
+            states.push(ChunkState {
+                batch: fut.wait()?,
+                futs: Some(futs),
+                gae: Default::default(),
+            });
         }
 
         // Phase 4: collect preparation outputs. `try_ready` lets the
@@ -347,7 +355,7 @@ impl PipelinedPpo {
         let tl = ctrl.timeline();
         let prep = PpoStages.prep_calls();
         for e in &tl[self.cursor..] {
-            let iv = (e.dispatched, e.completed);
+            let iv = (e.started, e.completed);
             match e.method.as_str() {
                 "generate_sequences" => self.gen_iv.push(iv),
                 "update_critic" | "update_actor" => self.train_iv.push(iv),
@@ -361,8 +369,8 @@ impl PipelinedPpo {
     /// Virtual time during which at least two stage classes (generation
     /// / preparation / training) had work in flight, over the pipelined
     /// run so far, as `(seconds, fraction of run wall)`. Intervals come
-    /// from awaited dispatch→completion spans, so the measure is
-    /// independent of wait order.
+    /// from awaited start→completion spans (a call parked on its future
+    /// is not in flight), so the measure is independent of wait order.
     fn cumulative_overlap(&self, now: f64) -> (f64, f64) {
         let classes = [
             merge_intervals(&self.gen_iv),

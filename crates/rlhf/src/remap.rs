@@ -322,7 +322,7 @@ pub fn restore_system_checkpoint(
 
 /// Tears the system's worker groups down on the live controller.
 fn despawn_system(ctrl: &Controller, sys: RlhfSystem) {
-    let RlhfSystem { actor, critic, reference, reward, cost, cfg: _ } = sys;
+    let RlhfSystem { actor, critic, reference, reward, cost, .. } = sys;
     for group in [Some(actor), critic, Some(reference), Some(reward), cost].into_iter().flatten() {
         ctrl.despawn_group(group);
     }

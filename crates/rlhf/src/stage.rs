@@ -14,30 +14,39 @@
 //! drivers call.
 //!
 //! The barrier schedule issues every call the moment its input exists
-//! (§4.1, asynchronous dataflow): the controller waits only where the
-//! next call's *input* goes through it — prompts → generation,
-//! generation reply → preparation, advantages → training. So
-//! `compute_log_prob` leaves with the preparation passes that read the
-//! same generation reply, and every micro-batch's updates leave before
-//! any is collected (the device mailboxes already keep them in order).
-//! What the workers compute is what the hand-written drivers computed,
-//! *bit for bit* — call order per device, collect order, stats
-//! arithmetic; the audit oracle and fault-matrix tests pin this. Two
-//! kinds of call stay `invoke_sync`, because their transient retry
-//! re-dispatches and a call already queued behind the failed one would
-//! overtake it: `generate_sequences` (the main pass and any auxiliary
-//! one — the actor's round counter orders them) and actor-only updates
-//! (update *k* before *k + 1*). `compute_log_prob` keeps the same retry
-//! on its future ([`WorkerGroup::wait_retrying`]: a pure forward pass
-//! may run after the preparation passes); critic/actor update futures
-//! were never retried — a failure surfaces and recovery happens a level
-//! up.
+//! (§4.1, asynchronous dataflow) — and a reply that is still being
+//! computed *exists as a future*: `compute_log_prob` and every
+//! preparation pass that reads the main batch leave with
+//! `generate_sequences`, issued on its future
+//! ([`WorkerGroup::invoke_on`]), and the generation reply goes rank to
+//! rank. The controller waits only where a call's input is made *by the
+//! controller*: prompts → generation and advantages → training (it still
+//! waits generation for its own copy — it unions the columns and computes
+//! the advantages, Figure 6's `compute_advantage`). Every micro-batch's
+//! updates leave before any is collected (the device mailboxes already
+//! keep them in order). What the workers compute is what the hand-written
+//! drivers computed, *bit for bit* — call order per device, collect
+//! order, stats arithmetic; the audit oracle and fault-matrix tests pin
+//! this.
+//!
+//! Retries. A generation that fails transiently fails what was issued on
+//! it, and its retry ([`WorkerGroup::backs_off`], the one decision
+//! `wait_retrying` also takes) re-issues generation *and* those calls;
+//! the pass id it reuses ([`GEN_PASS_META`]) makes every rank sample the
+//! round of the attempt it replaces. `compute_log_prob` keeps its own
+//! retry on its future ([`WorkerGroup::wait_retrying`]: a pure forward
+//! pass may run after the preparation passes). Two kinds of call stay
+//! `invoke_sync`, because their retry re-dispatches and a call already
+//! queued behind the failed one would overtake it: auxiliary generation
+//! passes (the actor's round counter orders them) and actor-only updates
+//! (update *k* before *k + 1*). Critic/actor update futures were never
+//! retried — a failure surfaces and recovery happens a level up.
 
 use hf_core::{Controller, CoreError, DataProto, DpFuture, Result, WorkerGroup};
 
 use crate::advantage::{gae, grpo_advantages, remax_advantage, shape_token_rewards, whiten};
 use crate::algo::{IterStats, RlhfConfig, RlhfSystem};
-use crate::workers::NO_LOGP_META;
+use crate::workers::{GEN_PASS_META, NO_LOGP_META};
 
 /// Closes an algorithm phase: records a `Phase` span on the controller
 /// track from `start` to now and observes its latency (histogram and
@@ -245,7 +254,9 @@ pub(crate) trait StageAlgo {
         false
     }
 
-    /// The preparation forward passes, in issue order.
+    /// The preparation forward passes, in issue order: those that read
+    /// the main batch (issued with generation, on its future) before
+    /// those that read an auxiliary pass (issued after it).
     fn prep_calls(&self) -> Vec<PrepCall>;
 
     /// Finalizes advantages (and anything else derived on the
@@ -354,21 +365,36 @@ fn assemble_stats(batch: &DataProto, totals: &TrainTotals, updates: usize) -> It
     }
 }
 
-/// Issues every preparation pass of `calls` concurrently, in order.
+/// Issues the passes of `calls` that read the main batch, in order, on
+/// the future of the generation call that produces it.
 pub(crate) fn issue_prep(
     sys: &RlhfSystem,
     calls: &[PrepCall],
-    batch: &DataProto,
+    generation: &DpFuture,
+) -> Result<Vec<(DpFuture, PrepSink)>> {
+    (calls.iter().filter(|call| call.input == PrepInput::Batch))
+        .map(|call| {
+            let (group, method) = call.role.resolve(sys)?;
+            Ok((group.invoke_on(method, generation)?, call.sink))
+        })
+        .collect()
+}
+
+/// Issues the passes of `calls` that read an auxiliary generation pass,
+/// in order, on that pass's reply.
+fn issue_aux_prep(
+    sys: &RlhfSystem,
+    calls: &[PrepCall],
     aux: &[DataProto],
 ) -> Result<Vec<(DpFuture, PrepSink)>> {
     calls
         .iter()
-        .map(|call| {
+        .filter_map(|call| match call.input {
+            PrepInput::Batch => None,
+            PrepInput::Aux(i) => Some((call, &aux[i])),
+        })
+        .map(|(call, input)| {
             let (group, method) = call.role.resolve(sys)?;
-            let input = match call.input {
-                PrepInput::Batch => batch,
-                PrepInput::Aux(i) => &aux[i],
-            };
             Ok((group.invoke(method, input)?, call.sink))
         })
         .collect()
@@ -394,8 +420,9 @@ pub(crate) fn collect_prep(
 
 /// Runs one synchronous iteration of `algo`'s stage DAG: generation →
 /// experience preparation → training, every call issued as soon as its
-/// input exists and collected in issue order. Returns the stats and the
-/// finished experience batch (the audit oracle fingerprints the latter).
+/// input exists — as a batch or as a future — and collected in issue
+/// order. Returns the stats and the finished experience batch (the audit
+/// oracle fingerprints the latter).
 pub(crate) fn run_stages(
     algo: &dyn StageAlgo,
     sys: &RlhfSystem,
@@ -406,34 +433,51 @@ pub(crate) fn run_stages(
     algo.require(sys)?;
     let t0 = ctrl.clock();
 
-    // Stage 1: generation (plus any auxiliary decode passes). A pass
-    // whose `logp_old` nobody reads is told to leave it out: the main one
-    // when `compute_log_prob` replaces the column below, every auxiliary
-    // one (only its `scores` are read).
+    // Stage 1: generation (plus any auxiliary decode passes), each pass
+    // stamped with its id. A pass whose `logp_old` nobody reads is told
+    // to leave it out: the main one when `compute_log_prob` replaces the
+    // column below, every auxiliary one (only its `scores` are read).
     let recompute_logp = algo.recompute_logp(&sys.cfg);
-    let without_logp = |input: &DataProto| {
+    let stamped = |input: &DataProto, without_logp: bool| {
         let mut input = input.clone();
-        input.meta.insert(NO_LOGP_META.into(), "1".into());
+        input.meta.insert(GEN_PASS_META.into(), sys.next_gen_pass().to_string());
+        if without_logp {
+            input.meta.insert(NO_LOGP_META.into(), "1".into());
+        }
         input
     };
     let expanded = algo.expand_prompts(&sys.cfg, prompts)?;
-    let gen_input = expanded.as_ref().unwrap_or(prompts);
-    let stamped = recompute_logp.then(|| without_logp(gen_input));
-    let gen_input = stamped.as_ref().unwrap_or(gen_input);
-    let mut batch = sys.actor.invoke_sync("generate_sequences", gen_input)?;
+    let gen_input = stamped(expanded.as_ref().unwrap_or(prompts), recompute_logp);
+    let calls = algo.prep_calls();
+
+    // Everything that reads the generation reply leaves with generation,
+    // on its future, the actor's optional Table 4 pass first: it
+    // recomputes the response log-probs under the training engine's
+    // numerics, and they become the PPO old log-probs before the
+    // preparation columns join the batch. A generation that failed
+    // transiently failed them too; the retry issues all of them again.
+    let mut attempt = 0;
+    let (mut batch, logp, mut futures) = loop {
+        let generation = sys.actor.invoke("generate_sequences", &gen_input)?;
+        let logp = recompute_logp
+            .then(|| sys.actor.invoke_on("compute_log_prob", &generation))
+            .transpose()?;
+        let futures = issue_prep(sys, &calls, &generation)?;
+        match generation.wait() {
+            Ok(batch) => break (batch, logp, futures),
+            Err(e) if sys.actor.backs_off(&e, &mut attempt) => {}
+            Err(e) => return Err(e),
+        }
+    };
     let mut aux = Vec::new();
     for input in algo.aux_gen_inputs(prompts) {
-        aux.push(sys.actor.invoke_sync("generate_sequences", &without_logp(&input))?);
+        aux.push(sys.actor.invoke_sync("generate_sequences", &stamped(&input, true))?);
     }
     let (t_gen, p_gen) = phase_span(ctrl, "generation", t0, 0);
 
-    // Stage 2: experience preparation. Everything that reads the
-    // generation reply leaves together, the actor's optional Table 4
-    // pass first: it recomputes the response log-probs under the
-    // training engine's numerics, and they become the PPO old log-probs
-    // before the preparation columns join the batch.
-    let logp = recompute_logp.then(|| sys.actor.invoke("compute_log_prob", &batch)).transpose()?;
-    let futures = issue_prep(sys, &algo.prep_calls(), &batch, &aux)?;
+    // Stage 2: experience preparation — what is left to issue reads an
+    // auxiliary pass's reply.
+    futures.extend(issue_aux_prep(sys, &calls, &aux)?);
     if let Some(fut) = logp {
         let lp = sys.actor.wait_retrying(fut, &batch)?;
         let (cur, w) = lp.f32("cur_logp")?;

@@ -100,6 +100,14 @@ pub const PIPELINE_META: &str = "__pipeline";
 /// synchronous call (which advances the worker's own counter once).
 pub const GEN_ROUND_META: &str = "__gen_round";
 
+/// Meta key: the id of one *logical* generation pass, stamped by the
+/// barrier driver and reused by a retry of that pass. A rank whose last
+/// pass carried the same id already spent the pass's sampler round — it
+/// ran the attempt whose failure on a peer caused the retry — and does
+/// not advance again, so every rank samples the retried pass from the
+/// round of the attempt it replaces. Not echoed in the reply.
+pub const GEN_PASS_META: &str = "__gen_pass";
+
 /// Meta key: set to `"1"` by a driver on a generation input whose
 /// `logp_old` it will not read — `compute_log_prob` is about to replace
 /// the column (`recompute_logp`), or only the pass's `scores` matter
@@ -521,6 +529,9 @@ pub struct ActorWorker {
     opt: Adam,
     hyper: WorkerHyper,
     gen_round: u64,
+    /// The [`GEN_PASS_META`] id of the last pass that advanced
+    /// `gen_round`.
+    gen_pass: Option<u64>,
     /// The resharded hybrid engine, held between the train→generation
     /// transition and the generation→training copy-back in
     /// `update_actor`.
@@ -550,6 +561,7 @@ impl ActorWorker {
             opt,
             hyper,
             gen_round: 0,
+            gen_pass: None,
             gen_engine: None,
             genserve,
             weights_dirty: true,
@@ -656,10 +668,16 @@ impl ActorWorker {
         // splits a round into several calls and pins the round via meta
         // so chunk seeds match the single synchronous call exactly. A
         // call that turns its chunk down below still spent the round, on
-        // every rank alike.
-        match data.meta.get(GEN_ROUND_META).and_then(|s| s.parse::<u64>().ok()) {
-            Some(round) => self.gen_round = round,
-            None => self.gen_round += 1,
+        // every rank alike; a retry of a pass this rank already ran
+        // samples that attempt's round again.
+        let stamp = |key| data.meta.get(key).and_then(|s: &String| s.parse::<u64>().ok());
+        match (stamp(GEN_ROUND_META), stamp(GEN_PASS_META)) {
+            (Some(round), _) => self.gen_round = round,
+            (None, Some(pass)) if self.gen_pass == Some(pass) => {}
+            (None, pass) => {
+                self.gen_round += 1;
+                self.gen_pass = pass;
+            }
         }
         let vocab = self.lm.cfg.vocab;
         let (prompts, pw) = token_rows(&data, "prompts", vocab)?;
@@ -818,6 +836,7 @@ impl ActorWorker {
             responses.extend(std::iter::repeat_n(pad_token as u32, resp_len - out.tokens.len()));
         }
         let mut out = data.clone();
+        out.meta.remove(GEN_PASS_META);
         if out.meta.remove(NO_LOGP_META).as_deref() != Some("1") {
             // Every row here, not `mp_rows`: this method is dispatched by
             // the *generation* grouping, under which the training
@@ -1045,7 +1064,9 @@ impl Worker for ActorWorker {
                     }
                 }
                 if let Some(round) = data.meta.get("gen_round").and_then(|s| s.parse().ok()) {
+                    // The restored round was spent by no pass this rank ran.
                     self.gen_round = round;
+                    self.gen_pass = None;
                 }
                 if data.has("opt_m") && data.has("opt_v") {
                     let (m, _) = data.f32("opt_m")?;

@@ -1,7 +1,8 @@
-//! The barrier driver issues every call the moment its input exists
-//! (`stage::run_stages`): read back from the controller's timeline, and
-//! — for the one call that both left `invoke_sync` and kept its
-//! transient retry, `compute_log_prob` — driven through a dropped RPC.
+//! The barrier driver issues every call the moment its input exists, as
+//! a batch or as a future (`stage::run_stages`): read back from the
+//! controller's timeline, and — for the two calls that left `invoke_sync`
+//! and kept their transient retry, `generate_sequences` and
+//! `compute_log_prob` — driven through a dropped RPC.
 
 mod common;
 
@@ -51,32 +52,46 @@ fn calls_per_dispatch_instant(ctrl: &Controller, methods: &[&str]) -> Vec<usize>
 }
 
 #[test]
-fn calls_that_read_one_reply_leave_at_one_instant() {
+fn calls_that_read_one_reply_leave_with_the_call_that_produces_it() {
     let mut cfg = RlhfConfig::tiny();
     cfg.recompute_logp = true;
     let (ctrl, sys) = system(&cfg, true, None);
     ppo_iteration_captured(&sys, &ctrl, &prompts(&cfg, 0)).unwrap();
 
-    // The generation reply feeds four passes: none waits for another.
+    // The generation reply feeds four passes: they leave with generation,
+    // on its future.
     let readers = ["compute_log_prob", "compute_values", "compute_ref_log_prob", "compute_reward"];
-    assert_eq!(calls_per_dispatch_instant(&ctrl, &readers), [4]);
+    let with_generation = [&["generate_sequences"][..], &readers].concat();
+    assert_eq!(calls_per_dispatch_instant(&ctrl, &with_generation), [5]);
     // The finished batch feeds every micro-batch's two updates.
     let updates = ["update_critic", "update_actor"];
     assert_eq!(calls_per_dispatch_instant(&ctrl, &updates), [2 * cfg.updates]);
-    // Generation, preparation, training: three controller dependencies.
-    let all = [&["generate_sequences"][..], &readers, &updates].concat();
-    assert_eq!(calls_per_dispatch_instant(&ctrl, &all), [1, 4, 2 * cfg.updates]);
+    // Prompts → generation, advantages → training: the two inputs the
+    // controller makes, two dispatch instants an iteration.
+    let all = [&with_generation[..], &updates].concat();
+    assert_eq!(calls_per_dispatch_instant(&ctrl, &all), [5, 2 * cfg.updates]);
+    // A reader could start when generation finished, not when its RPC
+    // arrived.
+    let timeline = ctrl.timeline();
+    let generation = timeline.iter().find(|e| e.method == "generate_sequences").unwrap();
+    for e in timeline.iter().filter(|e| readers.contains(&e.method.as_str())) {
+        assert_eq!(e.dispatched, generation.dispatched, "{}", e.method);
+        assert_eq!(e.started, generation.completed, "{}", e.method);
+    }
+    assert_eq!(generation.started, generation.dispatched);
 }
 
 #[test]
 fn actor_only_updates_stay_one_after_another() {
     // A retried `update_actor` must not land behind its successor, so
-    // GRPO's updates keep `invoke_sync`: one dispatch per micro-batch.
+    // GRPO's updates keep `invoke_sync`: one dispatch per micro-batch —
+    // after generation and the two passes issued on its future.
     let cfg = RlhfConfig::tiny();
     assert_eq!(cfg.updates, 2);
     let (ctrl, sys) = system(&cfg, false, None);
     grpo_iteration(&sys, &ctrl, &prompts(&cfg, 0)).unwrap();
-    assert_eq!(calls_per_dispatch_instant(&ctrl, &["update_actor"]), [1, 1]);
+    let all = ["generate_sequences", "compute_ref_log_prob", "compute_reward", "update_actor"];
+    assert_eq!(calls_per_dispatch_instant(&ctrl, &all), [3, 1, 1]);
 }
 
 /// Weights and Adam moments of both trained models, as bits.
@@ -92,17 +107,35 @@ fn weights(sys: &RlhfSystem) -> Vec<u32> {
     bits
 }
 
-/// Two PPO iterations with `recompute_logp`; rank 2's first
-/// `compute_log_prob` RPC is dropped when `drop_first` is set.
+/// Every actor rank's sampler round, read off its `save_shard` reply
+/// (`shard_meta[5]`).
+fn gen_rounds(sys: &RlhfSystem) -> Vec<f32> {
+    let shards = sys.actor.invoke_sync("save_shard", &DataProto::empty()).unwrap();
+    let (meta, w) = shards.f32("shard_meta").unwrap();
+    meta.chunks(w).map(|row| row[5]).collect()
+}
+
+struct Run {
+    batches: Vec<DataProto>,
+    weights: Vec<u32>,
+    retries: u64,
+    clock: f64,
+    gen_rounds: Vec<f32>,
+}
+
+/// Two PPO iterations; rank 2's first RPC of `drop` is dropped when one
+/// is named.
 fn run_with_retries(
     max_retries: u32,
-    drop_first: bool,
-) -> hf_core::Result<(Vec<DataProto>, Vec<u32>, u64, f64)> {
+    drop: Option<&str>,
+    recompute_logp: bool,
+) -> hf_core::Result<Run> {
     let mut cfg = RlhfConfig::tiny();
-    cfg.recompute_logp = true;
-    let trigger = FaultTrigger::OnCall { method: "compute_log_prob".into(), nth: 1 };
-    let injector =
-        drop_first.then(|| FaultInjector::new(FaultPlan::new().drop_rpc("actor", 2, 1, trigger)));
+    cfg.recompute_logp = recompute_logp;
+    let injector = drop.map(|method| {
+        let trigger = FaultTrigger::OnCall { method: method.into(), nth: 1 };
+        FaultInjector::new(FaultPlan::new().drop_rpc("actor", 2, 1, trigger))
+    });
     let (ctrl, sys) = system(&cfg, true, injector);
     ctrl.set_policy(CallPolicy { max_retries, ..CallPolicy::default() });
     let mut batches = Vec::new();
@@ -110,23 +143,42 @@ fn run_with_retries(
         batches.push(ppo_iteration_captured(&sys, &ctrl, &prompts(&cfg, i))?.1);
     }
     let retries = ctrl.telemetry().counter("resilience.retries");
-    Ok((batches, weights(&sys), retries, ctrl.clock()))
+    let clock = ctrl.clock();
+    Ok(Run { batches, weights: weights(&sys), retries, clock, gen_rounds: gen_rounds(&sys) })
 }
 
-#[test]
-fn compute_log_prob_keeps_its_transient_retry_as_a_future() {
-    let (clean_batches, clean_weights, retries, clean_clock) = run_with_retries(1, false).unwrap();
-    assert_eq!(retries, 0);
+/// A run with one dropped RPC of `method` against the fault-free run:
+/// one retry, the backoff charged, and nothing else to tell them apart.
+fn assert_retry_is_invisible(method: &str, recompute_logp: bool) {
+    let clean = run_with_retries(1, None, recompute_logp).unwrap();
+    assert_eq!(clean.retries, 0);
 
-    // The retry re-dispatches behind the preparation passes already
-    // queued; a forward pass computes the same bits there.
-    let (batches, weights, retries, clock) = run_with_retries(1, true).unwrap();
-    assert_eq!(retries, 1, "one dropped RPC, one retry");
-    assert_eq!(batches, clean_batches, "experience batches vs the fault-free run");
-    assert_eq!(weights, clean_weights, "actor / critic weights and Adam moments");
-    assert!(clock > clean_clock + CallPolicy::default().backoff_s, "the backoff is charged");
+    let run = run_with_retries(1, Some(method), recompute_logp).unwrap();
+    assert_eq!(run.retries, 1, "one dropped RPC, one retry");
+    assert!(run.batches == clean.batches, "experience batches differ from the fault-free run");
+    assert!(run.weights == clean.weights, "actor / critic weights or Adam moments differ");
+    assert!(run.clock > clean.clock + CallPolicy::default().backoff_s, "the backoff is charged");
+    assert_eq!(run.gen_rounds, clean.gen_rounds, "sampler rounds vs the fault-free run");
+    assert!(run.gen_rounds.iter().all(|r| *r == run.gen_rounds[0]), "{:?}", run.gen_rounds);
 
     // The same policy, not a second one: no retries allowed, none made.
-    let err = run_with_retries(0, true).unwrap_err();
+    let err = run_with_retries(0, Some(method), recompute_logp).map(|_| ()).unwrap_err();
     assert!(matches!(err, CoreError::Transient(_)), "{err:?}");
+}
+
+/// The retry re-dispatches behind the preparation passes already queued;
+/// a forward pass computes the same bits there.
+#[test]
+fn compute_log_prob_keeps_its_transient_retry_as_a_future() {
+    assert_retry_is_invisible("compute_log_prob", true);
+}
+
+/// The ranks that ran the failed attempt spent a sampler round, the
+/// dropped rank did not: the retried pass must sample the round of the
+/// attempt it replaces on every rank, and what was issued on the failed
+/// future is issued again with it.
+#[test]
+fn a_retried_generation_is_the_fault_free_generation() {
+    assert_retry_is_invisible("generate_sequences", false);
+    assert_retry_is_invisible("generate_sequences", true);
 }

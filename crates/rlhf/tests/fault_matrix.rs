@@ -141,41 +141,61 @@ fn checkpoint_window_fault_is_not_charged_as_lost_work() {
     });
 }
 
+/// A PPO run with `group`'s rank 1 killed on its `nth` call of `method`
+/// against the fault-free run: the kill fires once, exactly one rank is
+/// lost — whatever was queued behind or on the failed call cascades, and
+/// a cascade is not a loss (DESIGN.md §11) — and the recovered run ends
+/// on the fault-free run's bits.
+fn one_kill_is_one_loss(tag: &str, group: &str, method: &str, nth: u64) {
+    use hf_resilience::FaultTrigger;
+    let final_state = |store: &CheckpointStore| {
+        (store.load_group(2, "actor").unwrap(), store.load_group(2, "critic").unwrap())
+    };
+    let clean_store = fresh_store(&format!("matrix-{tag}-clean"));
+    let clean = run(&clean_store, Algorithm::Ppo, RlhfConfig::tiny(), None).unwrap();
+    assert_eq!(clean.stats.failures, 0);
+
+    let trigger = FaultTrigger::OnCall { method: method.into(), nth };
+    let injector = FaultInjector::new(FaultPlan::new().kill_rank(group, 1, trigger));
+    let ctrl = controller_4gpu(Some(injector.clone()));
+    let store = fresh_store(&format!("matrix-{tag}-faulted"));
+    let report = run_on(&ctrl, &store, Algorithm::Ppo, RlhfConfig::tiny())
+        .expect("run completes after recovery");
+
+    assert_eq!(injector.fired_count(), 1);
+    let lost = ctrl.lost_ranks();
+    assert_eq!(lost.len(), 1, "what failed with or behind the killed call is not a loss: {lost:?}");
+    assert_eq!((lost[0].group.as_str(), lost[0].rank), (group, 1));
+    assert_eq!(report.stats.recoveries, 1);
+    assert_eq!(report.history.len(), 2);
+    assert_eq!(final_state(&store), final_state(&clean_store), "recovered vs fault-free");
+}
+
 /// The barrier driver queues every micro-batch's updates before it waits
 /// any (`stage::dispatch_train`), so a kill on the *first* micro-batch's
 /// `update_actor` finds the second's already in the mailboxes behind it.
 /// Those fail fast on the dead rank and abort on its peers as
-/// `PeerFailed` — cascades, not losses (DESIGN.md §11) — while the
-/// second `update_critic` still runs on a critic the restore then
-/// overwrites: one `LostRank`, and the recovered run ends on the
-/// fault-free run's bits.
+/// `PeerFailed`, while the second `update_critic` still runs on a critic
+/// the restore then overwrites.
 #[test]
 fn kill_on_the_first_update_with_the_second_queued_is_one_loss() {
-    use hf_resilience::FaultTrigger;
-    with_watchdog(150, || {
-        let final_state = |store: &CheckpointStore| {
-            (store.load_group(2, "actor").unwrap(), store.load_group(2, "critic").unwrap())
-        };
-        let clean_store = fresh_store("matrix-queued-clean");
-        let clean = run(&clean_store, Algorithm::Ppo, RlhfConfig::tiny(), None).unwrap();
-        assert_eq!(clean.stats.failures, 0);
+    assert_eq!(RlhfConfig::tiny().updates, 2, "a second micro-batch must exist");
+    with_watchdog(150, || one_kill_is_one_loss("queued", "actor", "update_actor", 1));
+}
 
-        assert_eq!(RlhfConfig::tiny().updates, 2, "a second micro-batch must exist");
-        let trigger = FaultTrigger::OnCall { method: "update_actor".into(), nth: 1 };
-        let injector = FaultInjector::new(FaultPlan::new().kill_rank("actor", 1, trigger));
-        let ctrl = controller_4gpu(Some(injector.clone()));
-        let store = fresh_store("matrix-queued-faulted");
-        let report = run_on(&ctrl, &store, Algorithm::Ppo, RlhfConfig::tiny())
-            .expect("run completes after recovery");
+/// The preparation passes are issued on generation's future, so a kill
+/// on `generate_sequences` finds them queued on every pool: each answers
+/// `input failed` before it runs, as a peer's failure.
+#[test]
+fn kill_on_generation_with_preparation_queued_on_its_future_is_one_loss() {
+    with_watchdog(150, || one_kill_is_one_loss("gen-future", "actor", "generate_sequences", 2));
+}
 
-        assert_eq!(injector.fired_count(), 1);
-        let lost = ctrl.lost_ranks();
-        assert_eq!(lost.len(), 1, "queued-ahead updates behind the kill are not losses: {lost:?}");
-        assert_eq!((lost[0].group.as_str(), lost[0].rank), ("actor", 1));
-        assert_eq!(report.stats.recoveries, 1);
-        assert_eq!(report.history.len(), 2);
-        assert_eq!(final_state(&store), final_state(&clean_store), "recovered vs fault-free");
-    });
+/// A pass issued on a future is killed like any other once its input
+/// arrived: the kill is the one loss, its model-parallel peers cascade.
+#[test]
+fn kill_on_a_pass_issued_on_a_future_is_one_loss() {
+    with_watchdog(150, || one_kill_is_one_loss("on-future", "critic", "compute_values", 2));
 }
 
 /// The pinned reward-evaluation scenario (its own seed and target list,

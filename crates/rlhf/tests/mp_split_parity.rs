@@ -202,20 +202,25 @@ const PARENT_SAFE_RLHF: (u64, u64, u64) =
 const PARENT_REMAX: (u64, u64) = (0x500c27f40ac39aba, 0x946f46637e1d44a6);
 
 // (stats, controller clock bits): the two digests that contain virtual
-// seconds, re-recorded when the barrier driver began to issue every call
-// the moment its input exists. The second micro-batch's updates leave with
-// the first's instead of after its wait, and `compute_log_prob` leaves with
-// the preparation passes instead of before them, so an iteration exposes
-// one 200 µs controller dispatch less (two less with `recompute_logp`, the
-// TP run) — and nothing a worker computes moves: the `losses` digests
-// above were recorded at the parent for this, and hold. ReMax (actor-only
-// updates, synchronous) keeps its clock. Before, with the clock of the
-// three iterations before → after:
-//   PPO        0xa867e35a9e504e66, 0x3f72a271ea56c8e8 (4.549 → 3.949 ms)
-//   PPO, TP    0xb12082a49a685905, 0x3f775b1cfe0d2eb6 (5.702 → 4.502 ms; itself
-//              re-recorded from 0x99ca1bfdbfddf2c0, 0x3f812ed7eee17fe3, 8.390 ms,
+// seconds, re-recorded when the preparation passes (and
+// `compute_log_prob`) began to leave *with* generation, issued on its
+// future: their 200 µs RPC overlaps generation instead of following its
+// wait, so an iteration exposes one controller dispatch less — 3 × 200 µs
+// over the three iterations of each run — and nothing a worker computes
+// moves: the `actor` / `critic` / `replies` / `losses` digests above were
+// recorded at the parents for this, and hold. ReMax's clock moves the same
+// way (its digests hold no seconds). Before, with the clock of the three
+// iterations before → after:
+//   PPO        0x8ae1fab855d30ff6, 0x3f702d4ca44c229b (3.949 → 3.349 ms; itself
+//              re-recorded from 0xa867e35a9e504e66, 0x3f72a271ea56c8e8, 4.549 ms,
+//              when the barrier driver began to issue every update before the
+//              first wait and `compute_log_prob` with the preparation passes)
+//   PPO, TP    0xa73bffa3af3f4d85, 0x3f7270d1573c9a82 (4.502 → 3.902 ms; from
+//              0xb12082a49a685905, 0x3f775b1cfe0d2eb6, 5.702 ms, at that same
+//              change, and from 0x99ca1bfdbfddf2c0, 0x3f812ed7eee17fe3, 8.390 ms,
 //              when a tensor-parallel pass began to cover its whole chunk)
-//   Safe-RLHF  0xa5904dc2d963709e, 0x3f751799f335a234 (5.149 → 4.549 ms)
-const READINESS_PPO: (u64, u64) = (0x8ae1fab855d30ff6, 0x3f702d4ca44c229b);
-const READINESS_PPO_TP: (u64, u64) = (0xa73bffa3af3f4d85, 0x3f7270d1573c9a82);
-const READINESS_SAFE_RLHF: (u64, u64) = (0x6c4f93da7ceb1003, 0x3f72a274ad2afbe9);
+//   Safe-RLHF  0x6c4f93da7ceb1003, 0x3f72a274ad2afbe9 (4.549 → 3.949 ms; from
+//              0xa5904dc2d963709e, 0x3f751799f335a234, 5.149 ms)
+const READINESS_PPO: (u64, u64) = (0x35deadd80fc8e6a0, 0x3f6b704ebc82f8a6);
+const READINESS_PPO_TP: (u64, u64) = (0xc8c87b05348186ec, 0x3f6ff7582263e868);
+const READINESS_SAFE_RLHF: (u64, u64) = (0x167dc04a2e64e150, 0x3f702d4f6720559d);

@@ -40,19 +40,20 @@ fn main() {
     println!("{:<10} {:<22} {:>9} {:>9}  gantt", "group", "method", "start", "end");
     for e in &timeline {
         let width = 48.0;
-        let s = (((e.dispatched - t0) / span) * width).round() as usize;
-        let w = ((((e.completed - e.dispatched) / span) * width).round() as usize).max(1);
+        let s = (((e.started - t0) / span) * width).round() as usize;
+        let w = ((((e.completed - e.started) / span) * width).round() as usize).max(1);
         println!(
             "{:<10} {:<22} {:>8.4}s {:>8.4}s  {}{}",
             e.group,
             e.method,
-            e.dispatched - t0,
+            e.started - t0,
             e.completed - t0,
             " ".repeat(s.min(60)),
             "#".repeat(w.min(60)),
         );
     }
-    println!("\nNote the preparation-stage calls (critic/reference/reward)");
-    println!("dispatched at the same virtual instant — asynchronous dataflow");
-    println!("execution; on disjoint pools their bars would overlap fully.");
+    println!("\nNote the preparation-stage calls (critic/reference/reward):");
+    println!("issued with generation, on its future, they all start the");
+    println!("instant generation finishes — asynchronous dataflow execution;");
+    println!("on disjoint pools their bars would overlap fully.");
 }

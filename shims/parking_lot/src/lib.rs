@@ -79,6 +79,17 @@ impl Condvar {
         guard.0 = Some(self.0.wait(inner).unwrap_or_else(|e| e.into_inner()));
     }
 
+    /// Blocks until notified or `timeout` elapsed, releasing the guard's
+    /// lock while waiting. Which of the two it was is not reported (the
+    /// published crate returns a `WaitTimeoutResult`): like `wait`, it may
+    /// also wake spuriously, so callers re-check their condition and
+    /// their own deadline.
+    pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: std::time::Duration) {
+        let inner = guard.0.take().expect("guard present");
+        let (inner, _) = self.0.wait_timeout(inner, timeout).unwrap_or_else(|e| e.into_inner());
+        guard.0 = Some(inner);
+    }
+
     /// Wakes one waiting thread.
     pub fn notify_one(&self) {
         self.0.notify_one();
