@@ -9,15 +9,21 @@
 //! vector between *independent* outputs: [`LANES`] values of the lane
 //! dimension (rows of `x`/`g`, columns of `g` for `gᵀ·x`, sequences of a
 //! decode batch) are packed into `[k][LANES]` panels and [`NC`] output
-//! columns are accumulated at once in registers. There is no `mul_add`
-//! (fused rounding would differ), no intrinsic or target-feature
-//! dispatch (one code path, one result on every host) and no `unsafe`.
-//! The sums of lanes past the end of a ragged dimension are computed
-//! from padding and never stored.
+//! columns are accumulated at once in registers. There is no FMA, no
+//! `mul_add` and no target feature that changes a rounding (a fused
+//! multiply-add rounds once where the reference rounds twice). The
+//! vector width may follow the host, because lanes are independent
+//! outputs: [`panel_product`] runs an `avx2` instantiation of the same
+//! body where the CPU has it — the one `unsafe` block in hf-nn, guarded
+//! by `is_x86_feature_detected!("avx2")` — and the baseline one
+//! elsewhere. `avx2` is the only feature ever enabled. The sums of lanes
+//! past the end of a ragged dimension are computed from padding and
+//! never stored.
 
 use crate::tensor::{Mat, Tensor};
 
-/// Width of the lane dimension: two 4-wide vectors on the baseline target.
+/// Width of the lane dimension: two 4-wide vectors on the baseline
+/// target, one 8-wide vector under `avx2`.
 pub(crate) const LANES: usize = 8;
 /// Output columns accumulated together: `NC × LANES` sums fill the
 /// baseline target's vector registers, and each packed `a` row is
@@ -52,7 +58,13 @@ impl<'a> Terms for Nt<'a> {
     #[inline(always)]
     fn steps<const N: usize>(self, j: usize) -> impl Iterator<Item = Self::Step<N>> {
         let k = self.a.len();
-        let rows: [&[f32]; N] = std::array::from_fn(|c| &self.w[(j + c) * k..][..k]);
+        // A loop, not `std::array::from_fn`: LLVM leaves that one out of
+        // line in the `avx2` instantiation, whose inner loop then checks
+        // every row's bounds at every step.
+        let mut rows: [&[f32]; N] = [&[]; N];
+        for (c, row) in rows.iter_mut().enumerate() {
+            *row = &self.w[(j + c) * k..][..k];
+        }
         self.a.iter().enumerate().map(move |(kk, a)| (a, rows.map(|r| r[kk])))
     }
 
@@ -133,11 +145,34 @@ fn micro<T: Terms, const N: usize>(terms: T, j: usize) -> [Lanes; N] {
 }
 
 /// One panel's product: hands `store` the [`LANES`] sums of each of the
-/// `n` output columns. Columns go [`NC`] at a time; the `n % NC` left
+/// `n` output columns, through the widest instantiation of
+/// [`panel_body`] the running CPU has. Every product in hf-nn comes
+/// through here.
+#[inline(always)]
+pub(crate) fn panel_product<T: Terms>(terms: T, n: usize, store: impl FnMut(usize, &Lanes)) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `panel_product_avx2` only requires the `avx2` target
+        // feature, and the running CPU was detected to have it above.
+        return unsafe { panel_product_avx2(terms, n, store) };
+    }
+    panel_body(terms, n, store)
+}
+
+/// [`panel_body`] compiled for `avx2`: one 8-wide vector per panel row
+/// instead of two 4-wide ones; the same `mul`s and `add`s in the same
+/// order, so the same bits.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn panel_product_avx2<T: Terms>(terms: T, n: usize, store: impl FnMut(usize, &Lanes)) {
+    panel_body(terms, n, store)
+}
+
+/// The product itself. Columns go [`NC`] at a time; the `n % NC` left
 /// over — and every column when `n < NC`, the value head — go one at a
 /// time, which costs no padding.
 #[inline(always)]
-pub(crate) fn panel_product<T: Terms>(terms: T, n: usize, mut store: impl FnMut(usize, &Lanes)) {
+fn panel_body<T: Terms>(terms: T, n: usize, mut store: impl FnMut(usize, &Lanes)) {
     let blocked = n - n % NC;
     for j in (0..blocked).step_by(NC) {
         for (c, lanes) in micro::<T, NC>(terms, j).iter().enumerate() {
@@ -290,6 +325,28 @@ pub(crate) mod tests {
             out
         }
 
+        /// `x · wᵀ + y · uᵀ` with the two products added term by term,
+        /// as the decoder's scalar `n·Waᵀ + c·Uaᵀ` loop does.
+        pub(crate) fn x_wt_plus_y_ut(
+            (x, w): (&[f32], &[f32]),
+            (y, u): (&[f32], &[f32]),
+            m: usize,
+            n: usize,
+            k: usize,
+        ) -> Vec<f32> {
+            let mut out = vec![0.0f32; m * n];
+            for i in 0..m {
+                for j in 0..n {
+                    let mut acc = 0.0f32;
+                    for kk in 0..k {
+                        acc += x[i * k + kk] * w[j * k + kk] + y[i * k + kk] * u[j * k + kk];
+                    }
+                    out[i * n + j] = acc;
+                }
+            }
+            out
+        }
+
         pub(crate) fn g_w(g: &[f32], w: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
             let mut out = vec![0.0f32; m * n];
             for i in 0..m {
@@ -392,6 +449,101 @@ pub(crate) mod tests {
             let sum: Vec<f32> = out.iter().zip(&gtx).map(|(a, b)| a + b).collect();
             gt_x_into(mat(&g, m, k), mat(&x, m, n), (&mut out, Write::Add));
             prop_assert_eq!(bits(&out), bits(&sum), "gᵀ·x added in place");
+        }
+    }
+
+    /// An instantiation of the panel product.
+    #[derive(Debug, Clone, Copy)]
+    enum Isa {
+        /// [`panel_body`] compiled for the baseline target.
+        Baseline,
+        /// The `avx2` one: what [`panel_product`] enters on a host that
+        /// has AVX2, the only host [`isas`] offers it on.
+        Avx2,
+    }
+
+    /// Every instantiation this host can run. Without AVX2 the `avx2`
+    /// half is skipped, and says so.
+    fn isas() -> Vec<Isa> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return vec![Isa::Baseline, Isa::Avx2];
+        }
+        static SKIPPED: std::sync::Once = std::sync::Once::new();
+        SKIPPED.call_once(|| eprintln!("no AVX2 on this host: the avx2 instantiation is skipped"));
+        vec![Isa::Baseline]
+    }
+
+    /// The `[lanes × n]` result of the panel products `panel(group)` of
+    /// the lane groups of `lanes`, through `isa`.
+    fn gather<T: Terms>(isa: Isa, lanes: usize, n: usize, panel: impl Fn(usize) -> T) -> Vec<u32> {
+        let mut out = vec![f32::NAN; lanes * n];
+        for group in 0..lanes.div_ceil(LANES) {
+            let r0 = group * LANES;
+            let store = |c: usize, sums: &Lanes| {
+                for (l, &v) in sums[..LANES.min(lanes - r0)].iter().enumerate() {
+                    out[(r0 + l) * n + c] = v;
+                }
+            };
+            match isa {
+                Isa::Baseline => panel_body(panel(group), n, store),
+                Isa::Avx2 => panel_product(panel(group), n, store),
+            }
+        }
+        bits(&out)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        #[test]
+        fn both_instantiations_bit_identical_to_reference(
+            m in dim(), n in dim(), k in dim(), seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (x, w) = (matrix(&mut rng, m, k), matrix(&mut rng, n, k));
+            let (y, u) = (matrix(&mut rng, m, k), matrix(&mut rng, n, k));
+            let (g, b) = (matrix(&mut rng, m, k), matrix(&mut rng, k, n));
+            let gx = matrix(&mut rng, m, n);
+            let x_wt = bits(&reference::x_wt(&x, &w, m, n, k));
+            let sum = bits(&reference::x_wt_plus_y_ut((&x, &w), (&y, &u), m, n, k));
+            let g_w = bits(&reference::g_w(&g, &b, m, k, n));
+            let gt_x = bits(&reference::gt_x(&g, &gx, m, k, n));
+            let (xp, yp) = (pack_rows(mat(&x, m, k)), pack_rows(mat(&y, m, k)));
+            let (g_rows, g_cols) = (pack_rows(mat(&g, m, k)), pack_cols(mat(&g, m, k)));
+            let (b, gx) = (mat(&b, k, n), mat(&gx, m, n));
+            let xt = |i: usize| Nt { a: &xp[i * k..][..k], w: &w };
+            let yt = |i: usize| Nt { a: &yp[i * k..][..k], w: &u };
+            // `g · b` takes the rows of `g` as lanes, `gᵀ · x` its columns:
+            // there a masked row of `g` is a step with every lane zero.
+            let rows = |i: usize| &g_rows[i * k..][..k];
+            let cols = |i: usize| &g_cols[i * m..][..m];
+            for isa in isas() {
+                // Exact zeros add `±0.0` to a sum that is never `-0.0`, so
+                // on finite operands the plain `Nn` keeps the bits of the
+                // loop that skips them.
+                let cases = [
+                    ("Nt", gather(isa, m, n, xt), &x_wt),
+                    ("Sum<Nt, Nt>", gather(isa, m, n, |i| Sum(xt(i), yt(i))), &sum),
+                    ("Nn<true>", gather(isa, m, n, |i| Nn::<true> { a: rows(i), b }), &g_w),
+                    ("Nn<false>", gather(isa, m, n, |i| Nn::<false> { a: rows(i), b }), &g_w),
+                    (
+                        "gᵀ·x Nn<true>",
+                        gather(isa, k, n, |i| Nn::<true> { a: cols(i), b: gx }),
+                        &gt_x,
+                    ),
+                    (
+                        "gᵀ·x Nn<false>",
+                        gather(isa, k, n, |i| Nn::<false> { a: cols(i), b: gx }),
+                        &gt_x,
+                    ),
+                ];
+                for (terms, got, want) in cases {
+                    prop_assert_eq!(
+                        &got, want, "{:?} {} at m, n, k = {}, {}, {}", isa, terms, m, n, k
+                    );
+                }
+            }
         }
     }
 

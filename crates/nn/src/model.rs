@@ -572,13 +572,19 @@ impl TinyLm {
             // RMSNorm(h) · Waᵀ + c · Uaᵀ, SiLU, · Wbᵀ, residual.
             rmsnorm(&h, gain, &mut n);
             let expand = Sum(Nt { a: &n, w: wa }, Nt { a: &c, w: ua });
+            let live = tokens.len();
             kernels::panel_product(expand, cfg.ffn, |j, sums| {
-                // No `exp` is spent on padding: those lanes stay zero.
-                for (a, &s) in act[j].iter_mut().zip(&sums[..tokens.len()]) {
-                    let sg = 1.0 / (1.0 + (-s).exp());
-                    *a = s * sg;
-                }
+                act[j][..live].copy_from_slice(&sums[..live]);
             });
+            // No `exp` is spent on padding: those lanes stay zero. Out of
+            // the store, because the `avx2` instantiation of the product
+            // would compute all eight lanes' `exp` and mask the stores.
+            for lanes in act.iter_mut() {
+                for a in &mut lanes[..live] {
+                    let sg = 1.0 / (1.0 + (-*a).exp());
+                    *a *= sg;
+                }
+            }
             kernels::panel_product(Nt { a: &act, w: wb }, cfg.hidden, |k, sums| {
                 for (hv, &s) in h[k].iter_mut().zip(sums) {
                     *hv += s;

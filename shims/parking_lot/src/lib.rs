@@ -1,9 +1,10 @@
 //! Offline stand-in for the `parking_lot` crate.
 //!
 //! The container this workspace builds in has no access to crates.io, so
-//! the workspace routes `parking_lot` to this shim: the same non-poisoning
-//! `Mutex`/`Condvar`/`RwLock` API, implemented over `std::sync`. Poisoned
-//! locks are recovered transparently (parking_lot has no poisoning).
+//! the workspace routes `parking_lot` to this shim: the non-poisoning
+//! `Mutex`/`Condvar` API the workspace uses, implemented over
+//! `std::sync`. Poisoned locks are recovered transparently (parking_lot
+//! has no poisoning).
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -101,54 +102,6 @@ impl Condvar {
     }
 }
 
-/// A reader-writer lock whose acquisitions never return poison errors.
-pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
-
-/// RAII read guard for [`RwLock::read`].
-pub struct RwLockReadGuard<'a, T: ?Sized>(std::sync::RwLockReadGuard<'a, T>);
-
-/// RAII write guard for [`RwLock::write`].
-pub struct RwLockWriteGuard<'a, T: ?Sized>(std::sync::RwLockWriteGuard<'a, T>);
-
-impl<T> RwLock<T> {
-    /// Creates a new lock holding `value`.
-    pub const fn new(value: T) -> Self {
-        RwLock(std::sync::RwLock::new(value))
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires a shared read lock.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard(self.0.read().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    /// Acquires an exclusive write lock.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard(self.0.write().unwrap_or_else(|e| e.into_inner()))
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,13 +133,5 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(*pair.0.lock(), n);
-    }
-
-    #[test]
-    fn rwlock_read_write() {
-        let l = RwLock::new(5);
-        assert_eq!(*l.read(), 5);
-        *l.write() += 1;
-        assert_eq!(*l.read(), 6);
     }
 }
