@@ -5,7 +5,7 @@
 //! run; every count beside them is exact.
 
 use std::hint::black_box;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use hf_audit::{sample_configs, sweep};
@@ -17,6 +17,7 @@ use hf_nn::{LmConfig, TinyLm};
 use hf_parallel::ParallelSpec;
 use hf_rlhf::{CriticWorker, WorkerHyper};
 use hf_simcluster::{ClusterSpec, ResourcePool};
+use hf_sync::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -203,7 +204,7 @@ fn tp_joins_per_chunk(cfg: LmConfig, rows: usize) -> u64 {
             Box::new(move |method: &str, data: DataProto, ctx: &mut RankCtx| {
                 let before = ctx.comms.tp.rounds();
                 let reply = critic.execute(method, data, ctx);
-                joins.lock().expect("no rank panicked").push(ctx.comms.tp.rounds() - before);
+                joins.lock().push(ctx.comms.tp.rounds() - before);
                 reply
             })
         })
@@ -213,7 +214,7 @@ fn tp_joins_per_chunk(cfg: LmConfig, rows: usize) -> u64 {
     batch.insert_tokens("prompts", vec![3; 2 * rows * 6], 6);
     batch.insert_tokens("responses", vec![5; 2 * rows * 6], 6);
     group.call_sync("compute_values", &batch, Protocol::ThreeD).expect("compute_values");
-    let joins = joins.lock().expect("no rank panicked");
+    let joins = joins.lock().clone();
     assert!(joins.iter().all(|&j| j == joins[0]), "ranks disagree: {joins:?}");
     joins[0]
 }

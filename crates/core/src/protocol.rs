@@ -7,7 +7,6 @@
 //! between models with different parallelism from the algorithm code.
 
 use hf_parallel::{GenGrouping, ParallelSpec};
-use serde::{Deserialize, Serialize};
 
 use crate::data::DataProto;
 use crate::error::{CoreError, Result};
@@ -73,7 +72,7 @@ fn annotate_row_offsets(chunks: &mut [DataProto]) {
 /// collect/distribute contract they implement. Users can add custom
 /// protocols by implementing [`Protocol::distribute`]-equivalent logic
 /// at the call site; the runtime only needs the two functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Protocol {
     /// Broadcast the input to every rank; gather all ranks' outputs
     /// (row-concatenated). Model initialization and other SPMD-uniform

@@ -1,7 +1,10 @@
 //! The hybrid runtime: single controller + per-device worker threads.
 //!
 //! * **Multi-controller**: every simulated GPU is an OS thread with a
-//!   FIFO mailbox and its own virtual clock. Colocated model workers
+//!   FIFO mailbox (`hf_sync::channel`) and its own virtual clock; the
+//!   mailbox, the reply slots and the communicators all block through
+//!   `hf-sync`, and nothing else here waits but `shutdown`'s joins and
+//!   `FutureInput::cut`'s `OnceLock`. Colocated model workers
 //!   registered on the same device execute sequentially in mailbox
 //!   order — the time-sharing semantics of §2.3 — while worker groups on
 //!   disjoint [`ResourcePool`]s execute in parallel.
@@ -46,13 +49,13 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use hf_simcluster::{
     panic_message, ClusterSpec, CollectiveAbort, CommCostModel, CommGroup, Communicator, DeviceId,
-    P2pNetwork, ResourcePool, VirtualClock,
+    ResourcePool, VirtualClock,
 };
+use hf_sync::channel::{unbounded, Receiver, Sender};
+use hf_sync::{Condvar, Mutex};
 use hf_telemetry::{gpu_track, SpanKind, Telemetry, CONTROLLER_TRACK};
-use parking_lot::{Condvar, Mutex};
 
 use crate::data::DataProto;
 use crate::error::{CoreError, Result};
@@ -452,7 +455,6 @@ pub struct TimelineEntry {
 struct ControllerInner {
     cluster: Arc<ClusterSpec>,
     cost: CommCostModel,
-    p2p: P2pNetwork,
     telemetry: Telemetry,
     fault: Option<Arc<dyn FaultHook>>,
     /// Ranks permanently lost (kills, panics); shared with every device
@@ -821,7 +823,6 @@ impl Controller {
         let cluster = Arc::new(cluster);
         Controller {
             inner: Arc::new(ControllerInner {
-                p2p: P2pNetwork::new(cluster.clone(), cost.clone()),
                 cluster,
                 cost,
                 telemetry,
@@ -872,7 +873,7 @@ impl Controller {
             .collect();
         let mut out: Vec<DeviceHealth> = pending
             .into_iter()
-            .map(|(device, rx)| match rx.and_then(|rx| rx.recv_timeout(deadline).ok()) {
+            .map(|(device, rx)| match rx.and_then(|rx| rx.recv_timeout(deadline)) {
                 Some((epoch, virtual_now)) => {
                     DeviceHealth { device, alive: true, epoch, virtual_now }
                 }
@@ -1089,7 +1090,6 @@ impl Controller {
                     device,
                     comms,
                     clock: VirtualClock::new(),
-                    p2p: self.inner.p2p.clone(),
                     telemetry: self.inner.telemetry.clone(),
                     cause: 0,
                     dispatch_time: 0.0,
@@ -1510,6 +1510,7 @@ impl DpFuture {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // the tests' watchdogs stay outside the layer under test
 mod tests {
     use super::*;
     use hf_parallel::ParallelSpec;

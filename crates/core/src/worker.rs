@@ -7,10 +7,12 @@
 //! controller (§4.1). Here each simulated device is an OS thread; a
 //! rank's [`RankCtx`] carries [`hf_simcluster::Communicator`] handles
 //! for its TP / PP / DP / model-parallel / micro-DP groups, backed by
-//! the rendezvous virtual NCCL.
+//! the rendezvous virtual NCCL. Pipeline stages hand activations over
+//! on their PP communicator ([`hf_simcluster::Communicator::send_to`]),
+//! so [`CommSet::poison_all`] releases a stage waiting on a dead one.
 
 use hf_parallel::TrainCoord;
-use hf_simcluster::{Communicator, DeviceId, P2pNetwork, VirtualClock};
+use hf_simcluster::{Communicator, DeviceId, VirtualClock};
 use hf_telemetry::Telemetry;
 
 use crate::data::DataProto;
@@ -65,8 +67,6 @@ pub struct RankCtx {
     /// The device's virtual clock (shared by colocated workers; the
     /// device thread syncs it in and out around each call).
     pub clock: VirtualClock,
-    /// Point-to-point mesh for direct inter-model data pulls.
-    pub p2p: P2pNetwork,
     /// Telemetry handle (shared with the controller; disabled by
     /// default, in which case every record call returns at once — build
     /// span names and args under [`Telemetry::is_enabled`] so a disabled

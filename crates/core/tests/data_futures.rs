@@ -2,6 +2,9 @@
 //! rule, the mailbox order, the bytes every rank reads, and how a failed
 //! producer reaches its consumers.
 
+// The watchdog and the tests' bookkeeping stay outside the layer under test.
+#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;

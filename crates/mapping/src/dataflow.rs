@@ -1,10 +1,9 @@
 //! RLHF dataflow description for the mapping search.
 
 use hf_modelspec::{ModelConfig, RlhfWorkload};
-use serde::{Deserialize, Serialize};
 
 /// A model's role in the RLHF dataflow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Role {
     /// The policy being aligned: generation + training.
     Actor,
@@ -37,7 +36,7 @@ impl Role {
 
 /// The RLHF algorithm variant, which fixes the role set and stage
 /// structure (Figure 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AlgoKind {
     /// Actor + critic + reference + reward.
     Ppo,
@@ -73,7 +72,7 @@ impl AlgoKind {
 }
 
 /// The dataflow the mapper optimizes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataflowSpec {
     /// Algorithm variant.
     pub algo: AlgoKind,

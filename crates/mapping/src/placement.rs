@@ -6,12 +6,10 @@
 //! enumerates GPU allocations per set: integer compositions of `N` with
 //! per-set minimums, optionally on a machine-size granularity.
 
-use serde::{Deserialize, Serialize};
-
 use crate::dataflow::Role;
 
 /// A partition of the dataflow's models into colocated sets.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PlacementPlan {
     /// The colocated sets, each a non-empty role list.
     pub sets: Vec<Vec<Role>>,

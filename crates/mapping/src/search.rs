@@ -34,7 +34,6 @@ use std::time::Instant;
 
 use hf_modelspec::PerfModel;
 use hf_telemetry::Telemetry;
-use serde::{Deserialize, Serialize};
 
 use crate::dataflow::{DataflowSpec, Role};
 use crate::placement::{enum_alloc, set_partitions, PlacementPlan};
@@ -44,7 +43,7 @@ use crate::strategy::{
 };
 
 /// Per-stage latencies of one RLHF iteration (seconds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageCosts {
     /// Response generation (includes the actor's resharding transition).
     pub generation: f64,
@@ -64,7 +63,7 @@ impl StageCosts {
 }
 
 /// A complete mapping: placement, allocation, strategies, and cost.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mapping {
     /// The placement plan.
     pub plan: PlacementPlan,
@@ -85,7 +84,7 @@ impl Mapping {
 
 /// Search instrumentation counters (monotone across searches on one
 /// [`Mapper`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SearchStats {
     /// `(plan, alloc)` combinations scored with `d_cost`.
     pub evaluations: usize,

@@ -13,12 +13,11 @@ use hf_hybridengine::{transition_time, EngineMode};
 use hf_modelspec::{memory, ModelConfig, PerfModel, RlhfWorkload, TrainEngine};
 use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
 use hf_simcluster::DeviceId;
-use serde::{Deserialize, Serialize};
 
 use crate::dataflow::Role;
 
 /// The actor's generation-stage choice.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GenChoice {
     /// Generation pipeline-parallel size (1 in this implementation, as
     /// in vLLM 0.3.x which the paper builds on).
@@ -34,7 +33,7 @@ pub struct GenChoice {
 }
 
 /// A chosen parallelism strategy plus its estimated latencies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelStrategy {
     /// Training/inference 3D layout.
     pub spec: ParallelSpec,

@@ -1,10 +1,8 @@
 //! Llama-family model architecture descriptions (paper §8.1: "Each model
 //! is a Llama model with sizes ranging from 7B to 70B").
 
-use serde::{Deserialize, Serialize};
-
 /// Architecture of a decoder-only transformer LM.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelConfig {
     /// Human-readable name, e.g. `"llama-7b"`.
     pub name: String,

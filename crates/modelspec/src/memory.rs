@@ -6,7 +6,6 @@
 //! parameter, matching Megatron-LM's distributed-optimizer accounting.
 
 use hf_parallel::{ParallelSpec, ZeroSpec};
-use serde::{Deserialize, Serialize};
 
 use crate::config::ModelConfig;
 
@@ -23,7 +22,7 @@ pub const INFER_BYTES_PER_PARAM: f64 = 2.0;
 pub const ACT_BYTES_PER_TOKEN_PER_LAYER: f64 = 8.0;
 
 /// Which engine shards the training state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrainEngine {
     /// Megatron-style 3D parallelism with a distributed optimizer: model
     /// states divided by `p·t`, optimizer additionally by `d`.

@@ -21,14 +21,13 @@
 
 use hf_parallel::ParallelSpec;
 use hf_simcluster::{ClusterSpec, CollectiveKind, CommCostModel, DeviceId};
-use serde::{Deserialize, Serialize};
 
 use crate::config::ModelConfig;
 use crate::flops;
 use crate::memory::TrainEngine;
 
 /// Analytic performance model over a concrete cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerfModel {
     /// The cluster topology and GPU specs.
     pub cluster: ClusterSpec,
@@ -52,7 +51,7 @@ pub struct PerfModel {
 }
 
 /// Latency breakdown of one generation stage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GenBreakdown {
     /// Total prefill time across waves (seconds).
     pub prefill: f64,

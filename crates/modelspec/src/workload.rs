@@ -5,10 +5,8 @@
 //! the actor model is 1024. The number of PPO epochs is 1 and the number
 //! of PPO update iterations per epoch is 8."
 
-use serde::{Deserialize, Serialize};
-
 /// Workload parameters of one RLHF iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RlhfWorkload {
     /// Prompt length in tokens.
     pub prompt_len: usize,

@@ -16,12 +16,10 @@
 //!   is then a sub-slice of its generation shard, so the transition needs
 //!   only one all-gather per micro-DP group and zero redundant memory.
 
-use serde::{Deserialize, Serialize};
-
 use crate::spec::ParallelSpec;
 
 /// How generation parallel groups are formed from training ranks (§5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GroupingMethod {
     /// Consecutive-rank grouping (the HybridFlow-V strawman).
     Vanilla,
@@ -30,7 +28,7 @@ pub enum GroupingMethod {
 }
 
 /// Coordinates of a rank in the generation grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GenCoord {
     /// Global generation replica index in `0..d·d_g`.
     pub replica: usize,
@@ -56,7 +54,7 @@ pub struct GenCoord {
 /// assert_eq!(g.gen_tp_groups()[0], vec![0, 2]); // strided, not consecutive
 /// assert_eq!(g.micro_dp_groups()[0], vec![0, 1]); // the all-gather groups
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GenGrouping {
     /// The training layout (`p-t-d`).
     pub train: ParallelSpec,

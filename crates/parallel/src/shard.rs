@@ -19,14 +19,12 @@
 //! Column fractions are kept as exact rationals over a common
 //! denominator, so nesting checks never suffer float error.
 
-use serde::{Deserialize, Serialize};
-
 use crate::groups::GenGrouping;
 use crate::spec::ParallelSpec;
 
 /// A rectangular shard: a contiguous range of layers crossed with a
 /// contiguous column fraction `[col_start/col_den, col_end/col_den)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ModelShard {
     /// First layer (inclusive), in `0..layers_total`.
     pub layer_start: usize,

@@ -10,8 +10,6 @@
 //! rank = d_idx · (p·t) + p_idx · t + t_idx
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// A 3D parallel configuration: `p` pipeline stages, `t` tensor shards,
 /// `d` data-parallel replicas (paper notation `p-t-d`).
 ///
@@ -27,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(spec.tp_groups(), vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7]]);
 /// assert_eq!(spec.dp_groups()[0], vec![0, 4]);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ParallelSpec {
     /// Pipeline-parallel size (number of pipeline stages).
     pub p: usize,
@@ -38,7 +36,7 @@ pub struct ParallelSpec {
 }
 
 /// Coordinates of a rank in the training grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TrainCoord {
     /// Data-parallel replica index.
     pub d_idx: usize,

@@ -6,10 +6,8 @@
 //! is what makes their transitions expensive: parameters live scattered
 //! 1/N per GPU and must be fully all-gathered for generation.
 
-use serde::{Deserialize, Serialize};
-
 /// ZeRO optimization stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ZeroStage {
     /// Shard optimizer states only.
     Stage1,
@@ -20,7 +18,7 @@ pub enum ZeroStage {
 }
 
 /// A ZeRO data-parallel sharding over `world` ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ZeroSpec {
     /// Stage of state partitioning.
     pub stage: ZeroStage,

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use hf_core::fault::{ExecFault, ExecSite, FaultHook, LinkFault};
-use parking_lot::Mutex;
+use hf_sync::Mutex;
 
 fn splitmix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e3779b97f4a7c15);

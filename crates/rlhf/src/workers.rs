@@ -252,7 +252,8 @@ fn response_log_probs(
 /// rank's Megatron-style shard (cut once for the chunk). TP partials join
 /// through real all-reduces over the TP communicator — one per layer for
 /// the chunk, as an engine joins a micro-batch, not one per sequence —
-/// and pipeline stages hand the stacked activations point-to-point; every
+/// and pipeline stages hand the stacked activations point-to-point over
+/// the pipeline communicator, so a dead stage aborts its neighbours; every
 /// peer runs the pass in lock-step since the protocol gave the whole
 /// group one chunk. Rows are charged afterwards, in row order.
 ///
@@ -280,9 +281,8 @@ fn tp_forward(
     let h_in = if tc.p_idx == 0 {
         shard.embed(&seqs.iter().flat_map(|s| &s[..feed]).copied().collect::<Vec<_>>())
     } else {
-        let prev = ctx.comms.pp.group().devices()[tc.p_idx - 1];
         let (rows, cols, data): (usize, usize, Vec<f32>) =
-            ctx.p2p.recv(&mut clock, prev, ctx.device);
+            ctx.comms.pp.recv_from(&mut clock, tc.p_idx - 1);
         Tensor::new(data, rows, cols)
     };
     let out = shard.forward_stage_stacked(h_in, &vec![feed; seqs.len()], |partial| {
@@ -290,9 +290,9 @@ fn tp_forward(
     });
     let last = match out {
         StageOutput::Hidden(h) => {
-            let next = ctx.comms.pp.group().devices()[tc.p_idx + 1];
             let bytes = (h.len() * 4) as f64;
-            ctx.p2p.send(&clock, ctx.device, next, (h.rows(), h.cols(), h.data().to_vec()), bytes);
+            let act = (h.rows(), h.cols(), h.data().to_vec());
+            ctx.comms.pp.send_to(&clock, tc.p_idx + 1, act, bytes);
             None
         }
         StageOutput::Final { logits, values } => Some((logits, values)),
@@ -1361,6 +1361,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_types)] // test bookkeeping: held briefly, never waited on
     fn a_tp_inference_pass_joins_each_layer_once_per_chunk() {
         use std::sync::Mutex;
         let cfg = LmConfig::tiny();

@@ -18,6 +18,7 @@ use hf_telemetry::Telemetry;
 /// and fails loudly if it exceeds `secs` (a deadlock would otherwise
 /// wedge the whole suite). A panic inside `f` is re-raised as itself,
 /// not reported as a deadlock.
+#[allow(clippy::disallowed_methods)] // the watchdog times the sync layer, so it stays outside it
 pub fn with_watchdog<F: FnOnce() + Send + 'static>(secs: u64, f: F) {
     let (tx, rx) = mpsc::channel();
     let h = thread::spawn(move || {

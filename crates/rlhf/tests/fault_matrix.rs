@@ -198,6 +198,44 @@ fn kill_on_a_pass_issued_on_a_future_is_one_loss() {
     with_watchdog(150, || one_kill_is_one_loss("on-future", "critic", "compute_values", 2));
 }
 
+/// A killed pipeline stage must not wedge the next one. Actor 2-2-1 with
+/// tensor-parallel inference: rank 0 (stage 0) is killed on its first
+/// `compute_log_prob`, while rank 2 (stage 1) waits for its activations
+/// on the pipeline communicator. The kill poisons that communicator, so
+/// the wait aborts like a collective's: the iteration fails on the kill,
+/// the kill is the one loss, and every device thread still joins.
+#[test]
+fn a_killed_pipeline_stage_does_not_wedge_the_next_stage() {
+    use hf_core::{CallPolicy, WorkerLayout};
+    use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
+    use hf_resilience::FaultTrigger;
+    use hf_rlhf::{env::make_prompts, ppo_iteration, Placement, RlhfSystem};
+    use hf_simcluster::ResourcePool;
+    with_watchdog(60, || {
+        let mut cfg = RlhfConfig::tiny();
+        cfg.hyper.tp_inference = true;
+        cfg.recompute_logp = true;
+        let trigger = FaultTrigger::OnCall { method: "compute_log_prob".into(), nth: 1 };
+        let injector = FaultInjector::new(FaultPlan::new().kill_rank("actor", 0, trigger));
+        let ctrl = controller_4gpu(Some(injector));
+        let deadline = Some(std::time::Duration::from_secs(5));
+        ctrl.set_policy(CallPolicy { deadline, ..CallPolicy::default() });
+        let gen = GenGrouping::new(ParallelSpec::new(2, 2, 1), 1, 1, GroupingMethod::Strided);
+        let pool = ResourcePool::contiguous(0, 4);
+        let placement = Placement::colocated(pool, WorkerLayout::with_gen(gen), true, false);
+        let sys = RlhfSystem::build(&ctrl, &placement, cfg.clone()).unwrap();
+        let prompts = make_prompts(8, cfg.prompt_len, cfg.response_len, cfg.lm.vocab as u32, 0);
+
+        let err = ppo_iteration(&sys, &ctrl, &prompts).unwrap_err();
+        assert!(err.to_string().contains("kill actor rank 0"), "{err}");
+        let lost = ctrl.lost_ranks();
+        assert_eq!(lost.len(), 1, "the next stage's abort is not a loss: {lost:?}");
+        assert_eq!((lost[0].group.as_str(), lost[0].rank), ("actor", 0));
+        drop(sys);
+        ctrl.shutdown().expect("every device thread joins");
+    });
+}
+
 /// The pinned reward-evaluation scenario (its own seed and target list,
 /// so the three historical scenarios above keep deriving identically):
 /// a kill lands on a `RewardEvaluatorWorker` rank *during* sandbox-pool

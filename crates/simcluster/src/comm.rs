@@ -10,16 +10,17 @@
 //! [`VirtualClock`] the analytic cost from [`CommCostModel`], so the
 //! functional runtime and the analytic simulators agree on timing.
 //!
-//! Point-to-point transfers (used by inter-node data resharding, paper
-//! §4.1 step ⑥) go through [`P2pNetwork`], which models GPU-to-GPU pulls
-//! without a central bottleneck.
+//! Pipeline stages hand activations over point to point on their pipeline
+//! group, as Megatron does over NCCL: [`Communicator::send_to`] /
+//! [`Communicator::recv_from`] keep one FIFO per (source, destination)
+//! pair inside the [`CommGroup`], under its lock, so poisoning the group
+//! releases a blocked receiver exactly as it releases a collective.
 
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Condvar, Mutex};
+use hf_sync::{Condvar, Mutex};
 
 use crate::clock::VirtualClock;
 use crate::cost::{CollectiveKind, CommCostModel};
@@ -31,15 +32,21 @@ enum Phase {
     Draining,
 }
 
+/// A point-to-point message in flight: arrival time and payload.
+type P2pMsg = (f64, Box<dyn Any + Send>);
+
 struct RoundState {
     phase: Phase,
     arrived: usize,
     departed: usize,
     slots: Vec<Option<Box<dyn Any + Send>>>,
     result: Option<Arc<dyn Any + Send + Sync>>,
-    /// Once set, every present and future `exchange` on the group aborts
-    /// by unwinding with a [`CollectiveAbort`] payload instead of
-    /// blocking on members that will never arrive.
+    /// Point-to-point messages in flight, one FIFO per `src · n + dst`.
+    /// Not rounds: they do not rendezvous.
+    p2p: Vec<VecDeque<P2pMsg>>,
+    /// Once set, every present and future `exchange`, send and receive
+    /// on the group aborts by unwinding with a [`CollectiveAbort`]
+    /// payload instead of blocking on members that will never arrive.
     poisoned: Option<Arc<str>>,
     /// Lifecycle auditor (audit builds): which ranks are currently inside
     /// `exchange`. A rank re-entering before its previous collective
@@ -60,6 +67,16 @@ struct RoundState {
 pub struct CollectiveAbort {
     /// Human-readable description of the originating failure.
     pub reason: String,
+}
+
+/// Unwinds with a [`CollectiveAbort`] if the group is poisoned.
+/// `resume_unwind`, not `panic_any`: the abort is a designed control
+/// path, so it skips the panic hook — only the originating failure
+/// prints.
+fn abort_if_poisoned(st: &RoundState) {
+    if let Some(r) = &st.poisoned {
+        std::panic::resume_unwind(Box::new(CollectiveAbort { reason: r.to_string() }));
+    }
 }
 
 /// The text of a panic payload (`panic!` carries a `&str` or a `String`).
@@ -106,6 +123,7 @@ impl CommGroup {
                     departed: 0,
                     slots: (0..n).map(|_| None).collect(),
                     result: None,
+                    p2p: (0..n * n).map(|_| VecDeque::new()).collect(),
                     poisoned: None,
                     #[cfg(feature = "audit")]
                     in_flight: vec![false; n],
@@ -126,8 +144,9 @@ impl CommGroup {
     }
 
     /// Poisons the group: every member currently blocked in
-    /// [`CommGroup::exchange`] is woken and unwinds with a
-    /// [`CollectiveAbort`]; every later `exchange` aborts immediately.
+    /// [`CommGroup::exchange`] or in a point-to-point receive is woken
+    /// and unwinds with a [`CollectiveAbort`]; every later `exchange`,
+    /// send or receive aborts immediately.
     ///
     /// Poisoning is permanent and idempotent (the first reason wins) —
     /// recovery means spawning a fresh worker group with fresh groups,
@@ -177,14 +196,6 @@ impl CommGroup {
         R: Send + Sync + 'static,
         F: FnOnce(Vec<T>) -> R,
     {
-        // `resume_unwind`, not `panic_any`: the abort is a designed
-        // control path, so it skips the panic hook — only the
-        // originating failure prints.
-        fn abort_if_poisoned(st: &RoundState) {
-            if let Some(r) = &st.poisoned {
-                std::panic::resume_unwind(Box::new(CollectiveAbort { reason: r.to_string() }));
-            }
-        }
         let inner = &*self.inner;
         let n = inner.devices.len();
         assert!(rank < n, "rank {rank} out of range for group of {n}");
@@ -256,6 +267,33 @@ impl CommGroup {
         }
         drop(st);
         arc.downcast::<R>().expect("all members of a round must fold to the same type")
+    }
+
+    /// Appends `msg` to the `src → dst` FIFO (both in range: the sender
+    /// looked their devices up).
+    fn post(&self, src: usize, dst: usize, msg: P2pMsg) {
+        let inner = &*self.inner;
+        let n = inner.devices.len();
+        let mut st = inner.state.lock();
+        abort_if_poisoned(&st);
+        st.p2p[src * n + dst].push_back(msg);
+        inner.cv.notify_all();
+    }
+
+    /// Takes the next message of the `src → dst` FIFO, blocking while it
+    /// is empty.
+    fn take(&self, src: usize, dst: usize) -> P2pMsg {
+        let inner = &*self.inner;
+        let n = inner.devices.len();
+        assert!(src < n && dst < n, "p2p {src} -> {dst} out of range for group of {n}");
+        let mut st = inner.state.lock();
+        loop {
+            abort_if_poisoned(&st);
+            if let Some(msg) = st.p2p[src * n + dst].pop_front() {
+                return msg;
+            }
+            inner.cv.wait(&mut st);
+        }
     }
 }
 
@@ -329,9 +367,34 @@ impl Communicator {
         &self.group
     }
 
+    /// Runs one operation on the group through this handle. Audit builds
+    /// check the communicator lifecycle here: no operation after the
+    /// handle observed an abort, and an abort marks the handle.
+    fn guarded<R>(&self, op: impl FnOnce() -> R) -> R {
+        #[cfg(feature = "audit")]
+        {
+            use std::sync::atomic::Ordering;
+            assert!(
+                !self.aborted.load(Ordering::Relaxed),
+                "audit: rank {} used a communicator that already observed a \
+                 CollectiveAbort (a fresh communicator is required)",
+                self.rank
+            );
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(op)) {
+                Ok(out) => out,
+                Err(payload) => {
+                    self.aborted.store(true, Ordering::Relaxed);
+                    std::panic::resume_unwind(payload);
+                }
+            }
+        }
+        #[cfg(not(feature = "audit"))]
+        op()
+    }
+
     /// One timed round: deposits `(clock.now(), value)` and returns what
     /// the last arriver's `fold` made of every member's deposit (rank
-    /// order). Audit builds check the communicator lifecycle here.
+    /// order).
     fn rendezvous<T, R>(
         &self,
         clock: &VirtualClock,
@@ -342,28 +405,39 @@ impl Communicator {
         T: Send + 'static,
         R: Send + Sync + 'static,
     {
-        #[cfg(feature = "audit")]
-        {
-            use std::sync::atomic::Ordering;
-            assert!(
-                !self.aborted.load(Ordering::Relaxed),
-                "audit: rank {} issued a collective on a communicator that already \
-                 observed a CollectiveAbort (a fresh communicator is required)",
-                self.rank
-            );
-            let now = clock.now();
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.group.exchange_fold(self.rank, (now, value), fold)
-            })) {
-                Ok(out) => out,
-                Err(payload) => {
-                    self.aborted.store(true, Ordering::Relaxed);
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        }
-        #[cfg(not(feature = "audit"))]
-        self.group.exchange_fold(self.rank, (clock.now(), value), fold)
+        let now = clock.now();
+        self.guarded(|| self.group.exchange_fold(self.rank, (now, value), fold))
+    }
+
+    /// Sends `value` (`bytes` on the wire) to group rank `dst`, without
+    /// waiting for it to be received: it arrives at `clock.now()` plus
+    /// the point-to-point cost between the two devices. Aborts like a
+    /// collective if the group is poisoned.
+    pub fn send_to<T: Send + 'static>(
+        &self,
+        clock: &VirtualClock,
+        dst: usize,
+        value: T,
+        bytes: f64,
+    ) {
+        let devices = self.group.devices();
+        let hop = self.cost.p2p_time(&self.cluster, devices[self.rank], devices[dst], bytes);
+        let msg: P2pMsg = (clock.now() + hop, Box::new(value));
+        self.guarded(|| self.group.post(self.rank, dst, msg));
+    }
+
+    /// Receives the next value group rank `src` sent this rank, in send
+    /// order, and advances `clock` to its arrival. Blocks until it is
+    /// sent; aborts like a collective if the group is (or becomes)
+    /// poisoned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the value is not a `T`.
+    pub fn recv_from<T: Send + 'static>(&self, clock: &mut VirtualClock, src: usize) -> T {
+        let (arrival, value) = self.guarded(|| self.group.take(src, self.rank));
+        clock.sync_to(arrival);
+        *value.downcast::<T>().expect("p2p message type mismatch")
     }
 
     /// Completes a round on this rank: the collective starts at `start`
@@ -725,66 +799,6 @@ pub fn tree_sum_parts(parts: Vec<Vec<f32>>) -> Vec<f32> {
     tree.finish().0.expect("tree_sum_parts of no parts")
 }
 
-type P2pMsg = (f64, Box<dyn Any + Send>);
-type P2pLinks = HashMap<(DeviceId, DeviceId), (Sender<P2pMsg>, Receiver<P2pMsg>)>;
-
-/// Mesh of point-to-point channels between devices, created on demand.
-///
-/// Models the direct GPU-to-GPU pulls of the transfer protocols: "the
-/// actual data transfer only occurs between GPUs, avoiding any central
-/// bottleneck" (paper §4.1).
-#[derive(Clone)]
-pub struct P2pNetwork {
-    cluster: Arc<ClusterSpec>,
-    cost: CommCostModel,
-    links: Arc<Mutex<P2pLinks>>,
-}
-
-impl P2pNetwork {
-    /// Creates an empty mesh over `cluster`.
-    pub fn new(cluster: Arc<ClusterSpec>, cost: CommCostModel) -> Self {
-        P2pNetwork { cluster, cost, links: Arc::new(Mutex::new(HashMap::new())) }
-    }
-
-    fn link(&self, src: DeviceId, dst: DeviceId) -> (Sender<P2pMsg>, Receiver<P2pMsg>) {
-        let mut links = self.links.lock();
-        links.entry((src, dst)).or_insert_with(unbounded).clone()
-    }
-
-    /// Sends `value` (`bytes` on the wire) from `src` to `dst`; the message
-    /// arrives at `send_time + p2p_cost`.
-    pub fn send<T: Send + 'static>(
-        &self,
-        clock: &VirtualClock,
-        src: DeviceId,
-        dst: DeviceId,
-        value: T,
-        bytes: f64,
-    ) {
-        let arrival = clock.now() + self.cost.p2p_time(&self.cluster, src, dst, bytes);
-        let (tx, _) = self.link(src, dst);
-        tx.send((arrival, Box::new(value))).expect("p2p channel closed");
-    }
-
-    /// Receives the next message on the `src → dst` link, advancing the
-    /// receiver's clock to the arrival time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the message type does not match `T`.
-    pub fn recv<T: Send + 'static>(
-        &self,
-        clock: &mut VirtualClock,
-        src: DeviceId,
-        dst: DeviceId,
-    ) -> T {
-        let (_, rx) = self.link(src, dst);
-        let (arrival, boxed) = rx.recv().expect("p2p channel closed");
-        clock.sync_to(arrival);
-        *boxed.downcast::<T>().expect("p2p message type mismatch")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1091,6 +1105,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)] // the watchdog stays outside the layer under test
     fn panicking_fold_aborts_every_member() {
         // Whoever arrives last runs the fold; its panic must reach all
         // members as the same CollectiveAbort, not strand the waiters.
@@ -1140,6 +1155,32 @@ mod tests {
     }
 
     #[test]
+    fn poison_wakes_a_rank_blocked_in_recv_from() {
+        // A pipeline stage waits for activations its predecessor will
+        // never send; poisoning the pipeline group must release it as it
+        // releases a collective — and a later send aborts as well.
+        let (group, cluster, cost) = harness(2);
+        let receiver = Communicator::new(group.clone(), 1, cluster.clone(), cost.clone());
+        let waiter = thread::spawn(move || {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                receiver.recv_from::<u32>(&mut VirtualClock::new(), 0)
+            }))
+        });
+        // Give the receiver time to block on the empty link.
+        thread::sleep(std::time::Duration::from_millis(30));
+        group.poison("stage 0 killed");
+        let payload = waiter.join().unwrap().expect_err("receiver must unwind");
+        let abort = payload.downcast_ref::<CollectiveAbort>().expect("CollectiveAbort payload");
+        assert_eq!(abort.reason, "stage 0 killed");
+        let sender = Communicator::new(group, 0, cluster, cost);
+        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sender.send_to(&VirtualClock::new(), 1, 7u32, 4.0)
+        }));
+        let payload = res.expect_err("a send on a poisoned group must abort");
+        assert!(payload.downcast_ref::<CollectiveAbort>().is_some());
+    }
+
+    #[test]
     fn poisoned_group_aborts_future_exchanges_immediately() {
         let group = CommGroup::new(vec![DeviceId(0), DeviceId(1)]);
         group.poison("injected kill");
@@ -1151,24 +1192,6 @@ mod tests {
         let abort = payload.downcast_ref::<CollectiveAbort>().expect("CollectiveAbort payload");
         assert_eq!(abort.reason, "injected kill");
     }
-
-    #[test]
-    fn p2p_transfers_value_and_time() {
-        let cluster = Arc::new(ClusterSpec::a100_cluster(2));
-        let net = P2pNetwork::new(cluster, CommCostModel::default());
-        let net2 = net.clone();
-        let sender = thread::spawn(move || {
-            let mut clock = VirtualClock::new();
-            clock.advance(1.0);
-            net2.send(&clock, DeviceId(0), DeviceId(8), vec![42.0f32], 4.0e9);
-        });
-        let mut clock = VirtualClock::new();
-        let v: Vec<f32> = net.recv(&mut clock, DeviceId(0), DeviceId(8));
-        sender.join().unwrap();
-        assert_eq!(v, vec![42.0]);
-        // 4 GB over a cross-machine link must take noticeable virtual time.
-        assert!(clock.now() > 1.0);
-    }
 }
 
 #[cfg(test)]
@@ -1176,24 +1199,51 @@ mod p2p_tests {
     use super::*;
     use std::thread;
 
+    /// Ranks 0 and 1 of one group over `devices` on `machines` machines.
+    fn pair(machines: usize, devices: [usize; 2]) -> [Communicator; 2] {
+        let group = CommGroup::new(devices.map(DeviceId).to_vec());
+        let cluster = Arc::new(ClusterSpec::a100_cluster(machines));
+        [0, 1]
+            .map(|r| Communicator::new(group.clone(), r, cluster.clone(), CommCostModel::default()))
+    }
+
+    #[test]
+    fn p2p_transfers_value_and_time() {
+        let [tx, rx] = pair(2, [0, 8]);
+        let sender = thread::spawn(move || {
+            let mut clock = VirtualClock::new();
+            clock.advance(1.0);
+            tx.send_to(&clock, 1, vec![42.0f32], 4.0e9);
+        });
+        let mut clock = VirtualClock::new();
+        let v: Vec<f32> = rx.recv_from(&mut clock, 0);
+        sender.join().unwrap();
+        assert_eq!(v, vec![42.0]);
+        // It arrives after the cross-machine hop the cost model prices.
+        let cluster = ClusterSpec::a100_cluster(2);
+        let hop = CommCostModel::default().p2p_time(&cluster, DeviceId(0), DeviceId(8), 4.0e9);
+        assert!(hop > 0.0);
+        assert_eq!(clock.now().to_bits(), (1.0 + hop).to_bits());
+    }
+
     #[test]
     fn p2p_messages_preserve_fifo_order_per_link() {
-        let cluster = Arc::new(ClusterSpec::a100_cluster(1));
-        let net = P2pNetwork::new(cluster, CommCostModel::default());
-        let tx_net = net.clone();
+        let [tx, rx] = pair(1, [0, 1]);
         let sender = thread::spawn(move || {
             let mut clock = VirtualClock::new();
             for i in 0..20u32 {
                 clock.advance(0.1);
-                tx_net.send(&clock, DeviceId(0), DeviceId(1), i, 1024.0);
+                tx.send_to(&clock, 1, i, 1024.0);
             }
+            tx.rounds()
         });
         let mut clock = VirtualClock::new();
         for expect in 0..20u32 {
-            let got: u32 = net.recv(&mut clock, DeviceId(0), DeviceId(1));
+            let got: u32 = rx.recv_from(&mut clock, 0);
             assert_eq!(got, expect, "FIFO order per link");
         }
-        sender.join().unwrap();
+        // Hand-offs are not collective rounds: the tags stay put.
+        assert_eq!((sender.join().unwrap(), rx.rounds()), (0, 0));
         // Arrival times are monotone, so the receiver's clock advanced to
         // at least the last send time.
         assert!(clock.now() >= 2.0);
@@ -1201,15 +1251,25 @@ mod p2p_tests {
 
     #[test]
     fn p2p_links_are_independent() {
-        let cluster = Arc::new(ClusterSpec::a100_cluster(1));
-        let net = P2pNetwork::new(cluster, CommCostModel::default());
+        let [c0, c1] = pair(1, [0, 1]);
         let clock = VirtualClock::new();
-        net.send(&clock, DeviceId(0), DeviceId(1), "a", 8.0);
-        net.send(&clock, DeviceId(1), DeviceId(0), "b", 8.0);
-        let mut c1 = VirtualClock::new();
-        let mut c2 = VirtualClock::new();
-        let b: &str = net.recv(&mut c2, DeviceId(1), DeviceId(0));
-        let a: &str = net.recv(&mut c1, DeviceId(0), DeviceId(1));
+        c0.send_to(&clock, 1, "a", 8.0);
+        c1.send_to(&clock, 0, "b", 8.0);
+        let b: &str = c0.recv_from(&mut VirtualClock::new(), 1);
+        let a: &str = c1.recv_from(&mut VirtualClock::new(), 0);
         assert_eq!((a, b), ("a", "b"));
+    }
+
+    #[test]
+    fn groups_on_the_same_devices_keep_their_hand_offs_apart() {
+        // Colocated models have a pipeline group each over the same two
+        // devices: a message one never received must not reach the other,
+        // as it would over one link per device pair shared by both.
+        let [actor0, _actor1] = pair(1, [0, 2]);
+        let [critic0, critic1] = pair(1, [0, 2]);
+        let clock = VirtualClock::new();
+        actor0.send_to(&clock, 1, 88usize, 8.0);
+        critic0.send_to(&clock, 1, 96usize, 8.0);
+        assert_eq!(critic1.recv_from::<usize>(&mut VirtualClock::new(), 0), 96);
     }
 }

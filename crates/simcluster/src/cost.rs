@@ -10,12 +10,10 @@
 //! NVLink; groups spanning machines are bottlenecked by the per-GPU share
 //! of the machine NIC.
 
-use serde::{Deserialize, Serialize};
-
 use crate::topology::{ClusterSpec, DeviceId};
 
 /// The collective operations the virtual NCCL and analytic model support.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CollectiveKind {
     /// Every rank ends with the concatenation of all ranks' shards.
     AllGather,
@@ -34,7 +32,7 @@ pub enum CollectiveKind {
 }
 
 /// α–β cost model for collectives over a concrete device group.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CommCostModel {
     /// Per-phase fixed latency in seconds (kernel launch + link latency).
     pub alpha: f64,

@@ -25,8 +25,8 @@ pub mod topology;
 
 pub use clock::VirtualClock;
 pub use comm::{
-    panic_message, tree_sum_parts, CollectiveAbort, CommGroup, Communicator, P2pNetwork, Reduced,
-    SumPart, TreeSum,
+    panic_message, tree_sum_parts, CollectiveAbort, CommGroup, Communicator, Reduced, SumPart,
+    TreeSum,
 };
 pub use cost::{CollectiveKind, CommCostModel};
 pub use topology::{ClusterSpec, DeviceId, GpuSpec, MachineSpec, ResourcePool};

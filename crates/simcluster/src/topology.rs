@@ -5,10 +5,8 @@
 //! and [`ClusterSpec::a100_cluster`] reproduce those constants; other
 //! shapes can be constructed for what-if studies.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a single GPU device in the cluster (global, dense).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DeviceId(pub usize);
 
 impl DeviceId {
@@ -19,7 +17,7 @@ impl DeviceId {
 }
 
 /// Performance characteristics of one GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuSpec {
     /// Peak dense BF16 throughput in FLOP/s.
     pub peak_flops: f64,
@@ -52,7 +50,7 @@ impl GpuSpec {
 }
 
 /// A machine: a set of GPUs sharing a fast intra-machine interconnect.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineSpec {
     /// Number of GPUs per machine.
     pub gpus: usize,
@@ -70,7 +68,7 @@ impl MachineSpec {
 }
 
 /// A homogeneous cluster of machines.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// GPU model used throughout the cluster.
     pub gpu: GpuSpec,
@@ -150,7 +148,7 @@ impl ClusterSpec {
 /// on different devices, enabling parallel execution. Pools must not
 /// overlap (asserted by [`ResourcePool::disjoint`] where the caller
 /// composes placements).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ResourcePool {
     devices: Vec<DeviceId>,
 }

@@ -1,13 +1,34 @@
-//! Offline stand-in for the `parking_lot` crate.
+//! The runtime's one blocking layer: every lock and every inter-thread
+//! wait in library code goes through this crate.
 //!
-//! The container this workspace builds in has no access to crates.io, so
-//! the workspace routes `parking_lot` to this shim: the non-poisoning
-//! `Mutex`/`Condvar` API the workspace uses, implemented over
-//! `std::sync`. Poisoned locks are recovered transparently (parking_lot
-//! has no poisoning).
+//! * [`Mutex`] / [`Condvar`] — non-poisoning wrappers over `std::sync`:
+//!   the runtime catches worker panics per call and keeps serving, so a
+//!   panic while a lock was held must not poison it.
+//! * [`channel`] — the device mailbox: an unbounded MPSC FIFO built on
+//!   the two above.
+//!
+//! Besides taking a lock, [`Condvar::wait`] and [`Condvar::wait_for`] are
+//! the only calls here that block, so a scheduler that decides which
+//! thread runs (seeded, loom / shuttle-style) hooks those two. The waits
+//! left outside the layer, both in `hf-core`'s runtime:
+//!
+//! * `JoinHandle::join` in `Controller::shutdown`, joining the device
+//!   threads;
+//! * `OnceLock::get_or_init` in `FutureInput::cut`, where the ranks of a
+//!   call issued on a future wait while the first of them collects and
+//!   cuts the producer's reply.
+//!
+//! The workspace `clippy.toml` disallows `std::sync::{Mutex, Condvar,
+//! RwLock, Barrier}` and `std::sync::mpsc::{channel, sync_channel}`
+//! everywhere else.
 
-use std::fmt;
+// The wrappers below are the one place the disallowed types are used.
+#![allow(clippy::disallowed_types)]
+
 use std::ops::{Deref, DerefMut};
+use std::time::Duration;
+
+pub mod channel;
 
 /// A mutual-exclusion lock whose `lock()` never returns a poison error.
 pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
@@ -20,34 +41,12 @@ impl<T> Mutex<T> {
     pub const fn new(value: T) -> Self {
         Mutex(std::sync::Mutex::new(value))
     }
-
-    /// Consumes the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, recovering from poisoning.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard(Some(self.0.lock().unwrap_or_else(|e| e.into_inner())))
-    }
-
-    /// Mutable access without locking (requires `&mut self`).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: Default> Default for Mutex<T> {
-    fn default() -> Self {
-        Mutex::new(T::default())
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
     }
 }
 
@@ -75,17 +74,17 @@ impl Condvar {
     }
 
     /// Blocks until notified, releasing the guard's lock while waiting.
+    /// It may also wake spuriously: callers re-check their condition.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let inner = guard.0.take().expect("guard present");
         guard.0 = Some(self.0.wait(inner).unwrap_or_else(|e| e.into_inner()));
     }
 
     /// Blocks until notified or `timeout` elapsed, releasing the guard's
-    /// lock while waiting. Which of the two it was is not reported (the
-    /// published crate returns a `WaitTimeoutResult`): like `wait`, it may
-    /// also wake spuriously, so callers re-check their condition and
-    /// their own deadline.
-    pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: std::time::Duration) {
+    /// lock while waiting. Which of the two it was is not reported: like
+    /// `wait`, it may also wake spuriously, so callers re-check their
+    /// condition and their own deadline.
+    pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: Duration) {
         let inner = guard.0.take().expect("guard present");
         let (inner, _) = self.0.wait_timeout(inner, timeout).unwrap_or_else(|e| e.into_inner());
         guard.0 = Some(inner);
@@ -133,5 +132,19 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(*pair.0.lock(), n);
+    }
+
+    #[test]
+    fn a_panic_under_the_lock_does_not_poison_it() {
+        let m = Arc::new(Mutex::new(1u32));
+        let held = m.clone();
+        let res = thread::spawn(move || {
+            let _g = held.lock();
+            panic!("worker died holding the lock");
+        })
+        .join();
+        assert!(res.is_err());
+        *m.lock() += 1;
+        assert_eq!(*m.lock(), 2);
     }
 }

@@ -32,7 +32,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use hf_sync::Mutex;
 
 /// Conventional track name for the single controller.
 pub const CONTROLLER_TRACK: &str = "controller";

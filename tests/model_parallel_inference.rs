@@ -11,7 +11,7 @@ use std::thread;
 
 use hybridflow::nn::{LmConfig, ShardedLm, StageOutput, TinyLm};
 use hybridflow::simcluster::{
-    ClusterSpec, CommCostModel, CommGroup, Communicator, DeviceId, P2pNetwork, VirtualClock,
+    ClusterSpec, CommCostModel, CommGroup, Communicator, DeviceId, VirtualClock,
 };
 
 #[test]
@@ -28,42 +28,39 @@ fn threaded_2d_model_parallel_matches_full_model() {
     // Grid: rank = p_idx · t + t_idx on device rank.
     let cluster = Arc::new(ClusterSpec::a100_with_gpus(p * t));
     let cost = CommCostModel::default();
-    let p2p = P2pNetwork::new(cluster.clone(), cost.clone());
-    // One communicator group per TP row.
+    // One communicator group per TP row, one per pipeline column.
     let tp_groups: Vec<CommGroup> =
         (0..p).map(|pi| CommGroup::new((0..t).map(|ti| DeviceId(pi * t + ti)).collect())).collect();
+    let pp_groups: Vec<CommGroup> =
+        (0..t).map(|ti| CommGroup::new((0..p).map(|pi| DeviceId(pi * t + ti)).collect())).collect();
 
     let mut handles = Vec::new();
     for pi in 0..p {
         for ti in 0..t {
             let shard = ShardedLm::from_full(&lm, pi, p, ti, t);
             let comm = Communicator::new(tp_groups[pi].clone(), ti, cluster.clone(), cost.clone());
-            let p2p = p2p.clone();
+            let pp = Communicator::new(pp_groups[ti].clone(), pi, cluster.clone(), cost.clone());
             let ids = ids.clone();
             handles.push(thread::spawn(move || {
                 let mut clock = VirtualClock::new();
-                let me = DeviceId(pi * t + ti);
                 // Stage input: embed on stage 0, receive activations
                 // otherwise (every TP rank of a stage gets a copy from
                 // its column-peer on the previous stage).
                 let h_in = if pi == 0 {
                     shard.embed(&ids)
                 } else {
-                    let prev = DeviceId((pi - 1) * t + ti);
                     let (rows, cols, data): (usize, usize, Vec<f32>) =
-                        p2p.recv(&mut clock, prev, me);
+                        pp.recv_from(&mut clock, pi - 1);
                     hybridflow::nn::Tensor::new(data, rows, cols)
                 };
                 let out =
                     shard.forward_stage(h_in, |partial| comm.all_reduce_sum(&mut clock, partial));
                 match out {
                     StageOutput::Hidden(hn) => {
-                        let next = DeviceId((pi + 1) * t + ti);
                         let bytes = (hn.len() * 4) as f64;
-                        p2p.send(
+                        pp.send_to(
                             &clock,
-                            me,
-                            next,
+                            pi + 1,
                             (hn.rows(), hn.cols(), hn.data().to_vec()),
                             bytes,
                         );
