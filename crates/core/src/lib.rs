@@ -11,9 +11,10 @@
 //!   `ALL_TO_ALL`, plus `ONE_TO_ONE` and `DP_ALL_GATHER`), each a pair
 //!   of `distribute` / `collect` functions over a worker-group layout.
 //! * [`worker`] — the [`worker::Worker`] trait implemented by model
-//!   classes (ActorWorker etc. live in `hf-rlhf`) and the per-rank
+//!   classes (ActorWorker etc. live in `hf-rlhf`), the per-rank
 //!   context carrying parallel-group communicators and the virtual
-//!   clock.
+//!   clock, and the [`worker::Lane`] (GPU or host CPUs) whose clock a
+//!   worker's calls are charged on.
 //! * [`runtime`] — the runtime: one OS thread per simulated GPU device
 //!   (the *multi-controller*: colocated models time-share the device in
 //!   mailbox order, §2.3), a [`runtime::Controller`] handle (the *single
@@ -47,4 +48,4 @@ pub use protocol::{Protocol, WorkerLayout, ROW_OFFSET_META};
 pub use runtime::{
     CallPolicy, Controller, DeviceHealth, DpFuture, LostRank, TimelineEntry, WorkerGroup,
 };
-pub use worker::{CommSet, RankCtx, Worker};
+pub use worker::{CommSet, Lane, RankCtx, Worker};

@@ -1,7 +1,7 @@
 //! The hybrid runtime: single controller + per-device worker threads.
 //!
 //! * **Multi-controller**: every simulated GPU is an OS thread with a
-//!   FIFO mailbox (`hf_sync::channel`) and its own virtual clock; the
+//!   FIFO mailbox (`hf_sync::channel`) and its own virtual clocks; the
 //!   mailbox, the reply slots and the communicators all block through
 //!   `hf-sync`, and nothing else here waits but `shutdown`'s joins and
 //!   `FutureInput::cut`'s `OnceLock`. Colocated model workers
@@ -27,7 +27,10 @@
 //!   copy at its own `wait`, on its own thread, because the physical-copy
 //!   count is thread-local.
 //!
-//! Timing: dispatch charges an RPC latency; a rank whose input carries
+//! Timing: a device thread keeps one virtual clock per [`Lane`] — the
+//! GPU's, and its node's host CPUs' — and a call reads and advances the
+//! clock of the lane its worker registered with; "device clock" below is
+//! that clock. Dispatch charges an RPC latency; a rank whose input carries
 //! provenance (`__src_device`) is charged the GPU-to-GPU pull of its
 //! chunk, modeling the direct inter-model transfer of Figure 5(b) (step
 //! ⑥) rather than a central bottleneck. A call issued on a future starts
@@ -55,13 +58,13 @@ use hf_simcluster::{
 };
 use hf_sync::channel::{unbounded, Receiver, Sender};
 use hf_sync::{Condvar, Mutex};
-use hf_telemetry::{gpu_track, SpanKind, Telemetry, CONTROLLER_TRACK};
+use hf_telemetry::{cpu_track, gpu_track, SpanKind, Telemetry, CONTROLLER_TRACK};
 
 use crate::data::DataProto;
 use crate::error::{CoreError, Result};
 use crate::fault::{ExecSite, FaultHook, LinkFault};
 use crate::protocol::{Protocol, WorkerLayout};
-use crate::worker::{CommSet, RankCtx, Worker};
+use crate::worker::{CommSet, Lane, RankCtx, Worker};
 
 /// Provenance metadata key: the device a batch was collected from.
 pub const SRC_DEVICE_META: &str = "__src_device";
@@ -469,6 +472,10 @@ pub struct Controller {
     inner: Arc<ControllerInner>,
 }
 
+/// A rank registered on a device thread, with the lane whose clock its
+/// calls run on.
+type Registered = (Box<dyn Worker>, Box<RankCtx>, Lane);
+
 fn device_main(
     device: DeviceId,
     rx: Receiver<DeviceMsg>,
@@ -478,9 +485,11 @@ fn device_main(
     fault: Option<Arc<dyn FaultHook>>,
     lost: Arc<Mutex<Vec<LostRank>>>,
 ) {
-    let track = gpu_track(device.index());
-    let mut clock = VirtualClock::new();
-    let mut workers: HashMap<u64, (Box<dyn Worker>, Box<RankCtx>)> = HashMap::new();
+    // One clock and one track per lane, indexed by `Lane as usize`: the
+    // GPU's, and the host CPUs' beside it.
+    let tracks = [gpu_track(device.index()), cpu_track(device.index())];
+    let mut clocks = [VirtualClock::new(); 2];
+    let mut workers: HashMap<u64, Registered> = HashMap::new();
     // Per-(group key, method) dispatch counts, for call-indexed faults.
     let mut call_counts: HashMap<(u64, Arc<str>), u64> = HashMap::new();
     // Ranks whose communicators can no longer be used — killed by fault
@@ -492,7 +501,8 @@ fn device_main(
         epoch += 1;
         match msg {
             DeviceMsg::Register { key, worker, ctx } => {
-                workers.insert(key, (worker, ctx));
+                let lane = worker.lane();
+                workers.insert(key, (worker, ctx, lane));
             }
             DeviceMsg::Unregister { key } => {
                 workers.remove(&key);
@@ -501,17 +511,18 @@ fn device_main(
             }
             DeviceMsg::Execute { key, input, dispatch_time, call_id, reply } => {
                 let (group, method) = (reply.call.group.clone(), reply.call.method.clone());
-                let Some((worker, ctx)) = workers.get_mut(&key) else {
+                let Some((worker, ctx, lane)) = workers.get_mut(&key) else {
                     reply.send((
                         Err(CoreError::Config(format!(
                             "no worker {key} registered on device {}",
                             device.0
                         ))),
-                        clock.now(),
+                        clocks[Lane::Device as usize].now(),
                         0,
                     ));
                     continue;
                 };
+                let (clock, track) = (&mut clocks[*lane as usize], &tracks[*lane as usize]);
                 if let Some(reason) = dead.get(&key) {
                     reply.send((
                         Err(CoreError::PeerFailed(format!("{method}: rank is dead: {reason}"))),
@@ -609,7 +620,7 @@ fn device_main(
                 // the future the call was issued on is queue wait.
                 if clock.now() > dispatch_time {
                     telemetry.span_causal(
-                        &track,
+                        track,
                         &span_label,
                         SpanKind::QueueWait,
                         dispatch_time,
@@ -649,7 +660,7 @@ fn device_main(
                     }
                     if telemetry.is_enabled() {
                         telemetry.span_causal(
-                            &track,
+                            track,
                             &span_label,
                             SpanKind::Comm,
                             pull_start,
@@ -666,7 +677,7 @@ fn device_main(
                 }
                 let exec_start = clock.now();
                 let exec_id = telemetry.next_span_id();
-                ctx.clock = clock;
+                ctx.clock = *clock;
                 ctx.cause = call_id;
                 ctx.dispatch_time = dispatch_time;
                 // CoW auditor (audit builds): hold a view-sharing clone of
@@ -680,7 +691,7 @@ fn device_main(
                         let err =
                             CoreError::Invariant(format!("{}: malformed input: {e}", label()));
                         telemetry.span_causal(
-                            &track,
+                            track,
                             &span_label,
                             SpanKind::Exec,
                             exec_start,
@@ -698,7 +709,7 @@ fn device_main(
                 let result = catch_unwind(AssertUnwindSafe(|| worker.execute(&method, data, ctx)));
                 let out = match result {
                     Ok(r) => {
-                        clock = ctx.clock;
+                        *clock = ctx.clock;
                         // A slowed device stretches the execution's
                         // virtual duration (straggler injection).
                         if slow_factor > 1.0 {
@@ -763,7 +774,7 @@ fn device_main(
                     e => e,
                 };
                 telemetry.span_causal(
-                    &track,
+                    track,
                     &span_label,
                     SpanKind::Exec,
                     exec_start,
@@ -775,7 +786,7 @@ fn device_main(
                 reply.send((out, clock.now(), exec_id));
             }
             DeviceMsg::Ping { reply } => {
-                let _ = reply.send((epoch, clock.now()));
+                let _ = reply.send((epoch, clocks[Lane::Device as usize].now()));
             }
             DeviceMsg::Shutdown => break,
         }

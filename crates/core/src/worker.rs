@@ -64,8 +64,9 @@ pub struct RankCtx {
     pub device: DeviceId,
     /// Parallel-group communicators.
     pub comms: CommSet,
-    /// The device's virtual clock (shared by colocated workers; the
-    /// device thread syncs it in and out around each call).
+    /// The virtual clock of the [`Lane`] the worker runs on: the GPU's,
+    /// shared by the device's colocated workers, or its node's host
+    /// CPUs'. The device thread syncs it in and out around each call.
     pub clock: VirtualClock,
     /// Telemetry handle (shared with the controller; disabled by
     /// default, in which case every record call returns at once — build
@@ -109,6 +110,19 @@ impl RankCtx {
     }
 }
 
+/// Where a worker's calls run, and so which virtual clock they are
+/// charged on. Each device thread keeps one clock per lane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lane {
+    /// The GPU: every device-lane worker registered on the device
+    /// time-shares it in mailbox order.
+    Device,
+    /// The host CPUs of the GPU's node (a programmatic verifier pool): a
+    /// call still runs in mailbox order, but on its own clock, so in
+    /// virtual time it overlaps the GPU work queued around it.
+    Host,
+}
+
 /// A model worker: one SPMD program replicated across a worker group's
 /// ranks.
 ///
@@ -120,6 +134,11 @@ impl RankCtx {
 pub trait Worker: Send {
     /// Executes `method` on this rank's chunk of the batch.
     fn execute(&mut self, method: &str, data: DataProto, ctx: &mut RankCtx) -> Result<DataProto>;
+
+    /// Where this worker's calls run; read once, when the rank registers.
+    fn lane(&self) -> Lane {
+        Lane::Device
+    }
 }
 
 impl<F> Worker for F

@@ -76,9 +76,11 @@ pub struct IterationAnalysis {
     pub by_role: BTreeMap<String, f64>,
     /// Critical-path seconds attributed per kind.
     pub by_kind: BTreeMap<String, f64>,
-    /// Idle fraction per device track over the window (1 − busy;
+    /// Idle fraction per GPU track over the window (1 − busy;
     /// busy = merged Exec+Comm cover). Sub-tracks (`gpu-n/genserve`)
-    /// are excluded — their time nests inside the device's Exec spans.
+    /// are excluded — their time nests inside the device's Exec spans —
+    /// and so are host-lane tracks (`cpu-n`): a GPU whose host CPUs run
+    /// the verifier pool is idle meanwhile.
     pub track_bubble: BTreeMap<String, f64>,
     /// Per-role idle fraction: over the devices hosting role `R`,
     /// the fraction of device-time *not* spent in `R`'s own spans.
@@ -286,8 +288,9 @@ fn decompose_dispatch(
     let es = &graph.spans[exec];
 
     // The straggler's per-call chain: this call's children on the
-    // straggler's device track (queue wait, p2p pull, and the spans the
-    // worker nested inside its execute, e.g. resharding transitions).
+    // straggler's track — its GPU's, or for a host-lane call its `cpu-n`
+    // track (queue wait, p2p pull, and the spans the worker nested
+    // inside its execute, e.g. resharding transitions).
     let chain: Vec<usize> = graph
         .children(d)
         .iter()
@@ -584,5 +587,71 @@ mod tests {
         let reward: f64 =
             it.segments.iter().filter(|s| s.role == "reward").map(|s| s.seconds()).sum();
         assert!((reward - 1.0).abs() < 1e-9, "{:?}", it.segments);
+    }
+
+    #[test]
+    fn a_host_lane_straggler_is_followed_on_its_own_track() {
+        // GRPO preparation on two GPUs: the reference pass on each GPU,
+        // the verifier on each GPU's host CPUs, in virtual time beside
+        // it. cpu-1 is the verifier's straggler: it waited past the
+        // reference pass and pulled its input before running.
+        let mut gen = span("controller", "generation", SpanKind::Phase, 0.0, 10.0);
+        gen.id = 100;
+        let mut prep = span("controller", "experience_preparation", SpanKind::Phase, 10.0, 20.0);
+        prep.id = 101;
+        prep.causes = vec![100];
+        let mut d1 = span("controller", "actor::generate_sequences", SpanKind::Dispatch, 0.0, 10.0);
+        d1.id = 1;
+        d1.causes = vec![11];
+        let mut e1 = span("gpu-0", "actor::generate_sequences", SpanKind::Exec, 1.0, 10.0);
+        e1.id = 11;
+        e1.causes = vec![1];
+        let mut d2 =
+            span("controller", "reference::compute_ref_log_prob", SpanKind::Dispatch, 0.0, 12.0);
+        d2.id = 2;
+        d2.causes = vec![21, 22];
+        let mut spans = vec![gen, prep, d1, e1, d2];
+        for (id, track) in [(21, "gpu-0"), (22, "gpu-1")] {
+            let mut q =
+                span(track, "reference::compute_ref_log_prob", SpanKind::QueueWait, 1.0, 10.0);
+            q.causes = vec![2];
+            let mut e = span(track, "reference::compute_ref_log_prob", SpanKind::Exec, 10.0, 12.0);
+            e.id = id;
+            e.causes = vec![2];
+            spans.extend([q, e]);
+        }
+        let mut d3 = span("controller", "reward::compute_reward", SpanKind::Dispatch, 0.0, 20.0);
+        d3.id = 3;
+        d3.causes = vec![31, 32];
+        let mut e31 = span("cpu-0", "reward::compute_reward", SpanKind::Exec, 10.0, 18.0);
+        e31.id = 31;
+        e31.causes = vec![3];
+        let mut q32 = span("cpu-1", "reward::compute_reward", SpanKind::QueueWait, 1.0, 13.0);
+        q32.causes = vec![3];
+        let mut pull = span("cpu-1", "reward::compute_reward", SpanKind::Comm, 13.0, 14.0);
+        pull.causes = vec![3];
+        let mut e32 = span("cpu-1", "reward::compute_reward", SpanKind::Exec, 14.0, 20.0);
+        e32.id = 32;
+        e32.causes = vec![3];
+        spans.extend([d3, e31, q32, pull, e32]);
+
+        let it = &analyze_iterations(&SpanGraph::build(spans))[0];
+        let total: f64 = it.segments.iter().map(|s| s.seconds()).sum();
+        assert!((total - 20.0).abs() < 1e-9, "the tiling is exact: {total}");
+        // Past the reference pass, the path is cpu-1's wait, pull and run.
+        let reward: Vec<(&str, f64, f64)> = (it.segments.iter())
+            .filter(|s| s.role == "reward")
+            .map(|s| (s.kind.as_str(), s.start, s.end))
+            .collect();
+        assert_eq!(
+            reward,
+            [("queue_wait", 12.0, 13.0), ("comm", 13.0, 14.0), ("exec", 14.0, 20.0)]
+        );
+        assert!((it.by_role["reference"] - 2.0).abs() < 1e-9, "{:?}", it.by_role);
+        // The GPUs idle while their host CPUs run the verifier: gpu-0 is
+        // busy [1, 12], gpu-1 [10, 12]; no host track has a bubble.
+        assert!((it.track_bubble["gpu-0"] - 9.0 / 20.0).abs() < 1e-9);
+        assert!((it.track_bubble["gpu-1"] - 18.0 / 20.0).abs() < 1e-9);
+        assert_eq!(it.track_bubble.len(), 2, "{:?}", it.track_bubble);
     }
 }

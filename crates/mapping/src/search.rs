@@ -366,9 +366,12 @@ impl Mapper {
     }
 
     /// Stage composition: within a set, members serialize; across sets,
-    /// the stage takes the slowest set (Lines 28–33). `cost_of` yields
-    /// one role's contribution on its set's `n` GPUs, or `None` if the
-    /// role is infeasible there.
+    /// the stage takes the slowest set (Lines 28–33). A CPU-bound role's
+    /// preparation runs on its set's host CPUs, beside the set's GPU
+    /// passes rather than after them, so a set prepares in the longer of
+    /// its GPU and host sums — what the runtime's host lane executes.
+    /// `cost_of` yields one role's contribution on its set's `n` GPUs, or
+    /// `None` if the role is infeasible there.
     fn compose_stages(
         &self,
         plan: &PlacementPlan,
@@ -380,18 +383,24 @@ impl Mapper {
         debug_assert!(plan.sets.len() <= 8);
         let mut gen = [0.0f64; 8];
         let mut prep = [0.0f64; 8];
+        let mut host_prep = [0.0f64; 8];
         let mut train = [0.0f64; 8];
         let mut transition = 0.0f64;
         for (si, (set, &n)) in plan.sets.iter().zip(alloc.iter()).enumerate() {
             for &role in set {
                 let c = cost_of(role, n)?;
                 gen[si] += c.gen;
-                prep[si] += c.prep;
+                if role.is_cpu_bound() {
+                    host_prep[si] += c.prep;
+                } else {
+                    prep[si] += c.prep;
+                }
                 train[si] += c.train;
                 if c.transition != 0.0 {
                     transition = c.transition;
                 }
             }
+            prep[si] = prep[si].max(host_prep[si]);
         }
         let max = |v: &[f64]| v.iter().cloned().fold(0.0f64, f64::max);
         let k = plan.sets.len().min(8);
@@ -692,6 +701,25 @@ mod tests {
             strat.infer_latency,
             reference.infer_latency
         );
+    }
+
+    #[test]
+    fn a_set_prepares_in_the_longer_of_its_gpu_and_host_passes() {
+        let perf = PerfModel::new(ClusterSpec::a100_with_gpus(16));
+        let df =
+            DataflowSpec::uniform(AlgoKind::Grpo, ModelConfig::llama_7b(), RlhfWorkload::paper());
+        let m = Mapper::new(perf, df, 16);
+        // Actor alone; reference and verifier share the other set.
+        let plan = PlacementPlan {
+            sets: vec![vec![Role::Actor], vec![Role::Reference, Role::RewardEvaluator]],
+        };
+        let best = m.evaluate_plan(&plan).expect("the plan maps");
+        let (reference, verifier) = (
+            best.strategies[&Role::Reference].infer_latency,
+            best.strategies[&Role::RewardEvaluator].infer_latency,
+        );
+        assert!(reference > 0.0 && verifier > 0.0);
+        assert_eq!(best.costs.preparation, reference.max(verifier), "max, not the sum");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! scores, and a killed-and-replayed evaluation reproduces the original
 //! bits (the pool holds no cross-batch state).
 
-use hf_core::{CoreError, DataProto, RankCtx, Result, Worker};
+use hf_core::{CoreError, DataProto, Lane, RankCtx, Result, Worker};
 use hf_rewards::{splitmix, EvalItem, EvalReport, PoolConfig, SandboxPool, VerifierSpec};
 use hf_telemetry::SpanKind;
 
@@ -39,12 +39,12 @@ impl RewardEvaluatorWorker {
     }
 
     /// Emits the evaluation's spans, counters, and latency digests on
-    /// this rank's `gpu-<n>/rewards` sub-track.
+    /// this rank's `cpu-<n>/rewards` sub-track.
     fn trace(&self, report: &EvalReport, t0: f64, ctx: &mut RankCtx) {
         let t1 = ctx.clock.now();
         let id = ctx.telemetry.next_span_id();
         ctx.telemetry.span_causal(
-            &format!("{}/rewards", ctx.gpu_track()),
+            &format!("{}/rewards", hf_telemetry::cpu_track(ctx.device.index())),
             "reward_eval.batch",
             SpanKind::Exec,
             t0,
@@ -107,9 +107,10 @@ impl Worker for RewardEvaluatorWorker {
 
         let t0 = ctx.clock.now();
         let report = self.pool.evaluate(&self.spec, &items);
-        // The pool's virtual schedule ran on this rank's host share;
-        // charge its makespan to the rank's clock so the controller and
-        // the mapper see the same CPU-bound latency.
+        // The pool's virtual schedule ran on this rank's host share: its
+        // makespan is charged to the host lane's clock (`lane` below), the
+        // same CPU-bound latency the mapper composes beside the set's GPU
+        // passes, not after them.
         ctx.charge(report.makespan_s);
         self.trace(&report, t0, ctx);
 
@@ -117,5 +118,10 @@ impl Worker for RewardEvaluatorWorker {
         let mut out = DataProto::with_rows(rows);
         out.insert_f32("scores", scores, 1);
         Ok(out)
+    }
+
+    /// The pool needs no GPU: its calls run on the node's host CPUs.
+    fn lane(&self) -> Lane {
+        Lane::Host
     }
 }

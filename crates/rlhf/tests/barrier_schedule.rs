@@ -2,14 +2,17 @@
 //! a batch or as a future (`stage::run_stages`): read back from the
 //! controller's timeline, and — for the two calls that left `invoke_sync`
 //! and kept their transient retry, `generate_sequences` and
-//! `compute_log_prob` — driven through a dropped RPC.
+//! `compute_log_prob` — driven through a dropped RPC; and the verifier
+//! pool's pass, on its own host clock, driven through a late reference.
 
 mod common;
 
 use std::sync::Arc;
 
 use common::controller_4gpu;
-use hf_core::{CallPolicy, Controller, CoreError, DataProto, Protocol, WorkerLayout};
+use hf_core::{
+    CallPolicy, Controller, CoreError, DataProto, Protocol, TimelineEntry, WorkerLayout,
+};
 use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
 use hf_resilience::{FaultInjector, FaultPlan, FaultTrigger};
 use hf_rlhf::env::make_prompts;
@@ -94,10 +97,58 @@ fn actor_only_updates_stay_one_after_another() {
     assert_eq!(calls_per_dispatch_instant(&ctrl, &all), [3, 1, 1]);
 }
 
-/// Weights and Adam moments of both trained models, as bits.
+/// What one GRPO iteration against the verifier pool leaves behind.
+struct GrpoRun {
+    /// The batch's statistics as bits, virtual time left out.
+    stats: Vec<u32>,
+    weights: Vec<u32>,
+    reference: TimelineEntry,
+    reward: TimelineEntry,
+}
+
+/// One GRPO iteration, with rank 1's `compute_ref_log_prob` delivered
+/// `delay_s` late when it is non-zero.
+fn grpo_with_a_late_reference(delay_s: f64) -> GrpoRun {
+    let cfg = RlhfConfig::tiny_verifier();
+    let injector = (delay_s > 0.0).then(|| {
+        let trigger = FaultTrigger::OnCall { method: "compute_ref_log_prob".into(), nth: 1 };
+        FaultInjector::new(FaultPlan::new().delay_rpc("reference", 1, delay_s, trigger))
+    });
+    let (ctrl, sys) = system(&cfg, false, injector);
+    let s = grpo_iteration(&sys, &ctrl, &prompts(&cfg, 0)).unwrap();
+    let stats = [s.mean_score, s.mean_cost, s.actor_loss, s.entropy, s.critic_loss, s.ptx_loss];
+    let entry = |method: &str| ctrl.timeline().into_iter().find(|e| e.method == method).unwrap();
+    GrpoRun {
+        stats: stats.iter().map(|v| v.to_bits()).collect(),
+        weights: weights(&sys),
+        reference: entry("compute_ref_log_prob"),
+        reward: entry("compute_reward"),
+    }
+}
+
+/// The verifier pool runs on its node's host CPUs, so a reference pass
+/// held up on one GPU does not hold up the reward scored beside it.
+#[test]
+fn a_late_reference_pass_does_not_delay_the_verifier() {
+    let clean = grpo_with_a_late_reference(0.0);
+    let late = grpo_with_a_late_reference(5e-3);
+    assert!(late.reference.completed > clean.reference.completed, "the delay fired");
+    assert_eq!(late.reward.started.to_bits(), clean.reward.started.to_bits());
+    assert_eq!(
+        late.reward.completed.to_bits(),
+        clean.reward.completed.to_bits(),
+        "compute_reward completed at {} µs, {} µs without the late reference",
+        late.reward.completed * 1e6,
+        clean.reward.completed * 1e6
+    );
+    assert_eq!(late.stats, clean.stats, "scores or losses differ");
+    assert!(late.weights == clean.weights, "actor weights or Adam moments differ");
+}
+
+/// Weights and Adam moments of every trained model, as bits.
 fn weights(sys: &RlhfSystem) -> Vec<u32> {
     let mut bits = Vec::new();
-    for group in [&sys.actor, sys.critic.as_ref().unwrap()] {
+    for group in std::iter::once(&sys.actor).chain(&sys.critic) {
         let ck =
             group.call_sync("save_checkpoint", &DataProto::empty(), Protocol::OneToOne).unwrap();
         for col in ["params", "opt_m", "opt_v"] {

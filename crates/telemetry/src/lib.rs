@@ -9,7 +9,8 @@
 //!
 //! * [`Telemetry::chrome_trace`] — Chrome/Perfetto trace-event JSON
 //!   (load in `ui.perfetto.dev` or `chrome://tracing`). One track per
-//!   simulated GPU plus one for the controller; queue-wait, compute,
+//!   simulated GPU, one per host lane that ran work (`cpu-<n>`), and one
+//!   for the controller; queue-wait, compute,
 //!   and communication are distinct categories, so the mailbox
 //!   serialization of colocated models (paper §2.3) is visible as
 //!   gaps-vs-slices per device.
@@ -40,6 +41,12 @@ pub const CONTROLLER_TRACK: &str = "controller";
 /// Conventional track name for a simulated GPU.
 pub fn gpu_track(device_index: usize) -> String {
     format!("gpu-{device_index}")
+}
+
+/// Conventional track name for the host CPUs beside a simulated GPU: the
+/// work a device thread runs off the GPU's clock.
+pub fn cpu_track(device_index: usize) -> String {
+    format!("cpu-{device_index}")
 }
 
 /// Conventional name for a generation-engine metric attributed to one
