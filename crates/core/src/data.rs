@@ -17,10 +17,18 @@
 //! gathers) are tallied in a thread-local counter readable via
 //! [`physical_copy_bytes`], letting the runtime report logical vs
 //! physically-copied traffic separately.
+//!
+//! The rest of a view is shared too: column names are `Arc<str>` and the
+//! metadata map is one copy-on-write [`Meta`], so a `clone` or `select`
+//! allocates only its column table, whatever the names and metadata
+//! hold. A chunk's global starting row is a plain field
+//! ([`DataProto::row_offset`]), not a metadata entry, so stamping one
+//! chunk never copies the map its siblings share.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use crate::error::{CoreError, Result};
@@ -298,6 +306,63 @@ impl fmt::Debug for Column {
     }
 }
 
+/// The metadata of a batch: a string map shared copy-on-write by every
+/// batch cloned, selected, chunked or concatenated from one another.
+///
+/// Reads go through `Deref` to the map (`get`, `contains_key`,
+/// `meta[key]`); [`Meta::insert`] and [`Meta::remove`] copy the map only
+/// when another batch shares it. There is deliberately no `DerefMut`, so
+/// a read through `&mut` never copies.
+#[derive(Clone, Default)]
+pub struct Meta(
+    /// `None` is the empty map, so a batch without metadata allocates none.
+    Option<Arc<BTreeMap<String, String>>>,
+);
+
+static EMPTY_META: BTreeMap<String, String> = BTreeMap::new();
+
+impl Meta {
+    /// Sets `key` to `value`, returning the previous value.
+    pub fn insert(&mut self, key: String, value: String) -> Option<String> {
+        Arc::make_mut(self.0.get_or_insert_with(Default::default)).insert(key, value)
+    }
+
+    /// Removes `key`, returning its value. A missing key copies nothing.
+    pub fn remove(&mut self, key: &str) -> Option<String> {
+        let map = self.0.as_mut().filter(|m| m.contains_key(key))?;
+        Arc::make_mut(map).remove(key)
+    }
+
+    /// Inserts every entry of `other`, overwriting equal keys.
+    fn merge(&mut self, other: Meta) {
+        let Some(theirs) = other.0 else { return };
+        match &mut self.0 {
+            None => self.0 = Some(theirs),
+            Some(mine) if Arc::ptr_eq(mine, &theirs) => {}
+            Some(mine) => Arc::make_mut(mine).extend(Arc::unwrap_or_clone(theirs)),
+        }
+    }
+}
+
+impl Deref for Meta {
+    type Target = BTreeMap<String, String>;
+    fn deref(&self) -> &Self::Target {
+        self.0.as_deref().unwrap_or(&EMPTY_META)
+    }
+}
+
+impl PartialEq for Meta {
+    fn eq(&self, other: &Meta) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for Meta {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 /// A batch of named columns with uniform row count.
 ///
 /// # Examples
@@ -318,9 +383,12 @@ impl fmt::Debug for Column {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DataProto {
     rows: usize,
-    columns: BTreeMap<String, Column>,
+    columns: BTreeMap<Arc<str>, Column>,
+    /// Global index of this batch's first row, when it is a chunk of a
+    /// larger logical batch (see [`DataProto::row_offset`]).
+    row_offset: Option<usize>,
     /// Free-form metadata (algorithm flags, provenance, ...).
-    pub meta: BTreeMap<String, String>,
+    pub meta: Meta,
 }
 
 impl DataProto {
@@ -341,7 +409,26 @@ impl DataProto {
 
     /// Column names in deterministic (sorted) order.
     pub fn column_names(&self) -> Vec<&str> {
-        self.columns.keys().map(|s| s.as_str()).collect()
+        self.columns.keys().map(|s| &**s).collect()
+    }
+
+    /// The global index of this batch's first row, if it is stamped as
+    /// a chunk of a larger logical batch. Row-splitting protocols stamp
+    /// it during [`crate::Protocol::distribute`] so a worker can derive
+    /// *global-row-indexed* state (e.g. per-request sampler seeds) that
+    /// does not depend on how the batch happened to be chunked.
+    ///
+    /// It follows the batch like metadata did: `clone`, `select` and
+    /// `concat` (from the first part) copy it, `union` takes the other
+    /// batch's stamp when that batch has one, and equality compares it.
+    pub fn row_offset(&self) -> Option<usize> {
+        self.row_offset
+    }
+
+    /// Stamps (or, with `None`, clears) the global starting row.
+    pub fn set_row_offset(&mut self, row0: Option<usize>) -> &mut Self {
+        self.row_offset = row0;
+        self
     }
 
     /// Whether the batch holds a column named `name`.
@@ -415,7 +502,7 @@ impl DataProto {
     }
 
     /// Rows `[start, end)` as a new batch of views sharing this batch's
-    /// buffers (metadata cloned; no payload copies).
+    /// buffers, column names and metadata (no payload copies).
     ///
     /// # Panics
     ///
@@ -423,7 +510,10 @@ impl DataProto {
     pub fn select(&self, start: usize, end: usize) -> DataProto {
         assert!(start <= end && end <= self.rows, "select range out of bounds");
         let mut out = DataProto::with_rows(end - start);
+        out.row_offset = self.row_offset;
         out.meta = self.meta.clone();
+        // One insert at a time: `collect` would stage the entries in a
+        // `Vec` first, a second allocation per view.
         for (k, v) in &self.columns {
             out.columns.insert(k.clone(), v.slice_rows(start, end));
         }
@@ -452,15 +542,15 @@ impl DataProto {
     }
 
     /// Concatenates batches row-wise. Columns must agree in name, type,
-    /// and width; metadata is taken from the first batch. When the
-    /// parts are contiguous views over shared buffers (a `chunk`
-    /// round-trip), this is zero-copy.
+    /// and width; metadata and the row offset are taken from the first
+    /// batch. When the parts are contiguous views over shared buffers (a
+    /// `chunk` round-trip), this is zero-copy.
     pub fn concat(parts: &[DataProto]) -> Result<DataProto> {
         let Some(first) = parts.first() else {
             return Ok(DataProto::empty());
         };
         for p in &parts[1..] {
-            if p.column_names() != first.column_names() {
+            if !p.columns.keys().eq(first.columns.keys()) {
                 return Err(CoreError::Data(format!(
                     "concat column mismatch: {:?} vs {:?}",
                     first.column_names(),
@@ -469,17 +559,20 @@ impl DataProto {
             }
         }
         let mut out = DataProto::with_rows(parts.iter().map(|p| p.rows).sum());
+        out.row_offset = first.row_offset;
         out.meta = first.meta.clone();
+        let mut cols: Vec<&Column> = Vec::with_capacity(parts.len());
         for name in first.columns.keys() {
-            let cols: Vec<&Column> =
-                parts.iter().map(|p| p.columns.get(name).expect("checked above")).collect();
+            cols.clear();
+            cols.extend(parts.iter().map(|p| &p.columns[name]));
             out.columns.insert(name.clone(), Column::concat_parts(&cols)?);
         }
         Ok(out)
     }
 
     /// Merges `other`'s columns into `self` (same row count required);
-    /// existing columns are overwritten, metadata is merged.
+    /// existing columns are overwritten, metadata is merged, and
+    /// `other`'s row offset replaces this one's when it has one.
     pub fn union(&mut self, other: DataProto) -> Result<&mut Self> {
         if other.rows != self.rows && !other.columns.is_empty() {
             return Err(CoreError::Data(format!(
@@ -490,9 +583,10 @@ impl DataProto {
         for (k, v) in other.columns {
             self.columns.insert(k, v);
         }
-        for (k, v) in other.meta {
-            self.meta.insert(k, v);
+        if other.row_offset.is_some() {
+            self.row_offset = other.row_offset;
         }
+        self.meta.merge(other.meta);
         Ok(self)
     }
 }
@@ -585,6 +679,42 @@ mod tests {
         let (x1, _) = chunks[1].f32("x").unwrap();
         let (orig, _) = d.f32("x").unwrap();
         assert_eq!(x1, &orig[rows0 * 2..], "sibling chunk must see the original data");
+    }
+
+    #[test]
+    fn chunk_meta_never_aliases_mutations() {
+        let mut d = sample(8);
+        d.meta.insert("tag".into(), "parent".into());
+        let mut chunks = d.chunk(4);
+        chunks[1].meta.insert("tag".into(), "mine".into());
+        chunks[2].meta.insert("extra".into(), "1".into());
+        chunks[3].meta.remove("tag");
+        assert_eq!(chunks[1].meta["tag"], "mine");
+        assert_eq!(chunks[0].meta["tag"], "parent", "sibling chunk must see the original meta");
+        assert!(!chunks[0].meta.contains_key("extra"));
+        assert!(!chunks[3].meta.contains_key("tag"));
+        assert_eq!(d.meta.len(), 1);
+        assert_eq!(d.meta["tag"], "parent", "the parent must keep its meta");
+    }
+
+    #[test]
+    fn row_offset_follows_the_meta_rules() {
+        let mut d = sample(6);
+        d.set_row_offset(Some(10));
+        assert_eq!(d.select(2, 4).row_offset(), Some(10), "select copies the stamp");
+        assert_eq!(d.clone(), d);
+        let mut other = d.clone();
+        other.set_row_offset(None);
+        assert_ne!(other, d, "equality compares the stamp");
+        let parts = [d.select(0, 3), other.select(3, 6)];
+        assert_eq!(DataProto::concat(&parts).unwrap().row_offset(), Some(10), "first part's");
+        let mut u = d.clone();
+        u.union(DataProto::with_rows(6)).unwrap();
+        assert_eq!(u.row_offset(), Some(10), "an unstamped union keeps the stamp");
+        let mut stamped = DataProto::with_rows(6);
+        stamped.set_row_offset(Some(3));
+        u.union(stamped).unwrap();
+        assert_eq!(u.row_offset(), Some(3), "a stamped union replaces it");
     }
 
     #[test]

@@ -41,10 +41,10 @@ pub mod protocol;
 pub mod runtime;
 pub mod worker;
 
-pub use data::{physical_copy_bytes, Column, DataProto};
+pub use data::{physical_copy_bytes, Column, DataProto, Meta};
 pub use error::{CoreError, Result};
 pub use fault::{ExecFault, ExecSite, FaultHook, LinkFault};
-pub use protocol::{Protocol, WorkerLayout, ROW_OFFSET_META};
+pub use protocol::{Protocol, WorkerLayout};
 pub use runtime::{
     CallPolicy, Controller, DeviceHealth, DpFuture, LostRank, TimelineEntry, WorkerGroup,
 };

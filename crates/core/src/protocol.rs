@@ -39,31 +39,21 @@ impl WorkerLayout {
     }
 }
 
-/// Meta key carrying a chunk's global starting row. Row-splitting
-/// protocols stamp it during [`Protocol::distribute`] so a worker can
-/// derive *global-row-indexed* state (e.g. per-request sampler seeds)
-/// that does not depend on how the batch happened to be chunked —
-/// chunk-local row indices differ across `d`/micro-DP layouts and were
-/// the source of a cross-layout generation divergence hf-audit caught.
-pub const ROW_OFFSET_META: &str = "__row0";
-
-/// Stamps [`ROW_OFFSET_META`] on row chunks laid out in global order.
+/// Stamps each row chunk, laid out in global order, with its global
+/// starting row ([`DataProto::row_offset`]) — chunk-local row indices
+/// differ across `d`/micro-DP layouts and were the source of a
+/// cross-layout generation divergence hf-audit caught.
 ///
-/// If the batch already carries a row-offset stamp (inherited by every
-/// chunk via `DataProto::chunk`'s meta clone), it is the batch's own
-/// global starting row and offsets continue from it. A pipelined driver
-/// uses this to dispatch one *slice* of a logical batch per call while
-/// keeping global row identity — and with it per-request sampler seeds —
-/// identical to the unsliced dispatch. Unstamped batches start at 0, so
-/// the synchronous path is byte-for-byte unchanged.
+/// If the batch already carries a row offset (inherited by every chunk
+/// via `DataProto::chunk`), it is the batch's own global starting row
+/// and offsets continue from it. A pipelined driver uses this to
+/// dispatch one *slice* of a logical batch per call while keeping global
+/// row identity — and with it per-request sampler seeds — identical to
+/// the unsliced dispatch. Unstamped batches start at 0.
 fn annotate_row_offsets(chunks: &mut [DataProto]) {
-    let mut row0 = chunks
-        .first()
-        .and_then(|c| c.meta.get(ROW_OFFSET_META))
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(0);
+    let mut row0 = chunks.first().and_then(DataProto::row_offset).unwrap_or(0);
     for c in chunks.iter_mut() {
-        c.meta.insert(ROW_OFFSET_META.into(), row0.to_string());
+        c.set_row_offset(Some(row0));
         row0 += c.rows();
     }
 }
@@ -169,25 +159,25 @@ impl Protocol {
     /// # Panics
     ///
     /// Panics if `outputs.len()` disagrees with the layout's world size.
-    pub fn collect(&self, layout: &WorkerLayout, outputs: Vec<DataProto>) -> Result<DataProto> {
+    pub fn collect(&self, layout: &WorkerLayout, mut outputs: Vec<DataProto>) -> Result<DataProto> {
         let world = layout.world();
         assert_eq!(outputs.len(), world, "collect needs one output per rank");
         let spec = &layout.spec;
+        // Leaders are distinct ranks: move their outputs, do not clone.
+        let mut take = |rank: usize| std::mem::take(&mut outputs[rank]);
         let mut out = match self {
-            Protocol::OneToAll | Protocol::AllToAll => DataProto::concat(&outputs),
-            Protocol::OneToOne => Ok(outputs.into_iter().next().expect("world >= 1")),
-            Protocol::Dp => DataProto::concat(&outputs),
+            Protocol::OneToAll | Protocol::AllToAll | Protocol::Dp => DataProto::concat(&outputs),
+            Protocol::OneToOne => Ok(take(0)),
             Protocol::ThreeD | Protocol::DpAllGather => {
                 // One leader per DP group: p = last stage, t = 0, ordered
                 // by d_idx.
                 let leaders: Vec<DataProto> = (0..spec.d)
                     .map(|d_idx| {
-                        let rank = spec.rank_of(hf_parallel::TrainCoord {
+                        take(spec.rank_of(hf_parallel::TrainCoord {
                             d_idx,
                             p_idx: spec.p - 1,
                             t_idx: 0,
-                        });
-                        outputs[rank].clone()
+                        }))
                     })
                     .collect();
                 DataProto::concat(&leaders)
@@ -205,24 +195,21 @@ impl Protocol {
                         leader_of[gc.replica] = r;
                     }
                 }
-                let leaders: Vec<DataProto> =
-                    leader_of.iter().map(|&r| outputs[r].clone()).collect();
+                let leaders: Vec<DataProto> = leader_of.iter().map(|&r| take(r)).collect();
                 DataProto::concat(&leaders)
             }
             Protocol::ThreeDPpOnly => {
                 let leaders: Vec<DataProto> = (0..spec.p)
                     .map(|p_idx| {
-                        let rank =
-                            spec.rank_of(hf_parallel::TrainCoord { d_idx: 0, p_idx, t_idx: 0 });
-                        outputs[rank].clone()
+                        take(spec.rank_of(hf_parallel::TrainCoord { d_idx: 0, p_idx, t_idx: 0 }))
                     })
                     .collect();
                 DataProto::concat(&leaders)
             }
         }?;
-        // The row-offset stamp is per-chunk provenance; a reassembled
-        // batch starts at row 0 again.
-        out.meta.remove(ROW_OFFSET_META);
+        // The row offset is per-chunk provenance; a reassembled batch
+        // starts at row 0 again.
+        out.set_row_offset(None);
         Ok(out)
     }
 
@@ -283,18 +270,18 @@ mod tests {
         let l = WorkerLayout::train_only(ParallelSpec::new(1, 1, 2));
         // Unstamped: offsets start at 0.
         let ins = Protocol::Dp.distribute(&l, &batch(4)).unwrap();
-        assert_eq!(ins[0].meta[ROW_OFFSET_META], "0");
-        assert_eq!(ins[1].meta[ROW_OFFSET_META], "2");
+        assert_eq!(ins[0].row_offset(), Some(0));
+        assert_eq!(ins[1].row_offset(), Some(2));
         // A batch stamped as a slice starting at global row 6 keeps its
         // rows' global identity across the per-rank split.
         let mut sliced = batch(4);
-        sliced.meta.insert(ROW_OFFSET_META.into(), "6".into());
+        sliced.set_row_offset(Some(6));
         let ins = Protocol::Dp.distribute(&l, &sliced).unwrap();
-        assert_eq!(ins[0].meta[ROW_OFFSET_META], "6");
-        assert_eq!(ins[1].meta[ROW_OFFSET_META], "8");
+        assert_eq!(ins[0].row_offset(), Some(6));
+        assert_eq!(ins[1].row_offset(), Some(8));
         // Collect still strips the per-chunk stamp.
         let out = Protocol::Dp.collect(&l, ins).unwrap();
-        assert!(!out.meta.contains_key(ROW_OFFSET_META));
+        assert_eq!(out.row_offset(), None);
     }
 
     #[test]

@@ -241,6 +241,7 @@ impl ReplyTx {
         let mut state = slot.state.lock();
         if matches!(*state, Slot::Pending) {
             *state = with;
+            drop(state);
             slot.filled.notify_all();
         }
     }

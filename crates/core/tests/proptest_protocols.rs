@@ -95,6 +95,59 @@ proptest! {
         }
     }
 
+    // Row-splitting protocols stamp each chunk with its global first
+    // row, continuing from the batch's own stamp; broadcasting ones pass
+    // the batch's stamp through; `collect` clears it either way.
+    #[test]
+    fn row_offsets_tile_the_rows_and_collect_clears_them(
+        p in pow2(1), t in pow2(2), d in pow2(2), tg_exp in 0u32..3,
+        rows in 1usize..24, stamped in 0u32..2, base in 0usize..100, seed in any::<u64>(),
+    ) {
+        let base = (stamped == 1).then_some(base);
+        let mut data = batch(rows, 2, seed);
+        data.set_row_offset(base);
+        let row0 = base.unwrap_or(0);
+        for proto in Protocol::all() {
+            let spec = if proto == Protocol::Dp {
+                ParallelSpec::new(1, 1, d)
+            } else {
+                ParallelSpec::new(p, t, d)
+            };
+            let tg = (1usize << tg_exp).min(spec.t);
+            let layout = WorkerLayout::with_gen(GenGrouping::new(spec, 1, tg, GroupingMethod::Strided));
+            let ins = proto.distribute(&layout, &data).unwrap();
+            match proto {
+                Protocol::ThreeD | Protocol::ThreeDAllMicroDp | Protocol::Dp => {
+                    let mut chunks: Vec<(usize, usize)> = ins
+                        .iter()
+                        .map(|i| (i.row_offset().expect("every chunk is stamped"), i.rows()))
+                        .collect();
+                    chunks.sort_unstable();
+                    chunks.dedup();
+                    let mut next = row0;
+                    for &(off, n) in &chunks {
+                        prop_assert_eq!(off, next, "{:?}: chunks must tile the rows", proto);
+                        next += n;
+                    }
+                    prop_assert_eq!(next, row0 + rows, "{:?}", proto);
+                    for i in &ins {
+                        let start = i.row_offset().unwrap() - row0;
+                        let mut want = data.select(start, start + i.rows());
+                        want.set_row_offset(i.row_offset());
+                        prop_assert_eq!(i, &want, "{:?}: the stamp names the rows held", proto);
+                    }
+                }
+                Protocol::OneToOne => {
+                    prop_assert_eq!(ins[0].row_offset(), base);
+                    prop_assert!(ins[1..].iter().all(|i| i.row_offset().is_none()));
+                }
+                _ => prop_assert!(ins.iter().all(|i| i.row_offset() == base), "{:?}", proto),
+            }
+            let out = proto.collect(&layout, ins).unwrap();
+            prop_assert_eq!(out.row_offset(), None, "{:?}: collect clears the stamp", proto);
+        }
+    }
+
     #[test]
     fn union_is_left_biased_on_meta(rows in 1usize..16) {
         let mut a = batch(rows, 1, 1);
@@ -136,6 +189,28 @@ proptest! {
             let (x, _) = chunks[victim].f32("x").unwrap();
             prop_assert!(x.iter().all(|&v| v == -1.0));
         }
+    }
+
+    // The same for metadata, which chunks share copy-on-write: a write
+    // to one chunk's map copies it and leaves the siblings and the
+    // original batch with the shared one.
+    #[test]
+    fn cow_meta_never_aliases_across_chunks(
+        rows in 2usize..48, n in 2usize..8, victim in 0usize..8, seed in any::<u64>(),
+    ) {
+        let mut d = batch(rows, 1, seed);
+        d.meta.insert("k".into(), "shared".into());
+        let mut chunks = d.chunk(n);
+        let victim = victim % chunks.len();
+        chunks[victim].meta.insert("k".into(), "mine".into());
+        chunks[victim].meta.insert("new".into(), seed.to_string());
+        for (i, c) in chunks.iter().enumerate() {
+            let want = if i == victim { "mine" } else { "shared" };
+            prop_assert_eq!(c.meta.get("k").map(String::as_str), Some(want), "chunk {}", i);
+            prop_assert_eq!(c.meta.contains_key("new"), i == victim, "chunk {}", i);
+        }
+        prop_assert_eq!(d.meta.len(), 1);
+        prop_assert_eq!(d.meta.get("k").map(String::as_str), Some("shared"));
     }
 
     // The round-trip every dispatch protocol performs must be a pure

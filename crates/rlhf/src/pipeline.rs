@@ -31,7 +31,7 @@
 //! is bit-identical across executions (the tier-1 determinism tests pin
 //! both).
 
-use hf_core::{Controller, CoreError, DataProto, DpFuture, Result, ROW_OFFSET_META};
+use hf_core::{Controller, CoreError, DataProto, DpFuture, Result};
 
 use crate::algo::{IterStats, RlhfSystem};
 use crate::stage::{
@@ -244,9 +244,10 @@ impl PipelinedPpo {
             returns.extend_from_slice(&s.gae.1);
         }
         insert_gae(&mut batch, advantages, returns, rw);
-        for key in [PIPELINE_META, GEN_ROUND_META, ROW_OFFSET_META] {
+        for key in [PIPELINE_META, GEN_ROUND_META] {
             batch.meta.remove(key);
         }
+        batch.set_row_offset(None);
 
         // Phase 6: resolve whichever training completes this step.
         let result = if self.cfg.staleness == 0 {
@@ -299,7 +300,7 @@ impl PipelinedPpo {
         let mut chunks = prompts.chunk(n);
         let mut row0 = 0usize;
         for c in chunks.iter_mut() {
-            c.meta.insert(ROW_OFFSET_META.into(), row0.to_string());
+            c.set_row_offset(Some(row0));
             c.meta.insert(GEN_ROUND_META.into(), self.round.to_string());
             c.meta.insert(PIPELINE_META.into(), "1".into());
             row0 += c.rows();

@@ -11,7 +11,7 @@
 //!
 //! Determinism and layout invariance: each task's sandbox seed derives
 //! from its *global* batch row (stamped by the transfer protocol as
-//! [`hf_core::ROW_OFFSET_META`]) and the response content, never from
+//! [`DataProto::row_offset`]) and the response content, never from
 //! the rank or chunk shape. Scores are pure functions of
 //! `(prompt, response)`, and the pool's virtual-time cost draws are a
 //! pure function of `(pool seed, task seed, attempt)` — so any
@@ -86,8 +86,7 @@ impl Worker for RewardEvaluatorWorker {
         // True per-sequence lengths (generation pads to a fixed width);
         // verifiers judge what the policy actually emitted.
         let lens: Option<&[f32]> = data.f32("response_len").ok().map(|(v, _)| v);
-        let row0: usize =
-            data.meta.get(hf_core::ROW_OFFSET_META).and_then(|s| s.parse().ok()).unwrap_or(0);
+        let row0 = data.row_offset().unwrap_or(0);
 
         let items: Vec<EvalItem> = (0..rows)
             .map(|r| {

@@ -724,8 +724,7 @@ impl ActorWorker {
         // same prompt different seeds under different `d`/micro-DP
         // chunkings, a cross-layout generation divergence the hf-audit
         // differential oracle caught.
-        let row0: usize =
-            data.meta.get(hf_core::ROW_OFFSET_META).and_then(|s| s.parse().ok()).unwrap_or(0);
+        let row0 = data.row_offset().unwrap_or(0);
         let reqs: Vec<GenRequest> = prompts
             .iter()
             .enumerate()

@@ -218,6 +218,10 @@ impl CommGroup {
         assert!(st.slots[rank].is_none(), "rank {rank} deposited twice in one round");
         st.slots[rank] = Some(Box::new(value));
         st.arrived += 1;
+        // Whether this member moved the round on (folded it or drained
+        // it). The waiters are woken only once the lock is dropped: each
+        // one's first act is to re-take it.
+        let mut wake = false;
         if st.arrived == n {
             let vals: Vec<T> = st
                 .slots
@@ -236,7 +240,7 @@ impl CommGroup {
                 Ok(folded) => {
                     st.result = Some(Arc::new(folded));
                     st.phase = Phase::Draining;
-                    inner.cv.notify_all();
+                    wake = true;
                 }
                 Err(payload) => {
                     let msg = panic_message(&*payload);
@@ -263,9 +267,12 @@ impl CommGroup {
             st.arrived = 0;
             st.departed = 0;
             st.result = None;
-            inner.cv.notify_all();
+            wake = true;
         }
         drop(st);
+        if wake {
+            inner.cv.notify_all();
+        }
         arc.downcast::<R>().expect("all members of a round must fold to the same type")
     }
 
@@ -277,6 +284,7 @@ impl CommGroup {
         let mut st = inner.state.lock();
         abort_if_poisoned(&st);
         st.p2p[src * n + dst].push_back(msg);
+        drop(st);
         inner.cv.notify_all();
     }
 

@@ -21,6 +21,16 @@
 //! The workspace `clippy.toml` disallows `std::sync::{Mutex, Condvar,
 //! RwLock, Barrier}` and `std::sync::mpsc::{channel, sync_channel}`
 //! everywhere else.
+//!
+//! One rule for callers: **notify after releasing the lock a woken
+//! thread needs.** Change the state under the lock, drop the guard, then
+//! `notify_*`. A woken waiter's first act is to re-take that lock; on a
+//! single CPU it would otherwise preempt the notifier and block on it at
+//! once, two context switches for nothing. No wake can be missed this
+//! way, because every waiter re-checks its predicate under the lock
+//! before it parks again. [`channel`]'s `send`, the collective
+//! rendezvous and the reply slots follow it; the cold poison paths,
+//! which unwind right after, need not.
 
 // The wrappers below are the one place the disallowed types are used.
 #![allow(clippy::disallowed_types)]
