@@ -14,8 +14,9 @@ use std::collections::HashMap;
 
 use hf_core::{Controller, WorkerLayout};
 use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
+use hf_resilience::collect_state;
 use hf_rlhf::env::make_prompts;
-use hf_rlhf::{ppo_iteration_captured, save_checkpoint, Placement, RlhfConfig, RlhfSystem};
+use hf_rlhf::{ppo_iteration_captured, Placement, RlhfConfig, RlhfSystem};
 use hf_simcluster::{ClusterSpec, ResourcePool};
 
 use crate::config::{SweepConfig, UPDATES};
@@ -131,17 +132,13 @@ pub fn run_config(cfg: &SweepConfig) -> Result<Fingerprint, String> {
         let (logp, _) = batch.f32("logp_old").map_err(|e| e.to_string())?;
         fp.logp.extend(bits(logp));
     }
-    let ckpt = save_checkpoint(&sys).map_err(|e| format!("checkpoint failed: {e}"))?;
-    let col = |d: &hf_core::DataProto, name: &str| -> Result<Vec<u32>, String> {
-        d.f32(name).map(|(v, _)| bits(v)).map_err(|e| format!("checkpoint column {name}: {e}"))
-    };
-    fp.actor_params = col(&ckpt.actor, "params")?;
-    fp.actor_m = col(&ckpt.actor, "opt_m")?;
-    fp.actor_v = col(&ckpt.actor, "opt_v")?;
-    let critic = ckpt.critic.as_ref().ok_or("PPO checkpoint must include the critic")?;
-    fp.critic_params = col(critic, "params")?;
-    fp.critic_m = col(critic, "opt_m")?;
-    fp.critic_v = col(critic, "opt_v")?;
+    let state = |g| collect_state(g).map_err(|e| format!("checkpoint failed: {e}"));
+    let actor = state(&sys.actor)?;
+    let critic = state(sys.critic.as_ref().ok_or("PPO checkpoint must include the critic")?)?;
+    [fp.actor_params, fp.actor_m, fp.actor_v] =
+        [&actor.params, &actor.opt_m, &actor.opt_v].map(|v| bits(v));
+    [fp.critic_params, fp.critic_m, fp.critic_v] =
+        [&critic.params, &critic.opt_m, &critic.opt_v].map(|v| bits(v));
     let _ = ctrl.shutdown();
     Ok(fp)
 }

@@ -15,12 +15,12 @@
 //!   heartbeat probing of device threads, and recovery bookkeeping
 //!   (MTTR, virtual time lost to rollback) exported through
 //!   `resilience.*` telemetry.
-//! * [`checkpoint`] — sharded, atomic checkpoint/restore: each rank
-//!   snapshots its (p,t,d)- or ZeRO-aware parameter shard plus Adam
-//!   moments and RNG round via the `save_shard` worker method; shards
-//!   are written tmp+rename with an FNV-1a content-hash manifest and a
-//!   final `COMMIT` marker, then reassembled and broadcast into a
-//!   freshly spawned worker group on restore.
+//! * [`checkpoint`] — sharded, atomic checkpoint/restore and its codecs:
+//!   each rank answers `save_shard` with its (p,t,d)- or ZeRO-aware shard
+//!   of parameters, Adam moments and RNG round; shards are written
+//!   tmp+rename with an FNV-1a content-hash manifest and a final
+//!   `COMMIT` marker, then reassembled and broadcast into a freshly
+//!   spawned worker group through `load_checkpoint` on restore.
 //!
 //! The recoverable training outer loop that ties these together lives
 //! in `hf-rlhf` (`remap_recoverable`), which checkpoints every N
@@ -36,6 +36,9 @@ pub mod checkpoint;
 pub mod detect;
 pub mod fault;
 
-pub use checkpoint::{AssembledState, CheckpointStore, GroupSaveReport, SAVE_SHARD_METHOD};
+pub use checkpoint::{
+    collect_state, decode_shards, encode_shard, shard_range, AssembledState, CheckpointStore,
+    GroupSaveReport, Shard, ShardHeader, SAVE_SHARD_METHOD,
+};
 pub use detect::{classify, probe_cluster, ClusterHealth, FailureKind, RecoveryStats};
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultSpec, FaultTrigger};

@@ -12,6 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use hf_core::{Controller, CoreError, DataProto, Protocol, Result, WorkerGroup, WorkerLayout};
 use hf_nn::LmConfig;
+use hf_resilience::collect_state;
 use hf_rewards::{PoolConfig, VerifierKind, VerifierSpec};
 use hf_simcluster::ResourcePool;
 
@@ -306,13 +307,11 @@ impl RlhfSystem {
             .register("compute_log_prob", Protocol::ThreeD)
             .register("compute_loss", Protocol::ThreeD)
             .register("update_actor", Protocol::ThreeD)
-            .register("save_checkpoint", Protocol::OneToOne)
             .register("save_shard", Protocol::AllToAll)
             .register("load_checkpoint", Protocol::OneToAll);
         if let Some(c) = &self.critic {
             c.register("compute_values", Protocol::ThreeD)
                 .register("update_critic", Protocol::ThreeD)
-                .register("save_checkpoint", Protocol::OneToOne)
                 .register("save_shard", Protocol::AllToAll)
                 .register("load_checkpoint", Protocol::OneToAll);
         }
@@ -336,25 +335,25 @@ impl RlhfSystem {
 
 /// A consistent checkpoint of the trainable models' states (paper §9:
 /// "saving of model states within each ParallelWorker Group ... to
-/// ensure system-wide consistency"). Parameter buffers carry FNV
-/// checksums; restoring a corrupted checkpoint fails loudly.
+/// ensure system-wide consistency"). Each field is a group's state as its
+/// `load_checkpoint` input, under an FNV checksum: restoring a corrupted
+/// checkpoint fails loudly.
 #[derive(Debug, Clone)]
 pub struct SystemCheckpoint {
-    /// Actor weights + RNG round.
+    /// Actor state.
     pub actor: DataProto,
-    /// Critic weights (when a critic exists).
+    /// Critic state (when a critic exists).
     pub critic: Option<DataProto>,
 }
 
-/// Saves a consistent checkpoint of actor (and critic) states through
-/// the single controller's RPC path (`ONE_TO_ONE` collect).
+/// Saves a consistent checkpoint of actor (and critic) states in memory:
+/// one `save_shard` call a group, assembled by [`collect_state`].
 pub fn save_checkpoint(sys: &RlhfSystem) -> Result<SystemCheckpoint> {
-    let actor = sys.actor.invoke_sync("save_checkpoint", &DataProto::empty())?;
-    let critic = match &sys.critic {
-        Some(c) => Some(c.invoke_sync("save_checkpoint", &DataProto::empty())?),
-        None => None,
-    };
-    Ok(SystemCheckpoint { actor, critic })
+    let state = |g| collect_state(g).map(|st| st.to_load_input());
+    Ok(SystemCheckpoint {
+        actor: state(&sys.actor)?,
+        critic: sys.critic.as_ref().map(state).transpose()?,
+    })
 }
 
 /// Restores a checkpoint onto every rank (`ONE_TO_ALL` broadcast),

@@ -35,6 +35,7 @@ use hf_genserve::{GenConfig, GenRequest, GenServer};
 use hf_nn::{stacks, Adam, LmConfig, ShardedLm, StageOutput, Tensor, TinyLm};
 use hf_parallel::shard::train_shard;
 use hf_parallel::ShardLayout;
+use hf_resilience::{encode_shard, shard_range, AssembledState, ShardHeader};
 use hf_simcluster::{SumPart, TreeSum};
 
 /// Hyper-parameters the workers need.
@@ -120,19 +121,6 @@ fn splitmix(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
     x ^ (x >> 31)
-}
-
-/// FNV-1a over the bit pattern of a parameter buffer — the §9
-/// silent-data-corruption guard on checkpoints.
-pub(crate) fn param_checksum(params: &[f32]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for p in params {
-        for b in p.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
 }
 
 /// The rows of token column `name`, every id checked against the
@@ -475,51 +463,26 @@ fn metrics(values: &[(&str, f32)]) -> DataProto {
     out
 }
 
-/// Builds one rank's `save_shard` reply for *replicated* state: the
+/// One rank's `save_shard` reply for *replicated* state: the
 /// model-parallel group tiles the flat vector (`mp_pos = p_idx·t +
-/// t_idx`), every data-parallel replica holds the same bytes, so only
-/// the `d_idx == 0` replica marks its row as an owner shard. Row widths
-/// are padded uniform so the ALL_TO_ALL concat aligns; `shard_meta` is
-/// `[rank, start, len, owner, total, gen_round, opt_t]` (all values
-/// < 2^24, exact in f32).
-pub(crate) fn shard_reply(
-    ctx: &RankCtx,
-    params: &[f32],
-    m: &[f32],
-    v: &[f32],
-    gen_round: u64,
-    opt_t: u64,
-) -> DataProto {
+/// t_idx`) and every data-parallel replica holds the same bytes, so only
+/// the `d_idx == 0` replica owns its slice.
+fn shard_reply(ctx: &RankCtx, params: &[f32], opt: &Adam, gen_round: u64) -> Result<DataProto> {
+    let (m, v, opt_t) = opt.state();
     let tc = ctx.coords();
     let spec = &ctx.layout.spec;
-    let mp = spec.mp();
-    let mp_pos = tc.p_idx * spec.t + tc.t_idx;
     let total = params.len();
-    let padded = total.div_ceil(mp);
-    let start = (mp_pos * padded).min(total);
-    let end = ((mp_pos + 1) * padded).min(total);
-    let len = end - start;
-    let owner = tc.d_idx == 0;
-    let mut out = DataProto::with_rows(1);
-    for (name, src) in [("shard_params", params), ("shard_m", m), ("shard_v", v)] {
-        let mut row = src[start..end].to_vec();
-        row.resize(padded, 0.0);
-        out.insert_f32(name, row, padded);
-    }
-    out.insert_f32(
-        "shard_meta",
-        vec![
-            ctx.rank as f32,
-            start as f32,
-            len as f32,
-            if owner { 1.0 } else { 0.0 },
-            total as f32,
-            gen_round as f32,
-            opt_t as f32,
-        ],
-        7,
-    );
-    out
+    let (range, padded) = shard_range(total, tc.p_idx * spec.t + tc.t_idx, spec.mp());
+    let head = ShardHeader {
+        rank: ctx.rank,
+        start: range.start,
+        len: range.len(),
+        owner: tc.d_idx == 0,
+        total,
+        gen_round,
+        opt_t,
+    };
+    encode_shard(head, padded, [params, m, v].map(|x| &x[range.clone()]))
 }
 
 /// The actor model class: generation, log-probs, pre-train loss, PPO
@@ -577,6 +540,16 @@ impl ActorWorker {
     /// own `save_shard` reply).
     pub(crate) fn gen_round(&self) -> u64 {
         self.gen_round
+    }
+
+    /// Installs a restored state, Adam included. The restored sampler
+    /// round was spent by no pass this rank ran.
+    pub(crate) fn load_state(&mut self, st: &AssembledState) {
+        self.lm.flat_mut().copy_from_slice(&st.params);
+        self.opt.load_state(&st.opt_m, &st.opt_v, st.opt_t);
+        self.gen_round = st.gen_round;
+        self.gen_pass = None;
+        self.weights_dirty = true;
     }
 
     /// Runs the 3D-HybridEngine train→generation transition for real:
@@ -1031,50 +1004,9 @@ impl Worker for ActorWorker {
             "compute_log_prob" => self.compute_log_prob(data, ctx),
             "compute_loss" => self.compute_loss(data, ctx),
             "update_actor" => self.update_actor(data, ctx),
-            "save_checkpoint" => Ok({
-                let mut out = DataProto::with_rows(1);
-                out.insert_f32("params", self.lm.flat().to_vec(), self.lm.flat().len());
-                // §9 fault tolerance: checksum against silent corruption,
-                // plus the RNG round so recovery reproduces sampling.
-                let (m, v, t) = self.opt.state();
-                out.insert_f32("opt_m", m.to_vec(), m.len());
-                out.insert_f32("opt_v", v.to_vec(), v.len());
-                out.meta
-                    .insert("checksum".into(), format!("{:016x}", param_checksum(self.lm.flat())));
-                out.meta.insert("gen_round".into(), self.gen_round.to_string());
-                out.meta.insert("opt_t".into(), t.to_string());
-                out
-            }),
-            "save_shard" => {
-                let (m, v, t) = self.opt.state();
-                Ok(shard_reply(ctx, self.lm.flat(), m, v, self.gen_round, t))
-            }
+            "save_shard" => shard_reply(ctx, self.lm.flat(), &self.opt, self.gen_round),
             "load_checkpoint" => {
-                let (params, _) = data.f32("params")?;
-                if params.len() != self.lm.flat().len() {
-                    return Err(CoreError::Data("checkpoint size mismatch".into()));
-                }
-                if let Some(expect) = data.meta.get("checksum") {
-                    let got = format!("{:016x}", param_checksum(params));
-                    if &got != expect {
-                        return Err(CoreError::Data(format!(
-                            "checkpoint checksum mismatch: stored {expect}, computed {got}                              (silent data corruption)"
-                        )));
-                    }
-                }
-                if let Some(round) = data.meta.get("gen_round").and_then(|s| s.parse().ok()) {
-                    // The restored round was spent by no pass this rank ran.
-                    self.gen_round = round;
-                    self.gen_pass = None;
-                }
-                if data.has("opt_m") && data.has("opt_v") {
-                    let (m, _) = data.f32("opt_m")?;
-                    let (v, _) = data.f32("opt_v")?;
-                    let t = data.meta.get("opt_t").and_then(|s| s.parse().ok()).unwrap_or(0);
-                    self.opt.load_state(m, v, t);
-                }
-                self.lm.flat_mut().copy_from_slice(params);
-                self.weights_dirty = true;
+                self.load_state(&AssembledState::from_load_input(&data, self.lm.flat().len())?);
                 Ok(DataProto::empty())
             }
             other => Err(CoreError::Worker(format!("actor has no method {other}"))),
@@ -1169,41 +1101,11 @@ impl Worker for CriticWorker {
         match method {
             "compute_values" => self.compute_values(data, ctx),
             "update_critic" => self.update_critic(data, ctx),
-            "save_checkpoint" => Ok({
-                let mut out = DataProto::with_rows(1);
-                out.insert_f32("params", self.lm.flat().to_vec(), self.lm.flat().len());
-                let (m, v, t) = self.opt.state();
-                out.insert_f32("opt_m", m.to_vec(), m.len());
-                out.insert_f32("opt_v", v.to_vec(), v.len());
-                out.meta
-                    .insert("checksum".into(), format!("{:016x}", param_checksum(self.lm.flat())));
-                out.meta.insert("opt_t".into(), t.to_string());
-                out
-            }),
-            "save_shard" => {
-                let (m, v, t) = self.opt.state();
-                Ok(shard_reply(ctx, self.lm.flat(), m, v, 0, t))
-            }
+            "save_shard" => shard_reply(ctx, self.lm.flat(), &self.opt, 0),
             "load_checkpoint" => {
-                let (params, _) = data.f32("params")?;
-                if params.len() != self.lm.flat().len() {
-                    return Err(CoreError::Data("checkpoint size mismatch".into()));
-                }
-                if let Some(expect) = data.meta.get("checksum") {
-                    let got = format!("{:016x}", param_checksum(params));
-                    if &got != expect {
-                        return Err(CoreError::Data(
-                            "checkpoint checksum mismatch (silent data corruption)".into(),
-                        ));
-                    }
-                }
-                if data.has("opt_m") && data.has("opt_v") {
-                    let (m, _) = data.f32("opt_m")?;
-                    let (v, _) = data.f32("opt_v")?;
-                    let t = data.meta.get("opt_t").and_then(|s| s.parse().ok()).unwrap_or(0);
-                    self.opt.load_state(m, v, t);
-                }
-                self.lm.flat_mut().copy_from_slice(params);
+                let st = AssembledState::from_load_input(&data, self.lm.flat().len())?;
+                self.lm.flat_mut().copy_from_slice(&st.params);
+                self.opt.load_state(&st.opt_m, &st.opt_v, st.opt_t);
                 Ok(DataProto::empty())
             }
             other => Err(CoreError::Worker(format!("critic has no method {other}"))),

@@ -11,6 +11,7 @@
 
 use hf_core::{CoreError, DataProto, RankCtx, Result, Worker};
 use hf_nn::{Adam, LmConfig};
+use hf_resilience::{encode_shard, shard_range, AssembledState, ShardHeader};
 use hf_simcluster::{Communicator, SumPart, VirtualClock};
 
 use crate::workers::{ActorWorker, GradOnly, WorkerHyper};
@@ -36,10 +37,9 @@ impl ZeroParamStore {
     pub fn new(full: &[f32], rank: usize, world: usize, lr: f32) -> Self {
         assert!(rank < world && !full.is_empty());
         let total = full.len();
-        let padded = total.div_ceil(world);
-        let start = (rank * padded).min(total);
-        let end = ((rank + 1) * padded).min(total);
-        let mut shard = full[start..end].to_vec();
+        let (range, padded) = shard_range(total, rank, world);
+        let start = range.start;
+        let mut shard = full[range].to_vec();
         shard.resize(padded, 0.0);
         ZeroParamStore { opt: Adam::new(padded, lr), shard, start, total, rank, padded }
     }
@@ -200,82 +200,40 @@ impl Worker for ZeroActorWorker {
                 ctx.clock = clock;
                 Ok(m)
             }
-            // Full checkpoint: the shard-local Adam is the optimizer
-            // actually stepped, so its moments must be all-gathered into
-            // the checkpoint. Delegating to the inner worker here would
-            // save the inner (never-stepped) Adam — all zeros — and a
-            // restore would silently reset the optimizer. The hf-audit
-            // differential oracle caught exactly that divergence.
-            "save_checkpoint" => {
-                let store = self.store.as_ref().expect("store initialized");
-                let (m_sh, v_sh, t) = store.opt_state();
-                let total = store.total();
-                let mut clock = ctx.clock;
-                let mut m_full = ctx.comms.world.all_gather(&mut clock, m_sh);
-                let mut v_full = ctx.comms.world.all_gather(&mut clock, v_sh);
-                ctx.clock = clock;
-                m_full.truncate(total);
-                v_full.truncate(total);
-                let mut out = self.inner.execute("save_checkpoint", data, ctx)?;
-                out.insert_f32("opt_m", m_full, total);
-                out.insert_f32("opt_v", v_full, total);
-                out.meta.insert("opt_t".into(), t.to_string());
-                Ok(out)
-            }
             // ZeRO-aware sharded checkpoint: the store *is* the shard,
-            // and the shard-local Adam (the one actually stepped) is the
-            // optimizer state worth saving — every rank owns its slice.
+            // and the shard-local Adam (the one actually stepped, not the
+            // inner worker's) is the optimizer state worth saving — every
+            // rank owns its slice.
             "save_shard" => {
                 let store = self.store.as_ref().expect("store initialized");
-                let (m, v, t) = store.opt_state();
+                let (m, v, opt_t) = store.opt_state();
                 let range = store.range();
-                let padded = store.shard().len();
-                let mut out = DataProto::with_rows(1);
-                out.insert_f32("shard_params", store.shard().to_vec(), padded);
-                out.insert_f32("shard_m", m.to_vec(), padded);
-                out.insert_f32("shard_v", v.to_vec(), padded);
-                out.insert_f32(
-                    "shard_meta",
-                    vec![
-                        ctx.rank as f32,
-                        range.start as f32,
-                        range.len() as f32,
-                        1.0,
-                        store.total() as f32,
-                        self.inner.gen_round() as f32,
-                        t as f32,
-                    ],
-                    7,
-                );
-                Ok(out)
+                let len = range.len();
+                let head = ShardHeader {
+                    rank: ctx.rank,
+                    start: range.start,
+                    len,
+                    owner: true,
+                    total: store.total(),
+                    gen_round: self.inner.gen_round(),
+                    opt_t,
+                };
+                encode_shard(head, store.shard().len(), [store.shard(), m, v].map(|x| &x[..len]))
             }
             "load_checkpoint" => {
-                let opt_state = if data.has("opt_m") && data.has("opt_v") {
-                    let (m, _) = data.f32("opt_m")?;
-                    let (v, _) = data.f32("opt_v")?;
-                    let t = data.meta.get("opt_t").and_then(|s| s.parse().ok()).unwrap_or(0);
-                    Some((m.to_vec(), v.to_vec(), t))
-                } else {
-                    None
-                };
-                let reply = self.inner.execute("load_checkpoint", data, ctx)?;
+                let st = AssembledState::from_load_input(&data, full.len())?;
+                self.inner.load_state(&st);
                 // Rebuild the shard store from the restored weights:
                 // without this, the next pass's gather would overwrite
                 // the restored parameters with the stale pre-restore
                 // shards. The shard-local Adam — the one `update_actor`
                 // actually steps — is restored from the full moments.
-                let full = self.inner.lm().flat().to_vec();
-                let mut store = ZeroParamStore::new(
-                    &full,
-                    ctx.comms.world.rank(),
-                    ctx.comms.world.size(),
-                    self.lr,
-                );
-                if let Some((m, v, t)) = opt_state {
-                    store.load_opt_from_full(&m, &v, t);
-                }
+                let world = &ctx.comms.world;
+                let mut store =
+                    ZeroParamStore::new(&st.params, world.rank(), world.size(), self.lr);
+                store.load_opt_from_full(&st.opt_m, &st.opt_v, st.opt_t);
                 self.store = Some(store);
-                Ok(reply)
+                Ok(DataProto::empty())
             }
             other => self.inner.execute(other, data, ctx),
         }

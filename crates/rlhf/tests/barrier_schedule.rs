@@ -10,11 +10,9 @@ mod common;
 use std::sync::Arc;
 
 use common::controller_4gpu;
-use hf_core::{
-    CallPolicy, Controller, CoreError, DataProto, Protocol, TimelineEntry, WorkerLayout,
-};
+use hf_core::{CallPolicy, Controller, CoreError, DataProto, TimelineEntry, WorkerLayout};
 use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
-use hf_resilience::{FaultInjector, FaultPlan, FaultTrigger};
+use hf_resilience::{collect_state, decode_shards, FaultInjector, FaultPlan, FaultTrigger};
 use hf_rlhf::env::make_prompts;
 use hf_rlhf::{grpo_iteration, ppo_iteration_captured, Placement, RlhfConfig, RlhfSystem};
 use hf_simcluster::ResourcePool;
@@ -149,21 +147,18 @@ fn a_late_reference_pass_does_not_delay_the_verifier() {
 fn weights(sys: &RlhfSystem) -> Vec<u32> {
     let mut bits = Vec::new();
     for group in std::iter::once(&sys.actor).chain(&sys.critic) {
-        let ck =
-            group.call_sync("save_checkpoint", &DataProto::empty(), Protocol::OneToOne).unwrap();
-        for col in ["params", "opt_m", "opt_v"] {
-            bits.extend(ck.f32(col).unwrap().0.iter().map(|x| x.to_bits()));
+        let st = collect_state(group).unwrap();
+        for v in [&st.params, &st.opt_m, &st.opt_v] {
+            bits.extend(v.iter().map(|x| x.to_bits()));
         }
     }
     bits
 }
 
-/// Every actor rank's sampler round, read off its `save_shard` reply
-/// (`shard_meta[5]`).
-fn gen_rounds(sys: &RlhfSystem) -> Vec<f32> {
+/// Every actor rank's sampler round, read off its `save_shard` reply.
+fn gen_rounds(sys: &RlhfSystem) -> Vec<u64> {
     let shards = sys.actor.invoke_sync("save_shard", &DataProto::empty()).unwrap();
-    let (meta, w) = shards.f32("shard_meta").unwrap();
-    meta.chunks(w).map(|row| row[5]).collect()
+    decode_shards(&shards).unwrap().iter().map(|s| s.head.gen_round).collect()
 }
 
 struct Run {
@@ -171,7 +166,7 @@ struct Run {
     weights: Vec<u32>,
     retries: u64,
     clock: f64,
-    gen_rounds: Vec<f32>,
+    gen_rounds: Vec<u64>,
 }
 
 /// Two PPO iterations; rank 2's first RPC of `drop` is dropped when one

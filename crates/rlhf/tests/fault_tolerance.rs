@@ -3,11 +3,13 @@
 //! exact recovery — a restored system reproduces the original learning
 //! trajectory bit-for-bit (parameters *and* RNG state are saved).
 
-use hf_core::{Controller, Protocol, WorkerLayout};
+use hf_core::{Controller, CoreError, Protocol, WorkerLayout};
 use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
+use hf_resilience::{collect_state, AssembledState, CheckpointStore};
 use hf_rlhf::env::make_prompts;
 use hf_rlhf::{
-    ppo_iteration, restore_checkpoint, save_checkpoint, Placement, RlhfConfig, RlhfSystem,
+    ppo_iteration, restore_checkpoint, restore_system_checkpoint, save_checkpoint,
+    save_system_checkpoint, Placement, RlhfConfig, RlhfSystem,
 };
 use hf_simcluster::{ClusterSpec, ResourcePool};
 
@@ -62,17 +64,43 @@ fn checksum_detects_silent_corruption() {
     let err = restore_checkpoint(&sys, &ckpt);
     assert!(err.is_err(), "corruption must be detected");
     let msg = format!("{}", err.unwrap_err());
-    assert!(msg.contains("checksum"), "{msg}");
+    assert!(msg.contains("checksum mismatch"), "{msg}");
 }
 
 #[test]
 fn checkpoint_includes_critic_when_present() {
-    let (_ctrl, sys, _cfg) = system();
+    let (_ctrl, sys, cfg) = system();
     let ckpt = save_checkpoint(&sys).unwrap();
-    assert!(ckpt.critic.is_some());
-    assert!(ckpt.actor.meta.contains_key("checksum"));
-    assert!(ckpt.actor.meta.contains_key("gen_round"));
-    assert!(ckpt.critic.as_ref().unwrap().meta.contains_key("checksum"));
+    let n = cfg.lm.param_count();
+    let critic = ckpt.critic.as_ref().expect("the critic is saved");
+    for (part, group) in [(&ckpt.actor, &sys.actor), (critic, sys.critic.as_ref().unwrap())] {
+        let decoded = AssembledState::from_load_input(part, n).unwrap();
+        assert_eq!(decoded, collect_state(group).unwrap(), "{}", group.name());
+    }
+}
+
+#[test]
+fn an_interrupted_system_save_is_refused_whole() {
+    // Step 2's actor shards landed and its critic save did not, so the
+    // step never committed: restoring it must fail before either group is
+    // touched — not restore the actor and then fail on the critic.
+    let (ctrl, sys, cfg) = system();
+    let prompts =
+        |i: u64| make_prompts(8, cfg.prompt_len, cfg.response_len, cfg.lm.vocab as u32, i);
+    let dir = std::env::temp_dir().join(format!("hf-interrupted-save-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = CheckpointStore::new(&dir).unwrap();
+    save_system_checkpoint(&store, &sys, &ctrl, 1).unwrap();
+    ppo_iteration(&sys, &ctrl, &prompts(0)).unwrap();
+    store.save_group(&sys.actor, 2).unwrap();
+    ppo_iteration(&sys, &ctrl, &prompts(1)).unwrap();
+
+    let live = collect_state(&sys.actor).unwrap();
+    let err = restore_system_checkpoint(&store, &sys, 2).unwrap_err();
+    assert!(matches!(&err, CoreError::Data(m) if m.contains("not committed")), "{err:?}");
+    assert_eq!(collect_state(&sys.actor).unwrap(), live, "the actor was left alone");
+    restore_system_checkpoint(&store, &sys, 1).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

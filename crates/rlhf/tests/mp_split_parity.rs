@@ -7,8 +7,9 @@
 //! changes to *how* a pass runs are held to the same digests: what the
 //! workers compute stays put; only a clock may move, and says why.
 
-use hf_core::{Controller, DataProto, Protocol, WorkerGroup, WorkerLayout};
+use hf_core::{Controller, DataProto, WorkerGroup, WorkerLayout};
 use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
+use hf_resilience::collect_state;
 use hf_rlhf::env::{make_pretrain, make_prompts};
 use hf_rlhf::{
     ppo_iteration_captured, remax_iteration, safe_rlhf_iteration, IterStats, Placement, RlhfConfig,
@@ -59,12 +60,13 @@ fn system(spec: ParallelSpec, cfg: &RlhfConfig, cost: bool) -> (Controller, Rlhf
     (ctrl, sys)
 }
 
-/// Weights and both Adam moments of a trained model.
+/// Weights and both Adam moments of a trained model, assembled from its
+/// `save_shard` replies: each model-parallel slice from its owner.
 fn model_state(group: &WorkerGroup) -> Digest {
-    let ck = group.call_sync("save_checkpoint", &DataProto::empty(), Protocol::OneToOne).unwrap();
+    let st = collect_state(group).unwrap();
     let mut d = Digest::new();
-    for col in ["params", "opt_m", "opt_v"] {
-        d.f32s(ck.f32(col).unwrap().0);
+    for v in [&st.params, &st.opt_m, &st.opt_v] {
+        d.f32s(v);
     }
     d
 }

@@ -97,7 +97,7 @@ fn round_trip(
     let g = spawn_actor(&ctrl, src_zero, src_spec, 0);
     train(&g);
     store.save_group(&g, 1).unwrap();
-    store.commit(1, &["actor"]).unwrap();
+    store.commit_at(1, &["actor"], 0.0).unwrap();
     let saved = store.load_group(1, "actor").unwrap();
     drop(g);
     drop(ctrl);
@@ -109,7 +109,7 @@ fn round_trip(
     let g = spawn_actor(&ctrl, dst_zero, dst_spec, dst_offset);
     store.restore_group(&g, 1).unwrap();
     store.save_group(&g, 2).unwrap();
-    store.commit(2, &["actor"]).unwrap();
+    store.commit_at(2, &["actor"], 0.0).unwrap();
     let resaved = store.load_group(2, "actor").unwrap();
     (saved, resaved)
 }
@@ -145,7 +145,7 @@ fn zero_restore_survives_a_subsequent_gather() {
     let g = spawn_actor(&ctrl, true, spec, 0);
     train(&g);
     store.save_group(&g, 1).unwrap();
-    store.commit(1, &["actor"]).unwrap();
+    store.commit_at(1, &["actor"], 0.0).unwrap();
     let saved = store.load_group(1, "actor").unwrap();
 
     // Keep training (diverging from the checkpoint), restore, then run a
@@ -166,7 +166,7 @@ fn zero_restore_survives_a_subsequent_gather() {
     )
     .unwrap();
     store.save_group(&g, 2).unwrap();
-    store.commit(2, &["actor"]).unwrap();
+    store.commit_at(2, &["actor"], 0.0).unwrap();
     let after = store.load_group(2, "actor").unwrap();
     assert_eq!(saved.params, after.params, "gather must serve the restored weights");
     assert_eq!(saved.opt_m, after.opt_m, "shard-local Adam m must be restored");

@@ -4,10 +4,11 @@
 
 use hf_core::{Controller, CoreError, DataProto, Protocol, Worker, WorkerLayout};
 use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
+use hf_resilience::{collect_state, decode_shards, ShardHeader};
 use hf_rlhf::env::{make_pretrain, make_prompts};
 use hf_rlhf::{
-    grpo_iteration, ppo_iteration, ppo_iteration_captured, remax_iteration, safe_rlhf_iteration,
-    Placement, RlhfConfig, RlhfSystem,
+    grpo_iteration, ppo_iteration, ppo_iteration_captured, remax_iteration, restore_checkpoint,
+    safe_rlhf_iteration, save_checkpoint, Placement, RlhfConfig, RlhfSystem,
 };
 use hf_simcluster::{ClusterSpec, ResourcePool};
 
@@ -120,18 +121,23 @@ fn iteration_consumes_virtual_time() {
 #[test]
 fn dp_replicas_stay_in_lockstep() {
     // After updates on different DP chunks, gradient all-reduce must keep
-    // every rank's actor weights identical.
+    // every data-parallel replica identical: on 1-2-2 each rank's
+    // `save_shard` reply equals the owner's at its model-parallel
+    // position. (That the two positions come from one model is pinned by
+    // `mp_split_parity`'s assembled-state digests.)
     let cfg = RlhfConfig::tiny();
     let (ctrl, sys) = colocated_4gpu(&cfg, true, false);
     let prompts = make_prompts(8, cfg.prompt_len, cfg.response_len, cfg.lm.vocab as u32, 42);
     ppo_iteration(&sys, &ctrl, &prompts).unwrap();
-    // Collect the full parameter vector from every rank.
-    let all =
-        sys.actor.call_sync("save_checkpoint", &DataProto::empty(), Protocol::AllToAll).unwrap();
-    let (params, w) = all.f32("params").unwrap();
-    let first = &params[..w];
-    for r in 1..4 {
-        assert_eq!(&params[r * w..(r + 1) * w], first, "rank {r} diverged from rank 0");
+    let reply = sys.actor.invoke_sync("save_shard", &DataProto::empty()).unwrap();
+    let shards = decode_shards(&reply).unwrap();
+    assert_eq!(shards.len(), 4);
+    assert_eq!(shards.iter().filter(|s| s.head.owner).count(), 2, "one owner per slice");
+    for s in &shards {
+        let owner = shards.iter().find(|o| o.head.owner && o.head.start == s.head.start).unwrap();
+        let (rank, of) = (s.head.rank, owner.head.rank);
+        assert_eq!(s.head, ShardHeader { rank, owner: s.head.owner, ..owner.head }, "rank {rank}");
+        assert_eq!(s.state, owner.state, "rank {rank} diverged from rank {of}");
     }
 }
 
@@ -140,25 +146,16 @@ fn checkpoint_round_trip_restores_weights() {
     let cfg = RlhfConfig::tiny();
     let (ctrl, sys) = colocated_4gpu(&cfg, true, false);
     let prompts = make_prompts(8, cfg.prompt_len, cfg.response_len, cfg.lm.vocab as u32, 1);
+    let state = |sys: &RlhfSystem| {
+        [&sys.actor, sys.critic.as_ref().unwrap()].map(|g| collect_state(g).unwrap())
+    };
 
-    let ckpt =
-        sys.actor.call_sync("save_checkpoint", &DataProto::empty(), Protocol::OneToOne).unwrap();
+    let saved = state(&sys);
+    let ckpt = save_checkpoint(&sys).unwrap();
     ppo_iteration(&sys, &ctrl, &prompts).unwrap();
-    let after =
-        sys.actor.call_sync("save_checkpoint", &DataProto::empty(), Protocol::OneToOne).unwrap();
-    assert_ne!(
-        ckpt.f32("params").unwrap().0,
-        after.f32("params").unwrap().0,
-        "training must change weights"
-    );
-    // Restore and verify.
-    let mut restore = DataProto::with_rows(1);
-    let (p, w) = ckpt.f32("params").unwrap();
-    restore.insert_f32("params", p.to_vec(), w);
-    sys.actor.call_sync("load_checkpoint", &restore, Protocol::OneToAll).unwrap();
-    let restored =
-        sys.actor.call_sync("save_checkpoint", &DataProto::empty(), Protocol::OneToOne).unwrap();
-    assert_eq!(ckpt.f32("params").unwrap().0, restored.f32("params").unwrap().0);
+    assert_ne!(state(&sys), saved, "training must change weights");
+    restore_checkpoint(&sys, &ckpt).unwrap();
+    assert_eq!(state(&sys), saved, "weights, Adam state and sampler round restored");
 }
 
 #[test]

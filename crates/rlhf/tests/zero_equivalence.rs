@@ -4,9 +4,10 @@
 //! elementwise-equal to all-reduce + full Adam. Memory residency,
 //! however, must genuinely shrink to 1/world.
 
-use hf_core::{Controller, DataProto, Protocol, Worker, WorkerLayout};
+use hf_core::{Controller, Protocol, Worker, WorkerLayout};
 use hf_nn::LmConfig;
 use hf_parallel::ParallelSpec;
+use hf_resilience::collect_state;
 use hf_rlhf::env::make_prompts;
 use hf_rlhf::workers::{ActorWorker, WorkerHyper};
 use hf_rlhf::{ZeroActorWorker, ZeroParamStore};
@@ -50,18 +51,15 @@ fn run_actor_trajectory(zero: bool, iters: u64) -> Vec<f32> {
         out.push(loss.iter().sum::<f32>() / loss.len() as f32);
         assert_eq!(rows, 8);
     }
-    // Final weights fingerprint.
-    let ck = group.call_sync("save_checkpoint", &DataProto::empty(), Protocol::OneToOne).unwrap();
-    let (params, _) = ck.f32("params").unwrap();
-    out.push(params.iter().map(|p| p.abs()).sum::<f32>());
+    // Final weights fingerprint, assembled from the `save_shard` replies.
+    let st = collect_state(&group).unwrap();
+    out.push(st.params.iter().map(|p| p.abs()).sum::<f32>());
     // Optimizer-state fingerprint: the checkpoint must carry the Adam
-    // moments that were actually stepped. The ZeRO actor used to
-    // delegate `save_checkpoint` to its inner (never-stepped) worker and
-    // emit all-zero moments — a restore then silently reset Adam.
-    let (m, _) = ck.f32("opt_m").unwrap();
-    let (v, _) = ck.f32("opt_v").unwrap();
-    out.push(m.iter().map(|x| x.abs()).sum::<f32>());
-    out.push(v.iter().map(|x| x.abs()).sum::<f32>());
+    // moments that were actually stepped. The ZeRO actor's retired
+    // full-state save once delegated to its inner (never-stepped) worker
+    // and emitted all-zero moments — a restore then silently reset Adam.
+    out.push(st.opt_m.iter().map(|x| x.abs()).sum::<f32>());
+    out.push(st.opt_v.iter().map(|x| x.abs()).sum::<f32>());
     out
 }
 
