@@ -222,7 +222,9 @@ fn tp_joins_per_chunk(cfg: LmConfig, rows: usize) -> u64 {
 /// What a forward-only pass costs on `LmConfig::tiny()`: building the
 /// tape's forward (`forward_stacked`, what `log_probs` / `values` paid
 /// until they left the tape) beside the tape-free `values_stacked` and
-/// `log_probs_stacked`, one sequence of `T` fed tokens a call. Exact
+/// `log_probs_stacked`, one sequence of `T` fed tokens a call — and what
+/// a training step's pass costs: the tape's forward, a PPO-shaped loss on
+/// its next-token log-probs and `backward_into` a reused buffer. Exact
 /// beside the timings: whether the two paths agree bit for bit, and the
 /// TP all-reduces a `tp_inference` pass makes for an 8-row chunk on 1-2-2
 /// — `layers`, where a pass per row made `8 × layers`.
@@ -245,6 +247,7 @@ pub fn inference_forward(fast: bool) -> Report {
         vec![
             label("T"),
             col("tape forward", "us", 1),
+            col("tape fwd+bwd", "us", 1),
             col("values_stacked", "us", 1),
             col("log_probs_stacked", "us", 1),
             col("tape / values", "x", 2),
@@ -257,22 +260,33 @@ pub fn inference_forward(fast: bool) -> Report {
         // `T + 1` tokens, so that the log-prob pass feeds `T` as well.
         let seq: Vec<usize> = (0..=t).map(|i| (i * 7 + 3) % cfg.vocab).collect();
         let fed = &seq[..t];
+        // Ratios on both sides of the clip range (the model's own
+        // log-probs sit near −ln 32), advantages of both signs.
+        let old_logp: Vec<f32> = (0..t).map(|i| -3.8 + 0.1 * (i % 7) as f32).collect();
+        let adv: Vec<f32> = (0..t).map(|i| if i % 3 == 0 { -0.5 } else { 0.7 }).collect();
+        let mut grads = vec![Vec::new()];
         // Each path runs `BATCH` calls back to back — its own steady
         // state, not the cache the other left behind — and the paths take
         // turns by the batch, so drift in the host's speed falls on all
         // of them alike.
-        let mut times = [Vec::new(), Vec::new(), Vec::new()];
+        let mut times = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
         for _ in 0..batches {
-            let mut timed = |slot: usize, call: &dyn Fn()| {
+            let mut timed = |slot: usize, call: &mut dyn FnMut()| {
                 let t0 = Instant::now();
                 (0..BATCH).for_each(|_| call());
                 times[slot].push(t0.elapsed().as_secs_f64() / BATCH as f64);
             };
-            timed(0, &|| drop(black_box(lm.forward_stacked(&[fed]))));
-            timed(1, &|| drop(black_box(lm.values_stacked(&[fed]))));
-            timed(2, &|| drop(black_box(lm.log_probs_stacked(&[&seq]))));
+            timed(0, &mut || drop(black_box(lm.forward_stacked(&[fed]))));
+            timed(1, &mut || {
+                let mut fp = lm.forward_stacked(&[fed]);
+                let lp = fp.tape.gather_log_prob(fp.logits, &seq[1..]);
+                let loss = fp.tape.ppo_clip_loss(lp, &old_logp, &adv, 0.2);
+                fp.backward_into(loss, black_box(&mut grads));
+            });
+            timed(2, &mut || drop(black_box(lm.values_stacked(&[fed]))));
+            timed(3, &mut || drop(black_box(lm.log_probs_stacked(&[&seq]))));
         }
-        let [tape_s, values_s, logps_s] = times.map(median);
+        let [tape_s, train_s, values_s, logps_s] = times.map(median);
         let (fp, values, logps) =
             (lm.forward_stacked(&[fed]), lm.values_stacked(&[fed]), lm.log_probs_stacked(&[&seq]));
         let (lp_pass, lp) = lm.next_token_log_probs(&[&seq]);
@@ -285,6 +299,7 @@ pub fn inference_forward(fast: bool) -> Report {
         table.push(vec![
             t.into(),
             (tape_s * 1e6).into(),
+            (train_s * 1e6).into(),
             (values_s * 1e6).into(),
             (logps_s * 1e6).into(),
             (tape_s / values_s).into(),

@@ -1,6 +1,7 @@
-//! The one GEMM microkernel under `Tensor::matmul_{nt,nn,tn}` (so the
-//! tape's forward and backward and `ShardedLm::forward_stage`) and the
-//! batched decoder.
+//! The one GEMM microkernel under every product in hf-nn: the tape's
+//! forward and backward, the stage forward (`ShardedLm::forward_stage`,
+//! `TinyLm::log_probs_stacked`), the batched decoder, and
+//! `Tensor::matmul_{nt,nn,tn}`, which convert around it.
 //!
 //! Contract (DESIGN.md §2, "kernel contract"): every output element is
 //! the sum of its terms in ascending `k`, starting from `0.0`, each term
@@ -8,25 +9,31 @@
 //! results are bit-identical to them. Speed comes only from sharing a
 //! vector between *independent* outputs: [`LANES`] values of the lane
 //! dimension (rows of `x`/`g`, columns of `g` for `gᵀ·x`, sequences of a
-//! decode batch) are packed into `[k][LANES]` panels and [`NC`] output
-//! columns are accumulated at once in registers. There is no FMA, no
-//! `mul_add` and no target feature that changes a rounding (a fused
-//! multiply-add rounds once where the reference rounds twice). The
-//! vector width may follow the host, because lanes are independent
-//! outputs: [`panel_product`] runs an `avx2` instantiation of the same
-//! body where the CPU has it — the one `unsafe` block in hf-nn, guarded
-//! by `is_x86_feature_detected!("avx2")` — and the baseline one
-//! elsewhere. `avx2` is the only feature ever enabled. The sums of lanes
-//! past the end of a ragged dimension are computed from padding and
-//! never stored.
+//! decode batch) sit in `[k][LANES]` panels — the layout every activation
+//! in hf-nn is kept in ([`Panels`]) — and [`NC`] output columns are
+//! accumulated at once in registers. `x·wᵀ` and `g·w` read their panel
+//! in place and store each column's sums as one vector; `gᵀ·x`, whose
+//! lanes are `g`'s columns, transposes `g`'s rows and reads `x`'s out
+//! row-major once a call, and writes the row-major flat gradient. There
+//! is no FMA, no `mul_add` and no target feature
+//! that changes a rounding (a fused multiply-add rounds once where the
+//! reference rounds twice). The vector width may follow the host,
+//! because lanes are independent outputs: [`panel_product`] runs an
+//! `avx2` instantiation of the same body where the CPU has it — the one
+//! `unsafe` block in hf-nn, guarded by `is_x86_feature_detected!("avx2")`
+//! — and the baseline one elsewhere. `avx2` is the only feature ever
+//! enabled. The sums of padding lanes are computed and never read.
 
-use crate::tensor::{Mat, Tensor};
+use std::cell::OnceCell;
+
+use crate::panels::Panels;
+use crate::tensor::Mat;
 
 /// Width of the lane dimension: two 4-wide vectors on the baseline
 /// target, one 8-wide vector under `avx2`.
 pub(crate) const LANES: usize = 8;
 /// Output columns accumulated together: `NC × LANES` sums fill the
-/// baseline target's vector registers, and each packed `a` row is
+/// baseline target's vector registers, and each `a` step is
 /// loaded once per `NC` columns.
 const NC: usize = 4;
 
@@ -79,8 +86,8 @@ impl<'a> Terms for Nt<'a> {
 /// loops always have left it out (masked gradient rows), so a zero
 /// gradient never meets a non-finite weight: the term is replaced by
 /// `+0.0`, and a running sum that starts at `+0.0` is never `-0.0`, so
-/// adding `+0.0` leaves it bit for bit as it was. A panel without an
-/// exact zero has no term to leave out and takes the plain product.
+/// adding `+0.0` leaves it bit for bit as it was. [`skip_zero_product`]
+/// picks which of the two a panel takes.
 #[derive(Clone, Copy)]
 struct Nn<'a, const SKIP_ZERO: bool> {
     a: &'a [Lanes],
@@ -145,7 +152,7 @@ fn micro<T: Terms, const N: usize>(terms: T, j: usize) -> [Lanes; N] {
 }
 
 /// One panel's product: hands `store` the [`LANES`] sums of each of the
-/// `n` output columns, through the widest instantiation of
+/// `n` output columns, in ascending order, through the widest instantiation of
 /// [`panel_body`] the running CPU has. Every product in hf-nn comes
 /// through here.
 #[inline(always)]
@@ -185,37 +192,6 @@ fn panel_body<T: Terms>(terms: T, n: usize, mut store: impl FnMut(usize, &Lanes)
     }
 }
 
-/// A value for the lanes past the end of a ragged dimension. Their sums
-/// are never stored, so any value would do but an exact zero, which
-/// would make the panel look masked to [`skip_zero_product`].
-const PADDING: f32 = 1.0;
-
-/// Packs the rows of `x` as lanes: rows `8g..8g + 8` form panel `g`,
-/// `x.cols` steps long.
-fn pack_rows(x: Mat) -> Vec<Lanes> {
-    let k = x.cols;
-    let mut panels = vec![[PADDING; LANES]; x.rows.div_ceil(LANES) * k];
-    for r in 0..x.rows {
-        let panel = &mut panels[r / LANES * k..][..k];
-        for (p, &v) in panel.iter_mut().zip(x.row(r)) {
-            p[r % LANES] = v;
-        }
-    }
-    panels
-}
-
-/// Packs the columns of `g` as lanes — they are already adjacent in
-/// memory: columns `8g..8g + 8` form panel `g`, `g.rows` steps long.
-fn pack_cols(g: Mat) -> Vec<Lanes> {
-    let mut panels = vec![[PADDING; LANES]; g.cols.div_ceil(LANES) * g.rows];
-    for i in 0..g.rows {
-        for (group, chunk) in g.row(i).chunks(LANES).enumerate() {
-            panels[group * g.rows + i][..chunk.len()].copy_from_slice(chunk);
-        }
-    }
-    panels
-}
-
 /// Whether a product's sums replace what `out` holds or are added to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Write {
@@ -223,81 +199,101 @@ pub(crate) enum Write {
     Add,
 }
 
-/// The `[lanes × n]` result of one `product` per `k`-step panel of
-/// `panels`, written to `out`; `product` hands each output column's sums
-/// to the store it is given.
-fn unpacked_product<'p>(
-    panels: &'p [Lanes],
-    k: usize,
-    (lanes, n): (usize, usize),
-    (out, write): (&mut [f32], Write),
-    product: impl Fn(&'p [Lanes], &mut dyn FnMut(usize, &Lanes)),
+/// The product of one panel of [`Nn`] terms, `width` of whose lanes are
+/// real. It skips the zero terms of `a` only where that changes a sum:
+/// where a real lane of `a` holds an exact zero and a value of `b` is not
+/// finite (`0 · ∞` is NaN). A term `0 · b` of a finite `b` is `±0.0`,
+/// which adds nothing to a sum that is never `-0.0`, so there the plain
+/// product is the same sum. Padding lanes never enter the scan; `finite`
+/// keeps the answer for `b` across the panels of one product.
+#[inline(always)]
+fn skip_zero_product(
+    a: &[Lanes],
+    width: usize,
+    (b, finite): (Mat, &OnceCell<bool>),
+    store: impl FnMut(usize, &Lanes),
 ) {
-    assert_eq!(out.len(), lanes * n, "product output shape");
-    for r0 in (0..lanes).step_by(LANES) {
-        let width = LANES.min(lanes - r0);
-        let rows = &mut out[r0 * n..(r0 + width) * n];
-        let panel = &panels[r0 / LANES * k..][..k];
+    // Lane by lane and without an early exit, which vectorises: a scan
+    // value by value cost as much as the product's arithmetic.
+    let zeros = a.iter().fold([0u32; LANES], |mut zeros, lanes| {
+        for (z, &v) in zeros.iter_mut().zip(lanes) {
+            *z |= u32::from(v == 0.0);
+        }
+        zeros
+    });
+    let zero = zeros[..width].contains(&1);
+    #[cfg(test)]
+    tests::ZERO_PANELS.set(tests::ZERO_PANELS.get() + usize::from(zero));
+    if zero && !*finite.get_or_init(|| b.data.iter().all(|v| v.is_finite())) {
+        panel_product(Nn::<true> { a, b }, b.cols, store)
+    } else {
+        panel_product(Nn::<false> { a, b }, b.cols, store)
+    }
+}
+
+/// `x · wᵀ` with `x: [m × k]` in panels and `w: [n × k]` row-major →
+/// `[m × n]` in panels: each panel of `x` read in place, each output
+/// column's sums stored as one vector.
+pub(crate) fn x_wt(x: &Panels, w: Mat) -> Panels {
+    assert_eq!(x.cols(), w.cols, "x·wᵀ inner dims");
+    let mut out = Vec::with_capacity(x.groups() * w.rows);
+    for g in 0..x.groups() {
+        panel_product(Nt { a: x.panel(g), w: w.data }, w.rows, |c, sums| {
+            debug_assert_eq!(out.len(), g * w.rows + c, "columns come in order");
+            out.push(*sums);
+        });
+    }
+    Panels::from_data(out, x.rows(), w.rows)
+}
+
+/// `g · w` with `g: [m × k]` in panels and `w: [k × n]` row-major →
+/// `[m × n]` in panels, zero terms of `g` skipped.
+pub(crate) fn g_w(g: &Panels, w: Mat) -> Panels {
+    assert_eq!(g.cols(), w.rows, "g·w inner dims");
+    let (mut out, finite) = (Vec::with_capacity(g.groups() * w.cols), OnceCell::new());
+    for p in 0..g.groups() {
+        skip_zero_product(g.panel(p), g.width(p), (w, &finite), |c, sums| {
+            debug_assert_eq!(out.len(), p * w.cols + c, "columns come in order");
+            out.push(*sums);
+        });
+    }
+    Panels::from_data(out, g.rows(), w.cols)
+}
+
+/// `gᵀ · x` over rows `rows` of `g: [m × k]` and `x: [m × n]`, both in
+/// panels, zero terms of `g` skipped, stored in or added to the
+/// row-major `out: [k × n]` — a weight gradient lands where it is
+/// summed. The lanes are `g`'s columns, so `g`'s rows are transposed
+/// once, and each step reads one row of `x`, so its rows are read out
+/// row-major once.
+pub(crate) fn gt_x_into(
+    g: &Panels,
+    x: &Panels,
+    rows: std::ops::Range<usize>,
+    (out, write): (&mut [f32], Write),
+) {
+    let (k, n) = (g.cols(), x.cols());
+    assert_eq!((g.rows(), out.len()), (x.rows(), k * n), "gᵀ·x shapes");
+    let xr = x.rows_major(rows.clone());
+    let (b, finite) = (Mat { data: &xr, rows: rows.len(), cols: n }, OnceCell::new());
+    let gt = g.transpose_rows(rows);
+    for p in 0..gt.groups() {
+        let width = gt.width(p);
+        let dst = &mut out[p * LANES * n..][..width * n];
+        let a = gt.panel(p);
         match write {
-            Write::Store => product(panel, &mut |c, sums| {
+            Write::Store => skip_zero_product(a, width, (b, &finite), |c, sums| {
                 for (l, &v) in sums[..width].iter().enumerate() {
-                    rows[l * n + c] = v;
+                    dst[l * n + c] = v;
                 }
             }),
-            Write::Add => product(panel, &mut |c, sums| {
+            Write::Add => skip_zero_product(a, width, (b, &finite), |c, sums| {
                 for (l, &v) in sums[..width].iter().enumerate() {
-                    rows[l * n + c] += v;
+                    dst[l * n + c] += v;
                 }
             }),
         }
     }
-}
-
-/// [`unpacked_product`] of [`Nn`] terms: `Σ a · b` over `b: [k × n]`
-/// with the exact zeros of `a` skipped.
-fn skip_zero_product(panels: &[Lanes], lanes: usize, b: Mat, out: (&mut [f32], Write)) {
-    unpacked_product(panels, b.rows, (lanes, b.cols), out, |a, store| {
-        if a.iter().flatten().all(|&v| v != 0.0) {
-            panel_product(Nn::<false> { a, b }, b.cols, store)
-        } else {
-            panel_product(Nn::<true> { a, b }, b.cols, store)
-        }
-    })
-}
-
-/// `x · wᵀ` with `x: [m × k]`, `w: [n × k]` → `[m × n]`.
-pub(crate) fn x_wt(x: Mat, w: Mat) -> Tensor {
-    assert_eq!(x.cols, w.cols, "x·wᵀ inner dims");
-    let mut out = Tensor::zeros(x.rows, w.rows);
-    let store = (out.data_mut(), Write::Store);
-    unpacked_product(&pack_rows(x), x.cols, (x.rows, w.rows), store, |a, store| {
-        panel_product(Nt { a, w: w.data }, w.rows, store)
-    });
-    out
-}
-
-/// `g · w` with `g: [m × k]`, `w: [k × n]` → `[m × n]`, zero terms of
-/// `g` skipped.
-pub(crate) fn g_w(g: Mat, w: Mat) -> Tensor {
-    assert_eq!(g.cols, w.rows, "g·w inner dims");
-    let mut out = Tensor::zeros(g.rows, w.cols);
-    skip_zero_product(&pack_rows(g), g.rows, w, (out.data_mut(), Write::Store));
-    out
-}
-
-/// `gᵀ · x` with `g: [m × k]`, `x: [m × n]`, zero terms of `g` skipped,
-/// stored in or added to `out: [k × n]` — a weight gradient lands where
-/// it is summed.
-pub(crate) fn gt_x_into(g: Mat, x: Mat, out: (&mut [f32], Write)) {
-    assert_eq!(g.rows, x.rows, "gᵀ·x outer dims");
-    skip_zero_product(&pack_cols(g), g.cols, x, out);
-}
-
-/// [`gt_x_into`] a new `[k × n]` tensor.
-pub(crate) fn gt_x(g: Mat, x: Mat) -> Tensor {
-    let mut out = Tensor::zeros(g.cols, x.cols);
-    gt_x_into(g, x, (out.data_mut(), Write::Store));
-    out
 }
 
 #[cfg(test)]
@@ -307,6 +303,7 @@ pub(crate) mod tests {
     use rand::{RngExt, SeedableRng};
 
     use super::*;
+    use crate::panels::with_padding;
 
     /// The scalar loops the kernels replaced, kept as the reference the
     /// kernels must match bit for bit.
@@ -406,6 +403,23 @@ pub(crate) mod tests {
         Mat { data, rows, cols }
     }
 
+    thread_local! {
+        /// Panels whose scan found an exact zero in a real lane.
+        pub(crate) static ZERO_PANELS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// The lanes of `m`'s rows, padded with `f32::NAN`: a padding lane
+    /// that reached a stored sum would show.
+    fn poisoned(m: Mat) -> Panels {
+        with_padding(f32::NAN, || Panels::from_mat(m))
+    }
+
+    /// The row-major `[k × n]` of [`gt_x_into`] over all rows of `g`
+    /// and `x`, written over `out`.
+    fn gt_x(g: Mat, x: Mat, out: (&mut [f32], Write)) {
+        gt_x_into(&poisoned(g), &poisoned(x), 0..g.rows, out);
+    }
+
     fn dim() -> impl Strategy<Value = usize> {
         // Ragged against both the lane width and the column block, the
         // single-column path (`n < 4`) and the one-step sum (`k = 1`).
@@ -423,32 +437,47 @@ pub(crate) mod tests {
             let x = matrix(&mut rng, m, k);
             let w = matrix(&mut rng, n, k);
             prop_assert_eq!(
-                bits(x_wt(mat(&x, m, k), mat(&w, n, k)).data()),
+                bits(x_wt(&poisoned(mat(&x, m, k)), mat(&w, n, k)).to_tensor().data()),
                 bits(&reference::x_wt(&x, &w, m, n, k)),
                 "x·wᵀ at {}×{}×{}", m, n, k
             );
             let g = matrix(&mut rng, m, k);
             let w = matrix(&mut rng, k, n);
             prop_assert_eq!(
-                bits(g_w(mat(&g, m, k), mat(&w, k, n)).data()),
+                bits(g_w(&poisoned(mat(&g, m, k)), mat(&w, k, n)).to_tensor().data()),
                 bits(&reference::g_w(&g, &w, m, k, n)),
                 "g·w at {}×{}×{}", m, k, n
             );
             let x = matrix(&mut rng, m, n);
             let gtx = reference::gt_x(&g, &x, m, k, n);
-            prop_assert_eq!(
-                bits(gt_x(mat(&g, m, k), mat(&x, m, n)).data()),
-                bits(&gtx),
-                "gᵀ·x at {}×{}×{}", m, k, n
-            );
-            // In place: stored over whatever was there, then added to it.
+            // Stored over whatever was there, then added to it.
             let mut out = vec![f32::NAN; k * n];
-            gt_x_into(mat(&g, m, k), mat(&x, m, n), (&mut out, Write::Store));
-            prop_assert_eq!(bits(&out), bits(&gtx), "gᵀ·x stored in place");
+            gt_x(mat(&g, m, k), mat(&x, m, n), (&mut out, Write::Store));
+            prop_assert_eq!(bits(&out), bits(&gtx), "gᵀ·x at {}×{}×{}", m, k, n);
             let mut out = matrix(&mut rng, k, n);
             let sum: Vec<f32> = out.iter().zip(&gtx).map(|(a, b)| a + b).collect();
-            gt_x_into(mat(&g, m, k), mat(&x, m, n), (&mut out, Write::Add));
+            gt_x(mat(&g, m, k), mat(&x, m, n), (&mut out, Write::Add));
             prop_assert_eq!(bits(&out), bits(&sum), "gᵀ·x added in place");
+            // A window of rows, starting anywhere in a panel.
+            let (r0, r1) = (m / 3, m - m / 4);
+            let part = |v: &[f32], cols: usize| v[r0 * cols..r1 * cols].to_vec();
+            let want = reference::gt_x(&part(&g, k), &part(&x, n), r1 - r0, k, n);
+            let mut out = vec![f32::NAN; k * n];
+            let (gp, xp) = (poisoned(mat(&g, m, k)), poisoned(mat(&x, m, n)));
+            gt_x_into(&gp, &xp, r0..r1, (&mut out, Write::Store));
+            prop_assert_eq!(bits(&out), bits(&want), "gᵀ·x over rows {}..{}", r0, r1);
+            // Padding never enters the skip-zero scan: zero padding finds a
+            // zero in exactly as many panels as NaN padding does.
+            let zeros = |pad: f32| {
+                ZERO_PANELS.set(0);
+                with_padding(pad, || {
+                    g_w(&Panels::from_mat(mat(&g, m, k)), mat(&w, k, n));
+                    let (gp, xp) = (Panels::from_mat(mat(&g, m, k)), Panels::from_mat(mat(&x, m, n)));
+                    gt_x_into(&gp, &xp, 0..m, (&mut vec![0.0; k * n], Write::Store));
+                });
+                ZERO_PANELS.get()
+            };
+            prop_assert_eq!(zeros(0.0), zeros(f32::NAN), "padding reached the skip-zero scan");
         }
     }
 
@@ -509,15 +538,16 @@ pub(crate) mod tests {
             let sum = bits(&reference::x_wt_plus_y_ut((&x, &w), (&y, &u), m, n, k));
             let g_w = bits(&reference::g_w(&g, &b, m, k, n));
             let gt_x = bits(&reference::gt_x(&g, &gx, m, k, n));
-            let (xp, yp) = (pack_rows(mat(&x, m, k)), pack_rows(mat(&y, m, k)));
-            let (g_rows, g_cols) = (pack_rows(mat(&g, m, k)), pack_cols(mat(&g, m, k)));
+            let (xp, yp) = (poisoned(mat(&x, m, k)), poisoned(mat(&y, m, k)));
+            let g_rows = poisoned(mat(&g, m, k));
+            let g_cols = g_rows.transpose_rows(0..m);
             let (b, gx) = (mat(&b, k, n), mat(&gx, m, n));
-            let xt = |i: usize| Nt { a: &xp[i * k..][..k], w: &w };
-            let yt = |i: usize| Nt { a: &yp[i * k..][..k], w: &u };
+            let xt = |i: usize| Nt { a: xp.panel(i), w: &w };
+            let yt = |i: usize| Nt { a: yp.panel(i), w: &u };
             // `g · b` takes the rows of `g` as lanes, `gᵀ · x` its columns:
             // there a masked row of `g` is a step with every lane zero.
-            let rows = |i: usize| &g_rows[i * k..][..k];
-            let cols = |i: usize| &g_cols[i * m..][..m];
+            let rows = |i: usize| g_rows.panel(i);
+            let cols = |i: usize| g_cols.panel(i);
             for isa in isas() {
                 // Exact zeros add `±0.0` to a sum that is never `-0.0`, so
                 // on finite operands the plain `Nn` keeps the bits of the
@@ -553,9 +583,12 @@ pub(crate) mod tests {
         // would be NaN.
         let g = [0.0f32, 1.0, -0.0, 2.0];
         let w = [f32::INFINITY, f32::NAN, 3.0, 4.0];
-        assert_eq!(g_w(mat(&g, 2, 2), mat(&w, 2, 2)).data(), [3.0, 4.0, 6.0, 8.0]);
+        let dx = g_w(&poisoned(mat(&g, 2, 2)), mat(&w, 2, 2)).to_tensor();
+        assert_eq!(dx.data(), [3.0, 4.0, 6.0, 8.0]);
         let x = [f32::NAN, f32::INFINITY, 5.0, 7.0];
         let g = [0.0f32, -0.0, 2.0, 3.0];
-        assert_eq!(gt_x(mat(&g, 2, 2), mat(&x, 2, 2)).data(), [10.0, 14.0, 15.0, 21.0]);
+        let mut dw = [0.0f32; 4];
+        gt_x(mat(&g, 2, 2), mat(&x, 2, 2), (&mut dw, Write::Store));
+        assert_eq!(dw, [10.0, 14.0, 15.0, 21.0]);
     }
 }

@@ -11,6 +11,9 @@
 //! * `kernels` (private) — the one lane-packed GEMM microkernel under
 //!   every matrix product here, bit-identical to the scalar loops it
 //!   replaced (DESIGN.md §2, "kernel contract").
+//! * `panels` (private) — the one activation layout: the kernel's lane
+//!   panels, shared by the tape, the stage forward and the decoder
+//!   (DESIGN.md §2, "activation layout").
 //! * [`tape`] — tape-based reverse-mode autograd with the fused ops RLHF
 //!   needs (log-prob gather, PPO clip objective, clipped value loss).
 //! * [`model`] — [`model::TinyLm`]: embedding → L residual mixer blocks
@@ -27,6 +30,7 @@
 pub mod adam;
 mod kernels;
 pub mod model;
+mod panels;
 pub mod sharded;
 pub mod tape;
 pub mod tensor;

@@ -26,10 +26,11 @@
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 
-use crate::kernels::{self, Lanes, Nt, Sum, LANES};
+use crate::kernels::{self, Nt, Sum, LANES};
+use crate::panels::{self, Panels};
 use crate::sharded::{self, Block};
 use crate::tape::{self, Tape, Var};
-use crate::tensor::{Mat, Tensor};
+use crate::tensor::Mat;
 
 /// Architecture of a [`TinyLm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -280,7 +281,7 @@ impl TinyLm {
     ///
     /// Panics if there is no sequence, one is empty, or a token is out
     /// of vocab.
-    fn features_stacked(&self, seqs: &[&[usize]]) -> Tensor {
+    fn features_stacked(&self, seqs: &[&[usize]]) -> Panels {
         assert!(
             !seqs.is_empty() && seqs.iter().all(|s| !s.is_empty()),
             "forward needs at least one token"
@@ -288,11 +289,7 @@ impl TinyLm {
         let cfg = self.cfg;
         let (h, f) = (cfg.hidden, cfg.ffn);
         let lens: Vec<usize> = seqs.iter().map(|s| s.len()).collect();
-        let mut x = Tensor::zeros(lens.iter().sum(), h);
-        for (r, &id) in seqs.iter().copied().flatten().enumerate() {
-            assert!(id < cfg.vocab, "token id {id} out of vocab {}", cfg.vocab);
-            x.row_mut(r).copy_from_slice(&self.flat[id * h..(id + 1) * h]);
-        }
+        let x = panels::embed(self.window(0, cfg.vocab, h), &seqs.concat());
         let blocks = (0..cfg.layers).map(|l| {
             let gain = self.block_offset(l);
             Block {
@@ -304,7 +301,7 @@ impl TinyLm {
         });
         let out = sharded::run_blocks(x, &lens, blocks, |partial| partial);
         let gain = self.final_gain_offset();
-        sharded::rmsnorm(&out, &self.flat[gain..gain + h])
+        panels::rmsnorm(&out, &self.flat[gain..gain + h])
     }
 
     /// Log-probabilities of each next token: `out[t] = log p(ids[t+1] |
@@ -342,9 +339,8 @@ impl TinyLm {
         let inputs: Vec<&[usize]> = seqs.iter().map(|s| &s[..s.len() - 1]).collect();
         let f = self.features_stacked(&inputs);
         let head = self.window(self.head_offset(), self.cfg.vocab, self.cfg.hidden);
-        let logits = kernels::x_wt(f.mat(), head);
-        let targets = seqs.iter().flat_map(|s| &s[1..]).enumerate();
-        let lp: Vec<f32> = targets.map(|(r, &tok)| tape::log_prob(logits.row(r), tok)).collect();
+        let targets: Vec<usize> = seqs.iter().flat_map(|s| &s[1..]).copied().collect();
+        let lp = tape::log_probs(&kernels::x_wt(&f, head), &targets);
         split_rows(&lp, seqs.iter().map(|s| s.len() - 1))
     }
 
@@ -358,8 +354,8 @@ impl TinyLm {
     /// [`TinyLm::forward_stacked`].
     pub fn values_stacked(&self, seqs: &[&[usize]]) -> Vec<Vec<f32>> {
         let f = self.features_stacked(seqs);
-        let values = kernels::x_wt(f.mat(), self.window(self.vhead_offset(), 1, self.cfg.hidden));
-        split_rows(values.data(), seqs.iter().map(|s| s.len()))
+        let values = kernels::x_wt(&f, self.window(self.vhead_offset(), 1, self.cfg.hidden));
+        split_rows(values.column(), seqs.iter().map(|s| s.len()))
     }
 
     /// Samples `len` continuation tokens after `prompt` at `temperature`
@@ -514,8 +510,8 @@ impl TinyLm {
     }
 
     /// One batched decode step of up to [`LANES`] sequences, one per
-    /// lane. Activations are `[feature][lane]` panels; lanes past the
-    /// last sequence carry zeros through every op and are dropped.
+    /// lane: activations are one panel each (`[feature][lane]`), and the
+    /// padding lanes past the last sequence are computed and dropped.
     fn decode_lane_group(
         &self,
         states: &mut [&mut DecodeState],
@@ -523,40 +519,16 @@ impl TinyLm {
         out: &mut Vec<(Vec<f32>, f32)>,
     ) {
         let cfg = self.cfg;
-        let mut h = vec![[0.0f32; LANES]; cfg.hidden];
-        for (lane, &t) in tokens.iter().enumerate() {
-            let row = &self.flat[t * cfg.hidden..(t + 1) * cfg.hidden];
-            for (hk, &v) in h.iter_mut().zip(row) {
-                hk[lane] = v;
-            }
-        }
+        let live = tokens.len();
+        let mut h = panels::embed(self.window(0, cfg.vocab, cfg.hidden), tokens);
         let mut inv_pos = [0.0f32; LANES];
         for (ip, state) in inv_pos.iter_mut().zip(states.iter()) {
             *ip = 1.0 / (state.pos as f32 + 1.0);
         }
-        // `x[k][lane] · inv[lane] · gain[k]` with `inv` the per-lane RMS
-        // scale of `x`.
-        let rmsnorm = |x: &[Lanes], gain: &[f32], y: &mut [Lanes]| {
-            let mut inv = [0.0f32; LANES];
-            for xk in x {
-                for (s, &v) in inv.iter_mut().zip(xk) {
-                    *s += v * v;
-                }
-            }
-            for s in inv.iter_mut() {
-                let ms = *s / cfg.hidden as f32;
-                *s = 1.0 / (ms + 1e-6).sqrt();
-            }
-            for ((yk, xk), &g) in y.iter_mut().zip(x).zip(gain) {
-                for ((y, &v), &i) in yk.iter_mut().zip(xk).zip(&inv) {
-                    *y = v * i * g;
-                }
-            }
-        };
 
-        let mut c = vec![[0.0f32; LANES]; cfg.hidden];
-        let mut n = vec![[0.0f32; LANES]; cfg.hidden];
-        let mut act = vec![[0.0f32; LANES]; cfg.ffn];
+        let mut c = Panels::new(live, cfg.hidden);
+        let mut n = Panels::new(live, cfg.hidden);
+        let mut act = Panels::new(live, cfg.ffn);
         for l in 0..cfg.layers {
             let base = self.block_offset(l);
             let (gain, rest) = self.flat[base..base + cfg.block_size()].split_at(cfg.hidden);
@@ -564,29 +536,24 @@ impl TinyLm {
             let (ua, wb) = rest.split_at(cfg.ffn * cfg.hidden);
             // Causal context: running mean including this position.
             for (lane, state) in states.iter_mut().enumerate() {
-                for ((acc, hk), ck) in state.acc[l].iter_mut().zip(&h).zip(c.iter_mut()) {
+                let steps = h.panel(0).iter().zip(c.panel_mut(0));
+                for (acc, (hk, ck)) in state.acc[l].iter_mut().zip(steps) {
                     *acc += hk[lane];
                     ck[lane] = *acc * inv_pos[lane];
                 }
             }
             // RMSNorm(h) · Waᵀ + c · Uaᵀ, SiLU, · Wbᵀ, residual.
-            rmsnorm(&h, gain, &mut n);
-            let expand = Sum(Nt { a: &n, w: wa }, Nt { a: &c, w: ua });
-            let live = tokens.len();
-            kernels::panel_product(expand, cfg.ffn, |j, sums| {
-                act[j][..live].copy_from_slice(&sums[..live]);
-            });
-            // No `exp` is spent on padding: those lanes stay zero. Out of
-            // the store, because the `avx2` instantiation of the product
-            // would compute all eight lanes' `exp` and mask the stores.
-            for lanes in act.iter_mut() {
-                for a in &mut lanes[..live] {
-                    let sg = 1.0 / (1.0 + (-*a).exp());
-                    *a *= sg;
-                }
-            }
-            kernels::panel_product(Nt { a: &act, w: wb }, cfg.hidden, |k, sums| {
-                for (hv, &s) in h[k].iter_mut().zip(sums) {
+            panels::rmsnorm_into(&h, gain, &mut n);
+            let expand = Sum(Nt { a: n.panel(0), w: wa }, Nt { a: c.panel(0), w: ua });
+            let a = act.panel_mut(0);
+            kernels::panel_product(expand, cfg.ffn, |j, sums| a[j] = *sums);
+            // No `exp` is spent on padding. Out of the store, because the
+            // `avx2` instantiation of the product would compute all eight
+            // lanes' `exp` and mask the stores.
+            panels::silu_in_place(&mut act);
+            let hp = h.panel_mut(0);
+            kernels::panel_product(Nt { a: act.panel(0), w: wb }, cfg.hidden, |k, sums| {
+                for (hv, &s) in hp[k].iter_mut().zip(sums) {
                     *hv += s;
                 }
             });
@@ -597,17 +564,10 @@ impl TinyLm {
         // Final norm + heads.
         let fg = &self.flat[self.final_gain_offset()..self.final_gain_offset() + cfg.hidden];
         let f = &mut n; // reuse the norm buffer for the final features
-        rmsnorm(&h, fg, f);
-        let head = &self.flat[self.head_offset()..self.head_offset() + cfg.vocab * cfg.hidden];
-        let mut logits = vec![[0.0f32; LANES]; cfg.vocab];
-        kernels::panel_product(Nt { a: f, w: head }, cfg.vocab, |v, sums| logits[v] = *sums);
-        let vh = &self.flat[self.vhead_offset()..self.vhead_offset() + cfg.hidden];
-        let mut values = [0.0f32; LANES];
-        kernels::panel_product(Nt { a: f, w: vh }, 1, |_, sums| values = *sums);
-        out.extend(
-            (0..tokens.len())
-                .map(|lane| (logits.iter().map(|lv| lv[lane]).collect(), values[lane])),
-        );
+        panels::rmsnorm_into(&h, fg, f);
+        let logits = kernels::x_wt(f, self.window(self.head_offset(), cfg.vocab, cfg.hidden));
+        let values = kernels::x_wt(f, self.window(self.vhead_offset(), 1, cfg.hidden));
+        out.extend((0..live).map(|lane| (logits.row(lane).collect(), values.column()[lane])));
     }
 
     /// Rebuilds a decode state from a snapshot taken (via
@@ -1109,6 +1069,106 @@ mod stacking_tests {
         }
         assert!(grads[3][..n].iter().all(|g| g.to_bits() == 0), "all rows clipped: +0.0");
         assert!(grads[0][..n].iter().any(|&g| g != 0.0));
+    }
+}
+
+#[cfg(test)]
+mod padding_tests {
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::kernels::tests::ZERO_PANELS;
+    use crate::panels::with_padding;
+    use crate::sharded::{ShardedLm, StageOutput};
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// One loss per sequence of `seqs` stacked, through every op of the
+    /// tape: the PPO clip loss on the next-token log-probs, an entropy
+    /// bonus, the clipped value loss and the mean first value
+    /// (`slice_rows`, `mean_all`). The per-row inputs come from the tokens,
+    /// so a sequence gets the same ones stacked or alone.
+    fn pass<'a>(lm: &'a TinyLm, seqs: &[&[usize]]) -> (ForwardPass<'a>, Var) {
+        let per_row = |base: f32, step: f32, m: usize| -> Vec<f32> {
+            seqs.iter().flat_map(|s| &s[1..]).map(|&t| base + step * (t % m) as f32).collect()
+        };
+        let (old_logp, adv) = (per_row(-3.4, 0.13, 7), per_row(-0.6, 0.35, 5));
+        let (returns, old_v) = (per_row(-0.4, 0.2, 6), per_row(-0.3, 0.15, 5));
+        let (mut fp, lp) = lm.next_token_log_probs(seqs);
+        let tape = &mut fp.tape;
+        let ppo = tape.ppo_clip_loss(lp, &old_logp, &adv, 0.2);
+        let entropy = tape.mean_entropy(fp.logits);
+        let bonus = tape.scale(entropy, -0.01);
+        let vloss = tape.value_clip_loss(fp.values, &returns, &old_v, 0.2);
+        let first = tape.slice_rows(fp.values, 0, 1);
+        let first = tape.mean_all(first);
+        let loss = tape.add(ppo, bonus);
+        let loss = tape.add(loss, vloss);
+        let loss = tape.add(loss, first);
+        (fp, loss)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn padding_lanes_never_reach_a_result(
+            lens in proptest::collection::vec(1usize..=30, 1..5), seed in 0u64..1 << 16,
+        ) {
+            // 1 to 70 stacked rows in segments cut anywhere, so that most
+            // cuts fall inside an 8-row panel.
+            let mut total = 0;
+            let lens: Vec<usize> = lens.into_iter().take_while(|&l| {
+                total += l;
+                total <= 70
+            }).collect();
+            let cfg = LmConfig { vocab: 19, hidden: 12, ffn: 20, layers: 2 };
+            let lm = TinyLm::new(cfg, seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let seqs: Vec<Vec<usize>> = (lens.iter())
+                .map(|&l| (0..=l).map(|_| rng.random_range(0..cfg.vocab)).collect())
+                .collect();
+            let refs: Vec<&[usize]> = seqs.iter().map(Vec::as_slice).collect();
+            let inputs: Vec<&[usize]> = refs.iter().map(|s| &s[..s.len() - 1]).collect();
+            let stage = ShardedLm::from_full(&lm, 0, 1, 0, 1);
+            // Everything stacked, with every padding lane `pad`.
+            let stacked = |pad: f32| with_padding(pad, || {
+                ZERO_PANELS.set(0);
+                let (fp, loss) = pass(&lm, &refs);
+                let values = [fp.logits, fp.values, loss].map(|v| fp.tape.value(v));
+                let mut grads = vec![Vec::new(); refs.len()];
+                fp.backward_into(loss, &mut grads);
+                let zeros = ZERO_PANELS.get();
+                let h = stage.embed(&inputs.concat());
+                let out = stage.forward_stage_stacked(h, &lens, |partial| partial.to_vec());
+                (values, grads, zeros, out, lm.log_probs_stacked(&refs), lm.values_stacked(&inputs))
+            });
+            let (poisoned, zero) = (stacked(f32::NAN), stacked(0.0));
+            prop_assert_eq!(poisoned.2, zero.2, "padding reached the skip-zero scan");
+            let ([logits, values, losses], grads, _, out, logps, vals) = poisoned;
+            let StageOutput::Final { logits: stage_logits, values: stage_values } = out else {
+                unreachable!("one stage finalizes")
+            };
+            let (n, mut row) = (cfg.param_count(), 0);
+            for (s, seq) in refs.iter().enumerate() {
+                let (fp, loss) = pass(&lm, &[*seq]);
+                let (alone_logits, alone_values) = (fp.tape.value(fp.logits), fp.tape.value(fp.values));
+                let rows = row..row + seq.len() - 1;
+                let cells = rows.start * cfg.vocab..rows.end * cfg.vocab;
+                prop_assert_eq!(bits(&logits.data()[cells.clone()]), bits(alone_logits.data()), "logits of {}", s);
+                prop_assert_eq!(bits(&values.data()[rows.clone()]), bits(alone_values.data()), "values of {}", s);
+                let alone_loss = fp.tape.value(loss).data()[0];
+                prop_assert_eq!(losses.data()[s].to_bits(), alone_loss.to_bits(), "loss of {}", s);
+                prop_assert_eq!(bits(&grads[s][..n]), bits(&fp.backward(loss)), "gradient of {}", s);
+                prop_assert_eq!(bits(&stage_logits.data()[cells]), bits(alone_logits.data()), "stage logits of {}", s);
+                prop_assert_eq!(bits(&stage_values.data()[rows.clone()]), bits(alone_values.data()), "stage values of {}", s);
+                prop_assert_eq!(bits(&logps[s]), bits(&lm.log_probs(seq)), "log-probs of {}", s);
+                prop_assert_eq!(bits(&vals[s]), bits(&lm.values(inputs[s])), "values_stacked of {}", s);
+                row = rows.end;
+            }
+        }
     }
 }
 

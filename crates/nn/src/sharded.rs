@@ -27,6 +27,7 @@
 
 use crate::kernels;
 use crate::model::{LmConfig, TinyLm};
+use crate::panels::{self, Panels};
 use crate::tensor::{Mat, Tensor};
 
 /// A rank's slice of the model under `t`-way tensor and `p`-way pipeline
@@ -198,22 +199,25 @@ impl ShardedLm {
         mut all_reduce: impl FnMut(&[f32]) -> Vec<f32>,
     ) -> StageOutput {
         let blocks = (0..self.blocks.len()).map(|b| self.block(b));
-        let h = run_blocks(h, lens, blocks, |partial| {
-            Tensor::new(all_reduce(partial.data()), partial.rows(), partial.cols())
+        let h = run_blocks(Panels::from_mat(h.mat()), lens, blocks, |partial| {
+            let (rows, cols) = (partial.rows(), partial.cols());
+            let data = all_reduce(&partial.rows_major(0..rows));
+            Panels::from_mat(Mat { data: &data, rows, cols })
         });
         self.finalize(h)
     }
 
     /// What the stage hands on: the hidden stream, or on the last stage
-    /// the heads over the final norm.
-    fn finalize(&self, h: Tensor) -> StageOutput {
+    /// the heads over the final norm — read out row-major.
+    fn finalize(&self, h: Panels) -> StageOutput {
         if self.p_idx < self.p - 1 {
-            return StageOutput::Hidden(h);
+            return StageOutput::Hidden(h.to_tensor());
         }
-        let f = rmsnorm(&h, self.final_gain.as_ref().expect("last stage"));
+        let f = panels::rmsnorm(&h, self.final_gain.as_ref().expect("last stage"));
+        let head = |w: &Option<Tensor>| kernels::x_wt(&f, w.as_ref().expect("last stage").mat());
         StageOutput::Final {
-            logits: f.matmul_nt(self.head.as_ref().expect("last stage")),
-            values: f.matmul_nt(self.vhead.as_ref().expect("last stage")),
+            logits: head(&self.head).to_tensor(),
+            values: head(&self.vhead).to_tensor(),
         }
     }
 }
@@ -237,17 +241,15 @@ impl Block<'_> {
     /// This shard's share of the block's output over the stream `h`
     /// (`[rows × hidden]`): summed over the TP group it is what the
     /// residual adds. `bounds` are the segment starts and the row count.
-    fn partial(&self, h: &Tensor, bounds: &[usize]) -> Tensor {
-        let c = cum_mean(h, bounds);
-        let n = rmsnorm(h, self.gain);
-        let mut act = kernels::x_wt(n.mat(), self.wa).add(&kernels::x_wt(c.mat(), self.ua));
-        for v in act.data_mut() {
-            let s = 1.0 / (1.0 + (-*v).exp());
-            *v *= s;
-        }
+    fn partial(&self, h: &Panels, bounds: &[usize]) -> Panels {
+        let c = panels::cum_mean(h, bounds);
+        let n = panels::rmsnorm(h, self.gain);
+        let mut act = kernels::x_wt(&n, self.wa);
+        act.add_assign(&kernels::x_wt(&c, self.ua));
+        panels::silu_in_place(&mut act);
         // Row-parallel output: `act` is `[rows × ffn/t]`, the `Wb` shard
         // `[hidden × ffn/t]`.
-        kernels::x_wt(act.mat(), self.wb)
+        kernels::x_wt(&act, self.wb)
     }
 }
 
@@ -266,52 +268,17 @@ fn segment_bounds(lens: &[usize], rows: usize) -> Vec<usize> {
 /// stacked in `h`: after each block `join` turns this rank's partial
 /// output into the TP group's sum (the identity at `t = 1`).
 pub(crate) fn run_blocks<'a>(
-    mut h: Tensor,
+    mut h: Panels,
     lens: &[usize],
     blocks: impl IntoIterator<Item = Block<'a>>,
-    mut join: impl FnMut(Tensor) -> Tensor,
-) -> Tensor {
+    mut join: impl FnMut(Panels) -> Panels,
+) -> Panels {
     let bounds = segment_bounds(lens, h.rows());
     for block in blocks {
         let out = join(block.partial(&h, &bounds));
-        h = h.add(&out);
+        h.add_assign(&out);
     }
     h
-}
-
-/// Row-wise RMS normalization with gain, the expression of
-/// [`crate::Tape::rmsnorm`].
-pub(crate) fn rmsnorm(x: &Tensor, gain: &[f32]) -> Tensor {
-    let mut y = Tensor::zeros(x.rows(), x.cols());
-    for r in 0..x.rows() {
-        let row = x.row(r);
-        let ms: f32 = row.iter().map(|v| v * v).sum::<f32>() / row.len() as f32;
-        let inv = 1.0 / (ms + 1e-6).sqrt();
-        for ((y, &v), &g) in y.row_mut(r).iter_mut().zip(row).zip(gain) {
-            *y = v * inv * g;
-        }
-    }
-    y
-}
-
-/// Causal running mean over the rows of each segment, the expression of
-/// [`crate::Tape::cum_mean`].
-fn cum_mean(x: &Tensor, bounds: &[usize]) -> Tensor {
-    let mut y = Tensor::zeros(x.rows(), x.cols());
-    let mut acc = vec![0.0f32; x.cols()];
-    for seg in bounds.windows(2) {
-        acc.fill(0.0);
-        for r in seg[0]..seg[1] {
-            for (a, &v) in acc.iter_mut().zip(x.row(r)) {
-                *a += v;
-            }
-            let inv = 1.0 / ((r - seg[0]) as f32 + 1.0);
-            for (y, a) in y.row_mut(r).iter_mut().zip(&acc) {
-                *y = a * inv;
-            }
-        }
-    }
-    y
 }
 
 /// Runs a full forward across an in-process grid of shards (reference
@@ -323,7 +290,7 @@ fn cum_mean(x: &Tensor, bounds: &[usize]) -> Tensor {
 pub fn grid_forward(shards: &[Vec<ShardedLm>], ids: &[usize]) -> (Tensor, Tensor) {
     let t = shards[0].len();
     assert!(shards.iter().all(|s| s.len() == t));
-    let mut h = shards[0][0].embed(ids);
+    let mut h = Panels::from_mat(shards[0][0].embed(ids).mat());
     let bounds = [0, ids.len()];
     for stage in shards {
         // Every TP shard of a stage reads the same stream: step them one
@@ -332,12 +299,12 @@ pub fn grid_forward(shards: &[Vec<ShardedLm>], ids: &[usize]) -> (Tensor, Tensor
         for b in 0..stage[0].blocks.len() {
             let mut joined = stage[0].block(b).partial(&h, &bounds);
             for shard in &stage[1..] {
-                joined.add_scaled(&shard.block(b).partial(&h, &bounds), 1.0);
+                joined.add_assign(&shard.block(b).partial(&h, &bounds));
             }
-            h = h.add(&joined);
+            h.add_assign(&joined);
         }
         match stage[0].finalize(h) {
-            StageOutput::Hidden(next) => h = next,
+            StageOutput::Hidden(next) => h = Panels::from_mat(next.mat()),
             StageOutput::Final { logits, values } => return (logits, values),
         }
     }

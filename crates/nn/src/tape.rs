@@ -18,6 +18,11 @@
 //! sequence alone computes; a plain [`Tape::leaf`] or [`Tape::embed`] is
 //! one segment.
 //!
+//! **Layout.** Every value and gradient on the tape is held in the
+//! kernel's lane panels (DESIGN.md §2, "activation layout"): `x·wᵀ` and
+//! `g·w` read and write them in place, and only [`Tape::leaf`],
+//! [`Tape::value`] and [`Tape::grad`] convert from or to row-major.
+//!
 //! **Parameter gradients.** A [`Tape::param`] window reads the model's
 //! flat buffer in place, and [`Tape::backward_into`] writes its gradient
 //! straight into the caller's flat gradient buffer for that segment: the
@@ -25,7 +30,8 @@
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the math
 
-use crate::kernels::{self, Write};
+use crate::kernels::{self, Lanes, Write, LANES};
+use crate::panels::{self, Panels};
 use crate::tensor::{Mat, Tensor};
 
 /// Handle to a node on the tape.
@@ -50,12 +56,11 @@ enum Op {
     /// `sig` keeps `σ(x)` for the backward pass.
     Silu {
         x: usize,
-        sig: Tensor,
+        sig: Panels,
     },
     RmsNorm {
         x: usize,
         gain: usize,
-        eps: f32,
     },
     CumMean {
         x: usize,
@@ -67,11 +72,11 @@ enum Op {
     GatherLogProb {
         logits: usize,
         targets: Vec<usize>,
-        probs: Tensor,
+        probs: Panels,
     },
     MeanEntropy {
         logits: usize,
-        probs: Tensor,
+        probs: Panels,
     },
     MeanAll {
         x: usize,
@@ -97,7 +102,7 @@ enum Op {
 /// A node's forward value: computed (or a caller's constant), or a
 /// window of the parameter buffer the tape reads in place.
 enum Value<'a> {
-    Owned(Tensor),
+    Owned(Panels),
     /// `slot` numbers the tape's windows in creation order.
     Param {
         mat: Mat<'a>,
@@ -108,7 +113,7 @@ enum Value<'a> {
 
 struct Node<'a> {
     value: Value<'a>,
-    grad: Option<Tensor>,
+    grad: Option<Panels>,
     op: Op,
     /// Which entry of [`Tape::bounds`] gives this value's segments
     /// ([`UNSEGMENTED`] for a parameter window).
@@ -119,10 +124,33 @@ struct Node<'a> {
 const UNSEGMENTED: usize = usize::MAX;
 
 impl Node<'_> {
-    fn mat(&self) -> Mat<'_> {
+    /// The activation this node holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics for a parameter window, which is only ever a weight.
+    fn panels(&self) -> &Panels {
         match &self.value {
-            Value::Owned(t) => t.mat(),
-            Value::Param { mat, .. } => *mat,
+            Value::Owned(p) => p,
+            Value::Param { .. } => {
+                panic!("a parameter window is a matmul weight, a norm gain or an embedding table")
+            }
+        }
+    }
+
+    /// `f` of this node read as a weight, row-major: a parameter window
+    /// in place, a leaf converted.
+    fn weight<R>(&self, f: impl FnOnce(Mat) -> R) -> R {
+        match &self.value {
+            Value::Owned(p) => f(p.to_tensor().mat()),
+            Value::Param { mat, .. } => f(*mat),
+        }
+    }
+
+    fn shape(&self) -> (usize, usize) {
+        match &self.value {
+            Value::Owned(p) => (p.rows(), p.cols()),
+            Value::Param { mat, .. } => (mat.rows, mat.cols),
         }
     }
 }
@@ -169,43 +197,76 @@ fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
 
-fn softmax_rows(logits: Mat) -> Tensor {
-    let mut p = Tensor::zeros(logits.rows, logits.cols);
-    for r in 0..logits.rows {
-        let row = logits.row(r);
-        let prow = p.row_mut(r);
-        let m = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let mut z = 0.0f32;
-        for (pv, &v) in prow.iter_mut().zip(row) {
-            let e = (v - m).exp();
-            *pv = e;
-            z += e;
+/// Each lane's maximum over the steps of one panel of logits, folded
+/// from `-∞` in column order as the row loop folds it.
+fn row_max(panel: &[Lanes]) -> Lanes {
+    let mut m = [f32::NEG_INFINITY; LANES];
+    for lanes in panel {
+        for (m, &v) in m.iter_mut().zip(lanes) {
+            *m = m.max(v);
         }
-        for pv in prow.iter_mut() {
-            *pv /= z;
+    }
+    m
+}
+
+/// Row-wise softmax, `e = exp(v − max)` and `e / Σ e` per row; no `exp`
+/// is spent on padding.
+fn softmax_rows(logits: &Panels) -> Panels {
+    let mut p = Panels::new(logits.rows(), logits.cols());
+    for g in 0..logits.groups() {
+        let (x, width) = (logits.panel(g), logits.width(g));
+        let m = row_max(x);
+        let mut z = [0.0f32; LANES];
+        let pg = p.panel_mut(g);
+        for (ps, xs) in pg.iter_mut().zip(x) {
+            for l in 0..width {
+                let e = (xs[l] - m[l]).exp();
+                ps[l] = e;
+                z[l] += e;
+            }
+        }
+        for ps in pg {
+            for l in 0..width {
+                ps[l] /= z[l];
+            }
         }
     }
     p
 }
 
-/// `ln softmax(logits)[tok]` of one row in the float expression of
-/// [`Tape::gather_log_prob`] — `ln(max(e_tok / z, 1e-30))` over
+/// `ln softmax(logits)[targets[r]]` of every row in the float expression
+/// of [`Tape::gather_log_prob`] — `ln(max(e_tok / z, 1e-30))` over
 /// [`softmax_rows`]' `e` and `z` — for a pass that takes no gradient and
-/// so needs no probability row.
-pub(crate) fn log_prob(logits: &[f32], tok: usize) -> f32 {
-    let m = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let mut z = 0.0f32;
-    for &v in logits {
-        z += (v - m).exp();
+/// so needs no probability rows.
+///
+/// # Panics
+///
+/// Panics unless there is one target per row, each inside the vocab.
+pub(crate) fn log_probs(logits: &Panels, targets: &[usize]) -> Vec<f32> {
+    assert_eq!(logits.rows(), targets.len(), "one target per row");
+    let mut out = Vec::with_capacity(targets.len());
+    for g in 0..logits.groups() {
+        let (x, width) = (logits.panel(g), logits.width(g));
+        let m = row_max(x);
+        let mut z = [0.0f32; LANES];
+        for xs in x {
+            for l in 0..width {
+                z[l] += (xs[l] - m[l]).exp();
+            }
+        }
+        for l in 0..width {
+            let tok = targets[g * LANES + l];
+            out.push(((x[tok][l] - m[l]).exp() / z[l]).max(1e-30).ln());
+        }
     }
-    ((logits[tok] - m).exp() / z).max(1e-30).ln()
+    out
 }
 
 /// `Σ −p·ln p` over rows `rows` of `probs`, accumulated row by row.
-fn entropy_sum(probs: &Tensor, rows: std::ops::Range<usize>) -> f32 {
+fn entropy_sum(probs: &Panels, rows: std::ops::Range<usize>) -> f32 {
     let mut total = 0.0f32;
     for r in rows {
-        for &p in probs.row(r).iter() {
+        for p in probs.row(r) {
             if p > 0.0 {
                 total -= p * p.ln();
             }
@@ -214,14 +275,55 @@ fn entropy_sum(probs: &Tensor, rows: std::ops::Range<usize>) -> f32 {
     total
 }
 
+/// The gradients of [`panels::rmsnorm`] with gain `g`: `dx` lane-wise
+/// panel by panel, and one gain gradient per run of `runs`, summed over
+/// its rows in ascending order.
+fn rmsnorm_backward(x: &Panels, g: &[f32], gy: &Panels, runs: &[usize]) -> (Panels, Vec<Tensor>) {
+    let n = x.cols() as f32;
+    let mut dx = Panels::new(x.rows(), x.cols());
+    let mut invs = Vec::with_capacity(x.groups());
+    for p in 0..x.groups() {
+        let (xp, gp) = (x.panel(p), gy.panel(p));
+        let inv = panels::inv_rms(xp);
+        // s = Σ_i gy_i · g_i · x_i.
+        let mut s = [0.0f32; LANES];
+        for ((xs, gs), &gc) in xp.iter().zip(gp).zip(g) {
+            for l in 0..LANES {
+                s[l] += gs[l] * gc * xs[l];
+            }
+        }
+        for (((d, xs), gs), &gc) in dx.panel_mut(p).iter_mut().zip(xp).zip(gp).zip(g) {
+            for l in 0..LANES {
+                d[l] = gs[l] * gc * inv[l] - xs[l] * s[l] * inv[l].powi(3) / n;
+            }
+        }
+        invs.push(inv);
+    }
+    let dgs = runs
+        .windows(2)
+        .map(|run| {
+            let mut dg = Tensor::zeros(1, x.cols());
+            for r in run[0]..run[1] {
+                let (p, lane) = (r / LANES, r % LANES);
+                let steps = x.panel(p).iter().zip(gy.panel(p));
+                for (d, (xs, gs)) in dg.data_mut().iter_mut().zip(steps) {
+                    *d += gs[lane] * xs[lane] * invs[p][lane];
+                }
+            }
+            dg
+        })
+        .collect();
+    (dx, dgs)
+}
+
 /// Adds `g` into the gradient of `nodes[idx]`.
-fn accumulate(nodes: &mut [Node], idx: usize, g: Tensor) {
+fn accumulate(nodes: &mut [Node], idx: usize, g: Panels) {
     assert!(
         matches!(nodes[idx].value, Value::Owned(_)),
         "a parameter window takes its gradient as a matmul weight, a norm gain or an embedding table"
     );
     match &mut nodes[idx].grad {
-        Some(existing) => existing.add_scaled(&g, 1.0),
+        Some(existing) => existing.add_assign(&g),
         slot => *slot = Some(g),
     }
 }
@@ -232,7 +334,7 @@ fn accumulate(nodes: &mut [Node], idx: usize, g: Tensor) {
 fn deliver(nodes: &mut [Node], sink: &mut Sink, idx: usize, grads: Vec<Tensor>) {
     for (s, g) in grads.into_iter().enumerate() {
         match nodes[idx].value {
-            Value::Owned(_) => accumulate(nodes, idx, g),
+            Value::Owned(_) => accumulate(nodes, idx, Panels::from_mat(g.mat())),
             Value::Param { off, slot, .. } => sink.put(slot, s, off, g.data()),
         }
     }
@@ -245,11 +347,6 @@ fn runs<'s>(node: &Node, segs: &'s [usize], all_rows: &'s [usize; 2]) -> &'s [us
         Value::Owned(_) => all_rows,
         Value::Param { .. } => segs,
     }
-}
-
-/// Rows `rows` of `m` as a matrix of their own.
-fn rows_of<'m>(m: Mat<'m>, rows: &[usize]) -> Mat<'m> {
-    Mat { data: &m.data[rows[0] * m.cols..rows[1] * m.cols], rows: rows[1] - rows[0], cols: m.cols }
 }
 
 impl<'a> Tape<'a> {
@@ -268,7 +365,7 @@ impl<'a> Tape<'a> {
         Var(self.nodes.len() - 1)
     }
 
-    fn push(&mut self, value: Tensor, op: Op, seg: usize) -> Var {
+    fn push(&mut self, value: Panels, op: Op, seg: usize) -> Var {
         self.push_node(Value::Owned(value), op, seg)
     }
 
@@ -286,13 +383,13 @@ impl<'a> Tape<'a> {
     /// Pushes one scalar per segment (`[S × 1]`, each its own one-row
     /// segment): what an op that reduces over a segment's rows yields.
     fn push_per_segment(&mut self, scalars: Vec<f32>, op: Op) -> Var {
-        let segments = scalars.len();
-        let seg = self.segmentation(vec![1; segments]);
-        self.push(Tensor::new(scalars, segments, 1), op, seg)
+        let seg = self.segmentation(vec![1; scalars.len()]);
+        self.push(Panels::from_column(&scalars), op, seg)
     }
 
-    fn mat(&self, v: Var) -> Mat<'_> {
-        self.nodes[v.0].mat()
+    /// The activation at `v`.
+    fn act(&self, v: Var) -> &Panels {
+        self.nodes[v.0].panels()
     }
 
     fn bounds_of(&self, v: Var) -> &[usize] {
@@ -302,7 +399,7 @@ impl<'a> Tape<'a> {
     /// Registers an input (parameter or constant) tensor: one segment.
     pub fn leaf(&mut self, t: Tensor) -> Var {
         let seg = self.segmentation([t.rows()]);
-        self.push(t, Op::Leaf, seg)
+        self.push(Panels::from_mat(t.mat()), Op::Leaf, seg)
     }
 
     /// Registers the `[rows × cols]` parameter matrix at `off` in the
@@ -320,35 +417,34 @@ impl<'a> Tape<'a> {
         self.push_node(Value::Param { mat, off, slot }, Op::Leaf, UNSEGMENTED)
     }
 
-    /// The forward value at `v`.
+    /// The forward value at `v`, row-major.
     ///
     /// # Panics
     ///
     /// Panics if `v` is a [`Tape::param`] window: its values live in the
     /// buffer it borrows.
-    pub fn value(&self, v: Var) -> &Tensor {
+    pub fn value(&self, v: Var) -> Tensor {
         match &self.nodes[v.0].value {
-            Value::Owned(t) => t,
+            Value::Owned(p) => p.to_tensor(),
             Value::Param { .. } => panic!("a borrowed parameter window holds no tensor"),
         }
     }
 
-    /// The gradient [`Tape::backward`] left at [`Tape::leaf`] `v`, if it
-    /// received one. Gradients of intermediate nodes are consumed by the
-    /// pass; those of parameter windows go to the caller's buffers.
-    pub fn leaf_grad(&self, v: Var) -> Option<&Tensor> {
-        self.nodes[v.0].grad.as_ref()
-    }
-
-    /// A copy of [`Tape::leaf_grad`] (zeros if `v` never received one).
+    /// The gradient [`Tape::backward`] left at [`Tape::leaf`] `v`,
+    /// row-major (zeros if it received none). Gradients of intermediate
+    /// nodes are consumed by the pass; those of parameter windows go to
+    /// the caller's buffers.
     pub fn grad(&self, v: Var) -> Tensor {
-        let m = self.mat(v);
-        self.leaf_grad(v).cloned().unwrap_or_else(|| Tensor::zeros(m.rows, m.cols))
+        let node = &self.nodes[v.0];
+        node.grad.as_ref().map(Panels::to_tensor).unwrap_or_else(|| {
+            let (rows, cols) = node.shape();
+            Tensor::zeros(rows, cols)
+        })
     }
 
     /// `x · wᵀ`.
     pub fn matmul_nt(&mut self, x: Var, w: Var) -> Var {
-        let y = kernels::x_wt(self.mat(x), self.mat(w));
+        let y = self.nodes[w.0].weight(|w| kernels::x_wt(self.act(x), w));
         self.push(y, Op::MatmulNt { x: x.0, w: w.0 }, self.nodes[x.0].seg)
     }
 
@@ -359,61 +455,42 @@ impl<'a> Tape<'a> {
     /// Panics if the shapes or the segments of `a` and `b` differ.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
         assert_eq!(self.bounds_of(a), self.bounds_of(b), "add segments");
-        let y = self.value(a).add(self.value(b));
+        let y = self.act(a).add(self.act(b));
         self.push(y, Op::Add { a: a.0, b: b.0 }, self.nodes[a.0].seg)
     }
 
     /// `c · x`.
     pub fn scale(&mut self, x: Var, c: f32) -> Var {
-        let y = self.value(x).map(|v| c * v);
+        let y = self.act(x).map(|v| c * v);
         self.push(y, Op::Scale { x: x.0, c }, self.nodes[x.0].seg)
     }
 
     /// SiLU activation `x · σ(x)`.
     pub fn silu(&mut self, x: Var) -> Var {
-        let xv = self.value(x);
-        let sig = xv.map(sigmoid);
-        let y = xv.data().iter().zip(sig.data()).map(|(v, s)| v * s).collect();
-        let y = Tensor::new(y, xv.rows(), xv.cols());
+        let xv = self.act(x);
+        let sig = xv.map_rows(sigmoid);
+        let mut y = xv.clone();
+        for (ys, ss) in y.data_mut().iter_mut().zip(sig.data()) {
+            for (y, s) in ys.iter_mut().zip(ss) {
+                *y *= s;
+            }
+        }
         self.push(y, Op::Silu { x: x.0, sig }, self.nodes[x.0].seg)
     }
 
     /// Row-wise RMS normalization with a learned gain vector `[1 × h]`.
     pub fn rmsnorm(&mut self, x: Var, gain: Var) -> Var {
-        let eps = 1e-6;
-        let (xv, g) = (self.mat(x), self.mat(gain));
-        assert_eq!(g.rows, 1);
-        assert_eq!(g.cols, xv.cols);
-        let mut y = Tensor::zeros(xv.rows, xv.cols);
-        for r in 0..xv.rows {
-            let row = xv.row(r);
-            let ms: f32 = row.iter().map(|v| v * v).sum::<f32>() / row.len() as f32;
-            let inv = 1.0 / (ms + eps).sqrt();
-            for ((y, &v), &g) in y.row_mut(r).iter_mut().zip(row).zip(g.data) {
-                *y = v * inv * g;
-            }
-        }
-        self.push(y, Op::RmsNorm { x: x.0, gain: gain.0, eps }, self.nodes[x.0].seg)
+        let y = self.nodes[gain.0].weight(|g| {
+            assert_eq!(g.rows, 1, "one gain row");
+            panels::rmsnorm(self.act(x), g.data)
+        });
+        self.push(y, Op::RmsNorm { x: x.0, gain: gain.0 }, self.nodes[x.0].seg)
     }
 
     /// Causal cumulative mean over the rows of each segment:
     /// `y_t = mean(x_0..=x_t)`, `t` counted from the segment's first row.
     pub fn cum_mean(&mut self, x: Var) -> Var {
-        let xv = self.mat(x);
-        let mut y = Tensor::zeros(xv.rows, xv.cols);
-        let mut acc = vec![0.0f32; xv.cols];
-        for seg in self.bounds_of(x).windows(2) {
-            acc.fill(0.0);
-            for r in seg[0]..seg[1] {
-                for (a, &v) in acc.iter_mut().zip(xv.row(r).iter()) {
-                    *a += v;
-                }
-                let inv = 1.0 / ((r - seg[0]) as f32 + 1.0);
-                for (y, a) in y.row_mut(r).iter_mut().zip(&acc) {
-                    *y = a * inv;
-                }
-            }
-        }
+        let y = panels::cum_mean(self.act(x), self.bounds_of(x));
         self.push(y, Op::CumMean { x: x.0 }, self.nodes[x.0].seg)
     }
 
@@ -435,33 +512,27 @@ impl<'a> Tape<'a> {
     /// to `ids.len()`.
     pub fn embed_segments(&mut self, table: Var, ids: &[usize], lens: &[usize]) -> Var {
         assert_eq!(lens.iter().sum::<usize>(), ids.len(), "segment lengths must cover the ids");
-        let tv = self.mat(table);
-        let mut y = Tensor::zeros(ids.len(), tv.cols);
-        for (r, &id) in ids.iter().enumerate() {
-            assert!(id < tv.rows, "token id {id} out of vocab {}", tv.rows);
-            y.row_mut(r).copy_from_slice(tv.row(id));
-        }
+        let y = self.nodes[table.0].weight(|t| panels::embed(t, ids));
         let seg = self.segmentation(lens.iter().copied());
         self.push(y, Op::Embed { table: table.0, ids: ids.to_vec() }, seg)
     }
 
     /// Token log-probabilities: `out[t] = log softmax(logits[t])[targets[t]]`.
     pub fn gather_log_prob(&mut self, logits: Var, targets: &[usize]) -> Var {
-        let lv = self.mat(logits);
-        assert_eq!(lv.rows, targets.len());
+        let lv = self.act(logits);
+        assert_eq!(lv.rows(), targets.len());
         let probs = softmax_rows(lv);
-        let mut y = Tensor::zeros(targets.len(), 1);
-        for (t, &tok) in targets.iter().enumerate() {
-            y.set(t, 0, probs.get(t, tok).max(1e-30).ln());
-        }
+        let y: Vec<f32> = (targets.iter().enumerate())
+            .map(|(t, &tok)| probs.get(t, tok).max(1e-30).ln())
+            .collect();
         let op = Op::GatherLogProb { logits: logits.0, targets: targets.to_vec(), probs };
-        self.push(y, op, self.nodes[logits.0].seg)
+        self.push(Panels::from_column(&y), op, self.nodes[logits.0].seg)
     }
 
     /// Mean policy entropy over the rows of each segment of `logits`
     /// (one scalar per segment, `[S × 1]`).
     pub fn mean_entropy(&mut self, logits: Var) -> Var {
-        let probs = softmax_rows(self.mat(logits));
+        let probs = softmax_rows(self.act(logits));
         let means = self
             .bounds_of(logits)
             .windows(2)
@@ -476,27 +547,29 @@ impl<'a> Tape<'a> {
     ///
     /// Panics if the range is out of a segment's bounds.
     pub fn slice_rows(&mut self, x: Var, start: usize, end: usize) -> Var {
-        let xv = self.mat(x);
-        let mut data = Vec::new();
-        for seg in self.bounds_of(x).windows(2) {
-            assert!(start <= end && seg[0] + end <= seg[1], "slice_rows out of bounds");
-            data.extend_from_slice(&xv.data[(seg[0] + start) * xv.cols..(seg[0] + end) * xv.cols]);
-        }
+        let xv = self.act(x);
         let segments = self.bounds_of(x).len() - 1;
-        let y = Tensor::new(data, segments * (end - start), xv.cols);
+        let mut y = Panels::new(segments * (end - start), xv.cols());
+        for (s, seg) in self.bounds_of(x).windows(2).enumerate() {
+            assert!(start <= end && seg[0] + end <= seg[1], "slice_rows out of bounds");
+            for i in 0..end - start {
+                y.set_row(s * (end - start) + i, xv.row(seg[0] + start + i));
+            }
+        }
         let seg = self.segmentation(vec![end - start; segments]);
         self.push(y, Op::SliceRows { x: x.0, start }, seg)
     }
 
-    /// Mean of all elements of each segment (`[S × 1]`).
+    /// Mean of all elements of each segment (`[S × 1]`), summed row by
+    /// row.
     pub fn mean_all(&mut self, x: Var) -> Var {
-        let xv = self.mat(x);
+        let xv = self.act(x);
         let means = self
             .bounds_of(x)
             .windows(2)
             .map(|seg| {
-                let part = rows_of(xv, seg).data;
-                part.iter().sum::<f32>() / part.len() as f32
+                let sum = (seg[0]..seg[1]).flat_map(|r| xv.row(r)).sum::<f32>();
+                sum / ((seg[1] - seg[0]) * xv.cols()) as f32
             })
             .collect::<Vec<_>>();
         self.push_per_segment(means, Op::MeanAll { x: x.0 })
@@ -509,9 +582,9 @@ impl<'a> Tape<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if lengths disagree.
+    /// Panics if `logp` is not one column or lengths disagree.
     pub fn ppo_clip_loss(&mut self, logp: Var, old_logp: &[f32], adv: &[f32], eps: f32) -> Var {
-        let lv = self.mat(logp).data;
+        let lv = self.act(logp).column();
         assert_eq!(lv.len(), old_logp.len());
         assert_eq!(lv.len(), adv.len());
         let losses = self
@@ -539,9 +612,9 @@ impl<'a> Tape<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if lengths disagree.
+    /// Panics if `v` is not one column or lengths disagree.
     pub fn value_clip_loss(&mut self, v: Var, returns: &[f32], old_v: &[f32], eps: f32) -> Var {
-        let vv = self.mat(v).data;
+        let vv = self.act(v).column();
         assert_eq!(vv.len(), returns.len());
         assert_eq!(vv.len(), old_v.len());
         let losses = self
@@ -590,12 +663,10 @@ impl<'a> Tape<'a> {
     /// parameter windows and `grads` is not one buffer per segment.
     pub fn backward_into(&mut self, loss: Var, grads: &mut [Vec<f32>]) {
         let segments = self.bounds_of(loss).len() - 1;
-        let lm = self.mat(loss);
+        let (rows, cols) = self.nodes[loss.0].shape();
         assert!(
-            lm.cols == 1 && lm.rows == segments,
-            "backward needs a scalar loss per segment, got [{} × {}] over {segments}",
-            lm.rows,
-            lm.cols
+            cols == 1 && rows == segments,
+            "backward needs a scalar loss per segment, got [{rows} × {cols}] over {segments}"
         );
         if self.windows > 0 {
             assert_eq!(grads.len(), segments, "one gradient buffer per segment");
@@ -604,7 +675,7 @@ impl<'a> Tape<'a> {
             g.resize(self.params.len(), 0.0);
         }
         let mut sink = Sink { written: vec![false; self.windows * grads.len()], grads };
-        self.nodes[loss.0].grad = Some(Tensor::new(vec![1.0; segments], segments, 1));
+        self.nodes[loss.0].grad = Some(Panels::from_column(&vec![1.0; segments]));
         let bounds = &self.bounds;
         for idx in (0..=loss.0).rev() {
             // A node's inputs all precede it: borrow them apart from it.
@@ -618,20 +689,18 @@ impl<'a> Tape<'a> {
             match &node.op {
                 Op::Leaf => unreachable!("leaves keep their gradient"),
                 &Op::MatmulNt { x, w } => {
-                    let dx = kernels::g_w(gy.mat(), inputs[w].mat());
-                    match inputs[w].value {
-                        Value::Owned(_) => {
-                            let dw = kernels::gt_x(gy.mat(), inputs[x].mat());
-                            accumulate(inputs, w, dw);
+                    let dx = inputs[w].weight(|w| kernels::g_w(&gy, w));
+                    if let Value::Param { mat, off, slot } = inputs[w].value {
+                        for (s, seg) in segs.windows(2).enumerate() {
+                            let dw = sink.window(slot, s, off, mat.data.len());
+                            kernels::gt_x_into(&gy, inputs[x].panels(), seg[0]..seg[1], dw);
                         }
-                        Value::Param { mat, off, slot } => {
-                            for (s, seg) in segs.windows(2).enumerate() {
-                                let dw = sink.window(slot, s, off, mat.data.len());
-                                let (g, x) =
-                                    (rows_of(gy.mat(), seg), rows_of(inputs[x].mat(), seg));
-                                kernels::gt_x_into(g, x, dw);
-                            }
-                        }
+                    } else {
+                        let (n, k) = inputs[w].shape();
+                        let mut dw = Tensor::zeros(n, k);
+                        let out = (dw.data_mut(), Write::Store);
+                        kernels::gt_x_into(&gy, inputs[x].panels(), 0..gy.rows(), out);
+                        accumulate(inputs, w, Panels::from_mat(dw.mat()));
                     }
                     accumulate(inputs, x, dx);
                 }
@@ -642,43 +711,25 @@ impl<'a> Tape<'a> {
                 &Op::Scale { x, c } => accumulate(inputs, x, gy.map(|v| c * v)),
                 Op::Silu { x, sig } => {
                     let mut dx = gy;
-                    let xs = inputs[*x].mat().data.iter().zip(sig.data());
-                    for (d, (&v, &s)) in dx.data_mut().iter_mut().zip(xs) {
+                    let xv = inputs[*x].panels().data().as_flattened();
+                    let xs = xv.iter().zip(sig.data().as_flattened());
+                    for (d, (&v, &s)) in dx.data_mut().as_flattened_mut().iter_mut().zip(xs) {
                         *d *= s * (1.0 + v * (1.0 - s));
                     }
                     accumulate(inputs, *x, dx);
                 }
-                &Op::RmsNorm { x, gain, eps } => {
-                    let (xv, g) = (inputs[x].mat(), inputs[gain].mat().data);
-                    let n = xv.cols as f32;
-                    let mut dx = Tensor::zeros(xv.rows, xv.cols);
-                    let all_rows = [0, xv.rows];
-                    let mut dgs = Vec::new();
-                    for seg in runs(&inputs[gain], segs, &all_rows).windows(2) {
-                        let mut dg = Tensor::zeros(1, xv.cols);
-                        for r in seg[0]..seg[1] {
-                            let (row, gyr) = (xv.row(r), gy.row(r));
-                            let ms: f32 = row.iter().map(|v| v * v).sum::<f32>() / n;
-                            let inv = 1.0 / (ms + eps).sqrt();
-                            // s = Σ_i gy_i · g_i · x_i.
-                            let mut s = 0.0f32;
-                            for c in 0..xv.cols {
-                                s += gyr[c] * g[c] * row[c];
-                            }
-                            let (dxr, dgr) = (dx.row_mut(r), dg.data_mut());
-                            for c in 0..xv.cols {
-                                dxr[c] = gyr[c] * g[c] * inv - row[c] * s * inv.powi(3) / n;
-                                dgr[c] += gyr[c] * row[c] * inv;
-                            }
-                        }
-                        dgs.push(dg);
-                    }
+                &Op::RmsNorm { x, gain } => {
+                    let xv = inputs[x].panels();
+                    let all_rows = [0, xv.rows()];
+                    let runs = runs(&inputs[gain], segs, &all_rows);
+                    let (dx, dgs) =
+                        inputs[gain].weight(|g| rmsnorm_backward(xv, g.data, &gy, runs));
                     deliver(inputs, &mut sink, gain, dgs);
                     accumulate(inputs, x, dx);
                 }
                 &Op::CumMean { x } => {
                     let cols = gy.cols();
-                    let mut dx = Tensor::zeros(gy.rows(), cols);
+                    let mut dx = Panels::new(gy.rows(), cols);
                     // dX_i = Σ_{t ≥ i} gy_t / (t+1): suffix sums.
                     let mut suffix = vec![0.0f32; cols];
                     for seg in segs.windows(2) {
@@ -688,13 +739,13 @@ impl<'a> Tape<'a> {
                             for (s, g) in suffix.iter_mut().zip(gy.row(r)) {
                                 *s += g * inv;
                             }
-                            dx.row_mut(r).copy_from_slice(&suffix);
+                            dx.set_row(r, suffix.iter().copied());
                         }
                     }
                     accumulate(inputs, x, dx);
                 }
                 Op::Embed { table, ids } => {
-                    let vocab = inputs[*table].mat().rows;
+                    let (vocab, _) = inputs[*table].shape();
                     let all_rows = [0, ids.len()];
                     let mut dts = Vec::new();
                     for seg in runs(&inputs[*table], segs, &all_rows).windows(2) {
@@ -709,68 +760,64 @@ impl<'a> Tape<'a> {
                     deliver(inputs, &mut sink, *table, dts);
                 }
                 Op::GatherLogProb { logits, targets, probs } => {
-                    let mut dl = Tensor::zeros(probs.rows(), probs.cols());
-                    for (t, &tok) in targets.iter().enumerate() {
-                        let go = gy.get(t, 0);
+                    let mut dl = Panels::new(probs.rows(), probs.cols());
+                    for (t, (&tok, &go)) in targets.iter().zip(gy.column()).enumerate() {
                         if go == 0.0 {
                             continue;
                         }
-                        for (c, (d, &p)) in dl.row_mut(t).iter_mut().zip(probs.row(t)).enumerate() {
-                            let ind = if c == tok { 1.0 } else { 0.0 };
-                            *d = go * (ind - p);
-                        }
+                        let ind = |c: usize| if c == tok { 1.0 } else { 0.0 };
+                        dl.set_row(t, probs.row(t).enumerate().map(|(c, p)| go * (ind(c) - p)));
                     }
                     accumulate(inputs, *logits, dl);
                 }
                 Op::MeanEntropy { logits, probs } => {
-                    let mut dl = Tensor::zeros(probs.rows(), probs.cols());
+                    let mut dl = Panels::new(probs.rows(), probs.cols());
                     let rows = &bounds[inputs[*logits].seg];
                     for (s, seg) in rows.windows(2).enumerate() {
-                        let go = gy.get(s, 0) / (seg[1] - seg[0]) as f32;
+                        let go = gy.column()[s] / (seg[1] - seg[0]) as f32;
                         for r in seg[0]..seg[1] {
                             let h = entropy_sum(probs, r..r + 1);
-                            for (d, &p) in dl.row_mut(r).iter_mut().zip(probs.row(r)) {
-                                if p > 0.0 {
-                                    // dH/dz_c = -p_c (ln p_c + H).
-                                    *d = go * (-p * (p.ln() + h));
-                                }
-                            }
+                            // dH/dz_c = -p_c (ln p_c + H).
+                            let d = |p: f32| if p > 0.0 { go * (-p * (p.ln() + h)) } else { 0.0 };
+                            dl.set_row(r, probs.row(r).map(d));
                         }
                     }
                     accumulate(inputs, *logits, dl);
                 }
                 &Op::SliceRows { x, start } => {
-                    let xm = inputs[x].mat();
-                    let mut dx = Tensor::zeros(xm.rows, xm.cols);
+                    let (rows, cols) = inputs[x].shape();
+                    let mut dx = Panels::new(rows, cols);
                     let from = bounds[inputs[x].seg].windows(2);
                     for (seg, window) in from.zip(segs.windows(2)) {
-                        let g = rows_of(gy.mat(), window).data;
-                        dx.data_mut()[(seg[0] + start) * xm.cols..][..g.len()].copy_from_slice(g);
+                        for (i, r) in (window[0]..window[1]).enumerate() {
+                            dx.set_row(seg[0] + start + i, gy.row(r));
+                        }
                     }
                     accumulate(inputs, x, dx);
                 }
                 &Op::MeanAll { x } => {
-                    let xm = inputs[x].mat();
-                    let mut dx = Tensor::zeros(xm.rows, xm.cols);
-                    let rows = &bounds[inputs[x].seg];
-                    for (s, seg) in rows.windows(2).enumerate() {
-                        let part = &mut dx.data_mut()[seg[0] * xm.cols..seg[1] * xm.cols];
-                        part.fill(gy.get(s, 0) / part.len() as f32);
+                    let (rows, cols) = inputs[x].shape();
+                    let mut dx = Panels::new(rows, cols);
+                    for (s, seg) in bounds[inputs[x].seg].windows(2).enumerate() {
+                        let d = gy.column()[s] / ((seg[1] - seg[0]) * cols) as f32;
+                        for r in seg[0]..seg[1] {
+                            dx.set_row(r, std::iter::repeat(d));
+                        }
                     }
                     accumulate(inputs, x, dx);
                 }
                 Op::PpoClip { logp, old_logp, adv, eps } => {
-                    let lv = inputs[*logp].mat();
-                    let mut dl = Tensor::zeros(lv.rows, lv.cols);
+                    let lv = inputs[*logp].panels().column();
+                    let mut dl = vec![0.0f32; lv.len()];
                     let rows = &bounds[inputs[*logp].seg];
                     for (s, seg) in rows.windows(2).enumerate() {
-                        let go = gy.get(s, 0) / (seg[1] - seg[0]) as f32;
+                        let go = gy.column()[s] / (seg[1] - seg[0]) as f32;
                         for t in seg[0]..seg[1] {
-                            let r = (lv.data[t] - old_logp[t]).exp();
+                            let r = (lv[t] - old_logp[t]).exp();
                             let u = r * adv[t];
                             let v = r.clamp(1.0 - eps, 1.0 + eps) * adv[t];
                             // loss contribution is -min(u, v)/T.
-                            let d = if u <= v {
+                            dl[t] = if u <= v {
                                 // d u / d logp = r · A.
                                 -go * r * adv[t]
                             } else if r > 1.0 - eps && r < 1.0 + eps {
@@ -778,34 +825,32 @@ impl<'a> Tape<'a> {
                             } else {
                                 0.0 // clipped branch: constant in logp
                             };
-                            dl.data_mut()[t] = d;
                         }
                     }
-                    accumulate(inputs, *logp, dl);
+                    accumulate(inputs, *logp, Panels::from_column(&dl));
                 }
                 Op::ValueClip { v, returns, old_v, eps } => {
-                    let vv = inputs[*v].mat();
-                    let mut dv = Tensor::zeros(vv.rows, vv.cols);
+                    let vv = inputs[*v].panels().column();
+                    let mut dv = vec![0.0f32; vv.len()];
                     let rows = &bounds[inputs[*v].seg];
                     for (s, seg) in rows.windows(2).enumerate() {
-                        let go = gy.get(s, 0) / (seg[1] - seg[0]) as f32;
+                        let go = gy.column()[s] / (seg[1] - seg[0]) as f32;
                         for t in seg[0]..seg[1] {
-                            let val = vv.data[t];
+                            let val = vv[t];
                             let delta = (val - old_v[t]).clamp(-eps, *eps);
                             let clipped = old_v[t] + delta;
                             let a = (val - returns[t]).powi(2);
                             let b = (clipped - returns[t]).powi(2);
-                            let d = if a >= b {
+                            dv[t] = if a >= b {
                                 go * (val - returns[t])
                             } else if (val - old_v[t]).abs() < *eps {
                                 go * (clipped - returns[t])
                             } else {
                                 0.0
                             };
-                            dv.data_mut()[t] = d;
                         }
                     }
-                    accumulate(inputs, *v, dv);
+                    accumulate(inputs, *v, Panels::from_column(&dv));
                 }
             }
         }

@@ -1,6 +1,9 @@
-//! A minimal row-major 2-D `f32` tensor.
+//! A minimal row-major 2-D `f32` tensor: what hf-nn takes in and hands
+//! out. Inside, activations live in lane panels (`crate::panels`); the
+//! products here convert around the same kernel.
 
-use crate::kernels;
+use crate::kernels::{self, Write};
+use crate::panels::Panels;
 
 /// A row-major matrix borrowed as a slice: what the kernels and the
 /// tape read, whether a [`Tensor`] or a window of a model's flat
@@ -111,7 +114,7 @@ impl Tensor {
     ///
     /// Panics on inner-dimension mismatch.
     pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
-        kernels::x_wt(self.mat(), other.mat())
+        kernels::x_wt(&Panels::from_mat(self.mat()), other.mat()).to_tensor()
     }
 
     /// `selfᵀ · other`, where `self` is `[m × k]` and `other` is `[m × n]`;
@@ -121,7 +124,10 @@ impl Tensor {
     ///
     /// Panics on outer-dimension mismatch.
     pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
-        kernels::gt_x(self.mat(), other.mat())
+        let mut out = Tensor::zeros(self.cols, other.cols);
+        let (g, x) = (Panels::from_mat(self.mat()), Panels::from_mat(other.mat()));
+        kernels::gt_x_into(&g, &x, 0..self.rows, (&mut out.data, Write::Store));
+        out
     }
 
     /// `self · other`, where `self` is `[m × k]` and `other` is `[k × n]`;
@@ -131,7 +137,7 @@ impl Tensor {
     ///
     /// Panics on inner-dimension mismatch.
     pub fn matmul_nn(&self, other: &Tensor) -> Tensor {
-        kernels::g_w(self.mat(), other.mat())
+        kernels::g_w(&Panels::from_mat(self.mat()), other.mat()).to_tensor()
     }
 
     /// Elementwise addition.

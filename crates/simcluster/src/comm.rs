@@ -317,6 +317,9 @@ pub struct Communicator {
     /// deterministic cross-rank name for one collective instance, which
     /// hf-insight uses to stitch membership edges into the span graph.
     rounds: std::sync::atomic::AtomicU64,
+    /// Payload bytes charged through *this handle*
+    /// ([`Communicator::bytes`]).
+    bytes: std::sync::atomic::AtomicU64,
     /// Lifecycle auditor (audit builds): set once this handle observes a
     /// [`CollectiveAbort`]. NCCL requires a fresh communicator after
     /// `commAbort`; issuing another collective through an aborted handle
@@ -340,6 +343,7 @@ impl Communicator {
             cluster,
             cost,
             rounds: std::sync::atomic::AtomicU64::new(0),
+            bytes: std::sync::atomic::AtomicU64::new(0),
             #[cfg(feature = "audit")]
             aborted: std::sync::atomic::AtomicBool::new(false),
         }
@@ -348,6 +352,17 @@ impl Communicator {
     /// Collective rounds completed through this handle so far.
     pub fn rounds(&self) -> u64 {
         self.rounds.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    /// Payload bytes this handle's collectives and point-to-point sends
+    /// have been charged for so far: the volume put on the wire, whatever
+    /// time the cost model made of it.
+    pub fn bytes(&self) -> u64 {
+        self.bytes.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    fn count(&self, bytes: f64) {
+        self.bytes.fetch_add(bytes as u64, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Deterministic cross-rank name for this communicator: the ordered
@@ -432,6 +447,7 @@ impl Communicator {
         let hop = self.cost.p2p_time(&self.cluster, devices[self.rank], devices[dst], bytes);
         let msg: P2pMsg = (clock.now() + hop, Box::new(value));
         self.guarded(|| self.group.post(self.rank, dst, msg));
+        self.count(bytes);
     }
 
     /// Receives the next value group rank `src` sent this rank, in send
@@ -454,6 +470,7 @@ impl Communicator {
     fn charge(&self, clock: &mut VirtualClock, start: f64, kind: CollectiveKind, bytes: f64) {
         let cost = self.cost.collective_time(&self.cluster, self.group.devices(), kind, bytes);
         clock.sync_to(start + cost);
+        self.count(bytes);
         self.rounds.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 
@@ -504,13 +521,15 @@ impl Communicator {
         // baselines pin; `broadcast` and `scatter` share it.
         let out =
             self.collective(clock, data.to_vec(), CollectiveKind::AllGather, 0.0, |p| p.concat());
+        let bytes = (out.1.len() * 4) as f64;
         let cost_full = self.cost.collective_time(
             &self.cluster,
             self.group.devices(),
             CollectiveKind::AllGather,
-            (out.1.len() * 4) as f64,
+            bytes,
         );
         clock.advance(cost_full);
+        self.count(bytes);
         out.1.clone()
     }
 
@@ -586,13 +605,15 @@ impl Communicator {
         let out = self.collective(clock, data, CollectiveKind::Broadcast, 0.0, |mut parts| {
             parts.swap_remove(root).expect("broadcast root must supply data")
         });
+        let bytes = (out.1.len() * 4) as f64;
         let cost = self.cost.collective_time(
             &self.cluster,
             self.group.devices(),
             CollectiveKind::Broadcast,
-            (out.1.len() * 4) as f64,
+            bytes,
         );
         clock.advance(cost);
+        self.count(bytes);
         out.1.clone()
     }
 
