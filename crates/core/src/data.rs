@@ -21,9 +21,10 @@
 //! The rest of a view is shared too: column names are `Arc<str>` and the
 //! metadata map is one copy-on-write [`Meta`], so a `clone` or `select`
 //! allocates only its column table, whatever the names and metadata
-//! hold. A chunk's global starting row is a plain field
-//! ([`DataProto::row_offset`]), not a metadata entry, so stamping one
-//! chunk never copies the map its siblings share.
+//! hold. A chunk's global starting row ([`DataProto::row_offset`]) and
+//! the device a reply was collected from ([`DataProto::src_device`]) are
+//! plain fields, not metadata entries, so stamping one batch never
+//! copies the map its siblings share.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -387,7 +388,9 @@ pub struct DataProto {
     /// Global index of this batch's first row, when it is a chunk of a
     /// larger logical batch (see [`DataProto::row_offset`]).
     row_offset: Option<usize>,
-    /// Free-form metadata (algorithm flags, provenance, ...).
+    /// See [`DataProto::src_device`].
+    src_device: Option<usize>,
+    /// Free-form metadata (algorithm flags, ...).
     pub meta: Meta,
 }
 
@@ -429,6 +432,17 @@ impl DataProto {
     pub fn set_row_offset(&mut self, row0: Option<usize>) -> &mut Self {
         self.row_offset = row0;
         self
+    }
+
+    /// The device a worker group's reply was collected from, which the
+    /// next call on it pulls it from; it follows the batch by
+    /// [`DataProto::row_offset`]'s rules.
+    pub fn src_device(&self) -> Option<usize> {
+        self.src_device
+    }
+
+    pub(crate) fn set_src_device(&mut self, device: Option<usize>) {
+        self.src_device = device;
     }
 
     /// Whether the batch holds a column named `name`.
@@ -490,17 +504,6 @@ impl DataProto {
         self.columns.remove(name)
     }
 
-    /// Re-inserts a raw column.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column's row count disagrees.
-    pub fn insert_column(&mut self, name: &str, col: Column) -> &mut Self {
-        assert_eq!(col.rows(), self.rows, "column {name} row mismatch");
-        self.columns.insert(name.into(), col);
-        self
-    }
-
     /// Rows `[start, end)` as a new batch of views sharing this batch's
     /// buffers, column names and metadata (no payload copies).
     ///
@@ -511,6 +514,7 @@ impl DataProto {
         assert!(start <= end && end <= self.rows, "select range out of bounds");
         let mut out = DataProto::with_rows(end - start);
         out.row_offset = self.row_offset;
+        out.src_device = self.src_device;
         out.meta = self.meta.clone();
         // One insert at a time: `collect` would stage the entries in a
         // `Vec` first, a second allocation per view.
@@ -542,9 +546,9 @@ impl DataProto {
     }
 
     /// Concatenates batches row-wise. Columns must agree in name, type,
-    /// and width; metadata and the row offset are taken from the first
-    /// batch. When the parts are contiguous views over shared buffers (a
-    /// `chunk` round-trip), this is zero-copy.
+    /// and width; metadata, the row offset and the source device are
+    /// taken from the first batch. When the parts are contiguous views
+    /// over shared buffers (a `chunk` round-trip), this is zero-copy.
     pub fn concat(parts: &[DataProto]) -> Result<DataProto> {
         let Some(first) = parts.first() else {
             return Ok(DataProto::empty());
@@ -560,6 +564,7 @@ impl DataProto {
         }
         let mut out = DataProto::with_rows(parts.iter().map(|p| p.rows).sum());
         out.row_offset = first.row_offset;
+        out.src_device = first.src_device;
         out.meta = first.meta.clone();
         let mut cols: Vec<&Column> = Vec::with_capacity(parts.len());
         for name in first.columns.keys() {
@@ -572,7 +577,8 @@ impl DataProto {
 
     /// Merges `other`'s columns into `self` (same row count required);
     /// existing columns are overwritten, metadata is merged, and
-    /// `other`'s row offset replaces this one's when it has one.
+    /// `other`'s row offset and source device replace this one's where it
+    /// has them.
     pub fn union(&mut self, other: DataProto) -> Result<&mut Self> {
         if other.rows != self.rows && !other.columns.is_empty() {
             return Err(CoreError::Data(format!(
@@ -585,6 +591,9 @@ impl DataProto {
         }
         if other.row_offset.is_some() {
             self.row_offset = other.row_offset;
+        }
+        if other.src_device.is_some() {
+            self.src_device = other.src_device;
         }
         self.meta.merge(other.meta);
         Ok(self)
@@ -699,22 +708,33 @@ mod tests {
 
     #[test]
     fn row_offset_follows_the_meta_rules() {
-        let mut d = sample(6);
-        d.set_row_offset(Some(10));
-        assert_eq!(d.select(2, 4).row_offset(), Some(10), "select copies the stamp");
-        assert_eq!(d.clone(), d);
-        let mut other = d.clone();
-        other.set_row_offset(None);
-        assert_ne!(other, d, "equality compares the stamp");
-        let parts = [d.select(0, 3), other.select(3, 6)];
-        assert_eq!(DataProto::concat(&parts).unwrap().row_offset(), Some(10), "first part's");
-        let mut u = d.clone();
-        u.union(DataProto::with_rows(6)).unwrap();
-        assert_eq!(u.row_offset(), Some(10), "an unstamped union keeps the stamp");
-        let mut stamped = DataProto::with_rows(6);
-        stamped.set_row_offset(Some(3));
-        u.union(stamped).unwrap();
-        assert_eq!(u.row_offset(), Some(3), "a stamped union replaces it");
+        // The row offset and the source device follow one set of rules.
+        type Stamp = (fn(&DataProto) -> Option<usize>, fn(&mut DataProto, Option<usize>));
+        let stamps: [Stamp; 2] = [
+            (DataProto::row_offset, |d, v| {
+                d.set_row_offset(v);
+            }),
+            (DataProto::src_device, DataProto::set_src_device),
+        ];
+        for (get, set) in stamps {
+            let mut d = sample(6);
+            set(&mut d, Some(10));
+            assert_eq!(get(&d.select(2, 4)), Some(10), "select copies the stamp");
+            assert_eq!(get(&d.chunk(3)[2]), Some(10), "so does chunk");
+            assert_eq!(d.clone(), d);
+            let mut other = d.clone();
+            set(&mut other, None);
+            assert_ne!(other, d, "equality compares the stamp");
+            let parts = [d.select(0, 3), other.select(3, 6)];
+            assert_eq!(get(&DataProto::concat(&parts).unwrap()), Some(10), "first part's");
+            let mut u = d.clone();
+            u.union(DataProto::with_rows(6)).unwrap();
+            assert_eq!(get(&u), Some(10), "an unstamped union keeps the stamp");
+            let mut stamped = DataProto::with_rows(6);
+            set(&mut stamped, Some(3));
+            u.union(stamped).unwrap();
+            assert_eq!(get(&u), Some(3), "a stamped union replaces it");
+        }
     }
 
     #[test]

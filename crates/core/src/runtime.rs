@@ -4,7 +4,7 @@
 //!   FIFO mailbox (`hf_sync::channel`) and its own virtual clocks; the
 //!   mailbox, the reply slots and the communicators all block through
 //!   `hf-sync`, and nothing else here waits but `shutdown`'s joins and
-//!   `FutureInput::cut`'s `OnceLock`. Colocated model workers
+//!   `CallInput::cut`'s `OnceLock`. Colocated model workers
 //!   registered on the same device execute sequentially in mailbox
 //!   order — the time-sharing semantics of §2.3 — while worker groups on
 //!   disjoint [`ResourcePool`]s execute in parallel.
@@ -19,25 +19,26 @@
 //!   when it dequeues the message, waits for the producing call and takes
 //!   `distribute(own protocol, collect(producer's protocol, replies))[rank]`
 //!   — the producer's reply goes rank to rank and never passes through
-//!   the controller on its way to a consumer. Both entry points end in
-//!   one `dispatch` and one `Execute` arm; the controller's `wait` and a
-//!   consumer rank run the same `CallState::collect`. The reply is
-//!   collected once per future on a device thread and cut once per
-//!   consumer call (two `OnceLock`s); the controller collects its own
-//!   copy at its own `wait`, on its own thread, because the physical-copy
-//!   count is thread-local.
+//!   the controller on its way to a consumer. Every call's ranks read one
+//!   shared `CallInput`, cut at issue for `call` and by the first rank to
+//!   dequeue for `call_on`; the controller's `wait` and a consumer rank run
+//!   the same `CallState::collect`. The reply is collected once per future
+//!   on a device thread and cut once per consumer call (two `OnceLock`s);
+//!   the controller collects its own copy at its own `wait`, on its own
+//!   thread, because the physical-copy count is thread-local.
 //!
 //! Timing: a device thread keeps one virtual clock per [`Lane`] — the
 //! GPU's, and its node's host CPUs' — and a call reads and advances the
 //! clock of the lane its worker registered with; "device clock" below is
-//! that clock. Dispatch charges an RPC latency; a rank whose input carries
-//! provenance (`__src_device`) is charged the GPU-to-GPU pull of its
-//! chunk, modeling the direct inter-model transfer of Figure 5(b) (step
-//! ⑥) rather than a central bottleneck. A call issued on a future starts
-//! at `max(device clock, RPC arrival, producer's latest finish)` and then
-//! pays that same pull, so the controller's dispatch latency overlaps the
-//! producer's execution. Controller virtual time advances to the slowest
-//! collected rank on `wait`; issuing never advances it.
+//! that clock. Dispatch charges an RPC latency; a rank whose input was
+//! collected on another device ([`DataProto::src_device`]) is charged the
+//! GPU-to-GPU pull of its chunk, modeling the direct inter-model transfer
+//! of Figure 5(b) (step ⑥) rather than a central bottleneck. A call
+//! issued on a future starts at `max(device clock, RPC arrival,
+//! producer's latest finish)` and then pays that same pull, so the
+//! controller's dispatch latency overlaps the producer's execution.
+//! Controller virtual time advances to the slowest collected rank on
+//! `wait`; issuing never advances it.
 //!
 //! A call waits only on calls issued before it, one controller issues
 //! every call in one global order, and every mailbox is FIFO — so the
@@ -66,9 +67,6 @@ use crate::fault::{ExecSite, FaultHook, LinkFault};
 use crate::protocol::{Protocol, WorkerLayout};
 use crate::worker::{CommSet, Lane, RankCtx, Worker};
 
-/// Provenance metadata key: the device a batch was collected from.
-pub const SRC_DEVICE_META: &str = "__src_device";
-
 /// (result, device virtual finish time, exec span id for the causal
 /// graph — 0 when the call never reached an execute span).
 type ExecReply = (Result<DataProto>, f64, u64);
@@ -96,8 +94,7 @@ struct CallState {
     method: Arc<str>,
     layout: WorkerLayout,
     protocol: Protocol,
-    /// Provenance of the collected reply: whoever consumes it pulls it
-    /// from here.
+    /// Stamped on the collected reply as its `src_device`.
     first_collected_device: DeviceId,
     slots: Vec<ReplySlot>,
     /// Whether a call was issued on this future: its replies then have
@@ -178,10 +175,11 @@ impl CallState {
     }
 
     /// Waits every rank (each for at most `deadline`) and assembles the
-    /// replies through the call's protocol, stamped with their provenance
-    /// — what [`DpFuture::wait`] returns to the controller and what a
-    /// call issued on the future reads on its devices. `Err` only when a
-    /// rank never replied (deadline elapsed, runtime gone).
+    /// replies through the call's protocol, stamped with the device they
+    /// were collected from — what [`DpFuture::wait`] returns to the
+    /// controller and what a call issued on the future reads on its
+    /// devices. `Err` only when a rank never replied (deadline elapsed,
+    /// runtime gone).
     fn collect(&self, deadline: Option<Duration>) -> Result<Collected> {
         let mut outputs = Vec::with_capacity(self.slots.len());
         let mut finish = 0.0f64;
@@ -215,10 +213,7 @@ impl CallState {
         let out = match first_err {
             Some(e) => Err(e),
             None => self.protocol.collect(&self.layout, outputs).map(|mut out| {
-                out.meta.insert(
-                    SRC_DEVICE_META.to_string(),
-                    self.first_collected_device.index().to_string(),
-                );
+                out.set_src_device(Some(self.first_collected_device.index()));
                 out
             }),
         };
@@ -270,74 +265,81 @@ fn input_failed(e: CoreError) -> CoreError {
     }
 }
 
-/// The input of a call issued on a future ([`WorkerGroup::call_on`]),
-/// shared by the call's ranks: they read one outcome, so either all of
-/// them run the method or none enters a collective.
-struct FutureInput {
-    producer: Arc<CallState>,
-    /// The consumer's own layout and protocol.
+/// What every rank of one call reads as its input: one cut of the call's
+/// batch by its protocol, shared by the call's ranks, so they read one
+/// outcome — either all of them run the method or none enters a
+/// collective.
+struct CallInput {
+    /// The call this one was issued on ([`WorkerGroup::call_on`]) and the
+    /// per-producer-rank reply deadline (the policy's, at issue time).
+    producer: Option<(Arc<CallState>, Option<Duration>)>,
+    /// This call's own layout and protocol.
     layout: WorkerLayout,
     protocol: Protocol,
-    /// Per-producer-rank reply deadline (the policy's, at issue time).
-    deadline: Option<Duration>,
-    /// The producer's reply cut by the consumer's protocol: once per
-    /// call, by whichever of its ranks dequeues first.
+    /// Set at issue for a batch the controller holds; for a producer's
+    /// reply, once per call, by whichever of its ranks dequeues first.
     cut: OnceLock<Result<Cut>>,
 }
 
-struct Cut {
-    /// One input per consumer rank.
-    inputs: Vec<DataProto>,
-    /// Virtual time the producer's slowest rank finished.
-    ready: f64,
-    /// Payload bytes over all ranks (the dispatch span's argument).
-    bytes: usize,
-}
-
-impl FutureInput {
+impl CallInput {
     fn cut(&self, telemetry: &Telemetry) -> &Result<Cut> {
         self.cut.get_or_init(|| {
-            let collected = self.producer.for_consumers.get_or_init(|| {
-                let c = self.producer.collect(self.deadline).map_err(input_failed)?;
+            let (producer, deadline) =
+                self.producer.as_ref().expect("a controller batch is cut at issue");
+            let collected = producer.for_consumers.get_or_init(|| {
+                let c = producer.collect(*deadline).map_err(input_failed)?;
                 Ok((c.out.map_err(input_failed)?, c.finish))
             });
             let (batch, ready) = collected.as_ref().map_err(Clone::clone)?;
-            let (inputs, bytes) =
-                distribute_counted(telemetry, self.protocol, &self.layout, batch)?;
-            Ok(Cut { inputs, ready: *ready, bytes })
+            Cut::new(telemetry, self.protocol, &self.layout, batch, *ready)
         })
     }
 }
 
-/// `protocol.distribute` plus the dispatch byte counters, on whichever
-/// thread cuts the batch: the controller's for [`WorkerGroup::call`], a
-/// device's for [`WorkerGroup::call_on`].
-fn distribute_counted(
-    telemetry: &Telemetry,
-    protocol: Protocol,
-    layout: &WorkerLayout,
-    data: &DataProto,
-) -> Result<(Vec<DataProto>, usize)> {
-    let copied_before = crate::data::physical_copy_bytes();
-    let inputs = protocol.distribute(layout, data)?;
-    let copy_bytes = crate::data::physical_copy_bytes() - copied_before;
-    let bytes: usize = inputs.iter().map(|d| d.bytes()).sum();
-    if telemetry.is_enabled() {
-        telemetry.add_counter(&format!("protocol.{protocol:?}.dispatch_bytes"), bytes as u64);
-        telemetry.add_counter(&format!("protocol.{protocol:?}.dispatch_copy_bytes"), copy_bytes);
-    }
-    Ok((inputs, bytes))
+/// A batch cut into one input per rank.
+struct Cut {
+    /// Each rank's input, taken once by that rank.
+    inputs: Mutex<Vec<Option<DataProto>>>,
+    /// Virtual time the batch existed: when the producer's slowest rank
+    /// finished, 0 for a batch the controller held.
+    ready: f64,
+    /// Payload bytes over all ranks (the dispatch span's argument).
+    bytes: usize,
+    /// The device the batch was collected from: its ranks pull from it.
+    src: Option<DeviceId>,
 }
 
-/// What a rank's `Execute` message carries as the call's input.
-enum RankInput {
-    /// This rank's share of a batch the controller held when it issued
-    /// the call, and the device to pull it from (`None`: the controller's
-    /// own data, or produced on this device).
-    Batch { data: DataProto, src_device: Option<DeviceId> },
-    /// The call was issued on another call's future: the rank waits for
-    /// that call and takes its share of the reply.
-    Future(Arc<FutureInput>),
+impl Cut {
+    /// `protocol.distribute` plus the dispatch byte counters, on whichever
+    /// thread cuts the batch: the controller's for [`WorkerGroup::call`], a
+    /// device's for [`WorkerGroup::call_on`].
+    fn new(
+        telemetry: &Telemetry,
+        protocol: Protocol,
+        layout: &WorkerLayout,
+        data: &DataProto,
+        ready: f64,
+    ) -> Result<Cut> {
+        let copied_before = crate::data::physical_copy_bytes();
+        let inputs = protocol.distribute(layout, data)?;
+        let copy_bytes = crate::data::physical_copy_bytes() - copied_before;
+        let bytes: usize = inputs.iter().map(|d| d.bytes()).sum();
+        if telemetry.is_enabled() {
+            telemetry.add_counter(&format!("protocol.{protocol:?}.dispatch_bytes"), bytes as u64);
+            telemetry
+                .add_counter(&format!("protocol.{protocol:?}.dispatch_copy_bytes"), copy_bytes);
+        }
+        Ok(Cut {
+            inputs: Mutex::new(inputs.into_iter().map(Some).collect()),
+            ready,
+            bytes,
+            src: data.src_device().map(DeviceId),
+        })
+    }
+
+    fn take(&self, rank: usize) -> DataProto {
+        self.inputs.lock()[rank].take().expect("a rank takes its input once")
+    }
 }
 
 enum DeviceMsg {
@@ -356,7 +358,7 @@ enum DeviceMsg {
     },
     Execute {
         key: u64,
-        input: RankInput,
+        input: Arc<CallInput>,
         dispatch_time: f64,
         /// Causal-graph id of the controller's dispatch span; device-side
         /// spans for this call list it as their cause.
@@ -477,303 +479,216 @@ pub struct Controller {
 /// calls run on.
 type Registered = (Box<dyn Worker>, Box<RankCtx>, Lane);
 
-fn device_main(
-    device: DeviceId,
-    rx: Receiver<DeviceMsg>,
-    cluster: Arc<ClusterSpec>,
-    cost: CommCostModel,
-    telemetry: Telemetry,
-    fault: Option<Arc<dyn FaultHook>>,
-    lost: Arc<Mutex<Vec<LostRank>>>,
-) {
-    // One clock and one track per lane, indexed by `Lane as usize`: the
-    // GPU's, and the host CPUs' beside it.
-    let tracks = [gpu_track(device.index()), cpu_track(device.index())];
-    let mut clocks = [VirtualClock::new(); 2];
-    let mut workers: HashMap<u64, Registered> = HashMap::new();
-    // Per-(group key, method) dispatch counts, for call-indexed faults.
-    let mut call_counts: HashMap<(u64, Arc<str>), u64> = HashMap::new();
-    // Ranks whose communicators can no longer be used — killed by fault
-    // injection, or aborted out of a collective by a peer's death: every
-    // later RPC fails fast.
-    let mut dead: HashMap<u64, String> = HashMap::new();
-    let mut epoch = 0u64;
-    for msg in rx.iter() {
-        epoch += 1;
-        match msg {
-            DeviceMsg::Register { key, worker, ctx } => {
-                let lane = worker.lane();
-                workers.insert(key, (worker, ctx, lane));
+/// One simulated GPU: what its thread keeps from one message to the next.
+struct Device {
+    id: DeviceId,
+    inner: Arc<ControllerInner>,
+    /// One clock and one track per lane, indexed by `Lane as usize`: the
+    /// GPU's, and the host CPUs' beside it.
+    clocks: [VirtualClock; 2],
+    tracks: [String; 2],
+    workers: HashMap<u64, Registered>,
+    /// Per-(group key, method) dispatch counts, for call-indexed faults.
+    call_counts: HashMap<(u64, Arc<str>), u64>,
+    /// Ranks whose communicators can no longer be used — killed by fault
+    /// injection, or aborted out of a collective by a peer's death: every
+    /// later RPC fails fast.
+    dead: HashMap<u64, String>,
+}
+
+/// Counts one injected fault of `kind`.
+fn fault_injected(telemetry: &Telemetry, kind: &str) {
+    telemetry.add_counter("resilience.faults_injected", 1);
+    telemetry.add_counter(kind, 1);
+}
+
+impl Device {
+    fn new(id: DeviceId, inner: Arc<ControllerInner>) -> Self {
+        Device {
+            id,
+            inner,
+            clocks: [VirtualClock::new(); 2],
+            tracks: [gpu_track(id.index()), cpu_track(id.index())],
+            workers: HashMap::new(),
+            call_counts: HashMap::new(),
+            dead: HashMap::new(),
+        }
+    }
+
+    fn run(mut self, rx: Receiver<DeviceMsg>) {
+        let mut epoch = 0u64;
+        for msg in rx.iter() {
+            epoch += 1;
+            match msg {
+                DeviceMsg::Register { key, worker, ctx } => {
+                    let lane = worker.lane();
+                    self.workers.insert(key, (worker, ctx, lane));
+                }
+                DeviceMsg::Unregister { key } => {
+                    self.workers.remove(&key);
+                    self.dead.remove(&key);
+                    self.call_counts.retain(|(k, _), _| *k != key);
+                }
+                DeviceMsg::Execute { key, input, dispatch_time, call_id, reply } => {
+                    let out = self.execute(key, &input, dispatch_time, call_id, &reply.call);
+                    reply.send(out);
+                }
+                DeviceMsg::Ping { reply } => {
+                    let _ = reply.send((epoch, self.clocks[Lane::Device as usize].now()));
+                }
+                DeviceMsg::Shutdown => break,
             }
-            DeviceMsg::Unregister { key } => {
-                workers.remove(&key);
-                dead.remove(&key);
-                call_counts.retain(|(k, _), _| *k != key);
+        }
+    }
+
+    /// Runs this device's rank of `call` on `input` and returns its reply.
+    fn execute(
+        &mut self,
+        key: u64,
+        input: &CallInput,
+        mut dispatch_time: f64,
+        call_id: u64,
+        call: &CallState,
+    ) -> ExecReply {
+        let Device { id: device, inner, clocks, tracks, workers, call_counts, dead } = self;
+        let ControllerInner { cluster, cost, telemetry, fault, lost, .. } = &**inner;
+        let (device, group, method) = (*device, &call.group, &call.method);
+        let lose = |rank, reason| {
+            lost.lock().push(LostRank { device, group: group.to_string(), rank, reason });
+        };
+        let Some((worker, ctx, lane)) = workers.get_mut(&key) else {
+            let err =
+                CoreError::Config(format!("no worker {key} registered on device {}", device.0));
+            return (Err(err), clocks[Lane::Device as usize].now(), 0);
+        };
+        let (clock, track) = (&mut clocks[*lane as usize], &tracks[*lane as usize]);
+        if let Some(reason) = dead.get(&key) {
+            let err = CoreError::PeerFailed(format!("{method}: rank is dead: {reason}"));
+            return (Err(err), clock.now(), 0);
+        }
+        // The call's one cut, made at issue or by its first rank here. A
+        // failed input is answered before the fault hook and the call
+        // counter see the call — as if it had never been issued — and by
+        // every rank alike, so none enters a collective its peers skip.
+        let cut = match input.cut(telemetry) {
+            Ok(cut) => cut,
+            Err(e) => return (Err(e.clone()), clock.now(), 0),
+        };
+        // The device idles (or works its mailbox down) until the batch it
+        // reads exists.
+        clock.sync_to(cut.ready);
+        let data = cut.take(ctx.rank);
+        // A rank on the device the batch was collected from reads it
+        // locally.
+        let src_device = cut.src.filter(|s| *s != device);
+        let mut slow_factor = 1.0f64;
+        // Consult the fault hook before delivery.
+        if let Some(hook) = fault {
+            let idx = call_counts.entry((key, method.clone())).or_insert(0);
+            *idx += 1;
+            let site = ExecSite {
+                device: device.index(),
+                group,
+                rank: ctx.rank,
+                method,
+                call_index: *idx,
+                now: clock.now().max(dispatch_time),
+            };
+            let f = hook.on_execute(&site);
+            if let Some(reason) = f.kill {
+                fault_injected(telemetry, "resilience.ranks_killed");
+                // Poison every group the rank belongs to: peers blocked in
+                // a rendezvous with it abort instead of waiting forever
+                // (simulated ncclCommAbort).
+                ctx.comms.poison_all(&reason);
+                dead.insert(key, reason.clone());
+                lose(ctx.rank, reason.clone());
+                let err = CoreError::WorkerPanicked(format!("{method}: {reason}"));
+                return (Err(err), clock.now(), 0);
             }
-            DeviceMsg::Execute { key, input, dispatch_time, call_id, reply } => {
-                let (group, method) = (reply.call.group.clone(), reply.call.method.clone());
-                let Some((worker, ctx, lane)) = workers.get_mut(&key) else {
-                    reply.send((
-                        Err(CoreError::Config(format!(
-                            "no worker {key} registered on device {}",
-                            device.0
-                        ))),
-                        clocks[Lane::Device as usize].now(),
-                        0,
-                    ));
-                    continue;
-                };
-                let (clock, track) = (&mut clocks[*lane as usize], &tracks[*lane as usize]);
-                if let Some(reason) = dead.get(&key) {
-                    reply.send((
-                        Err(CoreError::PeerFailed(format!("{method}: rank is dead: {reason}"))),
-                        clock.now(),
-                        0,
-                    ));
-                    continue;
-                }
-                // A call issued on a future waits here for the producing
-                // call and takes its share of the reply. A failed input
-                // is answered before the fault hook and the call counter
-                // see the call — as if it had never been issued — and
-                // from every rank alike (they read one shared outcome),
-                // so no rank enters a collective its peers skip.
-                let (data, src_device) = match input {
-                    RankInput::Batch { data, src_device } => (data, src_device),
-                    RankInput::Future(on) => match on.cut(&telemetry) {
-                        Ok(cut) => {
-                            // The device idles (or works its mailbox down)
-                            // until the reply it reads exists.
-                            clock.sync_to(cut.ready);
-                            let src = on.producer.first_collected_device;
-                            (cut.inputs[ctx.rank].clone(), Some(src).filter(|s| *s != device))
-                        }
-                        Err(e) => {
-                            reply.send((Err(e.clone()), clock.now(), 0));
-                            continue;
-                        }
-                    },
-                };
-                let mut dispatch_time = dispatch_time;
-                let mut slow_factor = 1.0f64;
-                // Consult the fault hook before delivery.
-                if let Some(hook) = &fault {
-                    let idx = call_counts.entry((key, method.clone())).or_insert(0);
-                    *idx += 1;
-                    let site = ExecSite {
-                        device: device.index(),
-                        group: &group,
-                        rank: ctx.rank,
-                        method: &method,
-                        call_index: *idx,
-                        now: clock.now().max(dispatch_time),
-                    };
-                    let f = hook.on_execute(&site);
-                    if let Some(reason) = f.kill {
-                        telemetry.add_counter("resilience.faults_injected", 1);
-                        telemetry.add_counter("resilience.ranks_killed", 1);
-                        // Poison every group the rank belongs to: peers
-                        // blocked in a rendezvous with it abort instead
-                        // of waiting forever (simulated ncclCommAbort).
-                        ctx.comms.poison_all(&reason);
-                        dead.insert(key, reason.clone());
-                        lost.lock().push(LostRank {
-                            device,
-                            group: group.to_string(),
-                            rank: ctx.rank,
-                            reason: reason.clone(),
-                        });
-                        reply.send((
-                            Err(CoreError::WorkerPanicked(format!("{method}: {reason}"))),
-                            clock.now(),
-                            0,
-                        ));
-                        continue;
-                    }
-                    if f.drop_rpc {
-                        telemetry.add_counter("resilience.faults_injected", 1);
-                        telemetry.add_counter("resilience.rpc_dropped", 1);
-                        reply.send((
-                            Err(CoreError::Transient(format!("{method}: rpc dropped"))),
-                            clock.now(),
-                            0,
-                        ));
-                        continue;
-                    }
-                    if f.delay_s > 0.0 {
-                        telemetry.add_counter("resilience.faults_injected", 1);
-                        telemetry.add_counter("resilience.rpc_delayed", 1);
-                        dispatch_time += f.delay_s;
-                    }
-                    if f.slow_factor > 1.0 {
-                        telemetry.add_counter("resilience.faults_injected", 1);
-                        telemetry.add_counter("resilience.device_slowdowns", 1);
-                        slow_factor = f.slow_factor;
-                    }
-                }
-                // Span names and args are built only for a recording
-                // handle: disabled telemetry costs this branch, not a
-                // string per call.
-                let label = || format!("{group}::{method}");
-                let span_label = if telemetry.is_enabled() { label() } else { String::new() };
-                // Mailbox dequeue: time past the dispatch instant that the
-                // device was busy (colocated time-sharing) or waited for
-                // the future the call was issued on is queue wait.
-                if clock.now() > dispatch_time {
-                    telemetry.span_causal(
-                        track,
-                        &span_label,
-                        SpanKind::QueueWait,
-                        dispatch_time,
-                        clock.now(),
-                        0,
-                        &[call_id],
-                        &[],
-                    );
-                }
-                clock.sync_to(dispatch_time);
-                // Pull the input chunk directly from the producing GPU.
-                if let Some(src) = src_device {
-                    let lf = fault
-                        .as_ref()
-                        .map(|h| h.on_link(src.index(), device.index(), clock.now()))
-                        .unwrap_or_else(LinkFault::none);
-                    if lf.severed {
-                        telemetry.add_counter("resilience.faults_injected", 1);
-                        telemetry.add_counter("resilience.links_severed", 1);
-                        reply.send((
-                            Err(CoreError::Transient(format!(
-                                "{method}: link {} -> {} severed",
-                                src.index(),
-                                device.index()
-                            ))),
-                            clock.now(),
-                            0,
-                        ));
-                        continue;
-                    }
-                    let pull_start = clock.now();
-                    let bytes = data.bytes();
-                    clock.advance(cost.p2p_time(&cluster, src, device, bytes as f64) + lf.delay_s);
-                    if lf.delay_s > 0.0 {
-                        telemetry.add_counter("resilience.faults_injected", 1);
-                        telemetry.add_counter("resilience.links_delayed", 1);
-                    }
-                    if telemetry.is_enabled() {
-                        telemetry.span_causal(
-                            track,
-                            &span_label,
-                            SpanKind::Comm,
-                            pull_start,
-                            clock.now(),
-                            0,
-                            &[call_id],
-                            &[
-                                ("bytes", bytes.to_string()),
-                                ("src_device", src.index().to_string()),
-                            ],
-                        );
-                    }
-                    telemetry.add_counter("p2p.pull_bytes", bytes as u64);
-                }
-                let exec_start = clock.now();
-                let exec_id = telemetry.next_span_id();
-                ctx.clock = *clock;
-                ctx.cause = call_id;
-                ctx.dispatch_time = dispatch_time;
-                // CoW auditor (audit builds): hold a view-sharing clone of
-                // the input across the call; the fingerprint must be
-                // unchanged afterwards, or the worker wrote through a
-                // shared buffer instead of copy-on-write.
-                #[cfg(feature = "audit")]
-                let (audit_input, audit_fp) = {
-                    let input = data.clone();
-                    if let Err(e) = input.audit_verify() {
-                        let err =
-                            CoreError::Invariant(format!("{}: malformed input: {e}", label()));
-                        telemetry.span_causal(
-                            track,
-                            &span_label,
-                            SpanKind::Exec,
-                            exec_start,
-                            clock.now(),
-                            exec_id,
-                            &[call_id],
-                            &[],
-                        );
-                        reply.send((Err(err), clock.now(), exec_id));
-                        continue;
-                    }
-                    let fp = input.audit_fingerprint();
-                    (input, fp)
-                };
-                let result = catch_unwind(AssertUnwindSafe(|| worker.execute(&method, data, ctx)));
-                let out = match result {
-                    Ok(r) => {
-                        *clock = ctx.clock;
-                        // A slowed device stretches the execution's
-                        // virtual duration (straggler injection).
-                        if slow_factor > 1.0 {
-                            let dt = clock.now() - exec_start;
-                            if dt > 0.0 {
-                                clock.advance(dt * (slow_factor - 1.0));
-                            }
-                        }
-                        r
-                    }
-                    Err(panic) => {
-                        // The clock may be stale after a panic; keep the
-                        // pre-call time. Either way the rank left a
-                        // collective contract broken, so poison its
-                        // groups: blocked peers unwind with a collective
-                        // abort (and cascade it) instead of hanging.
-                        let err = if let Some(abort) = panic.downcast_ref::<CollectiveAbort>() {
-                            telemetry.add_counter("resilience.peer_failures", 1);
-                            // An aborted communicator must be replaced, not
-                            // reused: a call already queued behind this one
-                            // would re-enter a collective on it, and the
-                            // lifecycle auditor's panic there reads as an
-                            // originating loss. Fail those calls fast.
-                            dead.insert(key, abort.reason.clone());
-                            CoreError::PeerFailed(format!("{method}: {}", abort.reason))
-                        } else {
-                            let msg = panic_message(&*panic);
-                            // An originating panic (not a cascaded abort)
-                            // is a genuine rank loss.
-                            lost.lock().push(LostRank {
-                                device,
-                                group: group.to_string(),
-                                rank: ctx.rank,
-                                reason: msg.clone(),
-                            });
-                            CoreError::WorkerPanicked(format!("{method}: {msg}"))
-                        };
-                        ctx.comms.poison_all(&format!(
-                            "rank {} on device {} failed in {}",
-                            ctx.rank,
-                            device.index(),
-                            label()
-                        ));
-                        Err(err)
-                    }
-                };
-                #[cfg(feature = "audit")]
-                let out = match out {
-                    Ok(reply_batch) => {
-                        if audit_input.audit_fingerprint() != audit_fp {
-                            Err(CoreError::Invariant(format!(
-                                "{}: worker mutated a shared input buffer in place \
-                                 (CoW no-aliasing-after-write violation)",
-                                label()
-                            )))
-                        } else if let Err(e) = reply_batch.audit_verify() {
-                            Err(CoreError::Invariant(format!("{}: malformed reply: {e}", label())))
-                        } else {
-                            Ok(reply_batch)
-                        }
-                    }
-                    e => e,
-                };
+            if f.drop_rpc {
+                fault_injected(telemetry, "resilience.rpc_dropped");
+                let err = CoreError::Transient(format!("{method}: rpc dropped"));
+                return (Err(err), clock.now(), 0);
+            }
+            if f.delay_s > 0.0 {
+                fault_injected(telemetry, "resilience.rpc_delayed");
+                dispatch_time += f.delay_s;
+            }
+            if f.slow_factor > 1.0 {
+                fault_injected(telemetry, "resilience.device_slowdowns");
+                slow_factor = f.slow_factor;
+            }
+        }
+        // Span names and args are built only for a recording handle:
+        // disabled telemetry costs this branch, not a string per call.
+        let label = || format!("{group}::{method}");
+        let span_label = if telemetry.is_enabled() { label() } else { String::new() };
+        // Mailbox dequeue: time past the dispatch instant that the device
+        // was busy (colocated time-sharing) or waited for the future the
+        // call was issued on is queue wait.
+        if clock.now() > dispatch_time {
+            telemetry.span_causal(
+                track,
+                &span_label,
+                SpanKind::QueueWait,
+                dispatch_time,
+                clock.now(),
+                0,
+                &[call_id],
+                &[],
+            );
+        }
+        clock.sync_to(dispatch_time);
+        // Pull the input chunk directly from the producing GPU.
+        if let Some(src) = src_device {
+            let lf = fault
+                .as_ref()
+                .map(|h| h.on_link(src.index(), device.index(), clock.now()))
+                .unwrap_or_else(LinkFault::none);
+            if lf.severed {
+                fault_injected(telemetry, "resilience.links_severed");
+                let err = CoreError::Transient(format!(
+                    "{method}: link {} -> {} severed",
+                    src.index(),
+                    device.index()
+                ));
+                return (Err(err), clock.now(), 0);
+            }
+            let pull_start = clock.now();
+            let bytes = data.bytes();
+            clock.advance(cost.p2p_time(cluster, src, device, bytes as f64) + lf.delay_s);
+            if lf.delay_s > 0.0 {
+                fault_injected(telemetry, "resilience.links_delayed");
+            }
+            if telemetry.is_enabled() {
+                telemetry.span_causal(
+                    track,
+                    &span_label,
+                    SpanKind::Comm,
+                    pull_start,
+                    clock.now(),
+                    0,
+                    &[call_id],
+                    &[("bytes", bytes.to_string()), ("src_device", src.index().to_string())],
+                );
+            }
+            telemetry.add_counter("p2p.pull_bytes", bytes as u64);
+        }
+        let exec_start = clock.now();
+        let exec_id = telemetry.next_span_id();
+        ctx.clock = *clock;
+        ctx.cause = call_id;
+        ctx.dispatch_time = dispatch_time;
+        // CoW auditor (audit builds): hold a view-sharing clone of the
+        // input across the call; the fingerprint must be unchanged
+        // afterwards, or the worker wrote through a shared buffer instead
+        // of copy-on-write.
+        #[cfg(feature = "audit")]
+        let (audit_input, audit_fp) = {
+            let input = data.clone();
+            if let Err(e) = input.audit_verify() {
+                let err = CoreError::Invariant(format!("{}: malformed input: {e}", label()));
                 telemetry.span_causal(
                     track,
                     &span_label,
@@ -784,25 +699,90 @@ fn device_main(
                     &[call_id],
                     &[],
                 );
-                reply.send((out, clock.now(), exec_id));
+                return (Err(err), clock.now(), exec_id);
             }
-            DeviceMsg::Ping { reply } => {
-                let _ = reply.send((epoch, clocks[Lane::Device as usize].now()));
+            let fp = input.audit_fingerprint();
+            (input, fp)
+        };
+        let result = catch_unwind(AssertUnwindSafe(|| worker.execute(method, data, ctx)));
+        let out = match result {
+            Ok(r) => {
+                *clock = ctx.clock;
+                // A slowed device stretches the execution's virtual
+                // duration (straggler injection).
+                if slow_factor > 1.0 {
+                    let dt = clock.now() - exec_start;
+                    if dt > 0.0 {
+                        clock.advance(dt * (slow_factor - 1.0));
+                    }
+                }
+                r
             }
-            DeviceMsg::Shutdown => break,
-        }
+            Err(panic) => {
+                // The clock may be stale after a panic; keep the pre-call
+                // time. Either way the rank left a collective contract
+                // broken, so poison its groups: blocked peers unwind with
+                // a collective abort (and cascade it) instead of hanging.
+                let err = if let Some(abort) = panic.downcast_ref::<CollectiveAbort>() {
+                    telemetry.add_counter("resilience.peer_failures", 1);
+                    // An aborted communicator must be replaced, not
+                    // reused: a call already queued behind this one would
+                    // re-enter a collective on it, and the lifecycle
+                    // auditor's panic there reads as an originating loss.
+                    // Fail those calls fast.
+                    dead.insert(key, abort.reason.clone());
+                    CoreError::PeerFailed(format!("{method}: {}", abort.reason))
+                } else {
+                    let msg = panic_message(&*panic);
+                    // An originating panic (not a cascaded abort) is a
+                    // genuine rank loss.
+                    lose(ctx.rank, msg.clone());
+                    CoreError::WorkerPanicked(format!("{method}: {msg}"))
+                };
+                ctx.comms.poison_all(&format!(
+                    "rank {} on device {} failed in {}",
+                    ctx.rank,
+                    device.index(),
+                    label()
+                ));
+                Err(err)
+            }
+        };
+        #[cfg(feature = "audit")]
+        let out = match out {
+            Ok(reply_batch) => {
+                if audit_input.audit_fingerprint() != audit_fp {
+                    Err(CoreError::Invariant(format!(
+                        "{}: worker mutated a shared input buffer in place \
+                         (CoW no-aliasing-after-write violation)",
+                        label()
+                    )))
+                } else if let Err(e) = reply_batch.audit_verify() {
+                    Err(CoreError::Invariant(format!("{}: malformed reply: {e}", label())))
+                } else {
+                    Ok(reply_batch)
+                }
+            }
+            e => e,
+        };
+        telemetry.span_causal(
+            track,
+            &span_label,
+            SpanKind::Exec,
+            exec_start,
+            clock.now(),
+            exec_id,
+            &[call_id],
+            &[],
+        );
+        (out, clock.now(), exec_id)
     }
 }
 
 impl Controller {
     /// Creates a controller over `cluster` with the default cost model.
     pub fn new(cluster: ClusterSpec) -> Self {
-        Self::with_cost(cluster, CommCostModel::default())
-    }
-
-    /// Creates a controller with an explicit communication cost model.
-    pub fn with_cost(cluster: ClusterSpec, cost: CommCostModel) -> Self {
-        Self::with_telemetry(cluster, cost, Telemetry::disabled())
+        Self::with_telemetry(cluster, CommCostModel::default(), Telemetry::disabled())
     }
 
     /// Creates a controller that records spans and metrics into
@@ -915,11 +895,6 @@ impl Controller {
         self.inner.state.lock().clock
     }
 
-    /// Resets controller virtual time (between measured iterations).
-    pub fn reset_clock(&self) {
-        self.inner.state.lock().clock = 0.0;
-    }
-
     /// Snapshot of every awaited call so far: who ran what, when, for
     /// how long (virtual time). Rendered by the `stage_timeline` example
     /// into Table 1-style execution patterns.
@@ -984,7 +959,7 @@ impl Controller {
                 })
                 .collect()
         };
-        let world_group = CommGroup::new(pool.devices().to_vec());
+        let world_groups = make_groups(vec![(0..layout.world()).collect()]);
         let tp_groups = make_groups(spec.tp_groups());
         let pp_groups = make_groups(spec.pp_groups());
         let dp_groups = make_groups(spec.dp_groups());
@@ -1034,19 +1009,14 @@ impl Controller {
                     rank: usize,
                     family: &str|
          -> Result<Communicator> {
-            let (ranks, group) =
-                groups.iter().find(|(ranks, _)| ranks.contains(&rank)).ok_or_else(|| {
+            let (pos, group) = (groups.iter())
+                .find_map(|(ranks, group)| Some((ranks.iter().position(|&r| r == rank)?, group)))
+                .ok_or_else(|| {
                     CoreError::Invariant(format!(
                         "rank {rank} of '{name}' belongs to no {family} group \
                          (families do not partition the world)"
                     ))
                 })?;
-            let pos = ranks.iter().position(|&r| r == rank).ok_or_else(|| {
-                CoreError::Invariant(format!(
-                    "rank {rank} of '{name}' matched a {family} group that does \
-                     not list it as a member"
-                ))
-            })?;
             Ok(Communicator::new(
                 group.clone(),
                 pos,
@@ -1065,14 +1035,10 @@ impl Controller {
             for &d in pool.devices() {
                 if let std::collections::hash_map::Entry::Vacant(e) = state.devices.entry(d) {
                     let (tx, rx) = unbounded();
-                    let cluster = self.inner.cluster.clone();
-                    let cost = self.inner.cost.clone();
-                    let telemetry = self.inner.telemetry.clone();
-                    let fault = self.inner.fault.clone();
-                    let lost = self.inner.lost.clone();
+                    let device = Device::new(d, self.inner.clone());
                     let handle = std::thread::Builder::new()
                         .name(format!("gpu-{}", d.index()))
-                        .spawn(move || device_main(d, rx, cluster, cost, telemetry, fault, lost))
+                        .spawn(move || device.run(rx))
                         .expect("spawn device thread");
                     e.insert(tx);
                     state.handles.push(handle);
@@ -1081,20 +1047,15 @@ impl Controller {
             for rank in 0..layout.world() {
                 let device = dev_of(rank);
                 let comms = CommSet {
-                    world: Communicator::new(
-                        world_group.clone(),
-                        rank,
-                        self.inner.cluster.clone(),
-                        self.inner.cost.clone(),
-                    ),
+                    world: find(&world_groups, rank, "world")?,
                     tp: find(&tp_groups, rank, "tp")?,
                     pp: find(&pp_groups, rank, "pp")?,
                     dp: find(&dp_groups, rank, "dp")?,
                     mp: find(&mp_groups, rank, "mp")?,
-                    micro_dp: match micro_groups.as_ref() {
-                        Some(g) => Some(find(g, rank, "micro-dp")?),
-                        None => None,
-                    },
+                    micro_dp: micro_groups
+                        .as_ref()
+                        .map(|g| find(g, rank, "micro-dp"))
+                        .transpose()?,
                 };
                 let ctx = Box::new(RankCtx {
                     rank,
@@ -1140,13 +1101,6 @@ impl Controller {
         out.sort_by_key(|d| d.index());
         out.dedup();
         out
-    }
-
-    /// The cluster's devices with every lost device removed: the world
-    /// an elastic re-map may still place onto.
-    pub fn surviving_devices(&self) -> Vec<DeviceId> {
-        let lost = self.lost_devices();
-        (0..self.inner.cluster.total_gpus()).map(DeviceId).filter(|d| !lost.contains(d)).collect()
     }
 
     /// Tears a worker group down *live*: unregisters its workers from
@@ -1239,7 +1193,8 @@ impl WorkerGroup {
     /// Dispatches `method` with `data` under `protocol` to every rank and
     /// returns immediately with a future (asynchronous dataflow, §4.1).
     pub fn call(&self, method: &str, data: &DataProto, protocol: Protocol) -> Result<DpFuture> {
-        self.dispatch(method, protocol, Input::Batch(data))
+        let cut = Cut::new(&self.inner.telemetry, protocol, &self.layout, data, 0.0)?;
+        self.dispatch(method, None, protocol, OnceLock::from(Ok(cut)))
     }
 
     /// Dispatches `method` on the *future* of another call (a data future
@@ -1251,57 +1206,48 @@ impl WorkerGroup {
     /// `protocol` cannot distribute) surfaces at this call's `wait`, the
     /// same from every rank, and never counts as a loss of these ranks.
     pub fn call_on(&self, method: &str, input: &DpFuture, protocol: Protocol) -> Result<DpFuture> {
-        self.dispatch(method, protocol, Input::Future(input))
+        // Relaxed: a reader is either the producer's `wait`, which
+        // consumes the future this call only borrows, or a device thread
+        // that first received one of the messages `dispatch` sends — and a
+        // channel send/receive orders the store.
+        input.call.shared.store(true, Ordering::Relaxed);
+        self.dispatch(method, Some(&input.call), protocol, OnceLock::new())
     }
 
-    fn dispatch(&self, method: &str, protocol: Protocol, input: Input<'_>) -> Result<DpFuture> {
-        let telemetry = &self.inner.telemetry;
+    /// Sends one `Execute` per rank, all reading one [`CallInput`]: `cut`
+    /// already made from a controller batch, or left to the first rank to
+    /// dequeue, which makes it from `producer`'s reply.
+    fn dispatch(
+        &self,
+        method: &str,
+        producer: Option<&Arc<CallState>>,
+        protocol: Protocol,
+        cut: OnceLock<Result<Cut>>,
+    ) -> Result<DpFuture> {
         let (issued, deadline) = {
             let state = self.inner.state.lock();
             (state.clock, state.policy.deadline)
         };
         let dispatch_time = issued + self.inner.cost.rpc_dispatch_time();
-        // Per-rank inputs, the bytes the controller distributed, and the
-        // future the call was issued on.
-        let (inputs, dispatched_bytes, on): (Vec<RankInput>, _, _) = match input {
-            Input::Batch(data) => {
-                let (inputs, bytes) = distribute_counted(telemetry, protocol, &self.layout, data)?;
-                let src = data.meta.get(SRC_DEVICE_META).and_then(|s| s.parse().ok()).map(DeviceId);
-                // Ranks on the producing device read locally (no pull).
-                let pulled = |rank| src.filter(|s| *s != self.pool.device(rank));
-                let inputs = (inputs.into_iter().enumerate())
-                    .map(|(rank, data)| RankInput::Batch { data, src_device: pulled(rank) })
-                    .collect();
-                (inputs, bytes, None)
-            }
-            Input::Future(fut) => {
-                // Relaxed: a reader is either the producer's `wait`, which
-                // consumes the future this call only borrows, or a device
-                // thread that first received one of the messages sent
-                // below — and a channel send/receive orders the store.
-                fut.call.shared.store(true, Ordering::Relaxed);
-                let on = Arc::new(FutureInput {
-                    producer: fut.call.clone(),
-                    layout: self.layout,
-                    protocol,
-                    deadline,
-                    cut: OnceLock::new(),
-                });
-                let inputs =
-                    (0..self.layout.world()).map(|_| RankInput::Future(on.clone())).collect();
-                (inputs, 0, Some(on))
-            }
-        };
+        let input = Arc::new(CallInput {
+            producer: producer.map(|call| (call.clone(), deadline)),
+            layout: self.layout,
+            protocol,
+            cut,
+        });
         // Causal-graph id of this call's dispatch span, threaded through
         // the device messages so rank-side spans can cite it.
-        let call_id = telemetry.next_span_id();
+        let call_id = self.inner.telemetry.next_span_id();
+        let world = self.layout.world();
         let call = Arc::new(CallState {
             group: self.name.clone(),
             method: method.into(),
             layout: self.layout,
             protocol,
-            first_collected_device: self.first_collected_device(protocol),
-            slots: (inputs.iter())
+            first_collected_device: self
+                .pool
+                .device((0..world).find(|&r| protocol.is_collected(&self.layout, r)).unwrap_or(0)),
+            slots: (0..world)
                 .map(|_| ReplySlot { state: Mutex::new(Slot::Pending), filled: Condvar::new() })
                 .collect(),
             shared: AtomicBool::new(false),
@@ -1309,14 +1255,14 @@ impl WorkerGroup {
         });
         {
             let state = self.inner.state.lock();
-            for (rank, input) in inputs.into_iter().enumerate() {
+            for rank in 0..world {
                 state
                     .devices
                     .get(&self.pool.device(rank))
                     .ok_or_else(|| CoreError::Disconnected("device thread missing".into()))?
                     .send(DeviceMsg::Execute {
                         key: self.key,
-                        input,
+                        input: input.clone(),
                         dispatch_time,
                         call_id,
                         reply: ReplyTx { call: call.clone(), rank },
@@ -1326,10 +1272,9 @@ impl WorkerGroup {
         }
         Ok(DpFuture {
             call,
-            on,
+            input,
             issued,
             dispatched: dispatch_time,
-            dispatched_bytes,
             call_id,
             inner: self.inner.clone(),
         })
@@ -1415,34 +1360,16 @@ impl WorkerGroup {
     pub fn invoke_sync(&self, method: &str, data: &DataProto) -> Result<DataProto> {
         self.call_sync(method, data, self.registered(method)?)
     }
-
-    fn first_collected_device(&self, protocol: Protocol) -> DeviceId {
-        let rank =
-            (0..self.layout.world()).find(|&r| protocol.is_collected(&self.layout, r)).unwrap_or(0);
-        self.pool.device(rank)
-    }
-}
-
-/// What a call is issued on.
-enum Input<'a> {
-    /// A batch the controller holds (prompts, the advantage-carrying
-    /// batch, a checkpoint).
-    Batch(&'a DataProto),
-    /// The reply of a call still in flight.
-    Future(&'a DpFuture),
 }
 
 /// A future for an in-flight worker-group call.
 #[must_use = "a dropped DpFuture abandons in-flight worker replies; wait() it"]
 pub struct DpFuture {
     call: Arc<CallState>,
-    /// The future this call was issued on, if any.
-    on: Option<Arc<FutureInput>>,
+    /// What the call's ranks read.
+    input: Arc<CallInput>,
     issued: f64,
     dispatched: f64,
-    /// Payload bytes distributed by the controller (a call issued on a
-    /// future reads them off its cut).
-    dispatched_bytes: usize,
     call_id: u64,
     inner: Arc<ControllerInner>,
 }
@@ -1479,8 +1406,9 @@ impl DpFuture {
     fn wait_impl(self, deadline: Option<Duration>) -> Result<DataProto> {
         let call = &self.call;
         let Collected { out, finish, exec_ids, copy_bytes } = call.collect(deadline)?;
-        // What the ranks of a call issued on a future read off its cut.
-        let cut = self.on.as_ref().and_then(|on| on.cut.get()).and_then(|c| c.as_ref().ok());
+        // What the call's ranks read: cut at issue, or by the first of
+        // them to dequeue (never, if none got that far).
+        let cut = self.input.cut.get().and_then(|c| c.as_ref().ok());
         {
             let mut state = self.inner.state.lock();
             if finish > state.clock {
@@ -1501,7 +1429,6 @@ impl DpFuture {
             telemetry
                 .add_counter(&format!("protocol.{protocol:?}.collect_bytes"), out.bytes() as u64);
             telemetry.add_counter(&format!("protocol.{protocol:?}.collect_copy_bytes"), copy_bytes);
-            let dispatched_bytes = cut.map_or(self.dispatched_bytes, |c| c.bytes);
             telemetry.span_causal(
                 CONTROLLER_TRACK,
                 &format!("{}::{}", call.group, call.method),
@@ -1512,654 +1439,11 @@ impl DpFuture {
                 &exec_ids,
                 &[
                     ("protocol", format!("{protocol:?}")),
-                    ("dispatch_bytes", dispatched_bytes.to_string()),
+                    ("dispatch_bytes", cut.map_or(0, |c| c.bytes).to_string()),
                     ("collect_bytes", out.bytes().to_string()),
                 ],
             );
         }
         Ok(out)
-    }
-}
-
-#[cfg(test)]
-#[allow(clippy::disallowed_methods)] // the tests' watchdogs stay outside the layer under test
-mod tests {
-    use super::*;
-    use hf_parallel::ParallelSpec;
-
-    fn echo_worker() -> Box<dyn Worker> {
-        Box::new(|_m: &str, d: DataProto, _c: &mut RankCtx| Ok(d))
-    }
-
-    fn controller(gpus: usize) -> Controller {
-        Controller::new(ClusterSpec::a100_with_gpus(gpus))
-    }
-
-    fn batch(rows: usize) -> DataProto {
-        let mut d = DataProto::with_rows(rows);
-        d.insert_f32("v", (0..rows).map(|v| v as f32).collect(), 1);
-        d
-    }
-
-    #[test]
-    fn spawn_and_echo_round_trip() {
-        let ctrl = controller(8);
-        let pool = ResourcePool::contiguous(0, 8);
-        let layout = WorkerLayout::train_only(ParallelSpec::new(2, 2, 2));
-        let g = ctrl.spawn_group("echo", &pool, layout, |_r| echo_worker()).unwrap();
-        let out = g.call_sync("any", &batch(8), Protocol::ThreeD).unwrap();
-        assert_eq!(out.f32("v").unwrap().0, batch(8).f32("v").unwrap().0);
-        assert!(ctrl.clock() > 0.0, "RPC dispatch must cost virtual time");
-    }
-
-    #[test]
-    fn rank_context_has_correct_groups() {
-        let ctrl = controller(8);
-        let pool = ResourcePool::contiguous(0, 8);
-        let layout = WorkerLayout::train_only(ParallelSpec::new(1, 4, 2));
-        let g = ctrl
-            .spawn_group("probe", &pool, layout, |_r| {
-                Box::new(|_m: &str, _d: DataProto, c: &mut RankCtx| {
-                    let mut out = DataProto::with_rows(1);
-                    out.insert_f32(
-                        "sizes",
-                        vec![
-                            c.comms.world.size() as f32,
-                            c.comms.tp.size() as f32,
-                            c.comms.dp.size() as f32,
-                        ],
-                        3,
-                    );
-                    Ok(out)
-                })
-            })
-            .unwrap();
-        let out = g.call_sync("probe", &DataProto::empty(), Protocol::AllToAll).unwrap();
-        let (s, w) = out.f32("sizes").unwrap();
-        assert_eq!(w, 3);
-        for r in 0..8 {
-            assert_eq!(&s[r * 3..r * 3 + 3], &[8.0, 4.0, 2.0], "rank {r}");
-        }
-    }
-
-    #[test]
-    fn workers_do_real_collectives() {
-        // Each rank contributes its rank; a world all-reduce must yield
-        // the sum on every rank.
-        let ctrl = controller(4);
-        let pool = ResourcePool::contiguous(0, 4);
-        let layout = WorkerLayout::train_only(ParallelSpec::new(1, 1, 4));
-        let g = ctrl
-            .spawn_group("allreduce", &pool, layout, |rank| {
-                Box::new(move |_m: &str, _d: DataProto, c: &mut RankCtx| {
-                    let mut clock = c.clock;
-                    let s = c.comms.world.all_reduce_sum(&mut clock, &[rank as f32]);
-                    c.clock = clock;
-                    let mut out = DataProto::with_rows(1);
-                    out.insert_f32("sum", vec![s[0]], 1);
-                    Ok(out)
-                })
-            })
-            .unwrap();
-        let out = g.call_sync("m", &DataProto::empty(), Protocol::AllToAll).unwrap();
-        let (s, _) = out.f32("sum").unwrap();
-        assert_eq!(s, &[6.0, 6.0, 6.0, 6.0]);
-    }
-
-    #[test]
-    fn colocated_groups_time_share_sequentially() {
-        // Two groups on the same pool: worker A charges 1s, worker B
-        // charges 2s; after both run, the shared device clock is >= 3s.
-        let ctrl = controller(2);
-        let pool = ResourcePool::contiguous(0, 2);
-        let layout = WorkerLayout::train_only(ParallelSpec::new(1, 1, 2));
-        let a = ctrl
-            .spawn_group("a", &pool, layout, |_r| {
-                Box::new(|_m: &str, _d: DataProto, c: &mut RankCtx| {
-                    c.charge(1.0);
-                    Ok(DataProto::empty())
-                })
-            })
-            .unwrap();
-        let b = ctrl
-            .spawn_group("b", &pool, layout, |_r| {
-                Box::new(|_m: &str, _d: DataProto, c: &mut RankCtx| {
-                    c.charge(2.0);
-                    Ok(DataProto::empty())
-                })
-            })
-            .unwrap();
-        let fa = a.call("run", &DataProto::empty(), Protocol::OneToAll).unwrap();
-        let fb = b.call("run", &DataProto::empty(), Protocol::OneToAll).unwrap();
-        fa.wait().unwrap();
-        fb.wait().unwrap();
-        assert!(ctrl.clock() >= 3.0, "clock = {}", ctrl.clock());
-    }
-
-    #[test]
-    fn disjoint_groups_run_in_parallel_virtual_time() {
-        // Two groups on disjoint pools each charge 5s; issued
-        // concurrently, total virtual time stays ~5s, not 10s.
-        let ctrl = controller(4);
-        let slow = |_r: usize| -> Box<dyn Worker> {
-            Box::new(|_m: &str, _d: DataProto, c: &mut RankCtx| {
-                c.charge(5.0);
-                Ok(DataProto::empty())
-            })
-        };
-        let layout = WorkerLayout::train_only(ParallelSpec::new(1, 1, 2));
-        let a = ctrl.spawn_group("a", &ResourcePool::contiguous(0, 2), layout, slow).unwrap();
-        let b = ctrl.spawn_group("b", &ResourcePool::contiguous(2, 2), layout, slow).unwrap();
-        let fa = a.call("run", &DataProto::empty(), Protocol::OneToAll).unwrap();
-        let fb = b.call("run", &DataProto::empty(), Protocol::OneToAll).unwrap();
-        fa.wait().unwrap();
-        fb.wait().unwrap();
-        let t = ctrl.clock();
-        assert!(t < 6.0, "parallel execution must overlap: clock = {t}");
-        assert!(t >= 5.0);
-    }
-
-    #[test]
-    fn sequential_calls_accumulate_time() {
-        let ctrl = controller(2);
-        let layout = WorkerLayout::train_only(ParallelSpec::new(1, 1, 2));
-        let a = ctrl
-            .spawn_group("a", &ResourcePool::contiguous(0, 2), layout, |_r| {
-                Box::new(|_m: &str, _d: DataProto, c: &mut RankCtx| {
-                    c.charge(1.0);
-                    Ok(DataProto::empty())
-                })
-            })
-            .unwrap();
-        for _ in 0..3 {
-            a.call_sync("run", &DataProto::empty(), Protocol::OneToAll).unwrap();
-        }
-        assert!(ctrl.clock() >= 3.0);
-    }
-
-    #[test]
-    fn worker_panic_becomes_error_not_crash() {
-        let ctrl = controller(2);
-        let layout = WorkerLayout::train_only(ParallelSpec::new(1, 1, 2));
-        let g = ctrl
-            .spawn_group("flaky", &ResourcePool::contiguous(0, 2), layout, |_r| {
-                Box::new(|m: &str, _d: DataProto, _c: &mut RankCtx| {
-                    if m == "boom" {
-                        panic!("injected failure");
-                    }
-                    Ok(DataProto::empty())
-                })
-            })
-            .unwrap();
-        let err = g.call_sync("boom", &DataProto::empty(), Protocol::OneToAll);
-        assert!(matches!(err, Err(CoreError::WorkerPanicked(_))), "{err:?}");
-        // The device thread must still serve subsequent calls.
-        assert!(g.call_sync("ok", &DataProto::empty(), Protocol::OneToAll).is_ok());
-        // Shutdown joins cleanly: caught worker panics never take down
-        // device threads.
-        ctrl.shutdown().unwrap();
-    }
-
-    /// The satellite fix for the latent hang: a rank that panics while
-    /// its peer is blocked inside an all-reduce must poison the group so
-    /// the peer unwinds with `PeerFailed` instead of waiting forever.
-    #[test]
-    fn panic_mid_all_reduce_unblocks_peers_with_peer_failed() {
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let body = std::thread::spawn(move || {
-            let ctrl = controller(2);
-            let layout = WorkerLayout::train_only(ParallelSpec::new(1, 1, 2));
-            let g = ctrl
-                .spawn_group("half-dead", &ResourcePool::contiguous(0, 2), layout, |rank| {
-                    Box::new(move |_m: &str, _d: DataProto, c: &mut RankCtx| {
-                        if rank == 0 {
-                            panic!("rank 0 dies before the collective");
-                        }
-                        // Rank 1 blocks in the rendezvous until rank 0's
-                        // panic poisons the group.
-                        let mut clock = c.clock;
-                        let s = c.comms.world.all_reduce_sum(&mut clock, &[1.0]);
-                        c.clock = clock;
-                        let mut out = DataProto::with_rows(1);
-                        out.insert_f32("s", s, 1);
-                        Ok(out)
-                    })
-                })
-                .unwrap();
-            let fut = g.call("step", &DataProto::empty(), Protocol::AllToAll).unwrap();
-            let err = fut.wait();
-            // Root cause (the panic) wins over the cascaded PeerFailed.
-            assert!(matches!(err, Err(CoreError::WorkerPanicked(_))), "{err:?}");
-            let _ = done_tx.send(());
-        });
-        done_rx.recv_timeout(Duration::from_secs(30)).expect("collective must abort, not deadlock");
-        body.join().unwrap();
-    }
-
-    struct KillOnCall {
-        method: &'static str,
-        rank: usize,
-        nth: u64,
-    }
-
-    impl crate::fault::FaultHook for KillOnCall {
-        fn on_execute(&self, site: &ExecSite<'_>) -> crate::fault::ExecFault {
-            let mut f = crate::fault::ExecFault::none();
-            if site.method == self.method && site.rank == self.rank && site.call_index == self.nth {
-                f.kill = Some(format!("injected kill of rank {}", self.rank));
-            }
-            f
-        }
-    }
-
-    #[test]
-    fn injected_kill_marks_rank_dead_and_poisons_peers() {
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let body = std::thread::spawn(move || {
-            let ctrl = Controller::with_faults(
-                ClusterSpec::a100_with_gpus(2),
-                CommCostModel::default(),
-                Telemetry::disabled(),
-                Arc::new(KillOnCall { method: "step", rank: 0, nth: 1 }),
-            );
-            let layout = WorkerLayout::train_only(ParallelSpec::new(1, 1, 2));
-            let g = ctrl
-                .spawn_group("victim", &ResourcePool::contiguous(0, 2), layout, |_r| {
-                    Box::new(move |m: &str, _d: DataProto, c: &mut RankCtx| {
-                        if m == "step" {
-                            let mut clock = c.clock;
-                            c.comms.world.barrier(&mut clock);
-                            c.clock = clock;
-                        }
-                        Ok(DataProto::empty())
-                    })
-                })
-                .unwrap();
-            let err = g.call_sync("step", &DataProto::empty(), Protocol::AllToAll);
-            assert!(
-                matches!(err, Err(CoreError::WorkerPanicked(_))),
-                "killed rank is the root cause: {err:?}"
-            );
-            // Every later RPC to the dead rank fails fast as PeerFailed.
-            let err = g.call_sync("other", &DataProto::empty(), Protocol::AllToAll);
-            assert!(matches!(err, Err(CoreError::PeerFailed(_))), "{err:?}");
-            let _ = done_tx.send(());
-        });
-        done_rx
-            .recv_timeout(Duration::from_secs(30))
-            .expect("injected kill must abort the collective, not deadlock");
-        body.join().unwrap();
-    }
-
-    struct DropFirst {
-        method: &'static str,
-        times: std::sync::atomic::AtomicU64,
-    }
-
-    impl crate::fault::FaultHook for DropFirst {
-        fn on_execute(&self, site: &ExecSite<'_>) -> crate::fault::ExecFault {
-            use std::sync::atomic::Ordering;
-            let mut f = crate::fault::ExecFault::none();
-            if site.method == self.method {
-                let left = self.times.load(Ordering::SeqCst);
-                if left > 0
-                    && self
-                        .times
-                        .compare_exchange(left, left - 1, Ordering::SeqCst, Ordering::SeqCst)
-                        .is_ok()
-                {
-                    f.drop_rpc = true;
-                }
-            }
-            f
-        }
-    }
-
-    #[test]
-    fn transient_drops_are_retried_with_backoff() {
-        let telemetry = Telemetry::enabled();
-        let ctrl = Controller::with_faults(
-            ClusterSpec::a100_with_gpus(1),
-            CommCostModel::default(),
-            telemetry.clone(),
-            Arc::new(DropFirst { method: "flaky", times: std::sync::atomic::AtomicU64::new(2) }),
-        );
-        ctrl.set_policy(CallPolicy { max_retries: 3, ..CallPolicy::default() });
-        let layout = WorkerLayout::train_only(ParallelSpec::new(1, 1, 1));
-        let g = ctrl
-            .spawn_group("net", &ResourcePool::contiguous(0, 1), layout, |_r| echo_worker())
-            .unwrap();
-        let before = ctrl.clock();
-        let out = g.call_sync("flaky", &batch(2), Protocol::Dp);
-        assert!(out.is_ok(), "{out:?}");
-        assert_eq!(telemetry.counter("resilience.retries"), 2);
-        assert_eq!(telemetry.counter("resilience.rpc_dropped"), 2);
-        assert!(ctrl.clock() > before, "retries charge virtual backoff");
-        // With retries exhausted, the transient error surfaces.
-        let ctrl2 = Controller::with_faults(
-            ClusterSpec::a100_with_gpus(1),
-            CommCostModel::default(),
-            Telemetry::disabled(),
-            Arc::new(DropFirst { method: "flaky", times: std::sync::atomic::AtomicU64::new(9) }),
-        );
-        let g2 = ctrl2
-            .spawn_group("net", &ResourcePool::contiguous(0, 1), layout, |_r| echo_worker())
-            .unwrap();
-        let err = g2.call_sync("flaky", &batch(2), Protocol::Dp);
-        assert!(matches!(err, Err(CoreError::Transient(_))), "{err:?}");
-    }
-
-    #[test]
-    fn wait_deadline_times_out_on_stuck_worker() {
-        let ctrl = controller(1);
-        let layout = WorkerLayout::train_only(ParallelSpec::new(1, 1, 1));
-        let g = ctrl
-            .spawn_group("slow", &ResourcePool::contiguous(0, 1), layout, |_r| {
-                Box::new(|m: &str, _d: DataProto, _c: &mut RankCtx| {
-                    if m == "stall" {
-                        // Wall-clock stall (not virtual): models a wedged
-                        // worker the deadline must bound.
-                        std::thread::sleep(Duration::from_millis(300));
-                    }
-                    Ok(DataProto::empty())
-                })
-            })
-            .unwrap();
-        let fut = g.call("stall", &DataProto::empty(), Protocol::OneToAll).unwrap();
-        let err = fut.wait_deadline(Duration::from_millis(20));
-        assert!(matches!(err, Err(CoreError::Timeout(_))), "{err:?}");
-        // The worker eventually finishes; the device keeps serving.
-        assert!(g.call_sync("ok", &DataProto::empty(), Protocol::OneToAll).is_ok());
-    }
-
-    #[test]
-    fn try_ready_probes_without_blocking_or_consuming() {
-        let ctrl = controller(1);
-        let layout = WorkerLayout::train_only(ParallelSpec::new(1, 1, 1));
-        let g = ctrl
-            .spawn_group("sleepy", &ResourcePool::contiguous(0, 1), layout, |_r| {
-                Box::new(|m: &str, d: DataProto, _c: &mut RankCtx| {
-                    if m == "slow" {
-                        // Wall-clock delay so the controller observably
-                        // sees "not ready yet" before the reply lands.
-                        std::thread::sleep(Duration::from_millis(100));
-                    }
-                    Ok(d)
-                })
-            })
-            .unwrap();
-        let fut = g.call("slow", &batch(2), Protocol::Dp).unwrap();
-        assert!(!fut.try_ready(), "reply cannot be queued before the worker ran");
-        // Poll until the reply lands, then wait() must return instantly
-        // with the full output — the probe consumed nothing.
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        while !fut.try_ready() {
-            assert!(std::time::Instant::now() < deadline, "worker never finished");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(fut.try_ready(), "readiness is sticky until collected");
-        let out = fut.wait().unwrap();
-        assert_eq!(out.f32("v").unwrap().0, batch(2).f32("v").unwrap().0);
-    }
-
-    #[test]
-    fn probe_devices_reports_heartbeats() {
-        let ctrl = controller(2);
-        let layout = WorkerLayout::train_only(ParallelSpec::new(1, 1, 2));
-        let g = ctrl
-            .spawn_group("hb", &ResourcePool::contiguous(0, 2), layout, |_r| echo_worker())
-            .unwrap();
-        g.call_sync("warm", &DataProto::empty(), Protocol::AllToAll).unwrap();
-        let health = ctrl.probe_devices(Duration::from_secs(5));
-        assert_eq!(health.len(), 2);
-        for h in &health {
-            assert!(h.alive, "{h:?}");
-            assert!(h.epoch >= 2, "register + execute must bump the epoch: {h:?}");
-        }
-        // Epochs are monotone across probes.
-        let again = ctrl.probe_devices(Duration::from_secs(5));
-        for (a, b) in health.iter().zip(again.iter()) {
-            assert!(b.epoch > a.epoch);
-        }
-    }
-
-    #[test]
-    fn overlapping_pools_are_rejected() {
-        let ctrl = controller(4);
-        let layout = WorkerLayout::train_only(ParallelSpec::new(1, 1, 2));
-        ctrl.spawn_group("a", &ResourcePool::contiguous(0, 2), layout, |_r| echo_worker()).unwrap();
-        let err =
-            ctrl.spawn_group("b", &ResourcePool::contiguous(1, 2), layout, |_r| echo_worker());
-        assert!(matches!(err, Err(CoreError::Config(_))));
-        // Identical pool (colocation) is fine.
-        assert!(ctrl
-            .spawn_group("c", &ResourcePool::contiguous(0, 2), layout, |_r| echo_worker())
-            .is_ok());
-    }
-
-    #[test]
-    fn pool_layout_size_mismatch_rejected() {
-        let ctrl = controller(4);
-        let layout = WorkerLayout::train_only(ParallelSpec::new(1, 1, 4));
-        let err =
-            ctrl.spawn_group("a", &ResourcePool::contiguous(0, 2), layout, |_r| echo_worker());
-        assert!(matches!(err, Err(CoreError::Config(_))));
-    }
-
-    #[test]
-    fn provenance_charges_inter_model_pull() {
-        // A batch produced on device 0 and consumed on devices 2-3 must
-        // cost p2p time.
-        let ctrl = controller(4);
-        let layout = WorkerLayout::train_only(ParallelSpec::new(1, 1, 2));
-        let a = ctrl
-            .spawn_group("prod", &ResourcePool::contiguous(0, 2), layout, |_r| echo_worker())
-            .unwrap();
-        let b = ctrl
-            .spawn_group("cons", &ResourcePool::contiguous(2, 2), layout, |_r| echo_worker())
-            .unwrap();
-        let mut big = DataProto::with_rows(1024);
-        big.insert_f32("x", vec![0.0; 1024 * 1024], 1024);
-        let out = a.call_sync("produce", &big, Protocol::Dp).unwrap();
-        assert!(out.meta.contains_key(SRC_DEVICE_META));
-        let t0 = ctrl.clock();
-        b.call_sync("consume", &out, Protocol::Dp).unwrap();
-        assert!(ctrl.clock() > t0, "consuming remote data must cost time");
-    }
-
-    #[test]
-    fn despawn_frees_the_pool_for_an_overlapping_respawn() {
-        // The elastic re-mapping teardown path: kill-free despawn of a
-        // 4-device group, then respawn onto a *partially overlapping*
-        // 3-device pool on the same live controller.
-        let ctrl = controller(4);
-        let layout4 = WorkerLayout::train_only(ParallelSpec::new(1, 1, 4));
-        let g = ctrl
-            .spawn_group("m", &ResourcePool::contiguous(0, 4), layout4, |_r| echo_worker())
-            .unwrap();
-        g.call_sync("warm", &batch(4), Protocol::Dp).unwrap();
-        ctrl.despawn_group(g);
-        let layout3 = WorkerLayout::train_only(ParallelSpec::new(1, 1, 3));
-        let g2 = ctrl
-            .spawn_group("m", &ResourcePool::contiguous(0, 3), layout3, |_r| echo_worker())
-            .unwrap();
-        let out = g2.call_sync("run", &batch(3), Protocol::Dp).unwrap();
-        assert_eq!(out.f32("v").unwrap().0, batch(3).f32("v").unwrap().0);
-        ctrl.shutdown().unwrap();
-    }
-
-    #[test]
-    fn injected_kill_is_recorded_as_a_lost_rank() {
-        let ctrl = Controller::with_faults(
-            ClusterSpec::a100_with_gpus(4),
-            CommCostModel::default(),
-            Telemetry::disabled(),
-            Arc::new(KillOnCall { method: "step", rank: 1, nth: 1 }),
-        );
-        let layout = WorkerLayout::train_only(ParallelSpec::new(1, 1, 4));
-        let g = ctrl
-            .spawn_group("victim", &ResourcePool::contiguous(0, 4), layout, |_r| echo_worker())
-            .unwrap();
-        let err = g.call_sync("step", &batch(4), Protocol::Dp);
-        assert!(err.is_err());
-        let lost = ctrl.lost_ranks();
-        assert_eq!(lost.len(), 1, "only the killed rank is a loss, not its peers: {lost:?}");
-        assert_eq!(lost[0].group, "victim");
-        assert_eq!(lost[0].rank, 1);
-        assert_eq!(ctrl.lost_devices(), vec![DeviceId(1)]);
-        // a100_with_gpus rounds up to whole 8-GPU machines; survivors =
-        // the full cluster minus the lost device.
-        let survivors = ctrl.surviving_devices();
-        assert_eq!(survivors.len(), ctrl.cluster().total_gpus() - 1);
-        assert!(!survivors.contains(&DeviceId(1)));
-        assert!(survivors.contains(&DeviceId(0)) && survivors.contains(&DeviceId(3)));
-    }
-
-    #[test]
-    fn originating_panic_is_a_loss_but_cascaded_aborts_are_not() {
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let body = std::thread::spawn(move || {
-            let ctrl = controller(2);
-            let layout = WorkerLayout::train_only(ParallelSpec::new(1, 1, 2));
-            let g = ctrl
-                .spawn_group("half-dead", &ResourcePool::contiguous(0, 2), layout, |rank| {
-                    Box::new(move |_m: &str, _d: DataProto, c: &mut RankCtx| {
-                        if rank == 0 {
-                            panic!("rank 0 dies");
-                        }
-                        let mut clock = c.clock;
-                        c.comms.world.all_reduce_sum(&mut clock, &[1.0]);
-                        c.clock = clock;
-                        Ok(DataProto::empty())
-                    })
-                })
-                .unwrap();
-            let _ = g.call("step", &DataProto::empty(), Protocol::AllToAll).unwrap().wait();
-            let lost = ctrl.lost_ranks();
-            assert_eq!(lost.len(), 1, "the cascaded abort on rank 1 is not a loss: {lost:?}");
-            assert_eq!(lost[0].rank, 0);
-            let _ = done_tx.send(());
-        });
-        done_rx.recv_timeout(Duration::from_secs(30)).expect("must not deadlock");
-        body.join().unwrap();
-    }
-
-    /// Two collective calls are queued on each rank before the first is
-    /// awaited (the pipelined driver's micro-batch updates do this); rank
-    /// 0 is killed on the first. Rank 1's second call finds its
-    /// communicator already aborted — a cascade, not a second loss.
-    #[test]
-    fn queued_call_on_an_aborted_communicator_is_not_a_lost_rank() {
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let body = std::thread::spawn(move || {
-            let ctrl = Controller::with_faults(
-                ClusterSpec::a100_with_gpus(2),
-                CommCostModel::default(),
-                Telemetry::disabled(),
-                Arc::new(KillOnCall { method: "step", rank: 0, nth: 1 }),
-            );
-            let layout = WorkerLayout::train_only(ParallelSpec::new(1, 1, 2));
-            let g = ctrl
-                .spawn_group("victim", &ResourcePool::contiguous(0, 2), layout, |_r| {
-                    Box::new(|_m: &str, _d: DataProto, c: &mut RankCtx| {
-                        let mut clock = c.clock;
-                        c.comms.world.barrier(&mut clock);
-                        c.clock = clock;
-                        Ok(DataProto::empty())
-                    })
-                })
-                .unwrap();
-            let first = g.call("step", &DataProto::empty(), Protocol::AllToAll).unwrap();
-            let second = g.call("step", &DataProto::empty(), Protocol::AllToAll).unwrap();
-            assert!(matches!(first.wait(), Err(CoreError::WorkerPanicked(_))));
-            assert!(matches!(second.wait(), Err(CoreError::PeerFailed(_))));
-            let lost = ctrl.lost_ranks();
-            assert_eq!(lost.len(), 1, "only the killed rank is a loss: {lost:?}");
-            assert_eq!(lost[0].rank, 0);
-            let _ = done_tx.send(());
-        });
-        done_rx.recv_timeout(Duration::from_secs(30)).expect("must not deadlock");
-        body.join().unwrap();
-    }
-}
-
-#[cfg(test)]
-mod registry_tests {
-    use super::*;
-    use hf_parallel::ParallelSpec;
-
-    fn echo() -> Box<dyn Worker> {
-        Box::new(|_m: &str, d: DataProto, _c: &mut RankCtx| Ok(d))
-    }
-
-    fn setup() -> (Controller, WorkerGroup) {
-        let ctrl = Controller::new(ClusterSpec::a100_with_gpus(2));
-        let layout = WorkerLayout::train_only(ParallelSpec::new(1, 1, 2));
-        let g =
-            ctrl.spawn_group("m", &ResourcePool::contiguous(0, 2), layout, |_r| echo()).unwrap();
-        (ctrl, g)
-    }
-
-    #[test]
-    fn register_then_invoke_uses_bound_protocol() {
-        let (_ctrl, g) = setup();
-        g.register("step", Protocol::Dp);
-        let mut d = DataProto::with_rows(4);
-        d.insert_f32("x", vec![1.0, 2.0, 3.0, 4.0], 1);
-        let out = g.invoke_sync("step", &d).unwrap();
-        // (collected outputs carry provenance metadata; compare payloads)
-        assert_eq!(out.f32("x").unwrap(), d.f32("x").unwrap(), "DP echo must round-trip");
-    }
-
-    #[test]
-    fn invoke_unregistered_method_errors() {
-        let (_ctrl, g) = setup();
-        let err = g.invoke_sync("nope", &DataProto::empty());
-        assert!(matches!(err, Err(CoreError::Config(_))), "{err:?}");
-    }
-
-    #[test]
-    fn re_registering_overrides_protocol() {
-        let (_ctrl, g) = setup();
-        g.register("step", Protocol::OneToAll).register("step", Protocol::Dp);
-        let mut d = DataProto::with_rows(2);
-        d.insert_f32("x", vec![1.0, 2.0], 1);
-        // Under OneToAll the echo would duplicate rows (2 ranks × 2 rows);
-        // under Dp it round-trips.
-        let out = g.invoke_sync("step", &d).unwrap();
-        assert_eq!(out.rows(), 2);
-    }
-
-    #[test]
-    fn timeline_records_calls_in_order() {
-        let (ctrl, g) = setup();
-        g.register("a", Protocol::OneToAll);
-        g.invoke_sync("a", &DataProto::empty()).unwrap();
-        g.invoke_sync("a", &DataProto::empty()).unwrap();
-        let tl = ctrl.timeline();
-        assert_eq!(tl.len(), 2);
-        assert_eq!(tl[0].group, "m");
-        assert_eq!(tl[0].method, "a");
-        assert!(tl[0].completed >= tl[0].dispatched);
-        assert!(tl[1].dispatched >= tl[0].dispatched);
-        ctrl.clear_timeline();
-        assert!(ctrl.timeline().is_empty());
-    }
-
-    #[test]
-    fn futures_can_be_waited_out_of_order() {
-        let ctrl = Controller::new(ClusterSpec::a100_with_gpus(4));
-        let layout = WorkerLayout::train_only(ParallelSpec::new(1, 1, 2));
-        let a =
-            ctrl.spawn_group("a", &ResourcePool::contiguous(0, 2), layout, |_r| echo()).unwrap();
-        let b =
-            ctrl.spawn_group("b", &ResourcePool::contiguous(2, 2), layout, |_r| echo()).unwrap();
-        let mut d = DataProto::with_rows(2);
-        d.insert_f32("x", vec![5.0, 6.0], 1);
-        let fa = a.call("m", &d, Protocol::Dp).unwrap();
-        let fb = b.call("m", &d, Protocol::Dp).unwrap();
-        // Wait b before a: the dataflow is asynchronous, order is free.
-        assert_eq!(fb.wait().unwrap().f32("x").unwrap(), d.f32("x").unwrap());
-        assert_eq!(fa.wait().unwrap().f32("x").unwrap(), d.f32("x").unwrap());
     }
 }

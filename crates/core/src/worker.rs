@@ -92,13 +92,6 @@ impl RankCtx {
         self.layout.spec.coords(self.rank)
     }
 
-    /// Whether this rank is a DP-group leader (`p = last, t = 0`), the
-    /// rank whose output `3D_PROTO` collects.
-    pub fn is_dp_leader(&self) -> bool {
-        let c = self.coords();
-        c.p_idx == self.layout.spec.p - 1 && c.t_idx == 0
-    }
-
     /// Charges `seconds` of simulated compute to this rank's clock.
     pub fn charge(&mut self, seconds: f64) {
         self.clock.advance(seconds);

@@ -1,7 +1,7 @@
 //! FLOP and byte accounting for transformer forward/backward passes.
 //!
-//! Follows the standard accounting used by llm-analysis [42] and the
-//! LLM-inference roofline survey [84] the paper cites: a matrix multiply
+//! Follows the standard accounting used by llm-analysis \[42\] and the
+//! LLM-inference roofline survey \[84\] the paper cites: a matrix multiply
 //! of shapes `(m×k)·(k×n)` costs `2mkn` FLOPs; the backward pass costs
 //! twice the forward; attention score/value products add a
 //! context-length-dependent term.

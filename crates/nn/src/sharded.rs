@@ -17,7 +17,7 @@
 //! **The inference forward.** The stage forward keeps nothing it has
 //! read — no tape, no saved activations — so it is also what every
 //! forward-only pass of an unsharded model runs ([`TinyLm::log_probs_stacked`],
-//! [`TinyLm::values_stacked`]): [`run_blocks`] over windows of the
+//! [`TinyLm::values_stacked`]): `run_blocks` over windows of the
 //! model's own flat buffer is the `p = t = 1` stage, bit for bit the
 //! tape's forward. Like the tape it takes whole sequences stacked on the
 //! row dimension: `cum_mean` restarts at every segment boundary and every

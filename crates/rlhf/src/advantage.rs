@@ -27,7 +27,7 @@ pub fn shape_token_rewards(score: f32, logp: &[f32], ref_logp: &[f32], kl_coef: 
         .collect()
 }
 
-/// Generalized Advantage Estimation [67]: returns `(advantages,
+/// Generalized Advantage Estimation \[67\]: returns `(advantages,
 /// returns)` for one trajectory, with terminal value 0.
 ///
 /// # Examples
@@ -62,13 +62,13 @@ pub fn gae(rewards: &[f32], values: &[f32], gamma: f32, lam: f32) -> (Vec<f32>, 
     (adv, ret)
 }
 
-/// ReMax [43]: advantage is the sampled score minus the greedy-rollout
+/// ReMax \[43\]: advantage is the sampled score minus the greedy-rollout
 /// baseline score, broadcast over the response tokens.
 pub fn remax_advantage(score: f32, baseline_score: f32, len: usize) -> Vec<f32> {
     vec![score - baseline_score; len]
 }
 
-/// GRPO [70]: group-relative advantages — standardize each sample's
+/// GRPO \[70\]: group-relative advantages — standardize each sample's
 /// score within its prompt group.
 ///
 /// # Panics

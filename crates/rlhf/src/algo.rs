@@ -439,7 +439,7 @@ pub fn remax_iteration(
     run_stages(&RemaxStages, sys, ctrl, prompts, None).map(|(stats, _)| stats)
 }
 
-/// One GRPO iteration (§9, [70]): `grpo_group` samples per prompt,
+/// One GRPO iteration (§9, \[70\]): `grpo_group` samples per prompt,
 /// group-standardized advantages, no critic.
 pub fn grpo_iteration(
     sys: &RlhfSystem,

@@ -28,7 +28,7 @@
 //!   `hf-rewards` sandbox pool — deterministic virtual-time budgets,
 //!   straggler cancellation, retry-on-timeout — so GRPO trains against
 //!   program verifiers with no reward-model forward pass.
-//! * [`env`] — synthetic prompt / pretrain-batch generators and the
+//! * [`env`](mod@env) — synthetic prompt / pretrain-batch generators and the
 //!   rule-based reward (paper §9: reward models can be replaced by
 //!   non-neural reward modules).
 //! * [`remap`] — [`remap::remap_recoverable`]: the one outer loop —

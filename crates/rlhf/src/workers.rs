@@ -3,7 +3,7 @@
 //!
 //! The transfer protocol splits a batch across DP (or micro-DP) groups
 //! and hands each chunk to a whole model-parallel group, which computes
-//! it cooperatively: [`mp_rows`] gives rank `r` of the group the rows
+//! it cooperatively: `mp_rows` gives rank `r` of the group the rows
 //! `i ≡ r (mod mp)` and reassembles every row's result on every rank
 //! through an untimed host exchange. Virtual time already charges the
 //! group's cooperation as `per_token_latency / mp` per row on every
@@ -11,14 +11,14 @@
 //! functions of replicated weights and the shared chunk, so what each
 //! rank ends up with is what it would have computed alone, bit for bit.
 //! (Real tensor-parallel *backward* stays out of scope: only the
-//! `tp_inference` forward passes shard the model itself — [`tp_forward`],
+//! `tp_inference` forward passes shard the model itself — `tp_forward`,
 //! one stage pass over the whole chunk.) A rank runs its rows through
 //! stacked passes — whole sequences stacked while they fit
 //! `hf_nn::STACK_ROWS`, each sequence's results bit for bit those of a
 //! pass of its own: a tape where the method differentiates, the
 //! tape-free inference forward where it does not. Update methods sum
 //! their rows' gradients once per
-//! model-parallel group ([`RowFold`]) and all-reduce the sum over the
+//! model-parallel group (`RowFold`) and all-reduce the sum over the
 //! rank's DP communicator — a real collective through the virtual NCCL —
 //! so model replicas stay in lock-step, exactly like data-parallel
 //! training.

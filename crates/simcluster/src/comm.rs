@@ -5,10 +5,10 @@
 //! every member thread enters with its contribution; the last arriver
 //! folds the contributions once and every member leaves with the same
 //! shared result. On top of it, [`Communicator`] implements the typed
-//! collectives (all-gather, all-reduce, reduce-scatter, broadcast,
-//! gather, scatter, barrier) as folds and charges each rank's
-//! [`VirtualClock`] the analytic cost from [`CommCostModel`], so the
-//! functional runtime and the analytic simulators agree on timing.
+//! collectives (all-gather, all-reduce, reduce-scatter, gather, barrier)
+//! as folds and charges each rank's [`VirtualClock`] the analytic cost
+//! from [`CommCostModel`], so the functional runtime and the analytic
+//! simulators agree on timing.
 //!
 //! Pipeline stages hand activations over point to point on their pipeline
 //! group, as Megatron does over NCCL: [`Communicator::send_to`] /
@@ -518,7 +518,7 @@ impl Communicator {
         // The round is charged at zero bytes and the aggregate size on
         // top of it, once the parts' lengths are known — the latency
         // term twice. A cost-model quirk (DESIGN.md §5) that committed
-        // baselines pin; `broadcast` and `scatter` share it.
+        // baselines pin.
         let out =
             self.collective(clock, data.to_vec(), CollectiveKind::AllGather, 0.0, |p| p.concat());
         let bytes = (out.1.len() * 4) as f64;
@@ -561,21 +561,11 @@ impl Communicator {
         Reduced { sum, range: 0..len }
     }
 
-    /// Ring reduce-scatter (sum): rank `i` receives the `i`-th equal chunk
-    /// of the elementwise sum, combined in the same balanced pairwise
-    /// tree as [`Communicator::all_reduce_sum`], so ZeRO sharded updates
-    /// reproduce replicated ones bitwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer length is not divisible by the group size.
-    pub fn reduce_scatter_sum(&self, clock: &mut VirtualClock, data: &[f32]) -> Vec<f32> {
-        assert_eq!(data.len() % self.size(), 0, "reduce_scatter length must divide evenly");
-        self.reduce_scatter_sum_shared(clock, data.to_vec()).to_vec()
-    }
-
-    /// [`Communicator::reduce_scatter_sum`] of parts given by value, of
-    /// any common length: chunks are `⌈len / n⌉` long, so the last
+    /// Ring reduce-scatter (sum) of parts given by value, of any common
+    /// length: rank `i` reads the `i`-th chunk of the elementwise sum,
+    /// combined in the same balanced pairwise tree as
+    /// [`Communicator::all_reduce_sum`], so ZeRO sharded updates reproduce
+    /// replicated ones bitwise. Chunks are `⌈len / n⌉` long, so the last
     /// members' chunks may be short or empty, and the collective is
     /// charged for `n` whole chunks — what padding the parts would cost.
     /// The [`Reduced`] result reads as this member's chunk.
@@ -591,32 +581,6 @@ impl Communicator {
         Reduced { sum, range: (self.rank * chunk).min(len)..((self.rank + 1) * chunk).min(len) }
     }
 
-    /// Broadcast from `root`; only the root's `data` is used.
-    ///
-    /// # Panics
-    ///
-    /// Aborts the group if the root passed `None`.
-    pub fn broadcast(
-        &self,
-        clock: &mut VirtualClock,
-        root: usize,
-        data: Option<Vec<f32>>,
-    ) -> Vec<f32> {
-        let out = self.collective(clock, data, CollectiveKind::Broadcast, 0.0, |mut parts| {
-            parts.swap_remove(root).expect("broadcast root must supply data")
-        });
-        let bytes = (out.1.len() * 4) as f64;
-        let cost = self.cost.collective_time(
-            &self.cluster,
-            self.group.devices(),
-            CollectiveKind::Broadcast,
-            bytes,
-        );
-        clock.advance(cost);
-        self.count(bytes);
-        out.1.clone()
-    }
-
     /// Gather to `root`: the root receives every rank's buffer; other ranks
     /// receive `None`.
     pub fn gather(
@@ -628,34 +592,6 @@ impl Communicator {
         let bytes = (data.len() * 4 * self.size()) as f64;
         let out = self.collective(clock, data.to_vec(), CollectiveKind::Gather, bytes, |p| p);
         (self.rank == root).then(|| out.1.clone())
-    }
-
-    /// Scatter from `root`: the root supplies one chunk per rank.
-    ///
-    /// # Panics
-    ///
-    /// Aborts the group if the root passed `None`; panics on the wrong
-    /// number of chunks.
-    pub fn scatter(
-        &self,
-        clock: &mut VirtualClock,
-        root: usize,
-        chunks: Option<Vec<Vec<f32>>>,
-    ) -> Vec<f32> {
-        let out = self.collective(clock, chunks, CollectiveKind::Scatter, 0.0, |mut parts| {
-            parts.swap_remove(root).expect("scatter root must supply chunks")
-        });
-        let all = &out.1;
-        assert_eq!(all.len(), self.size(), "scatter needs one chunk per rank");
-        let total: usize = all.iter().map(|c| c.len() * 4).sum();
-        let cost = self.cost.collective_time(
-            &self.cluster,
-            self.group.devices(),
-            CollectiveKind::Scatter,
-            total as f64,
-        );
-        clock.advance(cost);
-        all[self.rank].clone()
     }
 
     /// Barrier: synchronizes virtual clocks to the group maximum.
@@ -810,7 +746,7 @@ impl TreeSum {
 /// Balanced pairwise-tree elementwise sum of equal-length vectors; an
 /// odd tail carries up a level unchanged. ([`TreeSum`] fed from a list.)
 ///
-/// This is the association `all_reduce_sum` / `reduce_scatter_sum` use
+/// This is the association `all_reduce_sum` / `reduce_scatter_sum_shared` use
 /// to combine rank contributions, exported so workers can sum per-row
 /// gradients the same way: for a power-of-two global row count split
 /// into equal power-of-two chunks, local-tree + rank-tree composes into
@@ -882,42 +818,21 @@ mod tests {
     fn reduce_scatter_gives_each_rank_its_chunk() {
         let outs = run_ranks(2, |_, comm| {
             let mut clock = VirtualClock::new();
-            comm.reduce_scatter_sum(&mut clock, &[1.0, 2.0, 3.0, 4.0])
+            comm.reduce_scatter_sum_shared(&mut clock, vec![1.0, 2.0, 3.0, 4.0]).to_vec()
         });
         assert_eq!(outs[0], vec![2.0, 4.0]);
         assert_eq!(outs[1], vec![6.0, 8.0]);
     }
 
     #[test]
-    fn broadcast_replicates_root_buffer() {
+    fn gather_delivers_every_buffer_to_the_root_in_rank_order() {
         let outs = run_ranks(3, |r, comm| {
             let mut clock = VirtualClock::new();
-            let data = if r == 1 { Some(vec![7.0, 8.0]) } else { None };
-            comm.broadcast(&mut clock, 1, data)
+            comm.gather(&mut clock, 1, &[r as f32, 10.0 * r as f32])
         });
-        for out in outs {
-            assert_eq!(out, vec![7.0, 8.0]);
-        }
-    }
-
-    #[test]
-    fn gather_and_scatter_round_trip() {
-        let outs = run_ranks(3, |r, comm| {
-            let mut clock = VirtualClock::new();
-            let gathered = comm.gather(&mut clock, 0, &[r as f32]);
-            let chunks = gathered.map(|g| {
-                g.into_iter()
-                    .map(|mut c| {
-                        c[0] *= 10.0;
-                        c
-                    })
-                    .collect::<Vec<_>>()
-            });
-            comm.scatter(&mut clock, 0, chunks)
-        });
-        assert_eq!(outs[0], vec![0.0]);
-        assert_eq!(outs[1], vec![10.0]);
-        assert_eq!(outs[2], vec![20.0]);
+        assert_eq!(outs[0], None);
+        assert_eq!(outs[1], Some(vec![vec![0.0, 0.0], vec![1.0, 10.0], vec![2.0, 20.0]]));
+        assert_eq!(outs[2], None);
     }
 
     #[test]
@@ -974,7 +889,7 @@ mod tests {
                 }
                 let mine = contribution(r, len);
                 let ar = comm.all_reduce_sum(&mut clocks[0], &mine);
-                let rs = comm.reduce_scatter_sum(&mut clocks[1], &mine);
+                let rs = comm.reduce_scatter_sum_shared(&mut clocks[1], mine.clone()).to_vec();
                 let ag = comm.all_gather(&mut clocks[2], &mine);
                 (ar, rs, ag, clocks.map(|c| c.now()))
             });

@@ -1,6 +1,6 @@
 //! Analytical collective-communication cost models.
 //!
-//! The paper computes transition overheads (Table 2) "following [13]"
+//! The paper computes transition overheads (Table 2) "following \[13\]"
 //! (Chan et al., *Collective communication: theory, practice, and
 //! experience*). We use the same α–β model: a ring collective over `n`
 //! ranks with payload `B` bytes takes `(n-1) · (α + B / (n · bw))` per

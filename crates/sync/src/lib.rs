@@ -14,7 +14,7 @@
 //!
 //! * `JoinHandle::join` in `Controller::shutdown`, joining the device
 //!   threads;
-//! * `OnceLock::get_or_init` in `FutureInput::cut`, where the ranks of a
+//! * `OnceLock::get_or_init` in `CallInput::cut`, where the ranks of a
 //!   call issued on a future wait while the first of them collects and
 //!   cuts the producer's reply.
 //!

@@ -297,7 +297,7 @@ pub mod collection {
     use rand::RngExt;
     use std::ops::Range;
 
-    /// Length specifications accepted by [`vec`]: an exact `usize` or a
+    /// Length specifications accepted by [`vec`](fn@vec): an exact `usize` or a
     /// `Range<usize>`.
     pub trait IntoSizeRange {
         /// Half-open `[lo, hi)` bounds on the length.
@@ -316,7 +316,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec`](fn@vec).
     pub struct VecStrategy<S> {
         element: S,
         lo: usize,
