@@ -158,7 +158,6 @@ pub fn genserve_throughput(fast: bool) -> Report {
                 block_tokens,
                 cache_budget_bytes: blocks * block_bytes,
                 max_batch: batch,
-                ..GenConfig::default()
             });
             server.install_weights(&lm);
             let t0 = Instant::now();

@@ -21,5 +21,4 @@ pub mod perf;
 pub mod pipeline;
 pub mod registry;
 pub mod reward_eval;
-pub mod serve_slo;
 pub mod table;

@@ -9,7 +9,7 @@
 use std::path::{Path, PathBuf};
 
 use crate::table::{mode, Report};
-use crate::{faults, figures, host, perf, pipeline, reward_eval, serve_slo};
+use crate::{faults, figures, host, perf, pipeline, reward_eval};
 
 /// One registered experiment.
 pub struct Experiment {
@@ -56,7 +56,6 @@ pub const REGISTRY: &[Experiment] = &[
     exact("perf_report", perf::perf_report),
     exact("pipeline_overlap", pipeline::pipeline_overlap),
     exact("reward_eval", reward_eval::reward_eval),
-    exact("serve_slo", serve_slo::serve_slo),
 ];
 
 /// The committed baseline `--check` diffs `name`'s JSON against.

@@ -212,18 +212,15 @@ impl BlockManager {
     /// Registers a completed block as covering exactly the token prefix
     /// `tokens[..end]` (where `end` is a block-boundary multiple). First
     /// writer wins: if an equal prefix is already cached the block stays
-    /// private and the call returns `false`; `true` means the block is
-    /// now the cached copy (multi-tenant attribution mirrors exactly
-    /// the registrations that stuck).
-    pub fn register_prefix(&mut self, block: usize, prefix: &[usize]) -> bool {
+    /// private.
+    pub fn register_prefix(&mut self, block: usize, prefix: &[usize]) {
         debug_assert!(prefix.len().is_multiple_of(self.block_tokens));
         let h = prefix_hash(prefix);
         if self.cached.contains_key(&h) {
-            return false;
+            return;
         }
         self.cached.insert(h, CachedPrefix { block, prefix: prefix.to_vec() });
         self.hash_of[block] = Some(h);
-        true
     }
 
     /// Longest run of cached blocks covering whole-block prefixes of

@@ -5,8 +5,8 @@
 //! [`TinyLm::decode_step_batch`], so prefill and decode mix freely in
 //! one batch and a finishing sequence's slot is refilled from the
 //! waiting queue at the very next step instead of idling until the
-//! batch drains. Admission is FCFS; when the paged cache runs out of
-//! blocks mid-decode the scheduler preempts by *recompute* — the
+//! batch drains. Admission is strict FCFS; when the paged cache runs
+//! out of blocks mid-decode the scheduler preempts by *recompute* — the
 //! youngest running sequence releases its blocks and re-prefills later
 //! (its sampler RNG survives, so the preemption is invisible in the
 //! output).
@@ -18,7 +18,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::block::BlockManager;
-use crate::tenant::TenantLedger;
 
 /// Engine-level configuration (per [`GenServer`], not per request).
 #[derive(Debug, Clone)]
@@ -30,42 +29,12 @@ pub struct GenConfig {
     pub cache_budget_bytes: usize,
     /// Maximum concurrently running sequences per step.
     pub max_batch: usize,
-    /// Admission watermark: free blocks to keep in reserve when
-    /// admitting into a non-empty batch, so a fresh admission doesn't
-    /// preempt on the very next step. `None` applies the historical
-    /// formula `(num_blocks / 16).max(1)`; serving front-ends override
-    /// it to tune headroom per tenant class.
-    pub admission_watermark: Option<usize>,
 }
 
 impl Default for GenConfig {
     fn default() -> Self {
-        GenConfig {
-            block_tokens: 16,
-            cache_budget_bytes: 1 << 20,
-            max_batch: 64,
-            admission_watermark: None,
-        }
+        GenConfig { block_tokens: 16, cache_budget_bytes: 1 << 20, max_batch: 64 }
     }
-}
-
-/// Per-tenant scheduling policy inside one [`GenSession`]
-/// (multi-tenant serving; defaults reproduce single-tenant behavior).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TenantPolicy {
-    /// Extra free-block margin (on top of the engine watermark) this
-    /// tenant's sequences must leave behind to be admitted. Serving
-    /// front-ends give *lower-priority* tenants larger headrooms so
-    /// they cannot consume the blocks that keep top-tier admission
-    /// fluid. A tenant with headroom > 0 that fails admission is
-    /// *skipped* (later candidates still get a chance) instead of
-    /// head-of-line blocking the FCFS queue.
-    pub headroom_blocks: usize,
-    /// Preemption order under cache pressure: among running sequences,
-    /// the highest `shed_order` is preempted first (ties broken LIFO,
-    /// the historical policy). Lower-priority tenants get higher
-    /// shed orders.
-    pub shed_order: u8,
 }
 
 /// One generation request.
@@ -174,8 +143,6 @@ impl std::error::Error for GenError {}
 /// A sequence moving through waiting → running → finished.
 struct Seq {
     id: usize,
-    /// Owning tenant (0 for single-tenant `generate` calls).
-    tenant: u32,
     /// Prompt plus generated-so-far; survives preemption.
     tokens: Vec<usize>,
     prompt_len: usize,
@@ -192,25 +159,6 @@ struct Seq {
     state: Option<DecodeState>,
     /// Logits from the most recent feed (predicts token `fed`).
     last_logits: Vec<f32>,
-}
-
-/// Preemption victim under cache pressure: the running sequence with
-/// the highest tenant `shed_order`, ties broken by the largest index
-/// (LIFO — most recently admitted first). With no policies installed
-/// every shed order is 0 and the pick degenerates to the historical
-/// youngest-sequence rule.
-fn pick_victim(running: &[Seq], policies: &BTreeMap<u32, TenantPolicy>) -> usize {
-    let order = |t: u32| policies.get(&t).map_or(0, |p| p.shed_order);
-    let mut best = running.len() - 1;
-    let mut best_order = order(running[best].tenant);
-    for idx in (0..running.len() - 1).rev() {
-        let o = order(running[idx].tenant);
-        if o > best_order {
-            best = idx;
-            best_order = o;
-        }
-    }
-    best
 }
 
 /// The generation server an actor worker owns: holds the engine config
@@ -244,41 +192,28 @@ impl GenServer {
         self.lm.is_some()
     }
 
-    /// An empty [`GenSession`]: the open-ended entry point for serving
-    /// front-ends, which feed it requests incrementally via
-    /// [`GenSession::submit`] instead of a fixed up-front batch.
-    pub fn session(&self) -> Result<GenSession<'_>, GenError> {
+    /// Validates `reqs` and returns a [`GenSession`] positioned before
+    /// the first engine step. The session exposes the scheduler loop
+    /// one iteration at a time — [`GenServer::generate`] is exactly
+    /// `begin` + step-to-idle + `finish`.
+    pub fn begin(&self, reqs: &[GenRequest]) -> Result<GenSession<'_>, GenError> {
         let lm = self.lm.as_ref().ok_or(GenError::NoWeights)?;
         let bt = self.cfg.block_tokens;
-        let slot_floats = lm.decode_start().snapshot_len();
-        let bm = BlockManager::new(slot_floats, bt, self.cfg.cache_budget_bytes);
-        let report = EngineReport { num_blocks: bm.num_blocks(), ..EngineReport::default() };
-        Ok(GenSession {
+        let bm =
+            BlockManager::new(lm.decode_start().snapshot_len(), bt, self.cfg.cache_budget_bytes);
+        let mut session = GenSession {
             lm,
             bt,
-            block_bytes: bt * slot_floats * 4,
             max_batch: self.cfg.max_batch,
-            watermark: self.cfg.admission_watermark.unwrap_or((bm.num_blocks() / 16).max(1)),
-            ledger: TenantLedger::new(bm.num_blocks()),
-            policies: BTreeMap::new(),
+            watermark: (bm.num_blocks() / 16).max(1),
+            report: EngineReport { num_blocks: bm.num_blocks(), ..EngineReport::default() },
             bm,
-            report,
             outputs: Vec::new(),
             waiting: VecDeque::new(),
             running: Vec::new(),
-            finished: Vec::new(),
-        })
-    }
-
-    /// Validates `reqs` and returns a [`GenSession`] positioned before
-    /// the first engine step. The session exposes the scheduler loop
-    /// one iteration at a time, with completions observable as they
-    /// happen — [`GenServer::generate`] is exactly
-    /// `begin` + step-to-idle + `finish`.
-    pub fn begin(&self, reqs: &[GenRequest]) -> Result<GenSession<'_>, GenError> {
-        let mut session = self.session()?;
+        };
         for r in reqs {
-            session.submit(r, 0)?;
+            session.submit(r)?;
         }
         Ok(session)
     }
@@ -298,9 +233,7 @@ impl GenServer {
 
 /// An in-flight batch on the iteration-level scheduler: the engine loop
 /// of [`GenServer::generate`], externalized one step at a time so a
-/// pipelined caller can interleave other work between steps and harvest
-/// finished sequences early via [`GenSession::drain_finished`] — the
-/// streaming-completion half of the one-step-off-policy pipeline.
+/// caller can time or trace each step.
 ///
 /// Stepping order, admission, preemption, and sampler RNG state are
 /// identical to the monolithic loop, so driving a session to idle
@@ -308,49 +241,36 @@ impl GenServer {
 pub struct GenSession<'a> {
     lm: &'a TinyLm,
     bt: usize,
-    /// Physical bytes per cache block (for ledger charge queries).
-    block_bytes: usize,
     max_batch: usize,
     /// Admission headroom: keep a sliver of blocks free when the batch
     /// is non-empty so a fresh admission doesn't preempt on the very
     /// next step.
     watermark: usize,
-    /// Per-tenant cache attribution (pure bookkeeping; never feeds back
-    /// into scheduling).
-    ledger: TenantLedger,
-    /// Per-tenant admission/preemption policies; tenants without an
-    /// entry get the defaults (single-tenant behavior).
-    policies: BTreeMap<u32, TenantPolicy>,
     bm: BlockManager,
     report: EngineReport,
     outputs: Vec<Option<GenOutput>>,
     waiting: VecDeque<Seq>,
     running: Vec<Seq>,
-    /// Completions since the last drain, in retirement order.
-    finished: Vec<(usize, GenOutput)>,
 }
 
 impl GenSession<'_> {
     /// Whether every request has finished.
-    pub fn is_idle(&self) -> bool {
+    fn is_idle(&self) -> bool {
         self.waiting.is_empty() && self.running.is_empty()
     }
 
-    /// Enqueues one request owned by `tenant` and returns its request
-    /// id (the index `drain_finished` / `finish` report it under).
-    /// Validation matches [`GenServer::begin`]: empty prompts are
-    /// rejected, a request that cannot finish solo is rejected, and a
-    /// `max_new_tokens == 0` request finishes instantly.
-    pub fn submit(&mut self, r: &GenRequest, tenant: u32) -> Result<usize, GenError> {
+    /// Enqueues one request under the id `begin`'s request order gives
+    /// it: an empty prompt is rejected, a request that cannot finish
+    /// solo is rejected, and a `max_new_tokens == 0` request finishes
+    /// before the first step.
+    fn submit(&mut self, r: &GenRequest) -> Result<(), GenError> {
         if r.prompt.is_empty() {
             return Err(GenError::EmptyPrompt);
         }
         let id = self.outputs.len();
         if r.max_new_tokens == 0 {
-            // Nothing to generate: finished before the first step.
             self.outputs.push(Some(GenOutput { tokens: Vec::new() }));
-            self.finished.push((id, GenOutput { tokens: Vec::new() }));
-            return Ok(id);
+            return Ok(());
         }
         // Worst case the sequence runs alone: it feeds
         // prompt + max_new − 1 tokens (the final sample is never
@@ -365,7 +285,6 @@ impl GenSession<'_> {
         self.outputs.push(None);
         self.waiting.push_back(Seq {
             id,
-            tenant,
             tokens: r.prompt.clone(),
             prompt_len: r.prompt.len(),
             max_new: r.max_new_tokens,
@@ -377,68 +296,7 @@ impl GenSession<'_> {
             state: None,
             last_logits: Vec::new(),
         });
-        Ok(id)
-    }
-
-    /// Installs `tenant`'s admission/preemption policy (replacing any
-    /// previous one). Takes effect from the next [`GenSession::step`].
-    pub fn set_tenant_policy(&mut self, tenant: u32, policy: TenantPolicy) {
-        self.policies.insert(tenant, policy);
-    }
-
-    /// Re-sizes the admission cap mid-run (co-located serving shrinks
-    /// it while training holds the devices and grows it back after the
-    /// transition). Shrinking below the current batch does not preempt;
-    /// it only pauses admission until the batch drains down.
-    pub fn set_max_batch(&mut self, max_batch: usize) {
-        self.max_batch = max_batch;
-    }
-
-    /// Current admission cap.
-    pub fn max_batch(&self) -> usize {
-        self.max_batch
-    }
-
-    /// Sequences queued for admission.
-    pub fn waiting_len(&self) -> usize {
-        self.waiting.len()
-    }
-
-    /// Sequences currently running.
-    pub fn running_len(&self) -> usize {
-        self.running.len()
-    }
-
-    /// Blocks an allocation could take right now (free + evictable).
-    pub fn free_blocks(&self) -> usize {
-        self.bm.free_blocks()
-    }
-
-    /// Pool size the cache budget bought.
-    pub fn num_blocks(&self) -> usize {
-        self.bm.num_blocks()
-    }
-
-    /// Physical bytes per cache block.
-    pub fn block_bytes(&self) -> usize {
-        self.block_bytes
-    }
-
-    /// The per-tenant cache attribution ledger.
-    pub fn ledger(&self) -> &TenantLedger {
-        &self.ledger
-    }
-
-    /// Takes the requests that finished since the last drain, as
-    /// `(request index, output)` in retirement order. Non-blocking;
-    /// never waits for stragglers.
-    pub fn drain_finished(&mut self) -> Vec<(usize, GenOutput)> {
-        std::mem::take(&mut self.finished)
-    }
-
-    /// The report accumulated so far (final once [`GenSession::is_idle`]).
-    pub fn report(&self) -> &EngineReport {
-        &self.report
+        Ok(())
     }
 
     /// Runs one scheduler iteration: sample + retire, FCFS admission,
@@ -478,12 +336,10 @@ impl GenSession<'_> {
                     let seq = self.running.remove(j);
                     for &b in &seq.table {
                         bm.release(b);
-                        self.ledger.on_release(b, seq.tenant);
                     }
                     report.finish_step.insert(seq.id, report.steps);
-                    let out = GenOutput { tokens: seq.tokens[seq.prompt_len..].to_vec() };
-                    self.outputs[seq.id] = Some(out.clone());
-                    self.finished.push((seq.id, out));
+                    self.outputs[seq.id] =
+                        Some(GenOutput { tokens: seq.tokens[seq.prompt_len..].to_vec() });
                     trace.finished += 1;
                     continue;
                 }
@@ -491,20 +347,16 @@ impl GenSession<'_> {
             j += 1;
         }
 
-        // 2. Admit FCFS while free blocks cover the candidate's
+        // 2. Admit strictly FCFS while free blocks cover the head's
         //    non-shared prefill (identical prompt prefixes re-map
-        //    cached blocks instead of allocating). A tenant with a
-        //    headroom policy must additionally leave its extra margin
-        //    behind; when it can't, it steps aside (skip) instead of
-        //    head-of-line blocking tenants queued behind it. Default
-        //    (no policies) reproduces the historical strict-FCFS loop
-        //    bit-for-bit.
+        //    cached blocks instead of allocating) and, in a non-empty
+        //    batch, leave the watermark behind; a head that does not
+        //    fit blocks the requests queued behind it.
         // Blocks promised to sequences admitted this step but not
         // allocated until the capacity phase below.
         let mut promised = 0;
-        let mut skip = 0;
-        while self.running.len() < self.max_batch && skip < self.waiting.len() {
-            let cand = &self.waiting[skip];
+        while self.running.len() < self.max_batch {
+            let Some(cand) = self.waiting.front() else { break };
             let shared = bm.lookup_prefix(&cand.tokens);
             let needed = cand.tokens.len().div_ceil(bt) - shared.len();
             // `free_blocks()` counts reclaimable cached blocks as
@@ -515,20 +367,13 @@ impl GenSession<'_> {
             // preempt itself on the very same step.
             let resurrect = shared.iter().filter(|&&b| bm.refcount(b) == 0).count();
             let avail = bm.free_blocks().saturating_sub(promised + resurrect);
-            let headroom = self.policies.get(&cand.tenant).map_or(0, |p| p.headroom_blocks);
-            let margin = self.watermark + headroom;
-            if needed > avail || (!self.running.is_empty() && avail - needed < margin) {
-                if headroom == 0 {
-                    break;
-                }
-                skip += 1;
-                continue;
+            if needed > avail || (!self.running.is_empty() && avail - needed < self.watermark) {
+                break;
             }
             promised += needed;
-            let mut seq = self.waiting.remove(skip).expect("candidate exists");
+            let mut seq = self.waiting.pop_front().expect("candidate exists");
             for &b in &shared {
                 bm.retain(b);
-                self.ledger.on_retain(b, seq.tenant);
             }
             let reused = shared.len() * bt;
             seq.state = Some(if reused > 0 {
@@ -544,23 +389,21 @@ impl GenSession<'_> {
         }
 
         // 3. Every running sequence feeds one token this step; make
-        //    sure each has a slot, preempting the highest-shed-order
-        //    sequence (ties broken LIFO — with no tenant policies the
-        //    pick is exactly the historical youngest-sequence rule)
-        //    by recompute when the pool runs dry.
+        //    sure each has a slot, preempting the youngest sequence
+        //    (LIFO) by recompute when the pool runs dry.
         let mut i = 0;
         'seqs: while i < self.running.len() {
             let need_blocks = (self.running[i].fed + 1).div_ceil(bt);
             while self.running[i].table.len() < need_blocks {
                 if let Some(b) = bm.alloc() {
-                    self.ledger.on_alloc(b, self.running[i].tenant);
                     self.running[i].table.push(b);
                 } else {
-                    let victim_idx = pick_victim(&self.running, &self.policies);
+                    // The youngest sequence sits at or after `i`, so
+                    // removing it never shifts the current one.
+                    let victim_idx = self.running.len() - 1;
                     let mut victim = self.running.remove(victim_idx);
                     for &b in &victim.table {
                         bm.release(b);
-                        self.ledger.on_release(b, victim.tenant);
                     }
                     victim.table.clear();
                     victim.fed = 0;
@@ -574,10 +417,6 @@ impl GenSession<'_> {
                         // the victim; it re-enters via the waiting
                         // queue.
                         continue 'seqs;
-                    }
-                    if victim_idx < i {
-                        // Removal shifted the current sequence left.
-                        i -= 1;
                     }
                 }
             }
@@ -611,11 +450,8 @@ impl GenSession<'_> {
             seq.fed += 1;
             // A freshly completed block whose slots all lie inside
             // the prompt becomes a shareable prefix.
-            if seq.fed.is_multiple_of(bt)
-                && seq.fed <= seq.prompt_len
-                && bm.register_prefix(block, &seq.tokens[..seq.fed])
-            {
-                self.ledger.on_register(block, seq.tenant);
+            if seq.fed.is_multiple_of(bt) && seq.fed <= seq.prompt_len {
+                bm.register_prefix(block, &seq.tokens[..seq.fed]);
             }
         }
 
@@ -646,32 +482,6 @@ impl GenSession<'_> {
     }
 }
 
-impl EngineReport {
-    /// Folds `other` — the report of a session run strictly *after*
-    /// `self`'s — into `self`, as if one engine had served both batches
-    /// back to back: scalar totals add, peaks take the max, traces
-    /// concatenate, and `other`'s step indices shift by `self.steps`.
-    /// `other`'s request indices shift by `request_offset` (its batch's
-    /// starting row in the combined request order).
-    pub fn merge(&mut self, other: &EngineReport, request_offset: usize) {
-        let step_base = self.steps;
-        self.steps += other.steps;
-        self.preemptions += other.preemptions;
-        self.prefix_hit_tokens += other.prefix_hit_tokens;
-        self.generated_tokens += other.generated_tokens;
-        self.peak_batch = self.peak_batch.max(other.peak_batch);
-        self.peak_blocks_in_use = self.peak_blocks_in_use.max(other.peak_blocks_in_use);
-        self.num_blocks = self.num_blocks.max(other.num_blocks);
-        self.traces.extend(other.traces.iter().copied());
-        for (&id, &s) in &other.first_token_step {
-            self.first_token_step.insert(id + request_offset, s + step_base);
-        }
-        for (&id, &s) in &other.finish_step {
-            self.finish_step.insert(id + request_offset, s + step_base);
-        }
-    }
-}
-
 #[cfg(test)]
 mod session_tests {
     use super::*;
@@ -688,7 +498,6 @@ mod session_tests {
             block_tokens: 4,
             cache_budget_bytes: cache_blocks * 4 * slot_bytes,
             max_batch,
-            ..GenConfig::default()
         });
         s.install_weights(&lm);
         s
@@ -724,33 +533,6 @@ mod session_tests {
     }
 
     #[test]
-    fn drain_finished_streams_every_completion_exactly_once() {
-        let s = server(6, 2);
-        let rs = reqs(5);
-        let (ref_outs, _) = s.generate(&rs).unwrap();
-        let mut session = s.begin(&rs).unwrap();
-        let mut streamed: Vec<(usize, GenOutput)> = session.drain_finished();
-        loop {
-            let more = session.step();
-            streamed.extend(session.drain_finished());
-            if !more {
-                break;
-            }
-        }
-        assert!(session.is_idle());
-        assert_eq!(streamed.len(), rs.len(), "each request completes exactly once");
-        // Retirement order respects finish steps; outputs match the
-        // request-ordered result.
-        let mut seen = vec![false; rs.len()];
-        for (id, out) in &streamed {
-            assert!(!seen[*id]);
-            seen[*id] = true;
-            assert_eq!(out, &ref_outs[*id]);
-        }
-        assert!(session.drain_finished().is_empty(), "drain is consuming");
-    }
-
-    #[test]
     fn zero_token_requests_finish_at_begin() {
         let s = server(6, 2);
         let rs = vec![GenRequest {
@@ -762,8 +544,6 @@ mod session_tests {
         }];
         let mut session = s.begin(&rs).unwrap();
         assert!(session.is_idle());
-        let done = session.drain_finished();
-        assert_eq!(done, vec![(0, GenOutput { tokens: Vec::new() })]);
         assert!(!session.step());
         let (outs, report) = session.finish();
         assert_eq!(outs[0].tokens, Vec::<usize>::new());
@@ -771,81 +551,29 @@ mod session_tests {
     }
 
     #[test]
-    fn headroom_tenant_steps_aside_instead_of_blocking_the_queue() {
-        // 8 blocks, batch cap 3. A long-running tenant-0 sequence keeps
-        // the batch non-empty; tenant 7 (huge headroom) then queues
-        // ahead of a tenant-0 request. Strict FCFS would head-of-line
-        // block; the skip rule must admit the tenant-0 request first.
-        let s = server(8, 3);
-        let mut session = s.session().unwrap();
-        session.set_tenant_policy(7, TenantPolicy { headroom_blocks: 100, shed_order: 1 });
-        let long = GenRequest {
-            prompt: vec![1, 2, 3],
-            max_new_tokens: 8,
+    fn a_head_that_does_not_fit_blocks_the_queue_behind_it() {
+        // 8 blocks of 4 tokens, watermark 1, batch cap 2. At step 0 the
+        // long runner is admitted into the empty batch with 2 blocks
+        // promised, leaving 6: the head's 21-token prompt needs 6 and
+        // would leave less than the watermark, the tail's 17 tokens need
+        // 5 and would leave exactly the watermark. Admission is strictly
+        // FCFS: the head that does not fit stops the queue, so the tail
+        // does not take the free batch slot ahead of it.
+        let s = server(8, 2);
+        let req = |token: usize, prompt_len: usize, max_new_tokens: usize| GenRequest {
+            prompt: vec![token; prompt_len],
+            max_new_tokens,
             temperature: 0.0,
             seed: 1,
             stop_tokens: Vec::new(),
         };
-        let short = GenRequest { max_new_tokens: 2, seed: 2, ..long.clone() };
-        let id_long = session.submit(&long, 0).unwrap();
-        session.step(); // tenant 0 long request admitted (empty-batch waiver)
-        let id_head = session.submit(&short, 7).unwrap();
-        let id_tail = session.submit(&short, 0).unwrap();
-        while session.step() {}
-        let (_, report) = session.finish();
+        let (long, head, tail) = (req(1, 5, 8), req(3, 21, 1), req(4, 17, 1));
+        let (_, report) = s.generate(&[long, head, tail]).unwrap();
+        assert_eq!(report.preemptions, 0);
+        assert_eq!(report.traces[0].admitted, 1, "only the long runner is admitted at step 0");
         assert!(
-            report.first_token_step[&id_tail] < report.first_token_step[&id_head],
-            "tenant 0 behind a headroom'd tenant must not be head-of-line blocked"
+            report.first_token_step[&2] >= report.first_token_step[&1],
+            "the tail must not overtake a head that does not fit: {report:?}"
         );
-        let _ = id_long;
-    }
-
-    #[test]
-    fn preemption_sheds_the_highest_shed_order_tenant_first() {
-        // Tight pool forcing preemption with two tenants running. The
-        // historical rule preempts the youngest (LIFO); tenant 9's
-        // shed_order must override it, so tenant 0's younger sequence
-        // survives and finishes first even though tenant 9 was
-        // admitted earlier.
-        let s = server(4, 2);
-        let mut session = s.session().unwrap();
-        session.set_tenant_policy(9, TenantPolicy { headroom_blocks: 0, shed_order: 5 });
-        let req = |seed: u64, prompt: Vec<usize>| GenRequest {
-            prompt,
-            max_new_tokens: 10,
-            temperature: 0.0,
-            seed,
-            stop_tokens: Vec::new(),
-        };
-        let id_victim = session.submit(&req(1, vec![1, 2, 3]), 9).unwrap();
-        let id_survivor = session.submit(&req(2, vec![4, 5, 6]), 0).unwrap();
-        while session.step() {}
-        let (_, report) = session.finish();
-        assert!(report.preemptions > 0, "pool was sized to force preemption");
-        assert!(
-            report.finish_step[&id_survivor] < report.finish_step[&id_victim],
-            "the high-shed-order tenant must be the one preempted"
-        );
-    }
-
-    #[test]
-    fn merged_reports_match_one_combined_accounting() {
-        let s = server(8, 3);
-        let rs = reqs(6);
-        let (_, first) = s.generate(&rs[..4]).unwrap();
-        let (_, second) = s.generate(&rs[4..]).unwrap();
-        let mut merged = first.clone();
-        merged.merge(&second, 4);
-        assert_eq!(merged.steps, first.steps + second.steps);
-        assert_eq!(merged.generated_tokens, first.generated_tokens + second.generated_tokens);
-        assert_eq!(merged.preemptions, first.preemptions + second.preemptions);
-        assert_eq!(merged.peak_batch, first.peak_batch.max(second.peak_batch));
-        assert_eq!(merged.traces.len(), first.traces.len() + second.traces.len());
-        // Second batch's request 0 shows up as request 4 with its step
-        // indices offset past the first session's steps.
-        assert_eq!(merged.first_token_step[&4], first.steps + second.first_token_step[&0]);
-        assert_eq!(merged.finish_step[&4], first.steps + second.finish_step[&0]);
-        // First batch's entries are untouched.
-        assert_eq!(merged.finish_step[&0], first.finish_step[&0]);
     }
 }

@@ -25,14 +25,11 @@
 
 mod block;
 mod engine;
-mod tenant;
 
 pub use block::BlockManager;
 pub use engine::{
     EngineReport, GenConfig, GenError, GenOutput, GenRequest, GenServer, GenSession, StepTrace,
-    TenantPolicy,
 };
-pub use tenant::{TenantCacheStats, TenantLedger};
 
 #[cfg(test)]
 mod tests {
@@ -121,12 +118,8 @@ mod tests {
         let slot_bytes = lm.decode_start().cache_bytes();
         // Room for ~2.5 sequences of 12 slots → the third forces
         // preemption-by-recompute.
-        let cfg = GenConfig {
-            block_tokens: 4,
-            cache_budget_bytes: 7 * 4 * slot_bytes,
-            max_batch: 8,
-            ..GenConfig::default()
-        };
+        let cfg =
+            GenConfig { block_tokens: 4, cache_budget_bytes: 7 * 4 * slot_bytes, max_batch: 8 };
         let s = server(&lm, cfg);
         let reqs: Vec<GenRequest> =
             (0..4).map(|i| req(&[5 + i, 9, 2, 7], 8, 100 + i as u64)).collect();
@@ -171,12 +164,7 @@ mod tests {
         // free_blocks()==3 consists only of R2's own shared blocks.
         let lm = lm();
         let slot_bytes = lm.decode_start().cache_bytes();
-        let cfg = GenConfig {
-            block_tokens: 1,
-            cache_budget_bytes: 6 * slot_bytes,
-            max_batch: 2,
-            ..GenConfig::default()
-        };
+        let cfg = GenConfig { block_tokens: 1, cache_budget_bytes: 6 * slot_bytes, max_batch: 2 };
         let s = server(&lm, cfg);
         let reqs = vec![req(&[1], 6, 11), req(&[2, 3, 4], 1, 12), req(&[2, 3, 4, 5], 1, 13)];
         let (outs, report) = s.generate(&reqs).unwrap();
@@ -220,12 +208,8 @@ mod tests {
     fn oversized_request_reports_cache_too_small() {
         let lm = lm();
         let slot_bytes = lm.decode_start().cache_bytes();
-        let cfg = GenConfig {
-            block_tokens: 2,
-            cache_budget_bytes: 2 * 2 * slot_bytes,
-            max_batch: 4,
-            ..GenConfig::default()
-        };
+        let cfg =
+            GenConfig { block_tokens: 2, cache_budget_bytes: 2 * 2 * slot_bytes, max_batch: 4 };
         let s = server(&lm, cfg);
         let err = s.generate(&[req(&[1, 2, 3], 16, 0)]).unwrap_err();
         assert!(matches!(err, GenError::CacheTooSmall { needed_blocks: 9, num_blocks: 2 }));

@@ -56,7 +56,6 @@ proptest! {
             block_tokens,
             cache_budget_bytes: (min_blocks + extra_blocks) * block_tokens * slot_bytes,
             max_batch,
-            ..GenConfig::default()
         };
         let mut server = GenServer::new(cfg);
         server.install_weights(&lm);

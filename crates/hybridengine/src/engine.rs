@@ -53,11 +53,6 @@ impl HybridEngineRank {
         &self.train_buf
     }
 
-    /// Mutable training-shard buffer (the optimizer writes here).
-    pub fn train_buf_mut(&mut self) -> &mut [f32] {
-        &mut self.train_buf
-    }
-
     /// The generation-shard buffer, if currently materialized.
     pub fn gen_buf(&self) -> Option<&[f32]> {
         self.gen_buf.as_deref()

@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use hf_telemetry::{SpanKind, SpanRecord};
+use hf_telemetry::{covered, SpanKind, SpanRecord};
 
 use crate::graph::SpanGraph;
 
@@ -96,33 +96,6 @@ impl IterationAnalysis {
     pub fn duration(&self) -> f64 {
         self.end - self.start
     }
-}
-
-/// Merged length of `iv` clipped to `[t0, t1]`.
-fn covered(mut iv: Vec<(f64, f64)>, t0: f64, t1: f64) -> f64 {
-    iv.retain(|&(s, e)| e > t0 && s < t1);
-    for (s, e) in iv.iter_mut() {
-        *s = s.max(t0);
-        *e = e.min(t1);
-    }
-    iv.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut total = 0.0;
-    let mut cur: Option<(f64, f64)> = None;
-    for (s, e) in iv {
-        match &mut cur {
-            Some((_, ce)) if s <= *ce => *ce = ce.max(e),
-            _ => {
-                if let Some((cs, ce)) = cur {
-                    total += ce - cs;
-                }
-                cur = Some((s, e));
-            }
-        }
-    }
-    if let Some((cs, ce)) = cur {
-        total += ce - cs;
-    }
-    total
 }
 
 /// Splits the trace into iterations and analyzes each. An iteration

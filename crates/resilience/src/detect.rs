@@ -59,13 +59,6 @@ pub struct ClusterHealth {
     pub alive: usize,
 }
 
-impl ClusterHealth {
-    /// Whether every probed device replied.
-    pub fn all_alive(&self) -> bool {
-        self.alive == self.devices.len()
-    }
-}
-
 /// Heartbeat-probes every device thread of `ctrl` (wall-clock
 /// `deadline` per reply).
 pub fn probe_cluster(ctrl: &Controller, deadline: Duration) -> ClusterHealth {

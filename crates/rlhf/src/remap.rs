@@ -8,8 +8,8 @@
 //!
 //! 1. **Detect** — a window fails with a rank-loss/timeout error and the
 //!    controller's [`LostRank`](hf_core::LostRank) registry names the
-//!    devices that died; or a [`PlannedRemap`] (a load-shift signal,
-//!    e.g. from `hf-serve`) matures at a checkpoint boundary.
+//!    devices that died; or a caller-supplied [`PlannedRemap`] (a
+//!    load-shift signal) matures at a checkpoint boundary.
 //! 2. **Re-place** — a [`RemapPlanner`] decides the next placement.
 //!    [`FixedPlacement`] returns the layout the run started with
 //!    (same-layout recovery: the failed device comes back);
@@ -69,9 +69,9 @@ pub enum RemapDriver {
     Pipelined(PipelineConfig),
 }
 
-/// A capacity-profile shift scheduled from outside (e.g. the serving
-/// front-end re-negotiating training's GPU share): after
-/// `after_iteration` commits, re-map onto at most `devices` GPUs.
+/// A capacity-profile shift scheduled by the caller (another job
+/// re-negotiating training's GPU share): after `after_iteration`
+/// commits, re-map onto at most `devices` GPUs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlannedRemap {
     /// The iteration boundary the shift matures at.

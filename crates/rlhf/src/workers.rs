@@ -153,10 +153,21 @@ fn release_peers<T>(ctx: &RankCtx, checked: Result<T>) -> Result<T> {
     checked
 }
 
-fn f32_rows(data: &DataProto, name: &str) -> Result<(Vec<Vec<f32>>, usize)> {
+/// The rows of per-token column `name`, which must hold one value per
+/// response token (`width`, the `responses` width): a column of another
+/// width is a typed error here, not an `assert_eq!` inside the loss that
+/// takes every rank of the group with it. A width is the whole batch's,
+/// so every rank of the call turns it down before any collective and
+/// there are no peers to release: the groups stay usable.
+fn f32_rows(data: &DataProto, name: &str, width: usize) -> Result<Vec<Vec<f32>>> {
     let (vals, w) = data.f32(name)?;
+    if w != width {
+        return Err(CoreError::Config(format!(
+            "column `{name}` is {w} values wide, but `responses` is {width} tokens wide"
+        )));
+    }
     let rows = vals.len().checked_div(w).unwrap_or(0);
-    Ok(((0..rows).map(|r| vals[r * w..(r + 1) * w].to_vec()).collect(), w))
+    Ok((0..rows).map(|r| vals[r * w..(r + 1) * w].to_vec()).collect())
 }
 
 /// Rows `rows` of a per-row column, back to back: the column of one
@@ -517,7 +528,6 @@ impl ActorWorker {
             block_tokens: hyper.gen_block_tokens,
             cache_budget_bytes: hyper.gen_cache_budget,
             max_batch: hyper.gen_max_batch,
-            ..GenConfig::default()
         });
         ActorWorker {
             lm,
@@ -775,10 +785,8 @@ impl ActorWorker {
             ctx.telemetry.observe("genserve.rollout.batch_size", tr.batch as f64);
             ctx.telemetry.observe("genserve.rollout.block_utilization", util);
         }
-        // Engine metrics are tagged with their consumer (`rollout` —
-        // the training job's generation; hf-serve tenants use
-        // `tenant<k>`) so co-located serving + training runs stay
-        // attributable stream by stream.
+        // Engine metrics are named `genserve.rollout.*`: the rollout is
+        // the engine's one consumer.
         ctx.telemetry.add_counter("genserve.rollout.steps", report.steps);
         ctx.telemetry.add_counter("genserve.rollout.preemptions", report.preemptions);
         ctx.telemetry.add_counter("genserve.rollout.generated_tokens", report.generated_tokens);
@@ -900,8 +908,8 @@ impl ActorWorker {
         let vocab = self.lm.cfg.vocab;
         let (prompts, pw) = release_peers(ctx, token_rows(data, "prompts", vocab))?;
         let (resps, rw) = release_peers(ctx, token_rows(data, "responses", vocab))?;
-        let (old_logps, _) = f32_rows(data, "logp_old")?;
-        let (advs, _) = f32_rows(data, "advantages")?;
+        let old_logps = f32_rows(data, "logp_old", rw)?;
+        let advs = f32_rows(data, "advantages", rw)?;
         let ptx_coef: f32 = data.meta.get("ptx_coef").and_then(|s| s.parse().ok()).unwrap_or(0.0);
         // Every column is checked before the first row is computed: the
         // peers meet once, after all rows.
@@ -1068,8 +1076,8 @@ impl CriticWorker {
         let vocab = self.lm.cfg.vocab;
         let (prompts, pw) = release_peers(ctx, token_rows(&data, "prompts", vocab))?;
         let (resps, rw) = release_peers(ctx, token_rows(&data, "responses", vocab))?;
-        let (returns, _) = f32_rows(&data, "returns")?;
-        let (old_values, _) = f32_rows(&data, "values")?;
+        let returns = f32_rows(&data, "returns", rw)?;
+        let old_values = f32_rows(&data, "values", rw)?;
         let seqs = sequences(&prompts, &resps);
         let (lm, vclip) = (&self.lm, self.hyper.vclip);
         let mut fold = RowFold::new(ctx, lm.cfg.param_count());

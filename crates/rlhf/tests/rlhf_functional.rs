@@ -289,6 +289,55 @@ fn out_of_vocab_pretrain_row_is_turned_down_before_the_gradient_fold() {
 }
 
 #[test]
+fn a_per_token_column_of_the_wrong_width_is_a_typed_error_not_four_lost_ranks() {
+    // `update_actor` reads `logp_old` and `advantages`, `update_critic`
+    // reads `returns` and `values`: one value per response token. A column
+    // one token narrower than `responses` must be turned down with
+    // `Config` naming the column before it reaches the loss's `assert_eq!`
+    // on every rank (`WorkerPanicked`, all four ranks lost), and the same
+    // groups must train on.
+    let cfg = RlhfConfig::tiny();
+    let (ctrl, sys) = colocated_4gpu(&cfg, true, false);
+    let prompts = make_prompts(8, cfg.prompt_len, cfg.response_len, cfg.lm.vocab as u32, 0);
+    let (_, batch) = ppo_iteration_captured(&sys, &ctrl, &prompts).unwrap();
+    let rw = batch.tokens("responses").unwrap().1;
+    let update = |method: &str, batch: &DataProto| {
+        let group =
+            if method == "update_actor" { &sys.actor } else { sys.critic.as_ref().unwrap() };
+        group
+            .call(method, batch, Protocol::ThreeD)
+            .unwrap()
+            .wait_deadline(std::time::Duration::from_secs(60))
+    };
+    for (method, column) in [
+        ("update_actor", "logp_old"),
+        ("update_actor", "advantages"),
+        ("update_critic", "returns"),
+        ("update_critic", "values"),
+    ] {
+        let mut bad = batch.clone();
+        let (vals, w) = bad.f32(column).unwrap();
+        assert_eq!(w, rw, "{column}");
+        let narrow: Vec<f32> = vals.chunks(rw).flat_map(|row| &row[..rw - 1]).copied().collect();
+        bad.insert_f32(column, narrow, rw - 1);
+        match update(method, &bad).unwrap_err() {
+            CoreError::Config(reason) => assert!(
+                reason.contains(&format!("`{column}` is {} values wide", rw - 1))
+                    && reason.contains(&format!("is {rw} tokens wide")),
+                "{column}: {reason}"
+            ),
+            err => panic!("{column}: {err:?}"),
+        }
+        assert!(ctrl.lost_ranks().is_empty(), "{column}: no rank may be lost to malformed input");
+    }
+    for method in ["update_actor", "update_critic"] {
+        update(method, &batch).unwrap();
+    }
+    let prompts = make_prompts(8, cfg.prompt_len, cfg.response_len, cfg.lm.vocab as u32, 1);
+    assert!(ppo_iteration(&sys, &ctrl, &prompts).unwrap().mean_score.is_finite());
+}
+
+#[test]
 fn standalone_placement_also_learns() {
     // OpenRLHF-style placement: every model on its own devices.
     let cfg = RlhfConfig::tiny();

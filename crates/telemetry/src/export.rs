@@ -127,7 +127,7 @@ pub fn chrome_trace(spans: &[SpanRecord], samples: &[CounterSample]) -> String {
 
 /// Merges possibly-overlapping `[start, end]` intervals and returns the
 /// total covered length within `[t0, t1]`.
-fn covered(mut iv: Vec<(f64, f64)>, t0: f64, t1: f64) -> f64 {
+pub fn covered(mut iv: Vec<(f64, f64)>, t0: f64, t1: f64) -> f64 {
     iv.retain(|&(s, e)| e > t0 && s < t1);
     for (s, e) in iv.iter_mut() {
         *s = s.max(t0);

@@ -27,6 +27,7 @@
 mod export;
 mod model;
 
+pub use export::covered;
 pub use model::{CounterSample, Digest, Histogram, MetricsSnapshot, SpanKind, SpanRecord};
 
 use std::collections::{BTreeMap, VecDeque};
@@ -47,15 +48,6 @@ pub fn gpu_track(device_index: usize) -> String {
 /// work a device thread runs off the GPU's clock.
 pub fn cpu_track(device_index: usize) -> String {
     format!("cpu-{device_index}")
-}
-
-/// Conventional name for a generation-engine metric attributed to one
-/// consumer: `genserve.<consumer>.<metric>`. Consumers are `rollout`
-/// (the training job's generation) and `tenant<k>` (hf-serve tenants),
-/// so co-located runs keep every counter, gauge, and digest stream
-/// separable in summaries and exported traces.
-pub fn genserve_metric(consumer: &str, metric: &str) -> String {
-    format!("genserve.{consumer}.{metric}")
 }
 
 #[derive(Default)]

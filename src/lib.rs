@@ -23,10 +23,6 @@
 //! * [`rewards`] — verifiable-reward serving: deterministic program
 //!   verifiers evaluated by a virtual-time sandboxed worker pool with
 //!   budgets, straggler cancellation, and retry-on-timeout.
-//! * [`serve`] — multi-tenant SLO-aware serving front-end over the
-//!   generation engine: seeded arrival processes, priority admission
-//!   with per-tenant cache headroom, cross-tenant prefix-cache
-//!   attribution, and the co-located serve+train capacity scenario.
 //! * [`insight`] — causal span graph, critical-path and bubble analysis,
 //!   what-if overlap bounds, and the deterministic perf regression gate.
 //!
@@ -54,6 +50,5 @@ pub use hf_parallel as parallel;
 pub use hf_resilience as resilience;
 pub use hf_rewards as rewards;
 pub use hf_rlhf as rlhf;
-pub use hf_serve as serve;
 pub use hf_simcluster as simcluster;
 pub use hf_telemetry as telemetry;
