@@ -436,6 +436,9 @@ struct ControllerState {
     next_key: u64,
     clock: f64,
     timeline: Vec<TimelineEntry>,
+    /// Entries [`Controller::clear_timeline`] removed: the absolute
+    /// position of `timeline[0]`.
+    cleared: usize,
     policy: CallPolicy,
 }
 
@@ -827,6 +830,7 @@ impl Controller {
                     next_key: 0,
                     clock: 0.0,
                     timeline: Vec::new(),
+                    cleared: 0,
                     policy: CallPolicy::default(),
                 }),
             }),
@@ -895,16 +899,32 @@ impl Controller {
         self.inner.state.lock().clock
     }
 
-    /// Snapshot of every awaited call so far: who ran what, when, for
-    /// how long (virtual time). Rendered by the `stage_timeline` example
-    /// into Table 1-style execution patterns.
+    /// Snapshot of every awaited call since the last
+    /// [`Self::clear_timeline`]: who ran what, when, for how long
+    /// (virtual time). Rendered by the `stage_timeline` example into
+    /// Table 1-style execution patterns.
     pub fn timeline(&self) -> Vec<TimelineEntry> {
-        self.inner.state.lock().timeline.clone()
+        self.timeline_from(0).0
     }
 
-    /// Clears the recorded timeline.
+    /// The awaited calls from absolute position `from` on, and the
+    /// position after the last of them. Positions count every call since
+    /// the controller was built, so a reader that keeps the returned
+    /// position copies only what was recorded since — however long the
+    /// run — and a clear does not shift them: the entries it removed are
+    /// not returned, and a position past the end yields none.
+    pub fn timeline_from(&self, from: usize) -> (Vec<TimelineEntry>, usize) {
+        let state = self.inner.state.lock();
+        let skip = from.saturating_sub(state.cleared).min(state.timeline.len());
+        (state.timeline[skip..].to_vec(), state.cleared + state.timeline.len())
+    }
+
+    /// Clears the recorded timeline; positions stay absolute
+    /// ([`Self::timeline_from`]).
     pub fn clear_timeline(&self) {
-        self.inner.state.lock().timeline.clear();
+        let mut state = self.inner.state.lock();
+        state.cleared += state.timeline.len();
+        state.timeline.clear();
     }
 
     /// Spawns a worker group onto `pool`: one worker per rank, rank `i`

@@ -655,6 +655,28 @@ fn timeline_records_calls_in_order() {
 }
 
 #[test]
+fn timeline_positions_are_absolute_across_a_clear() {
+    let (ctrl, g) = setup();
+    g.register("a", Protocol::OneToAll).register("b", Protocol::OneToAll);
+    g.invoke_sync("a", &DataProto::empty()).unwrap();
+    g.invoke_sync("b", &DataProto::empty()).unwrap();
+    let (all, end) = ctrl.timeline_from(0);
+    assert_eq!((all, end), (ctrl.timeline(), 2), "position 0 is the whole timeline");
+    let (tail, _) = ctrl.timeline_from(1);
+    assert_eq!(tail.iter().map(|e| e.method.as_str()).collect::<Vec<_>>(), ["b"]);
+    ctrl.clear_timeline();
+    g.invoke_sync("a", &DataProto::empty()).unwrap();
+    // The call after the clear is position 2, not 0; the cleared ones
+    // are gone, wherever a reader asks from.
+    let (since, end) = ctrl.timeline_from(2);
+    assert_eq!((since.len(), since[0].method.as_str(), end), (1, "a", 3));
+    assert_eq!(ctrl.timeline_from(0), (ctrl.timeline(), 3));
+    assert_eq!(ctrl.timeline().len(), 1);
+    assert_eq!(ctrl.timeline_from(3), (Vec::new(), 3), "the end yields nothing");
+    assert_eq!(ctrl.timeline_from(usize::MAX), (Vec::new(), 3), "past the end yields nothing");
+}
+
+#[test]
 fn futures_can_be_waited_out_of_order() {
     let ctrl = Controller::new(ClusterSpec::a100_with_gpus(4));
     let layout = WorkerLayout::train_only(ParallelSpec::new(1, 1, 2));

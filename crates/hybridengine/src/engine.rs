@@ -107,36 +107,61 @@ impl HybridEngineRank {
         let gshard = gen_shard(&self.grouping, self.rank, layers);
         let gen_ranges = self.layout.ranges(&gshard);
         let gen_len: usize = gen_ranges.iter().map(|r| r.len()).sum();
-        let mut buf = vec![f32::NAN; gen_len];
-        let mut filled = 0usize;
-        let pos_of = |flat: usize| -> Option<usize> {
-            let mut off = 0;
-            for r in &gen_ranges {
-                if r.contains(&flat) {
-                    return Some(off + (flat - r.start));
-                }
-                off += r.len();
-            }
-            None
-        };
+        let mut buf = vec![0.0f32; gen_len];
+        // Each member's intersection with each generation range is one
+        // copy, in member order (a later member wins an overlap); the
+        // copied index ranges must cover the generation shard.
+        let mut placed: Vec<(usize, usize)> = Vec::new();
         for (i, &src) in group.iter().enumerate() {
-            let src_shard = train_shard(&self.grouping.train, src, layers);
-            let mut cursor = 0usize;
-            for r in self.layout.ranges(&src_shard) {
-                for flat in r {
-                    if let Some(p) = pos_of(flat) {
-                        if buf[p].is_nan() {
-                            filled += 1;
-                        }
-                        buf[p] = contributions[i].1[cursor];
+            let data = &contributions[i].1;
+            let mut src_off = 0usize;
+            for sr in self.layout.ranges(&train_shard(&self.grouping.train, src, layers)) {
+                let mut gen_off = 0usize;
+                for gr in &gen_ranges {
+                    let (lo, hi) = (sr.start.max(gr.start), sr.end.min(gr.end));
+                    if lo < hi {
+                        let dst = gen_off + (lo - gr.start);
+                        buf[dst..dst + (hi - lo)]
+                            .copy_from_slice(&data[src_off + (lo - sr.start)..][..hi - lo]);
+                        placed.push((dst, dst + (hi - lo)));
                     }
-                    cursor += 1;
+                    gen_off += gr.len();
                 }
+                src_off += sr.len();
             }
         }
-        assert_eq!(filled, gen_len, "gather group must cover the generation shard");
+        placed.sort_unstable();
+        let (covered, _) = placed.iter().fold((0, 0), |(covered, end), &(lo, hi)| {
+            (covered + hi.saturating_sub(lo.max(end)), end.max(hi))
+        });
+        assert_eq!(covered, gen_len, "gather group must cover the generation shard");
         self.gen_buf = Some(buf);
         self.gen_buf.as_deref().expect("just set")
+    }
+
+    /// Whether the generation shard holds, bit for bit, what `params` —
+    /// the whole flat parameter vector of this engine's layout — holds at
+    /// the shard's ranges: after [`Self::to_generation`], whether the
+    /// gather group's replicas agreed with this rank's. Bits, not floats:
+    /// a NaN every replica holds matches, and a `+0.0` gathered where
+    /// `params` holds `-0.0` does not.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no generation shard is materialized or `params` is
+    /// shorter than the layout.
+    pub fn gen_matches(&self, params: &[f32]) -> bool {
+        let gen = self.gen_buf.as_deref().expect("gen_matches requires a generation shard");
+        let ranges =
+            self.layout.ranges(&gen_shard(&self.grouping, self.rank, self.layout.layers()));
+        let mut rest = gen;
+        ranges.into_iter().all(|r| {
+            let (held, tail) = rest.split_at(r.len());
+            rest = tail;
+            // Without an early exit inside a range, which vectorises.
+            held.iter().zip(&params[r]).fold(0, |diff, (a, b)| diff | (a.to_bits() ^ b.to_bits()))
+                == 0
+        })
     }
 
     /// [`Self::to_generation`] with telemetry: records the all-gather as
@@ -332,11 +357,22 @@ mod tests {
     use std::thread;
 
     fn run_transition(method: GroupingMethod) -> (Vec<Vec<f32>>, Vec<f64>, ActorShards) {
+        let params: Vec<f32> = (0..4 * 32).map(|i| i as f32).collect();
+        let (engines, times, shards) = transition_of(method, &params);
+        let gens = engines.iter().map(|e| e.gen_buf().unwrap().to_vec()).collect();
+        (gens, times, shards)
+    }
+
+    /// Every rank's engine after the train→generation transition of
+    /// `params` (`4 × 32` values) on actor 1-4-2, `t_g = 2`.
+    fn transition_of(
+        method: GroupingMethod,
+        params: &[f32],
+    ) -> (Vec<HybridEngineRank>, Vec<f64>, ActorShards) {
         let spec = ParallelSpec::new(1, 4, 2);
         let grouping = GenGrouping::new(spec, 1, 2, method);
         let layout = ShardLayout::uniform(4, 32);
-        let params: Vec<f32> = (0..layout.total_params()).map(|i| i as f32).collect();
-        let shards = ActorShards::scatter(&params, layout.clone(), grouping);
+        let shards = ActorShards::scatter(params, layout.clone(), grouping);
 
         // Build one CommGroup per distinct gather group.
         let world = spec.world();
@@ -368,18 +404,12 @@ mod tests {
                 thread::spawn(move || {
                     let mut clock = VirtualClock::new();
                     eng.to_generation(&comm, &mut clock);
-                    (eng.gen_buf().unwrap().to_vec(), clock.now(), eng)
+                    (eng, clock.now())
                 })
             })
             .collect();
-        let mut gens = Vec::new();
-        let mut times = Vec::new();
-        for h in handles {
-            let (g, t, _) = h.join().unwrap();
-            gens.push(g);
-            times.push(t);
-        }
-        (gens, times, shards)
+        let (engines, times) = handles.into_iter().map(|h| h.join().unwrap()).unzip();
+        (engines, times, shards)
     }
 
     /// Runs the strided transition on every rank through
@@ -492,6 +522,25 @@ mod tests {
         let (gens, _, shards) = run_transition(GroupingMethod::Vanilla);
         for (rank, g) in gens.iter().enumerate() {
             assert_eq!(g, &shards.reference_gen_buf(rank), "rank {rank}");
+        }
+    }
+
+    #[test]
+    fn replica_check_compares_bits() {
+        let mut params: Vec<f32> = (0..4 * 32).map(|i| i as f32).collect();
+        params[5] = f32::NAN;
+        for method in [GroupingMethod::Strided, GroupingMethod::Vanilla] {
+            let (engines, _, _) = transition_of(method, &params);
+            // A NaN every replica holds is no drift.
+            assert!(engines.iter().all(|e| e.gen_matches(&params)), "{method:?}: shared NaN");
+            // Rank 0's generation shard starts at parameter 0, which it
+            // gathered as `+0.0`; a `-0.0` replica and a changed value
+            // each differ from it.
+            for (at, v) in [(0, -0.0), (1, 1.5)] {
+                let mut other = params.clone();
+                other[at] = v;
+                assert!(!engines[0].gen_matches(&other), "{method:?}: {v} at {at} not reported");
+            }
         }
     }
 

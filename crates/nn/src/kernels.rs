@@ -8,13 +8,14 @@
 //! a plain `mul` — exactly what the scalar loops it replaces compute, so
 //! results are bit-identical to them. Speed comes only from sharing a
 //! vector between *independent* outputs: [`LANES`] values of the lane
-//! dimension (rows of `x`/`g`, columns of `g` for `gᵀ·x`, sequences of a
+//! dimension (rows of `x`/`g`, columns of `x` for `gᵀ·x`, sequences of a
 //! decode batch) sit in `[k][LANES]` panels — the layout every activation
 //! in hf-nn is kept in ([`Panels`]) — and [`NC`] output columns are
 //! accumulated at once in registers. `x·wᵀ` and `g·w` read their panel
 //! in place and store each column's sums as one vector; `gᵀ·x`, whose
-//! lanes are `g`'s columns, transposes `g`'s rows and reads `x`'s out
-//! row-major once a call, and writes the row-major flat gradient. There
+//! lanes are `x`'s columns, transposes `x`'s rows and reads `g`'s out
+//! row-major once a call, and stores each row of the row-major flat
+//! gradient a vector at a time. There
 //! is no FMA, no `mul_add` and no target feature
 //! that changes a rounding (a fused multiply-add rounds once where the
 //! reference rounds twice). The vector width may follow the host,
@@ -199,6 +200,76 @@ pub(crate) enum Write {
     Add,
 }
 
+impl Write {
+    /// `dst` replaced by, or added to, `sums`.
+    #[inline(always)]
+    fn put(self, dst: &mut [f32], sums: &[f32]) {
+        match self {
+            Write::Store => dst.copy_from_slice(sums),
+            Write::Add => dst.iter_mut().zip(sums).for_each(|(d, s)| *d += s),
+        }
+    }
+}
+
+/// [`Nn`]'s terms with the zero terms of `b` left out instead of `a`'s:
+/// `gᵀ·x` takes `x`'s columns as lanes and broadcasts `g`'s values, so
+/// there the gradient's zeros are `b`'s. A kept term is the plain
+/// product, and a left-out one `+0.0`, as in [`Nn`].
+#[derive(Clone, Copy)]
+struct NnSkipB<'a> {
+    a: &'a [Lanes],
+    b: Mat<'a>,
+}
+
+impl<'a> Terms for NnSkipB<'a> {
+    type Step<const N: usize> = (&'a Lanes, [f32; N]);
+
+    #[inline(always)]
+    fn steps<const N: usize>(self, j: usize) -> impl Iterator<Item = Self::Step<N>> {
+        let rows = self.b.data.chunks_exact(self.b.cols);
+        self.a
+            .iter()
+            .zip(rows)
+            .map(move |(a, row)| (a, *row[j..].first_chunk::<N>().expect("j + N <= n")))
+    }
+
+    #[inline(always)]
+    fn term<const N: usize>((a, b): &Self::Step<N>, c: usize) -> Lanes {
+        let keep = if b[c] == 0.0 { 0 } else { u32::MAX };
+        a.map(|v| f32::from_bits((v * b[c]).to_bits() & keep))
+    }
+}
+
+/// Which lanes of a panel hold a value `hit` is true of, over the
+/// panel's steps — lane by lane and without an early exit, which
+/// vectorises: a scan value by value cost as much as a product's
+/// arithmetic.
+#[inline(always)]
+fn lane_hits(panel: &[Lanes], hit: impl Fn(f32) -> bool) -> [u32; LANES] {
+    panel.iter().fold([0u32; LANES], |mut hits, lanes| {
+        for (h, &v) in hits.iter_mut().zip(lanes) {
+            *h |= u32::from(hit(v));
+        }
+        hits
+    })
+}
+
+/// Whether any of `values` is one `hit` is true of: [`lane_hits`] over
+/// a flat slice.
+fn any_hit(values: &[f32], hit: impl Fn(f32) -> bool + Copy) -> bool {
+    let (steps, rest) = values.as_chunks::<LANES>();
+    lane_hits(steps, hit).contains(&1) || rest.iter().any(|&v| hit(v))
+}
+
+/// Counts a panel whose skip-zero scan found what it looks for, for the
+/// padding tests.
+fn count_hit(hit: bool) {
+    #[cfg(test)]
+    tests::SCAN_HITS.set(tests::SCAN_HITS.get() + usize::from(hit));
+    #[cfg(not(test))]
+    let _ = hit;
+}
+
 /// The product of one panel of [`Nn`] terms, `width` of whose lanes are
 /// real. It skips the zero terms of `a` only where that changes a sum:
 /// where a real lane of `a` holds an exact zero and a value of `b` is not
@@ -213,18 +284,9 @@ fn skip_zero_product(
     (b, finite): (Mat, &OnceCell<bool>),
     store: impl FnMut(usize, &Lanes),
 ) {
-    // Lane by lane and without an early exit, which vectorises: a scan
-    // value by value cost as much as the product's arithmetic.
-    let zeros = a.iter().fold([0u32; LANES], |mut zeros, lanes| {
-        for (z, &v) in zeros.iter_mut().zip(lanes) {
-            *z |= u32::from(v == 0.0);
-        }
-        zeros
-    });
-    let zero = zeros[..width].contains(&1);
-    #[cfg(test)]
-    tests::ZERO_PANELS.set(tests::ZERO_PANELS.get() + usize::from(zero));
-    if zero && !*finite.get_or_init(|| b.data.iter().all(|v| v.is_finite())) {
+    let zero = lane_hits(a, |v| v == 0.0)[..width].contains(&1);
+    count_hit(zero);
+    if zero && !*finite.get_or_init(|| !any_hit(b.data, |v| !v.is_finite())) {
         panel_product(Nn::<true> { a, b }, b.cols, store)
     } else {
         panel_product(Nn::<false> { a, b }, b.cols, store)
@@ -263,9 +325,11 @@ pub(crate) fn g_w(g: &Panels, w: Mat) -> Panels {
 /// `gᵀ · x` over rows `rows` of `g: [m × k]` and `x: [m × n]`, both in
 /// panels, zero terms of `g` skipped, stored in or added to the
 /// row-major `out: [k × n]` — a weight gradient lands where it is
-/// summed. The lanes are `g`'s columns, so `g`'s rows are transposed
-/// once, and each step reads one row of `x`, so its rows are read out
-/// row-major once.
+/// summed. The lanes are `x`'s columns, so `x`'s rows are transposed
+/// once and `g`'s read out row-major once, and each output row's
+/// [`LANES`] sums are one vector of `out`. The zero terms are `g`'s, the
+/// broadcast operand: a panel skips them ([`NnSkipB`]) only where a zero
+/// in `g`'s rows meets a non-finite value in the panel's real lanes.
 pub(crate) fn gt_x_into(
     g: &Panels,
     x: &Panels,
@@ -274,24 +338,28 @@ pub(crate) fn gt_x_into(
 ) {
     let (k, n) = (g.cols(), x.cols());
     assert_eq!((g.rows(), out.len()), (x.rows(), k * n), "gᵀ·x shapes");
-    let xr = x.rows_major(rows.clone());
-    let (b, finite) = (Mat { data: &xr, rows: rows.len(), cols: n }, OnceCell::new());
-    let gt = g.transpose_rows(rows);
-    for p in 0..gt.groups() {
-        let width = gt.width(p);
-        let dst = &mut out[p * LANES * n..][..width * n];
-        let a = gt.panel(p);
-        match write {
-            Write::Store => skip_zero_product(a, width, (b, &finite), |c, sums| {
-                for (l, &v) in sums[..width].iter().enumerate() {
-                    dst[l * n + c] = v;
-                }
-            }),
-            Write::Add => skip_zero_product(a, width, (b, &finite), |c, sums| {
-                for (l, &v) in sums[..width].iter().enumerate() {
-                    dst[l * n + c] += v;
-                }
-            }),
+    let gr = g.rows_major(rows.clone());
+    let b = Mat { data: &gr, rows: rows.len(), cols: k };
+    let zero = any_hit(&gr, |v| v == 0.0);
+    let xt = x.transpose_rows(rows);
+    for p in 0..xt.groups() {
+        let (a, width, j0) = (xt.panel(p), xt.width(p), p * LANES);
+        let store = |c: usize, sums: &Lanes| {
+            let at = c * n + j0;
+            if width == LANES {
+                // A length the compiler sees: one vector.
+                let dst: &mut Lanes = (&mut out[at..at + LANES]).try_into().expect("LANES values");
+                write.put(dst, sums);
+            } else {
+                write.put(&mut out[at..at + width], &sums[..width]);
+            }
+        };
+        let masked = zero && lane_hits(a, |v| !v.is_finite())[..width].contains(&1);
+        count_hit(masked);
+        if masked {
+            panel_product(NnSkipB { a, b }, k, store)
+        } else {
+            panel_product(Nn::<false> { a, b }, k, store)
         }
     }
 }
@@ -404,8 +472,11 @@ pub(crate) mod tests {
     }
 
     thread_local! {
-        /// Panels whose scan found an exact zero in a real lane.
-        pub(crate) static ZERO_PANELS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+        /// Panels whose skip-zero scan found what it looks for: an exact
+        /// zero in a real lane of `g·w`'s gradient panel, or a
+        /// non-finite value in a real lane of `gᵀ·x`'s `x` panel where
+        /// `g`'s rows hold a zero.
+        pub(crate) static SCAN_HITS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     }
 
     /// The lanes of `m`'s rows, padded with `f32::NAN`: a padding lane
@@ -466,18 +537,41 @@ pub(crate) mod tests {
             let (gp, xp) = (poisoned(mat(&g, m, k)), poisoned(mat(&x, m, n)));
             gt_x_into(&gp, &xp, r0..r1, (&mut out, Write::Store));
             prop_assert_eq!(bits(&out), bits(&want), "gᵀ·x over rows {}..{}", r0, r1);
-            // Padding never enters the skip-zero scan: zero padding finds a
-            // zero in exactly as many panels as NaN padding does.
-            let zeros = |pad: f32| {
-                ZERO_PANELS.set(0);
-                with_padding(pad, || {
-                    g_w(&Panels::from_mat(mat(&g, m, k)), mat(&w, k, n));
-                    let (gp, xp) = (Panels::from_mat(mat(&g, m, k)), Panels::from_mat(mat(&x, m, n)));
-                    gt_x_into(&gp, &xp, 0..m, (&mut vec![0.0; k * n], Write::Store));
-                });
-                ZERO_PANELS.get()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        #[test]
+        fn padding_never_enters_a_skip_zero_scan(
+            m in dim(), n in dim(), k in dim(), seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Zero padding flags as many panels as NaN padding does.
+            // `g·w` scans its gradient's lanes for zeros; `gᵀ·x` scans
+            // `x`'s lanes for non-finite values where `g` holds a zero, so
+            // one of each is planted and neither count can be 0.
+            let (mut gz, w) = (matrix(&mut rng, m, k), matrix(&mut rng, k, n));
+            let mut xi = matrix(&mut rng, m, n);
+            (gz[0], xi[0]) = (0.0, f32::INFINITY);
+            let hits = |pad: f32, product: &dyn Fn()| {
+                SCAN_HITS.set(0);
+                with_padding(pad, product);
+                SCAN_HITS.get()
             };
-            prop_assert_eq!(zeros(0.0), zeros(f32::NAN), "padding reached the skip-zero scan");
+            let g_w_scan = || {
+                g_w(&Panels::from_mat(mat(&gz, m, k)), mat(&w, k, n));
+            };
+            let gt_x_scan = || {
+                let (gp, xp) = (Panels::from_mat(mat(&gz, m, k)), Panels::from_mat(mat(&xi, m, n)));
+                gt_x_into(&gp, &xp, 0..m, (&mut vec![0.0; k * n], Write::Store));
+            };
+            for (name, product) in [("g·w", &g_w_scan as &dyn Fn()), ("gᵀ·x", &gt_x_scan)] {
+                let (zero, nan) = (hits(0.0, product), hits(f32::NAN, product));
+                prop_assert_eq!(zero, nan, "padding reached {}'s skip-zero scan", name);
+                prop_assert!(nan > 0, "{}'s scan flagged no panel", name);
+            }
         }
     }
 
@@ -537,17 +631,31 @@ pub(crate) mod tests {
             let x_wt = bits(&reference::x_wt(&x, &w, m, n, k));
             let sum = bits(&reference::x_wt_plus_y_ut((&x, &w), (&y, &u), m, n, k));
             let g_w = bits(&reference::g_w(&g, &b, m, k, n));
-            let gt_x = bits(&reference::gt_x(&g, &gx, m, k, n));
+            // `gᵀ · x` with `x`'s columns as lanes is `[n × k]`: its
+            // reference transposed. Where `x` holds an infinity, only the
+            // terms that skip `g`'s zeros keep the reference's bits.
+            let gx_inf: Vec<f32> = (gx.iter().enumerate())
+                .map(|(i, &v)| if i % 7 == 3 { f32::INFINITY } else { v })
+                .collect();
+            let transposed = |out: Vec<f32>| {
+                bits(&(0..n * k).map(|i| out[i % k * n + i / k]).collect::<Vec<_>>())
+            };
+            let gt_x = transposed(reference::gt_x(&g, &gx, m, k, n));
+            let gt_x_inf = transposed(reference::gt_x(&g, &gx_inf, m, k, n));
             let (xp, yp) = (poisoned(mat(&x, m, k)), poisoned(mat(&y, m, k)));
             let g_rows = poisoned(mat(&g, m, k));
-            let g_cols = g_rows.transpose_rows(0..m);
-            let (b, gx) = (mat(&b, k, n), mat(&gx, m, n));
+            let x_cols = |x: &[f32]| {
+                with_padding(f32::NAN, || Panels::from_mat(mat(x, m, n)).transpose_rows(0..m))
+            };
+            let (gx_cols, gx_inf_cols) = (x_cols(&gx), x_cols(&gx_inf));
+            let b = mat(&b, k, n);
             let xt = |i: usize| Nt { a: xp.panel(i), w: &w };
             let yt = |i: usize| Nt { a: yp.panel(i), w: &u };
-            // `g · b` takes the rows of `g` as lanes, `gᵀ · x` its columns:
-            // there a masked row of `g` is a step with every lane zero.
+            // `g · b` takes the rows of `g` as lanes, `gᵀ · x` the columns
+            // of `x` and broadcasts `g`'s values: there a masked row of `g`
+            // is a step whose every broadcast value is zero.
             let rows = |i: usize| g_rows.panel(i);
-            let cols = |i: usize| g_cols.panel(i);
+            let g_mat = mat(&g, m, k);
             for isa in isas() {
                 // Exact zeros add `±0.0` to a sum that is never `-0.0`, so
                 // on finite operands the plain `Nn` keeps the bits of the
@@ -558,14 +666,19 @@ pub(crate) mod tests {
                     ("Nn<true>", gather(isa, m, n, |i| Nn::<true> { a: rows(i), b }), &g_w),
                     ("Nn<false>", gather(isa, m, n, |i| Nn::<false> { a: rows(i), b }), &g_w),
                     (
-                        "gᵀ·x Nn<true>",
-                        gather(isa, k, n, |i| Nn::<true> { a: cols(i), b: gx }),
+                        "gᵀ·x NnSkipB",
+                        gather(isa, n, k, |i| NnSkipB { a: gx_cols.panel(i), b: g_mat }),
                         &gt_x,
                     ),
                     (
                         "gᵀ·x Nn<false>",
-                        gather(isa, k, n, |i| Nn::<false> { a: cols(i), b: gx }),
+                        gather(isa, n, k, |i| Nn::<false> { a: gx_cols.panel(i), b: g_mat }),
                         &gt_x,
+                    ),
+                    (
+                        "gᵀ·x NnSkipB, x with infinities",
+                        gather(isa, n, k, |i| NnSkipB { a: gx_inf_cols.panel(i), b: g_mat }),
+                        &gt_x_inf,
                     ),
                 ];
                 for (terms, got, want) in cases {

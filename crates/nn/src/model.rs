@@ -1077,7 +1077,7 @@ mod padding_tests {
     use proptest::prelude::*;
 
     use super::*;
-    use crate::kernels::tests::ZERO_PANELS;
+    use crate::kernels::tests::SCAN_HITS;
     use crate::panels::with_padding;
     use crate::sharded::{ShardedLm, StageOutput};
 
@@ -1135,15 +1135,15 @@ mod padding_tests {
             let stage = ShardedLm::from_full(&lm, 0, 1, 0, 1);
             // Everything stacked, with every padding lane `pad`.
             let stacked = |pad: f32| with_padding(pad, || {
-                ZERO_PANELS.set(0);
+                SCAN_HITS.set(0);
                 let (fp, loss) = pass(&lm, &refs);
                 let values = [fp.logits, fp.values, loss].map(|v| fp.tape.value(v));
                 let mut grads = vec![Vec::new(); refs.len()];
                 fp.backward_into(loss, &mut grads);
-                let zeros = ZERO_PANELS.get();
+                let hits = SCAN_HITS.get();
                 let h = stage.embed(&inputs.concat());
                 let out = stage.forward_stage_stacked(h, &lens, |partial| partial.to_vec());
-                (values, grads, zeros, out, lm.log_probs_stacked(&refs), lm.values_stacked(&inputs))
+                (values, grads, hits, out, lm.log_probs_stacked(&refs), lm.values_stacked(&inputs))
             });
             let (poisoned, zero) = (stacked(f32::NAN), stacked(0.0));
             prop_assert_eq!(poisoned.2, zero.2, "padding reached the skip-zero scan");

@@ -72,8 +72,9 @@ pub struct PipelinedPpo {
     /// the next generation dispatch so the controller never blocks on
     /// the actor's update tail before re-filling its mailbox.
     held: Option<InFlight>,
-    /// Controller-timeline index up to which stage intervals were
-    /// already folded into the overlap bookkeeping.
+    /// Absolute controller-timeline position up to which stage
+    /// intervals were already folded into the overlap bookkeeping
+    /// ([`Controller::timeline_from`]).
     cursor: usize,
     started: bool,
     run_start: f64,
@@ -165,7 +166,8 @@ impl PipelinedPpo {
         if !self.started {
             self.started = true;
             self.run_start = ctrl.clock();
-            self.cursor = ctrl.timeline().len();
+            // Calls before the first step are not this run's.
+            self.cursor = ctrl.timeline_from(usize::MAX).1;
         }
         let t_start = ctrl.clock();
         self.round += 1;
@@ -353,9 +355,9 @@ impl PipelinedPpo {
 
     /// Classifies new controller-timeline entries into stage intervals.
     fn scan_timeline(&mut self, ctrl: &Controller) {
-        let tl = ctrl.timeline();
+        let (entries, end) = ctrl.timeline_from(self.cursor);
         let prep = PpoStages.prep_calls();
-        for e in &tl[self.cursor..] {
+        for e in &entries {
             let iv = (e.started, e.completed);
             match e.method.as_str() {
                 "generate_sequences" => self.gen_iv.push(iv),
@@ -364,7 +366,7 @@ impl PipelinedPpo {
                 _ => {}
             }
         }
-        self.cursor = tl.len();
+        self.cursor = end;
     }
 
     /// Virtual time during which at least two stage classes (generation
@@ -378,7 +380,8 @@ impl PipelinedPpo {
             merge_intervals(&self.prep_iv),
             merge_intervals(&self.train_iv),
         ];
-        let mut edges: Vec<(f64, i32)> = Vec::new();
+        let mut edges: Vec<(f64, i32)> =
+            Vec::with_capacity(2 * classes.iter().map(Vec::len).sum::<usize>());
         for class in &classes {
             for &(a, b) in class {
                 edges.push((a, 1));

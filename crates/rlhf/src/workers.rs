@@ -605,34 +605,25 @@ impl ActorWorker {
         let mut engine = hf_hybridengine::HybridEngineRank::new(ctx.rank, gen, layout.clone(), buf);
         let mut clock = ctx.clock;
         let track = hf_telemetry::gpu_track(ctx.device.index());
-        let gathered = if pipelined {
+        if pipelined {
             // Overlap-aware entry: the all-gather is modeled as having
             // started when the controller dispatched this generation
             // call, hiding it behind the tail of the previous train
             // step still draining from this rank's mailbox.
-            engine
-                .to_generation_overlapped(
-                    micro,
-                    &mut clock,
-                    &ctx.telemetry,
-                    &track,
-                    ctx.cause,
-                    ctx.dispatch_time,
-                )
-                .to_vec()
+            engine.to_generation_overlapped(
+                micro,
+                &mut clock,
+                &ctx.telemetry,
+                &track,
+                ctx.cause,
+                ctx.dispatch_time,
+            );
         } else {
-            engine
-                .to_generation_traced(micro, &mut clock, &ctx.telemetry, &track, ctx.cause)
-                .to_vec()
-        };
+            engine.to_generation_traced(micro, &mut clock, &ctx.telemetry, &track, ctx.cause);
+        }
         ctx.clock = clock;
         // The gathered generation shard must equal the model's own slice.
-        let gshard = hf_parallel::shard::gen_shard(&gen, ctx.rank, layout.layers());
-        let mut expect = Vec::with_capacity(gathered.len());
-        for r in layout.ranges(&gshard) {
-            expect.extend_from_slice(&blocks[r]);
-        }
-        if gathered != expect {
+        if !engine.gen_matches(blocks) {
             return Err(CoreError::Worker(format!(
                 "rank {} hybrid-engine reshard mismatch: replicas drifted",
                 ctx.rank

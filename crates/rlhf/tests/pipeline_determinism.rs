@@ -113,13 +113,18 @@ fn pipelined_staleness0_is_bit_identical_to_sync() {
     let _ = ctrl_b.shutdown();
 }
 
-/// One full staleness-1 pipelined run; returns everything observable.
-fn run_staleness1() -> (Vec<IterStats>, Vec<Vec<u32>>, Vec<u32>) {
+/// One full staleness-1 pipelined run, the controller's timeline
+/// cleared before step `clear_before` if given; returns everything
+/// observable.
+fn run_staleness1(clear_before: Option<u64>) -> (Vec<IterStats>, Vec<Vec<u32>>, Vec<u32>) {
     let (ctrl, sys, cfg) = build_system();
     let mut driver = PipelinedPpo::new(PipelineConfig { staleness: 1, gen_chunks: 2 });
     let mut stats = Vec::new();
     let mut batches = Vec::new();
     for iter in 0..ITERS + 1 {
+        if clear_before == Some(iter) {
+            ctrl.clear_timeline();
+        }
         if let Some((s, b)) = driver.step_captured(&sys, &ctrl, &prompts_for(&cfg, iter)).unwrap() {
             batches.push(batch_bits(&b));
             stats.push(s);
@@ -170,8 +175,8 @@ fn grpo_verifier_pool_is_bit_identical_across_executions() {
 
 #[test]
 fn pipelined_staleness1_is_bit_identical_across_executions() {
-    let (stats_a, batches_a, ckpt_a) = run_staleness1();
-    let (stats_b, batches_b, ckpt_b) = run_staleness1();
+    let (stats_a, batches_a, ckpt_a) = run_staleness1(None);
+    let (stats_b, batches_b, ckpt_b) = run_staleness1(None);
     // Every trained batch fed the same bits in both executions.
     assert_eq!(batches_a, batches_b, "staleness-1 experience batches diverged between runs");
     // Stats carry virtual-time and overlap measurements as f64 — full
@@ -182,4 +187,16 @@ fn pipelined_staleness1_is_bit_identical_across_executions() {
     // generated batch exactly once.
     assert_eq!(stats_a.len() as u64, ITERS + 1, "flush must drain the in-flight iterations");
     assert!(stats_a.iter().all(|s| s.staleness == 1));
+}
+
+#[test]
+fn clearing_the_timeline_between_steps_changes_nothing() {
+    // The driver reads the controller's timeline from an absolute
+    // position, so a clear between steps neither panics nor drops a
+    // later step's intervals from the measured overlap.
+    let (stats_a, batches_a, ckpt_a) = run_staleness1(None);
+    let (stats_b, batches_b, ckpt_b) = run_staleness1(Some(ITERS));
+    assert_eq!(batches_b, batches_a, "a timeline clear changed an experience batch");
+    assert_eq!(stats_b, stats_a, "a timeline clear changed the stats (overlap_fraction included)");
+    assert_eq!(ckpt_b, ckpt_a, "a timeline clear changed the final weights");
 }

@@ -4,7 +4,7 @@
 
 use hf_core::{Controller, CoreError, DataProto, Protocol, Worker, WorkerLayout};
 use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
-use hf_resilience::{collect_state, decode_shards, ShardHeader};
+use hf_resilience::{collect_state, decode_shards, AssembledState, ShardHeader};
 use hf_rlhf::env::{make_pretrain, make_prompts};
 use hf_rlhf::{
     grpo_iteration, ppo_iteration, ppo_iteration_captured, remax_iteration, restore_checkpoint,
@@ -156,6 +156,24 @@ fn checkpoint_round_trip_restores_weights() {
     assert_ne!(state(&sys), saved, "training must change weights");
     restore_checkpoint(&sys, &ckpt).unwrap();
     assert_eq!(state(&sys), saved, "weights, Adam state and sampler round restored");
+}
+
+#[test]
+fn a_nan_weight_every_replica_holds_is_not_drift() {
+    // The train→generation reshard checks the gathered shard against the
+    // rank's own weights bit for bit: a NaN restored onto every replica
+    // is the same weight on each, not replicas that drifted apart.
+    let cfg = RlhfConfig::tiny();
+    let (_ctrl, sys) = colocated_4gpu(&cfg, true, false);
+    let mut ckpt = save_checkpoint(&sys).unwrap();
+    let mut state = AssembledState::from_load_input(&ckpt.actor, cfg.lm.param_count()).unwrap();
+    let first_block_weight = hf_nn::TinyLm::new(cfg.lm, 0).block_region_start();
+    state.params[first_block_weight] = f32::NAN;
+    ckpt.actor = state.to_load_input();
+    restore_checkpoint(&sys, &ckpt).unwrap();
+    let prompts = make_prompts(8, cfg.prompt_len, cfg.response_len, cfg.lm.vocab as u32, 0);
+    let generated = sys.actor.invoke_sync("generate_sequences", &prompts);
+    assert!(generated.is_ok(), "{:?}", generated.err());
 }
 
 #[test]
