@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use hf_core::{Controller, ExecFault, ExecSite, FaultHook, LinkFault, WorkerLayout};
+use hf_core::{Controller, ExecFault, ExecSite, FaultHook, WorkerLayout};
 use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
 use hf_rlhf::env::make_prompts;
 use hf_rlhf::{ppo_iteration, Placement, RlhfConfig, RlhfSystem};
@@ -24,10 +24,10 @@ use hf_telemetry::Telemetry;
 
 use crate::splitmix;
 
-/// Injects seeded wall-clock sleeps (0–2 ms) before every RPC delivery
-/// and inter-model pull, perturbing the host thread interleaving while
-/// leaving virtual time untouched (every returned fault is
-/// [`ExecFault::none`]-shaped: no delay, no slowdown, no drop).
+/// Injects seeded wall-clock sleeps (0–2 ms) before every RPC delivery,
+/// perturbing the host thread interleaving while leaving virtual time
+/// untouched (every returned fault is [`ExecFault::none`]: no delay, no
+/// drop).
 pub struct JitterHook {
     seed: u64,
     calls: AtomicU64,
@@ -51,11 +51,6 @@ impl FaultHook for JitterHook {
     fn on_execute(&self, site: &ExecSite<'_>) -> ExecFault {
         self.nap(site.device as u64 ^ (site.rank as u64) << 8);
         ExecFault::none()
-    }
-
-    fn on_link(&self, src: usize, dst: usize, _now: f64) -> LinkFault {
-        self.nap((src as u64) << 16 ^ dst as u64);
-        LinkFault::none()
     }
 }
 

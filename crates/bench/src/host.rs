@@ -236,8 +236,8 @@ pub fn inference_forward(fast: bool) -> Report {
     // The allocator state of a long-running worker, not of a fresh
     // process: freeing one large block raises glibc's trim threshold, so
     // that a tape's few hundred KB are not given back to the kernel and
-    // faulted in again on every call (EXPERIMENTS.md, "one inference
-    // forward": that alone reads as 1.3-1.6x).
+    // faulted in again on every call (EXPERIMENTS.md's history, "one
+    // inference forward": that alone reads as 1.3-1.6x).
     drop(black_box(vec![1u8; 8 << 20]));
     let mut table = Table::new(
         format!(

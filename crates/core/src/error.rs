@@ -18,7 +18,7 @@ pub enum CoreError {
     PeerFailed(String),
     /// A per-call deadline elapsed before every rank replied.
     Timeout(String),
-    /// A transient dispatch-path fault (dropped or severed RPC); the
+    /// A transient dispatch-path fault (a dropped RPC); the
     /// call may be retried against the same worker group.
     Transient(String),
     /// The runtime or a channel was shut down mid-call.

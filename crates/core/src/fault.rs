@@ -1,10 +1,8 @@
 //! Fault-injection hook points for the hybrid runtime.
 //!
 //! The runtime itself stays fault-agnostic: device threads consult an
-//! optional [`FaultHook`] at two sites — before executing a dispatched
-//! RPC ([`FaultHook::on_execute`]) and before charging an inter-model
-//! P2P pull ([`FaultHook::on_link`]) — and apply whatever directives
-//! come back. Deterministic fault *plans* (seeded scenarios that fire at
+//! optional [`FaultHook`] before executing a dispatched RPC
+//! ([`FaultHook::on_execute`]) and apply whatever directives come back. Deterministic fault *plans* (seeded scenarios that fire at
 //! a virtual time or on the N-th call of a method) live in
 //! `hf-resilience`, which implements this trait; tests can implement it
 //! directly for one-off scenarios.
@@ -29,8 +27,8 @@ pub struct ExecSite<'a> {
 }
 
 /// Directives applied to one RPC execution. Combine freely; `kill`
-/// takes precedence over `drop_rpc`, which takes precedence over the
-/// timing-only directives.
+/// takes precedence over `drop_rpc`, which takes precedence over
+/// `delay_s`.
 #[derive(Debug, Clone)]
 pub struct ExecFault {
     /// Kill the rank: poison its communicators, mark it dead, and fail
@@ -41,41 +39,16 @@ pub struct ExecFault {
     pub drop_rpc: bool,
     /// Extra virtual seconds of delivery latency before execution.
     pub delay_s: f64,
-    /// Multiply the execution's virtual duration (`> 1.0` = slowdown, a
-    /// straggler device; `1.0` = no effect).
-    pub slow_factor: f64,
 }
 
 impl ExecFault {
     /// No fault: the RPC executes normally.
     pub fn none() -> Self {
-        ExecFault { kill: None, drop_rpc: false, delay_s: 0.0, slow_factor: 1.0 }
+        ExecFault { kill: None, drop_rpc: false, delay_s: 0.0 }
     }
 }
 
 impl Default for ExecFault {
-    fn default() -> Self {
-        Self::none()
-    }
-}
-
-/// Directives applied to one inter-model P2P pull.
-#[derive(Debug, Clone)]
-pub struct LinkFault {
-    /// Extra virtual seconds on the link.
-    pub delay_s: f64,
-    /// Sever the link: the pull fails with a transient error.
-    pub severed: bool,
-}
-
-impl LinkFault {
-    /// No fault: the pull proceeds normally.
-    pub fn none() -> Self {
-        LinkFault { delay_s: 0.0, severed: false }
-    }
-}
-
-impl Default for LinkFault {
     fn default() -> Self {
         Self::none()
     }
@@ -89,12 +62,5 @@ pub trait FaultHook: Send + Sync {
     fn on_execute(&self, site: &ExecSite<'_>) -> ExecFault {
         let _ = site;
         ExecFault::none()
-    }
-
-    /// Consulted before charging the `src → dst` pull of a collected
-    /// batch (provenance-tagged inter-model transfer).
-    fn on_link(&self, src: usize, dst: usize, now: f64) -> LinkFault {
-        let _ = (src, dst, now);
-        LinkFault::none()
     }
 }

@@ -43,7 +43,7 @@ pub mod worker;
 
 pub use data::{physical_copy_bytes, Column, DataProto, Meta};
 pub use error::{CoreError, Result};
-pub use fault::{ExecFault, ExecSite, FaultHook, LinkFault};
+pub use fault::{ExecFault, ExecSite, FaultHook};
 pub use protocol::{Protocol, WorkerLayout};
 pub use runtime::{
     CallPolicy, Controller, DeviceHealth, DpFuture, LostRank, TimelineEntry, WorkerGroup,

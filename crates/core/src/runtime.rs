@@ -63,7 +63,7 @@ use hf_telemetry::{cpu_track, gpu_track, SpanKind, Telemetry, CONTROLLER_TRACK};
 
 use crate::data::DataProto;
 use crate::error::{CoreError, Result};
-use crate::fault::{ExecSite, FaultHook, LinkFault};
+use crate::fault::{ExecSite, FaultHook};
 use crate::protocol::{Protocol, WorkerLayout};
 use crate::worker::{CommSet, Lane, RankCtx, Worker};
 
@@ -125,38 +125,26 @@ impl CallState {
     /// Blocks until `rank` replied (at most `deadline`, when one is set).
     fn reply(&self, rank: usize, deadline: Option<Duration>) -> Result<ExecReply> {
         let slot = &self.slots[rank];
-        let until = deadline.map(|d| (d, Instant::now() + d));
+        let until = deadline.map(|d| Instant::now() + d);
         let mut state = slot.state.lock();
-        loop {
-            match &*state {
-                Slot::Done(reply) if self.shared.load(Ordering::Relaxed) => {
-                    return Ok(reply.clone())
-                }
-                Slot::Done(_) => match std::mem::replace(&mut *state, Slot::Closed) {
-                    Slot::Done(reply) => return Ok(reply),
-                    _ => unreachable!("matched above"),
-                },
-                Slot::Closed => {
-                    return Err(CoreError::Disconnected(format!(
-                        "{}::{} rank {rank} reply channel closed",
-                        self.group, self.method
-                    )))
-                }
-                Slot::Pending => {}
-            }
-            match until {
-                None => slot.filled.wait(&mut state),
-                Some((d, at)) => {
-                    let left = at.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        return Err(CoreError::Timeout(format!(
-                            "{}::{} rank {rank} did not reply within {d:?}",
-                            self.group, self.method
-                        )));
-                    }
-                    slot.filled.wait_for(&mut state, left);
-                }
-            }
+        let timed_out = slot.filled.wait_while(&mut state, until, |s| matches!(s, Slot::Pending));
+        if let (true, Some(d)) = (timed_out, deadline) {
+            return Err(CoreError::Timeout(format!(
+                "{}::{} rank {rank} did not reply within {d:?}",
+                self.group, self.method
+            )));
+        }
+        match &*state {
+            Slot::Done(reply) if self.shared.load(Ordering::Relaxed) => Ok(reply.clone()),
+            Slot::Done(_) => match std::mem::replace(&mut *state, Slot::Closed) {
+                Slot::Done(reply) => Ok(reply),
+                _ => unreachable!("matched above"),
+            },
+            Slot::Closed => Err(CoreError::Disconnected(format!(
+                "{}::{} rank {rank} reply channel closed",
+                self.group, self.method
+            ))),
+            Slot::Pending => unreachable!("waited while pending"),
         }
     }
 
@@ -386,7 +374,7 @@ pub struct CallPolicy {
     pub deadline: Option<Duration>,
     /// How many times a retrying wait ([`WorkerGroup::wait_retrying`],
     /// and so `call_sync` / `invoke_sync`) re-dispatches a call that
-    /// failed with a transient fault (dropped RPC, severed link).
+    /// failed with a transient fault (a dropped RPC).
     pub max_retries: u32,
     /// Virtual seconds of backoff charged before the first retry;
     /// doubles per attempt.
@@ -584,7 +572,6 @@ impl Device {
         // A rank on the device the batch was collected from reads it
         // locally.
         let src_device = cut.src.filter(|s| *s != device);
-        let mut slow_factor = 1.0f64;
         // Consult the fault hook before delivery.
         if let Some(hook) = fault {
             let idx = call_counts.entry((key, method.clone())).or_insert(0);
@@ -618,10 +605,6 @@ impl Device {
                 fault_injected(telemetry, "resilience.rpc_delayed");
                 dispatch_time += f.delay_s;
             }
-            if f.slow_factor > 1.0 {
-                fault_injected(telemetry, "resilience.device_slowdowns");
-                slow_factor = f.slow_factor;
-            }
         }
         // Span names and args are built only for a recording handle:
         // disabled telemetry costs this branch, not a string per call.
@@ -645,25 +628,9 @@ impl Device {
         clock.sync_to(dispatch_time);
         // Pull the input chunk directly from the producing GPU.
         if let Some(src) = src_device {
-            let lf = fault
-                .as_ref()
-                .map(|h| h.on_link(src.index(), device.index(), clock.now()))
-                .unwrap_or_else(LinkFault::none);
-            if lf.severed {
-                fault_injected(telemetry, "resilience.links_severed");
-                let err = CoreError::Transient(format!(
-                    "{method}: link {} -> {} severed",
-                    src.index(),
-                    device.index()
-                ));
-                return (Err(err), clock.now(), 0);
-            }
             let pull_start = clock.now();
             let bytes = data.bytes();
-            clock.advance(cost.p2p_time(cluster, src, device, bytes as f64) + lf.delay_s);
-            if lf.delay_s > 0.0 {
-                fault_injected(telemetry, "resilience.links_delayed");
-            }
+            clock.advance(cost.p2p_time(cluster, src, device, bytes as f64));
             if telemetry.is_enabled() {
                 telemetry.span_causal(
                     track,
@@ -711,14 +678,6 @@ impl Device {
         let out = match result {
             Ok(r) => {
                 *clock = ctx.clock;
-                // A slowed device stretches the execution's virtual
-                // duration (straggler injection).
-                if slow_factor > 1.0 {
-                    let dt = clock.now() - exec_start;
-                    if dt > 0.0 {
-                        clock.advance(dt * (slow_factor - 1.0));
-                    }
-                }
                 r
             }
             Err(panic) => {

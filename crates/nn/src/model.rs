@@ -69,7 +69,7 @@ impl LmConfig {
 /// Rows one stacked forward pass holds: callers put whole sequences on
 /// one tape ([`TinyLm::forward_stacked`]) while they fit, and at least
 /// one. Four lane panels of the GEMM microkernel, from measurement
-/// (EXPERIMENTS.md, "one gradient path"): what pays is filling lanes —
+/// (EXPERIMENTS.md's history, "one gradient path"): what pays is filling lanes —
 /// an 11-row sequence alone leaves a third of its second panel to
 /// padding and pays every op's fixed cost for itself, two of them fill
 /// three panels — and end-to-end throughput is flat from two such

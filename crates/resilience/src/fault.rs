@@ -3,14 +3,14 @@
 //! A [`FaultPlan`] is data: a list of [`FaultSpec`]s saying *what* fails
 //! and *when* (at a virtual time, or on the N-th dispatch of a method to
 //! a rank). [`FaultInjector`] compiles the plan into an
-//! [`hf_core::FaultHook`] the runtime consults on every RPC delivery
-//! and inter-model pull. Because triggers key on virtual time and call
-//! counts — never wall clock — a plan replays identically run after
-//! run, which is what makes every failure scenario a test case.
+//! [`hf_core::FaultHook`] the runtime consults on every RPC delivery.
+//! Because triggers key on virtual time and call counts — never wall
+//! clock — a plan replays identically run after run, which is what
+//! makes every failure scenario a test case.
 
 use std::sync::Arc;
 
-use hf_core::fault::{ExecFault, ExecSite, FaultHook, LinkFault};
+use hf_core::fault::{ExecFault, ExecSite, FaultHook};
 use hf_sync::Mutex;
 
 fn splitmix(mut x: u64) -> u64 {
@@ -51,7 +51,7 @@ impl FaultTrigger {
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultKind {
     /// Kill a rank: poisons its communicators and marks it dead
-    /// (one-shot; requires a trigger).
+    /// (one-shot).
     KillRank {
         /// Worker-group name.
         group: String,
@@ -69,7 +69,7 @@ pub enum FaultKind {
         times: u32,
     },
     /// Delay one matching RPC to a rank by `seconds` of virtual time
-    /// (one-shot; requires a trigger).
+    /// (one-shot).
     DelayRpc {
         /// Worker-group name.
         group: String,
@@ -78,53 +78,15 @@ pub enum FaultKind {
         /// Extra virtual delivery latency.
         seconds: f64,
     },
-    /// Multiply execution durations on a device within a virtual-time
-    /// window (a straggler).
-    SlowDevice {
-        /// Global device index.
-        device: usize,
-        /// Duration multiplier (`> 1.0`).
-        factor: f64,
-        /// Window start (virtual seconds).
-        from: f64,
-        /// Window end (virtual seconds).
-        until: f64,
-    },
-    /// Add latency to a P2P link within a virtual-time window.
-    DelayLink {
-        /// Source device index.
-        src: usize,
-        /// Destination device index.
-        dst: usize,
-        /// Extra virtual seconds per pull.
-        seconds: f64,
-        /// Window start (virtual seconds).
-        from: f64,
-        /// Window end (virtual seconds).
-        until: f64,
-    },
-    /// Sever a P2P link within a virtual-time window: pulls fail with a
-    /// transient error until the window closes.
-    SeverLink {
-        /// Source device index.
-        src: usize,
-        /// Destination device index.
-        dst: usize,
-        /// Window start (virtual seconds).
-        from: f64,
-        /// Window end (virtual seconds).
-        until: f64,
-    },
 }
 
-/// One fault: a kind plus (for rank-targeted kinds) its trigger.
+/// One fault: a kind plus its trigger.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
     /// What fails.
     pub kind: FaultKind,
-    /// When it fires; ignored by window kinds (`SlowDevice`,
-    /// `DelayLink`, `SeverLink`), which carry their own windows.
-    pub trigger: Option<FaultTrigger>,
+    /// When it fires.
+    pub trigger: FaultTrigger,
 }
 
 /// A reproducible failure scenario: an ordered list of fault specs.
@@ -142,10 +104,8 @@ impl FaultPlan {
 
     /// Adds a kill of `rank` in `group` fired by `trigger`.
     pub fn kill_rank(mut self, group: &str, rank: usize, trigger: FaultTrigger) -> Self {
-        self.faults.push(FaultSpec {
-            kind: FaultKind::KillRank { group: group.into(), rank },
-            trigger: Some(trigger),
-        });
+        self.faults
+            .push(FaultSpec { kind: FaultKind::KillRank { group: group.into(), rank }, trigger });
         self
     }
 
@@ -154,7 +114,7 @@ impl FaultPlan {
     pub fn drop_rpc(mut self, group: &str, rank: usize, times: u32, trigger: FaultTrigger) -> Self {
         self.faults.push(FaultSpec {
             kind: FaultKind::DropRpc { group: group.into(), rank, times },
-            trigger: Some(trigger),
+            trigger,
         });
         self
     }
@@ -169,25 +129,7 @@ impl FaultPlan {
     ) -> Self {
         self.faults.push(FaultSpec {
             kind: FaultKind::DelayRpc { group: group.into(), rank, seconds },
-            trigger: Some(trigger),
-        });
-        self
-    }
-
-    /// Adds a straggler window on `device`.
-    pub fn slow_device(mut self, device: usize, factor: f64, from: f64, until: f64) -> Self {
-        self.faults.push(FaultSpec {
-            kind: FaultKind::SlowDevice { device, factor, from, until },
-            trigger: None,
-        });
-        self
-    }
-
-    /// Adds a severed-link window between `src` and `dst`.
-    pub fn sever_link(mut self, src: usize, dst: usize, from: f64, until: f64) -> Self {
-        self.faults.push(FaultSpec {
-            kind: FaultKind::SeverLink { src, dst, from, until },
-            trigger: None,
+            trigger,
         });
         self
     }
@@ -268,7 +210,7 @@ impl FaultHook for FaultInjector {
                     if st.fired[i] == 0
                         && site.group == group
                         && site.rank == *rank
-                        && spec.trigger.as_ref().is_some_and(|t| t.matches(site))
+                        && spec.trigger.matches(site)
                     {
                         st.fired[i] = 1;
                         let reason = format!(
@@ -285,11 +227,10 @@ impl FaultHook for FaultInjector {
                     // until `times` drops have fired — modeling a fault
                     // that persists across a bounded number of attempts.
                     let open = match &spec.trigger {
-                        Some(FaultTrigger::OnCall { method, nth }) => {
+                        FaultTrigger::OnCall { method, nth } => {
                             site.method == method && site.call_index >= *nth
                         }
-                        Some(FaultTrigger::AtTime(t)) => site.now >= *t,
-                        None => false,
+                        FaultTrigger::AtTime(t) => site.now >= *t,
                     };
                     if st.fired[i] < u64::from(*times)
                         && site.group == group
@@ -308,7 +249,7 @@ impl FaultHook for FaultInjector {
                     if st.fired[i] == 0
                         && site.group == group
                         && site.rank == *rank
-                        && spec.trigger.as_ref().is_some_and(|t| t.matches(site))
+                        && spec.trigger.matches(site)
                     {
                         st.fired[i] = 1;
                         st.log.push(format!(
@@ -318,37 +259,6 @@ impl FaultHook for FaultInjector {
                         out.delay_s += seconds;
                     }
                 }
-                FaultKind::SlowDevice { device, factor, from, until } => {
-                    if site.device == *device && site.now >= *from && site.now < *until {
-                        st.fired[i] += 1;
-                        out.slow_factor = out.slow_factor.max(*factor);
-                    }
-                }
-                FaultKind::DelayLink { .. } | FaultKind::SeverLink { .. } => {}
-            }
-        }
-        out
-    }
-
-    fn on_link(&self, src: usize, dst: usize, now: f64) -> LinkFault {
-        let mut out = LinkFault::none();
-        let mut st = self.state.lock();
-        for (i, spec) in self.plan.faults.iter().enumerate() {
-            match &spec.kind {
-                FaultKind::DelayLink { src: s, dst: d, seconds, from, until }
-                    if src == *s && dst == *d && now >= *from && now < *until =>
-                {
-                    st.fired[i] += 1;
-                    out.delay_s += seconds;
-                }
-                FaultKind::SeverLink { src: s, dst: d, from, until }
-                    if src == *s && dst == *d && now >= *from && now < *until =>
-                {
-                    st.fired[i] += 1;
-                    st.log.push(format!("fault plan: severed link {src} -> {dst} at t={now:.4}"));
-                    out.severed = true;
-                }
-                _ => {}
             }
         }
         out
@@ -404,20 +314,6 @@ mod tests {
         assert!(inj.on_execute(&site("actor", 0, "m", 2, 0.0)).drop_rpc);
         assert!(!inj.on_execute(&site("actor", 0, "m", 3, 0.0)).drop_rpc);
         assert!(!inj.on_execute(&site("actor", 0, "other", 4, 0.0)).drop_rpc);
-    }
-
-    #[test]
-    fn window_faults_respect_bounds() {
-        let plan = FaultPlan::new().slow_device(3, 2.5, 1.0, 2.0).sever_link(0, 1, 0.0, 0.5);
-        let inj = FaultInjector::new(plan);
-        let mut s = site("g", 0, "m", 1, 1.5);
-        s.device = 3;
-        assert_eq!(inj.on_execute(&s).slow_factor, 2.5);
-        s.now = 2.5;
-        assert_eq!(inj.on_execute(&s).slow_factor, 1.0);
-        assert!(inj.on_link(0, 1, 0.25).severed);
-        assert!(!inj.on_link(0, 1, 0.75).severed);
-        assert!(!inj.on_link(1, 0, 0.25).severed);
     }
 
     #[test]

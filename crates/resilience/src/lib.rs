@@ -7,7 +7,7 @@
 //!
 //! * [`fault`] — deterministic fault injection: a seeded [`fault::FaultPlan`]
 //!   (kill rank R at virtual time T or during method M's N-th call,
-//!   drop/delay RPCs, sever or delay a link, slow a device) compiled
+//!   drop or delay RPCs) compiled
 //!   into a [`fault::FaultInjector`] that implements
 //!   [`hf_core::FaultHook`], so every failure scenario is a reproducible
 //!   test case.

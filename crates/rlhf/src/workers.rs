@@ -366,7 +366,8 @@ impl SumPart for GradOnly {
 ///
 /// Buffers live for one update. Keeping them across updates was
 /// measured and bought no time, while what two colocated workers pin
-/// showed in `peak_rss_mib` (EXPERIMENTS.md, "one gradient path").
+/// showed in `peak_rss_mib` (EXPERIMENTS.md's history, "one gradient
+/// path").
 struct RowFold<'c> {
     ctx: &'c RankCtx,
     tree: TreeSum,

@@ -56,6 +56,14 @@ struct RoundState {
     in_flight: Vec<bool>,
 }
 
+impl RoundState {
+    /// Whether a member waiting for `phase` to end waits on: the group
+    /// is still in it and nobody poisoned the group.
+    fn waits_out(&self, phase: Phase) -> bool {
+        self.poisoned.is_none() && self.phase == phase
+    }
+}
+
 /// Panic payload thrown out of [`CommGroup::exchange`] when the group
 /// has been poisoned (a member died or was killed by fault injection).
 ///
@@ -211,10 +219,8 @@ impl CommGroup {
             st.in_flight[rank] = true;
         }
         // Wait out the drain of the previous round.
-        while st.phase == Phase::Draining {
-            inner.cv.wait(&mut st);
-            abort_if_poisoned(&st);
-        }
+        inner.cv.wait_while(&mut st, None, |st| st.waits_out(Phase::Draining));
+        abort_if_poisoned(&st);
         assert!(st.slots[rank].is_none(), "rank {rank} deposited twice in one round");
         st.slots[rank] = Some(Box::new(value));
         st.arrived += 1;
@@ -250,10 +256,8 @@ impl CommGroup {
                 }
             }
         } else {
-            while st.phase == Phase::Filling {
-                inner.cv.wait(&mut st);
-                abort_if_poisoned(&st);
-            }
+            inner.cv.wait_while(&mut st, None, |st| st.waits_out(Phase::Filling));
+            abort_if_poisoned(&st);
         }
         let arc: Arc<dyn Any + Send + Sync> =
             st.result.as_ref().expect("result must be set in draining phase").clone();
@@ -295,13 +299,10 @@ impl CommGroup {
         let n = inner.devices.len();
         assert!(src < n && dst < n, "p2p {src} -> {dst} out of range for group of {n}");
         let mut st = inner.state.lock();
-        loop {
-            abort_if_poisoned(&st);
-            if let Some(msg) = st.p2p[src * n + dst].pop_front() {
-                return msg;
-            }
-            inner.cv.wait(&mut st);
-        }
+        let fifo = src * n + dst;
+        inner.cv.wait_while(&mut st, None, |st| st.poisoned.is_none() && st.p2p[fifo].is_empty());
+        abort_if_poisoned(&st);
+        st.p2p[fifo].pop_front().expect("woken on a message")
     }
 }
 
@@ -1078,24 +1079,35 @@ mod tests {
 
     #[test]
     fn poison_unblocks_waiters_with_collective_abort() {
-        // One member enters the rendezvous and blocks (its peer never
-        // arrives); poisoning the group must wake it with a
-        // CollectiveAbort payload instead of leaving it blocked forever.
-        let group = CommGroup::new(vec![DeviceId(0), DeviceId(1)]);
-        let waiter_group = group.clone();
-        let waiter = thread::spawn(move || {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                waiter_group.exchange(0, 1.0f32);
-            }))
-        });
-        // Give the waiter time to block in the filling phase.
-        thread::sleep(std::time::Duration::from_millis(30));
-        group.poison("rank 1 died");
-        let res = waiter.join().unwrap();
-        let payload = res.expect_err("waiter must unwind");
-        let abort = payload.downcast_ref::<CollectiveAbort>().expect("CollectiveAbort payload");
-        assert!(abort.reason.contains("rank 1 died"));
-        assert_eq!(group.poisoned().as_deref(), Some("rank 1 died"));
+        // Two members enter the rendezvous and block (their peer never
+        // arrives); poisoning the group must wake both with a
+        // CollectiveAbort payload instead of leaving them blocked
+        // forever — the first already parked on the futex, the second
+        // still yielding in its spin phase, or parked as well.
+        let group = CommGroup::new(vec![DeviceId(0), DeviceId(1), DeviceId(2)]);
+        let enter = |rank: usize| {
+            let g = group.clone();
+            thread::spawn(move || {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    g.exchange(rank, 1.0f32);
+                }))
+            })
+        };
+        let parked = enter(0);
+        let start = std::time::Instant::now();
+        while group.inner.cv.parked() == 0 {
+            assert!(start.elapsed().as_secs() < 30, "rank 0 never parked");
+            thread::yield_now();
+        }
+        let spinning = enter(1);
+        group.poison("rank 2 died");
+        for waiter in [parked, spinning] {
+            let payload = waiter.join().unwrap().expect_err("waiter must unwind");
+            let abort = payload.downcast_ref::<CollectiveAbort>().expect("CollectiveAbort payload");
+            assert!(abort.reason.contains("rank 2 died"));
+        }
+        assert_eq!(group.poisoned().as_deref(), Some("rank 2 died"));
+        assert_eq!(group.inner.cv.parked(), 0);
     }
 
     #[test]

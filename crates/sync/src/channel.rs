@@ -71,24 +71,8 @@ impl<T> Receiver<T> {
     /// the channel is empty with every sender gone.
     fn recv_until(&self, deadline: Option<Instant>) -> Option<T> {
         let mut st = self.0.state.lock();
-        loop {
-            if let Some(v) = st.queue.pop_front() {
-                return Some(v);
-            }
-            if st.senders == 0 {
-                return None;
-            }
-            match deadline {
-                None => self.0.ready.wait(&mut st),
-                Some(at) => {
-                    let left = at.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        return None;
-                    }
-                    self.0.ready.wait_for(&mut st, left);
-                }
-            }
-        }
+        self.0.ready.wait_while(&mut st, deadline, |st| st.queue.is_empty() && st.senders > 0);
+        st.queue.pop_front()
     }
 
     /// The next value, waiting at most `timeout`; `None` if none came (the
