@@ -56,7 +56,7 @@ fn run(
         remap_recoverable(&ctrl, store, &cfg, &colocated(world), RlhfConfig::tiny(), planner)
             .expect("recoverable run must complete");
     if let Some(f) = fault {
-        assert_eq!(f.fired_count(), 1, "the planned kill must fire: {:?}", f.log());
+        assert_eq!(f.fired_count(), 1, "the injected kill must fire: {:?}", f.log());
     }
     assert_eq!(report.history.len(), ITERATIONS, "every iteration must complete");
     let _ = ctrl.shutdown();

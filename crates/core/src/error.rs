@@ -38,6 +38,20 @@ impl CoreError {
     pub fn is_transient(&self) -> bool {
         matches!(self, CoreError::Transient(_))
     }
+
+    /// Whether the failure is the application's own (bad data, a worker
+    /// error, a bad configuration, a violated invariant), as opposed to a
+    /// lost or stalled rank: replaying the call would fail identically, so
+    /// recovery does not help.
+    pub fn is_application(&self) -> bool {
+        matches!(
+            self,
+            CoreError::Data(_)
+                | CoreError::Worker(_)
+                | CoreError::Config(_)
+                | CoreError::Invariant(_)
+        )
+    }
 }
 
 impl fmt::Display for CoreError {
@@ -60,3 +74,31 @@ impl std::error::Error for CoreError {}
 
 /// Convenience alias.
 pub type Result<T> = std::result::Result<T, CoreError>;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The action the recovery loop takes on `e`.
+    fn action(e: CoreError) -> &'static str {
+        match (e.is_transient(), e.is_application()) {
+            (true, false) => "retry",
+            (false, true) => "propagate",
+            (false, false) => "recover",
+            (true, true) => unreachable!("{e:?} is both transient and the application's"),
+        }
+    }
+
+    #[test]
+    fn classification_covers_every_variant() {
+        assert_eq!(action(CoreError::Transient("x".into())), "retry");
+        assert_eq!(action(CoreError::PeerFailed("x".into())), "recover");
+        assert_eq!(action(CoreError::WorkerPanicked("x".into())), "recover");
+        assert_eq!(action(CoreError::Disconnected("x".into())), "recover");
+        assert_eq!(action(CoreError::Timeout("x".into())), "recover");
+        assert_eq!(action(CoreError::Worker("x".into())), "propagate");
+        assert_eq!(action(CoreError::Data("x".into())), "propagate");
+        assert_eq!(action(CoreError::Config("x".into())), "propagate");
+        assert_eq!(action(CoreError::Invariant("x".into())), "propagate");
+    }
+}

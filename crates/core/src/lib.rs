@@ -45,7 +45,5 @@ pub use data::{physical_copy_bytes, Column, DataProto, Meta};
 pub use error::{CoreError, Result};
 pub use fault::{ExecFault, ExecSite, FaultHook};
 pub use protocol::{Protocol, WorkerLayout};
-pub use runtime::{
-    CallPolicy, Controller, DeviceHealth, DpFuture, LostRank, TimelineEntry, WorkerGroup,
-};
+pub use runtime::{CallPolicy, Controller, DpFuture, LostRank, TimelineEntry, WorkerGroup};
 pub use worker::{CommSet, Lane, RankCtx, Worker};

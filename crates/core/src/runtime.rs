@@ -353,12 +353,6 @@ enum DeviceMsg {
         call_id: u64,
         reply: ReplyTx,
     },
-    /// Heartbeat probe: replies with the device's message epoch and
-    /// virtual clock. A device wedged mid-message never replies, which
-    /// is exactly the signal `probe_devices` turns into "unresponsive".
-    Ping {
-        reply: Sender<(u64, f64)>,
-    },
     Shutdown,
 }
 
@@ -402,19 +396,6 @@ pub struct LostRank {
     pub rank: usize,
     /// Why it died (injected-kill reason or panic message).
     pub reason: String,
-}
-
-/// One device's answer to a heartbeat probe.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DeviceHealth {
-    /// The probed device.
-    pub device: DeviceId,
-    /// Whether the device replied within the probe deadline.
-    pub alive: bool,
-    /// Messages the device thread has processed (monotone epoch tag).
-    pub epoch: u64,
-    /// The device's virtual clock at reply time.
-    pub virtual_now: f64,
 }
 
 struct ControllerState {
@@ -507,9 +488,7 @@ impl Device {
     }
 
     fn run(mut self, rx: Receiver<DeviceMsg>) {
-        let mut epoch = 0u64;
         for msg in rx.iter() {
-            epoch += 1;
             match msg {
                 DeviceMsg::Register { key, worker, ctx } => {
                     let lane = worker.lane();
@@ -523,9 +502,6 @@ impl Device {
                 DeviceMsg::Execute { key, input, dispatch_time, call_id, reply } => {
                     let out = self.execute(key, &input, dispatch_time, call_id, &reply.call);
                     reply.send(out);
-                }
-                DeviceMsg::Ping { reply } => {
-                    let _ = reply.send((epoch, self.clocks[Lane::Device as usize].now()));
                 }
                 DeviceMsg::Shutdown => break,
             }
@@ -805,40 +781,6 @@ impl Controller {
     /// every subsequent call on every worker group.
     pub fn set_policy(&self, policy: CallPolicy) {
         self.inner.state.lock().policy = policy;
-    }
-
-    /// Heartbeat-probes every device thread: sends a `Ping` and waits up
-    /// to `deadline` (wall clock) for each reply. A device blocked in a
-    /// wedged collective or busy with a runaway worker reports
-    /// `alive: false`. Results are sorted by device index; the count of
-    /// live devices is exported as the `resilience.devices_alive` gauge.
-    pub fn probe_devices(&self, deadline: Duration) -> Vec<DeviceHealth> {
-        let senders: Vec<(DeviceId, Sender<DeviceMsg>)> = {
-            let state = self.inner.state.lock();
-            state.devices.iter().map(|(d, tx)| (*d, tx.clone())).collect()
-        };
-        type PingReply = Option<Receiver<(u64, f64)>>;
-        let pending: Vec<(DeviceId, PingReply)> = senders
-            .into_iter()
-            .map(|(d, tx)| {
-                let (ptx, prx) = unbounded();
-                let sent = tx.send(DeviceMsg::Ping { reply: ptx }).is_ok();
-                (d, sent.then_some(prx))
-            })
-            .collect();
-        let mut out: Vec<DeviceHealth> = pending
-            .into_iter()
-            .map(|(device, rx)| match rx.and_then(|rx| rx.recv_timeout(deadline)) {
-                Some((epoch, virtual_now)) => {
-                    DeviceHealth { device, alive: true, epoch, virtual_now }
-                }
-                None => DeviceHealth { device, alive: false, epoch: 0, virtual_now: 0.0 },
-            })
-            .collect();
-        out.sort_by_key(|h| h.device.index());
-        let alive = out.iter().filter(|h| h.alive).count();
-        self.inner.telemetry.set_gauge("resilience.devices_alive", alive as f64);
-        out
     }
 
     /// The cluster this controller manages.

@@ -184,23 +184,3 @@ fn a_killed_host_rank_is_one_lost_rank_and_poisons_its_groups() {
         assert!(gpu.call_sync("echo", &DataProto::empty(), Protocol::AllToAll).is_ok());
     });
 }
-
-#[test]
-fn probe_devices_reports_the_gpu_clock() {
-    let ctrl = Controller::new(ClusterSpec::a100_with_gpus(1));
-    let rpc = CommCostModel::default().rpc_dispatch_time();
-    let seq = Arc::new(AtomicUsize::new(0));
-    let pool = ResourcePool::contiguous(0, 1);
-    let gpu = ctrl.spawn_group("gpu", &pool, pure_dp(1), |_| Box::new(ticket(1.0, &seq))).unwrap();
-    let host = ctrl
-        .spawn_group("host", &pool, pure_dp(1), |_| Box::new(OnHost(ticket(5.0, &seq))))
-        .unwrap();
-    let empty = DataProto::empty();
-    gpu.call_sync("run", &empty, Protocol::OneToAll).unwrap();
-    host.call_sync("score", &empty, Protocol::OneToAll).unwrap();
-
-    let health = ctrl.probe_devices(Duration::from_secs(5));
-    assert_eq!(health.len(), 1);
-    assert!(health[0].alive);
-    assert_eq!(health[0].virtual_now, rpc + 1.0, "the host lane's 5 s are not the GPU's");
-}

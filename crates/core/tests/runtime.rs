@@ -393,27 +393,6 @@ fn try_ready_probes_without_blocking_or_consuming() {
 }
 
 #[test]
-fn probe_devices_reports_heartbeats() {
-    let ctrl = controller(2);
-    let layout = WorkerLayout::train_only(ParallelSpec::new(1, 1, 2));
-    let g = ctrl
-        .spawn_group("hb", &ResourcePool::contiguous(0, 2), layout, |_r| echo_worker())
-        .unwrap();
-    g.call_sync("warm", &DataProto::empty(), Protocol::AllToAll).unwrap();
-    let health = ctrl.probe_devices(Duration::from_secs(5));
-    assert_eq!(health.len(), 2);
-    for h in &health {
-        assert!(h.alive, "{h:?}");
-        assert!(h.epoch >= 2, "register + execute must bump the epoch: {h:?}");
-    }
-    // Epochs are monotone across probes.
-    let again = ctrl.probe_devices(Duration::from_secs(5));
-    for (a, b) in health.iter().zip(again.iter()) {
-        assert!(b.epoch > a.epoch);
-    }
-}
-
-#[test]
 fn overlapping_pools_are_rejected() {
     let ctrl = controller(4);
     let layout = WorkerLayout::train_only(ParallelSpec::new(1, 1, 2));

@@ -1,4 +1,4 @@
-//! `hf-resilience`: fault injection, failure detection, and sharded
+//! `hf-resilience`: fault injection, recovery bookkeeping, and sharded
 //! checkpoint/restore for the hybrid runtime.
 //!
 //! The paper's artifact inherits fault tolerance from Ray's single
@@ -11,10 +11,9 @@
 //!   into a [`fault::FaultInjector`] that implements
 //!   [`hf_core::FaultHook`], so every failure scenario is a reproducible
 //!   test case.
-//! * [`detect`] — failure classification over [`hf_core::CoreError`],
-//!   heartbeat probing of device threads, and recovery bookkeeping
-//!   (MTTR, virtual time lost to rollback) exported through
-//!   `resilience.*` telemetry.
+//! * [`detect`] — recovery bookkeeping (MTTR, virtual time lost to
+//!   rollback) exported through `resilience.*` telemetry. Which failures
+//!   recovery handles is [`hf_core::CoreError`]'s to say.
 //! * [`checkpoint`] — sharded, atomic checkpoint/restore and its codecs:
 //!   each rank answers `save_shard` with its (p,t,d)- or ZeRO-aware shard
 //!   of parameters, Adam moments and RNG round; shards are written
@@ -40,5 +39,5 @@ pub use checkpoint::{
     collect_state, decode_shards, encode_shard, shard_range, AssembledState, CheckpointStore,
     GroupSaveReport, Shard, ShardHeader, SAVE_SHARD_METHOD,
 };
-pub use detect::{classify, probe_cluster, ClusterHealth, FailureKind, RecoveryStats};
+pub use detect::RecoveryStats;
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultSpec, FaultTrigger};

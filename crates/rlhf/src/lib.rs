@@ -33,8 +33,8 @@
 //!   non-neural reward modules).
 //! * [`remap`] — [`remap::remap_recoverable`]: the one outer loop —
 //!   prompt stream, stats history, periodic `hf-resilience` sharded
-//!   checkpoints, and on a lost rank (or a planned load shift) re-place
-//!   → restore → continue on the live controller, bit-identically.
+//!   checkpoints, and on a lost rank re-place → restore → continue on
+//!   the live controller, bit-identically.
 //!   [`remap::FixedPlacement`] recovers in the same layout,
 //!   [`remap::MapperPlanner`] re-runs the mapping search over the
 //!   survivors.
@@ -64,8 +64,8 @@ pub use algo::{
 pub use pipeline::{PipelineConfig, PipelinedPpo};
 pub use remap::{
     bridge_spec, remap_recoverable, restore_system_checkpoint, save_system_checkpoint,
-    FixedPlacement, MapperPlanner, PlannedPlacement, PlannedRemap, RemapConfig, RemapDriver,
-    RemapEvent, RemapPlanner, RemapReport,
+    FixedPlacement, MapperPlanner, PlannedPlacement, RemapConfig, RemapDriver, RemapEvent,
+    RemapPlanner, RemapReport,
 };
 pub use verifier::RewardEvaluatorWorker;
 pub use workers::{

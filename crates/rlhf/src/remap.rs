@@ -8,8 +8,7 @@
 //!
 //! 1. **Detect** — a window fails with a rank-loss/timeout error and the
 //!    controller's [`LostRank`](hf_core::LostRank) registry names the
-//!    devices that died; or a caller-supplied [`PlannedRemap`] (a
-//!    load-shift signal) matures at a checkpoint boundary.
+//!    devices that died. A failed window is the loop's only trigger.
 //! 2. **Re-place** — a [`RemapPlanner`] decides the next placement.
 //!    [`FixedPlacement`] returns the layout the run started with
 //!    (same-layout recovery: the failed device comes back);
@@ -51,7 +50,7 @@ use hf_mapping::{AlgoKind, DataflowSpec, Mapper};
 use hf_modelspec::{ModelConfig, PerfModel, RlhfWorkload};
 use hf_nn::LmConfig;
 use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
-use hf_resilience::{classify, CheckpointStore, FailureKind, RecoveryStats};
+use hf_resilience::{CheckpointStore, RecoveryStats};
 use hf_simcluster::{ClusterSpec, DeviceId, ResourcePool};
 
 use crate::algo::{iteration_prompts, Algorithm, IterStats, Placement, RlhfConfig, RlhfSystem};
@@ -65,19 +64,10 @@ pub enum RemapDriver {
     Barrier,
     /// The pipelined PPO driver: one fresh [`PipelinedPpo`] per
     /// checkpoint window, flushed at the boundary so committed steps
-    /// have pinned staleness (the determinism contract).
+    /// have pinned staleness (the determinism contract). PPO only, at
+    /// staleness 0 or 1 with `gen_chunks >= 1`; [`remap_recoverable`]
+    /// refuses anything else with `Config`.
     Pipelined(PipelineConfig),
-}
-
-/// A capacity-profile shift scheduled by the caller (another job
-/// re-negotiating training's GPU share): after `after_iteration`
-/// commits, re-map onto at most `devices` GPUs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlannedRemap {
-    /// The iteration boundary the shift matures at.
-    pub after_iteration: u64,
-    /// Target device budget (healthy devices are truncated to this).
-    pub devices: usize,
 }
 
 /// Configuration of the recoverable outer loop.
@@ -99,8 +89,6 @@ pub struct RemapConfig {
     pub max_recoveries: u32,
     /// The window driver.
     pub driver: RemapDriver,
-    /// Scheduled load-shift re-maps, matured at iteration boundaries.
-    pub planned: Vec<PlannedRemap>,
     /// The device universe this run may occupy (`None` = the whole
     /// cluster). Lost devices are removed from it as they die.
     pub allowed: Option<Vec<DeviceId>>,
@@ -116,7 +104,6 @@ impl Default for RemapConfig {
             data_seed: 0,
             max_recoveries: 4,
             driver: RemapDriver::Barrier,
-            planned: Vec::new(),
             allowed: None,
         }
     }
@@ -133,11 +120,10 @@ pub struct PlannedPlacement {
     pub search_wall_s: f64,
 }
 
-/// Decides the placement a run continues in after a failure or a load
-/// shift.
+/// Decides the placement a run continues in after a failure.
 pub trait RemapPlanner {
-    /// Plans a placement. `survivors` are the healthy devices within the
-    /// run's budget; `rlhf` describes the running system; `algorithm`
+    /// Plans a placement. `survivors` are the healthy devices the run
+    /// may occupy; `rlhf` describes the running system; `algorithm`
     /// determines which roles (critic, cost model) the placement must
     /// carry.
     fn plan(
@@ -262,8 +248,8 @@ pub struct RemapEvent {
     pub reshard_s: f64,
     /// Bytes the restore broadcast dispatched.
     pub reshard_bytes: u64,
-    /// Virtual seconds from failure detection (or shift maturity) to
-    /// training resumed — the blackout the re-place cost.
+    /// Virtual seconds from failure detection to training resumed — the
+    /// blackout the re-place cost.
     pub blackout_s: f64,
 }
 
@@ -348,11 +334,6 @@ struct Run<'a> {
     /// despawning and its retry.
     sys: Option<RlhfSystem>,
     world: usize,
-    /// The capped device budget: starts at the allowed universe, shrinks
-    /// when a planned remap matures (a later rank loss must not grow the
-    /// world back past the most recent budget).
-    budget: usize,
-    planned: Vec<PlannedRemap>,
     /// The last step this run committed — where the next window starts
     /// and what a recovery restores. `None` until step 0 commits.
     committed: Option<u64>,
@@ -373,14 +354,14 @@ impl Run<'_> {
         self.sys.as_ref().expect("a failed re-place is retried before the system is used")
     }
 
-    /// The healthy devices this run may occupy, truncated to the budget.
+    /// The healthy devices this run may occupy.
     fn survivors(&self) -> Vec<DeviceId> {
         let lost = self.ctrl.lost_devices();
         let universe: Vec<DeviceId> = match &self.cfg.allowed {
             Some(a) => a.clone(),
             None => (0..self.ctrl.cluster().total_gpus()).map(DeviceId).collect(),
         };
-        universe.into_iter().filter(|d| !lost.contains(d)).take(self.budget).collect()
+        universe.into_iter().filter(|d| !lost.contains(d)).collect()
     }
 
     /// One re-place: despawn → plan → respawn → restore `step` (or
@@ -404,7 +385,6 @@ impl Run<'_> {
         let reshard_s = ctrl.clock() - t_reshard;
         let reshard_bytes = tel.counter("protocol.OneToAll.dispatch_bytes") - bytes0;
         let blackout_s = ctrl.clock() - t_detect;
-        self.report.stats.record_remap(plan.search_wall_s, reshard_s);
         tel.observe_digest("remap.search_s", plan.search_wall_s);
         tel.observe_digest("remap.reshard_s", reshard_s);
         tel.observe_digest("remap.blackout_s", blackout_s);
@@ -458,10 +438,9 @@ impl Run<'_> {
         }
     }
 
-    /// One loop turn, the fallible slice: finish any pending recovery
-    /// and any load shift maturing at this boundary, then either commit
-    /// the initial step-0 checkpoint or run one window and commit its
-    /// boundary. A rank lost anywhere in here — training, the
+    /// One loop turn, the fallible slice: finish any pending recovery,
+    /// then either commit the initial step-0 checkpoint or run one window
+    /// and commit its boundary. A rank lost anywhere in here — training, the
     /// `save_shard` collective, the restore broadcast — comes back as an
     /// error; nothing it half-did was committed.
     fn turn(&mut self) -> Result<()> {
@@ -474,25 +453,16 @@ impl Run<'_> {
             }
             self.t_ckpt = resumed;
         }
-        let start = self.committed.unwrap_or(0);
-        while let Some(p) = self.planned.first().copied().filter(|p| p.after_iteration <= start) {
-            self.planned.remove(0);
-            self.budget = self.budget.min(p.devices);
-            let reason = format!("load shift to {} devices at iteration {start}", p.devices);
-            self.replace(reason, self.committed)?;
-        }
-        let (end, stats) = if self.committed.is_none() {
+        let (end, stats) = match self.committed {
             // Nothing has committed yet: the turn only saves step 0.
-            (0, Vec::new())
-        } else {
+            None => (0, Vec::new()),
             // Window end: the next checkpoint boundary, capped by the
-            // run length and by the next planned shift.
-            let ce = self.cfg.checkpoint_every as u64;
-            let mut end = ((start / ce + 1) * ce).min(self.cfg.iterations as u64);
-            if let Some(p) = self.planned.first() {
-                end = end.min(p.after_iteration);
+            // run length.
+            Some(start) => {
+                let ce = self.cfg.checkpoint_every as u64;
+                let end = ((start / ce + 1) * ce).min(self.cfg.iterations as u64);
+                (end, self.window(start, end)?)
             }
-            (end, self.window(start, end)?)
         };
         self.save_start = Some(self.ctrl.clock());
         save_system_checkpoint(self.store, self.sys(), self.ctrl, end)?;
@@ -509,7 +479,7 @@ impl Run<'_> {
     fn fail(&mut self, e: CoreError) -> Result<()> {
         let stats = &mut self.report.stats;
         stats.record_failure();
-        if classify(&e) == FailureKind::Application {
+        if e.is_application() {
             return Err(e);
         }
         if stats.failures > u64::from(self.cfg.max_recoveries) {
@@ -541,15 +511,15 @@ impl Run<'_> {
 
 /// Runs `cfg.iterations` iterations on one live controller with
 /// checkpoint-based fault recovery, re-placing the system through
-/// `planner` whenever a rank dies and whenever a [`PlannedRemap`]
-/// matures. See the module docs for the protocol and the determinism
-/// contract.
+/// `planner` whenever a rank dies. See the module docs for the protocol
+/// and the determinism contract.
 ///
 /// `initial` places the first epoch; `rlhf` configures every system the
 /// run builds (the model is identical across re-places — only the layout
 /// moves). Returns an error on application failures (including
-/// `checkpoint_every == 0` and a planner with nowhere left to place) and
-/// on an exhausted retry budget.
+/// `checkpoint_every == 0`, a pipelined driver on anything but PPO at
+/// staleness 0 or 1 with at least one generation chunk, and a planner
+/// with nowhere left to place) and on an exhausted retry budget.
 pub fn remap_recoverable(
     ctrl: &Controller,
     store: &CheckpointStore,
@@ -561,8 +531,15 @@ pub fn remap_recoverable(
     if cfg.checkpoint_every == 0 {
         return Err(CoreError::Config("checkpoint_every must be >= 1".into()));
     }
-    let mut planned = cfg.planned.clone();
-    planned.sort_by_key(|p| p.after_iteration);
+    if let RemapDriver::Pipelined(p) = cfg.driver {
+        if cfg.algorithm != Algorithm::Ppo || p.staleness > 1 || p.gen_chunks == 0 {
+            return Err(CoreError::Config(format!(
+                "the pipelined driver runs PPO at staleness 0 or 1 over >= 1 generation \
+                 chunks, not {:?} with {p:?}",
+                cfg.algorithm
+            )));
+        }
+    }
     let mut run = Run {
         ctrl,
         store,
@@ -571,8 +548,6 @@ pub fn remap_recoverable(
         rlhf,
         planner,
         world: initial.actor.pool.len(),
-        budget: cfg.allowed.as_ref().map_or(ctrl.cluster().total_gpus(), Vec::len),
-        planned,
         committed: None,
         unrecovered: Vec::new(),
         t_ckpt: ctrl.clock(),

@@ -52,7 +52,7 @@ fn killed_rank_recovers_to_a_bit_identical_run() {
         let faulted_store = fresh_store("recovery-faulted");
         let (report, fired) = run(&faulted_store, Some(kill("actor", 2, "update_actor", 3)));
 
-        assert_eq!(fired, 1, "the planned kill must fire");
+        assert_eq!(fired, 1, "the injected kill must fire");
         assert_eq!(report.stats.failures, 1);
         assert_eq!(report.stats.recoveries, 1);
         assert_eq!(report.history.len(), 3, "all iterations complete after recovery");

@@ -7,15 +7,15 @@
 mod common;
 
 use common::{controller_4gpu, fresh_store, placement_4gpu, with_watchdog};
-use hf_core::{Controller, WorkerLayout};
+use hf_core::{Controller, CoreError, Result, WorkerLayout};
 use hf_mapping::{AlgoKind, DataflowSpec, Mapper, Role};
 use hf_modelspec::{ModelConfig, PerfModel, RlhfWorkload};
 use hf_parallel::{GenGrouping, GroupingMethod};
 use hf_resilience::{CheckpointStore, FaultInjector, FaultPlan, FaultTrigger};
 use hf_rlhf::{
     bridge_spec, remap_recoverable, restore_system_checkpoint, save_system_checkpoint, Algorithm,
-    MapperPlanner, Placement, PlannedRemap, RemapConfig, RemapDriver, RemapPlanner, RemapReport,
-    RlhfConfig, RlhfSystem,
+    FixedPlacement, MapperPlanner, PipelineConfig, Placement, RemapConfig, RemapDriver,
+    RemapPlanner, RemapReport, RlhfConfig, RlhfSystem,
 };
 use hf_simcluster::{ClusterSpec, DeviceId, ResourcePool};
 
@@ -134,7 +134,7 @@ fn pipelined_remap_driver_matches_barrier_bits() {
         let report_b = run_killed(&store_b, RemapDriver::Barrier);
 
         let store_p = fresh_store("remap-drv-pipelined");
-        let pcfg = hf_rlhf::PipelineConfig { staleness: 0, gen_chunks: 2 };
+        let pcfg = PipelineConfig { staleness: 0, gen_chunks: 2 };
         let report_p = run_killed(&store_p, RemapDriver::Pipelined(pcfg));
 
         assert_eq!(report_p.history.len(), 4);
@@ -148,37 +148,48 @@ fn pipelined_remap_driver_matches_barrier_bits() {
     });
 }
 
-/// A load-shift signal (no fault at all): a planned re-map matures at
-/// an iteration boundary and moves the run onto a smaller device
-/// budget, live.
-#[test]
-fn planned_load_shift_remaps_at_the_boundary() {
-    with_watchdog(300, || {
-        let store = fresh_store("remap-load-shift");
-        let ctrl = controller_4gpu(None);
-        let mut cfg = remap_cfg(RemapDriver::Barrier);
-        cfg.planned = vec![PlannedRemap { after_iteration: 2, devices: 2 }];
-        let mut planner = MapperPlanner::toy(4);
-        let report = remap_recoverable(
-            &ctrl,
-            &store,
-            &cfg,
-            &placement_4gpu(true, false),
-            RlhfConfig::tiny(),
-            &mut planner,
-        )
-        .expect("load-shift run completes");
+/// Runs the loop with the pipelined driver under `algorithm`, on the
+/// colocated placement with same-layout recovery.
+fn run_pipelined(tag: &str, algorithm: Algorithm, pcfg: PipelineConfig) -> Result<RemapReport> {
+    let store = fresh_store(tag);
+    let ctrl = controller_4gpu(None);
+    let cfg = RemapConfig { algorithm, ..remap_cfg(RemapDriver::Pipelined(pcfg)) };
+    let placement = placement_4gpu(true, algorithm == Algorithm::SafeRlhf);
+    let mut planner = FixedPlacement(placement.clone());
+    remap_recoverable(&ctrl, &store, &cfg, &placement, RlhfConfig::tiny(), &mut planner)
+}
 
-        assert_eq!(report.history.len(), 4);
-        assert_eq!(report.stats.failures, 0, "no fault was injected");
-        assert_eq!(report.remaps.len(), 1, "{:?}", report.log);
-        let ev = &report.remaps[0];
-        assert_eq!(ev.world_before, 4);
-        assert_eq!(ev.world_after, 2);
-        assert_eq!(ev.resumed_step, 2, "the shift matures after iteration 2 commits");
-        assert_eq!(report.final_world, 2);
-        assert!(ctrl.telemetry().counter("remap.events") >= 1);
-        store.load_group(4, "actor").unwrap();
+/// The pipelined driver is PPO's: under any other algorithm the loop
+/// refuses to start instead of running PPO iterations in its name.
+#[test]
+fn pipelined_driver_refuses_algorithms_other_than_ppo() {
+    with_watchdog(300, || {
+        for algorithm in [Algorithm::ReMax, Algorithm::SafeRlhf, Algorithm::Grpo] {
+            let pcfg = PipelineConfig::default();
+            let got = run_pipelined("remap-pipe-algo", algorithm, pcfg).map(|r| r.history);
+            assert!(matches!(got, Err(CoreError::Config(_))), "{algorithm:?}: {got:?}");
+        }
+    });
+}
+
+/// A staleness the pipelined driver cannot keep is a `Config` error, not
+/// a panic out of the loop.
+#[test]
+fn pipelined_driver_refuses_staleness_above_one() {
+    with_watchdog(300, || {
+        let pcfg = PipelineConfig { staleness: 2, gen_chunks: 2 };
+        let got = run_pipelined("remap-pipe-stale", Algorithm::Ppo, pcfg).map(|r| r.history);
+        assert!(matches!(got, Err(CoreError::Config(_))), "{got:?}");
+    });
+}
+
+/// So is a prompt batch split into no generation requests.
+#[test]
+fn pipelined_driver_refuses_zero_generation_chunks() {
+    with_watchdog(300, || {
+        let pcfg = PipelineConfig { staleness: 1, gen_chunks: 0 };
+        let got = run_pipelined("remap-pipe-chunks", Algorithm::Ppo, pcfg).map(|r| r.history);
+        assert!(matches!(got, Err(CoreError::Config(_))), "{got:?}");
     });
 }
 
@@ -195,10 +206,10 @@ fn planner_layouts_match_the_exhaustive_reference_search() {
     let mut reference = Mapper::new(perf, df, total);
     for world in 1..=total {
         let survivors: Vec<DeviceId> = (0..world).map(DeviceId).collect();
-        let planned = planner.plan(&survivors, &rlhf, Algorithm::Ppo).expect("every world maps");
+        let placed = planner.plan(&survivors, &rlhf, Algorithm::Ppo).expect("every world maps");
         reference.resize_world(world);
         let found = reference.search_sequential().expect("every world maps");
         let expected = bridge_spec(found.strategies[&Role::Actor].spec, &rlhf.lm, world);
-        assert_eq!(planned.placement.actor.layout.spec, expected, "world {world}");
+        assert_eq!(placed.placement.actor.layout.spec, expected, "world {world}");
     }
 }

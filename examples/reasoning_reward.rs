@@ -8,7 +8,7 @@
 //! cargo run --example reasoning_reward
 //! ```
 
-use hybridflow::core::{Controller, DataProto, RankCtx, Result, Worker, WorkerLayout};
+use hybridflow::core::{Controller, DataProto, Protocol, RankCtx, Result, Worker, WorkerLayout};
 use hybridflow::parallel::{GenGrouping, GroupingMethod, ParallelSpec};
 use hybridflow::rlhf::{grpo_iteration, Placement, RlhfConfig, RlhfSystem};
 use hybridflow::simcluster::{ClusterSpec, ResourcePool};
@@ -59,6 +59,7 @@ fn main() {
             Box::new(verifier()) as Box<dyn Worker>
         })
         .expect("spawn verifier");
+    sys.reward.register("compute_reward", Protocol::ThreeD);
 
     println!("GRPO against a rule-based copy verifier (no reward network):");
     println!("iter  copy-accuracy");
