@@ -331,7 +331,7 @@ pub fn measured_breakdown_16gpus(tgs: &[usize]) -> Vec<MeasuredBreakdownRow> {
             .map(|s| s.duration())
             .fold(0.0, f64::max);
         let phase = |name: &str| {
-            telemetry.histogram(&format!("phase.{name}.seconds")).map(|h| h.sum).unwrap_or(0.0)
+            telemetry.digest(&format!("phase.{name}.seconds")).map(|d| d.sum).unwrap_or(0.0)
         };
         rows.push(MeasuredBreakdownRow {
             tg,

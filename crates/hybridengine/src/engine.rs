@@ -206,7 +206,6 @@ impl HybridEngineRank {
         }
         telemetry.add_counter("transition.to_generation.recv_bytes", recv_bytes as u64);
         telemetry.observe("transition.to_generation.seconds", clock.now() - start);
-        telemetry.observe_digest("transition.to_generation.seconds", clock.now() - start);
         self.gen_buf.as_deref().expect("just set")
     }
 
@@ -271,8 +270,7 @@ impl HybridEngineRank {
             (overlapped * 1e6).round() as u64,
         );
         telemetry.observe("transition.to_generation.seconds", clock.now() - now);
-        telemetry.observe_digest("transition.to_generation.seconds", clock.now() - now);
-        telemetry.observe_digest("transition.to_generation.overlapped_s", overlapped);
+        telemetry.observe("transition.to_generation.overlapped_s", overlapped);
         self.gen_buf.as_deref().expect("just set")
     }
 

@@ -446,7 +446,7 @@ mod tests {
 
     #[test]
     fn digest_stats_exclude_order_dependent_fields() {
-        let mut d = Digest::new();
+        let mut d = Digest::default();
         for v in [1.0, 2.0, 4.0, 8.0] {
             d.record(v);
         }
@@ -455,7 +455,7 @@ mod tests {
         assert!(rendered.contains("\"p99\""));
         assert!(!rendered.contains("sum"), "sum is accumulation-order dependent");
         assert!(!rendered.contains("mean"));
-        let empty = digest_stats(&Digest::new()).render();
+        let empty = digest_stats(&Digest::default()).render();
         assert!(empty.contains("\"min\": null"));
     }
 }

@@ -325,8 +325,8 @@ impl PipelinedPpo {
         let tel = ctrl.telemetry();
         tel.set_gauge("pipeline.staleness", self.cfg.staleness as f64);
         tel.set_gauge("pipeline.overlap_fraction", frac);
-        tel.observe_digest("pipeline.overlap_fraction", frac);
-        tel.observe_digest("pipeline.step.seconds", t_end - t_start);
+        tel.observe("pipeline.overlap_fraction", frac);
+        tel.observe("pipeline.step.seconds", t_end - t_start);
         let us = (overlap_s * 1e6).round() as u64;
         tel.add_counter("pipeline.overlap_measured_us", us.saturating_sub(self.overlap_emitted_us));
         self.overlap_emitted_us = us;

@@ -385,9 +385,9 @@ impl Run<'_> {
         let reshard_s = ctrl.clock() - t_reshard;
         let reshard_bytes = tel.counter("protocol.OneToAll.dispatch_bytes") - bytes0;
         let blackout_s = ctrl.clock() - t_detect;
-        tel.observe_digest("remap.search_s", plan.search_wall_s);
-        tel.observe_digest("remap.reshard_s", reshard_s);
-        tel.observe_digest("remap.blackout_s", blackout_s);
+        tel.observe("remap.search_s", plan.search_wall_s);
+        tel.observe("remap.reshard_s", reshard_s);
+        tel.observe("remap.blackout_s", blackout_s);
         tel.add_counter("remap.reshard_bytes", reshard_bytes);
         tel.add_counter("remap.events", 1);
         tel.set_gauge("remap.world", self.world as f64);
@@ -449,7 +449,7 @@ impl Run<'_> {
             let resumed = self.ctrl.clock();
             for f in self.unrecovered.drain(..) {
                 self.report.stats.record_recovery(resumed - f.detected, f.lost);
-                self.ctrl.telemetry().observe_digest("resilience.mttr_s", resumed - f.detected);
+                self.ctrl.telemetry().observe("resilience.mttr_s", resumed - f.detected);
             }
             self.t_ckpt = resumed;
         }

@@ -49,8 +49,8 @@ use crate::algo::{IterStats, RlhfConfig, RlhfSystem};
 use crate::workers::{GEN_PASS_META, NO_LOGP_META};
 
 /// Closes an algorithm phase: records a `Phase` span on the controller
-/// track from `start` to now and observes its latency (histogram and
-/// percentile digest), returning `(now, span id)` so the next phase can
+/// track from `start` to now and observes its latency into the phase's
+/// digest, returning `(now, span id)` so the next phase can
 /// start at now and cite this one as its cause — phase spans chain into
 /// the causal graph's backbone. Free when the controller's telemetry is
 /// disabled; never advances the clock.
@@ -71,7 +71,6 @@ pub(crate) fn phase_span(ctrl: &Controller, name: &str, start: f64, prev: u64) -
     if tel.is_enabled() {
         let series = format!("phase.{name}.seconds");
         tel.observe(&series, now - start);
-        tel.observe_digest(&series, now - start);
     }
     (now, id)
 }

@@ -60,9 +60,9 @@ impl RewardEvaluatorWorker {
             ],
         );
         for o in &report.outcomes {
-            ctx.telemetry.observe_digest("reward_eval.task_seconds", o.end_s - o.start_s);
+            ctx.telemetry.observe("reward_eval.task_seconds", o.end_s - o.start_s);
         }
-        ctx.telemetry.observe_digest("reward_eval.batch_seconds", report.makespan_s);
+        ctx.telemetry.observe("reward_eval.batch_seconds", report.makespan_s);
         ctx.telemetry.add_counter("reward_eval.tasks", report.outcomes.len() as u64);
         ctx.telemetry.add_counter("reward_eval.timeouts", report.timeouts);
         ctx.telemetry.add_counter("reward_eval.retries", report.retries);

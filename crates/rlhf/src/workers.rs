@@ -788,14 +788,14 @@ impl ActorWorker {
         // (BTreeMap order keeps the digest build deterministic).
         for &step in report.first_token_step.values() {
             if let Some(&t_first) = step_ends.get(step as usize) {
-                ctx.telemetry.observe_digest("genserve.rollout.ttft_s", t_first - gen_t0);
+                ctx.telemetry.observe("genserve.rollout.ttft_s", t_first - gen_t0);
             }
         }
         let gen_dt = ctx.clock.now() - gen_t0;
         if gen_dt > 0.0 {
             let tps = report.generated_tokens as f64 / gen_dt;
             ctx.telemetry.set_gauge("genserve.rollout.tokens_per_s", tps);
-            ctx.telemetry.observe_digest("genserve.rollout.tokens_per_s", tps);
+            ctx.telemetry.observe("genserve.rollout.tokens_per_s", tps);
         }
 
         // Pad ragged responses to the fixed `resp_len` width and surface

@@ -154,11 +154,7 @@ pub fn covered(mut iv: Vec<(f64, f64)>, t0: f64, t1: f64) -> f64 {
 }
 
 /// Busy fraction per track over `[t0, t1]`: execute + communication
-/// spans, overlap-merged.
-pub fn utilization(spans: &[SpanRecord], t0: f64, t1: f64) -> BTreeMap<String, f64> {
-    utilization_of(spans.iter(), t0, t1)
-}
-
+/// spans, overlap-merged, so colocated workers don't double-count.
 fn utilization_of<'a>(
     spans: impl Iterator<Item = &'a SpanRecord>,
     t0: f64,
@@ -195,7 +191,8 @@ fn fmt_bytes(b: u64) -> String {
 }
 
 /// Plain-text digest: phase spans at or after `t0`, per-kind busy time,
-/// utilization over the summarized window, then the metrics registry.
+/// utilization over the summarized window, the data-plane copy share,
+/// then every metric grouped by the first dot segment of its name.
 pub fn summary(spans: &[SpanRecord], metrics: &MetricsSnapshot, t0: f64) -> String {
     let visible: Vec<&SpanRecord> = spans.iter().filter(|s| s.start >= t0).collect();
     let mut out = String::new();
@@ -238,75 +235,6 @@ pub fn summary(spans: &[SpanRecord], metrics: &MetricsSnapshot, t0: f64) -> Stri
         }
     }
 
-    // Mapping-search instrumentation gets its own section; `search.*`
-    // metrics are pulled out of the generic counter/gauge lists.
-    let search_counters: Vec<(&String, &u64)> =
-        metrics.counters.iter().filter(|(k, _)| k.starts_with("search.")).collect();
-    let search_gauges: Vec<(&String, &f64)> =
-        metrics.gauges.iter().filter(|(k, _)| k.starts_with("search.")).collect();
-    if !search_counters.is_empty() || !search_gauges.is_empty() {
-        out.push_str("search:\n");
-        for (k, v) in &search_counters {
-            out.push_str(&format!("  {:<40} {v}\n", &k["search.".len()..]));
-        }
-        for (k, v) in &search_gauges {
-            out.push_str(&format!("  {:<40} {v:.6}\n", &k["search.".len()..]));
-        }
-    }
-
-    // Generation-engine instrumentation (continuous batching, paged
-    // cache): `genserve.*` metrics get their own section too.
-    let gs_counters: Vec<(&String, &u64)> =
-        metrics.counters.iter().filter(|(k, _)| k.starts_with("genserve.")).collect();
-    let gs_gauges: Vec<(&String, &f64)> =
-        metrics.gauges.iter().filter(|(k, _)| k.starts_with("genserve.")).collect();
-    let gs_hists: Vec<(&String, &crate::Histogram)> =
-        metrics.histograms.iter().filter(|(k, _)| k.starts_with("genserve.")).collect();
-    if !gs_counters.is_empty() || !gs_gauges.is_empty() || !gs_hists.is_empty() {
-        out.push_str("genserve:\n");
-        for (k, v) in &gs_counters {
-            out.push_str(&format!("  {:<40} {v}\n", &k["genserve.".len()..]));
-        }
-        for (k, v) in &gs_gauges {
-            out.push_str(&format!("  {:<40} {v:.6}\n", &k["genserve.".len()..]));
-        }
-        for (k, h) in &gs_hists {
-            out.push_str(&format!(
-                "  {:<40} mean {:.2} peak {:.0} ({} steps)\n",
-                &k["genserve.".len()..],
-                h.mean(),
-                if h.count == 0 { 0.0 } else { h.max },
-                h.count,
-            ));
-        }
-    }
-
-    // Resilience instrumentation (fault injection, failure detection,
-    // recovery): `resilience.*` metrics get their own section.
-    let rs_counters: Vec<(&String, &u64)> =
-        metrics.counters.iter().filter(|(k, _)| k.starts_with("resilience.")).collect();
-    let rs_gauges: Vec<(&String, &f64)> =
-        metrics.gauges.iter().filter(|(k, _)| k.starts_with("resilience.")).collect();
-    let rs_hists: Vec<(&String, &crate::Histogram)> =
-        metrics.histograms.iter().filter(|(k, _)| k.starts_with("resilience.")).collect();
-    if !rs_counters.is_empty() || !rs_gauges.is_empty() || !rs_hists.is_empty() {
-        out.push_str("resilience:\n");
-        for (k, v) in &rs_counters {
-            out.push_str(&format!("  {:<40} {v}\n", &k["resilience.".len()..]));
-        }
-        for (k, v) in &rs_gauges {
-            out.push_str(&format!("  {:<40} {v:.6}\n", &k["resilience.".len()..]));
-        }
-        for (k, h) in &rs_hists {
-            out.push_str(&format!(
-                "  {:<40} {} / mean {:.6}\n",
-                &k["resilience.".len()..],
-                h.count,
-                h.mean(),
-            ));
-        }
-    }
-
     // Data-plane traffic: logical bytes moved through transfer protocols
     // vs bytes physically copied (non-view gathers) while doing so.
     let proto_sum = |suffix: &str| -> u64 {
@@ -328,54 +256,37 @@ pub fn summary(spans: &[SpanRecord], metrics: &MetricsSnapshot, t0: f64) -> Stri
         ));
     }
 
-    let sectioned = |k: &String| {
-        k.starts_with("search.") || k.starts_with("genserve.") || k.starts_with("resilience.")
+    // Every counter, gauge and digest, grouped by the first dot segment
+    // of its name (`genserve.`, `search.`, `resilience.`, ...).
+    let mut groups: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    let mut line = |name: &str, value: String| {
+        let (group, key) = name.split_once('.').unwrap_or((name, name));
+        groups.entry(group.to_string()).or_default().push(format!("  {key:<40} {value}\n"));
     };
-    let generic_counters: Vec<(&String, &u64)> =
-        metrics.counters.iter().filter(|(k, _)| !sectioned(k)).collect();
-    if !generic_counters.is_empty() {
-        out.push_str("counters:\n");
-        for (k, v) in generic_counters {
-            if k.contains("bytes") {
-                out.push_str(&format!("  {k:<40} {}\n", fmt_bytes(*v)));
-            } else {
-                out.push_str(&format!("  {k:<40} {v}\n"));
-            }
-        }
+    for (k, v) in &metrics.counters {
+        line(k, if k.contains("bytes") { fmt_bytes(*v) } else { v.to_string() });
     }
-    let generic_gauges: Vec<(&String, &f64)> =
-        metrics.gauges.iter().filter(|(k, _)| !sectioned(k)).collect();
-    if !generic_gauges.is_empty() {
-        out.push_str("gauges:\n");
-        for (k, v) in generic_gauges {
-            out.push_str(&format!("  {k:<40} {v:.6}\n"));
-        }
+    for (k, v) in &metrics.gauges {
+        line(k, format!("{v:.6}"));
     }
-    let generic_hists: Vec<(&String, &crate::Histogram)> =
-        metrics.histograms.iter().filter(|(k, _)| !sectioned(k)).collect();
-    if !generic_hists.is_empty() {
-        out.push_str("histograms (count / mean / min / max):\n");
-        for (k, h) in generic_hists {
-            out.push_str(&format!(
-                "  {k:<40} {} / {:.6} / {:.6} / {:.6}\n",
-                h.count,
-                h.mean(),
-                if h.count == 0 { 0.0 } else { h.min },
-                if h.count == 0 { 0.0 } else { h.max },
-            ));
-        }
-    }
-    if !metrics.digests.is_empty() {
-        out.push_str("digests (count / p50 / p95 / p99):\n");
-        for (k, d) in &metrics.digests {
-            out.push_str(&format!(
-                "  {k:<40} {} / {:.6} / {:.6} / {:.6}\n",
+    for (k, d) in &metrics.digests {
+        line(
+            k,
+            format!(
+                "n {} mean {:.6} min {:.6} p50 {:.6} p95 {:.6} p99 {:.6} max {:.6}",
                 d.count,
+                d.mean(),
+                d.min,
                 d.quantile(0.50),
                 d.quantile(0.95),
                 d.quantile(0.99),
-            ));
-        }
+                d.max,
+            ),
+        );
+    }
+    for (group, lines) in groups {
+        out.push_str(&format!("{group}:\n"));
+        out.extend(lines);
     }
     if out.is_empty() {
         out.push_str("(no telemetry recorded)\n");
@@ -443,12 +354,12 @@ mod tests {
 
     #[test]
     fn utilization_merges_overlaps() {
-        let spans = vec![
+        let spans = [
             span("gpu-0", "a", SpanKind::Exec, 0.0, 2.0),
             span("gpu-0", "b", SpanKind::Comm, 1.0, 3.0),
             span("gpu-0", "wait", SpanKind::QueueWait, 3.0, 4.0),
         ];
-        let u = utilization(&spans, 0.0, 4.0);
+        let u = utilization_of(spans.iter(), 0.0, 4.0);
         // [0,2] ∪ [1,3] = [0,3]: busy 3 of 4 — queue wait is not busy.
         assert!((u["gpu-0"] - 0.75).abs() < 1e-12);
     }
@@ -483,7 +394,7 @@ mod tests {
         assert!(text.contains("search:"));
         assert!(text.contains("evals"));
         assert!(text.contains("pruned"));
-        // search.* must not reappear in the generic counter list.
+        // search.* prints under its header, without the prefix.
         assert!(!text.contains("search.evals"));
         // 8 KiB logical, 1 KiB copied -> 87.5% zero-copy.
         assert!(text.contains("87.5% zero-copy"), "got:\n{text}");
@@ -496,16 +407,16 @@ mod tests {
         metrics.counters.insert("resilience.retries".into(), 3);
         metrics.gauges.insert("resilience.mttr_s".into(), 0.25);
         metrics.gauges.insert("resilience.rollback_lost_s".into(), 1.5);
-        let mut h = crate::Histogram::default();
-        h.record(0.05);
-        h.record(0.1);
-        metrics.histograms.insert("resilience.retry_backoff_s".into(), h);
+        let mut d = crate::Digest::default();
+        d.record(0.05);
+        d.record(0.1);
+        metrics.digests.insert("resilience.retry_backoff_s".into(), d);
         let text = summary(&[], &metrics, 0.0);
         assert!(text.contains("resilience:"), "got:\n{text}");
         assert!(text.contains("faults_injected"));
         assert!(text.contains("mttr_s"));
         assert!(text.contains("retry_backoff_s"));
-        // resilience.* must not reappear in the generic lists.
+        // resilience.* prints under its header, without the prefix.
         assert!(!text.contains("resilience.faults_injected"), "got:\n{text}");
         assert!(!text.contains("gauges:"), "got:\n{text}");
     }
@@ -537,18 +448,45 @@ mod tests {
         metrics.counters.insert("genserve.preemptions".into(), 3);
         metrics.counters.insert("genserve.generated_tokens".into(), 640);
         metrics.gauges.insert("genserve.tokens_per_s".into(), 123.4);
-        let mut h = crate::Histogram::default();
-        h.record(16.0);
-        h.record(64.0);
-        metrics.histograms.insert("genserve.batch_size".into(), h);
+        let mut d = crate::Digest::default();
+        d.record(16.0);
+        d.record(64.0);
+        metrics.digests.insert("genserve.batch_size".into(), d);
         let text = summary(&[], &metrics, 0.0);
         assert!(text.contains("genserve:"), "got:\n{text}");
         assert!(text.contains("preemptions"));
         assert!(text.contains("tokens_per_s"));
         assert!(text.contains("batch_size"));
-        // genserve.* must not leak into the generic lists.
+        // genserve.* prints under its header, without the prefix.
         assert!(!text.contains("genserve.preemptions"));
-        assert!(!text.contains("histograms (count"), "genserve-only histograms stay sectioned");
+        assert!(!text.contains("genserve.batch_size"), "genserve distributions stay sectioned");
+    }
+
+    #[test]
+    fn summary_groups_any_prefix_under_its_own_header() {
+        // No section was ever written for `remap.*`: the one printer
+        // gives it a header like every other prefix.
+        let mut metrics = MetricsSnapshot::default();
+        metrics.counters.insert("remap.events".into(), 2);
+        metrics.gauges.insert("remap.world".into(), 6.0);
+        let mut d = crate::Digest::default();
+        d.record(0.25);
+        d.record(0.5);
+        metrics.digests.insert("remap.blackout_s".into(), d);
+        metrics.counters.insert("protocol.ThreeD.dispatch_bytes".into(), 2048);
+        metrics.counters.insert("protocol.ThreeD.dispatch_copy_bytes".into(), 512);
+        let text = summary(&[], &metrics, 0.0);
+        let remap = text.find("remap:\n").expect("remap header");
+        let section = &text[remap..];
+        assert!(section.contains("  events "), "got:\n{text}");
+        assert!(section.contains("  world "), "got:\n{text}");
+        assert!(section.contains("6.000000"), "got:\n{text}");
+        assert!(section.contains("  blackout_s "), "got:\n{text}");
+        assert!(section.contains("n 2 mean 0.375000 min 0.250000"), "got:\n{text}");
+        assert!(section.contains("max 0.500000"), "got:\n{text}");
+        assert!(!text.contains("remap.events"), "got:\n{text}");
+        // The data-plane line still reports the zero-copy share.
+        assert!(text.contains("75.0% zero-copy"), "got:\n{text}");
     }
 
     #[test]

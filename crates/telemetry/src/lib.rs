@@ -28,7 +28,7 @@ mod export;
 mod model;
 
 pub use export::covered;
-pub use model::{CounterSample, Digest, Histogram, MetricsSnapshot, SpanKind, SpanRecord};
+pub use model::{CounterSample, Digest, MetricsSnapshot, SpanKind, SpanRecord};
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,7 +56,6 @@ struct State {
     samples: Vec<CounterSample>,
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
     digests: BTreeMap<String, Digest>,
     /// Flight-recorder capacity: `None` = unbounded (record forever),
     /// `Some(n)` = keep only the most recent `n` spans.
@@ -96,8 +95,8 @@ impl Telemetry {
     /// spans (a flight recorder): thousand-iteration runs stay bounded,
     /// and the tail of the trace is always available for post-mortems.
     /// Evictions are counted — see [`Telemetry::dropped_spans`].
-    /// Counters, gauges, histograms, and digests are unaffected (they
-    /// are already O(1) per series).
+    /// Counters, gauges and digests are unaffected (they are already
+    /// bounded per series).
     pub fn with_span_capacity(capacity: usize) -> Self {
         let t = Telemetry::enabled();
         if let Some(inner) = &t.inner {
@@ -120,21 +119,7 @@ impl Telemetry {
     /// Records a completed span `[start, end]` (virtual seconds) on
     /// `track`.
     pub fn span(&self, track: &str, name: &str, kind: SpanKind, start: f64, end: f64) {
-        self.span_with_args(track, name, kind, start, end, &[]);
-    }
-
-    /// Records a completed span with key/value annotations (rendered as
-    /// `args` in the Chrome trace).
-    pub fn span_with_args(
-        &self,
-        track: &str,
-        name: &str,
-        kind: SpanKind,
-        start: f64,
-        end: f64,
-        args: &[(&str, String)],
-    ) {
-        self.span_causal(track, name, kind, start, end, 0, &[], args);
+        self.span_causal(track, name, kind, start, end, 0, &[], &[]);
     }
 
     /// Records a completed span that participates in the causal span
@@ -219,24 +204,10 @@ impl Telemetry {
         inner.state.lock().gauges.insert(name.to_string(), value);
     }
 
-    /// Records one observation into the histogram `name`.
+    /// Records one observation into the percentile digest `name`.
     pub fn observe(&self, name: &str, value: f64) {
         let Some(inner) = &self.inner else { return };
-        inner.state.lock().histograms.entry(name.to_string()).or_default().record(value);
-    }
-
-    /// Records one observation into the percentile digest `name`.
-    pub fn observe_digest(&self, name: &str, value: f64) {
-        let Some(inner) = &self.inner else { return };
         inner.state.lock().digests.entry(name.to_string()).or_default().record(value);
-    }
-
-    /// Merges a locally-built digest into the digest `name` (rank-side
-    /// summarization: ranks digest their own samples and merge here
-    /// without shipping raw values).
-    pub fn merge_digest(&self, name: &str, digest: &Digest) {
-        let Some(inner) = &self.inner else { return };
-        inner.state.lock().digests.entry(name.to_string()).or_default().merge(digest);
     }
 
     /// A copy of the percentile digest `name`.
@@ -257,12 +228,6 @@ impl Telemetry {
         inner.state.lock().gauges.get(name).copied()
     }
 
-    /// A copy of histogram `name`.
-    pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        let inner = self.inner.as_ref()?;
-        inner.state.lock().histograms.get(name).copied()
-    }
-
     /// Every span recorded so far (still held by the flight recorder),
     /// in recording order.
     pub fn spans(&self) -> Vec<SpanRecord> {
@@ -280,7 +245,6 @@ impl Telemetry {
                 MetricsSnapshot {
                     counters: s.counters.clone(),
                     gauges: s.gauges.clone(),
-                    histograms: s.histograms.clone(),
                     digests: s.digests.clone(),
                 }
             }
@@ -297,18 +261,9 @@ impl Telemetry {
         s.samples.clear();
         s.counters.clear();
         s.gauges.clear();
-        s.histograms.clear();
         s.digests.clear();
         s.dropped_spans = 0;
         inner.next_id.store(1, Ordering::Relaxed);
-    }
-
-    /// Fraction of `[t0, t1]` each track spent inside execute/comm spans
-    /// (busy), keyed by track name. Overlapping spans on one track are
-    /// merged before measuring, so colocated workers don't double-count.
-    pub fn utilization(&self, t0: f64, t1: f64) -> BTreeMap<String, f64> {
-        let spans = self.spans();
-        export::utilization(&spans, t0, t1)
     }
 
     /// Renders every recorded span and counter as Chrome/Perfetto
@@ -360,7 +315,7 @@ mod tests {
         assert!(t.spans().is_empty());
         assert_eq!(t.counter("c"), 0);
         assert!(t.gauge("g").is_none());
-        assert!(t.histogram("h").is_none());
+        assert!(t.digest("h").is_none());
     }
 
     #[test]
@@ -385,16 +340,20 @@ mod tests {
     }
 
     #[test]
-    fn histogram_accumulates() {
+    fn observe_accumulates_one_digest_with_the_observed_extremes() {
+        // A digest created on first observation starts at ±inf, so an
+        // all-positive series reports its own minimum, not 0.
         let t = Telemetry::enabled();
-        t.observe("lat", 1.0);
+        t.observe("lat", 2.0);
         t.observe("lat", 3.0);
-        let h = t.histogram("lat").unwrap();
-        assert_eq!(h.count, 2);
-        assert_eq!(h.sum, 4.0);
-        assert_eq!(h.min, 1.0);
-        assert_eq!(h.max, 3.0);
-        assert_eq!(h.mean(), 2.0);
+        let d = t.digest("lat").unwrap();
+        assert_eq!(d.count, 2);
+        assert_eq!(d.sum, 5.0);
+        assert_eq!(d.mean(), 2.5);
+        assert_eq!(d.min, 2.0);
+        assert_eq!(d.max, 3.0);
+        let empty = Digest::default();
+        assert_eq!((empty.min, empty.max), (f64::INFINITY, f64::NEG_INFINITY));
     }
 
     #[test]
@@ -402,7 +361,7 @@ mod tests {
         let t = Telemetry::enabled();
         t.span("a", "s", SpanKind::Phase, 0.0, 1.0);
         t.add_counter("c", 1);
-        t.observe_digest("d", 1.0);
+        t.observe("d", 1.0);
         t.clear();
         assert!(t.spans().is_empty());
         assert_eq!(t.counter("c"), 0);
@@ -432,7 +391,7 @@ mod tests {
         let t = Telemetry::disabled();
         assert_eq!(t.next_span_id(), 0);
         assert_eq!(t.dropped_spans(), 0);
-        t.observe_digest("d", 1.0);
+        t.observe("d", 1.0);
         assert!(t.digest("d").is_none());
     }
 
@@ -451,7 +410,7 @@ mod tests {
 
     #[test]
     fn digest_quantiles_bound_true_ranks() {
-        let mut d = Digest::new();
+        let mut d = Digest::default();
         for i in 1..=1000 {
             d.record(i as f64);
         }
@@ -469,9 +428,9 @@ mod tests {
 
     #[test]
     fn digest_merge_equals_union() {
-        let mut a = Digest::new();
-        let mut b = Digest::new();
-        let mut whole = Digest::new();
+        let mut a = Digest::default();
+        let mut b = Digest::default();
+        let mut whole = Digest::default();
         for i in 1..=100 {
             let v = (i as f64) * 0.37;
             if i % 2 == 0 {
@@ -487,7 +446,7 @@ mod tests {
 
     #[test]
     fn digest_handles_zero_and_negative() {
-        let mut d = Digest::new();
+        let mut d = Digest::default();
         d.record(0.0);
         d.record(-1.0);
         d.record(2.0);
@@ -502,8 +461,8 @@ mod tests {
     fn digest_bucketing_is_bit_deterministic() {
         // Same samples in different order -> identical digest.
         let vals = [0.001, 7.25, 3.0e9, 1.0, 0.999999, 1.000001];
-        let mut a = Digest::new();
-        let mut b = Digest::new();
+        let mut a = Digest::default();
+        let mut b = Digest::default();
         for v in vals {
             a.record(v);
         }

@@ -82,44 +82,6 @@ pub struct CounterSample {
     pub value: f64,
 }
 
-/// Streaming summary of observed values (count/sum/min/max).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Histogram {
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of observations.
-    pub sum: f64,
-    /// Smallest observation.
-    pub min: f64,
-    /// Largest observation.
-    pub max: f64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram { count: 0, sum: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
-    }
-}
-
-impl Histogram {
-    /// Adds one observation.
-    pub fn record(&mut self, value: f64) {
-        self.count += 1;
-        self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Mean of observations (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
-
 /// Streaming percentile digest over fixed log-spaced buckets.
 ///
 /// Bucket boundaries are derived from the *bit pattern* of the `f64`
@@ -131,7 +93,7 @@ impl Histogram {
 /// without ever shipping raw samples. Quantile queries return the
 /// deterministic bucket representative (geometric lower bound of the
 /// bucket holding the requested rank), never an interpolated value.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Digest {
     /// Number of observations.
     pub count: u64,
@@ -163,9 +125,10 @@ fn digest_representative(bucket: i64) -> f64 {
     f64::from_bits((exp << 52) | (frac << 48))
 }
 
-impl Digest {
-    /// An empty digest.
-    pub fn new() -> Self {
+impl Default for Digest {
+    /// An empty digest: `min`/`max` start at `±inf`, so the first
+    /// observation sets both.
+    fn default() -> Self {
         Digest {
             count: 0,
             sum: 0.0,
@@ -175,7 +138,9 @@ impl Digest {
             buckets: BTreeMap::new(),
         }
     }
+}
 
+impl Digest {
     /// Adds one observation. Non-finite values are ignored.
     pub fn record(&mut self, value: f64) {
         if !value.is_finite() {
@@ -242,8 +207,6 @@ pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
     /// Last-write-wins gauges.
     pub gauges: BTreeMap<String, f64>,
-    /// Value distributions (phase latencies, ...).
-    pub histograms: BTreeMap<String, Histogram>,
-    /// Mergeable percentile digests (stage latencies, TTFT, MTTR, ...).
+    /// Value distributions: phase and stage latencies, TTFT, MTTR, ...
     pub digests: BTreeMap<String, Digest>,
 }
