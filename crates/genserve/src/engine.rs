@@ -13,7 +13,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use hf_nn::{greedy_token, sample_softmax, DecodeState, TinyLm};
+use hf_nn::{greedy_token, sample_softmax, token_log_prob, DecodeState, TinyLm};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -54,11 +54,16 @@ pub struct GenRequest {
 }
 
 /// One finished response.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GenOutput {
     /// Generated tokens (prompt excluded; a terminating stop token is
     /// included), `len <= max_new_tokens`.
     pub tokens: Vec<usize>,
+    /// `logps[i]`: the log-probability of `tokens[i]` under the logits
+    /// it was sampled from, untempered ([`hf_nn::token_log_prob`]) — bit
+    /// for bit `TinyLm::log_probs(prompt ++ tokens)[prompt.len() − 1 + i]`,
+    /// since a decoded row is the forward's row.
+    pub logps: Vec<f32>,
 }
 
 /// Per-step scheduler observation, kept for telemetry.
@@ -145,6 +150,9 @@ struct Seq {
     id: usize,
     /// Prompt plus generated-so-far; survives preemption.
     tokens: Vec<usize>,
+    /// The log-prob of each generated token as it was sampled; survives
+    /// preemption with the tokens.
+    logps: Vec<f32>,
     prompt_len: usize,
     max_new: usize,
     temperature: f32,
@@ -269,7 +277,7 @@ impl GenSession<'_> {
         }
         let id = self.outputs.len();
         if r.max_new_tokens == 0 {
-            self.outputs.push(Some(GenOutput { tokens: Vec::new() }));
+            self.outputs.push(Some(GenOutput { tokens: Vec::new(), logps: Vec::new() }));
             return Ok(());
         }
         // Worst case the sequence runs alone: it feeds
@@ -286,6 +294,7 @@ impl GenSession<'_> {
         self.waiting.push_back(Seq {
             id,
             tokens: r.prompt.clone(),
+            logps: Vec::with_capacity(r.max_new_tokens),
             prompt_len: r.prompt.len(),
             max_new: r.max_new_tokens,
             temperature: r.temperature,
@@ -326,6 +335,7 @@ impl GenSession<'_> {
                     sample_softmax(&seq.last_logits, seq.temperature, &mut seq.rng)
                 };
                 seq.tokens.push(tok);
+                seq.logps.push(token_log_prob(&seq.last_logits, tok));
                 report.generated_tokens += 1;
                 if seq.tokens.len() == seq.prompt_len + 1 {
                     report.first_token_step.insert(seq.id, report.steps);
@@ -338,8 +348,10 @@ impl GenSession<'_> {
                         bm.release(b);
                     }
                     report.finish_step.insert(seq.id, report.steps);
-                    self.outputs[seq.id] =
-                        Some(GenOutput { tokens: seq.tokens[seq.prompt_len..].to_vec() });
+                    self.outputs[seq.id] = Some(GenOutput {
+                        tokens: seq.tokens[seq.prompt_len..].to_vec(),
+                        logps: seq.logps,
+                    });
                     trace.finished += 1;
                     continue;
                 }

@@ -19,7 +19,8 @@
 //! size, batch composition, preemption pattern, or prefix-sharing hit,
 //! each request's output is byte-identical to running
 //! `TinyLm::generate` on it alone (the equivalence proptest enforces
-//! exactly this).
+//! exactly this), and the log-prob recorded with each sampled token
+//! ([`GenOutput::logps`]) is bit for bit the forward's.
 
 #![warn(missing_docs)]
 

@@ -6,7 +6,11 @@
 //! Contract (DESIGN.md §2, "kernel contract"): every output element is
 //! the sum of its terms in ascending `k`, starting from `0.0`, each term
 //! a plain `mul` — exactly what the scalar loops it replaces compute, so
-//! results are bit-identical to them. Speed comes only from sharing a
+//! results are bit-identical to them. A sum of two products — a block's
+//! expand `n·Waᵀ + c·Uaᵀ` — is two products, the second's sums added to
+//! the first's stored ones, in the tape, the stage forward and the
+//! decoder alike: no kernel fuses them, so a decoded row is the
+//! forward's row bit for bit. Speed comes only from sharing a
 //! vector between *independent* outputs: [`LANES`] values of the lane
 //! dimension (rows of `x`/`g`, columns of `x` for `gᵀ·x`, sequences of a
 //! decode batch) sit in `[k][LANES]` panels — the layout every activation
@@ -114,26 +118,6 @@ impl<'a, const SKIP_ZERO: bool> Terms for Nn<'a, SKIP_ZERO> {
         } else {
             a.map(|v| v * b[c])
         }
-    }
-}
-
-/// `t + u` per step: the decoder's fused `n·Waᵀ + c·Uaᵀ` expansion adds
-/// both products *before* accumulating.
-#[derive(Clone, Copy)]
-pub(crate) struct Sum<T, U>(pub T, pub U);
-
-impl<T: Terms, U: Terms> Terms for Sum<T, U> {
-    type Step<const N: usize> = (T::Step<N>, U::Step<N>);
-
-    #[inline(always)]
-    fn steps<const N: usize>(self, j: usize) -> impl Iterator<Item = Self::Step<N>> {
-        self.0.steps::<N>(j).zip(self.1.steps::<N>(j))
-    }
-
-    #[inline(always)]
-    fn term<const N: usize>((t, u): &Self::Step<N>, c: usize) -> Lanes {
-        let (t, u) = (T::term::<N>(t, c), U::term::<N>(u, c));
-        std::array::from_fn(|l| t[l] + u[l])
     }
 }
 
@@ -390,28 +374,6 @@ pub(crate) mod tests {
             out
         }
 
-        /// `x · wᵀ + y · uᵀ` with the two products added term by term,
-        /// as the decoder's scalar `n·Waᵀ + c·Uaᵀ` loop does.
-        pub(crate) fn x_wt_plus_y_ut(
-            (x, w): (&[f32], &[f32]),
-            (y, u): (&[f32], &[f32]),
-            m: usize,
-            n: usize,
-            k: usize,
-        ) -> Vec<f32> {
-            let mut out = vec![0.0f32; m * n];
-            for i in 0..m {
-                for j in 0..n {
-                    let mut acc = 0.0f32;
-                    for kk in 0..k {
-                        acc += x[i * k + kk] * w[j * k + kk] + y[i * k + kk] * u[j * k + kk];
-                    }
-                    out[i * n + j] = acc;
-                }
-            }
-            out
-        }
-
         pub(crate) fn g_w(g: &[f32], w: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
             let mut out = vec![0.0f32; m * n];
             for i in 0..m {
@@ -625,11 +587,9 @@ pub(crate) mod tests {
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let (x, w) = (matrix(&mut rng, m, k), matrix(&mut rng, n, k));
-            let (y, u) = (matrix(&mut rng, m, k), matrix(&mut rng, n, k));
             let (g, b) = (matrix(&mut rng, m, k), matrix(&mut rng, k, n));
             let gx = matrix(&mut rng, m, n);
             let x_wt = bits(&reference::x_wt(&x, &w, m, n, k));
-            let sum = bits(&reference::x_wt_plus_y_ut((&x, &w), (&y, &u), m, n, k));
             let g_w = bits(&reference::g_w(&g, &b, m, k, n));
             // `gᵀ · x` with `x`'s columns as lanes is `[n × k]`: its
             // reference transposed. Where `x` holds an infinity, only the
@@ -642,7 +602,7 @@ pub(crate) mod tests {
             };
             let gt_x = transposed(reference::gt_x(&g, &gx, m, k, n));
             let gt_x_inf = transposed(reference::gt_x(&g, &gx_inf, m, k, n));
-            let (xp, yp) = (poisoned(mat(&x, m, k)), poisoned(mat(&y, m, k)));
+            let xp = poisoned(mat(&x, m, k));
             let g_rows = poisoned(mat(&g, m, k));
             let x_cols = |x: &[f32]| {
                 with_padding(f32::NAN, || Panels::from_mat(mat(x, m, n)).transpose_rows(0..m))
@@ -650,7 +610,6 @@ pub(crate) mod tests {
             let (gx_cols, gx_inf_cols) = (x_cols(&gx), x_cols(&gx_inf));
             let b = mat(&b, k, n);
             let xt = |i: usize| Nt { a: xp.panel(i), w: &w };
-            let yt = |i: usize| Nt { a: yp.panel(i), w: &u };
             // `g · b` takes the rows of `g` as lanes, `gᵀ · x` the columns
             // of `x` and broadcasts `g`'s values: there a masked row of `g`
             // is a step whose every broadcast value is zero.
@@ -662,7 +621,6 @@ pub(crate) mod tests {
                 // loop that skips them.
                 let cases = [
                     ("Nt", gather(isa, m, n, xt), &x_wt),
-                    ("Sum<Nt, Nt>", gather(isa, m, n, |i| Sum(xt(i), yt(i))), &sum),
                     ("Nn<true>", gather(isa, m, n, |i| Nn::<true> { a: rows(i), b }), &g_w),
                     ("Nn<false>", gather(isa, m, n, |i| Nn::<false> { a: rows(i), b }), &g_w),
                     (

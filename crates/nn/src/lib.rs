@@ -37,7 +37,8 @@ pub mod tensor;
 
 pub use adam::Adam;
 pub use model::{
-    greedy_token, sample_softmax, stacks, DecodeState, ForwardPass, LmConfig, TinyLm, STACK_ROWS,
+    greedy_token, sample_softmax, stacks, token_log_prob, DecodeState, ForwardPass, LmConfig,
+    TinyLm, STACK_ROWS,
 };
 pub use sharded::{grid_forward, ShardedLm, StageOutput};
 pub use tape::{Tape, Var};

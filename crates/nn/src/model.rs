@@ -26,7 +26,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 
-use crate::kernels::{self, Nt, Sum, LANES};
+use crate::kernels::{self, Nt, LANES};
 use crate::panels::{self, Panels};
 use crate::sharded::{self, Block};
 use crate::tape::{self, Tape, Var};
@@ -403,7 +403,9 @@ impl TinyLm {
 
     /// Feeds one token and returns `(next-token logits, value)` at this
     /// position, updating the cache in O(params) instead of O(params ×
-    /// position).
+    /// position). Every value is computed op for op as the forward pass
+    /// computes it, so the result is bit for bit the last row of
+    /// [`TinyLm::forward`] over every token fed so far.
     ///
     /// # Panics
     ///
@@ -436,10 +438,16 @@ impl TinyLm {
             for (j, a) in act.iter_mut().enumerate() {
                 let wrow = &wa[j * cfg.hidden..(j + 1) * cfg.hidden];
                 let urow = &ua[j * cfg.hidden..(j + 1) * cfg.hidden];
-                let mut s = 0.0f32;
+                // The forward's two products, each summed on its own,
+                // then added: `n·Waᵀ + c·Uaᵀ`.
+                let (mut s, mut t) = (0.0f32, 0.0f32);
                 for k in 0..cfg.hidden {
-                    s += n[k] * wrow[k] + c[k] * urow[k];
+                    s += n[k] * wrow[k];
                 }
+                for k in 0..cfg.hidden {
+                    t += c[k] * urow[k];
+                }
+                let s = s + t;
                 let sg = 1.0 / (1.0 + (-s).exp());
                 *a = s * sg;
             }
@@ -469,7 +477,7 @@ impl TinyLm {
             *lv = s;
         }
         let vh = &self.flat[self.vhead_offset()..self.vhead_offset() + cfg.hidden];
-        let value: f32 = f.iter().zip(vh.iter()).map(|(a, b)| a * b).sum();
+        let value = f.iter().zip(vh.iter()).fold(0.0f32, |s, (a, b)| s + a * b);
         (logits, value)
     }
 
@@ -480,7 +488,8 @@ impl TinyLm {
     ///
     /// Sequences may sit at arbitrary (ragged) positions; each advances
     /// by exactly one token. Results are **bit-identical** to calling
-    /// [`Self::decode_step`] once per sequence: every per-sequence
+    /// [`Self::decode_step`] once per sequence, and so to the forward's
+    /// rows: every per-sequence
     /// floating-point operation executes in the same order, only the
     /// sequences of a batch ride the lanes of the shared GEMM
     /// microkernel (`kernels.rs`), eight at a time with the last group
@@ -544,9 +553,14 @@ impl TinyLm {
             }
             // RMSNorm(h) · Waᵀ + c · Uaᵀ, SiLU, · Wbᵀ, residual.
             panels::rmsnorm_into(&h, gain, &mut n);
-            let expand = Sum(Nt { a: n.panel(0), w: wa }, Nt { a: c.panel(0), w: ua });
+            // The forward's expand: `n·Waᵀ` stored, then `c·Uaᵀ` added.
             let a = act.panel_mut(0);
-            kernels::panel_product(expand, cfg.ffn, |j, sums| a[j] = *sums);
+            kernels::panel_product(Nt { a: n.panel(0), w: wa }, cfg.ffn, |j, sums| a[j] = *sums);
+            kernels::panel_product(Nt { a: c.panel(0), w: ua }, cfg.ffn, |j, sums| {
+                for (av, &s) in a[j].iter_mut().zip(sums) {
+                    *av += s;
+                }
+            });
             // No `exp` is spent on padding. Out of the store, because the
             // `avx2` instantiation of the product would compute all eight
             // lanes' `exp` and mask the stores.
@@ -653,6 +667,21 @@ pub fn greedy_token(logits: &[f32]) -> usize {
         .max_by(|a, b| a.1.total_cmp(b.1))
         .map(|(i, _)| i)
         .expect("empty logits")
+}
+
+/// `ln softmax(logits)[tok]` of one row of logits, untempered, in the
+/// float expression every log-prob here has ([`TinyLm::log_probs`]):
+/// the maximum folded from `-∞`, `z = Σ exp(v − max)` in column order
+/// from `0.0`, and `ln(max(exp(logits[tok] − max) / z, 1e-30))`. Over a
+/// decoder's logits it is bit for bit the forward's log-prob of `tok`.
+///
+/// # Panics
+///
+/// Panics if `tok` is out of range.
+pub fn token_log_prob(logits: &[f32], tok: usize) -> f32 {
+    let m = logits.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+    let z = logits.iter().fold(0.0f32, |z, &v| z + (v - m).exp());
+    ((logits[tok] - m).exp() / z).max(1e-30).ln()
 }
 
 /// Samples an index from `softmax(logits / temperature)`.
@@ -1176,6 +1205,10 @@ mod padding_tests {
 mod decode_tests {
     use super::*;
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn incremental_decode_matches_full_forward() {
         let lm = TinyLm::new(LmConfig::tiny(), 21);
@@ -1186,18 +1219,77 @@ mod decode_tests {
             let fp = lm.forward(&seq[..=i]);
             let full_logits = fp.tape.value(fp.logits);
             let full_values = fp.tape.value(fp.values);
-            let last = full_logits.row(i);
-            for (v, (a, b)) in logits.iter().zip(last.iter()).enumerate() {
-                assert!(
-                    (a - b).abs() < 1e-4 * (1.0 + a.abs().max(b.abs())),
-                    "pos {i} vocab {v}: {a} vs {b}"
-                );
-            }
-            let fv = full_values.get(i, 0);
-            assert!((value - fv).abs() < 1e-4 * (1.0 + fv.abs()));
+            assert_eq!(bits(&logits), bits(full_logits.row(i)), "logits at pos {i}");
+            assert_eq!(value.to_bits(), full_values.get(i, 0).to_bits(), "value at pos {i}");
         }
         assert_eq!(state.position(), seq.len());
         assert_eq!(state.cache_bytes(), lm.cfg.layers * lm.cfg.hidden * 4);
+    }
+
+    #[test]
+    fn batched_decode_at_ragged_positions_matches_stacked_forward() {
+        // Sequence `i` is fed its first `i % 5` tokens alone, then the
+        // rest in lock-step with the batch: one batched step holds
+        // sequences at up to five positions. Each step's logits and
+        // value are the bits of that sequence's row of one stacked
+        // forward over every sequence whole.
+        let cfg = LmConfig { vocab: 24, hidden: 12, ffn: 20, layers: 3 };
+        let lm = TinyLm::new(cfg, 17);
+        let steps = 6;
+        for b in [1usize, 8, 9, 17] {
+            let seqs: Vec<Vec<usize>> = (0..b)
+                .map(|i| (0..i % 5 + steps).map(|t| (3 + 5 * i + 7 * t) % cfg.vocab).collect())
+                .collect();
+            let refs: Vec<&[usize]> = seqs.iter().map(Vec::as_slice).collect();
+            let fp = lm.forward_stacked(&refs);
+            let (logits, values) = (fp.tape.value(fp.logits), fp.tape.value(fp.values));
+            let starts: Vec<usize> = seqs
+                .iter()
+                .scan(0, |row, s| Some(std::mem::replace(row, *row + s.len())))
+                .collect();
+            let mut states: Vec<DecodeState> = seqs
+                .iter()
+                .map(|s| {
+                    let mut st = lm.decode_start();
+                    for &t in &s[..s.len() - steps] {
+                        lm.decode_step(&mut st, t);
+                    }
+                    st
+                })
+                .collect();
+            for step in 0..steps {
+                let feed: Vec<usize> = seqs.iter().map(|s| s[s.len() - steps + step]).collect();
+                let mut refs: Vec<&mut DecodeState> = states.iter_mut().collect();
+                let got = lm.decode_step_batch(&mut refs, &feed);
+                for (i, (gl, gv)) in got.iter().enumerate() {
+                    let row = starts[i] + seqs[i].len() - steps + step;
+                    assert_eq!(
+                        bits(gl),
+                        bits(logits.row(row)),
+                        "b = {b}: logits of {i}, step {step}"
+                    );
+                    assert_eq!(
+                        gv.to_bits(),
+                        values.get(row, 0).to_bits(),
+                        "b = {b}: value of {i}, step {step}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn token_log_prob_is_the_forward_log_prob() {
+        // Decoded logits through `token_log_prob` give the bits of
+        // `log_probs` over the same sequence.
+        let lm = TinyLm::new(LmConfig::tiny(), 23);
+        let seq = [4usize, 17, 2, 30, 9, 9, 0, 21, 13, 6, 28];
+        let want = lm.log_probs(&seq);
+        let mut state = lm.decode_start();
+        for (i, w) in seq.windows(2).enumerate() {
+            let (logits, _) = lm.decode_step(&mut state, w[0]);
+            assert_eq!(token_log_prob(&logits, w[1]).to_bits(), want[i].to_bits(), "pos {i}");
+        }
     }
 
     #[test]

@@ -66,7 +66,12 @@ pub struct RlhfConfig {
     /// Recompute response log-probs with a dedicated `compute_log_prob`
     /// forward pass after generation instead of trusting the generation
     /// engine's values (Table 4 marks this optional in PPO; real systems
-    /// use it when training and generation precision differ).
+    /// use it when training and generation precision differ). Here the
+    /// engine's values are the forward's bits, so the recompute changes
+    /// a number only under `hyper.tp_inference` on a model-parallel
+    /// layout, where it reads the tensor-parallel pass's numerics
+    /// (partials joined by all-reduce); otherwise it recomputes the same
+    /// bits.
     pub recompute_logp: bool,
     /// Tokens the rule-based reward model favours.
     pub good_tokens: Vec<u32>,

@@ -112,8 +112,9 @@ pub const GEN_PASS_META: &str = "__gen_pass";
 /// Meta key: set to `"1"` by a driver on a generation input whose
 /// `logp_old` it will not read — `compute_log_prob` is about to replace
 /// the column (`recompute_logp`), or only the pass's `scores` matter
-/// (ReMax's greedy baseline). `generate_sequences` then skips the forward
-/// pass behind the column and replies without it.
+/// (ReMax's greedy baseline). `generate_sequences` then replies without
+/// the column, and skips the forward pass a stop-shortened row's
+/// column needs.
 pub const NO_LOGP_META: &str = "__no_logp";
 
 fn splitmix(mut x: u64) -> u64 {
@@ -810,9 +811,13 @@ impl ActorWorker {
         let mut out = data.clone();
         out.meta.remove(GEN_PASS_META);
         if out.meta.remove(NO_LOGP_META).as_deref() != Some("1") {
-            // Every row here, not `mp_rows`: this method is dispatched by
-            // the *generation* grouping, under which the training
-            // model-parallel peers hold different rows (1-2-2 → 1-1-2-2).
+            // A full-length row's log-probs are the decode's: a decoded
+            // row is the forward's, bit for bit. A row a stop token cut
+            // short is padded, and its pad positions need the padded
+            // forward. Every row here, not `mp_rows`: this method is
+            // dispatched by the *generation* grouping, under which the
+            // training model-parallel peers hold different rows
+            // (1-2-2 → 1-1-2-2).
             let seqs: Vec<Vec<usize>> = (prompts.iter().zip(&outs))
                 .map(|(prompt, out)| {
                     let mut seq = [&prompt[..], &out.tokens[..]].concat();
@@ -820,10 +825,18 @@ impl ActorWorker {
                     seq
                 })
                 .collect();
-            let all_rows: Vec<usize> = (0..seqs.len()).collect();
+            let short: Vec<usize> =
+                (0..outs.len()).filter(|&i| outs[i].tokens.len() < resp_len).collect();
+            let mut padded =
+                stacked(&seqs, &short, |run| self.lm.log_probs_stacked(run)).into_iter();
             let mut logps: Vec<f32> = Vec::with_capacity(seqs.len() * resp_len);
-            for lp in stacked(&seqs, &all_rows, |run| self.lm.log_probs_stacked(run)) {
-                logps.extend_from_slice(&lp[pw - 1..pw - 1 + resp_len]);
+            for gen in &outs {
+                if gen.tokens.len() == resp_len {
+                    logps.extend_from_slice(&gen.logps);
+                } else {
+                    let lp = padded.next().expect("one padded pass per short row");
+                    logps.extend_from_slice(&lp[pw - 1..pw - 1 + resp_len]);
+                }
             }
             out.insert_f32("logp_old", logps, resp_len);
         }
