@@ -219,14 +219,17 @@ fn tp_joins_per_chunk(cfg: LmConfig, rows: usize) -> u64 {
 }
 
 /// What a forward-only pass costs on `LmConfig::tiny()`: building the
-/// tape's forward (`forward_stacked`, what `log_probs` / `values` paid
-/// until they left the tape) beside the tape-free `values_stacked` and
-/// `log_probs_stacked`, one sequence of `T` fed tokens a call — and what
-/// a training step's pass costs: the tape's forward, a PPO-shaped loss on
-/// its next-token log-probs and `backward_into` a reused buffer. Exact
-/// beside the timings: whether the two paths agree bit for bit, and the
-/// TP all-reduces a `tp_inference` pass makes for an 8-row chunk on 1-2-2
-/// — `layers`, where a pass per row made `8 × layers`.
+/// tape's forward (`forward`, both heads at every position: what
+/// `log_probs` / `values` paid until they left the tape) beside the
+/// tape-free `values_stacked` and `log_probs_stacked`, one sequence of
+/// `T` fed tokens a call, reading every position and then only the
+/// response half (the last `T / 2`, as a worker reads a response) — and
+/// what a training step's pass costs: the tape's forward, a PPO-shaped
+/// loss on its next-token log-probs and `backward_into` a reused buffer.
+/// Exact beside the timings: whether the tape-free and the half-window
+/// passes give the tape's bits, and the TP all-reduces a `tp_inference`
+/// pass makes for an 8-row chunk on 1-2-2 — `layers`, where a pass per
+/// row made `8 × layers`.
 pub fn inference_forward(fast: bool) -> Report {
     const BATCH: usize = 50;
     let batches = if fast { 3 } else { 31 };
@@ -249,6 +252,8 @@ pub fn inference_forward(fast: bool) -> Report {
             col("tape fwd+bwd", "us", 1),
             col("values_stacked", "us", 1),
             col("log_probs_stacked", "us", 1),
+            col("values, T/2 read", "us", 1),
+            col("log-probs, T/2 read", "us", 1),
             col("tape / values", "x", 2),
             label("bit-equal"),
             label("TP joins / 8-row chunk"),
@@ -259,6 +264,9 @@ pub fn inference_forward(fast: bool) -> Report {
         // `T + 1` tokens, so that the log-prob pass feeds `T` as well.
         let seq: Vec<usize> = (0..=t).map(|i| (i * 7 + 3) % cfg.vocab).collect();
         let fed = &seq[..t];
+        // One sequence's read window: every position, the response half.
+        #[allow(clippy::single_range_in_vec_init)]
+        let (every, half) = ([0..t], [t - t / 2..t]);
         // Ratios on both sides of the clip range (the model's own
         // log-probs sit near −ln 32), advantages of both signs.
         let old_logp: Vec<f32> = (0..t).map(|i| -3.8 + 0.1 * (i % 7) as f32).collect();
@@ -268,32 +276,38 @@ pub fn inference_forward(fast: bool) -> Report {
         // state, not the cache the other left behind — and the paths take
         // turns by the batch, so drift in the host's speed falls on all
         // of them alike.
-        let mut times = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
+        let mut times = [(); 6].map(|_| Vec::new());
         for _ in 0..batches {
             let mut timed = |slot: usize, call: &mut dyn FnMut()| {
                 let t0 = Instant::now();
                 (0..BATCH).for_each(|_| call());
                 times[slot].push(t0.elapsed().as_secs_f64() / BATCH as f64);
             };
-            timed(0, &mut || drop(black_box(lm.forward_stacked(&[fed]))));
+            timed(0, &mut || drop(black_box(lm.forward(fed))));
             timed(1, &mut || {
-                let mut fp = lm.forward_stacked(&[fed]);
-                let lp = fp.tape.gather_log_prob(fp.logits, &seq[1..]);
+                let (mut fp, lp) = lm.next_token_log_probs(&[&seq], &every);
                 let loss = fp.tape.ppo_clip_loss(lp, &old_logp, &adv, 0.2);
                 fp.backward_into(loss, black_box(&mut grads));
             });
-            timed(2, &mut || drop(black_box(lm.values_stacked(&[fed]))));
-            timed(3, &mut || drop(black_box(lm.log_probs_stacked(&[&seq]))));
+            timed(2, &mut || drop(black_box(lm.values_stacked(&[fed], &every))));
+            timed(3, &mut || drop(black_box(lm.log_probs_stacked(&[&seq], &every))));
+            timed(4, &mut || drop(black_box(lm.values_stacked(&[fed], &half))));
+            timed(5, &mut || drop(black_box(lm.log_probs_stacked(&[&seq], &half))));
         }
-        let [tape_s, train_s, values_s, logps_s] = times.map(median);
-        let (fp, values, logps) =
-            (lm.forward_stacked(&[fed]), lm.values_stacked(&[fed]), lm.log_probs_stacked(&[&seq]));
-        let (lp_pass, lp) = lm.next_token_log_probs(&[&seq]);
+        let [tape_s, train_s, values_s, logps_s, half_values_s, half_logps_s] = times.map(median);
+        let fp = lm.forward(fed);
+        let (lp_pass, lp) = lm.next_token_log_probs(&[&seq], &every);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let equal = bits(&values[0]) == bits(fp.tape.value(fp.values).data())
-            && bits(&logps[0]) == bits(lp_pass.tape.value(lp).data());
+        let (all_values, all_logps) = (fp.tape.value(fp.values), lp_pass.tape.value(lp));
+        let equal = [every, half].iter().all(|read| {
+            let (values, logps) =
+                (lm.values_stacked(&[fed], read), lm.log_probs_stacked(&[&seq], read));
+            let from = read[0].start;
+            bits(&values[0]) == bits(&all_values.data()[from..])
+                && bits(&logps[0]) == bits(&all_logps.data()[from..])
+        });
         if !equal {
-            failures.push(format!("T = {t}: the tape-free pass left the tape's bits"));
+            failures.push(format!("T = {t}: a tape-free pass left the tape's bits"));
         }
         table.push(vec![
             t.into(),
@@ -301,6 +315,8 @@ pub fn inference_forward(fast: bool) -> Report {
             (train_s * 1e6).into(),
             (values_s * 1e6).into(),
             (logps_s * 1e6).into(),
+            (half_values_s * 1e6).into(),
+            (half_logps_s * 1e6).into(),
             (tape_s / values_s).into(),
             if equal { "yes" } else { "NO" }.into(),
             joins.into(),

@@ -2,8 +2,9 @@
 //!
 //! Scheduling is iteration-level (Orca/vLLM style): every engine step
 //! feeds **one token per active sequence** through
-//! [`TinyLm::decode_step_batch`], so prefill and decode mix freely in
-//! one batch and a finishing sequence's slot is refilled from the
+//! [`TinyLm::decode_step_batch_reading`], so prefill and decode mix
+//! freely in one batch (a lane fed a token it will not sample after reads
+//! no logits) and a finishing sequence's slot is refilled from the
 //! waiting queue at the very next step instead of idling until the
 //! batch drains. Admission is strict FCFS; when the paged cache runs
 //! out of blocks mid-decode the scheduler preempts by *recompute* — the
@@ -444,21 +445,23 @@ impl GenSession<'_> {
         trace.batch = self.running.len();
         trace.prefill_lanes = self.running.iter().filter(|s| s.fed < s.prompt_len).count();
         let feed: Vec<usize> = self.running.iter().map(|s| s.tokens[s.fed]).collect();
+        // A sequence samples after this step once it is fed its last token.
+        let reads: Vec<bool> = self.running.iter().map(|s| s.fed + 1 == s.tokens.len()).collect();
         let results = {
             let mut states: Vec<&mut DecodeState> = self
                 .running
                 .iter_mut()
                 .map(|s| s.state.as_mut().expect("running sequence has a state"))
                 .collect();
-            self.lm.decode_step_batch(&mut states, &feed)
+            self.lm.decode_step_batch_reading(&mut states, &feed, &reads)
         };
-        for (seq, (logits, _value)) in self.running.iter_mut().zip(results) {
+        for (seq, read) in self.running.iter_mut().zip(results) {
             let block = seq.table[seq.fed / bt];
             seq.state
                 .as_ref()
                 .expect("state survives the step")
                 .write_snapshot(bm.slot_mut(block, seq.fed % bt));
-            seq.last_logits = logits;
+            seq.last_logits = read.map(|(logits, _value)| logits).unwrap_or_default();
             seq.fed += 1;
             // A freshly completed block whose slots all lie inside
             // the prompt becomes a shareable prefix.

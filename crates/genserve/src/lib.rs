@@ -11,8 +11,8 @@
 //!   snapshots, free-list allocation, per-sequence block tables,
 //!   refcounted prefix sharing, all accounted against a byte budget.
 //! * [`GenServer`] — an FCFS continuous-batching scheduler with
-//!   preemption-by-recompute, driving `TinyLm::decode_step_batch` one
-//!   token per sequence per step, with EOS/stop-token support and
+//!   preemption-by-recompute, driving `TinyLm::decode_step_batch_reading`
+//!   one token per sequence per step, with EOS/stop-token support and
 //!   variable-length outputs.
 //!
 //! Scheduling is semantically invisible: for any cache budget, block

@@ -26,6 +26,9 @@
 //!   with Adam).
 
 #![warn(missing_docs)]
+// A forward reads one window of positions per sequence, so a pass over
+// one sequence is handed `&[0..len]`: one window, not a range of them.
+#![allow(clippy::single_range_in_vec_init)]
 
 pub mod adam;
 mod kernels;
@@ -38,8 +41,8 @@ pub mod tensor;
 pub use adam::Adam;
 pub use model::{
     greedy_token, sample_softmax, stacks, token_log_prob, DecodeState, ForwardPass, LmConfig,
-    TinyLm, STACK_ROWS,
+    StackedPass, TinyLm, STACK_ROWS,
 };
-pub use sharded::{grid_forward, ShardedLm, StageOutput};
+pub use sharded::{grid_forward, Head, ShardedLm, StageOutput};
 pub use tape::{Tape, Var};
 pub use tensor::Tensor;

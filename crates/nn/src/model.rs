@@ -23,6 +23,8 @@
 
 #![allow(clippy::needless_range_loop)] // decode loops mirror the math
 
+use std::ops::Range;
+
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 
@@ -97,9 +99,9 @@ pub fn stacks(lens: impl IntoIterator<Item = usize>) -> Vec<std::ops::Range<usiz
     runs
 }
 
-/// The results of one differentiable forward pass over one sequence, or
-/// several stacked on the row dimension (one segment of the tape each);
-/// it borrows the model's parameters for as long as the tape lives.
+/// The results of one differentiable forward pass over one sequence,
+/// both heads at every position ([`TinyLm::forward`]); it borrows the
+/// model's parameters for as long as the tape lives.
 pub struct ForwardPass<'a> {
     /// The autograd tape holding the computation.
     pub tape: Tape<'a>,
@@ -110,13 +112,51 @@ pub struct ForwardPass<'a> {
 }
 
 impl ForwardPass<'_> {
-    /// Runs backward from the scalar `loss` of a single-sequence pass
-    /// and returns the flat parameter gradient.
-    pub fn backward(self, loss: Var) -> Vec<f32> {
+    /// Runs backward from the scalar `loss` and returns the flat
+    /// parameter gradient.
+    pub fn backward(mut self, loss: Var) -> Vec<f32> {
         let mut grads = [Vec::new()];
-        self.backward_into(loss, &mut grads);
+        self.tape.backward_into(loss, &mut grads);
         let [grad] = grads;
         grad
+    }
+}
+
+/// One differentiable forward pass over several sequences stacked on the
+/// row dimension, over the rows its caller reads
+/// ([`TinyLm::forward_stacked`]): segment `s` of a head holds the read
+/// window of sequence `s`. A head is formed on its first use, so one
+/// nobody reads costs nothing and takes a zero gradient.
+pub struct StackedPass<'a> {
+    /// The autograd tape holding the computation.
+    pub tape: Tape<'a>,
+    /// The final-norm features of the read rows, `[Σ reads × hidden]`.
+    features: Var,
+    /// The parameter windows of the LM head and the value head: on the
+    /// tape from the start, so that a head never formed is a window
+    /// nothing flowed into, and takes a zero gradient.
+    weights: [Var; 2],
+    logits: Option<Var>,
+    values: Option<Var>,
+}
+
+impl StackedPass<'_> {
+    /// The vocabulary logits of the read rows, `[Σ reads × vocab]`.
+    pub fn logits(&mut self) -> Var {
+        let logits = match self.logits {
+            Some(logits) => logits,
+            None => self.tape.matmul_nt(self.features, self.weights[0]),
+        };
+        *self.logits.insert(logits)
+    }
+
+    /// The scalar values of the read rows, `[Σ reads × 1]`.
+    pub fn values(&mut self) -> Var {
+        let values = match self.values {
+            Some(values) => values,
+            None => self.tape.matmul_nt(self.features, self.weights[1]),
+        };
+        *self.values.insert(values)
     }
 
     /// Runs backward from the per-sequence losses `loss` (`[S × 1]`) and
@@ -138,7 +178,12 @@ pub struct TinyLm {
 
 impl TinyLm {
     /// Initializes with scaled-normal weights from `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` has no block.
     pub fn new(cfg: LmConfig, seed: u64) -> Self {
+        assert!(cfg.layers > 0, "a model has at least one block");
         let mut rng = StdRng::seed_from_u64(seed);
         let n = cfg.param_count();
         let mut flat = vec![0.0f32; n];
@@ -202,25 +247,36 @@ impl TinyLm {
         &self.flat[self.block_region_start()..self.final_gain_offset()]
     }
 
-    /// Builds the differentiable forward pass over `ids`.
+    /// Builds the differentiable forward pass over `ids`, both heads at
+    /// every position.
     ///
     /// # Panics
     ///
     /// Panics if `ids` is empty or contains out-of-vocab tokens.
     pub fn forward(&self, ids: &[usize]) -> ForwardPass<'_> {
-        self.forward_stacked(&[ids])
+        let mut pass = self.forward_stacked(&[ids], &[0..ids.len()]);
+        let (logits, values) = (pass.logits(), pass.values());
+        ForwardPass { tape: pass.tape, logits, values }
     }
 
     /// Builds one differentiable forward pass over several sequences
-    /// stacked on the row dimension: row `Σ_{r<s} len(seqs[r]) + t` of
-    /// `logits` and `values` is position `t` of sequence `s`, bit for
-    /// bit what [`TinyLm::forward`] of that sequence alone gives.
+    /// stacked on the row dimension, reading rows `reads[s]` of sequence
+    /// `s`: row `Σ_{r<s} len(reads[r]) + i` of a head is position
+    /// `reads[s].start + i` of sequence `s`, bit for bit what
+    /// [`TinyLm::forward`] of that sequence alone gives.
+    ///
+    /// Every block but the last runs on every row. The last runs
+    /// `cum_mean` over every row and the rest of it, like the final norm
+    /// and the heads, on the read rows only: a row nobody reads would
+    /// only add `±0.0` terms to every parameter-gradient sum, which starts
+    /// at `+0.0` (DESIGN.md §2, "kernel contract"), so leaving it out
+    /// moves no bit of any value or gradient.
     ///
     /// # Panics
     ///
-    /// Panics if there is no sequence, one is empty, or a token is out
-    /// of vocab.
-    pub fn forward_stacked(&self, seqs: &[&[usize]]) -> ForwardPass<'_> {
+    /// Panics if there is no sequence, one is empty, a token is out of
+    /// vocab, or `reads` is not one window per sequence inside it.
+    pub fn forward_stacked(&self, seqs: &[&[usize]], reads: &[Range<usize>]) -> StackedPass<'_> {
         assert!(
             !seqs.is_empty() && seqs.iter().all(|s| !s.is_empty()),
             "forward needs at least one token"
@@ -244,13 +300,19 @@ impl TinyLm {
             })
             .collect();
         let fgain = tape.param(self.final_gain_offset(), 1, cfg.hidden);
-        let head = tape.param(self.head_offset(), cfg.vocab, cfg.hidden);
-        let vhead = tape.param(self.vhead_offset(), 1, cfg.hidden);
+        let weights = [
+            tape.param(self.head_offset(), cfg.vocab, cfg.hidden),
+            tape.param(self.vhead_offset(), 1, cfg.hidden),
+        ];
 
         let lens: Vec<usize> = seqs.iter().map(|s| s.len()).collect();
         let mut h = tape.embed_segments(embed, &seqs.concat(), &lens);
-        for [gain, wa, ua, wb] in blocks {
-            let c = tape.cum_mean(h);
+        for (l, [gain, wa, ua, wb]) in blocks.into_iter().enumerate() {
+            let mut c = tape.cum_mean(h);
+            // Past its `cum_mean` the last block is row-wise.
+            if l + 1 == cfg.layers {
+                (h, c) = (tape.slice_rows(h, reads), tape.slice_rows(c, reads));
+            }
             let n = tape.rmsnorm(h, gain);
             let a1 = tape.matmul_nt(n, wa);
             let a2 = tape.matmul_nt(c, ua);
@@ -259,11 +321,8 @@ impl TinyLm {
             let out = tape.matmul_nt(act, wb);
             h = tape.add(h, out);
         }
-        let f = tape.rmsnorm(h, fgain);
-        let logits = tape.matmul_nt(f, head);
-        let values = tape.matmul_nt(f, vhead);
-
-        ForwardPass { tape, logits, values }
+        let features = tape.rmsnorm(h, fgain);
+        StackedPass { tape, features, weights, logits: None, values: None }
     }
 
     /// The `[rows × cols]` parameter matrix at `off` in the flat buffer.
@@ -271,17 +330,18 @@ impl TinyLm {
         Mat { data: &self.flat[off..off + rows * cols], rows, cols }
     }
 
-    /// The final-norm features of several sequences stacked on the row
-    /// dimension (`[Σ len × hidden]`), without a tape: the stage forward
-    /// of [`crate::ShardedLm`] at `p = t = 1`, reading the flat buffer in
-    /// place. Bit for bit the features [`TinyLm::forward_stacked`] forms;
-    /// nothing but the stream itself is alive between two blocks.
+    /// The final-norm features of rows `reads[s]` of several sequences
+    /// `s` stacked on the row dimension (`[Σ reads × hidden]`), without a
+    /// tape: the stage forward of [`crate::ShardedLm`] at `p = t = 1`,
+    /// reading the flat buffer in place. Bit for bit the features
+    /// [`TinyLm::forward_stacked`] forms; nothing but the stream itself is
+    /// alive between two blocks.
     ///
     /// # Panics
     ///
-    /// Panics if there is no sequence, one is empty, or a token is out
-    /// of vocab.
-    fn features_stacked(&self, seqs: &[&[usize]]) -> Panels {
+    /// Panics if there is no sequence, one is empty, a token is out of
+    /// vocab, or `reads` is not one window per sequence inside it.
+    fn features_stacked(&self, seqs: &[&[usize]], reads: &[Range<usize>]) -> Panels {
         assert!(
             !seqs.is_empty() && seqs.iter().all(|s| !s.is_empty()),
             "forward needs at least one token"
@@ -299,7 +359,7 @@ impl TinyLm {
                 wb: self.window(gain + h + 2 * f * h, h, f),
             }
         });
-        let out = sharded::run_blocks(x, &lens, blocks, |partial| partial);
+        let out = sharded::run_blocks(x, &lens, reads, blocks, |partial| partial);
         let gain = self.final_gain_offset();
         panels::rmsnorm(&out, &self.flat[gain..gain + h])
     }
@@ -307,55 +367,64 @@ impl TinyLm {
     /// Log-probabilities of each next token: `out[t] = log p(ids[t+1] |
     /// ids[0..=t])`, length `ids.len() - 1` (no gradient).
     pub fn log_probs(&self, ids: &[usize]) -> Vec<f32> {
-        self.log_probs_stacked(&[ids]).swap_remove(0)
+        self.log_probs_stacked(&[ids], &[0..ids.len().saturating_sub(1)]).swap_remove(0)
     }
 
     /// The stacked differentiable forward pass that predicts every
     /// sequence's next tokens — sequence `s` feeds `seqs[s][..len − 1]` —
-    /// and, on its tape, the log-probability of each next token
-    /// (`[Σ (len − 1) × 1]`).
+    /// and, on its tape, the log-probability of each next token it reads:
+    /// position `t` of sequence `s`, `t` in `reads[s]`, is
+    /// `log p(seqs[s][t + 1] | seqs[s][..=t])` (`[Σ reads × 1]`).
     ///
     /// # Panics
     ///
-    /// Panics if a sequence has fewer than two tokens.
-    pub fn next_token_log_probs(&self, seqs: &[&[usize]]) -> (ForwardPass<'_>, Var) {
-        assert!(seqs.iter().all(|s| s.len() >= 2));
-        let inputs: Vec<&[usize]> = seqs.iter().map(|s| &s[..s.len() - 1]).collect();
-        let targets: Vec<usize> = seqs.iter().flat_map(|s| &s[1..]).copied().collect();
-        let mut fp = self.forward_stacked(&inputs);
-        let lp = fp.tape.gather_log_prob(fp.logits, &targets);
-        (fp, lp)
+    /// Panics if a sequence has fewer than two tokens or `reads` is not
+    /// one window per sequence inside its `len − 1` positions.
+    pub fn next_token_log_probs(
+        &self,
+        seqs: &[&[usize]],
+        reads: &[Range<usize>],
+    ) -> (StackedPass<'_>, Var) {
+        let (inputs, targets) = next_tokens(seqs, reads);
+        let mut pass = self.forward_stacked(&inputs, reads);
+        let logits = pass.logits();
+        let lp = pass.tape.gather_log_prob(logits, &targets);
+        (pass, lp)
     }
 
-    /// [`TinyLm::log_probs`] of every sequence, through one stacked
-    /// forward pass that builds no tape: bit for bit the values of
-    /// [`TinyLm::next_token_log_probs`].
+    /// [`TinyLm::log_probs`] of every sequence at the positions `reads`,
+    /// through one stacked forward pass that builds no tape: bit for bit
+    /// the values of [`TinyLm::next_token_log_probs`].
     ///
     /// # Panics
     ///
-    /// Panics if a sequence has fewer than two tokens.
-    pub fn log_probs_stacked(&self, seqs: &[&[usize]]) -> Vec<Vec<f32>> {
-        assert!(seqs.iter().all(|s| s.len() >= 2));
-        let inputs: Vec<&[usize]> = seqs.iter().map(|s| &s[..s.len() - 1]).collect();
-        let f = self.features_stacked(&inputs);
+    /// Panics if a sequence has fewer than two tokens or `reads` is not
+    /// one window per sequence inside its `len − 1` positions.
+    pub fn log_probs_stacked(&self, seqs: &[&[usize]], reads: &[Range<usize>]) -> Vec<Vec<f32>> {
+        let (inputs, targets) = next_tokens(seqs, reads);
+        let f = self.features_stacked(&inputs, reads);
         let head = self.window(self.head_offset(), self.cfg.vocab, self.cfg.hidden);
-        let targets: Vec<usize> = seqs.iter().flat_map(|s| &s[1..]).copied().collect();
         let lp = tape::log_probs(&kernels::x_wt(&f, head), &targets);
-        split_rows(&lp, seqs.iter().map(|s| s.len() - 1))
+        split_rows(&lp, reads.iter().map(Range::len))
     }
 
     /// Per-position scalar values over `ids` (no gradient).
     pub fn values(&self, ids: &[usize]) -> Vec<f32> {
-        self.values_stacked(&[ids]).swap_remove(0)
+        self.values_stacked(&[ids], &[0..ids.len()]).swap_remove(0)
     }
 
-    /// [`TinyLm::values`] of every sequence, through one stacked forward
-    /// pass that builds no tape: bit for bit the values head of
-    /// [`TinyLm::forward_stacked`].
-    pub fn values_stacked(&self, seqs: &[&[usize]]) -> Vec<Vec<f32>> {
-        let f = self.features_stacked(seqs);
+    /// [`TinyLm::values`] of every sequence at the positions `reads`,
+    /// through one stacked forward pass that builds no tape: bit for bit
+    /// the values head of [`TinyLm::forward_stacked`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if there is no sequence, one is empty, or `reads` is not one
+    /// window per sequence inside it.
+    pub fn values_stacked(&self, seqs: &[&[usize]], reads: &[Range<usize>]) -> Vec<Vec<f32>> {
+        let f = self.features_stacked(seqs, reads);
         let values = kernels::x_wt(&f, self.window(self.vhead_offset(), 1, self.cfg.hidden));
-        split_rows(values.column(), seqs.iter().map(|s| s.len()))
+        split_rows(values.column(), reads.iter().map(Range::len))
     }
 
     /// Samples `len` continuation tokens after `prompt` at `temperature`
@@ -507,13 +576,38 @@ impl TinyLm {
         states: &mut [&mut DecodeState],
         tokens: &[usize],
     ) -> Vec<(Vec<f32>, f32)> {
+        let reads = vec![true; tokens.len()];
+        let out = self.decode_step_batch_reading(states, tokens, &reads);
+        out.into_iter().map(|read| read.expect("every lane is read")).collect()
+    }
+
+    /// [`TinyLm::decode_step_batch`] where the caller reads sequence
+    /// `i`'s `(logits, value)` only if `reads[i]` — a sequence that is
+    /// fed a prompt token it will not sample after reads nothing. A lane
+    /// group in which no lane is read runs its last block only as far as
+    /// the running context sums and forms no head: every state advances
+    /// exactly as in a full step, and each of its lanes gives `None`. A
+    /// group with a read lane is computed whole, and gives every lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tokens` or `reads` is not one per state, or any token
+    /// is out of vocab.
+    pub fn decode_step_batch_reading(
+        &self,
+        states: &mut [&mut DecodeState],
+        tokens: &[usize],
+        reads: &[bool],
+    ) -> Vec<Option<(Vec<f32>, f32)>> {
         assert_eq!(states.len(), tokens.len(), "decode_step_batch needs one token per state");
+        assert_eq!(states.len(), reads.len(), "decode_step_batch needs one read flag per state");
         for &t in tokens {
             assert!(t < self.cfg.vocab, "token {t} out of vocab");
         }
         let mut out = Vec::with_capacity(tokens.len());
-        for (states, tokens) in states.chunks_mut(LANES).zip(tokens.chunks(LANES)) {
-            self.decode_lane_group(states, tokens, &mut out);
+        let groups = states.chunks_mut(LANES).zip(tokens.chunks(LANES)).zip(reads.chunks(LANES));
+        for ((states, tokens), reads) in groups {
+            self.decode_lane_group(states, tokens, reads.contains(&true), &mut out);
         }
         out
     }
@@ -521,11 +615,14 @@ impl TinyLm {
     /// One batched decode step of up to [`LANES`] sequences, one per
     /// lane: activations are one panel each (`[feature][lane]`), and the
     /// padding lanes past the last sequence are computed and dropped.
+    /// Unless the group is `read`, the last block stops after the
+    /// context sums and no head is formed.
     fn decode_lane_group(
         &self,
         states: &mut [&mut DecodeState],
         tokens: &[usize],
-        out: &mut Vec<(Vec<f32>, f32)>,
+        read: bool,
+        out: &mut Vec<Option<(Vec<f32>, f32)>>,
     ) {
         let cfg = self.cfg;
         let live = tokens.len();
@@ -551,6 +648,9 @@ impl TinyLm {
                     ck[lane] = *acc * inv_pos[lane];
                 }
             }
+            if !read && l + 1 == cfg.layers {
+                break;
+            }
             // RMSNorm(h) · Waᵀ + c · Uaᵀ, SiLU, · Wbᵀ, residual.
             panels::rmsnorm_into(&h, gain, &mut n);
             // The forward's expand: `n·Waᵀ` stored, then `c·Uaᵀ` added.
@@ -575,13 +675,17 @@ impl TinyLm {
         for state in states.iter_mut() {
             state.pos += 1;
         }
+        if !read {
+            out.extend((0..live).map(|_| None));
+            return;
+        }
         // Final norm + heads.
         let fg = &self.flat[self.final_gain_offset()..self.final_gain_offset() + cfg.hidden];
         let f = &mut n; // reuse the norm buffer for the final features
         panels::rmsnorm_into(&h, fg, f);
         let logits = kernels::x_wt(f, self.window(self.head_offset(), cfg.vocab, cfg.hidden));
         let values = kernels::x_wt(f, self.window(self.vhead_offset(), 1, cfg.hidden));
-        out.extend((0..live).map(|lane| (logits.row(lane).collect(), values.column()[lane])));
+        out.extend((0..live).map(|lane| Some((logits.row(lane).collect(), values.column()[lane]))));
     }
 
     /// Rebuilds a decode state from a snapshot taken (via
@@ -641,6 +745,20 @@ impl DecodeState {
             off += layer.len();
         }
     }
+}
+
+/// What a next-token pass feeds — every sequence but its last token —
+/// and the targets of the positions `reads` it reads, back to back.
+///
+/// # Panics
+///
+/// Panics if a sequence has fewer than two tokens or a window runs past
+/// its `len − 1` positions.
+fn next_tokens<'s>(seqs: &[&'s [usize]], reads: &[Range<usize>]) -> (Vec<&'s [usize]>, Vec<usize>) {
+    assert!(seqs.iter().all(|s| s.len() >= 2), "a next-token pass needs two tokens a sequence");
+    let inputs = seqs.iter().map(|s| &s[..s.len() - 1]).collect();
+    let targets = seqs.iter().zip(reads).flat_map(|(s, r)| &s[1..][r.clone()]).copied().collect();
+    (inputs, targets)
 }
 
 /// One value per stacked row, cut back into one vector per sequence.
@@ -799,6 +917,47 @@ mod tests {
     }
 
     #[test]
+    fn an_unread_lane_group_advances_its_states_and_forms_no_head() {
+        // Read flags by the lane group: none read, one lane of the second
+        // group read, every lane read. An unread group's states advance
+        // bit for bit as in a full step, and a read group gives every lane.
+        let cfg = LmConfig { vocab: 24, hidden: 12, ffn: 20, layers: 3 };
+        let lm = TinyLm::new(cfg, 19);
+        for (b, read) in [(3usize, None), (13, Some(9)), (17, Some(16))] {
+            let reads: Vec<bool> = (0..b).map(|i| Some(i) == read).collect();
+            let feed: Vec<usize> = (0..b).map(|i| (2 + 5 * i) % cfg.vocab).collect();
+            let start: Vec<DecodeState> = (0..b)
+                .map(|i| {
+                    let mut st = lm.decode_start();
+                    for t in 0..i % 4 {
+                        lm.decode_step(&mut st, (t + i) % cfg.vocab);
+                    }
+                    st
+                })
+                .collect();
+            let (mut full, mut partial) = (start.clone(), start);
+            let want = lm.decode_step_batch(&mut full.iter_mut().collect::<Vec<_>>(), &feed);
+            let mut refs: Vec<&mut DecodeState> = partial.iter_mut().collect();
+            let got = lm.decode_step_batch_reading(&mut refs, &feed, &reads);
+            assert_eq!(partial, full, "b = {b}: the states advance as in a full step");
+            for (i, (got, (logits, value))) in got.iter().zip(&want).enumerate() {
+                let group_read = read.is_some_and(|r| r / LANES == i / LANES);
+                match got {
+                    Some((l, v)) => {
+                        assert!(group_read, "b = {b}: lane {i} of an unread group");
+                        assert_eq!(
+                            l.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                            logits.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                        );
+                        assert_eq!(v.to_bits(), value.to_bits());
+                    }
+                    None => assert!(!group_read, "b = {b}: lane {i} of a read group"),
+                }
+            }
+        }
+    }
+
+    #[test]
     fn snapshot_resume_round_trips() {
         let cfg = LmConfig { vocab: 24, hidden: 12, ffn: 20, layers: 3 };
         let lm = TinyLm::new(cfg, 13);
@@ -868,9 +1027,9 @@ mod gradient_tests {
         let (pw, rw) = (seq.len() - 1 - adv.len(), adv.len());
         let mut fp = lm.forward(&seq[..seq.len() - 1]);
         let lp_all = fp.tape.gather_log_prob(fp.logits, &seq[1..]);
-        let lp = fp.tape.slice_rows(lp_all, pw, pw + rw);
+        let lp = fp.tape.slice_rows(lp_all, &[pw..pw + rw]);
         let ppo = fp.tape.ppo_clip_loss(lp, &old_logp, &adv, 0.2);
-        let v = fp.tape.slice_rows(fp.values, pw, pw + rw);
+        let v = fp.tape.slice_rows(fp.values, &[pw..pw + rw]);
         let vloss = fp.tape.value_clip_loss(v, &returns, &old_v, 0.2);
         let loss = fp.tape.add(ppo, vloss);
         (fp, loss)
@@ -975,8 +1134,9 @@ mod stacking_tests {
                 })
                 .collect();
             let refs: Vec<&[usize]> = seqs.iter().map(Vec::as_slice).collect();
-            let fp = lm.forward_stacked(&refs);
-            let (logits, values) = (fp.tape.value(fp.logits), fp.tape.value(fp.values));
+            let mut fp = lm.forward_stacked(&refs, &every(&refs, 0));
+            let (logits, values) = (fp.logits(), fp.values());
+            let (logits, values) = (fp.tape.value(logits), fp.tape.value(values));
             let mut row = 0;
             for seq in &seqs {
                 let alone = lm.forward(seq);
@@ -994,9 +1154,9 @@ mod stacking_tests {
                 row += seq.len();
             }
             assert_eq!(row, logits.rows());
-            let stacked = lm.values_stacked(&refs);
+            let stacked = lm.values_stacked(&refs, &every(&refs, 0));
             let long: Vec<&[usize]> = refs.iter().copied().filter(|s| s.len() >= 2).collect();
-            let logps = lm.log_probs_stacked(&long);
+            let logps = lm.log_probs_stacked(&long, &every(&long, 1));
             for (seq, v) in refs.iter().zip(&stacked) {
                 assert_eq!(bits(v), bits(&lm.values(seq)));
             }
@@ -1006,20 +1166,25 @@ mod stacking_tests {
         }
     }
 
+    /// Every position of each of `seqs` but its last `short` ones.
+    pub(super) fn every(seqs: &[&[usize]], short: usize) -> Vec<Range<usize>> {
+        seqs.iter().map(|s| 0..s.len() - short).collect()
+    }
+
     /// The actor's loss (PPO clip + entropy bonus on the response window)
-    /// over `seqs` stacked; targets of the window given back to back.
+    /// over `seqs` stacked, as the actor builds it: a pass that reads the
+    /// window; targets of the window given back to back.
     fn actor_pass<'a>(
         lm: &'a TinyLm,
         seqs: &[&[usize]],
         (pw, rw): (usize, usize),
         old_logp: &[f32],
         adv: &[f32],
-    ) -> (ForwardPass<'a>, Var) {
-        let (mut fp, lp_all) = lm.next_token_log_probs(seqs);
-        let lp = fp.tape.slice_rows(lp_all, pw - 1, pw - 1 + rw);
+    ) -> (StackedPass<'a>, Var) {
+        let (mut fp, lp) = lm.next_token_log_probs(seqs, &vec![pw - 1..pw - 1 + rw; seqs.len()]);
         let ppo = fp.tape.ppo_clip_loss(lp, old_logp, adv, 0.2);
-        let window = fp.tape.slice_rows(fp.logits, pw - 1, pw - 1 + rw);
-        let ent = fp.tape.mean_entropy(window);
+        let logits = fp.logits();
+        let ent = fp.tape.mean_entropy(logits);
         let bonus = fp.tape.scale(ent, -0.01);
         let loss = fp.tape.add(ppo, bonus);
         (fp, loss)
@@ -1032,11 +1197,19 @@ mod stacking_tests {
         (pw, rw): (usize, usize),
         returns: &[f32],
         old_v: &[f32],
-    ) -> (ForwardPass<'a>, Var) {
-        let mut fp = lm.forward_stacked(seqs);
-        let v = fp.tape.slice_rows(fp.values, pw - 1, pw - 1 + rw);
-        let loss = fp.tape.value_clip_loss(v, returns, old_v, 0.2);
+    ) -> (StackedPass<'a>, Var) {
+        let mut fp = lm.forward_stacked(seqs, &vec![pw - 1..pw - 1 + rw; seqs.len()]);
+        let values = fp.values();
+        let loss = fp.tape.value_clip_loss(values, returns, old_v, 0.2);
         (fp, loss)
+    }
+
+    /// The flat gradient of a one-sequence pass.
+    pub(super) fn backward(fp: StackedPass, loss: Var) -> Vec<f32> {
+        let mut grads = [Vec::new()];
+        fp.backward_into(loss, &mut grads);
+        let [grad] = grads;
+        grad
     }
 
     #[test]
@@ -1080,7 +1253,7 @@ mod stacking_tests {
             let (fp, loss) =
                 actor_pass(&lm, &[seq], (pw, rw), &old_logp[own.clone()], &adv[own.clone()]);
             assert_eq!(losses[s].to_bits(), fp.tape.value(loss).get(0, 0).to_bits());
-            assert_eq!(bits(&grads[s][..n]), bits(&fp.backward(loss)), "actor gradient {s}");
+            assert_eq!(bits(&grads[s][..n]), bits(&backward(fp, loss)), "actor gradient {s}");
             assert!(grads[s][n].is_nan());
         }
 
@@ -1094,7 +1267,7 @@ mod stacking_tests {
             let (fp, loss) =
                 critic_pass(&lm, &[seq], (pw, rw), &returns[own.clone()], &old_v[own.clone()]);
             assert_eq!(losses[s].to_bits(), fp.tape.value(loss).get(0, 0).to_bits());
-            assert_eq!(bits(&grads[s][..n]), bits(&fp.backward(loss)), "critic gradient {s}");
+            assert_eq!(bits(&grads[s][..n]), bits(&backward(fp, loss)), "critic gradient {s}");
         }
         assert!(grads[3][..n].iter().all(|g| g.to_bits() == 0), "all rows clipped: +0.0");
         assert!(grads[0][..n].iter().any(|&g| g != 0.0));
@@ -1105,10 +1278,12 @@ mod stacking_tests {
 mod padding_tests {
     use proptest::prelude::*;
 
+    use super::stacking_tests::{backward, every};
     use super::*;
     use crate::kernels::tests::SCAN_HITS;
     use crate::panels::with_padding;
-    use crate::sharded::{ShardedLm, StageOutput};
+    use crate::sharded::{Head, ShardedLm, StageOutput};
+    use crate::tensor::Tensor;
 
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
@@ -1117,26 +1292,42 @@ mod padding_tests {
     /// One loss per sequence of `seqs` stacked, through every op of the
     /// tape: the PPO clip loss on the next-token log-probs, an entropy
     /// bonus, the clipped value loss and the mean first value
-    /// (`slice_rows`, `mean_all`). The per-row inputs come from the tokens,
-    /// so a sequence gets the same ones stacked or alone.
-    fn pass<'a>(lm: &'a TinyLm, seqs: &[&[usize]]) -> (ForwardPass<'a>, Var) {
+    /// (`slice_rows`, `mean_all`); and the pass's logits and values. The
+    /// per-row inputs come from the tokens, so a sequence gets the same
+    /// ones stacked or alone.
+    fn pass<'a>(lm: &'a TinyLm, seqs: &[&[usize]]) -> (StackedPass<'a>, [Var; 3]) {
         let per_row = |base: f32, step: f32, m: usize| -> Vec<f32> {
             seqs.iter().flat_map(|s| &s[1..]).map(|&t| base + step * (t % m) as f32).collect()
         };
         let (old_logp, adv) = (per_row(-3.4, 0.13, 7), per_row(-0.6, 0.35, 5));
         let (returns, old_v) = (per_row(-0.4, 0.2, 6), per_row(-0.3, 0.15, 5));
-        let (mut fp, lp) = lm.next_token_log_probs(seqs);
+        let (mut fp, lp) = lm.next_token_log_probs(seqs, &every(seqs, 1));
+        let (logits, values) = (fp.logits(), fp.values());
         let tape = &mut fp.tape;
         let ppo = tape.ppo_clip_loss(lp, &old_logp, &adv, 0.2);
-        let entropy = tape.mean_entropy(fp.logits);
+        let entropy = tape.mean_entropy(logits);
         let bonus = tape.scale(entropy, -0.01);
-        let vloss = tape.value_clip_loss(fp.values, &returns, &old_v, 0.2);
-        let first = tape.slice_rows(fp.values, 0, 1);
+        let vloss = tape.value_clip_loss(values, &returns, &old_v, 0.2);
+        let first = tape.slice_rows(values, &vec![0..1; seqs.len()]);
         let first = tape.mean_all(first);
         let loss = tape.add(ppo, bonus);
         let loss = tape.add(loss, vloss);
         let loss = tape.add(loss, first);
-        (fp, loss)
+        (fp, [logits, values, loss])
+    }
+
+    /// `head` of a one-stage, one-shard model's stage forward over `ids`
+    /// in segments of `lens`, read at `reads`.
+    fn stage_head(
+        stage: &ShardedLm,
+        (ids, lens): (&[usize], &[usize]),
+        reads: &[Range<usize>],
+        head: Head,
+    ) -> Tensor {
+        match stage.forward_stage_stacked(stage.embed(ids), lens, reads, head, |p| p.to_vec()) {
+            StageOutput::Final(out) => out,
+            StageOutput::Hidden(_) => unreachable!("one stage finalizes"),
+        }
     }
 
     proptest! {
@@ -1165,38 +1356,173 @@ mod padding_tests {
             // Everything stacked, with every padding lane `pad`.
             let stacked = |pad: f32| with_padding(pad, || {
                 SCAN_HITS.set(0);
-                let (fp, loss) = pass(&lm, &refs);
-                let values = [fp.logits, fp.values, loss].map(|v| fp.tape.value(v));
+                let (fp, vars) = pass(&lm, &refs);
+                let values = vars.map(|v| fp.tape.value(v));
                 let mut grads = vec![Vec::new(); refs.len()];
-                fp.backward_into(loss, &mut grads);
+                fp.backward_into(vars[2], &mut grads);
                 let hits = SCAN_HITS.get();
-                let h = stage.embed(&inputs.concat());
-                let out = stage.forward_stage_stacked(h, &lens, |partial| partial.to_vec());
-                (values, grads, hits, out, lm.log_probs_stacked(&refs), lm.values_stacked(&inputs))
+                let ids = (&inputs.concat()[..], &lens[..]);
+                let heads = [Head::Logits, Head::Values]
+                    .map(|head| stage_head(&stage, ids, &every(&inputs, 0), head));
+                let logps = lm.log_probs_stacked(&refs, &every(&refs, 1));
+                (values, grads, hits, heads, logps, lm.values_stacked(&inputs, &every(&inputs, 0)))
             });
             let (poisoned, zero) = (stacked(f32::NAN), stacked(0.0));
             prop_assert_eq!(poisoned.2, zero.2, "padding reached the skip-zero scan");
-            let ([logits, values, losses], grads, _, out, logps, vals) = poisoned;
-            let StageOutput::Final { logits: stage_logits, values: stage_values } = out else {
-                unreachable!("one stage finalizes")
-            };
+            let ([logits, values, losses], grads, _, [stage_logits, stage_values], logps, vals) = poisoned;
             let (n, mut row) = (cfg.param_count(), 0);
             for (s, seq) in refs.iter().enumerate() {
-                let (fp, loss) = pass(&lm, &[*seq]);
-                let (alone_logits, alone_values) = (fp.tape.value(fp.logits), fp.tape.value(fp.values));
+                let (fp, [alone_logits, alone_values, loss]) = pass(&lm, &[*seq]);
+                let (alone_logits, alone_values) = (fp.tape.value(alone_logits), fp.tape.value(alone_values));
                 let rows = row..row + seq.len() - 1;
                 let cells = rows.start * cfg.vocab..rows.end * cfg.vocab;
                 prop_assert_eq!(bits(&logits.data()[cells.clone()]), bits(alone_logits.data()), "logits of {}", s);
                 prop_assert_eq!(bits(&values.data()[rows.clone()]), bits(alone_values.data()), "values of {}", s);
                 let alone_loss = fp.tape.value(loss).data()[0];
                 prop_assert_eq!(losses.data()[s].to_bits(), alone_loss.to_bits(), "loss of {}", s);
-                prop_assert_eq!(bits(&grads[s][..n]), bits(&fp.backward(loss)), "gradient of {}", s);
+                prop_assert_eq!(bits(&grads[s][..n]), bits(&backward(fp, loss)), "gradient of {}", s);
                 prop_assert_eq!(bits(&stage_logits.data()[cells]), bits(alone_logits.data()), "stage logits of {}", s);
                 prop_assert_eq!(bits(&stage_values.data()[rows.clone()]), bits(alone_values.data()), "stage values of {}", s);
                 prop_assert_eq!(bits(&logps[s]), bits(&lm.log_probs(seq)), "log-probs of {}", s);
                 prop_assert_eq!(bits(&vals[s]), bits(&lm.values(inputs[s])), "values_stacked of {}", s);
                 row = rows.end;
             }
+        }
+    }
+
+    /// The per-row inputs of the read rows: PPO's old log-probs and
+    /// advantages, the value loss's returns and old values.
+    struct ReadRows {
+        old_logp: Vec<f32>,
+        adv: Vec<f32>,
+        returns: Vec<f32>,
+        old_v: Vec<f32>,
+    }
+
+    /// PPO's clip loss on the next-token log-probs of rows `reads` of
+    /// `seqs` stacked, plus an entropy bonus (`critic == false`; the value
+    /// head is never formed) or the clipped value loss on the same rows
+    /// (`critic`): through a pass that reads only those rows (`windowed`),
+    /// or through one over every position with the rows sliced out on the
+    /// tape, as the workers did before the forwards took windows.
+    fn read_pass<'a>(
+        lm: &'a TinyLm,
+        seqs: &[&[usize]],
+        reads: &[Range<usize>],
+        (windowed, critic): (bool, bool),
+        rows: &ReadRows,
+    ) -> (StackedPass<'a>, Var) {
+        let all = every(seqs, 1);
+        let (mut fp, lp) = lm.next_token_log_probs(seqs, if windowed { reads } else { &all });
+        let cut = |fp: &mut StackedPass, v| if windowed { v } else { fp.tape.slice_rows(v, reads) };
+        let lp = cut(&mut fp, lp);
+        let ppo = fp.tape.ppo_clip_loss(lp, &rows.old_logp, &rows.adv, 0.2);
+        let other = if critic {
+            let values = fp.values();
+            let values = cut(&mut fp, values);
+            fp.tape.value_clip_loss(values, &rows.returns, &rows.old_v, 0.2)
+        } else {
+            let logits = fp.logits();
+            let logits = cut(&mut fp, logits);
+            let entropy = fp.tape.mean_entropy(logits);
+            fp.tape.scale(entropy, -0.01)
+        };
+        let loss = fp.tape.add(ppo, other);
+        (fp, loss)
+    }
+
+    #[test]
+    fn windowed_passes_are_the_full_window_bit_for_bit() {
+        let cfg = LmConfig { vocab: 19, hidden: 12, ffn: 20, layers: 3 };
+        let lm = TinyLm::new(cfg, 47);
+        let n = cfg.param_count();
+        let mut rng = StdRng::seed_from_u64(8);
+        // Ragged segments, read: from mid-panel, at every position, not
+        // at all, up to the end, and rows whose PPO and value terms are
+        // all clipped.
+        let lens = [14usize, 9, 12, 23, 17];
+        let reads = [5..11, 0..8, 4..4, 10..22, 2..9];
+        let seqs: Vec<Vec<usize>> = lens
+            .iter()
+            .map(|&l| (0..l).map(|_| rng.random_range(0..cfg.vocab)).collect())
+            .collect();
+        let refs: Vec<&[usize]> = seqs.iter().map(Vec::as_slice).collect();
+        let read_rows: usize = reads.iter().map(Range::len).sum();
+        let mut draw = |lo: f32, hi: f32| -> Vec<f32> {
+            (0..read_rows).map(|_| lo + (hi - lo) * rng.random::<f32>()).collect()
+        };
+        let mut rows = ReadRows {
+            old_logp: draw(-3.4, -2.5),
+            adv: draw(-1.0, 1.0),
+            returns: draw(-0.5, 0.5),
+            old_v: draw(-0.5, 0.5),
+        };
+        let clipped = read_rows - reads[4].len()..read_rows;
+        rows.old_logp[clipped.clone()].fill(-30.0);
+        rows.adv[clipped.clone()].fill(0.5);
+        rows.returns[clipped.clone()].fill(-40.0);
+        rows.old_v[clipped].fill(40.0);
+
+        // Per segment: its loss and its gradient, from a buffer longer
+        // than the parameters, poisoned beforehand.
+        let run = |reads: &[Range<usize>], mode: (bool, bool), rows: &ReadRows| {
+            let (fp, loss) = read_pass(&lm, &refs[..reads.len()], reads, mode, rows);
+            let losses = bits(fp.tape.value(loss).data());
+            let mut grads = vec![vec![f32::NAN; n + 1]; reads.len()];
+            fp.backward_into(loss, &mut grads);
+            assert!(grads.iter().all(|g| g[n].is_nan()), "past the parameters");
+            (losses, grads.iter().map(|g| bits(&g[..n])).collect::<Vec<_>>())
+        };
+        for critic in [false, true] {
+            let full = with_padding(0.0, || run(&reads, (false, critic), &rows));
+            let windowed = with_padding(f32::NAN, || run(&reads, (true, critic), &rows));
+            assert_eq!(windowed.0, full.0, "losses, critic = {critic}");
+            for (s, (w, f)) in windowed.1.iter().zip(&full.1).enumerate() {
+                assert_eq!(w, f, "gradient of segment {s}, critic = {critic}");
+            }
+            assert!(full.1[0].iter().any(|&g| g != 0), "a read segment has a gradient");
+            assert!(full.1[2].iter().all(|&g| g == 0), "an empty window: +0.0");
+            if critic {
+                assert!(full.1[4].iter().all(|&g| g == 0), "every row clipped: +0.0");
+            }
+        }
+        // Every window empty: no row reaches a head.
+        let empty = [3..3, 0..0];
+        let none = ReadRows { old_logp: vec![], adv: vec![], returns: vec![], old_v: vec![] };
+        let full = with_padding(0.0, || run(&empty, (false, true), &none));
+        assert_eq!(with_padding(f32::NAN, || run(&empty, (true, true), &none)), full);
+
+        // The tape-free passes and the stage forward, windowed under
+        // poisoned padding, against the tape over every position.
+        let inputs: Vec<&[usize]> = refs.iter().map(|s| &s[..s.len() - 1]).collect();
+        let stage = ShardedLm::from_full(&lm, 0, 1, 0, 1);
+        let ids = inputs.concat();
+        let in_lens: Vec<usize> = inputs.iter().map(|s| s.len()).collect();
+        let (logps, values, [stage_logits, stage_values]) = with_padding(f32::NAN, || {
+            let heads = [Head::Logits, Head::Values]
+                .map(|head| stage_head(&stage, (&ids, &in_lens), &reads, head));
+            (lm.log_probs_stacked(&refs, &reads), lm.values_stacked(&inputs, &reads), heads)
+        });
+        let mut row = 0;
+        for (s, (seq, read)) in refs.iter().zip(&reads).enumerate() {
+            let fp = lm.forward(inputs[s]);
+            let (all_logits, all_values) = (fp.tape.value(fp.logits), fp.tape.value(fp.values));
+            let rows = row..row + read.len();
+            let all_logps = lm.log_probs(seq);
+            assert_eq!(bits(&logps[s]), bits(&all_logps[read.clone()]), "log-probs of {s}");
+            assert_eq!(bits(&values[s]), bits(&all_values.data()[read.clone()]), "values of {s}");
+            assert_eq!(
+                bits(&stage_values.data()[rows.clone()]),
+                bits(&all_values.data()[read.clone()]),
+                "stage values of {s}"
+            );
+            let cells = |r: &Range<usize>| r.start * cfg.vocab..r.end * cfg.vocab;
+            assert_eq!(
+                bits(&stage_logits.data()[cells(&rows)]),
+                bits(&all_logits.data()[cells(read)]),
+                "stage logits of {s}"
+            );
+            row = rows.end;
         }
     }
 }
@@ -1241,8 +1567,9 @@ mod decode_tests {
                 .map(|i| (0..i % 5 + steps).map(|t| (3 + 5 * i + 7 * t) % cfg.vocab).collect())
                 .collect();
             let refs: Vec<&[usize]> = seqs.iter().map(Vec::as_slice).collect();
-            let fp = lm.forward_stacked(&refs);
-            let (logits, values) = (fp.tape.value(fp.logits), fp.tape.value(fp.values));
+            let mut fp = lm.forward_stacked(&refs, &super::stacking_tests::every(&refs, 0));
+            let (logits, values) = (fp.logits(), fp.values());
+            let (logits, values) = (fp.tape.value(logits), fp.tape.value(values));
             let starts: Vec<usize> = seqs
                 .iter()
                 .scan(0, |row, s| Some(std::mem::replace(row, *row + s.len())))

@@ -12,6 +12,8 @@
 //! never read back: a row reduction, a weight gradient, the skip-zero
 //! scan and every row-major read-out walk the `rows` real rows only.
 
+use std::ops::Range;
+
 use crate::kernels::{Lanes, LANES};
 use crate::tensor::{Mat, Tensor};
 
@@ -246,6 +248,27 @@ pub(crate) fn embed(table: Mat, ids: &[usize]) -> Panels {
         x.set_row(r, table.row(id).iter().copied());
     }
     x
+}
+
+/// The rows a caller reads: rows `reads[s]` of each segment `s` of `x`
+/// (`bounds` are the segment starts and the row count), counted from the
+/// segment's first row, stacked in segment order.
+///
+/// # Panics
+///
+/// Panics unless there is one window per segment, each inside it.
+pub(crate) fn read_rows(x: &Panels, bounds: &[usize], reads: &[Range<usize>]) -> Panels {
+    assert_eq!(reads.len() + 1, bounds.len(), "one read window per segment");
+    let mut y = Panels::new(reads.iter().map(Range::len).sum(), x.cols);
+    let mut row = 0;
+    for (seg, read) in bounds.windows(2).zip(reads) {
+        assert!(read.start <= read.end && seg[0] + read.end <= seg[1], "read window out of bounds");
+        for r in read.clone() {
+            y.set_row(row, x.row(seg[0] + r));
+            row += 1;
+        }
+    }
+    y
 }
 
 /// `1 / √(mean(x²) + 1e-6)` of each lane's row over the steps of one

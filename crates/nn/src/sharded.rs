@@ -23,7 +23,10 @@
 //! row dimension: `cum_mean` restarts at every segment boundary and every
 //! other op is row-wise, so each segment's rows are what that sequence
 //! alone computes — and a tensor-parallel group joins a layer with one
-//! all-reduce for all of them.
+//! all-reduce for all of them. Like the tape it also takes the window of
+//! each sequence's positions its caller reads, and forms one head there.
+
+use std::ops::Range;
 
 use crate::kernels;
 use crate::model::{LmConfig, TinyLm};
@@ -56,19 +59,24 @@ pub struct ShardedLm {
     vhead: Option<Tensor>,
 }
 
+/// Which head a forward-only pass forms: the one its caller reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Head {
+    /// The LM head, `[rows × vocab]` logits.
+    Logits,
+    /// The value head, `[rows × 1]` values.
+    Values,
+}
+
 /// Output of a stage's forward: either the hidden stream to forward to
-/// the next stage, or the final logits/values on the last stage.
+/// the next stage, or on the last stage the head its caller asked for
+/// over the rows it reads.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StageOutput {
     /// Hidden activations `[T × hidden]` for the next pipeline stage.
     Hidden(Tensor),
-    /// Final outputs (last stage): logits `[T × vocab]`, values `[T × 1]`.
-    Final {
-        /// Vocabulary logits.
-        logits: Tensor,
-        /// Scalar values.
-        values: Tensor,
-    },
+    /// The head's outputs over the read rows (last stage).
+    Final(Tensor),
 }
 
 impl ShardedLm {
@@ -170,55 +178,63 @@ impl ShardedLm {
     }
 
     /// Runs this stage's blocks over the incoming hidden stream of one
-    /// sequence. After each block's row-parallel `Wb` matmul,
-    /// `all_reduce` joins the partial sums across the TP group (it
-    /// receives this rank's partial `[T × hidden]` buffer and must return
-    /// the elementwise sum across all TP ranks).
+    /// sequence and, on the last stage, forms the LM head over every row.
+    /// After each block's row-parallel `Wb` matmul, `all_reduce` joins
+    /// the partial sums across the TP group (it receives this rank's
+    /// partial `[T × hidden]` buffer and must return the elementwise sum
+    /// across all TP ranks).
     pub fn forward_stage(
         &self,
         h: Tensor,
         all_reduce: impl FnMut(&[f32]) -> Vec<f32>,
     ) -> StageOutput {
         let rows = h.rows();
-        self.forward_stage_stacked(h, &[rows], all_reduce)
+        self.forward_stage_stacked(h, &[rows], &[0..rows], Head::Logits, all_reduce)
     }
 
     /// [`ShardedLm::forward_stage`] over several sequences stacked on the
     /// row dimension (`h` is `[Σ lens × hidden]`, sequence `s` in rows
-    /// `Σ_{r<s} lens[r]..`): each sequence's rows come out bit for bit as
-    /// from a pass of its own, and `all_reduce` is called once per block
-    /// for all of them.
+    /// `Σ_{r<s} lens[r]..`), and on the last stage `head` over the rows
+    /// `reads[s]` of each sequence `s` only, stacked: each sequence's rows
+    /// come out bit for bit as from a pass of its own, and `all_reduce`
+    /// is called once per block for all of them. Every block runs on
+    /// every row — the next stage reads them all, and each all-reduce
+    /// carries them all.
     ///
     /// # Panics
     ///
-    /// Panics if `lens` does not add up to the rows of `h`.
+    /// Panics if `lens` does not add up to the rows of `h`, or `reads`
+    /// is not one window per sequence inside it.
     pub fn forward_stage_stacked(
         &self,
         h: Tensor,
         lens: &[usize],
+        reads: &[Range<usize>],
+        head: Head,
         mut all_reduce: impl FnMut(&[f32]) -> Vec<f32>,
     ) -> StageOutput {
         let blocks = (0..self.blocks.len()).map(|b| self.block(b));
-        let h = run_blocks(Panels::from_mat(h.mat()), lens, blocks, |partial| {
+        let every: Vec<Range<usize>> = lens.iter().map(|&len| 0..len).collect();
+        let h = run_blocks(Panels::from_mat(h.mat()), lens, &every, blocks, |partial| {
             let (rows, cols) = (partial.rows(), partial.cols());
             let data = all_reduce(&partial.rows_major(0..rows));
             Panels::from_mat(Mat { data: &data, rows, cols })
         });
-        self.finalize(h)
-    }
-
-    /// What the stage hands on: the hidden stream, or on the last stage
-    /// the heads over the final norm — read out row-major.
-    fn finalize(&self, h: Panels) -> StageOutput {
         if self.p_idx < self.p - 1 {
             return StageOutput::Hidden(h.to_tensor());
         }
-        let f = panels::rmsnorm(&h, self.final_gain.as_ref().expect("last stage"));
-        let head = |w: &Option<Tensor>| kernels::x_wt(&f, w.as_ref().expect("last stage").mat());
-        StageOutput::Final {
-            logits: head(&self.head).to_tensor(),
-            values: head(&self.vhead).to_tensor(),
-        }
+        let h = panels::read_rows(&h, &segment_bounds(lens, h.rows()), reads);
+        StageOutput::Final(self.head(&h, head).to_tensor())
+    }
+
+    /// `head` over the final norm of the stream `h` (last stage only).
+    fn head(&self, h: &Panels, head: Head) -> Panels {
+        let f = panels::rmsnorm(h, self.final_gain.as_ref().expect("last stage"));
+        let w = match head {
+            Head::Logits => &self.head,
+            Head::Values => &self.vhead,
+        };
+        kernels::x_wt(&f, w.as_ref().expect("last stage").mat())
     }
 }
 
@@ -238,14 +254,13 @@ pub(crate) struct Block<'a> {
 }
 
 impl Block<'_> {
-    /// This shard's share of the block's output over the stream `h`
-    /// (`[rows × hidden]`): summed over the TP group it is what the
-    /// residual adds. `bounds` are the segment starts and the row count.
-    fn partial(&self, h: &Panels, bounds: &[usize]) -> Panels {
-        let c = panels::cum_mean(h, bounds);
+    /// This shard's share of the block's output over the stream rows `h`
+    /// with their causal context `c` (both `[rows × hidden]`): summed over
+    /// the TP group it is what the residual adds to `h`.
+    fn partial(&self, h: &Panels, c: &Panels) -> Panels {
         let n = panels::rmsnorm(h, self.gain);
         let mut act = kernels::x_wt(&n, self.wa);
-        act.add_assign(&kernels::x_wt(&c, self.ua));
+        act.add_assign(&kernels::x_wt(c, self.ua));
         panels::silu_in_place(&mut act);
         // Row-parallel output: `act` is `[rows × ffn/t]`, the `Wb` shard
         // `[hidden × ffn/t]`.
@@ -265,20 +280,37 @@ fn segment_bounds(lens: &[usize], rows: usize) -> Vec<usize> {
 }
 
 /// The tape-free forward through `blocks` over sequences of `lens` rows
-/// stacked in `h`: after each block `join` turns this rank's partial
-/// output into the TP group's sum (the identity at `t = 1`).
+/// stacked in `h`, returning the stream's rows `reads[s]` of each
+/// sequence `s`, stacked: after each block `join` turns this rank's
+/// partial output into the TP group's sum (the identity at `t = 1`).
+/// Every block but the last runs on every row. The last runs `cum_mean`
+/// over every row — a read row's context is its whole prefix — and the
+/// rest of it, all row-wise, on the read rows only.
+///
+/// # Panics
+///
+/// Panics if there is no block, `lens` does not add up to the rows of
+/// `h`, or `reads` is not one window per sequence inside it.
 pub(crate) fn run_blocks<'a>(
     mut h: Panels,
     lens: &[usize],
+    reads: &[Range<usize>],
     blocks: impl IntoIterator<Item = Block<'a>>,
     mut join: impl FnMut(Panels) -> Panels,
 ) -> Panels {
     let bounds = segment_bounds(lens, h.rows());
-    for block in blocks {
-        let out = join(block.partial(&h, &bounds));
-        h.add_assign(&out);
+    let mut blocks = blocks.into_iter().peekable();
+    while let Some(block) = blocks.next() {
+        let c = panels::cum_mean(&h, &bounds);
+        if blocks.peek().is_none() {
+            let (mut h, c) =
+                (panels::read_rows(&h, &bounds, reads), panels::read_rows(&c, &bounds, reads));
+            h.add_assign(&join(block.partial(&h, &c)));
+            return h;
+        }
+        h.add_assign(&join(block.partial(&h, &c)));
     }
-    h
+    panic!("a forward runs at least one block")
 }
 
 /// Runs a full forward across an in-process grid of shards (reference
@@ -297,18 +329,19 @@ pub fn grid_forward(shards: &[Vec<ShardedLm>], ids: &[usize]) -> (Tensor, Tensor
         // block at a time and join their partials with a local sum, in
         // shard order.
         for b in 0..stage[0].blocks.len() {
-            let mut joined = stage[0].block(b).partial(&h, &bounds);
+            let c = panels::cum_mean(&h, &bounds);
+            let mut joined = stage[0].block(b).partial(&h, &c);
             for shard in &stage[1..] {
-                joined.add_assign(&shard.block(b).partial(&h, &bounds));
+                joined.add_assign(&shard.block(b).partial(&h, &c));
             }
             h.add_assign(&joined);
         }
-        match stage[0].finalize(h) {
-            StageOutput::Hidden(next) => h = Panels::from_mat(next.mat()),
-            StageOutput::Final { logits, values } => return (logits, values),
+        if stage[0].p_idx == stage[0].p - 1 {
+            let [logits, values] = [Head::Logits, Head::Values].map(|w| stage[0].head(&h, w));
+            return (logits.to_tensor(), values.to_tensor());
         }
     }
-    unreachable!("last stage returns Final")
+    unreachable!("the last stage forms the heads")
 }
 
 #[cfg(test)]

@@ -30,6 +30,8 @@
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the math
 
+use std::ops::Range;
+
 use crate::kernels::{self, Lanes, Write, LANES};
 use crate::panels::{self, Panels};
 use crate::tensor::{Mat, Tensor};
@@ -81,9 +83,10 @@ enum Op {
     MeanAll {
         x: usize,
     },
+    /// `reads[s]` are the rows taken from segment `s` of `x`.
     SliceRows {
         x: usize,
-        start: usize,
+        reads: Vec<Range<usize>>,
     },
     PpoClip {
         logp: usize,
@@ -541,23 +544,17 @@ impl<'a> Tape<'a> {
         self.push_per_segment(means, Op::MeanEntropy { logits: logits.0, probs })
     }
 
-    /// Rows `[start, end)` of each segment of `x`, stacked.
+    /// Rows `reads[s]` of each segment `s` of `x`, counted from the
+    /// segment's first row, stacked: segment `s` of the result. A window
+    /// may be empty.
     ///
     /// # Panics
     ///
-    /// Panics if the range is out of a segment's bounds.
-    pub fn slice_rows(&mut self, x: Var, start: usize, end: usize) -> Var {
-        let xv = self.act(x);
-        let segments = self.bounds_of(x).len() - 1;
-        let mut y = Panels::new(segments * (end - start), xv.cols());
-        for (s, seg) in self.bounds_of(x).windows(2).enumerate() {
-            assert!(start <= end && seg[0] + end <= seg[1], "slice_rows out of bounds");
-            for i in 0..end - start {
-                y.set_row(s * (end - start) + i, xv.row(seg[0] + start + i));
-            }
-        }
-        let seg = self.segmentation(vec![end - start; segments]);
-        self.push(y, Op::SliceRows { x: x.0, start }, seg)
+    /// Panics unless there is one window per segment, each inside it.
+    pub fn slice_rows(&mut self, x: Var, reads: &[Range<usize>]) -> Var {
+        let y = panels::read_rows(self.act(x), self.bounds_of(x), reads);
+        let seg = self.segmentation(reads.iter().map(Range::len));
+        self.push(y, Op::SliceRows { x: x.0, reads: reads.to_vec() }, seg)
     }
 
     /// Mean of all elements of each segment (`[S × 1]`), summed row by
@@ -784,16 +781,16 @@ impl<'a> Tape<'a> {
                     }
                     accumulate(inputs, *logits, dl);
                 }
-                &Op::SliceRows { x, start } => {
-                    let (rows, cols) = inputs[x].shape();
+                Op::SliceRows { x, reads } => {
+                    let (rows, cols) = inputs[*x].shape();
                     let mut dx = Panels::new(rows, cols);
-                    let from = bounds[inputs[x].seg].windows(2);
-                    for (seg, window) in from.zip(segs.windows(2)) {
-                        for (i, r) in (window[0]..window[1]).enumerate() {
-                            dx.set_row(seg[0] + start + i, gy.row(r));
+                    let from = bounds[inputs[*x].seg].windows(2);
+                    for ((seg, read), window) in from.zip(reads).zip(segs.windows(2)) {
+                        for (r, w) in read.clone().zip(window[0]..window[1]) {
+                            dx.set_row(seg[0] + r, gy.row(w));
                         }
                     }
-                    accumulate(inputs, x, dx);
+                    accumulate(inputs, *x, dx);
                 }
                 &Op::MeanAll { x } => {
                     let (rows, cols) = inputs[x].shape();
@@ -1031,7 +1028,7 @@ mod tests {
     fn slice_rows_grad_scatters_back() {
         let mut tape = Tape::new();
         let x = tape.leaf(Tensor::new(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 3, 2));
-        let s = tape.slice_rows(x, 1, 3);
+        let s = tape.slice_rows(x, &[1..3]);
         assert_eq!(tape.value(s).data(), &[3.0, 4.0, 5.0, 6.0]);
         let loss = tape.mean_all(s);
         tape.backward(loss);
@@ -1146,8 +1143,8 @@ mod tests {
         let c = tape.cum_mean(x);
         let third = 14.0 * (1.0 / 3.0);
         assert_eq!(tape.value(c).data(), &[1.0, 1.5, 4.0, 6.0, third]);
-        let tail = tape.slice_rows(c, 1, 2);
-        assert_eq!(tape.value(tail).data(), &[1.5, 6.0]);
+        let tail = tape.slice_rows(c, &[1..2, 0..2]);
+        assert_eq!(tape.value(tail).data(), &[1.5, 4.0, 6.0]);
         let mean = tape.mean_all(c);
         assert_eq!(tape.value(mean).data(), &[1.25, (4.0 + 6.0 + third) / 3.0]);
         tape.backward(mean);

@@ -119,7 +119,8 @@ proptest! {
         let end = (start + 1).clamp(2, 4);
         let mut tape = Tape::new();
         let l = tape.leaf(x);
-        let s = tape.slice_rows(l, start, end);
+        #[allow(clippy::single_range_in_vec_init)] // the one segment's window
+        let s = tape.slice_rows(l, &[start..end]);
         let sv = tape.value(s);
         for r in start..end {
             for c in 0..3 {

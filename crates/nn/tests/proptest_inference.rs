@@ -1,14 +1,18 @@
 //! The inference forward against its references, bit for bit: the
-//! tape-free `log_probs_stacked` / `values_stacked` against the tape
-//! they used to build, and the stage forward over stacked segments
-//! against the same stage over each sequence alone.
+//! tape-free `log_probs_stacked` / `values_stacked` over any read window
+//! against the tape they used to build over every position, and the
+//! stage forward over stacked segments against the same stage over each
+//! sequence alone.
 
 // A local all-reduce stand-in: hf-nn sits below the runtime and its sync layer.
 #![allow(clippy::disallowed_types)]
+// `&[0..len]` is one sequence's read window.
+#![allow(clippy::single_range_in_vec_init)]
 
+use std::ops::Range;
 use std::sync::{Barrier, Mutex};
 
-use hf_nn::{LmConfig, ShardedLm, StageOutput, TinyLm};
+use hf_nn::{Head, LmConfig, ShardedLm, StageOutput, TinyLm};
 use proptest::prelude::*;
 
 /// The model shapes of the end-to-end benchmark's workloads.
@@ -32,11 +36,18 @@ fn in_vocab(raw: &[Vec<usize>], vocab: usize) -> Vec<Vec<usize>> {
     raw.iter().map(|s| s.iter().map(|t| t % vocab).collect()).collect()
 }
 
+/// A window of `0..n` drawn from `raw`: empty, one row, or any run.
+fn window(raw: usize, n: usize) -> Range<usize> {
+    let start = raw % (n + 1);
+    start..start + (raw >> 8) % (n - start + 1)
+}
+
 /// `forward_stage_stacked` of every tensor shard of a one-stage model
-/// over `seqs`, the shards on a thread each and their partials joined by
-/// a local sum in shard order; shard 0's `(logits, values)`.
-fn tp_forward(shards: &[ShardedLm], seqs: &[&[usize]]) -> (Vec<f32>, Vec<f32>) {
+/// over `seqs`, `head` at every position, the shards on a thread each and
+/// their partials joined by a local sum in shard order; shard 0's output.
+fn tp_forward(shards: &[ShardedLm], seqs: &[&[usize]], head: Head) -> Vec<f32> {
     let lens: Vec<usize> = seqs.iter().map(|s| s.len()).collect();
+    let every: Vec<Range<usize>> = lens.iter().map(|&len| 0..len).collect();
     let ids = seqs.concat();
     let (slots, barrier) = (Mutex::new(vec![Vec::new(); shards.len()]), Barrier::new(shards.len()));
     let run = |rank: usize| {
@@ -51,7 +62,13 @@ fn tp_forward(shards: &[ShardedLm], seqs: &[&[usize]]) -> (Vec<f32>, Vec<f32>) {
             barrier.wait();
             sum
         };
-        shards[rank].forward_stage_stacked(shards[rank].embed(&ids), &lens, all_reduce)
+        shards[rank].forward_stage_stacked(
+            shards[rank].embed(&ids),
+            &lens,
+            &every,
+            head,
+            all_reduce,
+        )
     };
     let out = std::thread::scope(|scope| {
         let peers: Vec<_> = (1..shards.len()).map(|r| scope.spawn(move || run(r))).collect();
@@ -60,7 +77,7 @@ fn tp_forward(shards: &[ShardedLm], seqs: &[&[usize]]) -> (Vec<f32>, Vec<f32>) {
         out
     });
     match out {
-        StageOutput::Final { logits, values } => (logits.data().to_vec(), values.data().to_vec()),
+        StageOutput::Final(out) => out.data().to_vec(),
         StageOutput::Hidden(_) => unreachable!("one stage finalizes"),
     }
 }
@@ -74,12 +91,16 @@ proptest! {
         let lm = TinyLm::new(cfg, seed);
         let seqs = in_vocab(&raw, cfg.vocab);
         let refs: Vec<&[usize]> = seqs.iter().map(Vec::as_slice).collect();
-        let (logps, values) = (lm.log_probs_stacked(&refs), lm.values_stacked(&refs));
+        // Each sequence read at a window drawn from its own tokens.
+        let reads: Vec<Range<usize>> = raw.iter().map(|s| window(s[0], s.len() - 1)).collect();
+        let (logps, values) = (lm.log_probs_stacked(&refs, &reads), lm.values_stacked(&refs, &reads));
         for (s, seq) in refs.iter().enumerate() {
-            let (fp, lp) = lm.next_token_log_probs(&[seq]);
-            prop_assert_eq!(bits(&logps[s]), bits(fp.tape.value(lp).data()), "log-probs of {}", s);
+            let (fp, lp) = lm.next_token_log_probs(&[seq], &[0..seq.len() - 1]);
+            let all = fp.tape.value(lp);
+            prop_assert_eq!(bits(&logps[s]), bits(&all.data()[reads[s].clone()]), "log-probs of {}", s);
             let fp = lm.forward(seq);
-            prop_assert_eq!(bits(&values[s]), bits(fp.tape.value(fp.values).data()), "values of {}", s);
+            let all = fp.tape.value(fp.values);
+            prop_assert_eq!(bits(&values[s]), bits(&all.data()[reads[s].clone()]), "values of {}", s);
         }
     }
 
@@ -90,10 +111,10 @@ proptest! {
         let shards: Vec<ShardedLm> = (0..t).map(|i| ShardedLm::from_full(&lm, 0, 1, i, t)).collect();
         let seqs = in_vocab(&raw, cfg.vocab);
         let refs: Vec<&[usize]> = seqs.iter().map(Vec::as_slice).collect();
-        let (logits, values) = tp_forward(&shards, &refs);
+        let [logits, values] = [Head::Logits, Head::Values].map(|h| tp_forward(&shards, &refs, h));
         let mut row = 0;
         for seq in &refs {
-            let (alone_logits, alone_values) = tp_forward(&shards, &[seq]);
+            let [alone_logits, alone_values] = [Head::Logits, Head::Values].map(|h| tp_forward(&shards, &[seq], h));
             let rows = row..row + seq.len();
             prop_assert_eq!(bits(&values[rows.clone()]), bits(&alone_values), "values, t = {}", t);
             let rows = rows.start * cfg.vocab..rows.end * cfg.vocab;

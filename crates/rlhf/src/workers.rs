@@ -28,11 +28,12 @@
 //! chunk produce identical responses (the SPMD determinism the
 //! multi-controller paradigm relies on).
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use hf_core::{CoreError, DataProto, RankCtx, Result, Worker};
 use hf_genserve::{GenConfig, GenRequest, GenServer};
-use hf_nn::{stacks, Adam, LmConfig, ShardedLm, StageOutput, Tensor, TinyLm};
+use hf_nn::{stacks, Adam, Head, LmConfig, ShardedLm, StageOutput, Tensor, TinyLm};
 use hf_parallel::shard::train_shard;
 use hf_parallel::ShardLayout;
 use hf_resilience::{encode_shard, shard_range, AssembledState, ShardHeader};
@@ -214,31 +215,38 @@ fn sequences(prompts: &[Vec<usize>], resps: &[Vec<usize>]) -> Vec<Vec<usize>> {
 }
 
 /// `pass` over the sequences `seqs[i]`, `i` in `rows`, one stacked pass
-/// at a time ([`hf_nn::stacks`]); every sequence's result, in order.
+/// at a time ([`hf_nn::stacks`]), each sequence read at the positions
+/// `read`; every sequence's result, in order.
 fn stacked<T>(
     seqs: &[Vec<usize>],
     rows: &[usize],
-    mut pass: impl FnMut(&[&[usize]]) -> Vec<T>,
+    read: Range<usize>,
+    mut pass: impl FnMut(&[&[usize]], &[Range<usize>]) -> Vec<T>,
 ) -> Vec<T> {
     let picked: Vec<&[usize]> = rows.iter().map(|&i| &seqs[i][..]).collect();
-    stacks(picked.iter().map(|s| s.len())).into_iter().flat_map(|run| pass(&picked[run])).collect()
+    let reads = vec![read; picked.len()];
+    let runs = stacks(picked.iter().map(|s| s.len()));
+    runs.into_iter().flat_map(|run| pass(&picked[run.clone()], &reads[run])).collect()
 }
 
-/// Log-probs of every row's `rw` response tokens under `lm` (stacked
-/// tape-free forwards over replicated weights, rows shared across the
-/// model-parallel group), flat in row order.
+/// The positions of a `pw + rw`-token row that predict or value its `rw`
+/// response tokens: `pw − 1` up to, not including, `pw − 1 + rw`.
+fn response(pw: usize, rw: usize) -> Range<usize> {
+    pw - 1..pw - 1 + rw
+}
+
+/// Log-probs of every row's `rw` response tokens after its `pw` prompt
+/// tokens under `lm` (stacked tape-free forwards over replicated weights,
+/// rows shared across the model-parallel group), flat in row order.
 fn response_log_probs(
     lm: &TinyLm,
     hyper: &WorkerHyper,
     ctx: &mut RankCtx,
     seqs: &[Vec<usize>],
-    rw: usize,
+    (pw, rw): (usize, usize),
 ) -> Vec<f32> {
     let rows = mp_rows(ctx, seqs.len(), |mine| {
-        stacked(seqs, mine, |run| lm.log_probs_stacked(run))
-            .into_iter()
-            .map(|lp| lp[lp.len() - rw..].to_vec())
-            .collect()
+        stacked(seqs, mine, response(pw, rw), |run, reads| lm.log_probs_stacked(run, reads))
     });
     for seq in seqs {
         charge_tokens(ctx, seq.len(), hyper);
@@ -257,17 +265,18 @@ fn response_log_probs(
 /// peer runs the pass in lock-step since the protocol gave the whole
 /// group one chunk. Rows are charged afterwards, in row order.
 ///
-/// Returns the last stage's `(logits, values)`, row `i`'s position `t` in
-/// row `i · feed + t`; `None` on the other stages (the `3D_PROTO` collect
-/// reads the last one) and for an empty chunk, which makes no pass and no
-/// collective.
+/// Returns the last stage's `head` over the positions `read` of every
+/// row, row `i`'s position `read.start + t` in row `i · read.len() + t`;
+/// `None` on the other stages (the `3D_PROTO` collect reads the last one)
+/// and for an empty chunk, which makes no pass and no collective.
 fn tp_forward(
     lm: &TinyLm,
     hyper: &WorkerHyper,
     ctx: &mut RankCtx,
     seqs: &[Vec<usize>],
-    feed: usize,
-) -> Result<Option<(Tensor, Tensor)>> {
+    (feed, read): (usize, Range<usize>),
+    head: Head,
+) -> Result<Option<Tensor>> {
     let (tc, spec) = (ctx.coords(), ctx.layout.spec);
     if !lm.cfg.ffn.is_multiple_of(spec.t) || !lm.cfg.layers.is_multiple_of(spec.p) {
         return Err(CoreError::Config("tp_inference requires t | ffn and p | layers".into()));
@@ -285,7 +294,8 @@ fn tp_forward(
             ctx.comms.pp.recv_from(&mut clock, tc.p_idx - 1);
         Tensor::new(data, rows, cols)
     };
-    let out = shard.forward_stage_stacked(h_in, &vec![feed; seqs.len()], |partial| {
+    let (lens, reads) = (vec![feed; seqs.len()], vec![read; seqs.len()]);
+    let out = shard.forward_stage_stacked(h_in, &lens, &reads, head, |partial| {
         ctx.comms.tp.all_reduce_sum(&mut clock, partial)
     });
     let last = match out {
@@ -295,7 +305,7 @@ fn tp_forward(
             ctx.comms.pp.send_to(&clock, tc.p_idx + 1, act, bytes);
             None
         }
-        StageOutput::Final { logits, values } => Some((logits, values)),
+        StageOutput::Final(out) => Some(out),
     };
     ctx.clock = clock;
     for seq in seqs {
@@ -827,15 +837,16 @@ impl ActorWorker {
                 .collect();
             let short: Vec<usize> =
                 (0..outs.len()).filter(|&i| outs[i].tokens.len() < resp_len).collect();
+            let read = response(pw, resp_len);
             let mut padded =
-                stacked(&seqs, &short, |run| self.lm.log_probs_stacked(run)).into_iter();
+                stacked(&seqs, &short, read, |run, reads| self.lm.log_probs_stacked(run, reads))
+                    .into_iter();
             let mut logps: Vec<f32> = Vec::with_capacity(seqs.len() * resp_len);
             for gen in &outs {
                 if gen.tokens.len() == resp_len {
                     logps.extend_from_slice(&gen.logps);
                 } else {
-                    let lp = padded.next().expect("one padded pass per short row");
-                    logps.extend_from_slice(&lp[pw - 1..pw - 1 + resp_len]);
+                    logps.extend(padded.next().expect("one padded pass per short row"));
                 }
             }
             out.insert_f32("logp_old", logps, resp_len);
@@ -854,13 +865,14 @@ impl ActorWorker {
         let logps = if self.hyper.tp_inference && ctx.layout.spec.mp() > 1 {
             // Each row feeds all but its last token; stages before the
             // last contribute zeros.
-            let feed = pw + rw - 1;
+            let pass = (pw + rw - 1, response(pw, rw));
+            let logits = tp_forward(&self.lm, &self.hyper, ctx, &seqs, pass, Head::Logits)?;
             let mut logps = vec![0.0; seqs.len() * rw];
-            if let Some((logits, _)) = tp_forward(&self.lm, &self.hyper, ctx, &seqs, feed)? {
+            if let Some(logits) = logits {
                 for (i, seq) in seqs.iter().enumerate() {
                     // log softmax + gather of the response's next tokens.
                     for (t, lp) in logps[i * rw..(i + 1) * rw].iter_mut().enumerate() {
-                        let row = logits.row(i * feed + pw - 1 + t);
+                        let row = logits.row(i * rw + t);
                         let m = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
                         let z: f32 = row.iter().map(|v| (v - m).exp()).sum();
                         *lp = (row[seq[pw + t]] - m) - z.ln();
@@ -869,7 +881,7 @@ impl ActorWorker {
             }
             logps
         } else {
-            response_log_probs(&self.lm, &self.hyper, ctx, &seqs, rw)
+            response_log_probs(&self.lm, &self.hyper, ctx, &seqs, (pw, rw))
         };
         out.insert_f32("cur_logp", logps, rw);
         Ok(out)
@@ -878,9 +890,10 @@ impl ActorWorker {
     /// Pre-training cross-entropy over a `pretrain` token column (the
     /// PPO-ptx / Safe-RLHF auxiliary loss), no update.
     fn compute_loss(&mut self, data: DataProto, ctx: &mut RankCtx) -> Result<DataProto> {
-        let (rows, _w) = token_rows(&data, "pretrain", self.lm.cfg.vocab)?;
+        let (rows, w) = token_rows(&data, "pretrain", self.lm.cfg.vocab)?;
         let means: Vec<f32> = mp_rows(ctx, rows.len(), |mine| {
-            stacked(&rows, mine, |run| self.lm.log_probs_stacked(run))
+            let every = 0..w.saturating_sub(1);
+            stacked(&rows, mine, every, |run, reads| self.lm.log_probs_stacked(run, reads))
                 .into_iter()
                 .map(|lp| lp.iter().sum::<f32>() / lp.len() as f32)
                 .collect()
@@ -930,12 +943,11 @@ impl ActorWorker {
         let (lm, hyper) = (&self.lm, &self.hyper);
         let mut fold = RowFold::new(ctx, n);
         fold.rows(&seqs, 1.0, |rows, run, grads| {
-            let (mut fp, lp_all) = lm.next_token_log_probs(run);
-            let lp_resp = fp.tape.slice_rows(lp_all, pw - 1, pw - 1 + rw);
+            let (mut fp, lp) = lm.next_token_log_probs(run, &vec![response(pw, rw); run.len()]);
             let (old, adv) = (gather_rows(&old_logps, rows), gather_rows(&advs, rows));
-            let ppo = fp.tape.ppo_clip_loss(lp_resp, &old, &adv, hyper.clip);
-            let logits_resp = fp.tape.slice_rows(fp.logits, pw - 1, pw - 1 + rw);
-            let ent = fp.tape.mean_entropy(logits_resp);
+            let ppo = fp.tape.ppo_clip_loss(lp, &old, &adv, hyper.clip);
+            let logits = fp.logits();
+            let ent = fp.tape.mean_entropy(logits);
             let ent_term = fp.tape.scale(ent, -hyper.entropy_coef);
             let loss = fp.tape.add(ppo, ent_term);
             let scalars: Vec<[f32; 2]> = (fp.tape.value(ppo).data().iter())
@@ -950,7 +962,8 @@ impl ActorWorker {
         // equal-sized.
         let scale = ptx_coef / pre.len() as f32 * denom;
         fold.rows(&pre, 0.0, |_, run, grads| {
-            let (mut fp, lp) = lm.next_token_log_probs(run);
+            let every: Vec<Range<usize>> = run.iter().map(|s| 0..s.len() - 1).collect();
+            let (mut fp, lp) = lm.next_token_log_probs(run, &every);
             let mean = fp.tape.mean_all(lp);
             let loss = fp.tape.scale(mean, -1.0);
             let scalars = fp.tape.value(loss).data().iter().map(|&l| [l, 0.0]).collect();
@@ -1052,21 +1065,15 @@ impl CriticWorker {
         let values = if self.hyper.tp_inference && ctx.layout.spec.mp() > 1 {
             // Each row feeds every token; stages before the last
             // contribute zeros.
-            let feed = pw + rw;
-            let mut values = vec![0.0; seqs.len() * rw];
-            if let Some((_, all)) = tp_forward(&self.lm, &self.hyper, ctx, &seqs, feed)? {
-                for i in 0..seqs.len() {
-                    let window = &all.data()[i * feed + pw - 1..][..rw];
-                    values[i * rw..(i + 1) * rw].copy_from_slice(window);
-                }
+            let pass = (pw + rw, response(pw, rw));
+            match tp_forward(&self.lm, &self.hyper, ctx, &seqs, pass, Head::Values)? {
+                Some(values) => values.data().to_vec(),
+                None => vec![0.0; seqs.len() * rw],
             }
-            values
         } else {
             let rows = mp_rows(ctx, seqs.len(), |mine| {
-                stacked(&seqs, mine, |run| self.lm.values_stacked(run))
-                    .into_iter()
-                    .map(|v| v[pw - 1..pw - 1 + rw].to_vec())
-                    .collect()
+                let read = response(pw, rw);
+                stacked(&seqs, mine, read, |run, reads| self.lm.values_stacked(run, reads))
             });
             for seq in &seqs {
                 charge_tokens(ctx, seq.len(), &self.hyper);
@@ -1087,10 +1094,10 @@ impl CriticWorker {
         let (lm, vclip) = (&self.lm, self.hyper.vclip);
         let mut fold = RowFold::new(ctx, lm.cfg.param_count());
         fold.rows(&seqs, 1.0, |rows, run, grads| {
-            let mut fp = lm.forward_stacked(run);
-            let v_resp = fp.tape.slice_rows(fp.values, pw - 1, pw - 1 + rw);
+            let mut fp = lm.forward_stacked(run, &vec![response(pw, rw); run.len()]);
+            let values = fp.values();
             let (ret, old) = (gather_rows(&returns, rows), gather_rows(&old_values, rows));
-            let loss = fp.tape.value_clip_loss(v_resp, &ret, &old, vclip);
+            let loss = fp.tape.value_clip_loss(values, &ret, &old, vclip);
             let scalars = fp.tape.value(loss).data().iter().map(|&l| [l, 0.0]).collect();
             fp.backward_into(loss, grads);
             scalars
@@ -1147,11 +1154,11 @@ impl Worker for ReferenceWorker {
             return Err(CoreError::Worker(format!("reference has no method {method}")));
         }
         let vocab = self.lm.cfg.vocab;
-        let (prompts, _pw) = token_rows(&data, "prompts", vocab)?;
+        let (prompts, pw) = token_rows(&data, "prompts", vocab)?;
         let (resps, rw) = token_rows(&data, "responses", vocab)?;
         let mut out = DataProto::with_rows(prompts.len());
         let seqs = sequences(&prompts, &resps);
-        let logps = response_log_probs(&self.lm, &self.hyper, ctx, &seqs, rw);
+        let logps = response_log_probs(&self.lm, &self.hyper, ctx, &seqs, (pw, rw));
         out.insert_f32("ref_logp", logps, rw);
         Ok(out)
     }
@@ -1191,18 +1198,32 @@ impl RewardWorker {
         RewardWorker { kind, lm, hyper }
     }
 
-    fn score(&self, prompt: &[usize], resp: &[usize], resp_u32: &[u32]) -> f32 {
-        match &self.kind {
-            RewardKind::RuleBased { good_tokens } => {
-                let hits = resp_u32.iter().filter(|t| good_tokens.contains(t)).count();
-                hits as f32 / resp.len().max(1) as f32
+    /// The scores of the rows `mine` of `prompts` and `resps` (`rw`
+    /// tokens each, `resp_raw` as sent): a rule-based score per row, or
+    /// the value head at each sequence's last position through one
+    /// stacked pass per [`hf_nn::stacks`] run that reads only that row.
+    fn scores(
+        &self,
+        mine: &[usize],
+        (prompts, resps): (&[Vec<usize>], &[Vec<usize>]),
+        resp_raw: &[u32],
+        rw: usize,
+    ) -> Vec<f32> {
+        match (&self.kind, &self.lm) {
+            (RewardKind::RuleBased { good_tokens }, _) => (mine.iter())
+                .map(|&i| {
+                    let resp = &resp_raw[i * rw..(i + 1) * rw];
+                    let hits = resp.iter().filter(|t| good_tokens.contains(t)).count();
+                    hits as f32 / rw.max(1) as f32
+                })
+                .collect(),
+            (RewardKind::Neural { .. }, Some(lm)) => {
+                let seqs = sequences(prompts, resps);
+                let len = seqs.first().map_or(0, Vec::len);
+                let last = len.saturating_sub(1)..len;
+                stacked(&seqs, mine, last, |run, reads| lm.values_stacked(run, reads)).concat()
             }
-            RewardKind::Neural { .. } => {
-                let mut seq = prompt.to_vec();
-                seq.extend_from_slice(resp);
-                let vals = self.lm.as_ref().expect("neural reward has an LM").values(&seq);
-                *vals.last().expect("non-empty sequence")
-            }
+            (RewardKind::Neural { .. }, None) => unreachable!("a neural reward has an LM"),
         }
     }
 }
@@ -1220,11 +1241,8 @@ impl Worker for RewardWorker {
         let (resps, rw) = token_rows(&data, "responses", vocab)?;
         let (resp_raw, _) = data.tokens("responses")?;
         let mut out = DataProto::with_rows(prompts.len());
-        let scores = mp_rows(ctx, prompts.len(), |mine| {
-            let score =
-                |&i: &usize| self.score(&prompts[i], &resps[i], &resp_raw[i * rw..(i + 1) * rw]);
-            mine.iter().map(score).collect()
-        });
+        let scores =
+            mp_rows(ctx, prompts.len(), |mine| self.scores(mine, (&prompts, &resps), resp_raw, rw));
         for (p, r) in prompts.iter().zip(resps.iter()) {
             charge_tokens(ctx, p.len() + r.len(), &self.hyper);
         }

@@ -454,55 +454,6 @@ fn generation_leaves_out_the_log_probs_a_driver_will_not_read() {
 }
 
 #[test]
-fn generation_log_probs_are_the_padded_forward() {
-    // `logp_old` of a full-length row comes from the decode, of a row a
-    // stop token cut short from a forward over the padded row: either
-    // way it is the forward's log-prob of each response token.
-    let cfg = RlhfConfig::tiny();
-    let reply = |stop: Option<u32>, no_logp: bool| {
-        let (_ctrl, sys) = colocated_4gpu(&cfg, false, false);
-        let mut prompts = make_prompts(8, cfg.prompt_len, cfg.response_len, cfg.lm.vocab as u32, 7);
-        if let Some(stop) = stop {
-            prompts.meta.insert("stop_tokens".into(), stop.to_string());
-        }
-        if no_logp {
-            prompts.meta.insert(hf_rlhf::NO_LOGP_META.into(), "1".into());
-        }
-        sys.actor.invoke_sync("generate_sequences", &prompts).unwrap()
-    };
-    // A stop token from row 0's response that some other row never
-    // samples: some rows stop short, some run to full length.
-    let free = reply(None, false);
-    let (resps, rw) = free.tokens("responses").unwrap();
-    let rows: Vec<&[u32]> = resps.chunks(rw).collect();
-    let stop = *(rows[0].iter())
-        .find(|&t| rows.iter().any(|r| !r.contains(t)))
-        .expect("a token some row never samples");
-    let batch = reply(Some(stop), false);
-    let lens = batch.f32("response_len").unwrap().0.to_vec();
-    assert!(lens.iter().any(|&l| l < rw as f32), "a row stops short: {lens:?}");
-    assert!(lens.contains(&(rw as f32)), "a row runs to full length: {lens:?}");
-
-    let lm = hf_nn::TinyLm::new(cfg.lm, cfg.hyper.seed);
-    let (prompts, pw) = batch.tokens("prompts").unwrap();
-    let (resps, _) = batch.tokens("responses").unwrap();
-    let seqs: Vec<Vec<usize>> = (prompts.chunks(pw).zip(resps.chunks(rw)))
-        .map(|(p, r)| p.iter().chain(r).map(|&t| t as usize).collect())
-        .collect();
-    let refs: Vec<&[usize]> = seqs.iter().map(Vec::as_slice).collect();
-    let want: Vec<u32> = (lm.log_probs_stacked(&refs).iter())
-        .flat_map(|lp| &lp[pw - 1..pw - 1 + rw])
-        .map(|v| v.to_bits())
-        .collect();
-    let got: Vec<u32> = batch.f32("logp_old").unwrap().0.iter().map(|v| v.to_bits()).collect();
-    assert_eq!(got, want);
-
-    let stamped = reply(Some(stop), true);
-    assert!(!stamped.has("logp_old"), "the stamp still leaves the column out");
-    assert_eq!(stamped.tokens("responses").unwrap(), batch.tokens("responses").unwrap());
-}
-
-#[test]
 fn compute_loss_is_the_mean_next_token_cross_entropy() {
     // The one Table 4 method no driver calls: a forward-only pass, so it
     // runs tape-free like the rest — here against the model itself.

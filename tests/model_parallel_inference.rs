@@ -9,7 +9,7 @@
 use std::sync::Arc;
 use std::thread;
 
-use hybridflow::nn::{LmConfig, ShardedLm, StageOutput, TinyLm};
+use hybridflow::nn::{Head, LmConfig, ShardedLm, StageOutput, TinyLm};
 use hybridflow::simcluster::{
     ClusterSpec, CommCostModel, CommGroup, Communicator, DeviceId, VirtualClock,
 };
@@ -34,66 +34,71 @@ fn threaded_2d_model_parallel_matches_full_model() {
     let pp_groups: Vec<CommGroup> =
         (0..t).map(|ti| CommGroup::new((0..p).map(|pi| DeviceId(pi * t + ti)).collect())).collect();
 
-    let mut handles = Vec::new();
-    for pi in 0..p {
-        for ti in 0..t {
-            let shard = ShardedLm::from_full(&lm, pi, p, ti, t);
-            let comm = Communicator::new(tp_groups[pi].clone(), ti, cluster.clone(), cost.clone());
-            let pp = Communicator::new(pp_groups[ti].clone(), pi, cluster.clone(), cost.clone());
-            let ids = ids.clone();
-            handles.push(thread::spawn(move || {
-                let mut clock = VirtualClock::new();
-                // Stage input: embed on stage 0, receive activations
-                // otherwise (every TP rank of a stage gets a copy from
-                // its column-peer on the previous stage).
-                let h_in = if pi == 0 {
-                    shard.embed(&ids)
-                } else {
-                    let (rows, cols, data): (usize, usize, Vec<f32>) =
-                        pp.recv_from(&mut clock, pi - 1);
-                    hybridflow::nn::Tensor::new(data, rows, cols)
-                };
-                let out =
-                    shard.forward_stage(h_in, |partial| comm.all_reduce_sum(&mut clock, partial));
-                match out {
-                    StageOutput::Hidden(hn) => {
-                        let bytes = (hn.len() * 4) as f64;
-                        pp.send_to(
-                            &clock,
-                            pi + 1,
-                            (hn.rows(), hn.cols(), hn.data().to_vec()),
-                            bytes,
-                        );
-                        None
-                    }
-                    StageOutput::Final { logits, values } => {
-                        Some((logits.data().to_vec(), values.data().to_vec(), clock.now()))
-                    }
-                }
-            }));
-        }
-    }
-
-    let mut finals = Vec::new();
-    for h in handles {
-        if let Some(f) = h.join().unwrap() {
-            finals.push(f);
-        }
-    }
-    assert_eq!(finals.len(), t, "every last-stage TP rank finalizes");
     let close = |a: &[f32], b: &[f32]| {
         a.len() == b.len()
             && a.iter()
                 .zip(b.iter())
                 .all(|(x, y)| (x - y).abs() <= 1e-4 * (1.0 + x.abs().max(y.abs())))
     };
-    for (logits, values, clock) in &finals {
-        assert!(close(logits, &full_logits), "TP/PP logits diverge from full model");
-        assert!(close(values, &full_values));
-        assert!(*clock > 0.0, "collectives and hand-offs must cost virtual time");
+    // One grid pass per head: a stage forms the head its caller reads.
+    for (head, full) in [(Head::Logits, &full_logits), (Head::Values, &full_values)] {
+        let mut handles = Vec::new();
+        for pi in 0..p {
+            for ti in 0..t {
+                let shard = ShardedLm::from_full(&lm, pi, p, ti, t);
+                let comm =
+                    Communicator::new(tp_groups[pi].clone(), ti, cluster.clone(), cost.clone());
+                let pp =
+                    Communicator::new(pp_groups[ti].clone(), pi, cluster.clone(), cost.clone());
+                let ids = ids.clone();
+                handles.push(thread::spawn(move || {
+                    let mut clock = VirtualClock::new();
+                    // Stage input: embed on stage 0, receive activations
+                    // otherwise (every TP rank of a stage gets a copy from
+                    // its column-peer on the previous stage).
+                    let h_in = if pi == 0 {
+                        shard.embed(&ids)
+                    } else {
+                        let (rows, cols, data): (usize, usize, Vec<f32>) =
+                            pp.recv_from(&mut clock, pi - 1);
+                        hybridflow::nn::Tensor::new(data, rows, cols)
+                    };
+                    #[allow(clippy::single_range_in_vec_init)] // one sequence's read window
+                    let every = [0..ids.len()];
+                    let out = shard.forward_stage_stacked(h_in, &[ids.len()], &every, head, |x| {
+                        comm.all_reduce_sum(&mut clock, x)
+                    });
+                    match out {
+                        StageOutput::Hidden(hn) => {
+                            let bytes = (hn.len() * 4) as f64;
+                            pp.send_to(
+                                &clock,
+                                pi + 1,
+                                (hn.rows(), hn.cols(), hn.data().to_vec()),
+                                bytes,
+                            );
+                            None
+                        }
+                        StageOutput::Final(out) => Some((out.data().to_vec(), clock.now())),
+                    }
+                }));
+            }
+        }
+
+        let mut finals = Vec::new();
+        for h in handles {
+            if let Some(f) = h.join().unwrap() {
+                finals.push(f);
+            }
+        }
+        assert_eq!(finals.len(), t, "every last-stage TP rank finalizes");
+        for (out, clock) in &finals {
+            assert!(close(out, full), "TP/PP {head:?} diverge from full model");
+            assert!(*clock > 0.0, "collectives and hand-offs must cost virtual time");
+        }
+        // Both last-stage TP ranks agree exactly (same all-reduced stream).
+        assert_eq!(finals[0].0, finals[1].0);
     }
-    // Both last-stage TP ranks agree exactly (same all-reduced stream).
-    assert_eq!(finals[0].0, finals[1].0);
 }
 
 #[test]
