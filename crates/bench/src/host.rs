@@ -225,8 +225,9 @@ fn tp_joins_per_chunk(cfg: LmConfig, rows: usize) -> u64 {
 /// `T` fed tokens a call, reading every position and then only the
 /// response half (the last `T / 2`, as a worker reads a response) — and
 /// what a training step's pass costs: the tape's forward, a PPO-shaped
-/// loss on its next-token log-probs and `backward_into` a reused buffer.
-/// Exact beside the timings: whether the tape-free and the half-window
+/// loss on its next-token log-probs and `backward_into` a reused buffer,
+/// and that pass over the tape's forward (`bwd / fwd`). Exact beside the
+/// timings: whether the tape-free and the half-window
 /// passes give the tape's bits, and the TP all-reduces a `tp_inference`
 /// pass makes for an 8-row chunk on 1-2-2 — `layers`, where a pass per
 /// row made `8 × layers`.
@@ -255,6 +256,7 @@ pub fn inference_forward(fast: bool) -> Report {
             col("values, T/2 read", "us", 1),
             col("log-probs, T/2 read", "us", 1),
             col("tape / values", "x", 2),
+            col("bwd / fwd", "x", 2),
             label("bit-equal"),
             label("TP joins / 8-row chunk"),
         ],
@@ -318,6 +320,7 @@ pub fn inference_forward(fast: bool) -> Report {
             (half_values_s * 1e6).into(),
             (half_logps_s * 1e6).into(),
             (tape_s / values_s).into(),
+            (train_s / tape_s).into(),
             if equal { "yes" } else { "NO" }.into(),
             joins.into(),
         ]);

@@ -53,7 +53,7 @@ pub struct WhatIf {
     /// headline, here as an exact subtraction on the measured path).
     pub zero_cost_transition_s: f64,
     /// Iteration time if generation fully overlapped with training
-    /// (ROADMAP item 1, the DistFlow/G-Core async pipeline): the
+    /// (the DistFlow/G-Core async pipeline, DESIGN.md §14): the
     /// shorter of the two phases hides entirely behind the longer.
     pub full_gen_train_overlap_s: f64,
 }

@@ -8,7 +8,7 @@
 //! (gap-free tilings of the iteration window, attributed per role and
 //! per kind), device/role bubble fractions, and analytic bounds for
 //! "what if resharding transitions were free" and "what if generation
-//! fully overlapped training" (ROADMAP item 1). [`report`] renders the
+//! fully overlapped training" (DESIGN.md §14). [`report`] renders the
 //! results as byte-stable JSON and diffs them against a committed
 //! baseline within tolerance, which is what `hf-bench perf_report --check`
 //! enforces in CI.

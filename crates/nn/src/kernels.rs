@@ -17,8 +17,9 @@
 //! in hf-nn is kept in ([`Panels`]) — and [`NC`] output columns are
 //! accumulated at once in registers. `x·wᵀ` and `g·w` read their panel
 //! in place and store each column's sums as one vector; `gᵀ·x`, whose
-//! lanes are `x`'s columns, transposes `x`'s rows and reads `g`'s out
-//! row-major once a call, and stores each row of the row-major flat
+//! lanes are `x`'s columns, is handed `x` transposed and `g` row-major —
+//! both converted once per tape op, by 8×8 block moves, and sliced to
+//! each segment's rows — and stores each row of the row-major flat
 //! gradient a vector at a time. There
 //! is no FMA, no `mul_add` and no target feature
 //! that changes a rounding (a fused multiply-add rounds once where the
@@ -30,6 +31,7 @@
 //! enabled. The sums of padding lanes are computed and never read.
 
 use std::cell::OnceCell;
+use std::ops::Range;
 
 use crate::panels::Panels;
 use crate::tensor::Mat;
@@ -143,12 +145,22 @@ fn micro<T: Terms, const N: usize>(terms: T, j: usize) -> [Lanes; N] {
 #[inline(always)]
 pub(crate) fn panel_product<T: Terms>(terms: T, n: usize, store: impl FnMut(usize, &Lanes)) {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
+    if std::arch::is_x86_feature_detected!("avx2") && !baseline_only() {
         // SAFETY: `panel_product_avx2` only requires the `avx2` target
         // feature, and the running CPU was detected to have it above.
         return unsafe { panel_product_avx2(terms, n, store) };
     }
     panel_body(terms, n, store)
+}
+
+/// Whether a test asked for the baseline instantiation on a host that
+/// has `avx2` ([`tests::on`]); never outside tests.
+#[inline(always)]
+fn baseline_only() -> bool {
+    #[cfg(test)]
+    return tests::BASELINE_ONLY.get();
+    #[cfg(not(test))]
+    false
 }
 
 /// [`panel_body`] compiled for `avx2`: one 8-wide vector per panel row
@@ -224,25 +236,30 @@ impl<'a> Terms for NnSkipB<'a> {
     }
 }
 
-/// Which lanes of a panel hold a value `hit` is true of, over the
-/// panel's steps — lane by lane and without an early exit, which
-/// vectorises: a scan value by value cost as much as a product's
-/// arithmetic.
+/// Whether any of `values` is one `hit` is true of: one fold over the
+/// values in order without an early exit, which vectorises over
+/// adjacent values (a scan value by value with an early exit cost as
+/// much as a product's arithmetic).
 #[inline(always)]
-fn lane_hits(panel: &[Lanes], hit: impl Fn(f32) -> bool) -> [u32; LANES] {
-    panel.iter().fold([0u32; LANES], |mut hits, lanes| {
+fn any_hit(values: &[f32], hit: impl Fn(f32) -> bool) -> bool {
+    values.iter().fold(0u32, |hits, &v| hits | u32::from(hit(v))) != 0
+}
+
+/// Whether any of the first `width` lanes of a panel holds a value `hit`
+/// is true of: a whole panel's values as one flat slice, a ragged one's
+/// real lanes folded lane by lane.
+#[inline(always)]
+fn real_lanes_hit(panel: &[Lanes], width: usize, hit: impl Fn(f32) -> bool) -> bool {
+    if width == LANES {
+        return any_hit(panel.as_flattened(), hit);
+    }
+    let hits = panel.iter().fold([0u32; LANES], |mut hits, lanes| {
         for (h, &v) in hits.iter_mut().zip(lanes) {
             *h |= u32::from(hit(v));
         }
         hits
-    })
-}
-
-/// Whether any of `values` is one `hit` is true of: [`lane_hits`] over
-/// a flat slice.
-fn any_hit(values: &[f32], hit: impl Fn(f32) -> bool + Copy) -> bool {
-    let (steps, rest) = values.as_chunks::<LANES>();
-    lane_hits(steps, hit).contains(&1) || rest.iter().any(|&v| hit(v))
+    });
+    hits[..width].contains(&1)
 }
 
 /// Counts a panel whose skip-zero scan found what it looks for, for the
@@ -268,7 +285,7 @@ fn skip_zero_product(
     (b, finite): (Mat, &OnceCell<bool>),
     store: impl FnMut(usize, &Lanes),
 ) {
-    let zero = lane_hits(a, |v| v == 0.0)[..width].contains(&1);
+    let zero = real_lanes_hit(a, width, |v| v == 0.0);
     count_hit(zero);
     if zero && !*finite.get_or_init(|| !any_hit(b.data, |v| !v.is_finite())) {
         panel_product(Nn::<true> { a, b }, b.cols, store)
@@ -292,6 +309,19 @@ pub(crate) fn x_wt(x: &Panels, w: Mat) -> Panels {
     Panels::from_data(out, x.rows(), w.rows)
 }
 
+/// `out += x · wᵀ`, `out: [m × n]` in panels: each column's sums added
+/// to what it holds — the second product of a sum of two, whose first
+/// [`x_wt`] stored.
+pub(crate) fn x_wt_add(out: &mut Panels, x: &Panels, w: Mat) {
+    assert_eq!((x.cols(), out.rows(), out.cols()), (w.cols, x.rows(), w.rows), "x·wᵀ shapes");
+    for g in 0..x.groups() {
+        let dst = out.panel_mut(g);
+        panel_product(Nt { a: x.panel(g), w: w.data }, w.rows, |c, sums| {
+            Write::Add.put(&mut dst[c], sums);
+        });
+    }
+}
+
 /// `g · w` with `g: [m × k]` in panels and `w: [k × n]` row-major →
 /// `[m × n]` in panels, zero terms of `g` skipped.
 pub(crate) fn g_w(g: &Panels, w: Mat) -> Panels {
@@ -306,28 +336,28 @@ pub(crate) fn g_w(g: &Panels, w: Mat) -> Panels {
     Panels::from_data(out, g.rows(), w.cols)
 }
 
-/// `gᵀ · x` over rows `rows` of `g: [m × k]` and `x: [m × n]`, both in
-/// panels, zero terms of `g` skipped, stored in or added to the
-/// row-major `out: [k × n]` — a weight gradient lands where it is
-/// summed. The lanes are `x`'s columns, so `x`'s rows are transposed
-/// once and `g`'s read out row-major once, and each output row's
-/// [`LANES`] sums are one vector of `out`. The zero terms are `g`'s, the
-/// broadcast operand: a panel skips them ([`NnSkipB`]) only where a zero
-/// in `g`'s rows meets a non-finite value in the panel's real lanes.
+/// `gᵀ · x` over rows `rows` of `g: [m × k]` and `x: [m × n]`, zero
+/// terms of `g` skipped, stored in or added to the row-major `out: [k ×
+/// n]` — a weight gradient lands where it is summed. `g` is given
+/// row-major and `x` transposed ([`Panels::transpose`], `x`'s columns
+/// as lanes), each over all of an op's rows and converted once for all
+/// of its segments: this call reads the steps `rows` of each panel in
+/// place and stores each output row's [`LANES`] sums as one vector of
+/// `out`. The zero terms are `g`'s, the broadcast operand: a panel skips
+/// them ([`NnSkipB`]) only where a non-finite value in its real lanes
+/// meets a zero in `g`'s rows, which are scanned only then.
 pub(crate) fn gt_x_into(
-    g: &Panels,
-    x: &Panels,
-    rows: std::ops::Range<usize>,
+    g: Mat,
+    xt: &Panels,
+    rows: Range<usize>,
     (out, write): (&mut [f32], Write),
 ) {
-    let (k, n) = (g.cols(), x.cols());
-    assert_eq!((g.rows(), out.len()), (x.rows(), k * n), "gᵀ·x shapes");
-    let gr = g.rows_major(rows.clone());
-    let b = Mat { data: &gr, rows: rows.len(), cols: k };
-    let zero = any_hit(&gr, |v| v == 0.0);
-    let xt = x.transpose_rows(rows);
+    let (k, n) = (g.cols, xt.rows());
+    assert_eq!((g.rows, out.len()), (xt.cols(), k * n), "gᵀ·x shapes");
+    let b = Mat { data: &g.data[rows.start * k..rows.end * k], rows: rows.len(), cols: k };
+    let zero = OnceCell::new();
     for p in 0..xt.groups() {
-        let (a, width, j0) = (xt.panel(p), xt.width(p), p * LANES);
+        let (a, width, j0) = (&xt.panel(p)[rows.clone()], xt.width(p), p * LANES);
         let store = |c: usize, sums: &Lanes| {
             let at = c * n + j0;
             if width == LANES {
@@ -338,7 +368,8 @@ pub(crate) fn gt_x_into(
                 write.put(&mut out[at..at + width], &sums[..width]);
             }
         };
-        let masked = zero && lane_hits(a, |v| !v.is_finite())[..width].contains(&1);
+        let masked = real_lanes_hit(a, width, |v| !v.is_finite())
+            && *zero.get_or_init(|| any_hit(b.data, |v| v == 0.0));
         count_hit(masked);
         if masked {
             panel_product(NnSkipB { a, b }, k, store)
@@ -439,6 +470,17 @@ pub(crate) mod tests {
         /// non-finite value in a real lane of `gᵀ·x`'s `x` panel where
         /// `g`'s rows hold a zero.
         pub(crate) static SCAN_HITS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+        /// Set while [`on`] runs the baseline instantiation.
+        pub(crate) static BASELINE_ONLY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    /// Runs `f` with every product on this thread taking `isa`'s
+    /// instantiation of the panel product.
+    fn on<R>(isa: Isa, f: impl FnOnce() -> R) -> R {
+        let before = BASELINE_ONLY.replace(matches!(isa, Isa::Baseline));
+        let out = f();
+        BASELINE_ONLY.set(before);
+        out
     }
 
     /// The lanes of `m`'s rows, padded with `f32::NAN`: a padding lane
@@ -447,10 +489,16 @@ pub(crate) mod tests {
         with_padding(f32::NAN, || Panels::from_mat(m))
     }
 
+    /// The columns of `m` as lanes, padded with `f32::NAN`: `m`
+    /// converted as a tape op converts `x` for `gᵀ·x`.
+    fn columns(m: Mat) -> Panels {
+        with_padding(f32::NAN, || poisoned(m).transpose())
+    }
+
     /// The row-major `[k × n]` of [`gt_x_into`] over all rows of `g`
     /// and `x`, written over `out`.
     fn gt_x(g: Mat, x: Mat, out: (&mut [f32], Write)) {
-        gt_x_into(&poisoned(g), &poisoned(x), 0..g.rows, out);
+        gt_x_into(g, &columns(x), 0..g.rows, out);
     }
 
     fn dim() -> impl Strategy<Value = usize> {
@@ -491,14 +539,60 @@ pub(crate) mod tests {
             let sum: Vec<f32> = out.iter().zip(&gtx).map(|(a, b)| a + b).collect();
             gt_x(mat(&g, m, k), mat(&x, m, n), (&mut out, Write::Add));
             prop_assert_eq!(bits(&out), bits(&sum), "gᵀ·x added in place");
-            // A window of rows, starting anywhere in a panel.
-            let (r0, r1) = (m / 3, m - m / 4);
-            let part = |v: &[f32], cols: usize| v[r0 * cols..r1 * cols].to_vec();
-            let want = reference::gt_x(&part(&g, k), &part(&x, n), r1 - r0, k, n);
-            let mut out = vec![f32::NAN; k * n];
-            let (gp, xp) = (poisoned(mat(&g, m, k)), poisoned(mat(&x, m, n)));
-            gt_x_into(&gp, &xp, r0..r1, (&mut out, Write::Store));
-            prop_assert_eq!(bits(&out), bits(&want), "gᵀ·x over rows {}..{}", r0, r1);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// `gᵀ·x` as a tape op runs it: `g` read out of its panels and
+        /// `x` transposed once over all rows, then one call per segment
+        /// on its slice of steps, each against the scalar loop over that
+        /// segment alone. Segments start anywhere in a panel and run
+        /// across panel boundaries; the last panel is ragged whenever
+        /// the rows are; `x` holds NaN and ±∞ where `g` holds exact
+        /// zeros, so both a masked and a plain panel are taken.
+        #[test]
+        fn gt_x_per_segment_bit_identical_to_reference(
+            lens in proptest::collection::vec(0usize..=19, 1..6),
+            n in dim(), k in dim(), seed in any::<u64>(), specials in 0usize..4,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m: usize = lens.iter().sum();
+            let mut g = matrix(&mut rng, m, k);
+            let mut x = matrix(&mut rng, m, n);
+            let values = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+            for v in 0..specials.min(m * n) {
+                let at = rng.random_range(0..m * n);
+                x[at] = values[v % values.len()];
+            }
+            // Every other segment's first row meets a zero of `g` with a
+            // value of `x` that is not finite: its first panel is masked.
+            let starts = lens.iter().scan(0, |r, &len| Some((std::mem::replace(r, *r + len), len)));
+            for (s, (r, _)) in starts.enumerate().filter(|&(s, (_, len))| s % 2 == 0 && len > 0) {
+                (g[r * k], x[r * n]) = (0.0, values[s / 2 % values.len()]);
+            }
+            let gr = poisoned(mat(&g, m, k)).row_major();
+            prop_assert_eq!(bits(&gr), bits(&g), "g read out of its panels");
+            let xt = columns(mat(&x, m, n));
+            let part = |v: &[f32], cols: usize, rows: &Range<usize>| {
+                v[rows.start * cols..rows.end * cols].to_vec()
+            };
+            for isa in isas() {
+                let mut r0 = 0;
+                for (s, &len) in lens.iter().enumerate() {
+                    let rows = r0..r0 + len;
+                    r0 += len;
+                    let want =
+                        reference::gt_x(&part(&g, k, &rows), &part(&x, n, &rows), len, k, n);
+                    let mut out = vec![f32::NAN; k * n];
+                    on(isa, || gt_x_into(mat(&gr, m, k), &xt, rows.clone(), (&mut out, Write::Store)));
+                    prop_assert_eq!(
+                        bits(&out), bits(&want),
+                        "{:?} segment {} (rows {:?}) of {:?}, n, k = {}, {}", isa, s, rows, lens, n, k
+                    );
+                }
+            }
         }
     }
 
@@ -526,8 +620,8 @@ pub(crate) mod tests {
                 g_w(&Panels::from_mat(mat(&gz, m, k)), mat(&w, k, n));
             };
             let gt_x_scan = || {
-                let (gp, xp) = (Panels::from_mat(mat(&gz, m, k)), Panels::from_mat(mat(&xi, m, n)));
-                gt_x_into(&gp, &xp, 0..m, (&mut vec![0.0; k * n], Write::Store));
+                let xt = Panels::from_mat(mat(&xi, m, n)).transpose();
+                gt_x_into(mat(&gz, m, k), &xt, 0..m, (&mut vec![0.0; k * n], Write::Store));
             };
             for (name, product) in [("g·w", &g_w_scan as &dyn Fn()), ("gᵀ·x", &gt_x_scan)] {
                 let (zero, nan) = (hits(0.0, product), hits(f32::NAN, product));
@@ -570,10 +664,7 @@ pub(crate) mod tests {
                     out[(r0 + l) * n + c] = v;
                 }
             };
-            match isa {
-                Isa::Baseline => panel_body(panel(group), n, store),
-                Isa::Avx2 => panel_product(panel(group), n, store),
-            }
+            on(isa, || panel_product(panel(group), n, store));
         }
         bits(&out)
     }
@@ -604,10 +695,7 @@ pub(crate) mod tests {
             let gt_x_inf = transposed(reference::gt_x(&g, &gx_inf, m, k, n));
             let xp = poisoned(mat(&x, m, k));
             let g_rows = poisoned(mat(&g, m, k));
-            let x_cols = |x: &[f32]| {
-                with_padding(f32::NAN, || Panels::from_mat(mat(x, m, n)).transpose_rows(0..m))
-            };
-            let (gx_cols, gx_inf_cols) = (x_cols(&gx), x_cols(&gx_inf));
+            let (gx_cols, gx_inf_cols) = (columns(mat(&gx, m, n)), columns(mat(&gx_inf, m, n)));
             let b = mat(&b, k, n);
             let xt = |i: usize| Nt { a: xp.panel(i), w: &w };
             // `g · b` takes the rows of `g` as lanes, `gᵀ · x` the columns

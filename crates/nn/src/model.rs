@@ -314,9 +314,7 @@ impl TinyLm {
                 (h, c) = (tape.slice_rows(h, reads), tape.slice_rows(c, reads));
             }
             let n = tape.rmsnorm(h, gain);
-            let a1 = tape.matmul_nt(n, wa);
-            let a2 = tape.matmul_nt(c, ua);
-            let pre = tape.add(a1, a2);
+            let pre = tape.matmul_nt_sum((n, wa), (c, ua));
             let act = tape.silu(pre);
             let out = tape.matmul_nt(act, wb);
             h = tape.add(h, out);

@@ -65,14 +65,23 @@ impl Panels {
 
     /// The row-major matrix of the real rows.
     pub fn to_tensor(&self) -> Tensor {
-        Tensor::new(self.rows_major(0..self.rows), self.rows, self.cols)
+        Tensor::new(self.row_major(), self.rows, self.cols)
     }
 
-    /// Rows `rows`, row-major.
-    pub fn rows_major(&self, rows: std::ops::Range<usize>) -> Vec<f32> {
-        let mut out = Vec::with_capacity(rows.len() * self.cols);
-        for r in rows {
-            out.extend(self.row(r));
+    /// The real rows, row-major: a panel at a time, each of its real
+    /// lanes read out into one row, 8×8 lanes of a block at a time.
+    pub fn row_major(&self) -> Vec<f32> {
+        let cols = self.cols;
+        let mut out = vec![0.0; self.rows * cols];
+        for (g, rows) in out.chunks_mut((LANES * cols).max(1)).enumerate() {
+            let (blocks, rest) = self.panel(g).as_chunks::<LANES>();
+            for (l, row) in rows.chunks_exact_mut(cols).enumerate() {
+                let (whole, tail) = row.as_chunks_mut::<LANES>();
+                for (d, block) in whole.iter_mut().zip(blocks) {
+                    lane_of(block, l, d);
+                }
+                lane_of(rest, l, tail);
+            }
         }
         out
     }
@@ -193,22 +202,45 @@ impl Panels {
         }
     }
 
-    /// Rows `rows` of `self` with rows and columns swapped, `[cols ×
-    /// rows.len()]`: the columns of `self` become the lanes. The padding
-    /// lanes of its ragged last panel hold what [`Panels::new`] put there.
-    pub fn transpose_rows(&self, rows: std::ops::Range<usize>) -> Panels {
-        let (start, m) = (rows.start, rows.len());
-        let mut t = Panels::new(self.cols, m);
-        for r in rows {
-            // Row `r` becomes step `r - start` of every panel of `t`.
-            let (src, lane) = (self.panel(r / LANES), r % LANES);
-            for (g, block) in src.chunks(LANES).enumerate() {
-                for (d, s) in t.data[g * m + r - start].iter_mut().zip(block) {
-                    *d = s[lane];
+    /// `self` with rows and columns swapped, `[cols × rows]`: the columns
+    /// of `self` become the lanes, its rows the steps. Values move an
+    /// 8×8 block of lanes at a time; the padding lanes of the result's
+    /// ragged last panel hold what [`Panels::new`] put there.
+    pub fn transpose(&self) -> Panels {
+        let mut t = Panels::new(self.cols, self.rows);
+        for g in 0..self.groups() {
+            let rows = g * LANES..g * LANES + self.width(g);
+            for (p, steps) in self.panel(g).chunks(LANES).enumerate() {
+                // Lane `l` of these steps is step `8g + l` of panel `p`.
+                let dst = &mut t.panel_mut(p)[rows.clone()];
+                match (
+                    <&[Lanes; LANES]>::try_from(steps),
+                    <&mut [Lanes; LANES]>::try_from(&mut *dst),
+                ) {
+                    // A whole block: lengths the compiler sees.
+                    (Ok(steps), Ok(dst)) => swap_lanes(steps, dst),
+                    _ => swap_lanes(steps, dst),
                 }
             }
         }
         t
+    }
+}
+
+/// `dst[l][s] = steps[s][l]` over the shorter of each: steps and lanes
+/// swapped.
+#[inline(always)]
+fn swap_lanes(steps: &[Lanes], dst: &mut [Lanes]) {
+    for (l, d) in dst.iter_mut().enumerate() {
+        lane_of(steps, l, d);
+    }
+}
+
+/// Lane `l` of each of `steps` into `dst`, step by step.
+#[inline(always)]
+fn lane_of(steps: &[Lanes], l: usize, dst: &mut [f32]) {
+    for (v, lanes) in dst.iter_mut().zip(steps) {
+        *v = lanes[l];
     }
 }
 
@@ -355,9 +387,16 @@ mod tests {
         assert_eq!(p.get(9, 2), 29.0);
         assert_eq!(p.row(10).collect::<Vec<_>>(), [30.0, 31.0, 32.0]);
         assert!(p.panel(1).iter().all(|lanes| lanes[3..].iter().all(|v| v.is_nan())));
-        let tt = p.transpose_rows(2..11);
-        assert_eq!((tt.rows(), tt.cols()), (3, 9));
-        assert_eq!((tt.get(0, 0), tt.get(2, 8)), (6.0, 32.0));
+        let tt = with_padding(f32::NAN, || p.transpose());
+        assert_eq!((tt.rows(), tt.cols()), (3, 11));
+        assert_eq!((tt.get(0, 2), tt.get(2, 10)), (6.0, 32.0));
+        assert!(tt.panel(0).iter().all(|lanes| lanes[3..].iter().all(|v| v.is_nan())));
+        assert_eq!(tt.transpose().to_tensor(), t);
+        // Several 8×8 blocks each way, ragged in both.
+        let (rows, cols) = (19, 21);
+        let t = Tensor::new((0..rows * cols).map(|v| v as f32).collect(), rows, cols);
+        let tt = Panels::from_mat(t.mat()).transpose().to_tensor();
+        assert!((0..rows * cols).all(|i| tt.get(i % cols, i / cols) == t.get(i / cols, i % cols)));
         let col = Panels::from_column(&[1.0, 2.0, 3.0]);
         assert_eq!(col.column(), [1.0, 2.0, 3.0]);
     }

@@ -217,7 +217,7 @@ impl ShardedLm {
         let every: Vec<Range<usize>> = lens.iter().map(|&len| 0..len).collect();
         let h = run_blocks(Panels::from_mat(h.mat()), lens, &every, blocks, |partial| {
             let (rows, cols) = (partial.rows(), partial.cols());
-            let data = all_reduce(&partial.rows_major(0..rows));
+            let data = all_reduce(&partial.row_major());
             Panels::from_mat(Mat { data: &data, rows, cols })
         });
         if self.p_idx < self.p - 1 {
@@ -260,7 +260,7 @@ impl Block<'_> {
     fn partial(&self, h: &Panels, c: &Panels) -> Panels {
         let n = panels::rmsnorm(h, self.gain);
         let mut act = kernels::x_wt(&n, self.wa);
-        act.add_assign(&kernels::x_wt(c, self.ua));
+        kernels::x_wt_add(&mut act, c, self.ua);
         panels::silu_in_place(&mut act);
         // Row-parallel output: `act` is `[rows × ffn/t]`, the `Wb` shard
         // `[hidden × ffn/t]`.

@@ -31,6 +31,7 @@
 #![allow(clippy::needless_range_loop)] // index loops mirror the math
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use crate::kernels::{self, Lanes, Write, LANES};
 use crate::panels::{self, Panels};
@@ -46,6 +47,11 @@ enum Op {
     MatmulNt {
         x: usize,
         w: usize,
+    },
+    /// `y = x₀ · w₀ᵀ + x₁ · w₁ᵀ`: a block's expand.
+    MatmulNtSum {
+        x: [usize; 2],
+        w: [usize; 2],
     },
     Add {
         a: usize,
@@ -74,11 +80,13 @@ enum Op {
     GatherLogProb {
         logits: usize,
         targets: Vec<usize>,
-        probs: Panels,
+        probs: Arc<Panels>,
     },
+    /// `lnp` keeps `ln p` of every `p > 0` of `probs` for the backward.
     MeanEntropy {
         logits: usize,
-        probs: Panels,
+        probs: Arc<Panels>,
+        lnp: Panels,
     },
     MeanAll {
         x: usize,
@@ -168,6 +176,9 @@ pub struct Tape<'a> {
     /// Segmentations in use: each lists the row at which every segment
     /// starts, then the row count (`[0, T₀, T₀ + T₁, …]`).
     bounds: Vec<Vec<usize>>,
+    /// The last row-wise softmax formed, and of which node: a log-prob
+    /// gather and an entropy over the same logits share it.
+    softmax: Option<(usize, Arc<Panels>)>,
 }
 
 /// Where [`Tape::backward_into`] leaves parameter gradients: one flat
@@ -265,13 +276,14 @@ pub(crate) fn log_probs(logits: &Panels, targets: &[usize]) -> Vec<f32> {
     out
 }
 
-/// `Σ −p·ln p` over rows `rows` of `probs`, accumulated row by row.
-fn entropy_sum(probs: &Panels, rows: std::ops::Range<usize>) -> f32 {
+/// `Σ −p·ln p` over rows `rows` of `probs`, accumulated row by row, with
+/// `lnp` holding `ln p` of each `p > 0`.
+fn entropy_sum(probs: &Panels, lnp: &Panels, rows: std::ops::Range<usize>) -> f32 {
     let mut total = 0.0f32;
     for r in rows {
-        for p in probs.row(r) {
+        for (p, l) in probs.row(r).zip(lnp.row(r)) {
             if p > 0.0 {
-                total -= p * p.ln();
+                total -= p * l;
             }
         }
     }
@@ -280,19 +292,24 @@ fn entropy_sum(probs: &Panels, rows: std::ops::Range<usize>) -> f32 {
 
 /// The gradients of [`panels::rmsnorm`] with gain `g`: `dx` lane-wise
 /// panel by panel, and one gain gradient per run of `runs`, summed over
-/// its rows in ascending order.
+/// its rows in ascending order. A gain gradient's terms are formed
+/// lane-wise beside `dx`'s sum, and each run then adds its lanes of a
+/// panel in order, step by step.
 fn rmsnorm_backward(x: &Panels, g: &[f32], gy: &Panels, runs: &[usize]) -> (Panels, Vec<Tensor>) {
     let n = x.cols() as f32;
     let mut dx = Panels::new(x.rows(), x.cols());
-    let mut invs = Vec::with_capacity(x.groups());
+    let mut dgs: Vec<Tensor> = runs.windows(2).map(|_| Tensor::zeros(1, x.cols())).collect();
+    let mut terms = vec![[0.0f32; LANES]; x.cols()];
+    let mut run = 0;
     for p in 0..x.groups() {
         let (xp, gp) = (x.panel(p), gy.panel(p));
         let inv = panels::inv_rms(xp);
-        // s = Σ_i gy_i · g_i · x_i.
+        // s = Σ_i gy_i · g_i · x_i, and each value's gain term gy · x · inv.
         let mut s = [0.0f32; LANES];
-        for ((xs, gs), &gc) in xp.iter().zip(gp).zip(g) {
+        for (((xs, gs), &gc), t) in xp.iter().zip(gp).zip(g).zip(&mut terms) {
             for l in 0..LANES {
                 s[l] += gs[l] * gc * xs[l];
+                t[l] = gs[l] * xs[l] * inv[l];
             }
         }
         for (((d, xs), gs), &gc) in dx.panel_mut(p).iter_mut().zip(xp).zip(gp).zip(g) {
@@ -300,22 +317,21 @@ fn rmsnorm_backward(x: &Panels, g: &[f32], gy: &Panels, runs: &[usize]) -> (Pane
                 d[l] = gs[l] * gc * inv[l] - xs[l] * s[l] * inv[l].powi(3) / n;
             }
         }
-        invs.push(inv);
-    }
-    let dgs = runs
-        .windows(2)
-        .map(|run| {
-            let mut dg = Tensor::zeros(1, x.cols());
-            for r in run[0]..run[1] {
-                let (p, lane) = (r / LANES, r % LANES);
-                let steps = x.panel(p).iter().zip(gy.panel(p));
-                for (d, (xs, gs)) in dg.data_mut().iter_mut().zip(steps) {
-                    *d += gs[lane] * xs[lane] * invs[p][lane];
+        // The runs that hold rows of this panel, first to last.
+        let (r0, r1) = (p * LANES, p * LANES + x.width(p));
+        while run + 1 < runs.len() && runs[run] < r1 {
+            let lanes = runs[run].max(r0) - r0..runs[run + 1].min(r1) - r0;
+            for (d, t) in dgs[run].data_mut().iter_mut().zip(&terms) {
+                for &v in &t[lanes.clone()] {
+                    *d += v;
                 }
             }
-            dg
-        })
-        .collect();
+            if runs[run + 1] > r1 {
+                break;
+            }
+            run += 1;
+        }
+    }
     (dx, dgs)
 }
 
@@ -340,6 +356,39 @@ fn deliver(nodes: &mut [Node], sink: &mut Sink, idx: usize, grads: Vec<Tensor>) 
             Value::Owned(_) => accumulate(nodes, idx, Panels::from_mat(g.mat())),
             Value::Param { off, slot, .. } => sink.put(slot, s, off, g.data()),
         }
+    }
+}
+
+/// The backward of `y = Σ_i xs[i] · ws[i]ᵀ` (`(xs[i], ws[i])` in
+/// `products`) given `y`'s gradient `gy` over segments `segs`: `gy` is
+/// read out row-major once for every weight gradient, and each product
+/// delivers its gradients last to first, weight then input, as an `add`
+/// of separate products would have delivered them.
+fn matmul_backward(
+    inputs: &mut [Node],
+    sink: &mut Sink,
+    products: &[(usize, usize)],
+    gy: &Panels,
+    segs: &[usize],
+) {
+    let gr = gy.to_tensor();
+    for &(x, w) in products.iter().rev() {
+        let dx = inputs[w].weight(|w| kernels::g_w(gy, w));
+        // `x` with its columns as lanes, over all rows: each segment's
+        // `gᵀ·x` reads its own steps of it.
+        let xt = inputs[x].panels().transpose();
+        if let Value::Param { mat, off, slot } = inputs[w].value {
+            for (s, seg) in segs.windows(2).enumerate() {
+                let dw = sink.window(slot, s, off, mat.data.len());
+                kernels::gt_x_into(gr.mat(), &xt, seg[0]..seg[1], dw);
+            }
+        } else {
+            let (n, k) = inputs[w].shape();
+            let mut dw = Tensor::zeros(n, k);
+            kernels::gt_x_into(gr.mat(), &xt, 0..gr.rows(), (dw.data_mut(), Write::Store));
+            accumulate(inputs, w, Panels::from_mat(dw.mat()));
+        }
+        accumulate(inputs, x, dx);
     }
 }
 
@@ -393,6 +442,19 @@ impl<'a> Tape<'a> {
     /// The activation at `v`.
     fn act(&self, v: Var) -> &Panels {
         self.nodes[v.0].panels()
+    }
+
+    /// [`softmax_rows`] of the activation at `logits`, formed once for
+    /// consecutive ops on the same logits.
+    fn softmax(&mut self, logits: Var) -> Arc<Panels> {
+        match &self.softmax {
+            Some((node, probs)) if *node == logits.0 => probs.clone(),
+            _ => {
+                let probs = Arc::new(softmax_rows(self.act(logits)));
+                self.softmax = Some((logits.0, probs.clone()));
+                probs
+            }
+        }
     }
 
     fn bounds_of(&self, v: Var) -> &[usize] {
@@ -449,6 +511,22 @@ impl<'a> Tape<'a> {
     pub fn matmul_nt(&mut self, x: Var, w: Var) -> Var {
         let y = self.nodes[w.0].weight(|w| kernels::x_wt(self.act(x), w));
         self.push(y, Op::MatmulNt { x: x.0, w: w.0 }, self.nodes[x.0].seg)
+    }
+
+    /// `x₀ · w₀ᵀ + x₁ · w₁ᵀ` as one op — a block's expand: the first
+    /// product stored and the second's sums added to it, bit for bit
+    /// [`Tape::add`] of two [`Tape::matmul_nt`]s, whose gradients its
+    /// backward gives too, from one read-out of `y`'s gradient.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes or the segments of `x₀` and `x₁` differ.
+    pub fn matmul_nt_sum(&mut self, (x0, w0): (Var, Var), (x1, w1): (Var, Var)) -> Var {
+        assert_eq!(self.bounds_of(x0), self.bounds_of(x1), "matmul_nt_sum segments");
+        let mut y = self.nodes[w0.0].weight(|w| kernels::x_wt(self.act(x0), w));
+        self.nodes[w1.0].weight(|w| kernels::x_wt_add(&mut y, self.act(x1), w));
+        let op = Op::MatmulNtSum { x: [x0.0, x1.0], w: [w0.0, w1.0] };
+        self.push(y, op, self.nodes[x0.0].seg)
     }
 
     /// Elementwise addition.
@@ -522,9 +600,8 @@ impl<'a> Tape<'a> {
 
     /// Token log-probabilities: `out[t] = log softmax(logits[t])[targets[t]]`.
     pub fn gather_log_prob(&mut self, logits: Var, targets: &[usize]) -> Var {
-        let lv = self.act(logits);
-        assert_eq!(lv.rows(), targets.len());
-        let probs = softmax_rows(lv);
+        assert_eq!(self.act(logits).rows(), targets.len());
+        let probs = self.softmax(logits);
         let y: Vec<f32> = (targets.iter().enumerate())
             .map(|(t, &tok)| probs.get(t, tok).max(1e-30).ln())
             .collect();
@@ -535,13 +612,14 @@ impl<'a> Tape<'a> {
     /// Mean policy entropy over the rows of each segment of `logits`
     /// (one scalar per segment, `[S × 1]`).
     pub fn mean_entropy(&mut self, logits: Var) -> Var {
-        let probs = softmax_rows(self.act(logits));
+        let probs = self.softmax(logits);
+        let lnp = probs.map_rows(|p| if p > 0.0 { p.ln() } else { 0.0 });
         let means = self
             .bounds_of(logits)
             .windows(2)
-            .map(|seg| entropy_sum(&probs, seg[0]..seg[1]) / (seg[1] - seg[0]) as f32)
+            .map(|seg| entropy_sum(&probs, &lnp, seg[0]..seg[1]) / (seg[1] - seg[0]) as f32)
             .collect::<Vec<_>>();
-        self.push_per_segment(means, Op::MeanEntropy { logits: logits.0, probs })
+        self.push_per_segment(means, Op::MeanEntropy { logits: logits.0, probs, lnp })
     }
 
     /// Rows `reads[s]` of each segment `s` of `x`, counted from the
@@ -686,20 +764,11 @@ impl<'a> Tape<'a> {
             match &node.op {
                 Op::Leaf => unreachable!("leaves keep their gradient"),
                 &Op::MatmulNt { x, w } => {
-                    let dx = inputs[w].weight(|w| kernels::g_w(&gy, w));
-                    if let Value::Param { mat, off, slot } = inputs[w].value {
-                        for (s, seg) in segs.windows(2).enumerate() {
-                            let dw = sink.window(slot, s, off, mat.data.len());
-                            kernels::gt_x_into(&gy, inputs[x].panels(), seg[0]..seg[1], dw);
-                        }
-                    } else {
-                        let (n, k) = inputs[w].shape();
-                        let mut dw = Tensor::zeros(n, k);
-                        let out = (dw.data_mut(), Write::Store);
-                        kernels::gt_x_into(&gy, inputs[x].panels(), 0..gy.rows(), out);
-                        accumulate(inputs, w, Panels::from_mat(dw.mat()));
-                    }
-                    accumulate(inputs, x, dx);
+                    matmul_backward(inputs, &mut sink, &[(x, w)], &gy, segs);
+                }
+                &Op::MatmulNtSum { x, w } => {
+                    let products = [(x[0], w[0]), (x[1], w[1])];
+                    matmul_backward(inputs, &mut sink, &products, &gy, segs);
                 }
                 &Op::Add { a, b } => {
                     accumulate(inputs, a, gy.clone());
@@ -767,16 +836,22 @@ impl<'a> Tape<'a> {
                     }
                     accumulate(inputs, *logits, dl);
                 }
-                Op::MeanEntropy { logits, probs } => {
+                Op::MeanEntropy { logits, probs, lnp } => {
                     let mut dl = Panels::new(probs.rows(), probs.cols());
                     let rows = &bounds[inputs[*logits].seg];
                     for (s, seg) in rows.windows(2).enumerate() {
                         let go = gy.column()[s] / (seg[1] - seg[0]) as f32;
                         for r in seg[0]..seg[1] {
-                            let h = entropy_sum(probs, r..r + 1);
+                            let h = entropy_sum(probs, lnp, r..r + 1);
                             // dH/dz_c = -p_c (ln p_c + H).
-                            let d = |p: f32| if p > 0.0 { go * (-p * (p.ln() + h)) } else { 0.0 };
-                            dl.set_row(r, probs.row(r).map(d));
+                            let d = |(p, l): (f32, f32)| {
+                                if p > 0.0 {
+                                    go * (-p * (l + h))
+                                } else {
+                                    0.0
+                                }
+                            };
+                            dl.set_row(r, probs.row(r).zip(lnp.row(r)).map(d));
                         }
                     }
                     accumulate(inputs, *logits, dl);
@@ -1115,6 +1190,61 @@ mod tests {
             assert_eq!(losses[s].to_bits(), loss.to_bits(), "loss of segment {s}");
             assert_eq!(bits(&grads[s][..flat.len()]), bits(grad), "gradient of segment {s}");
             assert!(grads[s][flat.len()].is_nan(), "values past the parameters are left alone");
+        }
+    }
+
+    /// `x · Waᵀ + cum_mean(x) · Uaᵀ` over segments of `lens` rows of an
+    /// embedding, fused or as two products and an `add`; the weights are
+    /// parameter windows over `flat = [Wa | Ua]` or leaves of it.
+    fn expand(tape: &mut Tape, flat: &[f32], windows: bool, fused: bool) -> [Var; 5] {
+        let (vocab, h, f) = (5, 6, 11);
+        let (wa, ua) = if windows {
+            (tape.param(0, f, h), tape.param(f * h, f, h))
+        } else {
+            let (wa, ua) = flat.split_at(f * h);
+            (tape.leaf(Tensor::new(wa.to_vec(), f, h)), tape.leaf(Tensor::new(ua.to_vec(), f, h)))
+        };
+        let table: Vec<f32> = (0..vocab * h).map(|i| ((i * 29 % 17) as f32 - 8.0) * 0.11).collect();
+        let table = tape.leaf(Tensor::new(table, vocab, h));
+        let ids: Vec<usize> = (0..14).map(|i| (i * 3 + 1) % vocab).collect();
+        let x = tape.embed_segments(table, &ids, &[5, 9]);
+        let c = tape.cum_mean(x);
+        let y = if fused {
+            tape.matmul_nt_sum((x, wa), (c, ua))
+        } else {
+            let (a1, a2) = (tape.matmul_nt(x, wa), tape.matmul_nt(c, ua));
+            tape.add(a1, a2)
+        };
+        let act = tape.silu(y);
+        [wa, ua, table, y, tape.mean_all(act)]
+    }
+
+    #[test]
+    fn matmul_nt_sum_is_two_products_and_an_add_bit_for_bit() {
+        let flat: Vec<f32> =
+            (0..2 * 11 * 6).map(|i| ((i * 37 % 23) as f32 - 11.0) * 0.07).collect();
+        for windows in [true, false] {
+            let run = |fused: bool| {
+                let mut tape = if windows { Tape::over(&flat) } else { Tape::new() };
+                let [wa, ua, table, y, loss] = expand(&mut tape, &flat, windows, fused);
+                let value = [tape.value(y).data(), tape.value(loss).data()].concat();
+                let mut grads = vec![vec![f32::NAN; flat.len()]; 2];
+                if windows {
+                    tape.backward_into(loss, &mut grads);
+                } else {
+                    tape.backward(loss);
+                    grads = vec![[tape.grad(wa).data(), tape.grad(ua).data()].concat()];
+                }
+                (
+                    bits(&value),
+                    grads.iter().map(|g| bits(g)).collect::<Vec<_>>(),
+                    bits(tape.grad(table).data()),
+                )
+            };
+            let (fused, composed) = (run(true), run(false));
+            assert_eq!(fused.0, composed.0, "values (windows: {windows})");
+            assert_eq!(fused.1, composed.1, "weight gradients (windows: {windows})");
+            assert_eq!(fused.2, composed.2, "leaf gradient (windows: {windows})");
         }
     }
 

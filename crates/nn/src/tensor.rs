@@ -125,8 +125,8 @@ impl Tensor {
     /// Panics on outer-dimension mismatch.
     pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
         let mut out = Tensor::zeros(self.cols, other.cols);
-        let (g, x) = (Panels::from_mat(self.mat()), Panels::from_mat(other.mat()));
-        kernels::gt_x_into(&g, &x, 0..self.rows, (&mut out.data, Write::Store));
+        let xt = Panels::from_mat(other.mat()).transpose();
+        kernels::gt_x_into(self.mat(), &xt, 0..self.rows, (&mut out.data, Write::Store));
         out
     }
 

@@ -235,6 +235,15 @@ fn response(pw: usize, rw: usize) -> Range<usize> {
     pw - 1..pw - 1 + rw
 }
 
+/// What a value pass feeds of each row: every token but its last. The
+/// values read end at position `pw + rw − 2` and the model is causal, so
+/// the last token feeds nothing that is read; the actor's next-token
+/// pass leaves it out too, having no target for it. Rows are still
+/// charged for every token.
+fn value_inputs<'s>(run: &[&'s [usize]]) -> Vec<&'s [usize]> {
+    run.iter().map(|s| &s[..s.len() - 1]).collect()
+}
+
 /// Log-probs of every row's `rw` response tokens after its `pw` prompt
 /// tokens under `lm` (stacked tape-free forwards over replicated weights,
 /// rows shared across the model-parallel group), flat in row order.
@@ -1063,8 +1072,11 @@ impl CriticWorker {
         let mut out = DataProto::with_rows(prompts.len());
         let seqs = sequences(&prompts, &resps);
         let values = if self.hyper.tp_inference && ctx.layout.spec.mp() > 1 {
-            // Each row feeds every token; stages before the last
-            // contribute zeros.
+            // Each row feeds every token, its last one too: no value read
+            // depends on it, but every block runs on every fed row here,
+            // so dropping it would shrink each TP all-reduce, which
+            // `tp_inference_bytes.rs` and the exact `virtual_tokens_per_s`
+            // pin. Stages before the last contribute zeros.
             let pass = (pw + rw, response(pw, rw));
             match tp_forward(&self.lm, &self.hyper, ctx, &seqs, pass, Head::Values)? {
                 Some(values) => values.data().to_vec(),
@@ -1073,7 +1085,9 @@ impl CriticWorker {
         } else {
             let rows = mp_rows(ctx, seqs.len(), |mine| {
                 let read = response(pw, rw);
-                stacked(&seqs, mine, read, |run, reads| self.lm.values_stacked(run, reads))
+                stacked(&seqs, mine, read, |run, reads| {
+                    self.lm.values_stacked(&value_inputs(run), reads)
+                })
             });
             for seq in &seqs {
                 charge_tokens(ctx, seq.len(), &self.hyper);
@@ -1094,7 +1108,8 @@ impl CriticWorker {
         let (lm, vclip) = (&self.lm, self.hyper.vclip);
         let mut fold = RowFold::new(ctx, lm.cfg.param_count());
         fold.rows(&seqs, 1.0, |rows, run, grads| {
-            let mut fp = lm.forward_stacked(run, &vec![response(pw, rw); run.len()]);
+            let reads = vec![response(pw, rw); run.len()];
+            let mut fp = lm.forward_stacked(&value_inputs(run), &reads);
             let values = fp.values();
             let (ret, old) = (gather_rows(&returns, rows), gather_rows(&old_values, rows));
             let loss = fp.tape.value_clip_loss(values, &ret, &old, vclip);

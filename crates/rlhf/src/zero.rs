@@ -240,11 +240,6 @@ impl Worker for ZeroActorWorker {
     }
 }
 
-/// The paper's `FSDPWorker` base class: PyTorch FSDP implements the same
-/// fully-sharded data parallelism as ZeRO-3 (§2.1 describes FSDP as the
-/// PyTorch-native equivalent), so the functional worker is shared.
-pub type FsdpActorWorker = ZeroActorWorker;
-
 #[cfg(test)]
 mod tests {
     use super::*;
