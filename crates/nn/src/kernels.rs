@@ -20,15 +20,18 @@
 //! lanes are `x`'s columns, is handed `x` transposed and `g` row-major —
 //! both converted once per tape op, by 8×8 block moves, and sliced to
 //! each segment's rows — and stores each row of the row-major flat
-//! gradient a vector at a time. There
-//! is no FMA, no `mul_add` and no target feature
-//! that changes a rounding (a fused multiply-add rounds once where the
-//! reference rounds twice). The vector width may follow the host,
-//! because lanes are independent outputs: [`panel_product`] runs an
-//! `avx2` instantiation of the same body where the CPU has it — the one
-//! `unsafe` block in hf-nn, guarded by `is_x86_feature_detected!("avx2")`
-//! — and the baseline one elsewhere. `avx2` is the only feature ever
-//! enabled. The sums of padding lanes are computed and never read.
+//! gradient a vector at a time. Every term is a plain `mul` and every
+//! sum a plain `add`: no product fuses a multiply-add, which would round
+//! once where the reference rounds twice. The vector width may follow the
+//! host, because lanes are independent outputs: [`panel_product`] runs
+//! its one body through [`on_host`], which compiles it inside an
+//! `avx2,fma` trampoline where the CPU has both — the one `unsafe` block
+//! in hf-nn, guarded by `is_x86_feature_detected!` — and for the
+//! baseline target elsewhere. Rust never contracts `a * b + c`, so the
+//! `fma` feature changes no product's bits; it is there for the one
+//! `exp` ([`crate::expf`]), whose loops run through [`on_host`] too and
+//! whose fused steps are glibc's. The sums of padding lanes are computed
+//! and never read.
 
 use std::cell::OnceCell;
 use std::ops::Range;
@@ -37,7 +40,7 @@ use crate::panels::Panels;
 use crate::tensor::Mat;
 
 /// Width of the lane dimension: two 4-wide vectors on the baseline
-/// target, one 8-wide vector under `avx2`.
+/// target, one 8-wide vector inside [`on_host`]'s trampoline.
 pub(crate) const LANES: usize = 8;
 /// Output columns accumulated together: `NC × LANES` sums fill the
 /// baseline target's vector registers, and each `a` step is
@@ -73,7 +76,7 @@ impl<'a> Terms for Nt<'a> {
     fn steps<const N: usize>(self, j: usize) -> impl Iterator<Item = Self::Step<N>> {
         let k = self.a.len();
         // A loop, not `std::array::from_fn`: LLVM leaves that one out of
-        // line in the `avx2` instantiation, whose inner loop then checks
+        // line in the `avx2,fma` instantiation, whose inner loop then checks
         // every row's bounds at every step.
         let mut rows: [&[f32]; N] = [&[]; N];
         for (c, row) in rows.iter_mut().enumerate() {
@@ -139,22 +142,62 @@ fn micro<T: Terms, const N: usize>(terms: T, j: usize) -> [Lanes; N] {
 }
 
 /// One panel's product: hands `store` the [`LANES`] sums of each of the
-/// `n` output columns, in ascending order, through the widest instantiation of
-/// [`panel_body`] the running CPU has. Every product in hf-nn comes
-/// through here.
+/// `n` output columns, in ascending order, through [`on_host`]. Every
+/// product in hf-nn comes through here.
 #[inline(always)]
 pub(crate) fn panel_product<T: Terms>(terms: T, n: usize, store: impl FnMut(usize, &Lanes)) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") && !baseline_only() {
-        // SAFETY: `panel_product_avx2` only requires the `avx2` target
-        // feature, and the running CPU was detected to have it above.
-        return unsafe { panel_product_avx2(terms, n, store) };
-    }
-    panel_body(terms, n, store)
+    on_host(
+        (),
+        #[inline(always)]
+        |()| panel_body(terms, n, store),
+    )
 }
 
-/// Whether a test asked for the baseline instantiation on a host that
-/// has `avx2` ([`tests::on`]); never outside tests.
+/// `f(args)`, compiled for the widest target the running CPU has:
+/// inside [`avx2_fma`] where it has AVX2 and FMA, for the baseline
+/// target elsewhere. `f` must be an `#[inline(always)]` closure whose
+/// callees are `#[inline(always)]` too, so that all of it is compiled
+/// into the trampoline. `args` reach `f` as the trampoline's own
+/// argument: a `&mut` slice there is known to alias nothing else — not
+/// [`crate::expf`]'s table, which LLVM must know to vectorise a loop of
+/// `exp` — where one the closure captured is not. Every product and
+/// every `exp` loop in hf-nn runs through here. The target changes no
+/// rounding: Rust never contracts `a * b + c` into a fused multiply-add,
+/// so a product's sums keep their bits, and `exp`'s `mul_add`s round once
+/// either way.
+#[inline(always)]
+pub(crate) fn on_host<A, R>(args: A, f: impl FnOnce(A) -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2")
+        && std::arch::is_x86_feature_detected!("fma")
+        && !baseline_only()
+    {
+        // SAFETY: `avx2_fma` only requires the `avx2` and `fma` target
+        // features, and the running CPU was detected to have both above.
+        return unsafe { avx2_fma(args, f) };
+    }
+    f(args)
+}
+
+/// `f` of each of `values`, in place, as one flat loop inside
+/// [`on_host`]: the form every elementwise `exp` in hf-nn takes, so that
+/// it vectorises. `f` must be an `#[inline(always)]` function or
+/// closure.
+#[inline(always)]
+pub(crate) fn map_in_place(values: &mut [f32], f: impl Fn(f32) -> f32) {
+    on_host(
+        values,
+        #[inline(always)]
+        |values: &mut [f32]| {
+            for v in values {
+                *v = f(*v);
+            }
+        },
+    )
+}
+
+/// Whether a test asked for the baseline target on a host that has
+/// AVX2 and FMA ([`tests::on`]); never outside tests.
 #[inline(always)]
 fn baseline_only() -> bool {
     #[cfg(test)]
@@ -163,13 +206,13 @@ fn baseline_only() -> bool {
     false
 }
 
-/// [`panel_body`] compiled for `avx2`: one 8-wide vector per panel row
-/// instead of two 4-wide ones; the same `mul`s and `add`s in the same
-/// order, so the same bits.
+/// The trampoline of [`on_host`]: `f` compiled with 8-wide vectors and
+/// fused multiply-adds where it asks for them (`mul_add`) — the same
+/// operations in the same order as the baseline, so the same bits.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn panel_product_avx2<T: Terms>(terms: T, n: usize, store: impl FnMut(usize, &Lanes)) {
-    panel_body(terms, n, store)
+#[target_feature(enable = "avx2,fma")]
+fn avx2_fma<A, R>(args: A, f: impl FnOnce(A) -> R) -> R {
+    f(args)
 }
 
 /// The product itself. Columns go [`NC`] at a time; the `n % NC` left
@@ -386,11 +429,14 @@ pub(crate) mod tests {
     use rand::{RngExt, SeedableRng};
 
     use super::*;
-    use crate::panels::with_padding;
+    use crate::panels::{silu_in_place, with_padding};
+    use crate::tape::{log_probs, softmax_rows};
 
     /// The scalar loops the kernels replaced, kept as the reference the
     /// kernels must match bit for bit.
     pub(crate) mod reference {
+        use crate::expf::exp;
+
         pub(crate) fn x_wt(x: &[f32], w: &[f32], m: usize, n: usize, k: usize) -> Vec<f32> {
             let mut out = vec![0.0f32; m * n];
             for i in 0..m {
@@ -419,6 +465,30 @@ pub(crate) mod tests {
                 }
             }
             out
+        }
+
+        /// SiLU of each value, `exp` one value at a time.
+        pub(crate) fn silu(x: &[f32]) -> Vec<f32> {
+            x.iter().map(|&v| v * (1.0 / (1.0 + exp(-v)))).collect()
+        }
+
+        /// Each row's softmax: the maximum folded from `-∞`, `e = exp(v −
+        /// max)`, `z = Σ e` in column order from `0.0`, `e / z`.
+        pub(crate) fn softmax(x: &[f32], n: usize) -> Vec<f32> {
+            let mut out = Vec::with_capacity(x.len());
+            for row in x.chunks(n) {
+                let m = row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+                let e: Vec<f32> = row.iter().map(|&v| exp(v - m)).collect();
+                let z = e.iter().fold(0.0f32, |z, &e| z + e);
+                out.extend(e.iter().map(|e| e / z));
+            }
+            out
+        }
+
+        /// `ln(max(p, 1e-30))` of each row's softmax at its target.
+        pub(crate) fn log_probs(x: &[f32], n: usize, targets: &[usize]) -> Vec<f32> {
+            let p = softmax(x, n);
+            (targets.iter().enumerate()).map(|(r, &t)| p[r * n + t].max(1e-30).ln()).collect()
         }
 
         pub(crate) fn gt_x(g: &[f32], x: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
@@ -470,13 +540,13 @@ pub(crate) mod tests {
         /// non-finite value in a real lane of `gᵀ·x`'s `x` panel where
         /// `g`'s rows hold a zero.
         pub(crate) static SCAN_HITS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-        /// Set while [`on`] runs the baseline instantiation.
+        /// Set while [`on`] runs the baseline target.
         pub(crate) static BASELINE_ONLY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
     }
 
-    /// Runs `f` with every product on this thread taking `isa`'s
-    /// instantiation of the panel product.
-    fn on<R>(isa: Isa, f: impl FnOnce() -> R) -> R {
+    /// Runs `f` with every [`on_host`] call on this thread compiled for
+    /// `isa`.
+    pub(crate) fn on<R>(isa: Isa, f: impl FnOnce() -> R) -> R {
         let before = BASELINE_ONLY.replace(matches!(isa, Isa::Baseline));
         let out = f();
         BASELINE_ONLY.set(before);
@@ -631,25 +701,26 @@ pub(crate) mod tests {
         }
     }
 
-    /// An instantiation of the panel product.
+    /// A target [`on_host`] compiles for.
     #[derive(Debug, Clone, Copy)]
-    enum Isa {
-        /// [`panel_body`] compiled for the baseline target.
+    pub(crate) enum Isa {
+        /// The baseline target.
         Baseline,
-        /// The `avx2` one: what [`panel_product`] enters on a host that
-        /// has AVX2, the only host [`isas`] offers it on.
-        Avx2,
+        /// The `avx2,fma` trampoline: what [`on_host`] enters on a host
+        /// that has both, the only host [`isas`] offers it on.
+        Avx2Fma,
     }
 
-    /// Every instantiation this host can run. Without AVX2 the `avx2`
-    /// half is skipped, and says so.
-    fn isas() -> Vec<Isa> {
+    /// Every target this host can run. Without AVX2 and FMA the
+    /// `avx2,fma` half is skipped, and says so.
+    pub(crate) fn isas() -> Vec<Isa> {
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return vec![Isa::Baseline, Isa::Avx2];
+        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        {
+            return vec![Isa::Baseline, Isa::Avx2Fma];
         }
         static SKIPPED: std::sync::Once = std::sync::Once::new();
-        SKIPPED.call_once(|| eprintln!("no AVX2 on this host: the avx2 instantiation is skipped"));
+        SKIPPED.call_once(|| eprintln!("no AVX2 and FMA on this host: that target is skipped"));
         vec![Isa::Baseline]
     }
 
@@ -703,6 +774,14 @@ pub(crate) mod tests {
             // is a step whose every broadcast value is zero.
             let rows = |i: usize| g_rows.panel(i);
             let g_mat = mat(&g, m, k);
+            // SiLU's input with every special value `exp` selects on.
+            let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 89.0, -104.0, -103.5];
+            let x_special: Vec<f32> = (x.iter().enumerate())
+                .map(|(i, &v)| if i % 5 == 2 { specials[i / 5 % specials.len()] } else { v * 8.0 })
+                .collect();
+            let silu = nan_as_one(&reference::silu(&x_special));
+            let (softmax, targets) = (bits(&reference::softmax(&x, k)), (0..m).map(|r| r * 7 % k).collect::<Vec<_>>());
+            let log_p = bits(&reference::log_probs(&x, k, &targets));
             for isa in isas() {
                 // Exact zeros add `±0.0` to a sum that is never `-0.0`, so
                 // on finite operands the plain `Nn` keeps the bits of the
@@ -732,8 +811,34 @@ pub(crate) mod tests {
                         &got, want, "{:?} {} at m, n, k = {}, {}, {}", isa, terms, m, n, k
                     );
                 }
+                // The `exp` loops with NaN in the padding lanes: the real
+                // rows are the scalar loops' bits, and the padding lanes
+                // keep their NaN.
+                let mut act = poisoned(mat(&x_special, m, k));
+                on(isa, || silu_in_place(&mut act));
+                prop_assert_eq!(nan_as_one(act.to_tensor().data()), silu.clone(), "{:?} SiLU", isa);
+                prop_assert!(padding_is_nan(&act), "{:?} SiLU padding", isa);
+                let probs = on(isa, || softmax_rows(&xp));
+                prop_assert_eq!(bits(probs.to_tensor().data()), softmax.clone(), "{:?} softmax", isa);
+                prop_assert!(padding_is_nan(&probs), "{:?} softmax padding", isa);
+                let lp = on(isa, || log_probs(&xp, &targets));
+                prop_assert_eq!(bits(&lp), log_p.clone(), "{:?} log-probs", isa);
             }
         }
+    }
+
+    /// [`bits`], with every NaN as one value: where two NaNs meet (SiLU
+    /// of a NaN multiplies it by the NaN its `exp` made), which one's sign
+    /// survives depends on operand order, and no contract fixes it.
+    fn nan_as_one(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() }).collect()
+    }
+
+    /// Whether every padding lane of `p`'s ragged last panel is NaN.
+    fn padding_is_nan(p: &Panels) -> bool {
+        let g = p.groups();
+        g == 0
+            || p.panel(g - 1).iter().all(|lanes| lanes[p.width(g - 1)..].iter().all(|v| v.is_nan()))
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //! * `kernels` (private) — the one lane-packed GEMM microkernel under
 //!   every matrix product here, bit-identical to the scalar loops it
 //!   replaced (DESIGN.md §2, "kernel contract").
+//! * `expf` (private) — the one `e^x` of hf-nn: glibc's `expf` (its
+//!   FMA variant) ported step for step, branch-free so its loops
+//!   vectorise (DESIGN.md §2, "one `exp`"); [`sum_exp`] carries it to
+//!   callers outside the crate.
 //! * `panels` (private) — the one activation layout: the kernel's lane
 //!   panels, shared by the tape, the stage forward and the decoder
 //!   (DESIGN.md §2, "activation layout").
@@ -31,6 +35,7 @@
 #![allow(clippy::single_range_in_vec_init)]
 
 pub mod adam;
+mod expf;
 mod kernels;
 pub mod model;
 mod panels;
@@ -40,8 +45,8 @@ pub mod tensor;
 
 pub use adam::Adam;
 pub use model::{
-    greedy_token, sample_softmax, stacks, token_log_prob, DecodeState, ForwardPass, LmConfig,
-    StackedPass, TinyLm, STACK_ROWS,
+    greedy_token, sample_softmax, stacks, sum_exp, token_log_prob, DecodeState, ForwardPass,
+    LmConfig, StackedPass, TinyLm, STACK_ROWS,
 };
 pub use sharded::{grid_forward, Head, ShardedLm, StageOutput};
 pub use tape::{Tape, Var};

@@ -23,11 +23,12 @@
 
 #![allow(clippy::needless_range_loop)] // decode loops mirror the math
 
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 
+use crate::expf::exp;
 use crate::kernels::{self, Nt, LANES};
 use crate::panels::{self, Panels};
 use crate::sharded::{self, Block};
@@ -514,10 +515,9 @@ impl TinyLm {
                 for k in 0..cfg.hidden {
                     t += c[k] * urow[k];
                 }
-                let s = s + t;
-                let sg = 1.0 / (1.0 + (-s).exp());
-                *a = s * sg;
+                *a = s + t;
             }
+            kernels::map_in_place(&mut act, panels::silu);
             for (k, hv) in h.iter_mut().enumerate() {
                 let brow = &wb[k * cfg.ffn..(k + 1) * cfg.ffn];
                 let mut s = 0.0f32;
@@ -659,9 +659,9 @@ impl TinyLm {
                     *av += s;
                 }
             });
-            // No `exp` is spent on padding. Out of the store, because the
-            // `avx2` instantiation of the product would compute all eight
-            // lanes' `exp` and mask the stores.
+            // Out of the store, as one flat loop over the panel: SiLU
+            // inside the store (eight lanes a column) does not vectorise
+            // its `exp`, and decoding measured 1.5× slower that way.
             panels::silu_in_place(&mut act);
             let hp = h.panel_mut(0);
             kernels::panel_product(Nt { a: act.panel(0), w: wb }, cfg.hidden, |k, sums| {
@@ -795,25 +795,85 @@ pub fn greedy_token(logits: &[f32]) -> usize {
 ///
 /// Panics if `tok` is out of range.
 pub fn token_log_prob(logits: &[f32], tok: usize) -> f32 {
+    assert!(tok < logits.len(), "token {tok} out of {} logits", logits.len());
     let m = logits.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
-    let z = logits.iter().fold(0.0f32, |z, &v| z + (v - m).exp());
-    ((logits[tok] - m).exp() / z).max(1e-30).ln()
+    let (mut z, mut e_tok) = (0.0f32, 0.0f32);
+    let _ = exp_chunks(logits, m, 1.0, |at, exps| {
+        for &e in exps {
+            z += e;
+        }
+        if let Some(&e) = tok.checked_sub(at).and_then(|i| exps.get(i)) {
+            e_tok = e;
+        }
+        ControlFlow::<()>::Continue(())
+    });
+    (e_tok / z).max(1e-30).ln()
+}
+
+/// `Σ exp(v − m)` over `values`, added in order from `0.0`: a softmax's
+/// denominator ([`token_log_prob`]'s `z`) through hf-nn's `exp`, eight
+/// values to a vector op.
+pub fn sum_exp(values: &[f32], m: f32) -> f32 {
+    let mut z = 0.0f32;
+    let _ = exp_chunks(values, m, 1.0, |_, exps| {
+        for &e in exps {
+            z += e;
+        }
+        ControlFlow::<()>::Continue(())
+    });
+    z
 }
 
 /// Samples an index from `softmax(logits / temperature)`.
 pub fn sample_softmax(logits: &[f32], temperature: f32, rng: &mut impl Rng) -> usize {
     let m = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f32> = logits.iter().map(|&v| ((v - m) / temperature).exp()).collect();
-    let z: f32 = exps.iter().sum();
+    let mut z = 0.0f32;
+    let _ = exp_chunks(logits, m, temperature, |_, exps| {
+        z = exps.iter().fold(z, |z, &e| z + e);
+        ControlFlow::<()>::Continue(())
+    });
     let mut u = rng.random::<f32>() * z;
-    for (i, e) in exps.iter().enumerate() {
-        u -= e;
-        if u <= 0.0 {
-            return i;
+    let picked = exp_chunks(logits, m, temperature, |at, exps| {
+        for (i, &e) in exps.iter().enumerate() {
+            u -= e;
+            if u <= 0.0 {
+                return ControlFlow::Break(at + i);
+            }
         }
+        ControlFlow::Continue(())
+    });
+    match picked {
+        ControlFlow::Break(i) => i,
+        ControlFlow::Continue(()) => logits.len() - 1,
     }
-    exps.len() - 1
 }
+
+/// Hands `each` the offset and the values `exp((v − m) / t)` of each
+/// [`EXP_CHUNK`] of `values` in order, taken in a buffer on the stack
+/// ([`kernels::map_in_place`]): a row of logits costs vector ops and no
+/// allocation. At `t = 1.0` the argument is `v − m` bit for bit.
+fn exp_chunks<B>(
+    values: &[f32],
+    m: f32,
+    t: f32,
+    mut each: impl FnMut(usize, &[f32]) -> ControlFlow<B>,
+) -> ControlFlow<B> {
+    let mut buf = [0.0f32; EXP_CHUNK];
+    for (c, chunk) in values.chunks(EXP_CHUNK).enumerate() {
+        let exps = &mut buf[..chunk.len()];
+        exps.copy_from_slice(chunk);
+        kernels::map_in_place(
+            exps,
+            #[inline(always)]
+            |v| exp((v - m) / t),
+        );
+        each(c * EXP_CHUNK, exps)?;
+    }
+    ControlFlow::Continue(())
+}
+
+/// Values [`exp_chunks`] takes at a time: a whole row of the logits here.
+const EXP_CHUNK: usize = 64;
 
 #[cfg(test)]
 mod tests {
@@ -1363,11 +1423,27 @@ mod padding_tests {
                 let heads = [Head::Logits, Head::Values]
                     .map(|head| stage_head(&stage, ids, &every(&inputs, 0), head));
                 let logps = lm.log_probs_stacked(&refs, &every(&refs, 1));
-                (values, grads, hits, heads, logps, lm.values_stacked(&inputs, &every(&inputs, 0)))
+                // The `exp` loops alone on the stacked logits, whose ragged
+                // panel's real lanes they gather.
+                let logits = Panels::from_mat(values[0].mat());
+                let mut act = logits.clone();
+                panels::silu_in_place(&mut act);
+                let targets: Vec<usize> = (0..logits.rows()).map(|r| r * 5 % cfg.vocab).collect();
+                let ops = (
+                    act.to_tensor(),
+                    tape::softmax_rows(&logits).to_tensor(),
+                    tape::log_probs(&logits, &targets),
+                );
+                (values, grads, hits, heads, logps, lm.values_stacked(&inputs, &every(&inputs, 0)), ops)
             });
             let (poisoned, zero) = (stacked(f32::NAN), stacked(0.0));
             prop_assert_eq!(poisoned.2, zero.2, "padding reached the skip-zero scan");
-            let ([logits, values, losses], grads, _, [stage_logits, stage_values], logps, vals) = poisoned;
+            let (ops, ops_zero) = (&poisoned.6, &zero.6);
+            prop_assert_eq!(bits(ops.0.data()), bits(ops_zero.0.data()), "padding reached SiLU");
+            prop_assert_eq!(bits(ops.1.data()), bits(ops_zero.1.data()), "padding reached softmax_rows");
+            prop_assert_eq!(bits(&ops.2), bits(&ops_zero.2), "padding reached log_probs");
+            let ([logits, values, losses], grads, _, [stage_logits, stage_values], logps, vals, _) =
+                poisoned;
             let (n, mut row) = (cfg.param_count(), 0);
             for (s, seq) in refs.iter().enumerate() {
                 let (fp, [alone_logits, alone_values, loss]) = pass(&lm, &[*seq]);

@@ -14,7 +14,8 @@
 
 use std::ops::Range;
 
-use crate::kernels::{Lanes, LANES};
+use crate::expf::exp;
+use crate::kernels::{self, Lanes, LANES};
 use crate::tensor::{Mat, Tensor};
 
 /// A `[rows × cols]` activation in lane panels.
@@ -162,19 +163,31 @@ impl Panels {
         Panels { data, ..*self }
     }
 
-    /// `f` of every real lane; the padding lanes hold [`padding`]. For
-    /// ops that cost a call per value (`exp`).
-    pub fn map_rows(&self, f: impl Fn(f32) -> f32) -> Panels {
-        let mut out = Panels::new(self.rows, self.cols);
-        for g in 0..self.groups() {
-            let width = self.width(g);
-            for (o, x) in out.panel_mut(g).iter_mut().zip(self.panel(g)) {
-                for (o, &x) in o[..width].iter_mut().zip(&x[..width]) {
-                    *o = f(x);
-                }
+    /// `f` of every real lane in place, for the ops that cost a call per
+    /// value (`exp`, `ln`); `f` is an `#[inline(always)]` function or
+    /// closure. The whole panels go as one flat loop
+    /// ([`kernels::map_in_place`]); a ragged last panel's real lanes are
+    /// gathered into a buffer on the stack for that loop and put back, so
+    /// that a one-row panel (a decode group of one sequence) pays one
+    /// `exp` a step, not eight. Padding lanes keep what they held.
+    pub fn map_real(&mut self, f: impl Fn(f32) -> f32) {
+        let width = self.rows % LANES;
+        let (whole, ragged) = self.data.split_at_mut(self.rows / LANES * self.cols);
+        kernels::map_in_place(whole.as_flattened_mut(), &f);
+        if width == 0 {
+            return;
+        }
+        let mut buf = [0.0f32; GATHER];
+        for steps in ragged.chunks_mut(GATHER / width) {
+            let values = &mut buf[..steps.len() * width];
+            for (v, lanes) in values.chunks_exact_mut(width).zip(&*steps) {
+                v.copy_from_slice(&lanes[..width]);
+            }
+            kernels::map_in_place(values, &f);
+            for (v, lanes) in values.chunks_exact(width).zip(steps) {
+                lanes[..width].copy_from_slice(v);
             }
         }
-        out
     }
 
     /// Elementwise `self + other`.
@@ -226,6 +239,9 @@ impl Panels {
         t
     }
 }
+
+/// Values [`Panels::map_real`] gathers from a ragged panel at a time.
+const GATHER: usize = 64;
 
 /// `dst[l][s] = steps[s][l]` over the shorter of each: steps and lanes
 /// swapped.
@@ -361,17 +377,16 @@ pub(crate) fn cum_mean(x: &Panels, bounds: &[usize]) -> Panels {
     y
 }
 
-/// SiLU in place, `x · σ(x)` with `σ(x) = 1 / (1 + e^{−x})`, on the real
-/// rows only: no `exp` is spent on padding.
+/// SiLU, `x · σ(x)` with `σ(x) = 1 / (1 + e^{−x})`: the one float
+/// expression of the tape, the stage forward and both decoders.
+#[inline(always)]
+pub(crate) fn silu(x: f32) -> f32 {
+    x * (1.0 / (1.0 + exp(-x)))
+}
+
+/// [`silu`] of every real lane in place ([`Panels::map_real`]).
 pub(crate) fn silu_in_place(x: &mut Panels) {
-    for g in 0..x.groups() {
-        let width = x.width(g);
-        for lanes in x.panel_mut(g) {
-            for v in &mut lanes[..width] {
-                *v *= 1.0 / (1.0 + (-*v).exp());
-            }
-        }
-    }
+    x.map_real(silu);
 }
 
 #[cfg(test)]

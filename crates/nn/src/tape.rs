@@ -33,6 +33,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
+use crate::expf::exp;
 use crate::kernels::{self, Lanes, Write, LANES};
 use crate::panels::{self, Panels};
 use crate::tensor::{Mat, Tensor};
@@ -96,9 +97,10 @@ enum Op {
         x: usize,
         reads: Vec<Range<usize>>,
     },
+    /// `ratio` keeps `exp(logp − old_logp)` for the backward pass.
     PpoClip {
         logp: usize,
-        old_logp: Vec<f32>,
+        ratio: Vec<f32>,
         adv: Vec<f32>,
         eps: f32,
     },
@@ -207,8 +209,9 @@ impl Sink<'_> {
     }
 }
 
+#[inline(always)]
 fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
+    1.0 / (1.0 + exp(-x))
 }
 
 /// Each lane's maximum over the steps of one panel of logits, folded
@@ -223,57 +226,49 @@ fn row_max(panel: &[Lanes]) -> Lanes {
     m
 }
 
-/// Row-wise softmax, `e = exp(v − max)` and `e / Σ e` per row; no `exp`
-/// is spent on padding.
-fn softmax_rows(logits: &Panels) -> Panels {
-    let mut p = Panels::new(logits.rows(), logits.cols());
-    for g in 0..logits.groups() {
-        let (x, width) = (logits.panel(g), logits.width(g));
-        let m = row_max(x);
-        let mut z = [0.0f32; LANES];
-        let pg = p.panel_mut(g);
-        for (ps, xs) in pg.iter_mut().zip(x) {
-            for l in 0..width {
-                let e = (xs[l] - m[l]).exp();
-                ps[l] = e;
-                z[l] += e;
+/// Row-wise softmax, `e = exp(v − max)` and `e / Σ e` per row, `Σ e` in
+/// column order from `0.0`, every `e` taken by [`Panels::map_real`].
+pub(crate) fn softmax_rows(logits: &Panels) -> Panels {
+    let mut p = logits.clone();
+    for g in 0..p.groups() {
+        let panel = p.panel_mut(g);
+        let m = row_max(panel);
+        for lanes in panel {
+            for (v, m) in lanes.iter_mut().zip(&m) {
+                *v -= m;
             }
         }
-        for ps in pg {
-            for l in 0..width {
-                ps[l] /= z[l];
+    }
+    p.map_real(exp);
+    for g in 0..p.groups() {
+        let panel = p.panel_mut(g);
+        let mut z = [0.0f32; LANES];
+        for lanes in panel.iter() {
+            for (z, e) in z.iter_mut().zip(lanes) {
+                *z += e;
+            }
+        }
+        for lanes in panel {
+            for (p, z) in lanes.iter_mut().zip(&z) {
+                *p /= z;
             }
         }
     }
     p
 }
 
-/// `ln softmax(logits)[targets[r]]` of every row in the float expression
-/// of [`Tape::gather_log_prob`] — `ln(max(e_tok / z, 1e-30))` over
-/// [`softmax_rows`]' `e` and `z` — for a pass that takes no gradient and
-/// so needs no probability rows.
+/// `ln softmax(logits)[targets[r]]` of every row, in the float expression
+/// of [`Tape::gather_log_prob`]: `ln(max(p, 1e-30))` of [`softmax_rows`]'
+/// `p = e / z`, for a pass that takes no gradient.
 ///
 /// # Panics
 ///
 /// Panics unless there is one target per row, each inside the vocab.
 pub(crate) fn log_probs(logits: &Panels, targets: &[usize]) -> Vec<f32> {
     assert_eq!(logits.rows(), targets.len(), "one target per row");
-    let mut out = Vec::with_capacity(targets.len());
-    for g in 0..logits.groups() {
-        let (x, width) = (logits.panel(g), logits.width(g));
-        let m = row_max(x);
-        let mut z = [0.0f32; LANES];
-        for xs in x {
-            for l in 0..width {
-                z[l] += (xs[l] - m[l]).exp();
-            }
-        }
-        for l in 0..width {
-            let tok = targets[g * LANES + l];
-            out.push(((x[tok][l] - m[l]).exp() / z[l]).max(1e-30).ln());
-        }
-    }
-    out
+    assert!(targets.iter().all(|&tok| tok < logits.cols()), "target out of vocab");
+    let probs = softmax_rows(logits);
+    (targets.iter().enumerate()).map(|(r, &tok)| probs.get(r, tok).max(1e-30).ln()).collect()
 }
 
 /// `Σ −p·ln p` over rows `rows` of `probs`, accumulated row by row, with
@@ -546,10 +541,12 @@ impl<'a> Tape<'a> {
         self.push(y, Op::Scale { x: x.0, c }, self.nodes[x.0].seg)
     }
 
-    /// SiLU activation `x · σ(x)`.
+    /// SiLU activation `x · σ(x)` (the stage forward's bits), keeping
+    /// `σ(x)` for the backward.
     pub fn silu(&mut self, x: Var) -> Var {
         let xv = self.act(x);
-        let sig = xv.map_rows(sigmoid);
+        let mut sig = xv.clone();
+        sig.map_real(sigmoid);
         let mut y = xv.clone();
         for (ys, ss) in y.data_mut().iter_mut().zip(sig.data()) {
             for (y, s) in ys.iter_mut().zip(ss) {
@@ -613,7 +610,8 @@ impl<'a> Tape<'a> {
     /// (one scalar per segment, `[S × 1]`).
     pub fn mean_entropy(&mut self, logits: Var) -> Var {
         let probs = self.softmax(logits);
-        let lnp = probs.map_rows(|p| if p > 0.0 { p.ln() } else { 0.0 });
+        let mut lnp = Panels::clone(&probs);
+        lnp.map_real(|p| if p > 0.0 { p.ln() } else { 0.0 });
         let means = self
             .bounds_of(logits)
             .windows(2)
@@ -662,13 +660,15 @@ impl<'a> Tape<'a> {
         let lv = self.act(logp).column();
         assert_eq!(lv.len(), old_logp.len());
         assert_eq!(lv.len(), adv.len());
+        let mut ratio: Vec<f32> = lv.iter().zip(old_logp).map(|(l, o)| l - o).collect();
+        kernels::map_in_place(&mut ratio, exp);
         let losses = self
             .bounds_of(logp)
             .windows(2)
             .map(|seg| {
                 let mut total = 0.0f32;
                 for t in seg[0]..seg[1] {
-                    let r = (lv[t] - old_logp[t]).exp();
+                    let r = ratio[t];
                     let u = r * adv[t];
                     let v = r.clamp(1.0 - eps, 1.0 + eps) * adv[t];
                     total += u.min(v);
@@ -676,7 +676,7 @@ impl<'a> Tape<'a> {
                 -total / (seg[1] - seg[0]) as f32
             })
             .collect::<Vec<_>>();
-        let op = Op::PpoClip { logp: logp.0, old_logp: old_logp.to_vec(), adv: adv.to_vec(), eps };
+        let op = Op::PpoClip { logp: logp.0, ratio, adv: adv.to_vec(), eps };
         self.push_per_segment(losses, op)
     }
 
@@ -878,14 +878,13 @@ impl<'a> Tape<'a> {
                     }
                     accumulate(inputs, x, dx);
                 }
-                Op::PpoClip { logp, old_logp, adv, eps } => {
-                    let lv = inputs[*logp].panels().column();
-                    let mut dl = vec![0.0f32; lv.len()];
+                Op::PpoClip { logp, ratio, adv, eps } => {
+                    let mut dl = vec![0.0f32; ratio.len()];
                     let rows = &bounds[inputs[*logp].seg];
                     for (s, seg) in rows.windows(2).enumerate() {
                         let go = gy.column()[s] / (seg[1] - seg[0]) as f32;
                         for t in seg[0]..seg[1] {
-                            let r = (lv[t] - old_logp[t]).exp();
+                            let r = ratio[t];
                             let u = r * adv[t];
                             let v = r.clamp(1.0 - eps, 1.0 + eps) * adv[t];
                             // loss contribution is -min(u, v)/T.

@@ -883,7 +883,7 @@ impl ActorWorker {
                     for (t, lp) in logps[i * rw..(i + 1) * rw].iter_mut().enumerate() {
                         let row = logits.row(i * rw + t);
                         let m = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-                        let z: f32 = row.iter().map(|v| (v - m).exp()).sum();
+                        let z = hf_nn::sum_exp(row, m);
                         *lp = (row[seq[pw + t]] - m) - z.ln();
                     }
                 }
