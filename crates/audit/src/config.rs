@@ -18,7 +18,7 @@ use hf_parallel::GroupingMethod;
 
 /// PPO mini-batch updates per iteration (fixed across the sweep; the
 /// minibatch row count `rows / UPDATES` must divide equally across `d`).
-pub const UPDATES: usize = 2;
+pub(crate) const UPDATES: usize = 2;
 
 /// One point of the conformance sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,12 +50,12 @@ impl SweepConfig {
     }
 
     /// The reference this config must agree with byte for byte.
-    pub fn reference_of(&self) -> Self {
+    pub(crate) fn reference_of(&self) -> Self {
         Self::reference(self.rows, self.iters, self.seed)
     }
 
     /// World size `p·t·d`.
-    pub fn world(&self) -> usize {
+    pub(crate) fn world(&self) -> usize {
         self.p * self.t * self.d
     }
 

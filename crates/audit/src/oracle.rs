@@ -27,21 +27,21 @@ use crate::config::{SweepConfig, UPDATES};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fingerprint {
     /// Generated response tokens, concatenated across iterations.
-    pub responses: Vec<u32>,
+    pub(crate) responses: Vec<u32>,
     /// Behaviour log-probs (`logp_old`) bits, concatenated.
-    pub logp: Vec<u32>,
+    pub(crate) logp: Vec<u32>,
     /// Final actor parameter bits.
-    pub actor_params: Vec<u32>,
+    pub(crate) actor_params: Vec<u32>,
     /// Final actor Adam first-moment bits.
-    pub actor_m: Vec<u32>,
+    pub(crate) actor_m: Vec<u32>,
     /// Final actor Adam second-moment bits.
-    pub actor_v: Vec<u32>,
+    pub(crate) actor_v: Vec<u32>,
     /// Final critic parameter bits.
-    pub critic_params: Vec<u32>,
+    pub(crate) critic_params: Vec<u32>,
     /// Final critic Adam first-moment bits.
-    pub critic_m: Vec<u32>,
+    pub(crate) critic_m: Vec<u32>,
     /// Final critic Adam second-moment bits.
-    pub critic_v: Vec<u32>,
+    pub(crate) critic_v: Vec<u32>,
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {

@@ -25,17 +25,17 @@ use hf_telemetry::Telemetry;
 pub struct RemapAuditConfig {
     /// Devices the run starts on (the initial layout is the widest
     /// `(1, t, d)` splitting them; the cluster is sized to fit).
-    pub world: usize,
+    pub(crate) world: usize,
     /// The rank of the actor group to kill.
-    pub victim: usize,
+    pub(crate) victim: usize,
     /// Kill on the victim's `nth` `update_actor` dispatch (1-based).
-    pub kill_nth: u64,
+    pub(crate) kill_nth: u64,
     /// Iterations to run (checkpointed every iteration).
-    pub iterations: usize,
+    pub(crate) iterations: usize,
     /// Prompt rows per iteration.
-    pub rows: usize,
+    pub(crate) rows: usize,
     /// Data seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Default for RemapAuditConfig {

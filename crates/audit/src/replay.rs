@@ -36,7 +36,7 @@ pub struct JitterHook {
 impl JitterHook {
     /// A hook whose sleep schedule is a pure function of `seed` and the
     /// call sequence.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         JitterHook { seed, calls: AtomicU64::new(0) }
     }
 
@@ -72,7 +72,7 @@ pub fn canonical_spans(tel: &Telemetry) -> Vec<CanonSpan> {
 
 /// Diff of two canonical span lists: index and both sides of the first
 /// mismatch, or `None` when identical.
-pub fn diff_spans(a: &[CanonSpan], b: &[CanonSpan]) -> Option<String> {
+pub(crate) fn diff_spans(a: &[CanonSpan], b: &[CanonSpan]) -> Option<String> {
     if a.len() != b.len() {
         return Some(format!("span count {} vs {}", a.len(), b.len()));
     }

@@ -64,7 +64,7 @@ impl System {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Estimate {
     /// Which system.
-    pub system: System,
+    pub(crate) system: System,
     /// Generation-stage latency (includes transition).
     pub generation: f64,
     /// Preparation-stage latency.

@@ -10,7 +10,7 @@ use hf_rlhf::Placement;
 use hf_simcluster::{ClusterSpec, DeviceId, ResourcePool};
 
 /// Builds the analytic substrate for `gpus` A100s.
-pub fn perf(gpus: usize) -> PerfModel {
+pub(crate) fn perf(gpus: usize) -> PerfModel {
     PerfModel::new(ClusterSpec::a100_with_gpus(gpus))
 }
 
@@ -24,7 +24,7 @@ pub(crate) fn colocated_ppo(spec: ParallelSpec, tg: usize) -> Placement {
 
 /// The paper's cluster-size ladder for a model scale: smallest non-OOM
 /// power-of-two machine count up to 128 GPUs (§8.2).
-pub fn gpu_ladder(model: &ModelConfig) -> Vec<usize> {
+pub(crate) fn gpu_ladder(model: &ModelConfig) -> Vec<usize> {
     let min = match model.name.as_str() {
         "llama-7b" => 8,
         "llama-13b" => 16,
@@ -45,18 +45,18 @@ pub fn gpu_ladder(model: &ModelConfig) -> Vec<usize> {
 #[derive(Debug, Clone)]
 pub struct ThroughputRow {
     /// Model name.
-    pub model: String,
+    pub(crate) model: String,
     /// Cluster size in GPUs.
-    pub gpus: usize,
+    pub(crate) gpus: usize,
     /// System measured.
-    pub system: System,
+    pub(crate) system: System,
     /// Tokens/s, `None` when the system OOMs at this scale.
-    pub throughput: Option<f64>,
+    pub(crate) throughput: Option<f64>,
 }
 
 /// Figures 9/10/11: end-to-end RLHF throughput for every system across
 /// the model ladder. `models`/`sizes` allow trimming for quick runs.
-pub fn e2e_throughput(
+pub(crate) fn e2e_throughput(
     algo: AlgoKind,
     models: &[ModelConfig],
     max_gpus: usize,
@@ -83,7 +83,7 @@ pub fn e2e_throughput(
 
 /// Headline statistics derived from a throughput sweep (§8.2): average
 /// and maximum speedup of HybridFlow over each baseline.
-pub fn speedups(rows: &[ThroughputRow]) -> Vec<(System, f64, f64)> {
+pub(crate) fn speedups(rows: &[ThroughputRow]) -> Vec<(System, f64, f64)> {
     let mut out = Vec::new();
     for baseline in [System::DeepSpeedChat, System::OpenRlhf, System::NemoAligner] {
         let mut ratios = Vec::new();
@@ -114,18 +114,18 @@ pub fn speedups(rows: &[ThroughputRow]) -> Vec<(System, f64, f64)> {
 #[derive(Debug, Clone)]
 pub struct PlacementRow {
     /// Model label.
-    pub model: String,
+    pub(crate) model: String,
     /// Cluster size.
-    pub gpus: usize,
+    pub(crate) gpus: usize,
     /// Placement label (`colocate` / `standalone` / `split` / `hybridflow`).
-    pub placement: String,
+    pub(crate) placement: String,
     /// Tokens/s, `None` if infeasible.
-    pub throughput: Option<f64>,
+    pub(crate) throughput: Option<f64>,
 }
 
 /// Figure 12: HybridFlow under the named placements vs the Algorithm 1
 /// optimum, for one model across cluster sizes.
-pub fn placement_comparison(df: &DataflowSpec, sizes: &[usize]) -> Vec<PlacementRow> {
+pub(crate) fn placement_comparison(df: &DataflowSpec, sizes: &[usize]) -> Vec<PlacementRow> {
     let mut rows = Vec::new();
     for &gpus in sizes {
         let mapper = Mapper::new(perf(gpus), df.clone(), gpus);
@@ -159,13 +159,13 @@ pub fn placement_comparison(df: &DataflowSpec, sizes: &[usize]) -> Vec<Placement
 #[derive(Debug, Clone)]
 pub struct TransitionRow {
     /// Model name.
-    pub model: String,
+    pub(crate) model: String,
     /// Cluster size used for this model scale.
-    pub gpus: usize,
+    pub(crate) gpus: usize,
     /// System.
-    pub system: System,
+    pub(crate) system: System,
     /// Transition time in seconds, `None` if the system OOMs.
-    pub seconds: Option<f64>,
+    pub(crate) seconds: Option<f64>,
 }
 
 /// Figure 14: train↔generation transition time per system across model
@@ -175,7 +175,7 @@ pub struct TransitionRow {
 /// (training `1-8-d`, generation `1-2`) so the column isolates the
 /// *engine's* resharding cost rather than the mapper's per-scale layout
 /// choices; the baselines reshard per their own engines.
-pub fn transition_comparison(models: &[ModelConfig]) -> Vec<TransitionRow> {
+pub(crate) fn transition_comparison(models: &[ModelConfig]) -> Vec<TransitionRow> {
     let mut rows = Vec::new();
     for model in models {
         let gpus = *gpu_ladder(model).first().expect("ladder non-empty");
@@ -207,22 +207,20 @@ pub fn transition_comparison(models: &[ModelConfig]) -> Vec<TransitionRow> {
 /// One Figure 15 measurement.
 #[derive(Debug, Clone)]
 pub struct BreakdownRow {
-    /// Model name.
-    pub model: String,
     /// Generation TP size swept.
-    pub tg: usize,
+    pub(crate) tg: usize,
     /// Transition seconds.
-    pub transition: f64,
+    pub(crate) transition: f64,
     /// Generation seconds.
-    pub generation: f64,
+    pub(crate) generation: f64,
     /// KV-cache waves needed.
-    pub waves: usize,
+    pub(crate) waves: usize,
 }
 
 /// Figure 15: transition + generation time on 16 GPUs with training
 /// layout 1-8-2 and generation TP `t_g ∈ {1,2,4,8}` (`p_g = 1`,
 /// `d_g = 8/t_g`), all models colocated, best-effort KV cache.
-pub fn breakdown_16gpus(model: &ModelConfig) -> Vec<BreakdownRow> {
+pub(crate) fn breakdown_16gpus(model: &ModelConfig) -> Vec<BreakdownRow> {
     let gpus = 16;
     let pm = perf(gpus);
     let w = RlhfWorkload::paper();
@@ -263,13 +261,7 @@ pub fn breakdown_16gpus(model: &ModelConfig) -> Vec<BreakdownRow> {
             &pm.cluster,
             &pm.comm,
         );
-        rows.push(BreakdownRow {
-            model: model.name.clone(),
-            tg,
-            transition: trans,
-            generation: bd.total(),
-            waves: bd.waves,
-        });
+        rows.push(BreakdownRow { tg, transition: trans, generation: bd.total(), waves: bd.waves });
     }
     rows
 }
@@ -280,17 +272,17 @@ pub fn breakdown_16gpus(model: &ModelConfig) -> Vec<BreakdownRow> {
 #[derive(Debug, Clone)]
 pub struct MeasuredBreakdownRow {
     /// Generation TP size swept.
-    pub tg: usize,
+    pub(crate) tg: usize,
     /// Slowest rank's train→generation all-gather (virtual seconds).
-    pub transition: f64,
+    pub(crate) transition: f64,
     /// Generation-phase virtual seconds (includes the transition).
-    pub generation: f64,
+    pub(crate) generation: f64,
     /// Experience-preparation virtual seconds.
-    pub preparation: f64,
+    pub(crate) preparation: f64,
     /// Training-phase virtual seconds.
-    pub training: f64,
+    pub(crate) training: f64,
     /// Transition bytes received per GPU (measured by the byte counter).
-    pub transition_bytes_per_gpu: u64,
+    pub(crate) transition_bytes_per_gpu: u64,
 }
 
 /// Figure 15, measured: runs one functional PPO iteration per `t_g` with
@@ -299,7 +291,7 @@ pub struct MeasuredBreakdownRow {
 /// the analytic llama rows, but the t_g *trend* — transition volume
 /// shrinking as t_g approaches the training TP size — is the real
 /// runtime's, not a closed form.
-pub fn measured_breakdown_16gpus(tgs: &[usize]) -> Vec<MeasuredBreakdownRow> {
+pub(crate) fn measured_breakdown_16gpus(tgs: &[usize]) -> Vec<MeasuredBreakdownRow> {
     use hf_core::Controller;
     use hf_rlhf::env::make_prompts;
     use hf_rlhf::{ppo_iteration, RlhfConfig, RlhfSystem};
@@ -347,7 +339,7 @@ pub fn measured_breakdown_16gpus(tgs: &[usize]) -> Vec<MeasuredBreakdownRow> {
 }
 
 /// The Figure 16 scale ladder: model size and cluster size grow together.
-pub fn mapping_ladder() -> [(ModelConfig, usize); 4] {
+pub(crate) fn mapping_ladder() -> [(ModelConfig, usize); 4] {
     [
         (ModelConfig::llama_7b(), 16),
         (ModelConfig::llama_13b(), 32),
@@ -360,14 +352,14 @@ pub fn mapping_ladder() -> [(ModelConfig, usize); 4] {
 #[derive(Debug, Clone)]
 pub struct Table2Row {
     /// Engine label.
-    pub engine: &'static str,
+    pub(crate) engine: &'static str,
     /// Closed-form metrics (fractions of model size `M = 1`).
-    pub metrics: TransitionMetrics,
+    pub(crate) metrics: TransitionMetrics,
 }
 
 /// Table 2: transition overheads for the three engine designs, with
 /// `M = 1` so entries read as fractions of the model size.
-pub fn table2(spec: &ParallelSpec, pg: usize, tg: usize) -> Vec<Table2Row> {
+pub(crate) fn table2(spec: &ParallelSpec, pg: usize, tg: usize) -> Vec<Table2Row> {
     [
         ("DS-Chat", EngineMode::DsChat),
         ("HybridFlow-V", EngineMode::HybridFlowV),
@@ -382,7 +374,7 @@ pub fn table2(spec: &ParallelSpec, pg: usize, tg: usize) -> Vec<Table2Row> {
 }
 
 /// Figure 13 setting: 13B actor/reference with 70B critic/reward.
-pub fn large_critic_comparison(sizes: &[usize]) -> Vec<PlacementRow> {
+pub(crate) fn large_critic_comparison(sizes: &[usize]) -> Vec<PlacementRow> {
     let df = DataflowSpec::large_critic(RlhfWorkload::paper());
     let mut rows = placement_comparison(&df, sizes);
     for r in rows.iter_mut() {
@@ -392,7 +384,7 @@ pub fn large_critic_comparison(sizes: &[usize]) -> Vec<PlacementRow> {
 }
 
 /// Strong-scaling efficiency over a throughput sweep (§8.2: 66.8%).
-pub fn scaling_efficiency(rows: &[ThroughputRow]) -> Option<f64> {
+pub(crate) fn scaling_efficiency(rows: &[ThroughputRow]) -> Option<f64> {
     let mut effs = Vec::new();
     let models: Vec<String> = {
         let mut m: Vec<String> = rows.iter().map(|r| r.model.clone()).collect();
@@ -422,7 +414,7 @@ pub fn scaling_efficiency(rows: &[ThroughputRow]) -> Option<f64> {
 }
 
 /// Table 1-style stage timeline per system.
-pub fn stage_breakdown(df: &DataflowSpec, gpus: usize) -> Vec<(System, Option<Estimate>)> {
+pub(crate) fn stage_breakdown(df: &DataflowSpec, gpus: usize) -> Vec<(System, Option<Estimate>)> {
     let pm = perf(gpus);
     System::all().into_iter().map(|s| (s, estimate(s, &pm, df, gpus))).collect()
 }

@@ -70,7 +70,7 @@ fn run(
 /// and rolled-back work. Every faulted run must end bit-identical to its
 /// fault-free twin (parameters, both Adam moments, optimizer step, RNG
 /// round).
-pub fn fault_recovery(fast: bool) -> Report {
+pub(crate) fn fault_recovery(fast: bool) -> Report {
     let batch = if fast { 4 } else { 8 };
     let mut table = Table::new(
         "fault recovery: checkpoint interval vs overhead, MTTR, and rollback",
@@ -132,7 +132,7 @@ pub fn fault_recovery(fast: bool) -> Report {
 /// continue on the shrunken world). Reports what the re-map cost:
 /// blackout (detection to training resumed), its reshard leg, bytes
 /// broadcast, and the rolled-back virtual work.
-pub fn remap(fast: bool) -> Report {
+pub(crate) fn remap(fast: bool) -> Report {
     let batch = if fast { 4 } else { 8 };
     let worlds: &[usize] = if fast { &[4, 6] } else { &[4, 6, 8, 12] };
     let mut table = Table::new(

@@ -72,23 +72,23 @@ fn throughput_figure(algo: AlgoKind, title: &str) -> Report {
 }
 
 /// Figure 9: PPO throughput across model sizes and cluster scales.
-pub fn fig9_ppo(_fast: bool) -> Report {
+pub(crate) fn fig9_ppo(_fast: bool) -> Report {
     throughput_figure(AlgoKind::Ppo, "Figure 9: PPO throughput")
 }
 
 /// Figure 10: ReMax throughput (no critic; NeMo-Aligner unsupported).
-pub fn fig10_remax(_fast: bool) -> Report {
+pub(crate) fn fig10_remax(_fast: bool) -> Report {
     throughput_figure(AlgoKind::ReMax, "Figure 10: ReMax throughput")
 }
 
 /// Figure 11: Safe-RLHF throughput (extra cost model + pre-train loss).
-pub fn fig11_safe_rlhf(_fast: bool) -> Report {
+pub(crate) fn fig11_safe_rlhf(_fast: bool) -> Report {
     throughput_figure(AlgoKind::SafeRlhf, "Figure 11: Safe-RLHF throughput")
 }
 
 /// §8.2 headline numbers: speedups over each baseline and strong-scaling
 /// efficiency, across all three algorithms.
-pub fn headline_speedups(_fast: bool) -> Report {
+pub(crate) fn headline_speedups(_fast: bool) -> Report {
     let mut speedups = Table::new(
         "§8.2 headline: HybridFlow speedup over each baseline",
         vec![label("algorithm"), label("baseline"), col("avg", "x", 2), col("max", "x", 2)],
@@ -159,7 +159,7 @@ fn placement_figure(title: &str, rows: &[PlacementRow]) -> Report {
 
 /// Figure 12: throughput under colocate / standalone / split / the
 /// Algorithm 1 optimum, 13B & 34B, 16–128 GPUs.
-pub fn fig12_placement(_fast: bool) -> Report {
+pub(crate) fn fig12_placement(_fast: bool) -> Report {
     let mut rows = Vec::new();
     for (model, sizes) in [
         (ModelConfig::llama_13b(), vec![16usize, 32, 64, 96, 128]),
@@ -173,14 +173,14 @@ pub fn fig12_placement(_fast: bool) -> Report {
 
 /// Figure 13: placements with a 13B actor/reference and 70B
 /// critic/reward, 32–128 GPUs.
-pub fn fig13_large_critic(_fast: bool) -> Report {
+pub(crate) fn fig13_large_critic(_fast: bool) -> Report {
     let rows = experiments::large_critic_comparison(&[32, 64, 96, 128]);
     placement_figure("Figure 13: 13B actor + 70B critic/reward placements", &rows)
 }
 
 /// Figure 14: train↔generation transition time across model scales and
 /// systems.
-pub fn fig14_transition(_fast: bool) -> Report {
+pub(crate) fn fig14_transition(_fast: bool) -> Report {
     let rows = experiments::transition_comparison(&ModelConfig::paper_sizes());
     let mut table = Table::new(
         "Figure 14: transition time between training and generation",
@@ -219,7 +219,7 @@ pub fn fig14_transition(_fast: bool) -> Report {
 
 /// Figure 15: transition + generation time vs generation TP size on 16
 /// GPUs (training layout 1-8-2, `p_g = 1`, `d_g = 8/t_g`).
-pub fn fig15_breakdown(_fast: bool) -> Report {
+pub(crate) fn fig15_breakdown(_fast: bool) -> Report {
     let tables = [ModelConfig::llama_7b(), ModelConfig::llama_13b()]
         .iter()
         .map(|model| {
@@ -257,7 +257,7 @@ pub fn fig15_breakdown(_fast: bool) -> Report {
 
 /// Figure 15, measured: the same sweep on a functional tiny-model PPO
 /// iteration, read off the runtime's telemetry spans.
-pub fn fig15_breakdown_measured(_fast: bool) -> Report {
+pub(crate) fn fig15_breakdown_measured(_fast: bool) -> Report {
     let mut table = Table::new(
         "Figure 15, measured: functional tiny-model PPO iteration (16 GPUs, train 1-8-2)",
         vec![
@@ -289,7 +289,7 @@ pub fn fig15_breakdown_measured(_fast: bool) -> Report {
 
 /// Figure 16: device-mapping algorithm runtime over the scale ladder
 /// (one cold search per point, host clock).
-pub fn fig16_mapping_runtime(_fast: bool) -> Report {
+pub(crate) fn fig16_mapping_runtime(_fast: bool) -> Report {
     let mut table = Table::new(
         "Figure 16: auto-mapping algorithm runtime",
         vec![
@@ -323,7 +323,7 @@ pub fn fig16_mapping_runtime(_fast: bool) -> Report {
 
 /// Table 1: qualitative framework comparison plus an estimated stage
 /// timeline of one PPO iteration per system.
-pub fn table1_comparison(_fast: bool) -> Report {
+pub(crate) fn table1_comparison(_fast: bool) -> Report {
     let mut facts = Table::new(
         "Table 1: RLHF framework comparison",
         vec![label("system"), label("parallelism"), label("actor weights"), label("placement")],
@@ -362,7 +362,7 @@ pub fn table1_comparison(_fast: bool) -> Report {
 
 /// Table 2: transition overhead between training and generation for the
 /// three actor-engine designs, as fractions of the model size M.
-pub fn table2_transition(_fast: bool) -> Report {
+pub(crate) fn table2_transition(_fast: bool) -> Report {
     let tables = [
         (ParallelSpec::new(1, 8, 2), 1usize, 2usize),
         (ParallelSpec::new(2, 4, 4), 1, 2),
@@ -398,7 +398,7 @@ pub fn table2_transition(_fast: bool) -> Report {
 /// mapping algorithm extends to other devices by swapping the
 /// simulator's GPU spec): predicted HybridFlow PPO throughput on
 /// A100-40G vs A100-80G vs H100 clusters.
-pub fn whatif_hardware(_fast: bool) -> Report {
+pub(crate) fn whatif_hardware(_fast: bool) -> Report {
     let a100_40g =
         |gpus| ClusterSpec { gpu: GpuSpec::a100_40g(), ..ClusterSpec::a100_with_gpus(gpus) };
     let mut table = Table::new(
@@ -445,7 +445,7 @@ pub fn whatif_hardware(_fast: bool) -> Report {
 /// generation grouping (§5.3) as the 13B transition time each implies,
 /// and per-call vs per-operator controller dispatch (§2.2) as the
 /// modelled dispatch budget of one PPO iteration.
-pub fn ablations(_fast: bool) -> Report {
+pub(crate) fn ablations(_fast: bool) -> Report {
     let model = ModelConfig::llama_13b();
     let spec = ParallelSpec::new(1, 8, 2);
     let cluster = ClusterSpec::a100_with_gpus(16);

@@ -45,7 +45,7 @@ fn median_secs<T>(reps: usize, mut run: impl FnMut() -> T) -> (f64, T) {
 /// The pruned mapping search vs the exhaustive reference over the
 /// Figure 16 scale ladder: median wall time of cold searches (a fresh
 /// mapper per repetition) and a whole-mapping equality check.
-pub fn mapping_search(fast: bool) -> Report {
+pub(crate) fn mapping_search(fast: bool) -> Report {
     let reps = if fast { 5 } else { 50 };
     let mut table = Table::new(
         format!("auto-mapping search: pruned vs exhaustive reference (median of {reps} cold runs)"),
@@ -98,7 +98,7 @@ pub fn mapping_search(fast: bool) -> Report {
 /// batching, at two batch sizes and two cache budgets. The tight budget
 /// is sized to force preemption-by-recompute mid-run, so the speedup it
 /// reports is the one that survives cache pressure.
-pub fn genserve_throughput(fast: bool) -> Report {
+pub(crate) fn genserve_throughput(fast: bool) -> Report {
     // Sized so the weights (~13 MB) overflow on-core caches: each
     // sequential decode step re-streams them from memory, while the
     // batched step streams them once for every active lane — the same
@@ -231,7 +231,7 @@ fn tp_joins_per_chunk(cfg: LmConfig, rows: usize) -> u64 {
 /// passes give the tape's bits, and the TP all-reduces a `tp_inference`
 /// pass makes for an 8-row chunk on 1-2-2 — `layers`, where a pass per
 /// row made `8 × layers`.
-pub fn inference_forward(fast: bool) -> Report {
+pub(crate) fn inference_forward(fast: bool) -> Report {
     const BATCH: usize = 50;
     let batches = if fast { 3 } else { 31 };
     let cfg = LmConfig::tiny();
@@ -374,7 +374,7 @@ fn churn_ns_per_alloc(blocks: usize, churn: usize) -> f64 {
 /// Also guards the paged-KV block allocator's complexity: FIFO eviction
 /// through the reclaim queue must stay O(1) amortized, checked by
 /// comparing ns/alloc across an 8× pool-size spread.
-pub fn audit_sweep(fast: bool) -> Report {
+pub(crate) fn audit_sweep(fast: bool) -> Report {
     let (n, max_world) = if fast { (24, 4) } else { (208, 8) };
     let configs = sample_configs(n, max_world, 0x5EED);
     let wall = Instant::now();

@@ -31,21 +31,21 @@ use crate::table::{col, label, mode, Report, Table};
 #[derive(Debug, Clone)]
 pub struct PerfConfig {
     /// Stable name, used as the JSON key and table row label.
-    pub name: String,
+    pub(crate) name: String,
     /// Simulated GPUs.
-    pub gpus: usize,
+    pub(crate) gpus: usize,
     /// Training layout (dp, tp, pp).
-    pub layout: (usize, usize, usize),
+    pub(crate) layout: (usize, usize, usize),
     /// Generation TP size.
-    pub tg: usize,
+    pub(crate) tg: usize,
     /// Measured iterations after the one warmup iteration.
-    pub iterations: usize,
+    pub(crate) iterations: usize,
 }
 
 /// The sweep. `fast` is the CI shape (8 GPUs, two generation TPs, one
 /// measured iteration each — the committed baseline covers exactly
 /// this); full sweeps 16 GPUs over the Figure 15 `t_g` axis.
-pub fn sweep(fast: bool) -> Vec<PerfConfig> {
+pub(crate) fn sweep(fast: bool) -> Vec<PerfConfig> {
     let (gpus, layout, tgs, iterations): (usize, _, &[usize], usize) =
         if fast { (8, (1, 4, 2), &[2, 4], 1) } else { (16, (1, 8, 2), &[1, 2, 4, 8], 2) };
     tgs.iter()
@@ -98,13 +98,13 @@ fn iteration_json(it: &IterationAnalysis) -> Json {
 /// What one configuration measured.
 pub struct PerfRow {
     /// The configuration.
-    pub cfg: PerfConfig,
+    pub(crate) cfg: PerfConfig,
     /// The measured iterations of the barrier driver, analyzed.
-    pub iterations: Vec<IterationAnalysis>,
+    pub(crate) iterations: Vec<IterationAnalysis>,
     /// Latency digests recorded over the measured iterations.
-    pub digests: BTreeMap<String, Digest>,
+    pub(crate) digests: BTreeMap<String, Digest>,
     /// The same placement under the pipelined driver.
-    pub pipeline: PipelineRow,
+    pub(crate) pipeline: PipelineRow,
 }
 
 /// The pipelined counterpart of a [`PerfRow`]'s barrier pass: the same
@@ -114,13 +114,13 @@ pub struct PerfRow {
 /// theoretical headroom the pipeline actually claims.
 pub struct PipelineRow {
     /// Pipelined steps driven (one more than the measured iterations).
-    pub steps: usize,
+    pub(crate) steps: usize,
     /// Virtual seconds per step, flush included.
-    pub iteration_s: f64,
+    pub(crate) iteration_s: f64,
     /// Virtual seconds of generation overlapped with training.
-    pub overlap_measured_s: f64,
+    pub(crate) overlap_measured_s: f64,
     /// That overlap as a fraction of the run.
-    pub overlap_fraction: f64,
+    pub(crate) overlap_fraction: f64,
 }
 
 impl PerfRow {
@@ -151,7 +151,7 @@ impl PerfRow {
 }
 
 /// Runs one configuration under both drivers.
-pub fn run_config(cfg: &PerfConfig) -> PerfRow {
+pub(crate) fn run_config(cfg: &PerfConfig) -> PerfRow {
     let telemetry = Telemetry::enabled();
     let ctrl = Controller::with_telemetry(
         ClusterSpec::a100_with_gpus(cfg.gpus),
@@ -219,7 +219,7 @@ fn document(rows: &[PerfRow], fast: bool) -> Json {
 /// `overlap` is the what-if *bound* (perfect gen/train overlap);
 /// `pipe overlap` is what the staleness-1 pipelined driver actually
 /// claimed of it on the same placement.
-pub fn perf_report(fast: bool) -> Report {
+pub(crate) fn perf_report(fast: bool) -> Report {
     let rows: Vec<PerfRow> = sweep(fast).iter().map(run_config).collect();
     let mut table = Table::new(
         format!("perf report ({})", mode(fast)),
@@ -258,11 +258,11 @@ pub fn perf_report(fast: bool) -> Report {
 }
 
 /// Relative tolerance `--check` allows before failing.
-pub const CHECK_REL_TOL: f64 = 0.05;
+pub(crate) const CHECK_REL_TOL: f64 = 0.05;
 
 /// Diffs a rendered report against the baseline text. `Ok` means within
 /// tolerance; `Err` carries one line per difference.
-pub fn check(current: &str, baseline: &str) -> Result<(), Vec<String>> {
+pub(crate) fn check(current: &str, baseline: &str) -> Result<(), Vec<String>> {
     let b = hf_insight::flatten_json(baseline).map_err(|e| vec![format!("bad baseline: {e}")])?;
     let c = hf_insight::flatten_json(current).map_err(|e| vec![format!("bad report: {e}")])?;
     let diffs = hf_insight::compare_flat(&b, &c, CHECK_REL_TOL);

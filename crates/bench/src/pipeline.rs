@@ -28,25 +28,25 @@ use crate::table::{col, label, mode, Report, Table};
 #[derive(Debug, Clone)]
 pub struct OverlapConfig {
     /// Stable name, used as the JSON key and table row label.
-    pub name: String,
+    pub(crate) name: String,
     /// Devices per model pool (total GPUs = 4x this).
-    pub per_model: usize,
+    pub(crate) per_model: usize,
     /// Per-model layout, in `ParallelSpec::new` argument order
     /// (pipeline, tensor, data).
-    pub spec: (usize, usize, usize),
+    pub(crate) spec: (usize, usize, usize),
     /// Generation TP size on the actor.
-    pub tg: usize,
+    pub(crate) tg: usize,
     /// Prompt rows per iteration.
-    pub rows: usize,
+    pub(crate) rows: usize,
     /// Generation chunks per iteration in the pipelined modes.
-    pub gen_chunks: usize,
+    pub(crate) gen_chunks: usize,
     /// Iterations per mode (every mode trains exactly this many batches).
-    pub iterations: usize,
+    pub(crate) iterations: usize,
 }
 
 /// The sweep. `fast` is the CI smoke shape (8 GPUs, 2 per model);
 /// full adds the 16-GPU row and a second generation-TP point.
-pub fn sweep(fast: bool) -> Vec<OverlapConfig> {
+pub(crate) fn sweep(fast: bool) -> Vec<OverlapConfig> {
     let mut configs = vec![OverlapConfig {
         name: "split_8gpu_p1t1d2_tg1".into(),
         per_model: 2,
@@ -141,12 +141,12 @@ fn run_pipelined(cfg: &OverlapConfig, staleness: u32) -> (f64, f64) {
 /// One configuration under all three drivers.
 pub struct OverlapRow {
     /// The configuration.
-    pub cfg: OverlapConfig,
+    pub(crate) cfg: OverlapConfig,
     /// Barrier driver: virtual seconds per iteration.
-    pub barrier_s: f64,
+    pub(crate) barrier_s: f64,
     /// Pipelined at staleness 0 and 1: `(seconds per iteration, final
     /// cumulative overlap fraction)`.
-    pub staleness: [(f64, f64); 2],
+    pub(crate) staleness: [(f64, f64); 2],
 }
 
 impl OverlapRow {
@@ -176,7 +176,7 @@ impl OverlapRow {
 }
 
 /// Runs one configuration across all three modes.
-pub fn run_config(cfg: &OverlapConfig) -> OverlapRow {
+pub(crate) fn run_config(cfg: &OverlapConfig) -> OverlapRow {
     OverlapRow {
         cfg: cfg.clone(),
         barrier_s: run_barrier(cfg),
@@ -187,7 +187,7 @@ pub fn run_config(cfg: &OverlapConfig) -> OverlapRow {
 /// The `pipeline_overlap` experiment: per-iteration latency of the
 /// barrier driver and of the pipelined driver at staleness 0 and 1, the
 /// speedups, and the overlap the staleness-1 run measured.
-pub fn pipeline_overlap(fast: bool) -> Report {
+pub(crate) fn pipeline_overlap(fast: bool) -> Report {
     let rows: Vec<OverlapRow> = sweep(fast).iter().map(run_config).collect();
     let mut table = Table::new(
         format!("pipeline overlap ({})", mode(fast)),

@@ -17,9 +17,9 @@ pub struct Experiment {
     pub name: &'static str,
     /// Whether two runs render byte-identical JSON: virtual time and
     /// closed forms only, no host clock. CI reruns these and `cmp`s.
-    pub deterministic: bool,
+    pub(crate) deterministic: bool,
     /// Runs it; `fast` is the CI smoke shape where the experiment has one.
-    pub run: fn(fast: bool) -> Report,
+    pub(crate) run: fn(fast: bool) -> Report,
 }
 
 const fn exact(name: &'static str, run: fn(bool) -> Report) -> Experiment {

@@ -21,18 +21,18 @@ use crate::table::{col, label, mode, Cell, Report, Table};
 #[derive(Debug, Clone)]
 pub struct RewardEvalConfig {
     /// Stable name, used as the JSON key and table row label.
-    pub name: String,
+    pub(crate) name: String,
     /// Sandbox worker slots in the pool.
-    pub workers: usize,
+    pub(crate) workers: usize,
     /// Verifier tasks in the batch.
-    pub tasks: usize,
+    pub(crate) tasks: usize,
     /// `"light"` or `"heavy_tail"` cost distribution.
-    pub profile: &'static str,
+    pub(crate) profile: &'static str,
 }
 
 /// The sweep. `fast` is the CI smoke shape (two pool sizes per
 /// profile); full sweeps 2–16 workers.
-pub fn sweep(fast: bool) -> Vec<RewardEvalConfig> {
+pub(crate) fn sweep(fast: bool) -> Vec<RewardEvalConfig> {
     let sizes: &[usize] = if fast { &[2, 8] } else { &[2, 4, 8, 16] };
     let mut out = Vec::new();
     for &profile in &["light", "heavy_tail"] {
@@ -100,17 +100,17 @@ fn report_json(r: &EvalReport) -> Json {
 /// One configuration's pool runs.
 pub struct RewardEvalRow {
     /// The configuration.
-    pub cfg: RewardEvalConfig,
+    pub(crate) cfg: RewardEvalConfig,
     /// Straggler cancellation on.
-    pub on: EvalReport,
+    pub(crate) on: EvalReport,
     /// Straggler cancellation off (heavy-tailed profile only).
-    pub off: Option<EvalReport>,
+    pub(crate) off: Option<EvalReport>,
 }
 
 impl RewardEvalRow {
     /// How much of the no-cancellation p99 task latency cancellation
     /// removes, where both arms ran.
-    pub fn p99_reduction(&self) -> Option<f64> {
+    pub(crate) fn p99_reduction(&self) -> Option<f64> {
         let off = self.off.as_ref()?;
         Some(1.0 - self.on.latency_percentile(0.99) / off.latency_percentile(0.99))
     }
@@ -134,7 +134,7 @@ impl RewardEvalRow {
 
 /// Runs one configuration (cancellation on, plus the off arm for the
 /// heavy-tailed profile).
-pub fn run_config(cfg: &RewardEvalConfig) -> RewardEvalRow {
+pub(crate) fn run_config(cfg: &RewardEvalConfig) -> RewardEvalRow {
     RewardEvalRow {
         cfg: cfg.clone(),
         on: evaluate(cfg, true),
@@ -144,7 +144,7 @@ pub fn run_config(cfg: &RewardEvalConfig) -> RewardEvalRow {
 
 /// The `reward_eval` experiment: pool-size scaling under both cost
 /// profiles and the tail-latency cut straggler cancellation buys.
-pub fn reward_eval(fast: bool) -> Report {
+pub(crate) fn reward_eval(fast: bool) -> Report {
     let rows: Vec<RewardEvalRow> = sweep(fast).iter().map(run_config).collect();
     let mut table = Table::new(
         format!("reward eval ({})", mode(fast)),

@@ -55,7 +55,7 @@ impl From<Option<f64>> for Cell {
 }
 
 /// `a / b` where both exist, `-` otherwise.
-pub fn ratio(a: Option<f64>, b: Option<f64>) -> Cell {
+pub(crate) fn ratio(a: Option<f64>, b: Option<f64>) -> Cell {
     match (a, b) {
         (Some(a), Some(b)) => Cell::Num(a / b),
         _ => Cell::Str("-".into()),
@@ -67,20 +67,20 @@ pub fn ratio(a: Option<f64>, b: Option<f64>) -> Cell {
 #[derive(Debug, Clone, Copy)]
 pub struct Column {
     /// Column name.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Unit of the numeric cells (`""` for counts and labels).
-    pub unit: &'static str,
+    pub(crate) unit: &'static str,
     /// Decimals shown for [`Cell::Num`] in text.
-    pub precision: usize,
+    pub(crate) precision: usize,
 }
 
 /// A column of numbers in `unit`, shown with `precision` decimals.
-pub const fn col(name: &'static str, unit: &'static str, precision: usize) -> Column {
+pub(crate) const fn col(name: &'static str, unit: &'static str, precision: usize) -> Column {
     Column { name, unit, precision }
 }
 
 /// A column of counts or labels.
-pub const fn label(name: &'static str) -> Column {
+pub(crate) const fn label(name: &'static str) -> Column {
     col(name, "", 0)
 }
 
@@ -88,16 +88,16 @@ pub const fn label(name: &'static str) -> Column {
 #[derive(Debug, Clone)]
 pub struct Table {
     /// Printed above the table; identifies it in JSON.
-    pub title: String,
+    pub(crate) title: String,
     /// The columns.
-    pub columns: Vec<Column>,
+    pub(crate) columns: Vec<Column>,
     /// Row-major cells, one per column.
-    pub rows: Vec<Vec<Cell>>,
+    pub(crate) rows: Vec<Vec<Cell>>,
 }
 
 impl Table {
     /// An empty table.
-    pub fn new(title: impl Into<String>, columns: Vec<Column>) -> Self {
+    pub(crate) fn new(title: impl Into<String>, columns: Vec<Column>) -> Self {
         Table { title: title.into(), columns, rows: Vec::new() }
     }
 
@@ -106,13 +106,13 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the row does not have one cell per column.
-    pub fn push(&mut self, row: Vec<Cell>) {
+    pub(crate) fn push(&mut self, row: Vec<Cell>) {
         assert_eq!(row.len(), self.columns.len(), "table '{}': row width", self.title);
         self.rows.push(row);
     }
 
     /// Right-aligned text under a `name unit` header line.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let header: Vec<String> =
             self.columns
                 .iter()
@@ -194,27 +194,27 @@ impl Table {
 #[derive(Debug, Clone, Default)]
 pub struct Report {
     /// The tables, in print order.
-    pub tables: Vec<Table>,
+    pub(crate) tables: Vec<Table>,
     /// Lines printed under the tables: captions and what to compare
     /// against in the paper.
-    pub notes: Vec<String>,
+    pub(crate) notes: Vec<String>,
     /// The experiment's own JSON document, for the experiments whose
     /// schema is gated against a committed file; `None` renders
     /// `tables` in the registry schema.
-    pub json: Option<Json>,
+    pub(crate) json: Option<Json>,
     /// Checks the experiment ran and that did not hold. Non-empty makes
     /// the runner exit 1 after printing everything above.
-    pub failures: Vec<String>,
+    pub(crate) failures: Vec<String>,
 }
 
 impl Report {
     /// A report of `tables` and `notes`.
-    pub fn new(tables: Vec<Table>, notes: Vec<String>) -> Self {
+    pub(crate) fn new(tables: Vec<Table>, notes: Vec<String>) -> Self {
         Report { tables, notes, ..Default::default() }
     }
 
     /// The text form: every table, then the notes.
-    pub fn text(&self) -> String {
+    pub(crate) fn text(&self) -> String {
         let mut out: String = self.tables.iter().map(|t| t.render() + "\n").collect();
         for note in &self.notes {
             out.push_str(note);
@@ -224,7 +224,7 @@ impl Report {
     }
 
     /// The JSON document written as `BENCH_<experiment>.json`.
-    pub fn json(&self, experiment: &str, fast: bool) -> Json {
+    pub(crate) fn json(&self, experiment: &str, fast: bool) -> Json {
         self.json.clone().unwrap_or_else(|| {
             Json::obj(vec![
                 ("experiment", Json::Str(experiment.into())),
@@ -236,7 +236,7 @@ impl Report {
 }
 
 /// `"fast"` or `"full"`.
-pub fn mode(fast: bool) -> &'static str {
+pub(crate) fn mode(fast: bool) -> &'static str {
     if fast {
         "fast"
     } else {

@@ -88,7 +88,7 @@ impl Column {
     ///
     /// Panics if `data.len()` is not a multiple of `width` (for
     /// `width > 0`).
-    pub fn f32(data: Vec<f32>, width: usize) -> Column {
+    pub(crate) fn f32(data: Vec<f32>, width: usize) -> Column {
         let rows = data.len().checked_div(width).unwrap_or(0);
         assert!(width == 0 || data.len() == rows * width, "ragged f32 column");
         Column { payload: Payload::F32(data.into()), width, start: 0, rows }
@@ -101,20 +101,10 @@ impl Column {
     ///
     /// Panics if `data.len()` is not a multiple of `width` (for
     /// `width > 0`).
-    pub fn tokens(data: Vec<u32>, width: usize) -> Column {
+    pub(crate) fn tokens(data: Vec<u32>, width: usize) -> Column {
         let rows = data.len().checked_div(width).unwrap_or(0);
         assert!(width == 0 || data.len() == rows * width, "ragged tokens column");
         Column { payload: Payload::Tokens(data.into()), width, start: 0, rows }
-    }
-
-    /// Values per row.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
     }
 
     /// Visible payload bytes (4 bytes per element for both types).
@@ -497,11 +487,6 @@ impl DataProto {
             },
             None => Err(CoreError::Data(format!("missing column {name}"))),
         }
-    }
-
-    /// Removes and returns a column.
-    pub fn pop(&mut self, name: &str) -> Option<Column> {
-        self.columns.remove(name)
     }
 
     /// Rows `[start, end)` as a new batch of views sharing this batch's

@@ -35,7 +35,7 @@ impl CoreError {
     /// Whether retrying the same call against the same worker group can
     /// succeed (dispatch-path faults), as opposed to failures that
     /// require recovery (dead ranks, poisoned communicators).
-    pub fn is_transient(&self) -> bool {
+    pub(crate) fn is_transient(&self) -> bool {
         matches!(self, CoreError::Transient(_))
     }
 

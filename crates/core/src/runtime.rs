@@ -395,7 +395,7 @@ pub struct LostRank {
     /// The rank within its group.
     pub rank: usize,
     /// Why it died (injected-kill reason or panic message).
-    pub reason: String,
+    pub(crate) reason: String,
 }
 
 struct ControllerState {
@@ -770,11 +770,6 @@ impl Controller {
                 }),
             }),
         }
-    }
-
-    /// The active failure-handling policy.
-    pub fn policy(&self) -> CallPolicy {
-        self.inner.state.lock().policy
     }
 
     /// Replaces the failure-handling policy (deadlines and retries) for

@@ -102,24 +102,19 @@ impl BlockManager {
         }
     }
 
-    /// Tokens per block.
-    pub fn block_tokens(&self) -> usize {
-        self.block_tokens
-    }
-
     /// Total blocks in the pool.
-    pub fn num_blocks(&self) -> usize {
+    pub(crate) fn num_blocks(&self) -> usize {
         self.refcount.len()
     }
 
     /// Blocks an [`Self::alloc`] can hand out right now (truly free
     /// plus evictable cached ones).
-    pub fn free_blocks(&self) -> usize {
+    pub(crate) fn free_blocks(&self) -> usize {
         self.free.len() + self.reclaim_live
     }
 
     /// Blocks currently owned by at least one sequence.
-    pub fn blocks_in_use(&self) -> usize {
+    pub(crate) fn blocks_in_use(&self) -> usize {
         self.num_blocks() - self.free_blocks()
     }
 
@@ -150,7 +145,7 @@ impl BlockManager {
 
     /// Adds one owner to a block (prefix sharing); resurrects a
     /// reclaimable block back into ownership.
-    pub fn retain(&mut self, block: usize) {
+    pub(crate) fn retain(&mut self, block: usize) {
         if self.refcount[block] == 0 {
             assert!(self.in_reclaim[block], "refcount-0 retain target must be reclaimable");
             // Lazy deletion: the queue entry stays behind and is skipped
@@ -162,7 +157,7 @@ impl BlockManager {
     }
 
     /// Current owner count of a block (0 = free or reclaimable).
-    pub fn refcount(&self, block: usize) -> u32 {
+    pub(crate) fn refcount(&self, block: usize) -> u32 {
         self.refcount[block]
     }
 
@@ -190,7 +185,7 @@ impl BlockManager {
     ///
     /// Panics if no slot of `block` or a higher block was ever written:
     /// reading a snapshot nobody stored is a scheduler bug.
-    pub fn slot(&self, block: usize, idx: usize) -> &[f32] {
+    pub(crate) fn slot(&self, block: usize, idx: usize) -> &[f32] {
         debug_assert!(idx < self.block_tokens);
         let off = (block * self.block_tokens + idx) * self.slot_floats;
         &self.data[off..off + self.slot_floats]
@@ -198,7 +193,7 @@ impl BlockManager {
 
     /// Write access to one snapshot slot; backs storage up to and
     /// including `block` on first touch (whole blocks, zero-filled).
-    pub fn slot_mut(&mut self, block: usize, idx: usize) -> &mut [f32] {
+    pub(crate) fn slot_mut(&mut self, block: usize, idx: usize) -> &mut [f32] {
         debug_assert!(idx < self.block_tokens);
         assert!(block < self.num_blocks(), "block {block} outside the pool");
         let backed = (block + 1) * self.block_tokens * self.slot_floats;
@@ -228,7 +223,7 @@ impl BlockManager {
     /// must run the final token to produce logits). Does **not** retain;
     /// the caller retains each block when it actually admits the
     /// sequence.
-    pub fn lookup_prefix(&self, tokens: &[usize]) -> Vec<usize> {
+    pub(crate) fn lookup_prefix(&self, tokens: &[usize]) -> Vec<usize> {
         let mut blocks = Vec::new();
         let mut end = self.block_tokens;
         while end < tokens.len() {

@@ -77,7 +77,7 @@ pub struct StepTrace {
     /// Cache blocks owned by sequences after the step.
     pub blocks_in_use: usize,
     /// Free blocks after the step.
-    pub free_blocks: usize,
+    pub(crate) free_blocks: usize,
     /// Sequences admitted from the waiting queue this step.
     pub admitted: usize,
     /// Sequences preempted (blocks released, will re-prefill).
@@ -98,9 +98,9 @@ pub struct EngineReport {
     /// Tokens sampled across all requests.
     pub generated_tokens: u64,
     /// Largest per-step batch observed.
-    pub peak_batch: usize,
+    pub(crate) peak_batch: usize,
     /// Most cache blocks simultaneously in use.
-    pub peak_blocks_in_use: usize,
+    pub(crate) peak_blocks_in_use: usize,
     /// Pool size the budget bought.
     pub num_blocks: usize,
     /// Per-step observations, in step order.
@@ -111,7 +111,7 @@ pub struct EngineReport {
     /// TTFT percentiles) using whatever per-step latency they charge.
     pub first_token_step: BTreeMap<usize, u64>,
     /// Step index at which each request retired, keyed by request index.
-    pub finish_step: BTreeMap<usize, u64>,
+    pub(crate) finish_step: BTreeMap<usize, u64>,
 }
 
 /// Engine failures.
@@ -183,11 +183,6 @@ impl GenServer {
     /// transition before generating).
     pub fn new(cfg: GenConfig) -> Self {
         GenServer { cfg, lm: None }
-    }
-
-    /// Engine configuration.
-    pub fn config(&self) -> &GenConfig {
-        &self.cfg
     }
 
     /// Installs (a copy of) the model weights — the hand-off point of

@@ -7,11 +7,12 @@
 //! [`HybridEngineRank::to_training`] drops generation-only weights; under
 //! the strided method the training shard is a sub-slice of the
 //! generation shard, so nothing extra was ever resident — the
-//! zero-redundancy property, checked by [`HybridEngineRank::resident_param_bytes`].
+//! zero-redundancy property, which the tests check on the resident
+//! parameter bytes.
 
 use hf_parallel::{
     shard::{gen_shard, train_shard},
-    GenGrouping, GroupingMethod, ShardLayout,
+    GenGrouping, ShardLayout,
 };
 use hf_simcluster::{CollectiveKind, Communicator, VirtualClock};
 use hf_telemetry::{SpanKind, Telemetry};
@@ -49,12 +50,14 @@ impl HybridEngineRank {
     }
 
     /// The rank's training-shard buffer.
-    pub fn train_buf(&self) -> &[f32] {
+    #[cfg(test)]
+    fn train_buf(&self) -> &[f32] {
         &self.train_buf
     }
 
     /// The generation-shard buffer, if currently materialized.
-    pub fn gen_buf(&self) -> Option<&[f32]> {
+    #[cfg(test)]
+    fn gen_buf(&self) -> Option<&[f32]> {
         self.gen_buf.as_deref()
     }
 
@@ -63,7 +66,8 @@ impl HybridEngineRank {
     /// generation shard (training weights are a sub-slice and reuse it);
     /// the vanilla method additionally keeps the non-overlapping part of
     /// the training shard.
-    pub fn resident_param_bytes(&self) -> usize {
+    #[cfg(test)]
+    fn resident_param_bytes(&self) -> usize {
         match &self.gen_buf {
             None => self.train_buf.len() * 4,
             Some(g) => {
@@ -83,14 +87,15 @@ impl HybridEngineRank {
     /// placement of every member's training shard into this rank's
     /// generation shard.
     ///
-    /// `comm` must be the communicator of [`Self::gather_group`], with
+    /// `comm` must be the communicator of this rank's
+    /// [`GenGrouping::gather_group`], with
     /// members ordered by ascending global rank.
     ///
     /// # Panics
     ///
     /// Panics if the communicator size disagrees with the gather group.
     pub fn to_generation(&mut self, comm: &Communicator, clock: &mut VirtualClock) -> &[f32] {
-        let group = self.gather_group();
+        let group = self.grouping.gather_group(self.rank);
         assert_eq!(comm.size(), group.len(), "communicator/gather-group size mismatch");
         let my_pos = group.iter().position(|&r| r == self.rank).expect("member");
         assert_eq!(comm.rank(), my_pos, "communicator rank order mismatch");
@@ -334,14 +339,6 @@ impl HybridEngineRank {
         );
         telemetry.add_counter("transition.to_training.count", 1);
     }
-
-    /// The global ranks whose shards this rank gathers.
-    pub fn gather_group(&self) -> Vec<usize> {
-        match self.grouping.method {
-            GroupingMethod::Strided => self.grouping.micro_dp_group_of(self.rank),
-            GroupingMethod::Vanilla => self.grouping.train.mp_group_of(self.rank),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -349,7 +346,7 @@ impl HybridEngineRank {
 mod tests {
     use super::*;
     use crate::reshard::ActorShards;
-    use hf_parallel::ParallelSpec;
+    use hf_parallel::{GroupingMethod, ParallelSpec};
     use hf_simcluster::{ClusterSpec, CommCostModel, CommGroup, DeviceId};
     use std::sync::Arc;
     use std::thread;
@@ -382,7 +379,7 @@ mod tests {
             .collect();
         let mut groups: Vec<(Vec<usize>, CommGroup)> = Vec::new();
         for r in 0..world {
-            let g = engines[r].gather_group();
+            let g = grouping.gather_group(r);
             if !groups.iter().any(|(ranks, _)| ranks == &g) {
                 let devices = g.iter().map(|&x| DeviceId(x)).collect();
                 groups.push((g, CommGroup::new(devices)));
@@ -430,7 +427,7 @@ mod tests {
             .collect();
         let mut groups: Vec<(Vec<usize>, CommGroup)> = Vec::new();
         for r in 0..world {
-            let g = engines[r].gather_group();
+            let g = grouping.gather_group(r);
             if !groups.iter().any(|(ranks, _)| ranks == &g) {
                 let devices = g.iter().map(|&x| DeviceId(x)).collect();
                 groups.push((g, CommGroup::new(devices)));

@@ -10,7 +10,7 @@
 
 use hf_parallel::{
     shard::{gen_shard, train_shard},
-    GenGrouping, GroupingMethod, ShardLayout,
+    GenGrouping, ShardLayout,
 };
 
 /// Per-rank training-shard buffers of one actor model.
@@ -46,11 +46,6 @@ impl ActorShards {
         ActorShards { layout, grouping, full: params.to_vec(), train_bufs }
     }
 
-    /// The generation grouping in force.
-    pub fn grouping(&self) -> &GenGrouping {
-        &self.grouping
-    }
-
     /// Rank `rank`'s training-shard buffer.
     pub fn train_buf(&self, rank: usize) -> &[f32] {
         &self.train_bufs[rank]
@@ -65,17 +60,6 @@ impl ActorShards {
             buf.extend_from_slice(&self.full[r]);
         }
         buf
-    }
-
-    /// The ranks whose training buffers the transition may read for
-    /// `rank`: its micro-DP group under the strided method, its whole
-    /// model-parallel group under the vanilla method (which is exactly
-    /// why vanilla communicates `(tp−1)/tp·M` instead of `(d_g−1)/tp·M`).
-    pub fn gather_group(&self, rank: usize) -> Vec<usize> {
-        match self.grouping.method {
-            GroupingMethod::Strided => self.grouping.micro_dp_group_of(rank),
-            GroupingMethod::Vanilla => self.grouping.train.mp_group_of(rank),
-        }
     }
 
     /// Reconstructs `rank`'s generation shard using *only* the training
@@ -105,7 +89,7 @@ impl ActorShards {
 
         let mut buf = vec![f32::NAN; gen_len];
         let mut filled = 0usize;
-        for &src in &self.gather_group(rank) {
+        for &src in &self.grouping.gather_group(rank) {
             let src_shard = train_shard(&self.grouping.train, src, layers);
             let src_ranges = self.layout.ranges(&src_shard);
             let mut cursor = 0usize;
@@ -145,7 +129,7 @@ impl ActorShards {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hf_parallel::ParallelSpec;
+    use hf_parallel::{GroupingMethod, ParallelSpec};
 
     fn params(n: usize) -> Vec<f32> {
         (0..n).map(|i| i as f32).collect()
@@ -187,7 +171,7 @@ mod tests {
             [(1, 4, 2, 1, 2), (2, 4, 1, 1, 2), (2, 4, 2, 2, 2), (1, 8, 1, 1, 2)]
         {
             let s = shards(p, t, d, pg, tg, GroupingMethod::Strided);
-            for rank in 0..s.grouping().train.world() {
+            for rank in 0..s.grouping.train.world() {
                 assert_eq!(
                     s.reshard_to_gen(rank),
                     s.reference_gen_buf(rank),
@@ -205,8 +189,8 @@ mod tests {
             assert_eq!(sv.reshard_to_gen(rank), sv.reference_gen_buf(rank));
             // Vanilla gathers over the whole MP group (4 ranks); strided
             // over the micro-DP group (2 ranks).
-            assert_eq!(sv.gather_group(rank).len(), 4);
-            assert_eq!(ss.gather_group(rank).len(), 2);
+            assert_eq!(sv.grouping.gather_group(rank).len(), 4);
+            assert_eq!(ss.grouping.gather_group(rank).len(), 2);
         }
     }
 
@@ -216,8 +200,8 @@ mod tests {
         // reconstruction asserts full coverage internally.)
         let s = shards(2, 4, 2, 1, 2, GroupingMethod::Strided);
         for rank in 0..16 {
-            let grp = s.gather_group(rank);
-            assert_eq!(grp.len(), s.grouping().dg());
+            let grp = s.grouping.gather_group(rank);
+            assert_eq!(grp.len(), s.grouping.dg());
             assert!(grp.contains(&rank));
         }
     }

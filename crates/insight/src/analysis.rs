@@ -33,9 +33,9 @@ pub struct CriticalSegment {
     /// `(controller)` for gaps.
     pub name: String,
     /// Segment interval (virtual seconds).
-    pub start: f64,
+    pub(crate) start: f64,
     /// End of the interval.
-    pub end: f64,
+    pub(crate) end: f64,
 }
 
 impl CriticalSegment {
@@ -65,9 +65,9 @@ pub struct IterationAnalysis {
     /// Iteration index within the trace (0-based).
     pub index: usize,
     /// Iteration window start (first phase start, virtual seconds).
-    pub start: f64,
+    pub(crate) start: f64,
     /// Iteration window end (last phase end).
-    pub end: f64,
+    pub(crate) end: f64,
     /// Phase durations by phase name.
     pub phases: BTreeMap<String, f64>,
     /// The critical path as a gap-free tiling of the window.

@@ -30,22 +30,15 @@ fn canonical_cmp(a: &SpanRecord, b: &SpanRecord) -> std::cmp::Ordering {
 ///
 /// Node indices refer to `spans`, which is canonically sorted (see
 /// [`canonical_key`]) and therefore identical across runs of the same
-/// program. Edges come from three sources:
+/// program. Edges come from two sources:
 ///
 /// * explicit `causes` lists on spans (dispatch → rank work, phase →
 ///   next phase, scheduler step → next step);
 /// * the reverse fan-in a dispatch span carries (its `causes` are the
-///   exec spans it collected);
-/// * collective membership: spans annotated with the same
-///   `collective=tag@rounds` arg took part in one collective instance.
+///   exec spans it collected).
 pub struct SpanGraph {
     /// All spans, canonically ordered.
-    pub spans: Vec<SpanRecord>,
-    /// `cause → effect` edges as `(cause index, effect index)`.
-    pub edges: Vec<(usize, usize)>,
-    /// Members of each collective instance, keyed by the shared
-    /// `collective` arg value, values canonically ordered.
-    pub collectives: BTreeMap<String, Vec<usize>>,
+    pub(crate) spans: Vec<SpanRecord>,
     children: Vec<Vec<usize>>,
     parents: Vec<Vec<usize>>,
 }
@@ -70,15 +63,6 @@ impl SpanGraph {
                 }
             }
         }
-        let mut collectives: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        for (i, s) in spans.iter().enumerate() {
-            for (k, v) in &s.args {
-                if k == "collective" {
-                    collectives.entry(v.clone()).or_default().push(i);
-                }
-            }
-        }
-        collectives.retain(|_, members| members.len() > 1);
         let mut children = vec![Vec::new(); spans.len()];
         let mut parents = vec![Vec::new(); spans.len()];
         for &(from, to) in &edges {
@@ -92,24 +76,22 @@ impl SpanGraph {
             adj.sort_unstable();
             adj.dedup();
         }
-        edges.sort_unstable();
-        edges.dedup();
-        SpanGraph { spans, edges, collectives, children, parents }
+        SpanGraph { spans, children, parents }
     }
 
     /// Effects of span `i` (canonically ordered indices).
-    pub fn children(&self, i: usize) -> &[usize] {
+    pub(crate) fn children(&self, i: usize) -> &[usize] {
         &self.children[i]
     }
 
     /// Causes of span `i` (canonically ordered indices).
-    pub fn parents(&self, i: usize) -> &[usize] {
+    pub(crate) fn parents(&self, i: usize) -> &[usize] {
         &self.parents[i]
     }
 
     /// Indices of spans on the controller track with the given kind,
     /// canonically ordered.
-    pub fn controller_spans(&self, kind: SpanKind) -> Vec<usize> {
+    pub(crate) fn controller_spans(&self, kind: SpanKind) -> Vec<usize> {
         self.spans
             .iter()
             .enumerate()
@@ -121,7 +103,7 @@ impl SpanGraph {
     /// The worker role a span belongs to: the `group` half of a
     /// `group::method` label (`actor::update_actor` → `actor`), or the
     /// label itself for controller phases and unprefixed names.
-    pub fn role_of(&self, i: usize) -> &str {
+    pub(crate) fn role_of(&self, i: usize) -> &str {
         let name = &self.spans[i].name;
         match name.split_once("::") {
             Some((role, _)) => role,
@@ -133,6 +115,11 @@ impl SpanGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `(cause, effect)` index pairs, sorted.
+    fn edges(g: &SpanGraph) -> Vec<(usize, usize)> {
+        (0..g.spans.len()).flat_map(|i| g.children(i).iter().map(move |&j| (i, j))).collect()
+    }
 
     fn span(track: &str, name: &str, kind: SpanKind, start: f64, end: f64) -> SpanRecord {
         SpanRecord {
@@ -157,10 +144,10 @@ mod tests {
         b.causes = vec![10];
         let g1 = SpanGraph::build(vec![a.clone(), b.clone()]);
         let g2 = SpanGraph::build(vec![b, a]);
-        assert_eq!(g1.edges, g2.edges);
+        assert_eq!(edges(&g1), edges(&g2));
         // Exec (index 1, later start) <-> Dispatch (index 0): both
         // directions present (fan-out and collect fan-in).
-        assert_eq!(g1.edges, vec![(0, 1), (1, 0)]);
+        assert_eq!(edges(&g1), vec![(0, 1), (1, 0)]);
         assert_eq!(g1.children(0), &[1]);
         assert_eq!(g1.parents(0), &[1]);
     }
@@ -180,24 +167,11 @@ mod tests {
         };
         let g1 = mk(1);
         let g2 = mk(1001);
-        assert_eq!(g1.edges, g2.edges);
+        assert_eq!(edges(&g1), edges(&g2));
         assert_eq!(
             g1.spans.iter().map(|s| s.name.clone()).collect::<Vec<_>>(),
             g2.spans.iter().map(|s| s.name.clone()).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn collective_membership_groups_by_tag() {
-        let mut a = span("gpu-0", "transition.to_generation", SpanKind::Comm, 0.0, 1.0);
-        a.args = vec![("collective".into(), "0-1@0..2".into())];
-        let mut b = span("gpu-1", "transition.to_generation", SpanKind::Comm, 0.0, 1.0);
-        b.args = vec![("collective".into(), "0-1@0..2".into())];
-        let mut c = span("gpu-2", "transition.to_generation", SpanKind::Comm, 0.0, 1.0);
-        c.args = vec![("collective".into(), "2-3@0..2".into())];
-        let g = SpanGraph::build(vec![a, b, c]);
-        assert_eq!(g.collectives.len(), 1, "singleton groups are dropped");
-        assert_eq!(g.collectives["0-1@0..2"].len(), 2);
     }
 
     #[test]

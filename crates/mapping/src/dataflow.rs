@@ -29,7 +29,7 @@ impl Role {
 
     /// Whether the role's work runs on host CPUs (the verifier pool)
     /// rather than as a GPU forward pass.
-    pub fn is_cpu_bound(self) -> bool {
+    pub(crate) fn is_cpu_bound(self) -> bool {
         matches!(self, Role::RewardEvaluator)
     }
 }
@@ -51,7 +51,7 @@ pub enum AlgoKind {
 
 impl AlgoKind {
     /// The roles present in this algorithm's dataflow.
-    pub fn roles(self) -> Vec<Role> {
+    pub(crate) fn roles(self) -> Vec<Role> {
         match self {
             AlgoKind::Ppo => vec![Role::Actor, Role::Critic, Role::Reference, Role::Reward],
             AlgoKind::ReMax => vec![Role::Actor, Role::Reference, Role::Reward],
@@ -83,9 +83,9 @@ pub struct DataflowSpec {
     /// Reference policy model.
     pub reference: ModelConfig,
     /// Reward model.
-    pub reward: ModelConfig,
+    pub(crate) reward: ModelConfig,
     /// Cost model (Safe-RLHF; same architecture as the reward model).
-    pub cost: ModelConfig,
+    pub(crate) cost: ModelConfig,
     /// Workload parameters.
     pub workload: RlhfWorkload,
 }

@@ -41,15 +41,6 @@ impl PlacementPlan {
         PlacementPlan { sets }
     }
 
-    /// The set index containing `role`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the role is not placed.
-    pub fn set_of(&self, role: Role) -> usize {
-        self.sets.iter().position(|s| s.contains(&role)).expect("role must be placed")
-    }
-
     /// Short human-readable label, e.g. `{actor,ref}|{critic,rm}`.
     pub fn label(&self) -> String {
         let name = |r: &Role| match r {
@@ -162,9 +153,6 @@ mod tests {
         assert_eq!(PlacementPlan::standalone(&roles).sets.len(), 4);
         let split = PlacementPlan::split(&roles);
         assert_eq!(split.sets.len(), 2);
-        assert_eq!(split.set_of(Role::Actor), split.set_of(Role::Reference));
-        assert_eq!(split.set_of(Role::Critic), split.set_of(Role::Reward));
-        assert_ne!(split.set_of(Role::Actor), split.set_of(Role::Critic));
         assert_eq!(split.label(), "{actor,ref}|{critic,rm}");
     }
 

@@ -33,7 +33,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
 use hf_modelspec::PerfModel;
-use hf_telemetry::Telemetry;
 
 use crate::dataflow::{DataflowSpec, Role};
 use crate::placement::{enum_alloc, set_partitions, PlacementPlan};
@@ -92,13 +91,13 @@ pub struct SearchStats {
     /// incumbent.
     pub pruned: usize,
     /// Candidates rejected because some role had no feasible strategy.
-    pub infeasible: usize,
+    pub(crate) infeasible: usize,
     /// Strategy-cache hits.
-    pub cache_hits: usize,
+    pub(crate) cache_hits: usize,
     /// Strategy-cache misses (each one runs `auto_parallel`).
-    pub cache_misses: usize,
+    pub(crate) cache_misses: usize,
     /// Wall-clock seconds spent inside `search`/`search_sequential`.
-    pub wall_seconds: f64,
+    pub(crate) wall_seconds: f64,
 }
 
 impl SearchStats {
@@ -150,18 +149,17 @@ type CacheKey = (Role, usize, u64);
 /// The mapping searcher (Algorithm 1).
 pub struct Mapper {
     /// The analytic performance model.
-    pub perf: PerfModel,
+    pub(crate) perf: PerfModel,
     /// The dataflow being mapped.
-    pub dataflow: DataflowSpec,
+    pub(crate) dataflow: DataflowSpec,
     /// Total GPUs available.
-    pub total_gpus: usize,
+    pub(crate) total_gpus: usize,
     /// Allocation step size (GPUs); machine-sized steps keep large
     /// searches tractable.
     pub granularity: usize,
     cache: RefCell<HashMap<CacheKey, Option<ModelStrategy>>>,
     bounds: RefCell<HashMap<(Role, usize), Option<RoleCostBounds>>>,
     stats: RefCell<SearchStats>,
-    telemetry: Telemetry,
 }
 
 impl Mapper {
@@ -195,7 +193,7 @@ impl Mapper {
     /// Creates a mapper with an explicit allocation granularity
     /// (reduced to the nearest divisor of `total_gpus`; see
     /// [`Mapper::resize_world`]).
-    pub fn with_granularity(
+    pub(crate) fn with_granularity(
         perf: PerfModel,
         dataflow: DataflowSpec,
         total_gpus: usize,
@@ -210,15 +208,7 @@ impl Mapper {
             cache: RefCell::default(),
             bounds: RefCell::default(),
             stats: RefCell::default(),
-            telemetry: Telemetry::disabled(),
         }
-    }
-
-    /// Attaches a telemetry handle; each search records its deltas as
-    /// `search.*` counters and gauges.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
     }
 
     /// Number of (plan, allocation) combinations evaluated so far.
@@ -229,11 +219,6 @@ impl Mapper {
     /// Instrumentation counters accumulated so far.
     pub fn stats(&self) -> SearchStats {
         *self.stats.borrow()
-    }
-
-    /// Entries in the strategy cache.
-    pub fn cache_entries(&self) -> usize {
-        self.cache.borrow().len()
     }
 
     fn cached_strategy(&self, role: Role, n: usize, resident_other: f64) -> Option<ModelStrategy> {
@@ -417,7 +402,7 @@ impl Mapper {
     /// best-case latencies instead of chosen strategies. `None` means
     /// some role is infeasible on its allocation even at zero pressure,
     /// so the candidate cannot produce a mapping at all.
-    pub fn alloc_lower_bound(&self, plan: &PlacementPlan, alloc: &[usize]) -> Option<f64> {
+    pub(crate) fn alloc_lower_bound(&self, plan: &PlacementPlan, alloc: &[usize]) -> Option<f64> {
         self.compose_stages(plan, alloc, |role, n| {
             let b = self.cached_bounds(role, n)?;
             Some(self.role_stage_cost(
@@ -487,7 +472,7 @@ impl Mapper {
     }
 
     /// Evaluates one `(plan, alloc)` combination (`d_cost`).
-    pub fn eval_alloc(&self, plan: &PlacementPlan, alloc: &[usize]) -> Option<Mapping> {
+    pub(crate) fn eval_alloc(&self, plan: &PlacementPlan, alloc: &[usize]) -> Option<Mapping> {
         self.stats.borrow_mut().evaluations += 1;
         let mut strategies: BTreeMap<Role, ModelStrategy> = BTreeMap::new();
         for (set, &n) in plan.sets.iter().zip(alloc.iter()) {
@@ -587,7 +572,6 @@ impl Mapper {
     /// [`Mapper::search_sequential`].
     pub fn search(&self) -> Option<Mapping> {
         let start = Instant::now();
-        let before = self.stats();
         let plans: Vec<PlacementPlan> = set_partitions(&self.dataflow.roles());
 
         // Bound every candidate with the cheap closed-form floor;
@@ -611,7 +595,6 @@ impl Mapper {
         }
 
         self.stats.borrow_mut().wall_seconds += start.elapsed().as_secs_f64();
-        self.record_telemetry(before);
         best.take()
     }
 
@@ -620,7 +603,6 @@ impl Mapper {
     /// experiment compare [`Mapper::search`] against.
     pub fn search_sequential(&self) -> Option<Mapping> {
         let start = Instant::now();
-        let before = self.stats();
         let plans: Vec<PlacementPlan> = set_partitions(&self.dataflow.roles());
         let mut best = Incumbent::default();
         self.for_each_candidate(&plans, |seq, pi, alloc| {
@@ -630,27 +612,7 @@ impl Mapper {
             }
         });
         self.stats.borrow_mut().wall_seconds += start.elapsed().as_secs_f64();
-        self.record_telemetry(before);
         best.take()
-    }
-
-    /// Records this search's counter deltas and gauges into the
-    /// attached telemetry handle (no-op when disabled).
-    fn record_telemetry(&self, before: SearchStats) {
-        if !self.telemetry.is_enabled() {
-            return;
-        }
-        let after = self.stats();
-        self.telemetry.add_counter("search.evals", (after.evaluations - before.evaluations) as u64);
-        self.telemetry.add_counter("search.pruned", (after.pruned - before.pruned) as u64);
-        self.telemetry
-            .add_counter("search.infeasible", (after.infeasible - before.infeasible) as u64);
-        self.telemetry
-            .add_counter("search.cache_hits", (after.cache_hits - before.cache_hits) as u64);
-        self.telemetry
-            .add_counter("search.cache_misses", (after.cache_misses - before.cache_misses) as u64);
-        self.telemetry.set_gauge("search.wall_seconds", after.wall_seconds);
-        self.telemetry.set_gauge("search.cache_hit_rate", after.cache_hit_rate());
     }
 }
 
@@ -931,22 +893,7 @@ mod tests {
         let _ = m.search();
         let second = m.stats();
         assert_eq!(second.cache_misses, first.cache_misses);
-        assert!(m.cache_entries() < 600);
-    }
-
-    #[test]
-    fn telemetry_records_search_counters() {
-        let tel = Telemetry::enabled();
-        let perf = PerfModel::new(ClusterSpec::a100_with_gpus(16));
-        let df =
-            DataflowSpec::uniform(AlgoKind::Ppo, ModelConfig::llama_7b(), RlhfWorkload::paper());
-        let m = Mapper::new(perf, df, 16).with_telemetry(tel.clone());
-        let _ = m.search().unwrap();
-        let stats = m.stats();
-        assert_eq!(tel.counter("search.evals"), stats.evaluations as u64);
-        assert_eq!(tel.counter("search.pruned"), stats.pruned as u64);
-        assert!(tel.gauge("search.wall_seconds").is_some());
-        assert!(tel.gauge("search.cache_hit_rate").is_some());
+        assert!(m.cache.borrow().len() < 600);
     }
 
     #[test]

@@ -25,9 +25,9 @@ pub struct GenChoice {
     /// Generation tensor-parallel size.
     pub tg: usize,
     /// Estimated generation latency per pass (seconds).
-    pub latency: f64,
+    pub(crate) latency: f64,
     /// Estimated train→generation transition time (seconds).
-    pub transition: f64,
+    pub(crate) transition: f64,
     /// Maximum concurrent sequences per generation replica.
     pub max_concurrent: usize,
 }
@@ -39,13 +39,13 @@ pub struct ModelStrategy {
     pub spec: ParallelSpec,
     /// Latency of one training update on a mini-batch (seconds), 0 for
     /// inference-only roles.
-    pub train_latency: f64,
+    pub(crate) train_latency: f64,
     /// Latency of one forward pass over the global batch (seconds).
-    pub infer_latency: f64,
+    pub(crate) infer_latency: f64,
     /// Generation choice (actor only).
     pub gen: Option<GenChoice>,
     /// Model-state bytes resident per GPU under this strategy.
-    pub state_bytes_per_gpu: f64,
+    pub(crate) state_bytes_per_gpu: f64,
 }
 
 fn pow2_up_to(max: usize) -> impl Iterator<Item = usize> {
@@ -59,24 +59,24 @@ fn pow2_up_to(max: usize) -> impl Iterator<Item = usize> {
 /// `hf-rewards` sandbox defaults at production verifier scale.
 mod verifier {
     /// Sandbox slots contributed per allocated GPU's host-CPU share.
-    pub const SLOTS_PER_GPU: usize = 16;
+    pub(crate) const SLOTS_PER_GPU: usize = 16;
     /// Mean virtual seconds per verifier task (sandbox spawn + check).
-    pub const TASK_MEAN_S: f64 = 0.15;
+    pub(crate) const TASK_MEAN_S: f64 = 0.15;
     /// Tail surcharge per batch: one straggler cancellation + retry at
     /// the per-task budget (the p99 the pool's cancellation policy
     /// bounds the batch to).
-    pub const TAIL_S: f64 = 0.5;
+    pub(crate) const TAIL_S: f64 = 0.5;
     /// Host memory pinned by the pool (sandbox images + queues) —
     /// charged against GPU memory only nominally, since the pool holds
     /// no device state.
-    pub const STATE_BYTES: f64 = 256e6;
+    pub(crate) const STATE_BYTES: f64 = 256e6;
 }
 
 /// Latency of one verifier-pool pass over the global batch on the host
 /// CPUs backing `n` allocated GPUs: FIFO waves over the pool's slots
 /// plus the cancellation-bounded tail. Monotone non-increasing in `n`,
 /// which makes it its own admissible bound in [`role_cost_bounds`].
-pub fn verifier_eval_latency(n: usize, workload: &RlhfWorkload) -> f64 {
+pub(crate) fn verifier_eval_latency(n: usize, workload: &RlhfWorkload) -> f64 {
     let slots = (n.max(1) * verifier::SLOTS_PER_GPU) as f64;
     let tasks = workload.global_batch as f64;
     (tasks / slots).ceil() * verifier::TASK_MEAN_S + verifier::TAIL_S
@@ -208,7 +208,7 @@ fn gen_candidates(
 /// Searches the best strategy for `model` in `role` on `n` contiguous
 /// GPUs, with `resident_other` bytes per GPU already claimed by
 /// colocated models. Returns `None` if nothing fits.
-pub fn auto_parallel(
+pub(crate) fn auto_parallel(
     perf: &PerfModel,
     model: &ModelConfig,
     role: Role,
@@ -299,14 +299,14 @@ pub fn auto_parallel(
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoleCostBounds {
     /// Floor on the single-pass generation latency (actor only, else 0).
-    pub gen_latency: f64,
+    pub(crate) gen_latency: f64,
     /// Floor on the train→generation transition time (actor only, else
     /// 0; the transition floor is 0).
-    pub transition: f64,
+    pub(crate) transition: f64,
     /// Minimum one-update training latency (trained roles, else 0).
-    pub train_latency: f64,
+    pub(crate) train_latency: f64,
     /// Minimum preparation-stage forward latency (non-actor, else 0).
-    pub infer_latency: f64,
+    pub(crate) infer_latency: f64,
 }
 
 /// Computes [`RoleCostBounds`] for `(role, n)`, or `None` if no layout
@@ -379,7 +379,7 @@ pub fn role_cost_bounds(
 
 /// Best-case resident state bytes per GPU for a model given `n` GPUs
 /// (used to seed colocation budgets and `get_min_alloc`).
-pub fn min_state_bytes_per_gpu(model: &ModelConfig, role: Role, n: usize) -> f64 {
+pub(crate) fn min_state_bytes_per_gpu(model: &ModelConfig, role: Role, n: usize) -> f64 {
     if role.is_cpu_bound() {
         return verifier::STATE_BYTES / n as f64;
     }

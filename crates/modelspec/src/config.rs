@@ -9,15 +9,15 @@ pub struct ModelConfig {
     /// Number of transformer layers.
     pub layers: usize,
     /// Hidden (model) dimension.
-    pub hidden: usize,
+    pub(crate) hidden: usize,
     /// Feed-forward intermediate dimension (SwiGLU: three matrices).
-    pub ffn: usize,
+    pub(crate) ffn: usize,
     /// Number of attention heads.
-    pub heads: usize,
+    pub(crate) heads: usize,
     /// Number of key/value heads (grouped-query attention).
-    pub kv_heads: usize,
+    pub(crate) kv_heads: usize,
     /// Vocabulary size.
-    pub vocab: usize,
+    pub(crate) vocab: usize,
 }
 
 impl ModelConfig {
@@ -78,11 +78,6 @@ impl ModelConfig {
         vec![Self::llama_7b(), Self::llama_13b(), Self::llama_34b(), Self::llama_70b()]
     }
 
-    /// A by-name lookup for the paper sizes.
-    pub fn by_name(name: &str) -> Option<ModelConfig> {
-        Self::paper_sizes().into_iter().find(|m| m.name == name)
-    }
-
     /// A deliberately tiny config for functional tests.
     pub fn tiny() -> Self {
         ModelConfig {
@@ -97,13 +92,13 @@ impl ModelConfig {
     }
 
     /// Head dimension `hidden / heads`.
-    pub fn head_dim(&self) -> usize {
+    pub(crate) fn head_dim(&self) -> usize {
         self.hidden / self.heads
     }
 
     /// Parameters in one transformer layer (attention + SwiGLU MLP +
     /// norms).
-    pub fn layer_params(&self) -> u64 {
+    pub(crate) fn layer_params(&self) -> u64 {
         let h = self.hidden as u64;
         let kv_frac = self.kv_heads as u64;
         let heads = self.heads as u64;
@@ -115,7 +110,7 @@ impl ModelConfig {
     }
 
     /// Embedding + LM-head parameters (untied, as in Llama).
-    pub fn embedding_params(&self) -> u64 {
+    pub(crate) fn embedding_params(&self) -> u64 {
         2 * self.vocab as u64 * self.hidden as u64
     }
 
@@ -131,7 +126,7 @@ impl ModelConfig {
 
     /// KV-cache bytes per sequence position (both K and V, all layers,
     /// BF16).
-    pub fn kv_bytes_per_token(&self) -> f64 {
+    pub(crate) fn kv_bytes_per_token(&self) -> f64 {
         2.0 * self.layers as f64 * self.kv_heads as f64 * self.head_dim() as f64 * 2.0
     }
 }
@@ -166,12 +161,6 @@ mod tests {
         // 7B MHA: 2·32·4096·2 bytes/token. 70B GQA: 2·80·8·128·2.
         assert!((m7.kv_bytes_per_token() - 524288.0).abs() < 1.0);
         assert!((m70.kv_bytes_per_token() - 327680.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn lookup_by_name() {
-        assert_eq!(ModelConfig::by_name("llama-13b").unwrap().layers, 40);
-        assert!(ModelConfig::by_name("gpt-5").is_none());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::config::ModelConfig;
 
 /// Matmul FLOPs for one token through all layers (weights only, no
 /// attention-context term): `2 · matmul_params`.
-pub fn matmul_flops_per_token(m: &ModelConfig) -> f64 {
+pub(crate) fn matmul_flops_per_token(m: &ModelConfig) -> f64 {
     // Norm parameters do no matmul; embedding lookup is free; the LM head
     // is a vocab×hidden matmul.
     let layer_matmul = m.layer_params() - 2 * m.hidden as u64;
@@ -19,30 +19,30 @@ pub fn matmul_flops_per_token(m: &ModelConfig) -> f64 {
 
 /// Attention score+value FLOPs for one token attending over `context`
 /// positions: `4 · layers · hidden · context` (QKᵀ and A·V, causal).
-pub fn attn_flops_per_token(m: &ModelConfig, context: f64) -> f64 {
+pub(crate) fn attn_flops_per_token(m: &ModelConfig, context: f64) -> f64 {
     4.0 * m.layers as f64 * m.hidden as f64 * context
 }
 
 /// Forward FLOPs for a full sequence of `seq_len` tokens (causal
 /// attention averages to `seq_len/2` context per token).
-pub fn forward_flops_per_seq(m: &ModelConfig, seq_len: usize) -> f64 {
+pub(crate) fn forward_flops_per_seq(m: &ModelConfig, seq_len: usize) -> f64 {
     let s = seq_len as f64;
     s * matmul_flops_per_token(m) + s * attn_flops_per_token(m, s / 2.0)
 }
 
 /// Training (forward + backward) FLOPs for a full sequence: 3× forward.
-pub fn train_flops_per_seq(m: &ModelConfig, seq_len: usize) -> f64 {
+pub(crate) fn train_flops_per_seq(m: &ModelConfig, seq_len: usize) -> f64 {
     3.0 * forward_flops_per_seq(m, seq_len)
 }
 
 /// Forward FLOPs for decoding a single token with a KV cache, attending
 /// over `context` cached positions.
-pub fn decode_flops_per_token(m: &ModelConfig, context: f64) -> f64 {
+pub(crate) fn decode_flops_per_token(m: &ModelConfig, context: f64) -> f64 {
     matmul_flops_per_token(m) + attn_flops_per_token(m, context)
 }
 
 /// KV-cache bytes for one sequence of `seq_len` positions.
-pub fn kv_cache_bytes(m: &ModelConfig, seq_len: usize) -> f64 {
+pub(crate) fn kv_cache_bytes(m: &ModelConfig, seq_len: usize) -> f64 {
     m.kv_bytes_per_token() * seq_len as f64
 }
 

@@ -19,7 +19,7 @@ pub const INFER_BYTES_PER_PARAM: f64 = 2.0;
 /// Activation bytes per token per layer per hidden unit held during
 /// training, assuming activation checkpointing (inputs kept per layer
 /// plus attention workspace) — all engines compared here recompute.
-pub const ACT_BYTES_PER_TOKEN_PER_LAYER: f64 = 8.0;
+pub(crate) const ACT_BYTES_PER_TOKEN_PER_LAYER: f64 = 8.0;
 
 /// Which engine shards the training state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -76,21 +76,6 @@ pub fn gen_param_bytes_per_gpu(model: &ModelConfig, pg: usize, tg: usize) -> f64
     infer_param_bytes_per_gpu(model, pg * tg)
 }
 
-/// Minimum model-parallel size so that a *training* model fits in
-/// `gpu_bytes` per GPU (assuming DP shards optimizer states maximally).
-pub fn min_train_mp(model: &ModelConfig, gpu_bytes: f64, reserve_fraction: f64) -> usize {
-    let budget = gpu_bytes * (1.0 - reserve_fraction);
-    let need = model.params() as f64 * TRAIN_STATE_BYTES_PER_PARAM;
-    (need / budget).ceil().max(1.0) as usize
-}
-
-/// Minimum model-parallel size so that an *inference-only* model fits.
-pub fn min_infer_mp(model: &ModelConfig, gpu_bytes: f64, reserve_fraction: f64) -> usize {
-    let budget = gpu_bytes * (1.0 - reserve_fraction);
-    let need = model.params() as f64 * INFER_BYTES_PER_PARAM;
-    (need / budget).ceil().max(1.0) as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,21 +98,6 @@ mod tests {
         let bytes = train_state_bytes_per_gpu(&m, &ParallelSpec::new(1, 1, 8), z8);
         let expect = m.params() as f64 * 18.0 / 8.0;
         assert!((bytes - expect).abs() / expect < 1e-9);
-    }
-
-    #[test]
-    fn seventy_b_needs_many_gpus_to_train() {
-        // 70B × 18 B = 1.24 TB of training state: at 80 GB/GPU (minus
-        // reserve) at least 20 GPUs' worth of model parallelism.
-        let m = ModelConfig::llama_70b();
-        let mp = min_train_mp(&m, 80e9, 0.2);
-        assert!(mp >= 16, "mp = {mp}");
-    }
-
-    #[test]
-    fn seven_b_inference_fits_one_gpu() {
-        let m = ModelConfig::llama_7b();
-        assert_eq!(min_infer_mp(&m, 80e9, 0.2), 1);
     }
 
     #[test]

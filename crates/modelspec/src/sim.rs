@@ -34,27 +34,27 @@ pub struct PerfModel {
     /// Collective cost model.
     pub comm: CommCostModel,
     /// Model FLOPs utilization during training.
-    pub mfu_train: f64,
+    pub(crate) mfu_train: f64,
     /// Model FLOPs utilization during single-pass inference / prefill.
-    pub mfu_infer: f64,
+    pub(crate) mfu_infer: f64,
     /// Compute efficiency of decode matmuls (rarely the binding term).
-    pub mfu_decode: f64,
+    pub(crate) mfu_decode: f64,
     /// Achievable fraction of HBM bandwidth during decode.
-    pub hbm_eff: f64,
+    pub(crate) hbm_eff: f64,
     /// Fraction of GPU memory reserved (CUDA context, fragmentation).
-    pub mem_reserve: f64,
+    pub(crate) mem_reserve: f64,
     /// Tokens per GPU below which compute efficiency degrades linearly
     /// (small local batches under-fill the GPU; this is what makes
     /// colocate placements "fail to scale up linearly as the batch size
     /// is fixed", §8.3).
-    pub mfu_knee_tokens: f64,
+    pub(crate) mfu_knee_tokens: f64,
 }
 
 /// Latency breakdown of one generation stage.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GenBreakdown {
     /// Total prefill time across waves (seconds).
-    pub prefill: f64,
+    pub(crate) prefill: f64,
     /// Total decode time across waves (seconds).
     pub decode: f64,
     /// Number of KV-cache waves needed.
@@ -102,7 +102,7 @@ impl PerfModel {
     /// Compute-efficiency multiplier for a pass of `batch_tokens`
     /// spread over `world` GPUs: 1 above the knee, degrading linearly
     /// below it.
-    pub fn batch_efficiency(&self, batch_tokens: f64, world: usize) -> f64 {
+    pub(crate) fn batch_efficiency(&self, batch_tokens: f64, world: usize) -> f64 {
         let per_gpu = batch_tokens / world as f64;
         (per_gpu / self.mfu_knee_tokens).clamp(1e-3, 1.0)
     }

@@ -32,17 +32,6 @@ impl RlhfWorkload {
         }
     }
 
-    /// A tiny workload for functional tests.
-    pub fn tiny() -> Self {
-        RlhfWorkload {
-            prompt_len: 8,
-            response_len: 8,
-            global_batch: 8,
-            ppo_epochs: 1,
-            updates_per_epoch: 2,
-        }
-    }
-
     /// Full sequence length (prompt + response).
     pub fn seq_len(&self) -> usize {
         self.prompt_len + self.response_len
@@ -51,7 +40,7 @@ impl RlhfWorkload {
     /// Tokens processed per RLHF iteration (the throughput numerator:
     /// "total number of tokens in prompts and responses in a global
     /// batch", §8.1).
-    pub fn tokens_per_iteration(&self) -> f64 {
+    pub(crate) fn tokens_per_iteration(&self) -> f64 {
         (self.global_batch * self.seq_len()) as f64
     }
 

@@ -4,13 +4,13 @@
 #[derive(Debug, Clone)]
 pub struct Adam {
     /// Learning rate.
-    pub lr: f32,
+    pub(crate) lr: f32,
     /// First-moment decay.
-    pub beta1: f32,
+    pub(crate) beta1: f32,
     /// Second-moment decay.
-    pub beta2: f32,
+    pub(crate) beta2: f32,
     /// Numerical stabilizer.
-    pub eps: f32,
+    pub(crate) eps: f32,
     m: Vec<f32>,
     v: Vec<f32>,
     t: u64,
@@ -20,11 +20,6 @@ impl Adam {
     /// Creates an optimizer for `n` parameters.
     pub fn new(n: usize, lr: f32) -> Self {
         Adam { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, m: vec![0.0; n], v: vec![0.0; n], t: 0 }
-    }
-
-    /// Number of optimizer steps taken.
-    pub fn steps(&self) -> u64 {
-        self.t
     }
 
     /// Snapshot of the optimizer state `(m, v, t)` for checkpointing.
@@ -93,7 +88,7 @@ mod tests {
         opt.step(&mut p, &[0.5, -3.0]);
         assert!((p[0] - (1.0 - 0.1)).abs() < 1e-4);
         assert!((p[1] - (-2.0 + 0.1)).abs() < 1e-4);
-        assert_eq!(opt.steps(), 1);
+        assert_eq!(opt.t, 1);
     }
 
     #[test]

@@ -1,37 +1,99 @@
 //! The one GEMM microkernel under every product in hf-nn: the tape's
 //! forward and backward, the stage forward (`ShardedLm::forward_stage`,
-//! `TinyLm::log_probs_stacked`), the batched decoder, and
-//! `Tensor::matmul_{nt,nn,tn}`, which convert around it.
+//! `TinyLm::log_probs_stacked`) and the batched decoder.
 //!
-//! Contract (DESIGN.md §2, "kernel contract"): every output element is
-//! the sum of its terms in ascending `k`, starting from `0.0`, each term
-//! a plain `mul` — exactly what the scalar loops it replaces compute, so
-//! results are bit-identical to them. A sum of two products — a block's
-//! expand `n·Waᵀ + c·Uaᵀ` — is two products, the second's sums added to
-//! the first's stored ones, in the tape, the stage forward and the
-//! decoder alike: no kernel fuses them, so a decoded row is the
-//! forward's row bit for bit. Speed comes only from sharing a
-//! vector between *independent* outputs: [`LANES`] values of the lane
-//! dimension (rows of `x`/`g`, columns of `x` for `gᵀ·x`, sequences of a
-//! decode batch) sit in `[k][LANES]` panels — the layout every activation
-//! in hf-nn is kept in ([`Panels`]) — and [`NC`] output columns are
-//! accumulated at once in registers. `x·wᵀ` and `g·w` read their panel
-//! in place and store each column's sums as one vector; `gᵀ·x`, whose
-//! lanes are `x`'s columns, is handed `x` transposed and `g` row-major —
-//! both converted once per tape op, by 8×8 block moves, and sliced to
-//! each segment's rows — and stores each row of the row-major flat
-//! gradient a vector at a time. Every term is a plain `mul` and every
-//! sum a plain `add`: no product fuses a multiply-add, which would round
-//! once where the reference rounds twice. The vector width may follow the
-//! host, because lanes are independent outputs: [`panel_product`] runs
-//! its one body through [`on_host`], which compiles it inside an
-//! `avx2,fma` trampoline where the CPU has both — the one `unsafe` block
-//! in hf-nn, guarded by `is_x86_feature_detected!` — and for the
-//! baseline target elsewhere. Rust never contracts `a * b + c`, so the
-//! `fma` feature changes no product's bits; it is there for the one
-//! `exp` ([`crate::expf`]), whose loops run through [`on_host`] too and
-//! whose fused steps are glibc's. The sums of padding lanes are computed
-//! and never read.
+//! This is the kernel contract (DESIGN.md §2), the determinism guarantee
+//! the audit sweep and the pipeline and re-map tests rest on:
+//!
+//! **Each output element is the scalar loop's sum.** Terms are added in
+//! ascending `k` from `+0.0`, each a plain `mul` followed by a plain
+//! `add` — exactly what the scalar loops it replaces compute, so results
+//! are bit-identical to them. The backward products leave out every term
+//! whose gradient factor is exactly zero, as those loops did (a masked
+//! row never meets a non-finite weight). The scalar loops are kept as the
+//! `#[cfg(test)]` reference and compared with `to_bits()` over ragged
+//! shapes (`kernels_bit_identical_to_reference`).
+//!
+//! **A sum of two products is two products.** A block's expand
+//! `n·Waᵀ + c·Uaᵀ` stores `n·Waᵀ` and then adds `c·Uaᵀ`'s sums to it
+//! ([`x_wt_add`]), in the tape, the stage forward and the decoder alike;
+//! no kernel adds the two terms of one `k` before accumulating. On the
+//! tape the expand is one op (`Tape::matmul_nt_sum`): its value is those
+//! two products, and its backward reads the gradient once for both
+//! weight gradients and delivers every gradient in the order an `add` of
+//! two `matmul_nt`s did
+//! (`matmul_nt_sum_is_two_products_and_an_add_bit_for_bit`). So
+//! `decode_step{,_batch}` runs the forward op for op — `cum_mean`,
+//! RMSNorm, the two products, SiLU, the residual and the heads — and a
+//! decoded row is the forward's row bit for bit
+//! (`incremental_decode_matches_full_forward`,
+//! `batched_decode_at_ragged_positions_matches_stacked_forward`).
+//!
+//! **Lanes are independent outputs, never partial sums.** [`LANES`]
+//! values of the lane dimension (rows of `x`/`g`, columns of `x` for
+//! `gᵀ·x`, sequences of a decode batch) sit in `[k][LANES]` panels — the
+//! layout every activation in hf-nn is kept in ([`Panels`]) — and [`NC`]
+//! output columns are accumulated at once in registers. No sum is split
+//! across lanes, so the vector width changes speed and nothing else.
+//! `x·wᵀ` and `g·w` read their panel in place and store each column's
+//! sums as one vector; `gᵀ·x`, whose lanes are `x`'s columns, is handed
+//! `x` transposed and `g` row-major — both converted once per tape op, by
+//! 8×8 block moves, and sliced to each segment's rows — and stores each
+//! row of the row-major flat gradient a vector at a time.
+//!
+//! **No product fuses a multiply-add; the vector width may follow the
+//! host.** A fused multiply-add would round once where the reference
+//! rounds twice. Rust never contracts `a * b + c` on its own, and CI
+//! fails on a `mul_add` anywhere in `crates/nn/src` but the one `exp`
+//! ([`crate::expf`]), whose fused steps are glibc's. [`panel_product`]
+//! and every `exp` loop (`map_in_place`) run through one dispatch,
+//! [`on_host`]: the `#[inline(always)]` closure it is handed runs inside
+//! one `#[target_feature(enable = "avx2,fma")]` trampoline where
+//! `is_x86_feature_detected!` finds both features — one 8-wide vector
+//! per panel row instead of two 4-wide ones — and baseline-compiled
+//! elsewhere. That call is the one `unsafe` block in hf-nn, and
+//! `avx2,fma` the only target feature CI lets `crates/nn/src` enable.
+//! The arguments reach the closure as the trampoline's own, so a `&mut`
+//! slice there is known to alias nothing — not `exp`'s table, which LLVM
+//! must know to vectorise a loop that reads it (captured by the closure
+//! instead, the slice kept every `exp` loop scalar). The `fma` feature
+//! moves no product's bits, since no product asks for a fused operation,
+//! and none of `exp`'s, since a `mul_add` rounds once whether it is an
+//! instruction or libm's `fma`. `both_instantiations_bit_identical_to_reference`
+//! runs both targets on one host against the scalar reference. Whatever
+//! is inlined into the trampoline is compiled for it too, which is why
+//! the decoder applies SiLU after its expand products, as one flat loop
+//! over the panel, rather than in the second product's store: there the
+//! eight lanes of a column do not vectorise their `exp`, and decoding
+//! measured 1.5× slower.
+//!
+//! **Padding lanes are safe.** A ragged last group is padded; padded
+//! lanes are computed and never read, and since no operation mixes
+//! lanes, whatever they hold cannot reach a stored value. The skip-zero
+//! scans read real lanes only, so no padding value marks a dense panel
+//! as one with masked terms.
+//!
+//! **Paths are picked from shapes and values, never from settings.**
+//! Output columns go [`NC`] at a time and the rest one at a time, so the
+//! value head (`n = 1`) pays for no padded columns. A backward product
+//! leaves its zero gradient terms out only where that changes a sum: the
+//! gradient holds an exact zero *and* the other operand a value that is
+//! not finite (`0 · ∞` is NaN). `g·w` looks for zeros in its gradient
+//! panel's real lanes and, where it finds one, for a non-finite value
+//! anywhere in the weight, once per product; `gᵀ·x`, whose gradient is
+//! the broadcast operand, looks for a non-finite value in each panel's
+//! real lanes of `x` and, only where it finds one, for a zero in `g`'s
+//! window of rows, once per call. Every scan is one fold without an early
+//! exit over values that sit side by side — a whole panel's steps as one
+//! flat slice, a ragged panel's real lanes lane by lane — so it
+//! vectorises over adjacent values (folded lane by lane over a whole
+//! panel's steps, LLVM vectorised the scan across steps with a gather per
+//! value, and `g·w` ran about a third slower than its product alone).
+//! Anywhere else `0 · b` is `±0.0`, which adds nothing to a sum that is
+//! never `−0.0`, so the product without the skip test is the same sum —
+//! and in training every weight and activation is finite. The
+//! instantiation is picked from the CPU: there is no knob, Cargo feature,
+//! environment variable or build flag.
 
 use std::cell::OnceCell;
 use std::ops::Range;
@@ -65,8 +127,8 @@ pub(crate) trait Terms: Copy {
 /// `w: [n × k]` row-major (`x · wᵀ`).
 #[derive(Clone, Copy)]
 pub(crate) struct Nt<'a> {
-    pub a: &'a [Lanes],
-    pub w: &'a [f32],
+    pub(crate) a: &'a [Lanes],
+    pub(crate) w: &'a [f32],
 }
 
 impl<'a> Terms for Nt<'a> {
@@ -197,7 +259,7 @@ pub(crate) fn map_in_place(values: &mut [f32], f: impl Fn(f32) -> f32) {
 }
 
 /// Whether a test asked for the baseline target on a host that has
-/// AVX2 and FMA ([`tests::on`]); never outside tests.
+/// AVX2 and FMA (`tests::on`); never outside tests.
 #[inline(always)]
 fn baseline_only() -> bool {
     #[cfg(test)]

@@ -163,7 +163,7 @@ impl StackedPass<'_> {
     /// Runs backward from the per-sequence losses `loss` (`[S × 1]`) and
     /// writes sequence `s`'s flat parameter gradient over the first
     /// `param_count` values of `grads[s]`, whatever they held (a shorter
-    /// buffer is grown) — see [`Tape::backward_into`].
+    /// buffer is grown) — see `Tape::backward_into`.
     pub fn backward_into(mut self, loss: Var, grads: &mut [Vec<f32>]) {
         self.tape.backward_into(loss, grads);
     }
@@ -213,22 +213,22 @@ impl TinyLm {
     }
 
     /// Flat offset of block `l`.
-    pub fn block_offset(&self, l: usize) -> usize {
+    pub(crate) fn block_offset(&self, l: usize) -> usize {
         self.block_region_start() + l * self.cfg.block_size()
     }
 
     /// Flat offset of the final RMSNorm gain.
-    pub fn final_gain_offset(&self) -> usize {
+    pub(crate) fn final_gain_offset(&self) -> usize {
         self.block_offset(self.cfg.layers)
     }
 
     /// Flat offset of the LM head matrix.
-    pub fn head_offset(&self) -> usize {
+    pub(crate) fn head_offset(&self) -> usize {
         self.final_gain_offset() + self.cfg.hidden
     }
 
     /// Flat offset of the value head vector.
-    pub fn vhead_offset(&self) -> usize {
+    pub(crate) fn vhead_offset(&self) -> usize {
         self.head_offset() + self.cfg.vocab * self.cfg.hidden
     }
 
@@ -478,7 +478,7 @@ impl TinyLm {
     /// # Panics
     ///
     /// Panics if `token` is out of vocab.
-    pub fn decode_step(&self, state: &mut DecodeState, token: usize) -> (Vec<f32>, f32) {
+    pub(crate) fn decode_step(&self, state: &mut DecodeState, token: usize) -> (Vec<f32>, f32) {
         let cfg = self.cfg;
         assert!(token < cfg.vocab, "token {token} out of vocab");
         let h0 = &self.flat[token * cfg.hidden..(token + 1) * cfg.hidden];
@@ -555,7 +555,7 @@ impl TinyLm {
     ///
     /// Sequences may sit at arbitrary (ragged) positions; each advances
     /// by exactly one token. Results are **bit-identical** to calling
-    /// [`Self::decode_step`] once per sequence, and so to the forward's
+    /// `Self::decode_step` once per sequence, and so to the forward's
     /// rows: every per-sequence
     /// floating-point operation executes in the same order, only the
     /// sequences of a batch ride the lanes of the shared GEMM
@@ -712,11 +712,6 @@ pub struct DecodeState {
 }
 
 impl DecodeState {
-    /// Number of tokens consumed so far.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
     /// Bytes of cache state held (per sequence).
     pub fn cache_bytes(&self) -> usize {
         self.acc.iter().map(|a| a.len() * 4).sum()
@@ -1025,7 +1020,7 @@ mod tests {
         }
         let mut snap = vec![0.0f32; st.snapshot_len()];
         st.write_snapshot(&mut snap);
-        let mut resumed = lm.decode_resume(&snap, st.position());
+        let mut resumed = lm.decode_resume(&snap, st.pos);
         assert_eq!(resumed, st);
         // Both must evolve identically afterwards.
         let a = lm.decode_step(&mut st, 11);
@@ -1622,7 +1617,7 @@ mod decode_tests {
             assert_eq!(bits(&logits), bits(full_logits.row(i)), "logits at pos {i}");
             assert_eq!(value.to_bits(), full_values.get(i, 0).to_bits(), "value at pos {i}");
         }
-        assert_eq!(state.position(), seq.len());
+        assert_eq!(state.pos, seq.len());
         assert_eq!(state.cache_bytes(), lm.cfg.layers * lm.cfg.hidden * 4);
     }
 

@@ -28,7 +28,7 @@ pub(crate) struct Panels {
 
 impl Panels {
     /// Zeros; the padding lanes hold [`padding`].
-    pub fn new(rows: usize, cols: usize) -> Self {
+    pub(crate) fn new(rows: usize, cols: usize) -> Self {
         let mut panels =
             Panels { data: vec![[0.0; LANES]; rows.div_ceil(LANES) * cols], rows, cols };
         let pad = padding();
@@ -43,13 +43,13 @@ impl Panels {
 
     /// Panels built step by step: `data` holds every panel's `cols`
     /// steps, panel after panel.
-    pub fn from_data(data: Vec<Lanes>, rows: usize, cols: usize) -> Self {
+    pub(crate) fn from_data(data: Vec<Lanes>, rows: usize, cols: usize) -> Self {
         assert_eq!(data.len(), rows.div_ceil(LANES) * cols, "panel data shape");
         Panels { data, rows, cols }
     }
 
     /// The rows of a row-major matrix as lanes.
-    pub fn from_mat(m: Mat) -> Self {
+    pub(crate) fn from_mat(m: Mat) -> Self {
         let mut panels = Panels::new(m.rows, m.cols);
         for r in 0..m.rows {
             panels.set_row(r, m.row(r).iter().copied());
@@ -58,20 +58,20 @@ impl Panels {
     }
 
     /// One column of values, one per row.
-    pub fn from_column(values: &[f32]) -> Self {
+    pub(crate) fn from_column(values: &[f32]) -> Self {
         let mut panels = Panels::new(values.len(), 1);
         panels.column_mut().copy_from_slice(values);
         panels
     }
 
     /// The row-major matrix of the real rows.
-    pub fn to_tensor(&self) -> Tensor {
+    pub(crate) fn to_tensor(&self) -> Tensor {
         Tensor::new(self.row_major(), self.rows, self.cols)
     }
 
     /// The real rows, row-major: a panel at a time, each of its real
     /// lanes read out into one row, 8×8 lanes of a block at a time.
-    pub fn row_major(&self) -> Vec<f32> {
+    pub(crate) fn row_major(&self) -> Vec<f32> {
         let cols = self.cols;
         let mut out = vec![0.0; self.rows * cols];
         for (g, rows) in out.chunks_mut((LANES * cols).max(1)).enumerate() {
@@ -87,53 +87,53 @@ impl Panels {
         out
     }
 
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// Number of panels.
-    pub fn groups(&self) -> usize {
+    pub(crate) fn groups(&self) -> usize {
         self.rows.div_ceil(LANES)
     }
 
     /// Real rows in panel `g`: [`LANES`] but in a ragged last panel.
-    pub fn width(&self, g: usize) -> usize {
+    pub(crate) fn width(&self, g: usize) -> usize {
         LANES.min(self.rows - g * LANES)
     }
 
     /// Panel `g`'s `cols` steps.
-    pub fn panel(&self, g: usize) -> &[Lanes] {
+    pub(crate) fn panel(&self, g: usize) -> &[Lanes] {
         &self.data[g * self.cols..][..self.cols]
     }
 
-    pub fn panel_mut(&mut self, g: usize) -> &mut [Lanes] {
+    pub(crate) fn panel_mut(&mut self, g: usize) -> &mut [Lanes] {
         &mut self.data[g * self.cols..][..self.cols]
     }
 
     /// Every panel's steps, panel after panel.
-    pub fn data(&self) -> &[Lanes] {
+    pub(crate) fn data(&self) -> &[Lanes] {
         &self.data
     }
 
-    pub fn data_mut(&mut self) -> &mut [Lanes] {
+    pub(crate) fn data_mut(&mut self) -> &mut [Lanes] {
         &mut self.data
     }
 
-    pub fn get(&self, r: usize, c: usize) -> f32 {
+    pub(crate) fn get(&self, r: usize, c: usize) -> f32 {
         self.data[r / LANES * self.cols + c][r % LANES]
     }
 
     /// Row `r`, column by column.
-    pub fn row(&self, r: usize) -> impl Iterator<Item = f32> + '_ {
+    pub(crate) fn row(&self, r: usize) -> impl Iterator<Item = f32> + '_ {
         self.panel(r / LANES).iter().map(move |lanes| lanes[r % LANES])
     }
 
     /// Overwrites row `r` with `values`, column by column.
-    pub fn set_row(&mut self, r: usize, values: impl IntoIterator<Item = f32>) {
+    pub(crate) fn set_row(&mut self, r: usize, values: impl IntoIterator<Item = f32>) {
         let lane = r % LANES;
         for (lanes, v) in self.panel_mut(r / LANES).iter_mut().zip(values) {
             lanes[lane] = v;
@@ -146,19 +146,19 @@ impl Panels {
     /// # Panics
     ///
     /// Panics unless `cols == 1`.
-    pub fn column(&self) -> &[f32] {
+    pub(crate) fn column(&self) -> &[f32] {
         assert_eq!(self.cols, 1, "a column is one value per row");
         &self.data.as_flattened()[..self.rows]
     }
 
-    pub fn column_mut(&mut self) -> &mut [f32] {
+    pub(crate) fn column_mut(&mut self) -> &mut [f32] {
         assert_eq!(self.cols, 1, "a column is one value per row");
         &mut self.data.as_flattened_mut()[..self.rows]
     }
 
     /// `f` of every lane, padding included: for the cheap elementwise
     /// ops, which vectorise over whole panels.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Panels {
+    pub(crate) fn map(&self, f: impl Fn(f32) -> f32) -> Panels {
         let data = self.data.iter().map(|lanes| lanes.map(&f)).collect();
         Panels { data, ..*self }
     }
@@ -170,7 +170,7 @@ impl Panels {
     /// gathered into a buffer on the stack for that loop and put back, so
     /// that a one-row panel (a decode group of one sequence) pays one
     /// `exp` a step, not eight. Padding lanes keep what they held.
-    pub fn map_real(&mut self, f: impl Fn(f32) -> f32) {
+    pub(crate) fn map_real(&mut self, f: impl Fn(f32) -> f32) {
         let width = self.rows % LANES;
         let (whole, ragged) = self.data.split_at_mut(self.rows / LANES * self.cols);
         kernels::map_in_place(whole.as_flattened_mut(), &f);
@@ -195,7 +195,7 @@ impl Panels {
     /// # Panics
     ///
     /// Panics on shape mismatch.
-    pub fn add(&self, other: &Panels) -> Panels {
+    pub(crate) fn add(&self, other: &Panels) -> Panels {
         let mut sum = self.clone();
         sum.add_assign(other);
         sum
@@ -206,7 +206,7 @@ impl Panels {
     /// # Panics
     ///
     /// Panics on shape mismatch.
-    pub fn add_assign(&mut self, other: &Panels) {
+    pub(crate) fn add_assign(&mut self, other: &Panels) {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols), "add shapes");
         for (a, b) in self.data.iter_mut().zip(&other.data) {
             for (a, b) in a.iter_mut().zip(b) {
@@ -219,7 +219,7 @@ impl Panels {
     /// of `self` become the lanes, its rows the steps. Values move an
     /// 8×8 block of lanes at a time; the padding lanes of the result's
     /// ragged last panel hold what [`Panels::new`] put there.
-    pub fn transpose(&self) -> Panels {
+    pub(crate) fn transpose(&self) -> Panels {
         let mut t = Panels::new(self.cols, self.rows);
         for g in 0..self.groups() {
             let rows = g * LANES..g * LANES + self.width(g);
@@ -261,7 +261,7 @@ fn lane_of(steps: &[Lanes], l: usize, dst: &mut [f32]) {
 }
 
 /// What a new panel's padding lanes hold: `0.0`, or under a test
-/// [`with_padding`] the value it set.
+/// `with_padding` the value it set.
 fn padding() -> f32 {
     #[cfg(test)]
     return PADDING.get();

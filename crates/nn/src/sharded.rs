@@ -38,15 +38,11 @@ use crate::tensor::{Mat, Tensor};
 #[derive(Debug, Clone)]
 pub struct ShardedLm {
     /// Architecture of the full model.
-    pub cfg: LmConfig,
+    pub(crate) cfg: LmConfig,
     /// Pipeline stage index.
-    pub p_idx: usize,
+    pub(crate) p_idx: usize,
     /// Pipeline size.
-    pub p: usize,
-    /// Tensor shard index.
-    pub t_idx: usize,
-    /// Tensor-parallel size.
-    pub t: usize,
+    pub(crate) p: usize,
     /// Embedding table (held by every rank; Megatron shards it too, but
     /// vocab-sharding adds nothing to the resharding study).
     embed: Tensor,
@@ -122,8 +118,6 @@ impl ShardedLm {
             cfg,
             p_idx,
             p,
-            t_idx,
-            t,
             embed,
             blocks,
             final_gain: last
@@ -244,13 +238,13 @@ impl ShardedLm {
 #[derive(Clone, Copy)]
 pub(crate) struct Block<'a> {
     /// RMSNorm gain, `[hidden]`.
-    pub gain: &'a [f32],
+    pub(crate) gain: &'a [f32],
     /// `Wa` rows of this shard, `[ffn/t × hidden]`.
-    pub wa: Mat<'a>,
+    pub(crate) wa: Mat<'a>,
     /// `Ua` rows of this shard, `[ffn/t × hidden]`.
-    pub ua: Mat<'a>,
+    pub(crate) ua: Mat<'a>,
     /// `Wb` columns of this shard, `[hidden × ffn/t]`.
-    pub wb: Mat<'a>,
+    pub(crate) wb: Mat<'a>,
 }
 
 impl Block<'_> {

@@ -8,23 +8,23 @@
 //! of Table 4 ("we implement various loss for diverse RLHF algorithms").
 //!
 //! **Segments.** One tape can hold several whole sequences stacked on
-//! the row dimension ([`Tape::embed_segments`]): every tensor carries
+//! the row dimension (`Tape::embed_segments`): every tensor carries
 //! the row ranges of its segments. Row-wise ops do not look at them —
 //! each output row is its own sum (DESIGN.md §2, "kernel contract") —
 //! while ops that reduce over rows restart at every segment boundary
 //! (`cum_mean`, `slice_rows`, and the losses, which yield one scalar per
 //! segment), and a parameter gradient is formed per segment. So each
 //! segment's values and gradients are, bit for bit, what a tape of that
-//! sequence alone computes; a plain [`Tape::leaf`] or [`Tape::embed`] is
-//! one segment.
+//! sequence alone computes; a plain [`Tape::leaf`] is one
+//! segment.
 //!
 //! **Layout.** Every value and gradient on the tape is held in the
 //! kernel's lane panels (DESIGN.md §2, "activation layout"): `x·wᵀ` and
 //! `g·w` read and write them in place, and only [`Tape::leaf`],
 //! [`Tape::value`] and [`Tape::grad`] convert from or to row-major.
 //!
-//! **Parameter gradients.** A [`Tape::param`] window reads the model's
-//! flat buffer in place, and [`Tape::backward_into`] writes its gradient
+//! **Parameter gradients.** A `Tape::param` window reads the model's
+//! flat buffer in place, and `Tape::backward_into` writes its gradient
 //! straight into the caller's flat gradient buffer for that segment: the
 //! first write to a window stores, a later one adds.
 
@@ -169,7 +169,7 @@ impl Node<'_> {
 }
 
 /// A reverse-mode autograd tape. `'a` is the lifetime of the parameter
-/// buffer its [`Tape::param`] windows borrow.
+/// buffer its `Tape::param` windows borrow.
 #[derive(Default)]
 pub struct Tape<'a> {
     nodes: Vec<Node<'a>>,
@@ -403,7 +403,7 @@ impl<'a> Tape<'a> {
     }
 
     /// An empty tape whose [`Tape::param`] windows read `params`.
-    pub fn over(params: &'a [f32]) -> Self {
+    pub(crate) fn over(params: &'a [f32]) -> Self {
         Tape { params, ..Tape::default() }
     }
 
@@ -465,12 +465,12 @@ impl<'a> Tape<'a> {
     /// Registers the `[rows × cols]` parameter matrix at `off` in the
     /// buffer given to [`Tape::over`], read in place — no copy per
     /// forward pass. It may be used as a [`Tape::matmul_nt`] weight, a
-    /// [`Tape::rmsnorm`] gain or an [`Tape::embed`] table.
+    /// [`Tape::rmsnorm`] gain or a [`Tape::embed_segments`] table.
     ///
     /// # Panics
     ///
     /// Panics if the window does not lie inside the buffer.
-    pub fn param(&mut self, off: usize, rows: usize, cols: usize) -> Var {
+    pub(crate) fn param(&mut self, off: usize, rows: usize, cols: usize) -> Var {
         let mat = Mat { data: &self.params[off..off + rows * cols], rows, cols };
         let slot = self.windows;
         self.windows += 1;
@@ -481,7 +481,7 @@ impl<'a> Tape<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `v` is a [`Tape::param`] window: its values live in the
+    /// Panics if `v` is a `Tape::param` window: its values live in the
     /// buffer it borrows.
     pub fn value(&self, v: Var) -> Tensor {
         match &self.nodes[v.0].value {
@@ -516,7 +516,7 @@ impl<'a> Tape<'a> {
     /// # Panics
     ///
     /// Panics if the shapes or the segments of `x₀` and `x₁` differ.
-    pub fn matmul_nt_sum(&mut self, (x0, w0): (Var, Var), (x1, w1): (Var, Var)) -> Var {
+    pub(crate) fn matmul_nt_sum(&mut self, (x0, w0): (Var, Var), (x1, w1): (Var, Var)) -> Var {
         assert_eq!(self.bounds_of(x0), self.bounds_of(x1), "matmul_nt_sum segments");
         let mut y = self.nodes[w0.0].weight(|w| kernels::x_wt(self.act(x0), w));
         self.nodes[w1.0].weight(|w| kernels::x_wt_add(&mut y, self.act(x1), w));
@@ -572,15 +572,6 @@ impl<'a> Tape<'a> {
         self.push(y, Op::CumMean { x: x.0 }, self.nodes[x.0].seg)
     }
 
-    /// Embedding lookup: rows of `table` selected by `ids`, one segment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an id exceeds the table rows.
-    pub fn embed(&mut self, table: Var, ids: &[usize]) -> Var {
-        self.embed_segments(table, ids, &[ids.len()])
-    }
-
     /// Embedding lookup of several sequences stacked on the row
     /// dimension: `ids` holds them back to back, `lens` their lengths.
     ///
@@ -588,7 +579,7 @@ impl<'a> Tape<'a> {
     ///
     /// Panics if an id exceeds the table rows or `lens` does not add up
     /// to `ids.len()`.
-    pub fn embed_segments(&mut self, table: Var, ids: &[usize], lens: &[usize]) -> Var {
+    pub(crate) fn embed_segments(&mut self, table: Var, ids: &[usize], lens: &[usize]) -> Var {
         assert_eq!(lens.iter().sum::<usize>(), ids.len(), "segment lengths must cover the ids");
         let y = self.nodes[table.0].weight(|t| panels::embed(t, ids));
         let seg = self.segmentation(lens.iter().copied());
@@ -711,7 +702,7 @@ impl<'a> Tape<'a> {
         self.push_per_segment(losses, op)
     }
 
-    /// [`Tape::backward_into`] for a tape without parameter windows.
+    /// `Tape::backward_into` for a tape without parameter windows.
     ///
     /// # Panics
     ///
@@ -736,7 +727,7 @@ impl<'a> Tape<'a> {
     ///
     /// Panics if `loss` is not one scalar per segment, or the tape has
     /// parameter windows and `grads` is not one buffer per segment.
-    pub fn backward_into(&mut self, loss: Var, grads: &mut [Vec<f32>]) {
+    pub(crate) fn backward_into(&mut self, loss: Var, grads: &mut [Vec<f32>]) {
         let segments = self.bounds_of(loss).len() - 1;
         let (rows, cols) = self.nodes[loss.0].shape();
         assert!(
@@ -1114,7 +1105,7 @@ mod tests {
     fn embed_scatters_gradients_to_rows() {
         let mut tape = Tape::new();
         let table = tape.leaf(Tensor::new(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 3, 2));
-        let x = tape.embed(table, &[0, 2, 0]);
+        let x = tape.embed_segments(table, &[0, 2, 0], &[3]);
         let loss = tape.mean_all(x);
         tape.backward(loss);
         let g = tape.grad(table);

@@ -33,11 +33,11 @@ pub struct GenCoord {
     /// Global generation replica index in `0..d·d_g`.
     pub replica: usize,
     /// Generation pipeline stage index in `0..p_g`.
-    pub p_idx: usize,
+    pub(crate) p_idx: usize,
     /// Generation tensor shard index in `0..t_g`.
-    pub t_idx: usize,
+    pub(crate) t_idx: usize,
     /// Micro-DP index within the training replica, in `0..d_g`.
-    pub micro_idx: usize,
+    pub(crate) micro_idx: usize,
 }
 
 /// A generation layout bound to a training layout.
@@ -179,6 +179,17 @@ impl GenGrouping {
     /// prompts).
     pub fn gen_replica_groups(&self) -> Vec<Vec<usize>> {
         self.groups_by_key(|r| self.gen_coords(r).replica)
+    }
+
+    /// The ranks whose training shards `rank` gathers into its generation
+    /// shard: its micro-DP group under the strided method, its whole
+    /// model-parallel group under the vanilla method (which is exactly
+    /// why vanilla communicates `(tp−1)/tp·M` instead of `(d_g−1)/tp·M`).
+    pub fn gather_group(&self, rank: usize) -> Vec<usize> {
+        match self.method {
+            GroupingMethod::Strided => self.micro_dp_group_of(rank),
+            GroupingMethod::Vanilla => self.train.mp_group_of(rank),
+        }
     }
 
     /// The micro-DP group containing `rank`.

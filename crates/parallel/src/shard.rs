@@ -27,32 +27,20 @@ use crate::spec::ParallelSpec;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ModelShard {
     /// First layer (inclusive), in `0..layers_total`.
-    pub layer_start: usize,
+    pub(crate) layer_start: usize,
     /// Last layer (exclusive).
-    pub layer_end: usize,
+    pub(crate) layer_end: usize,
     /// Column-fraction numerator (inclusive).
-    pub col_start: usize,
+    pub(crate) col_start: usize,
     /// Column-fraction numerator (exclusive).
-    pub col_end: usize,
+    pub(crate) col_end: usize,
     /// Column-fraction denominator.
-    pub col_den: usize,
+    pub(crate) col_den: usize,
     /// Total layers in the model (shared context for fraction math).
-    pub layers_total: usize,
+    pub(crate) layers_total: usize,
 }
 
 impl ModelShard {
-    /// The full model as a single shard.
-    pub fn full(layers_total: usize) -> Self {
-        ModelShard {
-            layer_start: 0,
-            layer_end: layers_total,
-            col_start: 0,
-            col_end: 1,
-            col_den: 1,
-            layers_total,
-        }
-    }
-
     /// Fraction of the whole model this shard covers, in `[0, 1]`.
     pub fn fraction(&self) -> f64 {
         let layers = (self.layer_end - self.layer_start) as f64 / self.layers_total as f64;
@@ -104,7 +92,8 @@ impl ModelShard {
     /// Fraction of the whole model in `self \ other` — the redundant
     /// training-weight memory of Table 2 when `self` is the training shard
     /// and `other` the generation shard.
-    pub fn minus_fraction(&self, other: &ModelShard) -> f64 {
+    #[cfg(test)]
+    fn minus_fraction(&self, other: &ModelShard) -> f64 {
         self.fraction() - self.intersection_fraction(other)
     }
 }
@@ -189,7 +178,7 @@ impl ShardLayout {
     /// # Panics
     ///
     /// Panics if `layer_sizes` is empty.
-    pub fn new(layer_sizes: Vec<usize>) -> Self {
+    pub(crate) fn new(layer_sizes: Vec<usize>) -> Self {
         assert!(!layer_sizes.is_empty(), "model must have at least one layer");
         let mut offsets = Vec::with_capacity(layer_sizes.len() + 1);
         let mut acc = 0;

@@ -122,31 +122,11 @@ impl ParallelSpec {
         (0..self.d).map(|d_idx| (d_idx * mp..(d_idx + 1) * mp).collect()).collect()
     }
 
-    /// The TP group containing `rank`.
-    pub fn tp_group_of(&self, rank: usize) -> Vec<usize> {
-        let base = rank / self.t * self.t;
-        (base..base + self.t).collect()
-    }
-
-    /// The DP group containing `rank`.
-    pub fn dp_group_of(&self, rank: usize) -> Vec<usize> {
-        let mp = self.mp();
-        let base = rank % mp;
-        (0..self.d).map(|k| base + k * mp).collect()
-    }
-
     /// The model-parallel group (full replica) containing `rank`.
     pub fn mp_group_of(&self, rank: usize) -> Vec<usize> {
         let mp = self.mp();
         let base = rank / mp * mp;
         (base..base + mp).collect()
-    }
-
-    /// Whether this rank is in the last pipeline stage (which holds the
-    /// model output; the `3D_PROTO` collect function reads from `p = -1`,
-    /// paper Table 3).
-    pub fn is_last_stage(&self, rank: usize) -> bool {
-        self.coords(rank).p_idx == self.p - 1
     }
 }
 
@@ -194,19 +174,14 @@ mod tests {
         let s = ParallelSpec::new(2, 2, 1);
         // Ranks: p0t0=0, p0t1=1, p1t0=2, p1t1=3.
         assert_eq!(s.pp_groups(), vec![vec![0, 2], vec![1, 3]]);
-        assert!(s.is_last_stage(2));
-        assert!(!s.is_last_stage(0));
     }
 
     #[test]
     fn group_of_matches_enumeration() {
         let s = ParallelSpec::new(2, 2, 2);
         for rank in 0..s.world() {
-            assert!(s.tp_groups().contains(&s.tp_group_of(rank)));
-            assert!(s.dp_groups().contains(&s.dp_group_of(rank)));
             assert!(s.mp_groups().contains(&s.mp_group_of(rank)));
-            assert!(s.tp_group_of(rank).contains(&rank));
-            assert!(s.dp_group_of(rank).contains(&rank));
+            assert!(s.mp_group_of(rank).contains(&rank));
         }
     }
 

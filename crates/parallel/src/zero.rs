@@ -21,7 +21,7 @@ pub enum ZeroStage {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ZeroSpec {
     /// Stage of state partitioning.
-    pub stage: ZeroStage,
+    pub(crate) stage: ZeroStage,
     /// Number of ranks sharing the shards.
     pub world: usize,
 }
@@ -68,20 +68,6 @@ impl ZeroSpec {
             ZeroStage::Stage3 => 1.5,
         }
     }
-
-    /// The flat parameter index range owned by `rank` out of `total`
-    /// parameters under ZeRO-3 (proportional split; ranks `0..world`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rank >= world`.
-    pub fn param_range(&self, rank: usize, total: usize) -> std::ops::Range<usize> {
-        assert!(rank < self.world);
-        match self.stage {
-            ZeroStage::Stage1 | ZeroStage::Stage2 => 0..total,
-            ZeroStage::Stage3 => total * rank / self.world..total * (rank + 1) / self.world,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -105,22 +91,8 @@ mod tests {
     }
 
     #[test]
-    fn stage3_ranges_tile_params() {
-        let z = ZeroSpec::new(ZeroStage::Stage3, 3);
-        let total = 10;
-        let mut covered = 0;
-        for r in 0..3 {
-            covered += z.param_range(r, total).len();
-        }
-        assert_eq!(covered, total);
-        assert_eq!(z.param_range(0, total).start, 0);
-        assert_eq!(z.param_range(2, total).end, total);
-    }
-
-    #[test]
     fn stage2_keeps_full_params_local() {
         let z = ZeroSpec::new(ZeroStage::Stage2, 4);
-        assert_eq!(z.param_range(1, 100), 0..100);
         assert_eq!(z.comm_multiplier(), 1.0);
         assert_eq!(ZeroSpec::new(ZeroStage::Stage3, 4).comm_multiplier(), 1.5);
     }

@@ -280,13 +280,13 @@ impl AssembledState {
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupSaveReport {
     /// Checkpoint step.
-    pub step: u64,
+    pub(crate) step: u64,
     /// Owner shards written.
-    pub shards: usize,
+    pub(crate) shards: usize,
     /// Bytes on disk (shard files only).
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// Total parameters covered.
-    pub total_params: usize,
+    pub(crate) total_params: usize,
 }
 
 struct ShardEntry {
@@ -355,11 +355,6 @@ impl CheckpointStore {
         let dir = dir.into();
         fs::create_dir_all(&dir).map_err(|e| io_err("create dir", e))?;
         Ok(CheckpointStore { dir })
-    }
-
-    /// The store's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     fn step_dir(&self, step: u64) -> PathBuf {

@@ -23,7 +23,7 @@ pub struct RecoveryStats {
     pub recoveries: u64,
     /// Per-recovery time-to-recover, virtual seconds (failure detected
     /// to training resumed).
-    pub mttr_s: Vec<f64>,
+    pub(crate) mttr_s: Vec<f64>,
     /// Virtual seconds of discarded work plus restore cost.
     pub virtual_time_lost: f64,
     /// Virtual seconds spent inside interrupted checkpoint writes (the
@@ -34,11 +34,6 @@ pub struct RecoveryStats {
 }
 
 impl RecoveryStats {
-    /// Fresh, empty stats.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records an observed failure.
     pub fn record_failure(&mut self) {
         self.failures += 1;
@@ -67,9 +62,9 @@ impl RecoveryStats {
         }
     }
 
-    /// Exports the stats as `resilience.*` counters and gauges.
+    /// Exports the rollback and checkpoint-window losses as `resilience.*`
+    /// gauges (the recovery loop records each MTTR in a digest).
     pub fn export(&self, telemetry: &Telemetry) {
-        telemetry.set_gauge("resilience.mttr_s", self.mean_mttr_s());
         telemetry.set_gauge("resilience.rollback_lost_s", self.virtual_time_lost);
         telemetry.set_gauge("resilience.ckpt_window_lost_s", self.checkpoint_window_lost_s);
     }
@@ -81,7 +76,7 @@ mod tests {
 
     #[test]
     fn stats_track_mttr_and_losses() {
-        let mut s = RecoveryStats::new();
+        let mut s = RecoveryStats::default();
         s.record_failure();
         s.record_recovery(2.0, 5.0);
         s.record_failure();
@@ -92,7 +87,6 @@ mod tests {
         assert!((s.virtual_time_lost - 12.0).abs() < 1e-12);
         let t = Telemetry::enabled();
         s.export(&t);
-        assert_eq!(t.gauge("resilience.mttr_s"), Some(3.0));
         assert_eq!(t.gauge("resilience.rollback_lost_s"), Some(12.0));
     }
 }

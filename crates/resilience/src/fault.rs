@@ -84,16 +84,16 @@ pub enum FaultKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
     /// What fails.
-    pub kind: FaultKind,
+    pub(crate) kind: FaultKind,
     /// When it fires.
-    pub trigger: FaultTrigger,
+    pub(crate) trigger: FaultTrigger,
 }
 
 /// A reproducible failure scenario: an ordered list of fault specs.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// The faults, checked in order on every hook consultation.
-    pub faults: Vec<FaultSpec>,
+    pub(crate) faults: Vec<FaultSpec>,
 }
 
 impl FaultPlan {
@@ -192,11 +192,6 @@ impl FaultInjector {
     /// Total number of fault firings so far.
     pub fn fired_count(&self) -> u64 {
         self.state.lock().fired.iter().sum()
-    }
-
-    /// The plan this injector replays.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 }
 

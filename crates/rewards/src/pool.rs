@@ -24,20 +24,20 @@ use crate::{splitmix, unit};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostProfile {
     /// Fixed virtual seconds per attempt (sandbox spawn + parse).
-    pub base_s: f64,
+    pub(crate) base_s: f64,
     /// Virtual seconds per prompt/response token verified.
-    pub per_token_s: f64,
+    pub(crate) per_token_s: f64,
     /// Uniform multiplicative jitter amplitude: an attempt's nominal
     /// cost scales by `1 + jitter · (u − 0.5)`.
-    pub jitter: f64,
+    pub(crate) jitter: f64,
     /// Probability an attempt draws the heavy tail.
-    pub straggler_prob: f64,
+    pub(crate) straggler_prob: f64,
     /// Heavy-tail cost multiplier (a backtracking verifier).
-    pub straggler_factor: f64,
+    pub(crate) straggler_factor: f64,
     /// Nominal peak memory per attempt (bytes).
-    pub mem_base_bytes: u64,
+    pub(crate) mem_base_bytes: u64,
     /// Probability an attempt's peak memory spikes past any budget.
-    pub mem_spike_prob: f64,
+    pub(crate) mem_spike_prob: f64,
 }
 
 impl CostProfile {
@@ -72,14 +72,14 @@ pub struct PoolConfig {
     /// Concurrent sandbox slots.
     pub workers: usize,
     /// Base seed every per-attempt draw derives from.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Per-attempt wall-clock budget (virtual seconds).
-    pub wall_budget_s: f64,
+    pub(crate) wall_budget_s: f64,
     /// Per-attempt CPU budget (virtual seconds; attempts are
     /// single-threaded, so the effective limit is the min of the two).
-    pub cpu_budget_s: f64,
+    pub(crate) cpu_budget_s: f64,
     /// Per-attempt peak-memory budget (bytes).
-    pub mem_budget_bytes: u64,
+    pub(crate) mem_budget_bytes: u64,
     /// Cancel attempts at the budget limit. When off, stragglers run to
     /// completion — the no-cancellation baseline the bench compares
     /// against (memory overruns still abort: the sandbox cannot
@@ -87,7 +87,7 @@ pub struct PoolConfig {
     pub cancel_stragglers: bool,
     /// Retries after a cancelled or aborted attempt before the task is
     /// abandoned to partial completion.
-    pub max_retries: u32,
+    pub(crate) max_retries: u32,
     /// The attempt cost model.
     pub cost: CostProfile,
 }
@@ -132,14 +132,14 @@ pub struct TaskOutcome {
     /// Virtual time the task left the pool (success or abandonment).
     pub end_s: f64,
     /// Attempts executed (1 = clean first try).
-    pub attempts: u32,
+    pub(crate) attempts: u32,
     /// Attempts cancelled at the wall/CPU budget.
-    pub timeouts: u32,
+    pub(crate) timeouts: u32,
     /// Attempts aborted at the memory budget.
-    pub mem_aborts: u32,
+    pub(crate) mem_aborts: u32,
     /// Whether a verifier attempt actually completed (false = the score
     /// is the partial-completion fallback).
-    pub completed: bool,
+    pub(crate) completed: bool,
 }
 
 /// The pool's answer for one batch: every task's outcome (the batch
@@ -152,7 +152,7 @@ pub struct EvalReport {
     pub makespan_s: f64,
     /// Busy-slot step curve: `(time, busy)` at every change point, in
     /// time order — for occupancy telemetry.
-    pub busy_curve: Vec<(f64, usize)>,
+    pub(crate) busy_curve: Vec<(f64, usize)>,
     /// Total attempts cancelled at the wall/CPU budget.
     pub timeouts: u64,
     /// Total attempts aborted at the memory budget.

@@ -38,7 +38,7 @@ pub struct VerifierSpec {
 impl VerifierSpec {
     /// Scores one `(prompt, response)` pair in `[0, 1]`. Pure and total:
     /// empty responses score 0, and every token stream is scoreable.
-    pub fn score(&self, prompt: &[u32], response: &[u32]) -> f32 {
+    pub(crate) fn score(&self, prompt: &[u32], response: &[u32]) -> f32 {
         if response.is_empty() {
             return 0.0;
         }
@@ -69,23 +69,6 @@ impl VerifierSpec {
                 let closed = valid == response.len() && depth == 0;
                 0.5 * prefix + if closed { 0.5 } else { 0.0 }
             }
-        }
-    }
-
-    /// The verifier's expected answer token for answer-style families
-    /// (`None` for structural families like bracket matching) — used by
-    /// tests to build known-score responses.
-    pub fn expected_token(&self, prompt: &[u32]) -> Option<u32> {
-        match self.kind {
-            VerifierKind::AnswerExtraction => prompt.last().copied(),
-            VerifierKind::ArithmeticCheck => {
-                if prompt.len() < 2 || self.vocab == 0 {
-                    None
-                } else {
-                    Some((prompt[0] + prompt[1]) % self.vocab)
-                }
-            }
-            VerifierKind::BracketMatch => None,
         }
     }
 }
@@ -122,14 +105,12 @@ mod tests {
         assert_eq!(s.score(&prompt, &[7, 7, 7, 7]), 1.0);
         assert_eq!(s.score(&prompt, &[7, 0, 7, 0]), 0.5);
         assert_eq!(s.score(&prompt, &[0, 1, 2, 3]), 0.0);
-        assert_eq!(s.expected_token(&prompt), Some(7));
     }
 
     #[test]
     fn arithmetic_check_uses_mod_vocab_sum() {
         let s = spec(VerifierKind::ArithmeticCheck);
         let prompt = [9, 9, 0]; // 18 mod 16 = 2
-        assert_eq!(s.expected_token(&prompt), Some(2));
         assert_eq!(s.score(&prompt, &[2, 2]), 1.0);
         assert_eq!(s.score(&prompt, &[2, 3]), 0.5);
     }

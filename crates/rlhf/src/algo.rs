@@ -60,7 +60,7 @@ pub struct RlhfConfig {
     /// Safe-RLHF Lagrange multiplier on the cost advantage.
     pub lambda_cost: f32,
     /// PPO-ptx pre-train loss coefficient (Safe-RLHF).
-    pub ptx_coef: f32,
+    pub(crate) ptx_coef: f32,
     /// Samples per prompt for GRPO.
     pub grpo_group: usize,
     /// Recompute response log-probs with a dedicated `compute_log_prob`
@@ -74,9 +74,9 @@ pub struct RlhfConfig {
     /// bits.
     pub recompute_logp: bool,
     /// Tokens the rule-based reward model favours.
-    pub good_tokens: Vec<u32>,
+    pub(crate) good_tokens: Vec<u32>,
     /// Tokens the rule-based cost model penalizes.
-    pub bad_tokens: Vec<u32>,
+    pub(crate) bad_tokens: Vec<u32>,
     /// What serves `compute_reward`: a reward model or a verifier pool.
     pub reward_source: RewardSource,
     /// Worker hyper-parameters.
@@ -200,9 +200,9 @@ pub struct RlhfSystem {
     /// Reward model worker group.
     pub reward: WorkerGroup,
     /// Cost model worker group (Safe-RLHF).
-    pub cost: Option<WorkerGroup>,
+    pub(crate) cost: Option<WorkerGroup>,
     /// Algorithm configuration.
-    pub cfg: RlhfConfig,
+    pub(crate) cfg: RlhfConfig,
     /// Logical generation passes the barrier driver has stamped so far
     /// (`workers::GEN_PASS_META`).
     gen_passes: AtomicU64,
@@ -329,7 +329,7 @@ impl RlhfSystem {
 
     /// The protocol generation uses: micro-DP dispatch when the actor has
     /// a HybridEngine generation grouping, plain 3D otherwise.
-    pub fn gen_protocol(&self) -> Protocol {
+    pub(crate) fn gen_protocol(&self) -> Protocol {
         if self.actor.layout().gen.is_some() {
             Protocol::ThreeDAllMicroDp
         } else {
@@ -470,14 +470,19 @@ pub enum Algorithm {
 /// The prompt batch of iteration `i` of a run: `batch` prompts drawn
 /// with seed `data_seed + i`, so a replayed iteration sees identical
 /// data.
-pub fn iteration_prompts(cfg: &RlhfConfig, batch: usize, data_seed: u64, i: u64) -> DataProto {
+pub(crate) fn iteration_prompts(
+    cfg: &RlhfConfig,
+    batch: usize,
+    data_seed: u64,
+    i: u64,
+) -> DataProto {
     let seed = data_seed.wrapping_add(i);
     make_prompts(batch, cfg.prompt_len, cfg.response_len, cfg.lm.vocab as u32, seed)
 }
 
 impl Algorithm {
     /// Runs iteration `i` of a run of this algorithm on its seeded
-    /// prompt batch (see [`iteration_prompts`]).
+    /// prompt batch (see `iteration_prompts`).
     pub fn iteration(
         self,
         sys: &RlhfSystem,

@@ -129,7 +129,7 @@ impl PipelinedPpo {
     /// per checkpoint window — the elastic re-mapping loop — uses this
     /// to continue the run's round sequence across windows instead of
     /// restarting every window at round 1.
-    pub fn with_round(cfg: PipelineConfig, round: u64) -> Self {
+    pub(crate) fn with_round(cfg: PipelineConfig, round: u64) -> Self {
         let mut driver = Self::new(cfg);
         driver.round = round;
         driver
@@ -325,7 +325,6 @@ impl PipelinedPpo {
         let tel = ctrl.telemetry();
         tel.set_gauge("pipeline.staleness", self.cfg.staleness as f64);
         tel.set_gauge("pipeline.overlap_fraction", frac);
-        tel.observe("pipeline.overlap_fraction", frac);
         tel.observe("pipeline.step.seconds", t_end - t_start);
         let us = (overlap_s * 1e6).round() as u64;
         tel.add_counter("pipeline.overlap_measured_us", us.saturating_sub(self.overlap_emitted_us));

@@ -117,7 +117,7 @@ pub struct PlannedPlacement {
     /// Wall-clock seconds the placement decision took. Recorded in
     /// stats and telemetry, but *never* fed into virtual time — the
     /// decision must not perturb simulated timing (determinism).
-    pub search_wall_s: f64,
+    pub(crate) search_wall_s: f64,
 }
 
 /// Decides the placement a run continues in after a failure.
@@ -231,8 +231,6 @@ impl RemapPlanner for MapperPlanner {
 /// One completed re-place.
 #[derive(Debug, Clone)]
 pub struct RemapEvent {
-    /// Why the re-place happened.
-    pub reason: String,
     /// The step training resumed from (the last committed checkpoint; 0
     /// when the run was rebuilt from seeds before anything committed).
     pub resumed_step: u64,
@@ -242,8 +240,6 @@ pub struct RemapEvent {
     pub world_after: usize,
     /// The actor layout after the re-place.
     pub spec: ParallelSpec,
-    /// Wall seconds deciding the new mapping (not virtual time).
-    pub search_wall_s: f64,
     /// Virtual seconds broadcasting the checkpoint into the new layout.
     pub reshard_s: f64,
     /// Bytes the restore broadcast dispatched.
@@ -401,12 +397,10 @@ impl Run<'_> {
             reshard_s * 1e3
         ));
         self.report.remaps.push(RemapEvent {
-            reason,
             resumed_step: step.unwrap_or(0),
             world_before,
             world_after: self.world,
             spec,
-            search_wall_s: plan.search_wall_s,
             reshard_s,
             reshard_bytes,
             blackout_s,

@@ -205,9 +205,9 @@ pub(crate) enum PrepSink {
 /// One experience-preparation forward pass in the stage DAG.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PrepCall {
-    pub role: PrepRole,
-    pub input: PrepInput,
-    pub sink: PrepSink,
+    pub(crate) role: PrepRole,
+    pub(crate) input: PrepInput,
+    pub(crate) sink: PrepSink,
 }
 
 impl PrepCall {

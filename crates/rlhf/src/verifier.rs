@@ -69,7 +69,6 @@ impl RewardEvaluatorWorker {
         ctx.telemetry.add_counter("reward_eval.mem_aborts", report.mem_aborts);
         ctx.telemetry.add_counter("reward_eval.failed", report.failed);
         let occ = report.mean_occupancy();
-        ctx.telemetry.set_gauge("reward_eval.pool_occupancy", occ);
         ctx.telemetry.observe("reward_eval.pool_occupancy", occ);
         ctx.telemetry.sample("reward_eval.pool_occupancy", t1, occ);
     }

@@ -155,6 +155,22 @@ fn release_peers<T>(ctx: &RankCtx, checked: Result<T>) -> Result<T> {
     checked
 }
 
+/// Meta `key` as `parse` reads it: `None` when the key is absent, and
+/// `Config` naming the key when it is present but does not parse — never
+/// a silent default. Every rank of a call reads the same meta, so all of
+/// them turn a malformed key down before any collective.
+fn meta<T>(
+    data: &DataProto,
+    key: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<Option<T>> {
+    let Some(raw) = data.meta.get(key) else { return Ok(None) };
+    match parse(raw) {
+        Some(v) => Ok(Some(v)),
+        None => Err(CoreError::Config(format!("meta `{key}` = {raw:?} does not parse"))),
+    }
+}
+
 /// The rows of per-token column `name`, which must hold one value per
 /// response token (`width`, the `responses` width): a column of another
 /// width is a typed error here, not an `assert_eq!` inside the loss that
@@ -563,7 +579,7 @@ impl ActorWorker {
     }
 
     /// Read access to the underlying LM (for checkpoint tests).
-    pub fn lm(&self) -> &TinyLm {
+    pub(crate) fn lm(&self) -> &TinyLm {
         &self.lm
     }
 
@@ -656,6 +672,34 @@ impl ActorWorker {
     }
 
     fn generate_sequences(&mut self, data: DataProto, ctx: &mut RankCtx) -> Result<DataProto> {
+        // The meta is read before anything changes: a malformed key
+        // leaves every rank as it was.
+        let round = meta(&data, GEN_ROUND_META, |s| s.parse::<u64>().ok())?;
+        let pass = meta(&data, GEN_PASS_META, |s| s.parse::<u64>().ok())?;
+        let resp_len: usize = meta(&data, "response_len", |s| s.parse().ok())?
+            .ok_or_else(|| CoreError::Data("generate_sequences needs response_len meta".into()))?;
+        let greedy = meta(&data, "greedy", |s| match s {
+            "0" => Some(false),
+            "1" => Some(true),
+            _ => None,
+        })?
+        .unwrap_or(false);
+        // Comma-separated token ids; the empty string is none.
+        let stop_tokens: Vec<usize> = meta(&data, "stop_tokens", |s| {
+            let s = s.trim();
+            if s.is_empty() {
+                return Some(Vec::new());
+            }
+            s.split(',').map(|t| t.trim().parse().ok()).collect()
+        })?
+        .unwrap_or_default();
+        let pad_token: usize = meta(&data, "pad_token", |s| s.parse().ok())?.unwrap_or(0);
+        let vocab = self.lm.cfg.vocab;
+        if pad_token >= vocab {
+            return Err(CoreError::Config(format!(
+                "pad_token {pad_token} is outside the model's vocabulary of {vocab}"
+            )));
+        }
         let pipelined = data.meta.get(PIPELINE_META).map(String::as_str) == Some("1");
         // Reshard training → generation weights before generating.
         self.hybrid_engine_transition(ctx, pipelined)?;
@@ -665,8 +709,7 @@ impl ActorWorker {
         // call that turns its chunk down below still spent the round, on
         // every rank alike; a retry of a pass this rank already ran
         // samples that attempt's round again.
-        let stamp = |key| data.meta.get(key).and_then(|s: &String| s.parse::<u64>().ok());
-        match (stamp(GEN_ROUND_META), stamp(GEN_PASS_META)) {
+        match (round, pass) {
             (Some(round), _) => self.gen_round = round,
             (None, Some(pass)) if self.gen_pass == Some(pass) => {}
             (None, pass) => {
@@ -674,24 +717,7 @@ impl ActorWorker {
                 self.gen_pass = pass;
             }
         }
-        let vocab = self.lm.cfg.vocab;
         let (prompts, pw) = token_rows(&data, "prompts", vocab)?;
-        let resp_len: usize =
-            data.meta.get("response_len").and_then(|s| s.parse().ok()).ok_or_else(|| {
-                CoreError::Data("generate_sequences needs response_len meta".into())
-            })?;
-        let greedy = data.meta.get("greedy").map(String::as_str) == Some("1");
-        let stop_tokens: Vec<usize> = data
-            .meta
-            .get("stop_tokens")
-            .map(|s| s.split(',').filter_map(|t| t.trim().parse().ok()).collect())
-            .unwrap_or_default();
-        let pad_token: usize = data.meta.get("pad_token").and_then(|s| s.parse().ok()).unwrap_or(0);
-        if pad_token >= vocab {
-            return Err(CoreError::Config(format!(
-                "pad_token {pad_token} is outside the model's vocabulary of {vocab}"
-            )));
-        }
 
         // Install the resharded weights into the generation engine if
         // training has touched them since the last install.
@@ -814,7 +840,6 @@ impl ActorWorker {
         let gen_dt = ctx.clock.now() - gen_t0;
         if gen_dt > 0.0 {
             let tps = report.generated_tokens as f64 / gen_dt;
-            ctx.telemetry.set_gauge("genserve.rollout.tokens_per_s", tps);
             ctx.telemetry.observe("genserve.rollout.tokens_per_s", tps);
         }
 
@@ -937,7 +962,7 @@ impl ActorWorker {
         let (resps, rw) = release_peers(ctx, token_rows(data, "responses", vocab))?;
         let old_logps = f32_rows(data, "logp_old", rw)?;
         let advs = f32_rows(data, "advantages", rw)?;
-        let ptx_coef: f32 = data.meta.get("ptx_coef").and_then(|s| s.parse().ok()).unwrap_or(0.0);
+        let ptx_coef: f32 = meta(data, "ptx_coef", |s| s.parse().ok())?.unwrap_or(0.0);
         // Every column is checked before the first row is computed: the
         // peers meet once, after all rows.
         let pre = if ptx_coef > 0.0 && data.has("pretrain") {

@@ -22,7 +22,6 @@ pub struct ZeroParamStore {
     shard: Vec<f32>,
     start: usize,
     total: usize,
-    rank: usize,
     opt: Adam,
     /// Padded shard length (uniform across ranks so collectives align).
     padded: usize,
@@ -41,7 +40,7 @@ impl ZeroParamStore {
         let start = range.start;
         let mut shard = full[range].to_vec();
         shard.resize(padded, 0.0);
-        ZeroParamStore { opt: Adam::new(padded, lr), shard, start, total, rank, padded }
+        ZeroParamStore { opt: Adam::new(padded, lr), shard, start, total, padded }
     }
 
     /// Bytes of parameters resident on this rank (the ZeRO-3 memory
@@ -52,7 +51,7 @@ impl ZeroParamStore {
 
     /// All-gathers the full flat parameter vector (transient; dropped
     /// after the pass, as ZeRO-3 materializes parameters on demand).
-    pub fn gather(&self, comm: &Communicator, clock: &mut VirtualClock) -> Vec<f32> {
+    pub(crate) fn gather(&self, comm: &Communicator, clock: &mut VirtualClock) -> Vec<f32> {
         let mut full = comm.all_gather(clock, &self.shard);
         full.truncate(self.total);
         full
@@ -72,7 +71,7 @@ impl ZeroParamStore {
     /// # Panics
     ///
     /// Panics if `full_grad` does not hold `total` values.
-    pub fn apply_grads(
+    pub(crate) fn apply_grads(
         &mut self,
         comm: &Communicator,
         clock: &mut VirtualClock,
@@ -90,27 +89,22 @@ impl ZeroParamStore {
     }
 
     /// This rank's shard slice within the flat vector.
-    pub fn range(&self) -> std::ops::Range<usize> {
+    pub(crate) fn range(&self) -> std::ops::Range<usize> {
         self.start..(self.start + self.padded).min(self.total)
     }
 
-    /// This rank's position in the sharding.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
     /// This rank's padded shard (tail zeros beyond [`ZeroParamStore::range`]).
-    pub fn shard(&self) -> &[f32] {
+    pub(crate) fn shard(&self) -> &[f32] {
         &self.shard
     }
 
     /// Total (unpadded) parameter count.
-    pub fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         self.total
     }
 
     /// Shard-local Adam state `(m, v, t)` at padded width.
-    pub fn opt_state(&self) -> (&[f32], &[f32], u64) {
+    pub(crate) fn opt_state(&self) -> (&[f32], &[f32], u64) {
         self.opt.state()
     }
 
@@ -121,7 +115,7 @@ impl ZeroParamStore {
     /// # Panics
     ///
     /// Panics if the moment lengths disagree with `total`.
-    pub fn load_opt_from_full(&mut self, m_full: &[f32], v_full: &[f32], t: u64) {
+    pub(crate) fn load_opt_from_full(&mut self, m_full: &[f32], v_full: &[f32], t: u64) {
         assert_eq!(m_full.len(), self.total, "optimizer m length mismatch");
         assert_eq!(v_full.len(), self.total, "optimizer v length mismatch");
         let r = self.range();
@@ -147,14 +141,6 @@ impl ZeroActorWorker {
     pub fn new(cfg: LmConfig, hyper: WorkerHyper) -> Self {
         let lr = hyper.lr;
         ZeroActorWorker { inner: ActorWorker::new(cfg, hyper), store: None, lr }
-    }
-
-    /// Bytes of parameters persistently resident on this rank.
-    pub fn resident_param_bytes(&self) -> usize {
-        self.store
-            .as_ref()
-            .map(|s| s.resident_param_bytes())
-            .unwrap_or_else(|| self.inner.lm().flat().len() * 4)
     }
 
     fn ensure_store(&mut self, ctx: &RankCtx) {
@@ -252,7 +238,6 @@ mod tests {
             let s = ZeroParamStore::new(&full, r, 4, 0.01);
             covered += s.range().len();
             assert!(s.resident_param_bytes() <= full.len() * 4 / 4 + 8);
-            assert_eq!(s.rank(), r);
         }
         assert_eq!(covered, 103);
     }

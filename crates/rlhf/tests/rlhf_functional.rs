@@ -356,6 +356,43 @@ fn a_per_token_column_of_the_wrong_width_is_a_typed_error_not_four_lost_ranks() 
 }
 
 #[test]
+fn malformed_generation_and_training_meta_is_a_typed_error_not_a_default() {
+    // A meta key that is present but does not parse is turned down with
+    // `Config` naming it — not read as its default (pad with 0, stop on
+    // the tokens that parse, sample instead of greedy, advance the rank's
+    // own sampler round, train without the PPO-ptx loss) — and the same
+    // group answers the next well-formed call.
+    let cfg = RlhfConfig::tiny();
+    let (ctrl, sys) = colocated_4gpu(&cfg, true, false);
+    let prompts = make_prompts(8, cfg.prompt_len, cfg.response_len, cfg.lm.vocab as u32, 0);
+    let (_, batch) = ppo_iteration_captured(&sys, &ctrl, &prompts).unwrap();
+    let call = |method: &str, data: &DataProto| {
+        sys.actor.invoke(method, data).unwrap().wait_deadline(std::time::Duration::from_secs(60))
+    };
+    let malformed = [
+        ("generate_sequences", "pad_token", "x"),
+        ("generate_sequences", "stop_tokens", "3,x"),
+        ("generate_sequences", "greedy", "true"),
+        ("generate_sequences", hf_rlhf::GEN_ROUND_META, "x"),
+        ("generate_sequences", hf_rlhf::GEN_PASS_META, "x"),
+        ("update_actor", "ptx_coef", "x"),
+    ];
+    for (method, key, value) in malformed {
+        let good = if method == "update_actor" { &batch } else { &prompts };
+        let mut bad = good.clone();
+        bad.meta.insert(key.into(), value.into());
+        match call(method, &bad) {
+            Err(CoreError::Config(reason)) => assert!(reason.contains(key), "{key}: {reason}"),
+            other => panic!("{key}={value:?}: {:?}", other.map(|d| d.rows())),
+        }
+        assert!(ctrl.lost_ranks().is_empty(), "{key}: no rank may be lost to malformed meta");
+        call(method, good).unwrap_or_else(|e| panic!("{method} after {key}: {e:?}"));
+    }
+    let prompts = make_prompts(8, cfg.prompt_len, cfg.response_len, cfg.lm.vocab as u32, 1);
+    assert!(ppo_iteration(&sys, &ctrl, &prompts).unwrap().mean_score.is_finite());
+}
+
+#[test]
 fn standalone_placement_also_learns() {
     // OpenRLHF-style placement: every model on its own devices.
     let cfg = RlhfConfig::tiny();

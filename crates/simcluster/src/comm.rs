@@ -142,12 +142,12 @@ impl CommGroup {
     }
 
     /// Number of members.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.inner.devices.len()
     }
 
     /// Ordered member device list.
-    pub fn devices(&self) -> &[DeviceId] {
+    pub(crate) fn devices(&self) -> &[DeviceId] {
         &self.inner.devices
     }
 
@@ -168,7 +168,8 @@ impl CommGroup {
     }
 
     /// The poison reason, if the group has been poisoned.
-    pub fn poisoned(&self) -> Option<String> {
+    #[cfg(test)]
+    fn poisoned(&self) -> Option<String> {
         self.inner.state.lock().poisoned.as_ref().map(|r| r.to_string())
     }
 
@@ -582,19 +583,6 @@ impl Communicator {
         Reduced { sum, range: (self.rank * chunk).min(len)..((self.rank + 1) * chunk).min(len) }
     }
 
-    /// Gather to `root`: the root receives every rank's buffer; other ranks
-    /// receive `None`.
-    pub fn gather(
-        &self,
-        clock: &mut VirtualClock,
-        root: usize,
-        data: &[f32],
-    ) -> Option<Vec<Vec<f32>>> {
-        let bytes = (data.len() * 4 * self.size()) as f64;
-        let out = self.collective(clock, data.to_vec(), CollectiveKind::Gather, bytes, |p| p);
-        (self.rank == root).then(|| out.1.clone())
-    }
-
     /// Barrier: synchronizes virtual clocks to the group maximum.
     pub fn barrier(&self, clock: &mut VirtualClock) {
         self.collective(clock, (), CollectiveKind::AllGather, 0.0, |_| ());
@@ -697,7 +685,8 @@ impl TreeSum {
     }
 
     /// Buffers currently held as partial sums.
-    pub fn held(&self) -> usize {
+    #[cfg(test)]
+    fn held(&self) -> usize {
         self.levels.iter().flatten().count()
     }
 
@@ -823,17 +812,6 @@ mod tests {
         });
         assert_eq!(outs[0], vec![2.0, 4.0]);
         assert_eq!(outs[1], vec![6.0, 8.0]);
-    }
-
-    #[test]
-    fn gather_delivers_every_buffer_to_the_root_in_rank_order() {
-        let outs = run_ranks(3, |r, comm| {
-            let mut clock = VirtualClock::new();
-            comm.gather(&mut clock, 1, &[r as f32, 10.0 * r as f32])
-        });
-        assert_eq!(outs[0], None);
-        assert_eq!(outs[1], Some(vec![vec![0.0, 0.0], vec![1.0, 10.0], vec![2.0, 20.0]]));
-        assert_eq!(outs[2], None);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub struct CommCostModel {
     /// Per-phase fixed latency in seconds (kernel launch + link latency).
     pub alpha: f64,
     /// Fraction of nominal link bandwidth achievable (protocol efficiency).
-    pub bandwidth_efficiency: f64,
+    pub(crate) bandwidth_efficiency: f64,
 }
 
 impl Default for CommCostModel {
@@ -54,7 +54,7 @@ impl CommCostModel {
     /// Within one machine this is the NVLink bandwidth. Across machines the
     /// ring must cross the NIC, and all group members on the same machine
     /// share it, so the per-rank bandwidth is `nic / ranks_per_machine`.
-    pub fn link_bandwidth(&self, cluster: &ClusterSpec, devices: &[DeviceId]) -> f64 {
+    pub(crate) fn link_bandwidth(&self, cluster: &ClusterSpec, devices: &[DeviceId]) -> f64 {
         let nominal = if cluster.same_machine(devices) {
             cluster.machine.intra_bandwidth
         } else {
@@ -119,18 +119,6 @@ impl CommCostModel {
     pub fn rpc_dispatch_time(&self) -> f64 {
         // Sub-millisecond Ray-like RPC dispatch.
         200e-6
-    }
-}
-
-/// Closed-form communication volume (bytes moved per rank) for a ring
-/// all-gather aggregating `total_bytes` over `n` ranks: `(n-1)/n · B`.
-///
-/// This is the quantity the paper's Table 2 reports as "Comm. Vol".
-pub fn ring_all_gather_volume(total_bytes: f64, n: usize) -> f64 {
-    if n <= 1 {
-        0.0
-    } else {
-        total_bytes * (n as f64 - 1.0) / n as f64
     }
 }
 
@@ -200,11 +188,5 @@ mod tests {
         let intra = m.p2p_time(&c, DeviceId(0), DeviceId(1), 1e9);
         let inter = m.p2p_time(&c, DeviceId(0), DeviceId(8), 1e9);
         assert!(inter > intra);
-    }
-
-    #[test]
-    fn ring_volume_formula() {
-        assert_eq!(ring_all_gather_volume(8.0, 1), 0.0);
-        assert!((ring_all_gather_volume(8.0, 4) - 6.0).abs() < 1e-12);
     }
 }

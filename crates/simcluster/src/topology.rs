@@ -1,7 +1,7 @@
 //! Cluster topology: GPUs, machines, and virtualized resource pools.
 //!
 //! The paper's testbed (§8.1) is 16 machines × 8 A100-80GB, NVLink
-//! 600 GB/s intra-machine, 200 Gbps inter-machine. [`GpuSpec::a100_80g`]
+//! 600 GB/s intra-machine, 200 Gbps inter-machine. `GpuSpec::a100_80g`
 //! and [`ClusterSpec::a100_cluster`] reproduce those constants; other
 //! shapes can be constructed for what-if studies.
 
@@ -29,7 +29,7 @@ pub struct GpuSpec {
 
 impl GpuSpec {
     /// NVIDIA A100-80GB SXM: 312 TFLOP/s BF16, 80 GB HBM2e at ~2.0 TB/s.
-    pub fn a100_80g() -> Self {
+    pub(crate) fn a100_80g() -> Self {
         GpuSpec { peak_flops: 312e12, memory_bytes: 80e9, memory_bandwidth: 2.0e12 }
     }
 
@@ -39,13 +39,8 @@ impl GpuSpec {
     }
 
     /// NVIDIA H100 SXM: 989 TFLOP/s BF16, 80 GB HBM3 at 3.35 TB/s.
-    pub fn h100() -> Self {
+    pub(crate) fn h100() -> Self {
         GpuSpec { peak_flops: 989e12, memory_bytes: 80e9, memory_bandwidth: 3.35e12 }
-    }
-
-    /// A smaller GPU useful for tests (1 TFLOP/s, 16 GB, 100 GB/s).
-    pub fn tiny() -> Self {
-        GpuSpec { peak_flops: 1e12, memory_bytes: 16e9, memory_bandwidth: 100e9 }
     }
 }
 
@@ -55,14 +50,14 @@ pub struct MachineSpec {
     /// Number of GPUs per machine.
     pub gpus: usize,
     /// Per-GPU intra-machine interconnect bandwidth in bytes/s (NVLink).
-    pub intra_bandwidth: f64,
+    pub(crate) intra_bandwidth: f64,
     /// Per-machine network bandwidth in bytes/s (NIC, shared by its GPUs).
-    pub inter_bandwidth: f64,
+    pub(crate) inter_bandwidth: f64,
 }
 
 impl MachineSpec {
     /// DGX-like machine: 8 GPUs, 600 GB/s NVLink, 200 Gbps NIC.
-    pub fn dgx_a100() -> Self {
+    pub(crate) fn dgx_a100() -> Self {
         MachineSpec { gpus: 8, intra_bandwidth: 600e9, inter_bandwidth: 200e9 / 8.0 }
     }
 }
@@ -111,7 +106,7 @@ impl ClusterSpec {
     /// # Panics
     ///
     /// Panics if `dev` is out of range for this cluster.
-    pub fn machine_of(&self, dev: DeviceId) -> usize {
+    pub(crate) fn machine_of(&self, dev: DeviceId) -> usize {
         assert!(
             dev.0 < self.total_gpus(),
             "device {} out of range (cluster has {} GPUs)",
@@ -122,7 +117,7 @@ impl ClusterSpec {
     }
 
     /// Whether all devices in `devs` are on a single machine.
-    pub fn same_machine(&self, devs: &[DeviceId]) -> bool {
+    pub(crate) fn same_machine(&self, devs: &[DeviceId]) -> bool {
         match devs.first() {
             None => true,
             Some(first) => {
@@ -133,7 +128,7 @@ impl ClusterSpec {
     }
 
     /// Number of distinct machines spanned by `devs`.
-    pub fn machines_spanned(&self, devs: &[DeviceId]) -> usize {
+    pub(crate) fn machines_spanned(&self, devs: &[DeviceId]) -> usize {
         let mut seen: Vec<usize> = devs.iter().map(|d| self.machine_of(*d)).collect();
         seen.sort_unstable();
         seen.dedup();

@@ -3,7 +3,6 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use crate::{Condvar, Mutex};
 
@@ -66,25 +65,14 @@ impl<T> Drop for Sender<T> {
 }
 
 impl<T> Receiver<T> {
-    /// The next value, waiting until `deadline` at most (`None`: for as
-    /// long as a sender exists). `None` once the deadline has passed or
-    /// the channel is empty with every sender gone.
-    fn recv_until(&self, deadline: Option<Instant>) -> Option<T> {
-        let mut st = self.0.state.lock();
-        self.0.ready.wait_while(&mut st, deadline, |st| st.queue.is_empty() && st.senders > 0);
-        st.queue.pop_front()
-    }
-
-    /// The next value, waiting at most `timeout`; `None` if none came (the
-    /// time ran out, or every sender is gone).
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<T> {
-        self.recv_until(Some(Instant::now() + timeout))
-    }
-
     /// The values in arrival order, waiting for each; ends once the
     /// channel is empty and every sender is gone.
     pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
-        std::iter::from_fn(|| self.recv_until(None))
+        std::iter::from_fn(|| {
+            let mut st = self.0.state.lock();
+            self.0.ready.wait_while(&mut st, None, |st| st.queue.is_empty() && st.senders > 0);
+            st.queue.pop_front()
+        })
     }
 }
 
@@ -98,6 +86,7 @@ impl<T> Drop for Receiver<T> {
 mod tests {
     use super::*;
     use std::thread;
+    use std::time::Duration;
 
     #[test]
     fn fifo_order_and_disconnect() {
@@ -111,7 +100,7 @@ mod tests {
         drop(tx2);
         let got: Vec<i32> = rx.iter().collect();
         assert_eq!(got, (0..=10).collect::<Vec<_>>());
-        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), None, "disconnected, not waiting");
+        assert_eq!(rx.iter().next(), None, "disconnected, not waiting");
     }
 
     #[test]
@@ -119,20 +108,6 @@ mod tests {
         let (tx, rx) = unbounded();
         drop(rx);
         assert_eq!(tx.send(1), Err(1));
-    }
-
-    #[test]
-    fn recv_timeout_waits_for_a_value_or_the_deadline() {
-        let (tx, rx) = unbounded::<u32>();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), None);
-        tx.send(5).unwrap();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Some(5));
-        let h = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(20));
-            tx.send(9).unwrap();
-        });
-        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Some(9));
-        h.join().unwrap();
     }
 
     #[test]

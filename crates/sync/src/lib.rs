@@ -13,7 +13,7 @@
 //! which thread runs (seeded, loom / shuttle-style) hooks those two.
 //!
 //! **Spin, then park.** `wait_while` first yields the CPU up to
-//! [`SPIN`] times, re-checking its predicate under the lock after each
+//! `SPIN` times, re-checking its predicate under the lock after each
 //! yield, and parks on the futex only after that; a `notify_*` with no
 //! waiter parked makes no syscall. On one CPU the thread a waiter waits
 //! for is already runnable, so a yield hands it the CPU for a fraction
@@ -70,7 +70,7 @@ pub mod channel;
 /// parks: the smallest budget at which the benchmark's workloads, pinned
 /// to one CPU, stop losing voluntary context switches (the sweep is in
 /// DESIGN.md §5, "Spin, then park").
-pub const SPIN: u32 = 4;
+pub(crate) const SPIN: u32 = 4;
 
 /// A mutual-exclusion lock whose `lock()` never returns a poison error.
 pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
@@ -141,7 +141,7 @@ impl Condvar {
     /// `pred` still holding; otherwise `pred` was false under the lock
     /// the guard holds again.
     ///
-    /// It yields the CPU up to [`SPIN`] times before it parks, and checks
+    /// It yields the CPU up to `SPIN` times before it parks, and checks
     /// `pred` under the lock after every yield and every wake.
     pub fn wait_while<T>(
         &self,
@@ -182,7 +182,7 @@ impl Condvar {
     }
 
     /// Wakes one parked waiter, if there is one.
-    pub fn notify_one(&self) {
+    pub(crate) fn notify_one(&self) {
         // `Relaxed` is enough: the waiters' lock orders a waiter's
         // increment before this read whenever the waiter parked before the
         // notifier changed the state (crate doc, "Why no wake is lost").

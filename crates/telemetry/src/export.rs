@@ -46,7 +46,7 @@ fn track_order(tracks: &mut [String]) {
 /// Renders spans as Chrome trace-event JSON (`"X"` complete events plus
 /// `thread_name` metadata) and counter samples as `"C"` counter-track
 /// events, loadable in Perfetto or `chrome://tracing`.
-pub fn chrome_trace(spans: &[SpanRecord], samples: &[CounterSample]) -> String {
+pub(crate) fn chrome_trace(spans: &[SpanRecord], samples: &[CounterSample]) -> String {
     let mut tracks: Vec<String> = Vec::new();
     for s in spans {
         if !tracks.contains(&s.track) {
@@ -193,7 +193,7 @@ fn fmt_bytes(b: u64) -> String {
 /// Plain-text digest: phase spans at or after `t0`, per-kind busy time,
 /// utilization over the summarized window, the data-plane copy share,
 /// then every metric grouped by the first dot segment of its name.
-pub fn summary(spans: &[SpanRecord], metrics: &MetricsSnapshot, t0: f64) -> String {
+pub(crate) fn summary(spans: &[SpanRecord], metrics: &MetricsSnapshot, t0: f64) -> String {
     let visible: Vec<&SpanRecord> = spans.iter().filter(|s| s.start >= t0).collect();
     let mut out = String::new();
 

@@ -75,11 +75,11 @@ impl SpanRecord {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CounterSample {
     /// Counter-track name, e.g. `genserve.batch_size`.
-    pub name: String,
+    pub(crate) name: String,
     /// Virtual time of the observation (seconds).
-    pub t: f64,
+    pub(crate) t: f64,
     /// Observed value.
-    pub value: f64,
+    pub(crate) value: f64,
 }
 
 /// Streaming percentile digest over fixed log-spaced buckets.
@@ -104,7 +104,7 @@ pub struct Digest {
     /// Largest observation (`-inf` when empty).
     pub max: f64,
     /// Observations `<= 0` (kept out of the log buckets).
-    pub zero_or_less: u64,
+    pub(crate) zero_or_less: u64,
     /// Sparse bucket counts keyed by log-bucket index.
     buckets: BTreeMap<i64, u64>,
 }
@@ -157,20 +157,8 @@ impl Digest {
         }
     }
 
-    /// Merges `other` into `self` (element-wise bucket addition).
-    pub fn merge(&mut self, other: &Digest) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.zero_or_less += other.zero_or_less;
-        for (b, c) in &other.buckets {
-            *self.buckets.entry(*b).or_insert(0) += c;
-        }
-    }
-
     /// Mean of observations (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {

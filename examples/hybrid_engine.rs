@@ -62,7 +62,7 @@ fn main() {
     for rank in [0usize, 1] {
         println!(
             "  rank {rank} gathers from ranks {:?} and receives {} bytes",
-            shards.gather_group(rank),
+            grouping.gather_group(rank),
             shards.recv_bytes(rank)
         );
     }

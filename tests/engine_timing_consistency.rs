@@ -26,7 +26,7 @@ fn threaded_transition_time_matches_analytic_cost() {
     // Analytic prediction: one all-gather of the shard within a micro-DP
     // group of size d_g = 2, payload = per-rank shard × group size.
     let shard_bytes = (shards.train_buf(0).len() * 4) as f64;
-    let group0 = shards.gather_group(0);
+    let group0 = grouping.gather_group(0);
     let devices0: Vec<DeviceId> = group0.iter().map(|&r| DeviceId(r)).collect();
     let predicted = cost.collective_time(
         &cluster,
@@ -38,7 +38,7 @@ fn threaded_transition_time_matches_analytic_cost() {
     // Run the real threaded transition and read the charged clocks.
     let mut groups: Vec<(Vec<usize>, CommGroup)> = Vec::new();
     for r in 0..8 {
-        let g = shards.gather_group(r);
+        let g = grouping.gather_group(r);
         if !groups.iter().any(|(ranks, _)| ranks == &g) {
             let devs = g.iter().map(|&x| DeviceId(x)).collect();
             groups.push((g, CommGroup::new(devs)));

@@ -7,9 +7,13 @@
 use hybridflow::core::{Controller, DataProto, Protocol, RankCtx, Worker, WorkerLayout};
 use hybridflow::hybridengine::{transition_metrics, EngineMode};
 use hybridflow::parallel::{GenGrouping, GroupingMethod, ParallelSpec};
+use hybridflow::resilience::{CheckpointStore, FaultInjector, FaultPlan, FaultTrigger};
 use hybridflow::rlhf::env::make_prompts;
-use hybridflow::rlhf::{ppo_iteration, IterStats, Placement, RlhfConfig, RlhfSystem};
-use hybridflow::simcluster::{ClusterSpec, CommCostModel, ResourcePool};
+use hybridflow::rlhf::{
+    grpo_iteration, ppo_iteration, remap_recoverable, IterStats, MapperPlanner, PipelineConfig,
+    PipelinedPpo, Placement, RemapConfig, RlhfConfig, RlhfSystem,
+};
+use hybridflow::simcluster::{ClusterSpec, CommCostModel, DeviceId, ResourcePool};
 use hybridflow::telemetry::{SpanKind, Telemetry, CONTROLLER_TRACK};
 
 fn traced_controller(gpus: usize) -> Controller {
@@ -20,19 +24,19 @@ fn traced_controller(gpus: usize) -> Controller {
     )
 }
 
+/// Every model colocated on 4 GPUs, actor 1-2-2 with a strided micro-DP
+/// generation grouping.
+fn placement_4gpu(critic: bool) -> Placement {
+    let spec = ParallelSpec::new(1, 2, 2);
+    let gen = GenGrouping::new(spec, 1, 1, GroupingMethod::Strided);
+    Placement::colocated(ResourcePool::contiguous(0, 4), WorkerLayout::with_gen(gen), critic, false)
+}
+
 /// One tiny-model PPO iteration on 4 GPUs (colocated actor+critic,
 /// strided micro-DP generation grouping) under the given controller.
 fn ppo_once(ctrl: &Controller) -> IterStats {
     let cfg = RlhfConfig::tiny();
-    let spec = ParallelSpec::new(1, 2, 2);
-    let gen = GenGrouping::new(spec, 1, 1, GroupingMethod::Strided);
-    let placement = Placement::colocated(
-        ResourcePool::contiguous(0, 4),
-        WorkerLayout::with_gen(gen),
-        true,
-        false,
-    );
-    let sys = RlhfSystem::build(ctrl, &placement, cfg.clone()).expect("build");
+    let sys = RlhfSystem::build(ctrl, &placement_4gpu(true), cfg.clone()).expect("build");
     let prompts = make_prompts(8, cfg.prompt_len, cfg.response_len, cfg.lm.vocab as u32, 0);
     ppo_iteration(&sys, ctrl, &prompts).expect("iter")
 }
@@ -152,7 +156,7 @@ fn genserve_steps_nest_in_generation_phase_and_counters_export() {
         tel.metrics().counters.contains_key("genserve.rollout.preemptions"),
         "preemption counter must be exported even when zero"
     );
-    assert!(tel.gauge("genserve.rollout.tokens_per_s").unwrap_or(0.0) > 0.0);
+    assert!(tel.digest("genserve.rollout.tokens_per_s").is_some_and(|d| d.quantile(0.0) > 0.0));
     assert!(
         steps.iter().all(|s| s.args.iter().any(|(k, v)| k == "consumer" && v == "rollout")),
         "engine step spans must carry their consumer tag"
@@ -243,4 +247,68 @@ fn transition_byte_counter_matches_table2_analytics() {
     // Spot-check the absolute number so a change to either side of the
     // comparison cannot silently cancel out: (4-2)/(2·4) · 4·6176·4 B.
     assert_eq!(measured_per_gpu, 24_704);
+}
+
+#[test]
+fn every_metric_name_is_one_record() {
+    // A name is a gauge or a digest, never both: `summary()` would print
+    // it twice, and a reader of one record would miss the other. One
+    // recorder watches a traced PPO iteration, GRPO with the verifier
+    // pool, pipelined PPO, and a run that recovers from a killed rank.
+    let tel = Telemetry::enabled();
+    let (cluster, cost) = (ClusterSpec::a100_with_gpus(4), CommCostModel::default());
+    let traced = || Controller::with_telemetry(cluster.clone(), cost.clone(), tel.clone());
+    ppo_once(&traced());
+
+    let cfg = RlhfConfig::tiny_verifier();
+    let ctrl = traced();
+    let sys = RlhfSystem::build(&ctrl, &placement_4gpu(false), cfg.clone()).expect("build");
+    let prompts = make_prompts(8, cfg.prompt_len, cfg.response_len, cfg.lm.vocab as u32, 0);
+    grpo_iteration(&sys, &ctrl, &prompts).expect("grpo");
+
+    let cfg = RlhfConfig::tiny();
+    let ctrl = traced();
+    let sys = RlhfSystem::build(&ctrl, &placement_4gpu(true), cfg.clone()).expect("build");
+    let prompts = make_prompts(8, cfg.prompt_len, cfg.response_len, cfg.lm.vocab as u32, 0);
+    let mut driver = PipelinedPpo::new(PipelineConfig { staleness: 1, gen_chunks: 2 });
+    for _ in 0..2 {
+        driver.step(&sys, &ctrl, &prompts).expect("pipelined step");
+    }
+    driver.flush(&sys, &ctrl).expect("flush");
+
+    let kill = FaultPlan::new().kill_rank(
+        "actor",
+        1,
+        FaultTrigger::OnCall { method: "update_actor".into(), nth: 3 },
+    );
+    let ctrl = Controller::with_faults(cluster, cost, tel.clone(), FaultInjector::new(kill));
+    let dir = std::env::temp_dir().join(format!("hf-one-record-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let remap = RemapConfig {
+        iterations: 4,
+        checkpoint_every: 1,
+        batch: 8,
+        allowed: Some((0..4).map(DeviceId).collect()),
+        ..Default::default()
+    };
+    let report = remap_recoverable(
+        &ctrl,
+        &CheckpointStore::new(&dir).unwrap(),
+        &remap,
+        &placement_4gpu(true),
+        RlhfConfig::tiny(),
+        &mut MapperPlanner::toy(4),
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(report.expect("recovered run").stats.recoveries, 1);
+
+    let metrics = tel.metrics();
+    for name in ["resilience.mttr_s", "genserve.rollout.tokens_per_s", "reward_eval.pool_occupancy"]
+    {
+        assert!(metrics.digests.contains_key(name), "{name} is a digest");
+    }
+    assert!(metrics.gauges.contains_key("pipeline.overlap_fraction"));
+    let both: Vec<&String> =
+        metrics.gauges.keys().filter(|k| metrics.digests.contains_key(*k)).collect();
+    assert!(both.is_empty(), "recorded as a gauge and as a digest: {both:?}");
 }
