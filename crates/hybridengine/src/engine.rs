@@ -3,16 +3,19 @@
 //! Each actor rank holds its training shard; [`HybridEngineRank::to_generation`]
 //! performs the real all-gather inside the rank's micro-DP group
 //! communicator (one concurrent collective per group, §5.3), charging
-//! virtual time, and materializes the generation shard.
-//! [`HybridEngineRank::to_training`] drops generation-only weights; under
-//! the strided method the training shard is a sub-slice of the
-//! generation shard, so nothing extra was ever resident — the
+//! virtual time, and materializes the generation shard by the group's
+//! [`ReshardPlan`]; [`HybridEngineRank::to_generation_traced`] is the
+//! same transition with telemetry, blocking or overlapped with the
+//! dispatch that caused it. [`HybridEngineRank::to_training`] drops
+//! generation-only weights; under the strided method the training shard
+//! is a sub-slice of the generation shard, cut back out by the plan from
+//! the one to the other, so nothing extra was ever resident — the
 //! zero-redundancy property, which the tests check on the resident
 //! parameter bytes.
 
 use hf_parallel::{
     shard::{gen_shard, train_shard},
-    GenGrouping, ShardLayout,
+    GenGrouping, ReshardPlan, ShardLayout,
 };
 use hf_simcluster::{CollectiveKind, Communicator, VirtualClock};
 use hf_telemetry::{SpanKind, Telemetry};
@@ -64,19 +67,16 @@ impl HybridEngineRank {
     /// Parameter bytes resident on this rank right now. After
     /// [`Self::to_generation`], the strided method holds exactly the
     /// generation shard (training weights are a sub-slice and reuse it);
-    /// the vanilla method additionally keeps the non-overlapping part of
-    /// the training shard.
+    /// the vanilla method additionally keeps the part of the training
+    /// shard its generation shard does not take from it.
     #[cfg(test)]
     fn resident_param_bytes(&self) -> usize {
         match &self.gen_buf {
             None => self.train_buf.len() * 4,
             Some(g) => {
-                let layers = self.layout.layers();
-                let tr = train_shard(&self.grouping.train, self.rank, layers);
-                let ge = gen_shard(&self.grouping, self.rank, layers);
-                let overlap = (tr.intersection_fraction(&ge) * self.layout.total_params() as f64)
-                    .round() as usize;
-                g.len() * 4 + (self.train_buf.len() - overlap) * 4
+                let reused = ReshardPlan::to_generation(&self.layout, &self.grouping, self.rank)
+                    .values_from(self.rank);
+                (g.len() + self.train_buf.len() - reused) * 4
             }
         }
     }
@@ -85,7 +85,7 @@ impl HybridEngineRank {
     /// micro-DP group (strided) or model-parallel group (vanilla),
     /// executed through `comm` with virtual-time charging, then local
     /// placement of every member's training shard into this rank's
-    /// generation shard.
+    /// generation shard by the group's [`ReshardPlan`].
     ///
     /// `comm` must be the communicator of this rank's
     /// [`GenGrouping::gather_group`], with
@@ -95,6 +95,13 @@ impl HybridEngineRank {
     ///
     /// Panics if the communicator size disagrees with the gather group.
     pub fn to_generation(&mut self, comm: &Communicator, clock: &mut VirtualClock) -> &[f32] {
+        self.gather(comm, clock);
+        self.gen_buf.as_deref().expect("just set")
+    }
+
+    /// [`Self::to_generation`]'s all-gather and placement; returns the
+    /// bytes the generation shard took from the group's other members.
+    fn gather(&mut self, comm: &Communicator, clock: &mut VirtualClock) -> usize {
         let group = self.grouping.gather_group(self.rank);
         assert_eq!(comm.size(), group.len(), "communicator/gather-group size mismatch");
         let my_pos = group.iter().position(|&r| r == self.rank).expect("member");
@@ -107,41 +114,11 @@ impl HybridEngineRank {
             CollectiveKind::AllGather,
             shard_bytes * comm.size() as f64,
         );
-
-        let layers = self.layout.layers();
-        let gshard = gen_shard(&self.grouping, self.rank, layers);
-        let gen_ranges = self.layout.ranges(&gshard);
-        let gen_len: usize = gen_ranges.iter().map(|r| r.len()).sum();
-        let mut buf = vec![0.0f32; gen_len];
-        // Each member's intersection with each generation range is one
-        // copy, in member order (a later member wins an overlap); the
-        // copied index ranges must cover the generation shard.
-        let mut placed: Vec<(usize, usize)> = Vec::new();
-        for (i, &src) in group.iter().enumerate() {
-            let data = &contributions[i].1;
-            let mut src_off = 0usize;
-            for sr in self.layout.ranges(&train_shard(&self.grouping.train, src, layers)) {
-                let mut gen_off = 0usize;
-                for gr in &gen_ranges {
-                    let (lo, hi) = (sr.start.max(gr.start), sr.end.min(gr.end));
-                    if lo < hi {
-                        let dst = gen_off + (lo - gr.start);
-                        buf[dst..dst + (hi - lo)]
-                            .copy_from_slice(&data[src_off + (lo - sr.start)..][..hi - lo]);
-                        placed.push((dst, dst + (hi - lo)));
-                    }
-                    gen_off += gr.len();
-                }
-                src_off += sr.len();
-            }
-        }
-        placed.sort_unstable();
-        let (covered, _) = placed.iter().fold((0, 0), |(covered, end), &(lo, hi)| {
-            (covered + hi.saturating_sub(lo.max(end)), end.max(hi))
-        });
-        assert_eq!(covered, gen_len, "gather group must cover the generation shard");
-        self.gen_buf = Some(buf);
-        self.gen_buf.as_deref().expect("just set")
+        let plan = ReshardPlan::to_generation(&self.layout, &self.grouping, self.rank);
+        let member =
+            |src| &contributions[group.iter().position(|&r| r == src).expect("member")].1[..];
+        self.gen_buf = Some(plan.apply(member));
+        (plan.dst_len() - plan.values_from(self.rank)) * 4
     }
 
     /// Whether the generation shard holds, bit for bit, what `params` —
@@ -170,17 +147,36 @@ impl HybridEngineRank {
     }
 
     /// [`Self::to_generation`] with telemetry: records the all-gather as
-    /// a communication span on `track` and counts the bytes this rank
-    /// receives from its gather-group peers — `(group_size − 1) ×
-    /// train_shard_bytes`, the per-GPU transition volume of Table 2.
-    /// Recording reads the clock but never advances it, so traced and
-    /// untraced transitions take identical virtual time.
+    /// a communication span on `track` and counts the bytes this rank's
+    /// generation shard takes from its gather-group peers — the per-GPU
+    /// transition volume of Table 2. Recording reads the clock but never
+    /// advances it, so traced and untraced transitions take identical
+    /// virtual time.
     ///
     /// `cause` is the causal-graph id of the dispatch that triggered
     /// this transition (0 = none). The span also carries a
     /// `collective` arg naming the gather instance (`tag@rounds`),
     /// identical on every member rank, from which hf-insight stitches
     /// collective-membership edges.
+    ///
+    /// `overlap_from: None` runs the all-gather on the rank's clock, as
+    /// [`Self::to_generation`] does. `Some(dispatch)`, for pipelined
+    /// execution, models the all-gather as having started at `dispatch`
+    /// — the virtual time the controller dispatched the call that needs
+    /// the generation weights — so it overlaps with whatever kept this
+    /// rank busy past that instant (typically the tail of the previous
+    /// train step draining from the mailbox). The collective then runs
+    /// on a scratch clock seeded from the rank's current time, so peer
+    /// lockstep and the gather's cost `dt` are those of the blocking
+    /// entry; only the charge against this rank's clock shrinks to the
+    /// portion of `dt` not already hidden, `max(0, dispatch + dt − now)`,
+    /// and the span, a counter and a digest record the hidden part
+    /// (`overlapped_s`, `…overlapped_us`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dispatch` is later than the rank's current time — a
+    /// dispatch cannot postdate the execution it caused.
     pub fn to_generation_traced(
         &mut self,
         comm: &Communicator,
@@ -188,72 +184,28 @@ impl HybridEngineRank {
         telemetry: &Telemetry,
         track: &str,
         cause: u64,
-    ) -> &[f32] {
-        let start = clock.now();
-        let recv_bytes = (comm.size() - 1) * self.train_buf.len() * 4;
-        let round0 = comm.rounds();
-        self.to_generation(comm, clock);
-        let round1 = comm.rounds();
-        if telemetry.is_enabled() {
-            telemetry.span_causal(
-                track,
-                "transition.to_generation",
-                SpanKind::Comm,
-                start,
-                clock.now(),
-                0,
-                &[cause],
-                &[
-                    ("recv_bytes", recv_bytes.to_string()),
-                    ("collective", format!("{}@{round0}..{round1}", comm.collective_tag())),
-                ],
-            );
-        }
-        telemetry.add_counter("transition.to_generation.recv_bytes", recv_bytes as u64);
-        telemetry.observe("transition.to_generation.seconds", clock.now() - start);
-        self.gen_buf.as_deref().expect("just set")
-    }
-
-    /// [`Self::to_generation_traced`] for pipelined execution: models
-    /// the all-gather as having started at `overlap_from` — the virtual
-    /// time the controller dispatched the call that needs the
-    /// generation weights — so it overlaps with whatever kept this rank
-    /// busy past that instant (typically the tail of the previous train
-    /// step draining from the mailbox). The collective itself runs on a
-    /// scratch clock seeded from the rank's current time, so peer
-    /// lockstep and the gather's cost `dt` are identical to the
-    /// blocking entry; only the charge against this rank's clock
-    /// shrinks to the portion of `dt` not already hidden:
-    /// `charged = max(0, overlap_from + dt − now)`.
-    ///
-    /// With `overlap_from == clock.now()` this is byte- and
-    /// time-identical to [`Self::to_generation_traced`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `overlap_from` is later than the rank's current time —
-    /// a dispatch cannot postdate the execution it caused.
-    #[allow(clippy::too_many_arguments)]
-    pub fn to_generation_overlapped(
-        &mut self,
-        comm: &Communicator,
-        clock: &mut VirtualClock,
-        telemetry: &Telemetry,
-        track: &str,
-        cause: u64,
-        overlap_from: f64,
-    ) -> &[f32] {
+        overlap_from: Option<f64>,
+    ) {
         let now = clock.now();
-        assert!(overlap_from <= now, "overlap_from {overlap_from} postdates the rank clock {now}");
-        let recv_bytes = (comm.size() - 1) * self.train_buf.len() * 4;
         let round0 = comm.rounds();
-        let mut scratch = *clock;
-        self.to_generation(comm, &mut scratch);
+        let (recv_bytes, overlapped) = match overlap_from {
+            None => (self.gather(comm, clock), None),
+            Some(dispatch) => {
+                assert!(dispatch <= now, "overlap_from {dispatch} postdates the rank clock {now}");
+                let mut scratch = *clock;
+                let recv_bytes = self.gather(comm, &mut scratch);
+                let dt = scratch.now() - now;
+                clock.sync_to((dispatch + dt).max(now));
+                (recv_bytes, Some(dt.min(now - dispatch)))
+            }
+        };
         let round1 = comm.rounds();
-        let dt = scratch.now() - now;
-        let overlapped = dt.min(now - overlap_from);
-        clock.sync_to((overlap_from + dt).max(now));
         if telemetry.is_enabled() {
+            let mut args = vec![
+                ("recv_bytes", recv_bytes.to_string()),
+                ("collective", format!("{}@{round0}..{round1}", comm.collective_tag())),
+            ];
+            args.extend(overlapped.map(|o| ("overlapped_s", format!("{o:.9}"))));
             telemetry.span_causal(
                 track,
                 "transition.to_generation",
@@ -262,21 +214,16 @@ impl HybridEngineRank {
                 clock.now(),
                 0,
                 &[cause],
-                &[
-                    ("recv_bytes", recv_bytes.to_string()),
-                    ("collective", format!("{}@{round0}..{round1}", comm.collective_tag())),
-                    ("overlapped_s", format!("{overlapped:.9}")),
-                ],
+                &args,
             );
         }
         telemetry.add_counter("transition.to_generation.recv_bytes", recv_bytes as u64);
-        telemetry.add_counter(
-            "transition.to_generation.overlapped_us",
-            (overlapped * 1e6).round() as u64,
-        );
         telemetry.observe("transition.to_generation.seconds", clock.now() - now);
-        telemetry.observe("transition.to_generation.overlapped_s", overlapped);
-        self.gen_buf.as_deref().expect("just set")
+        if let Some(o) = overlapped {
+            telemetry
+                .add_counter("transition.to_generation.overlapped_us", (o * 1e6).round() as u64);
+            telemetry.observe("transition.to_generation.overlapped_s", o);
+        }
     }
 
     /// Transitions generation → train: re-extracts the (possibly updated)
@@ -293,22 +240,8 @@ impl HybridEngineRank {
         if tr.is_subset_of(&ge) {
             // Zero-redundancy path: the training weights live inside the
             // generation buffer; copy them back out.
-            let gen_ranges = self.layout.ranges(&ge);
-            let mut cursor = 0usize;
-            let mut out = Vec::with_capacity(self.train_buf.len());
-            for gr in &gen_ranges {
-                for tr_range in self.layout.ranges(&tr) {
-                    let lo = tr_range.start.max(gr.start);
-                    let hi = tr_range.end.min(gr.end);
-                    if lo < hi {
-                        let off = cursor + (lo - gr.start);
-                        out.extend_from_slice(&g[off..off + (hi - lo)]);
-                    }
-                }
-                cursor += gr.len();
-            }
-            assert_eq!(out.len(), self.train_buf.len());
-            self.train_buf = out;
+            let plan = ReshardPlan::between(&self.layout, &[(self.rank, ge)], tr);
+            self.train_buf = plan.apply(|_| &g[..]);
         }
         // Vanilla / non-overlapping: the separately-kept training shard
         // is already authoritative; the generation buffer is dropped.
@@ -351,18 +284,18 @@ mod tests {
     use std::sync::Arc;
     use std::thread;
 
-    fn run_transition(method: GroupingMethod) -> (Vec<Vec<f32>>, Vec<f64>, ActorShards) {
-        let params: Vec<f32> = (0..4 * 32).map(|i| i as f32).collect();
-        let (engines, times, shards) = transition_of(method, &params);
-        let gens = engines.iter().map(|e| e.gen_buf().unwrap().to_vec()).collect();
-        (gens, times, shards)
-    }
+    /// Every rank is this far into its clock when the transition starts.
+    const START: f64 = 100.0;
 
     /// Every rank's engine after the train→generation transition of
-    /// `params` (`4 × 32` values) on actor 1-4-2, `t_g = 2`.
+    /// `params` (`4 × 32` values) on actor 1-4-2, `t_g = 2`, through
+    /// [`HybridEngineRank::to_generation_traced`] with the dispatch
+    /// `back` seconds before [`START`] (`None`: the blocking entry), and
+    /// the time each rank's clock was charged.
     fn transition_of(
         method: GroupingMethod,
         params: &[f32],
+        back: Option<f64>,
     ) -> (Vec<HybridEngineRank>, Vec<f64>, ActorShards) {
         let spec = ParallelSpec::new(1, 4, 2);
         let grouping = GenGrouping::new(spec, 1, 2, method);
@@ -372,11 +305,6 @@ mod tests {
         // Build one CommGroup per distinct gather group.
         let world = spec.world();
         let cluster = Arc::new(ClusterSpec::a100_with_gpus(world));
-        let mut engines: Vec<HybridEngineRank> = (0..world)
-            .map(|r| {
-                HybridEngineRank::new(r, grouping, layout.clone(), shards.train_buf(r).to_vec())
-            })
-            .collect();
         let mut groups: Vec<(Vec<usize>, CommGroup)> = Vec::new();
         for r in 0..world {
             let g = grouping.gather_group(r);
@@ -385,10 +313,14 @@ mod tests {
                 groups.push((g, CommGroup::new(devices)));
             }
         }
-        let handles: Vec<_> = engines
-            .drain(..)
-            .enumerate()
-            .map(|(r, mut eng)| {
+        let handles: Vec<_> = (0..world)
+            .map(|r| {
+                let mut eng = HybridEngineRank::new(
+                    r,
+                    grouping,
+                    layout.clone(),
+                    shards.train_buf(r).to_vec(),
+                );
                 let (ranks, grp) = groups
                     .iter()
                     .find(|(ranks, _)| ranks.contains(&r))
@@ -397,107 +329,49 @@ mod tests {
                 let pos = ranks.iter().position(|&x| x == r).unwrap();
                 let comm = Communicator::new(grp, pos, cluster.clone(), CommCostModel::default());
                 thread::spawn(move || {
+                    let tel = Telemetry::disabled();
                     let mut clock = VirtualClock::new();
-                    eng.to_generation(&comm, &mut clock);
-                    (eng, clock.now())
+                    clock.advance(START);
+                    let overlap_from = back.map(|back| START - back);
+                    eng.to_generation_traced(&comm, &mut clock, &tel, "gpu-0", 0, overlap_from);
+                    (eng, clock.now() - START)
                 })
             })
             .collect();
-        let (engines, times) = handles.into_iter().map(|h| h.join().unwrap()).unzip();
-        (engines, times, shards)
+        let (engines, charged) = handles.into_iter().map(|h| h.join().unwrap()).unzip();
+        (engines, charged, shards)
     }
 
-    /// Runs the strided transition on every rank through
-    /// `to_generation_overlapped` with the dispatch `back` seconds
-    /// before each rank's current time; returns per-rank generation
-    /// buffers, the time each rank's blocking baseline would have
-    /// finished at, and the overlapped finish times.
-    fn run_overlapped(back: f64) -> (Vec<Vec<f32>>, Vec<f64>, Vec<f64>, ActorShards) {
-        let spec = ParallelSpec::new(1, 4, 2);
-        let grouping = GenGrouping::new(spec, 1, 2, GroupingMethod::Strided);
-        let layout = ShardLayout::uniform(4, 32);
-        let params: Vec<f32> = (0..layout.total_params()).map(|i| i as f32).collect();
-        let shards = ActorShards::scatter(&params, layout.clone(), grouping);
-        let world = spec.world();
-        let cluster = Arc::new(ClusterSpec::a100_with_gpus(world));
-        let engines: Vec<HybridEngineRank> = (0..world)
-            .map(|r| {
-                HybridEngineRank::new(r, grouping, layout.clone(), shards.train_buf(r).to_vec())
-            })
-            .collect();
-        let mut groups: Vec<(Vec<usize>, CommGroup)> = Vec::new();
-        for r in 0..world {
-            let g = grouping.gather_group(r);
-            if !groups.iter().any(|(ranks, _)| ranks == &g) {
-                let devices = g.iter().map(|&x| DeviceId(x)).collect();
-                groups.push((g, CommGroup::new(devices)));
-            }
+    fn iota() -> Vec<f32> {
+        (0..4 * 32).map(|i| i as f32).collect()
+    }
+
+    fn assert_byte_exact(engines: &[HybridEngineRank], shards: &ActorShards) {
+        for (rank, eng) in engines.iter().enumerate() {
+            assert_eq!(eng.gen_buf().unwrap(), shards.reference_gen_buf(rank), "rank {rank}");
         }
-        let start = 100.0; // all ranks already `start` seconds in
-        let handles: Vec<_> = engines
-            .into_iter()
-            .enumerate()
-            .map(|(r, mut eng)| {
-                let (ranks, grp) = groups
-                    .iter()
-                    .find(|(ranks, _)| ranks.contains(&r))
-                    .expect("group exists")
-                    .clone();
-                let pos = ranks.iter().position(|&x| x == r).unwrap();
-                let comm = Communicator::new(grp, pos, cluster.clone(), CommCostModel::default());
-                thread::spawn(move || {
-                    let tel = hf_telemetry::Telemetry::disabled();
-                    let mut clock = VirtualClock::new();
-                    clock.advance(start);
-                    // What the blocking entry would charge (scratch run
-                    // shape): rerun below measures the real one.
-                    let before = clock.now();
-                    eng.to_generation_overlapped(
-                        &comm,
-                        &mut clock,
-                        &tel,
-                        "gpu-0",
-                        0,
-                        before - back,
-                    );
-                    (eng.gen_buf().unwrap().to_vec(), before, clock.now())
-                })
-            })
-            .collect();
-        let mut gens = Vec::new();
-        let mut befores = Vec::new();
-        let mut afters = Vec::new();
-        for h in handles {
-            let (g, b, a) = h.join().unwrap();
-            gens.push(g);
-            befores.push(b);
-            afters.push(a);
-        }
-        (gens, befores, afters, shards)
     }
 
     #[test]
     fn overlapped_transition_with_no_headroom_matches_blocking_cost() {
-        let (_, times_blocking, _) = run_transition(GroupingMethod::Strided);
-        let (gens, befores, afters, shards) = run_overlapped(0.0);
-        for (rank, g) in gens.iter().enumerate() {
-            assert_eq!(g, &shards.reference_gen_buf(rank), "rank {rank}");
-            let charged = afters[rank] - befores[rank];
+        let (_, blocking, _) = transition_of(GroupingMethod::Strided, &iota(), None);
+        let (engines, charged, shards) = transition_of(GroupingMethod::Strided, &iota(), Some(0.0));
+        assert_byte_exact(&engines, &shards);
+        for (rank, (charged, blocking)) in charged.iter().zip(&blocking).enumerate() {
             assert!(
-                (charged - times_blocking[rank]).abs() < 1e-12,
-                "rank {rank}: zero headroom must charge the full gather ({charged} vs {})",
-                times_blocking[rank]
+                (charged - blocking).abs() < 1e-12,
+                "rank {rank}: zero headroom must charge the full gather ({charged} vs {blocking})",
             );
         }
     }
 
     #[test]
     fn overlapped_transition_hides_the_gather_behind_queue_wait() {
-        let (gens, befores, afters, shards) = run_overlapped(1e6);
-        for (rank, g) in gens.iter().enumerate() {
-            assert_eq!(g, &shards.reference_gen_buf(rank), "rank {rank}");
+        let (engines, charged, shards) = transition_of(GroupingMethod::Strided, &iota(), Some(1e6));
+        assert_byte_exact(&engines, &shards);
+        for (rank, charged) in charged.iter().enumerate() {
             assert_eq!(
-                afters[rank], befores[rank],
+                *charged, 0.0,
                 "rank {rank}: a dispatch far in the past fully hides the gather"
             );
         }
@@ -505,27 +379,23 @@ mod tests {
 
     #[test]
     fn threaded_strided_transition_is_byte_exact() {
-        let (gens, times, shards) = run_transition(GroupingMethod::Strided);
-        for (rank, g) in gens.iter().enumerate() {
-            assert_eq!(g, &shards.reference_gen_buf(rank), "rank {rank}");
-        }
-        assert!(times.iter().all(|&t| t > 0.0), "all-gather must cost time");
+        let (engines, charged, shards) = transition_of(GroupingMethod::Strided, &iota(), None);
+        assert_byte_exact(&engines, &shards);
+        assert!(charged.iter().all(|&t| t > 0.0), "all-gather must cost time");
     }
 
     #[test]
     fn threaded_vanilla_transition_is_byte_exact() {
-        let (gens, _, shards) = run_transition(GroupingMethod::Vanilla);
-        for (rank, g) in gens.iter().enumerate() {
-            assert_eq!(g, &shards.reference_gen_buf(rank), "rank {rank}");
-        }
+        let (engines, _, shards) = transition_of(GroupingMethod::Vanilla, &iota(), None);
+        assert_byte_exact(&engines, &shards);
     }
 
     #[test]
     fn replica_check_compares_bits() {
-        let mut params: Vec<f32> = (0..4 * 32).map(|i| i as f32).collect();
+        let mut params = iota();
         params[5] = f32::NAN;
         for method in [GroupingMethod::Strided, GroupingMethod::Vanilla] {
-            let (engines, _, _) = transition_of(method, &params);
+            let (engines, _, _) = transition_of(method, &params, None);
             // A NaN every replica holds is no drift.
             assert!(engines.iter().all(|e| e.gen_matches(&params)), "{method:?}: shared NaN");
             // Rank 0's generation shard starts at parameter 0, which it

@@ -11,16 +11,18 @@
 //!   (all-gather across all GPUs, layer by layer), HybridFlow-V
 //!   (all-gather within each training model-parallel group), and
 //!   HybridFlow (one all-gather per micro-DP group, zero redundancy).
-//! * [`reshard`] — *functional* resharding over real flat buffers: each
-//!   rank holds its training shard; the transition reconstructs each
-//!   rank's generation shard using only data available within the
-//!   gather group, and tests assert byte-exact equality with the
-//!   reference full model. This is the mechanism Figure 8 illustrates.
 //! * [`engine`] — a per-rank engine state machine
 //!   ([`engine::HybridEngineRank`]) that performs the train→gen gather
 //!   through a real [`hf_simcluster::Communicator`] all-gather, so the
-//!   transition also runs under the virtual NCCL with virtual-time
-//!   costs.
+//!   transition runs under the virtual NCCL with virtual-time costs,
+//!   then places the gathered training shards into the rank's
+//!   generation shard by one [`hf_parallel::ReshardPlan`]. This is the
+//!   mechanism Figure 8 illustrates.
+//! * [`reshard`] — the same plan over local buffers, without the
+//!   communicator: [`ActorShards`] scatters a full model into training
+//!   shards and rebuilds each rank's generation shard from its gather
+//!   group's alone, which the tests hold byte-exact against the
+//!   reference full model, with the received bytes against Table 2.
 
 #![warn(missing_docs)]
 

@@ -4,13 +4,15 @@
 //! training shards (as Megatron would store them), then rebuilds each
 //! rank's *generation* shard using only the buffers held by a designated
 //! gather group — the micro-DP group under the strided method, or the
-//! whole model-parallel group under the vanilla method. Byte-exact
-//! equality with slices of the reference model proves the resharding
-//! correct (the property Figure 8 argues pictorially).
+//! whole model-parallel group under the vanilla method — by the same
+//! [`ReshardPlan::to_generation`] the engine places its all-gather's
+//! contributions by. Byte-exact equality with slices of the reference
+//! model proves that placement correct (the property Figure 8 argues
+//! pictorially).
 
 use hf_parallel::{
     shard::{gen_shard, train_shard},
-    GenGrouping, ShardLayout,
+    GenGrouping, ReshardPlan, ShardLayout,
 };
 
 /// Per-rank training-shard buffers of one actor model.
@@ -32,17 +34,11 @@ impl ActorShards {
     /// pipeline size does not divide the layer count.
     pub fn scatter(params: &[f32], layout: ShardLayout, grouping: GenGrouping) -> Self {
         assert_eq!(params.len(), layout.total_params(), "param buffer size mismatch");
-        let layers = layout.layers();
-        let world = grouping.train.world();
-        let mut train_bufs = Vec::with_capacity(world);
-        for rank in 0..world {
-            let sh = train_shard(&grouping.train, rank, layers);
-            let mut buf = Vec::with_capacity(layout.shard_params(&sh));
-            for r in layout.ranges(&sh) {
-                buf.extend_from_slice(&params[r]);
-            }
-            train_bufs.push(buf);
-        }
+        let train_bufs = (0..grouping.train.world())
+            .map(|rank| {
+                layout.extract(&train_shard(&grouping.train, rank, layout.layers()), params)
+            })
+            .collect();
         ActorShards { layout, grouping, full: params.to_vec(), train_bufs }
     }
 
@@ -54,75 +50,22 @@ impl ActorShards {
     /// The reference generation-shard contents for `rank` (what the
     /// transition must reconstruct), sliced from the full model.
     pub fn reference_gen_buf(&self, rank: usize) -> Vec<f32> {
-        let sh = gen_shard(&self.grouping, rank, self.layout.layers());
-        let mut buf = Vec::with_capacity(self.layout.shard_params(&sh));
-        for r in self.layout.ranges(&sh) {
-            buf.extend_from_slice(&self.full[r]);
-        }
-        buf
+        self.layout.extract(&gen_shard(&self.grouping, rank, self.layout.layers()), &self.full)
     }
 
     /// Reconstructs `rank`'s generation shard using *only* the training
     /// buffers of its gather group (the functional all-gather).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the gather group's shards do not cover the generation
-    /// shard (impossible for the two supported methods).
     pub fn reshard_to_gen(&self, rank: usize) -> Vec<f32> {
-        let layers = self.layout.layers();
-        let gshard = gen_shard(&self.grouping, rank, layers);
-        let gen_ranges = self.layout.ranges(&gshard);
-        let gen_len: usize = gen_ranges.iter().map(|r| r.len()).sum();
-
-        // Map flat model index -> position in the generation buffer.
-        let pos_of = |flat: usize| -> Option<usize> {
-            let mut off = 0;
-            for r in &gen_ranges {
-                if r.contains(&flat) {
-                    return Some(off + (flat - r.start));
-                }
-                off += r.len();
-            }
-            None
-        };
-
-        let mut buf = vec![f32::NAN; gen_len];
-        let mut filled = 0usize;
-        for &src in &self.grouping.gather_group(rank) {
-            let src_shard = train_shard(&self.grouping.train, src, layers);
-            let src_ranges = self.layout.ranges(&src_shard);
-            let mut cursor = 0usize;
-            for r in src_ranges {
-                for flat in r {
-                    if let Some(p) = pos_of(flat) {
-                        if buf[p].is_nan() {
-                            filled += 1;
-                        }
-                        buf[p] = self.train_bufs[src][cursor];
-                    }
-                    cursor += 1;
-                }
-            }
-        }
-        assert_eq!(filled, gen_len, "gather group must cover the generation shard exactly");
-        buf
+        let plan = ReshardPlan::to_generation(&self.layout, &self.grouping, rank);
+        plan.apply(|src| &self.train_bufs[src][..])
     }
 
     /// Bytes rank `rank` must *receive* during the transition (its
     /// generation shard minus what it already holds locally). Under the
     /// strided method this equals the Table 2 per-GPU volume.
     pub fn recv_bytes(&self, rank: usize) -> usize {
-        let gen_len: usize = {
-            let sh = gen_shard(&self.grouping, rank, self.layout.layers());
-            self.layout.shard_params(&sh)
-        };
-        let local_overlap = {
-            let tr = train_shard(&self.grouping.train, rank, self.layout.layers());
-            let ge = gen_shard(&self.grouping, rank, self.layout.layers());
-            (tr.intersection_fraction(&ge) * self.layout.total_params() as f64).round() as usize
-        };
-        (gen_len - local_overlap) * 4
+        let plan = ReshardPlan::to_generation(&self.layout, &self.grouping, rank);
+        (plan.dst_len() - plan.values_from(rank)) * 4
     }
 }
 
@@ -213,7 +156,7 @@ mod tests {
         // Table 2: (tp − t_g p_g)/(t_g p_g · tp) · M = (8−2)/(2·8) · M.
         let expect = total_bytes * 6.0 / 16.0;
         for rank in 0..16 {
-            assert!((s.recv_bytes(rank) as f64 - expect).abs() < 1.0, "rank {rank}");
+            assert_eq!(s.recv_bytes(rank) as f64, expect, "rank {rank}");
         }
     }
 

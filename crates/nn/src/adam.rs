@@ -1,4 +1,9 @@
 //! Adam optimizer (paper §8.1: actor and critic are updated via Adam).
+//!
+//! Measured and not built: a faster step (standalone at 26 816
+//! parameters). The step is bound by its four divides and one square
+//! root per element; a zipped loop measured 0.95–1.05× and an AVX2
+//! instantiation 1.05–1.15×, no end-to-end gain.
 
 /// Adam with bias correction over a flat parameter buffer.
 #[derive(Debug, Clone)]

@@ -1,20 +1,58 @@
-//! `e^x` in `f32`, the one `exp` of hf-nn (DESIGN.md §2, "one `exp`").
+//! `e^x` in `f32`, the one `exp` of hf-nn.
 //!
-//! A port of glibc's `expf` as its FMA variant computes it (`__expf_fma`,
-//! the one glibc's ifunc picks on a CPU with FMA and AVX2), step for
-//! step: `x·N/ln 2 = k + r` with `N = 32`, `2^(k/N)` from a 32-entry
-//! table, `2^(r/N)` by a cubic, in `f64`, rounded once to `f32`. Each
-//! `mul_add` here is a fused multiply-add glibc's FMA build makes, and no
-//! other operation fuses, so every input gives `f32::exp`'s bits on such
-//! a host — all `2^32` of them (the oracle tests below). The constants
-//! are glibc's `__exp2f_data`.
+//! Every `e^x` in hf-nn is [`exp`]: SiLU's `σ` in the tape, the stage
+//! forward and both decoders, `softmax_rows` (the log-prob gather and the
+//! entropy), `tape::log_probs`, the PPO ratio, `token_log_prob`,
+//! `sample_softmax` and [`crate::sum_exp`], which the `tp_inference`
+//! log-softmax in hf-rlhf calls.
 //!
-//! The special values are selected, not branched to, so a loop of it
-//! vectorises across lanes: the input is clamped into the table's range
-//! first, and overflow, underflow and NaN replace the result after. Under
-//! [`crate::kernels::on_host`] a `mul_add` is one instruction and eight
-//! lanes cost two 4-wide `f64` vectors; outside it a `mul_add` is a call
-//! to libm's `fma`, which rounds the same.
+//! It is a port of glibc's `expf` as its FMA variant computes it
+//! (`__expf_fma`, glibc 2.28 onward; the ifunc picks it on a CPU with FMA
+//! and AVX2), step for step: `kd = fma(N/ln 2, x, 1.5·2^52)`,
+//! `r = fma(N/ln 2, x, −kd)` with `N = 32`, so `x·N/ln 2 = k + r`;
+//! `2^(k/N)` from a 32-entry table and `2^(r/N)` by a cubic in `r` with
+//! two fused steps, all in `f64`, rounded once to `f32`. Each `mul_add`
+//! here is a fused multiply-add glibc's FMA build makes, and no other
+//! operation fuses. The constants are glibc's `__exp2f_data`.
+//!
+//! The special values are selected with bit masks, not branched to: the
+//! input is clamped into the table's range first, and overflow (`+∞`
+//! above `ln 2^128`), underflow (`0` below `ln 2^-150`, `2^-149` below
+//! `ln 2^-149`) and NaN (`x + x`) replace the result after. With a
+//! branch, LLVM sank the table lookup into one arm and no loop of it
+//! vectorised; without one, a loop of it inside
+//! [`crate::kernels::on_host`] is two 4-wide `f64` vectors per eight
+//! lanes, the table read by scalar loads (LLVM does not emit gathers for
+//! this target). Outside `on_host` a `mul_add` is a call to libm's
+//! `fma`, which rounds the same.
+//!
+//! * **What is checked.** On all `2^32` inputs the port is `f32::exp` bit
+//!   for bit on an x86-64 glibc host with FMA, NaN payloads included
+//!   (`exp_is_libm_on_every_input`, `#[ignore]`d, ~1 min in release, its
+//!   own CI step); a strided sweep of 1 M patterns and every pattern
+//!   within 64 ulps of each threshold, `±0`, `±∞`, the subnormal edge and
+//!   the NaNs runs in the tier of unit tests, through both targets and as
+//!   a scalar call. Both say so and pass where libm is not that function.
+//!   The exhaustive test tells a fused `r` from an unfused one (2 inputs
+//!   differ); it cannot tell the cubic's last step fused from unfused,
+//!   which rounds to the same `f32` on every input.
+//! * **What "every host computes the same bits" means.** Before the port
+//!   hf-nn called the host's `expf`: glibc's non-FMA build differs from
+//!   the FMA one on 2 of the `2^32` inputs (`x = 32.564632` and
+//!   `−63.09946`, 1 ulp each; the same two an unfused `r` gives), and
+//!   other libms differ more. The port is IEEE arithmetic only (`mul_add`
+//!   rounds once on every target, an instruction or libm's `fma`), so
+//!   `exp`, like every product, gives the same bits on every host. `ln`
+//!   (log-probs and the entropy's `ln p`) and the `tp_inference` branch's
+//!   `z.ln()` still call the host's `logf`: the claim holds for
+//!   everything but those.
+//! * **What it costs.** In `on_host` a sigmoid over the port reads about
+//!   3 ns a value against 5.4 ns through libm, and the GRPO actor's
+//!   forward SiLU fell from 256 to 205 ms per 40 passes (its two copies,
+//!   not its `exp`, are now most of it). Outside `on_host` a `mul_add` is
+//!   a call to libm's `fma` and the port costs ~27 ns a value, five times
+//!   libm's: so no caller outside hf-nn gets the scalar function, only
+//!   `sum_exp`, which runs its loop inside.
 
 /// `2^(i/N)` as bits, less `i << 47`: `T[k % N] + (k << 47)` is the bits
 /// of `2^(k/N)` for an integer `|k| < 150·N`.

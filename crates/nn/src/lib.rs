@@ -13,11 +13,12 @@
 //!   replaced (DESIGN.md §2, "kernel contract").
 //! * `expf` (private) — the one `e^x` of hf-nn: glibc's `expf` (its
 //!   FMA variant) ported step for step, branch-free so its loops
-//!   vectorise (DESIGN.md §2, "one `exp`"); [`sum_exp`] carries it to
+//!   vectorise (what is checked and what it costs are in its module
+//!   docs); [`sum_exp`] carries it to
 //!   callers outside the crate.
 //! * `panels` (private) — the one activation layout: the kernel's lane
 //!   panels, shared by the tape, the stage forward and the decoder
-//!   (DESIGN.md §2, "activation layout").
+//!   (its module docs hold the layout's rules and measurements).
 //! * [`tape`] — tape-based reverse-mode autograd with the fused ops RLHF
 //!   needs (log-prob gather, PPO clip objective, clipped value loss).
 //! * [`model`] — [`model::TinyLm`]: embedding → L residual mixer blocks

@@ -1,16 +1,106 @@
-//! The one activation layout inside hf-nn (DESIGN.md §2, "activation
-//! layout"): a `[rows × cols]` activation held as the microkernel's lane
-//! panels. Rows `8g..8g + 8` form panel `g`, `cols` steps of [`LANES`]
-//! values each, so element `(r, c)` sits at step `c` of panel `r / 8`,
-//! lane `r % 8`. The tape's values and gradients, the stage forward's
-//! stream and the decoder's `[feature][lane]` buffers are all [`Panels`]:
-//! `x·wᵀ` and `g·w` read a panel in place and store each output column's
-//! eight sums as one vector.
+//! The one activation layout inside hf-nn: a `[rows × cols]` activation
+//! held as the microkernel's lane panels. The tape's values and
+//! gradients, the stage forward's hidden stream and the decoder's
+//! `[feature][lane]` buffers are all [`Panels`].
 //!
-//! The lanes past the last row of a ragged last panel are padding. They
-//! may hold any value — whatever the row-wise ops made of them — and are
-//! never read back: a row reduction, a weight gradient, the skip-zero
-//! scan and every row-major read-out walk the `rows` real rows only.
+//! * **What a panel is.** Rows `8g..8g + 8` form panel `g`, `cols` steps
+//!   of [`LANES`] values each, so element `(r, c)` sits at step `c` of
+//!   panel `r / 8`, lane `r % 8`. `x·wᵀ` and `g·w` read that panel in
+//!   place as their lane operand and store each output column's eight
+//!   sums as one vector, so a product neither packs its input nor
+//!   scatters its output. A one-column activation (log-probs, values,
+//!   per-segment losses) is its rows in order and reads as a slice.
+//! * **Where conversions happen.** Row-major data exists only at the
+//!   boundaries. In: `Tape::leaf`, and the tensor a stage forward is
+//!   handed (`ShardedLm::embed`'s, or a received pipeline hand-off); the
+//!   tape's, the stage's and the decoder's own embeddings write panels
+//!   directly. Out: `Tape::value` and `Tape::grad`, logits, log-probs and
+//!   values, the TP all-reduce partial (the closure of `forward_stage`
+//!   still receives the row-major `[T × hidden]` partial; its sum is read
+//!   back into panels) and the pipeline hand-off.
+//! * **What padding lanes may hold, and why they never enter a sum.** The
+//!   lanes past the last row of a ragged last panel may hold anything:
+//!   the cheap elementwise ops compute them and products carry them as
+//!   lanes of their own. The ops that cost a call per value (`exp`, `ln`)
+//!   skip them: [`Panels::map_real`] runs the whole panels as one flat
+//!   loop and gathers a ragged panel's real lanes into a buffer on the
+//!   stack for the same loop, so a one-row panel pays one `exp` a step,
+//!   not eight. `ppo_wide_small`, whose every rank decodes one sequence,
+//!   read 0.990× (1/6 pairs) while the decoder paid eight and sampling
+//!   went through a per-chunk iterator, and 1.026× (7/8) with the gather
+//!   and a callback per chunk. Lanes never mix, so padding could reach a
+//!   real value only through code that walks rows, and all of it walks
+//!   the real rows only: the row reductions (`cum_mean`, `mean_all` in
+//!   its row-major summation order, softmax, the losses, the RMSNorm and
+//!   embedding gradients), `gᵀ·x`'s conversions, the skip-zero scan and
+//!   every read-out. Bytes and virtual time are charged on `rows × cols`,
+//!   never on a padded length. Tests poison the padding with NaN
+//!   (`with_padding`): `padding_lanes_never_reach_a_result`
+//!   (`model.rs`) holds stacked forward values, each segment's loss and
+//!   parameter gradient and the stage forward bit-equal to per-sequence
+//!   references over 1–70 rows cut anywhere, and the skip-zero scans'
+//!   count equal under NaN and zero padding
+//!   (`padding_never_enters_a_skip_zero_scan` in `kernels.rs` also plants
+//!   a zero and an infinity so that neither scan's count is 0), and SiLU,
+//!   `softmax_rows` and `tape::log_probs` of the stacked logits bit-equal
+//!   under NaN and zero padding (`both_instantiations_…` also holds their
+//!   NaN padding lanes NaN); `crates/rlhf/tests/tp_inference_bytes.rs`
+//!   pins what a ragged `tp_inference` pass puts on the wire on 1-2-2 and
+//!   2-1-2.
+//! * **Why `gᵀ·x` converts.** Its output element is a sum over rows, so
+//!   no lane may hold a row: its lanes are `x`'s columns, and its output
+//!   is the row-major flat gradient the tape writes in place, `[k × n]`
+//!   with `n` = `x`'s columns. So each tape op transposes all of `x`'s
+//!   rows once into panels of its columns ([`Panels::transpose`]) and
+//!   reads `g` out row-major once ([`Panels::row_major`]; the expand
+//!   reads it once for both of its weights), both by moves of 8×8 lanes
+//!   that do no arithmetic, and each segment's call reads its own
+//!   contiguous steps of both in place (its product reads `g` a row of
+//!   adjacent values at a time; read in place from lane panels, such a
+//!   product measured 3–4× slower than the read-out costs, and a whole
+//!   actor pass 1.02× slower). Converting both again for every segment
+//!   and every weight, with `g`'s zero scan on every call, is what this
+//!   replaced. Each output row's eight sums are then eight adjacent
+//!   values of the flat gradient, stored or added as one vector; with
+//!   `g`'s columns as the lanes instead, every sum was scattered to its
+//!   own row (`gᵀ·x` was 14.6 % of `ppo_colocated`'s profile).
+//!   Multiplication commutes exactly and the rows are still summed in
+//!   ascending order, so the bits are the same; a zero of `g` is a
+//!   broadcast value, which the masked terms (`NnSkipB`) leave out by the
+//!   value, not by the lane.
+//!
+//! **Measured and not built** (scratch copies; EXPERIMENTS.md,
+//! "activations in lane panels"):
+//!
+//! * *16 lanes under `avx512f`.* `grpo_long_rollout` read 1.15× in
+//!   calibrated time, but the raw iteration p50 did not move (42.07
+//!   against 42.16 ms): the benchmark's reference kernel slowed from
+//!   1.41× to 1.65–1.85× of its reference time, so the calibration
+//!   credited a frequency license, not faster code.
+//! * *16 lanes under `avx2`:* 0.78×, from register spills.
+//! * *`NC = 8` under AVX2:* `grpo` 0.88×, `ppo_colocated` 0.63×.
+//! * *A buffered transpose store with the row-major layout kept* (one
+//!   transpose per panel inside the product): +3–5 % end to end on
+//!   `grpo_long_rollout` and `ppo_colocated`, about a third of what the
+//!   layout gives.
+//! * *The RMSNorm backward's `1 / rms` kept from the forward, its `dx`
+//!   step kept out of line* (inlined, LLVM vectorises that loop across
+//!   steps and gathers each lane's values), *and `cum_mean`'s backward
+//!   turned 8×8 blocks at a time*: in A/Bs of whole GRPO actor passes the
+//!   first read 1.00×, the second 1.01–1.04× and the third 1.7–1.9× the
+//!   plain loops' time.
+//! * *RMSNorm inside `on_host`*: `rmsnorm_into` and `rmsnorm_backward`
+//!   with eight lanes as one ymm (the `dx` loop then vectorises on ymm
+//!   with shuffles) read 1.002× on whole GRPO actor passes, 0.996× on
+//!   forward-only passes and 1.008× on decoding (paired medians of 60
+//!   alternating in-process runs, 30/60, 25/60 and 43/60 faster).
+//! * *`cum_mean` and its backward as one scan over the transposed panels*
+//!   (columns as lanes, rows as steps, the same per-column add order):
+//!   the forward `cum_mean` rose from 19–20 to 22–24 ms per 40 GRPO actor
+//!   passes — the two transposes cost more than the row walk saves — and
+//!   the backward stayed at 23–24 ms, also with the scan inside
+//!   `on_host`.
+//! * *SiLU inside the decoder's second expand store*: decoding 0.67×.
 
 use std::ops::Range;
 

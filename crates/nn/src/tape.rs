@@ -19,7 +19,7 @@
 //! segment.
 //!
 //! **Layout.** Every value and gradient on the tape is held in the
-//! kernel's lane panels (DESIGN.md §2, "activation layout"): `x·wᵀ` and
+//! kernel's lane panels (the `panels` module's docs): `x·wᵀ` and
 //! `g·w` read and write them in place, and only [`Tape::leaf`],
 //! [`Tape::value`] and [`Tape::grad`] convert from or to row-major.
 //!

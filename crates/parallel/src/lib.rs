@@ -11,9 +11,10 @@
 //!   `Strided` method, plus micro-DP / generation-TP / generation-PP
 //!   group enumeration.
 //! * [`shard`] — which slice of the model each rank owns under a layout:
-//!   2-D (layer-range × column-fraction) rectangles whose intersections
-//!   drive the Table 2 redundancy accounting and the functional
-//!   resharding in `hf-hybridengine`.
+//!   2-D (layer-range × column-fraction) rectangles, and the one
+//!   [`ReshardPlan`] built from their ranges' intersections: the copies
+//!   `hf-hybridengine`'s transition places, and the bytes Table 2
+//!   counts.
 //! * [`zero`] — ZeRO / FSDP flat sharding descriptors for the baseline
 //!   engines.
 
@@ -25,6 +26,6 @@ pub mod spec;
 pub mod zero;
 
 pub use groups::{GenCoord, GenGrouping, GroupingMethod};
-pub use shard::{ModelShard, ShardLayout};
+pub use shard::{ModelShard, ReshardPlan, ShardLayout};
 pub use spec::{ParallelSpec, TrainCoord};
 pub use zero::{ZeroSpec, ZeroStage};

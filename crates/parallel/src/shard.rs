@@ -3,21 +3,20 @@
 //! A transformer's weights are partitioned along two axes: pipeline
 //! parallelism splits *layers* across stages, and tensor parallelism
 //! splits *each weight matrix* into column/row slices. A rank's shard is
-//! therefore a rectangle in (layer × column-fraction) space. Shard
-//! rectangles let us compute exactly the quantities in Table 2:
+//! therefore a rectangle in (layer × column-fraction) space, its column
+//! fraction an exact rational, so the nesting check
+//! ([`ModelShard::is_subset_of`]; zero redundancy means `train ⊆ gen`)
+//! never suffers float error.
 //!
-//! * the overlap between a rank's training shard and generation shard
-//!   (zero-redundancy means `train ⊆ gen`),
-//! * the redundant memory `|train \ gen|` a rank must keep to preserve
-//!   training weights during generation,
-//! * the bytes each rank must fetch during the transition,
-//!
-//! and [`ShardLayout`] maps rectangles to concrete index ranges over a
-//! flattened parameter vector, so `hf-hybridengine` can physically
-//! reshard the tiny real models from `hf-nn` and assert byte equality.
-//!
-//! Column fractions are kept as exact rationals over a common
-//! denominator, so nesting checks never suffer float error.
+//! [`ShardLayout`] maps rectangles to concrete index ranges over a
+//! flattened parameter vector, and [`ReshardPlan`] intersects those
+//! ranges into the copies that build one shard's buffer out of others'.
+//! The plan's integer lengths are Table 2's quantities: the bytes a rank
+//! fetches during the transition, and the part of its training shard
+//! (`|train \ gen|`) it must keep beside its generation shard. So
+//! `hf-hybridengine` physically reshards the tiny real models from
+//! `hf-nn`, asserts byte equality and counts the bytes it moved, all by
+//! one plan.
 
 use crate::groups::GenGrouping;
 use crate::spec::ParallelSpec;
@@ -41,40 +40,10 @@ pub struct ModelShard {
 }
 
 impl ModelShard {
-    /// Fraction of the whole model this shard covers, in `[0, 1]`.
-    pub fn fraction(&self) -> f64 {
-        let layers = (self.layer_end - self.layer_start) as f64 / self.layers_total as f64;
-        let cols = (self.col_end - self.col_start) as f64 / self.col_den as f64;
-        layers * cols
-    }
-
     fn at_den(self, den: usize) -> (usize, usize) {
         assert_eq!(den % self.col_den, 0, "denominators must be compatible");
         let k = den / self.col_den;
         (self.col_start * k, self.col_end * k)
-    }
-
-    /// Fraction of the whole model covered by `self ∩ other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two shards describe different `layers_total`.
-    pub fn intersection_fraction(&self, other: &ModelShard) -> f64 {
-        assert_eq!(self.layers_total, other.layers_total);
-        let l0 = self.layer_start.max(other.layer_start);
-        let l1 = self.layer_end.min(other.layer_end);
-        if l1 <= l0 {
-            return 0.0;
-        }
-        let den = lcm(self.col_den, other.col_den);
-        let (a0, a1) = self.at_den(den);
-        let (b0, b1) = other.at_den(den);
-        let c0 = a0.max(b0);
-        let c1 = a1.min(b1);
-        if c1 <= c0 {
-            return 0.0;
-        }
-        ((l1 - l0) as f64 / self.layers_total as f64) * ((c1 - c0) as f64 / den as f64)
     }
 
     /// Whether `self` is entirely contained in `other`.
@@ -87,14 +56,6 @@ impl ModelShard {
         let (a0, a1) = self.at_den(den);
         let (b0, b1) = other.at_den(den);
         a0 >= b0 && a1 <= b1
-    }
-
-    /// Fraction of the whole model in `self \ other` — the redundant
-    /// training-weight memory of Table 2 when `self` is the training shard
-    /// and `other` the generation shard.
-    #[cfg(test)]
-    fn minus_fraction(&self, other: &ModelShard) -> f64 {
-        self.fraction() - self.intersection_fraction(other)
     }
 }
 
@@ -236,6 +197,119 @@ impl ShardLayout {
     pub fn shard_params(&self, shard: &ModelShard) -> usize {
         self.ranges(shard).iter().map(|r| r.len()).sum()
     }
+
+    /// `shard`'s buffer cut out of `full`, the whole flat vector: its
+    /// ranges concatenated in ascending order.
+    pub fn extract<T: Clone>(&self, shard: &ModelShard, full: &[T]) -> Vec<T> {
+        let mut buf = Vec::with_capacity(self.shard_params(shard));
+        for r in self.ranges(shard) {
+            buf.extend_from_slice(&full[r]);
+        }
+        buf
+    }
+}
+
+/// One copy of a [`ReshardPlan`]: `len` values from offset `src_off` of
+/// rank `src_rank`'s shard buffer to offset `dst_off` of the destination
+/// buffer.
+#[derive(Debug, PartialEq)]
+struct ShardCopy {
+    src_rank: usize,
+    src_off: usize,
+    dst_off: usize,
+    len: usize,
+}
+
+/// The copies that build one shard's buffer out of other shards' buffers
+/// (paper §5, Fig. 8): after the transition's all-gather, a rank places
+/// its gather group's training shards into its generation shard by this
+/// plan, and after generation it cuts its training shard back out of
+/// the generation shard by another.
+#[derive(Debug)]
+pub struct ReshardPlan {
+    /// In destination order, tiling `0..dst_len` exactly.
+    copies: Vec<ShardCopy>,
+    dst_len: usize,
+}
+
+impl ReshardPlan {
+    /// The plan that fills `dst` from `sources`, each a rank and the
+    /// shard its buffer holds (laid out as [`ShardLayout::ranges`]): one
+    /// copy per nonempty intersection of a source range with a
+    /// destination range.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the copies tile `dst` exactly: a destination value
+    /// no source holds (a gap) or two sources hold (an overlap).
+    pub fn between(layout: &ShardLayout, sources: &[(usize, ModelShard)], dst: ModelShard) -> Self {
+        let dst_ranges = layout.ranges(&dst);
+        let mut copies = Vec::new();
+        for &(src_rank, shard) in sources {
+            let mut src_off = 0;
+            for sr in layout.ranges(&shard) {
+                let mut dst_off = 0;
+                for dr in &dst_ranges {
+                    let (lo, hi) = (sr.start.max(dr.start), sr.end.min(dr.end));
+                    if lo < hi {
+                        copies.push(ShardCopy {
+                            src_rank,
+                            src_off: src_off + (lo - sr.start),
+                            dst_off: dst_off + (lo - dr.start),
+                            len: hi - lo,
+                        });
+                    }
+                    dst_off += dr.len();
+                }
+                src_off += sr.len();
+            }
+        }
+        copies.sort_unstable_by_key(|c| c.dst_off);
+        let dst_len = dst_ranges.iter().map(|r| r.len()).sum();
+        let mut end = 0;
+        for c in &copies {
+            assert!(c.dst_off <= end, "reshard sources leave a gap at destination offset {end}");
+            assert!(
+                c.dst_off == end,
+                "reshard sources overlap at destination offset {}",
+                c.dst_off
+            );
+            end += c.len;
+        }
+        assert!(end == dst_len, "reshard sources leave a gap at destination offset {end}");
+        ReshardPlan { copies, dst_len }
+    }
+
+    /// The 3D-HybridEngine transition's plan: `rank`'s generation shard
+    /// under `grouping`, built from its gather group's training shards
+    /// ([`GenGrouping::gather_group`]).
+    pub fn to_generation(layout: &ShardLayout, grouping: &GenGrouping, rank: usize) -> Self {
+        let layers = layout.layers();
+        let sources: Vec<_> = (grouping.gather_group(rank).into_iter())
+            .map(|src| (src, train_shard(&grouping.train, src, layers)))
+            .collect();
+        Self::between(layout, &sources, gen_shard(grouping, rank, layers))
+    }
+
+    /// Values in the destination buffer.
+    pub fn dst_len(&self) -> usize {
+        self.dst_len
+    }
+
+    /// Values the plan copies out of `src_rank`'s buffer.
+    pub fn values_from(&self, src_rank: usize) -> usize {
+        self.copies.iter().filter(|c| c.src_rank == src_rank).map(|c| c.len).sum()
+    }
+
+    /// The destination buffer, built from `src(rank)`, each source
+    /// rank's shard buffer.
+    pub fn apply<'a, T: Clone + 'a>(&self, src: impl Fn(usize) -> &'a [T]) -> Vec<T> {
+        let mut buf = Vec::with_capacity(self.dst_len);
+        for c in &self.copies {
+            buf.extend_from_slice(&src(c.src_rank)[c.src_off..][..c.len]);
+        }
+        buf
+    }
 }
 
 #[cfg(test)]
@@ -245,10 +319,24 @@ mod tests {
 
     #[test]
     fn train_shards_tile_the_model() {
+        // Each of the d replicas' shards tile the whole model (the one
+        // generation shard of a 1-1 generation layout) once: the plan
+        // panics on a gap or an overlap.
         let spec = ParallelSpec::new(2, 4, 2);
-        let total: f64 = (0..spec.world()).map(|r| train_shard(&spec, r, 8).fraction()).sum();
-        // d replicas each cover the full model once.
-        assert!((total - spec.d as f64).abs() < 1e-12);
+        let whole = gen_shard(&GenGrouping::new(spec, 1, 1, GroupingMethod::Strided), 0, 8);
+        let layout = ShardLayout::uniform(8, 32);
+        for replica in 0..spec.d {
+            let ranks = (0..spec.world()).filter(|&r| spec.coords(r).d_idx == replica);
+            let sources: Vec<_> = ranks.map(|r| (r, train_shard(&spec, r, 8))).collect();
+            assert_eq!(ReshardPlan::between(&layout, &sources, whole).dst_len(), 64 * 4);
+        }
+    }
+
+    /// Values of `rank`'s training shard its generation shard does not
+    /// take from it: the redundant training weights of Table 2.
+    fn redundant(g: &GenGrouping, layout: &ShardLayout, rank: usize) -> usize {
+        let tr = train_shard(&g.train, rank, layout.layers());
+        layout.shard_params(&tr) - ReshardPlan::to_generation(layout, g, rank).values_from(rank)
     }
 
     #[test]
@@ -256,11 +344,12 @@ mod tests {
         // Figure 8(b): every rank's training shard nests in its generation
         // shard under the strided method.
         let g = GenGrouping::new(ParallelSpec::new(1, 4, 2), 1, 2, GroupingMethod::Strided);
+        let layout = ShardLayout::uniform(4, 16);
         for rank in 0..8 {
             let tr = train_shard(&g.train, rank, 4);
             let ge = gen_shard(&g, rank, 4);
             assert!(tr.is_subset_of(&ge), "rank {rank}");
-            assert_eq!(tr.minus_fraction(&ge), 0.0);
+            assert_eq!(redundant(&g, &layout, rank), 0);
         }
     }
 
@@ -268,29 +357,29 @@ mod tests {
     fn vanilla_grouping_has_redundancy_on_some_ranks() {
         // Figure 8(a): G2, G3 (ranks 1, 2) keep redundant training weights.
         let g = GenGrouping::new(ParallelSpec::new(1, 4, 2), 1, 2, GroupingMethod::Vanilla);
-        let mut redundant = 0;
+        let layout = ShardLayout::uniform(4, 16);
+        let mut count = 0;
         for rank in 0..8 {
-            let tr = train_shard(&g.train, rank, 4);
-            let ge = gen_shard(&g, rank, 4);
-            if tr.minus_fraction(&ge) > 0.0 {
-                redundant += 1;
+            if redundant(&g, &layout, rank) > 0 {
+                count += 1;
                 // The worst case is the full training shard, M/(t·p).
-                assert!((tr.minus_fraction(&ge) - 0.25).abs() < 1e-12);
+                assert_eq!(redundant(&g, &layout, rank), layout.total_params() / 4);
             }
         }
-        assert_eq!(redundant, 4, "paper: G2, G3, G6, G7 hold redundant weights");
+        assert_eq!(count, 4, "paper: G2, G3, G6, G7 hold redundant weights");
     }
 
     #[test]
     fn micro_dp_group_training_shards_tile_the_generation_shard() {
         // The strided transition gathers exactly the micro-DP group's
-        // training shards to reconstruct each member's generation shard.
+        // training shards to reconstruct each member's generation shard
+        // (the plan panics on a gap or an overlap).
         let g = GenGrouping::new(ParallelSpec::new(2, 4, 1), 1, 2, GroupingMethod::Strided);
+        let layout = ShardLayout::uniform(8, 16);
         for grp in g.micro_dp_groups() {
             let ge = gen_shard(&g, grp[0], 8);
-            let sum: f64 =
-                grp.iter().map(|&r| train_shard(&g.train, r, 8).intersection_fraction(&ge)).sum();
-            assert!((sum - ge.fraction()).abs() < 1e-12);
+            let plan = ReshardPlan::to_generation(&layout, &g, grp[0]);
+            assert_eq!(plan.dst_len(), layout.shard_params(&ge));
             for &r in &grp {
                 assert!(train_shard(&g.train, r, 8).is_subset_of(&ge));
             }
@@ -315,14 +404,59 @@ mod tests {
 
     #[test]
     fn layout_shard_params_match_fraction() {
+        // A training shard holds 1/(p·t) of the model.
         let layout = ShardLayout::uniform(8, 32);
         let spec = ParallelSpec::new(2, 4, 2);
         for rank in 0..spec.world() {
-            let sh = train_shard(&spec, rank, 8);
-            let params = layout.shard_params(&sh);
-            let expect = (layout.total_params() as f64 * sh.fraction()).round() as usize;
-            assert_eq!(params, expect);
+            let params = layout.shard_params(&train_shard(&spec, rank, 8));
+            assert_eq!(params, layout.total_params() / spec.mp());
         }
+    }
+
+    #[test]
+    fn plan_copies_each_intersection_in_destination_order() {
+        // 1-4-1 → generation t_g = 2: ranks 0 and 1 tile generation
+        // shard 0 (the first half of every layer).
+        let g = GenGrouping::new(ParallelSpec::new(1, 4, 1), 1, 2, GroupingMethod::Strided);
+        let layout = ShardLayout::uniform(2, 16);
+        let src = |r| (r, train_shard(&g.train, r, 2));
+        let plan = ReshardPlan::between(&layout, &[src(1), src(0)], gen_shard(&g, 0, 2));
+        let copy = |src_rank, src_off, dst_off| ShardCopy { src_rank, src_off, dst_off, len: 4 };
+        assert_eq!(plan.copies, [copy(0, 0, 0), copy(1, 0, 4), copy(0, 4, 8), copy(1, 4, 12)]);
+        assert_eq!((plan.dst_len(), plan.values_from(0), plan.values_from(2)), (16, 8, 0));
+        let full: Vec<u32> = (0..32).collect();
+        let bufs = [layout.extract(&src(0).1, &full), layout.extract(&src(1).1, &full)];
+        assert_eq!(plan.apply(|r| &bufs[r][..]), layout.extract(&gen_shard(&g, 0, 2), &full));
+    }
+
+    #[test]
+    #[should_panic(expected = "gap at destination offset 4")]
+    fn plan_rejects_a_gap() {
+        let g = GenGrouping::new(ParallelSpec::new(1, 4, 1), 1, 2, GroupingMethod::Strided);
+        let layout = ShardLayout::uniform(2, 16);
+        // Rank 1's quarter is missing from generation shard 0.
+        ReshardPlan::between(&layout, &[(0, train_shard(&g.train, 0, 2))], gen_shard(&g, 0, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "gap at destination offset 24")]
+    fn plan_rejects_a_gap_at_the_end() {
+        let g = GenGrouping::new(ParallelSpec::new(2, 2, 1), 1, 1, GroupingMethod::Strided);
+        let layout = ShardLayout::uniform(2, 16);
+        let src = |r| (r, train_shard(&g.train, r, 2));
+        // Rank 3's half of layer 1, the model's last 8 values, is missing.
+        ReshardPlan::between(&layout, &[src(0), src(1), src(2)], gen_shard(&g, 0, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "overlap at destination offset 0")]
+    fn plan_rejects_an_overlap() {
+        // Two DP replicas of the same shard both offer it.
+        let spec = ParallelSpec::new(1, 1, 2);
+        let g = GenGrouping::new(spec, 1, 1, GroupingMethod::Strided);
+        let layout = ShardLayout::uniform(2, 16);
+        let src = |r| (r, train_shard(&spec, r, 2));
+        ReshardPlan::between(&layout, &[src(0), src(1)], gen_shard(&g, 0, 2));
     }
 
     #[test]

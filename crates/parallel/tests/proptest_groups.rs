@@ -1,7 +1,7 @@
 //! Property tests for parallel-group construction and shard ownership.
 
 use hf_parallel::shard::{gen_shard, train_shard};
-use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec, ShardLayout};
+use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec, ReshardPlan, ShardLayout};
 use proptest::prelude::*;
 
 /// Power-of-two in `[1, max]`.
@@ -73,15 +73,13 @@ proptest! {
 
     #[test]
     fn micro_dp_shards_tile_generation_shard((spec, pg, tg) in layouts()) {
+        // The plan panics unless the group's training shards tile the
+        // generation shard exactly.
         let g = GenGrouping::new(spec, pg, tg, GroupingMethod::Strided);
-        let layers = spec.p.max(g.pg) * 4;
+        let layout = ShardLayout::uniform(spec.p.max(g.pg) * 4, 64);
         for grp in g.micro_dp_groups() {
-            let ge = gen_shard(&g, grp[0], layers);
-            let covered: f64 = grp
-                .iter()
-                .map(|&r| train_shard(&spec, r, layers).intersection_fraction(&ge))
-                .sum();
-            prop_assert!((covered - ge.fraction()).abs() < 1e-9);
+            let plan = ReshardPlan::to_generation(&layout, &g, grp[0]);
+            prop_assert_eq!(plan.dst_len(), layout.total_params() / (pg * tg));
         }
     }
 

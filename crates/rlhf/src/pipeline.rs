@@ -18,8 +18,9 @@
 //!    next round's generation, so critic updates overlap generation and
 //!    the actor's update tail overlaps the next dispatch window.
 //! 3. **The HybridEngine transition overlaps the train tail.** The
-//!    train→generation all-gather of the first chunk enters through
-//!    `to_generation_overlapped`, which charges only the portion of the
+//!    train→generation all-gather of the first chunk enters
+//!    `HybridEngineRank::to_generation_traced` with `overlap_from =
+//!    Some(dispatch_time)`, which charges only the portion of the
 //!    gather not already hidden behind the actor's queue wait.
 //!
 //! Determinism contract: every dispatch and wait follows a *static*

@@ -89,7 +89,8 @@ impl Default for WorkerHyper {
     }
 }
 
-/// Meta key: set to `"1"` by the pipelined driver on generation inputs.
+/// Meta key: set to `"1"` by the pipelined driver on generation inputs
+/// (`"0"` is off; any other value is a `Config` error).
 /// Gates the overlap-aware hybrid-engine entry and the
 /// transition-already-done skip for later chunks of the same round —
 /// synchronous drivers never stamp it, so their timing and bits are
@@ -115,7 +116,7 @@ pub const GEN_PASS_META: &str = "__gen_pass";
 /// the column (`recompute_logp`), or only the pass's `scores` matter
 /// (ReMax's greedy baseline). `generate_sequences` then replies without
 /// the column, and skips the forward pass a stop-shortened row's
-/// column needs.
+/// column needs. `"0"` is off; any other value is a `Config` error.
 pub const NO_LOGP_META: &str = "__no_logp";
 
 fn splitmix(mut x: u64) -> u64 {
@@ -634,31 +635,21 @@ impl ActorWorker {
         let layout = ShardLayout::uniform(self.lm.cfg.layers, self.lm.cfg.block_size());
         let blocks = self.lm.block_region();
         // Extract this rank's training shard from the (replicated) model.
-        let my_shard = train_shard(&gen.train, ctx.rank, layout.layers());
-        let mut buf = Vec::with_capacity(layout.shard_params(&my_shard));
-        for r in layout.ranges(&my_shard) {
-            buf.extend_from_slice(&blocks[r]);
-        }
-        let mut engine = hf_hybridengine::HybridEngineRank::new(ctx.rank, gen, layout.clone(), buf);
-        let mut clock = ctx.clock;
+        let buf = layout.extract(&train_shard(&gen.train, ctx.rank, layout.layers()), blocks);
+        let mut engine = hf_hybridengine::HybridEngineRank::new(ctx.rank, gen, layout, buf);
         let track = hf_telemetry::gpu_track(ctx.device.index());
-        if pipelined {
-            // Overlap-aware entry: the all-gather is modeled as having
-            // started when the controller dispatched this generation
-            // call, hiding it behind the tail of the previous train
-            // step still draining from this rank's mailbox.
-            engine.to_generation_overlapped(
-                micro,
-                &mut clock,
-                &ctx.telemetry,
-                &track,
-                ctx.cause,
-                ctx.dispatch_time,
-            );
-        } else {
-            engine.to_generation_traced(micro, &mut clock, &ctx.telemetry, &track, ctx.cause);
-        }
-        ctx.clock = clock;
+        // Pipelined, the all-gather is modeled as having started when the
+        // controller dispatched this generation call, hiding it behind
+        // the tail of the previous train step still draining from this
+        // rank's mailbox.
+        engine.to_generation_traced(
+            micro,
+            &mut ctx.clock,
+            &ctx.telemetry,
+            &track,
+            ctx.cause,
+            pipelined.then_some(ctx.dispatch_time),
+        );
         // The gathered generation shard must equal the model's own slice.
         if !engine.gen_matches(blocks) {
             return Err(CoreError::Worker(format!(
@@ -678,12 +669,17 @@ impl ActorWorker {
         let pass = meta(&data, GEN_PASS_META, |s| s.parse::<u64>().ok())?;
         let resp_len: usize = meta(&data, "response_len", |s| s.parse().ok())?
             .ok_or_else(|| CoreError::Data("generate_sequences needs response_len meta".into()))?;
-        let greedy = meta(&data, "greedy", |s| match s {
-            "0" => Some(false),
-            "1" => Some(true),
-            _ => None,
-        })?
-        .unwrap_or(false);
+        let flag = |key| {
+            meta(&data, key, |s| match s {
+                "0" => Some(false),
+                "1" => Some(true),
+                _ => None,
+            })
+            .map(|v| v.unwrap_or(false))
+        };
+        let greedy = flag("greedy")?;
+        let pipelined = flag(PIPELINE_META)?;
+        let no_logp = flag(NO_LOGP_META)?;
         // Comma-separated token ids; the empty string is none.
         let stop_tokens: Vec<usize> = meta(&data, "stop_tokens", |s| {
             let s = s.trim();
@@ -700,7 +696,6 @@ impl ActorWorker {
                 "pad_token {pad_token} is outside the model's vocabulary of {vocab}"
             )));
         }
-        let pipelined = data.meta.get(PIPELINE_META).map(String::as_str) == Some("1");
         // Reshard training → generation weights before generating.
         self.hybrid_engine_transition(ctx, pipelined)?;
         // One logical generation = one round. The pipelined driver
@@ -854,7 +849,8 @@ impl ActorWorker {
         }
         let mut out = data.clone();
         out.meta.remove(GEN_PASS_META);
-        if out.meta.remove(NO_LOGP_META).as_deref() != Some("1") {
+        out.meta.remove(NO_LOGP_META);
+        if !no_logp {
             // A full-length row's log-probs are the decode's: a decoded
             // row is the forward's, bit for bit. A row a stop token cut
             // short is padded, and its pad positions need the padded

@@ -95,10 +95,6 @@ fn recv_bytes_sum_matches_comm_volume_claim() {
     let gen_mp = 4.0;
     let expected = (tp - gen_mp) / (gen_mp * tp) * m_bytes;
     for rank in 0..spec.world() {
-        assert!(
-            (shards.recv_bytes(rank) as f64 - expected).abs() < 1.0,
-            "rank {rank}: {} vs {expected}",
-            shards.recv_bytes(rank)
-        );
+        assert_eq!(shards.recv_bytes(rank) as f64, expected, "rank {rank}");
     }
 }
