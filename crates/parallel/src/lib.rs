@@ -13,8 +13,8 @@
 //! * [`shard`] — which slice of the model each rank owns under a layout:
 //!   2-D (layer-range × column-fraction) rectangles, and the one
 //!   [`ReshardPlan`] built from their ranges' intersections: the copies
-//!   `hf-hybridengine`'s transition places, and the bytes Table 2
-//!   counts.
+//!   `hf-hybridengine`'s transition places, the bytes Table 2 counts,
+//!   and the tiling of a checkpoint's shards.
 //! * [`zero`] — ZeRO / FSDP flat sharding descriptors for the baseline
 //!   engines.
 
@@ -26,6 +26,6 @@ pub mod spec;
 pub mod zero;
 
 pub use groups::{GenCoord, GenGrouping, GroupingMethod};
-pub use shard::{ModelShard, ReshardPlan, ShardLayout};
+pub use shard::{ModelShard, ReshardPlan, ShardLayout, TileError};
 pub use spec::{ParallelSpec, TrainCoord};
 pub use zero::{ZeroSpec, ZeroStage};

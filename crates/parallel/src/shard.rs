@@ -16,7 +16,14 @@
 //! (`|train \ gen|`) it must keep beside its generation shard. So
 //! `hf-hybridengine` physically reshards the tiny real models from
 //! `hf-nn`, asserts byte equality and counts the bytes it moved, all by
-//! one plan.
+//! one plan. The same plan, built over plain flat ranges
+//! ([`ReshardPlan::from_ranges`]), tiles a checkpoint: `hf-resilience`
+//! checks that its owner shards cover `[0, total)` exactly and assembles
+//! the full vectors by it.
+
+use std::cmp::Ordering;
+use std::fmt;
+use std::ops::Range;
 
 use crate::groups::GenGrouping;
 use crate::spec::ParallelSpec;
@@ -175,7 +182,7 @@ impl ShardLayout {
     /// if a layer size is not divisible by the shard's column denominator
     /// (tiny models are constructed to satisfy this, keeping resharding
     /// byte-exact).
-    pub fn ranges(&self, shard: &ModelShard) -> Vec<std::ops::Range<usize>> {
+    pub fn ranges(&self, shard: &ModelShard) -> Vec<Range<usize>> {
         assert_eq!(shard.layers_total, self.layers(), "layout/shard layer mismatch");
         (shard.layer_start..shard.layer_end)
             .map(|layer| {
@@ -220,6 +227,25 @@ struct ShardCopy {
     len: usize,
 }
 
+/// Why sources do not tile a [`ReshardPlan`]'s destination.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TileError {
+    /// No source holds the value at this destination offset.
+    Gap(usize),
+    /// Two sources hold the value at this destination offset.
+    Overlap(usize),
+}
+
+impl fmt::Display for TileError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (what, at) = match self {
+            TileError::Gap(at) => ("leave a gap", at),
+            TileError::Overlap(at) => ("overlap", at),
+        };
+        write!(f, "reshard sources {what} at destination offset {at}")
+    }
+}
+
 /// The copies that build one shard's buffer out of other shards' buffers
 /// (paper §5, Fig. 8): after the transition's all-gather, a rank places
 /// its gather group's training shards into its generation shard by this
@@ -243,11 +269,22 @@ impl ReshardPlan {
     /// Panics unless the copies tile `dst` exactly: a destination value
     /// no source holds (a gap) or two sources hold (an overlap).
     pub fn between(layout: &ShardLayout, sources: &[(usize, ModelShard)], dst: ModelShard) -> Self {
-        let dst_ranges = layout.ranges(&dst);
+        let sources = sources.iter().map(|&(rank, shard)| (rank, layout.ranges(&shard)));
+        Self::from_ranges(sources, layout.ranges(&dst)).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`ReshardPlan::between`] over plain flat ranges: `dst` and each
+    /// source's ranges are its buffer's, concatenated in order. A gap or
+    /// an overlap is an error at its first destination offset.
+    pub fn from_ranges(
+        sources: impl IntoIterator<Item = (usize, impl IntoIterator<Item = Range<usize>>)>,
+        dst: impl IntoIterator<Item = Range<usize>>,
+    ) -> Result<Self, TileError> {
+        let dst_ranges: Vec<_> = dst.into_iter().collect();
         let mut copies = Vec::new();
-        for &(src_rank, shard) in sources {
+        for (src_rank, ranges) in sources {
             let mut src_off = 0;
-            for sr in layout.ranges(&shard) {
+            for sr in ranges {
                 let mut dst_off = 0;
                 for dr in &dst_ranges {
                     let (lo, hi) = (sr.start.max(dr.start), sr.end.min(dr.end));
@@ -268,16 +305,16 @@ impl ReshardPlan {
         let dst_len = dst_ranges.iter().map(|r| r.len()).sum();
         let mut end = 0;
         for c in &copies {
-            assert!(c.dst_off <= end, "reshard sources leave a gap at destination offset {end}");
-            assert!(
-                c.dst_off == end,
-                "reshard sources overlap at destination offset {}",
-                c.dst_off
-            );
-            end += c.len;
+            match c.dst_off.cmp(&end) {
+                Ordering::Greater => return Err(TileError::Gap(end)),
+                Ordering::Less => return Err(TileError::Overlap(c.dst_off)),
+                Ordering::Equal => end += c.len,
+            }
         }
-        assert!(end == dst_len, "reshard sources leave a gap at destination offset {end}");
-        ReshardPlan { copies, dst_len }
+        if end != dst_len {
+            return Err(TileError::Gap(end));
+        }
+        Ok(ReshardPlan { copies, dst_len })
     }
 
     /// The 3D-HybridEngine transition's plan: `rank`'s generation shard
@@ -457,6 +494,24 @@ mod tests {
         let layout = ShardLayout::uniform(2, 16);
         let src = |r| (r, train_shard(&spec, r, 2));
         ReshardPlan::between(&layout, &[src(0), src(1)], gen_shard(&g, 0, 2));
+    }
+
+    #[test]
+    fn flat_ranges_report_the_first_gap_or_overlap() {
+        let plan = |sources: &[(usize, usize)]| {
+            ReshardPlan::from_ranges(
+                sources.iter().map(|&(s, e)| (s, std::iter::once(s..e))),
+                std::iter::once(0..10),
+            )
+        };
+        assert_eq!(plan(&[(4, 10), (0, 4)]).map(|p| p.dst_len()), Ok(10));
+        assert_eq!(plan(&[(0, 4), (6, 10)]).unwrap_err(), TileError::Gap(4));
+        assert_eq!(plan(&[(0, 6), (4, 10)]).unwrap_err(), TileError::Overlap(4));
+        assert_eq!(plan(&[(0, 4), (4, 8)]).unwrap_err(), TileError::Gap(8));
+        assert_eq!(
+            TileError::Overlap(4).to_string(),
+            "reshard sources overlap at destination offset 4"
+        );
     }
 
     #[test]

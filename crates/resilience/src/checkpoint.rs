@@ -1,33 +1,55 @@
 //! Sharded, atomic checkpoint/restore for worker groups, and every
 //! checkpoint format the workers speak.
 //!
-//! **One contract.** A checkpointable worker answers `save_shard` with
-//! [`encode_shard`]: one padded row carrying *its own slice* of the flat
-//! parameter vector plus the matching Adam moments — the (p,t,d)-aware
-//! partition for replicated workers (the model-parallel group tiles the
-//! vector; only one data-parallel replica owns shards), or the ZeRO
-//! shard each rank already holds — so a checkpoint is ~one copy of the
-//! model, not `world` copies. It reads its `load_checkpoint` input with
-//! [`AssembledState::from_load_input`]. [`collect_state`] assembles the
-//! shards in memory.
+//! **One contract.** A checkpointable worker answers two methods and no
+//! others. `save_shard` (ALL_TO_ALL) replies with [`encode_shard`]: one
+//! padded row carrying *its own slice* of the flat parameter vector plus
+//! the matching Adam moments, under a header of seven exact `u32` words
+//! that include the Adam step and the generation RNG round. The slice is
+//! the (p,t,d)-aware partition for replicated workers (the
+//! model-parallel group of data-parallel replica 0 owns the shards, the
+//! other replicas hold copies), or the ZeRO shard each rank already
+//! holds, so a checkpoint is ~one copy of the model, not `world` copies.
+//! `load_checkpoint` (ONE_TO_ALL) reads the full state with
+//! [`AssembledState::from_load_input`], the message
+//! [`AssembledState::to_load_input`] writes under the one parameter
+//! checksum. [`collect_state`] assembles the shards in memory;
+//! `hf_rlhf::save_checkpoint` is that state as the message.
+//!
+//! **Tiled by one plan.** The owner shards' ranges `start..start + len`
+//! must tile `[0, total)` exactly. One
+//! [`ReshardPlan::from_ranges`](hf_parallel::ReshardPlan::from_ranges)
+//! checks it and assembles the parameters and both moments: a gap, an
+//! overlap, a shard reaching past `total` or a `start + len` that
+//! overflows is a `Data` error, never a panic, since a manifest is input
+//! from outside the program. A save checks it before it writes a file, a
+//! load before it reads one.
 //!
 //! **Atomic**: every shard file is written `tmp+rename`; a manifest
 //! records each shard's FNV-1a content hash; a step directory only
-//! counts once its `COMMIT` marker (also `tmp+rename`) lands — before
-//! that, [`CheckpointStore::latest_step`] ignores it and
-//! [`CheckpointStore::load_group`] refuses it.
+//! counts once its `COMMIT` marker (also `tmp+rename`) lands, written
+//! last — before that, [`CheckpointStore::latest_step`] ignores it and
+//! [`CheckpointStore::load_group`] refuses it, as it refuses a step whose
+//! marker does not name the group. A crash mid-save never leaves a
+//! readable-but-wrong checkpoint.
 //!
-//! **Restore** reassembles the full vectors from the owner shards
-//! (verifying hashes and that the shard ranges tile the vector exactly),
-//! then broadcasts them into a — typically freshly spawned — worker
-//! group through `load_checkpoint`, checksum and RNG round included.
+//! **Restore** is one path, `hf_rlhf::restore_system_checkpoint`: it
+//! loads every group's state with [`CheckpointStore::load_group`] (hashes,
+//! tiling, COMMIT) before it sends any, then broadcasts each into a —
+//! typically freshly spawned — group of any layout through
+//! `load_checkpoint`, actor then critic, checksum and rounds included. A
+//! step that cannot restore one group leaves every group as it was.
+//! Restores across (p,t,d) resharding and ZeRO↔replicated switches are
+//! property-tested byte-exact (`hf-rlhf`'s `tests/proptest_checkpoint.rs`).
 
 use std::fs;
 use std::io::{self, Write as _};
+use std::iter;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use hf_core::{CoreError, DataProto, Protocol, Result, WorkerGroup};
+use hf_parallel::ReshardPlan;
 
 /// The worker method checkpointing dispatches (ALL_TO_ALL).
 pub const SAVE_SHARD_METHOD: &str = "save_shard";
@@ -165,9 +187,9 @@ pub fn decode_shards(reply: &DataProto) -> Result<Vec<Shard<'_>>> {
         .collect()
 }
 
-/// The owner shards of a `save_shard` reply — one per slice — and the
-/// rounds they agree on, checked to tile `[0, total)`.
-fn owner_shards(reply: &DataProto) -> Result<(Rounds, Vec<Shard<'_>>)> {
+/// The owner shards of a `save_shard` reply — one per slice — the
+/// rounds they agree on, and the plan that tiles `[0, total)` with them.
+fn owner_shards(reply: &DataProto) -> Result<(Rounds, ReshardPlan, Vec<Shard<'_>>)> {
     let mut shards = decode_shards(reply)?;
     shards.retain(|s| s.head.owner);
     let of = |s: &Shard| (s.head.total, s.head.gen_round, s.head.opt_t);
@@ -186,23 +208,34 @@ fn owner_shards(reply: &DataProto) -> Result<(Rounds, Vec<Shard<'_>>)> {
             of(s)
         )));
     }
-    check_coverage(shards.iter().map(|s| (s.head.start, s.head.len)), rounds.0)?;
-    Ok((rounds, shards))
+    let plan = tiling(shards.iter().map(|s| (s.head.start, s.head.len)), rounds.0)?;
+    Ok((rounds, plan, shards))
 }
 
-/// Fills the full vectors from shards `(start, [params, m, v])` that
-/// tile `[0, total)`.
-fn assemble<'a>(
-    (total, gen_round, opt_t): Rounds,
-    shards: impl IntoIterator<Item = (usize, [&'a [f32]; 3])>,
+/// The plan that fills `[0, total)` from shards `(start, len)`, the
+/// `i`-th shard as source `i`: a shard past `total`, a gap or an overlap
+/// is a `Data` error.
+fn tiling(shards: impl Iterator<Item = (usize, usize)>, total: usize) -> Result<ReshardPlan> {
+    let sources = (shards.enumerate())
+        .map(|(i, (start, len))| match start.checked_add(len) {
+            Some(end) if end <= total => Ok((i, iter::once(start..end))),
+            _ => Err(CoreError::Data(format!(
+                "checkpoint shard of {len} values at offset {start} runs past {total} parameters"
+            ))),
+        })
+        .collect::<Result<Vec<_>>>()?;
+    ReshardPlan::from_ranges(sources, iter::once(0..total))
+        .map_err(|e| CoreError::Data(format!("checkpoint shards do not tile: {e}")))
+}
+
+/// The state `plan` assembles from `shard(i)`, source `i`'s parameters
+/// and both Adam moments.
+fn assembled<'a>(
+    plan: &ReshardPlan,
+    (_, gen_round, opt_t): Rounds,
+    shard: impl Fn(usize) -> [&'a [f32]; 3],
 ) -> AssembledState {
-    let mut full = [(); 3].map(|_| vec![0.0; total]);
-    for (start, state) in shards {
-        for (dst, src) in full.iter_mut().zip(state) {
-            dst[start..start + src.len()].copy_from_slice(src);
-        }
-    }
-    let [params, opt_m, opt_v] = full;
+    let [params, opt_m, opt_v] = [0, 1, 2].map(|k| plan.apply(|i| shard(i)[k]));
     AssembledState { params, opt_m, opt_v, opt_t, gen_round }
 }
 
@@ -211,8 +244,8 @@ fn assemble<'a>(
 /// [`CheckpointStore::load_group`] would read back, without the disk.
 pub fn collect_state(group: &WorkerGroup) -> Result<AssembledState> {
     let reply = group.call_sync(SAVE_SHARD_METHOD, &DataProto::empty(), Protocol::AllToAll)?;
-    let (rounds, shards) = owner_shards(&reply)?;
-    Ok(assemble(rounds, shards.iter().map(|s| (s.head.start, s.state))))
+    let (rounds, plan, shards) = owner_shards(&reply)?;
+    Ok(assembled(&plan, rounds, |i| shards[i].state))
 }
 
 /// Everything needed to rebuild a worker's training state: the full
@@ -276,19 +309,6 @@ impl AssembledState {
     }
 }
 
-/// What one `save_group` wrote.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupSaveReport {
-    /// Checkpoint step.
-    pub(crate) step: u64,
-    /// Owner shards written.
-    pub(crate) shards: usize,
-    /// Bytes on disk (shard files only).
-    pub(crate) bytes: u64,
-    /// Total parameters covered.
-    pub(crate) total_params: usize,
-}
-
 struct ShardEntry {
     file: String,
     start: usize,
@@ -320,7 +340,8 @@ fn decode_shard_file(payload: &[u8], e: &ShardEntry) -> Result<[Vec<f32>; 3]> {
     }
     let head = SHARD_MAGIC.len() + 16;
     let word = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap()) as usize;
-    if payload.len() != head + 12 * e.len || &payload[..4] != SHARD_MAGIC {
+    let size = e.len.checked_mul(12).and_then(|values| values.checked_add(head));
+    if size != Some(payload.len()) || &payload[..4] != SHARD_MAGIC {
         return Err(CoreError::Data(format!("shard {} malformed", e.file)));
     }
     if word(4) != e.start || word(12) != e.len {
@@ -365,20 +386,18 @@ impl CheckpointStore {
     /// and writes the owner shards plus a hashed manifest under
     /// `step-NNNNNN/`. Not visible to [`CheckpointStore::latest_step`]
     /// until [`CheckpointStore::commit_at`] lands the step's marker.
-    pub fn save_group(&self, group: &WorkerGroup, step: u64) -> Result<GroupSaveReport> {
+    pub fn save_group(&self, group: &WorkerGroup, step: u64) -> Result<()> {
         let reply = group.call_sync(SAVE_SHARD_METHOD, &DataProto::empty(), Protocol::AllToAll)?;
-        let ((total, gen_round, opt_t), shards) = owner_shards(&reply)?;
+        let ((total, gen_round, opt_t), _, shards) = owner_shards(&reply)?;
         let step_dir = self.step_dir(step);
         fs::create_dir_all(&step_dir).map_err(|e| io_err("create step dir", e))?;
 
         let mut entries: Vec<ShardEntry> = Vec::with_capacity(shards.len());
-        let mut bytes = 0u64;
         for Shard { head, state } in shards {
             let payload = encode_shard_file(head.start, state);
             let hash = fnv1a(payload.iter().copied());
             let file = format!("{}-rank-{:03}.bin", group.name(), head.rank);
             write_atomic(&step_dir.join(&file), &payload)?;
-            bytes += payload.len() as u64;
             entries.push(ShardEntry { file, start: head.start, len: head.len, hash });
         }
         let mut manifest = format!(
@@ -410,7 +429,7 @@ impl CheckpointStore {
                 }
             }
         }
-        Ok(GroupSaveReport { step, shards: entries.len(), bytes, total_params: total })
+        Ok(())
     }
 
     /// Commits `step`: writes the `COMMIT` marker naming the groups the
@@ -496,51 +515,16 @@ impl CheckpointStore {
                 })
             })
             .collect::<Result<Vec<_>>>()?;
-        check_coverage(entries.iter().map(|e| (e.start, e.len)), rounds.0)?;
+        let plan = tiling(entries.iter().map(|e| (e.start, e.len)), rounds.0)?;
         let shards = (entries.iter())
             .map(|e| {
                 let payload =
                     fs::read(step_dir.join(&e.file)).map_err(|er| io_err("read shard", er))?;
-                Ok((e.start, decode_shard_file(&payload, e)?))
+                decode_shard_file(&payload, e)
             })
             .collect::<Result<Vec<_>>>()?;
-        Ok(assemble(
-            rounds,
-            shards.iter().map(|(start, s)| (*start, s.each_ref().map(Vec::as_slice))),
-        ))
+        Ok(assembled(&plan, rounds, |i| shards[i].each_ref().map(Vec::as_slice)))
     }
-
-    /// Restores `group` from the committed shards at `step`: reassembles
-    /// the full state and broadcasts it through the workers'
-    /// `load_checkpoint` (ONE_TO_ALL). A step
-    /// [`CheckpointStore::load_group`] refuses sends nothing.
-    pub fn restore_group(&self, group: &WorkerGroup, step: u64) -> Result<AssembledState> {
-        let st = self.load_group(step, group.name())?;
-        group.call_sync("load_checkpoint", &st.to_load_input(), Protocol::OneToAll)?;
-        Ok(st)
-    }
-}
-
-/// Verifies the shard ranges `(start, len)` tile `[0, total)` exactly —
-/// no gaps, no overlaps. Zero-length shards (padding tails) are allowed.
-fn check_coverage(shards: impl IntoIterator<Item = (usize, usize)>, total: usize) -> Result<()> {
-    let mut ranges: Vec<(usize, usize)> = shards.into_iter().filter(|&(_, len)| len > 0).collect();
-    ranges.sort_unstable();
-    let mut cursor = 0usize;
-    for (start, len) in ranges {
-        if start != cursor {
-            return Err(CoreError::Data(format!(
-                "checkpoint shards do not tile: expected offset {cursor}, got {start}"
-            )));
-        }
-        cursor = start + len;
-    }
-    if cursor != total {
-        return Err(CoreError::Data(format!(
-            "checkpoint shards cover {cursor} of {total} parameters"
-        )));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -651,6 +635,20 @@ mod tests {
         setup_world(n_params, 2)
     }
 
+    /// Loads `step` and broadcasts it through `load_checkpoint`, as a
+    /// system restore does for each of its groups.
+    fn restore(store: &CheckpointStore, g: &WorkerGroup, step: u64) -> Result<AssembledState> {
+        let st = store.load_group(step, g.name())?;
+        g.call_sync("load_checkpoint", &st.to_load_input(), Protocol::OneToAll)?;
+        Ok(st)
+    }
+
+    /// Owner shards the toy group's manifest at `step` lists.
+    fn manifest_shards(store: &CheckpointStore, step: u64) -> usize {
+        let manifest = fs::read_to_string(store.step_dir(step).join("toy.manifest")).unwrap();
+        number(manifest.lines().next().unwrap(), "shards").unwrap()
+    }
+
     /// Every rank's parameters, from the `dump` method.
     fn dumped_params(g: &hf_core::WorkerGroup) -> Vec<Vec<f32>> {
         let dump = g.call_sync("dump", &DataProto::empty(), Protocol::AllToAll).unwrap();
@@ -664,9 +662,8 @@ mod tests {
         let store = CheckpointStore::new(&dir).unwrap();
         // 103 params across 2 ranks exercises the padded tail.
         let (_ctrl, g) = setup(103);
-        let report = store.save_group(&g, 4).unwrap();
-        assert_eq!(report.shards, 2);
-        assert_eq!(report.total_params, 103);
+        store.save_group(&g, 4).unwrap();
+        assert_eq!(manifest_shards(&store, 4), 2);
         // Uncommitted steps are invisible.
         assert_eq!(store.latest_step(), None);
         store.commit_at(4, &["toy"], 0.0).unwrap();
@@ -674,7 +671,7 @@ mod tests {
 
         // Corrupt the live state, then restore.
         g.call_sync("scramble", &DataProto::empty(), Protocol::OneToAll).unwrap();
-        let st = store.restore_group(&g, 4).unwrap();
+        let st = restore(&store, &g, 4).unwrap();
         assert_eq!(st.params.len(), 103);
         assert_eq!(st.gen_round, 7);
         assert_eq!(st.opt_t, 3);
@@ -697,18 +694,16 @@ mod tests {
         store.save_group(&g, 1).unwrap();
         g.call_sync("scramble", &DataProto::empty(), Protocol::OneToAll).unwrap();
         let scrambled = dumped_params(&g);
-        for err in
-            [store.load_group(1, "toy").unwrap_err(), store.restore_group(&g, 1).unwrap_err()]
-        {
+        for err in [store.load_group(1, "toy").unwrap_err(), restore(&store, &g, 1).unwrap_err()] {
             assert!(matches!(&err, CoreError::Data(m) if m.contains("not committed")), "{err:?}");
         }
         assert_eq!(dumped_params(&g), scrambled, "no load_checkpoint reached the group");
         // A commit that does not name the group does not cover it.
         store.commit_at(1, &["other"], 0.0).unwrap();
-        let err = store.restore_group(&g, 1).unwrap_err();
+        let err = restore(&store, &g, 1).unwrap_err();
         assert!(matches!(&err, CoreError::Data(m) if m.contains("without group toy")), "{err:?}");
         store.commit_at(1, &["other", "toy"], 0.0).unwrap();
-        store.restore_group(&g, 1).unwrap();
+        restore(&store, &g, 1).unwrap();
         assert_eq!(dumped_params(&g)[0], ToyWorker::new(16).params);
     }
 
@@ -839,14 +834,13 @@ mod tests {
             let dir = tmp_dir("shrink");
             let store = CheckpointStore::new(&dir).unwrap();
             let (_c4, big) = setup_world(n_params, 4);
-            let report = store.save_group(&big, 2).unwrap();
-            assert_eq!(report.shards, 4, "every rank owns a slice at world 4");
+            store.save_group(&big, 2).unwrap();
+            assert_eq!(manifest_shards(&store, 2), 4, "every rank owns a slice at world 4");
             store.commit_at(2, &["toy"], 0.0).unwrap();
 
             let (_c2, small) = setup_world(n_params, 2);
             small.call_sync("scramble", &DataProto::empty(), Protocol::OneToAll).unwrap();
-            let st = store
-                .restore_group(&small, 2)
+            let st = restore(&store, &small, 2)
                 .expect("restore into a smaller world must pass coverage");
             assert_eq!(st.params.len(), n_params);
             let expect = ToyWorker::new(n_params);
@@ -870,8 +864,8 @@ mod tests {
         assert!(store.step_dir(0).join("toy-rank-003.bin").is_file());
 
         let (_c2, small) = setup_world(103, 2);
-        let report = store.save_group(&small, 0).unwrap();
-        assert_eq!(report.shards, 2);
+        store.save_group(&small, 0).unwrap();
+        assert_eq!(manifest_shards(&store, 0), 2);
         store.commit_at(0, &["toy"], 0.0).unwrap();
         assert!(!store.step_dir(0).join("toy-rank-002.bin").is_file(), "stale shard removed");
         assert!(!store.step_dir(0).join("toy-rank-003.bin").is_file(), "stale shard removed");
@@ -920,9 +914,30 @@ mod tests {
     }
 
     #[test]
-    fn coverage_check_rejects_gaps() {
-        assert!(check_coverage([(0, 4), (6, 4)], 10).is_err());
-        assert!(check_coverage([(0, 4)], 10).is_err());
-        assert!(check_coverage([(4, 6), (0, 4), (10, 0)], 10).is_ok());
+    fn a_manifest_whose_shards_do_not_tile_is_refused() {
+        // 5 parameters on 2 ranks: shards 0..3 and 3..5. Each edit of the
+        // manifest is a typed error, in debug and release builds alike.
+        let dir = tmp_dir("tiling");
+        let store = CheckpointStore::new(&dir).unwrap();
+        let (_ctrl, g) = setup(5);
+        store.save_group(&g, 1).unwrap();
+        store.commit_at(1, &["toy"], 0.0).unwrap();
+        let manifest = store.step_dir(1).join("toy.manifest");
+        let saved = fs::read_to_string(&manifest).unwrap();
+        let near_max = format!("start={} len=2", usize::MAX - 1);
+        for (from, to, want) in [
+            ("start=3 len=2", "start=4 len=1", "gap at destination offset 3"),
+            ("start=3 len=2", "start=2 len=3", "overlap at destination offset 2"),
+            ("start=3 len=2", "start=3 len=3", "of 3 values at offset 3 runs past 5"),
+            ("total=5", "total=6", "gap at destination offset 5"),
+            ("start=3 len=2", &near_max, "runs past 5 parameters"),
+        ] {
+            assert!(saved.contains(from), "{from}");
+            fs::write(&manifest, saved.replacen(from, to, 1)).unwrap();
+            let err = store.load_group(1, "toy").unwrap_err();
+            assert!(matches!(&err, CoreError::Data(m) if m.contains(want)), "{to}: {err:?}");
+        }
+        fs::write(&manifest, saved).unwrap();
+        assert_eq!(store.load_group(1, "toy").unwrap().params, ToyWorker::new(5).params);
     }
 }

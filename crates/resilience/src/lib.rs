@@ -18,8 +18,11 @@
 //!   each rank answers `save_shard` with its (p,t,d)- or ZeRO-aware shard
 //!   of parameters, Adam moments and RNG round; shards are written
 //!   tmp+rename with an FNV-1a content-hash manifest and a final
-//!   `COMMIT` marker, then reassembled and broadcast into a freshly
-//!   spawned worker group through `load_checkpoint` on restore.
+//!   `COMMIT` marker, and read back through the one
+//!   [`hf_parallel::ReshardPlan`] that checks they tile the vector. A
+//!   restore (`hf_rlhf::restore_system_checkpoint`) verifies every group
+//!   before it broadcasts any into a freshly spawned worker group through
+//!   `load_checkpoint`.
 //!
 //! The recoverable training outer loop that ties these together lives
 //! in `hf-rlhf` (`remap_recoverable`), which checkpoints every N
@@ -37,7 +40,7 @@ pub mod fault;
 
 pub use checkpoint::{
     collect_state, decode_shards, encode_shard, shard_range, AssembledState, CheckpointStore,
-    GroupSaveReport, Shard, ShardHeader, SAVE_SHARD_METHOD,
+    Shard, ShardHeader, SAVE_SHARD_METHOD,
 };
 pub use detect::RecoveryStats;
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultSpec, FaultTrigger};

@@ -361,14 +361,21 @@ pub fn save_checkpoint(sys: &RlhfSystem) -> Result<SystemCheckpoint> {
     })
 }
 
-/// Restores a checkpoint onto every rank (`ONE_TO_ALL` broadcast),
-/// verifying checksums on each.
-pub fn restore_checkpoint(sys: &RlhfSystem, ckpt: &SystemCheckpoint) -> Result<()> {
-    sys.actor.invoke_sync("load_checkpoint", &ckpt.actor)?;
-    if let (Some(c), Some(state)) = (&sys.critic, &ckpt.critic) {
-        c.invoke_sync("load_checkpoint", state)?;
+/// Restores a checkpoint onto every rank (`ONE_TO_ALL` broadcast), actor
+/// then critic, verifying checksums on each; one whose groups are not the
+/// system's is refused before anything is sent. Returns the bytes sent.
+pub fn restore_checkpoint(sys: &RlhfSystem, ckpt: &SystemCheckpoint) -> Result<u64> {
+    if sys.critic.is_some() != ckpt.critic.is_some() {
+        let (what, whose) = if ckpt.critic.is_some() { ("has", "lacks") } else { ("lacks", "has") };
+        return Err(CoreError::Data(format!("the checkpoint {what} a critic the system {whose}")));
     }
-    Ok(())
+    let critic = sys.critic.iter().zip(&ckpt.critic);
+    let mut bytes = 0;
+    for (group, state) in [(&sys.actor, &ckpt.actor)].into_iter().chain(critic) {
+        group.invoke_sync("load_checkpoint", state)?;
+        bytes += (group.layout().world() * state.bytes()) as u64;
+    }
+    Ok(bytes)
 }
 
 /// Aggregate statistics of one RLHF iteration.

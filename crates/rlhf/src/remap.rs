@@ -19,8 +19,9 @@
 //! 3. **Reshard live** — the old worker groups are despawned *on the
 //!    live controller* ([`Controller::despawn_group`]), the new groups
 //!    spawned, and the last committed checkpoint is broadcast into the
-//!    new layout through `CheckpointStore::restore_group` — which is
-//!    layout-agnostic by construction. A rank lost before step 0 ever
+//!    new layout through [`restore_system_checkpoint`] — which verifies
+//!    every group before it sends any and is layout-agnostic by
+//!    construction. A rank lost before step 0 ever
 //!    committed has nothing to restore: worker construction is
 //!    seed-deterministic, so the respawned system *is* the initial state
 //!    and step 0 is saved again.
@@ -45,7 +46,7 @@
 //! and flushing it at the boundary: every committed step has pinned
 //! staleness, hence pinned bits.
 
-use hf_core::{Controller, CoreError, Result, WorkerLayout};
+use hf_core::{Controller, CoreError, Result, WorkerGroup, WorkerLayout};
 use hf_mapping::{AlgoKind, DataflowSpec, Mapper};
 use hf_modelspec::{ModelConfig, PerfModel, RlhfWorkload};
 use hf_nn::LmConfig;
@@ -53,7 +54,10 @@ use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
 use hf_resilience::{CheckpointStore, RecoveryStats};
 use hf_simcluster::{ClusterSpec, DeviceId, ResourcePool};
 
-use crate::algo::{iteration_prompts, Algorithm, IterStats, Placement, RlhfConfig, RlhfSystem};
+use crate::algo::{
+    iteration_prompts, restore_checkpoint, Algorithm, IterStats, Placement, RlhfConfig, RlhfSystem,
+    SystemCheckpoint,
+};
 use crate::pipeline::{PipelineConfig, PipelinedPpo};
 
 /// How windows between checkpoints are driven.
@@ -242,7 +246,7 @@ pub struct RemapEvent {
     pub spec: ParallelSpec,
     /// Virtual seconds broadcasting the checkpoint into the new layout.
     pub reshard_s: f64,
-    /// Bytes the restore broadcast dispatched.
+    /// Bytes the restore broadcast dispatched (telemetry on or off).
     pub reshard_bytes: u64,
     /// Virtual seconds from failure detection to training resumed — the
     /// blackout the re-place cost.
@@ -289,17 +293,19 @@ pub fn save_system_checkpoint(
 }
 
 /// Restores the system's trainable models from the committed checkpoint
-/// at `step`.
+/// at `step`, loading and verifying every group's state before
+/// [`restore_checkpoint`] sends any. Returns the bytes it dispatched.
 pub fn restore_system_checkpoint(
     store: &CheckpointStore,
     sys: &RlhfSystem,
     step: u64,
-) -> Result<()> {
-    store.restore_group(&sys.actor, step)?;
-    if let Some(c) = &sys.critic {
-        store.restore_group(c, step)?;
-    }
-    Ok(())
+) -> Result<u64> {
+    let load = |g: &WorkerGroup| Ok(store.load_group(step, g.name())?.to_load_input());
+    let ckpt = SystemCheckpoint {
+        actor: load(&sys.actor)?,
+        critic: sys.critic.as_ref().map(load).transpose()?,
+    };
+    restore_checkpoint(sys, &ckpt)
 }
 
 /// Tears the system's worker groups down on the live controller.
@@ -373,13 +379,12 @@ impl Run<'_> {
         let sys = self.sys.insert(RlhfSystem::build(ctrl, &plan.placement, self.rlhf.clone())?);
         let spec = plan.placement.actor.layout.spec;
         self.world = plan.placement.actor.pool.len();
-        let bytes0 = tel.counter("protocol.OneToAll.dispatch_bytes");
         let t_reshard = ctrl.clock();
-        if let Some(step) = step {
-            restore_system_checkpoint(self.store, sys, step)?;
-        }
+        let reshard_bytes = match step {
+            Some(step) => restore_system_checkpoint(self.store, sys, step)?,
+            None => 0,
+        };
         let reshard_s = ctrl.clock() - t_reshard;
-        let reshard_bytes = tel.counter("protocol.OneToAll.dispatch_bytes") - bytes0;
         let blackout_s = ctrl.clock() - t_detect;
         tel.observe("remap.search_s", plan.search_wall_s);
         tel.observe("remap.reshard_s", reshard_s);

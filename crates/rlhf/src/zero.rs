@@ -9,6 +9,8 @@
 //! Adam ≡ `all-reduce(Σg)/d` + full Adam restricted to the shard); the
 //! integration suite asserts bit-identical learning trajectories.
 
+use std::ops::Range;
+
 use hf_core::{CoreError, DataProto, RankCtx, Result, Worker};
 use hf_nn::{Adam, LmConfig};
 use hf_resilience::{encode_shard, shard_range, AssembledState, ShardHeader};
@@ -19,28 +21,41 @@ use crate::workers::{ActorWorker, GradOnly, WorkerHyper};
 /// A ZeRO-3 parameter store: this rank's contiguous shard of the flat
 /// parameter vector plus shard-local optimizer state.
 pub struct ZeroParamStore {
+    /// This rank's slice, padded to a length uniform across ranks.
     shard: Vec<f32>,
-    start: usize,
+    /// Where the slice sits in the flat vector (the padding is past it).
+    range: Range<usize>,
     total: usize,
     opt: Adam,
-    /// Padded shard length (uniform across ranks so collectives align).
-    padded: usize,
 }
 
 impl ZeroParamStore {
-    /// Shards `full` across `world` ranks, keeping slice `rank`.
+    /// Shards `full` across `world` ranks, keeping slice `rank`, with a
+    /// fresh Adam.
     ///
     /// # Panics
     ///
     /// Panics if `rank >= world` or `full` is empty.
     pub fn new(full: &[f32], rank: usize, world: usize, lr: f32) -> Self {
-        assert!(rank < world && !full.is_empty());
-        let total = full.len();
+        let zeros = vec![0.0; full.len()];
+        Self::cut([full, &zeros, &zeros], 0, rank, world, lr)
+    }
+
+    /// Slice `rank` of `world` of the parameters and both Adam moments
+    /// in `full`, cut by one range and padded, with Adam at step `t`.
+    fn cut(full: [&[f32]; 3], t: u64, rank: usize, world: usize, lr: f32) -> Self {
+        let total = full[0].len();
+        assert!(rank < world && total > 0);
+        assert!(full.iter().all(|x| x.len() == total), "optimizer moment length mismatch");
         let (range, padded) = shard_range(total, rank, world);
-        let start = range.start;
-        let mut shard = full[range].to_vec();
-        shard.resize(padded, 0.0);
-        ZeroParamStore { opt: Adam::new(padded, lr), shard, start, total, padded }
+        let [shard, m, v] = full.map(|x| {
+            let mut slice = x[range.clone()].to_vec();
+            slice.resize(padded, 0.0);
+            slice
+        });
+        let mut opt = Adam::new(padded, lr);
+        opt.load_state(&m, &v, t);
+        ZeroParamStore { shard, range, total, opt }
     }
 
     /// Bytes of parameters resident on this rank (the ZeRO-3 memory
@@ -79,51 +94,13 @@ impl ZeroParamStore {
         local_rows: f32,
     ) {
         assert_eq!(full_grad.as_ref().len(), self.total, "gradient length mismatch");
-        // Chunks of `padded` values, charged as the padded vector; the
+        // Chunks of the padded length, charged as the padded vector; the
         // padding behind the last rank's values has a zero gradient.
         let summed = comm.reduce_scatter_sum_shared(clock, full_grad);
         let total_rows = comm.all_reduce_sum(clock, &[local_rows])[0];
         let mut my_grad = summed.to_vec();
-        my_grad.resize(self.padded, 0.0);
+        my_grad.resize(self.shard.len(), 0.0);
         self.opt.step_mean(&mut self.shard, &my_grad, total_rows.max(1.0));
-    }
-
-    /// This rank's shard slice within the flat vector.
-    pub(crate) fn range(&self) -> std::ops::Range<usize> {
-        self.start..(self.start + self.padded).min(self.total)
-    }
-
-    /// This rank's padded shard (tail zeros beyond [`ZeroParamStore::range`]).
-    pub(crate) fn shard(&self) -> &[f32] {
-        &self.shard
-    }
-
-    /// Total (unpadded) parameter count.
-    pub(crate) fn total(&self) -> usize {
-        self.total
-    }
-
-    /// Shard-local Adam state `(m, v, t)` at padded width.
-    pub(crate) fn opt_state(&self) -> (&[f32], &[f32], u64) {
-        self.opt.state()
-    }
-
-    /// Restores this rank's shard-local Adam moments from *full*
-    /// moment vectors (e.g. assembled from a checkpoint), slicing and
-    /// padding to this shard's range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the moment lengths disagree with `total`.
-    pub(crate) fn load_opt_from_full(&mut self, m_full: &[f32], v_full: &[f32], t: u64) {
-        assert_eq!(m_full.len(), self.total, "optimizer m length mismatch");
-        assert_eq!(v_full.len(), self.total, "optimizer v length mismatch");
-        let r = self.range();
-        let mut m = m_full[r.clone()].to_vec();
-        let mut v = v_full[r].to_vec();
-        m.resize(self.padded, 0.0);
-        v.resize(self.padded, 0.0);
-        self.opt.load_state(&m, &v, t);
     }
 }
 
@@ -145,13 +122,8 @@ impl ZeroActorWorker {
 
     fn ensure_store(&mut self, ctx: &RankCtx) {
         if self.store.is_none() {
-            let full = self.inner.lm().flat().to_vec();
-            self.store = Some(ZeroParamStore::new(
-                &full,
-                ctx.comms.world.rank(),
-                ctx.comms.world.size(),
-                self.lr,
-            ));
+            let (world, full) = (&ctx.comms.world, self.inner.lm().flat());
+            self.store = Some(ZeroParamStore::new(full, world.rank(), world.size(), self.lr));
         }
     }
 }
@@ -192,19 +164,19 @@ impl Worker for ZeroActorWorker {
             // rank owns its slice.
             "save_shard" => {
                 let store = self.store.as_ref().expect("store initialized");
-                let (m, v, opt_t) = store.opt_state();
-                let range = store.range();
-                let len = range.len();
+                let (m, v, opt_t) = store.opt.state();
+                let len = store.range.len();
                 let head = ShardHeader {
                     rank: ctx.rank,
-                    start: range.start,
+                    start: store.range.start,
                     len,
                     owner: true,
-                    total: store.total(),
+                    total: store.total,
                     gen_round: self.inner.gen_round(),
                     opt_t,
                 };
-                encode_shard(head, store.shard().len(), [store.shard(), m, v].map(|x| &x[..len]))
+                let shard = [&store.shard[..], m, v].map(|x| &x[..len]);
+                encode_shard(head, store.shard.len(), shard)
             }
             "load_checkpoint" => {
                 let st = AssembledState::from_load_input(&data, full.len())?;
@@ -213,12 +185,11 @@ impl Worker for ZeroActorWorker {
                 // without this, the next pass's gather would overwrite
                 // the restored parameters with the stale pre-restore
                 // shards. The shard-local Adam — the one `update_actor`
-                // actually steps — is restored from the full moments.
+                // actually steps — takes its slice of the full moments.
                 let world = &ctx.comms.world;
-                let mut store =
-                    ZeroParamStore::new(&st.params, world.rank(), world.size(), self.lr);
-                store.load_opt_from_full(&st.opt_m, &st.opt_v, st.opt_t);
-                self.store = Some(store);
+                let full = [&st.params[..], &st.opt_m, &st.opt_v];
+                let (rank, size) = (world.rank(), world.size());
+                self.store = Some(ZeroParamStore::cut(full, st.opt_t, rank, size, self.lr));
                 Ok(DataProto::empty())
             }
             other => self.inner.execute(other, data, ctx),
@@ -236,7 +207,7 @@ mod tests {
         let mut covered = 0;
         for r in 0..4 {
             let s = ZeroParamStore::new(&full, r, 4, 0.01);
-            covered += s.range().len();
+            covered += s.range.len();
             assert!(s.resident_param_bytes() <= full.len() * 4 / 4 + 8);
         }
         assert_eq!(covered, 103);

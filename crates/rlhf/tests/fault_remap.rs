@@ -17,7 +17,8 @@ use hf_rlhf::{
     FixedPlacement, MapperPlanner, PipelineConfig, Placement, RemapConfig, RemapDriver,
     RemapPlanner, RemapReport, RlhfConfig, RlhfSystem,
 };
-use hf_simcluster::{ClusterSpec, DeviceId, ResourcePool};
+use hf_simcluster::{ClusterSpec, CommCostModel, DeviceId, ResourcePool};
+use hf_telemetry::Telemetry;
 
 fn remap_cfg(driver: RemapDriver) -> RemapConfig {
     RemapConfig {
@@ -33,13 +34,23 @@ fn remap_cfg(driver: RemapDriver) -> RemapConfig {
 /// Runs the elastic loop with actor rank 1 killed on its 3rd
 /// `update_actor` dispatch (mid-iteration 2, after step 1 committed).
 fn run_killed(store: &CheckpointStore, driver: RemapDriver) -> RemapReport {
+    run_killed_with(store, driver, Telemetry::enabled())
+}
+
+/// [`run_killed`] on a controller with `telemetry`.
+fn run_killed_with(
+    store: &CheckpointStore,
+    driver: RemapDriver,
+    telemetry: Telemetry,
+) -> RemapReport {
     let plan = FaultPlan::new().kill_rank(
         "actor",
         1,
         FaultTrigger::OnCall { method: "update_actor".into(), nth: 3 },
     );
     let injector = FaultInjector::new(plan);
-    let ctrl = controller_4gpu(Some(injector.clone()));
+    let (cluster, cost) = (ClusterSpec::a100_with_gpus(4), CommCostModel::default());
+    let ctrl = Controller::with_faults(cluster, cost, telemetry, injector.clone());
     let cfg = remap_cfg(driver);
     let mut planner = MapperPlanner::toy(4);
     let report = remap_recoverable(
@@ -76,6 +87,21 @@ fn kill_then_remap_continues_on_survivors() {
         // written from the *re-mapped* layout.
         let final_actor = store.load_group(4, "actor").unwrap();
         assert!(final_actor.opt_t > 0);
+    });
+}
+
+/// The restore counts the bytes it dispatched itself: a controller with
+/// telemetry off reports the bytes one with telemetry on does.
+#[test]
+fn reshard_bytes_do_not_depend_on_telemetry() {
+    with_watchdog(300, || {
+        let [on, off] = [Telemetry::enabled(), Telemetry::disabled()].map(|telemetry| {
+            let report =
+                run_killed_with(&fresh_store("remap-bytes"), RemapDriver::Barrier, telemetry);
+            report.remaps[0].reshard_bytes
+        });
+        assert!(on > 0, "the restore broadcast moves bytes");
+        assert_eq!(off, on);
     });
 }
 

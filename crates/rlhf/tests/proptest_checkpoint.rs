@@ -50,6 +50,13 @@ fn spawn_actor(ctrl: &Controller, zero: bool, spec: ParallelSpec, offset: usize)
     }
 }
 
+/// Broadcasts the committed `step` into `group` through
+/// `load_checkpoint`, as a system restore does for each of its groups.
+fn restore(store: &CheckpointStore, group: &WorkerGroup, step: u64) {
+    let st = store.load_group(step, group.name()).unwrap();
+    group.call_sync("load_checkpoint", &st.to_load_input(), Protocol::OneToAll).unwrap();
+}
+
 /// Two generate+update rounds so parameters, both Adam moments, the
 /// step count, and the RNG round are all non-trivial.
 fn train(group: &WorkerGroup) {
@@ -107,7 +114,7 @@ fn round_trip(
     let dst_spec = ParallelSpec::new(dp, dt, dd);
     let ctrl = Controller::new(ClusterSpec::a100_with_gpus(dst_spec.world() + dst_offset));
     let g = spawn_actor(&ctrl, dst_zero, dst_spec, dst_offset);
-    store.restore_group(&g, 1).unwrap();
+    restore(&store, &g, 1);
     store.save_group(&g, 2).unwrap();
     store.commit_at(2, &["actor"], 0.0).unwrap();
     let resaved = store.load_group(2, "actor").unwrap();
@@ -151,7 +158,7 @@ fn zero_restore_survives_a_subsequent_gather() {
     // Keep training (diverging from the checkpoint), restore, then run a
     // method that gathers from the store before re-saving.
     train(&g);
-    store.restore_group(&g, 1).unwrap();
+    restore(&store, &g, 1);
     let prompts = make_prompts(4, 6, 6, lm_cfg().vocab as u32, 99);
     g.call_sync(
         "compute_log_prob",
