@@ -243,7 +243,10 @@ impl Drop for ReplyTx {
 /// How a consumer reports the failure of the call whose reply it was
 /// issued on: a transient fault stays transient (the driver's retry
 /// re-issues producer and consumers alike), an elapsed deadline stays a
-/// deadline, anything else is a peer's failure — never this rank's loss.
+/// deadline (a device waits each producer rank at most the policy's
+/// deadline, as `wait` does, so a wedged producer leaves no device thread
+/// blocked), anything else is a peer's failure — never this rank's loss:
+/// no `LostRank`, no dead rank, and the group answers its next call.
 fn input_failed(e: CoreError) -> CoreError {
     let m = format!("input failed: {e}");
     match e {
@@ -256,7 +259,10 @@ fn input_failed(e: CoreError) -> CoreError {
 /// What every rank of one call reads as its input: one cut of the call's
 /// batch by its protocol, shared by the call's ranks, so they read one
 /// outcome — either all of them run the method or none enters a
-/// collective.
+/// collective. A producer's reply the consumer's protocol cannot
+/// distribute (what [`WorkerGroup::call`] turns down at the call site)
+/// is that outcome too: the same `Config` error at the consumer's `wait`,
+/// from every rank.
 struct CallInput {
     /// The call this one was issued on ([`WorkerGroup::call_on`]) and the
     /// per-producer-rank reply deadline (the policy's, at issue time).

@@ -1,6 +1,7 @@
 //! Per-rank 3D-HybridEngine state machine over the virtual NCCL.
 //!
-//! Each actor rank holds its training shard; [`HybridEngineRank::to_generation`]
+//! An engine is built from a rank's training shard (the RLHF actor cuts
+//! it out of the full replica it trains); [`HybridEngineRank::to_generation`]
 //! performs the real all-gather inside the rank's micro-DP group
 //! communicator (one concurrent collective per group, §5.3), charging
 //! virtual time, and materializes the generation shard by the group's
@@ -9,9 +10,10 @@
 //! dispatch that caused it. [`HybridEngineRank::to_training`] drops
 //! generation-only weights; under the strided method the training shard
 //! is a sub-slice of the generation shard, cut back out by the plan from
-//! the one to the other, so nothing extra was ever resident — the
-//! zero-redundancy property, which the tests check on the resident
-//! parameter bytes.
+//! the one to the other, so the engine never holds more than the
+//! generation shard — the zero-redundancy property, which the tests
+//! check on the engine's resident parameter bytes (the RLHF actor's
+//! replica sits beside them).
 
 use hf_parallel::{
     shard::{gen_shard, train_shard},

@@ -139,7 +139,10 @@ fn analyze_one(
         // Dispatches whose await completed inside this phase belong to
         // it (the controller records a dispatch span at collect time),
         // wherever they were issued: a call issued on a future starts in
-        // the phase that produces its input and ends in the next.
+        // the phase that produces its input and ends in the next. A
+        // filter on the start would bill a preparation pass's seconds to
+        // `generation` and the whole preparation phase to `(controller)`
+        // (shares summing to 1.30 on `ppo_colocated`).
         let in_phase: Vec<usize> = dispatches
             .iter()
             .copied()

@@ -203,14 +203,14 @@ pub struct RlhfSystem {
     pub(crate) cost: Option<WorkerGroup>,
     /// Algorithm configuration.
     pub(crate) cfg: RlhfConfig,
-    /// Logical generation passes the barrier driver has stamped so far
+    /// Logical generation passes either driver has stamped so far
     /// (`workers::GEN_PASS_META`).
     gen_passes: AtomicU64,
 }
 
 impl RlhfSystem {
-    /// A fresh id for one logical generation pass; a retry of the pass
-    /// reuses it.
+    /// A fresh id for one logical generation pass (a pipelined step is
+    /// one pass, however many chunks); a retry of the pass reuses it.
     pub(crate) fn next_gen_pass(&self) -> u64 {
         self.gen_passes.fetch_add(1, Ordering::Relaxed) + 1
     }

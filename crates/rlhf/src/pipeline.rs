@@ -39,7 +39,7 @@ use crate::stage::{
     collect_prep, dispatch_train, gae_rows, insert_gae, issue_prep, wait_train, GaeFlavor,
     InFlight, PpoStages, PrepSink, StageAlgo,
 };
-use crate::workers::{GEN_ROUND_META, PIPELINE_META};
+use crate::workers::{GEN_PASS_META, PIPELINE_META};
 
 /// Pipelined-execution knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,13 +60,24 @@ impl Default for PipelineConfig {
     }
 }
 
+impl PipelineConfig {
+    /// The driver runs at staleness 0 or 1 over at least one generation
+    /// chunk; anything else is a `Config` error.
+    pub(crate) fn validate(&self) -> Result<()> {
+        if self.staleness > 1 || self.gen_chunks == 0 {
+            return Err(CoreError::Config(format!(
+                "the pipelined driver runs at staleness 0 or 1 over >= 1 generation chunks, \
+                 not {self:?}"
+            )));
+        }
+        Ok(())
+    }
+}
+
 /// The pipelined PPO driver. Owns the one-step-off-policy state: the
 /// batch awaiting training and the update futures awaiting collection.
 pub struct PipelinedPpo {
     cfg: PipelineConfig,
-    /// Generation rounds issued (stamped into chunk meta so sampler
-    /// seeds match the synchronous driver's per-call counter).
-    round: u64,
     /// Batch assembled last step, awaiting its training dispatch.
     pending: Option<DataProto>,
     /// Training dispatched last step, awaiting collection — held across
@@ -100,17 +111,11 @@ fn merge_intervals(iv: &[(f64, f64)]) -> Vec<(f64, f64)> {
 }
 
 impl PipelinedPpo {
-    /// Creates the driver. `staleness` must be 0 or 1.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `staleness > 1` or `gen_chunks == 0`.
+    /// Creates the driver. Its first step turns down a `cfg` with
+    /// `staleness > 1` or `gen_chunks == 0` with `CoreError::Config`.
     pub fn new(cfg: PipelineConfig) -> Self {
-        assert!(cfg.staleness <= 1, "bounded staleness: only 0 or 1 supported");
-        assert!(cfg.gen_chunks > 0, "gen_chunks must be positive");
         PipelinedPpo {
             cfg,
-            round: 0,
             pending: None,
             held: None,
             cursor: 0,
@@ -121,19 +126,6 @@ impl PipelinedPpo {
             train_iv: Vec::new(),
             overlap_emitted_us: 0,
         }
-    }
-
-    /// Creates the driver with its round counter pre-advanced to
-    /// `round`, so the first step stamps generation round `round + 1`.
-    /// Drivers stamp *absolute* rounds into each batch (the actor takes
-    /// its sampler round from the stamp); a caller running one driver
-    /// per checkpoint window — the elastic re-mapping loop — uses this
-    /// to continue the run's round sequence across windows instead of
-    /// restarting every window at round 1.
-    pub(crate) fn with_round(cfg: PipelineConfig, round: u64) -> Self {
-        let mut driver = Self::new(cfg);
-        driver.round = round;
-        driver
     }
 
     /// One pipelined step. Dispatches this round's generation, overlaps
@@ -164,6 +156,7 @@ impl PipelinedPpo {
         if sys.cfg.recompute_logp {
             return Err(CoreError::Config("pipelined PPO does not support recompute_logp".into()));
         }
+        self.cfg.validate()?;
         if !self.started {
             self.started = true;
             self.run_start = ctrl.clock();
@@ -171,10 +164,10 @@ impl PipelinedPpo {
             self.cursor = ctrl.timeline_from(usize::MAX).1;
         }
         let t_start = ctrl.clock();
-        self.round += 1;
+        let pass = sys.next_gen_pass();
 
         // Phase 1: dispatch this round's generation chunks.
-        let chunks = self.split_prompts(prompts);
+        let chunks = self.split_prompts(prompts, pass);
         let mut gen_futs = Vec::with_capacity(chunks.len());
         for c in &chunks {
             gen_futs.push(sys.actor.invoke("generate_sequences", c)?);
@@ -247,9 +240,6 @@ impl PipelinedPpo {
             returns.extend_from_slice(&s.gae.1);
         }
         insert_gae(&mut batch, advantages, returns, rw);
-        for key in [PIPELINE_META, GEN_ROUND_META] {
-            batch.meta.remove(key);
-        }
         batch.set_row_offset(None);
 
         // Phase 6: resolve whichever training completes this step.
@@ -267,7 +257,7 @@ impl PipelinedPpo {
         };
 
         // Phase 7: measured overlap, telemetry, stats finalization.
-        Ok(self.finalize(ctrl, t_start, result))
+        Ok(self.finalize(ctrl, t_start, Some(pass), result))
     }
 
     /// Drains the pipeline: collects the held update futures, then
@@ -279,7 +269,7 @@ impl PipelinedPpo {
         if let Some(h) = self.held.take() {
             let t0 = ctrl.clock();
             let r = wait_train(sys, h)?;
-            if let Some((stats, _)) = self.finalize(ctrl, t0, Some(r)) {
+            if let Some((stats, _)) = self.finalize(ctrl, t0, None, Some(r)) {
                 out.push(stats);
             }
         }
@@ -287,7 +277,7 @@ impl PipelinedPpo {
             let t0 = ctrl.clock();
             let inflight = dispatch_train(sys, b)?;
             let r = wait_train(sys, inflight)?;
-            if let Some((stats, _)) = self.finalize(ctrl, t0, Some(r)) {
+            if let Some((stats, _)) = self.finalize(ctrl, t0, None, Some(r)) {
                 out.push(stats);
             }
         }
@@ -296,15 +286,15 @@ impl PipelinedPpo {
 
     /// Splits the prompt batch into generation chunks, stamping each
     /// with its global row offset (so sampler seeds are
-    /// chunking-invariant), the pinned generation round, and the
-    /// pipelined-mode flag.
-    fn split_prompts(&self, prompts: &DataProto) -> Vec<DataProto> {
+    /// chunking-invariant), the step's one generation pass id (so every
+    /// chunk samples one round), and the pipelined-mode flag.
+    fn split_prompts(&self, prompts: &DataProto, pass: u64) -> Vec<DataProto> {
         let n = self.cfg.gen_chunks.min(prompts.rows().max(1));
         let mut chunks = prompts.chunk(n);
         let mut row0 = 0usize;
         for c in chunks.iter_mut() {
             c.set_row_offset(Some(row0));
-            c.meta.insert(GEN_ROUND_META.into(), self.round.to_string());
+            c.meta.insert(GEN_PASS_META.into(), pass.to_string());
             c.meta.insert(PIPELINE_META.into(), "1".into());
             row0 += c.rows();
         }
@@ -314,10 +304,12 @@ impl PipelinedPpo {
     /// Folds the step's timeline entries into the overlap bookkeeping,
     /// emits the pipeline telemetry, and stamps the emitted stats with
     /// the step's wall time, staleness, and measured overlap fraction.
+    /// `pass` is the step's generation pass id, `None` for a flush.
     fn finalize(
         &mut self,
         ctrl: &Controller,
         t_start: f64,
+        pass: Option<u64>,
         result: Option<(IterStats, DataProto)>,
     ) -> Option<(IterStats, DataProto)> {
         self.scan_timeline(ctrl);
@@ -340,7 +332,7 @@ impl PipelinedPpo {
             id,
             &[],
             &[
-                ("round", self.round.to_string()),
+                ("pass", pass.map_or_else(String::new, |p| p.to_string())),
                 ("staleness", self.cfg.staleness.to_string()),
                 ("overlap_fraction", format!("{frac:.6}")),
             ],

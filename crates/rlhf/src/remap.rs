@@ -421,11 +421,10 @@ impl Run<'_> {
                 .map(|i| cfg.algorithm.iteration(sys, ctrl, cfg.batch, cfg.data_seed, i))
                 .collect(),
             RemapDriver::Pipelined(pcfg) => {
-                // Rounds are absolute across the run (one generation per
-                // iteration), so a window starting at iteration `start`
-                // continues the sequence — bit-compatible with the barrier
-                // driver's restored gen_round at staleness 0.
-                let mut pipe = PipelinedPpo::with_round(pcfg, start);
+                // Each step advances the actor's sampler round once, from
+                // the restored `gen_round` on: the window continues the
+                // run's round sequence as the barrier driver does.
+                let mut pipe = PipelinedPpo::new(pcfg);
                 let mut out = Vec::new();
                 for i in start..end {
                     let prompts = iteration_prompts(&sys.cfg, cfg.batch, cfg.data_seed, i);
@@ -531,13 +530,11 @@ pub fn remap_recoverable(
         return Err(CoreError::Config("checkpoint_every must be >= 1".into()));
     }
     if let RemapDriver::Pipelined(p) = cfg.driver {
-        if cfg.algorithm != Algorithm::Ppo || p.staleness > 1 || p.gen_chunks == 0 {
-            return Err(CoreError::Config(format!(
-                "the pipelined driver runs PPO at staleness 0 or 1 over >= 1 generation \
-                 chunks, not {:?} with {p:?}",
-                cfg.algorithm
-            )));
+        if cfg.algorithm != Algorithm::Ppo {
+            let msg = format!("the pipelined driver runs PPO, not {:?}", cfg.algorithm);
+            return Err(CoreError::Config(msg));
         }
+        p.validate()?;
     }
     let mut run = Run {
         ctrl,

@@ -23,10 +23,11 @@
 //! so model replicas stay in lock-step, exactly like data-parallel
 //! training.
 //!
-//! Sampling inside `generate_sequences` is seeded from the chunk
-//! contents and a per-call round counter, so all ranks holding the same
-//! chunk produce identical responses (the SPMD determinism the
-//! multi-controller paradigm relies on).
+//! Sampling inside `generate_sequences` is seeded from each prompt, its
+//! global row and the rank's sampler round, which advances once per
+//! generation pass id, so all ranks holding the same chunk produce
+//! identical responses (the SPMD determinism the multi-controller
+//! paradigm relies on).
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -97,18 +98,14 @@ impl Default for WorkerHyper {
 /// untouched.
 pub const PIPELINE_META: &str = "__pipeline";
 
-/// Meta key: explicit generation round. The pipelined driver splits one
-/// logical generation into several `generate_sequences` calls; stamping
-/// the round keeps every chunk's sampler seeds identical to the single
-/// synchronous call (which advances the worker's own counter once).
-pub const GEN_ROUND_META: &str = "__gen_round";
-
-/// Meta key: the id of one *logical* generation pass, stamped by the
-/// barrier driver and reused by a retry of that pass. A rank whose last
-/// pass carried the same id already spent the pass's sampler round — it
-/// ran the attempt whose failure on a peer caused the retry — and does
-/// not advance again, so every rank samples the retried pass from the
-/// round of the attempt it replaces. Not echoed in the reply.
+/// Meta key: the id of one *logical* generation pass
+/// ([`crate::RlhfSystem`] hands them out), stamped by both drivers: the
+/// barrier driver on each pass and again on its retry, the pipelined
+/// driver on every chunk of a step. A rank advances its sampler round
+/// once per new id, so the chunks of one step sample one round, as the
+/// single synchronous call does, and a rank that ran the attempt whose
+/// failure on a peer caused a retry samples the retried pass from the
+/// round it already spent. Not echoed in the reply.
 pub const GEN_PASS_META: &str = "__gen_pass";
 
 /// Meta key: set to `"1"` by a driver on a generation input whose
@@ -600,12 +597,16 @@ impl ActorWorker {
         self.weights_dirty = true;
     }
 
-    /// Runs the 3D-HybridEngine train→generation transition for real:
-    /// all-gathers this rank's training shard of the block weights
-    /// within its micro-DP group (one concurrent collective per group,
-    /// §5.3, charged to virtual time) and verifies the reconstructed
-    /// generation shard byte-matches the model — the zero-redundancy
-    /// resharding executing on the functional path every iteration.
+    /// Runs the 3D-HybridEngine train→generation transition beside the
+    /// full replica every rank holds: cuts this rank's training shard of
+    /// the block weights out of that replica, all-gathers it within the
+    /// micro-DP group (one concurrent collective per group, §5.3, charged
+    /// to virtual time), checks the gathered generation shard against the
+    /// replica (`gen_matches`), and holds the gathered buffer until
+    /// `update_actor` drops it. Generation decodes the replica
+    /// (`install_weights(&self.lm)`), not the gathered shard; the vanilla
+    /// grouping returns before any of this. ROADMAP's "The 3D-HybridEngine
+    /// holds the weights" is the item that makes the shard the weights.
     fn hybrid_engine_transition(&mut self, ctx: &mut RankCtx, pipelined: bool) -> Result<()> {
         let Some(gen) = ctx.layout.gen else { return Ok(()) };
         let Some(micro) = &ctx.comms.micro_dp else { return Ok(()) };
@@ -665,7 +666,6 @@ impl ActorWorker {
     fn generate_sequences(&mut self, data: DataProto, ctx: &mut RankCtx) -> Result<DataProto> {
         // The meta is read before anything changes: a malformed key
         // leaves every rank as it was.
-        let round = meta(&data, GEN_ROUND_META, |s| s.parse::<u64>().ok())?;
         let pass = meta(&data, GEN_PASS_META, |s| s.parse::<u64>().ok())?;
         let resp_len: usize = meta(&data, "response_len", |s| s.parse().ok())?
             .ok_or_else(|| CoreError::Data("generate_sequences needs response_len meta".into()))?;
@@ -698,19 +698,13 @@ impl ActorWorker {
         }
         // Reshard training → generation weights before generating.
         self.hybrid_engine_transition(ctx, pipelined)?;
-        // One logical generation = one round. The pipelined driver
-        // splits a round into several calls and pins the round via meta
-        // so chunk seeds match the single synchronous call exactly. A
-        // call that turns its chunk down below still spent the round, on
-        // every rank alike; a retry of a pass this rank already ran
-        // samples that attempt's round again.
-        match (round, pass) {
-            (Some(round), _) => self.gen_round = round,
-            (None, Some(pass)) if self.gen_pass == Some(pass) => {}
-            (None, pass) => {
-                self.gen_round += 1;
-                self.gen_pass = pass;
-            }
+        // One logical generation pass = one round: the later chunks of a
+        // pipelined step and a retry of a pass this rank already ran
+        // sample the round its first call spent. A call that turns its
+        // chunk down below still spent the round, on every rank alike.
+        if pass.is_none() || pass != self.gen_pass {
+            self.gen_round += 1;
+            self.gen_pass = pass;
         }
         let (prompts, pw) = token_rows(&data, "prompts", vocab)?;
 
@@ -848,8 +842,9 @@ impl ActorWorker {
             responses.extend(std::iter::repeat_n(pad_token as u32, resp_len - out.tokens.len()));
         }
         let mut out = data.clone();
-        out.meta.remove(GEN_PASS_META);
-        out.meta.remove(NO_LOGP_META);
+        for key in [GEN_PASS_META, NO_LOGP_META, PIPELINE_META] {
+            out.meta.remove(key);
+        }
         if !no_logp {
             // A full-length row's log-probs are the decode's: a decoded
             // row is the forward's, bit for bit. A row a stop token cut
@@ -1216,22 +1211,27 @@ pub enum RewardKind {
     },
 }
 
+/// What a [`RewardWorker`] scores with: [`RewardKind`] built.
+enum Scorer {
+    RuleBased(Vec<u32>),
+    Neural(TinyLm),
+}
+
 /// The reward model class; Safe-RLHF's cost model is another instance
 /// answering `compute_cost` (Figure 6 reuses `RewardWorker` verbatim).
 pub struct RewardWorker {
-    kind: RewardKind,
-    lm: Option<TinyLm>,
+    scorer: Scorer,
     hyper: WorkerHyper,
 }
 
 impl RewardWorker {
     /// Builds a reward/cost model.
     pub fn new(cfg: LmConfig, kind: RewardKind, hyper: WorkerHyper) -> Self {
-        let lm = match &kind {
-            RewardKind::Neural { seed } => Some(TinyLm::new(cfg, *seed)),
-            RewardKind::RuleBased { .. } => None,
+        let scorer = match kind {
+            RewardKind::RuleBased { good_tokens } => Scorer::RuleBased(good_tokens),
+            RewardKind::Neural { seed } => Scorer::Neural(TinyLm::new(cfg, seed)),
         };
-        RewardWorker { kind, lm, hyper }
+        RewardWorker { scorer, hyper }
     }
 
     /// The scores of the rows `mine` of `prompts` and `resps` (`rw`
@@ -1245,21 +1245,20 @@ impl RewardWorker {
         resp_raw: &[u32],
         rw: usize,
     ) -> Vec<f32> {
-        match (&self.kind, &self.lm) {
-            (RewardKind::RuleBased { good_tokens }, _) => (mine.iter())
+        match &self.scorer {
+            Scorer::RuleBased(good_tokens) => (mine.iter())
                 .map(|&i| {
                     let resp = &resp_raw[i * rw..(i + 1) * rw];
                     let hits = resp.iter().filter(|t| good_tokens.contains(t)).count();
                     hits as f32 / rw.max(1) as f32
                 })
                 .collect(),
-            (RewardKind::Neural { .. }, Some(lm)) => {
+            Scorer::Neural(lm) => {
                 let seqs = sequences(prompts, resps);
                 let len = seqs.first().map_or(0, Vec::len);
                 let last = len.saturating_sub(1)..len;
                 stacked(&seqs, mine, last, |run, reads| lm.values_stacked(run, reads)).concat()
             }
-            (RewardKind::Neural { .. }, None) => unreachable!("a neural reward has an LM"),
         }
     }
 }
@@ -1272,7 +1271,7 @@ impl Worker for RewardWorker {
             other => return Err(CoreError::Worker(format!("reward has no method {other}"))),
         };
         // A rule-based reward indexes no embedding: any id is a token.
-        let vocab = self.lm.as_ref().map_or(usize::MAX, |lm| lm.cfg.vocab);
+        let vocab = if let Scorer::Neural(lm) = &self.scorer { lm.cfg.vocab } else { usize::MAX };
         let (prompts, _pw) = token_rows(&data, "prompts", vocab)?;
         let (resps, rw) = token_rows(&data, "responses", vocab)?;
         let (resp_raw, _) = data.tokens("responses")?;

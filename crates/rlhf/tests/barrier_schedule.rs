@@ -14,7 +14,10 @@ use hf_core::{CallPolicy, Controller, CoreError, DataProto, TimelineEntry, Worke
 use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
 use hf_resilience::{collect_state, decode_shards, FaultInjector, FaultPlan, FaultTrigger};
 use hf_rlhf::env::make_prompts;
-use hf_rlhf::{grpo_iteration, ppo_iteration_captured, Placement, RlhfConfig, RlhfSystem};
+use hf_rlhf::{
+    grpo_iteration, ppo_iteration_captured, PipelineConfig, PipelinedPpo, Placement, RlhfConfig,
+    RlhfSystem,
+};
 use hf_simcluster::ResourcePool;
 
 /// Every model colocated on four GPUs, pure data parallelism.
@@ -227,4 +230,21 @@ fn compute_log_prob_keeps_its_transient_retry_as_a_future() {
 fn a_retried_generation_is_the_fault_free_generation() {
     assert_retry_is_invisible("generate_sequences", false);
     assert_retry_is_invisible("generate_sequences", true);
+}
+
+/// Both drivers name a generation pass by one id from the system, and
+/// the actor advances its checkpointed round once per new id: a pipelined
+/// step after two barrier iterations samples round 3 on every rank, its
+/// two chunks alike, and never moves the round back.
+#[test]
+fn a_pipelined_step_continues_the_barrier_drivers_sampler_rounds() {
+    let cfg = RlhfConfig::tiny();
+    let (ctrl, sys) = system(&cfg, true, None);
+    for i in 0..2 {
+        ppo_iteration_captured(&sys, &ctrl, &prompts(&cfg, i)).unwrap();
+    }
+    assert_eq!(gen_rounds(&sys), [2; 4]);
+    let mut driver = PipelinedPpo::new(PipelineConfig { staleness: 0, gen_chunks: 2 });
+    driver.step(&sys, &ctrl, &prompts(&cfg, 2)).unwrap().expect("staleness 0 trains in-step");
+    assert_eq!(gen_rounds(&sys), [3; 4]);
 }

@@ -11,7 +11,7 @@
 //! Comparisons use bit patterns (`f32::to_bits`), not `==`, so `-0.0`
 //! vs `+0.0` or NaN-payload drift would fail loudly.
 
-use hf_core::{Controller, DataProto, WorkerLayout};
+use hf_core::{Controller, CoreError, DataProto, WorkerLayout};
 use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
 use hf_rlhf::env::make_prompts;
 use hf_rlhf::{
@@ -78,7 +78,7 @@ fn pipelined_staleness0_is_bit_identical_to_sync() {
     for iter in 0..ITERS {
         let (stats, batch) =
             ppo_iteration_captured(&sys_a, &ctrl_a, &prompts_for(&cfg, iter)).unwrap();
-        sync_batches.push(batch_bits(&batch));
+        sync_batches.push((batch_bits(&batch), batch.meta));
         sync_stats.push(stats);
     }
     let sync_ckpt = checkpoint_bits(&sys_a);
@@ -92,11 +92,13 @@ fn pipelined_staleness0_is_bit_identical_to_sync() {
             .step_captured(&sys_b, &ctrl_b, &prompts_for(&cfg, iter))
             .unwrap()
             .expect("staleness 0 trains in-step");
+        let (sync_bits, sync_meta) = &sync_batches[iter as usize];
         assert_eq!(
-            batch_bits(&batch),
-            sync_batches[iter as usize],
+            &batch_bits(&batch),
+            sync_bits,
             "iteration {iter}: pipelined staleness-0 batch diverged from sync"
         );
+        assert_eq!(&batch.meta, sync_meta, "iteration {iter}: no wire key reaches the batch");
         let s = &sync_stats[iter as usize];
         assert_eq!(stats.mean_score.to_bits(), s.mean_score.to_bits(), "iter {iter} mean_score");
         assert_eq!(stats.actor_loss.to_bits(), s.actor_loss.to_bits(), "iter {iter} actor_loss");
@@ -111,6 +113,22 @@ fn pipelined_staleness0_is_bit_identical_to_sync() {
         "pipelined staleness-0 weights/Adam moments diverged from sync"
     );
     let _ = ctrl_b.shutdown();
+}
+
+/// A config the driver cannot run is turned down by its first step, as
+/// the re-mapping loop turns it down, before anything is dispatched.
+#[test]
+fn an_unsupported_pipeline_config_is_a_config_error() {
+    let (ctrl, sys, cfg) = build_system();
+    for pcfg in [
+        PipelineConfig { staleness: 2, gen_chunks: 2 },
+        PipelineConfig { staleness: 1, gen_chunks: 0 },
+    ] {
+        let got = PipelinedPpo::new(pcfg).step(&sys, &ctrl, &prompts_for(&cfg, 0));
+        assert!(matches!(got, Err(CoreError::Config(_))), "{pcfg:?}: {got:?}");
+    }
+    assert!(ctrl.timeline().is_empty(), "a turned-down step dispatches nothing");
+    let _ = ctrl.shutdown();
 }
 
 /// One full staleness-1 pipelined run, the controller's timeline

@@ -374,7 +374,6 @@ fn malformed_generation_and_training_meta_is_a_typed_error_not_a_default() {
         ("generate_sequences", "pad_token", "x"),
         ("generate_sequences", "stop_tokens", "3,x"),
         ("generate_sequences", "greedy", "true"),
-        ("generate_sequences", hf_rlhf::GEN_ROUND_META, "x"),
         ("generate_sequences", hf_rlhf::GEN_PASS_META, "x"),
         ("generate_sequences", hf_rlhf::PIPELINE_META, "true"),
         ("generate_sequences", hf_rlhf::NO_LOGP_META, "true"),

@@ -189,7 +189,12 @@ impl CommGroup {
     /// rank order, moved, not cloned) and every member leaves with the
     /// same shared result.
     ///
-    /// This is the primitive every collective is built from. Members
+    /// This is the primitive every collective is built from: the fold is
+    /// the tree sum for all-reduce and reduce-scatter, the concatenation
+    /// for all-gather, the identity for gather, `exchange` and
+    /// `exchange_timed`. The float association and every clock operation
+    /// are those of the per-member form it replaced (the tests compare
+    /// bits and clocks for n ∈ {1, 2, 3, 4, 5, 8}). Members
     /// must pass equivalent `fold`s — which one runs depends on arrival
     /// order. A `fold` that panics poisons the group, so *every* member
     /// (the folder included) unwinds with a [`CollectiveAbort`] naming

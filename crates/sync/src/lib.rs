@@ -11,14 +11,19 @@
 //! that blocks, and `std::thread::yield_now` inside it the only point
 //! where it gives up the CPU without parking; a scheduler that decides
 //! which thread runs (seeded, loom / shuttle-style) hooks those two.
+//! Every runtime wait is that one call: the mailbox's `recv_until`, the
+//! two rendezvous loops of `hf-simcluster`'s `exchange_fold`, the
+//! pipeline `take`, and `hf-core`'s `CallState::reply`.
 //!
 //! **Spin, then park.** `wait_while` first yields the CPU up to
 //! `SPIN` times, re-checking its predicate under the lock after each
 //! yield, and parks on the futex only after that; a `notify_*` with no
 //! waiter parked makes no syscall. On one CPU the thread a waiter waits
-//! for is already runnable, so a yield hands it the CPU for a fraction
-//! of a futex sleep and wake. On a host with a CPU to spare, `yield_now`
-//! returns at once and the spin costs at most `SPIN` syscalls.
+//! for is already runnable, so a yield hands it the CPU at once: about
+//! 1.3 µs a `sched_yield` against about 6 µs a futex sleep and wake. A
+//! `spin_loop` hint would instead burn the timeslice that thread needs.
+//! On a host with a CPU to spare, `yield_now` returns at once and the
+//! spin costs at most `SPIN` syscalls.
 //!
 //! The waits left outside the layer, both in `hf-core`'s runtime:
 //!
@@ -41,9 +46,12 @@
 //! thread needs.** Change the state under the lock, drop the guard, then
 //! `notify_*`. A woken waiter's first act is to re-take that lock; on a
 //! single CPU it would otherwise preempt the notifier and block on it at
-//! once, two context switches for nothing. [`channel`]'s `send`, the
-//! collective rendezvous and the reply slots follow it; the cold poison
-//! paths, which unwind right after, need not.
+//! once, two context switches for nothing (moving the notifies out took
+//! a `ppo_wide_small` iteration from 134 to 100 voluntary context
+//! switches, before the spin). [`channel`]'s `send`, the folder and the
+//! last departer of a collective rendezvous, a pipeline `post` and the
+//! reply slots' `ReplyTx::fill` follow it; the cold poison paths, which
+//! unwind right after, need not.
 //!
 //! **Why no wake is lost.** A waiter counts itself as parked under the
 //! lock, right after its last check of the predicate and before the std
@@ -55,7 +63,13 @@
 //! and parks could not give this: the state may change while the lock is
 //! free during a yield, and a notify that lands before the park wakes
 //! nobody. `wait_while` checks the predicate under the lock right before
-//! it parks, so such a change is seen there.
+//! it parks, so such a change is seen there. Poison keeps its meaning: a
+//! spinning waiter sees it at its next check, a parked one is woken
+//! because the count is above 0, and `hf-simcluster`'s
+//! `abort_if_poisoned` still unwinds with the guard held. The stress
+//! tests below — a token ring whose holder now and then sleeps, so its
+//! successor parks, and a mailbox with pausing producers — check this
+//! under a watchdog, in release in CI.
 
 // The wrappers below are the one place the disallowed types are used.
 #![allow(clippy::disallowed_types)]
@@ -68,8 +82,25 @@ pub mod channel;
 
 /// How many times [`Condvar::wait_while`] yields the CPU before it
 /// parks: the smallest budget at which the benchmark's workloads, pinned
-/// to one CPU, stop losing voluntary context switches (the sweep is in
-/// DESIGN.md §5, "Spin, then park").
+/// to one CPU, stop losing voluntary context switches. Voluntary
+/// switches per attempted iteration, by budget (`getrusage` of the
+/// process, one 6–8 s run each; the 0 column of the last two rows is a
+/// ten-run median without the spin):
+///
+/// | workload | 0 | 1 | 2 | 4 | 8 | 16 |
+/// |---|---|---|---|---|---|---|
+/// | `ppo_wide_small` | 102 | 16.6 | 7.8 | 7.6 | 7.7 | 7.6 |
+/// | `ppo_colocated` | 98.5 | | 9.5 | 4.9 | 4.8 | |
+/// | `ppo_split_pipelined` | 28.3 | | 5.8 | 4.0 | 4.0 | |
+///
+/// `ppo_wide_small`'s host tokens/s over the budget (one 8 s run each):
+/// 63.3k at 0, 70.9k at 4, 69.4k at 16, 68.5k at 64, 69.4k at 256. An
+/// 8-rank no-op call pinned to one CPU (`hf-core`'s
+/// `tests/switch_budget.rs`, which holds it to 2) makes 8.5 voluntary
+/// switches at 0 and 0.0 at 4, and takes 29–34 µs against 15–18 µs. End
+/// to end, `ppo_wide_small` reads 1.14–1.15× host tokens/s and the other
+/// workloads level to +2 % (EXPERIMENTS.md, "a rank hand-off yields
+/// before it parks").
 pub(crate) const SPIN: u32 = 4;
 
 /// A mutual-exclusion lock whose `lock()` never returns a poison error.
