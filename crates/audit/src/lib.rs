@@ -29,10 +29,38 @@
 //!   scheduler.
 //!
 //! Linking this crate also compiles the **runtime invariant auditors**
-//! of the layers below (their `audit` features): BlockManager
-//! refcount/free-list conservation in `hf-genserve`, DataProto CoW
-//! no-aliasing-after-write and group-family partition checks in
-//! `hf-core`, and communicator lifecycle checks in `hf-simcluster`.
+//! of the layers below (their `audit` features; feature unification
+//! does the rest):
+//!
+//! * BlockManager conservation in `hf-genserve` (free + reclaimable +
+//!   owned = pool, stale-entry and prefix-cache coherence), checked
+//!   after every engine step;
+//! * communicator lifecycle in `hf-simcluster`: no rank re-enters a
+//!   collective it has not left, and none runs a collective on a
+//!   communicator that already saw a `CollectiveAbort` (NCCL's
+//!   fresh-communicator-after-abort rule), each collective under a
+//!   `catch_unwind`;
+//! * DataProto copy-on-write discipline in `hf-core`: the runtime
+//!   fingerprints every dispatched batch before and after the worker
+//!   runs, and an in-place mutation of a shared input, like a malformed
+//!   reply, is an `Invariant` error;
+//! * group-family partitions in `hf-core`: the TP/PP/DP/micro-DP rank
+//!   grids each tile the world exactly once, checked at spawn.
+//!
+//! Each must hold in every correct execution, not just the tests'. To
+//! add one: put the check behind `#[cfg(feature = "audit")]` next to the
+//! state it audits, and prove it fires in `tests/invariant_auditors.rs`.
+//!
+//! What the oracle found, each now a pinned regression: the ZeRO actor
+//! saved its inner worker's never-stepped, all-zero Adam moments, so a
+//! restore reset the optimizer (every test now reads state assembled
+//! from `save_shard`, the one save path); FIFO block eviction was O(n²)
+//! under churn (now a lazily deleted `VecDeque`, guarded by the ns/alloc
+//! ratio in `audit_sweep`); genserve's watermark admission double-counted
+//! in-flight blocks at the boundary; micro-DP membership was a
+//! world-sized filter scan (now arithmetic, property-tested against the
+//! filter); and group-lookup `expect` panics in the runtime became typed
+//! `CoreError::Invariant` errors.
 
 #![warn(missing_docs)]
 

@@ -27,7 +27,7 @@
 use hf_hybridengine::{transition_time, EngineMode};
 use hf_mapping::{AlgoKind, DataflowSpec, Mapper, Role};
 use hf_modelspec::{memory, ModelConfig, PerfModel, TrainEngine};
-use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec, ZeroSpec, ZeroStage};
+use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
 use hf_simcluster::{CollectiveKind, DeviceId};
 
 /// The RLHF systems compared in §8.
@@ -137,7 +137,7 @@ fn ds_chat(perf: &PerfModel, df: &DataflowSpec, n: usize) -> Option<Estimate> {
     if resident + act > usable {
         return None;
     }
-    let zero = TrainEngine::Zero(ZeroSpec::new(ZeroStage::Stage3, n));
+    let zero = TrainEngine::Zero3(n);
     let spec = ParallelSpec::new(1, 1, n);
 
     // Training stage: actor and critic serialize on the shared devices.
@@ -267,7 +267,7 @@ fn open_rlhf(perf: &PerfModel, df: &DataflowSpec, n: usize) -> Option<Estimate> 
 
     let train_n = alloc[0];
     let gen_n = alloc[1];
-    let zero = TrainEngine::Zero(ZeroSpec::new(ZeroStage::Stage3, train_n));
+    let zero = TrainEngine::Zero3(train_n);
     let actor = &df.actor;
     let actor_train = w.total_updates() as f64
         * perf.train_time(
@@ -329,7 +329,7 @@ fn open_rlhf(perf: &PerfModel, df: &DataflowSpec, n: usize) -> Option<Estimate> 
         let t = passes * perf.infer_time(model, &spec, &devs_r, w.global_batch, w.seq_len());
         prep = prep.max(t);
         if r == Role::Critic {
-            let zero_c = TrainEngine::Zero(ZeroSpec::new(ZeroStage::Stage3, g));
+            let zero_c = TrainEngine::Zero3(g);
             critic_train = w.total_updates() as f64
                 * perf.train_time(
                     model,

@@ -262,7 +262,8 @@ fn input_failed(e: CoreError) -> CoreError {
 /// collective. A producer's reply the consumer's protocol cannot
 /// distribute (what [`WorkerGroup::call`] turns down at the call site)
 /// is that outcome too: the same `Config` error at the consumer's `wait`,
-/// from every rank.
+/// from every rank. Cutting per rank instead cost `ppo_wide_small` 30 %
+/// of its host time (measured in PR 20).
 struct CallInput {
     /// The call this one was issued on ([`WorkerGroup::call_on`]) and the
     /// per-producer-rank reply deadline (the policy's, at issue time).

@@ -104,7 +104,15 @@ impl RankCtx {
 }
 
 /// Where a worker's calls run, and so which virtual clock they are
-/// charged on. Each device thread keeps one clock per lane.
+/// charged on. Each device thread keeps one clock per lane, and a call's
+/// future sync, dispatch sync, pull, `QueueWait` span and fault-hook
+/// instant all use its lane's clock; host-lane spans go on `cpu-<n>`, so
+/// no two Exec spans overlap on `gpu-<n>`. The mailbox does not split: a
+/// host-lane call still runs after every call queued before it on its
+/// device thread, and a killed host-lane rank is a loss of its device
+/// that poisons its groups. Only the verifier pool (`hf-rlhf`'s
+/// `RewardEvaluatorWorker`, the role the mapper calls CPU-bound) runs on
+/// the host lane today.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lane {
     /// The GPU: every device-lane worker registered on the device

@@ -21,6 +21,23 @@
 //! `TinyLm::generate` on it alone (the equivalence proptest enforces
 //! exactly this), and the log-prob recorded with each sampled token
 //! ([`GenOutput::logps`]) is bit for bit the forward's.
+//!
+//! In the RLHF loop each actor rank owns one [`GenServer`]; the
+//! train→generation transition installs the resharded weights into it
+//! when training has touched them since the last install. Admission
+//! leaves a watermark of `max(1, num_blocks / 16)` blocks in a non-empty
+//! batch, so a fresh admission does not preempt on the next step, and a
+//! head that does not fit stops admission
+//! (`a_head_that_does_not_fit_blocks_the_queue_behind_it`). Snapshot
+//! storage is backed lazily and per session: pooling it across
+//! `generate` calls was measured to raise peak RSS. One pass over the
+//! weights serves the whole batch, which is where the ≥2× tokens/s over
+//! the per-sequence baseline comes from (`hf-bench genserve_throughput`,
+//! under a budget that forces preemptions). The actor's
+//! `generate_sequences` charges each step `batch / mp` tokens of virtual
+//! time and records it as a `genserve.step` span on the `gpu-<n>/genserve`
+//! sub-track, with `genserve.rollout.*` counters, samples and digests,
+//! which the telemetry summary prints under `genserve:`.
 
 #![warn(missing_docs)]
 

@@ -8,7 +8,18 @@
 //! queue wait, p2p pull, execute (with nested resharding transitions
 //! split out). Walking that hierarchy yields the longest path through
 //! the causal DAG as a gap-free tiling of the iteration, which is what
-//! makes per-role / per-kind attribution sum to the iteration time.
+//! makes per-role / per-kind attribution sum to the iteration time
+//! (asserted on unit fixtures and on the live runtime).
+//!
+//! A dispatch belongs to the phase its await *completes* in, clipped at
+//! the cursor, so a preparation pass issued on generation's future is
+//! billed to `experience_preparation`; its wait for the future is a
+//! `QueueWait` that falls before the cursor the producer's dispatch
+//! left, so only its pull and its pass are on the path. Bubble
+//! fractions are `1 −` the merged Exec/Comm cover, per track and per
+//! role. The what-if bounds subtract the critical path's transition
+//! seconds (Figure 15 / Table 2's overhead, measured, not modelled) and
+//! let the shorter of generation and training hide behind the longer.
 
 use std::collections::BTreeMap;
 

@@ -6,7 +6,18 @@
 //! and shapes are identical. Everything here therefore orders spans by a
 //! canonical key — `(start, end, track, name, kind)` — and uses ids only
 //! to resolve edge structure, which *is* run-stable. No output of this
-//! module (or its consumers) depends on raw id values.
+//! module (or its consumers) depends on raw id values
+//! (`id_values_do_not_affect_structure`).
+//!
+//! Edges come from four instrumentation sites: the controller threads
+//! each call's id through `DeviceMsg::Execute`, so a rank's queue-wait,
+//! pull and exec spans cite their dispatch, whose own causes are the
+//! exec spans it collected; `RankCtx::cause` lets worker spans
+//! (transitions, genserve steps) cite the enclosing dispatch; phase
+//! spans chain to their predecessor; and collective membership comes
+//! from a `collective=<group>@<round range>` arg, whose round counters
+//! agree across ranks because execution is SPMD-lockstep. Id `0` means
+//! "not in the graph".
 
 use std::collections::BTreeMap;
 

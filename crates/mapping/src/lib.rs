@@ -19,6 +19,10 @@
 //!   the analytic simulators, with memory-feasibility checks.
 //! * [`search`] — `d_cost` (Algorithm 1 Lines 25–34) and the outer
 //!   search with per-(model, allocation) strategy caching.
+//!
+//! The §6 heterogeneous-device hook is the cluster spec the mapper is
+//! given: `hf_simcluster::GpuSpec::a100_40g` and
+//! `ClusterSpec::h100_with_gpus` (`hf-bench whatif_hardware`).
 
 #![warn(missing_docs)]
 

@@ -22,7 +22,13 @@
 //!   immediately and the bound prunes the long tail. Ties on cost go to
 //!   the earlier-enumerated candidate, which makes the winning
 //!   *mapping* — not only its cost — a function of the inputs, equal to
-//!   what the exhaustive [`Mapper::search_sequential`] reference returns.
+//!   what the exhaustive [`Mapper::search_sequential`] reference returns:
+//!   380 of 380 configurations checked (4 algorithms × {tiny, 7B, 13B,
+//!   34B, 70B} × worlds 1–12, 16, 23, 24, 32, 64, 96, 128), and property
+//!   tests compare whole `Mapping`s and hold every bound ≤ its cost.
+//! * **Caches and counters.** The strategy cache and the per-`(role, n)`
+//!   bound cache are plain maps behind the `&self` API, and every counter
+//!   in [`SearchStats`] is exact.
 //!
 //! After pruning a search evaluates 1–480 candidates in 30 µs–3.4 ms;
 //! a worker pool over that loop lost to it at every measured point

@@ -75,7 +75,11 @@ mod verifier {
 /// Latency of one verifier-pool pass over the global batch on the host
 /// CPUs backing `n` allocated GPUs: FIFO waves over the pool's slots
 /// plus the cancellation-bounded tail. Monotone non-increasing in `n`,
-/// which makes it its own admissible bound in [`role_cost_bounds`].
+/// which makes it its own admissible bound in [`role_cost_bounds`];
+/// with it, GRPO's search places the pool off the GPU critical path
+/// (`grpo_search_places_the_verifier_pool_off_the_gpu_critical_path`).
+/// PPO, ReMax and Safe-RLHF have no CPU-bound role, so none of their
+/// plans depends on it.
 pub(crate) fn verifier_eval_latency(n: usize, workload: &RlhfWorkload) -> f64 {
     let slots = (n.max(1) * verifier::SLOTS_PER_GPU) as f64;
     let tasks = workload.global_batch as f64;

@@ -5,7 +5,7 @@
 //! (4 B), FP32 Adam moments + master weights (12 B) — 18 B per trainable
 //! parameter, matching Megatron-LM's distributed-optimizer accounting.
 
-use hf_parallel::{ParallelSpec, ZeroSpec};
+use hf_parallel::ParallelSpec;
 
 use crate::config::ModelConfig;
 
@@ -27,8 +27,11 @@ pub enum TrainEngine {
     /// Megatron-style 3D parallelism with a distributed optimizer: model
     /// states divided by `p·t`, optimizer additionally by `d`.
     Megatron3D,
-    /// ZeRO data parallelism (DeepSpeed-Chat / OpenRLHF actor training).
-    Zero(ZeroSpec),
+    /// ZeRO-3 data parallelism over this many ranks (DeepSpeed-Chat /
+    /// OpenRLHF actor training): parameters, gradients and optimizer
+    /// states all divided by the world, parameters all-gathered for every
+    /// forward and backward pass.
+    Zero3(usize),
 }
 
 /// Training-state bytes per GPU for `model` under `spec` and `engine`.
@@ -45,9 +48,9 @@ pub fn train_state_bytes_per_gpu(
             // optimizer states (m, v, master) sharded again over DP.
             per_mp * (2.0 + 4.0) + per_mp * 12.0 / spec.d as f64
         }
-        TrainEngine::Zero(z) => {
-            p_total
-                * (2.0 * z.param_fraction() + 4.0 * z.grad_fraction() + 12.0 * z.optim_fraction())
+        TrainEngine::Zero3(world) => {
+            let s = 1.0 / world as f64;
+            p_total * (2.0 * s + 4.0 * s + 12.0 * s)
         }
     }
 }
@@ -79,7 +82,6 @@ pub fn gen_param_bytes_per_gpu(model: &ModelConfig, pg: usize, tg: usize) -> f64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hf_parallel::ZeroStage;
 
     #[test]
     fn megatron_memory_shrinks_with_mp() {
@@ -94,7 +96,7 @@ mod tests {
     #[test]
     fn zero3_divides_all_states() {
         let m = ModelConfig::llama_7b();
-        let z8 = TrainEngine::Zero(ZeroSpec::new(ZeroStage::Stage3, 8));
+        let z8 = TrainEngine::Zero3(8);
         let bytes = train_state_bytes_per_gpu(&m, &ParallelSpec::new(1, 1, 8), z8);
         let expect = m.params() as f64 * 18.0 / 8.0;
         assert!((bytes - expect).abs() / expect < 1e-9);

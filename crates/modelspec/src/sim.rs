@@ -174,36 +174,26 @@ impl PerfModel {
                     );
                 }
             }
-            TrainEngine::Zero(z) => {
-                if z.world > 1 {
+            TrainEngine::Zero3(world) => {
+                if world > 1 {
                     let group = devices;
                     let param_bytes = model.params() as f64 * 2.0;
                     let grad_bytes = model.params() as f64 * 4.0;
-                    // Stage 3 all-gathers parameters in forward and
-                    // backward, then reduce-scatters gradients; stages 1-2
-                    // all-reduce gradients.
-                    if z.comm_multiplier() > 1.0 {
-                        comm += 2.0
-                            * self.comm.collective_time(
-                                &self.cluster,
-                                group,
-                                CollectiveKind::AllGather,
-                                param_bytes,
-                            );
-                        comm += self.comm.collective_time(
+                    // Parameters are all-gathered in forward and backward,
+                    // then gradients reduce-scattered.
+                    comm += 2.0
+                        * self.comm.collective_time(
                             &self.cluster,
                             group,
-                            CollectiveKind::ReduceScatter,
-                            grad_bytes,
+                            CollectiveKind::AllGather,
+                            param_bytes,
                         );
-                    } else {
-                        comm += self.comm.collective_time(
-                            &self.cluster,
-                            group,
-                            CollectiveKind::AllReduce,
-                            grad_bytes,
-                        );
-                    }
+                    comm += self.comm.collective_time(
+                        &self.cluster,
+                        group,
+                        CollectiveKind::ReduceScatter,
+                        grad_bytes,
+                    );
                 }
             }
         }
@@ -423,7 +413,6 @@ impl PerfModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hf_parallel::{ZeroSpec, ZeroStage};
 
     fn devices(n: usize) -> Vec<DeviceId> {
         (0..n).map(DeviceId).collect()
@@ -472,7 +461,7 @@ mod tests {
             &devices(16),
             128,
             2048,
-            TrainEngine::Zero(ZeroSpec::new(ZeroStage::Stage3, 16)),
+            TrainEngine::Zero3(16),
         );
         let megatron = pm.train_time(
             &m,

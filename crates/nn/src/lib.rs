@@ -29,6 +29,24 @@
 //!   reshard real weights.
 //! * [`adam`] — the Adam optimizer (paper §8.1 trains actor and critic
 //!   with Adam).
+//!
+//! **Three forwards, and who runs which.** All three run the same ops in
+//! the same order, so their rows agree bit for bit:
+//!
+//! * the tape ([`TinyLm::forward_stacked`],
+//!   [`TinyLm::next_token_log_probs`]) — passes that differentiate:
+//!   `update_actor` (PPO and ptx rows, the ZeRO actor's too) and
+//!   `update_critic`; it keeps every intermediate for backward;
+//! * the stage forward ([`ShardedLm::forward_stage_stacked`], and
+//!   [`TinyLm::log_probs_stacked`] / [`TinyLm::values_stacked`] at
+//!   `p = t = 1`) — every forward-only pass: the actor's and the
+//!   reference's log-probs, the critic's values, `compute_loss`, the
+//!   neural reward, the `tp_inference` shards; it keeps only the hidden
+//!   stream and one block's temporaries;
+//! * the decoder ([`TinyLm::decode_step_batch_reading`]) — generation,
+//!   one token per sequence per step through `hf-genserve`, O(hidden)
+//!   state per layer; its rows give a full-length response its
+//!   `logp_old`.
 
 #![warn(missing_docs)]
 // A forward reads one window of positions per sequence, so a pass over

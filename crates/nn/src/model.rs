@@ -19,7 +19,7 @@
 //! describes them exactly and the 3D-HybridEngine can reshard real
 //! weights. The embedding, head, and value head are replicated (the
 //! paper's Megatron shards them too; here they stay whole to keep the
-//! functional path simple — see DESIGN.md §2).
+//! functional path simple — see DESIGN.md §5).
 
 #![allow(clippy::needless_range_loop)] // decode loops mirror the math
 
@@ -271,7 +271,13 @@ impl TinyLm {
     /// and the heads, on the read rows only: a row nobody reads would
     /// only add `±0.0` terms to every parameter-gradient sum, which starts
     /// at `+0.0` (DESIGN.md §2, "kernel contract"), so leaving it out
-    /// moves no bit of any value or gradient.
+    /// moves no bit of any value or gradient. Upstream of the last block
+    /// its activation gradient was `±0.0` plus the `cum_mean` suffix
+    /// sums, which the windowed pass forms from the same terms in the
+    /// same order (`windowed_passes_are_the_full_window_bit_for_bit`, and
+    /// at the workers `crates/rlhf/tests/read_window_parity.rs`). In the
+    /// tiny config 5 of every 11–12 rows were unread: about 13 % of each
+    /// update tape's FLOPs and of each reference pass.
     ///
     /// # Panics
     ///

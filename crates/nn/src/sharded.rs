@@ -11,7 +11,7 @@
 //! between pipeline stages through a caller-supplied channel.
 //!
 //! Only the forward (inference/generation) path is sharded; training in
-//! the functional runtime uses data parallelism (DESIGN.md §2 documents
+//! the functional runtime uses data parallelism (DESIGN.md §5 documents
 //! the simplification).
 //!
 //! **The inference forward.** The stage forward keeps nothing it has
@@ -25,6 +25,12 @@
 //! alone computes — and a tensor-parallel group joins a layer with one
 //! all-reduce for all of them. Like the tape it also takes the window of
 //! each sequence's positions its caller reads, and forms one head there.
+//! At `p = t = 1` no shard is cut, no weight copied and the all-reduce
+//! is the identity. `tests/proptest_inference.rs` holds it to the tape
+//! by `to_bits` over the three benchmark model shapes (1–5 sequences of
+//! 2–70 tokens a call), and a stacked pass to a pass per sequence at
+//! `t ∈ {1, 2}`. What the tape cost a pass that never calls backward
+//! was its footprint, not its arithmetic (measured in PR 18).
 
 use std::ops::Range;
 

@@ -12,11 +12,15 @@
 //! the row ranges of its segments. Row-wise ops do not look at them —
 //! each output row is its own sum (DESIGN.md §2, "kernel contract") —
 //! while ops that reduce over rows restart at every segment boundary
-//! (`cum_mean`, `slice_rows`, and the losses, which yield one scalar per
-//! segment), and a parameter gradient is formed per segment. So each
+//! (`cum_mean`, `slice_rows`, and the losses `mean_all`, `mean_entropy`,
+//! `ppo_clip_loss` and `value_clip_loss`, which yield one scalar per
+//! segment, `[S × 1]`, each seeded with 1 by `backward`), and a
+//! parameter gradient is formed per segment: `gᵀ·x` on each segment's
+//! row range, the RMSNorm gain and the embedding table each sum one
+//! gradient per segment, rows ascending from `+0.0`. So each
 //! segment's values and gradients are, bit for bit, what a tape of that
-//! sequence alone computes; a plain [`Tape::leaf`] is one
-//! segment.
+//! sequence alone computes (`stacking_tests` in `model.rs`); a plain
+//! [`Tape::leaf`] is one segment.
 //!
 //! **Layout.** Every value and gradient on the tape is held in the
 //! kernel's lane panels (the `panels` module's docs): `x·wᵀ` and
@@ -26,7 +30,12 @@
 //! **Parameter gradients.** A `Tape::param` window reads the model's
 //! flat buffer in place, and `Tape::backward_into` writes its gradient
 //! straight into the caller's flat gradient buffer for that segment: the
-//! first write to a window stores, a later one adds.
+//! first write to a window stores, a later one adds, and a window nothing
+//! flowed into is zero-filled, so what a reused buffer held never shows.
+//! There are no per-parameter gradient tensors. `backward` moves each
+//! node's gradient out as it reaches it instead of cloning it; SiLU keeps
+//! `σ(x)` and the entropy `ln p` from the forward, and the entropy and
+//! the log-prob gather over the same logits share one softmax.
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the math
 

@@ -15,17 +15,13 @@
 //!   [`ReshardPlan`] built from their ranges' intersections: the copies
 //!   `hf-hybridengine`'s transition places, the bytes Table 2 counts,
 //!   and the tiling of a checkpoint's shards.
-//! * [`zero`] — ZeRO / FSDP flat sharding descriptors for the baseline
-//!   engines.
 
 #![warn(missing_docs)]
 
 pub mod groups;
 pub mod shard;
 pub mod spec;
-pub mod zero;
 
 pub use groups::{GenCoord, GenGrouping, GroupingMethod};
 pub use shard::{ModelShard, ReshardPlan, ShardLayout, TileError};
 pub use spec::{ParallelSpec, TrainCoord};
-pub use zero::{ZeroSpec, ZeroStage};

@@ -2,9 +2,13 @@
 //!
 //! A failure reaches the recovery loop as the [`hf_core::CoreError`] of a
 //! failed call: a dead rank poisons its communicators, so surviving peers
-//! return `PeerFailed` instead of deadlocking, and a
+//! return `PeerFailed` instead of deadlocking — a rank waiting for a
+//! dead pipeline stage's activations too, since they travel on the
+//! pipeline group's own communicator as Megatron sends them over NCCL
+//! (the fault tests hold this under a watchdog) — and a
 //! [`hf_core::CallPolicy`] deadline turns any unbounded stall into
-//! `Timeout`. [`CoreError::is_transient`](hf_core::CoreError::is_transient)
+//! `Timeout`. Transient faults (a delay, a dropped-then-retried RPC)
+//! degrade to latency. [`CoreError::is_transient`](hf_core::CoreError::is_transient)
 //! and [`CoreError::is_application`](hf_core::CoreError::is_application)
 //! say whether to retry, propagate, or recover.
 //! [`RecoveryStats`] accumulates MTTR and rollback losses and exports

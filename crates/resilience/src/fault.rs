@@ -6,7 +6,12 @@
 //! [`hf_core::FaultHook`] the runtime consults on every RPC delivery.
 //! Because triggers key on virtual time and call counts — never wall
 //! clock — a plan replays identically run after run, which is what
-//! makes every failure scenario a test case.
+//! makes every failure scenario a test case. Call counts are kept per
+//! device thread and per worker-group key, and a one-shot spec
+//! remembers having fired, so the state survives group respawns and a
+//! recovered epoch replays cleanly. The kinds are kill, drop and delay:
+//! PR 31 deleted the device-slowdown and link kinds nothing exercised,
+//! and a kind comes back with its first failing test.
 
 use std::sync::Arc;
 

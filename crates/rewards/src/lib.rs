@@ -32,7 +32,7 @@ pub use pool::{CostProfile, EvalItem, EvalReport, PoolConfig, SandboxPool, TaskO
 pub use task::{make_verifier_prompts, VerifierKind, VerifierSpec};
 
 /// The splitmix64 mixer — the repo's standard seed-derivation primitive
-/// (same constants as `hf-rlhf`'s sampler seeding), public so callers
+/// (`hf-rlhf`'s sampler seeding calls it too), public so callers
 /// derive per-task seeds the same way the pool derives per-attempt
 /// draws.
 pub fn splitmix(mut x: u64) -> u64 {

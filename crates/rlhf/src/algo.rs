@@ -267,7 +267,6 @@ impl RlhfSystem {
                     Box::new(RewardWorker::new(
                         lm,
                         RewardKind::RuleBased { good_tokens: good.clone() },
-                        hyper.clone(),
                     ))
                 })?
             }
@@ -281,11 +280,7 @@ impl RlhfSystem {
         let bad = cfg.bad_tokens.clone();
         let cost = match &placement.cost {
             Some(p) => Some(ctrl.spawn_group("cost", &p.pool, p.layout, |_r| {
-                Box::new(RewardWorker::new(
-                    lm,
-                    RewardKind::RuleBased { good_tokens: bad.clone() },
-                    hyper.clone(),
-                ))
+                Box::new(RewardWorker::new(lm, RewardKind::RuleBased { good_tokens: bad.clone() }))
             })?),
             None => None,
         };

@@ -10,7 +10,8 @@
 //!   (`compute_ref_log_prob`), and [`workers::RewardWorker`]
 //!   (`compute_reward` / `compute_cost`; rule-based or neural scoring —
 //!   the cost model of Safe-RLHF reuses this class exactly as Figure 6
-//!   does). Each runs as a real SPMD program on the `hf-core` runtime:
+//!   does; any closure is a `Worker` too, as the `reasoning_reward`
+//!   example's reward is). Each runs as a real SPMD program on the `hf-core` runtime:
 //!   DP chunks arrive through transfer protocols, gradients all-reduce
 //!   over the virtual NCCL, Adam updates keep replicas in lock-step.
 //! * [`algo`] — the single-controller algorithm scripts: PPO, ReMax,
@@ -38,9 +39,10 @@
 //!   [`remap::FixedPlacement`] recovers in the same layout,
 //!   [`remap::MapperPlanner`] re-runs the mapping search over the
 //!   survivors.
-//! * [`zero`] — a functional ZeRO-3 actor (`ZeROWorker`, §4.1):
-//!   parameters sharded across the DP group, gathered on demand,
-//!   gradients reduce-scattered — numerically identical to the
+//! * [`zero`] — a functional ZeRO-3 actor (`ZeROWorker`, §4.1): it
+//!   stores a 1/world shard of the parameters and their Adam, all-gathers
+//!   a full working copy (which stays resident) for every call, and
+//!   reduce-scatters gradients — numerically identical to the
 //!   replicated path.
 
 #![warn(missing_docs)]

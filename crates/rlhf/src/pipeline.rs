@@ -31,6 +31,28 @@
 //! bit-identical to [`crate::algo::ppo_iteration`], and `staleness = 1`
 //! is bit-identical across executions (the tier-1 determinism tests pin
 //! both).
+//!
+//! The update futures are held across the step boundary: round *i+1*'s
+//! generation is dispatched before round *i−1*'s updates are collected,
+//! since an end-of-step wait would advance the controller clock past the
+//! actor's busy-until and no overlap could materialize. Each chunk's
+//! preparation is issued after `dispatch_train`, so every mailbox keeps
+//! its order, and on the chunk's future although the steady state gains
+//! nothing by it, because staleness 0 must stay the barrier's schedule.
+//!
+//! Overlap is measured, not modelled: awaited controller-timeline
+//! entries, read from an absolute cursor that survives
+//! `Controller::clear_timeline` (a step copies only the dozen entries it
+//! added; `tests/pipeline_alloc.rs` holds its allocations flat), are
+//! classified into generation / preparation / training intervals and
+//! swept for time at depth ≥ 2. The driver emits `pipeline.staleness`
+//! and `pipeline.overlap_fraction` gauges, a
+//! `pipeline.overlap_measured_us` counter, `pipeline.step.seconds`
+//! digests and per-step `pipeline.step` phase spans (distinct names, so
+//! insight's iteration analysis is unaffected). `hf-bench
+//! pipeline_overlap` runs split placements and records barrier vs
+//! staleness 0/1 per-iteration latency: 1.32–1.38× at staleness 1,
+//! overlap fraction 0.33–0.36.
 
 use hf_core::{Controller, CoreError, DataProto, DpFuture, Result};
 
@@ -366,6 +388,11 @@ impl PipelinedPpo {
     /// run so far, as `(seconds, fraction of run wall)`. Intervals come
     /// from awaited start→completion spans (a call parked on its future
     /// is not in flight), so the measure is independent of wait order.
+    ///
+    /// It re-sorts every interval each step: 19 → 60 µs from round 100 to
+    /// round 400, at most 1 % of a step. An incremental sweep would
+    /// change the f64 summation order of `overlap_fraction`, which
+    /// `BENCH_pipeline_overlap.json` pins.
     fn cumulative_overlap(&self, now: f64) -> (f64, f64) {
         let classes = [
             merge_intervals(&self.gen_iv),

@@ -28,11 +28,33 @@
 //! 4. **Continue** — the driver re-enters at the last committed step.
 //!    No process restart, no full replay.
 //!
+//! The registry records a loss only where it originates — an injected
+//! kill or a worker panic — never for the `CollectiveAbort` / `PeerFailed`
+//! its peers raise, so the survivors are `RemapConfig::allowed` minus
+//! exactly the dead. `Mapper::resize_world` re-derives the allocation
+//! granularity as `gcd(machine, world)`, which makes non-power-of-two
+//! survivor counts enumerable, and the search returns the exhaustive
+//! reference's layout (`planner_layouts_match_the_exhaustive_reference_search`,
+//! worlds 1..=12). Its wall time is recorded (`RemapEvent`, the
+//! `remap.search_s` digest) and never fed into the virtual clock; the
+//! other `remap.*` metrics — `reshard_s` and `blackout_s` digests,
+//! `reshard_bytes` and `events` counters, a `world` gauge — are virtual,
+//! so `hf-bench remap`'s `BENCH_remap.json` reruns byte-exact. Work
+//! since the last COMMIT marker's timestamp is lost work; the window
+//! between `save_shard` starting and the fault is checkpoint overhead
+//! (`RecoveryStats`).
+//!
 //! Steps 2–3 run inside the same fallible slice as training, so a rank
 //! lost *while recovering* (during the restore broadcast, say) is one
-//! more failure against `max_recoveries`, not the end of the run. An
-//! application error (bad data, a missing model) propagates at once:
-//! replaying it would fail identically.
+//! more failure against `max_recoveries`, not the end of the run; every
+//! failure is booked as recovered, with its own detection-to-resumed
+//! time, when the next restore completes. An application error (bad
+//! data, a PPO run without a critic) propagates at once: replaying it
+//! would fail identically. A recovered run ends on the fault-free run's
+//! bits, a second kill inside the restore broadcast included
+//! (`tests/fault_recovery.rs`); `hf-bench fault_recovery` sweeps the
+//! checkpoint interval and reports overhead, virtual MTTR and
+//! rolled-back work.
 //!
 //! **Determinism contract.** Prompt batches are seeded by iteration
 //! number and the checkpoint restores parameters, Adam moments, step

@@ -41,6 +41,17 @@
 //! passes (the actor's round counter orders them) and actor-only updates
 //! (update *k* before *k + 1*). Critic/actor update futures were never
 //! retried — a failure surfaces and recovery happens a level up.
+//!
+//! What still passes through the controller: the prompts, the
+//! generation reply and every preparation reply (it unions the columns
+//! and computes the advantages), the advantage-carrying batch, and
+//! ReMax's baseline batch, whose `compute_reward` is issued on the
+//! collected auxiliary reply. `compute_log_prob`'s `cur_logp` is
+//! installed as `logp_old` before the preparation outputs are unioned,
+//! so the finished batch is column for column what the serial order
+//! built. The phase spans stay three and chained: `generation` closes
+//! when generation returns, and the passes issued on its future complete
+//! in `experience_preparation` and are attributed there.
 
 use hf_core::{Controller, CoreError, DataProto, DpFuture, Result, WorkerGroup};
 

@@ -17,7 +17,16 @@
 //! pure function of `(pool seed, task seed, attempt)` — so any
 //! `(p, t, d)` layout, ZeRO or replicated, produces bit-identical
 //! scores, and a killed-and-replayed evaluation reproduces the original
-//! bits (the pool holds no cross-batch state).
+//! bits (the pool holds no cross-batch state): `proptest_reward_invariance.rs`
+//! holds five 4-GPU layouts and ZeRO↔replicated to one set of scores,
+//! and `fault_matrix.rs` a kill during evaluation to the fault-free bits.
+//!
+//! The worker runs on the host lane ([`Lane::Host`]): the pool's virtual
+//! makespan is charged to the clock of its device's host CPUs, so in
+//! virtual time it scores beside the reference pass colocated with it,
+//! not after it. It records `reward_eval.*` spans on the
+//! `cpu-<n>/rewards` sub-track, task and batch digests, counters and a
+//! pool-occupancy gauge.
 
 use hf_core::{CoreError, DataProto, Lane, RankCtx, Result, Worker};
 use hf_rewards::{splitmix, EvalItem, EvalReport, PoolConfig, SandboxPool, VerifierSpec};

@@ -6,10 +6,17 @@
 //! it cooperatively: `mp_rows` gives rank `r` of the group the rows
 //! `i ≡ r (mod mp)` and reassembles every row's result on every rank
 //! through an untimed host exchange. Virtual time already charges the
-//! group's cooperation as `per_token_latency / mp` per row on every
+//! group's cooperation as `PER_TOKEN_LATENCY / mp` per row on every
 //! rank, so the exchange costs no virtual time; per-row results are pure
 //! functions of replicated weights and the shared chunk, so what each
 //! rank ends up with is what it would have computed alone, bit for bit.
+//! Every `Protocol::ThreeD` method goes through `mp_rows` or `RowFold`
+//! (`compute_log_prob`, `compute_loss`, `update_actor`,
+//! `compute_values`, `update_critic`, `compute_ref_log_prob`,
+//! `compute_reward`, `compute_cost`) except the `tp_inference` branches,
+//! which shard the model itself; `generate_sequences` is dispatched by
+//! the *generation* grouping, under which training-TP peers hold
+//! different rows, and computes every row it is given.
 //! (Real tensor-parallel *backward* stays out of scope: only the
 //! `tp_inference` forward passes shard the model itself — `tp_forward`,
 //! one stage pass over the whole chunk.) A rank runs its rows through
@@ -38,6 +45,7 @@ use hf_nn::{stacks, Adam, Head, LmConfig, ShardedLm, StageOutput, Tensor, TinyLm
 use hf_parallel::shard::train_shard;
 use hf_parallel::ShardLayout;
 use hf_resilience::{encode_shard, shard_range, AssembledState, ShardHeader};
+use hf_rewards::splitmix;
 use hf_simcluster::{SumPart, TreeSum};
 
 /// Hyper-parameters the workers need.
@@ -55,9 +63,6 @@ pub struct WorkerHyper {
     pub lr: f32,
     /// Base RNG seed.
     pub seed: u64,
-    /// Virtual seconds charged per processed token (scaled by the
-    /// group's model-parallel size).
-    pub per_token_latency: f64,
     /// Run the actor's and critic's inference passes (`compute_log_prob`,
     /// `compute_values`) with *real* model parallelism: each rank
     /// computes only its Megatron-style weight shard — TP partials joined
@@ -81,7 +86,6 @@ impl Default for WorkerHyper {
             entropy_coef: 0.01,
             lr: 3e-3,
             seed: 0,
-            per_token_latency: 1e-6,
             tp_inference: false,
             gen_block_tokens: 16,
             gen_cache_budget: 1 << 20,
@@ -115,13 +119,6 @@ pub const GEN_PASS_META: &str = "__gen_pass";
 /// the column, and skips the forward pass a stop-shortened row's
 /// column needs. `"0"` is off; any other value is a `Config` error.
 pub const NO_LOGP_META: &str = "__no_logp";
-
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
 
 /// The rows of token column `name`, every id checked against the
 /// `vocab` of the model about to index its embedding with them: a
@@ -192,9 +189,13 @@ fn gather_rows(column: &[Vec<f32>], rows: &[usize]) -> Vec<f32> {
     rows.iter().flat_map(|&i| &column[i]).copied().collect()
 }
 
-fn charge_tokens(ctx: &mut RankCtx, tokens: usize, hyper: &WorkerHyper) {
+/// Virtual seconds a worker charges per processed token, before the
+/// model-parallel group's `1/mp` share.
+const PER_TOKEN_LATENCY: f64 = 1e-6;
+
+fn charge_tokens(ctx: &mut RankCtx, tokens: usize) {
     let mp = ctx.layout.spec.mp() as f64;
-    ctx.charge(tokens as f64 * hyper.per_token_latency / mp);
+    ctx.charge(tokens as f64 * PER_TOKEN_LATENCY / mp);
 }
 
 /// Computes every row `i < n` of a chunk the transfer protocol gave to
@@ -206,9 +207,22 @@ fn charge_tokens(ctx: &mut RankCtx, tokens: usize, hyper: &WorkerHyper) {
 /// The swap is the raw group exchange, not a `Communicator` collective:
 /// no clock, no round count, no span. The virtual cost of the group's
 /// cooperation is already in [`charge_tokens`]' `1/mp`; a timed
-/// collective would charge it twice. Every peer must call this the same
-/// number of times per method, which holds because they validate the
-/// same chunk before the first call.
+/// collective would charge it twice, and add rounds and spans. Every
+/// peer must call this the same number of times per method, which holds
+/// because they validate the same chunk before the first call (an
+/// update checks every column, the ptx one included, before its first
+/// row).
+///
+/// The swap is a blocking edge between the peers. It cannot deadlock
+/// for the reason a TP all-reduce cannot (one controller sends a call
+/// to every rank of a group in one order), and a killed or panicking
+/// peer releases its partner through `poison_all`. In a faulted run the partner of a lost rank therefore
+/// fails at the swap instead of finishing the doomed update with its
+/// own DP peers, and the controller detects the loss one update
+/// earlier (`lost ms` in `hf-bench fault_recovery` / `remap` fell by
+/// 52–102 µs; fault-free time did not move). A dropped RPC to one peer
+/// leaves its partner waiting until the call deadline, as a drop on one
+/// DP rank of an update does.
 fn mp_rows<T: Clone + Send + Sync + 'static>(
     ctx: &RankCtx,
     n: usize,
@@ -263,7 +277,6 @@ fn value_inputs<'s>(run: &[&'s [usize]]) -> Vec<&'s [usize]> {
 /// rows shared across the model-parallel group), flat in row order.
 fn response_log_probs(
     lm: &TinyLm,
-    hyper: &WorkerHyper,
     ctx: &mut RankCtx,
     seqs: &[Vec<usize>],
     (pw, rw): (usize, usize),
@@ -272,7 +285,7 @@ fn response_log_probs(
         stacked(seqs, mine, response(pw, rw), |run, reads| lm.log_probs_stacked(run, reads))
     });
     for seq in seqs {
-        charge_tokens(ctx, seq.len(), hyper);
+        charge_tokens(ctx, seq.len());
     }
     rows.concat()
 }
@@ -288,13 +301,28 @@ fn response_log_probs(
 /// peer runs the pass in lock-step since the protocol gave the whole
 /// group one chunk. Rows are charged afterwards, in row order.
 ///
+/// Per rank and pass that is `layers / p` all-reduces where a row loop
+/// made `rows × layers / p`
+/// (`tests::a_tp_inference_pass_joins_each_layer_once_per_chunk`). The
+/// chunk the protocol hands a group is the micro-batch a Megatron-style
+/// engine joins with one all-reduce per layer; one per *sequence* was an
+/// artefact of a row loop (PR 16, reversed in PR 18). No row budget,
+/// micro-batch size or flag selects this: [`hf_nn::STACK_ROWS`] governs
+/// tapes and [`stacked`], where throughput was flat past two sequences,
+/// while here every row saved is a latency-bound collective. The change
+/// moved the virtual clock of `tp_inference` configurations only
+/// (`ppo_colocated`: 56 fewer 16.0 µs all-reduces on the critical path)
+/// and no weight, moment, log-prob, value or reward (`mp_split_parity`).
+/// The critic takes this helper too, so `p > 1` or `t ∤ ffn` is the
+/// staged pass or the actor's `Config` error, from every peer before any
+/// collective — never a silent fallback to replicated rows.
+///
 /// Returns the last stage's `head` over the positions `read` of every
 /// row, row `i`'s position `read.start + t` in row `i · read.len() + t`;
 /// `None` on the other stages (the `3D_PROTO` collect reads the last one)
 /// and for an empty chunk, which makes no pass and no collective.
 fn tp_forward(
     lm: &TinyLm,
-    hyper: &WorkerHyper,
     ctx: &mut RankCtx,
     seqs: &[Vec<usize>],
     (feed, read): (usize, Range<usize>),
@@ -332,7 +360,7 @@ fn tp_forward(
     };
     ctx.clock = clock;
     for seq in seqs {
-        charge_tokens(ctx, seq.len(), hyper);
+        charge_tokens(ctx, seq.len());
     }
     Ok(last)
 }
@@ -486,7 +514,9 @@ impl<'c> RowFold<'c> {
 /// (a real collective; the row count rides along as the last value, so
 /// one collective carries both — counts are small integers, exact in
 /// f32) and steps `opt` on the mean: ONE division by the *global* row
-/// count, after the reduction.
+/// count, after the reduction, as Adam reads the one shared result — no
+/// parameter-sized copy is left between a row's backward pass and the
+/// optimizer.
 fn sync_and_step(ctx: &mut RankCtx, opt: &mut Adam, lm: &mut TinyLm, sum: GradSum) {
     let mut step = |sum: &[f32]| {
         let (grad, count) = sum.split_at(sum.len() - 1);
@@ -663,6 +693,27 @@ impl ActorWorker {
         Ok(())
     }
 
+    /// Samples a response for every prompt row through the rank's
+    /// [`GenServer`], after the train→generation transition. Responses
+    /// stop at a `stop_tokens` meta token or at `response_len`, are padded
+    /// with `pad_token` to the rectangular shape, and their lengths go
+    /// in a `response_len` column.
+    ///
+    /// A full-length row's `logp_old` is the log-prob the engine recorded
+    /// with each sampled token ([`hf_genserve::GenOutput::logps`]: the
+    /// untempered `ln softmax(logits)[tok]`, the decoder's rows being the
+    /// forward's bit for bit); only a row a stop token cut short takes a
+    /// stacked forward, over its padded row, since its pad positions were
+    /// never decoded (`generation_log_probs_are_the_padded_forward`). No
+    /// RLHF driver sets stop tokens today. Leaving out the forward over
+    /// every full-length row took `grpo_long_rollout`'s
+    /// `rlhf.generate_ms_p50` from 9.9 to 5.4 ms. A driver that will not
+    /// read the column stamps [`NO_LOGP_META`]; the reply, 4 bytes a
+    /// response token smaller, then costs the next pull less
+    /// (`ppo_colocated` +0.03 virtual tokens/s; a ReMax iteration's clock
+    /// falls by its baseline batch's 384-byte pull, pinned in
+    /// `mp_split_parity`). The reply echoes none of the three request-only
+    /// keys.
     fn generate_sequences(&mut self, data: DataProto, ctx: &mut RankCtx) -> Result<DataProto> {
         // The meta is read before anything changes: a malformed key
         // leaves every rank as it was.
@@ -775,7 +826,7 @@ impl ActorWorker {
         let mut step_ends: Vec<f64> = Vec::with_capacity(report.traces.len());
         for (step, tr) in report.traces.iter().enumerate() {
             let t0 = ctx.clock.now();
-            ctx.charge(self.hyper.per_token_latency * tr.batch as f64 / mp);
+            ctx.charge(PER_TOKEN_LATENCY * tr.batch as f64 / mp);
             let t1 = ctx.clock.now();
             step_ends.push(t1);
             if !traced {
@@ -889,9 +940,11 @@ impl ActorWorker {
         let seqs = sequences(&prompts, &resps);
         let logps = if self.hyper.tp_inference && ctx.layout.spec.mp() > 1 {
             // Each row feeds all but its last token; stages before the
-            // last contribute zeros.
+            // last contribute zeros. The log-probs take the form
+            // `(v − m) − ln z`, not the replicated pass's
+            // `ln(max(e / z, 1e-30))`: this branch's replies are pinned.
             let pass = (pw + rw - 1, response(pw, rw));
-            let logits = tp_forward(&self.lm, &self.hyper, ctx, &seqs, pass, Head::Logits)?;
+            let logits = tp_forward(&self.lm, ctx, &seqs, pass, Head::Logits)?;
             let mut logps = vec![0.0; seqs.len() * rw];
             if let Some(logits) = logits {
                 for (i, seq) in seqs.iter().enumerate() {
@@ -906,7 +959,7 @@ impl ActorWorker {
             }
             logps
         } else {
-            response_log_probs(&self.lm, &self.hyper, ctx, &seqs, (pw, rw))
+            response_log_probs(&self.lm, ctx, &seqs, (pw, rw))
         };
         out.insert_f32("cur_logp", logps, rw);
         Ok(out)
@@ -926,7 +979,7 @@ impl ActorWorker {
         let mut total = 0.0f32;
         for (seq, mean) in rows.iter().zip(means) {
             total -= mean;
-            charge_tokens(ctx, seq.len(), &self.hyper);
+            charge_tokens(ctx, seq.len());
         }
         Ok(metrics(&[("ptx_loss", total / rows.len().max(1) as f32)]))
     }
@@ -1007,11 +1060,11 @@ impl ActorWorker {
         for (seq, [ppo, ent]) in seqs.iter().zip(ppo_rows) {
             loss_acc += ppo;
             ent_acc += ent;
-            charge_tokens(ctx, seq.len() * 3, &self.hyper);
+            charge_tokens(ctx, seq.len() * 3);
         }
         for (seq, [loss, _]) in pre.iter().zip(ptx_rows) {
             ptx_loss += loss;
-            charge_tokens(ctx, seq.len() * 3, &self.hyper);
+            charge_tokens(ctx, seq.len() * 3);
         }
         ptx_loss /= pre.len().max(1) as f32;
         let m = metrics(&[
@@ -1094,7 +1147,7 @@ impl CriticWorker {
             // `tp_inference_bytes.rs` and the exact `virtual_tokens_per_s`
             // pin. Stages before the last contribute zeros.
             let pass = (pw + rw, response(pw, rw));
-            match tp_forward(&self.lm, &self.hyper, ctx, &seqs, pass, Head::Values)? {
+            match tp_forward(&self.lm, ctx, &seqs, pass, Head::Values)? {
                 Some(values) => values.data().to_vec(),
                 None => vec![0.0; seqs.len() * rw],
             }
@@ -1106,7 +1159,7 @@ impl CriticWorker {
                 })
             });
             for seq in &seqs {
-                charge_tokens(ctx, seq.len(), &self.hyper);
+                charge_tokens(ctx, seq.len());
             }
             rows.concat()
         };
@@ -1139,7 +1192,7 @@ impl CriticWorker {
         let mut loss_acc = 0.0f32;
         for (seq, [loss, _]) in seqs.iter().zip(&sum.0.scalars) {
             loss_acc += loss;
-            charge_tokens(ctx, seq.len() * 3, &self.hyper);
+            charge_tokens(ctx, seq.len() * 3);
         }
         let denom_local = prompts.len().max(1) as f32;
         sync_and_step(ctx, &mut self.opt, &mut self.lm, sum);
@@ -1167,7 +1220,6 @@ impl Worker for CriticWorker {
 /// The frozen reference policy: KL anchor for the actor.
 pub struct ReferenceWorker {
     lm: TinyLm,
-    hyper: WorkerHyper,
 }
 
 impl ReferenceWorker {
@@ -1175,7 +1227,7 @@ impl ReferenceWorker {
     /// RLHF practice (reference = initial actor weights).
     pub fn new(cfg: LmConfig, hyper: WorkerHyper) -> Self {
         let lm = TinyLm::new(cfg, hyper.seed);
-        ReferenceWorker { lm, hyper }
+        ReferenceWorker { lm }
     }
 }
 
@@ -1189,7 +1241,7 @@ impl Worker for ReferenceWorker {
         let (resps, rw) = token_rows(&data, "responses", vocab)?;
         let mut out = DataProto::with_rows(prompts.len());
         let seqs = sequences(&prompts, &resps);
-        let logps = response_log_probs(&self.lm, &self.hyper, ctx, &seqs, (pw, rw));
+        let logps = response_log_probs(&self.lm, ctx, &seqs, (pw, rw));
         out.insert_f32("ref_logp", logps, rw);
         Ok(out)
     }
@@ -1221,17 +1273,16 @@ enum Scorer {
 /// answering `compute_cost` (Figure 6 reuses `RewardWorker` verbatim).
 pub struct RewardWorker {
     scorer: Scorer,
-    hyper: WorkerHyper,
 }
 
 impl RewardWorker {
     /// Builds a reward/cost model.
-    pub fn new(cfg: LmConfig, kind: RewardKind, hyper: WorkerHyper) -> Self {
+    pub fn new(cfg: LmConfig, kind: RewardKind) -> Self {
         let scorer = match kind {
             RewardKind::RuleBased { good_tokens } => Scorer::RuleBased(good_tokens),
             RewardKind::Neural { seed } => Scorer::Neural(TinyLm::new(cfg, seed)),
         };
-        RewardWorker { scorer, hyper }
+        RewardWorker { scorer }
     }
 
     /// The scores of the rows `mine` of `prompts` and `resps` (`rw`
@@ -1279,7 +1330,7 @@ impl Worker for RewardWorker {
         let scores =
             mp_rows(ctx, prompts.len(), |mine| self.scores(mine, (&prompts, &resps), resp_raw, rw));
         for (p, r) in prompts.iter().zip(resps.iter()) {
-            charge_tokens(ctx, p.len() + r.len(), &self.hyper);
+            charge_tokens(ctx, p.len() + r.len());
         }
         out.insert_f32(column, scores, 1);
         Ok(out)

@@ -1,8 +1,15 @@
 //! A functional ZeRO-3 actor (the paper's `ZeROWorker` base class,
-//! §4.1): model parameters live *sharded* 1/world per rank, are
-//! all-gathered through the virtual NCCL before any computation, and
+//! §4.1). What it stores between calls is its 1/world shard of the flat
+//! parameter vector and that shard's Adam ([`ZeroParamStore`]). Every
+//! call all-gathers the full parameters through the virtual NCCL into
+//! the wrapped [`ActorWorker`]'s working copy, and that copy stays
+//! resident between calls (DeepSpeed frees it after each layer);
 //! gradients are reduce-scattered so each rank's Adam updates only its
-//! own slice — DeepSpeed-style data parallelism, executing for real.
+//! own slice. The wrapped actor's full-size `Adam` is allocated, loaded
+//! on restore, and never stepped. So a rank holds a full copy of the
+//! weights beside its shard, and only the optimizer state is 1/world;
+//! ROADMAP's "The 3D-HybridEngine holds the weights: a rank keeps only
+//! its shard" is what would drop the copy.
 //!
 //! Because Adam is elementwise, the ZeRO path is numerically identical
 //! to the replicated-actor path (`reduce-scatter(Σg)/d` + shard-local
@@ -58,14 +65,14 @@ impl ZeroParamStore {
         ZeroParamStore { shard, range, total, opt }
     }
 
-    /// Bytes of parameters resident on this rank (the ZeRO-3 memory
-    /// claim: `total/world`, not `total`).
+    /// Bytes of the stored parameter shard: `total/world`, padded. The
+    /// wrapped actor's working copy, full size, is not counted.
     pub fn resident_param_bytes(&self) -> usize {
         self.shard.len() * 4
     }
 
-    /// All-gathers the full flat parameter vector (transient; dropped
-    /// after the pass, as ZeRO-3 materializes parameters on demand).
+    /// All-gathers the full flat parameter vector, which the caller
+    /// copies into the wrapped actor's resident weights.
     pub(crate) fn gather(&self, comm: &Communicator, clock: &mut VirtualClock) -> Vec<f32> {
         let mut full = comm.all_gather(clock, &self.shard);
         full.truncate(self.total);

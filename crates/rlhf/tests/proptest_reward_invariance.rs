@@ -10,7 +10,7 @@ use hf_core::{Controller, DataProto, Protocol, Worker, WorkerLayout};
 use hf_nn::LmConfig;
 use hf_parallel::ParallelSpec;
 use hf_rewards::{PoolConfig, VerifierKind, VerifierSpec};
-use hf_rlhf::workers::{RewardKind, RewardWorker, WorkerHyper};
+use hf_rlhf::workers::{RewardKind, RewardWorker};
 use hf_rlhf::{Placement, RewardEvaluatorWorker, RlhfConfig, RlhfSystem};
 use hf_simcluster::{ClusterSpec, ResourcePool};
 use proptest::prelude::*;
@@ -69,7 +69,6 @@ proptest! {
                     Box::new(RewardWorker::new(
                         LmConfig::tiny(),
                         RewardKind::RuleBased { good_tokens: g.clone() },
-                        WorkerHyper::default(),
                     ))
                 })
             })

@@ -230,7 +230,7 @@ fn neural_reward_scores_are_each_sequence_s_last_value() {
     let lm = TinyLm::new(cfg, 23);
     let want: Vec<f32> = seqs.iter().map(|seq| *lm.values(seq).last().unwrap()).collect();
     for spec in [ParallelSpec::new(1, 1, 1), ParallelSpec::new(1, 2, 2)] {
-        let make = || Box::new(RewardWorker::new(cfg, kind.clone(), WorkerHyper::default()));
+        let make = || Box::new(RewardWorker::new(cfg, kind.clone()));
         let (_c, reward) = group(spec, || make() as Box<dyn Worker>);
         let reply = reward.call_sync("compute_reward", &data, Protocol::ThreeD).unwrap();
         assert_eq!(column(&reply, "scores"), bits(&want), "scores on {spec:?}");

@@ -191,7 +191,7 @@ impl CommGroup {
     ///
     /// This is the primitive every collective is built from: the fold is
     /// the tree sum for all-reduce and reduce-scatter, the concatenation
-    /// for all-gather, the identity for gather, `exchange` and
+    /// for all-gather, the identity for `exchange` and
     /// `exchange_timed`. The float association and every clock operation
     /// are those of the per-member form it replaced (the tests compare
     /// bits and clocks for n ∈ {1, 2, 3, 4, 5, 8}). Members

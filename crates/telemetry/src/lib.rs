@@ -16,7 +16,18 @@
 //!   gaps-vs-slices per device.
 //! * [`Telemetry::summary`] — a plain-text per-iteration digest of
 //!   phase latencies, per-protocol transfer bytes, reshard volumes,
-//!   and per-device utilization.
+//!   per-device utilization and the data plane's zero-copy share, then
+//!   every counter, gauge and digest grouped under the first dot segment
+//!   of its name (`genserve:`, `remap:`, …).
+//!
+//! Metrics include byte counters per transfer protocol
+//! (`protocol.<P>.dispatch_bytes` / `.collect_bytes`), the p2p volume
+//! (`p2p.pull_bytes`), the reshard volume
+//! (`transition.to_generation.recv_bytes`, which
+//! `tests/telemetry_integration.rs` holds to Table 2's closed form on an
+//! 8-GPU 1-4-2 → 1-2 layout), and one [`Digest`] per phase and
+//! transition. Recording reads virtual clocks and never advances them,
+//! so a traced run's `IterStats` are an untraced run's bit for bit.
 //!
 //! The handle is designed for zero overhead when disabled:
 //! [`Telemetry::disabled`] holds no allocation at all, and every record

@@ -7,16 +7,22 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpanKind {
     /// Time a dispatched call sat in a device mailbox behind earlier
-    /// work (colocated time-sharing, paper §2.3).
+    /// work (colocated time-sharing, paper §2.3) or waited for its input
+    /// future: from the RPC's arrival to the start, recorded only when
+    /// positive.
     QueueWait,
     /// Worker compute on a device.
     Exec,
-    /// Communication: collectives, p2p pulls, weight resharding.
+    /// Communication: collectives, p2p pulls, weight resharding
+    /// (`transition.to_generation`, with `overlapped_s` when a pipelined
+    /// call hides part of it; `transition.to_training`, zero-duration,
+    /// since the copy-back is local).
     Comm,
-    /// RPC dispatch overhead on the controller.
+    /// One awaited call on the controller, from dispatch to collect,
+    /// annotated with its protocol and dispatch/collect bytes.
     Dispatch,
-    /// An algorithm phase on the controller (generation, experience
-    /// preparation, training).
+    /// An algorithm phase on the controller (`generation`,
+    /// `experience_preparation`, `training`), emitted by every driver.
     Phase,
 }
 
@@ -97,7 +103,9 @@ pub struct CounterSample {
 pub struct Digest {
     /// Number of observations.
     pub count: u64,
-    /// Sum of observations.
+    /// Sum of observations. Device threads race its f64 accumulation
+    /// order, so no report prints it or a mean: reports print count,
+    /// min, max and p50/p95/p99 only.
     pub sum: f64,
     /// Smallest observation (`+inf` when empty).
     pub min: f64,
