@@ -165,7 +165,7 @@ pub fn sample_configs(n: usize, max_world: usize, sample_seed: u64) -> Vec<Sweep
     let mut out = Vec::with_capacity(n);
     let mut h = sample_seed;
     for i in 0..n {
-        h = crate::splitmix(h ^ i as u64);
+        h = hf_rewards::splitmix(h ^ i as u64);
         out.push(pool[(h % pool.len() as u64) as usize]);
     }
     out

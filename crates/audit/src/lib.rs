@@ -73,10 +73,3 @@ pub use config::{config_space, sample_configs, SweepConfig};
 pub use oracle::{run_config, shrink, sweep, Divergence, Fingerprint, SweepReport};
 pub use remap::{remap_divergence, RemapAuditConfig};
 pub use replay::{canonical_spans, replay_check, JitterHook};
-
-pub(crate) fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}

@@ -17,12 +17,11 @@ use std::time::Duration;
 
 use hf_core::{Controller, ExecFault, ExecSite, FaultHook, WorkerLayout};
 use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
+use hf_rewards::splitmix;
 use hf_rlhf::env::make_prompts;
 use hf_rlhf::{ppo_iteration, Placement, RlhfConfig, RlhfSystem};
 use hf_simcluster::{ClusterSpec, CommCostModel, ResourcePool};
 use hf_telemetry::Telemetry;
-
-use crate::splitmix;
 
 /// Injects seeded wall-clock sleeps (0–2 ms) before every RPC delivery,
 /// perturbing the host thread interleaving while leaving virtual time

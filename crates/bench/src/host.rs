@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use hf_audit::{sample_configs, sweep};
 use hf_core::{Controller, DataProto, Protocol, RankCtx, Worker, WorkerLayout};
-use hf_genserve::{BlockManager, GenConfig, GenRequest, GenServer};
+use hf_genserve::{BlockManager, GenConfig, GenRequest};
 use hf_mapping::{AlgoKind, DataflowSpec, Mapper};
 use hf_modelspec::RlhfWorkload;
 use hf_nn::{LmConfig, TinyLm};
@@ -154,14 +154,13 @@ pub(crate) fn genserve_throughput(fast: bool) -> Report {
         let ample = batch * per_seq_blocks;
         let tight = (ample / 2).max(per_seq_blocks);
         for (budget, blocks) in [("ample", ample), ("tight", tight)] {
-            let mut server = GenServer::new(GenConfig {
+            let engine = GenConfig {
                 block_tokens,
                 cache_budget_bytes: blocks * block_bytes,
                 max_batch: batch,
-            });
-            server.install_weights(&lm);
+            };
             let t0 = Instant::now();
-            let (outs, rep) = server.generate(&reqs).expect("generate");
+            let (outs, rep) = engine.generate(&lm, &reqs).expect("generate");
             let tps = tokens / t0.elapsed().as_secs_f64();
             for (out, base) in outs.iter().zip(&baseline) {
                 assert_eq!(&out.tokens, base, "engine output must match sequential decode");

@@ -366,7 +366,7 @@ enum DeviceMsg {
 /// Failure-handling knobs for the controller's dispatch path. The
 /// default reproduces the pre-resilience behavior exactly: no deadline,
 /// no retries.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CallPolicy {
     /// Wall-clock budget for each rank's reply in [`DpFuture::wait`];
     /// `None` waits forever. An elapsed deadline surfaces as
@@ -377,15 +377,6 @@ pub struct CallPolicy {
     /// and so `call_sync` / `invoke_sync`) re-dispatches a call that
     /// failed with a transient fault (a dropped RPC).
     pub max_retries: u32,
-    /// Virtual seconds of backoff charged before the first retry;
-    /// doubles per attempt.
-    pub backoff_s: f64,
-}
-
-impl Default for CallPolicy {
-    fn default() -> Self {
-        CallPolicy { deadline: None, max_retries: 0, backoff_s: 0.05 }
-    }
 }
 
 /// A rank the runtime knows to be permanently gone: killed by fault
@@ -1213,6 +1204,10 @@ impl WorkerGroup {
         self.wait_retrying(self.call(method, data, protocol)?, data)
     }
 
+    /// Virtual seconds of backoff [`WorkerGroup::backs_off`] charges
+    /// before the first retry; it doubles per attempt.
+    pub const RETRY_BACKOFF_S: f64 = 0.05;
+
     /// The one retry decision: whether a call that failed with `err` is
     /// tried again — `err` is transient and the controller's
     /// [`CallPolicy`] has a retry left after `attempt` of them. If so the
@@ -1226,7 +1221,7 @@ impl WorkerGroup {
             return false;
         }
         *attempt += 1;
-        let backoff = state.policy.backoff_s * f64::from(1u32 << (*attempt - 1).min(16));
+        let backoff = Self::RETRY_BACKOFF_S * f64::from(1u32 << (*attempt - 1).min(16));
         state.clock += backoff;
         drop(state);
         self.inner.telemetry.add_counter("resilience.retries", 1);

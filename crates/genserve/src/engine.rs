@@ -1,4 +1,4 @@
-//! The continuous-batching scheduler and its driver, [`GenServer`].
+//! The continuous-batching scheduler and its driver, [`GenConfig::generate`].
 //!
 //! Scheduling is iteration-level (Orca/vLLM style): every engine step
 //! feeds **one token per active sequence** through
@@ -20,7 +20,9 @@ use rand::SeedableRng;
 
 use crate::block::BlockManager;
 
-/// Engine-level configuration (per [`GenServer`], not per request).
+/// Engine-level configuration (per engine, not per request); its
+/// [`GenConfig::begin`] and [`GenConfig::generate`] run the engine on a
+/// borrowed model.
 #[derive(Debug, Clone)]
 pub struct GenConfig {
     /// Snapshot slots per cache block.
@@ -86,7 +88,7 @@ pub struct StepTrace {
     pub finished: usize,
 }
 
-/// Aggregate statistics for one [`GenServer::generate`] call.
+/// Aggregate statistics for one [`GenConfig::generate`] call.
 #[derive(Debug, Clone, Default)]
 pub struct EngineReport {
     /// Engine steps executed (batched decode calls).
@@ -124,7 +126,7 @@ pub enum GenError {
         /// Blocks the budget provides.
         num_blocks: usize,
     },
-    /// `generate` called before `install_weights`.
+    /// [`GenServer::generate`] called before `install_weights`.
     NoWeights,
     /// A request with an empty prompt.
     EmptyPrompt,
@@ -170,45 +172,22 @@ struct Seq {
     last_logits: Vec<f32>,
 }
 
-/// The generation server an actor worker owns: holds the engine config
-/// and the (reshard-installed) weights, and serves batches of requests
-/// through the paged-cache scheduler.
-pub struct GenServer {
-    cfg: GenConfig,
-    lm: Option<TinyLm>,
-}
-
-impl GenServer {
-    /// A server with no weights yet (install via the 3D-HybridEngine
-    /// transition before generating).
-    pub fn new(cfg: GenConfig) -> Self {
-        GenServer { cfg, lm: None }
-    }
-
-    /// Installs (a copy of) the model weights — the hand-off point of
-    /// the train→generation reshard.
-    pub fn install_weights(&mut self, lm: &TinyLm) {
-        self.lm = Some(lm.clone());
-    }
-
-    /// Whether weights have been installed.
-    pub fn has_weights(&self) -> bool {
-        self.lm.is_some()
-    }
-
-    /// Validates `reqs` and returns a [`GenSession`] positioned before
-    /// the first engine step. The session exposes the scheduler loop
-    /// one iteration at a time — [`GenServer::generate`] is exactly
-    /// `begin` + step-to-idle + `finish`.
-    pub fn begin(&self, reqs: &[GenRequest]) -> Result<GenSession<'_>, GenError> {
-        let lm = self.lm.as_ref().ok_or(GenError::NoWeights)?;
-        let bt = self.cfg.block_tokens;
-        let bm =
-            BlockManager::new(lm.decode_start().snapshot_len(), bt, self.cfg.cache_budget_bytes);
+impl GenConfig {
+    /// Validates `reqs` and returns a [`GenSession`] over `lm`,
+    /// positioned before the first engine step. The session exposes the
+    /// scheduler loop one iteration at a time — [`GenConfig::generate`]
+    /// is exactly `begin` + step-to-idle + `finish`.
+    pub fn begin<'a>(
+        &self,
+        lm: &'a TinyLm,
+        reqs: &[GenRequest],
+    ) -> Result<GenSession<'a>, GenError> {
+        let bt = self.block_tokens;
+        let bm = BlockManager::new(lm.decode_start().snapshot_len(), bt, self.cache_budget_bytes);
         let mut session = GenSession {
             lm,
             bt,
-            max_batch: self.cfg.max_batch,
+            max_batch: self.max_batch,
             watermark: (bm.num_blocks() / 16).max(1),
             report: EngineReport { num_blocks: bm.num_blocks(), ..EngineReport::default() },
             bm,
@@ -222,21 +201,57 @@ impl GenServer {
         Ok(session)
     }
 
-    /// Runs every request to completion under the paged-cache budget
-    /// and returns the responses (in request order) plus an
+    /// Runs every request to completion on `lm` under the paged-cache
+    /// budget and returns the responses (in request order) plus an
     /// [`EngineReport`].
     pub fn generate(
         &self,
+        lm: &TinyLm,
         reqs: &[GenRequest],
     ) -> Result<(Vec<GenOutput>, EngineReport), GenError> {
-        let mut session = self.begin(reqs)?;
+        let mut session = self.begin(lm, reqs)?;
         while session.step() {}
         Ok(session.finish())
     }
 }
 
+/// A [`GenConfig`] that owns a copy of the weights it serves. Nothing in
+/// the workspace decodes through it — an actor rank hands its own replica
+/// to [`GenConfig::generate`] — but the end-to-end benchmark's genserve
+/// probe (`benchmark/src/layers.rs`) builds one with `new`,
+/// `install_weights` and `begin`, so its API stays.
+pub struct GenServer {
+    cfg: GenConfig,
+    lm: Option<TinyLm>,
+}
+
+impl GenServer {
+    /// A server with no weights yet.
+    pub fn new(cfg: GenConfig) -> Self {
+        GenServer { cfg, lm: None }
+    }
+
+    /// Installs a copy of the model weights.
+    pub fn install_weights(&mut self, lm: &TinyLm) {
+        self.lm = Some(lm.clone());
+    }
+
+    /// [`GenConfig::begin`] on the installed weights.
+    pub fn begin(&self, reqs: &[GenRequest]) -> Result<GenSession<'_>, GenError> {
+        self.cfg.begin(self.lm.as_ref().ok_or(GenError::NoWeights)?, reqs)
+    }
+
+    /// [`GenConfig::generate`] on the installed weights.
+    pub fn generate(
+        &self,
+        reqs: &[GenRequest],
+    ) -> Result<(Vec<GenOutput>, EngineReport), GenError> {
+        self.cfg.generate(self.lm.as_ref().ok_or(GenError::NoWeights)?, reqs)
+    }
+}
+
 /// An in-flight batch on the iteration-level scheduler: the engine loop
-/// of [`GenServer::generate`], externalized one step at a time so a
+/// of [`GenConfig::generate`], externalized one step at a time so a
 /// caller can time or trace each step.
 ///
 /// Stepping order, admission, preemption, and sampler RNG state are
@@ -501,16 +516,16 @@ mod session_tests {
         TinyLm::new(LmConfig { vocab: 16, hidden: 8, ffn: 12, layers: 2 }, 11)
     }
 
-    fn server(cache_blocks: usize, max_batch: usize) -> GenServer {
+    /// A model and an engine config of `cache_blocks` 4-slot blocks.
+    fn engine(cache_blocks: usize, max_batch: usize) -> (TinyLm, GenConfig) {
         let lm = lm();
         let slot_bytes = lm.decode_start().cache_bytes();
-        let mut s = GenServer::new(GenConfig {
+        let cfg = GenConfig {
             block_tokens: 4,
             cache_budget_bytes: cache_blocks * 4 * slot_bytes,
             max_batch,
-        });
-        s.install_weights(&lm);
-        s
+        };
+        (lm, cfg)
     }
 
     fn reqs(n: usize) -> Vec<GenRequest> {
@@ -527,10 +542,10 @@ mod session_tests {
 
     #[test]
     fn stepped_session_is_bit_identical_to_generate() {
-        let s = server(8, 3);
+        let (lm, cfg) = engine(8, 3);
         let rs = reqs(6);
-        let (ref_outs, ref_report) = s.generate(&rs).unwrap();
-        let mut session = s.begin(&rs).unwrap();
+        let (ref_outs, ref_report) = cfg.generate(&lm, &rs).unwrap();
+        let mut session = cfg.begin(&lm, &rs).unwrap();
         while session.step() {}
         let (outs, report) = session.finish();
         assert_eq!(outs, ref_outs);
@@ -544,7 +559,7 @@ mod session_tests {
 
     #[test]
     fn zero_token_requests_finish_at_begin() {
-        let s = server(6, 2);
+        let (lm, cfg) = engine(6, 2);
         let rs = vec![GenRequest {
             prompt: vec![1, 2],
             max_new_tokens: 0,
@@ -552,7 +567,7 @@ mod session_tests {
             seed: 1,
             stop_tokens: Vec::new(),
         }];
-        let mut session = s.begin(&rs).unwrap();
+        let mut session = cfg.begin(&lm, &rs).unwrap();
         assert!(session.is_idle());
         assert!(!session.step());
         let (outs, report) = session.finish();
@@ -569,7 +584,7 @@ mod session_tests {
         // 5 and would leave exactly the watermark. Admission is strictly
         // FCFS: the head that does not fit stops the queue, so the tail
         // does not take the free batch slot ahead of it.
-        let s = server(8, 2);
+        let (lm, cfg) = engine(8, 2);
         let req = |token: usize, prompt_len: usize, max_new_tokens: usize| GenRequest {
             prompt: vec![token; prompt_len],
             max_new_tokens,
@@ -578,7 +593,7 @@ mod session_tests {
             stop_tokens: Vec::new(),
         };
         let (long, head, tail) = (req(1, 5, 8), req(3, 21, 1), req(4, 17, 1));
-        let (_, report) = s.generate(&[long, head, tail]).unwrap();
+        let (_, report) = cfg.generate(&lm, &[long, head, tail]).unwrap();
         assert_eq!(report.preemptions, 0);
         assert_eq!(report.traces[0].admitted, 1, "only the long runner is admitted at step 0");
         assert!(

@@ -10,10 +10,12 @@
 //! * [`BlockManager`] — fixed-size blocks of [`hf_nn::DecodeState`]
 //!   snapshots, free-list allocation, per-sequence block tables,
 //!   refcounted prefix sharing, all accounted against a byte budget.
-//! * [`GenServer`] — an FCFS continuous-batching scheduler with
-//!   preemption-by-recompute, driving `TinyLm::decode_step_batch_reading`
-//!   one token per sequence per step, with EOS/stop-token support and
-//!   variable-length outputs.
+//! * [`GenConfig::generate`] — an FCFS continuous-batching scheduler
+//!   with preemption-by-recompute over a borrowed `TinyLm`, driving
+//!   `TinyLm::decode_step_batch_reading` one token per sequence per
+//!   step, with EOS/stop-token support and variable-length outputs;
+//!   [`GenConfig::begin`] hands out the same loop one [`GenSession`]
+//!   step at a time.
 //!
 //! Scheduling is semantically invisible: for any cache budget, block
 //! size, batch composition, preemption pattern, or prefix-sharing hit,
@@ -22,9 +24,10 @@
 //! exactly this), and the log-prob recorded with each sampled token
 //! ([`GenOutput::logps`]) is bit for bit the forward's.
 //!
-//! In the RLHF loop each actor rank owns one [`GenServer`]; the
-//! train→generation transition installs the resharded weights into it
-//! when training has touched them since the last install. Admission
+//! In the RLHF loop each actor rank keeps one [`GenConfig`] and decodes
+//! the replica it trains: the engine borrows the weights for the call
+//! and holds no copy of them (a [`GenServer`] does, for callers with no
+//! model of their own to lend). Admission
 //! leaves a watermark of `max(1, num_blocks / 16)` blocks in a non-empty
 //! batch, so a fresh admission does not preempt on the next step, and a
 //! head that does not fit stops admission
@@ -60,12 +63,6 @@ mod tests {
         TinyLm::new(LmConfig { vocab: 24, hidden: 12, ffn: 20, layers: 2 }, 42)
     }
 
-    fn server(lm: &TinyLm, cfg: GenConfig) -> GenServer {
-        let mut s = GenServer::new(cfg);
-        s.install_weights(lm);
-        s
-    }
-
     fn req(prompt: &[usize], max_new: usize, seed: u64) -> GenRequest {
         GenRequest {
             prompt: prompt.to_vec(),
@@ -94,10 +91,10 @@ mod tests {
     #[test]
     fn matches_sequential_generation_with_ample_cache() {
         let lm = lm();
-        let s = server(&lm, GenConfig::default());
+        let cfg = GenConfig::default();
         let reqs: Vec<GenRequest> =
             (0..5).map(|i| req(&[1 + i, 2, 3 + i], 8 + i, i as u64)).collect();
-        let (outs, report) = s.generate(&reqs).unwrap();
+        let (outs, report) = cfg.generate(&lm, &reqs).unwrap();
         for (o, r) in outs.iter().zip(reqs.iter()) {
             assert_eq!(o.tokens, sequential(&lm, r));
         }
@@ -108,12 +105,12 @@ mod tests {
     #[test]
     fn report_tracks_first_token_and_finish_steps() {
         let lm = lm();
-        let s = server(&lm, GenConfig::default());
+        let cfg = GenConfig::default();
         let mut reqs: Vec<GenRequest> =
             (0..3).map(|i| req(&[1 + i, 2, 3], 4 + i, i as u64)).collect();
         // A zero-length request never runs a step and must not appear.
         reqs.push(req(&[1, 2], 0, 9));
-        let (outs, report) = s.generate(&reqs).unwrap();
+        let (outs, report) = cfg.generate(&lm, &reqs).unwrap();
         assert!(outs[3].tokens.is_empty());
         for (id, r) in reqs.iter().enumerate().take(3) {
             let first = report.first_token_step[&id];
@@ -138,10 +135,9 @@ mod tests {
         // preemption-by-recompute.
         let cfg =
             GenConfig { block_tokens: 4, cache_budget_bytes: 7 * 4 * slot_bytes, max_batch: 8 };
-        let s = server(&lm, cfg);
         let reqs: Vec<GenRequest> =
             (0..4).map(|i| req(&[5 + i, 9, 2, 7], 8, 100 + i as u64)).collect();
-        let (outs, report) = s.generate(&reqs).unwrap();
+        let (outs, report) = cfg.generate(&lm, &reqs).unwrap();
         assert!(report.preemptions > 0, "budget was sized to force preemption");
         for (o, r) in outs.iter().zip(reqs.iter()) {
             assert_eq!(o.tokens, sequential(&lm, r), "preemption must not change output");
@@ -155,10 +151,9 @@ mod tests {
         // max_batch 1 serializes the requests, so sharing must come
         // from reclaimable cached blocks of already-finished requests.
         let cfg = GenConfig { block_tokens: 2, max_batch: 1, ..GenConfig::default() };
-        let s = server(&lm, cfg);
         let prompt = [3usize, 1, 4, 1, 5, 9, 2, 6];
         let reqs: Vec<GenRequest> = (0..3).map(|i| req(&prompt, 6, i as u64)).collect();
-        let (outs, report) = s.generate(&reqs).unwrap();
+        let (outs, report) = cfg.generate(&lm, &reqs).unwrap();
         assert!(report.prefix_hit_tokens > 0, "identical prompts must hit the prefix cache");
         for (o, r) in outs.iter().zip(reqs.iter()) {
             assert_eq!(o.tokens, sequential(&lm, r), "prefix sharing must not change output");
@@ -183,9 +178,8 @@ mod tests {
         let lm = lm();
         let slot_bytes = lm.decode_start().cache_bytes();
         let cfg = GenConfig { block_tokens: 1, cache_budget_bytes: 6 * slot_bytes, max_batch: 2 };
-        let s = server(&lm, cfg);
         let reqs = vec![req(&[1], 6, 11), req(&[2, 3, 4], 1, 12), req(&[2, 3, 4, 5], 1, 13)];
-        let (outs, report) = s.generate(&reqs).unwrap();
+        let (outs, report) = cfg.generate(&lm, &reqs).unwrap();
         for (o, r) in outs.iter().zip(reqs.iter()) {
             assert_eq!(o.tokens, sequential(&lm, r));
         }
@@ -202,13 +196,13 @@ mod tests {
     #[test]
     fn stop_tokens_end_generation_early() {
         let lm = lm();
-        let s = server(&lm, GenConfig::default());
+        let cfg = GenConfig::default();
         let mut r = req(&[1, 2, 3], 32, 7);
         let full = sequential(&lm, &r);
         // Stop on the third token the unconstrained run produces.
         r.stop_tokens = vec![full[2]];
         let first_hit = full.iter().position(|t| *t == full[2]).unwrap();
-        let (outs, _) = s.generate(std::slice::from_ref(&r)).unwrap();
+        let (outs, _) = cfg.generate(&lm, std::slice::from_ref(&r)).unwrap();
         assert_eq!(outs[0].tokens, full[..=first_hit], "stop token is kept, tail dropped");
         assert!(outs[0].tokens.len() < full.len());
     }
@@ -216,8 +210,8 @@ mod tests {
     #[test]
     fn zero_max_new_tokens_yields_empty_output() {
         let lm = lm();
-        let s = server(&lm, GenConfig::default());
-        let (outs, report) = s.generate(&[req(&[1, 2], 0, 0)]).unwrap();
+        let cfg = GenConfig::default();
+        let (outs, report) = cfg.generate(&lm, &[req(&[1, 2], 0, 0)]).unwrap();
         assert!(outs[0].tokens.is_empty());
         assert_eq!(report.steps, 0);
     }
@@ -228,8 +222,7 @@ mod tests {
         let slot_bytes = lm.decode_start().cache_bytes();
         let cfg =
             GenConfig { block_tokens: 2, cache_budget_bytes: 2 * 2 * slot_bytes, max_batch: 4 };
-        let s = server(&lm, cfg);
-        let err = s.generate(&[req(&[1, 2, 3], 16, 0)]).unwrap_err();
+        let err = cfg.generate(&lm, &[req(&[1, 2, 3], 16, 0)]).unwrap_err();
         assert!(matches!(err, GenError::CacheTooSmall { needed_blocks: 9, num_blocks: 2 }));
     }
 
@@ -237,7 +230,7 @@ mod tests {
     fn missing_weights_and_empty_prompt_are_errors() {
         let s = GenServer::new(GenConfig::default());
         assert_eq!(s.generate(&[req(&[1], 2, 0)]).unwrap_err(), GenError::NoWeights);
-        let s = server(&lm(), GenConfig::default());
-        assert_eq!(s.generate(&[req(&[], 2, 0)]).unwrap_err(), GenError::EmptyPrompt);
+        let err = GenConfig::default().generate(&lm(), &[req(&[], 2, 0)]).unwrap_err();
+        assert_eq!(err, GenError::EmptyPrompt);
     }
 }

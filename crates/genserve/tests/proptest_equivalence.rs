@@ -4,7 +4,7 @@
 //! output is identical to running `TinyLm::generate` on it alone, and
 //! the log-prob it records with each token is the forward's.
 
-use hf_genserve::{EngineReport, GenConfig, GenOutput, GenRequest, GenServer};
+use hf_genserve::{EngineReport, GenConfig, GenOutput, GenRequest};
 use hf_nn::{LmConfig, TinyLm};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -33,29 +33,27 @@ fn requests() -> impl Strategy<Value = Vec<GenRequest>> {
     proptest::collection::vec(req, 1..8)
 }
 
-/// A server over `lm` whose budget is `extra_blocks` over the fewest
-/// blocks that let every request of `reqs` run alone (the scheduler
-/// requires each to fit alone).
-fn tight_server(
+/// An engine config for `lm` whose budget is `extra_blocks` over the
+/// fewest blocks that let every request of `reqs` run alone (the
+/// scheduler requires each to fit alone).
+fn tight_config(
     lm: &TinyLm,
     reqs: &[GenRequest],
     block_tokens: usize,
     extra_blocks: usize,
     max_batch: usize,
-) -> GenServer {
+) -> GenConfig {
     let min_blocks = reqs
         .iter()
         .map(|r| (r.prompt.len() + r.max_new_tokens - 1).div_ceil(block_tokens))
         .max()
         .unwrap();
     let slot_bytes = lm.decode_start().cache_bytes();
-    let mut server = GenServer::new(GenConfig {
+    GenConfig {
         block_tokens,
         cache_budget_bytes: (min_blocks + extra_blocks) * block_tokens * slot_bytes,
         max_batch,
-    });
-    server.install_weights(lm);
-    server
+    }
 }
 
 proptest! {
@@ -71,8 +69,8 @@ proptest! {
         max_batch in 1usize..9,
     ) {
         let lm = lm();
-        let server = tight_server(&lm, &reqs, block_tokens, extra_blocks, max_batch);
-        let (outs, report) = server.generate(&reqs).unwrap();
+        let cfg = tight_config(&lm, &reqs, block_tokens, extra_blocks, max_batch);
+        let (outs, report) = cfg.generate(&lm, &reqs).unwrap();
         prop_assert_eq!(outs.len(), reqs.len());
         for (i, (o, r)) in outs.iter().zip(reqs.iter()).enumerate() {
             let mut rng = StdRng::seed_from_u64(r.seed);
@@ -96,8 +94,6 @@ proptest! {
         seed in 0u64..1 << 48,
     ) {
         let lm = lm();
-        let mut server = GenServer::new(GenConfig::default());
-        server.install_weights(&lm);
         let req = GenRequest {
             prompt: prompt.clone(),
             max_new_tokens: max_new,
@@ -105,7 +101,7 @@ proptest! {
             seed,
             stop_tokens: vec![stop],
         };
-        let (outs, _) = server.generate(std::slice::from_ref(&req)).unwrap();
+        let (outs, _) = GenConfig::default().generate(&lm, std::slice::from_ref(&req)).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
         let full = lm.generate(&prompt, max_new, 1.0, &mut rng);
         // The engine's output is the sequential output truncated just
@@ -179,8 +175,8 @@ proptest! {
                 stop_tokens: (stop < VOCAB).then_some(stop).into_iter().collect(),
             })
             .collect();
-        let server = tight_server(&lm, &reqs, block_tokens, extra_blocks, max_batch);
-        let (outs, report) = server.generate(&reqs).unwrap();
+        let cfg = tight_config(&lm, &reqs, block_tokens, extra_blocks, max_batch);
+        let (outs, report) = cfg.generate(&lm, &reqs).unwrap();
         logps_are_the_forward(&lm, &reqs, &outs, &report)?;
     }
 }
@@ -204,8 +200,8 @@ fn logps_are_the_forward_log_probs_through_every_path() {
     let mut rng = StdRng::seed_from_u64(reqs[4].seed);
     let full = lm.generate(&prompt, 10, reqs[4].temperature, &mut rng);
     reqs[4].stop_tokens = vec![full[3]];
-    let server = tight_server(&lm, &reqs, 2, 1, 4);
-    let (outs, report) = server.generate(&reqs).unwrap();
+    let cfg = tight_config(&lm, &reqs, 2, 1, 4);
+    let (outs, report) = cfg.generate(&lm, &reqs).unwrap();
     assert!(report.preemptions > 0, "the budget was sized to preempt: {report:?}");
     assert!(report.prefix_hit_tokens > 0, "identical prompts share blocks: {report:?}");
     assert!(outs[4].tokens.len() < 10, "the stop token cuts request 4 short");

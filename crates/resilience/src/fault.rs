@@ -16,14 +16,8 @@
 use std::sync::Arc;
 
 use hf_core::fault::{ExecFault, ExecSite, FaultHook};
+use hf_rewards::splitmix;
 use hf_sync::Mutex;
-
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
 
 /// When a rank-targeted fault fires.
 #[derive(Debug, Clone, PartialEq)]

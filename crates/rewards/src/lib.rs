@@ -32,7 +32,8 @@ pub use pool::{CostProfile, EvalItem, EvalReport, PoolConfig, SandboxPool, TaskO
 pub use task::{make_verifier_prompts, VerifierKind, VerifierSpec};
 
 /// The splitmix64 mixer — the repo's standard seed-derivation primitive
-/// (`hf-rlhf`'s sampler seeding calls it too), public so callers
+/// (hf-rlhf's sampler seeding, hf-resilience's seeded fault plans and
+/// hf-audit's sampled sweep configs call it too), public so callers
 /// derive per-task seeds the same way the pool derives per-attempt
 /// draws.
 pub fn splitmix(mut x: u64) -> u64 {

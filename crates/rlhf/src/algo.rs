@@ -221,7 +221,7 @@ impl RlhfSystem {
     }
 
     /// Like [`RlhfSystem::build`] but with a ZeRO-3-sharded actor
-    /// (`ZeroActorWorker`); the actor layout must be pure data-parallel.
+    /// ([`ActorWorker::zero`]); the actor layout must be pure data-parallel.
     pub fn build_zero(
         ctrl: &Controller,
         placement: &Placement,
@@ -239,15 +239,11 @@ impl RlhfSystem {
         cfg.validate()?;
         let hyper = cfg.hyper.clone();
         let lm = cfg.lm;
-        let actor = if zero_actor {
+        let actor_worker = if zero_actor { ActorWorker::zero } else { ActorWorker::new };
+        let actor =
             ctrl.spawn_group("actor", &placement.actor.pool, placement.actor.layout, |_r| {
-                Box::new(crate::zero::ZeroActorWorker::new(lm, hyper.clone()))
-            })?
-        } else {
-            ctrl.spawn_group("actor", &placement.actor.pool, placement.actor.layout, |_r| {
-                Box::new(ActorWorker::new(lm, hyper.clone()))
-            })?
-        };
+                Box::new(actor_worker(lm, hyper.clone()))
+            })?;
         let critic = match &placement.critic {
             Some(p) => Some(ctrl.spawn_group("critic", &p.pool, p.layout, |_r| {
                 Box::new(CriticWorker::new(lm, hyper.clone()))

@@ -39,9 +39,10 @@
 //!   [`remap::FixedPlacement`] recovers in the same layout,
 //!   [`remap::MapperPlanner`] re-runs the mapping search over the
 //!   survivors.
-//! * [`zero`] — a functional ZeRO-3 actor (`ZeROWorker`, §4.1): it
-//!   stores a 1/world shard of the parameters and their Adam, all-gathers
-//!   a full working copy (which stays resident) for every call, and
+//! * [`zero`] — ZeRO-3 as the actor's optimizer placement (`ZeROWorker`,
+//!   §4.1; [`ActorWorker::zero`]): a rank stores a 1/world shard of the
+//!   parameters and their Adam, all-gathers them into the one model it
+//!   trains (a working copy that stays resident) for every call, and
 //!   reduce-scatters gradients — numerically identical to the
 //!   replicated path.
 
@@ -67,11 +68,11 @@ pub use pipeline::{PipelineConfig, PipelinedPpo};
 pub use remap::{
     bridge_spec, remap_recoverable, restore_system_checkpoint, save_system_checkpoint,
     FixedPlacement, MapperPlanner, PlannedPlacement, RemapConfig, RemapDriver, RemapEvent,
-    RemapPlanner, RemapReport,
+    RemapPlanner, RemapReport, MAX_RECOVERIES,
 };
 pub use verifier::RewardEvaluatorWorker;
 pub use workers::{
     ActorWorker, CriticWorker, ReferenceWorker, RewardKind, RewardWorker, WorkerHyper,
     GEN_PASS_META, NO_LOGP_META, PIPELINE_META,
 };
-pub use zero::{ZeroActorWorker, ZeroParamStore};
+pub use zero::ZeroParamStore;

@@ -46,7 +46,7 @@
 //!
 //! Steps 2–3 run inside the same fallible slice as training, so a rank
 //! lost *while recovering* (during the restore broadcast, say) is one
-//! more failure against `max_recoveries`, not the end of the run; every
+//! more failure against [`MAX_RECOVERIES`], not the end of the run; every
 //! failure is booked as recovered, with its own detection-to-resumed
 //! time, when the next restore completes. An application error (bad
 //! data, a PPO run without a critic) propagates at once: replaying it
@@ -111,8 +111,6 @@ pub struct RemapConfig {
     /// Base seed; iteration `i` draws prompts with seed
     /// `data_seed + i`, so replayed iterations see identical data.
     pub data_seed: u64,
-    /// Failures to recover from before giving up.
-    pub max_recoveries: u32,
     /// The window driver.
     pub driver: RemapDriver,
     /// The device universe this run may occupy (`None` = the whole
@@ -128,7 +126,6 @@ impl Default for RemapConfig {
             checkpoint_every: 1,
             batch: 8,
             data_seed: 0,
-            max_recoveries: 4,
             driver: RemapDriver::Barrier,
             allowed: None,
         }
@@ -338,6 +335,11 @@ fn despawn_system(ctrl: &Controller, sys: RlhfSystem) {
     }
 }
 
+/// How many failures one [`remap_recoverable`] run recovers from; the
+/// next one ends it with `CoreError::Worker` ("gave up after 4
+/// recoveries: …").
+pub const MAX_RECOVERIES: u32 = 4;
+
 /// A failure whose recovery has not completed yet.
 struct Fault {
     /// Controller clock when the failure surfaced.
@@ -502,10 +504,9 @@ impl Run<'_> {
         if e.is_application() {
             return Err(e);
         }
-        if stats.failures > u64::from(self.cfg.max_recoveries) {
+        if stats.failures > u64::from(MAX_RECOVERIES) {
             return Err(CoreError::Worker(format!(
-                "gave up after {} recoveries: {e}",
-                self.cfg.max_recoveries
+                "gave up after {MAX_RECOVERIES} recoveries: {e}"
             )));
         }
         // Split the interval since the last COMMIT marker: work before

@@ -40,13 +40,15 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use hf_core::{CoreError, DataProto, RankCtx, Result, Worker};
-use hf_genserve::{GenConfig, GenRequest, GenServer};
+use hf_genserve::{GenConfig, GenRequest};
 use hf_nn::{stacks, Adam, Head, LmConfig, ShardedLm, StageOutput, Tensor, TinyLm};
 use hf_parallel::shard::train_shard;
 use hf_parallel::ShardLayout;
 use hf_resilience::{encode_shard, shard_range, AssembledState, ShardHeader};
 use hf_rewards::splitmix;
 use hf_simcluster::{SumPart, TreeSum};
+
+use crate::zero::ZeroParamStore;
 
 /// Hyper-parameters the workers need.
 #[derive(Debug, Clone)]
@@ -367,7 +369,7 @@ fn tp_forward(
 
 /// What a model-parallel group made of the per-row gradients of an
 /// update method's chunk; every peer holds the same one.
-pub(crate) struct Folded {
+struct Folded {
     /// The rows' gradients, tree-summed in row order, then the sum of
     /// their weights — the chunk's row count: `[param_count + 1]`.
     sum: Vec<f32>,
@@ -378,7 +380,7 @@ pub(crate) struct Folded {
 /// A chunk's gradient sum with its row count behind it, shared by the
 /// peers of the model-parallel group that folded it.
 #[derive(Clone)]
-pub(crate) struct GradSum(Arc<Folded>);
+struct GradSum(Arc<Folded>);
 
 impl AsRef<[f32]> for GradSum {
     fn as_ref(&self) -> &[f32] {
@@ -394,7 +396,7 @@ impl SumPart for GradSum {
 }
 
 /// [`GradSum`] without the row count: the gradient alone.
-pub(crate) struct GradOnly(pub GradSum);
+struct GradOnly(GradSum);
 
 impl AsRef<[f32]> for GradOnly {
     fn as_ref(&self) -> &[f32] {
@@ -510,27 +512,6 @@ impl<'c> RowFold<'c> {
     }
 }
 
-/// Synchronizes a chunk's gradient `sum` over the data-parallel group
-/// (a real collective; the row count rides along as the last value, so
-/// one collective carries both — counts are small integers, exact in
-/// f32) and steps `opt` on the mean: ONE division by the *global* row
-/// count, after the reduction, as Adam reads the one shared result — no
-/// parameter-sized copy is left between a row's backward pass and the
-/// optimizer.
-fn sync_and_step(ctx: &mut RankCtx, opt: &mut Adam, lm: &mut TinyLm, sum: GradSum) {
-    let mut step = |sum: &[f32]| {
-        let (grad, count) = sum.split_at(sum.len() - 1);
-        opt.step_mean(lm.flat_mut(), grad, count[0].max(1.0));
-    };
-    if ctx.comms.dp.size() > 1 {
-        let mut clock = ctx.clock;
-        step(&ctx.comms.dp.all_reduce_sum_shared(&mut clock, sum));
-        ctx.clock = clock;
-    } else {
-        step(sum.as_ref());
-    }
-}
-
 fn metrics(values: &[(&str, f32)]) -> DataProto {
     let mut out = DataProto::with_rows(1);
     for (k, v) in values {
@@ -539,33 +520,135 @@ fn metrics(values: &[(&str, f32)]) -> DataProto {
     out
 }
 
-/// One rank's `save_shard` reply for *replicated* state: the
-/// model-parallel group tiles the flat vector (`mp_pos = p_idx·t +
-/// t_idx`) and every data-parallel replica holds the same bytes, so only
-/// the `d_idx == 0` replica owns its slice.
-fn shard_reply(ctx: &RankCtx, params: &[f32], opt: &Adam, gen_round: u64) -> Result<DataProto> {
-    let (m, v, opt_t) = opt.state();
-    let tc = ctx.coords();
-    let spec = &ctx.layout.spec;
-    let total = params.len();
-    let (range, padded) = shard_range(total, tc.p_idx * spec.t + tc.t_idx, spec.mp());
-    let head = ShardHeader {
-        rank: ctx.rank,
-        start: range.start,
-        len: range.len(),
-        owner: tc.d_idx == 0,
-        total,
-        gen_round,
-        opt_t,
-    };
-    encode_shard(head, padded, [params, m, v].map(|x| &x[range.clone()]))
+/// Where a trained model's optimizer state lives: the four things that
+/// differ between the two placements — the gather before a call, the
+/// step on a chunk's gradient sum, the `save_shard` reply and the
+/// restore. Either way a rank trains one `TinyLm`.
+enum Optim {
+    /// A full-size Adam on every rank, kept in lock-step by all-reducing
+    /// each chunk's gradient sum over the data-parallel group.
+    Replicated(Adam),
+    /// ZeRO-3 ([`crate::zero`]): a 1/world shard of the parameters and
+    /// its Adam, cut from the model's weights on the first call.
+    Zero {
+        /// Adam's learning rate, for the store the first call cuts.
+        lr: f32,
+        store: Option<ZeroParamStore>,
+    },
+}
+
+impl Optim {
+    /// ZeRO only, at the top of every call: all-gathers the full
+    /// parameters into `lm` through the world communicator (charged to
+    /// virtual time), cutting the store from `lm` first on the first
+    /// call. Returns whether it gathered, i.e. whether `lm` was
+    /// overwritten. A ZeRO rank needs a pure data-parallel layout
+    /// (`1-1-d`): anything else is a `Config` error from every rank.
+    fn gather(&mut self, lm: &mut TinyLm, ctx: &mut RankCtx) -> Result<bool> {
+        let Optim::Zero { lr, store } = self else { return Ok(false) };
+        if ctx.layout.spec.mp() != 1 {
+            return Err(CoreError::Config(
+                "ZeRO-3 requires a pure data-parallel layout (1-1-d)".into(),
+            ));
+        }
+        let world = &ctx.comms.world;
+        let store = store
+            .get_or_insert_with(|| ZeroParamStore::new(lm.flat(), world.rank(), world.size(), *lr));
+        let mut clock = ctx.clock;
+        lm.flat_mut().copy_from_slice(&store.gather(world, &mut clock));
+        ctx.clock = clock;
+        Ok(true)
+    }
+
+    /// Steps on a chunk's gradient `sum`, whose last value is the
+    /// chunk's row count. Replicated: all-reduces the sum over the
+    /// data-parallel group (a real collective; the row count rides
+    /// along, exact in f32) and steps Adam on the mean — ONE division
+    /// by the *global* row count, after the reduction, as Adam reads the
+    /// one shared result, so no parameter-sized copy is left between a
+    /// row's backward pass and the optimizer. ZeRO: reduce-scatters the
+    /// gradient and steps this rank's shard
+    /// ([`ZeroParamStore::apply_grads`]); `lm` is refreshed by the next
+    /// call's gather.
+    fn step(&mut self, ctx: &mut RankCtx, lm: &mut TinyLm, sum: GradSum) {
+        let mut clock = ctx.clock;
+        match self {
+            Optim::Replicated(opt) => {
+                let mut step = |sum: &[f32]| {
+                    let (grad, count) = sum.split_at(sum.len() - 1);
+                    opt.step_mean(lm.flat_mut(), grad, count[0].max(1.0));
+                };
+                if ctx.comms.dp.size() > 1 {
+                    step(&ctx.comms.dp.all_reduce_sum_shared(&mut clock, sum));
+                } else {
+                    step(sum.as_ref());
+                }
+            }
+            Optim::Zero { store, .. } => {
+                let store = store.as_mut().expect("the call's gather cut the store");
+                let count = *sum.as_ref().last().expect("the row count");
+                store.apply_grads(&ctx.comms.world, &mut clock, GradOnly(sum), count);
+            }
+        }
+        ctx.clock = clock;
+    }
+
+    /// One rank's `save_shard` reply. Replicated: the model-parallel
+    /// group tiles the flat vector (`mp_pos = p_idx·t + t_idx`) and every
+    /// data-parallel replica holds the same bytes, so only the
+    /// `d_idx == 0` replica owns its slice. ZeRO: the store is the shard
+    /// ([`ZeroParamStore::shard_reply`]).
+    fn shard_reply(&self, ctx: &RankCtx, lm: &TinyLm, gen_round: u64) -> Result<DataProto> {
+        let opt = match self {
+            Optim::Replicated(opt) => opt,
+            Optim::Zero { store, .. } => {
+                let store = store.as_ref().expect("the call's gather cut the store");
+                return store.shard_reply(ctx.rank, gen_round);
+            }
+        };
+        let (params, (m, v, opt_t)) = (lm.flat(), opt.state());
+        let tc = ctx.coords();
+        let spec = &ctx.layout.spec;
+        let total = params.len();
+        let (range, padded) = shard_range(total, tc.p_idx * spec.t + tc.t_idx, spec.mp());
+        let head = ShardHeader {
+            rank: ctx.rank,
+            start: range.start,
+            len: range.len(),
+            owner: tc.d_idx == 0,
+            total,
+            gen_round,
+            opt_t,
+        };
+        encode_shard(head, padded, [params, m, v].map(|x| &x[range.clone()]))
+    }
+
+    /// Installs the state a `load_checkpoint` call carries: the
+    /// parameters into `lm`, the moments and step count into this
+    /// placement's Adam — ZeRO re-cuts its store from them, or the next
+    /// gather would overwrite the restored weights with the stale
+    /// shards. Returns the restored sampler round.
+    fn load(&mut self, ctx: &RankCtx, lm: &mut TinyLm, data: &DataProto) -> Result<u64> {
+        let st = AssembledState::from_load_input(data, lm.flat().len())?;
+        lm.flat_mut().copy_from_slice(&st.params);
+        match self {
+            Optim::Replicated(opt) => opt.load_state(&st.opt_m, &st.opt_v, st.opt_t),
+            Optim::Zero { lr, store } => {
+                let (world, full) = (&ctx.comms.world, [&st.params[..], &st.opt_m, &st.opt_v]);
+                let cut = ZeroParamStore::cut(full, st.opt_t, world.rank(), world.size(), *lr);
+                *store = Some(cut);
+            }
+        }
+        Ok(st.gen_round)
+    }
 }
 
 /// The actor model class: generation, log-probs, pre-train loss, PPO
-/// updates (Table 4).
+/// updates (Table 4). A rank holds one `TinyLm`: it trains it, and
+/// generation decodes it.
 pub struct ActorWorker {
     lm: TinyLm,
-    opt: Adam,
+    optim: Optim,
     hyper: WorkerHyper,
     gen_round: u64,
     /// The [`GEN_PASS_META`] id of the last pass that advanced
@@ -573,58 +656,41 @@ pub struct ActorWorker {
     gen_pass: Option<u64>,
     /// The resharded hybrid engine, held between the train→generation
     /// transition and the generation→training copy-back in
-    /// `update_actor`.
+    /// `update_actor`; whatever else changes `lm` (a restore, a ZeRO
+    /// gather) drops it.
     gen_engine: Option<hf_hybridengine::HybridEngineRank>,
     /// The paged-KV continuous-batching generation engine
-    /// (`generate_sequences` routes every request through it).
-    genserve: GenServer,
-    /// Whether training has touched the weights since they were last
-    /// installed into the generation engine.
-    weights_dirty: bool,
+    /// (`generate_sequences` routes every request through it, on `lm`).
+    genserve: GenConfig,
 }
 
 impl ActorWorker {
     /// Builds the actor from an LM config (all ranks must use the same
     /// seed so replicas start identical).
     pub fn new(cfg: LmConfig, hyper: WorkerHyper) -> Self {
-        let lm = TinyLm::new(cfg, hyper.seed);
         let opt = Adam::new(cfg.param_count(), hyper.lr);
-        let genserve = GenServer::new(GenConfig {
+        Self::with_optim(cfg, hyper, Optim::Replicated(opt))
+    }
+
+    /// Builds a ZeRO-3 actor (the paper's `ZeROWorker`, §4.1): the
+    /// parameters and their Adam are sharded over the group
+    /// ([`crate::zero`]), which must be pure data-parallel (`1-1-d`).
+    /// Sharding happens on the first call, once the rank and world are
+    /// known.
+    pub fn zero(cfg: LmConfig, hyper: WorkerHyper) -> Self {
+        let lr = hyper.lr;
+        Self::with_optim(cfg, hyper, Optim::Zero { lr, store: None })
+    }
+
+    fn with_optim(cfg: LmConfig, hyper: WorkerHyper, optim: Optim) -> Self {
+        let genserve = GenConfig {
             block_tokens: hyper.gen_block_tokens,
             cache_budget_bytes: hyper.gen_cache_budget,
             max_batch: hyper.gen_max_batch,
-        });
-        ActorWorker {
-            lm,
-            opt,
-            hyper,
-            gen_round: 0,
-            gen_pass: None,
-            gen_engine: None,
-            genserve,
-            weights_dirty: true,
-        }
-    }
-
-    /// Read access to the underlying LM (for checkpoint tests).
-    pub(crate) fn lm(&self) -> &TinyLm {
-        &self.lm
-    }
-
-    /// The generation RNG round (the ZeRO wrapper snapshots it into its
-    /// own `save_shard` reply).
-    pub(crate) fn gen_round(&self) -> u64 {
-        self.gen_round
-    }
-
-    /// Installs a restored state, Adam included. The restored sampler
-    /// round was spent by no pass this rank ran.
-    pub(crate) fn load_state(&mut self, st: &AssembledState) {
-        self.lm.flat_mut().copy_from_slice(&st.params);
-        self.opt.load_state(&st.opt_m, &st.opt_v, st.opt_t);
-        self.gen_round = st.gen_round;
-        self.gen_pass = None;
-        self.weights_dirty = true;
+        };
+        let lm = TinyLm::new(cfg, hyper.seed);
+        let (gen_round, gen_pass, gen_engine) = (0, None, None);
+        ActorWorker { lm, optim, hyper, gen_round, gen_pass, gen_engine, genserve }
     }
 
     /// Runs the 3D-HybridEngine train→generation transition beside the
@@ -633,10 +699,11 @@ impl ActorWorker {
     /// micro-DP group (one concurrent collective per group, §5.3, charged
     /// to virtual time), checks the gathered generation shard against the
     /// replica (`gen_matches`), and holds the gathered buffer until
-    /// `update_actor` drops it. Generation decodes the replica
-    /// (`install_weights(&self.lm)`), not the gathered shard; the vanilla
-    /// grouping returns before any of this. ROADMAP's "The 3D-HybridEngine
-    /// holds the weights" is the item that makes the shard the weights.
+    /// `update_actor` drops it. Generation decodes the replica itself
+    /// (`GenConfig::generate` borrows `self.lm`), not the gathered shard;
+    /// the vanilla grouping returns before any of this. ROADMAP's "The
+    /// 3D-HybridEngine holds the weights" is the item that makes the
+    /// shard the weights.
     fn hybrid_engine_transition(&mut self, ctx: &mut RankCtx, pipelined: bool) -> Result<()> {
         let Some(gen) = ctx.layout.gen else { return Ok(()) };
         let Some(micro) = &ctx.comms.micro_dp else { return Ok(()) };
@@ -647,13 +714,13 @@ impl ActorWorker {
             // own tests).
             return Ok(());
         }
-        if pipelined && self.gen_engine.is_some() && !self.weights_dirty {
+        if pipelined && self.gen_engine.is_some() {
             // Later chunks of the same pipelined round: the engine is
-            // already in generation mode with current weights, so the
-            // gather would be a no-op reshard — skip it. Synchronous
-            // drivers never take this path (ReMax's second greedy pass
-            // deliberately re-runs the gather, and its timing is pinned
-            // by committed baselines).
+            // already in generation mode with current weights (whatever
+            // changes them drops it), so the gather would be a no-op
+            // reshard — skip it. Synchronous drivers never take this
+            // path (ReMax's second greedy pass deliberately re-runs the
+            // gather, and its timing is pinned by committed baselines).
             return Ok(());
         }
         if !self.lm.cfg.layers.is_multiple_of(gen.train.p)
@@ -694,7 +761,8 @@ impl ActorWorker {
     }
 
     /// Samples a response for every prompt row through the rank's
-    /// [`GenServer`], after the train→generation transition. Responses
+    /// generation engine ([`GenConfig::generate`] on the replica it
+    /// trains), after the train→generation transition. Responses
     /// stop at a `stop_tokens` meta token or at `response_len`, are padded
     /// with `pad_token` to the rectangular shape, and their lengths go
     /// in a `response_len` column.
@@ -759,26 +827,6 @@ impl ActorWorker {
         }
         let (prompts, pw) = token_rows(&data, "prompts", vocab)?;
 
-        // Install the resharded weights into the generation engine if
-        // training has touched them since the last install.
-        if self.weights_dirty || !self.genserve.has_weights() {
-            if ctx.telemetry.is_enabled() {
-                let now = ctx.clock.now();
-                ctx.telemetry.span_causal(
-                    &ctx.gpu_track(),
-                    "transition.install_gen_weights",
-                    hf_telemetry::SpanKind::Comm,
-                    now,
-                    now,
-                    0,
-                    &[ctx.cause],
-                    &[("bytes", (self.lm.flat().len() * 4).to_string())],
-                );
-            }
-            self.genserve.install_weights(&self.lm);
-            self.weights_dirty = false;
-        }
-
         // Seed each request's sampler from its *global* batch row (the
         // chunk's row offset is stamped by the transfer protocol).
         // Seeding from the chunk-local row — as this used to — gave the
@@ -807,7 +855,7 @@ impl ActorWorker {
 
         let (outs, report) = self
             .genserve
-            .generate(&reqs)
+            .generate(&self.lm, &reqs)
             .map_err(|e| CoreError::Worker(format!("genserve: {e}")))?;
 
         // Charge virtual time per engine step (one token per active
@@ -986,7 +1034,7 @@ impl ActorWorker {
 
     /// Computes the *unscaled* PPO(+ptx) gradient sum over this rank's
     /// chunk with the chunk's row count behind it, without synchronizing
-    /// or applying it (shared by the replicated and ZeRO update paths).
+    /// or applying it (the optimizer placement's [`Optim::step`] does).
     ///
     /// Per-row gradients combine in a balanced pairwise tree
     /// ([`RowFold`], the same association the DP collectives use for
@@ -996,11 +1044,7 @@ impl ActorWorker {
     /// `/local_count`, all-reduce, `/d`) had a layout-dependent float
     /// association *and* mis-weighted rows under unequal chunks — both
     /// caught by the hf-audit differential oracle.
-    pub(crate) fn actor_grads(
-        &mut self,
-        data: &DataProto,
-        ctx: &mut RankCtx,
-    ) -> Result<(GradSum, DataProto)> {
+    fn actor_grads(&mut self, data: &DataProto, ctx: &mut RankCtx) -> Result<(GradSum, DataProto)> {
         let vocab = self.lm.cfg.vocab;
         let (prompts, pw) = release_peers(ctx, token_rows(data, "prompts", vocab))?;
         let (resps, rw) = release_peers(ctx, token_rows(data, "responses", vocab))?;
@@ -1084,33 +1128,30 @@ impl ActorWorker {
             engine.to_training_traced(&ctx.clock, &ctx.telemetry, &ctx.gpu_track(), ctx.cause);
         }
         let (sum, m) = self.actor_grads(&data, ctx)?;
-        sync_and_step(ctx, &mut self.opt, &mut self.lm, sum);
-        self.weights_dirty = true;
+        self.optim.step(ctx, &mut self.lm, sum);
         Ok(m)
-    }
-
-    /// Mutable access to the LM (the ZeRO wrapper rehydrates weights).
-    pub(crate) fn lm_mut(&mut self) -> &mut TinyLm {
-        &mut self.lm
-    }
-
-    /// Flags the generation engine's weight copy as stale (the ZeRO
-    /// wrapper updates parameters outside `update_actor`).
-    pub(crate) fn mark_weights_dirty(&mut self) {
-        self.weights_dirty = true;
     }
 }
 
 impl Worker for ActorWorker {
     fn execute(&mut self, method: &str, data: DataProto, ctx: &mut RankCtx) -> Result<DataProto> {
+        if self.optim.gather(&mut self.lm, ctx)? {
+            // The resharded engine holds the weights from before the gather.
+            self.gen_engine = None;
+        }
         match method {
             "generate_sequences" => self.generate_sequences(data, ctx),
             "compute_log_prob" => self.compute_log_prob(data, ctx),
             "compute_loss" => self.compute_loss(data, ctx),
             "update_actor" => self.update_actor(data, ctx),
-            "save_shard" => shard_reply(ctx, self.lm.flat(), &self.opt, self.gen_round),
+            "save_shard" => self.optim.shard_reply(ctx, &self.lm, self.gen_round),
             "load_checkpoint" => {
-                self.load_state(&AssembledState::from_load_input(&data, self.lm.flat().len())?);
+                // The restored sampler round was spent by no pass this
+                // rank ran, and the restored weights are new to the
+                // resharded engine.
+                self.gen_round = self.optim.load(ctx, &mut self.lm, &data)?;
+                self.gen_pass = None;
+                self.gen_engine = None;
                 Ok(DataProto::empty())
             }
             other => Err(CoreError::Worker(format!("actor has no method {other}"))),
@@ -1121,7 +1162,7 @@ impl Worker for ActorWorker {
 /// The critic model class: value estimation and clipped value updates.
 pub struct CriticWorker {
     lm: TinyLm,
-    opt: Adam,
+    optim: Optim,
     hyper: WorkerHyper,
 }
 
@@ -1130,8 +1171,8 @@ impl CriticWorker {
     /// separately-initialized value model).
     pub fn new(cfg: LmConfig, hyper: WorkerHyper) -> Self {
         let lm = TinyLm::new(cfg, hyper.seed ^ 0xc417);
-        let opt = Adam::new(cfg.param_count(), hyper.lr);
-        CriticWorker { lm, opt, hyper }
+        let optim = Optim::Replicated(Adam::new(cfg.param_count(), hyper.lr));
+        CriticWorker { lm, optim, hyper }
     }
 
     fn compute_values(&mut self, data: DataProto, ctx: &mut RankCtx) -> Result<DataProto> {
@@ -1195,21 +1236,20 @@ impl CriticWorker {
             charge_tokens(ctx, seq.len() * 3);
         }
         let denom_local = prompts.len().max(1) as f32;
-        sync_and_step(ctx, &mut self.opt, &mut self.lm, sum);
+        self.optim.step(ctx, &mut self.lm, sum);
         Ok(metrics(&[("critic_loss", loss_acc / denom_local)]))
     }
 }
 
 impl Worker for CriticWorker {
     fn execute(&mut self, method: &str, data: DataProto, ctx: &mut RankCtx) -> Result<DataProto> {
+        self.optim.gather(&mut self.lm, ctx)?;
         match method {
             "compute_values" => self.compute_values(data, ctx),
             "update_critic" => self.update_critic(data, ctx),
-            "save_shard" => shard_reply(ctx, self.lm.flat(), &self.opt, 0),
+            "save_shard" => self.optim.shard_reply(ctx, &self.lm, 0),
             "load_checkpoint" => {
-                let st = AssembledState::from_load_input(&data, self.lm.flat().len())?;
-                self.lm.flat_mut().copy_from_slice(&st.params);
-                self.opt.load_state(&st.opt_m, &st.opt_v, st.opt_t);
+                self.optim.load(ctx, &mut self.lm, &data)?;
                 Ok(DataProto::empty())
             }
             other => Err(CoreError::Worker(format!("critic has no method {other}"))),

@@ -1,15 +1,17 @@
-//! A functional ZeRO-3 actor (the paper's `ZeROWorker` base class,
-//! §4.1). What it stores between calls is its 1/world shard of the flat
-//! parameter vector and that shard's Adam ([`ZeroParamStore`]). Every
-//! call all-gathers the full parameters through the virtual NCCL into
-//! the wrapped [`ActorWorker`]'s working copy, and that copy stays
-//! resident between calls (DeepSpeed frees it after each layer);
-//! gradients are reduce-scattered so each rank's Adam updates only its
-//! own slice. The wrapped actor's full-size `Adam` is allocated, loaded
-//! on restore, and never stepped. So a rank holds a full copy of the
-//! weights beside its shard, and only the optimizer state is 1/world;
-//! ROADMAP's "The 3D-HybridEngine holds the weights: a rank keeps only
-//! its shard" is what would drop the copy.
+//! ZeRO-3 as an optimizer placement (the paper's `ZeROWorker` base
+//! class, §4.1): [`crate::ActorWorker::zero`] is the actor with its
+//! parameters and optimizer state sharded, not a second worker. What a
+//! rank stores between calls is its 1/world shard of the flat parameter
+//! vector and that shard's Adam ([`ZeroParamStore`]), plus the model's
+//! working copy: 1 + 3/world parameter-sized vectors, where a replicated
+//! actor rank holds 3 (weights and two Adam moments). Every call
+//! all-gathers the full parameters through the virtual NCCL into that
+//! working copy — the one `TinyLm` the rank trains and generation
+//! decodes — and the copy stays resident between calls (DeepSpeed frees
+//! it after each layer); gradients are reduce-scattered so each rank's
+//! Adam updates only its own slice. ROADMAP's "The 3D-HybridEngine holds
+//! the weights: a rank keeps only its shard" is what would drop the
+//! resident copy.
 //!
 //! Because Adam is elementwise, the ZeRO path is numerically identical
 //! to the replicated-actor path (`reduce-scatter(Σg)/d` + shard-local
@@ -18,12 +20,10 @@
 
 use std::ops::Range;
 
-use hf_core::{CoreError, DataProto, RankCtx, Result, Worker};
-use hf_nn::{Adam, LmConfig};
-use hf_resilience::{encode_shard, shard_range, AssembledState, ShardHeader};
+use hf_core::{DataProto, Result};
+use hf_nn::Adam;
+use hf_resilience::{encode_shard, shard_range, ShardHeader};
 use hf_simcluster::{Communicator, SumPart, VirtualClock};
-
-use crate::workers::{ActorWorker, GradOnly, WorkerHyper};
 
 /// A ZeRO-3 parameter store: this rank's contiguous shard of the flat
 /// parameter vector plus shard-local optimizer state.
@@ -50,7 +50,7 @@ impl ZeroParamStore {
 
     /// Slice `rank` of `world` of the parameters and both Adam moments
     /// in `full`, cut by one range and padded, with Adam at step `t`.
-    fn cut(full: [&[f32]; 3], t: u64, rank: usize, world: usize, lr: f32) -> Self {
+    pub(crate) fn cut(full: [&[f32]; 3], t: u64, rank: usize, world: usize, lr: f32) -> Self {
         let total = full[0].len();
         assert!(rank < world && total > 0);
         assert!(full.iter().all(|x| x.len() == total), "optimizer moment length mismatch");
@@ -66,13 +66,13 @@ impl ZeroParamStore {
     }
 
     /// Bytes of the stored parameter shard: `total/world`, padded. The
-    /// wrapped actor's working copy, full size, is not counted.
+    /// actor's working copy, full size, is not counted.
     pub fn resident_param_bytes(&self) -> usize {
         self.shard.len() * 4
     }
 
     /// All-gathers the full flat parameter vector, which the caller
-    /// copies into the wrapped actor's resident weights.
+    /// copies into the actor's resident weights.
     pub(crate) fn gather(&self, comm: &Communicator, clock: &mut VirtualClock) -> Vec<f32> {
         let mut full = comm.all_gather(clock, &self.shard);
         full.truncate(self.total);
@@ -109,98 +109,16 @@ impl ZeroParamStore {
         my_grad.resize(self.shard.len(), 0.0);
         self.opt.step_mean(&mut self.shard, &my_grad, total_rows.max(1.0));
     }
-}
 
-/// An actor whose weights are ZeRO-3-sharded across the worker group
-/// (pure data parallelism: layout must be `1-1-d`).
-pub struct ZeroActorWorker {
-    inner: ActorWorker,
-    store: Option<ZeroParamStore>,
-    lr: f32,
-}
-
-impl ZeroActorWorker {
-    /// Builds the ZeRO actor; sharding is established lazily on the
-    /// first call (when the rank/world are known from the context).
-    pub fn new(cfg: LmConfig, hyper: WorkerHyper) -> Self {
-        let lr = hyper.lr;
-        ZeroActorWorker { inner: ActorWorker::new(cfg, hyper), store: None, lr }
-    }
-
-    fn ensure_store(&mut self, ctx: &RankCtx) {
-        if self.store.is_none() {
-            let (world, full) = (&ctx.comms.world, self.inner.lm().flat());
-            self.store = Some(ZeroParamStore::new(full, world.rank(), world.size(), self.lr));
-        }
-    }
-}
-
-impl Worker for ZeroActorWorker {
-    fn execute(&mut self, method: &str, data: DataProto, ctx: &mut RankCtx) -> Result<DataProto> {
-        if ctx.layout.spec.mp() != 1 {
-            return Err(CoreError::Config(
-                "ZeroActorWorker requires a pure data-parallel layout (1-1-d)".into(),
-            ));
-        }
-        self.ensure_store(ctx);
-        // Materialize the full weights for this pass (ZeRO-3 gather).
-        let full = {
-            let store = self.store.as_ref().expect("store initialized");
-            let mut clock = ctx.clock;
-            let full = store.gather(&ctx.comms.world, &mut clock);
-            ctx.clock = clock;
-            full
-        };
-        self.inner.lm_mut().flat_mut().copy_from_slice(&full);
-        self.inner.mark_weights_dirty();
-        match method {
-            "update_actor" => {
-                let (sum, m) = self.inner.actor_grads(&data, ctx)?;
-                let store = self.store.as_mut().expect("store initialized");
-                // The gradient reduce-scatter runs as a second collective
-                // round on the world communicator.
-                let mut clock = ctx.clock;
-                let count = *sum.as_ref().last().expect("the row count");
-                store.apply_grads(&ctx.comms.world, &mut clock, GradOnly(sum), count);
-                ctx.clock = clock;
-                Ok(m)
-            }
-            // ZeRO-aware sharded checkpoint: the store *is* the shard,
-            // and the shard-local Adam (the one actually stepped, not the
-            // inner worker's) is the optimizer state worth saving — every
-            // rank owns its slice.
-            "save_shard" => {
-                let store = self.store.as_ref().expect("store initialized");
-                let (m, v, opt_t) = store.opt.state();
-                let len = store.range.len();
-                let head = ShardHeader {
-                    rank: ctx.rank,
-                    start: store.range.start,
-                    len,
-                    owner: true,
-                    total: store.total,
-                    gen_round: self.inner.gen_round(),
-                    opt_t,
-                };
-                let shard = [&store.shard[..], m, v].map(|x| &x[..len]);
-                encode_shard(head, store.shard.len(), shard)
-            }
-            "load_checkpoint" => {
-                let st = AssembledState::from_load_input(&data, full.len())?;
-                self.inner.load_state(&st);
-                // Rebuild the shard store from the restored weights:
-                // without this, the next pass's gather would overwrite
-                // the restored parameters with the stale pre-restore
-                // shards. The shard-local Adam — the one `update_actor`
-                // actually steps — takes its slice of the full moments.
-                let world = &ctx.comms.world;
-                let full = [&st.params[..], &st.opt_m, &st.opt_v];
-                let (rank, size) = (world.rank(), world.size());
-                self.store = Some(ZeroParamStore::cut(full, st.opt_t, rank, size, self.lr));
-                Ok(DataProto::empty())
-            }
-            other => self.inner.execute(other, data, ctx),
-        }
+    /// This rank's `save_shard` reply: the store *is* the shard, and its
+    /// Adam — the one [`ZeroParamStore::apply_grads`] steps — is the
+    /// optimizer state worth saving; every rank owns its slice.
+    pub(crate) fn shard_reply(&self, rank: usize, gen_round: u64) -> Result<DataProto> {
+        let (m, v, opt_t) = self.opt.state();
+        let (start, len) = (self.range.start, self.range.len());
+        let head =
+            ShardHeader { rank, start, len, owner: true, total: self.total, gen_round, opt_t };
+        encode_shard(head, self.shard.len(), [&self.shard[..], m, v].map(|x| &x[..len]))
     }
 }
 

@@ -10,7 +10,9 @@ mod common;
 use std::sync::Arc;
 
 use common::controller_4gpu;
-use hf_core::{CallPolicy, Controller, CoreError, DataProto, TimelineEntry, WorkerLayout};
+use hf_core::{
+    CallPolicy, Controller, CoreError, DataProto, TimelineEntry, WorkerGroup, WorkerLayout,
+};
 use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
 use hf_resilience::{collect_state, decode_shards, FaultInjector, FaultPlan, FaultTrigger};
 use hf_rlhf::env::make_prompts;
@@ -206,7 +208,7 @@ fn assert_retry_is_invisible(method: &str, recompute_logp: bool) {
     assert_eq!(run.retries, 1, "one dropped RPC, one retry");
     assert!(run.batches == clean.batches, "experience batches differ from the fault-free run");
     assert!(run.weights == clean.weights, "actor / critic weights or Adam moments differ");
-    assert!(run.clock > clean.clock + CallPolicy::default().backoff_s, "the backoff is charged");
+    assert!(run.clock > clean.clock + WorkerGroup::RETRY_BACKOFF_S, "the backoff is charged");
     assert_eq!(run.gen_rounds, clean.gen_rounds, "sampler rounds vs the fault-free run");
     assert!(run.gen_rounds.iter().all(|r| *r == run.gen_rounds[0]), "{:?}", run.gen_rounds);
 

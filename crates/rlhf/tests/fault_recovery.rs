@@ -9,14 +9,19 @@
 
 mod common;
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
 use common::{controller_4gpu, fresh_store, placement_4gpu, with_watchdog};
-use hf_core::CoreError;
+use hf_core::{Controller, CoreError, ExecFault, ExecSite, FaultHook};
 use hf_resilience::{CheckpointStore, FaultInjector, FaultPlan, FaultTrigger};
 use hf_rlhf::env::make_prompts;
 use hf_rlhf::{
     ppo_iteration, remap_recoverable, FixedPlacement, RemapConfig, RemapReport, RlhfConfig,
-    RlhfSystem,
+    RlhfSystem, MAX_RECOVERIES,
 };
+use hf_simcluster::{ClusterSpec, CommCostModel};
+use hf_telemetry::Telemetry;
 
 /// Three checkpointed PPO iterations under `plan`, recovering in place.
 fn run(store: &CheckpointStore, plan: Option<FaultPlan>) -> (RemapReport, u64) {
@@ -192,5 +197,41 @@ fn rank_lost_during_the_restore_broadcast_is_recovered_too() {
             store.load_group(3, "actor").unwrap(),
             "a fault inside the recovery must not change the committed bits"
         );
+    });
+}
+
+/// Kills actor rank 0 on every `update_actor` it is dispatched, counting
+/// the kills: no window can commit.
+struct KillEveryUpdate(AtomicU64);
+
+impl FaultHook for KillEveryUpdate {
+    fn on_execute(&self, site: &ExecSite<'_>) -> ExecFault {
+        if (site.group, site.rank, site.method) != ("actor", 0, "update_actor") {
+            return ExecFault::none();
+        }
+        self.0.fetch_add(1, Ordering::SeqCst);
+        ExecFault { kill: Some("lost in every window".into()), ..ExecFault::none() }
+    }
+}
+
+/// A rank lost in every window: the loop recovers [`MAX_RECOVERIES`]
+/// times, and the next failure ends the run with `CoreError::Worker`.
+#[test]
+fn a_rank_lost_in_every_window_ends_the_run_after_max_recoveries() {
+    with_watchdog(120, || {
+        let hook = Arc::new(KillEveryUpdate(AtomicU64::new(0)));
+        let (cluster, cost) = (ClusterSpec::a100_with_gpus(4), CommCostModel::default());
+        let ctrl = Controller::with_faults(cluster, cost, Telemetry::enabled(), hook.clone());
+        let cfg = RemapConfig { iterations: 3, ..Default::default() };
+        let placement = placement_4gpu(true, false);
+        let mut planner = FixedPlacement(placement.clone());
+        let store = fresh_store("recovery-gives-up");
+        let err =
+            remap_recoverable(&ctrl, &store, &cfg, &placement, RlhfConfig::tiny(), &mut planner)
+                .unwrap_err();
+        let gave_up = format!("gave up after {MAX_RECOVERIES} recoveries: ");
+        assert!(matches!(&err, CoreError::Worker(why) if why.starts_with(&gave_up)), "{err:?}");
+        let kills = hook.0.load(Ordering::SeqCst);
+        assert_eq!(kills, u64::from(MAX_RECOVERIES) + 1, "one kill a window, the fifth is fatal");
     });
 }

@@ -15,10 +15,11 @@ use hf_core::{Controller, CoreError, DataProto, WorkerLayout};
 use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
 use hf_rlhf::env::make_prompts;
 use hf_rlhf::{
-    ppo_iteration_captured, save_checkpoint, IterStats, PipelineConfig, PipelinedPpo, Placement,
-    RlhfConfig, RlhfSystem,
+    ppo_iteration, ppo_iteration_captured, restore_checkpoint, save_checkpoint, IterStats,
+    PipelineConfig, PipelinedPpo, Placement, RlhfConfig, RlhfSystem,
 };
-use hf_simcluster::{ClusterSpec, ResourcePool};
+use hf_simcluster::{ClusterSpec, CommCostModel, ResourcePool};
+use hf_telemetry::Telemetry;
 
 const ITERS: u64 = 3;
 const ROWS: usize = 8;
@@ -27,8 +28,12 @@ const ROWS: usize = 8;
 /// generation grouping, so the pipelined transition path (overlap entry
 /// + chunk skip) is actually exercised.
 fn build_system() -> (Controller, RlhfSystem, RlhfConfig) {
+    build_on(Controller::new(ClusterSpec::a100_with_gpus(4)))
+}
+
+/// [`build_system`] on `ctrl`.
+fn build_on(ctrl: Controller) -> (Controller, RlhfSystem, RlhfConfig) {
     let cfg = RlhfConfig::tiny();
-    let ctrl = Controller::new(ClusterSpec::a100_with_gpus(4));
     let spec = ParallelSpec::new(1, 2, 2);
     let gen = GenGrouping::new(spec, 1, 1, GroupingMethod::Strided);
     let pool = ResourcePool::contiguous(0, 4);
@@ -217,4 +222,53 @@ fn clearing_the_timeline_between_steps_changes_nothing() {
     assert_eq!(batches_b, batches_a, "a timeline clear changed an experience batch");
     assert_eq!(stats_b, stats_a, "a timeline clear changed the stats (overlap_fraction included)");
     assert_eq!(ckpt_b, ckpt_a, "a timeline clear changed the final weights");
+}
+
+/// A checkpoint restored onto a live system whose actor the filling step
+/// left in generation mode: the next step's first chunk reshards again,
+/// and the step samples from the restored weights, as a fresh system
+/// that restored the same checkpoint does.
+#[test]
+fn a_restored_actor_reshards_again_and_samples_the_restored_weights() {
+    // Weights two PPO iterations moved away from the initial ones.
+    let (ctrl_ckpt, sys_ckpt, cfg) = build_system();
+    for iter in 0..2 {
+        ppo_iteration(&sys_ckpt, &ctrl_ckpt, &prompts_for(&cfg, iter)).unwrap();
+    }
+    let ckpt = save_checkpoint(&sys_ckpt).unwrap();
+    let _ = ctrl_ckpt.shutdown();
+
+    let pcfg = PipelineConfig { staleness: 1, gen_chunks: 2 };
+    let telemetry = Telemetry::enabled();
+    let cluster = ClusterSpec::a100_with_gpus(4);
+    let (ctrl, sys, _) =
+        build_on(Controller::with_telemetry(cluster, CommCostModel::default(), telemetry));
+    let resharded = || ctrl.telemetry().counter("transition.to_generation.recv_bytes");
+    let mut driver = PipelinedPpo::new(pcfg);
+    // The filling step trains nothing: the actor stays in generation mode.
+    assert!(driver.step(&sys, &ctrl, &prompts_for(&cfg, 10)).unwrap().is_none());
+    let one_step = resharded();
+    assert!(one_step > 0, "the filling step's first chunk reshards");
+    restore_checkpoint(&sys, &ckpt).unwrap();
+    assert_eq!(resharded(), one_step, "a restore reshards nothing");
+    assert!(driver.step(&sys, &ctrl, &prompts_for(&cfg, 11)).unwrap().is_none());
+    assert_eq!(resharded(), 2 * one_step, "the step after a restore reshards its first chunk");
+    // Steps emit the batch generated two steps before: this is step 11's.
+    driver.step(&sys, &ctrl, &prompts_for(&cfg, 12)).unwrap();
+    let (_, restored) = driver.step_captured(&sys, &ctrl, &prompts_for(&cfg, 13)).unwrap().unwrap();
+    let _ = ctrl.shutdown();
+
+    let (ctrl, sys, _) = build_system();
+    restore_checkpoint(&sys, &ckpt).unwrap();
+    let mut driver = PipelinedPpo::new(pcfg);
+    driver.step(&sys, &ctrl, &prompts_for(&cfg, 11)).unwrap();
+    driver.step(&sys, &ctrl, &prompts_for(&cfg, 12)).unwrap();
+    let (_, fresh) = driver.step_captured(&sys, &ctrl, &prompts_for(&cfg, 13)).unwrap().unwrap();
+    let _ = ctrl.shutdown();
+
+    assert_eq!(restored.tokens("responses").unwrap(), fresh.tokens("responses").unwrap());
+    let bits = |b: &DataProto| -> Vec<u32> {
+        b.f32("logp_old").unwrap().0.iter().map(|f| f.to_bits()).collect()
+    };
+    assert_eq!(bits(&restored), bits(&fresh), "the restored weights' log-probs");
 }

@@ -14,7 +14,6 @@ use hf_parallel::ParallelSpec;
 use hf_resilience::{AssembledState, CheckpointStore};
 use hf_rlhf::env::make_prompts;
 use hf_rlhf::workers::{ActorWorker, WorkerHyper};
-use hf_rlhf::ZeroActorWorker;
 use hf_simcluster::{ClusterSpec, ResourcePool};
 use proptest::prelude::*;
 
@@ -39,7 +38,7 @@ fn spawn_actor(ctrl: &Controller, zero: bool, spec: ParallelSpec, offset: usize)
     let hyper = WorkerHyper::default();
     if zero {
         ctrl.spawn_group("actor", &pool, layout, move |_r| {
-            Box::new(ZeroActorWorker::new(cfg, hyper.clone())) as Box<dyn Worker>
+            Box::new(ActorWorker::zero(cfg, hyper.clone())) as Box<dyn Worker>
         })
         .unwrap()
     } else {

@@ -10,7 +10,7 @@ use hf_parallel::ParallelSpec;
 use hf_resilience::collect_state;
 use hf_rlhf::env::make_prompts;
 use hf_rlhf::workers::{ActorWorker, WorkerHyper};
-use hf_rlhf::{ZeroActorWorker, ZeroParamStore};
+use hf_rlhf::ZeroParamStore;
 use hf_simcluster::{ClusterSpec, ResourcePool};
 
 fn run_actor_trajectory(zero: bool, iters: u64) -> Vec<f32> {
@@ -22,7 +22,7 @@ fn run_actor_trajectory(zero: bool, iters: u64) -> Vec<f32> {
     let hyper = WorkerHyper::default();
     let group = if zero {
         ctrl.spawn_group("actor", &pool, layout, |_r| {
-            Box::new(ZeroActorWorker::new(cfg, hyper.clone())) as Box<dyn Worker>
+            Box::new(ActorWorker::zero(cfg, hyper.clone())) as Box<dyn Worker>
         })
         .unwrap()
     } else {
@@ -86,7 +86,7 @@ fn zero3_rejects_model_parallel_layouts() {
     let cfg = LmConfig::tiny();
     let group = ctrl
         .spawn_group("actor", &pool, layout, |_r| {
-            Box::new(ZeroActorWorker::new(cfg, WorkerHyper::default())) as Box<dyn Worker>
+            Box::new(ActorWorker::zero(cfg, WorkerHyper::default())) as Box<dyn Worker>
         })
         .unwrap();
     let prompts = make_prompts(4, 6, 6, cfg.vocab as u32, 0);
