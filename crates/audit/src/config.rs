@@ -74,7 +74,7 @@ impl SweepConfig {
         if !minibatch.is_multiple_of(self.d) || minibatch / self.d == 0 {
             return false;
         }
-        if let Some((pg, tg, method)) = self.gen {
+        if let Some((pg, tg, _)) = self.gen {
             if pg == 0 || tg == 0 || !self.p.is_multiple_of(pg) || !self.t.is_multiple_of(tg) {
                 return false;
             }
@@ -82,15 +82,14 @@ impl SweepConfig {
             if !self.rows.is_multiple_of(replicas) {
                 return false;
             }
-            // The strided 3D-HybridEngine reshards the *real* weights, so
-            // the training layout must divide the oracle model's shape
-            // (every config runs `RlhfConfig::tiny()`). `pg | p` and
-            // `tg | t` make the generation layout divisible too.
-            if method == GroupingMethod::Strided {
-                let lm = hf_nn::LmConfig::tiny();
-                if !lm.layers.is_multiple_of(self.p) || !lm.block_size().is_multiple_of(self.t) {
-                    return false;
-                }
+            // The 3D-HybridEngine reshards the *real* weights under
+            // either grouping, so the training layout must divide the
+            // oracle model's shape (every config runs
+            // `RlhfConfig::tiny()`). `pg | p` and `tg | t` make the
+            // generation layout divisible too.
+            let lm = hf_nn::LmConfig::tiny();
+            if !lm.layers.is_multiple_of(self.p) || !lm.block_size().is_multiple_of(self.t) {
+                return false;
             }
         }
         if self.zero && (self.p != 1 || self.t != 1 || self.gen.is_some()) {
@@ -201,22 +200,16 @@ mod tests {
     }
 
     #[test]
-    fn strided_regroupings_must_divide_the_oracle_model() {
+    fn regroupings_must_divide_the_oracle_model() {
         // The tiny oracle model has 4 layers: p = 8 cannot pipeline its
-        // real weights through the strided engine...
-        let c = SweepConfig {
-            p: 8,
-            gen: Some((2, 1, GroupingMethod::Strided)),
-            ..SweepConfig::reference(8, 2, 0)
-        };
-        assert!(!c.is_valid());
-        // ...but the vanilla engine does not reshard real weights.
-        let c = SweepConfig {
-            p: 8,
-            gen: Some((2, 1, GroupingMethod::Vanilla)),
-            ..SweepConfig::reference(8, 2, 0)
-        };
-        assert!(c.is_valid(), "{}", c.label());
+        // real weights through either engine.
+        for method in [GroupingMethod::Strided, GroupingMethod::Vanilla] {
+            let c =
+                SweepConfig { p: 8, gen: Some((2, 1, method)), ..SweepConfig::reference(8, 2, 0) };
+            assert!(!c.is_valid(), "{}", c.label());
+            let c = SweepConfig { p: 4, ..c };
+            assert!(c.is_valid(), "{}", c.label());
+        }
     }
 
     #[test]

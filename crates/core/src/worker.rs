@@ -78,11 +78,14 @@ pub struct RankCtx {
     /// disabled). Worker-recorded spans cite it as a cause so the trace
     /// links controller dispatches to rank-side work.
     pub cause: u64,
-    /// Virtual time the controller dispatched the call currently
-    /// executing on this rank. When the device was busy past this
-    /// instant, `dispatch_time < clock.now()` — the gap is the mailbox
-    /// queue wait, which overlap-aware workers may treat as time the
-    /// call's background work (e.g. a weight all-gather) already ran.
+    /// Virtual time the call currently executing on this rank arrived
+    /// at it: the controller's dispatch plus the RPC latency (and any
+    /// injected delay). When the device was busy past this instant, or
+    /// the call waited for its input, `dispatch_time < clock.now()` —
+    /// the gap is queue wait, which a worker may treat as time the
+    /// call's background work already ran: the RLHF actor charges every
+    /// train→generation weight all-gather from here, so a rank idle at
+    /// arrival pays it in full and a busy one hides part of it.
     pub dispatch_time: f64,
 }
 

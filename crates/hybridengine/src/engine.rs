@@ -2,18 +2,22 @@
 //!
 //! An engine is built from a rank's training shard (the RLHF actor cuts
 //! it out of the full replica it trains); [`HybridEngineRank::to_generation`]
-//! performs the real all-gather inside the rank's micro-DP group
-//! communicator (one concurrent collective per group, §5.3), charging
-//! virtual time, and materializes the generation shard by the group's
-//! [`ReshardPlan`]; [`HybridEngineRank::to_generation_traced`] is the
-//! same transition with telemetry, blocking or overlapped with the
-//! dispatch that caused it. [`HybridEngineRank::to_training`] drops
-//! generation-only weights; under the strided method the training shard
-//! is a sub-slice of the generation shard, cut back out by the plan from
-//! the one to the other, so the engine never holds more than the
-//! generation shard — the zero-redundancy property, which the tests
-//! check on the engine's resident parameter bytes (the RLHF actor's
-//! replica sits beside them).
+//! performs the real all-gather inside the rank's gather group — its
+//! micro-DP group under the strided method (one concurrent collective
+//! per group, §5.3), its training model-parallel group under the
+//! vanilla one — charging virtual time, and materializes the generation
+//! shard by the group's [`ReshardPlan`].
+//! [`HybridEngineRank::to_generation_traced`] is the same transition
+//! with telemetry, overlapped with the wait of the call that caused it;
+//! it is the RLHF actor's one entry, under both drivers and both
+//! groupings, and the actor drops the engine with the generation call
+//! whose weights [`HybridEngineRank::gen_matches`] checked.
+//! [`HybridEngineRank::to_training`] drops generation-only weights;
+//! under the strided method the training shard is a sub-slice of the
+//! generation shard, cut back out by the plan from the one to the
+//! other, so the engine never holds more than the generation shard —
+//! the zero-redundancy property, which the tests check on the engine's
+//! resident parameter bytes.
 
 use hf_parallel::{
     shard::{gen_shard, train_shard},
@@ -148,12 +152,28 @@ impl HybridEngineRank {
         })
     }
 
-    /// [`Self::to_generation`] with telemetry: records the all-gather as
-    /// a communication span on `track` and counts the bytes this rank's
-    /// generation shard takes from its gather-group peers — the per-GPU
-    /// transition volume of Table 2. Recording reads the clock but never
-    /// advances it, so traced and untraced transitions take identical
-    /// virtual time.
+    /// [`Self::to_generation`] with telemetry, overlapped with the wait
+    /// of the call that needs the generation weights: records the
+    /// all-gather as a communication span on `track` and counts the
+    /// bytes this rank's generation shard takes from its gather-group
+    /// peers — the per-GPU transition volume of Table 2. Recording reads
+    /// the clock but never advances it.
+    ///
+    /// `arrival` is the virtual time the call reached this rank (the
+    /// RLHF actor passes hf-core's `RankCtx::dispatch_time`); the
+    /// all-gather is modeled as having started then, so it overlaps with
+    /// whatever kept the rank busy past that instant (a queue of earlier
+    /// calls, the tail of a train step draining from the mailbox). The collective
+    /// runs on a scratch clock seeded from the rank's current time, so
+    /// peer lockstep and the gather's cost `dt` are those of
+    /// [`Self::to_generation`]; the rank's clock is charged only the
+    /// portion of `dt` not already hidden, `max(0, arrival + dt − now)`.
+    /// A rank idle at arrival (`arrival == now`) is charged `dt` in
+    /// full, bit for bit [`Self::to_generation`]'s clock:
+    /// `now + (scratch − now)` is `scratch` exactly while `dt ≤ now`
+    /// (Sterbenz). When some of the gather was hidden, the span, a
+    /// counter and a digest record the hidden part (`overlapped_s`,
+    /// `…overlapped_us`).
     ///
     /// `cause` is the causal-graph id of the dispatch that triggered
     /// this transition (0 = none). The span also carries a
@@ -161,24 +181,10 @@ impl HybridEngineRank {
     /// identical on every member rank, from which hf-insight stitches
     /// collective-membership edges.
     ///
-    /// `overlap_from: None` runs the all-gather on the rank's clock, as
-    /// [`Self::to_generation`] does. `Some(dispatch)`, for pipelined
-    /// execution, models the all-gather as having started at `dispatch`
-    /// — the virtual time the controller dispatched the call that needs
-    /// the generation weights — so it overlaps with whatever kept this
-    /// rank busy past that instant (typically the tail of the previous
-    /// train step draining from the mailbox). The collective then runs
-    /// on a scratch clock seeded from the rank's current time, so peer
-    /// lockstep and the gather's cost `dt` are those of the blocking
-    /// entry; only the charge against this rank's clock shrinks to the
-    /// portion of `dt` not already hidden, `max(0, dispatch + dt − now)`,
-    /// and the span, a counter and a digest record the hidden part
-    /// (`overlapped_s`, `…overlapped_us`).
-    ///
     /// # Panics
     ///
-    /// Panics if `dispatch` is later than the rank's current time — a
-    /// dispatch cannot postdate the execution it caused.
+    /// Panics if `arrival` is later than the rank's current time — a
+    /// call cannot arrive after it started executing.
     pub fn to_generation_traced(
         &mut self,
         comm: &Communicator,
@@ -186,28 +192,25 @@ impl HybridEngineRank {
         telemetry: &Telemetry,
         track: &str,
         cause: u64,
-        overlap_from: Option<f64>,
+        arrival: f64,
     ) {
         let now = clock.now();
+        assert!(arrival <= now, "arrival {arrival} postdates the rank clock {now}");
         let round0 = comm.rounds();
-        let (recv_bytes, overlapped) = match overlap_from {
-            None => (self.gather(comm, clock), None),
-            Some(dispatch) => {
-                assert!(dispatch <= now, "overlap_from {dispatch} postdates the rank clock {now}");
-                let mut scratch = *clock;
-                let recv_bytes = self.gather(comm, &mut scratch);
-                let dt = scratch.now() - now;
-                clock.sync_to((dispatch + dt).max(now));
-                (recv_bytes, Some(dt.min(now - dispatch)))
-            }
-        };
+        let mut scratch = *clock;
+        let recv_bytes = self.gather(comm, &mut scratch);
+        let dt = scratch.now() - now;
+        clock.sync_to((arrival + dt).max(now));
+        let overlapped = dt.min(now - arrival);
         let round1 = comm.rounds();
         if telemetry.is_enabled() {
             let mut args = vec![
                 ("recv_bytes", recv_bytes.to_string()),
                 ("collective", format!("{}@{round0}..{round1}", comm.collective_tag())),
             ];
-            args.extend(overlapped.map(|o| ("overlapped_s", format!("{o:.9}"))));
+            if overlapped > 0.0 {
+                args.push(("overlapped_s", format!("{overlapped:.9}")));
+            }
             telemetry.span_causal(
                 track,
                 "transition.to_generation",
@@ -221,10 +224,12 @@ impl HybridEngineRank {
         }
         telemetry.add_counter("transition.to_generation.recv_bytes", recv_bytes as u64);
         telemetry.observe("transition.to_generation.seconds", clock.now() - now);
-        if let Some(o) = overlapped {
-            telemetry
-                .add_counter("transition.to_generation.overlapped_us", (o * 1e6).round() as u64);
-            telemetry.observe("transition.to_generation.overlapped_s", o);
+        if overlapped > 0.0 {
+            telemetry.add_counter(
+                "transition.to_generation.overlapped_us",
+                (overlapped * 1e6).round() as u64,
+            );
+            telemetry.observe("transition.to_generation.overlapped_s", overlapped);
         }
     }
 
@@ -248,32 +253,6 @@ impl HybridEngineRank {
         // Vanilla / non-overlapping: the separately-kept training shard
         // is already authoritative; the generation buffer is dropped.
     }
-
-    /// [`Self::to_training`] with telemetry: the strided copy-back is
-    /// communication-free, so the span is an instantaneous marker that
-    /// shows in traces where the engine flips back to training mode.
-    /// `cause` links the marker to the dispatch that triggered it.
-    pub fn to_training_traced(
-        &mut self,
-        clock: &VirtualClock,
-        telemetry: &Telemetry,
-        track: &str,
-        cause: u64,
-    ) {
-        self.to_training();
-        let now = clock.now();
-        telemetry.span_causal(
-            track,
-            "transition.to_training",
-            SpanKind::Comm,
-            now,
-            now,
-            0,
-            &[cause],
-            &[("recv_bytes", "0".into())],
-        );
-        telemetry.add_counter("transition.to_training.count", 1);
-    }
 }
 
 #[cfg(test)]
@@ -291,9 +270,10 @@ mod tests {
 
     /// Every rank's engine after the train→generation transition of
     /// `params` (`4 × 32` values) on actor 1-4-2, `t_g = 2`, through
-    /// [`HybridEngineRank::to_generation_traced`] with the dispatch
-    /// `back` seconds before [`START`] (`None`: the blocking entry), and
-    /// the time each rank's clock was charged.
+    /// [`HybridEngineRank::to_generation_traced`] with the call's arrival
+    /// `back` seconds before [`START`] (`None`: the untraced, blocking
+    /// [`HybridEngineRank::to_generation`]), and the time each rank's
+    /// clock was charged.
     fn transition_of(
         method: GroupingMethod,
         params: &[f32],
@@ -334,8 +314,17 @@ mod tests {
                     let tel = Telemetry::disabled();
                     let mut clock = VirtualClock::new();
                     clock.advance(START);
-                    let overlap_from = back.map(|back| START - back);
-                    eng.to_generation_traced(&comm, &mut clock, &tel, "gpu-0", 0, overlap_from);
+                    match back {
+                        None => _ = eng.to_generation(&comm, &mut clock),
+                        Some(back) => eng.to_generation_traced(
+                            &comm,
+                            &mut clock,
+                            &tel,
+                            "gpu-0",
+                            0,
+                            START - back,
+                        ),
+                    }
                     (eng, clock.now() - START)
                 })
             })
@@ -356,14 +345,18 @@ mod tests {
 
     #[test]
     fn overlapped_transition_with_no_headroom_matches_blocking_cost() {
-        let (_, blocking, _) = transition_of(GroupingMethod::Strided, &iota(), None);
-        let (engines, charged, shards) = transition_of(GroupingMethod::Strided, &iota(), Some(0.0));
-        assert_byte_exact(&engines, &shards);
-        for (rank, (charged, blocking)) in charged.iter().zip(&blocking).enumerate() {
-            assert!(
-                (charged - blocking).abs() < 1e-12,
-                "rank {rank}: zero headroom must charge the full gather ({charged} vs {blocking})",
-            );
+        for method in [GroupingMethod::Strided, GroupingMethod::Vanilla] {
+            let (_, blocking, _) = transition_of(method, &iota(), None);
+            let (engines, charged, shards) = transition_of(method, &iota(), Some(0.0));
+            assert_byte_exact(&engines, &shards);
+            for (rank, (charged, blocking)) in charged.iter().zip(&blocking).enumerate() {
+                assert_eq!(
+                    charged.to_bits(),
+                    blocking.to_bits(),
+                    "{method:?} rank {rank}: a rank idle at arrival is charged the blocking gather \
+                     ({charged} vs {blocking})",
+                );
+            }
         }
     }
 

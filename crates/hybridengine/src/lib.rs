@@ -3,10 +3,11 @@
 //! Actor training and generation run on the *same* devices under
 //! different 3D layouts (`p-t-d` for training, `p_g-t_g-d_g-d` for
 //! generation). Between the stages the engine reshards model parameters.
-//! In the RLHF actor every rank still holds the full replica: it cuts
-//! its training shard out of it, gathers, checks the gathered shard
-//! against the replica, and generation decodes the replica (ROADMAP,
-//! "The 3D-HybridEngine holds the weights").
+//! In the RLHF actor every rank still holds the full replica: once per
+//! generation pass, under either grouping, it cuts its training shard
+//! out of it, gathers, and checks the gathered shard against the
+//! replica, which generation decodes; the engine goes with the call
+//! (ROADMAP, "The 3D-HybridEngine holds the weights").
 //!
 //! * [`transition`] — the closed-form Table 2 accounting (communication
 //!   volume, peak parameter memory, redundancy) and analytic transition

@@ -14,14 +14,19 @@
 //!   example's reward is). Each runs as a real SPMD program on the `hf-core` runtime:
 //!   DP chunks arrive through transfer protocols, gradients all-reduce
 //!   over the virtual NCCL, Adam updates keep replicas in lock-step.
+//!   The actor runs one 3D-HybridEngine transition per generation pass,
+//!   the same under every driver and both groupings (strided HybridFlow,
+//!   vanilla HybridFlow-V): a real all-gather charged from the call's
+//!   arrival, checked against the replica generation decodes, and
+//!   dropped with the call.
 //! * [`algo`] — the single-controller algorithm scripts: PPO, ReMax,
 //!   Safe-RLHF, and GRPO, each a few lines of worker-group calls
 //!   mirroring Figure 6.
 //! * [`pipeline`] — [`pipeline::PipelinedPpo`]: the one-step-off-policy
 //!   pipelined driver. Generation chunks stream into preparation,
-//!   training runs one iteration behind with bounded staleness, and the
-//!   HybridEngine transition overlaps the previous train step's tail —
-//!   all on a static dispatch/wait schedule, so `staleness = 0` is
+//!   training runs one iteration behind with bounded staleness, and a
+//!   step's one HybridEngine transition overlaps the previous train
+//!   step's tail — all on a static dispatch/wait schedule, so `staleness = 0` is
 //!   bit-identical to the synchronous driver and pinned `staleness = 1`
 //!   is bit-identical across executions.
 //! * [`verifier`] — [`verifier::RewardEvaluatorWorker`]: programmatic
@@ -42,7 +47,8 @@
 //! * [`zero`] — ZeRO-3 as the actor's optimizer placement (`ZeROWorker`,
 //!   §4.1; [`ActorWorker::zero`]): a rank stores a 1/world shard of the
 //!   parameters and their Adam, all-gathers them into the one model it
-//!   trains (a working copy that stays resident) for every call, and
+//!   trains (a working copy that stays resident) for every call that
+//!   reads the weights, and
 //!   reduce-scatters gradients — numerically identical to the
 //!   replicated path.
 
@@ -73,6 +79,6 @@ pub use remap::{
 pub use verifier::RewardEvaluatorWorker;
 pub use workers::{
     ActorWorker, CriticWorker, ReferenceWorker, RewardKind, RewardWorker, WorkerHyper,
-    GEN_PASS_META, NO_LOGP_META, PIPELINE_META,
+    GEN_PASS_META, NO_LOGP_META,
 };
 pub use zero::ZeroParamStore;

@@ -18,10 +18,12 @@
 //!    next round's generation, so critic updates overlap generation and
 //!    the actor's update tail overlaps the next dispatch window.
 //! 3. **The HybridEngine transition overlaps the train tail.** The
-//!    train→generation all-gather of the first chunk enters
-//!    `HybridEngineRank::to_generation_traced` with `overlap_from =
-//!    Some(dispatch_time)`, which charges only the portion of the
-//!    gather not already hidden behind the actor's queue wait.
+//!    step's chunks share one generation pass id, so only the first
+//!    reshards, and its train→generation all-gather is charged from the
+//!    chunk's arrival, as every transition is
+//!    (`HybridEngineRank::to_generation_traced`): only the portion of
+//!    the gather not already hidden behind the actor's queue wait
+//!    reaches the rank's clock.
 //!
 //! Determinism contract: every dispatch and wait follows a *static*
 //! schedule — wall-clock readiness ([`hf_core::DpFuture::try_ready`])
@@ -61,7 +63,7 @@ use crate::stage::{
     collect_prep, dispatch_train, gae_rows, insert_gae, issue_prep, wait_train, GaeFlavor,
     InFlight, PpoStages, PrepSink, StageAlgo,
 };
-use crate::workers::{GEN_PASS_META, PIPELINE_META};
+use crate::workers::GEN_PASS_META;
 
 /// Pipelined-execution knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -308,8 +310,8 @@ impl PipelinedPpo {
 
     /// Splits the prompt batch into generation chunks, stamping each
     /// with its global row offset (so sampler seeds are
-    /// chunking-invariant), the step's one generation pass id (so every
-    /// chunk samples one round), and the pipelined-mode flag.
+    /// chunking-invariant) and the step's one generation pass id (so
+    /// every chunk samples one round and only the first reshards).
     fn split_prompts(&self, prompts: &DataProto, pass: u64) -> Vec<DataProto> {
         let n = self.cfg.gen_chunks.min(prompts.rows().max(1));
         let mut chunks = prompts.chunk(n);
@@ -317,7 +319,6 @@ impl PipelinedPpo {
         for c in chunks.iter_mut() {
             c.set_row_offset(Some(row0));
             c.meta.insert(GEN_PASS_META.into(), pass.to_string());
-            c.meta.insert(PIPELINE_META.into(), "1".into());
             row0 += c.rows();
         }
         chunks

@@ -34,7 +34,9 @@
 //! global row and the rank's sampler round, which advances once per
 //! generation pass id, so all ranks holding the same chunk produce
 //! identical responses (the SPMD determinism the multi-controller
-//! paradigm relies on).
+//! paradigm relies on). The call that advances the round is the one
+//! that runs the pass's 3D-HybridEngine transition, whichever driver
+//! issued it and whichever grouping the actor generates under.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -96,14 +98,6 @@ impl Default for WorkerHyper {
     }
 }
 
-/// Meta key: set to `"1"` by the pipelined driver on generation inputs
-/// (`"0"` is off; any other value is a `Config` error).
-/// Gates the overlap-aware hybrid-engine entry and the
-/// transition-already-done skip for later chunks of the same round —
-/// synchronous drivers never stamp it, so their timing and bits are
-/// untouched.
-pub const PIPELINE_META: &str = "__pipeline";
-
 /// Meta key: the id of one *logical* generation pass
 /// ([`crate::RlhfSystem`] hands them out), stamped by both drivers: the
 /// barrier driver on each pass and again on its retry, the pipelined
@@ -111,7 +105,8 @@ pub const PIPELINE_META: &str = "__pipeline";
 /// once per new id, so the chunks of one step sample one round, as the
 /// single synchronous call does, and a rank that ran the attempt whose
 /// failure on a peer caused a retry samples the retried pass from the
-/// round it already spent. Not echoed in the reply.
+/// round it already spent. The call that advances the round also runs
+/// the pass's one train→generation transition. Not echoed in the reply.
 pub const GEN_PASS_META: &str = "__gen_pass";
 
 /// Meta key: set to `"1"` by a driver on a generation input whose
@@ -521,43 +516,57 @@ fn metrics(values: &[(&str, f32)]) -> DataProto {
 }
 
 /// Where a trained model's optimizer state lives: the four things that
-/// differ between the two placements — the gather before a call, the
-/// step on a chunk's gradient sum, the `save_shard` reply and the
+/// differ between the two placements — the gather before a call that
+/// reads the weights, the step on a chunk's gradient sum, the `save_shard` reply and the
 /// restore. Either way a rank trains one `TinyLm`.
 enum Optim {
     /// A full-size Adam on every rank, kept in lock-step by all-reducing
     /// each chunk's gradient sum over the data-parallel group.
     Replicated(Adam),
     /// ZeRO-3 ([`crate::zero`]): a 1/world shard of the parameters and
-    /// its Adam, cut from the model's weights on the first call.
+    /// its Adam, cut from the model's weights on first use.
     Zero {
-        /// Adam's learning rate, for the store the first call cuts.
+        /// Adam's learning rate, for the store first use cuts.
         lr: f32,
         store: Option<ZeroParamStore>,
     },
 }
 
+/// A ZeRO rank's store, cut from `lm` with a fresh Adam on first use —
+/// which need not be a call that reads the weights: a ZeRO rank's first
+/// call may be a step-0 `save_shard`.
+fn zero_store<'a>(
+    store: &'a mut Option<ZeroParamStore>,
+    lr: f32,
+    lm: &TinyLm,
+    ctx: &RankCtx,
+) -> &'a mut ZeroParamStore {
+    let world = &ctx.comms.world;
+    store.get_or_insert_with(|| ZeroParamStore::new(lm.flat(), world.rank(), world.size(), lr))
+}
+
 impl Optim {
-    /// ZeRO only, at the top of every call: all-gathers the full
-    /// parameters into `lm` through the world communicator (charged to
-    /// virtual time), cutting the store from `lm` first on the first
-    /// call. Returns whether it gathered, i.e. whether `lm` was
-    /// overwritten. A ZeRO rank needs a pure data-parallel layout
-    /// (`1-1-d`): anything else is a `Config` error from every rank.
-    fn gather(&mut self, lm: &mut TinyLm, ctx: &mut RankCtx) -> Result<bool> {
-        let Optim::Zero { lr, store } = self else { return Ok(false) };
-        if ctx.layout.spec.mp() != 1 {
+    /// A ZeRO rank needs a pure data-parallel layout (`1-1-d`): anything
+    /// else is a `Config` error from every rank, on every call.
+    fn check(&self, ctx: &RankCtx) -> Result<()> {
+        if matches!(self, Optim::Zero { .. }) && ctx.layout.spec.mp() != 1 {
             return Err(CoreError::Config(
                 "ZeRO-3 requires a pure data-parallel layout (1-1-d)".into(),
             ));
         }
-        let world = &ctx.comms.world;
-        let store = store
-            .get_or_insert_with(|| ZeroParamStore::new(lm.flat(), world.rank(), world.size(), *lr));
+        Ok(())
+    }
+
+    /// ZeRO only, before a call that reads the weights: all-gathers the
+    /// full parameters into `lm` through the world communicator (charged
+    /// to virtual time). A `save_shard` replies from the store and a
+    /// restore overwrites `lm`, so neither gathers.
+    fn gather(&mut self, lm: &mut TinyLm, ctx: &mut RankCtx) {
+        let Optim::Zero { lr, store } = self else { return };
+        let store = zero_store(store, *lr, lm, ctx);
         let mut clock = ctx.clock;
-        lm.flat_mut().copy_from_slice(&store.gather(world, &mut clock));
+        lm.flat_mut().copy_from_slice(&store.gather(&ctx.comms.world, &mut clock));
         ctx.clock = clock;
-        Ok(true)
     }
 
     /// Steps on a chunk's gradient `sum`, whose last value is the
@@ -598,12 +607,11 @@ impl Optim {
     /// data-parallel replica holds the same bytes, so only the
     /// `d_idx == 0` replica owns its slice. ZeRO: the store is the shard
     /// ([`ZeroParamStore::shard_reply`]).
-    fn shard_reply(&self, ctx: &RankCtx, lm: &TinyLm, gen_round: u64) -> Result<DataProto> {
+    fn shard_reply(&mut self, ctx: &RankCtx, lm: &TinyLm, gen_round: u64) -> Result<DataProto> {
         let opt = match self {
             Optim::Replicated(opt) => opt,
-            Optim::Zero { store, .. } => {
-                let store = store.as_ref().expect("the call's gather cut the store");
-                return store.shard_reply(ctx.rank, gen_round);
+            Optim::Zero { lr, store } => {
+                return zero_store(store, *lr, lm, ctx).shard_reply(ctx.rank, gen_round);
             }
         };
         let (params, (m, v, opt_t)) = (lm.flat(), opt.state());
@@ -654,11 +662,10 @@ pub struct ActorWorker {
     /// The [`GEN_PASS_META`] id of the last pass that advanced
     /// `gen_round`.
     gen_pass: Option<u64>,
-    /// The resharded hybrid engine, held between the train→generation
-    /// transition and the generation→training copy-back in
-    /// `update_actor`; whatever else changes `lm` (a restore, a ZeRO
-    /// gather) drops it.
-    gen_engine: Option<hf_hybridengine::HybridEngineRank>,
+    /// Whether a train→generation transition ran since the last
+    /// `update_actor`, which then marks the flip back; a restore clears
+    /// it.
+    gen_transitioned: bool,
     /// The paged-KV continuous-batching generation engine
     /// (`generate_sequences` routes every request through it, on `lm`).
     genserve: GenConfig,
@@ -689,40 +696,38 @@ impl ActorWorker {
             max_batch: hyper.gen_max_batch,
         };
         let lm = TinyLm::new(cfg, hyper.seed);
-        let (gen_round, gen_pass, gen_engine) = (0, None, None);
-        ActorWorker { lm, optim, hyper, gen_round, gen_pass, gen_engine, genserve }
+        let (gen_round, gen_pass, gen_transitioned) = (0, None, false);
+        ActorWorker { lm, optim, hyper, gen_round, gen_pass, gen_transitioned, genserve }
     }
 
     /// Runs the 3D-HybridEngine train→generation transition beside the
     /// full replica every rank holds: cuts this rank's training shard of
     /// the block weights out of that replica, all-gathers it within the
-    /// micro-DP group (one concurrent collective per group, §5.3, charged
-    /// to virtual time), checks the gathered generation shard against the
-    /// replica (`gen_matches`), and holds the gathered buffer until
-    /// `update_actor` drops it. Generation decodes the replica itself
-    /// (`GenConfig::generate` borrows `self.lm`), not the gathered shard;
-    /// the vanilla grouping returns before any of this. ROADMAP's "The
-    /// 3D-HybridEngine holds the weights" is the item that makes the
-    /// shard the weights.
-    fn hybrid_engine_transition(&mut self, ctx: &mut RankCtx, pipelined: bool) -> Result<()> {
-        let Some(gen) = ctx.layout.gen else { return Ok(()) };
-        let Some(micro) = &ctx.comms.micro_dp else { return Ok(()) };
-        if gen.method != hf_parallel::GroupingMethod::Strided {
-            // The vanilla engine gathers over the whole MP group; only
-            // the paper's strided grouping is wired into the functional
-            // path (the vanilla variant is exercised by hf-hybridengine's
-            // own tests).
-            return Ok(());
-        }
-        if pipelined && self.gen_engine.is_some() {
-            // Later chunks of the same pipelined round: the engine is
-            // already in generation mode with current weights (whatever
-            // changes them drops it), so the gather would be a no-op
-            // reshard — skip it. Synchronous drivers never take this
-            // path (ReMax's second greedy pass deliberately re-runs the
-            // gather, and its timing is pinned by committed baselines).
-            return Ok(());
-        }
+    /// rank's gather group ([`hf_parallel::GenGrouping::gather_group`]:
+    /// the micro-DP communicator under the strided grouping, one
+    /// concurrent collective per group, §5.3; the model-parallel one
+    /// under the vanilla grouping, HybridFlow-V), charged to virtual
+    /// time from the call's arrival so that a rank busy past it hides
+    /// part of the gather behind its queue wait (one entry for both
+    /// drivers), checks the gathered generation shard against the
+    /// replica (`gen_matches`), and hands the engine back to the caller
+    /// to drop. Generation decodes the replica itself
+    /// (`GenConfig::generate` borrows `self.lm`), not the gathered shard,
+    /// so nothing of the engine outlives the call; the `gen_transitioned`
+    /// flag it sets only tells `update_actor` to mark the flip back.
+    /// ROADMAP's "The 3D-HybridEngine holds the weights" is the item that
+    /// makes the shard the weights.
+    fn hybrid_engine_transition(
+        &mut self,
+        ctx: &mut RankCtx,
+    ) -> Result<Option<hf_hybridengine::HybridEngineRank>> {
+        let Some(gen) = ctx.layout.gen else { return Ok(None) };
+        let comm = match gen.method {
+            hf_parallel::GroupingMethod::Strided => {
+                ctx.comms.micro_dp.as_ref().expect("a generation layout builds micro-DP groups")
+            }
+            hf_parallel::GroupingMethod::Vanilla => &ctx.comms.mp,
+        };
         if !self.lm.cfg.layers.is_multiple_of(gen.train.p)
             || !self.lm.cfg.block_size().is_multiple_of(gen.train.t)
         {
@@ -736,17 +741,13 @@ impl ActorWorker {
         let buf = layout.extract(&train_shard(&gen.train, ctx.rank, layout.layers()), blocks);
         let mut engine = hf_hybridengine::HybridEngineRank::new(ctx.rank, gen, layout, buf);
         let track = hf_telemetry::gpu_track(ctx.device.index());
-        // Pipelined, the all-gather is modeled as having started when the
-        // controller dispatched this generation call, hiding it behind
-        // the tail of the previous train step still draining from this
-        // rank's mailbox.
         engine.to_generation_traced(
-            micro,
+            comm,
             &mut ctx.clock,
             &ctx.telemetry,
             &track,
             ctx.cause,
-            pipelined.then_some(ctx.dispatch_time),
+            ctx.dispatch_time,
         );
         // The gathered generation shard must equal the model's own slice.
         if !engine.gen_matches(blocks) {
@@ -755,9 +756,8 @@ impl ActorWorker {
                 ctx.rank
             )));
         }
-        // Hold the resharded engine until `update_actor` flips back.
-        self.gen_engine = Some(engine);
-        Ok(())
+        self.gen_transitioned = true;
+        Ok(Some(engine))
     }
 
     /// Samples a response for every prompt row through the rank's
@@ -797,7 +797,6 @@ impl ActorWorker {
             .map(|v| v.unwrap_or(false))
         };
         let greedy = flag("greedy")?;
-        let pipelined = flag(PIPELINE_META)?;
         let no_logp = flag(NO_LOGP_META)?;
         // Comma-separated token ids; the empty string is none.
         let stop_tokens: Vec<usize> = meta(&data, "stop_tokens", |s| {
@@ -815,16 +814,23 @@ impl ActorWorker {
                 "pad_token {pad_token} is outside the model's vocabulary of {vocab}"
             )));
         }
-        // Reshard training → generation weights before generating.
-        self.hybrid_engine_transition(ctx, pipelined)?;
-        // One logical generation pass = one round: the later chunks of a
-        // pipelined step and a retry of a pass this rank already ran
-        // sample the round its first call spent. A call that turns its
+        // One logical generation pass = one round = one reshard: the
+        // later chunks of a pipelined step and a retry of a pass this
+        // rank already ran sample the round its first call spent, from
+        // the weights its transition checked. A call that turns its
         // chunk down below still spent the round, on every rank alike.
-        if pass.is_none() || pass != self.gen_pass {
+        // The checked engine is dropped when the call returns, not before
+        // the decode: freed first, its buffers let the allocator trim the
+        // heap the decode then faults back in (`ppo_colocated`: 190 → 500
+        // minor faults an iteration, host time +4 %).
+        let _checked = if pass.is_none() || pass != self.gen_pass {
+            let engine = self.hybrid_engine_transition(ctx)?;
             self.gen_round += 1;
             self.gen_pass = pass;
-        }
+            engine
+        } else {
+            None
+        };
         let (prompts, pw) = token_rows(&data, "prompts", vocab)?;
 
         // Seed each request's sampler from its *global* batch row (the
@@ -941,7 +947,7 @@ impl ActorWorker {
             responses.extend(std::iter::repeat_n(pad_token as u32, resp_len - out.tokens.len()));
         }
         let mut out = data.clone();
-        for key in [GEN_PASS_META, NO_LOGP_META, PIPELINE_META] {
+        for key in [GEN_PASS_META, NO_LOGP_META] {
             out.meta.remove(key);
         }
         if !no_logp {
@@ -1120,12 +1126,23 @@ impl ActorWorker {
     }
 
     fn update_actor(&mut self, data: DataProto, ctx: &mut RankCtx) -> Result<DataProto> {
-        if let Some(mut engine) = self.gen_engine.take() {
-            // Generation → training under the strided grouping is the
-            // zero-redundancy copy-back: no communication, no virtual
-            // time. The engine records it as an instantaneous marker so
-            // traces show where the mode flips.
-            engine.to_training_traced(&ctx.clock, &ctx.telemetry, &ctx.gpu_track(), ctx.cause);
+        if std::mem::take(&mut self.gen_transitioned) {
+            // Generation → training needs no communication and no
+            // virtual time (the strided copy-back is local, and the
+            // replica never left), so it is an instantaneous marker
+            // showing in traces where the mode flips.
+            let now = ctx.clock.now();
+            ctx.telemetry.span_causal(
+                &ctx.gpu_track(),
+                "transition.to_training",
+                hf_telemetry::SpanKind::Comm,
+                now,
+                now,
+                0,
+                &[ctx.cause],
+                &[("recv_bytes", "0".into())],
+            );
+            ctx.telemetry.add_counter("transition.to_training.count", 1);
         }
         let (sum, m) = self.actor_grads(&data, ctx)?;
         self.optim.step(ctx, &mut self.lm, sum);
@@ -1135,9 +1152,10 @@ impl ActorWorker {
 
 impl Worker for ActorWorker {
     fn execute(&mut self, method: &str, data: DataProto, ctx: &mut RankCtx) -> Result<DataProto> {
-        if self.optim.gather(&mut self.lm, ctx)? {
-            // The resharded engine holds the weights from before the gather.
-            self.gen_engine = None;
+        self.optim.check(ctx)?;
+        // A ZeRO rank gathers the weights for the methods that read them.
+        if !matches!(method, "save_shard" | "load_checkpoint") {
+            self.optim.gather(&mut self.lm, ctx);
         }
         match method {
             "generate_sequences" => self.generate_sequences(data, ctx),
@@ -1147,11 +1165,11 @@ impl Worker for ActorWorker {
             "save_shard" => self.optim.shard_reply(ctx, &self.lm, self.gen_round),
             "load_checkpoint" => {
                 // The restored sampler round was spent by no pass this
-                // rank ran, and the restored weights are new to the
-                // resharded engine.
+                // rank ran, so the next pass reshards the restored
+                // weights, and no update follows a transition.
                 self.gen_round = self.optim.load(ctx, &mut self.lm, &data)?;
                 self.gen_pass = None;
-                self.gen_engine = None;
+                self.gen_transitioned = false;
                 Ok(DataProto::empty())
             }
             other => Err(CoreError::Worker(format!("actor has no method {other}"))),
@@ -1243,7 +1261,6 @@ impl CriticWorker {
 
 impl Worker for CriticWorker {
     fn execute(&mut self, method: &str, data: DataProto, ctx: &mut RankCtx) -> Result<DataProto> {
-        self.optim.gather(&mut self.lm, ctx)?;
         match method {
             "compute_values" => self.compute_values(data, ctx),
             "update_critic" => self.update_critic(data, ctx),

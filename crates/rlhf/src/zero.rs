@@ -4,10 +4,11 @@
 //! rank stores between calls is its 1/world shard of the flat parameter
 //! vector and that shard's Adam ([`ZeroParamStore`]), plus the model's
 //! working copy: 1 + 3/world parameter-sized vectors, where a replicated
-//! actor rank holds 3 (weights and two Adam moments). Every call
-//! all-gathers the full parameters through the virtual NCCL into that
-//! working copy — the one `TinyLm` the rank trains and generation
-//! decodes — and the copy stays resident between calls (DeepSpeed frees
+//! actor rank holds 3 (weights and two Adam moments). Every call that
+//! reads the weights all-gathers the full parameters through the
+//! virtual NCCL into that working copy — the one `TinyLm` the rank
+//! trains and generation decodes; `save_shard` replies from the store
+//! and a restore re-cuts it — and the copy stays resident between calls (DeepSpeed frees
 //! it after each layer); gradients are reduce-scattered so each rank's
 //! Adam updates only its own slice. ROADMAP's "The 3D-HybridEngine holds
 //! the weights: a rank keeps only its shard" is what would drop the

@@ -18,9 +18,10 @@ use hf_resilience::{collect_state, decode_shards, FaultInjector, FaultPlan, Faul
 use hf_rlhf::env::make_prompts;
 use hf_rlhf::{
     grpo_iteration, ppo_iteration_captured, PipelineConfig, PipelinedPpo, Placement, RlhfConfig,
-    RlhfSystem,
+    RlhfSystem, GEN_PASS_META,
 };
-use hf_simcluster::ResourcePool;
+use hf_simcluster::{ClusterSpec, CommCostModel, ResourcePool};
+use hf_telemetry::Telemetry;
 
 /// Every model colocated on four GPUs, pure data parallelism.
 fn system(
@@ -232,6 +233,34 @@ fn compute_log_prob_keeps_its_transient_retry_as_a_future() {
 fn a_retried_generation_is_the_fault_free_generation() {
     assert_retry_is_invisible("generate_sequences", false);
     assert_retry_is_invisible("generate_sequences", true);
+}
+
+/// A pass id the actor already ran — a retry re-sent to ranks that ran
+/// the failed attempt — spends neither a sampler round nor a
+/// train→generation transition: on 1-2-2 (micro-DP groups of two, so a
+/// transition moves bytes) the second call reshards nothing and samples
+/// the first call's round.
+#[test]
+fn a_resent_generation_pass_reshards_once() {
+    let cfg = RlhfConfig::tiny();
+    let telemetry = Telemetry::enabled();
+    let cluster = ClusterSpec::a100_with_gpus(4);
+    let ctrl = Controller::with_telemetry(cluster, CommCostModel::default(), telemetry.clone());
+    let gen = GenGrouping::new(ParallelSpec::new(1, 2, 2), 1, 1, GroupingMethod::Strided);
+    let pool = ResourcePool::contiguous(0, 4);
+    let placement = Placement::colocated(pool, WorkerLayout::with_gen(gen), true, false);
+    let sys = RlhfSystem::build(&ctrl, &placement, cfg.clone()).unwrap();
+    let mut pass = prompts(&cfg, 0);
+    pass.meta.insert(GEN_PASS_META.into(), "7".into());
+    let resharded = || telemetry.counter("transition.to_generation.recv_bytes");
+
+    let first = sys.actor.invoke_sync("generate_sequences", &pass).unwrap();
+    let once = resharded();
+    assert!(once > 0, "a new pass reshards");
+    let again = sys.actor.invoke_sync("generate_sequences", &pass).unwrap();
+    assert_eq!(resharded(), once, "a re-sent pass reshards nothing");
+    assert_eq!(first.tokens("responses").unwrap(), again.tokens("responses").unwrap());
+    assert_eq!(gen_rounds(&sys), [1; 4]);
 }
 
 /// Both drivers name a generation pass by one id from the system, and

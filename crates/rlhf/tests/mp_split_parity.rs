@@ -8,14 +8,16 @@
 //! workers compute stays put; only a clock may move, and says why.
 
 use hf_core::{Controller, DataProto, WorkerGroup, WorkerLayout};
-use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
+use hf_hybridengine::ActorShards;
+use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec, ShardLayout};
 use hf_resilience::collect_state;
 use hf_rlhf::env::{make_pretrain, make_prompts};
 use hf_rlhf::{
     ppo_iteration_captured, remax_iteration, safe_rlhf_iteration, IterStats, Placement, RlhfConfig,
     RlhfSystem,
 };
-use hf_simcluster::{ClusterSpec, ResourcePool};
+use hf_simcluster::{ClusterSpec, CommCostModel, ResourcePool};
+use hf_telemetry::Telemetry;
 
 /// FNV-1a over 32-bit words.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -189,6 +191,56 @@ fn remax_without_its_baseline_pass_log_probs_is_bit_identical_to_the_parent() {
         losses.losses(&remax_iteration(&sys, &ctrl, &prompts).unwrap());
     }
     assert_eq!((model_state(&sys.actor).0, losses.0), PARENT_REMAX);
+}
+
+/// One PPO iteration on a telemetry-recording 1-2-2 system generating
+/// under `method`'s `g1-1` grouping: the actor's and critic's state, the
+/// experience batch, and the `recv_bytes` of every
+/// `transition.to_generation` span.
+fn grouped_iteration(method: GroupingMethod) -> (Digest, Digest, Digest, Vec<usize>) {
+    let cfg = RlhfConfig::tiny();
+    let telemetry = Telemetry::enabled();
+    let cluster = ClusterSpec::a100_with_gpus(4);
+    let ctrl = Controller::with_telemetry(cluster, CommCostModel::default(), telemetry.clone());
+    let gen = GenGrouping::new(ParallelSpec::new(1, 2, 2), 1, 1, method);
+    let pool = ResourcePool::contiguous(0, 4);
+    let placement = Placement::colocated(pool, WorkerLayout::with_gen(gen), true, false);
+    let sys = RlhfSystem::build(&ctrl, &placement, cfg.clone()).unwrap();
+    let prompts = make_prompts(16, cfg.prompt_len, cfg.response_len, cfg.lm.vocab as u32, 0);
+    let (_, batch) = ppo_iteration_captured(&sys, &ctrl, &prompts).unwrap();
+    let mut replied = Digest::new();
+    replies(&mut replied, &batch);
+    let recv = (telemetry.spans().iter())
+        .filter(|s| s.name == "transition.to_generation")
+        .map(|s| {
+            let (_, v) = s.args.iter().find(|(k, _)| k == "recv_bytes").unwrap();
+            v.parse().unwrap()
+        })
+        .collect();
+    let critic = model_state(sys.critic.as_ref().unwrap());
+    (model_state(&sys.actor), critic, replied, recv)
+}
+
+#[test]
+fn a_vanilla_grouping_reshards_for_real_and_trains_the_strided_bits() {
+    // HybridFlow-V gathers over the training model-parallel group: its
+    // bytes are the reshard plan's, and what generation decodes — the
+    // replica both groupings check their gathered shard against — is
+    // the same, so every bit the workers compute is the strided run's.
+    let (actor, critic, replied, recv) = grouped_iteration(GroupingMethod::Vanilla);
+    let spec = ParallelSpec::new(1, 2, 2);
+    let lm = RlhfConfig::tiny().lm;
+    let layout = ShardLayout::uniform(lm.layers, lm.block_size());
+    let grouping = GenGrouping::new(spec, 1, 1, GroupingMethod::Vanilla);
+    let shards = ActorShards::scatter(&vec![0.0; layout.total_params()], layout, grouping);
+    assert_eq!(recv.len(), spec.world(), "one transition per actor rank");
+    let oracle: usize = (0..spec.world()).map(|r| shards.recv_bytes(r)).sum();
+    assert_eq!(recv.iter().sum::<usize>(), oracle, "{recv:?}");
+
+    let strided = grouped_iteration(GroupingMethod::Strided);
+    assert_eq!(actor, strided.0, "actor weights / Adam moments, vanilla vs strided");
+    assert_eq!(critic, strided.1, "critic weights / Adam moments, vanilla vs strided");
+    assert_eq!(replied, strided.2, "experience batches (rewards included), vanilla vs strided");
 }
 
 /// (actor, critic, replies, losses), recorded at the parent commits.

@@ -360,9 +360,9 @@ fn malformed_generation_and_training_meta_is_a_typed_error_not_a_default() {
     // A meta key that is present but does not parse is turned down with
     // `Config` naming it — not read as its default (pad with 0, stop on
     // the tokens that parse, sample instead of greedy, advance the rank's
-    // own sampler round, reshard blocking instead of overlapped, compute
-    // the `logp_old` the driver will not read, train without the PPO-ptx
-    // loss) — and the same group answers the next well-formed call.
+    // own sampler round, compute the `logp_old` the driver will not
+    // read, train without the PPO-ptx loss) — and the same group answers
+    // the next well-formed call.
     let cfg = RlhfConfig::tiny();
     let (ctrl, sys) = colocated_4gpu(&cfg, true, false);
     let prompts = make_prompts(8, cfg.prompt_len, cfg.response_len, cfg.lm.vocab as u32, 0);
@@ -375,7 +375,6 @@ fn malformed_generation_and_training_meta_is_a_typed_error_not_a_default() {
         ("generate_sequences", "stop_tokens", "3,x"),
         ("generate_sequences", "greedy", "true"),
         ("generate_sequences", hf_rlhf::GEN_PASS_META, "x"),
-        ("generate_sequences", hf_rlhf::PIPELINE_META, "true"),
         ("generate_sequences", hf_rlhf::NO_LOGP_META, "true"),
         ("update_actor", "ptx_coef", "x"),
     ];

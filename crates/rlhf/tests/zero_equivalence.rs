@@ -4,7 +4,10 @@
 //! elementwise-equal to all-reduce + full Adam. Memory residency,
 //! however, must genuinely shrink to 1/world.
 
-use hf_core::{Controller, Protocol, Worker, WorkerLayout};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use hf_core::{Controller, DataProto, Protocol, RankCtx, Result, Worker, WorkerLayout};
 use hf_nn::LmConfig;
 use hf_parallel::ParallelSpec;
 use hf_resilience::collect_state;
@@ -92,4 +95,65 @@ fn zero3_rejects_model_parallel_layouts() {
     let prompts = make_prompts(4, 6, 6, cfg.vocab as u32, 0);
     let err = group.call_sync("generate_sequences", &prompts, Protocol::ThreeD);
     assert!(err.is_err(), "mp > 1 must be rejected");
+}
+
+/// A worker adding to a shared count the world communicator's rounds
+/// each of its calls ran.
+struct WorldRounds(ActorWorker, Arc<AtomicU64>);
+
+impl Worker for WorldRounds {
+    fn execute(&mut self, method: &str, data: DataProto, ctx: &mut RankCtx) -> Result<DataProto> {
+        let before = ctx.comms.world.rounds();
+        let out = self.0.execute(method, data, ctx);
+        self.1.fetch_add(ctx.comms.world.rounds() - before, Ordering::Relaxed);
+        out
+    }
+}
+
+#[test]
+fn zero3_save_and_restore_gather_no_weights() {
+    // `save_shard` replies from the store and `load_checkpoint`
+    // overwrites the weights, so neither all-gathers them — a first-call
+    // save included, which cuts the store from the initial weights.
+    let ctrl = Controller::new(ClusterSpec::a100_with_gpus(4));
+    let layout = WorkerLayout::train_only(ParallelSpec::new(1, 1, 4));
+    let cfg = LmConfig::tiny();
+    let rounds = Arc::new(AtomicU64::new(0));
+    let counted = rounds.clone();
+    let group = ctrl
+        .spawn_group("actor", &ResourcePool::contiguous(0, 4), layout, move |_r| {
+            Box::new(WorldRounds(ActorWorker::zero(cfg, WorkerHyper::default()), counted.clone()))
+                as Box<dyn Worker>
+        })
+        .unwrap();
+    let rounds = || rounds.load(Ordering::Relaxed);
+    let initial = collect_state(&group).unwrap();
+    assert_eq!(rounds(), 0, "a first-call save_shard gathers nothing");
+
+    // A call that reads the weights gathers them: one round a rank.
+    let prompts = make_prompts(8, 6, 6, cfg.vocab as u32, 0);
+    let mut batch = group.call_sync("generate_sequences", &prompts, Protocol::ThreeD).unwrap();
+    assert_eq!(rounds(), 4);
+    let (_, w) = batch.f32("logp_old").unwrap();
+    batch.insert_f32("advantages", vec![1.0; batch.rows() * w], w);
+    group.call_sync("update_actor", &batch, Protocol::ThreeD).unwrap();
+    let trained = collect_state(&group).unwrap();
+    let after_update = rounds();
+    assert_ne!(trained.params, initial.params, "the update moved the weights");
+
+    group.call_sync("load_checkpoint", &initial.to_load_input(), Protocol::OneToAll).unwrap();
+    assert_eq!(rounds(), after_update, "a restore gathers nothing");
+    let restored = collect_state(&group).unwrap();
+    assert_eq!(rounds(), after_update, "a save gathers nothing");
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (got, want) in [
+        (&restored.params, &initial.params),
+        (&restored.opt_m, &initial.opt_m),
+        (&restored.opt_v, &initial.opt_v),
+    ] {
+        assert_eq!(bits(got), bits(want), "the restored state, saved again");
+    }
+    // The restored weights are what the next call gathers and samples.
+    let again = group.call_sync("generate_sequences", &prompts, Protocol::ThreeD).unwrap();
+    assert_eq!(again.tokens("responses").unwrap(), batch.tokens("responses").unwrap());
 }

@@ -503,8 +503,9 @@ impl Communicator {
     }
 
     /// Raw exchange of arbitrary values plus clock synchronization with an
-    /// explicit collective kind and payload size (used by higher layers
-    /// that move non-f32 payloads, e.g. `DataProto` batches). Every
+    /// explicit collective kind and payload size, for a caller whose
+    /// payload is not one `f32` buffer: the 3D-HybridEngine's weight
+    /// all-gather, which places every member's shard itself. Every
     /// member receives the same shared `(arrival time, value)` list in
     /// rank order.
     pub fn exchange_timed<T: Send + Sync + 'static>(
@@ -520,23 +521,12 @@ impl Communicator {
     }
 
     /// Ring all-gather: returns the concatenation of all ranks' buffers in
-    /// rank order.
+    /// rank order, charged as one round over the concatenation's bytes.
     pub fn all_gather(&self, clock: &mut VirtualClock, data: &[f32]) -> Vec<f32> {
-        // The round is charged at zero bytes and the aggregate size on
-        // top of it, once the parts' lengths are known — the latency
-        // term twice. A cost-model quirk (DESIGN.md §5) that committed
-        // baselines pin.
-        let out =
-            self.collective(clock, data.to_vec(), CollectiveKind::AllGather, 0.0, |p| p.concat());
-        let bytes = (out.1.len() * 4) as f64;
-        let cost_full = self.cost.collective_time(
-            &self.cluster,
-            self.group.devices(),
-            CollectiveKind::AllGather,
-            bytes,
-        );
-        clock.advance(cost_full);
-        self.count(bytes);
+        let out = self.rendezvous(clock, data.to_vec(), |all| {
+            (latest(&all), all.into_iter().map(|(_, v)| v).collect::<Vec<_>>().concat())
+        });
+        self.charge(clock, out.0, CollectiveKind::AllGather, (out.1.len() * 4) as f64);
         out.1.clone()
     }
 
@@ -893,11 +883,7 @@ mod tests {
                 let expect = [
                     start + time(CollectiveKind::AllReduce, len * 4),
                     start + time(CollectiveKind::ReduceScatter, len * 4),
-                    // The frozen all-gather sequence: zero-byte round,
-                    // then the aggregate on top.
-                    start
-                        + time(CollectiveKind::AllGather, 0)
-                        + time(CollectiveKind::AllGather, n * len * 4),
+                    start + time(CollectiveKind::AllGather, n * len * 4),
                 ];
                 assert_eq!(clocks.map(f64::to_bits), expect.map(f64::to_bits), "clocks n={n}");
             }

@@ -14,9 +14,9 @@ pub enum SpanKind {
     /// Worker compute on a device.
     Exec,
     /// Communication: collectives, p2p pulls, weight resharding
-    /// (`transition.to_generation`, with `overlapped_s` when a pipelined
-    /// call hides part of it; `transition.to_training`, zero-duration,
-    /// since the copy-back is local).
+    /// (`transition.to_generation`, with `overlapped_s` when the call's
+    /// queue wait hid part of it; `transition.to_training`,
+    /// zero-duration, since the flip back is local).
     Comm,
     /// One awaited call on the controller, from dispatch to collect,
     /// annotated with its protocol and dispatch/collect bytes.
