@@ -326,7 +326,7 @@ mod tests {
     }
 
     #[test]
-    fn micro_dp_distributes_by_gen_replica() {
+    fn three_d_all_splits_by_gen_replica() {
         let gen = GenGrouping::new(ParallelSpec::new(1, 4, 2), 1, 2, GroupingMethod::Strided);
         let l = WorkerLayout::with_gen(gen);
         let d = batch(8);
@@ -345,7 +345,7 @@ mod tests {
     }
 
     #[test]
-    fn micro_dp_requires_gen_grouping() {
+    fn three_d_all_split_requires_gen_grouping() {
         let l = layout_3d();
         assert!(Protocol::ThreeDAllMicroDp.distribute(&l, &batch(4)).is_err());
     }

@@ -878,7 +878,7 @@ impl Controller {
         let pp_groups = make_groups(spec.pp_groups());
         let dp_groups = make_groups(spec.dp_groups());
         let mp_groups = make_groups(spec.mp_groups());
-        let micro_groups = layout.gen.map(|g| make_groups(g.micro_dp_groups()));
+        let gather_groups = layout.gen.map(|g| make_groups(g.gather_groups()));
 
         // Partition auditor (audit builds): every parallel-group family
         // must tile the world — each rank in exactly one group. A rank in
@@ -893,8 +893,8 @@ impl Controller {
                 ("dp", &dp_groups),
                 ("mp", &mp_groups),
             ];
-            if let Some(g) = micro_groups.as_ref() {
-                fams.push(("micro-dp", g));
+            if let Some(g) = gather_groups.as_ref() {
+                fams.push(("gather", g));
             }
             for (family, groups) in fams {
                 let mut seen = vec![0usize; layout.world()];
@@ -966,10 +966,7 @@ impl Controller {
                     pp: find(&pp_groups, rank, "pp")?,
                     dp: find(&dp_groups, rank, "dp")?,
                     mp: find(&mp_groups, rank, "mp")?,
-                    micro_dp: micro_groups
-                        .as_ref()
-                        .map(|g| find(g, rank, "micro-dp"))
-                        .transpose()?,
+                    gather: gather_groups.as_ref().map(|g| find(g, rank, "gather")).transpose()?,
                 };
                 let ctx = Box::new(RankCtx {
                     rank,

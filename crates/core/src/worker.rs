@@ -6,8 +6,9 @@
 //! its allocated devices and runs SPMD computation under its own
 //! controller (§4.1). Here each simulated device is an OS thread; a
 //! rank's [`RankCtx`] carries [`hf_simcluster::Communicator`] handles
-//! for its TP / PP / DP / model-parallel / micro-DP groups, backed by
-//! the rendezvous virtual NCCL. Pipeline stages hand activations over
+//! for its TP / PP / DP / model-parallel groups and, for a generating
+//! actor, the 3D-HybridEngine's gather group, backed by the rendezvous
+//! virtual NCCL. Pipeline stages hand activations over
 //! on their PP communicator ([`hf_simcluster::Communicator::send_to`]),
 //! so [`CommSet::poison_all`] releases a stage waiting on a dead one.
 
@@ -31,8 +32,11 @@ pub struct CommSet {
     pub dp: Communicator,
     /// This rank's model-parallel group (one full replica).
     pub mp: Communicator,
-    /// This rank's micro data-parallel group (actor with HybridEngine).
-    pub micro_dp: Option<Communicator>,
+    /// This rank's 3D-HybridEngine gather group, for a layout with a
+    /// generation grouping: [`hf_parallel::GenGrouping::gather_group`],
+    /// its micro data-parallel group under the strided method and its
+    /// model-parallel group's ranks under the vanilla one.
+    pub gather: Option<Communicator>,
 }
 
 impl CommSet {
@@ -48,8 +52,8 @@ impl CommSet {
         self.pp.group().poison(reason);
         self.dp.group().poison(reason);
         self.mp.group().poison(reason);
-        if let Some(m) = &self.micro_dp {
-            m.group().poison(reason);
+        if let Some(g) = &self.gather {
+            g.group().poison(reason);
         }
     }
 }

@@ -5,9 +5,10 @@
 //! generation). Between the stages the engine reshards model parameters.
 //! In the RLHF actor every rank still holds the full replica: once per
 //! generation pass, under either grouping, it cuts its training shard
-//! out of it, gathers, and checks the gathered shard against the
-//! replica, which generation decodes; the engine goes with the call
-//! (ROADMAP, "The 3D-HybridEngine holds the weights").
+//! out of it, gathers on its one gather communicator, and checks each
+//! gathered shard in place against the replica, which generation
+//! decodes; the engine goes with the call (ROADMAP, "The 3D-HybridEngine
+//! holds the weights").
 //!
 //! * [`transition`] — the closed-form Table 2 accounting (communication
 //!   volume, peak parameter memory, redundancy) and analytic transition
@@ -18,10 +19,12 @@
 //! * [`engine`] — a per-rank engine state machine
 //!   ([`engine::HybridEngineRank`]) that performs the train→gen gather
 //!   through a real [`hf_simcluster::Communicator`] all-gather, so the
-//!   transition runs under the virtual NCCL with virtual-time costs,
-//!   then places the gathered training shards into the rank's
-//!   generation shard by one [`hf_parallel::ReshardPlan`]. This is the
-//!   mechanism Figure 8 illustrates.
+//!   transition runs under the virtual NCCL with virtual-time costs.
+//!   The all-gather shares the rank's training shard instead of copying
+//!   it, and the engine keeps only what it gathered;
+//!   [`engine::HybridEngineRank::to_generation`] places that into the
+//!   rank's generation shard by one [`hf_parallel::ReshardPlan`]. This
+//!   is the mechanism Figure 8 illustrates.
 //! * [`reshard`] — the same plan over local buffers, without the
 //!   communicator: [`ActorShards`] scatters a full model into training
 //!   shards and rebuilds each rank's generation shard from its gather

@@ -192,6 +192,17 @@ impl GenGrouping {
         }
     }
 
+    /// Every rank's [`Self::gather_group`], once each: the micro-DP
+    /// groups under the strided method, the training model-parallel
+    /// groups under the vanilla one. The 3D-HybridEngine's all-gather
+    /// runs one collective inside each.
+    pub fn gather_groups(&self) -> Vec<Vec<usize>> {
+        match self.method {
+            GroupingMethod::Strided => self.micro_dp_groups(),
+            GroupingMethod::Vanilla => self.train.mp_groups(),
+        }
+    }
+
     /// The micro-DP group containing `rank`.
     ///
     /// Derived arithmetically from the stride construction (O(d_g)
@@ -294,12 +305,21 @@ mod tests {
     fn all_group_families_partition_ranks() {
         for method in [GroupingMethod::Vanilla, GroupingMethod::Strided] {
             let g = GenGrouping::new(ParallelSpec::new(2, 4, 2), 1, 2, method);
-            for groups in
-                [g.micro_dp_groups(), g.gen_tp_groups(), g.gen_pp_groups(), g.gen_replica_groups()]
-            {
+            for groups in [
+                g.micro_dp_groups(),
+                g.gen_tp_groups(),
+                g.gen_pp_groups(),
+                g.gen_replica_groups(),
+                g.gather_groups(),
+            ] {
                 let mut all: Vec<usize> = groups.into_iter().flatten().collect();
                 all.sort_unstable();
                 assert_eq!(all, (0..16).collect::<Vec<_>>(), "method {method:?}");
+            }
+            let gather = g.gather_groups();
+            for r in 0..16 {
+                let member = gather.iter().find(|grp| grp.contains(&r));
+                assert_eq!(member, Some(&g.gather_group(r)), "method {method:?} rank {r}");
             }
         }
     }

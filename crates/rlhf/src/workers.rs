@@ -702,16 +702,17 @@ impl ActorWorker {
 
     /// Runs the 3D-HybridEngine train→generation transition beside the
     /// full replica every rank holds: cuts this rank's training shard of
-    /// the block weights out of that replica, all-gathers it within the
-    /// rank's gather group ([`hf_parallel::GenGrouping::gather_group`]:
-    /// the micro-DP communicator under the strided grouping, one
-    /// concurrent collective per group, §5.3; the model-parallel one
-    /// under the vanilla grouping, HybridFlow-V), charged to virtual
-    /// time from the call's arrival so that a rank busy past it hides
-    /// part of the gather behind its queue wait (one entry for both
-    /// drivers), checks the gathered generation shard against the
-    /// replica (`gen_matches`), and hands the engine back to the caller
-    /// to drop. Generation decodes the replica itself
+    /// the block weights out of that replica, moves it into the engine,
+    /// and all-gathers it on `ctx.comms.gather`, the communicator hf-core
+    /// builds from [`hf_parallel::GenGrouping::gather_groups`] (micro-DP
+    /// groups under the strided grouping, one concurrent collective per
+    /// group, §5.3; model-parallel groups under the vanilla one,
+    /// HybridFlow-V). The gather is charged to virtual time from the
+    /// call's arrival, so that a rank busy past it hides part of the
+    /// gather behind its queue wait (one entry for both drivers). It then
+    /// checks every gathered shard in place against the replica
+    /// (`gen_matches`) and hands the engine back to the caller to drop.
+    /// Generation decodes the replica itself
     /// (`GenConfig::generate` borrows `self.lm`), not the gathered shard,
     /// so nothing of the engine outlives the call; the `gen_transitioned`
     /// flag it sets only tells `update_actor` to mark the flip back.
@@ -721,12 +722,8 @@ impl ActorWorker {
         &mut self,
         ctx: &mut RankCtx,
     ) -> Result<Option<hf_hybridengine::HybridEngineRank>> {
-        let Some(gen) = ctx.layout.gen else { return Ok(None) };
-        let comm = match gen.method {
-            hf_parallel::GroupingMethod::Strided => {
-                ctx.comms.micro_dp.as_ref().expect("a generation layout builds micro-DP groups")
-            }
-            hf_parallel::GroupingMethod::Vanilla => &ctx.comms.mp,
+        let (Some(gen), Some(comm)) = (ctx.layout.gen, ctx.comms.gather.as_ref()) else {
+            return Ok(None);
         };
         if !self.lm.cfg.layers.is_multiple_of(gen.train.p)
             || !self.lm.cfg.block_size().is_multiple_of(gen.train.t)
@@ -749,7 +746,7 @@ impl ActorWorker {
             ctx.cause,
             ctx.dispatch_time,
         );
-        // The gathered generation shard must equal the model's own slice.
+        // Every gathered shard must equal the replica at its ranges.
         if !engine.gen_matches(blocks) {
             return Err(CoreError::Worker(format!(
                 "rank {} hybrid-engine reshard mismatch: replicas drifted",
@@ -820,9 +817,10 @@ impl ActorWorker {
         // the weights its transition checked. A call that turns its
         // chunk down below still spent the round, on every rank alike.
         // The checked engine is dropped when the call returns, not before
-        // the decode: freed first, its buffers let the allocator trim the
-        // heap the decode then faults back in (`ppo_colocated`: 190 → 500
-        // minor faults an iteration, host time +4 %).
+        // the decode: freed first, its one shard still lets the allocator
+        // trim the heap the decode then faults back in
+        // (`ppo_split_pipelined`: 73 → 99 minor faults an iteration, host
+        // time +1 %; `ppo_colocated` 474 → 491).
         let _checked = if pass.is_none() || pass != self.gen_pass {
             let engine = self.hybrid_engine_transition(ctx)?;
             self.gen_round += 1;
@@ -1128,9 +1126,9 @@ impl ActorWorker {
     fn update_actor(&mut self, data: DataProto, ctx: &mut RankCtx) -> Result<DataProto> {
         if std::mem::take(&mut self.gen_transitioned) {
             // Generation → training needs no communication and no
-            // virtual time (the strided copy-back is local, and the
-            // replica never left), so it is an instantaneous marker
-            // showing in traces where the mode flips.
+            // virtual time (the engine went with the generation call,
+            // and the replica never left), so it is an instantaneous
+            // marker showing in traces where the mode flips.
             let now = ctx.clock.now();
             ctx.telemetry.span_causal(
                 &ctx.gpu_track(),

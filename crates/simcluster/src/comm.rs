@@ -505,9 +505,10 @@ impl Communicator {
     /// Raw exchange of arbitrary values plus clock synchronization with an
     /// explicit collective kind and payload size, for a caller whose
     /// payload is not one `f32` buffer: the 3D-HybridEngine's weight
-    /// all-gather, which places every member's shard itself. Every
-    /// member receives the same shared `(arrival time, value)` list in
-    /// rank order.
+    /// all-gather, which sends each member's shard as a shared
+    /// reference and reads the list in place. Every member receives the
+    /// same shared `(arrival time, value)` list in rank order; nothing
+    /// is copied.
     pub fn exchange_timed<T: Send + Sync + 'static>(
         &self,
         clock: &mut VirtualClock,
