@@ -55,7 +55,7 @@ use std::time::{Duration, Instant};
 
 use hf_simcluster::{
     panic_message, ClusterSpec, CollectiveAbort, CommCostModel, CommGroup, Communicator, DeviceId,
-    ResourcePool, VirtualClock,
+    ResourcePool, RowPool, VirtualClock,
 };
 use hf_sync::channel::{unbounded, Receiver, Sender};
 use hf_sync::{Condvar, Mutex};
@@ -436,6 +436,8 @@ struct ControllerInner {
     /// Ranks permanently lost (kills, panics); shared with every device
     /// thread, which append as losses happen.
     lost: Arc<Mutex<Vec<LostRank>>>,
+    /// The free list of gradient rows every rank spawned here shares.
+    rows: RowPool,
     state: Mutex<ControllerState>,
 }
 
@@ -756,6 +758,7 @@ impl Controller {
                 telemetry,
                 fault,
                 lost: Arc::new(Mutex::new(Vec::new())),
+                rows: RowPool::default(),
                 state: Mutex::new(ControllerState {
                     devices: HashMap::new(),
                     handles: Vec::new(),
@@ -973,6 +976,7 @@ impl Controller {
                     layout,
                     device,
                     comms,
+                    rows: self.inner.rows.clone(),
                     clock: VirtualClock::new(),
                     telemetry: self.inner.telemetry.clone(),
                     cause: 0,

@@ -13,7 +13,7 @@
 //! so [`CommSet::poison_all`] releases a stage waiting on a dead one.
 
 use hf_parallel::TrainCoord;
-use hf_simcluster::{Communicator, DeviceId, VirtualClock};
+use hf_simcluster::{Communicator, DeviceId, RowPool, VirtualClock};
 use hf_telemetry::Telemetry;
 
 use crate::data::DataProto;
@@ -68,6 +68,10 @@ pub struct RankCtx {
     pub device: DeviceId,
     /// Parallel-group communicators.
     pub comms: CommSet,
+    /// The controller's one free list of gradient rows, shared by every
+    /// rank it spawns: what a worker's gradient buffers are taken from
+    /// and given back to, so a steady-state update allocates none.
+    pub rows: RowPool,
     /// The virtual clock of the [`Lane`] the worker runs on: the GPU's,
     /// shared by the device's colocated workers, or its node's host
     /// CPUs'. The device thread syncs it in and out around each call.

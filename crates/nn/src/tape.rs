@@ -540,7 +540,7 @@ impl<'a> Tape<'a> {
     /// Panics if the shapes or the segments of `a` and `b` differ.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
         assert_eq!(self.bounds_of(a), self.bounds_of(b), "add segments");
-        let y = self.act(a).add(self.act(b));
+        let y = self.act(a).zip_map(self.act(b), |a, b| a + b);
         self.push(y, Op::Add { a: a.0, b: b.0 }, self.nodes[a.0].seg)
     }
 
@@ -556,12 +556,7 @@ impl<'a> Tape<'a> {
         let xv = self.act(x);
         let mut sig = xv.clone();
         sig.map_real(sigmoid);
-        let mut y = xv.clone();
-        for (ys, ss) in y.data_mut().iter_mut().zip(sig.data()) {
-            for (y, s) in ys.iter_mut().zip(ss) {
-                *y *= s;
-            }
-        }
+        let y = xv.zip_map(&sig, |x, s| x * s);
         self.push(y, Op::Silu { x: x.0, sig }, self.nodes[x.0].seg)
     }
 

@@ -388,6 +388,11 @@ impl SumPart for GradSum {
     fn owned(self) -> std::result::Result<Vec<f32>, Self> {
         Arc::try_unwrap(self.0).map(|folded| folded.sum).map_err(GradSum)
     }
+
+    /// The sum's buffer, to the last peer that lets go of the fold.
+    fn release(self) -> Option<Vec<f32>> {
+        Arc::into_inner(self.0).map(|folded| folded.sum)
+    }
 }
 
 /// [`GradSum`] without the row count: the gradient alone.
@@ -406,6 +411,10 @@ impl SumPart for GradOnly {
         sum.pop();
         Ok(sum)
     }
+
+    fn release(self) -> Option<Vec<f32>> {
+        self.0.release()
+    }
 }
 
 /// Sums the per-row gradients of a chunk once per model-parallel group,
@@ -423,10 +432,13 @@ impl SumPart for GradOnly {
 /// auxiliary (ptx) row — so the sum's last value is the chunk's row
 /// count and rides through the DP all-reduce as it always has.
 ///
-/// Buffers live for one update. Keeping them across updates was
-/// measured and bought no time, while what two colocated workers pin
-/// showed in `peak_rss_mib` (EXPERIMENTS.md's history, "one gradient
-/// path").
+/// Every row buffer is taken from the controller's free list
+/// ([`RankCtx::rows`]) and goes back to it: the tree sum's spares when
+/// the fold ends, the sum itself once the optimizer has stepped on it
+/// ([`Optim::step`]). A reused row is neither zero-filled nor copied —
+/// the pass writes every window of its gradient (`Tape::backward_into`)
+/// and this sets the weight — so a steady-state update allocates no
+/// row, and frees none for glibc to trim from the rank thread's heap.
 struct RowFold<'c> {
     ctx: &'c RankCtx,
     tree: TreeSum,
@@ -470,7 +482,7 @@ impl<'c> RowFold<'c> {
         for run in stacks(mine.iter().map(|&i| seqs[i].len())) {
             let picked: Vec<&[usize]> = mine[run.clone()].iter().map(|&i| &seqs[i][..]).collect();
             let mut grads: Vec<Vec<f32>> =
-                picked.iter().map(|_| self.tree.buffer(self.len)).collect();
+                picked.iter().map(|_| self.tree.buffer(self.len, &self.ctx.rows)).collect();
             let scalars = pass(&mine[run], &picked, &mut grads);
             for grad in grads.iter_mut() {
                 grad[self.len - 1] = weight;
@@ -483,9 +495,17 @@ impl<'c> RowFold<'c> {
         }
     }
 
-    /// What the rows fed so far add up to.
+    /// What the rows fed so far add up to; the tree's spares go back to
+    /// the free list.
     fn folded(self) -> Folded {
-        let sum = self.tree.finish().0.unwrap_or_else(|| vec![0.0; self.len]);
+        let rows = &self.ctx.rows;
+        let (sum, spare) = self.tree.finish();
+        rows.give(spare);
+        let sum = sum.unwrap_or_else(|| {
+            let mut none = rows.take(self.len);
+            none.fill(0.0);
+            none
+        });
         Folded { sum, scalars: self.scalars }
     }
 
@@ -578,7 +598,8 @@ impl Optim {
     /// row's backward pass and the optimizer. ZeRO: reduce-scatters the
     /// gradient and steps this rank's shard
     /// ([`ZeroParamStore::apply_grads`]); `lm` is refreshed by the next
-    /// call's gather.
+    /// call's gather. Either way the sum's buffers go back to the free
+    /// list ([`RankCtx::rows`]) from the rank that lets go of them last.
     fn step(&mut self, ctx: &mut RankCtx, lm: &mut TinyLm, sum: GradSum) {
         let mut clock = ctx.clock;
         match self {
@@ -587,16 +608,21 @@ impl Optim {
                     let (grad, count) = sum.split_at(sum.len() - 1);
                     opt.step_mean(lm.flat_mut(), grad, count[0].max(1.0));
                 };
-                if ctx.comms.dp.size() > 1 {
-                    step(&ctx.comms.dp.all_reduce_sum_shared(&mut clock, sum));
+                let spent = if ctx.comms.dp.size() > 1 {
+                    let sum = ctx.comms.dp.all_reduce_sum_shared(&mut clock, sum, &ctx.rows);
+                    step(&sum);
+                    sum.into_buffer()
                 } else {
                     step(sum.as_ref());
-                }
+                    sum.release()
+                };
+                ctx.rows.give(spent);
             }
             Optim::Zero { store, .. } => {
                 let store = store.as_mut().expect("the call's gather cut the store");
                 let count = *sum.as_ref().last().expect("the row count");
-                store.apply_grads(&ctx.comms.world, &mut clock, GradOnly(sum), count);
+                let (world, rows) = (&ctx.comms.world, &ctx.rows);
+                store.apply_grads(world, &mut clock, GradOnly(sum), count, rows);
             }
         }
         ctx.clock = clock;
@@ -817,10 +843,11 @@ impl ActorWorker {
         // the weights its transition checked. A call that turns its
         // chunk down below still spent the round, on every rank alike.
         // The checked engine is dropped when the call returns, not before
-        // the decode: freed first, its one shard still lets the allocator
-        // trim the heap the decode then faults back in
-        // (`ppo_split_pipelined`: 73 → 99 minor faults an iteration, host
-        // time +1 %; `ppo_colocated` 474 → 491).
+        // the decode. With the gradient rows recycled (`RowPool`), a drop
+        // before the decode reads level on `ppo_colocated` (host 1.002×,
+        // 19 → 20 minor faults an iteration) and `ppo_split_pipelined`
+        // (1.003×, 10 → 16; `peak_rss_mib` −0.33), but `grpo_long_rollout`'s
+        // host tokens/s 0.989–0.997× (1 of 6 and 1 of 8 pairs faster).
         let _checked = if pass.is_none() || pass != self.gen_pass {
             let engine = self.hybrid_engine_transition(ctx)?;
             self.gen_round += 1;

@@ -24,7 +24,7 @@ use std::ops::Range;
 use hf_core::{DataProto, Result};
 use hf_nn::Adam;
 use hf_resilience::{encode_shard, shard_range, ShardHeader};
-use hf_simcluster::{Communicator, SumPart, VirtualClock};
+use hf_simcluster::{Communicator, RowPool, SumPart, VirtualClock};
 
 /// A ZeRO-3 parameter store: this rank's contiguous shard of the flat
 /// parameter vector plus shard-local optimizer state.
@@ -83,7 +83,7 @@ impl ZeroParamStore {
     /// Reduce-scatters `full_grad` (each rank's *unscaled* chunk
     /// gradient sum, given by value: nothing of its size is copied),
     /// divides by the global row count, and applies Adam to this rank's
-    /// shard.
+    /// shard. The sum's buffers come from and go back to `rows`.
     ///
     /// `local_rows` is this rank's chunk row count; the counts are
     /// all-reduced (exact: small integers in f32) so the mean divides by
@@ -100,13 +100,15 @@ impl ZeroParamStore {
         clock: &mut VirtualClock,
         full_grad: impl SumPart,
         local_rows: f32,
+        rows: &RowPool,
     ) {
         assert_eq!(full_grad.as_ref().len(), self.total, "gradient length mismatch");
         // Chunks of the padded length, charged as the padded vector; the
         // padding behind the last rank's values has a zero gradient.
-        let summed = comm.reduce_scatter_sum_shared(clock, full_grad);
+        let summed = comm.reduce_scatter_sum_shared(clock, full_grad, rows);
         let total_rows = comm.all_reduce_sum(clock, &[local_rows])[0];
         let mut my_grad = summed.to_vec();
+        rows.give(summed.into_buffer());
         my_grad.resize(self.shard.len(), 0.0);
         self.opt.step_mean(&mut self.shard, &my_grad, total_rows.max(1.0));
     }

@@ -3,57 +3,18 @@
 //! added, so step 60 costs what step 10 does — not two string copies
 //! more for every call recorded since the controller was built.
 //!
-//! Counted by a counting global allocator, per thread, so the device
-//! threads' allocations are not counted; its own test binary, so no
-//! other test's allocations are either.
+//! Counted per thread by `common/counting_alloc.rs`, so the device
+//! threads' allocations are not counted.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
 
+use counting_alloc::GLOBAL;
 use hf_core::{Controller, WorkerLayout};
 use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
 use hf_rlhf::env::make_prompts;
 use hf_rlhf::{PipelineConfig, PipelinedPpo, Placement, RlhfConfig, RlhfSystem};
 use hf_simcluster::{ClusterSpec, ResourcePool};
-
-struct Counting;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    // A const-initialised, drop-free thread local never fails to
-    // access; `try_with` keeps the allocator panic-free regardless.
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, so
-// `System`'s guarantees hold for the caller; counting only bumps a
-// thread-local integer and allocates nothing.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 /// Steps run; the early and late steps compared.
 const STEPS: u64 = 62;
@@ -82,9 +43,9 @@ fn a_pipelined_steps_driver_allocations_do_not_grow_with_the_run() {
     let mut per_step = Vec::new();
     for iter in 0..STEPS {
         let prompts = make_prompts(8, cfg.prompt_len, cfg.response_len, cfg.lm.vocab as u32, iter);
-        let before = ALLOCS.with(Cell::get);
+        let before = GLOBAL.thread_allocs();
         driver.step(&sys, &ctrl, &prompts).unwrap();
-        per_step.push(ALLOCS.with(Cell::get) - before);
+        per_step.push(GLOBAL.thread_allocs() - before);
     }
     let recorded = ctrl.timeline().len();
     assert!(recorded >= 10 * LATE, "the run recorded only {recorded} calls");

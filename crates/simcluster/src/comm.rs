@@ -24,6 +24,7 @@ use hf_sync::{Condvar, Mutex};
 
 use crate::clock::VirtualClock;
 use crate::cost::{CollectiveKind, CommCostModel};
+use crate::rows::RowPool;
 use crate::topology::{ClusterSpec, DeviceId};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -545,17 +546,27 @@ impl Communicator {
     ///
     /// Aborts the group if member buffer lengths differ.
     pub fn all_reduce_sum(&self, clock: &mut VirtualClock, data: &[f32]) -> Vec<f32> {
-        self.all_reduce_sum_shared(clock, data.to_vec()).to_vec()
+        let (kind, bytes) = (CollectiveKind::AllReduce, (data.len() * 4) as f64);
+        let sum = self.collective(clock, data.to_vec(), kind, bytes, |p| sum_equal_parts(p, None));
+        sum.1.clone()
     }
 
     /// [`Communicator::all_reduce_sum`] of parts given by value — a
     /// buffer the member owns or one it shares with other holders — to
     /// the one [`Reduced`] sum every member reads: nothing of the
-    /// parts' size is copied on the way in or out.
-    pub fn all_reduce_sum_shared<P: SumPart>(&self, clock: &mut VirtualClock, part: P) -> Reduced {
+    /// parts' size is copied on the way in or out. A sum that cannot be
+    /// formed in a part's buffer is formed in one taken from `rows`, and
+    /// every part whose last holder this was, and every buffer the sum
+    /// consumed, is given back to it.
+    pub fn all_reduce_sum_shared<P: SumPart>(
+        &self,
+        clock: &mut VirtualClock,
+        part: P,
+        rows: &RowPool,
+    ) -> Reduced {
         let len = part.as_ref().len();
-        let kind = CollectiveKind::AllReduce;
-        let sum = self.collective(clock, part, kind, (len * 4) as f64, sum_equal_parts);
+        let (kind, bytes) = (CollectiveKind::AllReduce, (len * 4) as f64);
+        let sum = self.collective(clock, part, kind, bytes, |p| sum_equal_parts(p, Some(rows)));
         Reduced { sum, range: 0..len }
     }
 
@@ -566,16 +577,19 @@ impl Communicator {
     /// replicated ones bitwise. Chunks are `⌈len / n⌉` long, so the last
     /// members' chunks may be short or empty, and the collective is
     /// charged for `n` whole chunks — what padding the parts would cost.
-    /// The [`Reduced`] result reads as this member's chunk.
+    /// The [`Reduced`] result reads as this member's chunk; its buffers
+    /// come from and go back to `rows` as
+    /// [`Communicator::all_reduce_sum_shared`]'s do.
     pub fn reduce_scatter_sum_shared<P: SumPart>(
         &self,
         clock: &mut VirtualClock,
         part: P,
+        rows: &RowPool,
     ) -> Reduced {
         let (n, len) = (self.size(), part.as_ref().len());
         let chunk = len.div_ceil(n);
-        let kind = CollectiveKind::ReduceScatter;
-        let sum = self.collective(clock, part, kind, (chunk * n * 4) as f64, sum_equal_parts);
+        let (kind, bytes) = (CollectiveKind::ReduceScatter, (chunk * n * 4) as f64);
+        let sum = self.collective(clock, part, kind, bytes, |p| sum_equal_parts(p, Some(rows)));
         Reduced { sum, range: (self.rank * chunk).min(len)..((self.rank + 1) * chunk).min(len) }
     }
 
@@ -599,6 +613,15 @@ pub struct Reduced {
     range: std::ops::Range<usize>,
 }
 
+impl Reduced {
+    /// The whole sum's buffer, if no other member holds the result any
+    /// more: when every member calls this, exactly one of them gets it
+    /// (`Arc::into_inner`), to give back to the list it came from.
+    pub fn into_buffer(self) -> Option<Vec<f32>> {
+        Arc::into_inner(self.sum).map(|(_, sum)| sum)
+    }
+}
+
 impl std::ops::Deref for Reduced {
     type Target = [f32];
 
@@ -615,42 +638,72 @@ pub trait SumPart: AsRef<[f32]> + Send + Sized + 'static {
     fn owned(self) -> Result<Vec<f32>, Self> {
         Err(self)
     }
+
+    /// The buffer, once the sum has read it, if this was its last holder
+    /// and it may be given back to the sum's [`RowPool`]. When every
+    /// holder calls it, at most one gets it.
+    fn release(self) -> Option<Vec<f32>> {
+        None
+    }
 }
 
 impl SumPart for Vec<f32> {
     fn owned(self) -> Result<Vec<f32>, Self> {
         Ok(self)
     }
+
+    fn release(self) -> Option<Vec<f32>> {
+        Some(self)
+    }
 }
 
 /// The balanced pairwise-tree sum of rank contributions, which must
 /// agree in length: the tree's first level pair by pair — in the left
 /// part's buffer if it owns one, into a new one if it is shared — and
-/// the levels above it by [`TreeSum`].
-fn sum_equal_parts<P: SumPart>(parts: Vec<P>) -> Vec<f32> {
+/// the levels above it by [`TreeSum`]. With `rows`, a new buffer is
+/// taken from it, and the parts it released and the tree's spares are
+/// given back to it.
+fn sum_equal_parts<P: SumPart>(parts: Vec<P>, rows: Option<&RowPool>) -> Vec<f32> {
     let len = parts[0].as_ref().len();
     for p in &parts {
         assert_eq!(p.as_ref().len(), len, "reduced buffers must have equal length");
     }
+    // Every value of a new buffer is written before it is read.
+    let new = || rows.map_or_else(|| vec![0.0; len], |rows| rows.take(len));
     let mut tree = TreeSum::default();
     let mut parts = parts.into_iter();
     while let Some(left) = parts.next() {
         let right = parts.next();
-        let right = right.as_ref().map(|r| r.as_ref());
-        tree.push(match (left.owned(), right) {
+        let (sum, read) = match (left.owned(), right) {
             (Ok(mut sum), Some(right)) => {
-                sum.iter_mut().zip(right).for_each(|(x, y)| *x += y);
-                sum
+                sum.iter_mut().zip(right.as_ref()).for_each(|(x, y)| *x += y);
+                (sum, [None, Some(right)])
             }
             (Err(left), Some(right)) => {
-                left.as_ref().iter().zip(right).map(|(x, y)| x + y).collect()
+                let mut sum = new();
+                for ((s, x), y) in sum.iter_mut().zip(left.as_ref()).zip(right.as_ref()) {
+                    *s = x + y;
+                }
+                (sum, [Some(left), Some(right)])
             }
             // An odd tail is carried up as it is.
-            (Ok(sum), None) => sum,
-            (Err(left), None) => left.as_ref().to_vec(),
-        });
+            (Ok(sum), None) => (sum, [None, None]),
+            (Err(left), None) => {
+                let mut sum = new();
+                sum.copy_from_slice(left.as_ref());
+                (sum, [Some(left), None])
+            }
+        };
+        tree.push(sum);
+        if let Some(rows) = rows {
+            rows.give(read.into_iter().flatten().filter_map(SumPart::release));
+        }
     }
-    tree.finish().0.expect("a group has at least one member")
+    let (sum, spare) = tree.finish();
+    if let Some(rows) = rows {
+        rows.give(spare);
+    }
+    sum.expect("a group has at least one member")
 }
 
 /// A streaming balanced pairwise-tree sum of equal-length vectors: parts
@@ -663,8 +716,9 @@ fn sum_equal_parts<P: SumPart>(parts: Vec<P>) -> Vec<f32> {
 /// at most `⌊log₂ n⌋ + 1` buffers are held where the list form holds
 /// `n`. A buffer whose values have been added into its left neighbour is
 /// kept as a spare, and [`TreeSum::buffer`] hands spares out again: a
-/// caller that fills the buffers it gets here allocates only while the
-/// counter grows.
+/// caller that fills the buffers it gets here takes new ones from its
+/// [`RowPool`] only while the counter grows, and gives the spares back
+/// after [`TreeSum::finish`].
 #[derive(Debug, Default)]
 pub struct TreeSum {
     levels: Vec<Option<Vec<f32>>>,
@@ -672,12 +726,18 @@ pub struct TreeSum {
 }
 
 impl TreeSum {
-    /// A buffer of `len` values to fill and [`TreeSum::push`] — a spare
-    /// one if there is one. What it holds is unspecified.
-    pub fn buffer(&mut self, len: usize) -> Vec<f32> {
-        let mut buf = self.spare.pop().unwrap_or_default();
-        buf.resize(len, 0.0);
-        buf
+    /// A buffer of `len` values to fill and [`TreeSum::push`]: a spare
+    /// one if there is one, else one taken from `rows`. What it holds is
+    /// unspecified — neither is zero-filled — so the caller writes every
+    /// value.
+    pub fn buffer(&mut self, len: usize, rows: &RowPool) -> Vec<f32> {
+        match self.spare.pop() {
+            Some(mut buf) => {
+                buf.resize(len, 0.0);
+                buf
+            }
+            None => rows.take(len),
+        }
     }
 
     /// Buffers currently held as partial sums.
@@ -804,7 +864,8 @@ mod tests {
     fn reduce_scatter_gives_each_rank_its_chunk() {
         let outs = run_ranks(2, |_, comm| {
             let mut clock = VirtualClock::new();
-            comm.reduce_scatter_sum_shared(&mut clock, vec![1.0, 2.0, 3.0, 4.0]).to_vec()
+            let part = vec![1.0, 2.0, 3.0, 4.0];
+            comm.reduce_scatter_sum_shared(&mut clock, part, &RowPool::default()).to_vec()
         });
         assert_eq!(outs[0], vec![2.0, 4.0]);
         assert_eq!(outs[1], vec![6.0, 8.0]);
@@ -864,7 +925,9 @@ mod tests {
                 }
                 let mine = contribution(r, len);
                 let ar = comm.all_reduce_sum(&mut clocks[0], &mine);
-                let rs = comm.reduce_scatter_sum_shared(&mut clocks[1], mine.clone()).to_vec();
+                let rows = RowPool::default();
+                let rs = comm.reduce_scatter_sum_shared(&mut clocks[1], mine.clone(), &rows);
+                let rs = rs.to_vec();
                 let ag = comm.all_gather(&mut clocks[2], &mine);
                 (ar, rs, ag, clocks.map(|c| c.now()))
             });
@@ -934,9 +997,9 @@ mod tests {
 
             // Fed one part at a time through recycled buffers.
             let bound = n.next_power_of_two().trailing_zeros() as usize + 1;
-            let mut tree = TreeSum::default();
+            let (mut tree, rows) = (TreeSum::default(), RowPool::default());
             for part in &parts {
-                let mut buf = tree.buffer(part.len());
+                let mut buf = tree.buffer(part.len(), &rows);
                 buf.copy_from_slice(part);
                 tree.push(buf);
                 assert!(tree.held() <= bound, "n = {n}: {} buffers held", tree.held());
@@ -960,8 +1023,9 @@ mod tests {
             let mut clocks = [VirtualClock::new(); 2];
             let part: Arc<Vec<f32>> = Arc::new(contribution(r, 10));
             let keep = part.clone();
-            let all = comm.all_reduce_sum_shared(&mut clocks[0], ArcPart(part));
-            let mine = comm.reduce_scatter_sum_shared(&mut clocks[1], contribution(r, 10));
+            let rows = RowPool::default();
+            let all = comm.all_reduce_sum_shared(&mut clocks[0], ArcPart(part), &rows);
+            let mine = comm.reduce_scatter_sum_shared(&mut clocks[1], contribution(r, 10), &rows);
             assert_eq!(*keep, contribution(r, 10), "a shared part is only read");
             (all.to_vec(), mine.to_vec(), clocks.map(|c| c.now()))
         });
@@ -988,7 +1052,47 @@ mod tests {
         }
     }
 
-    impl SumPart for ArcPart {}
+    impl SumPart for ArcPart {
+        fn release(self) -> Option<Vec<f32>> {
+            Arc::into_inner(self.0)
+        }
+    }
+
+    #[test]
+    fn a_round_whose_buffers_come_from_the_list_gives_them_all_back() {
+        // Five members share one list; each part is shared, so every
+        // pair's sum (and the odd tail's copy) needs a buffer of its own,
+        // and is taken from the list. The first pair's sum is the only
+        // new one: the later ones reuse the parts released before them.
+        // Six buffers, and a second round reuses them.
+        let rows = RowPool::default();
+        let per_round = {
+            let rows = rows.clone();
+            run_ranks(5, move |r, comm| {
+                let mut clock = VirtualClock::new();
+                let mut out = Vec::new();
+                for round in 0..2 {
+                    let mut part = rows.take(6);
+                    part.copy_from_slice(&contribution(r + round, 6));
+                    let sum =
+                        comm.all_reduce_sum_shared(&mut clock, ArcPart(Arc::new(part)), &rows);
+                    out.push(sum.to_vec());
+                    rows.give(sum.into_buffer());
+                    comm.barrier(&mut clock);
+                    out.push(vec![rows.free(6) as f32]);
+                    comm.barrier(&mut clock);
+                }
+                out
+            })
+        };
+        for round in 0..2 {
+            let sum = tree_sum_parts((0..5).map(|r| contribution(r + round, 6)).collect());
+            for out in &per_round {
+                assert_eq!(out[2 * round], sum, "round {round}");
+                assert_eq!(out[2 * round + 1], [6.0], "round {round}: buffers in the list");
+            }
+        }
+    }
 
     #[test]
     fn fold_runs_once_per_round_whatever_the_group_size() {

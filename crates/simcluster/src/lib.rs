@@ -15,12 +15,15 @@
 //!   worker threads with per-rank *virtual clocks*, so functional
 //!   execution produces the same timing the analytic simulators predict.
 //! * [`clock`] — the virtual time primitive.
+//! * [`rows`] — [`RowPool`], the free list the sum collectives and a
+//!   rank's gradient rows share.
 
 #![warn(missing_docs)]
 
 pub mod clock;
 pub mod comm;
 pub mod cost;
+pub mod rows;
 pub mod topology;
 
 pub use clock::VirtualClock;
@@ -29,4 +32,5 @@ pub use comm::{
     TreeSum,
 };
 pub use cost::{CollectiveKind, CommCostModel};
+pub use rows::RowPool;
 pub use topology::{ClusterSpec, DeviceId, GpuSpec, MachineSpec, ResourcePool};
